@@ -94,9 +94,12 @@
 //! or unreachable states are usage errors (exit 2) listing the valid
 //! or reachable states.
 //!
-//! `futil --batch` and `futil serve` are thin shells over the
-//! `calyx_service` crate: a shared parse cache, a `std::thread` worker
-//! pool, and the JSON-lines protocol documented in the README. Serve
+//! Every mode compiles through one `calyx_service::Session`: compile
+//! mode and `futil check` resolve one job and call its stages, `futil
+//! build` runs plan ops that are jobs of the same session, and `futil
+//! --batch` and `futil serve` are thin shells over the `calyx_service`
+//! crate: a shared parse cache, a `std::thread` worker pool, and the
+//! JSON-lines protocol documented in the README. Serve
 //! reads one request per line from stdin (or a `--socket` unix socket)
 //! and streams one response per line as jobs complete; EOF shuts it
 //! down cleanly. A malformed request or a panicking job produces a
@@ -109,21 +112,27 @@
 //!   --fopt rows=2 --fopt cols=2 --fopt inner=2 -b verilog < /dev/null
 //! ```
 
-use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
-use calyx_core::analysis::AnalysisCache;
-use calyx_core::lint::LintRegistry;
-use calyx_core::passes::{PassManager, PassRegistry};
-use calyx_frontend::{DynFrontend, FrontendOpts, FrontendRegistry};
-use calyx_service::{CompileService, JobDefaults, JobRequest, Request, ServeOpts, WorkerPool};
+use calyx_backend::ReportFormat;
+use calyx_core::ir::Context;
+use calyx_core::lint::DiagnosticSink;
+use calyx_service::{
+    CompileService, JobDefaults, JobRequest, Request, Resolved, ServeOpts, Session, Stage,
+    StageError, WorkerPool,
+};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::process::exit;
 
 /// The usage text, with the frontend and backend lists derived from the
 /// registries.
-fn usage(frontends: &FrontendRegistry, backends: &BackendRegistry) -> String {
-    let fnames: Vec<&str> = frontends.frontends().iter().map(|f| f.name).collect();
-    let bnames: Vec<&str> = backends.backends().iter().map(|b| b.name).collect();
+fn usage(session: &Session) -> String {
+    let fnames: Vec<&str> = session
+        .frontends
+        .frontends()
+        .iter()
+        .map(|f| f.name)
+        .collect();
+    let bnames: Vec<&str> = session.backends.backends().iter().map(|b| b.name).collect();
     format!(
         "usage: futil <file|-> [flags]
        futil <inputs...> --batch [--jobs N] [--fail-fast] [--timeout MS] \
@@ -202,10 +211,186 @@ fn usage(frontends: &FrontendRegistry, backends: &BackendRegistry) -> String {
 
 /// A *user error* in the invocation (not in the input program): print the
 /// message and the usage text to stderr and exit 2.
-fn usage_error(frontends: &FrontendRegistry, backends: &BackendRegistry, msg: &str) -> ! {
+fn usage_error(session: &Session, msg: &str) -> ! {
     eprintln!("futil: {msg}");
-    eprint!("{}", usage(frontends, backends));
+    eprint!("{}", usage(session));
     exit(2);
+}
+
+/// Report a failed compile stage and exit: 2 when a name in the
+/// invocation did not resolve (the message lists the valid choices), 1
+/// when the input program was rejected.
+fn fail(e: &StageError) -> ! {
+    eprintln!("futil: {e}");
+    exit(if e.stage == Stage::Resolve { 2 } else { 1 });
+}
+
+/// A registry lookup that failed on a name from the command line.
+fn exit_2(e: impl std::fmt::Display) -> ! {
+    eprintln!("futil: {e}");
+    exit(2);
+}
+
+/// The flags more than one subcommand takes. Each subcommand lists the
+/// ones it accepts and parses them with [`Args::shared`].
+#[derive(Clone, Copy, PartialEq)]
+enum Shared {
+    Frontend,
+    Fopt,
+    Pass,
+    Backend,
+    Cycles,
+    Format,
+    Jobs,
+    Timeout,
+    OutDir,
+}
+
+/// Compile mode (with `--batch`) and `futil serve` take all of them.
+const ALL_SHARED: &[Shared] = &[
+    Shared::Frontend,
+    Shared::Fopt,
+    Shared::Pass,
+    Shared::Backend,
+    Shared::Cycles,
+    Shared::Format,
+    Shared::Jobs,
+    Shared::Timeout,
+    Shared::OutDir,
+];
+
+/// One subcommand's argument stream and what the shared flags said.
+struct Args<'a> {
+    session: &'a Session,
+    it: std::vec::IntoIter<String>,
+    /// The shared flags' values: the defaults of every job this
+    /// invocation runs (batch and serve use them as is; the single-shot
+    /// modes run one job under them).
+    defaults: JobDefaults,
+    /// `--jobs`.
+    jobs: Option<usize>,
+    /// Positional inputs (`-` is stdin).
+    files: Vec<String>,
+}
+
+impl<'a> Args<'a> {
+    fn new(session: &'a Session, args: Vec<String>) -> Self {
+        Args {
+            session,
+            it: args.into_iter(),
+            defaults: JobDefaults::default(),
+            jobs: None,
+            files: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> Option<String> {
+        self.it.next()
+    }
+
+    /// The value of the flag just read; `msg` is the usage error when
+    /// there is none.
+    fn value(&mut self, msg: &str) -> String {
+        match self.it.next() {
+            Some(v) => v,
+            None => usage_error(self.session, msg),
+        }
+    }
+
+    /// Like [`Args::value`], parsed as a number.
+    fn number<T: std::str::FromStr>(&mut self, msg: &str) -> T {
+        match self.it.next().and_then(|v| v.parse().ok()) {
+            Some(n) => n,
+            None => usage_error(self.session, msg),
+        }
+    }
+
+    /// If `arg` is a shared flag this subcommand `accepts`, record it
+    /// (with its value) and return true.
+    fn shared(&mut self, accepts: &[Shared], arg: &str) -> bool {
+        let flag = match arg {
+            "-f" => Shared::Frontend,
+            "--fopt" => Shared::Fopt,
+            "-p" => Shared::Pass,
+            "-b" => Shared::Backend,
+            "--cycles" => Shared::Cycles,
+            "--format" => Shared::Format,
+            "--jobs" => Shared::Jobs,
+            "--timeout" => Shared::Timeout,
+            "--out-dir" => Shared::OutDir,
+            _ => return false,
+        };
+        if !accepts.contains(&flag) {
+            return false;
+        }
+        match flag {
+            Shared::Frontend => {
+                self.defaults.frontend = Some(self.value("`-f` expects a frontend name"));
+            }
+            Shared::Fopt => {
+                let f = self.value("`--fopt` expects `key=value`");
+                match f.split_once('=') {
+                    Some((k, v)) if !k.is_empty() => {
+                        self.defaults.fopts.push((k.to_string(), v.to_string()));
+                    }
+                    _ => usage_error(
+                        self.session,
+                        &format!("`--fopt` argument `{f}`; expected `key=value`"),
+                    ),
+                }
+            }
+            Shared::Pass => {
+                let p = self.value("`-p` expects a pass or alias name");
+                self.defaults.pipeline.get_or_insert_with(Vec::new).push(p);
+            }
+            Shared::Backend => self.defaults.backend = self.value("`-b` expects a backend name"),
+            Shared::Cycles => self.defaults.cycles = self.number("`--cycles` expects a number"),
+            Shared::Format => {
+                self.defaults.format = match self.it.next().as_deref() {
+                    Some("text") => ReportFormat::Text,
+                    Some("json") => ReportFormat::Json,
+                    _ => usage_error(self.session, "`--format` expects `text` or `json`"),
+                }
+            }
+            Shared::Jobs => self.jobs = Some(self.number("`--jobs` expects a number")),
+            Shared::Timeout => {
+                self.defaults.timeout_ms = Some(self.number("`--timeout` expects milliseconds"));
+            }
+            Shared::OutDir => {
+                self.defaults.out_dir = Some(self.value("`--out-dir` expects a directory"));
+            }
+        }
+        true
+    }
+
+    /// An argument that is none of the subcommand's flags: help, one of
+    /// at most `max_files` inputs, or a usage error (`mode` names the
+    /// subcommand in it).
+    fn other(&mut self, arg: String, max_files: usize, mode: &str) {
+        match arg.as_str() {
+            // Help is not an error: print to stdout and exit 0.
+            "-h" | "--help" => {
+                print!("{}", usage(self.session));
+                exit(0);
+            }
+            // `-` is stdin, not a flag.
+            f if (f == "-" || !f.starts_with('-')) && self.files.len() < max_files => {
+                self.files.push(arg);
+            }
+            other => usage_error(
+                self.session,
+                &format!("unexpected argument `{other}`{mode}"),
+            ),
+        }
+    }
+
+    /// The one input of a single-input subcommand.
+    fn file(&mut self) -> String {
+        match self.files.pop() {
+            Some(file) => file,
+            None => usage_error(self.session, "no input file"),
+        }
+    }
 }
 
 /// The shared two-column row every `--list-*` flag prints: a name padded
@@ -215,43 +400,46 @@ fn list_row(name: &str, description: &str) -> String {
     format!("  {name:<22}{description}")
 }
 
-fn list_frontends(frontends: &FrontendRegistry) {
+/// ` [extensions: .a .b]`, or nothing for an empty list.
+fn extensions_note<S: AsRef<str>>(extensions: &[S]) -> String {
+    if extensions.is_empty() {
+        return String::new();
+    }
+    let dotted: Vec<String> = extensions
+        .iter()
+        .map(|e| format!(".{}", e.as_ref()))
+        .collect();
+    format!(" [extensions: {}]", dotted.join(" "))
+}
+
+fn list_frontends(session: &Session) {
     println!("frontends:");
-    for f in frontends.frontends() {
-        let exts = if f.extensions.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " [extensions: {}]",
-                f.extensions
-                    .iter()
-                    .map(|e| format!(".{e}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-        };
-        println!("{}{}", list_row(f.name, f.description), exts);
+    for f in session.frontends.frontends() {
+        println!(
+            "{}{}",
+            list_row(f.name, f.description),
+            extensions_note(f.extensions)
+        );
         for (key, what) in f.options {
             println!("    --fopt {key:<15}{what}");
         }
     }
 }
 
-fn list_passes() {
-    let registry = PassRegistry::default();
+fn list_passes(session: &Session) {
     println!("passes:");
-    for pass in registry.passes() {
+    for pass in session.passes.passes() {
         println!("{}", list_row(pass.name, pass.description));
     }
     println!("\naliases:");
-    for (alias, expansion) in registry.aliases() {
+    for (alias, expansion) in session.passes.aliases() {
         println!("{}", list_row(alias, &expansion.join(" -> ")));
     }
 }
 
-fn list_backends(backends: &BackendRegistry) {
+fn list_backends(session: &Session) {
     println!("backends:");
-    for b in backends.backends() {
+    for b in session.backends.backends() {
         let required = b.required_pipeline;
         let pipeline = if required.is_empty() {
             String::new()
@@ -262,10 +450,9 @@ fn list_backends(backends: &BackendRegistry) {
     }
 }
 
-fn list_lints() {
-    let registry = LintRegistry::default();
+fn list_lints(session: &Session) {
     println!("lints:");
-    for l in registry.lints() {
+    for l in session.lints.lints() {
         println!(
             "{} [{}, {}]",
             list_row(l.name, l.description),
@@ -277,22 +464,47 @@ fn list_lints() {
 
 /// Read the input program (`-` reads stdin), exiting 1 on I/O failure.
 fn read_input(file: &str) -> String {
-    if file == "-" {
+    let read = if file == "-" {
         let mut s = String::new();
-        match std::io::stdin().read_to_string(&mut s) {
-            Ok(_) => s,
-            Err(e) => {
-                eprintln!("futil: cannot read stdin: {e}");
-                exit(1);
-            }
-        }
+        std::io::stdin().read_to_string(&mut s).map(|_| s)
     } else {
-        match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("futil: cannot read `{file}`: {e}");
-                exit(1);
-            }
+        std::fs::read_to_string(file)
+    };
+    match read {
+        Ok(s) => s,
+        Err(e) if file == "-" => {
+            eprintln!("futil: cannot read stdin: {e}");
+            exit(1);
+        }
+        Err(e) => {
+            eprintln!("futil: cannot read `{file}`: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// Exit 1 when writing output failed.
+fn written(result: std::io::Result<()>, what: &str) {
+    if let Err(e) = result {
+        eprintln!("futil: {what}: {e}");
+        exit(1);
+    }
+}
+
+/// Write a finished artifact: atomically to `-o`'s path (a failure never
+/// truncates or corrupts an existing file), else to stdout.
+fn write_output(out_path: Option<&str>, bytes: &[u8]) {
+    match out_path {
+        Some(path) => written(
+            calyx_service::write_atomic(path, bytes),
+            &format!("cannot write `{path}`"),
+        ),
+        None => {
+            let mut sink = std::io::stdout().lock();
+            written(
+                sink.write_all(bytes).and_then(|()| sink.flush()),
+                "i/o error",
+            );
         }
     }
 }
@@ -320,57 +532,44 @@ fn shown_name(file: &str) -> &str {
     }
 }
 
-/// Resolve the frontend name through the registry's shared rule
-/// (explicit `-f`, else extension inference, else the native parser) —
-/// the same helper the batch/serve engine and the plan graph use, so
-/// the three can never diverge. Prints a hint when the fallback fired,
-/// since that choice is a guess.
-fn resolve_frontend_name<'a>(
-    frontends: &'a FrontendRegistry,
-    explicit: Option<&'a str>,
-    file: &str,
-) -> &'a str {
-    let (name, fell_back) = frontends.resolve_name(explicit, Some(file));
-    if fell_back {
-        if file == "-" {
-            eprintln!("futil: note: reading from stdin; assuming `-f calyx` (pass `-f` to choose)");
-        } else {
-            eprintln!(
-                "futil: note: no frontend claims `{file}`'s extension; assuming `-f calyx` \
-                 (pass `-f` to choose)"
-            );
-        }
+/// The front half of compile mode and of `futil check`: resolve the one
+/// job `file` is under the shared flags, read it, parse it. Prints a
+/// hint when the frontend is the fallback, since that choice is a guess.
+fn ingest(session: &Session, defaults: &JobDefaults, file: &str) -> (Resolved, String, Context) {
+    let req = JobRequest {
+        input: Some(file.to_string()),
+        ..JobRequest::default()
+    };
+    let resolved = session
+        .resolve(&defaults.job(&req))
+        .unwrap_or_else(|e| fail(&e));
+    if resolved.fell_back && file == "-" {
+        eprintln!("futil: note: reading from stdin; assuming `-f calyx` (pass `-f` to choose)");
+    } else if resolved.fell_back {
+        eprintln!(
+            "futil: note: no frontend claims `{file}`'s extension; assuming `-f calyx` \
+             (pass `-f` to choose)"
+        );
     }
-    name
+    let src = read_input(file);
+    let ctx = resolved
+        .parse(shown_name(file), &src)
+        .unwrap_or_else(|e| fail(&e));
+    (resolved, src, ctx)
 }
 
-/// Parse `src` with `frontend`, rendering parse errors as caret
-/// diagnostics and exiting 1 on failure.
-fn parse_input(frontend: &dyn DynFrontend, file: &str, src: &str) -> calyx_core::ir::Context {
-    match frontend.parse(src) {
-        Ok(c) => c,
-        Err(e) => {
-            // Parse errors point into the source: file, line, column,
-            // the offending line, and a caret under the column.
-            match e.caret_diagnostic(shown_name(file), src) {
-                Some(diagnostic) => eprintln!("futil: {diagnostic}"),
-                None => eprintln!("futil: frontend `{}`: {e}", frontend.name()),
-            }
-            exit(1);
-        }
-    }
+/// Whether lint findings stop the run: any error, or any finding at all
+/// under `--deny warnings`.
+fn fatal(sink: &DiagnosticSink, deny_warnings: bool) -> bool {
+    sink.errors() > 0 || (deny_warnings && !sink.is_empty())
 }
 
 /// The `futil check --explain <CODE>` mode: print one lint's long-form
 /// documentation (looked up by code or name) and exit 0; unknown lints
 /// exit 2 listing every valid code.
-fn explain_lint(query: &str) -> ! {
-    let registry = LintRegistry::default();
-    match registry
-        .lints()
-        .iter()
-        .find(|l| l.code == query || l.name == query)
-    {
+fn explain_lint(session: &Session, query: &str) -> ! {
+    let lints = session.lints.lints();
+    match lints.iter().find(|l| l.code == query || l.name == query) {
         Some(lint) => {
             println!("{}: {} ({})", lint.code, lint.name, lint.severity);
             println!("\n{}", lint.description);
@@ -378,112 +577,55 @@ fn explain_lint(query: &str) -> ! {
             exit(0);
         }
         None => {
-            let codes: Vec<String> = registry
-                .lints()
+            let codes: Vec<String> = lints
                 .iter()
                 .map(|l| format!("{} ({})", l.code, l.name))
                 .collect();
-            eprintln!(
-                "futil: no lint with code or name `{query}`; valid codes: {}",
+            exit_2(format!(
+                "no lint with code or name `{query}`; valid codes: {}",
                 codes.join(", ")
-            );
-            exit(2);
+            ));
         }
     }
 }
 
 /// The `futil check` subcommand: run every registered lint, report every
 /// finding, exit 1 when the program should not be compiled as-is.
-fn run_check(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec<String>) -> ! {
-    let mut file = None;
-    let mut frontend_name: Option<String> = None;
-    let mut fopts = FrontendOpts::default();
-    let mut format = ReportFormat::Text;
+fn run_check(session: &Session, args: Vec<String>) -> ! {
+    let mut args = Args::new(session, args);
     let mut deny_warnings = false;
     let mut allow: Vec<String> = Vec::new();
     let mut deny: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.shared(&[Shared::Frontend, Shared::Fopt, Shared::Format], &arg) {
+            continue;
+        }
         match arg.as_str() {
-            "-f" => match it.next() {
-                Some(f) => frontend_name = Some(f),
-                None => usage_error(frontends, backends, "`-f` expects a frontend name"),
+            "--deny" => match args.value("`--deny` expects `warnings` or a lint name") {
+                what if what == "warnings" => deny_warnings = true,
+                what => deny.push(what),
             },
-            "--fopt" => match it.next() {
-                Some(f) => {
-                    if let Err(e) = fopts.push_flag(&f) {
-                        eprintln!("futil: {e}");
-                        exit(2);
-                    }
-                }
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "--format" => {
-                format = match it.next().as_deref() {
-                    Some("text") => ReportFormat::Text,
-                    Some("json") => ReportFormat::Json,
-                    _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-                }
-            }
-            "--deny" => match it.next() {
-                Some(what) if what == "warnings" => deny_warnings = true,
-                Some(what) => deny.push(what),
-                None => usage_error(
-                    frontends,
-                    backends,
-                    "`--deny` expects `warnings` or a lint name",
-                ),
-            },
-            "--allow" => match it.next() {
-                Some(what) => allow.push(what),
-                None => usage_error(frontends, backends, "`--allow` expects a lint name"),
-            },
-            "--explain" => match it.next() {
-                Some(query) => explain_lint(&query),
-                None => usage_error(frontends, backends, "`--explain` expects a lint code"),
-            },
+            "--allow" => allow.push(args.value("`--allow` expects a lint name")),
+            "--explain" => explain_lint(session, &args.value("`--explain` expects a lint code")),
             "--list-lints" => {
-                list_lints();
+                list_lints(session);
                 exit(0);
             }
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
-            }
-            "-" if file.is_none() => file = Some("-".to_string()),
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-            other => usage_error(
-                frontends,
-                backends,
-                &format!("unexpected argument `{other}` for `futil check`"),
-            ),
+            _ => args.other(arg, 1, " for `futil check`"),
         }
     }
-    let Some(file) = file else {
-        usage_error(frontends, backends, "no input file");
-    };
+    let file = args.file();
     // Validate lint names before touching the input: a typo in `--allow`
     // or `--deny` is a usage error listing the valid lints.
-    let registry = LintRegistry::default();
     for name in allow.iter().chain(deny.iter()) {
-        if let Err(e) = registry.get(name) {
-            eprintln!("futil: {e}");
-            exit(2);
+        if let Err(e) = session.lints.get(name) {
+            exit_2(e);
         }
     }
-    let resolved = resolve_frontend_name(frontends, frontend_name.as_deref(), &file);
-    let frontend = match frontends.get(resolved, &fopts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-    let src = read_input(&file);
-    let ctx = parse_input(frontend.as_ref(), &file, &src);
-    let mut sink = registry.check_all(&ctx, &mut AnalysisCache::new());
+    let (_, src, ctx) = ingest(session, &args.defaults, &file);
+    let mut sink = session.lint(&ctx);
     sink.apply_lint_levels(&allow, &deny);
-    match format {
+    match args.defaults.format {
         ReportFormat::Text => {
             // A clean check prints nothing.
             let rendered = sink.render_text(shown_name(&file), &src);
@@ -493,26 +635,17 @@ fn run_check(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec
         }
         ReportFormat::Json => println!("{}", sink.render_json(shown_name(&file))),
     }
-    let failing = sink.errors() > 0 || (deny_warnings && !sink.is_empty());
-    exit(i32::from(failing));
+    exit(i32::from(fatal(&sink, deny_warnings)));
 }
 
 fn list_states(graph: &calyx_plan::PlanGraph) {
     println!("states:");
     for s in graph.states() {
-        let exts = if s.extensions.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " [extensions: {}]",
-                s.extensions
-                    .iter()
-                    .map(|e| format!(".{e}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-        };
-        println!("{}{}", list_row(&s.name, &s.description), exts);
+        println!(
+            "{}{}",
+            list_row(&s.name, &s.description),
+            extensions_note(&s.extensions)
+        );
     }
 }
 
@@ -529,64 +662,34 @@ fn list_ops(graph: &calyx_plan::PlanGraph) {
 }
 
 /// The `futil build` and `futil plan` subcommands: route from the
-/// input's state to `--to` over the standard plan graph, then (for
+/// input's state to `--to` over the session's plan graph, then (for
 /// `build`) execute the route through the artifact cache. `plan`
 /// accepts the same flags and ignores the execution-only ones, so an
 /// invocation can be dry-run by swapping the subcommand name.
-fn run_build(
-    frontends: &FrontendRegistry,
-    backends: &BackendRegistry,
-    args: Vec<String>,
-    execute_route: bool,
-) -> ! {
-    let graph = calyx_plan::derive::standard();
-    let mut file: Option<String> = None;
+fn run_build(session: &Session, args: Vec<String>, execute_route: bool) -> ! {
+    let graph = calyx_plan::derive::from_session(session);
+    let mode = if execute_route {
+        " for `futil build`"
+    } else {
+        " for `futil plan`"
+    };
+    let mut args = Args::new(session, args);
     let mut to_name: Option<String> = None;
     let mut from_name: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut build = calyx_plan::BuildOpts::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.shared(&[Shared::Fopt, Shared::Cycles, Shared::Format], &arg) {
+            continue;
+        }
         match arg.as_str() {
-            "--to" => match it.next() {
-                Some(s) => to_name = Some(s),
-                None => usage_error(frontends, backends, "`--to` expects a state name"),
-            },
-            "--from" => match it.next() {
-                Some(s) => from_name = Some(s),
-                None => usage_error(frontends, backends, "`--from` expects a state name"),
-            },
-            "-o" => match it.next() {
-                Some(o) => out_path = Some(o),
-                None => usage_error(frontends, backends, "`-o` expects a file path"),
-            },
-            "--cache-dir" => match it.next() {
-                Some(d) => build.cache_dir = d.into(),
-                None => usage_error(frontends, backends, "`--cache-dir` expects a directory"),
-            },
+            "--to" => to_name = Some(args.value("`--to` expects a state name")),
+            "--from" => from_name = Some(args.value("`--from` expects a state name")),
+            "-o" => out_path = Some(args.value("`-o` expects a file path")),
+            "--cache-dir" => {
+                build.cache_dir = args.value("`--cache-dir` expects a directory").into()
+            }
             "--no-cache" => build.use_cache = false,
-            "--fopt" => match it.next() {
-                Some(f) => match f.split_once('=') {
-                    Some((k, v)) if !k.is_empty() => {
-                        build.opts.fopts.push((k.to_string(), v.to_string()));
-                    }
-                    _ => usage_error(
-                        frontends,
-                        backends,
-                        &format!("`--fopt` argument `{f}`; expected `key=value`"),
-                    ),
-                },
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "--cycles" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => build.opts.cycles = n,
-                _ => usage_error(frontends, backends, "`--cycles` expects a number"),
-            },
-            "--format" => match it.next().as_deref() {
-                Some("text") => build.opts.format = ReportFormat::Text,
-                Some("json") => build.opts.format = ReportFormat::Json,
-                _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-            },
             "--list-states" => {
                 list_states(&graph);
                 exit(0);
@@ -595,70 +698,37 @@ fn run_build(
                 list_ops(&graph);
                 exit(0);
             }
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
-            }
-            "-" if file.is_none() => file = Some("-".to_string()),
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-            other => usage_error(
-                frontends,
-                backends,
-                &format!(
-                    "unexpected argument `{other}` for `futil {}`",
-                    if execute_route { "build" } else { "plan" }
-                ),
-            ),
+            _ => args.other(arg, 1, mode),
         }
     }
-    let Some(file) = file else {
-        usage_error(frontends, backends, "no input file");
+    let file = args.file();
+    build.opts = calyx_plan::OpOpts {
+        fopts: args.defaults.fopts,
+        cycles: args.defaults.cycles,
+        format: args.defaults.format,
     };
     let Some(to_name) = to_name else {
         usage_error(
-            frontends,
-            backends,
+            session,
             "`--to <state>` is required; run `--list-states` for the choices",
         );
     };
     // Unknown `--to`/`--from` states get the graph's message listing
     // every valid state — same contract as the other registries.
-    let to = match graph.expect_state(&to_name) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
+    let to = graph.expect_state(&to_name).unwrap_or_else(|e| exit_2(e));
     let from = match &from_name {
-        Some(name) => match graph.expect_state(name) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("futil: {e}");
-                exit(2);
-            }
-        },
-        None => match graph.infer_state(&file) {
-            Some(s) => s,
-            None => {
-                eprintln!(
-                    "futil: cannot infer a state from `{}`; pass `--from <state>` \
-                     (run `--list-states` for the choices)",
-                    shown_name(&file)
-                );
-                exit(2);
-            }
-        },
+        Some(name) => graph.expect_state(name).unwrap_or_else(|e| exit_2(e)),
+        None => graph.infer_state(&file).unwrap_or_else(|| {
+            exit_2(format!(
+                "cannot infer a state from `{}`; pass `--from <state>` \
+                 (run `--list-states` for the choices)",
+                shown_name(&file)
+            ))
+        }),
     };
     // An unreachable goal is a usage error too: the message names the
     // states that *are* reachable from the start.
-    let route = match graph.plan(from, to) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
+    let route = graph.plan(from, to).unwrap_or_else(|e| exit_2(e));
     if !execute_route {
         println!(
             "plan: {} -> {} ({} step{})",
@@ -680,8 +750,7 @@ fn run_build(
         exit(0);
     }
     let src = read_input(&file);
-    let env = calyx_plan::ExecEnv::default();
-    let outcome = match calyx_plan::execute(&graph, &route, &src, &env, &build) {
+    let outcome = match calyx_plan::execute(&graph, &route, &src, session, &build) {
         Ok(o) => o,
         Err(e) => {
             // Frontend parse errors inside the first step still render
@@ -703,25 +772,7 @@ fn run_build(
             step.micros as f64 / 1000.0
         );
     }
-    match &out_path {
-        Some(path) => {
-            if let Err(e) = calyx_service::write_atomic(path, outcome.output.as_bytes()) {
-                eprintln!("futil: cannot write `{path}`: {e}");
-                exit(1);
-            }
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut sink = stdout.lock();
-            if sink
-                .write_all(outcome.output.as_bytes())
-                .and_then(|()| sink.flush())
-                .is_err()
-            {
-                exit(1);
-            }
-        }
-    }
+    write_output(out_path.as_deref(), outcome.output.as_bytes());
     exit(0);
 }
 
@@ -750,98 +801,31 @@ fn manifest_requests(path: &str, text: &str) -> Result<Vec<JobRequest>, String> 
 /// The `futil serve` subcommand: a long-lived JSON-lines compilation
 /// server on stdin/stdout (or a `--socket` unix socket), sharing one
 /// warm parse cache across every request.
-fn run_serve(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec<String>) -> ! {
-    let mut defaults = JobDefaults {
-        inline_output: true,
-        ..JobDefaults::default()
-    };
-    let mut jobs: Option<usize> = None;
+fn run_serve(session: Session, args: Vec<String>) -> ! {
+    let mut args = Args::new(&session, args);
+    args.defaults.inline_output = true;
     let mut socket: Option<String> = None;
     let mut max_connections: Option<usize> = None;
-    let mut pipeline: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.shared(ALL_SHARED, &arg) {
+            continue;
+        }
         match arg.as_str() {
-            "--jobs" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error(frontends, backends, "`--jobs` expects a number"),
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p),
-                None => usage_error(frontends, backends, "`--socket` expects a path"),
-            },
-            "--max-connections" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => max_connections = Some(n),
-                _ => usage_error(frontends, backends, "`--max-connections` expects a number"),
-            },
-            "--timeout" => match it.next().map(|s| s.parse()) {
-                Some(Ok(ms)) => defaults.timeout_ms = Some(ms),
-                _ => usage_error(frontends, backends, "`--timeout` expects milliseconds"),
-            },
-            "--out-dir" => match it.next() {
-                Some(d) => defaults.out_dir = Some(d),
-                None => usage_error(frontends, backends, "`--out-dir` expects a directory"),
-            },
-            "-f" => match it.next() {
-                Some(f) => defaults.frontend = Some(f),
-                None => usage_error(frontends, backends, "`-f` expects a frontend name"),
-            },
-            "--fopt" => match it.next() {
-                Some(f) => match f.split_once('=') {
-                    Some((k, v)) if !k.is_empty() => {
-                        defaults.fopts.push((k.to_string(), v.to_string()));
-                    }
-                    _ => usage_error(
-                        frontends,
-                        backends,
-                        &format!("`--fopt` argument `{f}`; expected `key=value`"),
-                    ),
-                },
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "-p" => match it.next() {
-                Some(p) => pipeline.push(p),
-                None => usage_error(frontends, backends, "`-p` expects a pass or alias name"),
-            },
-            "-b" => match it.next() {
-                Some(b) => defaults.backend = b,
-                None => usage_error(frontends, backends, "`-b` expects a backend name"),
-            },
-            "--cycles" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => defaults.cycles = n,
-                _ => usage_error(frontends, backends, "`--cycles` expects a number"),
-            },
-            "--format" => match it.next().as_deref() {
-                Some("text") => defaults.format = ReportFormat::Text,
-                Some("json") => defaults.format = ReportFormat::Json,
-                _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-            },
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
+            "--socket" => socket = Some(args.value("`--socket` expects a path")),
+            "--max-connections" => {
+                max_connections = Some(args.number("`--max-connections` expects a number"));
             }
-            other => usage_error(
-                frontends,
-                backends,
-                &format!("unexpected argument `{other}` for `futil serve`"),
-            ),
+            _ => args.other(arg, 0, " for `futil serve`"),
         }
     }
     if max_connections.is_some() && socket.is_none() {
-        usage_error(
-            frontends,
-            backends,
-            "`--max-connections` requires `--socket`",
-        );
-    }
-    if !pipeline.is_empty() {
-        defaults.pipeline = Some(pipeline);
+        usage_error(&session, "`--max-connections` requires `--socket`");
     }
     let opts = ServeOpts {
-        jobs: jobs.unwrap_or_else(WorkerPool::default_jobs),
-        defaults,
+        jobs: args.jobs.unwrap_or_else(WorkerPool::default_jobs),
+        defaults: args.defaults,
     };
-    let service = CompileService::new();
+    let service = CompileService::with_session(session);
     let result = match socket {
         Some(path) => {
             calyx_service::serve_socket(&service, Path::new(&path), &opts, max_connections)
@@ -859,178 +843,90 @@ fn run_serve(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec
 }
 
 fn main() {
-    let frontends = FrontendRegistry::default();
-    let backends = BackendRegistry::default();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The `check` and `serve` subcommands take over the whole invocation.
-    if args.first().map(String::as_str) == Some("check") {
-        args.remove(0);
-        run_check(&frontends, &backends, args);
+    let session = Session::default();
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // The subcommands take over the whole invocation.
+    let subcommand = argv.first().cloned();
+    match subcommand.as_deref() {
+        Some("check") => run_check(&session, argv.split_off(1)),
+        Some("serve") => run_serve(session, argv.split_off(1)),
+        Some("build") => run_build(&session, argv.split_off(1), true),
+        Some("plan") => run_build(&session, argv.split_off(1), false),
+        _ => {}
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        args.remove(0);
-        run_serve(&frontends, &backends, args);
-    }
-    if args.first().map(String::as_str) == Some("build") {
-        args.remove(0);
-        run_build(&frontends, &backends, args, true);
-    }
-    if args.first().map(String::as_str) == Some("plan") {
-        args.remove(0);
-        run_build(&frontends, &backends, args, false);
-    }
-    let mut files: Vec<String> = Vec::new();
-    let mut frontend_name: Option<String> = None;
-    let mut fopts = FrontendOpts::default();
-    let mut fopt_pairs: Vec<(String, String)> = Vec::new();
-    let mut pipeline: Vec<String> = Vec::new();
-    let mut backend_name = "calyx".to_string();
+    let mut args = Args::new(&session, argv);
     let mut out_path: Option<String> = None;
-    let mut opts = BackendOpts::default();
     let mut time = false;
     let mut stats = false;
     let mut check = false;
     let mut deny_warnings = false;
     let mut batch = false;
-    let mut jobs: Option<usize> = None;
     let mut fail_fast = false;
-    let mut timeout_ms: Option<u64> = None;
-    let mut out_dir: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.shared(ALL_SHARED, &arg) {
+            continue;
+        }
         match arg.as_str() {
-            "-f" => match it.next() {
-                Some(f) => frontend_name = Some(f),
-                None => usage_error(&frontends, &backends, "`-f` expects a frontend name"),
-            },
-            "--fopt" => match it.next() {
-                Some(f) => {
-                    if let Err(e) = fopts.push_flag(&f) {
-                        eprintln!("futil: {e}");
-                        exit(2);
-                    }
-                    // Batch job defaults carry the raw pair.
-                    if let Some((k, v)) = f.split_once('=') {
-                        fopt_pairs.push((k.to_string(), v.to_string()));
-                    }
-                }
-                None => usage_error(&frontends, &backends, "`--fopt` expects `key=value`"),
-            },
-            "-p" => match it.next() {
-                Some(p) => pipeline.push(p),
-                None => usage_error(&frontends, &backends, "`-p` expects a pass or alias name"),
-            },
-            "-b" => match it.next() {
-                Some(b) => backend_name = b,
-                None => usage_error(&frontends, &backends, "`-b` expects a backend name"),
-            },
-            "-o" => match it.next() {
-                Some(o) => out_path = Some(o),
-                None => usage_error(&frontends, &backends, "`-o` expects a file path"),
-            },
-            "--cycles" => {
-                opts.cycles = match it.next().map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage_error(&frontends, &backends, "`--cycles` expects a number"),
-                }
-            }
-            "--format" => {
-                opts.format = match it.next().as_deref() {
-                    Some("text") => ReportFormat::Text,
-                    Some("json") => ReportFormat::Json,
-                    _ => usage_error(&frontends, &backends, "`--format` expects `text` or `json`"),
-                }
-            }
+            "-o" => out_path = Some(args.value("`-o` expects a file path")),
             "--check" => check = true,
-            "--deny" => match it.next().as_deref() {
+            "--deny" => match args.next().as_deref() {
                 Some("warnings") => deny_warnings = true,
-                _ => usage_error(&frontends, &backends, "`--deny` expects `warnings`"),
+                _ => usage_error(&session, "`--deny` expects `warnings`"),
             },
             "--time" => time = true,
             "--stats" => stats = true,
             "--batch" => batch = true,
-            "--jobs" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error(&frontends, &backends, "`--jobs` expects a number"),
-            },
             "--fail-fast" => fail_fast = true,
-            "--timeout" => match it.next().map(|s| s.parse()) {
-                Some(Ok(ms)) => timeout_ms = Some(ms),
-                _ => usage_error(&frontends, &backends, "`--timeout` expects milliseconds"),
-            },
-            "--out-dir" => match it.next() {
-                Some(d) => out_dir = Some(d),
-                None => usage_error(&frontends, &backends, "`--out-dir` expects a directory"),
-            },
             "--list-frontends" => {
-                list_frontends(&frontends);
+                list_frontends(&session);
                 exit(0);
             }
             "--list-passes" => {
-                list_passes();
+                list_passes(&session);
                 exit(0);
             }
             "--list-backends" => {
-                list_backends(&backends);
+                list_backends(&session);
                 exit(0);
             }
             "--list-lints" => {
-                list_lints();
+                list_lints(&session);
                 exit(0);
             }
-            // Help is not an error: print to stdout and exit 0.
-            "-h" | "--help" => {
-                print!("{}", usage(&frontends, &backends));
-                exit(0);
-            }
-            // `-` is stdin, not a flag.
-            "-" => files.push("-".to_string()),
-            f if !f.starts_with('-') => files.push(f.to_string()),
-            other => usage_error(
-                &frontends,
-                &backends,
-                &format!("unexpected argument `{other}`"),
-            ),
+            _ => args.other(arg, usize::MAX, ""),
         }
     }
 
     // `--batch`: every positional is a job (or a manifest of jobs); the
-    // flags above become per-job defaults.
+    // shared flags are the per-job defaults.
     if batch {
         if out_path.is_some() {
             usage_error(
-                &frontends,
-                &backends,
+                &session,
                 "`-o` names one output; with `--batch` use `--out-dir` or a per-job `out`",
             );
         }
         if check {
             usage_error(
-                &frontends,
-                &backends,
+                &session,
                 "`--check` is not supported with `--batch`; run `futil check` separately",
             );
         }
-        if files.is_empty() {
+        if args.files.is_empty() {
             usage_error(
-                &frontends,
-                &backends,
+                &session,
                 "`--batch` expects input files or `.jsonl` manifests",
             );
         }
         let mut reqs: Vec<JobRequest> = Vec::new();
-        for f in &files {
+        for f in &args.files {
             if f == "-" || f.ends_with(".jsonl") {
                 // Manifest validation failures are usage errors: the
                 // whole batch is rejected before any job runs.
                 let text = read_input(f);
                 match manifest_requests(shown_name(f), &text) {
                     Ok(r) => reqs.extend(r),
-                    Err(msg) => {
-                        eprintln!("futil: {msg}");
-                        exit(2);
-                    }
+                    Err(msg) => exit_2(msg),
                 }
             } else {
                 reqs.push(JobRequest {
@@ -1039,109 +935,52 @@ fn main() {
                 });
             }
         }
-        let defaults = JobDefaults {
-            frontend: frontend_name,
-            fopts: fopt_pairs,
-            pipeline: if pipeline.is_empty() {
-                None
-            } else {
-                Some(pipeline)
-            },
-            backend: backend_name,
-            cycles: opts.cycles,
-            format: opts.format,
-            timeout_ms,
-            out_dir,
-            inline_output: false,
-        };
-        let service = CompileService::new();
-        let summary = service.run_batch(
-            &reqs,
-            jobs.unwrap_or_else(WorkerPool::default_jobs),
-            fail_fast,
-            &defaults,
-        );
+        let jobs = args.jobs.unwrap_or_else(WorkerPool::default_jobs);
+        let defaults = args.defaults;
+        let summary =
+            CompileService::with_session(session).run_batch(&reqs, jobs, fail_fast, &defaults);
         // `--format` doubles as the summary format; `--time`/`--stats`
         // add the per-job stage table instead of interleaving stderr.
-        match opts.format {
+        match defaults.format {
             ReportFormat::Json => println!("{}", summary.render_json()),
             ReportFormat::Text => println!("{}", summary.render_text(time || stats)),
         }
         exit(i32::from(!summary.all_ok()));
     }
-    if jobs.is_some() || fail_fast || timeout_ms.is_some() || out_dir.is_some() {
+    let batch_only = &args.defaults;
+    if args.jobs.is_some()
+        || fail_fast
+        || batch_only.timeout_ms.is_some()
+        || batch_only.out_dir.is_some()
+    {
         usage_error(
-            &frontends,
-            &backends,
+            &session,
             "`--jobs`, `--fail-fast`, `--timeout`, and `--out-dir` require `--batch` or `futil serve`",
         );
     }
-    if files.len() > 1 {
-        usage_error(&frontends, &backends, "multiple inputs require `--batch`");
+    if args.files.len() > 1 {
+        usage_error(&session, "multiple inputs require `--batch`");
     }
-    let Some(file) = files.into_iter().next() else {
-        usage_error(&frontends, &backends, "no input file");
-    };
-    // Unknown backends get the registry's message, which lists every valid
-    // choice.
-    let backend = match backends.get(&backend_name, &opts) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-    let resolved_frontend = resolve_frontend_name(&frontends, frontend_name.as_deref(), &file);
-    // Unknown frontends and bad `--fopt` keys/values are usage errors:
-    // the registry message lists the valid frontends, and `from_opts`
-    // names the frontend plus its valid keys.
-    let frontend = match frontends.get(resolved_frontend, &fopts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-    // No explicit pipeline: run what the backend declares it needs
-    // (`lower` for backends that accept any program, like `calyx`).
-    if pipeline.is_empty() {
-        let required = backend.required_pipeline();
-        if required.is_empty() {
-            pipeline.push("lower".to_string());
-        } else {
-            pipeline.extend(required.iter().map(|s| s.to_string()));
-        }
-    }
-    let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-    // Unknown passes/aliases get the registry's message, which lists every
-    // valid pass and alias.
-    let mut pm = match PassManager::from_names(&names) {
-        Ok(pm) => pm,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-
-    let src = read_input(&file);
-    let mut ctx = parse_input(frontend.as_ref(), &file, &src);
+    let file = args.file();
+    let (mut resolved, src, mut ctx) = ingest(&session, &args.defaults, &file);
 
     // `--check`: run every lint before compiling. Diagnostics go to
     // stderr (stdout belongs to the backend), and the run stops on
     // error-severity findings — or any finding under `--deny warnings`.
     if check {
-        let sink = LintRegistry::default().check_all(&ctx, &mut AnalysisCache::new());
+        let sink = session.lint(&ctx);
         let rendered = sink.render_text(shown_name(&file), &src);
         if !rendered.is_empty() {
             eprintln!("{rendered}");
         }
-        if sink.errors() > 0 || (deny_warnings && !sink.is_empty()) {
+        if fatal(&sink, deny_warnings) {
             eprintln!("futil: `--check` found fatal diagnostics; not compiling");
             exit(1);
         }
     }
 
-    let result = pm.run(&mut ctx);
+    let result = resolved.run_passes(&mut ctx);
+    let pm = &resolved.passes;
     if time {
         // Timings include every pass that ran — also on failing pipelines.
         eprintln!("pass timings:");
@@ -1170,23 +1009,37 @@ fn main() {
         );
     }
     if let Err(e) = result {
-        eprintln!("futil: {e}");
-        exit(1);
+        fail(&e);
     }
 
-    // The backend's precondition gate: an explicit pipeline that leaves
-    // the program in the wrong shape fails here, cleanly, before any
-    // output exists.
-    if let Err(e) = backend.validate(&ctx) {
-        eprintln!(
-            "futil: backend `{}` precondition failed: {e}",
-            backend.name()
-        );
+    // Validate, then emit: streamed to stdout, or with `-o` into memory
+    // and from there atomically into place. An explicit pipeline that
+    // leaves the program in the wrong shape fails the backend's
+    // precondition gate, cleanly, before any output exists.
+    let emitted = match &out_path {
+        Some(path) => {
+            let mut buffer = Vec::new();
+            resolved
+                .emit(&ctx, &mut buffer)
+                .map(|()| write_output(Some(path), &buffer))
+        }
+        None => {
+            let mut sink = std::io::stdout().lock();
+            resolved
+                .emit(&ctx, &mut sink)
+                .map(|()| written(sink.flush(), "i/o error"))
+        }
+    };
+    if let Err(e) = emitted {
+        eprintln!("futil: {e}");
+        let backend = &resolved.backend;
         let required = backend.required_pipeline();
         // Suggest the backend's pipeline only when it wasn't already run
         // — validate failures are not always pipeline-shaped.
-        let already_ran = required.iter().all(|r| pipeline.iter().any(|p| p == r));
-        if !required.is_empty() && !already_ran {
+        let already_ran = required
+            .iter()
+            .all(|r| resolved.pipeline.iter().any(|p| p == r));
+        if e.stage == Stage::Validate && !required.is_empty() && !already_ran {
             eprintln!(
                 "futil: note: `{}` requires the pipeline `-p {}`",
                 backend.name(),
@@ -1196,46 +1049,10 @@ fn main() {
         exit(1);
     }
 
-    // Stream emission to the selected sink. With `-o`, stream to a
-    // sibling temp file and rename into place on success, so a failed
-    // emission never truncates or corrupts an existing output file.
-    let emit_result = match &out_path {
-        Some(path) => {
-            let tmp = format!("{path}.tmp");
-            let file = match std::fs::File::create(&tmp) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("futil: cannot write `{tmp}`: {e}");
-                    exit(1);
-                }
-            };
-            let mut sink = std::io::BufWriter::new(file);
-            let result = backend
-                .emit(&ctx, &mut sink)
-                .and_then(|()| sink.flush().map_err(Into::into))
-                .and_then(|()| std::fs::rename(&tmp, path).map_err(Into::into));
-            if result.is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-            result
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut sink = stdout.lock();
-            backend
-                .emit(&ctx, &mut sink)
-                .and_then(|()| sink.flush().map_err(Into::into))
-        }
-    };
-    if let Err(e) = emit_result {
-        eprintln!("futil: {e}");
-        exit(1);
-    }
-
     // Simulation backends measure their cycle loop; report it next to
     // the pass timings (same stderr channel, same flags).
     if time || stats {
-        if let Some(t) = backend.throughput() {
+        if let Some(t) = resolved.backend.throughput() {
             eprintln!(
                 "simulation: {} cycles in {:.3?} ({} cycles/sec)",
                 t.cycles,

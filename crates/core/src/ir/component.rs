@@ -350,6 +350,16 @@ impl Context {
 mod tests {
     use super::*;
 
+    fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Compile-time pin: the service's parse cache shares parsed
+    /// programs between worker threads, so the IR may hold no `Rc` or
+    /// `RefCell`.
+    #[test]
+    fn context_is_send_and_sync() {
+        assert_send_sync::<Context>();
+    }
+
     #[test]
     fn implicit_interface_ports() {
         let comp = Component::new("main", vec![PortDef::new("x", 8, Direction::Input)]);

@@ -1,27 +1,34 @@
-//! Deriving the standard build graph from the four existing registries.
+//! Deriving the standard build graph from a [`Session`]'s registries.
 //!
 //! The graph is not hand-maintained: states and ops fall out of the
 //! frontend, pass-alias, backend, and lint registries, so registering a
-//! new frontend or backend automatically grows the plan space. The
-//! rules:
+//! new frontend or backend automatically grows the plan space. Nor do
+//! the ops compile anything themselves: each compiler op is one
+//! [`Job`] — which frontend reads the input text, which pipeline runs,
+//! which backend writes the output text — handed to the same
+//! [`Session::resolve`] → [`compile`](calyx_service::Resolved::compile)
+//! core as a direct `futil` run or a service request. The rules:
 //!
 //! - Every **frontend** contributes a source state (named after the
 //!   frontend, claiming its registered extensions) and — except the
 //!   native `calyx` parser, whose state *is* the hub — a
-//!   `<frontend>-to-calyx` op producing canonical Calyx text.
+//!   `<frontend>-to-calyx` op producing canonical Calyx text (that
+//!   frontend, no passes, the `calyx` printer backend).
 //! - Every **pass alias** whose expansion lowers (contains
 //!   `remove-groups`) contributes an op from `calyx` to the shared
-//!   `calyx-lowered` state, fingerprinted on its expansion so editing an
+//!   `calyx-lowered` state (the alias as the pipeline, the `calyx`
+//!   printer backend), fingerprinted on its expansion so editing an
 //!   alias invalidates exactly the builds that used it. Costs prefer
 //!   `lower` over the heavier static/optimizing pipelines; a
 //!   non-lowering alias (like `none`) maps `calyx` to itself and is
 //!   skipped. Unknown (third-party) aliases get a cost above the
 //!   standard four so they never silently hijack a default route.
 //! - Every **backend** except the `calyx` printer contributes an
-//!   `emit-<name>` op from `calyx`, running the backend's declared
-//!   pipeline in-op before emitting (`verilog` runs `lower`, `interp`
-//!   runs `none` = well-formedness). Emission deliberately does *not*
-//!   read the `calyx-lowered` state: lowered guard expressions flatten
+//!   `emit-<name>` op from `calyx`, running the backend's
+//!   [`default_pipeline`] in-op before emitting (`verilog` runs `lower`,
+//!   `interp` runs `none` = well-formedness). Emission deliberately
+//!   does *not* read the `calyx-lowered` state: lowered guard
+//!   expressions flatten
 //!   when printed and re-associate when re-parsed, so an extra
 //!   print/parse roundtrip after the pass pipeline would change the
 //!   emitted guard grouping — plan-built artifacts must be
@@ -29,28 +36,25 @@
 //!   pre-pass canonical text has that pinned roundtrip property. The
 //!   target state is `verilog` for the SystemVerilog backend and
 //!   `<name>-report` otherwise, with the artifact extension taken from
-//!   [`Backend::EXTENSION`] via the registry. The fingerprint folds in
-//!   the *expanded* pipeline, so editing an alias invalidates the
-//!   emissions that ran it.
+//!   [`Backend::EXTENSION`](calyx_backend::Backend::EXTENSION) via the
+//!   registry. The fingerprint folds in the *expanded* pipeline, so
+//!   editing an alias invalidates the emissions that ran it.
 //! - The **lint registry** contributes one hand-registered composite
-//!   op, `check`, from `calyx` to `lint-report` — the `futil check`
+//!   op, `check`, from `calyx` to `lint-report` — [`Session::lint`]'s
 //!   report as a cacheable artifact, fingerprinted on the registered
 //!   lint codes.
 //!
 //! Third parties extend the graph the same two ways they extend the
-//! underlying registries: register into those registries and call
-//! [`from_registries`], or add bespoke states/ops directly with
+//! underlying registries: register into a session's registries and call
+//! [`from_session`], or add bespoke states/ops directly with
 //! [`PlanGraph::add_state`]/[`PlanGraph::add_op`].
 
 use crate::graph::PlanGraph;
-use crate::op::{OpSpec, OptUse};
-use calyx_backend::{BackendOpts, BackendRegistry};
-use calyx_core::analysis::AnalysisCache;
-use calyx_core::errors::Error;
-use calyx_core::ir::{parse_context, Printer};
-use calyx_core::lint::LintRegistry;
-use calyx_core::passes::PassRegistry;
-use calyx_frontend::{FrontendOpts, FrontendRegistry};
+use crate::op::{ExecEnv, OpSpec, OptUse};
+use calyx_backend::{BackendOpts, ReportFormat};
+use calyx_core::errors::{CalyxResult, Error};
+use calyx_core::ir::parse_context;
+use calyx_service::{default_pipeline, Job, Session};
 
 /// The pass that marks an expansion as "lowering": after it the program
 /// is structural (no groups, no control), i.e. in the `calyx-lowered`
@@ -73,24 +77,27 @@ fn alias_cost(name: &str) -> u32 {
 
 /// The standard build graph, derived from the default registries.
 pub fn standard() -> PlanGraph {
-    from_registries(
-        &FrontendRegistry::default(),
-        &PassRegistry::default(),
-        &BackendRegistry::default(),
-        &LintRegistry::default(),
-    )
+    from_session(&Session::default())
 }
 
-/// Derive a build graph from (possibly extended) registries. See the
-/// [module docs](self) for the derivation rules. Hand the *same*
-/// registries to [`ExecEnv`](crate::ExecEnv) so execution resolves the
-/// same entries the derivation advertised.
-pub fn from_registries(
-    frontends: &FrontendRegistry,
-    passes: &PassRegistry,
-    backends: &BackendRegistry,
-    lints: &LintRegistry,
-) -> PlanGraph {
+/// Text in, text out: compile `src` as `job` through the shared core.
+fn compile(env: &ExecEnv, job: &Job, src: &str) -> CalyxResult<String> {
+    let compiled = env.resolve(job)?.compile("<plan>", src, None)?;
+    String::from_utf8(compiled.output)
+        .map_err(|_| Error::malformed(format!("backend `{}` emitted non-UTF-8", job.backend)))
+}
+
+/// Derive a build graph from a session's (possibly extended)
+/// registries. See the [module docs](self) for the derivation rules.
+/// Hand the *same* session to [`execute`](crate::execute) so execution
+/// resolves the same entries the derivation advertised.
+pub fn from_session(session: &Session) -> PlanGraph {
+    let Session {
+        frontends,
+        passes,
+        backends,
+        lints,
+    } = session;
     let mut g = PlanGraph::empty();
 
     // Frontend states: one per registered frontend, claiming its input
@@ -130,12 +137,13 @@ pub fn from_registries(
                 ..OptUse::default()
             },
             run: Box::new(move |src, env, opts| {
-                let mut fopts = FrontendOpts::new();
-                for (k, v) in &opts.fopts {
-                    fopts.set(k.clone(), v.clone());
-                }
-                let ctx = env.frontends.get(&name, &fopts)?.parse(src)?;
-                Ok(Printer::print_context(&ctx))
+                let job = Job {
+                    frontend: Some(&name),
+                    fopts: opts.fopts.clone(),
+                    pipeline: Some(&[]),
+                    ..Job::default()
+                };
+                compile(env, &job, src)
             }),
         });
     }
@@ -157,35 +165,28 @@ pub fn from_registries(
             fingerprint: format!("passes:{}", names.join(",")),
             uses: OptUse::default(),
             run: Box::new(move |src, env, _| {
-                let mut ctx = parse_context(src)?;
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                env.passes.build(&refs)?.run(&mut ctx)?;
-                Ok(Printer::print_context(&ctx))
+                let job = Job {
+                    frontend: Some("calyx"),
+                    pipeline: Some(&names),
+                    ..Job::default()
+                };
+                compile(env, &job, src)
             }),
         });
     }
 
     // Backend ops: `emit-<name>`, from canonical `calyx`, running the
-    // backend's declared pipeline in-op (see the module docs for why
-    // emission does not read `calyx-lowered`). An empty declaration
-    // defaults to `lower`, mirroring the direct driver.
+    // backend's default pipeline in-op (see the module docs for why
+    // emission does not read `calyx-lowered`).
     for b in backends.backends() {
         if b.name == "calyx" {
             continue;
         }
-        let run_pre: Vec<String> = if b.required_pipeline.is_empty() {
-            vec!["lower".to_string()]
-        } else {
-            b.required_pipeline
-                .iter()
-                .map(|p| (*p).to_string())
-                .collect()
-        };
-        let pre_refs: Vec<&str> = run_pre.iter().map(String::as_str).collect();
+        let run_pre = default_pipeline(b.required_pipeline);
         // Fingerprint on the expansion, so alias edits invalidate; fall
         // back to the raw names when the alias is not in `passes`.
         let expanded = passes
-            .expand(&pre_refs)
+            .expand(run_pre)
             .map(|ps| ps.join(","))
             .unwrap_or_else(|_| run_pre.join(","));
         let to = if b.name == "verilog" {
@@ -219,22 +220,16 @@ pub fn from_registries(
                 ..OptUse::default()
             },
             run: Box::new(move |src, env, opts| {
-                let mut ctx = parse_context(src)?;
-                if !run_pre.is_empty() {
-                    let refs: Vec<&str> = run_pre.iter().map(String::as_str).collect();
-                    env.passes.build(&refs)?.run(&mut ctx)?;
-                }
-                let backend = env.backends.get(
-                    &name,
-                    &BackendOpts {
+                let job = Job {
+                    frontend: Some("calyx"),
+                    backend: &name,
+                    bopts: BackendOpts {
                         cycles: opts.cycles,
                         format: opts.format,
                     },
-                )?;
-                let mut out = Vec::new();
-                backend.emit(&ctx, &mut out)?;
-                String::from_utf8(out)
-                    .map_err(|_| Error::malformed(format!("backend `{name}` emitted non-UTF-8")))
+                    ..Job::default()
+                };
+                compile(env, &job, src)
             }),
         });
     }
@@ -261,11 +256,10 @@ pub fn from_registries(
             ..OptUse::default()
         },
         run: Box::new(|src, env, opts| {
-            let ctx = parse_context(src)?;
-            let sink = env.lints.check_all(&ctx, &mut AnalysisCache::new());
+            let sink = env.lint(&parse_context(src)?);
             Ok(match opts.format {
-                calyx_backend::ReportFormat::Text => sink.render_text("<plan>", src),
-                calyx_backend::ReportFormat::Json => sink.render_json("<plan>"),
+                ReportFormat::Text => sink.render_text("<plan>", src),
+                ReportFormat::Json => sink.render_json("<plan>"),
             })
         }),
     });
@@ -277,7 +271,9 @@ pub fn from_registries(
 mod tests {
     use super::*;
     use crate::exec::{execute, BuildOpts};
-    use crate::op::ExecEnv;
+    use calyx_backend::BackendRegistry;
+    use calyx_core::passes::PassRegistry;
+    use calyx_frontend::FrontendRegistry;
 
     #[test]
     fn standard_graph_has_the_expected_states_and_ops() {
@@ -499,7 +495,7 @@ mod tests {
         assert!(report.output.is_empty(), "{}", report.output);
         let json_build = BuildOpts {
             opts: crate::op::OpOpts {
-                format: calyx_backend::ReportFormat::Json,
+                format: ReportFormat::Json,
                 ..crate::op::OpOpts::default()
             },
             ..build

@@ -16,7 +16,7 @@ use calyx_core::utils::is_kebab_case;
 ///
 /// Construct the standard graph with
 /// [`standard`](crate::derive::standard) (or
-/// [`from_registries`](crate::derive::from_registries) over extended
+/// [`from_session`](crate::derive::from_session) over extended
 /// registries), then plan routes with [`PlanGraph::plan`] and execute
 /// them with [`execute`](crate::exec::execute).
 #[derive(Default)]

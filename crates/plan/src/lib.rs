@@ -24,7 +24,9 @@
 //! - [`execute`] runs a route through an [`ArtifactCache`]: every step
 //!   is keyed on the digest of its input text plus the op's
 //!   [fingerprint](Op::fingerprint), so warm rebuilds skip every clean
-//!   step and an edit re-runs only what it actually invalidates.
+//!   step and an edit re-runs only what it actually invalidates. Ops run
+//!   against an [`ExecEnv`] — the compile core's `Session`, the same
+//!   one the direct driver and the batch/serve engine compile through.
 //!
 //! ```
 //! use calyx_plan::{derive, execute, BuildOpts, ExecEnv};

@@ -13,32 +13,22 @@
 //! [`derive`](crate::derive) (one op per frontend, pass alias, backend,
 //! plus the composite lint op) or by third parties via
 //! [`PlanGraph::add_op`](crate::PlanGraph::add_op), exactly like the
-//! other four registries accept foreign entries.
+//! other four registries accept foreign entries. An op runs against an
+//! [`ExecEnv`], which is the compile core's
+//! [`Session`](calyx_service::Session): the derived ops are each one
+//! [`Job`](calyx_service::Job) compiled through it.
 
 use crate::state::StateId;
-use calyx_backend::{BackendRegistry, ReportFormat};
+use calyx_backend::ReportFormat;
 use calyx_core::errors::CalyxResult;
-use calyx_core::lint::LintRegistry;
-use calyx_core::passes::PassRegistry;
-use calyx_frontend::FrontendRegistry;
 use calyx_service::ParseCache;
 
-/// The registries an op may consult while running. Owned (registries
-/// are cheap tables of function pointers), so executors need no
-/// lifetime plumbing; drivers that register third-party frontends or
-/// backends hand the same extended registries to both the graph
-/// derivation and the environment.
-#[derive(Default)]
-pub struct ExecEnv {
-    /// Frontends, for `<frontend>-to-calyx` ops.
-    pub frontends: FrontendRegistry,
-    /// Passes, for pipeline-alias ops and backend pre-pipelines.
-    pub passes: PassRegistry,
-    /// Backends, for `emit-<backend>` ops.
-    pub backends: BackendRegistry,
-    /// Lints, for the composite `check` op.
-    pub lints: LintRegistry,
-}
+/// The registries an op may consult while running: the same
+/// [`Session`](calyx_service::Session) the driver and the service
+/// compile through. Drivers that register third-party frontends or
+/// backends hand one extended session to both the graph derivation and
+/// the executor.
+pub use calyx_service::Session as ExecEnv;
 
 /// Driver-level options ops may consume — the `futil build` equivalents
 /// of `--fopt`, `--cycles`, and `--format`.

@@ -4,17 +4,16 @@
 //! — the same generated kernel compiled to several backends, the same
 //! file re-requested across serve connections. The cache keys each parse
 //! by `(frontend fingerprint, content digest)` and stores the parsed
-//! program's **canonical Calyx text** (via
-//! [`Printer::print_context`](calyx_core::ir::Printer::print_context)).
+//! [`Context`] itself: the IR is `Send + Sync` (pinned by a compile-time
+//! test in `calyx_core`), so a hit is one `Context::clone` and carries
+//! the source positions of the text the user wrote.
 //!
-//! Why text and not the IR itself: the compile-time IR is `Rc`-based and
-//! cannot cross worker threads. Canonical text can, and re-ingesting it
-//! through the native parser skips the expensive half of a repeated job
-//! — generator frontends (polybench, systolic, dahlia) spend most of
-//! their parse stage *producing* Calyx, which a hit replays in one cheap
-//! `parse_context`. Hit-path determinism (canonical text re-parses to a
-//! byte-identical program) is pinned by the batch differential suite.
+//! [`ParseCache::get_or_parse`] is the whole protocol: one call looks the
+//! key up and, on a miss, runs the frontend while holding that key's
+//! slot, so concurrent identical jobs wait for the first parse instead
+//! of each running the generator. A failed parse caches nothing.
 
+use calyx_core::ir::Context;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,11 +44,15 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One key's entry: empty while its first parse is in flight (the
+/// parsing thread holds the lock, identical jobs queue on it).
+type Slot = Arc<Mutex<Option<Arc<Context>>>>;
+
 /// A thread-safe map from `(frontend fingerprint, source digest)` to the
-/// canonical text of the parsed program.
+/// parsed program.
 #[derive(Debug, Default)]
 pub struct ParseCache {
-    map: Mutex<HashMap<(String, u64), Arc<str>>>,
+    map: Mutex<HashMap<(String, u64), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -86,26 +89,48 @@ impl ParseCache {
         fp
     }
 
-    /// The cached canonical text for `(fingerprint, digest)`, counting
-    /// the lookup as a hit or miss.
-    pub fn lookup(&self, fingerprint: &str, digest: u64) -> Option<Arc<str>> {
-        let found = self
-            .map
-            .lock()
-            .get(&(fingerprint.to_string(), digest))
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store the canonical text for `(fingerprint, digest)`.
-    pub fn insert(&self, fingerprint: String, digest: u64, canonical: String) {
-        self.map
-            .lock()
-            .insert((fingerprint, digest), Arc::from(canonical));
+    /// The program for `(fingerprint, digest)` and whether it was a hit:
+    /// a clone of the cached one, else the result of `parse`, which is
+    /// cached when it succeeds. The lookup and the insert are one atomic
+    /// step per key — of N concurrent identical requests exactly one
+    /// runs `parse` (a miss) and the rest wait for it (hits).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `parse`'s failure, caching nothing: the next request
+    /// for the key parses again.
+    pub fn get_or_parse<E>(
+        &self,
+        fingerprint: &str,
+        digest: u64,
+        parse: impl FnOnce() -> Result<Context, E>,
+    ) -> Result<(Context, bool), E> {
+        let key = || (fingerprint.to_string(), digest);
+        let slot = Arc::clone(self.map.lock().entry(key()).or_default());
+        let mut cached = slot.lock();
+        if let Some(ctx) = cached.clone() {
+            // The deep copy happens outside the slot's lock.
+            drop(cached);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Context::clone(&ctx), true));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        match parse() {
+            Ok(ctx) => {
+                *cached = Some(Arc::new(ctx.clone()));
+                Ok((ctx, false))
+            }
+            Err(e) => {
+                // Forget the empty slot (unless an earlier failure already
+                // did and a newer one took its place); waiters holding it
+                // find it empty and parse for themselves.
+                let (mut map, key) = (self.map.lock(), key());
+                if map.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    map.remove(&key);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Hit/miss counters so far.
@@ -114,16 +139,6 @@ impl ParseCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -172,16 +187,22 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_hits_and_misses() {
+    fn get_or_parse_counts_hits_and_misses_and_caches_no_failure() {
         let cache = ParseCache::new();
         let fp = ParseCache::fingerprint("calyx", &[]);
         let d = digest64(b"component main() -> () {}");
-        assert!(cache.lookup(&fp, d).is_none());
-        cache.insert(fp.clone(), d, "canonical".to_string());
-        assert_eq!(cache.lookup(&fp, d).as_deref(), Some("canonical"));
+        let parse = || Ok::<_, String>(Context::new());
+
+        // A failed parse is a miss that leaves nothing behind.
+        let failed = cache.get_or_parse(&fp, d, || Err::<Context, _>("bad".to_string()));
+        assert_eq!(failed.unwrap_err(), "bad");
+        assert!(cache.map.lock().is_empty());
+
+        assert!(!cache.get_or_parse(&fp, d, parse).unwrap().1);
+        let never = || -> Result<Context, String> { panic!("a hit must not parse") };
+        assert!(cache.get_or_parse(&fp, d, never).unwrap().1);
         // Same digest under another fingerprint is a separate entry.
-        assert!(cache.lookup("other", d).is_none());
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
-        assert_eq!(cache.len(), 1);
+        assert!(!cache.get_or_parse("other", d, parse).unwrap().1);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
     }
 }

@@ -1,25 +1,25 @@
-//! The compilation engine: one [`CompileService`] executing
-//! [`JobRequest`]s over the frontend/pass/backend registries.
+//! The batch/serve engine: one [`CompileService`] executing
+//! [`JobRequest`]s through the shared [`Session`] core.
 //!
 //! A service is a cheaply-clonable handle (`Arc` inside) shared by every
-//! worker thread. Each job runs the same stages as a single-shot `futil`
-//! invocation — resolve backend and frontend, ingest the source (through
-//! the shared [`ParseCache`]), run the pass pipeline, validate, emit —
-//! and terminates in a [`JobResponse`] instead of a process exit, with
-//! per-stage wall times attached. Jobs are bulkheaded: a panicking pass
-//! or generator becomes a [`Status::Panic`] response, and a job that
-//! overruns its `timeout_ms` budget is abandoned ([`Status::Timeout`])
-//! without taking its worker down.
+//! worker thread: a [`Session`] (the four registries) plus the
+//! [`ParseCache`]. A job is a protocol shell around the core — fill the
+//! request's gaps from the [`JobDefaults`], [`Session::resolve`] the
+//! names, read the source, [`compile`](crate::session::Resolved::compile)
+//! it through the cache, write the output — and terminates in a
+//! [`JobResponse`] instead of a process exit, with per-stage wall times
+//! attached. Jobs are bulkheaded: a panicking pass or generator becomes
+//! a [`Status::Panic`] response, and a job that overruns its
+//! `timeout_ms` budget is abandoned ([`Status::Timeout`]) without taking
+//! its worker down.
 
-use crate::cache::{digest64, CacheStats, ParseCache};
+use crate::cache::{CacheStats, ParseCache};
 use crate::metrics::{BatchSummary, StageTimes};
 use crate::pool::{catch_job_panic, WorkerPool};
 use crate::protocol::{JobRequest, JobResponse, Status, LIST_KINDS};
-use calyx_backend::{BackendOpts, BackendRegistry, DynBackend, ReportFormat};
-use calyx_core::ir::{parse_context, Context, Printer};
-use calyx_core::lint::LintRegistry;
-use calyx_core::passes::{PassManager, PassRegistry};
-use calyx_frontend::{FrontendOpts, FrontendRegistry};
+use crate::session::{Job, Session};
+use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
+use calyx_frontend::FrontendRegistry;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -71,13 +71,37 @@ impl Default for JobDefaults {
     }
 }
 
+impl JobDefaults {
+    /// The job `req` describes, its unset fields filled from `self`.
+    /// The driver's single-shot mode is the same merge with a request
+    /// that names only its input.
+    pub fn job<'a>(&'a self, req: &'a JobRequest) -> Job<'a> {
+        let mut fopts = self.fopts.clone();
+        fopts.extend(req.fopts.iter().cloned());
+        Job {
+            frontend: req.frontend.as_deref().or(self.frontend.as_deref()),
+            input: req.input.as_deref(),
+            fopts,
+            pipeline: req.pipeline.as_deref().or(self.pipeline.as_deref()),
+            backend: req.backend.as_deref().unwrap_or(&self.backend),
+            bopts: BackendOpts {
+                cycles: req.cycles.unwrap_or(self.cycles),
+                format: match req.format.as_deref() {
+                    Some("json") => ReportFormat::Json,
+                    Some(_) => ReportFormat::Text,
+                    None => self.format,
+                },
+            },
+        }
+    }
+}
+
 struct ServiceInner {
-    frontends: FrontendRegistry,
-    backends: BackendRegistry,
+    session: Session,
     cache: ParseCache,
 }
 
-/// A long-lived compilation service: warm registries plus the shared
+/// A long-lived compilation service: a [`Session`] plus the shared
 /// [`ParseCache`]. Clones share everything.
 #[derive(Clone)]
 pub struct CompileService {
@@ -129,19 +153,27 @@ pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
 impl CompileService {
     /// A service over the standard registries and an empty cache.
     pub fn new() -> Self {
-        Self::with_registries(FrontendRegistry::default(), BackendRegistry::default())
+        Self::with_session(Session::default())
     }
 
-    /// A service over custom registries — drivers that register extra
-    /// frontends/backends, and tests that inject misbehaving ones.
-    pub fn with_registries(frontends: FrontendRegistry, backends: BackendRegistry) -> Self {
+    /// A service over `session`'s registries and an empty cache.
+    pub fn with_session(session: Session) -> Self {
         CompileService {
             inner: Arc::new(ServiceInner {
-                frontends,
-                backends,
+                session,
                 cache: ParseCache::new(),
             }),
         }
+    }
+
+    /// A service over custom frontends and backends — drivers that
+    /// register extra ones, and tests that inject misbehaving ones.
+    pub fn with_registries(frontends: FrontendRegistry, backends: BackendRegistry) -> Self {
+        Self::with_session(Session {
+            frontends,
+            backends,
+            ..Session::default()
+        })
     }
 
     /// The shared parse cache's hit/miss counters so far.
@@ -156,23 +188,22 @@ impl CompileService {
     ///
     /// Returns a message naming the valid kinds when `kind` is not one.
     pub fn list_items(&self, kind: &str) -> Result<Vec<(String, String)>, String> {
+        let session = &self.inner.session;
         match kind {
-            "frontends" => Ok(self
-                .inner
+            "frontends" => Ok(session
                 .frontends
                 .frontends()
                 .iter()
                 .map(|f| (f.name.to_string(), f.description.to_string()))
                 .collect()),
-            "backends" => Ok(self
-                .inner
+            "backends" => Ok(session
                 .backends
                 .backends()
                 .iter()
                 .map(|b| (b.name.to_string(), b.description.to_string()))
                 .collect()),
             "passes" => {
-                let registry = PassRegistry::default();
+                let registry = &session.passes;
                 let mut items: Vec<(String, String)> = registry
                     .passes()
                     .iter()
@@ -186,7 +217,8 @@ impl CompileService {
                 }));
                 Ok(items)
             }
-            "lints" => Ok(LintRegistry::default()
+            "lints" => Ok(session
+                .lints
                 .lints()
                 .iter()
                 .map(|l| (l.name.to_string(), l.description.to_string()))
@@ -255,7 +287,7 @@ impl CompileService {
     }
 
     /// One compile job, start to finish. Any structured failure becomes
-    /// a [`Status::Error`] response naming the stage that rejected it.
+    /// a [`Status::Error`] response carrying the failing stage's message.
     fn run_job(
         &self,
         id: usize,
@@ -267,44 +299,10 @@ impl CompileService {
         let name = job_name(req, id);
         let fail = |msg: String| JobResponse::fail(id, name.clone(), Status::Error, msg);
 
-        // Backend first: its required pipeline is the pipeline default.
-        let bopts = BackendOpts {
-            cycles: req.cycles.unwrap_or(defaults.cycles),
-            format: match req.format.as_deref() {
-                Some("json") => ReportFormat::Json,
-                Some(_) => ReportFormat::Text,
-                None => defaults.format,
-            },
+        let mut resolved = match self.inner.session.resolve(&defaults.job(req)) {
+            Ok(resolved) => resolved,
+            Err(e) => return fail(e.message),
         };
-        let backend_name = req.backend.as_deref().unwrap_or(&defaults.backend);
-        let backend: Box<dyn DynBackend> = match self.inner.backends.get(backend_name, &bopts) {
-            Ok(b) => b,
-            Err(e) => return fail(e.to_string()),
-        };
-
-        // Frontend: explicit (job, then defaults), else inferred from
-        // the input's extension, else the native parser — the same
-        // shared rule as the driver and the plan graph.
-        let frontend_name = self
-            .inner
-            .frontends
-            .resolve_name(
-                req.frontend.as_deref().or(defaults.frontend.as_deref()),
-                req.input.as_deref(),
-            )
-            .0
-            .to_string();
-        let mut pairs = defaults.fopts.clone();
-        pairs.extend(req.fopts.iter().cloned());
-        let mut fopts = FrontendOpts::default();
-        for (k, v) in &pairs {
-            fopts.set(k.clone(), v.clone());
-        }
-        let frontend = match self.inner.frontends.get(&frontend_name, &fopts) {
-            Ok(f) => f,
-            Err(e) => return fail(e.to_string()),
-        };
-
         // Source: a file, inline text, or empty (pure generators).
         let src = match (&req.input, &req.source) {
             (Some(path), _) => match std::fs::read_to_string(path) {
@@ -314,107 +312,40 @@ impl CompileService {
             (None, Some(text)) => text.clone(),
             (None, None) => String::new(),
         };
-
-        // Parse, through the shared cache. A hit replays the previously
-        // parsed program's canonical text through the (cheap) native
-        // parser; a miss runs the real frontend and caches the result.
-        let parse_started = Instant::now();
-        let fingerprint = ParseCache::fingerprint(&frontend_name, &pairs);
-        let digest = digest64(src.as_bytes());
-        let (mut ctx, cache_state): (Context, &'static str) =
-            match self.inner.cache.lookup(&fingerprint, digest) {
-                Some(canonical) => match parse_context(&canonical) {
-                    Ok(ctx) => (ctx, "hit"),
-                    Err(e) => return fail(format!("parse cache replay failed: {e}")),
-                },
-                None => {
-                    let shown = req.input.as_deref().unwrap_or("<request>");
-                    let ctx = match frontend.parse(&src) {
-                        Ok(ctx) => ctx,
-                        Err(e) => {
-                            // Same caret diagnostics as single-shot futil,
-                            // folded into the response's error string.
-                            return fail(match e.caret_diagnostic(shown, &src) {
-                                Some(diagnostic) => diagnostic,
-                                None => format!("frontend `{frontend_name}`: {e}"),
-                            });
-                        }
-                    };
-                    self.inner
-                        .cache
-                        .insert(fingerprint, digest, Printer::print_context(&ctx));
-                    (ctx, "miss")
-                }
-            };
-        let parse_time = parse_started.elapsed();
-
-        // Pipeline: the job's, else the invocation's, else what the
-        // backend declares it needs (`lower` for shape-agnostic ones).
-        let pipeline: Vec<String> = match req.pipeline.as_ref().or(defaults.pipeline.as_ref()) {
-            Some(p) => p.clone(),
-            None => {
-                let required = backend.required_pipeline();
-                if required.is_empty() {
-                    vec!["lower".to_string()]
-                } else {
-                    required.iter().map(|s| (*s).to_string()).collect()
-                }
-            }
+        let shown = req.input.as_deref().unwrap_or("<request>");
+        // Into memory: batch outputs are per-job files (or inline
+        // responses), never interleaved stdout.
+        let compiled = match resolved.compile(shown, &src, Some(&self.inner.cache)) {
+            Ok(compiled) => compiled,
+            Err(e) => return fail(e.message),
         };
-        let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-        let mut pm = match PassManager::from_names(&names) {
-            Ok(pm) => pm,
-            Err(e) => return fail(e.to_string()),
-        };
-        let passes_started = Instant::now();
-        if let Err(e) = pm.run(&mut ctx) {
-            return fail(e.to_string());
-        }
-        let passes_time = passes_started.elapsed();
-
-        // Validate, then emit into memory: batch outputs are per-job
-        // files (or inline responses), never interleaved stdout.
-        let emit_started = Instant::now();
-        if let Err(e) = backend.validate(&ctx) {
-            return fail(format!(
-                "backend `{}` precondition failed: {e}",
-                backend.name()
-            ));
-        }
-        let mut buffer = Vec::new();
-        if let Err(e) = backend.emit(&ctx, &mut buffer) {
-            return fail(e.to_string());
-        }
-        let emit_time = emit_started.elapsed();
 
         let mut resp = JobResponse::new(id, name.clone(), Status::Ok);
-        resp.cache = Some(cache_state);
+        resp.cache = compiled.cache;
         let out_path = req.out.clone().or_else(|| {
             defaults
                 .out_dir
                 .as_ref()
-                .map(|dir| format!("{dir}/{name}.{}", backend.extension()))
+                .map(|dir| format!("{dir}/{name}.{}", compiled.extension))
         });
         match out_path {
             // A timed-out job may still be running here, abandoned; it
             // must not race a retry for the output file.
             Some(path) if !cancelled.load(Ordering::SeqCst) => {
-                if let Err(e) = write_atomic(&path, &buffer) {
+                if let Err(e) = write_atomic(&path, &compiled.output) {
                     return fail(format!("cannot write `{path}`: {e}"));
                 }
                 resp.out = Some(path);
             }
             Some(_) => {}
             None if defaults.inline_output => {
-                resp.output = Some(String::from_utf8_lossy(&buffer).into_owned());
+                resp.output = Some(String::from_utf8_lossy(&compiled.output).into_owned());
             }
             None => {}
         }
         resp.stages = Some(StageTimes {
-            parse: parse_time,
-            passes: passes_time,
-            emit: emit_time,
             total: started.elapsed(),
+            ..compiled.stages
         });
         resp
     }
@@ -479,6 +410,8 @@ impl CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calyx_core::ir::Context;
+    use std::sync::atomic::AtomicUsize;
 
     const PROGRAM: &str = "component main() -> () {
         cells { r = std_reg(8); }
@@ -592,6 +525,89 @@ mod tests {
         // lookups.
         let summary = service.run_batch(&reqs[..2], 2, false, &JobDefaults::default());
         assert_eq!(summary.cache, CacheStats { hits: 2, misses: 0 });
+    }
+
+    /// A hit is a clone of the program the miss parsed, so diagnostics
+    /// point into the text the user wrote both times.
+    #[test]
+    fn hits_and_misses_report_the_same_source_positions() {
+        // Two components, deliberately not in the printer's layout: the
+        // offending cell sits at 13:7 here and elsewhere in canonical
+        // text.
+        let src = "component helper() -> () {
+  cells { r = std_reg(8); }
+  wires {
+    group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; }
+  }
+  control { g; }
+}
+
+
+component main() -> () {
+  cells {
+
+      s = helper();
+  }
+  wires { group go { s.go = 1'd1; go[done] = s.done; } }
+  control { go; }
+}
+";
+        let service = CompileService::new();
+        let job = JobRequest {
+            source: Some(src.to_string()),
+            backend: Some("interp".to_string()),
+            ..JobRequest::default()
+        };
+        let miss = service.execute(0, &job, &JobDefaults::default());
+        let hit = service.execute(1, &job, &JobDefaults::default());
+        assert_eq!(service.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!((miss.status, hit.status), (Status::Error, Status::Error));
+        let error = miss.error.unwrap();
+        assert!(error.contains("cell `s` (declared at 13:7)"), "{error}");
+        assert_eq!(hit.error.unwrap(), error);
+    }
+
+    static SLOW_PARSES: AtomicUsize = AtomicUsize::new(0);
+
+    /// A generator slow enough that identical jobs on other workers
+    /// arrive while the first is still parsing, counting its runs.
+    struct SlowFrontend;
+
+    impl calyx_frontend::Frontend for SlowFrontend {
+        const NAME: &'static str = "slow";
+        const DESCRIPTION: &'static str = "counts and sleeps in parse (test only)";
+
+        fn extensions() -> &'static [&'static str] {
+            &[]
+        }
+
+        fn from_opts(_: &calyx_frontend::FrontendOpts) -> calyx_core::errors::CalyxResult<Self> {
+            Ok(SlowFrontend)
+        }
+
+        fn parse(&self, _: &str) -> calyx_core::errors::CalyxResult<Context> {
+            SLOW_PARSES.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            calyx_core::ir::parse_context(PROGRAM)
+        }
+    }
+
+    /// Lookup and insert are one step per key: of four identical jobs on
+    /// four workers one runs the generator, three wait for it and clone.
+    #[test]
+    fn identical_concurrent_jobs_parse_once() {
+        let mut frontends = calyx_frontend::FrontendRegistry::default();
+        frontends.register::<SlowFrontend>();
+        let service =
+            CompileService::with_registries(frontends, calyx_backend::BackendRegistry::default());
+        let req = JobRequest {
+            frontend: Some("slow".to_string()),
+            ..JobRequest::default()
+        };
+        let summary = service.run_batch(&vec![req; 4], 4, false, &JobDefaults::default());
+        assert!(summary.all_ok(), "{}", summary.render_text(false));
+        assert_eq!(SLOW_PARSES.load(Ordering::SeqCst), 1);
+        assert_eq!(summary.cache, CacheStats { hits: 3, misses: 1 });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A parallel compilation service over the Calyx registries.
+//! The compile core, and a parallel compilation service over it.
 //!
 //! Single-shot `futil` pays its full startup cost — process spawn,
 //! registry construction, frontend parse — for every kernel. Real
@@ -6,16 +6,23 @@
 //! compile *many* programs, most of them near-duplicates. This crate
 //! turns the compiler into a service:
 //!
-//! - [`engine::CompileService`] executes [`protocol::JobRequest`]s —
-//!   the same frontend → passes → backend stages as the driver, but
-//!   terminating in a [`protocol::JobResponse`] value instead of a
-//!   process exit, with per-stage wall times attached. Jobs are
-//!   bulkheaded: panics become [`protocol::Status::Panic`] responses and
-//!   over-budget jobs are abandoned as [`protocol::Status::Timeout`].
+//! - [`session::Session`] is the compile core: the four registries plus
+//!   the compile stages — resolve, parse, lint, run passes, validate and
+//!   emit — each implemented once, every failure tagged with its stage.
+//!   The `futil` driver, this crate's engine and the `calyx_plan` ops
+//!   are its three callers.
+//! - [`engine::CompileService`] executes [`protocol::JobRequest`]s
+//!   through that core, terminating in a [`protocol::JobResponse`] value
+//!   instead of a process exit, with per-stage wall times attached. Jobs
+//!   are bulkheaded: panics become [`protocol::Status::Panic`] responses
+//!   and over-budget jobs are abandoned as
+//!   [`protocol::Status::Timeout`].
 //! - [`cache::ParseCache`] shares frontend work between jobs, keyed by
 //!   `(frontend + options, source digest)` and storing the parsed
-//!   program's canonical text — which re-parses byte-identically, so
-//!   cached and uncached jobs emit the same output.
+//!   program itself: a hit is a clone, so cached and uncached jobs see
+//!   the same IR and the same source positions, and concurrent
+//!   identical jobs wait for one parse instead of each running the
+//!   generator.
 //! - [`pool::WorkerPool`] runs jobs on N `std::thread` workers;
 //!   [`engine::CompileService::run_batch`] aggregates a whole batch into
 //!   a [`metrics::BatchSummary`] (kernels/sec, p50/p99 latency).
@@ -25,7 +32,8 @@
 //!   for [`server::serve_socket`].
 //!
 //! The `futil --batch` and `futil serve` driver modes are thin shells
-//! over these pieces.
+//! over these pieces; single-shot `futil` calls the session's stages
+//! directly.
 //!
 //! ```
 //! use calyx_service::engine::{CompileService, JobDefaults};
@@ -51,6 +59,7 @@ pub mod metrics;
 pub mod pool;
 pub mod protocol;
 pub mod server;
+pub mod session;
 
 pub use cache::{digest64, CacheStats, ParseCache};
 pub use engine::{write_atomic, CompileService, JobDefaults};
@@ -63,3 +72,4 @@ pub use protocol::{
 #[cfg(unix)]
 pub use server::serve_socket;
 pub use server::{serve, ServeOpts};
+pub use session::{default_pipeline, Compiled, Job, Resolved, Session, Stage, StageError};
