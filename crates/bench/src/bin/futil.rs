@@ -5,72 +5,12 @@
 //! flags compiles it, and a backend selected from the `BackendRegistry`
 //! with `-b` emits the result.
 //!
-//! ```text
-//! futil <file|-> [flags]
-//! futil <inputs...> --batch [--jobs N] [--fail-fast] [--timeout MS]
-//!                   [--out-dir DIR] [shared flags]
-//! futil serve [--jobs N] [--timeout MS] [--socket PATH]
-//!             [--max-connections N] [shared flags]
-//! futil check <file|-> [-f <frontend>] [--fopt k=v] [--format text|json]
-//!                      [--deny warnings|<lint>] [--allow <lint>]
-//! futil check --explain <CODE>
-//! futil build <file|-> --to <state> [--from <state>] [-o <file>]
-//!                      [--cache-dir DIR] [--no-cache] [--fopt k=v]
-//!                      [--cycles N] [--format text|json]
-//! futil plan <file|->  --to <state> [--from <state>]
-//!   -f <frontend>       frontend (default: inferred from the file
-//!                       extension, falling back to calyx); see
-//!                       --list-frontends
-//!   --fopt key=value    frontend/generator parameter (repeatable); see
-//!                       --list-frontends for each frontend's keys
-//!   -p <pass-or-alias>  append a pass or pipeline alias (repeatable;
-//!                       default: the backend's required pipeline).
-//!   -b <backend>        backend (default: calyx); see --list-backends
-//!   -o <file>           write the backend's output to <file>
-//!                       (default: stdout)
-//!   --cycles N          simulation budget (default 1_000_000)
-//!   --format text|json  report format for report-style backends and
-//!                       for `futil check`
-//!   --check             run every lint before compiling; diagnostics go
-//!                       to stderr and errors stop the run
-//!   --deny warnings     treat warning diagnostics as fatal
-//!   --deny <lint>       promote one lint's findings to errors
-//!                       (repeatable; `futil check` only)
-//!   --allow <lint>      drop one lint's findings entirely
-//!                       (repeatable; `futil check` only)
-//!   --explain <CODE>    print a lint's long-form documentation and exit
-//!                       (`futil check` only; no input file needed)
-//!   --time              report per-pass wall-clock timings on stderr;
-//!                       simulation backends also report total cycles,
-//!                       wall time, and cycles/sec
-//!   --stats             report per-pass analysis-cache statistics
-//!                       (hits/misses/recomputes) on stderr, plus the
-//!                       simulation throughput line
-//!   --batch             compile every positional input concurrently:
-//!                       plain inputs become one job each, `.jsonl`
-//!                       arguments are JSON-lines job manifests (`-`
-//!                       reads a manifest from stdin), and the other
-//!                       flags become per-job defaults. Prints a
-//!                       throughput/latency summary (`--format json`
-//!                       for the machine-readable one; `--time`/
-//!                       `--stats` add the per-job stage table) and
-//!                       exits 1 if any job failed.
-//!   --jobs N            worker threads for --batch and serve
-//!                       (default: available parallelism)
-//!   --fail-fast         abort a batch at the first failing job;
-//!                       unstarted jobs report status `skipped`
-//!   --timeout MS        per-job wall-clock budget in milliseconds
-//!   --out-dir DIR       write each job's output to DIR/<name>.<ext>
-//!                       (ext from the backend; see `futil serve` docs)
-//!   --list-frontends    list registered frontends, then exit
-//!   --list-passes       list registered passes and aliases, then exit
-//!   --list-backends     list registered backends, then exit
-//!   --list-lints        list registered lints, then exit
-//!   -h, --help          print usage and exit
-//! ```
+//! The modes (`futil <file>`, `--batch`, `serve`, `check`, `build`,
+//! `plan`) and every flag are documented in one place, the usage text:
+//! run `futil --help`.
 //!
-//! All four lists — and the `-f`/`-b` choices in the usage text — are
-//! derived from the registries, so help can never drift from what is
+//! The `--list-*` outputs — and the `-f`/`-b` choices in the usage text —
+//! are derived from the registries, so help can never drift from what is
 //! registered. `-` as the input path reads from stdin. Parse errors are
 //! rendered as caret diagnostics pointing into the offending source
 //! line.

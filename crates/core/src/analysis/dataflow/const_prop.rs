@@ -17,12 +17,12 @@
 //!   head (the `const-loop` C0206 territory: a condition over registers
 //!   the loop never changes).
 
-use super::solver::{solve, ConstVal, Direction, Transfer};
+use super::solver::{solve, ConstVal, Direction, Solution, Transfer};
 use crate::analysis::cache::{Analysis, AnalysisCache};
-use crate::analysis::pcfg::{CondKind, Pcfg, PcfgNode};
+use crate::analysis::pcfg::{CondKind, Pcfg};
 use crate::analysis::read_write::ReadWriteSets;
 use crate::ir::{Atom, Component, Id, PortParent, PortRef};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Recursion budget for the port evaluator: deeper chains (or
 /// combinational cycles, which the `comb-cycle` lint reports separately)
@@ -271,42 +271,24 @@ impl Analysis for ConstProp {
             .filter(|c| c.is_register())
             .map(|c| (c.name, ConstVal::Nac))
             .collect();
+        // Every site of every nested sub-pCFG, evaluated under the facts
+        // reaching its head node.
         let mut sites = Vec::new();
-        collect_sites(&transfer, &pcfg, boundary, &mut sites);
-        ConstProp { sites }
-    }
-}
-
-/// Solve `pcfg` from `boundary` and evaluate its condition sites, then
-/// recurse into p-node children with the fact at the p-node.
-fn collect_sites(
-    transfer: &ConstTransfer,
-    pcfg: &Pcfg,
-    boundary: ConstFacts,
-    sites: &mut Vec<CondFacts>,
-) {
-    let comp = transfer.comp;
-    let sol = solve(pcfg, transfer, boundary);
-    for site in &pcfg.conds {
-        sites.push(CondFacts {
-            port: site.port,
-            cond: site.cond,
-            kind: site.kind,
-            structural: eval_port(comp, Scope::All, None, site.port),
-            value: eval_port(
-                comp,
-                Scope::Active(site.cond, comp),
-                Some(&sol.input[site.node]),
-                site.port,
-            ),
+        solve(&pcfg, &transfer, boundary).walk(&pcfg, &mut |pcfg, sol| {
+            sites.extend(pcfg.conds.iter().map(|site| CondFacts {
+                port: site.port,
+                cond: site.cond,
+                kind: site.kind,
+                structural: eval_port(comp, Scope::All, None, site.port),
+                value: eval_port(
+                    comp,
+                    Scope::Active(site.cond, comp),
+                    Some(&sol.input[site.node]),
+                    site.port,
+                ),
+            }));
         });
-    }
-    for (idx, node) in pcfg.nodes.iter().enumerate() {
-        if let PcfgNode::Par(children) = node {
-            for child in children {
-                collect_sites(transfer, child, sol.input[idx].clone(), sites);
-            }
-        }
+        ConstProp { sites }
     }
 }
 
@@ -349,15 +331,19 @@ impl Transfer for ConstTransfer<'_> {
         out
     }
 
-    fn par(&self, children: &[Pcfg], fact: &Self::Fact) -> Self::Fact {
+    fn par(
+        &self,
+        children: &[Pcfg],
+        solved: &[Solution<Self::Fact>],
+        fact: &Self::Fact,
+    ) -> Self::Fact {
         // Writes inside any child are visible after the p-node. A
         // register written by exactly one child takes that child's exit
         // fact; two writers is a race (Nac); untouched registers keep the
         // incoming fact.
         let mut out = fact.clone();
         let mut votes: BTreeMap<Id, (Option<ConstVal>, usize)> = BTreeMap::new();
-        for child in children {
-            let solved = solve(child, self, fact.clone());
+        for (child, solved) in children.iter().zip(solved) {
             let exit = &solved.output[child.exit];
             for r in may_written_regs(child, self.rw) {
                 let v = exit.get(&r).copied();
@@ -380,21 +366,11 @@ impl Transfer for ConstTransfer<'_> {
     }
 }
 
-/// Registers any node of `pcfg` (recursively) may write.
-fn may_written_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> Vec<Id> {
-    let mut regs = std::collections::BTreeSet::new();
-    for node in &pcfg.nodes {
-        match node {
-            PcfgNode::Nop => {}
-            PcfgNode::Group(g) => regs.extend(rw.may_writes(*g).iter().copied()),
-            PcfgNode::Par(children) => {
-                for c in children {
-                    regs.extend(may_written_regs(c, rw));
-                }
-            }
-        }
-    }
-    regs.into_iter().collect()
+/// Registers any group below `pcfg` may write.
+fn may_written_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
+    let mut regs = BTreeSet::new();
+    pcfg.for_each_group(&mut |g| regs.extend(rw.may_writes(g).iter().copied()));
+    regs
 }
 
 #[cfg(test)]

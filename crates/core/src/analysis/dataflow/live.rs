@@ -1,15 +1,22 @@
-//! Liveness as a backward instance of the generic dataflow engine.
+//! Liveness as a backward instance of the generic dataflow engine — the
+//! production solver behind the cached [`Liveness`] analysis.
 //!
-//! This is the same analysis as the hand-rolled solver in
-//! [`liveness`](crate::analysis::liveness) — identical flow equations,
-//! identical p-node treatment (children solved with the p-node's
-//! live-out as their boundary, straight-line must-writes as kills, uses
-//! winning over kills) — expressed through [`Transfer`]. The hand-rolled
-//! version stays as a differential oracle: both compute the least
-//! fixpoint of the same monotone equations, so their results must be
-//! byte-identical, and a test suite pins that on every PolyBench kernel.
+//! The flow equations are the paper's §5.2: `in = (out − must-writes) ∪
+//! reads` at a group; at a p-node the engine solves every child with the
+//! p-node's live-out as its boundary, and [`LiveTransfer::par`] combines
+//! them (uses are the union of child live-ins, kills the union of
+//! straight-line child must-writes, uses winning over kills). The result
+//! is the engine's solution tree, so consumers read a nested child's
+//! facts from [`Solution::children`](super::Solution::children) instead
+//! of solving it again.
+//!
+//! The hand-rolled solver in [`liveness`](crate::analysis::liveness)
+//! computes the least fixpoint of the same monotone equations into the
+//! same tree type; it is a test reference only, and
+//! `tests/dataflow_differential.rs` pins the two trees equal on every
+//! program the repository can generate.
 
-use super::solver::{solve, Direction, Transfer};
+use super::solver::{solve, Direction, Solution, Transfer};
 use crate::analysis::liveness::{par_defs, Liveness};
 use crate::analysis::pcfg::Pcfg;
 use crate::analysis::read_write::ReadWriteSets;
@@ -34,15 +41,19 @@ impl Transfer for LiveTransfer<'_> {
         inn
     }
 
-    fn par(&self, children: &[Pcfg], fact: &Self::Fact) -> Self::Fact {
+    fn par(
+        &self,
+        children: &[Pcfg],
+        solved: &[Solution<Self::Fact>],
+        fact: &Self::Fact,
+    ) -> Self::Fact {
         // Paper §5.2: each child's live-out boundary is the p-node's
         // live-out; the p-node uses are the union of child live-ins and
         // its kills the union of child must-writes, with uses winning
         // (a register one child reads is not killed by a sibling).
         let mut uses = BTreeSet::new();
         let mut defs = BTreeSet::new();
-        for child in children {
-            let solved = solve(child, self, fact.clone());
+        for (child, solved) in children.iter().zip(solved) {
             uses.extend(solved.input[child.entry].iter().copied());
             defs.extend(par_defs(child, self.rw));
         }
@@ -54,13 +65,9 @@ impl Transfer for LiveTransfer<'_> {
 }
 
 /// Solve liveness over `pcfg` with the generic engine, `boundary` live at
-/// the exit. Drop-in equivalent of [`Liveness::solve`].
+/// the exit. Produces the same tree as the reference [`Liveness::solve`].
 pub fn solve_liveness(pcfg: &Pcfg, rw: &ReadWriteSets, boundary: &BTreeSet<Id>) -> Liveness {
-    let sol = solve(pcfg, &LiveTransfer { rw }, boundary.clone());
-    Liveness {
-        live_in: sol.input,
-        live_out: sol.output,
-    }
+    solve(pcfg, &LiveTransfer { rw }, boundary.clone())
 }
 
 #[cfg(test)]
@@ -68,10 +75,11 @@ mod tests {
     use super::*;
     use crate::ir::parse_context;
 
-    /// The engine-backed solver and the hand-rolled oracle agree exactly
-    /// on a program exercising seq, par, if, and while.
+    /// The engine-backed solver and the hand-rolled reference produce
+    /// the same solution tree on a program exercising seq, par, if, and
+    /// while.
     #[test]
-    fn agrees_with_the_hand_rolled_oracle() {
+    fn agrees_with_the_hand_rolled_reference() {
         let ctx = parse_context(
             r#"component main() -> () {
                 cells {
@@ -105,10 +113,8 @@ mod tests {
         let rw = ReadWriteSets::analyze(comp);
         let pcfg = Pcfg::from_control(&comp.control);
         for boundary in [BTreeSet::new(), [Id::new("a")].into_iter().collect()] {
-            let oracle = Liveness::solve(&pcfg, &rw, &boundary);
-            let engine = solve_liveness(&pcfg, &rw, &boundary);
-            assert_eq!(oracle.live_in, engine.live_in);
-            assert_eq!(oracle.live_out, engine.live_out);
+            let reference = Liveness::solve(&pcfg, &rw, &boundary);
+            assert_eq!(reference, solve_liveness(&pcfg, &rw, &boundary));
         }
     }
 }

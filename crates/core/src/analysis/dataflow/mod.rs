@@ -2,13 +2,22 @@
 //!
 //! [`solver`] provides the generic machinery — a [`Lattice`] of facts, a
 //! per-direction [`Transfer`] function, and a worklist [`solve`] that
-//! treats `par` p-nodes correctly (every child executes, so a p-node's
-//! effect combines *all* children, each recursively solved as its own
-//! sub-pCFG). The concrete analyses on top:
+//! treats `par` p-nodes correctly: every child executes, so the solver
+//! solves each child as its own sub-pCFG with the p-node's near-side fact
+//! as the boundary and [`Transfer::par`] combines *all* of them. The
+//! solver is the only code that recurses into a p-node. It keeps the
+//! children's solutions, so [`solve`] returns a [`Solution`] *tree*, and
+//! [`Solution::walk`] is the single traversal every consumer reads
+//! nested facts through — nothing downstream solves a child again.
 //!
-//! - [`solve_liveness`] — backward liveness as an engine instance,
-//!   differentially tested byte-for-byte against the hand-rolled solver
-//!   in [`liveness`](crate::analysis::liveness);
+//! The concrete analyses on top:
+//!
+//! - [`solve_liveness`] — backward liveness, the solver behind the cached
+//!   [`Liveness`](crate::analysis::Liveness) tree that
+//!   [`Interference`](crate::analysis::Interference) and the
+//!   `dead-write` lint walk; held equal, tree for tree, to the
+//!   hand-rolled reference solver in
+//!   [`liveness`](crate::analysis::liveness) by the differential tests;
 //! - [`ReachingDefs`] — forward def-site tracking with synthetic entry
 //!   defs, powering the `uninit-read` lint;
 //! - [`ConstProp`] — forward constant propagation over register values

@@ -10,7 +10,7 @@
 //! asks [`ReachingDefs::entry_reaches`]: a register read while its entry
 //! def still reaches may observe an undefined power-on value.
 
-use super::solver::{solve, Direction, Transfer};
+use super::solver::{solve, Direction, Solution, Transfer};
 use crate::analysis::cache::{Analysis, AnalysisCache};
 use crate::analysis::liveness::par_defs;
 use crate::analysis::pcfg::{Pcfg, PcfgNode};
@@ -83,36 +83,20 @@ impl Analysis for ReachingDefs {
             .filter(|c| c.is_register() || c.is_memory())
             .map(|c| (c.name, DefSite::Entry))
             .collect();
+        // Every group occurrence in every nested sub-pCFG, joined per
+        // group.
         let mut defs = ReachingDefs::default();
-        collect_reaching(&transfer, &pcfg, boundary, &mut defs);
-        defs
-    }
-}
-
-/// Solve `pcfg` from `boundary`, record every group node's input fact,
-/// and recurse into p-node children with the fact at the p-node.
-fn collect_reaching(
-    transfer: &ReachTransfer,
-    pcfg: &Pcfg,
-    boundary: ReachFacts,
-    defs: &mut ReachingDefs,
-) {
-    let sol = solve(pcfg, transfer, boundary);
-    for (idx, node) in pcfg.nodes.iter().enumerate() {
-        match node {
-            PcfgNode::Nop => {}
-            PcfgNode::Group(g) => {
-                defs.reaching_in
-                    .entry(*g)
-                    .or_default()
-                    .extend(sol.input[idx].iter().cloned());
-            }
-            PcfgNode::Par(children) => {
-                for child in children {
-                    collect_reaching(transfer, child, sol.input[idx].clone(), defs);
+        solve(&pcfg, &transfer, boundary).walk(&pcfg, &mut |pcfg, sol| {
+            for (node, input) in pcfg.nodes.iter().zip(&sol.input) {
+                if let PcfgNode::Group(g) = node {
+                    defs.reaching_in
+                        .entry(*g)
+                        .or_default()
+                        .extend(input.iter().cloned());
                 }
             }
-        }
+        });
+        defs
     }
 }
 
@@ -175,15 +159,19 @@ impl Transfer for ReachTransfer<'_> {
         out
     }
 
-    fn par(&self, children: &[Pcfg], fact: &Self::Fact) -> Self::Fact {
+    fn par(
+        &self,
+        children: &[Pcfg],
+        solved: &[Solution<Self::Fact>],
+        _fact: &Self::Fact,
+    ) -> Self::Fact {
         // Join the children's exits, then kill the entry defs of any
         // register some child certainly overwrote: after the p-node that
         // register holds a written value no matter how siblings
         // interleaved. Stale group defs from the join are conservative.
         let mut out = ReachFacts::new();
         let mut killed = BTreeSet::new();
-        for child in children {
-            let solved = solve(child, self, fact.clone());
+        for (child, solved) in children.iter().zip(solved) {
             out.extend(solved.output[child.exit].iter().cloned());
             killed.extend(par_defs(child, self.rw));
         }

@@ -5,10 +5,17 @@
 //! [`Direction`]. [`solve`] then computes the least fixpoint of the flow
 //! equations with a classic worklist: recompute a node's fact from its
 //! neighbors, and re-queue the neighbors on the other side whenever the
-//! result changed. P-nodes are where the pCFG earns its name — all
-//! children of a `par` execute, so [`Transfer::par`] recursively solves
-//! each child sub-pCFG and combines the far-side facts (see the paper's
-//! §5.2 treatment of liveness, generalized here to any lattice).
+//! result changed.
+//!
+//! P-nodes are where the pCFG earns its name, and [`solve`] is the only
+//! code that recurses into one. All children of a `par` execute, so each
+//! child sub-pCFG is solved with the p-node's own near-side fact as its
+//! boundary (the paper's §5.2 treatment of liveness, generalized here to
+//! any lattice), and [`Transfer::par`] only *combines* the solved
+//! children into the p-node's far-side fact. The children's final
+//! solutions are kept in [`Solution::children`], so the result is a
+//! solution *tree* mirroring the pCFG's nesting; [`Solution::walk`] is
+//! the one traversal consumers use to read it.
 
 use crate::analysis::pcfg::{Pcfg, PcfgNode};
 use crate::ir::Id;
@@ -70,20 +77,24 @@ pub trait Transfer: Sized {
     /// forward analyses, the node-exit fact for backward ones).
     fn group(&self, group: Id, fact: &Self::Fact) -> Self::Fact;
 
-    /// Apply a p-node's effect. All children of a `par` execute, so the
-    /// default recursively [`solve`]s every child sub-pCFG with `fact` at
-    /// its boundary and joins the far-side facts. Analyses that can be
-    /// more precise (liveness kills, single-writer constants) override
-    /// this.
-    fn par(&self, children: &[Pcfg], fact: &Self::Fact) -> Self::Fact {
+    /// Combine a p-node's solved children into its far-side fact.
+    /// [`solve`] has already solved `children[i]` into `solved[i]` with
+    /// `fact` (the p-node's near-side fact) as its boundary. All children
+    /// of a `par` execute, so the default joins their far-side facts;
+    /// analyses that can be more precise (liveness kills, single-writer
+    /// constants) override this.
+    fn par(
+        &self,
+        children: &[Pcfg],
+        solved: &[Solution<Self::Fact>],
+        _fact: &Self::Fact,
+    ) -> Self::Fact {
         let mut out = Self::Fact::bottom();
-        for child in children {
-            let solved = solve(child, self, fact.clone());
-            let far = match Self::DIRECTION {
+        for (child, solved) in children.iter().zip(solved) {
+            out.join(match Self::DIRECTION {
                 Direction::Forward => &solved.output[child.exit],
                 Direction::Backward => &solved.input[child.entry],
-            };
-            out.join(far);
+            });
         }
         out
     }
@@ -92,21 +103,44 @@ pub trait Transfer: Sized {
 /// Per-node facts of a solved analysis. `input[n]` is the fact at node
 /// `n`'s entry (program order) and `output[n]` the fact at its exit —
 /// for backward analyses these are the live-in/live-out convention.
-#[derive(Debug, Clone)]
+/// `children[n]` makes it a tree: the solutions of p-node `n`'s child
+/// sub-pCFGs, in child order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution<F> {
     /// Fact at each node's entry.
     pub input: Vec<F>,
     /// Fact at each node's exit.
     pub output: Vec<F>,
+    /// Solutions of each node's p-node children, solved with the node's
+    /// near-side fact (`input[n]` forward, `output[n]` backward) as their
+    /// boundary; empty for group and no-op nodes.
+    pub children: Vec<Vec<Solution<F>>>,
+}
+
+impl<F> Solution<F> {
+    /// Depth-first walk over the solution tree of `pcfg`: `visit` sees
+    /// `pcfg` with this solution, then every nested p-node child
+    /// sub-pCFG with its own, so each node of each sub-pCFG is presented
+    /// exactly once alongside its facts.
+    pub fn walk<'a>(&'a self, pcfg: &'a Pcfg, visit: &mut impl FnMut(&'a Pcfg, &'a Solution<F>)) {
+        visit(pcfg, self);
+        for (node, solved) in pcfg.nodes.iter().zip(&self.children) {
+            for (child, solved) in node.children().iter().zip(solved) {
+                solved.walk(child, visit);
+            }
+        }
+    }
 }
 
 /// Solve `transfer` over `pcfg` to the least fixpoint, with `boundary`
 /// as the fact at the flow source (the entry node's input for forward
-/// analyses, the exit node's output for backward ones).
+/// analyses, the exit node's output for backward ones). P-node children
+/// are solved recursively and returned in [`Solution::children`].
 pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solution<T::Fact> {
     let n = pcfg.len();
     let mut input = vec![T::Fact::bottom(); n];
     let mut output = vec![T::Fact::bottom(); n];
+    let mut children = vec![Vec::new(); n];
     // Seed every node once, in rough flow order so the common (acyclic)
     // case converges in one sweep; loops re-queue through the edges.
     let mut work: VecDeque<usize> = match T::DIRECTION {
@@ -126,7 +160,7 @@ pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solut
                 for &p in &pcfg.preds[node] {
                     inn.join(&output[p]);
                 }
-                let out = apply(transfer, &pcfg.nodes[node], &inn);
+                let out = apply(transfer, &pcfg.nodes[node], &inn, &mut children[node]);
                 debug_assert!(output[node].leq(&out), "non-monotone forward transfer");
                 input[node] = inn;
                 if out != output[node] {
@@ -148,7 +182,7 @@ pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solut
                 for &s in &pcfg.succs[node] {
                     out.join(&input[s]);
                 }
-                let inn = apply(transfer, &pcfg.nodes[node], &out);
+                let inn = apply(transfer, &pcfg.nodes[node], &out, &mut children[node]);
                 debug_assert!(input[node].leq(&inn), "non-monotone backward transfer");
                 output[node] = out;
                 if inn != input[node] {
@@ -163,14 +197,33 @@ pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solut
             }
         }
     }
-    Solution { input, output }
+    Solution {
+        input,
+        output,
+        children,
+    }
 }
 
-fn apply<T: Transfer>(transfer: &T, node: &PcfgNode, fact: &T::Fact) -> T::Fact {
+/// Apply `node` to its near-side `fact`. A p-node's children are solved
+/// here, with `fact` as their boundary, and left in `solved`: a node is
+/// re-applied whenever its near-side fact changes, so at the fixpoint
+/// `solved` holds the children's solutions under the final fact.
+fn apply<T: Transfer>(
+    transfer: &T,
+    node: &PcfgNode,
+    fact: &T::Fact,
+    solved: &mut Vec<Solution<T::Fact>>,
+) -> T::Fact {
     match node {
         PcfgNode::Nop => fact.clone(),
         PcfgNode::Group(g) => transfer.group(*g, fact),
-        PcfgNode::Par(children) => transfer.par(children, fact),
+        PcfgNode::Par(children) => {
+            *solved = children
+                .iter()
+                .map(|child| solve(child, transfer, fact.clone()))
+                .collect();
+            transfer.par(children, solved, fact)
+        }
     }
 }
 
@@ -289,6 +342,59 @@ mod tests {
         let exit_fact = &sol.output[pcfg.exit];
         assert!(exit_fact.contains(&Id::new("a")));
         assert!(exit_fact.contains(&Id::new("b")));
+    }
+
+    #[test]
+    fn nested_pars_yield_a_solution_tree_the_walk_covers_once() {
+        // seq { a; par { seq { b; par { c; d; } } e; } }
+        let c = Control::seq(vec![
+            Control::enable("a"),
+            Control::par(vec![
+                Control::seq(vec![
+                    Control::enable("b"),
+                    Control::par(vec![Control::enable("c"), Control::enable("d")]),
+                ]),
+                Control::enable("e"),
+            ]),
+        ]);
+        let pcfg = Pcfg::from_control(&c);
+        let sol = solve(&pcfg, &SeenGroups, BTreeSet::new());
+
+        let outer = pcfg
+            .nodes
+            .iter()
+            .position(|n| !n.children().is_empty())
+            .expect("outer p-node");
+        let outer_children = pcfg.nodes[outer].children();
+        assert_eq!(sol.children[outer].len(), 2);
+        let (seq_child, seq_sol) = (&outer_children[0], &sol.children[outer][0]);
+        let inner = seq_child
+            .nodes
+            .iter()
+            .position(|n| !n.children().is_empty())
+            .expect("inner p-node");
+        assert_eq!(seq_sol.children[inner].len(), 2, "children of children");
+        // Each child is solved from its p-node's near-side fact.
+        assert_eq!(seq_sol.input[seq_child.entry], sol.input[outer]);
+        let c_child = &seq_child.nodes[inner].children()[0];
+        assert_eq!(
+            seq_sol.children[inner][0].input[c_child.entry],
+            seq_sol.input[inner]
+        );
+        let seen: Vec<&str> = seq_sol.input[inner].iter().map(|g| g.as_str()).collect();
+        assert_eq!(seen, ["a", "b"]);
+
+        let mut visited = Vec::new();
+        let mut graphs = 0;
+        sol.walk(&pcfg, &mut |pcfg, sol| {
+            graphs += 1;
+            assert_eq!(sol.input.len(), pcfg.len());
+            assert_eq!(sol.children.len(), pcfg.len());
+            visited.extend(pcfg.groups().map(|g| g.to_string()));
+        });
+        assert_eq!(graphs, 5, "top level, two outer children, two inner");
+        visited.sort();
+        assert_eq!(visited, ["a", "b", "c", "d", "e"]);
     }
 
     #[test]

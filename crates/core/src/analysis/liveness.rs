@@ -5,8 +5,18 @@
 //! child to be the set of live registers coming out of the p-node", and the
 //! p-node's kill set is the union of its children's must-writes (all
 //! children execute).
+//!
+//! The cached [`Liveness`] analysis is the dataflow engine's solution
+//! tree (see [`dataflow`](super::dataflow)): the engine solves every
+//! p-node child once and keeps it, and [`Interference`] and the
+//! `dead-write` lint read nested facts through
+//! [`Solution::walk`] rather than solving children again. The hand-rolled
+//! [`Liveness::solve`] and [`Interference::build`] in this module are the
+//! *reference* implementation: no pass, analysis or lint calls them; the
+//! differential tests compare the engine's tree against theirs.
 
 use super::cache::{Analysis, AnalysisCache};
+use super::dataflow::{solve_liveness, Solution};
 use super::pcfg::{Pcfg, PcfgNode};
 use super::port_uses::PortUses;
 use super::read_write::ReadWriteSets;
@@ -100,14 +110,11 @@ fn collect_condition_cells(control: &Control, out: &mut BTreeSet<Id>) {
     }
 }
 
-/// Liveness facts for one pCFG (recursively including p-node children).
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers live *into* each node.
-    pub live_in: Vec<BTreeSet<Id>>,
-    /// Registers live *out of* each node.
-    pub live_out: Vec<BTreeSet<Id>>,
-}
+/// Liveness facts for one pCFG: the dataflow engine's solution tree over
+/// register sets. `input[n]` is the set live *into* node `n`, `output[n]`
+/// the set live *out of* it, and `children[n]` the liveness of p-node
+/// `n`'s child sub-pCFGs, each solved with `output[n]` live at its exit.
+pub type Liveness = Solution<BTreeSet<Id>>;
 
 impl Analysis for Liveness {
     type Output = Liveness;
@@ -117,23 +124,23 @@ impl Analysis for Liveness {
         let pcfg = cache.get::<Pcfg>(comp);
         let rw = cache.get::<ReadWriteSets>(comp);
         let boundary = cache.get::<BoundaryRegs>(comp);
-        // Cached queries go through the generic dataflow engine; the
-        // hand-rolled `Liveness::solve` below stays as the differential
-        // oracle (both compute the same least fixpoint).
-        super::dataflow::solve_liveness(&pcfg, &rw, boundary.registers())
+        solve_liveness(&pcfg, &rw, boundary.registers())
     }
 }
 
 impl Liveness {
     /// Solve liveness over `pcfg` with `boundary` live at the graph's
-    /// exit — the hand-rolled round-robin solver, kept as the oracle the
-    /// engine-backed [`solve_liveness`](super::dataflow::solve_liveness)
-    /// is differentially tested against.
+    /// exit — the hand-rolled round-robin *reference* solver. Nothing
+    /// outside tests calls it: it exists so the engine-backed
+    /// [`solve_liveness`] has an independent implementation of the same
+    /// equations to be compared against, tree for tree.
     pub fn solve(pcfg: &Pcfg, rw: &ReadWriteSets, boundary: &BTreeSet<Id>) -> Self {
         let n = pcfg.len();
-        let mut live_in = vec![BTreeSet::new(); n];
-        let mut live_out = vec![BTreeSet::new(); n];
-        live_out[pcfg.exit] = boundary.clone();
+        let mut live = Liveness {
+            input: vec![BTreeSet::new(); n],
+            output: vec![BTreeSet::new(); n],
+            children: vec![Vec::new(); n],
+        };
 
         // Iterate to fixpoint (loops create cycles). Node count is small —
         // groups per component — so a simple round-robin converges quickly.
@@ -148,46 +155,51 @@ impl Liveness {
                     BTreeSet::new()
                 };
                 for &s in &pcfg.succs[node] {
-                    out.extend(live_in[s].iter().copied());
+                    out.extend(live.input[s].iter().copied());
                 }
-                let (uses, defs) = node_use_def(&pcfg.nodes[node], rw, &out);
+                let (uses, defs, children) = node_use_def(&pcfg.nodes[node], rw, &out);
                 let mut inn: BTreeSet<Id> = out.difference(&defs).copied().collect();
                 inn.extend(uses);
-                if inn != live_in[node] || out != live_out[node] {
+                if inn != live.input[node] || out != live.output[node] {
                     changed = true;
-                    live_in[node] = inn;
-                    live_out[node] = out;
+                    live.input[node] = inn;
+                    live.output[node] = out;
                 }
+                // Solved under `out`, so final once `out` is.
+                live.children[node] = children;
             }
             if !changed {
-                return Liveness { live_in, live_out };
+                return live;
             }
         }
     }
 }
 
-/// use/def of a node. For p-nodes this *recursively solves* the children
-/// with the current live-out as their boundary, per the paper.
+/// use/def of a node, plus the solutions of its children. For p-nodes
+/// this *recursively solves* the children with the current live-out as
+/// their boundary, per the paper.
 fn node_use_def(
     node: &PcfgNode,
     rw: &ReadWriteSets,
     live_out: &BTreeSet<Id>,
-) -> (BTreeSet<Id>, BTreeSet<Id>) {
+) -> (BTreeSet<Id>, BTreeSet<Id>, Vec<Liveness>) {
     match node {
-        PcfgNode::Nop => (BTreeSet::new(), BTreeSet::new()),
-        PcfgNode::Group(g) => (rw.reads(*g).clone(), rw.must_writes(*g).clone()),
+        PcfgNode::Nop => (BTreeSet::new(), BTreeSet::new(), Vec::new()),
+        PcfgNode::Group(g) => (rw.reads(*g).clone(), rw.must_writes(*g).clone(), Vec::new()),
         PcfgNode::Par(children) => {
             let mut uses = BTreeSet::new();
             let mut defs = BTreeSet::new();
+            let mut solutions = Vec::new();
             for child in children {
                 let solved = Liveness::solve(child, rw, live_out);
-                uses.extend(solved.live_in[child.entry].iter().copied());
+                uses.extend(solved.input[child.entry].iter().copied());
                 defs.extend(par_defs(child, rw));
+                solutions.push(solved);
             }
             // A register used by one child must not be treated as killed by
             // a sibling: uses win over defs at the p-node boundary.
             let defs = defs.difference(&uses).copied().collect();
-            (uses, defs)
+            (uses, defs, solutions)
         }
     }
 }
@@ -198,23 +210,21 @@ fn node_use_def(
 /// nodes with no branching anywhere, so instead we under-approximate with
 /// the intersection-free rule: a register is killed by the child if every
 /// path from entry to exit must-writes it. For simplicity and safety this
-/// implementation only counts *straight-line* children (no branch nodes);
+/// implementation only counts *straight-line* children (no branch nodes),
+/// and of those only the child's own group nodes, not nested p-nodes;
 /// otherwise it reports no kills, which is conservative (registers stay
-/// live longer). Shared with the engine-backed liveness in
-/// [`dataflow`](crate::analysis::dataflow) so the two can never drift.
+/// live longer). Shared by the engine transfers and the reference solver
+/// so the two can never drift.
 pub(crate) fn par_defs(child: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
     // Straight-line check: every node has at most one successor.
     let straight = child.succs.iter().all(|s| s.len() <= 1);
     if !straight {
         return BTreeSet::new();
     }
-    let mut defs = BTreeSet::new();
-    for node in &child.nodes {
-        if let PcfgNode::Group(g) = node {
-            defs.extend(rw.must_writes(*g).iter().copied());
-        }
-    }
-    defs
+    child
+        .groups()
+        .flat_map(|g| rw.must_writes(g).iter().copied())
+        .collect()
 }
 
 /// Build the register interference relation from liveness facts.
@@ -241,18 +251,43 @@ impl Analysis for Interference {
 }
 
 impl Interference {
-    /// Compute interference over `pcfg`, solving liveness internally.
+    /// Compute interference over `pcfg` from the *reference* liveness
+    /// solver — like [`Liveness::solve`], the comparison point for tests;
+    /// the cached analysis goes through [`Interference::build_with`].
     pub fn build(pcfg: &Pcfg, rw: &ReadWriteSets, boundary: &BTreeSet<Id>) -> Self {
         let live = Liveness::solve(pcfg, rw, boundary);
         Interference::build_with(pcfg, rw, &live)
     }
 
-    /// Compute interference over `pcfg` reusing an already-solved top-level
-    /// [`Liveness`] (p-node children are still solved recursively, since
-    /// each child takes its parent node's live-out as boundary).
+    /// Compute interference over `pcfg` from its solved [`Liveness`]
+    /// tree, one flat pass over every node of every nested sub-pCFG.
     pub fn build_with(pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> Self {
         let mut interference = Interference::default();
-        interference.visit(pcfg, rw, live);
+        live.walk(pcfg, &mut |pcfg, live| {
+            for (node, live_out) in pcfg.nodes.iter().zip(&live.output) {
+                match node {
+                    PcfgNode::Group(g) => {
+                        let mut set = live_out.clone();
+                        set.extend(rw.may_writes(*g).iter().copied());
+                        set.extend(rw.reads(*g).iter().copied());
+                        interference.add_clique(&set);
+                    }
+                    _ => interference.add_clique(live_out),
+                }
+                // Registers touched in different children of a p-node
+                // interfere.
+                let touched: Vec<BTreeSet<Id>> = node
+                    .children()
+                    .iter()
+                    .map(|c| touched_regs(c, rw))
+                    .collect();
+                for (i, left) in touched.iter().enumerate() {
+                    for right in &touched[i + 1..] {
+                        interference.add_cross(left, right);
+                    }
+                }
+            }
+        });
         interference
     }
 
@@ -277,38 +312,6 @@ impl Interference {
         }
     }
 
-    fn visit(&mut self, pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) {
-        for (idx, node) in pcfg.nodes.iter().enumerate() {
-            match node {
-                PcfgNode::Nop => {
-                    self.add_clique(&live.live_out[idx]);
-                }
-                PcfgNode::Group(g) => {
-                    let mut set = live.live_out[idx].clone();
-                    set.extend(rw.may_writes(*g).iter().copied());
-                    set.extend(rw.reads(*g).iter().copied());
-                    self.add_clique(&set);
-                }
-                PcfgNode::Par(children) => {
-                    // Recurse with this node's live-out as the boundary.
-                    for child in children {
-                        let child_live = Liveness::solve(child, rw, &live.live_out[idx]);
-                        self.visit(child, rw, &child_live);
-                    }
-                    // Registers touched in different children interfere.
-                    let touched: Vec<BTreeSet<Id>> =
-                        children.iter().map(|c| touched_regs(c, rw)).collect();
-                    for i in 0..touched.len() {
-                        for j in (i + 1)..touched.len() {
-                            self.add_cross(&touched[i], &touched[j]);
-                        }
-                    }
-                    self.add_clique(&live.live_out[idx]);
-                }
-            }
-        }
-    }
-
     /// Do `a` and `b` interfere?
     pub fn conflict(&self, a: Id, b: Id) -> bool {
         let key = if a < b { (a, b) } else { (b, a) };
@@ -316,22 +319,13 @@ impl Interference {
     }
 }
 
+/// Registers read or possibly written anywhere below `pcfg`.
 fn touched_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
     let mut out = BTreeSet::new();
-    for node in &pcfg.nodes {
-        match node {
-            PcfgNode::Nop => {}
-            PcfgNode::Group(g) => {
-                out.extend(rw.reads(*g).iter().copied());
-                out.extend(rw.may_writes(*g).iter().copied());
-            }
-            PcfgNode::Par(children) => {
-                for c in children {
-                    out.extend(touched_regs(c, rw));
-                }
-            }
-        }
-    }
+    pcfg.for_each_group(&mut |g| {
+        out.extend(rw.reads(g).iter().copied());
+        out.extend(rw.may_writes(g).iter().copied());
+    });
     out
 }
 
@@ -443,7 +437,7 @@ mod tests {
             .iter()
             .position(|n| matches!(n, PcfgNode::Group(g) if g.as_str() == "cond"))
             .unwrap();
-        assert!(live.live_in[cond_idx].contains(&Id::new("i")));
+        assert!(live.input[cond_idx].contains(&Id::new("i")));
         // The loop-carried register interferes with the temporary.
         let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
         assert!(interference.conflict(Id::new("i"), Id::new("t")));
@@ -465,6 +459,6 @@ mod tests {
         let pcfg = Pcfg::from_control(&c);
         let boundary: BTreeSet<Id> = [Id::new("r")].into_iter().collect();
         let live = Liveness::solve(&pcfg, &rw, &boundary);
-        assert!(live.live_out[pcfg.exit].contains(&Id::new("r")));
+        assert!(live.output[pcfg.exit].contains(&Id::new("r")));
     }
 }

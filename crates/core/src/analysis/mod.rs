@@ -50,14 +50,15 @@
 //! | [`PortUses`] | port → reading/writing assignment sites, cell usage digests | — |
 //! | [`BoundaryCells`] | cells observable outside the schedule (continuous/condition uses) | `PortUses` |
 //! | [`BoundaryRegs`] | registers observable outside the schedule (live at exit) | `BoundaryCells` |
-//! | [`Liveness`] | backward live-range dataflow over the pCFG (engine-backed) | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |
-//! | [`Interference`] | register interference relation for sharing | `Pcfg`, `ReadWriteSets`, `Liveness` |
+//! | [`Liveness`] | backward live-range dataflow over the pCFG: the engine's solution tree, p-node children included | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |
+//! | [`Interference`] | register interference relation for sharing, one pass over the `Liveness` tree | `Pcfg`, `ReadWriteSets`, `Liveness` |
 //! | [`ReachingDefs`] | forward def-site dataflow with power-on entry defs | `Pcfg`, `ReadWriteSets` |
 //! | [`ConstProp`] | forward register constant propagation (flat lattice) | `Pcfg`, `ReadWriteSets` |
 //!
 //! The dataflow analyses are all instances of one generic worklist
 //! fixpoint engine over the pCFG — see [`dataflow`] for the `Lattice` /
-//! `Transfer` machinery and its p-node treatment.
+//! `Transfer` machinery, its p-node treatment and the solution tree it
+//! returns.
 
 pub mod cache;
 pub mod conflict;

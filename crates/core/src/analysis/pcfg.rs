@@ -19,6 +19,16 @@ pub enum PcfgNode {
     Par(Vec<Pcfg>),
 }
 
+impl PcfgNode {
+    /// The child sub-pCFGs of a p-node; empty for group and no-op nodes.
+    pub fn children(&self) -> &[Pcfg] {
+        match self {
+            PcfgNode::Par(children) => children,
+            PcfgNode::Nop | PcfgNode::Group(_) => &[],
+        }
+    }
+}
+
 /// Which control construct a [`CondSite`] came from, with enough shape
 /// information (arm/body emptiness) for lints to phrase their findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +120,25 @@ impl Pcfg {
     /// True when the graph has no nodes (never happens for built graphs).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The groups this graph's own nodes execute, in node order — not
+    /// those inside p-node children, which run on their own sub-pCFGs.
+    pub fn groups(&self) -> impl Iterator<Item = Id> + '_ {
+        self.nodes.iter().filter_map(|node| match node {
+            PcfgNode::Group(g) => Some(*g),
+            PcfgNode::Nop | PcfgNode::Par(_) => None,
+        })
+    }
+
+    /// Call `visit` on every group executed anywhere below this graph:
+    /// its own [`groups`](Pcfg::groups), then recursively those of every
+    /// p-node child sub-pCFG.
+    pub fn for_each_group(&self, visit: &mut impl FnMut(Id)) {
+        self.groups().for_each(&mut *visit);
+        for child in self.nodes.iter().flat_map(PcfgNode::children) {
+            child.for_each_group(visit);
+        }
     }
 }
 
@@ -226,17 +255,7 @@ mod tests {
 
     fn groups_in(pcfg: &Pcfg) -> Vec<String> {
         let mut out = Vec::new();
-        for n in &pcfg.nodes {
-            match n {
-                PcfgNode::Group(g) => out.push(g.to_string()),
-                PcfgNode::Par(children) => {
-                    for c in children {
-                        out.extend(groups_in(c));
-                    }
-                }
-                PcfgNode::Nop => {}
-            }
-        }
+        pcfg.for_each_group(&mut |g| out.push(g.to_string()));
         out.sort();
         out
     }

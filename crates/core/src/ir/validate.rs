@@ -78,8 +78,10 @@ pub fn validate_component(comp: &Component) -> CalyxResult<()> {
 /// Per-component version of [`collect_context`] (without the component-name
 /// wrapping, which the context-level walk applies).
 pub fn collect_component(comp: &Component, sink: &mut Vec<Error>) {
+    // One control walk for the whole component, not one per group.
+    let enabled = comp.control.used_groups();
     for group in comp.groups.iter() {
-        collect_group(comp, group, sink);
+        collect_group(comp, group, enabled.contains(&group.name), sink);
         check_unique_drivers(comp, &group.assignments, group.name.as_str(), sink);
     }
     for asgn in &comp.continuous {
@@ -91,14 +93,14 @@ pub fn collect_component(comp: &Component, sink: &mut Vec<Error>) {
     collect_control(comp, &comp.control, sink);
 }
 
-fn collect_group(comp: &Component, group: &Group, sink: &mut Vec<Error>) {
+fn collect_group(comp: &Component, group: &Group, enabled: bool, sink: &mut Vec<Error>) {
     for asgn in &group.assignments {
         if let Err(e) = validate_assignment(comp, asgn) {
             sink.push(locate(&format!("in group `{}`", group.name), &e));
         }
     }
     // Every group in a live control program must signal completion.
-    if comp.control.used_groups().contains(&group.name) && group.done_writes().count() == 0 {
+    if enabled && group.done_writes().count() == 0 {
         sink.push(Error::malformed(format!(
             "group `{}` is enabled by the control program but never writes `{}[done]`",
             group.name, group.name
@@ -379,6 +381,47 @@ mod tests {
         "#;
         let err = well_formed(src).unwrap_err();
         assert!(err.to_string().contains("never writes"), "{err}");
+    }
+
+    /// The enabled-group set is computed once per component, not once per
+    /// group: a few thousand enabled groups validate in linear time, and
+    /// the `done` check still reaches the last of them.
+    #[test]
+    fn many_enabled_groups_validate_and_the_last_missing_done_is_reported() {
+        const GROUPS: usize = 3000;
+        let program = |last_done: &str| {
+            let mut groups = String::new();
+            let mut control = String::new();
+            for i in 0..GROUPS {
+                let done = if i == GROUPS - 1 {
+                    last_done.to_string()
+                } else {
+                    format!("g{i}[done] = r.done;")
+                };
+                groups.push_str(&format!(
+                    "group g{i} {{ r.in = 8'd1; r.write_en = 1'd1; {done} }}\n"
+                ));
+                control.push_str(&format!("g{i}; "));
+            }
+            format!(
+                "component main() -> () {{
+                   cells {{ r = std_reg(8); }}
+                   wires {{ {groups} }}
+                   control {{ seq {{ {control} }} }}
+                 }}"
+            )
+        };
+        well_formed(&program(&format!("g{}[done] = r.done;", GROUPS - 1))).unwrap();
+        let ctx = parse_context(&program("")).expect("parses");
+        let mut errors = Vec::new();
+        collect_context(&ctx, &mut errors);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        let msg = errors[0].to_string();
+        assert!(
+            msg.contains(&format!("group `g{}` is enabled", GROUPS - 1))
+                && msg.contains("never writes"),
+            "{msg}"
+        );
     }
 
     #[test]

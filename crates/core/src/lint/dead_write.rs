@@ -16,7 +16,6 @@
 use super::diagnostic::{Diagnostic, Severity};
 use super::registry::Lint;
 use super::sink::DiagnosticSink;
-use crate::analysis::dataflow::solve_liveness;
 use crate::analysis::pcfg::{Pcfg, PcfgNode};
 use crate::analysis::{AnalysisCache, Liveness, ReadWriteSets};
 use crate::ir::{Atom, Component, Context, Id, PortParent};
@@ -61,37 +60,23 @@ spent producing a value no execution observes.";
             let pcfg = cache.get::<Pcfg>(comp);
             let rw = cache.get::<ReadWriteSets>(comp);
             let live = cache.get::<Liveness>(comp);
-            // (group, register) → dead at every occurrence so far?
+            // (group, register) → dead at every occurrence so far, over
+            // the group nodes of every nested sub-pCFG.
             let mut dead: BTreeMap<(Id, Id), bool> = BTreeMap::new();
-            visit(&pcfg, &live, &rw, &mut dead);
+            live.walk(&pcfg, &mut |pcfg, live| {
+                for (node, live_out) in pcfg.nodes.iter().zip(&live.output) {
+                    let PcfgNode::Group(g) = node else { continue };
+                    for &r in rw.may_writes(*g) {
+                        let dead_here = !live_out.contains(&r);
+                        dead.entry((*g, r))
+                            .and_modify(|d| *d = *d && dead_here)
+                            .or_insert(dead_here);
+                    }
+                }
+            });
             for ((group, reg), all_dead) in dead {
                 if all_dead && !is_const_init(comp, group, reg) {
                     report(ctx, comp, sink, group, reg);
-                }
-            }
-        }
-    }
-}
-
-/// Record, for every group occurrence in `pcfg` (recursively through
-/// p-node children), whether each register the group may write is dead
-/// at that occurrence.
-fn visit(pcfg: &Pcfg, live: &Liveness, rw: &ReadWriteSets, dead: &mut BTreeMap<(Id, Id), bool>) {
-    for (idx, node) in pcfg.nodes.iter().enumerate() {
-        match node {
-            PcfgNode::Nop => {}
-            PcfgNode::Group(g) => {
-                for &r in rw.may_writes(*g) {
-                    let dead_here = !live.live_out[idx].contains(&r);
-                    dead.entry((*g, r))
-                        .and_modify(|d| *d = *d && dead_here)
-                        .or_insert(dead_here);
-                }
-            }
-            PcfgNode::Par(children) => {
-                for child in children {
-                    let child_live = solve_liveness(child, rw, &live.live_out[idx]);
-                    visit(child, &child_live, rw, dead);
                 }
             }
         }

@@ -90,7 +90,7 @@ pub use diagnostic::{Diagnostic, Severity};
 pub use multiple_drivers::MultipleDrivers;
 pub use par_race::ParRace;
 pub use registry::{Lint, LintRegistry, RegisteredLint};
-pub use sink::DiagnosticSink;
+pub use sink::{json_string, DiagnosticSink};
 pub use uninit_read::UninitRead;
 pub use unreachable_control::UnreachableControl;
 pub use unused_port::UnusedPort;

@@ -155,8 +155,9 @@ impl DiagnosticSink {
     }
 }
 
-/// Minimal JSON string encoder (the only non-scalar values we emit).
-fn json_string(s: &str) -> String {
+/// Encode a string as a JSON string literal (quotes included) — the one
+/// string encoder every JSON emitter in the workspace shares.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

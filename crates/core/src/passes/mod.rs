@@ -100,9 +100,7 @@ pub use registry::{
 pub use remove_groups::RemoveGroups;
 pub use resource_sharing::ResourceSharing;
 pub use static_timing::StaticTiming;
-pub use traversal::{
-    for_each_component, for_each_component_topological, Pass, PassManager, PassTiming,
-};
+pub use traversal::{Pass, PassManager, PassTiming};
 pub use visitor::{Action, Order, Visitor};
 pub use well_formed::WellFormed;
 

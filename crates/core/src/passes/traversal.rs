@@ -2,9 +2,9 @@
 //!
 //! Passes implement [`Pass`] and are composed by [`PassManager`]; the
 //! prebuilt pipelines in [`crate::passes`] mirror the paper's compilation
-//! workflows. Most passes are per-component; [`for_each_component`] handles
-//! the borrow dance of editing a component while consulting the context's
-//! primitive library.
+//! workflows. Most passes are per-component [`Visitor`](super::Visitor)s;
+//! `take_component` is the borrow dance that lets one edit a component
+//! while consulting the context's primitive library.
 
 use crate::analysis::{AnalysisCache, CacheStats};
 use crate::errors::CalyxResult;
@@ -177,58 +177,6 @@ pub(super) fn take_component(ctx: &mut Context, name: Id) -> Option<Component> {
     ctx.components.insert(Component::new(name, Vec::new()))
 }
 
-/// Apply `f` to every component.
-///
-/// The component is temporarily taken out of the context by value (no deep
-/// clone) so that `f` can hold `&mut Component` while consulting `&Context`
-/// (e.g. through [`crate::ir::Builder`]); it is written back preserving the
-/// component's position. While `f` runs, the context's entry for the
-/// component under edit is an inert placeholder — `f` must use its
-/// `&mut Component` argument for that component and the context only for
-/// the library and *other* components.
-///
-/// # Errors
-///
-/// Propagates the first error returned by `f` (the component is still
-/// written back first).
-pub fn for_each_component(
-    ctx: &mut Context,
-    mut f: impl FnMut(&mut Component, &Context) -> CalyxResult<()>,
-) -> CalyxResult<()> {
-    let names: Vec<Id> = ctx.components.names().collect();
-    for name in names {
-        let Some(mut comp) = take_component(ctx, name) else {
-            continue;
-        };
-        let result = f(&mut comp, ctx);
-        ctx.components.insert(comp);
-        result?;
-    }
-    Ok(())
-}
-
-/// Like [`for_each_component`] but visits components in dependency order
-/// (instantiated components first) — required by cross-component analyses
-/// such as latency inference.
-///
-/// # Errors
-///
-/// Propagates cyclic-instantiation errors and the first error from `f`.
-pub fn for_each_component_topological(
-    ctx: &mut Context,
-    mut f: impl FnMut(&mut Component, &Context) -> CalyxResult<()>,
-) -> CalyxResult<()> {
-    for name in ctx.topological_order()? {
-        let Some(mut comp) = take_component(ctx, name) else {
-            continue;
-        };
-        let result = f(&mut comp, ctx);
-        ctx.components.insert(comp);
-        result?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,66 +263,5 @@ mod tests {
                 .get(Id::new("count")),
             None
         );
-    }
-
-    #[test]
-    fn for_each_component_writes_back_on_error() {
-        let mut ctx = ctx_with_main();
-        ctx.component_mut("main")
-            .unwrap()
-            .attributes
-            .insert(Id::new("marker"), 7);
-        let err = for_each_component(&mut ctx, |_, _| Err(Error::malformed("boom"))).unwrap_err();
-        assert!(matches!(err, Error::Malformed(_)));
-        // The real component (not the placeholder) is back in the context.
-        assert_eq!(
-            ctx.component("main")
-                .unwrap()
-                .attributes
-                .get(Id::new("marker")),
-            Some(7)
-        );
-    }
-
-    #[test]
-    fn component_under_edit_is_taken_out_of_the_context() {
-        let mut ctx = ctx_with_main();
-        ctx.component_mut("main")
-            .unwrap()
-            .attributes
-            .insert(Id::new("marker"), 7);
-        for_each_component(&mut ctx, |comp, ctx| {
-            assert!(comp.attributes.has(Id::new("marker")));
-            // The context slot holds an inert placeholder during the edit —
-            // no deep clone is made.
-            assert!(!ctx
-                .component("main")
-                .unwrap()
-                .attributes
-                .has(Id::new("marker")));
-            Ok(())
-        })
-        .unwrap();
-        assert!(ctx
-            .component("main")
-            .unwrap()
-            .attributes
-            .has(Id::new("marker")));
-    }
-
-    #[test]
-    fn for_each_component_preserves_order() {
-        let mut ctx = Context::new();
-        ctx.add_component(ctx.new_component("b"));
-        ctx.add_component(ctx.new_component("a"));
-        ctx.entrypoint = Id::new("a");
-        for_each_component(&mut ctx, |comp, _| {
-            comp.attributes.insert(Id::new("seen"), 1);
-            Ok(())
-        })
-        .unwrap();
-        let names: Vec<_> = ctx.components.names().map(|n| n.as_str()).collect();
-        assert_eq!(names, vec!["b", "a"]);
-        assert!(ctx.component("a").unwrap().attributes.has(Id::new("seen")));
     }
 }

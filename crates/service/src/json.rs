@@ -5,10 +5,14 @@
 //! integer scalars, one level of nesting for `fopts`/`pipeline`. This
 //! module parses a full JSON value into [`Json`] — tracking the 1-based
 //! byte column of every object key so unknown-field diagnostics can
-//! point at the offending key — and renders values back out with the
-//! same escaping rules the lint sink pinned in PR 6.
+//! point at the offending key — and renders values back out through the
+//! lint sink's string encoder ([`escape`]).
 
 use std::fmt;
+
+/// Encode a string as a JSON string literal (quotes included): the
+/// encoder `futil check --format json` uses, under this module's name.
+pub use calyx_core::lint::json_string as escape;
 
 /// A parsed JSON value.
 ///
@@ -146,25 +150,6 @@ impl Json {
             }
         }
     }
-}
-
-/// Encode a string as a JSON string literal (quotes included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.

@@ -8,7 +8,7 @@
 //! trees. They are retained — not exported from the crate root, and
 //! hidden from the docs — so the differential suite can pin the flat
 //! engines to byte-identical state reports and cycle counts, and so the
-//! `sim_throughput` bench can quantify the speedup against a live
+//! `sim_profile` example can quantify the speedup against a live
 //! baseline rather than a recorded number.
 
 pub mod interp;

@@ -179,8 +179,7 @@ fn cached_liveness_matches_hand_computed_liveness() {
     assert!(cache.get::<BoundaryRegs>(comp).registers().is_empty());
     let cached = cache.get::<Liveness>(comp);
 
-    assert_eq!(cached.live_in, by_hand.live_in);
-    assert_eq!(cached.live_out, by_hand.live_out);
+    assert_eq!(*cached, by_hand);
 
     // The interference relation built from cached facts agrees too.
     let cached_interference = cache.get::<Interference>(comp);
