@@ -5,10 +5,13 @@
 //! treats `par` p-nodes correctly: every child executes, so the solver
 //! solves each child as its own sub-pCFG with the p-node's near-side fact
 //! as the boundary and [`Transfer::par`] combines *all* of them. The
-//! solver is the only code that recurses into a p-node. It keeps the
+//! solver is the only code that *solves* below a p-node. It keeps the
 //! children's solutions, so [`solve`] returns a [`Solution`] *tree*, and
-//! [`Solution::walk`] is the single traversal every consumer reads
-//! nested facts through — nothing downstream solves a child again.
+//! consumers read nested facts through [`Solution::walk`] —
+//! [`Interference`](crate::analysis::Interference), which needs each
+//! child's touched registers before its p-node's, descends
+//! [`Solution::children`] itself — so nothing downstream solves a child
+//! again.
 //!
 //! The concrete analyses on top:
 //!

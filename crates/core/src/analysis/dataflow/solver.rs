@@ -15,7 +15,9 @@
 //! children into the p-node's far-side fact. The children's final
 //! solutions are kept in [`Solution::children`], so the result is a
 //! solution *tree* mirroring the pCFG's nesting; [`Solution::walk`] is
-//! the one traversal consumers use to read it.
+//! the traversal consumers read it through, parents first (a consumer
+//! that needs a p-node's children first descends
+//! [`Solution::children`] itself).
 
 use crate::analysis::pcfg::{Pcfg, PcfgNode};
 use crate::ir::Id;

@@ -9,8 +9,8 @@
 //! The cached [`Liveness`] analysis is the dataflow engine's solution
 //! tree (see [`dataflow`](super::dataflow)): the engine solves every
 //! p-node child once and keeps it, and [`Interference`] and the
-//! `dead-write` lint read nested facts through
-//! [`Solution::walk`] rather than solving children again. The hand-rolled
+//! `dead-write` lint read the nested facts from the tree rather than
+//! solving children again. The hand-rolled
 //! [`Liveness::solve`] and [`Interference::build`] in this module are the
 //! *reference* implementation: no pass, analysis or lint calls them; the
 //! differential tests compare the engine's tree against theirs.
@@ -21,7 +21,7 @@ use super::pcfg::{Pcfg, PcfgNode};
 use super::port_uses::PortUses;
 use super::read_write::ReadWriteSets;
 use crate::ir::{Component, Control, Id};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Cells observable outside the control schedule: cells read or written by
 /// continuous assignments, plus cells referenced directly as `if`/`while`
@@ -227,15 +227,29 @@ pub(crate) fn par_defs(child: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
         .collect()
 }
 
-/// Build the register interference relation from liveness facts.
+/// The register interference relation, built from liveness facts.
 ///
 /// Two registers conflict when they are simultaneously live at some node
-/// (pairwise within `live_out ∪ may_def ∪ use` at every group node), or
-/// when they are touched by different children of the same p-node (parallel
+/// (pairwise within `live_out ∪ may_def ∪ use` at every group node, within
+/// `live_out` at every other node), or when they are touched — read or
+/// possibly written — by different children of the same p-node (parallel
 /// execution).
+///
+/// The relation is dense on par-heavy designs (a clique per node), so it
+/// is held as a symmetric bit matrix: the registers the liveness tree
+/// mentions are numbered `0..n`, row `i` is `⌈n/64⌉` words, and bit `j` of
+/// it says that registers `i` and `j` conflict. A clique or a cross
+/// product is one mask per register set, OR-ed into each member's row.
+/// The numbering is internal: [`conflict`](Interference::conflict) is the
+/// only way to read the relation, so no output can depend on it.
 #[derive(Debug, Clone, Default)]
 pub struct Interference {
-    edges: BTreeSet<(Id, Id)>,
+    /// Row (and column) of every register the relation has met.
+    index: HashMap<Id, usize>,
+    /// Words per row.
+    words: usize,
+    /// The rows, back to back. The diagonal is never read.
+    bits: Vec<u64>,
 }
 
 impl Analysis for Interference {
@@ -260,73 +274,114 @@ impl Interference {
     }
 
     /// Compute interference over `pcfg` from its solved [`Liveness`]
-    /// tree, one flat pass over every node of every nested sub-pCFG.
+    /// tree: one walk to number the registers, then one bottom-up pass
+    /// over every node of every nested sub-pCFG.
     pub fn build_with(pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> Self {
-        let mut interference = Interference::default();
+        let mut index: HashMap<Id, usize> = HashMap::new();
         live.walk(pcfg, &mut |pcfg, live| {
-            for (node, live_out) in pcfg.nodes.iter().zip(&live.output) {
-                match node {
-                    PcfgNode::Group(g) => {
-                        let mut set = live_out.clone();
-                        set.extend(rw.may_writes(*g).iter().copied());
-                        set.extend(rw.reads(*g).iter().copied());
-                        interference.add_clique(&set);
-                    }
-                    _ => interference.add_clique(live_out),
-                }
-                // Registers touched in different children of a p-node
-                // interfere.
-                let touched: Vec<BTreeSet<Id>> = node
-                    .children()
-                    .iter()
-                    .map(|c| touched_regs(c, rw))
-                    .collect();
-                for (i, left) in touched.iter().enumerate() {
-                    for right in &touched[i + 1..] {
-                        interference.add_cross(left, right);
-                    }
-                }
+            let used = pcfg
+                .groups()
+                .flat_map(|g| rw.may_writes(g).iter().chain(rw.reads(g)));
+            for &reg in live.output.iter().flatten().chain(used) {
+                let next = index.len();
+                index.entry(reg).or_insert(next);
             }
         });
+        let words = index.len().div_ceil(64);
+        let mut interference = Interference {
+            bits: vec![0; index.len() * words],
+            index,
+            words,
+        };
+        interference.fill(pcfg, rw, live);
         interference
     }
 
-    fn add_clique(&mut self, regs: &BTreeSet<Id>) {
-        for &a in regs {
-            for &b in regs {
-                if a < b {
-                    self.edges.insert((a, b));
-                }
+    /// Add the edges of `pcfg` and everything nested below it; returns
+    /// the mask of registers touched there. Each sub-pCFG's mask is
+    /// computed once, from its own groups and its children's masks.
+    fn fill(&mut self, pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> Vec<u64> {
+        let mut touched = vec![0; self.words];
+        for (node, (live_out, solved)) in pcfg
+            .nodes
+            .iter()
+            .zip(live.output.iter().zip(&live.children))
+        {
+            let mut set = vec![0; self.words];
+            self.mark(&mut set, live_out);
+            if let PcfgNode::Group(g) = node {
+                let mut used = vec![0; self.words];
+                self.mark(&mut used, rw.may_writes(*g));
+                self.mark(&mut used, rw.reads(*g));
+                or_into(&mut set, &used);
+                or_into(&mut touched, &used);
             }
+            // Everything live or used here, pairwise: a clique.
+            self.or_into_rows(&set, &set);
+            let below: Vec<Vec<u64>> = node
+                .children()
+                .iter()
+                .zip(solved)
+                .map(|(child, solved)| self.fill(child, rw, solved))
+                .collect();
+            or_into(&mut touched, &self.cross_siblings(&below));
+        }
+        touched
+    }
+
+    /// Registers touched in different children of a p-node interfere:
+    /// cross each child's mask with everything a sibling touches — all
+    /// that is touched, less what this child alone touches. Returns all
+    /// that is touched.
+    fn cross_siblings(&mut self, children: &[Vec<u64>]) -> Vec<u64> {
+        let mut any = vec![0; self.words];
+        let mut shared = vec![0; self.words]; // touched by two or more
+        for child in children {
+            for ((shared, any), child) in shared.iter_mut().zip(&mut any).zip(child) {
+                *shared |= *any & child;
+                *any |= child;
+            }
+        }
+        for child in children {
+            let siblings: Vec<u64> = (0..self.words)
+                .map(|w| any[w] & (!child[w] | shared[w]))
+                .collect();
+            self.or_into_rows(child, &siblings);
+        }
+        any
+    }
+
+    /// Set the bits of `regs` in `mask`.
+    fn mark(&self, mask: &mut [u64], regs: &BTreeSet<Id>) {
+        for reg in regs {
+            let i = self.index[reg];
+            mask[i / 64] |= 1 << (i % 64);
         }
     }
 
-    fn add_cross(&mut self, left: &BTreeSet<Id>, right: &BTreeSet<Id>) {
-        for &a in left {
-            for &b in right {
-                if a != b {
-                    let (x, y) = if a < b { (a, b) } else { (b, a) };
-                    self.edges.insert((x, y));
-                }
-            }
+    /// OR `mask` into the row of every register in `members`.
+    fn or_into_rows(&mut self, members: &[u64], mask: &[u64]) {
+        for i in (0..self.index.len()).filter(|i| members[i / 64] >> (i % 64) & 1 == 1) {
+            or_into(&mut self.bits[i * self.words..][..self.words], mask);
         }
     }
 
-    /// Do `a` and `b` interfere?
+    /// Do `a` and `b` interfere? Never for `a == b`, nor for a register
+    /// the liveness tree does not mention.
     pub fn conflict(&self, a: Id, b: Id) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.edges.contains(&key)
+        match (self.index.get(&a), self.index.get(&b)) {
+            (Some(&i), Some(&j)) if i != j => {
+                self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
+            }
+            _ => false,
+        }
     }
 }
 
-/// Registers read or possibly written anywhere below `pcfg`.
-fn touched_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
-    let mut out = BTreeSet::new();
-    pcfg.for_each_group(&mut |g| {
-        out.extend(rw.reads(g).iter().copied());
-        out.extend(rw.may_writes(g).iter().copied());
-    });
-    out
+fn or_into(mask: &mut [u64], other: &[u64]) {
+    for (word, other) in mask.iter_mut().zip(other) {
+        *word |= other;
+    }
 }
 
 #[cfg(test)]
@@ -407,6 +462,39 @@ mod tests {
         let pcfg = Pcfg::from_control(&comp.control);
         let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
         assert!(interference.conflict(Id::new("a"), Id::new("b")));
+    }
+
+    /// `r` is written by two `par` siblings: it crosses with everything
+    /// either touches, in both argument orders, while `u` and `s` — both
+    /// only in the first child, never live together — stay compatible.
+    #[test]
+    fn register_touched_by_two_par_siblings_crosses_with_both() {
+        let ctx = parse_context(
+            r#"component main() -> () {
+                cells { r = std_reg(8); s = std_reg(8); t = std_reg(8); u = std_reg(8); }
+                wires {
+                  group wu { u.in = 8'd0; u.write_en = 1'd1; wu[done] = u.done; }
+                  group wr0 { r.in = 8'd1; r.write_en = 1'd1; wr0[done] = r.done; }
+                  group ws { s.in = 8'd2; s.write_en = 1'd1; ws[done] = s.done; }
+                  group wr1 { r.in = 8'd3; r.write_en = 1'd1; wr1[done] = r.done; }
+                  group wt { t.in = 8'd4; t.write_en = 1'd1; wt[done] = t.done; }
+                }
+                control { par { seq { wu; wr0; ws; } wr1; wt; } }
+            }"#,
+        )
+        .unwrap();
+        let comp = ctx.component("main").unwrap();
+        let rw = ReadWriteSets::analyze(comp);
+        let pcfg = Pcfg::from_control(&comp.control);
+        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let [r, s, t, u] = ["r", "s", "t", "u"].map(Id::new);
+        for (a, b) in [(r, s), (r, t), (r, u), (s, t), (u, t)] {
+            assert!(interference.conflict(a, b), "{a} and {b} run in parallel");
+            assert!(interference.conflict(b, a), "{b} and {a} run in parallel");
+        }
+        assert!(!interference.conflict(u, s) && !interference.conflict(s, u));
+        assert!(!interference.conflict(r, r));
+        assert!(!interference.conflict(r, Id::new("never_declared")));
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! | [`BoundaryCells`] | cells observable outside the schedule (continuous/condition uses) | `PortUses` |
 //! | [`BoundaryRegs`] | registers observable outside the schedule (live at exit) | `BoundaryCells` |
 //! | [`Liveness`] | backward live-range dataflow over the pCFG: the engine's solution tree, p-node children included | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |
-//! | [`Interference`] | register interference relation for sharing, one pass over the `Liveness` tree | `Pcfg`, `ReadWriteSets`, `Liveness` |
+//! | [`Interference`] | register interference relation for sharing: a bit matrix filled bottom-up over the `Liveness` tree | `Pcfg`, `ReadWriteSets`, `Liveness` |
 //! | [`ReachingDefs`] | forward def-site dataflow with power-on entry defs | `Pcfg`, `ReadWriteSets` |
 //! | [`ConstProp`] | forward register constant propagation (flat lattice) | `Pcfg`, `ReadWriteSets` |
 //!

@@ -2,11 +2,13 @@
 //! behave *identically* to the legacy pipeline constructors. Byte-identical
 //! printed Calyx on every PolyBench kernel pins the alias expansions (and
 //! the visitor-based pass framework behind them) to the known-good
-//! pipelines.
+//! pipelines. The par-heavy designs, where `minimize-regs` decides the most,
+//! are pinned harder: by the digest of their optimized Verilog.
 
 use calyx::core::ir::{Context, Printer};
 use calyx::core::passes::{self, PassManager};
 use calyx::polybench::{compile_kernel, KERNELS};
+use calyx::service::{digest64, Job, Session};
 
 const N: u64 = 4;
 
@@ -101,4 +103,49 @@ fn incremental_pass_names_compose_like_the_alias() {
         pm.run(&mut step_ctx).expect("single pass succeeds");
     }
     assert_eq!(whole, Printer::print_context(&step_ctx));
+}
+
+/// `digest64` of what `futil - -f <frontend> --fopt … -p opt -b verilog`
+/// prints, compiled through the same `Session` the driver calls.
+fn opt_verilog_digest(frontend: &str, fopts: &[(&str, &str)]) -> u64 {
+    let pipeline = ["opt".to_string()];
+    let job = Job {
+        frontend: Some(frontend),
+        fopts: fopts
+            .iter()
+            .map(|(key, value)| (key.to_string(), value.to_string()))
+            .collect(),
+        pipeline: Some(&pipeline),
+        backend: "verilog",
+        ..Job::default()
+    };
+    let compiled = Session::default()
+        .resolve(&job)
+        .and_then(|mut resolved| resolved.compile("-", "", None))
+        .unwrap_or_else(|e| panic!("{frontend} {fopts:?} fails to compile: {}", e.message));
+    digest64(&compiled.output)
+}
+
+/// Register sharing on the par-heavy designs, byte for byte. The digests
+/// were recorded from the `futil` of the commit before `Interference`
+/// became a bit matrix and `Id` reads left the interner lock; which
+/// registers merge there follows from liveness, interference and the
+/// order `Id`s sort in, so a change to any of them that alters sharing
+/// shows here first.
+#[test]
+fn opt_verilog_of_par_heavy_designs_is_pinned() {
+    for (n, expected) in [
+        ("2", 0x4d13_c904_e2cc_c8df_u64),
+        ("3", 0x3813_30aa_2f3c_eff0),
+        ("4", 0x0d57_fb00_96b4_da99),
+        ("6", 0x16fd_bd75_b8ab_69d6),
+    ] {
+        let digest = opt_verilog_digest("systolic", &[("rows", n), ("cols", n), ("inner", n)]);
+        assert_eq!(digest, expected, "systolic {n}x{n}: {digest:#018x}");
+    }
+    let digest = opt_verilog_digest("polybench", &[("kernel", "gemver"), ("unroll", "2")]);
+    assert_eq!(
+        digest, 0x582e_e2ec_eb1c_abcd,
+        "gemver unroll=2: {digest:#018x}"
+    );
 }
