@@ -9,7 +9,7 @@ use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Context;
 use calyx_plan::{derive, BuildOpts, ExecEnv, OpOpts};
 use calyx_service::{CompileService, JobDefaults, JobRequest, Status};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::process::{Command, Stdio};
 
 const GOOD: &str = "component main() -> () {
@@ -30,12 +30,14 @@ fn direct(args: &[&str], src: &str) -> (Option<i32>, String) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("futil spawns");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(src.as_bytes())
-        .expect("stdin writes");
+    // A job rejected before its input is read (an unknown pass or backend
+    // is a usage error) may exit before this write lands: a closed pipe is
+    // that exit, which the assertions below judge by code and message.
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    if let Err(e) = stdin.write_all(src.as_bytes()) {
+        assert_eq!(e.kind(), ErrorKind::BrokenPipe, "stdin writes: {e}");
+    }
+    drop(stdin);
     let out = child.wait_with_output().expect("futil exits");
     assert!(out.stdout.is_empty(), "a rejected job printed output");
     (

@@ -16,7 +16,7 @@
 //!   resulting evaluation nodes are topologically sorted once.
 
 use super::index::{
-    AssignIdx, CellIdx, CtrlIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
+    AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
 use super::{
     topo_sort, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatControl, FlatDesign,
@@ -157,6 +157,54 @@ fn instantiate_primitive<R: PortResolver>(
     }
 }
 
+/// Flatten an atom, resolving a port through `resolve`.
+fn flat_atom(
+    atom: &Atom,
+    resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
+) -> SimResult<FlatAtom> {
+    Ok(match atom {
+        Atom::Port(p) => FlatAtom::Port(resolve(p)?),
+        Atom::Const { val, .. } => FlatAtom::Const(*val),
+    })
+}
+
+/// Intern `guard` into the `guards` arena — the one place an
+/// [`ir::Guard`](Guard) becomes [`FlatGuard`] nodes; only port resolution
+/// differs between the flattening modes.
+///
+/// Nodes are hash-consed through `cons`: children are interned before
+/// parents, so equal subtrees hit the same child indices and dedup
+/// structurally. The FSM-state comparisons lowering stamps onto every
+/// assignment of a state thus share one node, which the RTL engine's
+/// per-cycle memo evaluates once. Sharing cannot change a value — a node
+/// is a pure function of the port valuation — so the interpreter, which
+/// evaluates without a memo, gets the smaller arena for free.
+fn intern_guard(
+    guards: &mut IndexedMap<GuardIdx, FlatGuard>,
+    cons: &mut HashMap<FlatGuard, GuardIdx>,
+    guard: &Guard,
+    resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
+) -> SimResult<GuardIdx> {
+    let node = match guard {
+        // `FlatProgram::new` seeds index 0 with the one `True` node.
+        Guard::True => return Ok(GuardIdx::new(0)),
+        Guard::Port(p) => FlatGuard::Port(resolve(p)?),
+        Guard::Not(g) => FlatGuard::Not(intern_guard(guards, cons, g, resolve)?),
+        Guard::And(a, b) => FlatGuard::And(
+            intern_guard(guards, cons, a, resolve)?,
+            intern_guard(guards, cons, b, resolve)?,
+        ),
+        Guard::Or(a, b) => FlatGuard::Or(
+            intern_guard(guards, cons, a, resolve)?,
+            intern_guard(guards, cons, b, resolve)?,
+        ),
+        Guard::Comp(op, l, r) => {
+            FlatGuard::Comp(*op, flat_atom(l, resolve)?, flat_atom(r, resolve)?)
+        }
+    };
+    Ok(*cons.entry(node).or_insert_with(|| guards.push(node)))
+}
+
 // ---------------------------------------------------------------------------
 // Single-component flattening for the interpreter.
 // ---------------------------------------------------------------------------
@@ -164,64 +212,49 @@ fn instantiate_primitive<R: PortResolver>(
 struct ControlFlattener {
     prog: FlatProgram,
     port_map: HashMap<PortRef, PortIdx>,
+    /// Hash-consing table of [`intern_guard`].
+    cons: HashMap<FlatGuard, GuardIdx>,
     groups: super::IndexedMap<GroupIdx, FlatGroup>,
     group_map: HashMap<Id, GroupIdx>,
     ctrl: super::IndexedMap<CtrlIdx, CtrlNode>,
     cell_index: HashMap<Id, CellIdx>,
 }
 
-impl ControlFlattener {
-    /// The slot for `port`, allocating one with `width` on first mention.
-    fn port_of(&mut self, port: PortRef, width: u32) -> PortIdx {
-        if let Some(&idx) = self.port_map.get(&port) {
-            return idx;
-        }
-        let idx = self.prog.ports.push(PortData {
+/// The slot for `port`, allocating one with `width` on first mention.
+/// Takes the two tables apart from the flattener so that guard interning
+/// can allocate slots while it holds the guard arena.
+fn slot_of(
+    ports: &mut IndexedMap<PortIdx, PortData>,
+    port_map: &mut HashMap<PortRef, PortIdx>,
+    port: PortRef,
+    width: u32,
+) -> PortIdx {
+    *port_map.entry(port).or_insert_with(|| {
+        ports.push(PortData {
             width,
             path: port.to_string(),
-        });
-        self.port_map.insert(port, idx);
-        idx
+        })
+    })
+}
+
+impl ControlFlattener {
+    fn port_of(&mut self, port: PortRef, width: u32) -> PortIdx {
+        slot_of(&mut self.prog.ports, &mut self.port_map, port, width)
     }
 
-    fn atom_of(&mut self, atom: &Atom) -> FlatAtom {
-        match atom {
-            Atom::Port(p) => FlatAtom::Port(self.port_of(*p, 1)),
-            Atom::Const { val, .. } => FlatAtom::Const(*val),
-        }
-    }
-
-    fn guard_of(&mut self, guard: &Guard) -> GuardIdx {
-        match guard {
-            Guard::True => self.prog.true_guard(),
-            Guard::Port(p) => {
-                let port = self.port_of(*p, 1);
-                self.prog.guards.push(FlatGuard::Port(port))
-            }
-            Guard::Not(g) => {
-                let inner = self.guard_of(g);
-                self.prog.guards.push(FlatGuard::Not(inner))
-            }
-            Guard::And(a, b) => {
-                let (a, b) = (self.guard_of(a), self.guard_of(b));
-                self.prog.guards.push(FlatGuard::And(a, b))
-            }
-            Guard::Or(a, b) => {
-                let (a, b) = (self.guard_of(a), self.guard_of(b));
-                self.prog.guards.push(FlatGuard::Or(a, b))
-            }
-            Guard::Comp(op, l, r) => {
-                let (l, r) = (self.atom_of(l), self.atom_of(r));
-                self.prog.guards.push(FlatGuard::Comp(*op, l, r))
-            }
-        }
-    }
-
-    fn assign_of(&mut self, asgn: &calyx_core::ir::Assignment) -> AssignIdx {
+    fn assign_of(&mut self, asgn: &calyx_core::ir::Assignment) -> SimResult<AssignIdx> {
         let dst = self.port_of(asgn.dst, 1);
-        let src = self.atom_of(&asgn.src);
-        let guard = self.guard_of(&asgn.guard);
-        self.prog.assigns.push(FlatAssign { dst, src, guard })
+        let Self {
+            prog,
+            port_map,
+            cons,
+            ..
+        } = self;
+        // Ports the program never declared still get a (1-bit) slot.
+        let mut resolve = |p: &PortRef| Ok(slot_of(&mut prog.ports, port_map, *p, 1));
+        let src = flat_atom(&asgn.src, &mut resolve)?;
+        let guard = intern_guard(&mut prog.guards, cons, &asgn.guard, &mut resolve)?;
+        Ok(prog.assigns.push(FlatAssign { dst, src, guard }))
     }
 
     /// The group's index; unknown names get an empty placeholder, which
@@ -315,6 +348,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
     let mut f = ControlFlattener {
         prog: FlatProgram::new(),
         port_map: HashMap::new(),
+        cons: HashMap::new(),
         groups: super::IndexedMap::new(),
         group_map: HashMap::new(),
         ctrl: super::IndexedMap::new(),
@@ -364,7 +398,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
     // Assignments: the continuous block first, then each group's block.
     let cont_start = f.prog.assigns.next_idx();
     for asgn in &comp.continuous {
-        f.assign_of(asgn);
+        f.assign_of(asgn)?;
     }
     let continuous = IndexRange::new(cont_start, f.prog.assigns.next_idx());
 
@@ -373,7 +407,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
         let done_hole = group.done_hole();
         let mut done_writes = Vec::new();
         for asgn in &group.assignments {
-            let ai = f.assign_of(asgn);
+            let ai = f.assign_of(asgn)?;
             if asgn.dst == done_hole {
                 done_writes.push(ai);
             }
@@ -413,10 +447,7 @@ struct DesignFlattener<'a> {
     drivers: HashMap<PortIdx, Vec<(FlatAtom, GuardIdx)>>,
     /// Destinations in first-seen order, for deterministic node layout.
     driver_order: Vec<PortIdx>,
-    /// Hash-consing table: structurally identical guard subtrees (the
-    /// FSM-state comparisons lowering stamps onto every assignment of a
-    /// state) share one arena node, so the engine's per-cycle guard memo
-    /// evaluates each distinct subtree once.
+    /// Hash-consing table of [`intern_guard`].
     cons: HashMap<FlatGuard, GuardIdx>,
 }
 
@@ -521,13 +552,16 @@ impl DesignFlattener<'_> {
         }
 
         // Resolve assignments into pending driver lists.
+        let mut resolve = |p: &PortRef| resolve_port(p, &cell_ports, this_ports, name);
         for asgn in &comp.continuous {
-            let dst = resolve_port(&asgn.dst, &cell_ports, this_ports, name)?;
-            let src = match &asgn.src {
-                Atom::Port(p) => FlatAtom::Port(resolve_port(p, &cell_ports, this_ports, name)?),
-                Atom::Const { val, .. } => FlatAtom::Const(*val),
-            };
-            let guard = self.intern_guard(&asgn.guard, &cell_ports, this_ports, name)?;
+            let dst = resolve(&asgn.dst)?;
+            let src = flat_atom(&asgn.src, &mut resolve)?;
+            let guard = intern_guard(
+                &mut self.prog.guards,
+                &mut self.cons,
+                &asgn.guard,
+                &mut resolve,
+            )?;
             let entry = self.drivers.entry(dst).or_default();
             if entry.is_empty() {
                 self.driver_order.push(dst);
@@ -535,42 +569,6 @@ impl DesignFlattener<'_> {
             entry.push((src, guard));
         }
         Ok(())
-    }
-
-    fn intern_guard(
-        &mut self,
-        guard: &Guard,
-        cell_ports: &HashMap<Id, HashMap<Id, PortIdx>>,
-        this_ports: &HashMap<Id, PortIdx>,
-        name: Id,
-    ) -> SimResult<GuardIdx> {
-        let atom = |a: &Atom| -> SimResult<FlatAtom> {
-            Ok(match a {
-                Atom::Port(p) => FlatAtom::Port(resolve_port(p, cell_ports, this_ports, name)?),
-                Atom::Const { val, .. } => FlatAtom::Const(*val),
-            })
-        };
-        let node = match guard {
-            Guard::True => return Ok(self.prog.true_guard()),
-            Guard::Port(p) => FlatGuard::Port(resolve_port(p, cell_ports, this_ports, name)?),
-            Guard::Not(g) => FlatGuard::Not(self.intern_guard(g, cell_ports, this_ports, name)?),
-            Guard::And(a, b) => FlatGuard::And(
-                self.intern_guard(a, cell_ports, this_ports, name)?,
-                self.intern_guard(b, cell_ports, this_ports, name)?,
-            ),
-            Guard::Or(a, b) => FlatGuard::Or(
-                self.intern_guard(a, cell_ports, this_ports, name)?,
-                self.intern_guard(b, cell_ports, this_ports, name)?,
-            ),
-            Guard::Comp(op, l, r) => FlatGuard::Comp(*op, atom(l)?, atom(r)?),
-        };
-        // Hash-consing: children are interned before parents, so equal
-        // subtrees hit the same child indices and dedup structurally.
-        let prog = &mut self.prog;
-        Ok(*self
-            .cons
-            .entry(node)
-            .or_insert_with(|| prog.guards.push(node)))
     }
 }
 
@@ -670,7 +668,6 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flatten::FlatIdx;
     use calyx_core::ir::parse_context;
     use calyx_core::passes;
 
@@ -761,5 +758,49 @@ mod tests {
         // go + signature + r's declared ports + the group hole all have slots.
         assert!(flat.prog.ports.len() >= 5);
         assert_eq!(flat.groups[GroupIdx::new(0)].done_writes.len(), 1);
+    }
+
+    #[test]
+    fn control_guards_are_hash_consed() {
+        // Three assignments under structurally equal guards, one under a
+        // guard that shares a subtree with them, one unguarded.
+        let ctx = parse_context(
+            r#"component main() -> () {
+              cells { r = std_reg(8); s = std_reg(8); lt = std_lt(8); }
+              wires {
+                group g {
+                  r.in = lt.out & !r.done ? 8'd1;
+                  r.write_en = lt.out & !r.done ? 1'd1;
+                  s.in = lt.out & !r.done ? 8'd2;
+                  s.write_en = !r.done ? 1'd1;
+                  g[done] = r.done;
+                }
+              }
+              control { g; }
+            }"#,
+        )
+        .unwrap();
+        let flat = flatten_control(&ctx, "main").unwrap();
+        let guard = |i: usize| flat.prog.assigns[AssignIdx::new(i)].guard;
+        assert_eq!(guard(0), guard(1));
+        assert_eq!(guard(0), guard(2));
+        // `!r.done` is the conjunction's right child, not a second copy.
+        assert!(matches!(flat.prog.guards[guard(0)], FlatGuard::And(_, not) if not == guard(3)));
+        // `Guard::True` is the arena's seeded first node.
+        assert_eq!(guard(4).index(), 0);
+        assert_eq!(guard(4), flat.prog.true_guard());
+        // True, lt.out, r.done, !r.done, and the conjunction: nothing else.
+        assert_eq!(flat.prog.guards.len(), 5);
+    }
+
+    #[test]
+    fn design_guard_arena_is_unchanged_on_lowered_gemm() {
+        // The shared interner must cons exactly what `flatten_design`'s
+        // own did: 118 is the arena length measured before the two merged.
+        let gemm = calyx_polybench::kernel("gemm").unwrap();
+        let (_, mut ctx) = calyx_polybench::compile_kernel(gemm, 4, 1).unwrap();
+        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let flat = flatten_design(&ctx, "main").unwrap();
+        assert_eq!(flat.prog.guards.len(), 118);
     }
 }

@@ -16,7 +16,8 @@
 //!   is `values[p.index()]` instead of a hash lookup.
 //! - **Interned guards** — guard expressions live in one arena of
 //!   [`FlatGuard`] nodes referring to children by [`GuardIdx`]; no `Box`
-//!   chains, and structurally shared subtrees cost nothing extra.
+//!   chains. Both entry points build it through one hash-consing
+//!   interner, so structurally equal subtrees are one node.
 //! - **Assignment tables** — assignments are stored contiguously grouped
 //!   by owner: the continuous block first, then each group's block, so
 //!   "the active assignment set" is a handful of [`IndexRange`]s.
@@ -30,14 +31,54 @@
 //! hierarchy in place (a cell's ports and the child component's `this`
 //! ports are the same arena slots) and topologically sorts the resulting
 //! driver/primitive nodes for the single-sweep RTL engine.
+//!
+//! # What the machine owns, and what an engine owns
+//!
+//! A [`FlatProgram`] is more than storage: it is the **cycle machine**
+//! both engines run on (`machine.rs`). It owns every decision that does
+//! not depend on how wires are evaluated:
+//!
+//! - what a stateful primitive shows at the start of a cycle
+//!   ([`FlatProgram::publish`]) and how it latches at the end
+//!   ([`FlatProgram::tick`]);
+//! - what a combinational cell or a memory's read port computes from a
+//!   valuation ([`FlatCell::comb_output`]);
+//! - how the harness loads and reads state by [`CellIdx`]
+//!   ([`FlatProgram::set_memory`], [`FlatProgram::memory`],
+//!   [`FlatProgram::register_value`]), including the rule that an image
+//!   longer than its memory is an error;
+//! - how an `ir::Guard` becomes [`FlatGuard`] nodes (one hash-consing
+//!   interner in `build.rs`), and what a finished run reports
+//!   ([`RunStats`]).
+//!
+//! An engine owns only *how it settles a cycle* between `publish` and
+//! `tick`, and the driver rule that goes with it:
+//!
+//! - [`crate::rtl`]: one sweep over the topologically sorted [`Node`]s,
+//!   a per-cycle memo of guard values, and the strict rule that two
+//!   active drivers of one port are a conflict whatever they drive;
+//! - [`crate::interp`]: the control walk that picks the active groups, a
+//!   budgeted fixpoint over their assignments with the plain
+//!   [`eval_guard`], and the rule that two active drivers conflict only
+//!   when their values differ.
+//!
+//! The guard memo must stay on the RTL side of that line. It caches a
+//! node's value for the rest of the cycle, which is sound only because
+//! the sweep evaluates a guard after every port it reads is final. In the
+//! interpreter's fixpoint a port can still change on a later pass, so a
+//! value cached on an early pass would be stale; it re-evaluates every
+//! guard on every pass. Hash-consing is safe for both: a shared node is
+//! still a pure function of the valuation it is evaluated against.
 
 mod build;
 pub mod index;
+mod machine;
 
 pub use build::{flatten_control, flatten_design};
 pub use index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
+pub use machine::RunStats;
 
 use crate::error::{SimError, SimResult};
 use crate::prim::{CombOp, PrimState};

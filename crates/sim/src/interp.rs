@@ -27,10 +27,9 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{
-    eval_atom, eval_guard, flatten_control, AssignIdx, CtrlIdx, CtrlNode, FlatCellKind,
-    FlatControl, FlatIdx, GroupIdx, IndexedMap, PortIdx,
+    eval_atom, eval_guard, flatten_control, AssignIdx, CellIdx, CtrlIdx, CtrlNode, FlatControl,
+    FlatIdx, GroupIdx, IndexedMap, PortIdx, RunStats,
 };
-use crate::prim::PrimState;
 use calyx_core::ir::{Context, Id};
 
 /// Per-node runtime state of the flattened control tree. Indexed by
@@ -298,34 +297,26 @@ impl Interpreter {
         })
     }
 
-    fn cell(&self, cell: &str) -> SimResult<crate::flatten::CellIdx> {
+    fn cell(&self, cell: &str) -> SimResult<CellIdx> {
         self.flat
             .cell_index
             .get(&Id::new(cell))
             .copied()
-            .ok_or_else(|| SimError::UnknownCell(cell.to_string()))
+            .ok_or_else(|| unknown(cell))
     }
 
     /// Initialize a memory's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `cell` is not a memory.
+    /// Returns [`SimError::UnknownCell`] when `cell` is not a memory and
+    /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, cell: &str, data: &[u64]) -> SimResult<()> {
         let ci = self.cell(cell)?;
-        match &mut self.flat.prog.states[ci] {
-            PrimState::Mem {
-                data: storage,
-                width,
-                ..
-            } => {
-                for (slot, v) in storage.iter_mut().zip(data) {
-                    *slot = crate::prim::mask(*v, *width);
-                }
-                Ok(())
-            }
-            _ => Err(SimError::UnknownCell(cell.to_string())),
-        }
+        self.flat
+            .prog
+            .set_memory(ci, data)
+            .unwrap_or_else(|| Err(unknown(cell)))
     }
 
     /// Read a memory's contents.
@@ -334,11 +325,8 @@ impl Interpreter {
     ///
     /// Returns [`SimError::UnknownCell`] when `cell` is not a memory.
     pub fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        let ci = self.cell(cell)?;
-        match &self.flat.prog.states[ci] {
-            PrimState::Mem { data, .. } => Ok(data.clone()),
-            _ => Err(SimError::UnknownCell(cell.to_string())),
-        }
+        let data = self.flat.prog.memory(self.cell(cell)?);
+        data.map(<[u64]>::to_vec).ok_or_else(|| unknown(cell))
     }
 
     /// Read a register.
@@ -347,13 +335,8 @@ impl Interpreter {
     ///
     /// Returns [`SimError::UnknownCell`] when `cell` is not a register.
     pub fn register_value(&self, cell: &str) -> SimResult<u64> {
-        let ci = self.cell(cell)?;
-        match (&self.flat.prog.cells[ci].kind, &self.flat.prog.states[ci]) {
-            // Combinational cells carry a placeholder state; only true
-            // `std_reg` instances report a value.
-            (FlatCellKind::Reg { .. }, PrimState::Reg { val, .. }) => Ok(*val),
-            _ => Err(SimError::UnknownCell(cell.to_string())),
-        }
+        let val = self.flat.prog.register_value(self.cell(cell)?);
+        val.ok_or_else(|| unknown(cell))
     }
 
     /// Run the control program to completion.
@@ -362,14 +345,14 @@ impl Interpreter {
     ///
     /// Returns [`SimError::Timeout`] past the cycle budget, driver-conflict
     /// and convergence errors from settling.
-    pub fn run(&mut self, max_cycles: u64) -> SimResult<crate::rtl::RunStats> {
+    pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
         while !self.root_done {
             if self.cycles >= max_cycles {
                 return Err(SimError::Timeout { max_cycles });
             }
             self.step()?;
         }
-        Ok(crate::rtl::RunStats {
+        Ok(RunStats {
             cycles: self.cycles,
         })
     }
@@ -418,7 +401,7 @@ impl Interpreter {
         }
 
         // 5. Synchronous update.
-        self.tick()?;
+        self.flat.prog.tick(&self.values)?;
 
         // 6. Advance the control tree using this cycle's observations.
         self.root_done = ctrl_advance(
@@ -460,35 +443,7 @@ impl Interpreter {
         values.fill(0);
 
         // Stateful outputs are fixed for the cycle.
-        for (ci, cell) in prog.cells.enumerate() {
-            match (&cell.kind, &prog.states[ci]) {
-                (FlatCellKind::Reg { out, done, .. }, PrimState::Reg { val, done: d, .. }) => {
-                    values[out.index()] = *val;
-                    values[done.index()] = u64::from(*d);
-                }
-                (FlatCellKind::Mem { done, .. }, PrimState::Mem { done: d, .. }) => {
-                    values[done.index()] = u64::from(*d);
-                }
-                (
-                    FlatCellKind::Unit {
-                        out, out2, done, ..
-                    },
-                    PrimState::Unit {
-                        out: o,
-                        out2: o2,
-                        done: d,
-                        ..
-                    },
-                ) => {
-                    values[out.index()] = *o;
-                    if let Some(p2) = out2 {
-                        values[p2.index()] = *o2;
-                    }
-                    values[done.index()] = u64::from(*d);
-                }
-                _ => {}
-            }
-        }
+        prog.publish(values);
         values[self.flat.go.index()] = 1;
 
         // Iterate until stable. The bound is generous: each pass fixes at
@@ -532,38 +487,12 @@ impl Interpreter {
             }
 
             // Combinational primitives and memory reads.
-            for (ci, cell) in prog.cells.enumerate() {
-                match &cell.kind {
-                    FlatCellKind::Comb {
-                        op,
-                        left,
-                        right,
-                        out,
-                        in_width,
-                        out_width,
-                    } => {
-                        let l = values[left.index()];
-                        let r = right.map(|p| values[p.index()]).unwrap_or(0);
-                        let o = op.eval(l, r, *in_width, *out_width);
-                        if values[out.index()] != o {
-                            values[out.index()] = o;
-                            changed = true;
-                        }
+            for (cell, state) in prog.cells.iter().zip(prog.states.iter()) {
+                if let Some((out, o)) = cell.comb_output(state, values) {
+                    if values[out.index()] != o {
+                        values[out.index()] = o;
+                        changed = true;
                     }
-                    FlatCellKind::Mem {
-                        addrs, read_data, ..
-                    } => {
-                        let mut av = [0u64; 3];
-                        for (k, &a) in addrs.iter().enumerate() {
-                            av[k] = values[a.index()];
-                        }
-                        let o = prog.states[ci].mem_read(&av[..addrs.len()]);
-                        if values[read_data.index()] != o {
-                            values[read_data.index()] = o;
-                            changed = true;
-                        }
-                    }
-                    FlatCellKind::Reg { .. } | FlatCellKind::Unit { .. } => {}
                 }
             }
 
@@ -582,50 +511,12 @@ impl Interpreter {
             )]))
         }
     }
+}
 
-    fn tick(&mut self) -> SimResult<()> {
-        let crate::flatten::FlatProgram {
-            ref cells,
-            ref mut states,
-            ..
-        } = self.flat.prog;
-        let values = &self.values;
-        for (ci, cell) in cells.enumerate() {
-            match &cell.kind {
-                FlatCellKind::Reg {
-                    input, write_en, ..
-                } => {
-                    let inp = values[input.index()];
-                    let we = values[write_en.index()] != 0;
-                    states[ci].tick_reg(inp, we);
-                }
-                FlatCellKind::Mem {
-                    addrs,
-                    write_data,
-                    write_en,
-                    ..
-                } => {
-                    let mut av = [0u64; 3];
-                    for (k, &a) in addrs.iter().enumerate() {
-                        av[k] = values[a.index()];
-                    }
-                    let wd = values[write_data.index()];
-                    let we = values[write_en.index()] != 0;
-                    states[ci].tick_mem(&av[..addrs.len()], wd, we, &cell.path)?;
-                }
-                FlatCellKind::Unit {
-                    left, right, go, ..
-                } => {
-                    let l = values[left.index()];
-                    let r = values[right.index()];
-                    let g = values[go.index()] != 0;
-                    states[ci].tick_unit(l, r, g);
-                }
-                FlatCellKind::Comb { .. } => {}
-            }
-        }
-        Ok(())
-    }
+/// The lookup error for a name that is no cell, or no cell of the kind
+/// asked for.
+fn unknown(cell: &str) -> SimError {
+    SimError::UnknownCell(cell.to_string())
 }
 
 #[cfg(test)]

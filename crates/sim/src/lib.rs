@@ -18,12 +18,27 @@
 //!   (memories, registers) must agree; the differential tests in
 //!   `tests/` exploit this as a compiler-correctness oracle.
 //!
-//! Both engines share the primitive behavioral models in [`prim`] and run
-//! over the dense arena-indexed IR built once per design by [`flatten`]:
-//! typed indices into contiguous `Vec` storage for ports, cells, guards,
-//! assignments, and control nodes, so each simulated cycle is pure array
-//! indexing. The pre-flatten tree-walking engines survive unchanged in
-//! [`legacy`] as differential oracles and benchmark baselines.
+//! Both engines run over the dense arena-indexed IR built once per design
+//! by [`flatten`]: typed indices into contiguous `Vec` storage for ports,
+//! cells, guards, assignments, and control nodes, so each simulated cycle
+//! is pure array indexing. That IR is also the one **cycle machine** under
+//! both of them. [`flatten::FlatProgram`] owns, once, everything about a
+//! cycle that does not depend on the engine: what stateful primitives
+//! show when it starts (`publish`), how they latch when it ends (`tick`),
+//! what a combinational cell or memory read port computes
+//! ([`flatten::FlatCell::comb_output`], over the behavioral models in
+//! [`prim`]), how a harness loads and reads memories and registers, and
+//! how guards are interned.
+//! An engine owns only how it settles the wires in between — [`rtl`] a
+//! single topologically ordered sweep with a per-cycle guard memo and a
+//! strict unique-driver rule, [`interp`] the control walk and a budgeted
+//! fixpoint with a same-value driver rule. The interpreter must not use
+//! the RTL guard memo: a memoized guard is only right when every port it
+//! reads is already final, which the sorted sweep guarantees and a
+//! fixpoint pass does not.
+//!
+//! The pre-flatten tree-walking engines survive unchanged in [`legacy`]
+//! as differential oracles and benchmark baselines.
 
 pub mod error;
 pub mod flatten;
@@ -35,5 +50,6 @@ pub mod report;
 pub mod rtl;
 
 pub use error::{SimError, SimResult};
+pub use flatten::RunStats;
 pub use report::{write_state_report, StateSource};
-pub use rtl::{RunStats, Simulator};
+pub use rtl::Simulator;

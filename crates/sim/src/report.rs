@@ -18,8 +18,9 @@
 //! one, otherwise as a register; combinational cells are skipped).
 
 use crate::error::SimResult;
+use crate::flatten::RunStats;
 use crate::interp::Interpreter;
-use crate::rtl::{RunStats, Simulator};
+use crate::rtl::Simulator;
 use calyx_core::ir::Component;
 use std::io::{self, Write};
 

@@ -19,21 +19,14 @@
 //! byte-identical output by the differential tests.
 
 use crate::error::{SimError, SimResult};
+pub use crate::flatten::RunStats;
 use crate::flatten::{
-    eval_atom, flatten_design, CellIdx, FlatAtom, FlatCellKind, FlatDesign, FlatGuard, FlatIdx,
-    GuardIdx, IndexedMap, Node, PortIdx,
+    eval_atom, flatten_design, CellIdx, FlatDesign, FlatGuard, FlatIdx, GuardIdx, IndexedMap, Node,
+    PortIdx,
 };
-use crate::prim::{mask, PrimState};
+use crate::prim::mask;
 use calyx_core::ir::Context;
 use std::collections::HashMap;
-
-/// Result of a completed simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Clock cycles from `go` to (and including) the cycle `done` was
-    /// asserted — the metric the paper reports from Verilator.
-    pub cycles: u64,
-}
 
 /// A cycle-accurate simulator instance.
 ///
@@ -110,29 +103,10 @@ impl Simulator {
     /// and [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
         let idx = self.prim_idx(path)?;
-        match &mut self.flat.prog.states[idx] {
-            PrimState::Mem {
-                data: storage,
-                width,
-                ..
-            } => {
-                if data.len() > storage.len() {
-                    return Err(SimError::OutOfBounds {
-                        memory: path.join("."),
-                        address: data.len() as u64,
-                        size: storage.len() as u64,
-                    });
-                }
-                for (slot, v) in storage.iter_mut().zip(data) {
-                    *slot = mask(*v, *width);
-                }
-                Ok(())
-            }
-            _ => Err(SimError::UnknownCell(format!(
-                "`{}` is not a memory",
-                path.join(".")
-            ))),
-        }
+        self.flat
+            .prog
+            .set_memory(idx, data)
+            .unwrap_or_else(|| Err(not_a("memory", path)))
     }
 
     /// Read back a memory cell's contents.
@@ -142,13 +116,9 @@ impl Simulator {
     /// Returns [`SimError::UnknownCell`] when `path` does not name a memory.
     pub fn memory(&self, path: &[&str]) -> SimResult<Vec<u64>> {
         let idx = self.prim_idx(path)?;
-        match &self.flat.prog.states[idx] {
-            PrimState::Mem { data, .. } => Ok(data.clone()),
-            _ => Err(SimError::UnknownCell(format!(
-                "`{}` is not a memory",
-                path.join(".")
-            ))),
-        }
+        let data = self.flat.prog.memory(idx);
+        data.map(<[u64]>::to_vec)
+            .ok_or_else(|| not_a("memory", path))
     }
 
     /// Read a register's current value.
@@ -159,15 +129,8 @@ impl Simulator {
     /// register.
     pub fn register_value(&self, path: &[&str]) -> SimResult<u64> {
         let idx = self.prim_idx(path)?;
-        match (&self.flat.prog.cells[idx].kind, &self.flat.prog.states[idx]) {
-            // Combinational primitives carry a placeholder state; only true
-            // `std_reg` instances report a value.
-            (FlatCellKind::Reg { .. }, PrimState::Reg { val, .. }) => Ok(*val),
-            _ => Err(SimError::UnknownCell(format!(
-                "`{}` is not a register",
-                path.join(".")
-            ))),
-        }
+        let val = self.flat.prog.register_value(idx);
+        val.ok_or_else(|| not_a("register", path))
     }
 
     /// Number of primitive instances (used by compilation statistics).
@@ -187,35 +150,7 @@ impl Simulator {
         let epoch = cycle + 1;
         values.fill(0);
         // Stateful outputs become visible first.
-        for (ci, cell) in prog.cells.enumerate() {
-            match (&cell.kind, &prog.states[ci]) {
-                (FlatCellKind::Reg { out, done, .. }, PrimState::Reg { val, done: d, .. }) => {
-                    values[out.index()] = *val;
-                    values[done.index()] = u64::from(*d);
-                }
-                (FlatCellKind::Mem { done, .. }, PrimState::Mem { done: d, .. }) => {
-                    values[done.index()] = u64::from(*d);
-                }
-                (
-                    FlatCellKind::Unit {
-                        out, out2, done, ..
-                    },
-                    PrimState::Unit {
-                        out: o,
-                        out2: o2,
-                        done: d,
-                        ..
-                    },
-                ) => {
-                    values[out.index()] = *o;
-                    if let Some(p2) = out2 {
-                        values[p2.index()] = *o2;
-                    }
-                    values[done.index()] = u64::from(*d);
-                }
-                _ => {}
-            }
-        }
+        prog.publish(values);
         values[flat.top_go.index()] = u64::from(go);
         for (&idx, &v) in &self.inputs {
             values[idx.index()] = mask(v, prog.ports[idx].width);
@@ -242,89 +177,19 @@ impl Simulator {
                                 });
                             }
                             driven = true;
-                            value = match a.src {
-                                FlatAtom::Port(p) => values[p.index()],
-                                FlatAtom::Const(c) => c,
-                            };
+                            value = eval_atom(a.src, values);
                         }
                     }
                     values[dst.index()] = mask(value, prog.ports[*dst].width);
                 }
-                Node::Comb(ci) => {
-                    if let FlatCellKind::Comb {
-                        op,
-                        left,
-                        right,
-                        out,
-                        in_width,
-                        out_width,
-                    } = &prog.cells[*ci].kind
-                    {
-                        let l = values[left.index()];
-                        let r = right.map(|p| values[p.index()]).unwrap_or(0);
-                        values[out.index()] = op.eval(l, r, *in_width, *out_width);
-                    }
-                }
-                Node::MemRead(ci) => {
-                    if let FlatCellKind::Mem {
-                        addrs, read_data, ..
-                    } = &prog.cells[*ci].kind
-                    {
-                        let mut av = [0u64; 3];
-                        for (k, &a) in addrs.iter().enumerate() {
-                            av[k] = values[a.index()];
-                        }
-                        values[read_data.index()] = prog.states[*ci].mem_read(&av[..addrs.len()]);
+                Node::Comb(ci) | Node::MemRead(ci) => {
+                    if let Some((out, v)) = prog.cells[*ci].comb_output(&prog.states[*ci], values) {
+                        values[out.index()] = v;
                     }
                 }
             }
         }
         Ok(values[flat.top_done.index()] != 0)
-    }
-
-    /// One synchronous state update.
-    fn tick(&mut self) -> SimResult<()> {
-        let crate::flatten::FlatProgram {
-            ref cells,
-            ref mut states,
-            ..
-        } = self.flat.prog;
-        let values = &self.values;
-        for (ci, cell) in cells.enumerate() {
-            match &cell.kind {
-                FlatCellKind::Reg {
-                    input, write_en, ..
-                } => {
-                    let inp = values[input.index()];
-                    let we = values[write_en.index()] != 0;
-                    states[ci].tick_reg(inp, we);
-                }
-                FlatCellKind::Mem {
-                    addrs,
-                    write_data,
-                    write_en,
-                    ..
-                } => {
-                    let mut av = [0u64; 3];
-                    for (k, &a) in addrs.iter().enumerate() {
-                        av[k] = values[a.index()];
-                    }
-                    let wd = values[write_data.index()];
-                    let we = values[write_en.index()] != 0;
-                    states[ci].tick_mem(&av[..addrs.len()], wd, we, &cell.path)?;
-                }
-                FlatCellKind::Unit {
-                    left, right, go, ..
-                } => {
-                    let l = values[left.index()];
-                    let r = values[right.index()];
-                    let g = values[go.index()] != 0;
-                    states[ci].tick_unit(l, r, g);
-                }
-                FlatCellKind::Comb { .. } => {}
-            }
-        }
-        Ok(())
     }
 
     /// Run the design: assert `go`, clock until `done`, report the cycle
@@ -337,13 +202,18 @@ impl Simulator {
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
         for cycle in 0..max_cycles {
             let done = self.settle(true, cycle)?;
-            self.tick()?;
+            self.flat.prog.tick(&self.values)?;
             if done {
                 return Ok(RunStats { cycles: cycle + 1 });
             }
         }
         Err(SimError::Timeout { max_cycles })
     }
+}
+
+/// The lookup error for a cell that exists but is not a `what`.
+fn not_a(what: &str, path: &[&str]) -> SimError {
+    SimError::UnknownCell(format!("`{}` is not a {what}", path.join(".")))
 }
 
 /// Evaluate a hash-consed guard with per-settle memoization: a node whose
