@@ -12,14 +12,16 @@
 //!   engine. Subcomponent instances are elaborated in place: a cell's
 //!   ports and the child component's `this` ports are the same arena
 //!   slots, so hierarchy costs nothing at simulation time. All drivers of
-//!   one port are grouped into a contiguous assignment range, and the
-//!   resulting evaluation nodes are topologically sorted once.
+//!   one port are grouped into a contiguous assignment range; those
+//!   driver nodes, the interned guards and the combinational cells are
+//!   topologically sorted once, and the graph that was sorted is kept as
+//!   the design's fan-out table.
 
 use super::index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
 use super::{
-    topo_sort, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatControl, FlatDesign,
+    sort_nodes, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatControl, FlatDesign,
     FlatGroup, FlatGuard, FlatProgram, Node, PortData,
 };
 use crate::error::{SimError, SimResult};
@@ -175,10 +177,12 @@ fn flat_atom(
 /// Nodes are hash-consed through `cons`: children are interned before
 /// parents, so equal subtrees hit the same child indices and dedup
 /// structurally. The FSM-state comparisons lowering stamps onto every
-/// assignment of a state thus share one node, which the RTL engine's
-/// per-cycle memo evaluates once. Sharing cannot change a value — a node
-/// is a pure function of the port valuation — so the interpreter, which
-/// evaluates without a memo, gets the smaller arena for free.
+/// assignment of a state thus share one node, which is one node of the
+/// RTL engine's sorted graph: evaluated once when `fsm.out` changes,
+/// whatever the number of assignments that test it. Sharing cannot change
+/// a value — a node is a pure function of the port valuation — so the
+/// interpreter, which evaluates every guard afresh, gets the smaller
+/// arena for free.
 fn intern_guard(
     guards: &mut IndexedMap<GuardIdx, FlatGuard>,
     cons: &mut HashMap<FlatGuard, GuardIdx>,
@@ -573,7 +577,7 @@ impl DesignFlattener<'_> {
 }
 
 /// Elaborate the lowered hierarchy rooted at component `top` into a flat
-/// design with topologically sorted evaluation nodes.
+/// design with topologically sorted evaluation nodes and their fan-out.
 ///
 /// # Errors
 ///
@@ -626,23 +630,24 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
         });
     }
     for (ci, cell) in f.prog.cells.enumerate() {
-        match cell.kind {
-            FlatCellKind::Comb { .. } => nodes.push(Node::Comb(ci)),
-            FlatCellKind::Mem { .. } => nodes.push(Node::MemRead(ci)),
-            _ => {}
+        if matches!(
+            cell.kind,
+            FlatCellKind::Comb { .. } | FlatCellKind::Mem { .. }
+        ) {
+            nodes.push(Node::Cell(ci));
         }
     }
+    // Guards go last, so that the paths a combinational loop is reported
+    // by (the stuck nodes, in this order) stay the ports and cells.
+    nodes.extend(f.prog.guards.keys().map(Node::Guard));
 
-    let order = topo_sort(&nodes, &f.prog)?;
-    let mut nodes: Vec<Node> = order.into_iter().map(|i| nodes[i].clone()).collect();
+    let (mut nodes, fanout) = sort_nodes(&nodes, &f.prog)?;
 
     // Repack assignments into *evaluation* order. The packing above is
-    // destination-discovery order; the settle loop walks nodes in topo
-    // order, so without this every cycle hops around the arena. After
-    // repacking, the per-cycle sweep reads assignments as one forward
-    // pass. Guards stay in interning order: hash-consing shares subtrees
-    // across assignments, so duplicating them per use would undo the
-    // engine's per-cycle guard memo.
+    // destination-discovery order; a settle visits nodes in sorted order,
+    // so after repacking it reads the assignments it needs front to back.
+    // Guards stay in interning order: hash-consing shares subtrees across
+    // assignments, and each is one node of the graph whatever its index.
     let mut assigns = IndexedMap::new();
     for node in &mut nodes {
         if let Node::Drivers { asgns, .. } = node {
@@ -658,6 +663,7 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
     Ok(FlatDesign {
         prog: f.prog,
         nodes,
+        fanout,
         top_go,
         top_done,
         top_inputs,
@@ -722,7 +728,7 @@ mod tests {
                 );
                 produced_at[dst.index()] = i;
             }
-            if let Node::Comb(c) = node {
+            if let Node::Cell(c) = node {
                 if let FlatCellKind::Comb { out, .. } = flat.prog.cells[*c].kind {
                     produced_at[out.index()] = i;
                 }
@@ -740,6 +746,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The lowered gemm kernel: guards of every shape, memories, units.
+    fn lowered_gemm() -> FlatDesign {
+        let gemm = calyx_polybench::kernel("gemm").unwrap();
+        let (_, mut ctx) = calyx_polybench::compile_kernel(gemm, 4, 1).unwrap();
+        passes::lower_pipeline().run(&mut ctx).unwrap();
+        flatten_design(&ctx, "main").unwrap()
+    }
+
+    #[test]
+    fn fan_out_lists_every_reader_and_only_later_positions() {
+        let flat = lowered_gemm();
+        let FlatDesign {
+            prog,
+            nodes,
+            fanout,
+            ..
+        } = &flat;
+        let mut guard_nodes = 0;
+        for (pos, node) in nodes.iter().enumerate() {
+            let pos = pos as u32;
+            // Whatever the node produces is read only further on, so one
+            // ascending scan of the dirty set settles a cycle.
+            let readers = match *node {
+                Node::Guard(g) => fanout.of_guard(g),
+                Node::Drivers { dst, .. } => fanout.of_port(dst),
+                Node::Cell(c) => match prog.cells[c].kind {
+                    FlatCellKind::Comb { out, .. } => fanout.of_port(out),
+                    FlatCellKind::Mem { read_data, .. } => fanout.of_port(read_data),
+                    _ => panic!("stateful cell as a node"),
+                },
+            };
+            assert!(readers.iter().all(|&r| r > pos), "{node:?} at {pos}");
+
+            // And the node is listed by everything it reads (worked out
+            // here from the arenas, not from the graph's own walk).
+            let mut ports = Vec::new();
+            let mut guards = Vec::new();
+            match *node {
+                Node::Guard(g) => {
+                    guard_nodes += 1;
+                    match prog.guards[g] {
+                        FlatGuard::True => {}
+                        FlatGuard::Port(p) => ports.push(p),
+                        FlatGuard::Not(a) => guards.push(a),
+                        FlatGuard::And(a, b) | FlatGuard::Or(a, b) => guards.extend([a, b]),
+                        FlatGuard::Comp(_, l, r) => {
+                            ports.extend([l, r].into_iter().filter_map(FlatAtom::port))
+                        }
+                    }
+                }
+                Node::Drivers { asgns, .. } => {
+                    for a in prog.assigns.range(asgns) {
+                        ports.extend(a.src.port());
+                        guards.push(a.guard);
+                    }
+                }
+                Node::Cell(c) => match &prog.cells[c].kind {
+                    FlatCellKind::Comb { left, right, .. } => {
+                        ports.push(*left);
+                        ports.extend(*right);
+                    }
+                    FlatCellKind::Mem { addrs, .. } => {
+                        ports.extend(addrs);
+                        assert_eq!(fanout.of_memory(c), [pos]);
+                    }
+                    _ => unreachable!(),
+                },
+            }
+            for p in ports {
+                assert!(fanout.of_port(p).contains(&pos), "{node:?} reads {p:?}");
+            }
+            for g in guards {
+                assert!(fanout.of_guard(g).contains(&pos), "{node:?} reads {g:?}");
+            }
+        }
+        // Every interned guard is a node, once.
+        assert_eq!(guard_nodes, prog.guards.len());
+    }
+
+    #[test]
+    fn shared_guard_is_one_node_feeding_both_drivers() {
+        // `r.in` and `r.write_en` test the same comparison: hash-consing
+        // makes it one guard, so it is one node with one dirty bit, run
+        // once when `c.out` changes however many assignments wait on it.
+        let ctx = parse_context(
+            r#"component main() -> () {
+              cells { c = std_reg(2); r = std_reg(8); }
+              wires {
+                r.in = c.out == 2'd1 ? 8'd5;
+                r.write_en = c.out == 2'd1 ? 1'd1;
+                done = r.done ? 1'd1;
+              }
+              control {}
+            }"#,
+        )
+        .unwrap();
+        let flat = flatten_design(&ctx, "main").unwrap();
+        // The position of the one node `wanted` picks.
+        fn position(flat: &FlatDesign, wanted: impl Fn(&Node) -> bool) -> u32 {
+            let mut hits = (0u32..).zip(&flat.nodes).filter(|(_, n)| wanted(n));
+            let (pos, _) = hits.next().expect("node exists");
+            assert!(hits.next().is_none(), "node appears twice");
+            pos
+        }
+        let driver = |path: &str| {
+            let mut asgns = flat.prog.assigns.iter();
+            asgns.find(|a| flat.prog.ports[a.dst].path == path).unwrap()
+        };
+        let shared = driver("r.in").guard;
+        assert_eq!(driver("r.write_en").guard, shared);
+        assert!(matches!(flat.prog.guards[shared], FlatGuard::Comp(..)));
+        position(&flat, |n| matches!(n, Node::Guard(g) if *g == shared));
+        let drives = |path: &str| {
+            position(
+                &flat,
+                |n| matches!(n, Node::Drivers { dst, .. } if flat.prog.ports[*dst].path == path),
+            )
+        };
+        let mut readers = flat.fanout.of_guard(shared).to_vec();
+        readers.sort_unstable();
+        let mut expected = vec![drives("r.in"), drives("r.write_en")];
+        expected.sort_unstable();
+        assert_eq!(readers, expected);
     }
 
     #[test]
@@ -797,10 +928,6 @@ mod tests {
     fn design_guard_arena_is_unchanged_on_lowered_gemm() {
         // The shared interner must cons exactly what `flatten_design`'s
         // own did: 118 is the arena length measured before the two merged.
-        let gemm = calyx_polybench::kernel("gemm").unwrap();
-        let (_, mut ctx) = calyx_polybench::compile_kernel(gemm, 4, 1).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
-        let flat = flatten_design(&ctx, "main").unwrap();
-        assert_eq!(flat.prog.guards.len(), 118);
+        assert_eq!(lowered_gemm().prog.guards.len(), 118);
     }
 }

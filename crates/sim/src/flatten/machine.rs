@@ -5,13 +5,16 @@
 //! starts and ends the same way, and the harness around it reads and
 //! writes state the same way:
 //!
-//! 1. [`FlatProgram::publish`] — stateful primitives show their outputs;
+//! 1. [`FlatProgram::publish`] — stateful primitives show their outputs,
+//!    and the caller hears which of them changed;
 //! 2. the engine settles every other port, calling
 //!    [`FlatCell::comb_output`] for combinational cells and memory
-//!    read ports (the RTL engine once per node of its sorted sweep, the
-//!    interpreter on every pass of its fixpoint);
+//!    read ports (the RTL engine for each such node of its sorted graph
+//!    whose inputs changed, the interpreter on every pass of its
+//!    fixpoint);
 //! 3. [`FlatProgram::tick`] — every stateful primitive latches from the
-//!    settled valuation.
+//!    settled valuation, and the caller hears which memories stored a
+//!    word.
 //!
 //! [`FlatProgram::set_memory`], [`FlatProgram::memory`] and
 //! [`FlatProgram::register_value`] are the harness's view of the same
@@ -82,19 +85,29 @@ impl FlatCell {
 
 impl FlatProgram {
     /// Start a cycle: write every stateful primitive's outputs (register
-    /// value, unit results, the registered `done` flags) into `values`.
-    /// These are fixed for the cycle; nothing the engine settles
-    /// afterwards may overwrite them.
+    /// value, unit results, the registered `done` flags) into `values`,
+    /// and call `changed` with each port whose value that replaced a
+    /// different one. These are fixed for the cycle; nothing the engine
+    /// settles afterwards may overwrite them.
+    ///
+    /// An engine whose `values` persist from the last cycle learns from
+    /// `changed` what the last tick altered; one that starts each cycle
+    /// from zeros passes `|_| {}`, and the comparison compiles away.
     #[inline]
-    pub fn publish(&self, values: &mut [u64]) {
+    pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
+        let mut show = |port: PortIdx, v: u64| {
+            if std::mem::replace(&mut values[port.index()], v) != v {
+                changed(port);
+            }
+        };
         for (ci, cell) in self.cells.enumerate() {
             match (&cell.kind, &self.states[ci]) {
                 (FlatCellKind::Reg { out, done, .. }, PrimState::Reg { val, done: d, .. }) => {
-                    values[out.index()] = *val;
-                    values[done.index()] = u64::from(*d);
+                    show(*out, *val);
+                    show(*done, u64::from(*d));
                 }
                 (FlatCellKind::Mem { done, .. }, PrimState::Mem { done: d, .. }) => {
-                    values[done.index()] = u64::from(*d);
+                    show(*done, u64::from(*d));
                 }
                 (
                     FlatCellKind::Unit {
@@ -107,11 +120,11 @@ impl FlatProgram {
                         ..
                     },
                 ) => {
-                    values[out.index()] = *o;
+                    show(*out, *o);
                     if let Some(p2) = out2 {
-                        values[p2.index()] = *o2;
+                        show(*p2, *o2);
                     }
-                    values[done.index()] = u64::from(*d);
+                    show(*done, u64::from(*d));
                 }
                 _ => {}
             }
@@ -119,14 +132,16 @@ impl FlatProgram {
     }
 
     /// End a cycle: every stateful primitive latches from the settled
-    /// `values` (the synchronous update).
+    /// `values` (the synchronous update). `wrote` is called with each
+    /// memory that stored a word: its read port may show a new value next
+    /// cycle although no address port moved.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`], naming the cell's path, when a
     /// memory is written past its end.
     #[inline]
-    pub fn tick(&mut self, values: &[u64]) -> SimResult<()> {
+    pub fn tick(&mut self, values: &[u64], mut wrote: impl FnMut(CellIdx)) -> SimResult<()> {
         let FlatProgram { cells, states, .. } = self;
         for (ci, cell) in cells.enumerate() {
             match &cell.kind {
@@ -147,6 +162,9 @@ impl FlatProgram {
                     let wd = values[write_data.index()];
                     let we = values[write_en.index()] != 0;
                     states[ci].tick_mem(&av[..addrs.len()], wd, we, &cell.path)?;
+                    if we {
+                        wrote(ci);
+                    }
                 }
                 FlatCellKind::Unit {
                     left, right, go, ..
@@ -237,13 +255,13 @@ mod tests {
     /// starts from (all zero but the published state).
     fn cycle(prog: &mut FlatProgram, inputs: &[(PortIdx, u64)]) -> SimResult<Vec<u64>> {
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values);
+        prog.publish(&mut values, |_| {});
         for &(p, v) in inputs {
             values[p.index()] = v;
         }
-        prog.tick(&values)?;
+        prog.tick(&values, |_| {})?;
         values.fill(0);
-        prog.publish(&mut values);
+        prog.publish(&mut values, |_| {});
         Ok(values)
     }
 
@@ -340,7 +358,7 @@ mod tests {
             4
         );
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values);
+        prog.publish(&mut values, |_| {});
         assert_eq!(values[out.index()], (20 * 13) & 0xff);
         // `done` is a pulse; the product is held.
         let seen = cycle(&mut prog, &[]).unwrap();
@@ -366,7 +384,7 @@ mod tests {
             4
         );
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values);
+        prog.publish(&mut values, |_| {});
         assert_eq!((values[out.index()], values[rem.index()]), (4, 3));
     }
 

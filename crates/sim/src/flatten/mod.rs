@@ -29,8 +29,10 @@
 //! [`flatten_control`] keeps groups and the control tree for the
 //! reference interpreter, while [`flatten_design`] elaborates a lowered
 //! hierarchy in place (a cell's ports and the child component's `this`
-//! ports are the same arena slots) and topologically sorts the resulting
-//! driver/primitive nodes for the single-sweep RTL engine.
+//! ports are the same arena slots), topologically sorts the resulting
+//! guard/driver/cell [`Node`]s for the RTL engine, and keeps the graph it
+//! sorted as the [`FanOut`] table the engine's change-driven settle
+//! follows.
 //!
 //! # What the machine owns, and what an engine owns
 //!
@@ -39,8 +41,9 @@
 //! not depend on how wires are evaluated:
 //!
 //! - what a stateful primitive shows at the start of a cycle
-//!   ([`FlatProgram::publish`]) and how it latches at the end
-//!   ([`FlatProgram::tick`]);
+//!   ([`FlatProgram::publish`], which also tells its caller which ports
+//!   changed) and how it latches at the end ([`FlatProgram::tick`], which
+//!   also tells its caller which memories were written);
 //! - what a combinational cell or a memory's read port computes from a
 //!   valuation ([`FlatCell::comb_output`]);
 //! - how the harness loads and reads state by [`CellIdx`]
@@ -48,27 +51,37 @@
 //!   [`FlatProgram::register_value`]), including the rule that an image
 //!   longer than its memory is an error;
 //! - how an `ir::Guard` becomes [`FlatGuard`] nodes (one hash-consing
-//!   interner in `build.rs`), and what a finished run reports
-//!   ([`RunStats`]).
+//!   interner in `build.rs`), what such a node computes ([`eval_guard`]
+//!   with its children, [`eval_guard_node`] from their stored values),
+//!   and what a finished run reports ([`RunStats`]).
 //!
 //! An engine owns only *how it settles a cycle* between `publish` and
 //! `tick`, and the driver rule that goes with it:
 //!
-//! - [`crate::rtl`]: one sweep over the topologically sorted [`Node`]s,
-//!   a per-cycle memo of guard values, and the strict rule that two
-//!   active drivers of one port are a conflict whatever they drive;
+//! - [`crate::rtl`]: a valuation that persists across cycles, a settle
+//!   that re-evaluates only the sorted [`Node`]s downstream of what
+//!   changed, and the strict rule that two active drivers of one port are
+//!   a conflict whatever they drive;
 //! - [`crate::interp`]: the control walk that picks the active groups, a
-//!   budgeted fixpoint over their assignments with the plain
+//!   budgeted fixpoint over their assignments with the recursive
 //!   [`eval_guard`], and the rule that two active drivers conflict only
 //!   when their values differ.
 //!
-//! The guard memo must stay on the RTL side of that line. It caches a
-//! node's value for the rest of the cycle, which is sound only because
-//! the sweep evaluates a guard after every port it reads is final. In the
-//! interpreter's fixpoint a port can still change on a later pass, so a
-//! value cached on an early pass would be stale; it re-evaluates every
-//! guard on every pass. Hash-consing is safe for both: a shared node is
-//! still a pure function of the valuation it is evaluated against.
+//! **Guards are nodes** on the RTL side of that line. Every interned
+//! guard is one [`Node::Guard`] of the sorted graph, placed after the
+//! producers of the ports it reads and after its child guards, and before
+//! every [`Node::Drivers`] that uses it. Its value is stored, so
+//! evaluating it is one step over its children's stored values and a
+//! `Drivers` node tests a guard by reading one `bool`. The stored value
+//! is right only because the sorted order makes every input final before
+//! the node runs, and it is kept from cycle to cycle only because the
+//! node is re-run whenever one of its inputs changes. Neither holds in
+//! the interpreter: the assignments it evaluates change with the active
+//! groups, and within its fixpoint a port can still change on a later
+//! pass, so a value stored on an early pass would be stale. It therefore
+//! evaluates every guard afresh, recursively, on every pass. Hash-consing
+//! is safe for both: a shared node is still a pure function of the
+//! valuation it is evaluated against.
 
 mod build;
 pub mod index;
@@ -92,6 +105,16 @@ pub enum FlatAtom {
     Port(PortIdx),
     /// A constant.
     Const(u64),
+}
+
+impl FlatAtom {
+    /// The port this atom reads, if it is not a literal.
+    pub fn port(self) -> Option<PortIdx> {
+        match self {
+            FlatAtom::Port(p) => Some(p),
+            FlatAtom::Const(_) => None,
+        }
+    }
 }
 
 /// One interned guard node; children are arena indices, not boxes.
@@ -314,9 +337,15 @@ pub struct FlatControl {
     pub cell_index: HashMap<Id, CellIdx>,
 }
 
-/// One evaluation step of the RTL engine's single combinational sweep.
-#[derive(Debug, Clone)]
+/// One evaluation step of the RTL engine's sorted graph. Every node has
+/// at most one output — a guard's value or a port's — and is a pure
+/// function of what it reads, so a node whose inputs did not change need
+/// not run again.
+#[derive(Debug, Clone, Copy)]
 pub enum Node {
+    /// One interned guard node: a single step over the ports it reads and
+    /// its child guards' stored values ([`eval_guard_node`]).
+    Guard(GuardIdx),
     /// All assignments driving one port.
     Drivers {
         /// The driven port.
@@ -324,10 +353,119 @@ pub enum Node {
         /// Its drivers, contiguous in the assignment arena.
         asgns: IndexRange<AssignIdx>,
     },
-    /// A combinational primitive's output function.
-    Comb(CellIdx),
-    /// A memory's combinational read port.
-    MemRead(CellIdx),
+    /// A combinational primitive's output function, or a memory's
+    /// combinational read port ([`FlatCell::comb_output`]).
+    Cell(CellIdx),
+}
+
+impl Node {
+    /// Call `read` with the [`FanOut`] row of everything this node reads,
+    /// once per read.
+    fn for_each_read(self, prog: &FlatProgram, rows: Rows, mut read: impl FnMut(usize)) {
+        let port = |atom: FlatAtom| atom.port().map(|p| rows.port_row(p));
+        match self {
+            Node::Guard(g) => match prog.guards[g] {
+                FlatGuard::True => {}
+                FlatGuard::Port(p) => read(rows.port_row(p)),
+                FlatGuard::Not(a) => read(rows.guard_row(a)),
+                FlatGuard::And(a, b) | FlatGuard::Or(a, b) => {
+                    read(rows.guard_row(a));
+                    read(rows.guard_row(b));
+                }
+                FlatGuard::Comp(_, l, r) => [l, r].into_iter().filter_map(port).for_each(read),
+            },
+            Node::Drivers { asgns, .. } => {
+                for a in prog.assigns.range(asgns) {
+                    port(a.src).into_iter().for_each(&mut read);
+                    read(rows.guard_row(a.guard));
+                }
+            }
+            Node::Cell(c) => match &prog.cells[c].kind {
+                FlatCellKind::Comb { left, right, .. } => {
+                    read(rows.port_row(*left));
+                    right.iter().for_each(|r| read(rows.port_row(*r)));
+                }
+                // A read port follows its address and the addressed word.
+                FlatCellKind::Mem { addrs, .. } => {
+                    addrs.iter().for_each(|a| read(rows.port_row(*a)));
+                    read(rows.memory_row(c));
+                }
+                FlatCellKind::Reg { .. } | FlatCellKind::Unit { .. } => {}
+            },
+        }
+    }
+
+    /// The [`FanOut`] row of what this node produces.
+    fn output(self, prog: &FlatProgram, rows: Rows) -> Option<usize> {
+        match self {
+            Node::Guard(g) => Some(rows.guard_row(g)),
+            Node::Drivers { dst, .. } => Some(rows.port_row(dst)),
+            Node::Cell(c) => match prog.cells[c].kind {
+                FlatCellKind::Comb { out, .. } => Some(rows.port_row(out)),
+                FlatCellKind::Mem { read_data, .. } => Some(rows.port_row(read_data)),
+                FlatCellKind::Reg { .. } | FlatCellKind::Unit { .. } => None,
+            },
+        }
+    }
+}
+
+/// How [`FanOut`] numbers its rows: ports first, then guards, then cells
+/// (only a memory's row is ever non-empty).
+#[derive(Debug, Clone, Copy)]
+struct Rows {
+    n_ports: usize,
+    n_guards: usize,
+}
+
+impl Rows {
+    fn port_row(self, p: PortIdx) -> usize {
+        p.index()
+    }
+
+    fn guard_row(self, g: GuardIdx) -> usize {
+        self.n_ports + g.index()
+    }
+
+    fn memory_row(self, c: CellIdx) -> usize {
+        self.n_ports + self.n_guards + c.index()
+    }
+}
+
+/// Who reads what: for each port, each guard and each memory's contents,
+/// the positions in [`FlatDesign::nodes`] of the nodes that read it. This
+/// is the graph the topological sort runs on, kept in compressed sparse
+/// rows: row `r` is `readers[starts[r]..starts[r + 1]]`. A node that
+/// reads the same thing twice is listed twice.
+#[derive(Debug, Clone)]
+pub struct FanOut {
+    rows: Rows,
+    starts: Vec<u32>,
+    readers: Vec<u32>,
+}
+
+impl FanOut {
+    #[inline]
+    fn row(&self, r: usize) -> &[u32] {
+        &self.readers[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// The nodes that read port `p`.
+    #[inline]
+    pub fn of_port(&self, p: PortIdx) -> &[u32] {
+        self.row(self.rows.port_row(p))
+    }
+
+    /// The nodes that read guard `g`'s value.
+    #[inline]
+    pub fn of_guard(&self, g: GuardIdx) -> &[u32] {
+        self.row(self.rows.guard_row(g))
+    }
+
+    /// The nodes that read the contents of memory `c`.
+    #[inline]
+    pub fn of_memory(&self, c: CellIdx) -> &[u32] {
+        self.row(self.rows.memory_row(c))
+    }
 }
 
 /// Flat view for the RTL engine: shared arenas plus the topologically
@@ -338,6 +476,9 @@ pub struct FlatDesign {
     pub prog: FlatProgram,
     /// Evaluation nodes in topological order.
     pub nodes: Vec<Node>,
+    /// The readers of every port, guard and memory, as positions in
+    /// `nodes`; each is greater than its producer's position.
+    pub fanout: FanOut,
     /// The top component's `go` port.
     pub top_go: PortIdx,
     /// The top component's `done` port.
@@ -357,7 +498,11 @@ pub fn eval_atom(atom: FlatAtom, values: &[u64]) -> u64 {
     }
 }
 
-/// Evaluate an interned guard against the dense valuation.
+/// Evaluate an interned guard, children included, against the dense
+/// valuation: the interpreter's evaluator, which can store no guard value
+/// (see the module docs). It stays a plain recursion of its own beside
+/// [`eval_guard_node`]: sharing one `match` through a closure cost the
+/// interpreter's fixpoint about 3 % of `polybench_interp`.
 #[inline]
 pub fn eval_guard(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, values: &[u64]) -> bool {
     match guards[g] {
@@ -370,110 +515,105 @@ pub fn eval_guard(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, values:
     }
 }
 
-/// Collect every port an interned guard reads.
-pub fn guard_reads(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, out: &mut Vec<PortIdx>) {
-    match guards[g] {
-        FlatGuard::True => {}
-        FlatGuard::Port(p) => out.push(p),
-        FlatGuard::Not(g) => guard_reads(guards, g, out),
-        FlatGuard::And(a, b) | FlatGuard::Or(a, b) => {
-            guard_reads(guards, a, out);
-            guard_reads(guards, b, out);
-        }
-        FlatGuard::Comp(_, l, r) => {
-            for a in [l, r] {
-                if let FlatAtom::Port(p) = a {
-                    out.push(p);
-                }
-            }
-        }
+/// Evaluate one guard node against the dense valuation and the stored
+/// values of its child guards: the single, non-recursive step the RTL
+/// engine takes at a [`Node::Guard`], whose children sit earlier in the
+/// sorted order.
+#[inline]
+pub fn eval_guard_node(node: FlatGuard, values: &[u64], guard_on: &[bool]) -> bool {
+    match node {
+        FlatGuard::True => true,
+        FlatGuard::Port(p) => values[p.index()] != 0,
+        FlatGuard::Not(g) => !guard_on[g.index()],
+        FlatGuard::And(a, b) => guard_on[a.index()] && guard_on[b.index()],
+        FlatGuard::Or(a, b) => guard_on[a.index()] || guard_on[b.index()],
+        FlatGuard::Comp(op, l, r) => op.eval(eval_atom(l, values), eval_atom(r, values)),
     }
 }
 
-/// Kahn's algorithm over evaluation nodes; reports a combinational loop
-/// by listing (up to eight of) the paths still unresolved.
-pub fn topo_sort(nodes: &[Node], prog: &FlatProgram) -> SimResult<Vec<usize>> {
-    // Which node produces each port?
-    let mut producer: Vec<Option<u32>> = vec![None; prog.ports.len()];
-    for (i, node) in nodes.iter().enumerate() {
-        let out = match node {
-            Node::Drivers { dst, .. } => Some(*dst),
-            Node::Comb(c) => match &prog.cells[*c].kind {
-                FlatCellKind::Comb { out, .. } => Some(*out),
-                _ => None,
-            },
-            Node::MemRead(c) => match &prog.cells[*c].kind {
-                FlatCellKind::Mem { read_data, .. } => Some(*read_data),
-                _ => None,
-            },
-        };
-        if let Some(p) = out {
-            producer[p.index()] = Some(i as u32);
-        }
+/// Kahn's algorithm over evaluation nodes. Returns them in topological
+/// order together with the graph it sorted, re-expressed in sorted
+/// positions; reports a combinational loop by listing (up to eight of)
+/// the paths still unresolved.
+///
+/// The graph is built once, by counting: one pass sizes every row, a
+/// second fills them, and the sort walks the rows of what each finished
+/// node produces.
+pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> SimResult<(Vec<Node>, FanOut)> {
+    let rows = Rows {
+        n_ports: prog.ports.len(),
+        n_guards: prog.guards.len(),
+    };
+    let n_rows = rows.memory_row(prog.cells.next_idx());
+
+    // Row sizes, then row starts.
+    let mut starts = vec![0u32; n_rows + 1];
+    for node in nodes {
+        node.for_each_read(prog, rows, |r| starts[r + 1] += 1);
+    }
+    for r in 0..n_rows {
+        starts[r + 1] += starts[r];
     }
 
-    let reads_of = |node: &Node, reads: &mut Vec<PortIdx>| match node {
-        Node::Drivers { asgns, .. } => {
-            for ai in asgns.iter() {
-                let a = &prog.assigns[ai];
-                if let FlatAtom::Port(p) = a.src {
-                    reads.push(p);
-                }
-                guard_reads(&prog.guards, a.guard, reads);
-            }
-        }
-        Node::Comb(c) => {
-            if let FlatCellKind::Comb { left, right, .. } = &prog.cells[*c].kind {
-                reads.push(*left);
-                if let Some(r) = right {
-                    reads.push(*r);
-                }
-            }
-        }
-        Node::MemRead(c) => {
-            if let FlatCellKind::Mem { addrs, .. } = &prog.cells[*c].kind {
-                reads.extend(addrs.iter().copied());
-            }
-        }
+    let mut next = starts.clone();
+    let mut readers = vec![0u32; starts[n_rows] as usize];
+    for (i, node) in nodes.iter().enumerate() {
+        node.for_each_read(prog, rows, |r| {
+            readers[next[r] as usize] = i as u32;
+            next[r] += 1;
+        });
+    }
+    let mut graph = FanOut {
+        rows,
+        starts,
+        readers,
     };
 
-    let mut in_degree = vec![0usize; nodes.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    let mut reads = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        reads.clear();
-        reads_of(node, &mut reads);
-        for &port in &reads {
-            if let Some(dep) = producer[port.index()] {
-                dependents[dep as usize].push(i);
-                in_degree[i] += 1;
-            }
+    // A node waits for the producer of each thing it reads. A read of
+    // what no node produces (a stateful output, a top-level input, a
+    // memory's contents) orders nothing.
+    let mut in_degree = vec![0u32; nodes.len()];
+    let readers_of = |node: Node| node.output(prog, rows).map_or(&[][..], |r| graph.row(r));
+    for &node in nodes {
+        for &d in readers_of(node) {
+            in_degree[d as usize] += 1;
         }
     }
 
-    let mut queue: Vec<usize> = (0..nodes.len()).filter(|&i| in_degree[i] == 0).collect();
-    let mut order = Vec::with_capacity(nodes.len());
-    while let Some(i) = queue.pop() {
-        order.push(i);
-        for &d in &dependents[i] {
-            in_degree[d] -= 1;
-            if in_degree[d] == 0 {
-                queue.push(d);
+    let mut ready: Vec<u32> = (0..nodes.len() as u32)
+        .filter(|&i| in_degree[i as usize] == 0)
+        .collect();
+    let mut sorted = Vec::with_capacity(nodes.len());
+    // Where each node landed, to re-express the rows afterwards.
+    let mut position = vec![0u32; nodes.len()];
+    while let Some(i) = ready.pop() {
+        let node = nodes[i as usize];
+        position[i as usize] = sorted.len() as u32;
+        sorted.push(node);
+        for &d in readers_of(node) {
+            in_degree[d as usize] -= 1;
+            if in_degree[d as usize] == 0 {
+                ready.push(d);
             }
         }
     }
-    if order.len() != nodes.len() {
+    if sorted.len() != nodes.len() {
         let stuck: Vec<String> = nodes
             .iter()
-            .enumerate()
-            .filter(|(i, _)| in_degree[*i] > 0)
-            .map(|(_, n)| match n {
-                Node::Drivers { dst, .. } => prog.ports[*dst].path.clone(),
-                Node::Comb(c) | Node::MemRead(c) => prog.cells[*c].path.clone(),
+            .zip(&in_degree)
+            .filter(|(_, &d)| d > 0)
+            .filter_map(|(n, _)| match *n {
+                Node::Drivers { dst, .. } => Some(prog.ports[dst].path.clone()),
+                Node::Cell(c) => Some(prog.cells[c].path.clone()),
+                // A guard is stuck only behind a port that is listed.
+                Node::Guard(_) => None,
             })
             .take(8)
             .collect();
         return Err(SimError::CombinationalLoop(stuck));
     }
-    Ok(order)
+    for reader in &mut graph.readers {
+        *reader = position[*reader as usize];
+    }
+    Ok((sorted, graph))
 }

@@ -401,7 +401,7 @@ impl Interpreter {
         }
 
         // 5. Synchronous update.
-        self.flat.prog.tick(&self.values)?;
+        self.flat.prog.tick(&self.values, |_| {})?;
 
         // 6. Advance the control tree using this cycle's observations.
         self.root_done = ctrl_advance(
@@ -443,7 +443,7 @@ impl Interpreter {
         values.fill(0);
 
         // Stateful outputs are fixed for the cycle.
-        prog.publish(values);
+        prog.publish(values, |_| {});
         values[self.flat.go.index()] = 1;
 
         // Iterate until stable. The bound is generous: each pass fixes at

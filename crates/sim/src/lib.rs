@@ -6,10 +6,11 @@
 //!   guarded assignments, no control). This is the repository's substitute
 //!   for Verilator: the lowered form corresponds 1:1 to the emitted
 //!   SystemVerilog, so the cycle counts reported here are the counts the
-//!   paper measures in §7. Each cycle performs a combinational settling pass
-//!   over a topologically-sorted dataflow graph (rejecting combinational
-//!   loops and multi-driver conflicts) followed by a synchronous state
-//!   update.
+//!   paper measures in §7. Each cycle settles the wires over a
+//!   topologically-sorted dataflow graph, re-evaluating only the nodes
+//!   downstream of what changed since the last cycle (rejecting
+//!   combinational loops and multi-driver conflicts), and ends with a
+//!   synchronous state update.
 //!
 //! - [`interp`]: a reference interpreter that executes the *control tree*
 //!   directly, before any lowering — an executable semantics for the IL in
@@ -30,11 +31,12 @@
 //! [`prim`]), how a harness loads and reads memories and registers, and
 //! how guards are interned.
 //! An engine owns only how it settles the wires in between — [`rtl`] a
-//! single topologically ordered sweep with a per-cycle guard memo and a
-//! strict unique-driver rule, [`interp`] the control walk and a budgeted
-//! fixpoint with a same-value driver rule. The interpreter must not use
-//! the RTL guard memo: a memoized guard is only right when every port it
-//! reads is already final, which the sorted sweep guarantees and a
+//! valuation that persists across cycles, a change-driven visit of the
+//! sorted nodes (guards among them) and a strict unique-driver rule,
+//! [`interp`] the control walk and a budgeted fixpoint with a same-value
+//! driver rule. The interpreter must not keep guard values the way the
+//! RTL engine does: a stored guard value is only right when every port it
+//! reads is already final, which the sorted order guarantees and a
 //! fixpoint pass does not.
 //!
 //! The pre-flatten tree-walking engines survive unchanged in [`legacy`]

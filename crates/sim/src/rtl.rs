@@ -7,26 +7,48 @@
 //! - subcomponent instances are elaborated *in place*: a cell's ports and
 //!   the inner component's `this` ports are the same arena slots, so
 //!   hierarchy costs nothing at simulation time;
-//! - all assignments driving the same port form one *driver node*;
-//!   combinational primitives and memory read functions form the others;
-//! - nodes are topologically sorted once; each simulated cycle is a single
-//!   sweep over the sorted nodes followed by a synchronous primitive tick.
+//! - all assignments driving the same port form one *driver node*; every
+//!   interned guard, every combinational primitive and every memory read
+//!   function is a node of its own;
+//! - nodes are topologically sorted once, and the graph that was sorted
+//!   is kept: for each port, guard and memory, the nodes that read it.
+//!
+//! A simulated cycle evaluates **only what changed**. Port values and
+//! guard values persist from cycle to cycle. A cycle starts by publishing
+//! the stateful primitives' outputs; each one that differs from last
+//! cycle marks its readers dirty, as does each memory the last tick wrote.
+//! The settle then visits the dirty nodes in sorted order, and a node
+//! marks its own readers only when its output differs from the stored
+//! one. Readers sit later in the order than what they read, so one
+//! ascending scan of the dirty set reaches a fixpoint, and a node runs at
+//! most once per cycle. Lowering stamps `fsm.out == k` on every
+//! assignment of FSM state `k`; those comparisons are re-evaluated when
+//! `fsm.out` moves, but only the two that flip wake the assignments
+//! behind them. A synchronous primitive tick ends the cycle.
+//!
+//! Keeping values is sound because every port has one writer: IR
+//! validation admits assignments only to a cell's inputs and the
+//! component's outputs, so a stateful output is written by `publish`
+//! alone, a combinational output by its cell's node alone, and anything
+//! else by its one driver node.
 //!
 //! Unique-driver violations (two active guards on one port) and
 //! combinational loops are detected and reported as errors, mirroring what
-//! Verilator would flag in the emitted SystemVerilog. The pre-flatten
-//! implementation survives as [`crate::legacy::rtl`] and is held to
-//! byte-identical output by the differential tests.
+//! Verilator would flag in the emitted SystemVerilog. A conflict can only
+//! appear at a node one of whose guards just changed, which is a dirty
+//! node. In builds with debug assertions (the test profile among them)
+//! every settle is followed by a full re-evaluation that must change
+//! nothing, so each simulation test also checks the dirty-set logic. The
+//! pre-flatten implementation survives as [`crate::legacy::rtl`] and is
+//! held to byte-identical output by the differential tests.
 
 use crate::error::{SimError, SimResult};
 pub use crate::flatten::RunStats;
 use crate::flatten::{
-    eval_atom, flatten_design, CellIdx, FlatDesign, FlatGuard, FlatIdx, GuardIdx, IndexedMap, Node,
-    PortIdx,
+    eval_atom, eval_guard_node, flatten_design, CellIdx, FlatDesign, FlatIdx, Node,
 };
 use crate::prim::mask;
 use calyx_core::ir::Context;
-use std::collections::HashMap;
 
 /// A cycle-accurate simulator instance.
 ///
@@ -36,18 +58,65 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct Simulator {
     flat: FlatDesign,
+    /// Port values, kept across cycles.
     values: Vec<u64>,
-    /// Extra top-level input values to drive each cycle.
-    inputs: HashMap<PortIdx, u64>,
-    /// Per-guard memo: the settle epoch each guard was last evaluated in.
-    /// Guards are hash-consed at flatten time, so the FSM-state comparisons
-    /// lowering stamps onto every assignment of a state share one node and
-    /// cost one evaluation per cycle instead of one per assignment. Sound
-    /// because the topo order includes guard reads: every port a guard
-    /// reads is final before any node evaluates it.
-    guard_epoch: Vec<u64>,
-    /// Memoized guard values, valid when the epoch matches.
-    guard_val: Vec<bool>,
+    /// The value of every interned guard, kept across cycles. Valid for a
+    /// guard whose node is not dirty.
+    guard_on: Vec<bool>,
+    /// One bit per position in `flat.nodes`: the nodes an input of which
+    /// changed since they last ran.
+    dirty: Vec<u64>,
+}
+
+/// Mark the nodes at `positions` for re-evaluation.
+#[inline]
+fn mark(dirty: &mut [u64], positions: &[u32]) {
+    for &pos in positions {
+        dirty[pos as usize / 64] |= 1 << (pos % 64);
+    }
+}
+
+/// Evaluate the node at `pos` and store its output. Returns the readers
+/// of that output when it differs from the stored one.
+#[inline]
+fn eval_node<'a>(
+    flat: &'a FlatDesign,
+    values: &mut [u64],
+    guard_on: &mut [bool],
+    pos: usize,
+    cycle: u64,
+) -> SimResult<Option<&'a [u32]>> {
+    let prog = &flat.prog;
+    let (port, value) = match flat.nodes[pos] {
+        Node::Guard(g) => {
+            let v = eval_guard_node(prog.guards[g], values, guard_on);
+            let changed = std::mem::replace(&mut guard_on[g.index()], v) != v;
+            return Ok(changed.then(|| flat.fanout.of_guard(g)));
+        }
+        Node::Drivers { dst, asgns } => {
+            let mut driven = false;
+            let mut value = 0;
+            for a in prog.assigns.range(asgns) {
+                if guard_on[a.guard.index()] {
+                    if driven {
+                        return Err(SimError::DriverConflict {
+                            port: prog.ports[dst].path.clone(),
+                            cycle,
+                        });
+                    }
+                    driven = true;
+                    value = eval_atom(a.src, values);
+                }
+            }
+            (dst, mask(value, prog.ports[dst].width))
+        }
+        Node::Cell(ci) => match prog.cells[ci].comb_output(&prog.states[ci], values) {
+            Some(output) => output,
+            None => return Ok(None),
+        },
+    };
+    let changed = std::mem::replace(&mut values[port.index()], value) != value;
+    Ok(changed.then(|| flat.fanout.of_port(port)))
 }
 
 impl Simulator {
@@ -60,15 +129,26 @@ impl Simulator {
     /// the assignment graph is cyclic.
     pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
         let flat = flatten_design(ctx, top)?;
-        let n_ports = flat.prog.ports.len();
-        let n_guards = flat.prog.guards.len();
-        Ok(Simulator {
+        let mut values = vec![0; flat.prog.ports.len()];
+        // `go` is held high for the whole run.
+        values[flat.top_go.index()] = 1;
+        let mut sim = Simulator {
+            values,
+            guard_on: vec![false; flat.prog.guards.len()],
+            dirty: vec![0; flat.nodes.len().div_ceil(64)],
             flat,
-            values: vec![0; n_ports],
-            inputs: HashMap::new(),
-            guard_epoch: vec![0; n_guards],
-            guard_val: vec![false; n_guards],
-        })
+        };
+        sim.mark_all();
+        Ok(sim)
+    }
+
+    /// Mark every node dirty: nothing stored can be trusted, as before
+    /// the first cycle or once the harness changed an input or a memory.
+    fn mark_all(&mut self) {
+        self.dirty.fill(u64::MAX);
+        if let Some(last) = self.dirty.last_mut() {
+            *last >>= (64 - self.flat.nodes.len() % 64) % 64;
+        }
     }
 
     /// Drive a top-level input port to `value` on every subsequent cycle.
@@ -82,7 +162,10 @@ impl Simulator {
             .top_inputs
             .get(port)
             .ok_or_else(|| SimError::UnknownCell(format!("top-level input `{port}`")))?;
-        self.inputs.insert(idx, value);
+        // Nothing in the design drives a top-level input, so the value
+        // stays until the next call.
+        self.values[idx.index()] = mask(value, self.flat.prog.ports[idx].width);
+        self.mark_all();
         Ok(())
     }
 
@@ -103,6 +186,7 @@ impl Simulator {
     /// and [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
         let idx = self.prim_idx(path)?;
+        self.mark_all();
         self.flat
             .prog
             .set_memory(idx, data)
@@ -138,58 +222,54 @@ impl Simulator {
         self.flat.prog.cells.len()
     }
 
-    /// One combinational settling pass. Returns the `done` port's value.
-    fn settle(&mut self, go: bool, cycle: u64) -> SimResult<bool> {
-        let flat = &self.flat;
-        let prog = &flat.prog;
-        let values = &mut self.values;
-        let guard_epoch = &mut self.guard_epoch;
-        let guard_val = &mut self.guard_val;
-        // Epochs start at 0, so `cycle + 1` invalidates the whole memo
-        // without an O(guards) clear per cycle.
-        let epoch = cycle + 1;
-        values.fill(0);
-        // Stateful outputs become visible first.
-        prog.publish(values);
-        values[flat.top_go.index()] = u64::from(go);
-        for (&idx, &v) in &self.inputs {
-            values[idx.index()] = mask(v, prog.ports[idx].width);
-        }
-
-        for node in &flat.nodes {
-            match node {
-                Node::Drivers { dst, asgns } => {
-                    let mut driven = false;
-                    let mut value = 0;
-                    for a in prog.assigns.range(*asgns) {
-                        if eval_guard_memo(
-                            &prog.guards,
-                            a.guard,
-                            values,
-                            epoch,
-                            guard_epoch,
-                            guard_val,
-                        ) {
-                            if driven {
-                                return Err(SimError::DriverConflict {
-                                    port: prog.ports[*dst].path.clone(),
-                                    cycle,
-                                });
-                            }
-                            driven = true;
-                            value = eval_atom(a.src, values);
-                        }
-                    }
-                    values[dst.index()] = mask(value, prog.ports[*dst].width);
-                }
-                Node::Comb(ci) | Node::MemRead(ci) => {
-                    if let Some((out, v)) = prog.cells[*ci].comb_output(&prog.states[*ci], values) {
-                        values[out.index()] = v;
-                    }
-                }
+    /// Settle one cycle: publish the stateful outputs, then evaluate the
+    /// dirty nodes in sorted order, each marking its readers when its
+    /// output changed. Returns the `done` port's value.
+    fn settle(&mut self, cycle: u64) -> SimResult<bool> {
+        let Simulator {
+            flat,
+            values,
+            guard_on,
+            dirty,
+        } = self;
+        let flat = &*flat;
+        flat.prog
+            .publish(values, |port| mark(dirty, flat.fanout.of_port(port)));
+        for word in 0..dirty.len() {
+            // Re-read the word each time round: a node's readers may sit
+            // in the same word, always at higher bits.
+            while dirty[word] != 0 {
+                let bit = dirty[word].trailing_zeros() as usize;
+                // On a conflict the node stays dirty, so a second `run`
+                // reports it again instead of trusting a stale value.
+                let readers = eval_node(flat, values, guard_on, word * 64 + bit, cycle)?;
+                dirty[word] &= dirty[word] - 1;
+                mark(dirty, readers.unwrap_or_default());
             }
         }
-        Ok(values[flat.top_done.index()] != 0)
+        #[cfg(debug_assertions)]
+        self.assert_settled(cycle);
+        Ok(self.values[self.flat.top_done.index()] != 0)
+    }
+
+    /// The self-check behind every settle in a build with debug
+    /// assertions: publishing again and re-evaluating every node in order
+    /// must change no stored value and raise no conflict. A failure means
+    /// a node was not marked dirty when one of its inputs changed.
+    #[cfg(debug_assertions)]
+    fn assert_settled(&mut self, cycle: u64) {
+        let flat = &self.flat;
+        flat.prog.publish(&mut self.values, |port| {
+            panic!("cycle {cycle}: `{}` changed", flat.prog.ports[port].path)
+        });
+        for pos in 0..flat.nodes.len() {
+            let changed = eval_node(flat, &mut self.values, &mut self.guard_on, pos, cycle);
+            assert!(
+                matches!(changed, Ok(None)),
+                "cycle {cycle}: the settle missed {:?}: {changed:?}",
+                flat.nodes[pos]
+            );
+        }
     }
 
     /// Run the design: assert `go`, clock until `done`, report the cycle
@@ -201,8 +281,16 @@ impl Simulator {
     /// `max_cycles`, or any settling/tick error.
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
         for cycle in 0..max_cycles {
-            let done = self.settle(true, cycle)?;
-            self.flat.prog.tick(&self.values)?;
+            let done = self.settle(cycle)?;
+            let Simulator {
+                flat,
+                values,
+                dirty,
+                ..
+            } = self;
+            let fanout = &flat.fanout;
+            flat.prog
+                .tick(values, |mem| mark(dirty, fanout.of_memory(mem)))?;
             if done {
                 return Ok(RunStats { cycles: cycle + 1 });
             }
@@ -214,43 +302,6 @@ impl Simulator {
 /// The lookup error for a cell that exists but is not a `what`.
 fn not_a(what: &str, path: &[&str]) -> SimError {
     SimError::UnknownCell(format!("`{}` is not a {what}", path.join(".")))
-}
-
-/// Evaluate a hash-consed guard with per-settle memoization: a node whose
-/// epoch stamp matches the current settle returns its cached value. Under
-/// short-circuiting, untaken operands simply stay unstamped. The memo is
-/// sound only because settle is a single topologically ordered sweep in
-/// which every port a guard reads is final before the guard is evaluated —
-/// the fixpoint interpreter must NOT reuse this.
-fn eval_guard_memo(
-    guards: &IndexedMap<GuardIdx, FlatGuard>,
-    g: GuardIdx,
-    values: &[u64],
-    epoch: u64,
-    guard_epoch: &mut [u64],
-    guard_val: &mut [bool],
-) -> bool {
-    let i = g.index();
-    if guard_epoch[i] == epoch {
-        return guard_val[i];
-    }
-    let v = match guards[g] {
-        FlatGuard::True => true,
-        FlatGuard::Port(p) => values[p.index()] != 0,
-        FlatGuard::Not(x) => !eval_guard_memo(guards, x, values, epoch, guard_epoch, guard_val),
-        FlatGuard::And(a, b) => {
-            eval_guard_memo(guards, a, values, epoch, guard_epoch, guard_val)
-                && eval_guard_memo(guards, b, values, epoch, guard_epoch, guard_val)
-        }
-        FlatGuard::Or(a, b) => {
-            eval_guard_memo(guards, a, values, epoch, guard_epoch, guard_val)
-                || eval_guard_memo(guards, b, values, epoch, guard_epoch, guard_val)
-        }
-        FlatGuard::Comp(op, l, r) => op.eval(eval_atom(l, values), eval_atom(r, values)),
-    };
-    guard_epoch[i] = epoch;
-    guard_val[i] = v;
-    v
 }
 
 #[cfg(test)]
@@ -482,6 +533,215 @@ mod tests {
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         let err = sim.run(10).unwrap_err();
         assert!(matches!(err, SimError::DriverConflict { .. }), "{err:?}");
+    }
+
+    /// What a run leaves behind, or its error's text: what this engine
+    /// and `legacy::rtl` must agree on.
+    type Outcome = Result<(u64, Vec<u64>), String>;
+
+    /// Apply `steps` to `sim` in order: cycles of the last run and the
+    /// values of `regs`. A macro, since the two simulators share method
+    /// names and no trait.
+    macro_rules! outcome {
+        ($sim:expr, $regs:expr, $steps:expr) => {{
+            let mut sim = $sim;
+            let mut cycles = Ok(0);
+            for step in $steps {
+                match *step {
+                    Step::Run => cycles = sim.run(100).map(|s| s.cycles),
+                    Step::Memory(m, data) => sim.set_memory(&[m], data).unwrap(),
+                    Step::Input(p, v) => sim.set_input(p, v).unwrap(),
+                }
+            }
+            let regs = $regs.iter().map(|r| sim.register_value(&[r]).unwrap());
+            let regs: Vec<u64> = regs.collect();
+            cycles.map_err(|e| e.to_string()).map(|c| (c, regs))
+        }};
+    }
+
+    /// This engine's outcome on the flat (already lowered) `src`.
+    fn flat_outcome(src: &str, regs: &[&str], steps: &[Step]) -> Outcome {
+        let ctx = parse_context(src).unwrap();
+        outcome!(Simulator::new(&ctx, "main").unwrap(), regs, steps)
+    }
+
+    /// [`flat_outcome`], which must equal `legacy::rtl`'s.
+    fn against_legacy(src: &str, regs: &[&str], steps: &[Step]) -> Outcome {
+        let ctx = parse_context(src).unwrap();
+        let legacy = crate::legacy::rtl::Simulator::new(&ctx, "main").unwrap();
+        let legacy: Outcome = outcome!(legacy, regs, steps);
+        let flat = flat_outcome(src, regs, steps);
+        assert_eq!(flat, legacy, "flat (left) and legacy (right) disagree");
+        flat
+    }
+
+    enum Step {
+        Run,
+        Memory(&'static str, &'static [u64]),
+        Input(&'static str, u64),
+    }
+
+    /// A free-running 2-bit cycle counter `c`, for guards that pick a cycle.
+    const CLOCK: &str = "add.left = c.out; add.right = 2'd1; c.in = add.out; c.write_en = 1'd1;";
+
+    #[test]
+    fn overwritten_word_under_a_fixed_address_is_read_next_cycle() {
+        // Cycle 0 stores 7 at address 0; cycle 1 latches `read_data`.
+        // `addr0` never moves, so only the tick's report of the write can
+        // wake the read port.
+        let src = format!(
+            r#"component main() -> () {{
+              cells {{ c = std_reg(2); add = std_add(2); m = std_mem_d1(8, 2, 1); r = std_reg(8); }}
+              wires {{
+                {CLOCK}
+                m.addr0 = 1'd0; m.write_data = 8'd7;
+                m.write_en = c.out == 2'd0 ? 1'd1;
+                r.in = m.read_data; r.write_en = c.out == 2'd1 ? 1'd1;
+                done = c.out == 2'd2 ? 1'd1;
+              }}
+              control {{}}
+            }}"#
+        );
+        assert_eq!(against_legacy(&src, &["r"], &[Step::Run]), Ok((3, vec![7])));
+    }
+
+    #[test]
+    fn conflict_that_arises_late_is_reported_at_its_cycle() {
+        // Both drivers of `w.in` wake only once `c` reaches 2, one through
+        // a comparison guard and one through a combinational cell.
+        let src = format!(
+            r#"component main() -> () {{
+              cells {{ c = std_reg(2); add = std_add(2); ge = std_ge(2); w = std_wire(8); }}
+              wires {{
+                {CLOCK}
+                ge.left = c.out; ge.right = 2'd2;
+                w.in = c.out == 2'd2 ? 8'd1;
+                w.in = ge.out ? 8'd2;
+                done = c.out == 2'd3 ? 1'd1;
+              }}
+              control {{}}
+            }}"#
+        );
+        let conflict = SimError::DriverConflict {
+            port: "w.in".to_string(),
+            cycle: 2,
+        };
+        assert_eq!(
+            against_legacy(&src, &[], &[Step::Run]),
+            Err(conflict.to_string())
+        );
+        // The conflicting node stays dirty: asking again reports it again
+        // (as cycle 0 of the new run) rather than a stale value.
+        let mut sim = Simulator::new(&parse_context(&src).unwrap(), "main").unwrap();
+        assert_eq!(sim.run(100), Err(conflict));
+        assert!(matches!(
+            sim.run(100),
+            Err(SimError::DriverConflict { cycle: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn two_conflicts_in_one_cycle_name_the_same_port_as_before() {
+        // `a.in` and `b.in` both become doubly driven in cycle 1. Which
+        // is named depends on the sorted order alone. `b.in` is what the
+        // engine named before guards were nodes (probed once, at commit
+        // 23f839f); legacy orders its nodes by a `HashMap` walk and names
+        // either, so it is no oracle here.
+        let src = format!(
+            r#"component main() -> () {{
+              cells {{ c = std_reg(2); add = std_add(2); a = std_wire(8); b = std_wire(8); }}
+              wires {{
+                {CLOCK}
+                a.in = c.out == 2'd1 ? 8'd1;
+                a.in = c.out != 2'd0 ? 8'd2;
+                b.in = c.out == 2'd1 ? 8'd3;
+                b.in = c.out != 2'd0 ? 8'd4;
+                done = c.out == 2'd3 ? 1'd1;
+              }}
+              control {{}}
+            }}"#
+        );
+        let conflict = SimError::DriverConflict {
+            port: "b.in".to_string(),
+            cycle: 1,
+        };
+        assert_eq!(
+            flat_outcome(&src, &[], &[Step::Run]),
+            Err(conflict.to_string())
+        );
+    }
+
+    #[test]
+    fn second_run_sees_a_new_image_and_a_new_input() {
+        // Neither `m.addr0` nor any register moves between the two runs:
+        // only `set_memory` and `set_input` themselves can wake `r.in`
+        // and `s.in`.
+        let src = r#"component main(x: 8) -> () {
+              cells { m = std_mem_d1(8, 1, 1); r = std_reg(8); s = std_reg(8); }
+              wires {
+                m.addr0 = 1'd0;
+                r.in = m.read_data; r.write_en = !r.done ? 1'd1;
+                s.in = x; s.write_en = 1'd1;
+                done = r.done ? 1'd1;
+              }
+              control {}
+            }"#;
+        let first = [Step::Memory("m", &[5]), Step::Input("x", 3), Step::Run];
+        assert_eq!(
+            against_legacy(src, &["r", "s"], &first),
+            Ok((2, vec![5, 3]))
+        );
+        let both = [
+            Step::Memory("m", &[5]),
+            Step::Input("x", 3),
+            Step::Run,
+            Step::Memory("m", &[9]),
+            Step::Input("x", 4),
+            Step::Run,
+        ];
+        assert_eq!(against_legacy(src, &["r", "s"], &both), Ok((2, vec![9, 4])));
+    }
+
+    #[test]
+    fn unit_done_pulse_falls_back_to_zero() {
+        // `mul.go` is high in cycle 0 only; `n` counts the cycles in
+        // which `mul.done` is seen high. A stored 1 that nothing
+        // overwrites would keep it counting.
+        let src = r#"component main() -> () {
+              cells {
+                mul = std_mult_pipe(8); st = std_reg(1);
+                n = std_reg(4); inc = std_add(4);
+                t = std_reg(4); tick = std_add(4);
+              }
+              wires {
+                mul.left = 8'd6; mul.right = 8'd7;
+                mul.go = !st.out ? 1'd1;
+                st.in = 1'd1; st.write_en = 1'd1;
+                inc.left = n.out; inc.right = 4'd1;
+                n.in = inc.out; n.write_en = mul.done ? 1'd1;
+                tick.left = t.out; tick.right = 4'd1;
+                t.in = tick.out; t.write_en = 1'd1;
+                done = t.out == 4'd10 ? 1'd1;
+              }
+              control {}
+            }"#;
+        assert_eq!(against_legacy(src, &["n"], &[Step::Run]), Ok((11, vec![1])));
+    }
+
+    #[test]
+    fn a_settled_cycle_leaves_nothing_dirty() {
+        let mut sim = lower_and_sim(
+            r#"component main() -> () {
+              cells { x = std_reg(8); }
+              wires { group g { x.in = 8'd1; x.write_en = 1'd1; g[done] = x.done; } }
+              control { g; }
+            }"#,
+        );
+        // Before the first cycle every node is dirty, and only nodes.
+        let marked: u32 = sim.dirty.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(marked as usize, sim.flat.nodes.len());
+        sim.settle(0).unwrap();
+        assert!(sim.dirty.iter().all(|&w| w == 0));
     }
 
     #[test]
