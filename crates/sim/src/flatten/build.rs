@@ -3,31 +3,33 @@
 //! Two flattening modes share one primitive-instantiation path:
 //!
 //! - [`flatten_control`] lowers a *single* component for the reference
-//!   interpreter, keeping groups (as assignment ranges) and the control
-//!   tree (as a [`CtrlNode`] arena). Port slots are created on demand for
-//!   every `PortRef` the program mentions — including group holes — which
+//!   interpreter, keeping groups (each a `go` port that gates its
+//!   assignments, and a done condition) and the control tree (as a
+//!   [`CtrlNode`] arena). Port slots are created on demand for every
+//!   `PortRef` the program mentions — including group holes — which
 //!   reproduces the interpreter's historical "unknown ports read as zero"
 //!   semantics exactly.
 //! - [`flatten_design`] elaborates a *lowered* hierarchy for the RTL
 //!   engine. Subcomponent instances are elaborated in place: a cell's
 //!   ports and the child component's `this` ports are the same arena
-//!   slots, so hierarchy costs nothing at simulation time. All drivers of
-//!   one port are grouped into a contiguous assignment range; those
-//!   driver nodes, the interned guards and the combinational cells are
-//!   topologically sorted once, and the graph that was sorted is kept as
-//!   the design's fan-out table.
+//!   slots, so hierarchy costs nothing at simulation time.
+//!
+//! Both end in [`build_graph`]: all drivers of one port are grouped into
+//! a contiguous assignment range; those driver nodes, the interned guards
+//! and the combinational cells are sorted once, and the graph that was
+//! sorted is kept as the fan-out table.
 
 use super::index::{
-    AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
+    CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
 use super::{
     sort_nodes, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatControl, FlatDesign,
-    FlatGroup, FlatGuard, FlatProgram, Node, PortData,
+    FlatGroup, FlatGuard, FlatProgram, Graph, Node, PortData,
 };
 use crate::error::{SimError, SimResult};
 use crate::prim::{CombOp, PrimState, UnitOp};
 use calyx_core::ir::{Atom, CellType, Context, Control, Direction, Guard, Id, PortParent, PortRef};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// How a flattening mode turns a primitive's port names into arena slots.
 trait PortResolver {
@@ -180,9 +182,7 @@ fn flat_atom(
 /// assignment of a state thus share one node, which is one node of the
 /// RTL engine's sorted graph: evaluated once when `fsm.out` changes,
 /// whatever the number of assignments that test it. Sharing cannot change
-/// a value — a node is a pure function of the port valuation — so the
-/// interpreter, which evaluates every guard afresh, gets the smaller
-/// arena for free.
+/// a value: a node is a pure function of the port valuation.
 fn intern_guard(
     guards: &mut IndexedMap<GuardIdx, FlatGuard>,
     cons: &mut HashMap<FlatGuard, GuardIdx>,
@@ -206,7 +206,86 @@ fn intern_guard(
             FlatGuard::Comp(*op, flat_atom(l, resolve)?, flat_atom(r, resolve)?)
         }
     };
-    Ok(*cons.entry(node).or_insert_with(|| guards.push(node)))
+    Ok(cons_guard(guards, cons, node))
+}
+
+/// The index of `node`, which is pushed unless an equal node exists.
+fn cons_guard(
+    guards: &mut IndexedMap<GuardIdx, FlatGuard>,
+    cons: &mut HashMap<FlatGuard, GuardIdx>,
+    node: FlatGuard,
+) -> GuardIdx {
+    *cons.entry(node).or_insert_with(|| guards.push(node))
+}
+
+/// The assignments seen so far, by the port they drive.
+#[derive(Default)]
+struct Drivers {
+    /// Pending drivers per destination, in push order.
+    of: HashMap<PortIdx, Vec<(FlatAtom, GuardIdx)>>,
+    /// Destinations in first-seen order, for deterministic node layout.
+    order: Vec<PortIdx>,
+}
+
+impl Drivers {
+    fn push(&mut self, dst: PortIdx, src: FlatAtom, guard: GuardIdx) {
+        let entry = self.of.entry(dst).or_default();
+        if entry.is_empty() {
+            self.order.push(dst);
+        }
+        entry.push((src, guard));
+    }
+}
+
+/// Build the evaluation graph of `prog`, whose assignments are `drivers`
+/// (the assignment arena is filled here): one node per driven port, per
+/// combinational cell or memory read port, and per interned guard,
+/// sorted. A structural cycle is an error unless `cyclic`.
+fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers, cyclic: bool) -> SimResult<Graph> {
+    // Pack each destination's drivers into a contiguous assignment range.
+    let mut nodes = Vec::new();
+    for dst in drivers.order {
+        let asgns = drivers.of.remove(&dst).expect("ordered driver exists");
+        let start = prog.assigns.next_idx();
+        for (src, guard) in asgns {
+            prog.assigns.push(FlatAssign { dst, src, guard });
+        }
+        nodes.push(Node::Drivers {
+            dst,
+            asgns: IndexRange::new(start, prog.assigns.next_idx()),
+        });
+    }
+    for (ci, cell) in prog.cells.enumerate() {
+        if matches!(
+            cell.kind,
+            FlatCellKind::Comb { .. } | FlatCellKind::Mem { .. }
+        ) {
+            nodes.push(Node::Cell(ci));
+        }
+    }
+    // Guards go last, so that the paths a combinational loop is reported
+    // by (the stuck nodes, in this order) stay the ports and cells.
+    nodes.extend(prog.guards.keys().map(Node::Guard));
+
+    let mut graph = sort_nodes(&nodes, prog, cyclic)?;
+
+    // Repack assignments into *evaluation* order. The packing above is
+    // destination-discovery order; a settle visits nodes in sorted order,
+    // so after repacking it reads the assignments it needs front to back.
+    // Guards stay in interning order: hash-consing shares subtrees across
+    // assignments, and each is one node of the graph whatever its index.
+    let mut assigns = IndexedMap::new();
+    for node in &mut graph.nodes {
+        if let Node::Drivers { asgns, .. } = node {
+            let start = assigns.next_idx();
+            for ai in asgns.iter() {
+                assigns.push(prog.assigns[ai]);
+            }
+            *asgns = IndexRange::new(start, assigns.next_idx());
+        }
+    }
+    prog.assigns = assigns;
+    Ok(graph)
 }
 
 // ---------------------------------------------------------------------------
@@ -218,6 +297,9 @@ struct ControlFlattener {
     port_map: HashMap<PortRef, PortIdx>,
     /// Hash-consing table of [`intern_guard`].
     cons: HashMap<FlatGuard, GuardIdx>,
+    drivers: Drivers,
+    /// The stateful primitives' outputs, which hold for a whole cycle.
+    held: HashSet<PortIdx>,
     groups: super::IndexedMap<GroupIdx, FlatGroup>,
     group_map: HashMap<Id, GroupIdx>,
     ctrl: super::IndexedMap<CtrlIdx, CtrlNode>,
@@ -246,7 +328,14 @@ impl ControlFlattener {
         slot_of(&mut self.prog.ports, &mut self.port_map, port, width)
     }
 
-    fn assign_of(&mut self, asgn: &calyx_core::ir::Assignment) -> SimResult<AssignIdx> {
+    /// Flatten `asgn`, which is active while `go` is: a group's `go`
+    /// guard, or the `True` node for a continuous assignment. Returns the
+    /// assignment's own guard and its source.
+    fn assign_of(
+        &mut self,
+        asgn: &calyx_core::ir::Assignment,
+        go: GuardIdx,
+    ) -> SimResult<(GuardIdx, FlatAtom)> {
         let dst = self.port_of(asgn.dst, 1);
         let Self {
             prog,
@@ -258,22 +347,57 @@ impl ControlFlattener {
         let mut resolve = |p: &PortRef| Ok(slot_of(&mut prog.ports, port_map, *p, 1));
         let src = flat_atom(&asgn.src, &mut resolve)?;
         let guard = intern_guard(&mut prog.guards, cons, &asgn.guard, &mut resolve)?;
-        Ok(prog.assigns.push(FlatAssign { dst, src, guard }))
+        let t = prog.true_guard();
+        let gated = match (go == t, guard == t) {
+            (true, _) => guard,
+            (false, true) => go,
+            (false, false) => cons_guard(&mut prog.guards, cons, FlatGuard::And(go, guard)),
+        };
+        self.drivers.push(dst, src, gated);
+        Ok((guard, src))
+    }
+
+    /// Add group `name`, active while `go` is high.
+    fn add_group(
+        &mut self,
+        name: Id,
+        go: PortIdx,
+        done_writes: Vec<(GuardIdx, FlatAtom)>,
+    ) -> GroupIdx {
+        let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held.contains(&p));
+        let done_from_state = done_writes
+            .iter()
+            .all(|&(guard, src)| held(src) && guard_reads_only(&self.prog.guards, guard, &held));
+        let g = self.groups.push(FlatGroup {
+            name,
+            go,
+            done_writes,
+            done_from_state,
+        });
+        self.group_map.insert(name, g);
+        g
+    }
+
+    /// A fresh `go` port for group `name`. A slot of its own: whatever
+    /// the program does with the hole `name[go]`, only the interpreter
+    /// writes this one.
+    fn go_port(&mut self, name: Id) -> PortIdx {
+        self.prog.ports.push(PortData {
+            width: 1,
+            path: PortRef::hole(name, "go").to_string(),
+        })
     }
 
     /// The group's index; unknown names get an empty placeholder, which
     /// (like the tree-walking interpreter) never signals done.
     fn group_of(&mut self, name: Id) -> GroupIdx {
-        if let Some(&g) = self.group_map.get(&name) {
-            return g;
+        match self.group_map.get(&name) {
+            Some(&g) => g,
+            None => {
+                let go = self.go_port(name);
+                self.add_group(name, go, Vec::new())
+            }
         }
-        let g = self.groups.push(FlatGroup {
-            name,
-            assigns: IndexRange::empty(),
-            done_writes: Vec::new(),
-        });
-        self.group_map.insert(name, g);
-        g
     }
 
     fn ctrl_of(&mut self, stmt: &Control) -> CtrlIdx {
@@ -350,9 +474,11 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
         .ok_or_else(|| SimError::Elaboration(format!("no component `{top}`")))?;
 
     let mut f = ControlFlattener {
-        prog: FlatProgram::new(),
+        prog: FlatProgram::new(comp.name),
         port_map: HashMap::new(),
         cons: HashMap::new(),
+        drivers: Drivers::default(),
+        held: HashSet::new(),
         groups: super::IndexedMap::new(),
         group_map: HashMap::new(),
         ctrl: super::IndexedMap::new(),
@@ -389,6 +515,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
                     };
                     instantiate_primitive(name.as_str(), params, &mut r)?
                 };
+                f.held.extend(held_outputs(&kind).into_iter().flatten());
                 let ci = f.prog.cells.push(FlatCell {
                     path: cell.name.to_string(),
                     kind,
@@ -399,44 +526,67 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
         }
     }
 
-    // Assignments: the continuous block first, then each group's block.
-    let cont_start = f.prog.assigns.next_idx();
+    let always = f.prog.true_guard();
     for asgn in &comp.continuous {
-        f.assign_of(asgn)?;
+        f.assign_of(asgn, always)?;
     }
-    let continuous = IndexRange::new(cont_start, f.prog.assigns.next_idx());
-
     for group in comp.groups.iter() {
-        let start = f.prog.assigns.next_idx();
+        let go = f.go_port(group.name);
+        let go_guard = cons_guard(&mut f.prog.guards, &mut f.cons, FlatGuard::Port(go));
         let done_hole = group.done_hole();
         let mut done_writes = Vec::new();
         for asgn in &group.assignments {
-            let ai = f.assign_of(asgn)?;
+            let own = f.assign_of(asgn, go_guard)?;
             if asgn.dst == done_hole {
-                done_writes.push(ai);
+                done_writes.push(own);
             }
         }
-        let assigns = IndexRange::new(start, f.prog.assigns.next_idx());
-        let g = f.groups.push(FlatGroup {
-            name: group.name,
-            assigns,
-            done_writes,
-        });
-        f.group_map.insert(group.name, g);
+        f.add_group(group.name, go, done_writes);
     }
 
     let root = f.ctrl_of(&comp.control);
 
+    let graph = build_graph(&mut f.prog, f.drivers, true)?;
+
     Ok(FlatControl {
         prog: f.prog,
-        comp: comp.name,
+        graph,
         go,
-        continuous,
         groups: f.groups,
         ctrl: f.ctrl,
         root,
         cell_index: f.cell_index,
     })
+}
+
+/// The outputs of a stateful primitive: what `publish` writes, and
+/// nothing else does until the next cycle.
+fn held_outputs(kind: &FlatCellKind) -> [Option<PortIdx>; 3] {
+    match kind {
+        FlatCellKind::Reg { out, done, .. } => [Some(*out), Some(*done), None],
+        FlatCellKind::Mem { done, .. } => [Some(*done), None, None],
+        FlatCellKind::Unit {
+            out, out2, done, ..
+        } => [Some(*out), *out2, Some(*done)],
+        FlatCellKind::Comb { .. } => [None; 3],
+    }
+}
+
+/// Whether every atom guard `g` reads satisfies `ok`.
+fn guard_reads_only(
+    guards: &IndexedMap<GuardIdx, FlatGuard>,
+    g: GuardIdx,
+    ok: &impl Fn(FlatAtom) -> bool,
+) -> bool {
+    match guards[g] {
+        FlatGuard::True => true,
+        FlatGuard::Port(p) => ok(FlatAtom::Port(p)),
+        FlatGuard::Not(a) => guard_reads_only(guards, a, ok),
+        FlatGuard::And(a, b) | FlatGuard::Or(a, b) => {
+            guard_reads_only(guards, a, ok) && guard_reads_only(guards, b, ok)
+        }
+        FlatGuard::Comp(_, l, r) => ok(l) && ok(r),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -447,10 +597,7 @@ struct DesignFlattener<'a> {
     ctx: &'a Context,
     prog: FlatProgram,
     cell_index: HashMap<String, CellIdx>,
-    /// Pending drivers per destination, in push order.
-    drivers: HashMap<PortIdx, Vec<(FlatAtom, GuardIdx)>>,
-    /// Destinations in first-seen order, for deterministic node layout.
-    driver_order: Vec<PortIdx>,
+    drivers: Drivers,
     /// Hash-consing table of [`intern_guard`].
     cons: HashMap<FlatGuard, GuardIdx>,
 }
@@ -566,11 +713,7 @@ impl DesignFlattener<'_> {
                 &asgn.guard,
                 &mut resolve,
             )?;
-            let entry = self.drivers.entry(dst).or_default();
-            if entry.is_empty() {
-                self.driver_order.push(dst);
-            }
-            entry.push((src, guard));
+            self.drivers.push(dst, src, guard);
         }
         Ok(())
     }
@@ -593,10 +736,9 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
 
     let mut f = DesignFlattener {
         ctx,
-        prog: FlatProgram::new(),
+        prog: FlatProgram::new(top_id),
         cell_index: HashMap::new(),
-        drivers: HashMap::new(),
-        driver_order: Vec::new(),
+        drivers: Drivers::default(),
         cons: HashMap::new(),
     };
 
@@ -615,55 +757,11 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
 
     f.elaborate_component(top_id, &this_ports, "")?;
 
-    // Pack each destination's drivers into a contiguous assignment range
-    // and build the evaluation nodes.
-    let mut nodes = Vec::new();
-    for dst in std::mem::take(&mut f.driver_order) {
-        let asgns = f.drivers.remove(&dst).expect("ordered driver exists");
-        let start = f.prog.assigns.next_idx();
-        for (src, guard) in asgns {
-            f.prog.assigns.push(FlatAssign { dst, src, guard });
-        }
-        nodes.push(Node::Drivers {
-            dst,
-            asgns: IndexRange::new(start, f.prog.assigns.next_idx()),
-        });
-    }
-    for (ci, cell) in f.prog.cells.enumerate() {
-        if matches!(
-            cell.kind,
-            FlatCellKind::Comb { .. } | FlatCellKind::Mem { .. }
-        ) {
-            nodes.push(Node::Cell(ci));
-        }
-    }
-    // Guards go last, so that the paths a combinational loop is reported
-    // by (the stuck nodes, in this order) stay the ports and cells.
-    nodes.extend(f.prog.guards.keys().map(Node::Guard));
-
-    let (mut nodes, fanout) = sort_nodes(&nodes, &f.prog)?;
-
-    // Repack assignments into *evaluation* order. The packing above is
-    // destination-discovery order; a settle visits nodes in sorted order,
-    // so after repacking it reads the assignments it needs front to back.
-    // Guards stay in interning order: hash-consing shares subtrees across
-    // assignments, and each is one node of the graph whatever its index.
-    let mut assigns = IndexedMap::new();
-    for node in &mut nodes {
-        if let Node::Drivers { asgns, .. } = node {
-            let start = assigns.next_idx();
-            for ai in asgns.iter() {
-                assigns.push(f.prog.assigns[ai]);
-            }
-            *asgns = IndexRange::new(start, assigns.next_idx());
-        }
-    }
-    f.prog.assigns = assigns;
+    let graph = build_graph(&mut f.prog, f.drivers, false)?;
 
     Ok(FlatDesign {
         prog: f.prog,
-        nodes,
-        fanout,
+        graph,
         top_go,
         top_done,
         top_inputs,
@@ -696,16 +794,21 @@ mod tests {
         let flat = flatten_control(&ctx, "main").unwrap();
         assert_eq!(flat.prog.cells.len(), 3);
         assert_eq!(flat.groups.len(), 2);
-        // continuous block is empty; both groups own contiguous ranges.
-        assert!(flat.continuous.is_empty());
-        let total: usize = flat.groups.iter().map(|g| g.assigns.len()).sum();
-        assert_eq!(flat.prog.assigns.len(), total);
-        // Each group records exactly one done write, inside its own range.
+        assert_eq!(flat.prog.assigns.len(), 8);
+        // Each group records exactly one done write, over state alone,
+        // and gates every assignment it owns with its `go` port.
         for g in flat.groups.iter() {
             assert_eq!(g.done_writes.len(), 1);
-            let dw = g.done_writes[0];
-            assert!(g.assigns.iter().any(|ai| ai == dw));
+            assert!(g.done_from_state);
+            assert_eq!(flat.prog.ports[g.go].path, format!("{}[go]", g.name));
         }
+        let go_guards = flat.groups.iter().map(|g| FlatGuard::Port(g.go));
+        let go_guards: Vec<FlatGuard> = go_guards.collect();
+        for a in flat.prog.assigns.iter() {
+            assert!(go_guards.contains(&flat.prog.guards[a.guard]));
+        }
+        // Nothing here is cyclic: the whole graph is sorted.
+        assert_eq!(flat.graph.tail_start, flat.graph.nodes.len());
         // The control tree flattened to while(enable).
         assert!(matches!(flat.ctrl[flat.root], CtrlNode::While { .. }));
     }
@@ -719,7 +822,7 @@ mod tests {
         // order respects combinational dependencies: a node reading port p
         // runs after the node producing p.
         let mut produced_at = vec![usize::MAX; flat.prog.ports.len()];
-        for (i, node) in flat.nodes.iter().enumerate() {
+        for (i, node) in flat.graph.nodes.iter().enumerate() {
             if let Node::Drivers { dst, .. } = node {
                 assert_eq!(
                     produced_at[dst.index()],
@@ -734,7 +837,7 @@ mod tests {
                 }
             }
         }
-        for (i, node) in flat.nodes.iter().enumerate() {
+        for (i, node) in flat.graph.nodes.iter().enumerate() {
             if let Node::Drivers { asgns, .. } = node {
                 for ai in asgns.iter() {
                     if let FlatAtom::Port(p) = flat.prog.assigns[ai].src {
@@ -759,12 +862,8 @@ mod tests {
     #[test]
     fn fan_out_lists_every_reader_and_only_later_positions() {
         let flat = lowered_gemm();
-        let FlatDesign {
-            prog,
-            nodes,
-            fanout,
-            ..
-        } = &flat;
+        let prog = &flat.prog;
+        let Graph { nodes, fanout, .. } = &flat.graph;
         let mut guard_nodes = 0;
         for (pos, node) in nodes.iter().enumerate() {
             let pos = pos as u32;
@@ -847,7 +946,7 @@ mod tests {
         let flat = flatten_design(&ctx, "main").unwrap();
         // The position of the one node `wanted` picks.
         fn position(flat: &FlatDesign, wanted: impl Fn(&Node) -> bool) -> u32 {
-            let mut hits = (0u32..).zip(&flat.nodes).filter(|(_, n)| wanted(n));
+            let mut hits = (0u32..).zip(&flat.graph.nodes).filter(|(_, n)| wanted(n));
             let (pos, _) = hits.next().expect("node exists");
             assert!(hits.next().is_none(), "node appears twice");
             pos
@@ -866,7 +965,7 @@ mod tests {
                 |n| matches!(n, Node::Drivers { dst, .. } if flat.prog.ports[*dst].path == path),
             )
         };
-        let mut readers = flat.fanout.of_guard(shared).to_vec();
+        let mut readers = flat.graph.fanout.of_guard(shared).to_vec();
         readers.sort_unstable();
         let mut expected = vec![drives("r.in"), drives("r.write_en")];
         expected.sort_unstable();
@@ -912,16 +1011,33 @@ mod tests {
         )
         .unwrap();
         let flat = flatten_control(&ctx, "main").unwrap();
-        let guard = |i: usize| flat.prog.assigns[AssignIdx::new(i)].guard;
-        assert_eq!(guard(0), guard(1));
-        assert_eq!(guard(0), guard(2));
+        let guards = &flat.prog.guards;
+        // The guard of the assignment to `path`, under its group's `go`.
+        let guard = |path: &str| {
+            let mut asgns = flat.prog.assigns.iter();
+            let a = asgns.find(|a| flat.prog.ports[a.dst].path == path).unwrap();
+            let FlatGuard::And(go, own) = guards[a.guard] else {
+                panic!("`{path}` is not gated: {:?}", guards[a.guard]);
+            };
+            assert_eq!(
+                guards[go],
+                FlatGuard::Port(flat.groups[GroupIdx::new(0)].go)
+            );
+            own
+        };
+        assert_eq!(guard("r.in"), guard("r.write_en"));
+        assert_eq!(guard("r.in"), guard("s.in"));
         // `!r.done` is the conjunction's right child, not a second copy.
-        assert!(matches!(flat.prog.guards[guard(0)], FlatGuard::And(_, not) if not == guard(3)));
-        // `Guard::True` is the arena's seeded first node.
-        assert_eq!(guard(4).index(), 0);
-        assert_eq!(guard(4), flat.prog.true_guard());
-        // True, lt.out, r.done, !r.done, and the conjunction: nothing else.
-        assert_eq!(flat.prog.guards.len(), 5);
+        let not = guard("s.write_en");
+        assert!(matches!(guards[guard("r.in")], FlatGuard::And(_, right) if right == not));
+        // An unguarded assignment is guarded by `go` itself, and its own
+        // guard, `Guard::True`, is the arena's seeded first node.
+        let (done_guard, _) = flat.groups[GroupIdx::new(0)].done_writes[0];
+        assert_eq!(done_guard, flat.prog.true_guard());
+        assert_eq!(done_guard.index(), 0);
+        // True, lt.out, r.done, !r.done and the conjunction; `go`, and
+        // `go` with each of the two distinct guards: nothing else.
+        assert_eq!(guards.len(), 8);
     }
 
     #[test]

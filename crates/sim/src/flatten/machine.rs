@@ -7,11 +7,9 @@
 //!
 //! 1. [`FlatProgram::publish`] — stateful primitives show their outputs,
 //!    and the caller hears which of them changed;
-//! 2. the engine settles every other port, calling
-//!    [`FlatCell::comb_output`] for combinational cells and memory
-//!    read ports (the RTL engine for each such node of its sorted graph
-//!    whose inputs changed, the interpreter on every pass of its
-//!    fixpoint);
+//! 2. the engine settles every other port ([`super::Wires::settle`]),
+//!    calling [`FlatCell::comb_output`] for each combinational cell and
+//!    memory read port whose inputs changed;
 //! 3. [`FlatProgram::tick`] — every stateful primitive latches from the
 //!    settled valuation, and the caller hears which memories stored a
 //!    word.
@@ -53,10 +51,6 @@ impl FlatCell {
     /// `state`: the output port and value of a combinational operator, or
     /// a memory's `read_data` at the addressed word. `None` for registers
     /// and units, whose outputs change only on [`FlatProgram::tick`].
-    ///
-    /// It takes the cell, not a [`CellIdx`], so that the interpreter's
-    /// fixpoint can walk `cells` and `states` as two slices with no
-    /// per-cell lookup.
     #[inline]
     pub fn comb_output(&self, state: &PrimState, values: &[u64]) -> Option<(PortIdx, u64)> {
         match &self.kind {
@@ -90,9 +84,8 @@ impl FlatProgram {
     /// different one. These are fixed for the cycle; nothing the engine
     /// settles afterwards may overwrite them.
     ///
-    /// An engine whose `values` persist from the last cycle learns from
-    /// `changed` what the last tick altered; one that starts each cycle
-    /// from zeros passes `|_| {}`, and the comparison compiles away.
+    /// A caller whose `values` persist from the last cycle learns from
+    /// `changed` what the last tick altered.
     #[inline]
     pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
         let mut show = |port: PortIdx, v: u64| {

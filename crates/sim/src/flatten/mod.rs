@@ -19,26 +19,26 @@
 //!   chains. Both entry points build it through one hash-consing
 //!   interner, so structurally equal subtrees are one node.
 //! - **Assignment tables** — assignments are stored contiguously grouped
-//!   by owner: the continuous block first, then each group's block, so
-//!   "the active assignment set" is a handful of [`IndexRange`]s.
+//!   by the port they drive, in evaluation order, so "the drivers of a
+//!   port" is one [`IndexRange`].
 //! - **Flat control** — [`CtrlNode`]s in an arena with child indices
 //!   replace the interpreter's recursive `StmtState` clone-on-advance
 //!   machinery.
 //!
 //! Two entry points produce engine-specific views over the same arenas:
-//! [`flatten_control`] keeps groups and the control tree for the
-//! reference interpreter, while [`flatten_design`] elaborates a lowered
-//! hierarchy in place (a cell's ports and the child component's `this`
-//! ports are the same arena slots), topologically sorts the resulting
-//! guard/driver/cell [`Node`]s for the RTL engine, and keeps the graph it
-//! sorted as the [`FanOut`] table the engine's change-driven settle
-//! follows.
+//! [`flatten_control`] keeps groups and the control tree of one component
+//! for the reference interpreter, while [`flatten_design`] elaborates a
+//! lowered hierarchy in place (a cell's ports and the child component's
+//! `this` ports are the same arena slots). Both end the same way: the
+//! guard/driver/cell [`Node`]s are sorted once, and the graph that was
+//! sorted is kept as the [`FanOut`] table the change-driven settle
+//! follows ([`Graph`]).
 //!
 //! # What the machine owns, and what an engine owns
 //!
 //! A [`FlatProgram`] is more than storage: it is the **cycle machine**
-//! both engines run on (`machine.rs`). It owns every decision that does
-//! not depend on how wires are evaluated:
+//! both engines run on (`machine.rs`, `settle.rs`). It owns every
+//! decision that does not depend on which program form is simulated:
 //!
 //! - what a stateful primitive shows at the start of a cycle
 //!   ([`FlatProgram::publish`], which also tells its caller which ports
@@ -51,47 +51,59 @@
 //!   [`FlatProgram::register_value`]), including the rule that an image
 //!   longer than its memory is an error;
 //! - how an `ir::Guard` becomes [`FlatGuard`] nodes (one hash-consing
-//!   interner in `build.rs`), what such a node computes ([`eval_guard`]
-//!   with its children, [`eval_guard_node`] from their stored values),
-//!   and what a finished run reports ([`RunStats`]).
+//!   interner in `build.rs`) and what a finished run reports
+//!   ([`RunStats`]);
+//! - how the wires settle in between ([`Wires`]): port and guard values
+//!   that persist from cycle to cycle, and one scan of the dirty nodes in
+//!   sorted order, each waking its readers only when its output changed.
 //!
-//! An engine owns only *how it settles a cycle* between `publish` and
-//! `tick`, and the driver rule that goes with it:
+//! An engine owns what drives the machine, and its [`DriverRule`]:
 //!
-//! - [`crate::rtl`]: a valuation that persists across cycles, a settle
-//!   that re-evaluates only the sorted [`Node`]s downstream of what
-//!   changed, and the strict rule that two active drivers of one port are
-//!   a conflict whatever they drive;
-//! - [`crate::interp`]: the control walk that picks the active groups, a
-//!   budgeted fixpoint over their assignments with the recursive
-//!   [`eval_guard`], and the rule that two active drivers conflict only
-//!   when their values differ.
+//! - [`crate::rtl`]: a lowered design whose graph must be acyclic, the
+//!   top-level `go`/`done` handshake, and the strict rule that two active
+//!   drivers of one port are a conflict whatever they drive;
+//! - [`crate::interp`]: the control walk that picks the active groups and
+//!   raises their `go` ports, the done-observation cycle, and the rule
+//!   that two active drivers conflict only when their values differ.
 //!
-//! **Guards are nodes** on the RTL side of that line. Every interned
-//! guard is one [`Node::Guard`] of the sorted graph, placed after the
-//! producers of the ports it reads and after its child guards, and before
-//! every [`Node::Drivers`] that uses it. Its value is stored, so
-//! evaluating it is one step over its children's stored values and a
-//! `Drivers` node tests a guard by reading one `bool`. The stored value
-//! is right only because the sorted order makes every input final before
-//! the node runs, and it is kept from cycle to cycle only because the
-//! node is re-run whenever one of its inputs changes. Neither holds in
-//! the interpreter: the assignments it evaluates change with the active
-//! groups, and within its fixpoint a port can still change on a later
-//! pass, so a value stored on an early pass would be stale. It therefore
-//! evaluates every guard afresh, recursively, on every pass. Hash-consing
-//! is safe for both: a shared node is still a pure function of the
-//! valuation it is evaluated against.
+//! **Guards are nodes.** Every interned guard is one [`Node::Guard`] of
+//! the sorted graph, placed after the producers of the ports it reads and
+//! after its child guards, and before every [`Node::Drivers`] that uses
+//! it. Its value is stored, so evaluating it is one step over its
+//! children's stored values and a `Drivers` node tests a guard by reading
+//! one `bool`. The stored value is right because the sorted order makes
+//! every input final before the node runs, and it is kept from cycle to
+//! cycle because the node is re-run whenever one of its inputs changes.
+//!
+//! **Group activity is a port.** The interpreter's view applies the
+//! paper's own lowering (§4) at flatten time: each group gets a `go` port
+//! ([`FlatGroup::go`]) and each of its assignments the guard `go & guard`,
+//! so that all assignments to a port, whatever group owns them, form one
+//! `Drivers` node. The control walk activates a group by writing 1 to
+//! that port, which wakes the group's assignments through the ordinary
+//! port rows of the fan-out table; switching it off wakes them again, and
+//! a port nothing drives any more settles to zero.
+//!
+//! **The interpreter's graph may be cyclic.** Two groups may wire the
+//! same combinational cells in opposite orders, which is legal as long as
+//! they are never active together. [`flatten_control`] therefore lets the
+//! sort finish: what Kahn's algorithm cannot place becomes the graph's
+//! *tail* ([`Graph::tail_start`]), which the scan sweeps repeatedly,
+//! under a budget, until nothing in it changes. [`flatten_design`]
+//! rejects a cyclic graph, so the RTL engine's tail is always empty and
+//! its scan a single pass.
 
 mod build;
 pub mod index;
 mod machine;
+mod settle;
 
 pub use build::{flatten_control, flatten_design};
 pub use index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
 pub use machine::RunStats;
+pub use settle::{DriverRule, Wires};
 
 use crate::error::{SimError, SimResult};
 use crate::prim::{CombOp, PrimState};
@@ -224,15 +236,24 @@ pub struct FlatCell {
     pub kind: FlatCellKind,
 }
 
-/// A group flattened to its assignment range.
+/// A group, flattened to the port that activates it and its done
+/// condition. Its assignments sit in the [`Node::Drivers`] of the ports
+/// they drive, each guarded by `go`.
 #[derive(Debug, Clone)]
 pub struct FlatGroup {
     /// Group name (diagnostics only).
     pub name: Id,
-    /// The group's assignments, contiguous in the assignment arena.
-    pub assigns: IndexRange<AssignIdx>,
-    /// The subset of `assigns` writing the group's `done` hole.
-    pub done_writes: Vec<AssignIdx>,
+    /// High while the group is active. Nothing in the program drives it:
+    /// the interpreter's control walk writes it.
+    pub go: PortIdx,
+    /// Guard and source of each write to the group's `done` hole, without
+    /// the `go` gate: whether the group would be done does not depend on
+    /// its being active.
+    pub done_writes: Vec<(GuardIdx, FlatAtom)>,
+    /// True when every `done_writes` guard and source reads only
+    /// constants and stateful primitives' outputs, which hold for the
+    /// whole cycle whichever groups are active.
+    pub done_from_state: bool,
 }
 
 /// A flattened control-tree node. Children are arena indices; the
@@ -282,6 +303,8 @@ pub enum CtrlNode {
 /// The arenas shared by both engines.
 #[derive(Debug, Clone)]
 pub struct FlatProgram {
+    /// The component this was flattened from (diagnostics).
+    pub name: Id,
     /// All port slots.
     pub ports: IndexedMap<PortIdx, PortData>,
     /// Interned guard nodes. Index 0 is always [`FlatGuard::True`].
@@ -296,11 +319,12 @@ pub struct FlatProgram {
 }
 
 impl FlatProgram {
-    fn new() -> Self {
+    fn new(name: Id) -> Self {
         let mut guards = IndexedMap::new();
         let t = guards.push(FlatGuard::True);
         debug_assert_eq!(t, GuardIdx::new(0));
         FlatProgram {
+            name,
             ports: IndexedMap::new(),
             guards,
             assigns: IndexedMap::new(),
@@ -321,12 +345,11 @@ impl FlatProgram {
 pub struct FlatControl {
     /// Shared arenas.
     pub prog: FlatProgram,
-    /// The component's name (diagnostics).
-    pub comp: Id,
+    /// The evaluation graph over the continuous assignments and every
+    /// group's; possibly cyclic.
+    pub graph: Graph,
     /// The component's `go` port slot.
     pub go: PortIdx,
-    /// The continuous-assignment block.
-    pub continuous: IndexRange<AssignIdx>,
     /// All groups.
     pub groups: IndexedMap<GroupIdx, FlatGroup>,
     /// The flattened control tree.
@@ -337,7 +360,7 @@ pub struct FlatControl {
     pub cell_index: HashMap<Id, CellIdx>,
 }
 
-/// One evaluation step of the RTL engine's sorted graph. Every node has
+/// One evaluation step of the sorted graph. Every node has
 /// at most one output — a guard's value or a port's — and is a pure
 /// function of what it reads, so a node whose inputs did not change need
 /// not run again.
@@ -432,7 +455,7 @@ impl Rows {
 }
 
 /// Who reads what: for each port, each guard and each memory's contents,
-/// the positions in [`FlatDesign::nodes`] of the nodes that read it. This
+/// the positions in [`Graph::nodes`] of the nodes that read it. This
 /// is the graph the topological sort runs on, kept in compressed sparse
 /// rows: row `r` is `readers[starts[r]..starts[r + 1]]`. A node that
 /// reads the same thing twice is listed twice.
@@ -468,17 +491,31 @@ impl FanOut {
     }
 }
 
+/// The evaluation nodes of a flat program in the order a settle visits
+/// them, with the graph that order was derived from.
+#[derive(Debug, Clone)]
+pub struct Graph {
+    /// Evaluation nodes. Up to `tail_start` they are in topological
+    /// order.
+    pub nodes: Vec<Node>,
+    /// The readers of every port, guard and memory, as positions in
+    /// `nodes`. A reader of what a node before `tail_start` produces sits
+    /// after that node.
+    pub fanout: FanOut,
+    /// Where the tail begins: the nodes on a structural cycle and
+    /// everything downstream of one, which no order makes final in one
+    /// pass. `nodes.len()` for an acyclic graph.
+    pub tail_start: usize,
+}
+
 /// Flat view for the RTL engine: shared arenas plus the topologically
 /// sorted evaluation nodes of an elaborated (lowered) hierarchy.
 #[derive(Debug, Clone)]
 pub struct FlatDesign {
     /// Shared arenas.
     pub prog: FlatProgram,
-    /// Evaluation nodes in topological order.
-    pub nodes: Vec<Node>,
-    /// The readers of every port, guard and memory, as positions in
-    /// `nodes`; each is greater than its producer's position.
-    pub fanout: FanOut,
+    /// The evaluation graph; acyclic, so its tail is empty.
+    pub graph: Graph,
     /// The top component's `go` port.
     pub top_go: PortIdx,
     /// The top component's `done` port.
@@ -499,10 +536,9 @@ pub fn eval_atom(atom: FlatAtom, values: &[u64]) -> u64 {
 }
 
 /// Evaluate an interned guard, children included, against the dense
-/// valuation: the interpreter's evaluator, which can store no guard value
-/// (see the module docs). It stays a plain recursion of its own beside
-/// [`eval_guard_node`]: sharing one `match` through a closure cost the
-/// interpreter's fixpoint about 3 % of `polybench_interp`.
+/// valuation. This is how the interpreter asks whether a group's done
+/// condition holds: right after `publish`, when the stored guard values
+/// are not yet those of this cycle.
 #[inline]
 pub fn eval_guard(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, values: &[u64]) -> bool {
     match guards[g] {
@@ -516,9 +552,9 @@ pub fn eval_guard(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, values:
 }
 
 /// Evaluate one guard node against the dense valuation and the stored
-/// values of its child guards: the single, non-recursive step the RTL
-/// engine takes at a [`Node::Guard`], whose children sit earlier in the
-/// sorted order.
+/// values of its child guards: the single, non-recursive step a settle
+/// takes at a [`Node::Guard`], whose children sit earlier in the sorted
+/// order.
 #[inline]
 pub fn eval_guard_node(node: FlatGuard, values: &[u64], guard_on: &[bool]) -> bool {
     match node {
@@ -533,13 +569,18 @@ pub fn eval_guard_node(node: FlatGuard, values: &[u64], guard_on: &[bool]) -> bo
 
 /// Kahn's algorithm over evaluation nodes. Returns them in topological
 /// order together with the graph it sorted, re-expressed in sorted
-/// positions; reports a combinational loop by listing (up to eight of)
-/// the paths still unresolved.
+/// positions.
+///
+/// When the graph is cyclic, `cyclic` decides: without it the loop is
+/// reported by listing (up to eight of) the paths still unresolved; with
+/// it the sort goes on from the first unplaced node, as often as it
+/// stalls, and everything placed from the first stall on is the graph's
+/// tail.
 ///
 /// The graph is built once, by counting: one pass sizes every row, a
 /// second fills them, and the sort walks the rows of what each finished
 /// node produces.
-pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> SimResult<(Vec<Node>, FanOut)> {
+pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram, cyclic: bool) -> SimResult<Graph> {
     let rows = Rows {
         n_ports: prog.ports.len(),
         n_guards: prog.guards.len(),
@@ -563,7 +604,7 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> SimResult<(Vec<N
             next[r] += 1;
         });
     }
-    let mut graph = FanOut {
+    let mut fanout = FanOut {
         rows,
         starts,
         readers,
@@ -571,9 +612,9 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> SimResult<(Vec<N
 
     // A node waits for the producer of each thing it reads. A read of
     // what no node produces (a stateful output, a top-level input, a
-    // memory's contents) orders nothing.
+    // group's `go`, a memory's contents) orders nothing.
     let mut in_degree = vec![0u32; nodes.len()];
-    let readers_of = |node: Node| node.output(prog, rows).map_or(&[][..], |r| graph.row(r));
+    let readers_of = |node: Node| node.output(prog, rows).map_or(&[][..], |r| fanout.row(r));
     for &node in nodes {
         for &d in readers_of(node) {
             in_degree[d as usize] += 1;
@@ -586,34 +627,55 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> SimResult<(Vec<N
     let mut sorted = Vec::with_capacity(nodes.len());
     // Where each node landed, to re-express the rows afterwards.
     let mut position = vec![0u32; nodes.len()];
-    while let Some(i) = ready.pop() {
-        let node = nodes[i as usize];
-        position[i as usize] = sorted.len() as u32;
-        sorted.push(node);
-        for &d in readers_of(node) {
-            in_degree[d as usize] -= 1;
-            if in_degree[d as usize] == 0 {
-                ready.push(d);
+    let mut tail_start = nodes.len();
+    // Nodes before this one are placed or ready.
+    let mut unplaced = 0;
+    loop {
+        while let Some(i) = ready.pop() {
+            let node = nodes[i as usize];
+            position[i as usize] = sorted.len() as u32;
+            sorted.push(node);
+            for &d in readers_of(node) {
+                // A node the sort was forced to go on from waits no more.
+                if in_degree[d as usize] > 0 {
+                    in_degree[d as usize] -= 1;
+                    if in_degree[d as usize] == 0 {
+                        ready.push(d);
+                    }
+                }
             }
         }
+        if sorted.len() == nodes.len() {
+            break;
+        }
+        if !cyclic {
+            let stuck: Vec<String> = nodes
+                .iter()
+                .zip(&in_degree)
+                .filter(|(_, &d)| d > 0)
+                .filter_map(|(n, _)| match *n {
+                    Node::Drivers { dst, .. } => Some(prog.ports[dst].path.clone()),
+                    Node::Cell(c) => Some(prog.cells[c].path.clone()),
+                    // A guard is stuck only behind a port that is listed.
+                    Node::Guard(_) => None,
+                })
+                .take(8)
+                .collect();
+            return Err(SimError::CombinationalLoop(stuck));
+        }
+        tail_start = tail_start.min(sorted.len());
+        while in_degree[unplaced] == 0 {
+            unplaced += 1;
+        }
+        in_degree[unplaced] = 0;
+        ready.push(unplaced as u32);
     }
-    if sorted.len() != nodes.len() {
-        let stuck: Vec<String> = nodes
-            .iter()
-            .zip(&in_degree)
-            .filter(|(_, &d)| d > 0)
-            .filter_map(|(n, _)| match *n {
-                Node::Drivers { dst, .. } => Some(prog.ports[dst].path.clone()),
-                Node::Cell(c) => Some(prog.cells[c].path.clone()),
-                // A guard is stuck only behind a port that is listed.
-                Node::Guard(_) => None,
-            })
-            .take(8)
-            .collect();
-        return Err(SimError::CombinationalLoop(stuck));
-    }
-    for reader in &mut graph.readers {
+    for reader in &mut fanout.readers {
         *reader = position[*reader as usize];
     }
-    Ok((sorted, graph))
+    Ok(Graph {
+        nodes: sorted,
+        fanout,
+        tail_start,
+    })
 }

@@ -4,18 +4,35 @@
 //! reads (paper §3.3–§3.4): an `enable` activates a group's assignments
 //! until the group signals `done`; `seq` runs children in order; `par`
 //! runs them concurrently; `if`/`while` evaluate their `with` group, sample
-//! the condition port, and proceed. Combinational settling within a cycle
-//! uses fixpoint iteration over the active assignments.
+//! the condition port, and proceed.
 //!
-//! Since the flat-IR rewrite the interpreter runs over the dense arenas of
-//! [`crate::flatten`]: port valuations are a `Vec<u64>` indexed by
-//! [`PortIdx`] (no `HashMap` re-hashing per read), the active assignment
-//! set is a handful of contiguous ranges, and the control tree advances by
-//! updating small per-node state arrays instead of cloning `Control`
-//! subtrees. The observable semantics — cycle counts, final state, error
-//! cases — are identical to the pre-flatten engine, which survives as
+//! Combinational settling within a cycle is the change-driven scan of
+//! [`Wires`], the one the RTL engine runs on. [`crate::flatten`] gives
+//! every group a `go` port and gates the group's assignments with it (the
+//! paper's own lowering, §4, applied at flatten time), so all assignments
+//! of the program form one sorted graph. Port and guard values persist
+//! from cycle to cycle. The control walk only decides which `go` ports
+//! are high; a cycle then re-evaluates what hangs off the groups that
+//! switched and the state that ticked, and a port whose group went quiet
+//! settles to zero like any other port nothing drives.
+//!
+//! Two things are the interpreter's own. Its driver rule (`Agree`): two
+//! active drivers of one port conflict only when their values differ. And
+//! its graph may be cyclic: groups that are never active together may
+//! wire the same cells in opposite orders (`resource-sharing` produces
+//! this), so what the sort could not place is swept until it is stable,
+//! and only a loop that is *active* and does not converge is an error.
+//!
+//! The observable semantics — cycle counts, final state, error cases —
+//! are those of the pre-flatten engine, which survives as
 //! [`crate::legacy::interp`] and is held to byte-identical output by the
-//! differential tests.
+//! differential tests. One difference is deliberate: the legacy fixpoint
+//! tests a guard against ports that are not final yet, so a guard that is
+//! only transiently true can raise a spurious conflict or leave its value
+//! on a port. Here a guard is tested on final inputs only. (And since
+//! values persist, an active loop that converges — a latch, which the
+//! `comb-cycle` lint reports and the RTL engine rejects — holds its value
+//! from cycle to cycle, where the legacy fixpoint re-derives it from zero.)
 //!
 //! This is the semantic oracle for the compiler: after lowering, the RTL
 //! simulation must leave the same architectural state (registers and
@@ -27,8 +44,8 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{
-    eval_atom, eval_guard, flatten_control, AssignIdx, CellIdx, CtrlIdx, CtrlNode, FlatControl,
-    FlatIdx, GroupIdx, IndexedMap, PortIdx, RunStats,
+    eval_atom, eval_guard, flatten_control, CellIdx, CtrlIdx, CtrlNode, DriverRule, FlatControl,
+    FlatIdx, GroupIdx, IndexedMap, RunStats, Wires,
 };
 use calyx_core::ir::{Context, Id};
 
@@ -246,24 +263,36 @@ fn ctrl_advance(
 /// The interpreter for one component.
 pub struct Interpreter {
     flat: FlatControl,
+    wires: Wires,
     rt: CtrlRuntime,
     root_done: bool,
     cycles: u64,
-    /// Dense port valuation, reused across cycles.
-    values: Vec<u64>,
-    /// Per-pass unique-driver tracking: the value driven onto each port
-    /// this pass, valid when the epoch matches.
-    driven_val: Vec<u64>,
-    driven_epoch: Vec<u64>,
-    epoch: u64,
-    /// Ports driven in the current pass.
-    touched: Vec<PortIdx>,
-    /// Scratch: the flattened active-assignment list for one settle.
-    asgn_scratch: Vec<AssignIdx>,
     enables: Vec<GroupIdx>,
     conds: Vec<GroupIdx>,
+    /// The groups whose `go` port is high.
     active: Vec<GroupIdx>,
+    /// Scratch: the groups to run this cycle.
+    survivors: Vec<GroupIdx>,
+    /// Scratch of [`Interpreter::activate`], all false between calls.
+    wanted: Vec<bool>,
     done_flags: Vec<bool>,
+}
+
+/// The driver rule of the language definition: drivers that agree are one
+/// driver, and a value is not cut to its port's width (an undeclared port
+/// has none).
+struct Agree;
+
+impl DriverRule for Agree {
+    #[inline]
+    fn conflict(held: u64, next: u64) -> bool {
+        held != next
+    }
+
+    #[inline]
+    fn shown(value: u64, _width: u32) -> u64 {
+        value
+    }
 }
 
 impl Interpreter {
@@ -275,23 +304,22 @@ impl Interpreter {
     /// other components or uses unmodeled primitives.
     pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
         let flat = flatten_control(ctx, top)?;
-        let n_ports = flat.prog.ports.len();
         let n_groups = flat.groups.len();
         let mut rt = CtrlRuntime::new(flat.ctrl.len());
         let root_done = ctrl_start(&flat.ctrl, &mut rt, flat.root);
+        let mut wires = Wires::new(&flat.prog, &flat.graph);
+        // `go` is held high for the whole run.
+        wires.set(&flat.graph, flat.go, 1);
         Ok(Interpreter {
+            wires,
             rt,
             root_done,
             cycles: 0,
-            values: vec![0; n_ports],
-            driven_val: vec![0; n_ports],
-            driven_epoch: vec![0; n_ports],
-            epoch: 0,
-            touched: Vec::new(),
-            asgn_scratch: Vec::new(),
             enables: Vec::new(),
             conds: Vec::new(),
             active: Vec::new(),
+            survivors: Vec::new(),
+            wanted: vec![false; n_groups],
             done_flags: vec![false; n_groups],
             flat,
         })
@@ -313,6 +341,8 @@ impl Interpreter {
     /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, cell: &str, data: &[u64]) -> SimResult<()> {
         let ci = self.cell(cell)?;
+        // A read port may show a new word under an unchanged address.
+        self.wires.mark_all(&self.flat.graph);
         self.flat
             .prog
             .set_memory(ci, data)
@@ -359,7 +389,7 @@ impl Interpreter {
 
     /// Execute one cycle: settle, advance the control tree, tick state.
     fn step(&mut self) -> SimResult<()> {
-        // 1. Active groups this cycle: enabled groups plus the `with`
+        // 1. Candidate groups this cycle: enabled groups plus the `with`
         //    condition groups currently being evaluated.
         let mut enables = std::mem::take(&mut self.enables);
         let mut conds = std::mem::take(&mut self.conds);
@@ -372,25 +402,30 @@ impl Interpreter {
             &mut enables,
             &mut conds,
         );
+        self.wires.publish(&self.flat.prog, &self.flat.graph);
 
-        // 2. An enabled group whose done signal is already observable from
-        //    state alone (a registered done from last cycle's write) must
-        //    not execute again during its done-observation cycle — this
-        //    mirrors the `!done` protection in the compiled FSMs. Condition
-        //    groups are exempt: they are combinational and stay active for
-        //    the whole evaluation phase.
-        self.settle(&[])?;
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        for &g in &enables {
-            if !self.group_done(g) {
-                active.push(g);
-            }
+        // 2. An enabled group whose done signal is already observable with
+        //    no group active (a registered done from last cycle's write)
+        //    must not execute again during its done-observation cycle —
+        //    this mirrors the `!done` protection in the compiled FSMs.
+        //    Condition groups are exempt: they are combinational and stay
+        //    active for the whole evaluation phase. When every candidate's
+        //    done condition reads state alone, it is known without
+        //    settling the wires under no group first.
+        if !enables.iter().all(|&g| self.flat.groups[g].done_from_state) {
+            self.activate(&[]);
+            self.wires
+                .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
         }
-        active.extend_from_slice(&conds);
+        let mut survivors = std::mem::take(&mut self.survivors);
+        survivors.clear();
+        survivors.extend(enables.iter().filter(|&&g| !self.group_done(g)));
+        survivors.extend_from_slice(&conds);
 
         // 3. Settle combinational values with the surviving groups.
-        self.settle(&active)?;
+        self.activate(&survivors);
+        self.wires
+            .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
 
         // 4. Which candidate groups finished this cycle?
         self.done_flags.fill(false);
@@ -401,7 +436,7 @@ impl Interpreter {
         }
 
         // 5. Synchronous update.
-        self.flat.prog.tick(&self.values, |_| {})?;
+        self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
 
         // 6. Advance the control tree using this cycle's observations.
         self.root_done = ctrl_advance(
@@ -409,107 +444,48 @@ impl Interpreter {
             &mut self.rt,
             self.flat.root,
             &self.done_flags,
-            &self.values,
+            self.wires.values(),
         );
         self.cycles += 1;
 
         self.enables = enables;
         self.conds = conds;
-        self.active = active;
+        self.survivors = survivors;
         Ok(())
     }
 
-    /// Does group `g`'s done hole evaluate high under the settled values?
+    /// Does group `g`'s done condition hold under the current values? Its
+    /// atoms must be final: stateful outputs once published, anything
+    /// else once settled.
     fn group_done(&self, g: GroupIdx) -> bool {
-        let prog = &self.flat.prog;
-        self.flat.groups[g].done_writes.iter().any(|&ai| {
-            let a = &prog.assigns[ai];
-            eval_guard(&prog.guards, a.guard, &self.values) && eval_atom(a.src, &self.values) != 0
-        })
+        let guards = &self.flat.prog.guards;
+        let values = self.wires.values();
+        let mut writes = self.flat.groups[g].done_writes.iter();
+        writes.any(|&(guard, src)| eval_guard(guards, guard, values) && eval_atom(src, values) != 0)
     }
 
-    /// Fixpoint settling over the active assignments, into `self.values`.
-    fn settle(&mut self, active: &[GroupIdx]) -> SimResult<()> {
-        // Materialize the active assignment list once per settle.
-        let mut asgns = std::mem::take(&mut self.asgn_scratch);
-        asgns.clear();
-        asgns.extend(self.flat.continuous.iter());
-        for &g in active {
-            asgns.extend(self.flat.groups[g].assigns.iter());
+    /// Make `want` the active groups: lower the `go` of every other
+    /// group, raise theirs.
+    fn activate(&mut self, want: &[GroupIdx]) {
+        let Interpreter {
+            flat,
+            wires,
+            active,
+            wanted,
+            ..
+        } = self;
+        for &g in want {
+            wanted[g.index()] = true;
         }
-
-        let prog = &self.flat.prog;
-        let values = &mut self.values;
-        values.fill(0);
-
-        // Stateful outputs are fixed for the cycle.
-        prog.publish(values, |_| {});
-        values[self.flat.go.index()] = 1;
-
-        // Iterate until stable. The bound is generous: each pass fixes at
-        // least one more port in a loop-free design.
-        let budget = asgns.len() + prog.cells.len() + 8;
-        let mut converged = false;
-        'passes: for _ in 0..budget {
-            let mut changed = false;
-
-            // Assignments (with dynamic unique-driver checking). The
-            // epoch counter replaces the per-pass `driven` map: a slot's
-            // entry is valid only when its epoch matches the current pass.
-            self.epoch += 1;
-            self.touched.clear();
-            for &ai in &asgns {
-                let a = &prog.assigns[ai];
-                if eval_guard(&prog.guards, a.guard, values) {
-                    let v = eval_atom(a.src, values);
-                    let d = a.dst.index();
-                    if self.driven_epoch[d] == self.epoch {
-                        if self.driven_val[d] != v {
-                            self.asgn_scratch = asgns;
-                            return Err(SimError::DriverConflict {
-                                port: prog.ports[a.dst].path.clone(),
-                                cycle: self.cycles,
-                            });
-                        }
-                    } else {
-                        self.driven_epoch[d] = self.epoch;
-                        self.driven_val[d] = v;
-                        self.touched.push(a.dst);
-                    }
-                }
-            }
-            for &p in &self.touched {
-                let d = p.index();
-                if values[d] != self.driven_val[d] {
-                    values[d] = self.driven_val[d];
-                    changed = true;
-                }
-            }
-
-            // Combinational primitives and memory reads.
-            for (cell, state) in prog.cells.iter().zip(prog.states.iter()) {
-                if let Some((out, o)) = cell.comb_output(state, values) {
-                    if values[out.index()] != o {
-                        values[out.index()] = o;
-                        changed = true;
-                    }
-                }
-            }
-
-            if !changed {
-                converged = true;
-                break 'passes;
-            }
+        for &g in active.iter().filter(|g| !wanted[g.index()]) {
+            wires.set(&flat.graph, flat.groups[g].go, 0);
         }
-        self.asgn_scratch = asgns;
-        if converged {
-            Ok(())
-        } else {
-            Err(SimError::CombinationalLoop(vec![format!(
-                "fixpoint did not converge in component `{}`",
-                self.flat.comp
-            )]))
+        for &g in want {
+            wanted[g.index()] = false;
+            wires.set(&flat.graph, flat.groups[g].go, 1);
         }
+        active.clear();
+        active.extend_from_slice(want);
     }
 }
 
@@ -640,6 +616,319 @@ mod tests {
         i.set_memory("m", &[0, 0, 0, 77]).unwrap();
         i.run(100).unwrap();
         assert_eq!(i.memory("m").unwrap(), vec![77, 0, 0, 77]);
+    }
+
+    /// What a sequence of steps leaves behind: how the last run ended
+    /// (its cycle count or its error's text), then the registers and the
+    /// memories asked for. What this engine and `legacy::interp` must
+    /// agree on.
+    type Outcome = (Result<u64, String>, Vec<u64>, Vec<Vec<u64>>);
+
+    enum Step {
+        Run(u64),
+        Memory(&'static str, &'static [u64]),
+    }
+
+    /// Apply `steps` to `interp` in order. A macro, since the two
+    /// interpreters share method names and no trait.
+    macro_rules! outcome {
+        ($interp:expr, $regs:expr, $mems:expr, $steps:expr) => {{
+            let mut interp = $interp;
+            let mut last = Ok(0);
+            for step in $steps {
+                match *step {
+                    Step::Run(budget) => {
+                        last = interp
+                            .run(budget)
+                            .map(|s| s.cycles)
+                            .map_err(|e| e.to_string())
+                    }
+                    Step::Memory(m, data) => interp.set_memory(m, data).unwrap(),
+                }
+            }
+            let regs = $regs.iter().map(|r| interp.register_value(r).unwrap());
+            let regs: Vec<u64> = regs.collect();
+            let mems = $mems.iter().map(|m| interp.memory(m).unwrap());
+            (last, regs, mems.collect::<Vec<_>>())
+        }};
+    }
+
+    /// This engine's outcome on `src`.
+    fn flat_outcome(src: &str, regs: &[&str], mems: &[&str], steps: &[Step]) -> Outcome {
+        let ctx = parse_context(src).unwrap();
+        outcome!(Interpreter::new(&ctx, "main").unwrap(), regs, mems, steps)
+    }
+
+    /// [`flat_outcome`], which must equal `legacy::interp`'s.
+    fn against_legacy(src: &str, regs: &[&str], mems: &[&str], steps: &[Step]) -> Outcome {
+        let ctx = parse_context(src).unwrap();
+        let legacy = crate::legacy::interp::Interpreter::new(&ctx, "main").unwrap();
+        let legacy: Outcome = outcome!(legacy, regs, mems, steps);
+        let flat = flat_outcome(src, regs, mems, steps);
+        assert_eq!(flat, legacy, "flat (left) and legacy (right) disagree");
+        flat
+    }
+
+    /// One run to completion, registers only.
+    fn run_against_legacy(src: &str, regs: &[&str]) -> (Result<u64, String>, Vec<u64>) {
+        let (last, regs, _) = against_legacy(src, regs, &[], &[Step::Run(100)]);
+        (last, regs)
+    }
+
+    fn conflict(port: &str, cycle: u64) -> String {
+        let port = port.to_string();
+        SimError::DriverConflict { port, cycle }.to_string()
+    }
+
+    #[test]
+    fn groups_may_wire_shared_cells_in_opposite_orders() {
+        // `g1` feeds `a` into `b`, `g2` feeds `b` into `a`: the graph over
+        // all groups is cyclic, no set of active groups is. The RTL
+        // engine rejects the same wiring (`combinational_loops_rejected`).
+        let src = r#"component main() -> () {
+              cells { a = std_add(8); b = std_add(8); x = std_reg(8); y = std_reg(8); }
+              wires {
+                group g1 {
+                  a.left = 8'd1; a.right = 8'd2; b.left = a.out; b.right = 8'd3;
+                  x.in = b.out; x.write_en = 1'd1; g1[done] = x.done;
+                }
+                group g2 {
+                  b.left = 8'd4; b.right = 8'd5; a.left = b.out; a.right = 8'd6;
+                  y.in = a.out; y.write_en = 1'd1; g2[done] = y.done;
+                }
+              }
+              control { seq { g1; g2; } }
+            }"#;
+        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(4), vec![6, 15]));
+        let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        assert!(flat.graph.tail_start < flat.graph.nodes.len());
+    }
+
+    #[test]
+    fn a_port_the_last_group_drove_reads_zero() {
+        // `second` reads `add.out` and drives only `add.right`: `add.left`,
+        // which `first` drove with 5, is back at zero.
+        let src = r#"component main() -> () {
+              cells { add = std_add(8); x = std_reg(8); y = std_reg(8); }
+              wires {
+                group first {
+                  add.left = 8'd5; add.right = 8'd1;
+                  x.in = add.out; x.write_en = 1'd1; first[done] = x.done;
+                }
+                group second {
+                  add.right = 8'd2;
+                  y.in = add.out; y.write_en = 1'd1; second[done] = y.done;
+                }
+              }
+              control { seq { first; second; } }
+            }"#;
+        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(4), vec![6, 2]));
+    }
+
+    #[test]
+    fn an_active_loop_that_oscillates_does_not_converge() {
+        // `spin` closes `n.in = n.out` through an inverter, two cycles
+        // after `first` started: `x` is written, `y` never.
+        let src = r#"component main() -> () {
+              cells { n = std_not(1); x = std_reg(8); y = std_reg(1); }
+              wires {
+                group first { x.in = 8'd7; x.write_en = 1'd1; first[done] = x.done; }
+                group spin {
+                  n.in = n.out;
+                  y.in = n.out; y.write_en = 1'd1; spin[done] = y.done;
+                }
+              }
+              control { seq { first; spin; } }
+            }"#;
+        let diverged = "combinational loop through: fixpoint did not converge in component `main`";
+        assert_eq!(
+            run_against_legacy(src, &["x", "y"]),
+            (Err(diverged.to_string()), vec![7, 0])
+        );
+    }
+
+    #[test]
+    fn active_drivers_may_agree_but_not_differ() {
+        let program = |second: u64| {
+            format!(
+                r#"component main() -> () {{
+                  cells {{ x = std_reg(8); y = std_reg(8); w = std_wire(8); }}
+                  wires {{
+                    group first {{ y.in = 8'd1; y.write_en = 1'd1; first[done] = y.done; }}
+                    group a {{ w.in = 8'd3; x.in = w.out; x.write_en = 1'd1; a[done] = x.done; }}
+                    group b {{ w.in = 8'd{second}; y.in = 8'd2; y.write_en = 1'd1; b[done] = y.done; }}
+                  }}
+                  control {{ seq {{ first; par {{ a; b; }} }} }}
+                }}"#
+            )
+        };
+        assert_eq!(
+            run_against_legacy(&program(3), &["x", "y"]),
+            (Ok(4), vec![3, 2])
+        );
+        let differ = program(4);
+        let clash = conflict("w.in", 2);
+        assert_eq!(
+            run_against_legacy(&differ, &["x", "y"]),
+            (Err(clash.clone()), vec![0, 1])
+        );
+        // The conflicting node stays dirty: asking again reports it again
+        // rather than a stale value.
+        let steps = [Step::Run(100), Step::Run(100)];
+        let (last, ..) = against_legacy(&differ, &[], &[], &steps);
+        assert_eq!(last, Err(clash));
+    }
+
+    #[test]
+    fn drivers_in_a_cyclic_region_are_compared_once_it_is_stable() {
+        // `g1` and `g2` both drive `w.in`, with 3 + 4 and !248: equal.
+        // `g3` and `g4` wire `a` and `n` into a structural cycle, so
+        // `w.in` sits in the graph's tail, ahead of both cells. When the
+        // `par` starts it is evaluated against what the cells showed with
+        // every group off, 0 and !0, before they are; that must not count
+        // as a conflict.
+        let src = r#"component main() -> () {
+              cells { a = std_add(8); n = std_not(8); w = std_wire(8); x = std_reg(8); y = std_reg(8); }
+              wires {
+                group g1 {
+                  w.in = a.out; a.left = 8'd3; a.right = 8'd4;
+                  x.in = w.out; x.write_en = 1'd1; g1[done] = x.done;
+                }
+                group g2 { w.in = n.out; n.in = 8'd248; y.in = 8'd1; y.write_en = 1'd1; g2[done] = y.done; }
+                group g3 { a.left = n.out; y.in = a.out; y.write_en = 1'd1; g3[done] = y.done; }
+                group g4 { n.in = a.out; y.in = n.out; y.write_en = 1'd1; g4[done] = y.done; }
+              }
+              control { seq { g3; par { g1; g2; } g4; } }
+            }"#;
+        let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        assert!(flat.graph.tail_start < flat.graph.nodes.len());
+        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(6), vec![7, 255]));
+    }
+
+    #[test]
+    fn two_conflicts_in_one_cycle_name_the_first_in_node_order() {
+        // `v.in` and `w.in` are both doubly driven in cycle 0. Which is
+        // named depends on the sorted order alone: `v.in`. The fixpoint
+        // named the port whose second driver came first in assignment
+        // order, `w.in` (this engine at commit a1a6131, probed once, and
+        // `legacy::interp` still), so legacy is no oracle for the name.
+        let src = r#"component main() -> () {
+              cells { v = std_wire(8); w = std_wire(8); x = std_reg(8); }
+              wires {
+                group a { w.in = 8'd1; v.in = 8'd1; x.in = 8'd1; x.write_en = 1'd1; a[done] = x.done; }
+                group b { w.in = 8'd2; v.in = 8'd2; b[done] = x.done; }
+              }
+              control { par { a; b; } }
+            }"#;
+        let (last, ..) = flat_outcome(src, &[], &[], &[Step::Run(100)]);
+        assert_eq!(last, Err(conflict("v.in", 0)));
+    }
+
+    #[test]
+    fn done_over_a_wire_the_group_drives_is_seen_with_the_group_off() {
+        // `wired`'s done condition reads `w.out`, which only `wired`
+        // itself drives: with no group active it is low whatever `x.done`
+        // says, so `wired` runs a second cycle (`n` = 2) and is done in
+        // it. `registered`'s reads state alone, is observed with no group
+        // active the cycle after the write, and does not run then (`n` =
+        // 1). One group on each side of `FlatGroup::done_from_state`.
+        let program = |done: &str| {
+            format!(
+                r#"component main() -> () {{
+                  cells {{ x = std_reg(8); w = std_wire(1); n = std_reg(8); inc = std_add(8); }}
+                  wires {{
+                    group g {{
+                      inc.left = n.out; inc.right = 8'd1; n.in = inc.out; n.write_en = 1'd1;
+                      x.in = 8'd9; x.write_en = 1'd1; w.in = x.done;
+                      g[done] = {done};
+                    }}
+                  }}
+                  control {{ g; }}
+                }}"#
+            )
+        };
+        let flat = |src: &str| flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        let registered = program("x.done");
+        assert!(flat(&registered).groups.iter().all(|g| g.done_from_state));
+        assert_eq!(
+            run_against_legacy(&registered, &["x", "n"]),
+            (Ok(2), vec![9, 1])
+        );
+        let wired = program("w.out");
+        assert!(flat(&wired).groups.iter().all(|g| !g.done_from_state));
+        assert_eq!(run_against_legacy(&wired, &["x", "n"]), (Ok(2), vec![9, 2]));
+    }
+
+    #[test]
+    fn par_children_finish_on_different_cycles() {
+        let src = r#"component main() -> () {
+              cells { mul = std_mult_pipe(8); p = std_reg(8); q = std_reg(8); r = std_reg(8); }
+              wires {
+                group slow {
+                  mul.left = 8'd6; mul.right = 8'd7; mul.go = !mul.done ? 1'd1;
+                  p.in = mul.out; p.write_en = mul.done ? 1'd1; slow[done] = p.done;
+                }
+                group fast { q.in = 8'd1; q.write_en = 1'd1; fast[done] = q.done; }
+                group after { r.in = q.out; r.write_en = 1'd1; after[done] = r.done; }
+              }
+              control { seq { par { slow; seq { fast; after; } } } }
+            }"#;
+        let (last, regs) = run_against_legacy(src, &["p", "q", "r"]);
+        assert_eq!(regs, vec![42, 1, 1]);
+        assert_eq!(last, Ok(6));
+    }
+
+    #[test]
+    fn a_new_image_between_runs_is_read_under_an_unchanged_address() {
+        // `copy` holds `m.addr0` at 0 from the first cycle on; the first
+        // run stops at its budget, so only `set_memory` itself can wake
+        // the read port before the second.
+        let src = r#"component main() -> () {
+              cells { m = std_mem_d1(8, 1, 1); r = std_reg(8); c = std_reg(2); add = std_add(2); lt = std_lt(2); }
+              wires {
+                group cond { lt.left = c.out; lt.right = 2'd3; cond[done] = 1'd1; }
+                group copy {
+                  m.addr0 = 1'd0; r.in = m.read_data; r.write_en = 1'd1;
+                  add.left = c.out; add.right = 2'd1; c.in = add.out; c.write_en = 1'd1;
+                  copy[done] = r.done;
+                }
+              }
+              control { while lt.out with cond { copy; } }
+            }"#;
+        let steps = [
+            Step::Memory("m", &[5]),
+            Step::Run(2),
+            Step::Memory("m", &[9]),
+            Step::Run(100),
+        ];
+        let (last, regs, mems) = against_legacy(src, &["r"], &["m"], &steps);
+        assert_eq!((last, regs, mems), (Ok(10), vec![9], vec![vec![9]]));
+    }
+
+    #[test]
+    fn a_guard_is_tested_on_final_inputs_only() {
+        // `!c.out` and `d.out` are exclusive once settled, but `d.out`
+        // rises a pass before `c.out` (which sits behind `c0`) in the
+        // legacy fixpoint, which then sees both drivers of `x.in` active
+        // and reports a conflict that no settled valuation contains.
+        let src = r#"component main() -> () {
+              cells { c0 = std_wire(1); c = std_wire(1); d = std_wire(1); x = std_reg(8); }
+              wires {
+                group g {
+                  c0.in = 1'd1; c.in = c0.out; d.in = 1'd1;
+                  x.in = !c.out ? 8'd1; x.in = d.out ? 8'd2;
+                  x.write_en = 1'd1; g[done] = x.done;
+                }
+              }
+              control { g; }
+            }"#;
+        let steps = [Step::Run(100)];
+        let (last, regs, _) = flat_outcome(src, &["x"], &[], &steps);
+        assert_eq!((last, regs), (Ok(2), vec![2]));
+        let ctx = parse_context(src).unwrap();
+        let legacy = crate::legacy::interp::Interpreter::new(&ctx, "main").unwrap();
+        let (last, ..): Outcome = outcome!(legacy, [""; 0], [""; 0], &steps);
+        assert_eq!(last, Err(conflict("x.in", 0)));
     }
 
     #[test]

@@ -29,15 +29,15 @@
 //! what a combinational cell or memory read port computes
 //! ([`flatten::FlatCell::comb_output`], over the behavioral models in
 //! [`prim`]), how a harness loads and reads memories and registers, and
-//! how guards are interned.
-//! An engine owns only how it settles the wires in between — [`rtl`] a
-//! valuation that persists across cycles, a change-driven visit of the
-//! sorted nodes (guards among them) and a strict unique-driver rule,
-//! [`interp`] the control walk and a budgeted fixpoint with a same-value
-//! driver rule. The interpreter must not keep guard values the way the
-//! RTL engine does: a stored guard value is only right when every port it
-//! reads is already final, which the sorted order guarantees and a
-//! fixpoint pass does not.
+//! how guards are interned. [`flatten::Wires`] owns how the wires settle
+//! in between: a valuation that persists across cycles and a
+//! change-driven visit of the sorted nodes (guards among them).
+//! An engine owns what drives that machine — [`rtl`] a lowered design and
+//! its `go`/`done` handshake, [`interp`] the control walk, which raises
+//! the `go` port of each active group, and the done-observation cycle —
+//! and its [`flatten::DriverRule`]: strict for [`rtl`], same-value for
+//! [`interp`]. The interpreter's graph may also be cyclic across groups
+//! that are never active together; the RTL engine rejects a cycle.
 //!
 //! The pre-flatten tree-walking engines survive unchanged in [`legacy`]
 //! as differential oracles and benchmark baselines.

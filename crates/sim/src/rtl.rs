@@ -41,12 +41,16 @@
 //! nothing, so each simulation test also checks the dirty-set logic. The
 //! pre-flatten implementation survives as [`crate::legacy::rtl`] and is
 //! held to byte-identical output by the differential tests.
+//!
+//! The valuation and the scan are [`Wires`], which the interpreter runs
+//! on too. What is this engine's own: it takes a lowered design, rejects
+//! a cyclic graph when it is built, drives `go` and watches `done`, and
+//! holds that two active drivers of one port conflict whatever they drive
+//! (`Strict`).
 
 use crate::error::{SimError, SimResult};
 pub use crate::flatten::RunStats;
-use crate::flatten::{
-    eval_atom, eval_guard_node, flatten_design, CellIdx, FlatDesign, FlatIdx, Node,
-};
+use crate::flatten::{flatten_design, CellIdx, DriverRule, FlatDesign, FlatIdx, Wires};
 use crate::prim::mask;
 use calyx_core::ir::Context;
 
@@ -58,65 +62,23 @@ use calyx_core::ir::Context;
 #[derive(Debug)]
 pub struct Simulator {
     flat: FlatDesign,
-    /// Port values, kept across cycles.
-    values: Vec<u64>,
-    /// The value of every interned guard, kept across cycles. Valid for a
-    /// guard whose node is not dirty.
-    guard_on: Vec<bool>,
-    /// One bit per position in `flat.nodes`: the nodes an input of which
-    /// changed since they last ran.
-    dirty: Vec<u64>,
+    wires: Wires,
 }
 
-/// Mark the nodes at `positions` for re-evaluation.
-#[inline]
-fn mark(dirty: &mut [u64], positions: &[u32]) {
-    for &pos in positions {
-        dirty[pos as usize / 64] |= 1 << (pos % 64);
+/// The driver rule of synthesizable hardware: one active driver per port,
+/// and a port shows as many bits as it has.
+struct Strict;
+
+impl DriverRule for Strict {
+    #[inline]
+    fn conflict(_held: u64, _next: u64) -> bool {
+        true
     }
-}
 
-/// Evaluate the node at `pos` and store its output. Returns the readers
-/// of that output when it differs from the stored one.
-#[inline]
-fn eval_node<'a>(
-    flat: &'a FlatDesign,
-    values: &mut [u64],
-    guard_on: &mut [bool],
-    pos: usize,
-    cycle: u64,
-) -> SimResult<Option<&'a [u32]>> {
-    let prog = &flat.prog;
-    let (port, value) = match flat.nodes[pos] {
-        Node::Guard(g) => {
-            let v = eval_guard_node(prog.guards[g], values, guard_on);
-            let changed = std::mem::replace(&mut guard_on[g.index()], v) != v;
-            return Ok(changed.then(|| flat.fanout.of_guard(g)));
-        }
-        Node::Drivers { dst, asgns } => {
-            let mut driven = false;
-            let mut value = 0;
-            for a in prog.assigns.range(asgns) {
-                if guard_on[a.guard.index()] {
-                    if driven {
-                        return Err(SimError::DriverConflict {
-                            port: prog.ports[dst].path.clone(),
-                            cycle,
-                        });
-                    }
-                    driven = true;
-                    value = eval_atom(a.src, values);
-                }
-            }
-            (dst, mask(value, prog.ports[dst].width))
-        }
-        Node::Cell(ci) => match prog.cells[ci].comb_output(&prog.states[ci], values) {
-            Some(output) => output,
-            None => return Ok(None),
-        },
-    };
-    let changed = std::mem::replace(&mut values[port.index()], value) != value;
-    Ok(changed.then(|| flat.fanout.of_port(port)))
+    #[inline]
+    fn shown(value: u64, width: u32) -> u64 {
+        mask(value, width)
+    }
 }
 
 impl Simulator {
@@ -129,26 +91,10 @@ impl Simulator {
     /// the assignment graph is cyclic.
     pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
         let flat = flatten_design(ctx, top)?;
-        let mut values = vec![0; flat.prog.ports.len()];
+        let mut wires = Wires::new(&flat.prog, &flat.graph);
         // `go` is held high for the whole run.
-        values[flat.top_go.index()] = 1;
-        let mut sim = Simulator {
-            values,
-            guard_on: vec![false; flat.prog.guards.len()],
-            dirty: vec![0; flat.nodes.len().div_ceil(64)],
-            flat,
-        };
-        sim.mark_all();
-        Ok(sim)
-    }
-
-    /// Mark every node dirty: nothing stored can be trusted, as before
-    /// the first cycle or once the harness changed an input or a memory.
-    fn mark_all(&mut self) {
-        self.dirty.fill(u64::MAX);
-        if let Some(last) = self.dirty.last_mut() {
-            *last >>= (64 - self.flat.nodes.len() % 64) % 64;
-        }
+        wires.set(&flat.graph, flat.top_go, 1);
+        Ok(Simulator { flat, wires })
     }
 
     /// Drive a top-level input port to `value` on every subsequent cycle.
@@ -162,10 +108,8 @@ impl Simulator {
             .top_inputs
             .get(port)
             .ok_or_else(|| SimError::UnknownCell(format!("top-level input `{port}`")))?;
-        // Nothing in the design drives a top-level input, so the value
-        // stays until the next call.
-        self.values[idx.index()] = mask(value, self.flat.prog.ports[idx].width);
-        self.mark_all();
+        let value = mask(value, self.flat.prog.ports[idx].width);
+        self.wires.set(&self.flat.graph, idx, value);
         Ok(())
     }
 
@@ -186,7 +130,8 @@ impl Simulator {
     /// and [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
         let idx = self.prim_idx(path)?;
-        self.mark_all();
+        // A read port may show a new word under an unchanged address.
+        self.wires.mark_all(&self.flat.graph);
         self.flat
             .prog
             .set_memory(idx, data)
@@ -222,54 +167,13 @@ impl Simulator {
         self.flat.prog.cells.len()
     }
 
-    /// Settle one cycle: publish the stateful outputs, then evaluate the
-    /// dirty nodes in sorted order, each marking its readers when its
-    /// output changed. Returns the `done` port's value.
+    /// Settle one cycle: publish the stateful outputs, then visit what
+    /// they woke. Returns the `done` port's value.
     fn settle(&mut self, cycle: u64) -> SimResult<bool> {
-        let Simulator {
-            flat,
-            values,
-            guard_on,
-            dirty,
-        } = self;
-        let flat = &*flat;
-        flat.prog
-            .publish(values, |port| mark(dirty, flat.fanout.of_port(port)));
-        for word in 0..dirty.len() {
-            // Re-read the word each time round: a node's readers may sit
-            // in the same word, always at higher bits.
-            while dirty[word] != 0 {
-                let bit = dirty[word].trailing_zeros() as usize;
-                // On a conflict the node stays dirty, so a second `run`
-                // reports it again instead of trusting a stale value.
-                let readers = eval_node(flat, values, guard_on, word * 64 + bit, cycle)?;
-                dirty[word] &= dirty[word] - 1;
-                mark(dirty, readers.unwrap_or_default());
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.assert_settled(cycle);
-        Ok(self.values[self.flat.top_done.index()] != 0)
-    }
-
-    /// The self-check behind every settle in a build with debug
-    /// assertions: publishing again and re-evaluating every node in order
-    /// must change no stored value and raise no conflict. A failure means
-    /// a node was not marked dirty when one of its inputs changed.
-    #[cfg(debug_assertions)]
-    fn assert_settled(&mut self, cycle: u64) {
-        let flat = &self.flat;
-        flat.prog.publish(&mut self.values, |port| {
-            panic!("cycle {cycle}: `{}` changed", flat.prog.ports[port].path)
-        });
-        for pos in 0..flat.nodes.len() {
-            let changed = eval_node(flat, &mut self.values, &mut self.guard_on, pos, cycle);
-            assert!(
-                matches!(changed, Ok(None)),
-                "cycle {cycle}: the settle missed {:?}: {changed:?}",
-                flat.nodes[pos]
-            );
-        }
+        let Simulator { flat, wires } = self;
+        wires.publish(&flat.prog, &flat.graph);
+        wires.settle::<Strict>(&flat.prog, &flat.graph, cycle)?;
+        Ok(wires.values()[flat.top_done.index()] != 0)
     }
 
     /// Run the design: assert `go`, clock until `done`, report the cycle
@@ -282,15 +186,7 @@ impl Simulator {
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
         for cycle in 0..max_cycles {
             let done = self.settle(cycle)?;
-            let Simulator {
-                flat,
-                values,
-                dirty,
-                ..
-            } = self;
-            let fanout = &flat.fanout;
-            flat.prog
-                .tick(values, |mem| mark(dirty, fanout.of_memory(mem)))?;
+            self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
             if done {
                 return Ok(RunStats { cycles: cycle + 1 });
             }
@@ -738,10 +634,9 @@ mod tests {
             }"#,
         );
         // Before the first cycle every node is dirty, and only nodes.
-        let marked: u32 = sim.dirty.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(marked as usize, sim.flat.nodes.len());
+        assert_eq!(sim.wires.dirty_count(), sim.flat.graph.nodes.len());
         sim.settle(0).unwrap();
-        assert!(sim.dirty.iter().all(|&w| w == 0));
+        assert_eq!(sim.wires.dirty_count(), 0);
     }
 
     #[test]
