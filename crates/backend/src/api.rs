@@ -16,12 +16,13 @@
 //! 3. [`Backend::emit`] streams the result. Emission never builds the
 //!    whole output in memory first.
 //!
-//! [`BackendRegistry`] mirrors the pass registry: backends register a
-//! unique kebab-case [`Backend::NAME`] plus a one-line
-//! [`Backend::DESCRIPTION`], lookups of unknown names return
-//! [`Error::Undefined`] listing the valid choices, and duplicate or
-//! ill-formatted names panic at registration time (they are compile-time
-//! constants, so a collision is a programming error).
+//! [`BackendRegistry`] is a [`Registry`] of backends, under the contract
+//! every registry shares: backends register a unique kebab-case
+//! [`Backend::NAME`] plus a one-line [`Backend::DESCRIPTION`], lookups of
+//! unknown names return [`Error::Undefined`] listing the valid choices,
+//! and duplicate or ill-formatted names panic at registration time.
+//!
+//! [`Error::Undefined`]: calyx_core::errors::Error::Undefined
 //!
 //! ```
 //! use calyx_backend::{BackendOpts, BackendRegistry};
@@ -51,9 +52,9 @@
 //! assert!(String::from_utf8(out).unwrap().contains("module main"));
 //! ```
 
-use calyx_core::errors::{CalyxResult, Error};
+use calyx_core::errors::CalyxResult;
 use calyx_core::ir::Context;
-use calyx_core::utils::is_kebab_case;
+use calyx_core::utils::{Entry, Registry};
 use std::io;
 
 /// Output format for report-style backends (currently consumed by
@@ -150,6 +151,8 @@ pub trait Backend {
     ///
     /// Returns the violation ([`Error::Malformed`] for structural
     /// problems) without writing any output.
+    ///
+    /// [`Error::Malformed`]: calyx_core::errors::Error::Malformed
     fn validate(&self, ctx: &Context) -> CalyxResult<()>;
 
     /// Stream the backend's output into `out`.
@@ -162,6 +165,8 @@ pub trait Backend {
     ///
     /// Returns precondition violations, backend-specific failures (e.g.
     /// a simulation timeout), or [`Error::Io`] when `out` fails.
+    ///
+    /// [`Error::Io`]: calyx_core::errors::Error::Io
     fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()>;
 
     /// Throughput of the most recent successful [`Backend::emit`], for
@@ -183,8 +188,6 @@ pub trait Backend {
 pub trait DynBackend {
     /// [`Backend::NAME`].
     fn name(&self) -> &'static str;
-    /// [`Backend::DESCRIPTION`].
-    fn description(&self) -> &'static str;
     /// [`Backend::EXTENSION`].
     fn extension(&self) -> &'static str;
     /// [`Backend::required_pipeline`].
@@ -208,10 +211,6 @@ pub trait DynBackend {
 impl<B: Backend> DynBackend for B {
     fn name(&self) -> &'static str {
         B::NAME
-    }
-
-    fn description(&self) -> &'static str {
-        B::DESCRIPTION
     }
 
     fn extension(&self) -> &'static str {
@@ -250,20 +249,33 @@ pub struct RegisteredBackend {
     ctor: fn(&BackendOpts) -> Box<dyn DynBackend>,
 }
 
-impl RegisteredBackend {
-    /// Construct an instance of this backend from driver options.
-    pub fn construct(&self, opts: &BackendOpts) -> Box<dyn DynBackend> {
-        (self.ctor)(opts)
+impl Entry for RegisteredBackend {
+    const KIND: &'static str = "backend";
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        self.description
+    }
+
+    /// The declared pipeline, when there is one.
+    fn note(&self) -> String {
+        if self.required_pipeline.is_empty() {
+            String::new()
+        } else {
+            format!(" [pipeline: {}]", self.required_pipeline.join(" -> "))
+        }
     }
 }
 
-/// A registry of named backends, mirroring
-/// [`PassRegistry`](calyx_core::passes::PassRegistry).
+/// A registry of named backends.
 ///
 /// [`BackendRegistry::default`] knows every backend in this crate;
 /// drivers can [`register`](BackendRegistry::register) their own on top.
 pub struct BackendRegistry {
-    backends: Vec<RegisteredBackend>,
+    backends: Registry<RegisteredBackend>,
 }
 
 impl Default for BackendRegistry {
@@ -281,16 +293,11 @@ impl Default for BackendRegistry {
 }
 
 impl BackendRegistry {
-    /// The standard registry (same as [`BackendRegistry::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A registry with no backends, for drivers that want full control
     /// over what is selectable.
     pub fn empty() -> Self {
         BackendRegistry {
-            backends: Vec::new(),
+            backends: Registry::default(),
         }
     }
 
@@ -298,21 +305,10 @@ impl BackendRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when the name is already taken or is not kebab-case —
-    /// backend names are compile-time constants, so a collision is a
-    /// programming error, not an input error.
+    /// Panics as [`Registry::insert`] does: the name is already taken or
+    /// is not kebab-case.
     pub fn register<B: Backend + 'static>(&mut self) {
-        assert!(
-            is_kebab_case(B::NAME),
-            "backend name `{}` is not kebab-case",
-            B::NAME
-        );
-        assert!(
-            self.find(B::NAME).is_none(),
-            "backend name `{}` registered twice",
-            B::NAME
-        );
-        self.backends.push(RegisteredBackend {
+        self.backends.insert(RegisteredBackend {
             name: B::NAME,
             description: B::DESCRIPTION,
             required_pipeline: Backend::required_pipeline(&B::from_opts(&BackendOpts::default())),
@@ -323,11 +319,7 @@ impl BackendRegistry {
 
     /// All registered backends, in registration order.
     pub fn backends(&self) -> &[RegisteredBackend] {
-        &self.backends
-    }
-
-    fn find(&self, name: &str) -> Option<&RegisteredBackend> {
-        self.backends.iter().find(|b| b.name == name)
+        self.backends.entries()
     }
 
     /// Construct the backend registered as `name`.
@@ -336,42 +328,24 @@ impl BackendRegistry {
     ///
     /// Returns [`Error::Undefined`] naming the offending entry and
     /// listing the valid choices when `name` is unknown.
+    ///
+    /// [`Error::Undefined`]: calyx_core::errors::Error::Undefined
     pub fn get(&self, name: &str, opts: &BackendOpts) -> CalyxResult<Box<dyn DynBackend>> {
-        self.find(name).map(|b| b.construct(opts)).ok_or_else(|| {
-            Error::undefined(format!(
-                "backend `{name}`; valid backends: {}",
-                self.backends
-                    .iter()
-                    .map(|b| b.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })
+        Ok((self.backends.get(name)?.ctor)(opts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calyx_core::errors::Error;
     use calyx_core::passes::PassManager;
-    use std::collections::BTreeSet;
 
     #[test]
     fn default_registry_has_all_five_backends() {
         let reg = BackendRegistry::default();
         let names: Vec<&str> = reg.backends().iter().map(|b| b.name).collect();
         assert_eq!(names, vec!["calyx", "verilog", "area", "sim", "interp"]);
-    }
-
-    #[test]
-    fn registered_names_are_unique_kebab_case_and_described() {
-        let reg = BackendRegistry::default();
-        let mut seen = BTreeSet::new();
-        for b in reg.backends() {
-            assert!(is_kebab_case(b.name), "`{}` not kebab-case", b.name);
-            assert!(seen.insert(b.name), "duplicate backend name `{}`", b.name);
-            assert!(!b.description.is_empty());
-        }
     }
 
     /// Every declared pipeline must name real passes/aliases in the pass
@@ -421,38 +395,6 @@ mod tests {
             }
             other => panic!("expected Undefined, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let mut reg = BackendRegistry::empty();
-        reg.register::<crate::print::CalyxBackend>();
-        reg.register::<crate::print::CalyxBackend>();
-    }
-
-    struct BadName;
-    impl Backend for BadName {
-        const NAME: &'static str = "Bad_Name";
-        const DESCRIPTION: &'static str = "never registers";
-        fn from_opts(_: &BackendOpts) -> Self {
-            BadName
-        }
-        fn required_pipeline(&self) -> &'static [&'static str] {
-            &[]
-        }
-        fn validate(&self, _: &Context) -> CalyxResult<()> {
-            Ok(())
-        }
-        fn emit(&self, _: &Context, _: &mut dyn io::Write) -> CalyxResult<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not kebab-case")]
-    fn non_kebab_case_name_panics() {
-        BackendRegistry::empty().register::<BadName>();
     }
 
     /// The hand-written backend table in the README must quote the exact

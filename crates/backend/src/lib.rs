@@ -15,9 +15,10 @@
 //!   [`io::Write`](std::io::Write) sink — a file, a pipe, a `Vec<u8>` —
 //!   without materializing it as one giant `String` first.
 //!
-//! [`BackendRegistry`] mirrors the pass registry: kebab-case names,
-//! panics on registration mistakes, and [`Error::Undefined`]
-//! (listing the valid choices) on unknown lookups. The five standard
+//! [`BackendRegistry`] is a [`Registry`](calyx_core::utils::Registry) of
+//! backends: kebab-case names, panics on registration mistakes, and
+//! [`Error::Undefined`] (listing the valid choices) on unknown lookups —
+//! the contract every registry in the workspace shares. The five standard
 //! backends, in registry order:
 //!
 //! | backend | module | consumes |

@@ -55,6 +55,7 @@
 use calyx_backend::ReportFormat;
 use calyx_core::ir::Context;
 use calyx_core::lint::DiagnosticSink;
+use calyx_core::utils::Entry;
 use calyx_service::{
     CompileService, JobDefaults, JobRequest, Request, Resolved, ServeOpts, Session, Stage,
     StageError, WorkerPool,
@@ -333,72 +334,13 @@ impl<'a> Args<'a> {
     }
 }
 
-/// The shared two-column row every `--list-*` flag prints: a name padded
-/// to a fixed width, then its description. Callers append bracketed
-/// extras (extensions, pipelines, codes) after the row.
-fn list_row(name: &str, description: &str) -> String {
-    format!("  {name:<22}{description}")
-}
-
-/// ` [extensions: .a .b]`, or nothing for an empty list.
-fn extensions_note<S: AsRef<str>>(extensions: &[S]) -> String {
-    if extensions.is_empty() {
-        return String::new();
-    }
-    let dotted: Vec<String> = extensions
-        .iter()
-        .map(|e| format!(".{}", e.as_ref()))
-        .collect();
-    format!(" [extensions: {}]", dotted.join(" "))
-}
-
-fn list_frontends(session: &Session) {
-    println!("frontends:");
-    for f in session.frontends.frontends() {
-        println!(
-            "{}{}",
-            list_row(f.name, f.description),
-            extensions_note(f.extensions)
-        );
-        for (key, what) in f.options {
-            println!("    --fopt {key:<15}{what}");
-        }
-    }
-}
-
-fn list_passes(session: &Session) {
-    println!("passes:");
-    for pass in session.passes.passes() {
-        println!("{}", list_row(pass.name, pass.description));
-    }
-    println!("\naliases:");
-    for (alias, expansion) in session.passes.aliases() {
-        println!("{}", list_row(alias, &expansion.join(" -> ")));
-    }
-}
-
-fn list_backends(session: &Session) {
-    println!("backends:");
-    for b in session.backends.backends() {
-        let required = b.required_pipeline;
-        let pipeline = if required.is_empty() {
-            String::new()
-        } else {
-            format!(" [pipeline: {}]", required.join(" -> "))
-        };
-        println!("{}{}", list_row(b.name, b.description), pipeline);
-    }
-}
-
-fn list_lints(session: &Session) {
-    println!("lints:");
-    for l in session.lints.lints() {
-        println!(
-            "{} [{}, {}]",
-            list_row(l.name, l.description),
-            l.code,
-            l.severity
-        );
+/// What every `--list-<kind>` flag prints: the heading, then one row per
+/// registry entry — the name padded to a fixed width, its description,
+/// and the entry's note (extensions, pipeline, code, `--fopt` lines).
+fn list(kind: &str, rows: &[(&str, &str, String)]) {
+    println!("{kind}:");
+    for (name, description, note) in rows {
+        println!("  {name:<22}{description}{note}");
     }
 }
 
@@ -548,7 +490,7 @@ fn run_check(session: &Session, args: Vec<String>) -> ! {
             "--allow" => allow.push(args.value("`--allow` expects a lint name")),
             "--explain" => explain_lint(session, &args.value("`--explain` expects a lint code")),
             "--list-lints" => {
-                list_lints(session);
+                list("lints", &Entry::rows(session.lints.lints()));
                 exit(0);
             }
             _ => args.other(arg, 1, " for `futil check`"),
@@ -576,29 +518,6 @@ fn run_check(session: &Session, args: Vec<String>) -> ! {
         ReportFormat::Json => println!("{}", sink.render_json(shown_name(&file))),
     }
     exit(i32::from(fatal(&sink, deny_warnings)));
-}
-
-fn list_states(graph: &calyx_plan::PlanGraph) {
-    println!("states:");
-    for s in graph.states() {
-        println!(
-            "{}{}",
-            list_row(&s.name, &s.description),
-            extensions_note(&s.extensions)
-        );
-    }
-}
-
-fn list_ops(graph: &calyx_plan::PlanGraph) {
-    println!("ops:");
-    for op in graph.ops() {
-        println!(
-            "{} [{} -> {}]",
-            list_row(op.name(), op.description()),
-            graph.state(op.from()).name,
-            graph.state(op.to()).name
-        );
-    }
 }
 
 /// The `futil build` and `futil plan` subcommands: route from the
@@ -631,11 +550,11 @@ fn run_build(session: &Session, args: Vec<String>, execute_route: bool) -> ! {
             }
             "--no-cache" => build.use_cache = false,
             "--list-states" => {
-                list_states(&graph);
+                list("states", &Entry::rows(graph.states()));
                 exit(0);
             }
             "--list-ops" => {
-                list_ops(&graph);
+                list("ops", &Entry::rows(graph.ops()));
                 exit(0);
             }
             _ => args.other(arg, 1, mode),
@@ -653,8 +572,8 @@ fn run_build(session: &Session, args: Vec<String>, execute_route: bool) -> ! {
             "`--to <state>` is required; run `--list-states` for the choices",
         );
     };
-    // Unknown `--to`/`--from` states get the graph's message listing
-    // every valid state — same contract as the other registries.
+    // Unknown `--to`/`--from` states get the registry's message listing
+    // every valid state.
     let to = graph.expect_state(&to_name).unwrap_or_else(|e| exit_2(e));
     let from = match &from_name {
         Some(name) => graph.expect_state(name).unwrap_or_else(|e| exit_2(e)),
@@ -817,23 +736,21 @@ fn main() {
             "--stats" => stats = true,
             "--batch" => batch = true,
             "--fail-fast" => fail_fast = true,
-            "--list-frontends" => {
-                list_frontends(&session);
-                exit(0);
-            }
-            "--list-passes" => {
-                list_passes(&session);
-                exit(0);
-            }
-            "--list-backends" => {
-                list_backends(&session);
-                exit(0);
-            }
-            "--list-lints" => {
-                list_lints(&session);
-                exit(0);
-            }
-            _ => args.other(arg, usize::MAX, ""),
+            // `--list-<kind>` for each kind of registry the session holds.
+            _ => match arg
+                .strip_prefix("--list-")
+                .map(|kind| (kind, session.rows(kind)))
+            {
+                Some((kind, Ok(rows))) => {
+                    list(kind, &rows);
+                    if kind == "passes" {
+                        println!();
+                        list("aliases", &session.passes.alias_rows());
+                    }
+                    exit(0);
+                }
+                _ => args.other(arg, usize::MAX, ""),
+            },
         }
     }
 

@@ -14,13 +14,16 @@
 //!   [`ReadWriteSets`](super::read_write::ReadWriteSets)).
 //! - The cache memoizes results per component, keyed by the analysis's
 //!   [`TypeId`]. A repeated query is a *hit* and returns the stored result.
-//! - Invalidation is generation-based: every mutation signal (an
-//!   [`Action::Change`](crate::passes::Action), a component reported dirty
-//!   through [`PassCtx::set_dirty`](crate::passes::PassCtx::set_dirty), or
-//!   an explicit [`AnalysisCache::invalidate`]) bumps the component's
-//!   generation and drops its cached results, so the next query recomputes
-//!   against the mutated component. Read-only passes signal nothing and
-//!   keep the cache warm across the whole pipeline.
+//! - Invalidation is generation-based and there is one signal, per
+//!   component: an [`Action::Change`](crate::passes::Action), a component
+//!   reported dirty through
+//!   [`PassCtx::set_dirty`](crate::passes::PassCtx::set_dirty), or an
+//!   explicit [`AnalysisCache::invalidate`] bumps the component's
+//!   generation and drops *all* of its cached results, so the next query
+//!   recomputes against the mutated component. Nothing is invalidated per
+//!   analysis: `--stats` showed that what a narrower signal kept warm was
+//!   never read again before the next mutation. Read-only passes signal
+//!   nothing and keep the cache warm across the whole pipeline.
 //!
 //! # The invalidation contract
 //!
@@ -117,13 +120,8 @@ pub struct AnalysisCache {
     /// (component, analysis) pairs ever computed — distinguishes first
     /// computes from recomputes in [`CacheStats`].
     ever_computed: HashSet<(Id, TypeId)>,
-    /// Queries currently being computed, to catch cyclic dependencies and
-    /// to record dependency edges for cascading invalidation.
+    /// Queries currently being computed, to catch cyclic dependencies.
     in_flight: Vec<(Id, TypeId, &'static str)>,
-    /// Observed dependency edges: (component, analysis) -> analyses whose
-    /// `compute` queried it. Drives [`AnalysisCache::invalidate_analysis`]
-    /// cascades so a dependent never outlives its inputs.
-    dependents: HashMap<(Id, TypeId), HashSet<TypeId>>,
     /// When set, every query recomputes (the differential-testing and
     /// benchmarking baseline).
     disabled: bool,
@@ -161,17 +159,6 @@ impl AnalysisCache {
     /// component — a cyclic analysis dependency.
     pub fn get<A: Analysis>(&mut self, comp: &Component) -> Rc<A::Output> {
         let key = TypeId::of::<A>();
-        // A query issued while another analysis computes is a dependency
-        // edge: remember it so invalidating this analysis later also drops
-        // the dependent.
-        if let Some(&(parent_comp, parent_key, _)) = self.in_flight.last() {
-            if parent_comp == comp.name {
-                self.dependents
-                    .entry((comp.name, key))
-                    .or_default()
-                    .insert(parent_key);
-            }
-        }
         if !self.disabled {
             if let Some(hit) = self.entries.get(&comp.name).and_then(|m| m.get(&key)) {
                 self.stats.hits += 1;
@@ -209,31 +196,6 @@ impl AnalysisCache {
                 .insert(key, value.clone() as Rc<dyn Any>);
         }
         value
-    }
-
-    /// Drop the cached result of analysis `A` for component `comp`, plus
-    /// — recursively — every cached analysis observed to depend on it
-    /// (dependency edges are recorded whenever one `compute` queries
-    /// another), so a dependent can never outlive its inputs. Finer-
-    /// grained than [`AnalysisCache::invalidate`]: the component's
-    /// generation is not bumped and unrelated analyses stay cached. Use
-    /// when a pass knows exactly which facts its mutation staled.
-    pub fn invalidate_analysis<A: Analysis>(&mut self, comp: Id) {
-        self.invalidate_key(comp, TypeId::of::<A>());
-    }
-
-    /// [`AnalysisCache::invalidate_analysis`] by raw key, cascading to
-    /// recorded dependents. Terminates because dependency edges mirror
-    /// `compute` calls, which the cycle check keeps acyclic.
-    fn invalidate_key(&mut self, comp: Id, key: TypeId) {
-        if let Some(m) = self.entries.get_mut(&comp) {
-            m.remove(&key);
-        }
-        if let Some(deps) = self.dependents.get(&(comp, key)) {
-            for dep in deps.clone() {
-                self.invalidate_key(comp, dep);
-            }
-        }
     }
 
     /// Invalidate everything cached for `comp`: bump its generation and
@@ -337,57 +299,6 @@ mod tests {
         let stats = cache.take_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.recomputes, 1, "post-invalidation miss is a recompute");
-    }
-
-    #[test]
-    fn per_analysis_invalidation_keeps_other_entries() {
-        let comp = comp();
-        let mut cache = AnalysisCache::new();
-        cache.get::<CellCount>(&comp);
-        cache.get::<CellCountPlusOne>(&comp);
-        cache.invalidate_analysis::<CellCountPlusOne>(comp.name);
-        assert_eq!(cache.generation(comp.name), 0, "generation untouched");
-        cache.take_stats();
-        cache.get::<CellCount>(&comp);
-        cache.get::<CellCountPlusOne>(&comp);
-        let stats = cache.take_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-    }
-
-    /// Depends on `CellCountPlusOne` (a two-level chain for the cascade).
-    struct CellCountPlusTwo;
-    impl Analysis for CellCountPlusTwo {
-        type Output = usize;
-        const NAME: &'static str = "cell-count-plus-two";
-        fn compute(comp: &Component, cache: &mut AnalysisCache) -> usize {
-            *cache.get::<CellCountPlusOne>(comp) + 1
-        }
-    }
-
-    /// Invalidating an analysis also drops everything computed *from* it —
-    /// transitively — so a cached dependent can never outlive its inputs.
-    #[test]
-    fn per_analysis_invalidation_cascades_to_dependents() {
-        let comp = comp();
-        let mut cache = AnalysisCache::new();
-        cache.get::<CellCountPlusTwo>(&comp); // caches all three levels
-        cache.invalidate_analysis::<CellCount>(comp.name);
-        cache.take_stats();
-        cache.get::<CellCountPlusTwo>(&comp);
-        let stats = cache.take_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 3),
-            "the whole dependent chain must recompute"
-        );
-        // Dependents recorded through a *hit* cascade too: recompute the
-        // chain, then re-query the middle level (a hit) and invalidate the
-        // leaf again.
-        cache.get::<CellCountPlusOne>(&comp);
-        cache.invalidate_analysis::<CellCount>(comp.name);
-        cache.take_stats();
-        cache.get::<CellCountPlusOne>(&comp);
-        assert_eq!(cache.take_stats().hits, 0);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl ParConflicts {
     pub fn groups(&self) -> impl Iterator<Item = Id> + '_ {
         self.groups.iter().copied()
     }
-
-    /// The groups conflicting with `g`.
-    pub fn conflicts_of(&self, g: Id) -> impl Iterator<Item = Id> + '_ {
-        self.edges.get(&g).into_iter().flatten().copied()
-    }
 }
 
 #[cfg(test)]

@@ -215,24 +215,10 @@ impl<'a> Builder<'a> {
         self.push(Some(group), asgn);
     }
 
-    /// Set a guarded done condition: `group[done] = guard ? src`.
-    #[track_caller]
-    pub fn group_done_guarded(&mut self, group: Id, src: impl IntoPortRef, guard: Guard) {
-        let asgn = Assignment::guarded(PortRef::hole(group, "done"), src.into_port_ref(), guard);
-        self.push(Some(group), asgn);
-    }
-
     /// Add a continuous assignment `dst = src`.
     #[track_caller]
     pub fn cont(&mut self, dst: impl IntoPortRef, src: impl IntoPortRef) {
         let asgn = Assignment::new(dst.into_port_ref(), src.into_port_ref());
-        self.push(None, asgn);
-    }
-
-    /// Add a guarded continuous assignment.
-    #[track_caller]
-    pub fn cont_guarded(&mut self, dst: impl IntoPortRef, src: impl IntoPortRef, guard: Guard) {
-        let asgn = Assignment::guarded(dst.into_port_ref(), src.into_port_ref(), guard);
         self.push(None, asgn);
     }
 
@@ -255,14 +241,6 @@ impl<'a> Builder<'a> {
             .unwrap_or_else(|| panic!("no group `{group}`"))
             .attributes
             .insert(key, value);
-    }
-}
-
-/// Extra constructors used by tests and examples; mirror common guard forms.
-impl Builder<'_> {
-    /// Guard reading `cell.port`.
-    pub fn g(&self, cell: Id, port: &str) -> Guard {
-        Guard::port(PortRef::cell(cell, port))
     }
 }
 

@@ -329,11 +329,6 @@ impl Group {
         self.attributes.get(super::attr::static_())
     }
 
-    /// Reference to this group's `go` hole.
-    pub fn go_hole(&self) -> PortRef {
-        PortRef::hole(self.name, "go")
-    }
-
     /// Reference to this group's `done` hole.
     pub fn done_hole(&self) -> PortRef {
         PortRef::hole(self.name, "done")

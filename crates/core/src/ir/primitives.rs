@@ -358,11 +358,6 @@ impl Library {
         self.get(name)
             .ok_or_else(|| Error::undefined(format!("primitive `{name}`")))
     }
-
-    /// Iterate over all definitions (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = &PrimitiveDef> {
-        self.prims.values()
-    }
 }
 
 #[cfg(test)]

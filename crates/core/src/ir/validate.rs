@@ -58,23 +58,6 @@ fn locate(prefix: &str, e: &Error) -> Error {
     }
 }
 
-/// Validate one component.
-///
-/// # Errors
-///
-/// Returns an error when an assignment references undefined ports, widths
-/// mismatch, a destination is not writable, a port has two unconditional
-/// drivers in the same scope, a group never writes its `done` hole, or the
-/// control program references undefined groups.
-pub fn validate_component(comp: &Component) -> CalyxResult<()> {
-    let mut errors = Vec::new();
-    collect_component(comp, &mut errors);
-    match errors.into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 /// Per-component version of [`collect_context`] (without the component-name
 /// wrapping, which the context-level walk applies).
 pub fn collect_component(comp: &Component, sink: &mut Vec<Error>) {
@@ -136,28 +119,6 @@ pub fn require_lowered_component(comp: &Component) -> CalyxResult<()> {
             "component `{}` still has groups/control; run lowering first",
             comp.name
         )));
-    }
-    Ok(())
-}
-
-/// Check that the design rooted at the entrypoint is a single component
-/// (no component-typed cells) — the reference interpreter's elaboration
-/// precondition.
-///
-/// # Errors
-///
-/// Returns [`Error::Malformed`] naming the first component instance, or
-/// [`Error::Undefined`] when the entrypoint is missing.
-pub fn require_single_component(ctx: &Context) -> CalyxResult<()> {
-    let entry = ctx.entry()?;
-    for cell in entry.cells.iter() {
-        if let super::CellType::Component { name } = &cell.prototype {
-            return Err(Error::malformed(format!(
-                "`{}` instantiates component `{name}`; the interpreter only \
-                 supports single-component designs",
-                cell.name
-            )));
-        }
     }
     Ok(())
 }

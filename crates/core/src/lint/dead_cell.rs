@@ -3,9 +3,8 @@
 use super::diagnostic::{Diagnostic, Severity};
 use super::registry::Lint;
 use super::sink::DiagnosticSink;
-use crate::analysis::{AnalysisCache, PortUses};
-use crate::ir::{attr, Context, Control, Id};
-use std::collections::BTreeSet;
+use crate::analysis::{AnalysisCache, BoundaryCells, PortUses};
+use crate::ir::{attr, Context};
 
 /// Flags cells that nothing references: no assignment reads or writes any
 /// of their ports and no control condition observes them. Mirrors what the
@@ -33,11 +32,10 @@ when the schedule never touches them.";
     fn check(&self, ctx: &Context, cache: &mut AnalysisCache, sink: &mut DiagnosticSink) {
         for comp in ctx.components.iter() {
             let uses = cache.get::<PortUses>(comp);
-            let mut condition_cells = BTreeSet::new();
-            collect_condition_cells(&comp.control, &mut condition_cells);
+            let boundary = cache.get::<BoundaryCells>(comp);
             for cell in comp.cells.iter() {
                 if uses.referenced_cells().contains(&cell.name)
-                    || condition_cells.contains(&cell.name)
+                    || boundary.cells().contains(&cell.name)
                     || cell.attributes.has(attr::external())
                 {
                     continue;
@@ -53,31 +51,6 @@ when the schedule never touches them.";
                     .note("the dead-cell-removal pass will delete it during compilation"),
                 );
             }
-        }
-    }
-}
-
-fn collect_condition_cells(control: &Control, out: &mut BTreeSet<Id>) {
-    match control {
-        Control::Empty | Control::Enable { .. } => {}
-        Control::Seq { stmts, .. } | Control::Par { stmts, .. } => {
-            for s in stmts {
-                collect_condition_cells(s, out);
-            }
-        }
-        Control::If {
-            port,
-            tbranch,
-            fbranch,
-            ..
-        } => {
-            out.extend(port.cell_parent());
-            collect_condition_cells(tbranch, out);
-            collect_condition_cells(fbranch, out);
-        }
-        Control::While { port, body, .. } => {
-            out.extend(port.cell_parent());
-            collect_condition_cells(body, out);
         }
     }
 }

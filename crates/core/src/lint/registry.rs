@@ -1,5 +1,5 @@
-//! The named lint registry — the check-side mirror of
-//! [`PassRegistry`](crate::passes::PassRegistry).
+//! The named lint registry: a [`Registry`] of lints, with a unique stable
+//! diagnostic code per lint on top of the shared name contract.
 
 use super::diagnostic::Severity;
 use super::sink::DiagnosticSink;
@@ -8,9 +8,9 @@ use super::{
     UnreachableControl, UnusedPort, WellFormedLint, WidthTruncation,
 };
 use crate::analysis::AnalysisCache;
-use crate::errors::{CalyxResult, Error};
+use crate::errors::CalyxResult;
 use crate::ir::Context;
-use crate::utils::is_kebab_case;
+use crate::utils::{Entry, Registry};
 
 /// A single check that reads a program and reports findings.
 ///
@@ -54,13 +54,28 @@ pub struct RegisteredLint {
     pub run: fn(&Context, &mut AnalysisCache, &mut DiagnosticSink),
 }
 
+impl Entry for RegisteredLint {
+    const KIND: &'static str = "lint";
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        self.description
+    }
+
+    fn note(&self) -> String {
+        format!(" [{}, {}]", self.code, self.severity)
+    }
+}
+
 /// A registry of named lints.
 ///
 /// [`LintRegistry::default`] knows every lint in this crate; tools can
-/// [`register`](LintRegistry::register) their own on top — same
-/// contract as the pass, backend, and frontend registries.
+/// [`register`](LintRegistry::register) their own on top.
 pub struct LintRegistry {
-    lints: Vec<RegisteredLint>,
+    lints: Registry<RegisteredLint>,
 }
 
 impl Default for LintRegistry {
@@ -86,27 +101,22 @@ impl Default for LintRegistry {
 }
 
 impl LintRegistry {
-    /// The standard registry (same as [`LintRegistry::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A registry with no lints, for tools that want full control.
     pub fn empty() -> Self {
-        LintRegistry { lints: Vec::new() }
+        LintRegistry {
+            lints: Registry::default(),
+        }
     }
 
     /// Register lint `L` under its own [`Lint::NAME`].
     ///
     /// # Panics
     ///
-    /// Panics when the name or code is already taken, the name is not
-    /// kebab-case, or the code is not `C` + four digits — these are
-    /// compile-time constants, so a collision is a programming error.
+    /// Panics as [`Registry::insert`] does, and when the code is already
+    /// taken or is not `C` + four digits — these are compile-time
+    /// constants, so a collision is a programming error.
     pub fn register<L: Lint + Default + 'static>(&mut self) {
-        let name = L::NAME;
         let code = L::CODE;
-        assert!(is_kebab_case(name), "lint name `{name}` is not kebab-case");
         assert!(
             code.len() == 5
                 && code.starts_with('C')
@@ -114,15 +124,12 @@ impl LintRegistry {
             "lint code `{code}` is not `C` followed by four digits"
         );
         assert!(
-            self.find(name).is_none(),
-            "lint name `{name}` registered twice"
+            !self.lints().iter().any(|l| l.code == code),
+            "lint code `{code}` taken by two lints (second: `{}`)",
+            L::NAME
         );
-        assert!(
-            !self.lints.iter().any(|l| l.code == code),
-            "lint code `{code}` registered twice"
-        );
-        self.lints.push(RegisteredLint {
-            name,
+        self.lints.insert(RegisteredLint {
+            name: L::NAME,
             code,
             description: L::DESCRIPTION,
             severity: L::SEVERITY,
@@ -133,36 +140,24 @@ impl LintRegistry {
 
     /// All registered lints, in registration order.
     pub fn lints(&self) -> &[RegisteredLint] {
-        &self.lints
-    }
-
-    fn find(&self, name: &str) -> Option<&RegisteredLint> {
-        self.lints.iter().find(|l| l.name == name)
+        self.lints.entries()
     }
 
     /// Look up a lint by name.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Undefined`] listing the valid choices.
+    /// Returns [`Error::Undefined`](crate::errors::Error::Undefined)
+    /// listing the valid choices.
     pub fn get(&self, name: &str) -> CalyxResult<&RegisteredLint> {
-        self.find(name).ok_or_else(|| {
-            Error::undefined(format!(
-                "lint `{name}`; valid lints: {}",
-                self.lints
-                    .iter()
-                    .map(|l| l.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })
+        self.lints.get(name)
     }
 
     /// Run every registered lint over `ctx`, then sort the findings by
     /// source position. This is what `futil check` runs.
     pub fn check_all(&self, ctx: &Context, cache: &mut AnalysisCache) -> DiagnosticSink {
         let mut sink = DiagnosticSink::new();
-        for lint in &self.lints {
+        for lint in self.lints() {
             (lint.run)(ctx, cache, &mut sink);
         }
         sink.sort_by_location();
@@ -173,7 +168,7 @@ impl LintRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::errors::Error;
 
     #[test]
     fn default_registry_has_all_twelve_lints() {
@@ -189,19 +184,6 @@ mod tests {
                 "`{}` needs a real --explain body, not a stub",
                 lint.name
             );
-        }
-    }
-
-    #[test]
-    fn names_and_codes_are_unique_and_well_formed() {
-        let reg = LintRegistry::default();
-        let mut names = BTreeSet::new();
-        let mut codes = BTreeSet::new();
-        for lint in reg.lints() {
-            assert!(is_kebab_case(lint.name), "`{}` not kebab-case", lint.name);
-            assert!(names.insert(lint.name), "duplicate name `{}`", lint.name);
-            assert!(codes.insert(lint.code), "duplicate code `{}`", lint.code);
-            assert!(!lint.description.is_empty());
         }
     }
 
@@ -236,11 +218,22 @@ mod tests {
         }
     }
 
+    /// A second lint under a taken code, whatever its name.
+    #[derive(Default)]
+    struct CodeSquatter;
+    impl Lint for CodeSquatter {
+        const NAME: &'static str = "code-squatter";
+        const CODE: &'static str = ParRace::CODE;
+        const DESCRIPTION: &'static str = "never registers";
+        const SEVERITY: Severity = Severity::Error;
+        const EXPLANATION: &'static str = "";
+        fn check(&self, _: &Context, _: &mut AnalysisCache, _: &mut DiagnosticSink) {}
+    }
+
     #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let mut reg = LintRegistry::default();
-        reg.register::<ParRace>();
+    #[should_panic(expected = "lint code `C0101` taken by two lints (second: `code-squatter`)")]
+    fn duplicate_code_panics() {
+        LintRegistry::default().register::<CodeSquatter>();
     }
 
     /// The hand-written lint tables in `lint/mod.rs` and the README must

@@ -2,10 +2,9 @@
 
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
-use crate::analysis::PortUses;
+use crate::analysis::{BoundaryCells, PortUses};
 use crate::errors::CalyxResult;
-use crate::ir::{attr, Attributes, Component, Control, Id, PortRef};
-use std::collections::BTreeSet;
+use crate::ir::{attr, Component};
 
 /// Deletes cells that no assignment or control statement references at all.
 ///
@@ -15,22 +14,14 @@ use std::collections::BTreeSet;
 /// `@external` are always kept: their state is the component's observable
 /// interface (e.g. result memories).
 ///
-/// A stateful [`Visitor`]: `start_component` pulls the assignment-level
-/// references from the cached [`PortUses`] analysis (instead of re-walking
-/// every assignment), the `start_if`/`start_while` hooks mark
-/// condition-port cells, and `finish_component` sweeps the rest.
+/// The references come from two cached analyses instead of a walk of its
+/// own: [`PortUses`] for every assignment, [`BoundaryCells`] for the
+/// `if`/`while` condition ports.
+///
+/// Stateless, but not a unit struct: every caller constructs it with
+/// `DeadCellRemoval::default()`, which clippy rejects on a unit struct.
 #[derive(Debug, Clone, Default)]
-pub struct DeadCellRemoval {
-    used: BTreeSet<Id>,
-}
-
-impl DeadCellRemoval {
-    fn mark(&mut self, port: &PortRef) {
-        if let Some(c) = port.cell_parent() {
-            self.used.insert(c);
-        }
-    }
-}
+pub struct DeadCellRemoval {}
 
 impl Visitor for DeadCellRemoval {
     fn name(&self) -> &'static str {
@@ -42,54 +33,25 @@ impl Visitor for DeadCellRemoval {
     }
 
     fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
-        self.used = ctx.get::<PortUses>(comp).referenced_cells().clone();
-        Ok(Action::Continue)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_if(
-        &mut self,
-        port: &mut PortRef,
-        _cond: &mut Option<Id>,
-        _tbranch: &mut Control,
-        _fbranch: &mut Control,
-        _attributes: &mut Attributes,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.mark(port);
-        Ok(Action::Continue)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_while(
-        &mut self,
-        port: &mut PortRef,
-        _cond: &mut Option<Id>,
-        _body: &mut Control,
-        _attributes: &mut Attributes,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.mark(port);
-        Ok(Action::Continue)
-    }
-
-    fn finish_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<()> {
+        let uses = ctx.get::<PortUses>(comp);
+        let boundary = ctx.get::<BoundaryCells>(comp);
         let before = comp.cells.len();
-        comp.cells
-            .retain(|c| self.used.contains(&c.name) || c.attributes.has(attr::external()));
+        comp.cells.retain(|c| {
+            uses.referenced_cells().contains(&c.name)
+                || boundary.cells().contains(&c.name)
+                || c.attributes.has(attr::external())
+        });
         if comp.cells.len() != before {
             ctx.set_dirty();
         }
-        Ok(())
+        Ok(Action::SkipChildren)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::parse_context;
+    use crate::ir::{parse_context, Id};
     use crate::passes::Pass;
 
     #[test]

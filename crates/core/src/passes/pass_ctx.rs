@@ -5,8 +5,8 @@ use crate::ir::{Component, Context, Id};
 use std::rc::Rc;
 
 /// What a visitor hook sees besides the component under edit: the read-only
-/// [`Context`] view, the pipeline-wide [`AnalysisCache`], and the dirty
-/// flag that drives cache invalidation.
+/// [`Context`] view and the pipeline-wide [`AnalysisCache`], with the one
+/// dirty signal that invalidates it.
 ///
 /// `PassCtx` derefs to [`Context`], so library and sibling-component
 /// lookups (`ctx.lib`, `ctx.components`) and APIs taking `&Context`
@@ -23,7 +23,8 @@ use std::rc::Rc;
 /// # The dirty signal
 ///
 /// The cache cannot see mutations, so passes report them (the
-/// [invalidation contract](crate::analysis::cache)):
+/// [invalidation contract](crate::analysis::cache)). There is one signal,
+/// and it covers the whole component under visit:
 ///
 /// - Returning [`Action::Change`](super::Action::Change) from any hook
 ///   marks the component dirty automatically.
@@ -31,10 +32,6 @@ use std::rc::Rc;
 ///   groups or cells, rewriting guards — must call [`PassCtx::set_dirty`]
 ///   (from whichever hook performs or detects the mutation, including
 ///   `finish_component`).
-/// - [`PassCtx::invalidate`] drops a single analysis instead, when a pass
-///   knows precisely which fact its mutation staled (e.g. resource
-///   sharing renames only combinational cells, staling `PortUses` but
-///   none of the register or control analyses).
 ///
 /// Invalidation is *immediate*: the signal drops the component's cached
 /// entries (and bumps its generation) right away, so a query later in the
@@ -46,18 +43,12 @@ pub struct PassCtx<'a> {
     /// The component this visit edits (its entry in `ctx` is an inert
     /// placeholder for the duration).
     comp: Id,
-    dirty: bool,
 }
 
 impl<'a> PassCtx<'a> {
     /// Bundle a context view and cache for one visit of component `comp`.
     pub(super) fn new(ctx: &'a Context, cache: &'a mut AnalysisCache, comp: Id) -> Self {
-        PassCtx {
-            ctx,
-            cache,
-            comp,
-            dirty: false,
-        }
+        PassCtx { ctx, cache, comp }
     }
 
     /// Query analysis `A` for `comp` (cached per component generation).
@@ -68,30 +59,7 @@ impl<'a> PassCtx<'a> {
     /// Report that the component under visit was mutated: its cached
     /// analyses are dropped and its generation bumped, immediately.
     pub fn set_dirty(&mut self) {
-        self.dirty = true;
         self.cache.invalidate(self.comp);
-    }
-
-    /// Has a mutation been reported during this visit?
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Drop analysis `A` for component `comp` — and, cascading, every
-    /// cached analysis computed from it — leaving unrelated results and
-    /// the component generation untouched.
-    pub fn invalidate<A: Analysis>(&mut self, comp: Id) {
-        self.cache.invalidate_analysis::<A>(comp);
-    }
-
-    /// The read-only context view (also available through deref).
-    pub fn context(&self) -> &Context {
-        self.ctx
-    }
-
-    /// Direct access to the underlying cache (generation queries, stats).
-    pub fn cache(&mut self) -> &mut AnalysisCache {
-        self.cache
     }
 }
 

@@ -25,7 +25,7 @@ use super::{
     InferStaticTiming, MinimizeRegs, RemoveGroups, ResourceSharing, StaticTiming, WellFormed,
 };
 use crate::errors::{CalyxResult, Error};
-use crate::utils::is_kebab_case;
+use crate::utils::{Entry, Registry};
 
 /// The latency-insensitive lowering pipeline (the paper's §4.2 workflow).
 pub const ALIAS_LOWER: &[&str] = &[
@@ -82,15 +82,47 @@ pub struct RegisteredPass {
     pub construct: fn() -> Box<dyn Pass>,
 }
 
-/// A registry of named passes and pipeline aliases.
+impl Entry for RegisteredPass {
+    const KIND: &'static str = "pass";
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        self.description
+    }
+}
+
+/// A named pipeline; listed with its expansion as the description.
+struct Alias {
+    name: &'static str,
+    expansion: Vec<&'static str>,
+    arrows: String,
+}
+
+impl Entry for Alias {
+    const KIND: &'static str = "alias";
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        &self.arrows
+    }
+}
+
+/// A registry of named passes and pipeline aliases: two [`Registry`]
+/// tables, where an alias may not shadow a pass.
 ///
 /// [`PassRegistry::default`] knows every pass in this crate plus the
 /// standard aliases; frontends can [`register`](PassRegistry::register)
 /// their own passes and [`add_alias`](PassRegistry::add_alias) their own
 /// pipelines on top.
 pub struct PassRegistry {
-    passes: Vec<RegisteredPass>,
-    aliases: Vec<(&'static str, Vec<&'static str>)>,
+    passes: Registry<RegisteredPass>,
+    aliases: Registry<Alias>,
 }
 
 impl Default for PassRegistry {
@@ -121,17 +153,12 @@ impl Default for PassRegistry {
 }
 
 impl PassRegistry {
-    /// The standard registry (same as [`PassRegistry::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A registry with no passes and no aliases, for frontends that want
     /// full control over what is registered.
     pub fn empty() -> Self {
         PassRegistry {
-            passes: Vec::new(),
-            aliases: Vec::new(),
+            passes: Registry::default(),
+            aliases: Registry::default(),
         }
     }
 
@@ -139,19 +166,12 @@ impl PassRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when the name is already taken or is not kebab-case — pass
-    /// names are compile-time constants, so a collision is a programming
-    /// error, not an input error.
+    /// Panics as [`Registry::insert`] does: the name is already taken or
+    /// is not kebab-case.
     pub fn register<P: Pass + Default + 'static>(&mut self) {
         let probe = P::default();
-        let name = Pass::name(&probe);
-        assert!(is_kebab_case(name), "pass name `{name}` is not kebab-case");
-        assert!(
-            self.find(name).is_none(),
-            "pass name `{name}` registered twice"
-        );
-        self.passes.push(RegisteredPass {
-            name,
+        self.passes.insert(RegisteredPass {
+            name: Pass::name(&probe),
             description: Pass::description(&probe),
             construct: || Box::new(P::default()),
         });
@@ -166,37 +186,37 @@ impl PassRegistry {
     /// unregistered pass — alias tables are compile-time constants.
     pub fn add_alias(&mut self, name: &'static str, expansion: &[&'static str]) {
         assert!(
-            self.find(name).is_none() && self.find_alias(name).is_none(),
+            self.passes.find(name).is_none() && self.aliases.find(name).is_none(),
             "alias `{name}` collides with an existing pass or alias"
         );
         for pass in expansion {
             assert!(
-                self.find(pass).is_some(),
+                self.passes.find(pass).is_some(),
                 "alias `{name}` expands to unregistered pass `{pass}`"
             );
         }
-        self.aliases.push((name, expansion.to_vec()));
+        self.aliases.insert(Alias {
+            name,
+            expansion: expansion.to_vec(),
+            arrows: expansion.join(" -> "),
+        });
     }
 
     /// All registered passes, in registration order.
     pub fn passes(&self) -> &[RegisteredPass] {
-        &self.passes
+        self.passes.entries()
     }
 
     /// All aliases with their expansions, in definition order.
     pub fn aliases(&self) -> impl Iterator<Item = (&'static str, &[&'static str])> + '_ {
-        self.aliases.iter().map(|(n, e)| (*n, e.as_slice()))
+        let aliases = self.aliases.entries().iter();
+        aliases.map(|a| (a.name, a.expansion.as_slice()))
     }
 
-    fn find(&self, name: &str) -> Option<&RegisteredPass> {
-        self.passes.iter().find(|p| p.name == name)
-    }
-
-    fn find_alias(&self, name: &str) -> Option<&[&'static str]> {
-        self.aliases
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, e)| e.as_slice())
+    /// The listing rows of the aliases (see [`Entry::rows`]): each
+    /// described by its expansion, `a -> b -> c`.
+    pub fn alias_rows(&self) -> Vec<(&str, &str, String)> {
+        Entry::rows(self.aliases.entries())
     }
 
     /// Expand a mixed list of pass names and aliases into pass names.
@@ -208,23 +228,15 @@ impl PassRegistry {
     pub fn expand(&self, names: &[&str]) -> CalyxResult<Vec<&'static str>> {
         let mut out = Vec::new();
         for &name in names {
-            if let Some(pass) = self.find(name) {
+            if let Some(pass) = self.passes.find(name) {
                 out.push(pass.name);
-            } else if let Some(expansion) = self.find_alias(name) {
-                out.extend_from_slice(expansion);
+            } else if let Some(alias) = self.aliases.find(name) {
+                out.extend_from_slice(&alias.expansion);
             } else {
                 return Err(Error::undefined(format!(
                     "pass or alias `{name}`; valid passes: {}; valid aliases: {}",
-                    self.passes
-                        .iter()
-                        .map(|p| p.name)
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    self.aliases
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", "),
+                    self.passes.names(),
+                    self.aliases.names(),
                 )));
             }
         }
@@ -239,7 +251,10 @@ impl PassRegistry {
     pub fn build(&self, names: &[&str]) -> CalyxResult<PassManager> {
         let mut pm = PassManager::new();
         for name in self.expand(names)? {
-            let pass = self.find(name).expect("expand returns registered names");
+            let pass = self
+                .passes
+                .find(name)
+                .expect("expand returns registered names");
             pm.register_boxed((pass.construct)());
         }
         Ok(pm)
@@ -264,27 +279,11 @@ impl PassManager {
 mod tests {
     use super::*;
     use crate::ir::Context;
-    use std::collections::BTreeSet;
 
     #[test]
     fn default_registry_has_all_twelve_passes() {
         let reg = PassRegistry::default();
         assert_eq!(reg.passes().len(), 12);
-    }
-
-    #[test]
-    fn registered_names_are_unique_and_kebab_case() {
-        let reg = PassRegistry::default();
-        let mut seen = BTreeSet::new();
-        for pass in reg.passes() {
-            assert!(is_kebab_case(pass.name), "`{}` not kebab-case", pass.name);
-            assert!(
-                seen.insert(pass.name),
-                "duplicate pass name `{}`",
-                pass.name
-            );
-            assert!(!pass.description.is_empty());
-        }
     }
 
     #[test]
@@ -357,17 +356,5 @@ mod tests {
                 pass.name
             );
         }
-    }
-
-    #[test]
-    fn kebab_case_predicate() {
-        assert!(is_kebab_case("compile-control"));
-        assert!(is_kebab_case("opt"));
-        assert!(!is_kebab_case(""));
-        assert!(!is_kebab_case("CamelCase"));
-        assert!(!is_kebab_case("snake_case"));
-        assert!(!is_kebab_case("-lead"));
-        assert!(!is_kebab_case("trail-"));
-        assert!(!is_kebab_case("double--dash"));
     }
 }

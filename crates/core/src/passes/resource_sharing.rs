@@ -138,13 +138,9 @@ impl Visitor for ResourceSharing {
             }
         }
 
-        // Local group rewriting. Only combinational cells are renamed —
-        // registers, the control tree, and continuous assignments are
-        // untouched — so of the registered analyses only `PortUses` (and,
-        // via the automatic cascade, anything computed from it) goes
-        // stale; the control and register analyses stay warm.
+        // Local group rewriting: only combinational cells are renamed.
         if !rewrites.is_empty() {
-            ctx.invalidate::<PortUses>(comp.name);
+            ctx.set_dirty();
         }
         for (group, map) in rewrites {
             let rw = Rewriter::from_cells(map);
@@ -241,25 +237,17 @@ mod tests {
         assert!(!ctx.component("main").unwrap().cells.contains(Id::new("a1")));
     }
 
-    /// The pass's fine-grained invalidation: a rewrite renames only
-    /// combinational cells inside groups, so `PortUses` is dropped while
-    /// every control/register analysis (and the component generation)
-    /// survives.
+    /// A rewrite is reported: the component's generation moves, and the
+    /// recomputed `PortUses` reflect the merge.
     #[test]
-    fn rewrite_invalidates_only_port_uses() {
-        use crate::analysis::{AnalysisCache, ParConflicts, PortUses};
+    fn rewrite_signals_dirty() {
+        use crate::analysis::{AnalysisCache, PortUses};
         let mut ctx = parse_context(FIG3).unwrap();
         let mut cache = AnalysisCache::new();
         ResourceSharing.run_with(&mut ctx, &mut cache).unwrap();
-        assert_eq!(cache.generation(Id::new("main")), 0);
-        cache.take_stats();
+        assert_eq!(cache.generation(Id::new("main")), 1);
         let main = ctx.component("main").unwrap();
-        cache.get::<ParConflicts>(main);
-        assert_eq!(cache.stats().hits, 1, "control analyses stay warm");
         let uses = cache.get::<PortUses>(main);
-        let stats = cache.take_stats();
-        assert_eq!(stats.recomputes, 1, "PortUses was dropped by the rewrite");
-        // The recomputed facts reflect the merge: a1 is unreferenced.
         assert!(uses.cell_users(Id::new("a1")).is_empty());
     }
 

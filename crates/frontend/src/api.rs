@@ -18,13 +18,12 @@
 //!    "source" may be a small configuration file, a kernel name, or even
 //!    empty when every parameter came through `--fopt`.
 //!
-//! [`FrontendRegistry`] mirrors the pass and backend registries:
-//! frontends register a unique kebab-case [`Frontend::NAME`] plus a
-//! one-line [`Frontend::DESCRIPTION`], lookups of unknown names return
-//! [`Error::Undefined`] listing the valid choices, and duplicate or
-//! ill-formatted names (or ambiguous extensions) panic at registration
-//! time — they are compile-time constants, so a collision is a
-//! programming error.
+//! [`FrontendRegistry`] is a [`Registry`] of frontends, under the
+//! contract every registry shares: frontends register a unique kebab-case
+//! [`Frontend::NAME`] plus a one-line [`Frontend::DESCRIPTION`], lookups
+//! of unknown names return [`Error::Undefined`] listing the valid
+//! choices, and duplicate or ill-formatted names (or ambiguous
+//! extensions) panic at registration time.
 //!
 //! ```
 //! use calyx_core::ir::parse_context;
@@ -61,7 +60,7 @@
 
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Context;
-use calyx_core::utils::is_kebab_case;
+use calyx_core::utils::{Entry, Registry};
 
 /// Generator parameters collected from the driver's repeated
 /// `--fopt key=value` flags.
@@ -77,11 +76,6 @@ pub struct FrontendOpts {
 }
 
 impl FrontendOpts {
-    /// An empty option bag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one `key=value` flag argument, as passed to `--fopt`.
     ///
     /// # Errors
@@ -232,8 +226,6 @@ pub trait Frontend {
 pub trait DynFrontend {
     /// [`Frontend::NAME`].
     fn name(&self) -> &'static str;
-    /// [`Frontend::DESCRIPTION`].
-    fn description(&self) -> &'static str;
     /// [`Frontend::parse`].
     ///
     /// # Errors
@@ -245,10 +237,6 @@ pub trait DynFrontend {
 impl<F: Frontend> DynFrontend for F {
     fn name(&self) -> &'static str {
         F::NAME
-    }
-
-    fn description(&self) -> &'static str {
-        F::DESCRIPTION
     }
 
     fn parse(&self, src: &str) -> CalyxResult<Context> {
@@ -271,26 +259,37 @@ pub struct RegisteredFrontend {
     ctor: fn(&FrontendOpts) -> CalyxResult<Box<dyn DynFrontend>>,
 }
 
-impl RegisteredFrontend {
-    /// Construct an instance of this frontend from driver options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Frontend::from_opts`].
-    pub fn construct(&self, opts: &FrontendOpts) -> CalyxResult<Box<dyn DynFrontend>> {
-        (self.ctor)(opts)
+impl Entry for RegisteredFrontend {
+    const KIND: &'static str = "frontend";
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        self.description
+    }
+
+    fn extensions(&self) -> Vec<&str> {
+        self.extensions.to_vec()
+    }
+
+    /// One indented `--fopt` line per option the frontend consumes.
+    fn note(&self) -> String {
+        let options = self.options.iter();
+        options
+            .map(|(key, what)| format!("\n    --fopt {key:<15}{what}"))
+            .collect()
     }
 }
 
-/// A registry of named frontends, completing the trilogy of
-/// [`PassRegistry`](calyx_core::passes::PassRegistry) and
-/// `BackendRegistry`.
+/// A registry of named frontends.
 ///
 /// [`FrontendRegistry::default`] knows every frontend in this crate;
 /// drivers can [`register`](FrontendRegistry::register) their own on
 /// top.
 pub struct FrontendRegistry {
-    frontends: Vec<RegisteredFrontend>,
+    frontends: Registry<RegisteredFrontend>,
 }
 
 impl Default for FrontendRegistry {
@@ -307,16 +306,11 @@ impl Default for FrontendRegistry {
 }
 
 impl FrontendRegistry {
-    /// The standard registry (same as [`FrontendRegistry::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A registry with no frontends, for drivers that want full control
     /// over what is selectable.
     pub fn empty() -> Self {
         FrontendRegistry {
-            frontends: Vec::new(),
+            frontends: Registry::default(),
         }
     }
 
@@ -324,29 +318,10 @@ impl FrontendRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when the name is already taken, is not kebab-case, or
-    /// claims an extension another frontend already claims — names and
-    /// extensions are compile-time constants, so a collision is a
-    /// programming error, not an input error.
+    /// Panics as [`Registry::insert`] does: the name is already taken or
+    /// not kebab-case, or an extension is already claimed.
     pub fn register<F: Frontend + 'static>(&mut self) {
-        assert!(
-            is_kebab_case(F::NAME),
-            "frontend name `{}` is not kebab-case",
-            F::NAME
-        );
-        assert!(
-            self.find(F::NAME).is_none(),
-            "frontend name `{}` registered twice",
-            F::NAME
-        );
-        for ext in F::extensions() {
-            assert!(
-                self.by_extension(ext).is_none(),
-                "extension `.{ext}` claimed by two frontends (second: `{}`)",
-                F::NAME
-            );
-        }
-        self.frontends.push(RegisteredFrontend {
+        self.frontends.insert(RegisteredFrontend {
             name: F::NAME,
             description: F::DESCRIPTION,
             extensions: F::extensions(),
@@ -357,31 +332,22 @@ impl FrontendRegistry {
 
     /// All registered frontends, in registration order.
     pub fn frontends(&self) -> &[RegisteredFrontend] {
-        &self.frontends
-    }
-
-    fn find(&self, name: &str) -> Option<&RegisteredFrontend> {
-        self.frontends.iter().find(|f| f.name == name)
+        self.frontends.entries()
     }
 
     /// The frontend claiming file extension `ext` (without the leading
     /// dot; ASCII case-insensitive), if any.
     pub fn by_extension(&self, ext: &str) -> Option<&RegisteredFrontend> {
-        self.frontends
-            .iter()
-            .find(|f| f.extensions.iter().any(|e| e.eq_ignore_ascii_case(ext)))
+        self.frontends.by_extension(ext)
     }
 
     /// The frontend inferred from `path`'s file extension, if any.
     ///
     /// This is the one extension-inference rule shared by the `futil`
     /// driver, the batch/serve engine, and the plan-based build graph —
-    /// keep them on this helper so the inference can never diverge.
+    /// all of them reach [`Registry::infer_for_path`].
     pub fn infer_for_path(&self, path: &str) -> Option<&RegisteredFrontend> {
-        std::path::Path::new(path)
-            .extension()
-            .and_then(|e| e.to_str())
-            .and_then(|ext| self.by_extension(ext))
+        self.frontends.infer_for_path(path)
     }
 
     /// Resolve the frontend name for an input: an explicit name wins,
@@ -412,24 +378,13 @@ impl FrontendRegistry {
     /// [`Frontend::from_opts`] errors (unknown `--fopt` keys, invalid
     /// values).
     pub fn get(&self, name: &str, opts: &FrontendOpts) -> CalyxResult<Box<dyn DynFrontend>> {
-        match self.find(name) {
-            Some(f) => f.construct(opts),
-            None => Err(Error::undefined(format!(
-                "frontend `{name}`; valid frontends: {}",
-                self.frontends
-                    .iter()
-                    .map(|f| f.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))),
-        }
+        (self.frontends.get(name)?.ctor)(opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
     fn default_registry_has_all_four_frontends() {
@@ -439,28 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn registered_names_are_unique_kebab_case_and_described() {
+    fn extension_lookup_reaches_the_declared_claims() {
         let reg = FrontendRegistry::default();
-        let mut seen = BTreeSet::new();
-        for f in reg.frontends() {
-            assert!(is_kebab_case(f.name), "`{}` not kebab-case", f.name);
-            assert!(seen.insert(f.name), "duplicate frontend name `{}`", f.name);
-            assert!(!f.description.is_empty());
-        }
-    }
-
-    #[test]
-    fn extension_lookup_is_unambiguous_and_case_insensitive() {
-        let reg = FrontendRegistry::default();
-        let mut seen = BTreeSet::new();
-        for f in reg.frontends() {
-            for ext in f.extensions {
-                assert!(
-                    seen.insert(ext.to_ascii_lowercase()),
-                    "extension `.{ext}` claimed twice"
-                );
-            }
-        }
         assert_eq!(reg.by_extension("futil").unwrap().name, "calyx");
         assert_eq!(reg.by_extension("FUSE").unwrap().name, "dahlia");
         assert_eq!(reg.by_extension("systolic").unwrap().name, "systolic");
@@ -540,35 +475,6 @@ mod tests {
         opts.push_flag("rows=3").unwrap();
         // Later flags override earlier ones.
         assert_eq!(opts.get("rows"), Some("3"));
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let mut reg = FrontendRegistry::empty();
-        reg.register::<crate::native::CalyxFrontend>();
-        reg.register::<crate::native::CalyxFrontend>();
-    }
-
-    struct BadName;
-    impl Frontend for BadName {
-        const NAME: &'static str = "Bad_Name";
-        const DESCRIPTION: &'static str = "never registers";
-        fn extensions() -> &'static [&'static str] {
-            &[]
-        }
-        fn from_opts(_: &FrontendOpts) -> CalyxResult<Self> {
-            Ok(BadName)
-        }
-        fn parse(&self, _: &str) -> CalyxResult<Context> {
-            Ok(Context::new())
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not kebab-case")]
-    fn non_kebab_case_name_panics() {
-        FrontendRegistry::empty().register::<BadName>();
     }
 
     struct ExtensionSquatter;

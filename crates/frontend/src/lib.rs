@@ -18,10 +18,11 @@
 //! - [`Frontend::parse`] — source text in, Calyx
 //!   [`Context`](calyx_core::ir::Context) out.
 //!
-//! [`FrontendRegistry`] completes the registry trilogy started by the
-//! pass registry and the backend registry: selection by name with
-//! unknown names listing the valid choices, panics on malformed or
-//! duplicate registrations, plus extension-based lookup for inference.
+//! [`FrontendRegistry`] is a [`Registry`](calyx_core::utils::Registry) of
+//! frontends, under the contract every registry in the workspace shares:
+//! selection by name with unknown names listing the valid choices, panics
+//! on malformed or duplicate registrations, plus extension-based lookup
+//! for inference.
 //! Four frontends are registered by default:
 //!
 //! | Frontend | Source | Generates |

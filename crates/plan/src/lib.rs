@@ -10,10 +10,10 @@
 //! fud-style "states and ops" workflow, reproduced over this
 //! repository's own registries.
 //!
-//! - [`PlanGraph`] is the fifth registry: typed [`State`]s, one per
-//!   artifact kind (Dahlia source, canonical Calyx, lowered Calyx,
-//!   SystemVerilog, simulation/area/lint reports), connected by
-//!   [`Op`]s. The standard graph is *derived* from the frontend,
+//! - [`PlanGraph`] is two more [`Registry`](calyx_core::utils::Registry)
+//!   tables: typed [`State`]s, one per artifact kind (Dahlia source,
+//!   canonical Calyx, lowered Calyx, SystemVerilog, simulation/area/lint
+//!   reports), connected by [`Op`]s. The standard graph is *derived* from the frontend,
 //!   pass-alias, backend, and lint registries by [`derive::standard`],
 //!   so registering a new frontend or backend automatically grows the
 //!   plan space; third parties add bespoke states and ops with

@@ -12,8 +12,8 @@
 //! Ops are registered through [`OpSpec`] — either by the derivation in
 //! [`derive`](crate::derive) (one op per frontend, pass alias, backend,
 //! plus the composite lint op) or by third parties via
-//! [`PlanGraph::add_op`](crate::PlanGraph::add_op), exactly like the
-//! other four registries accept foreign entries. An op runs against an
+//! [`PlanGraph::add_op`](crate::PlanGraph::add_op), exactly like every
+//! other [`Registry`](calyx_core::utils::Registry) accepts foreign entries. An op runs against an
 //! [`ExecEnv`], which is the compile core's
 //! [`Session`](calyx_service::Session): the derived ops are each one
 //! [`Job`](calyx_service::Job) compiled through it.
@@ -94,6 +94,24 @@ pub struct OpSpec {
 /// A registered op (same shape as [`OpSpec`]; stored by the graph).
 pub struct Op {
     pub(crate) spec: OpSpec,
+    /// ` [from -> to]` by state name, for listings.
+    pub(crate) endpoints: String,
+}
+
+impl calyx_core::utils::Entry for Op {
+    const KIND: &'static str = "op";
+
+    fn name(&self) -> &str {
+        &self.spec.name
+    }
+
+    fn description(&self) -> &str {
+        &self.spec.description
+    }
+
+    fn note(&self) -> String {
+        self.endpoints.clone()
+    }
 }
 
 impl Op {
@@ -172,6 +190,7 @@ mod tests {
                 uses,
                 run: Box::new(|s, _, _| Ok(s.to_uppercase())),
             },
+            endpoints: String::new(),
         }
     }
 

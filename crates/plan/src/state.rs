@@ -19,13 +19,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub(crate) usize);
 
-impl StateId {
-    /// The raw index (stable for the life of the graph).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// One artifact kind the planner can route from or to.
 #[derive(Debug, Clone)]
 pub struct State {
@@ -38,4 +31,20 @@ pub struct State {
     pub extensions: Vec<String>,
     /// Extension cached artifacts of this state are stored under.
     pub artifact_ext: String,
+}
+
+impl calyx_core::utils::Entry for State {
+    const KIND: &'static str = "state";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn description(&self) -> &str {
+        &self.description
+    }
+
+    fn extensions(&self) -> Vec<&str> {
+        self.extensions.iter().map(String::as_str).collect()
+    }
 }

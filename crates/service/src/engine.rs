@@ -16,7 +16,7 @@
 use crate::cache::{CacheStats, ParseCache};
 use crate::metrics::{BatchSummary, StageTimes};
 use crate::pool::{catch_job_panic, WorkerPool};
-use crate::protocol::{JobRequest, JobResponse, Status, LIST_KINDS};
+use crate::protocol::{JobRequest, JobResponse, Status};
 use crate::session::{Job, Session};
 use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
 use calyx_frontend::FrontendRegistry;
@@ -181,53 +181,26 @@ impl CompileService {
         self.inner.cache.stats()
     }
 
-    /// The `(name, description)` rows of one registry, for `list`
-    /// requests and `--list-*` flags. `kind` is one of [`LIST_KINDS`].
+    /// The `(name, description)` items of one registry, for `list`
+    /// requests: [`Session::rows`] without the notes, and for `passes`
+    /// the pipeline aliases after them, marked `alias: `.
     ///
     /// # Errors
     ///
     /// Returns a message naming the valid kinds when `kind` is not one.
     pub fn list_items(&self, kind: &str) -> Result<Vec<(String, String)>, String> {
         let session = &self.inner.session;
-        match kind {
-            "frontends" => Ok(session
-                .frontends
-                .frontends()
-                .iter()
-                .map(|f| (f.name.to_string(), f.description.to_string()))
-                .collect()),
-            "backends" => Ok(session
-                .backends
-                .backends()
-                .iter()
-                .map(|b| (b.name.to_string(), b.description.to_string()))
-                .collect()),
-            "passes" => {
-                let registry = &session.passes;
-                let mut items: Vec<(String, String)> = registry
-                    .passes()
-                    .iter()
-                    .map(|p| (p.name.to_string(), p.description.to_string()))
-                    .collect();
-                items.extend(registry.aliases().map(|(alias, expansion)| {
-                    (
-                        alias.to_string(),
-                        format!("alias: {}", expansion.join(" -> ")),
-                    )
-                }));
-                Ok(items)
+        let rows = session.rows(kind)?;
+        let mut items: Vec<(String, String)> = rows
+            .iter()
+            .map(|(name, description, _)| (name.to_string(), description.to_string()))
+            .collect();
+        if kind == "passes" {
+            for (alias, expansion, _) in session.passes.alias_rows() {
+                items.push((alias.to_string(), format!("alias: {expansion}")));
             }
-            "lints" => Ok(session
-                .lints
-                .lints()
-                .iter()
-                .map(|l| (l.name.to_string(), l.description.to_string()))
-                .collect()),
-            other => Err(format!(
-                "unknown listing `{other}`; valid kinds: {}",
-                LIST_KINDS.join(", ")
-            )),
         }
+        Ok(items)
     }
 
     /// Execute one job to completion, honoring its timeout and catching
@@ -671,7 +644,7 @@ component main() -> () {
     #[test]
     fn listings_cover_every_kind() {
         let service = CompileService::new();
-        for kind in LIST_KINDS {
+        for kind in Session::list_kinds() {
             let items = service.list_items(kind).unwrap();
             assert!(!items.is_empty(), "no items for `{kind}`");
         }

@@ -66,8 +66,7 @@ pub use engine::{write_atomic, CompileService, JobDefaults};
 pub use metrics::{percentile, BatchSummary, StageTimes};
 pub use pool::{catch_job_panic, WorkerPool};
 pub use protocol::{
-    render_listing, JobRequest, JobResponse, Request, Status, LIST_KINDS, REQUEST_KEYS,
-    RESPONSE_KEYS,
+    render_listing, JobRequest, JobResponse, Request, Status, REQUEST_KEYS, RESPONSE_KEYS,
 };
 #[cfg(unix)]
 pub use server::serve_socket;

@@ -12,6 +12,7 @@
 
 use crate::json::{self, escape, Json};
 use crate::metrics::StageTimes;
+use crate::session::Session;
 
 /// Every key a request object may carry, with the one-line description
 /// the README protocol table quotes. The parser rejects anything else.
@@ -95,10 +96,6 @@ pub const RESPONSE_KEYS: &[(&str, &str)] = &[
         "listing payload: array of `{name, description}` objects",
     ),
 ];
-
-/// The registries a `list` request may name, in the order the driver's
-/// `--list-*` flags advertise them.
-pub const LIST_KINDS: &[&str] = &["frontends", "backends", "passes", "lints"];
 
 /// Terminal state of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,11 +267,12 @@ impl Request {
                 }
                 "list" => {
                     let kind = expect_str(m)?;
-                    if !LIST_KINDS.contains(&kind.as_str()) {
+                    let kinds = Session::list_kinds();
+                    if !kinds.contains(&kind.as_str()) {
                         return Err(format!(
                             "key `list` at column {} expects one of: {}",
                             m.col,
-                            LIST_KINDS.join(", ")
+                            kinds.join(", ")
                         ));
                     }
                     list = Some(kind);
@@ -572,7 +570,7 @@ mod tests {
                 "README protocol table out of sync for `{key}`: expected row `{row}`"
             );
         }
-        for kind in LIST_KINDS {
+        for kind in Session::list_kinds() {
             assert!(
                 readme.contains(&format!("`{kind}`")),
                 "README never mentions list kind `{kind}`"

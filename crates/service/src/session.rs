@@ -26,6 +26,7 @@ use calyx_core::errors::Error;
 use calyx_core::ir::Context;
 use calyx_core::lint::{DiagnosticSink, LintRegistry};
 use calyx_core::passes::{PassManager, PassRegistry};
+use calyx_core::utils::Entry;
 use calyx_frontend::{DynFrontend, FrontendOpts, FrontendRegistry};
 use std::io::Write;
 use std::time::Instant;
@@ -174,7 +175,47 @@ pub struct Compiled {
     pub stages: StageTimes,
 }
 
+/// The rows of one listing: `(name, description, note)` per entry, as
+/// [`Entry::rows`] builds them.
+type Rows<'a> = Vec<(&'a str, &'a str, String)>;
+
+/// Where a listing's rows come from.
+type RowsOf = for<'a> fn(&'a Session) -> Rows<'a>;
+
 impl Session {
+    /// The listings a session answers, one per registry: the kind word
+    /// that `--list-<kind>` flags and `list` requests name it by, in the
+    /// order the usage text advertises them, and where its rows come
+    /// from.
+    const LISTINGS: &'static [(&'static str, RowsOf)] = &[
+        ("frontends", |s| Entry::rows(s.frontends.frontends())),
+        ("backends", |s| Entry::rows(s.backends.backends())),
+        ("passes", |s| Entry::rows(s.passes.passes())),
+        ("lints", |s| Entry::rows(s.lints.lints())),
+    ];
+
+    /// The kinds [`Session::rows`] answers.
+    pub fn list_kinds() -> Vec<&'static str> {
+        Self::LISTINGS.iter().map(|(kind, _)| *kind).collect()
+    }
+
+    /// The rows of the registry `kind` names. Pipeline aliases are not
+    /// among the `passes`: they are
+    /// [`PassRegistry::alias_rows`](calyx_core::passes::PassRegistry::alias_rows).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the valid kinds when `kind` is not one.
+    pub fn rows(&self, kind: &str) -> Result<Rows<'_>, String> {
+        match Self::LISTINGS.iter().find(|(k, _)| *k == kind) {
+            Some((_, rows)) => Ok(rows(self)),
+            None => Err(format!(
+                "unknown listing `{kind}`; valid kinds: {}",
+                Self::list_kinds().join(", ")
+            )),
+        }
+    }
+
     /// Look up everything `job` names: the backend, the frontend
     /// (constructed from the job's `--fopt` pairs), and the pipeline.
     ///

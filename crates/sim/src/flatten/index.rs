@@ -98,11 +98,6 @@ impl<I: FlatIdx, T> IndexedMap<I, T> {
         I::new(self.data.len())
     }
 
-    /// Entry lookup that tolerates out-of-range indices.
-    pub fn get(&self, idx: I) -> Option<&T> {
-        self.data.get(idx.index())
-    }
-
     /// Iterate over the stored values in index order.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()

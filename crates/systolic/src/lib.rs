@@ -55,19 +55,6 @@ impl SystolicConfig {
     }
 }
 
-/// Names of the memories the generated design exposes (all `@external`).
-///
-/// - `l{r}`: row `r` of A, length `inner`;
-/// - `t{c}`: column `c` of B, length `inner`;
-/// - `out`: the rows×cols result, row-major.
-pub fn memory_names(cfg: &SystolicConfig) -> (Vec<String>, Vec<String>, String) {
-    (
-        (0..cfg.rows).map(|r| format!("l{r}")).collect(),
-        (0..cfg.cols).map(|c| format!("t{c}")).collect(),
-        "out".to_string(),
-    )
-}
-
 /// Generate the default multiply–accumulate PE.
 ///
 /// Interface: inputs `top`, `left` (the streamed operands); output `out`
@@ -131,7 +118,9 @@ pub fn build_mac_pe(ctx: &Context, width: u32) -> Component {
 ///
 /// The returned context contains the PE component and a `main` component
 /// with the memories, fabric registers, data-movement groups, and the
-/// wavefront control schedule.
+/// wavefront control schedule. Its memories (all `@external`) are `l{r}`
+/// (row `r` of A, length `inner`), `t{c}` (column `c` of B, length
+/// `inner`) and `out` (the rows×cols result, row-major).
 #[allow(clippy::needless_range_loop)]
 pub fn generate(cfg: &SystolicConfig) -> Context {
     let mut ctx = Context::new();
