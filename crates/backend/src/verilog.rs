@@ -6,13 +6,21 @@
 //! irrelevant); primitive instances reference a prelude of parameterized
 //! primitive modules emitted alongside the design. A clock is threaded
 //! through every module exactly as the paper describes.
+//!
+//! Text is built in one `String` buffer that [`emit_to`] reuses: the
+//! header and prelude, then each module, are appended to it piece by
+//! piece (every helper takes the buffer and appends; none returns a
+//! `String`) and handed to the writer with one `write_all` each. A guard
+//! is walked once, and the buffer never holds more than one module.
 
 use crate::api::{Backend, BackendOpts};
-use calyx_core::errors::CalyxResult;
+use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, PortRef,
+    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, Id, PortParent,
+    PortRef,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::io;
 
 /// Produce the module text of a combinational binary primitive.
@@ -71,45 +79,58 @@ impl Backend for VerilogBackend {
 }
 
 /// Stream a complete SystemVerilog translation unit for the lowered
-/// program into `out` — the hot emission path (no intermediate `String`
-/// for the whole design).
+/// program into `out` — the hot emission path. No `String` ever holds the
+/// whole design: one buffer is filled with the header and prelude, then
+/// cleared and refilled per module, and handed to `out` with one
+/// `write_all` each time, so a write that `out` refuses whole leaves
+/// whole modules behind it.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Malformed`](calyx_core::errors::Error::Malformed)
-/// *before writing anything* when a component still contains groups or
-/// control (run the lowering pipeline first), and
-/// [`Error::Io`](calyx_core::errors::Error::Io) when `out` fails.
+/// Returns [`Error::Malformed`] *before writing anything* when a
+/// component still contains groups or control (run the lowering pipeline
+/// first) or a cell instantiates a primitive this backend has no
+/// template for, and [`Error::Io`] when `out` fails.
 pub fn emit_to(ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
     // Validate every component before the first byte so a precondition
     // failure cannot leave partial output in `out`.
     validate::require_lowered(ctx)?;
     let order = ctx.topological_order()?;
 
-    writeln!(out, "// Generated by the Calyx reproduction compiler.")?;
-    writeln!(out, "`default_nettype none\n")?;
-
-    // Primitive prelude: only the primitives the design uses.
-    let mut used_prims: BTreeSet<&'static str> = BTreeSet::new();
+    // Primitive prelude: only the primitives the design uses, by name.
+    let mut used_prims: BTreeMap<&'static str, &'static str> = BTreeMap::new();
     for comp in ctx.components.iter() {
         for cell in comp.cells.iter() {
             if let CellType::Primitive { name, .. } = &cell.prototype {
-                used_prims.insert(prim_template_name(name.as_str()));
+                let module = prim_module(name.as_str()).ok_or_else(|| {
+                    Error::malformed(format!(
+                        "cell `{}` of component `{}` instantiates primitive `{name}`, \
+                         which has no SystemVerilog template",
+                        cell.name, comp.name
+                    ))
+                })?;
+                used_prims.insert(name.as_str(), module);
             }
         }
     }
-    for prim in used_prims {
-        out.write_all(prim_module(prim).as_bytes())?;
-        writeln!(out)?;
+
+    let mut buf =
+        String::from("// Generated by the Calyx reproduction compiler.\n`default_nettype none\n\n");
+    for module in used_prims.into_values() {
+        buf.push_str(module);
+        buf.push('\n');
     }
+    out.write_all(buf.as_bytes())?;
 
     for name in order {
         let comp = ctx
             .components
             .get(name)
             .expect("topological order lists existing components");
-        emit_component(comp, out)?;
-        writeln!(out)?;
+        buf.clear();
+        emit_component(comp, &mut buf)?;
+        buf.push('\n');
+        out.write_all(buf.as_bytes())?;
     }
     Ok(())
 }
@@ -134,154 +155,179 @@ pub fn line_count(sv: &str) -> usize {
     sv.lines().filter(|l| !l.trim().is_empty()).count()
 }
 
-fn emit_component(comp: &Component, out: &mut dyn io::Write) -> CalyxResult<()> {
-    writeln!(out, "module {} (", comp.name)?;
-    let mut ports: Vec<String> = comp
-        .signature
-        .iter()
-        .map(|p| {
-            let dir = match p.direction {
-                Direction::Input => "input",
-                Direction::Output => "output",
-            };
-            format!("  {dir} logic {}{}", range(p.width), p.name)
-        })
-        .collect();
-    ports.push("  input logic clk".to_string());
-    writeln!(out, "{}\n);", ports.join(",\n"))?;
+/// Append `n` in decimal.
+fn decimal(n: u64, buf: &mut String) {
+    write!(buf, "{n}").expect("writing to a String cannot fail");
+}
+
+/// Append the module of `comp`, through its `endmodule` line.
+fn emit_component(comp: &Component, buf: &mut String) -> CalyxResult<()> {
+    buf.push_str("module ");
+    buf.push_str(comp.name.as_str());
+    buf.push_str(" (\n");
+    for p in &comp.signature {
+        buf.push_str(match p.direction {
+            Direction::Input => "  input logic ",
+            Direction::Output => "  output logic ",
+        });
+        range(p.width, buf);
+        buf.push_str(p.name.as_str());
+        buf.push_str(",\n");
+    }
+    buf.push_str("  input logic clk\n);\n");
 
     // Nets for every cell port.
     for cell in comp.cells.iter() {
         for p in &cell.ports {
-            writeln!(out, "  logic {}{}_{};", range(p.width), cell.name, p.name)?;
+            buf.push_str("  logic ");
+            range(p.width, buf);
+            cell_net(cell.name, p.name, buf);
+            buf.push_str(";\n");
         }
     }
 
-    // Instances.
+    // Instances. A primitive's template carries its own name.
     for cell in comp.cells.iter() {
-        match &cell.prototype {
+        buf.push_str("  ");
+        let has_clk = match &cell.prototype {
             CellType::Primitive { name, params } => {
-                let template = prim_template_name(name.as_str());
-                let parameters = prim_parameters(name.as_str(), params);
-                let conns: Vec<String> = cell
-                    .ports
-                    .iter()
-                    .map(|p| format!(".{}({}_{})", p.name, cell.name, p.name))
-                    .chain(prim_has_clk(name.as_str()).then(|| ".clk(clk)".to_string()))
-                    .collect();
-                writeln!(
-                    out,
-                    "  {template} #({parameters}) {} ({});",
-                    cell.name,
-                    conns.join(", ")
-                )?;
+                buf.push_str(name.as_str());
+                buf.push_str(" #(");
+                prim_parameters(name.as_str(), params, buf);
+                buf.push_str(") ");
+                prim_has_clk(name.as_str())
             }
             CellType::Component { name } => {
-                let conns: Vec<String> = cell
-                    .ports
-                    .iter()
-                    .map(|p| format!(".{}({}_{})", p.name, cell.name, p.name))
-                    .chain(std::iter::once(".clk(clk)".to_string()))
-                    .collect();
-                writeln!(out, "  {name} {} ({});", cell.name, conns.join(", "))?;
+                buf.push_str(name.as_str());
+                buf.push(' ');
+                true
             }
+        };
+        buf.push_str(cell.name.as_str());
+        buf.push_str(" (");
+        let mut sep = "";
+        for p in &cell.ports {
+            buf.push_str(sep);
+            sep = ", ";
+            buf.push('.');
+            buf.push_str(p.name.as_str());
+            buf.push('(');
+            cell_net(cell.name, p.name, buf);
+            buf.push(')');
         }
+        if has_clk {
+            buf.push_str(sep);
+            buf.push_str(".clk(clk)");
+        }
+        buf.push_str(");\n");
     }
 
-    // Drivers: all assignments to the same port merge into a ternary chain.
+    // Drivers: all assignments to the same port merge into a ternary chain
+    // `G1 ? S1 : G2 ? S2 : … : W'd0`, which ends early at the first
+    // unguarded driver.
     let mut drivers: BTreeMap<PortRef, Vec<&Assignment>> = BTreeMap::new();
     for asgn in &comp.continuous {
         drivers.entry(asgn.dst).or_default().push(asgn);
     }
     for (dst, asgns) in drivers {
         let width = comp.port_width(&dst)?;
-        let mut expr = format!("{width}'d0");
-        for asgn in asgns.iter().rev() {
-            let src = atom_expr(&asgn.src);
-            expr = if asgn.guard.is_true() {
-                src
-            } else {
-                format!("{} ? {} : {}", guard_expr(&asgn.guard), src, expr)
-            };
+        buf.push_str("  assign ");
+        port_net(&dst, buf);
+        buf.push_str(" = ");
+        let mut closed = false;
+        for asgn in asgns {
+            if asgn.guard.is_true() {
+                atom_expr(&asgn.src, buf);
+                closed = true;
+                break;
+            }
+            guard_expr(&asgn.guard, buf);
+            buf.push_str(" ? ");
+            atom_expr(&asgn.src, buf);
+            buf.push_str(" : ");
         }
-        writeln!(out, "  assign {} = {};", port_net(&dst), expr)?;
+        if !closed {
+            sized_constant(width, 0, buf);
+        }
+        buf.push_str(";\n");
     }
 
-    writeln!(out, "endmodule")?;
+    buf.push_str("endmodule\n");
     Ok(())
 }
 
-fn range(width: u32) -> String {
-    if width == 1 {
-        String::new()
-    } else {
-        format!("[{}:0] ", width - 1)
+/// Append the packed range of a `width`-bit net (nothing for one bit).
+fn range(width: u32, buf: &mut String) {
+    if width != 1 {
+        buf.push('[');
+        decimal(u64::from(width - 1), buf);
+        buf.push_str(":0] ");
     }
 }
 
-fn port_net(p: &PortRef) -> String {
+/// Append the net of port `port` of cell `cell`.
+fn cell_net(cell: Id, port: Id, buf: &mut String) {
+    buf.push_str(cell.as_str());
+    buf.push('_');
+    buf.push_str(port.as_str());
+}
+
+fn port_net(p: &PortRef, buf: &mut String) {
     match p.parent {
-        calyx_core::ir::PortParent::Cell(c) => format!("{}_{}", c, p.port),
-        calyx_core::ir::PortParent::This => p.port.to_string(),
-        calyx_core::ir::PortParent::Group(_) => unreachable!("holes are erased before emission"),
+        PortParent::Cell(c) => cell_net(c, p.port, buf),
+        PortParent::This => buf.push_str(p.port.as_str()),
+        PortParent::Group(_) => unreachable!("holes are erased before emission"),
     }
 }
 
-fn atom_expr(a: &Atom) -> String {
+/// Append `W'dV`.
+fn sized_constant(width: u32, val: u64, buf: &mut String) {
+    decimal(u64::from(width), buf);
+    buf.push_str("'d");
+    decimal(val, buf);
+}
+
+fn atom_expr(a: &Atom, buf: &mut String) {
     match a {
-        Atom::Port(p) => port_net(p),
-        Atom::Const { val, width } => format!("{width}'d{val}"),
+        Atom::Port(p) => port_net(p, buf),
+        Atom::Const { val, width } => sized_constant(*width, *val, buf),
     }
 }
 
-fn guard_expr(g: &Guard) -> String {
+fn guard_expr(g: &Guard, buf: &mut String) {
     match g {
-        Guard::True => "1'b1".to_string(),
-        Guard::Port(p) => port_net(p),
-        Guard::Not(inner) => format!("~({})", guard_expr(inner)),
-        Guard::And(a, b) => format!("({} & {})", guard_expr(a), guard_expr(b)),
-        Guard::Or(a, b) => format!("({} | {})", guard_expr(a), guard_expr(b)),
+        Guard::True => buf.push_str("1'b1"),
+        Guard::Port(p) => port_net(p, buf),
+        Guard::Not(inner) => {
+            buf.push_str("~(");
+            guard_expr(inner, buf);
+            buf.push(')');
+        }
+        Guard::And(a, b) => binary_expr(a, " & ", b, buf),
+        Guard::Or(a, b) => binary_expr(a, " | ", b, buf),
         Guard::Comp(op, l, r) => {
-            format!("({} {} {})", atom_expr(l), op.as_str(), atom_expr(r))
+            buf.push('(');
+            atom_expr(l, buf);
+            buf.push(' ');
+            buf.push_str(op.as_str());
+            buf.push(' ');
+            atom_expr(r, buf);
+            buf.push(')');
         }
     }
 }
 
-/// Which template implements a primitive (memories share one template per
-/// dimensionality; everything else is 1:1).
-fn prim_template_name(prim: &str) -> &'static str {
-    match prim {
-        "std_reg" => "std_reg",
-        "std_add" => "std_add",
-        "std_sub" => "std_sub",
-        "std_and" => "std_and",
-        "std_or" => "std_or",
-        "std_xor" => "std_xor",
-        "std_not" => "std_not",
-        "std_lsh" => "std_lsh",
-        "std_rsh" => "std_rsh",
-        "std_lt" => "std_lt",
-        "std_gt" => "std_gt",
-        "std_eq" => "std_eq",
-        "std_neq" => "std_neq",
-        "std_ge" => "std_ge",
-        "std_le" => "std_le",
-        "std_slt" => "std_slt",
-        "std_sgt" => "std_sgt",
-        "std_slice" => "std_slice",
-        "std_pad" => "std_pad",
-        "std_wire" => "std_wire",
-        "std_mem_d1" => "std_mem_d1",
-        "std_mem_d2" => "std_mem_d2",
-        "std_mem_d3" => "std_mem_d3",
-        "std_mult_pipe" => "std_mult_pipe",
-        "std_div_pipe" => "std_div_pipe",
-        "std_sqrt" => "std_sqrt",
-        other => panic!("no SystemVerilog template for `{other}`"),
-    }
+/// Append `(A op B)`.
+fn binary_expr(a: &Guard, op: &str, b: &Guard, buf: &mut String) {
+    buf.push('(');
+    guard_expr(a, buf);
+    buf.push_str(op);
+    guard_expr(b, buf);
+    buf.push(')');
 }
 
-fn prim_parameters(prim: &str, params: &[u64]) -> String {
+/// Append a primitive instance's `.NAME(value)` parameter list.
+fn prim_parameters(prim: &str, params: &[u64], buf: &mut String) {
     let names: &[&str] = match prim {
         "std_slice" | "std_pad" => &[".IN_WIDTH", ".OUT_WIDTH"],
         "std_mem_d1" => &[".WIDTH", ".SIZE", ".IDX_SIZE"],
@@ -303,12 +349,15 @@ fn prim_parameters(prim: &str, params: &[u64]) -> String {
         ],
         _ => &[".WIDTH"],
     };
-    names
-        .iter()
-        .zip(params)
-        .map(|(n, v)| format!("{n}({v})"))
-        .collect::<Vec<_>>()
-        .join(", ")
+    let mut sep = "";
+    for (name, value) in names.iter().zip(params) {
+        buf.push_str(sep);
+        sep = ", ";
+        buf.push_str(name);
+        buf.push('(');
+        decimal(*value, buf);
+        buf.push(')');
+    }
 }
 
 fn prim_has_clk(prim: &str) -> bool {
@@ -324,9 +373,11 @@ fn prim_has_clk(prim: &str) -> bool {
     )
 }
 
-/// SystemVerilog source of a primitive module.
-fn prim_module(template: &'static str) -> &'static str {
-    match template {
+/// SystemVerilog source of the module implementing a primitive, which
+/// carries the primitive's name; `None` for a primitive this backend has
+/// no template for (a user-added one).
+fn prim_module(prim: &str) -> Option<&'static str> {
+    Some(match prim {
         "std_reg" => {
             r#"module std_reg #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] in, input logic write_en, input logic clk,
@@ -480,14 +531,14 @@ endmodule"#
   end
 endmodule"#
         }
-        other => panic!("no template body for `{other}`"),
-    }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calyx_core::ir::parse_context;
+    use calyx_core::ir::{parse_context, Library};
     use calyx_core::passes;
 
     fn lowered(src: &str) -> Context {
@@ -561,5 +612,197 @@ mod tests {
     #[test]
     fn line_count_ignores_blanks() {
         assert_eq!(line_count("a\n\nb\n  \nc"), 3);
+    }
+
+    /// Already lowered: no groups, no control, every kind of instance,
+    /// and drivers written by hand.
+    const FLAT: &str = r#"
+        component child() -> () {
+          cells {}
+          wires { done = go ? 1'd1; }
+          control {}
+        }
+        component main(g1: 1, g2: 1) -> () {
+          cells {
+            x = std_reg(32); y = std_reg(32); a = std_add(32);
+            m = std_mem_d2(32, 4, 4, 2, 2); c = child();
+          }
+          wires {
+            x.in = g1 ? 32'd1;
+            x.in = g2 ? 32'd2;
+            y.in = g1 ? 32'd1;
+            y.in = 32'd7;
+            y.in = g2 ? 32'd2;
+          }
+          control {}
+        }
+    "#;
+
+    fn flat_lines() -> Vec<String> {
+        let sv = emit(&parse_context(FLAT).unwrap()).unwrap();
+        sv.lines().map(str::to_string).collect()
+    }
+
+    #[track_caller]
+    fn assert_has_line(lines: &[String], line: &str) {
+        assert!(
+            lines.iter().any(|l| l == line),
+            "no line `{line}` in:\n{}",
+            lines.join("\n")
+        );
+    }
+
+    #[test]
+    fn guarded_drivers_chain_down_to_a_zero() {
+        assert_has_line(
+            &flat_lines(),
+            "  assign x_in = g1 ? 32'd1 : g2 ? 32'd2 : 32'd0;",
+        );
+    }
+
+    #[test]
+    fn the_chain_ends_at_the_first_unguarded_driver() {
+        let lines = flat_lines();
+        assert_has_line(&lines, "  assign y_in = g1 ? 32'd1 : 32'd7;");
+        assert_eq!(lines.iter().filter(|l| l.contains("y_in =")).count(), 1);
+    }
+
+    #[test]
+    fn only_multi_bit_nets_have_a_range() {
+        let lines = flat_lines();
+        assert_has_line(&lines, "  logic x_write_en;");
+        assert_has_line(&lines, "  logic [31:0] x_in;");
+        assert_has_line(&lines, "  logic [1:0] m_addr0;");
+        assert_has_line(&lines, "  input logic g1,");
+    }
+
+    #[test]
+    fn stateful_instances_get_the_clock_and_parameters_keep_their_order() {
+        let lines = flat_lines();
+        assert_has_line(
+            &lines,
+            "  std_reg #(.WIDTH(32)) x (.in(x_in), .write_en(x_write_en), .out(x_out), \
+             .done(x_done), .clk(clk));",
+        );
+        assert_has_line(&lines, "  child c (.go(c_go), .done(c_done), .clk(clk));");
+        assert_has_line(
+            &lines,
+            "  std_add #(.WIDTH(32)) a (.left(a_left), .right(a_right), .out(a_out));",
+        );
+        assert_has_line(
+            &lines,
+            "  std_mem_d2 #(.WIDTH(32), .D0_SIZE(4), .D1_SIZE(4), .D0_IDX_SIZE(2), \
+             .D1_IDX_SIZE(2)) m (.addr0(m_addr0), .addr1(m_addr1), \
+             .write_data(m_write_data), .write_en(m_write_en), .read_data(m_read_data), \
+             .done(m_done), .clk(clk));",
+        );
+    }
+
+    /// Accepts `budget` writes, then fails.
+    struct FailsAfter {
+        budget: usize,
+        accepted: Vec<u8>,
+    }
+
+    impl io::Write for FailsAfter {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            self.budget -= 1;
+            self.accepted.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_is_left_with_whole_modules() {
+        let ctx = parse_context(FLAT).unwrap();
+        let whole = emit(&ctx).unwrap();
+        // One write for the header and prelude, one per module: whatever
+        // was accepted stops where a module starts.
+        for (budget, next) in [(1, "module child ("), (2, "module main (")] {
+            let mut out = FailsAfter {
+                budget,
+                accepted: Vec::new(),
+            };
+            let err = emit_to(&ctx, &mut out).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{err}");
+            let accepted = String::from_utf8(out.accepted).unwrap();
+            assert!(accepted.ends_with("endmodule\n") || accepted.ends_with("endmodule\n\n"));
+            let rest = whole.strip_prefix(&accepted).expect("a prefix of the text");
+            assert!(rest.starts_with(next), "{rest}");
+        }
+    }
+
+    #[test]
+    fn a_primitive_without_a_template_is_an_error_before_the_first_byte() {
+        let ctx = parse_context(
+            r#"
+            extern "blackbox.sv" { component my_unit(in: 8) -> (out: 8); }
+            component main() -> () {
+              cells { r = std_reg(8); u = my_unit(); }
+              wires { u.in = 8'd1; }
+              control {}
+            }"#,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        let err = emit_to(&ctx, &mut out).unwrap_err();
+        assert!(matches!(err, Error::Malformed(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("cell `u`") && msg.contains("`my_unit`"),
+            "{msg}"
+        );
+        assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+    }
+
+    #[test]
+    fn every_std_primitive_has_a_template() {
+        const STD: [&str; 26] = [
+            "std_reg",
+            "std_wire",
+            "std_add",
+            "std_sub",
+            "std_and",
+            "std_or",
+            "std_xor",
+            "std_lsh",
+            "std_rsh",
+            "std_not",
+            "std_lt",
+            "std_gt",
+            "std_eq",
+            "std_neq",
+            "std_ge",
+            "std_le",
+            "std_slt",
+            "std_sgt",
+            "std_slice",
+            "std_pad",
+            "std_mem_d1",
+            "std_mem_d2",
+            "std_mem_d3",
+            "std_mult_pipe",
+            "std_div_pipe",
+            "std_sqrt",
+        ];
+        let lib = Library::std();
+        for prim in STD {
+            assert!(lib.get(Id::new(prim)).is_some(), "`{prim}` is not in std");
+            let module = prim_module(prim).unwrap_or_else(|| panic!("`{prim}` has no template"));
+            let header = module.lines().next().unwrap();
+            assert!(header.starts_with(&format!("module {prim} #(")), "{header}");
+            assert!(module.ends_with("endmodule"), "{prim}");
+        }
+        // The library cannot be listed, but it can be printed: a primitive
+        // added to it is one more definition than `STD` names.
+        let printed = format!("{lib:?}");
+        assert_eq!(printed.matches("PrimitiveDef {").count(), STD.len());
     }
 }

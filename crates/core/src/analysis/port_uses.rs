@@ -13,11 +13,13 @@
 //! thousands of port reads, and building a `BTreeMap<PortRef, Vec<_>>`
 //! (one allocation per port, string-comparing interned ids on every
 //! insert) dominated the analysis. A bulk sort on the raw intern indices
-//! followed by binary-searched range lookups is several times cheaper.
+//! followed by binary-searched range lookups is several times cheaper,
+//! and is put off until the first lookup, which most consumers never make.
 
 use super::cache::{Analysis, AnalysisCache};
 use crate::ir::{Component, Id, PortParent, PortRef};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Where an assignment lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,22 +51,29 @@ fn port_key(p: &PortRef) -> (u8, u32, u32) {
     }
 }
 
-/// A flat multimap from port to sites, sorted by [`port_key`].
+/// A flat multimap from port to sites: recorded in scan order, sorted by
+/// [`port_key`] on the first lookup. Most consumers (dead-cell removal,
+/// resource sharing) read only the cell digests beside the tables, and
+/// after lowering a sort of every guard read is most of the analysis.
 #[derive(Debug, Clone, Default)]
-struct SiteTable(Vec<(PortRef, AssignmentSite)>);
+struct SiteTable {
+    scanned: Vec<(PortRef, AssignmentSite)>,
+    sorted: OnceLock<Vec<(PortRef, AssignmentSite)>>,
+}
 
 impl SiteTable {
-    /// Stable sort groups equal ports while preserving scan order within
-    /// each port.
-    fn finish(&mut self) {
-        self.0.sort_by_key(|(p, _)| port_key(p));
-    }
-
     fn get(&self, port: PortRef) -> &[(PortRef, AssignmentSite)] {
+        // Stable sort groups equal ports while preserving scan order
+        // within each port.
+        let sorted = self.sorted.get_or_init(|| {
+            let mut sites = self.scanned.clone();
+            sites.sort_by_key(|(p, _)| port_key(p));
+            sites
+        });
         let key = port_key(&port);
-        let lo = self.0.partition_point(|(p, _)| port_key(p) < key);
-        let hi = self.0.partition_point(|(p, _)| port_key(p) <= key);
-        &self.0[lo..hi]
+        let lo = sorted.partition_point(|(p, _)| port_key(p) < key);
+        let hi = sorted.partition_point(|(p, _)| port_key(p) <= key);
+        &sorted[lo..hi]
     }
 }
 
@@ -95,10 +104,10 @@ struct Scan {
 
 impl Scan {
     fn record(&mut self, asgn: &crate::ir::Assignment, site: AssignmentSite, group: Option<Id>) {
-        self.writes.0.push((asgn.dst, site));
+        self.writes.scanned.push((asgn.dst, site));
         self.touch_cell(asgn.dst, group);
         for p in asgn.reads_iter() {
-            self.reads.0.push((p, site));
+            self.reads.scanned.push((p, site));
             self.touch_cell(p, group);
         }
     }
@@ -141,16 +150,13 @@ impl PortUses {
             };
             scan.record(asgn, site, None);
         }
-        let mut uses = PortUses {
+        PortUses {
             reads: scan.reads,
             writes: scan.writes,
             cell_users: scan.cell_users.into_iter().collect(),
             continuous_cells: scan.continuous_cells.into_iter().collect(),
             referenced_cells: scan.referenced_cells.into_iter().collect(),
-        };
-        uses.reads.finish();
-        uses.writes.finish();
-        uses
+        }
     }
 
     /// Sites reading `port`, in scan order (groups in definition order,

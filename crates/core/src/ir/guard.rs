@@ -184,28 +184,6 @@ impl Guard {
         }
     }
 
-    /// Replace every read of port `hole` with an entire guard expression.
-    ///
-    /// This is the core operation of
-    /// [`RemoveGroups`](crate::passes::RemoveGroups): interface signals (go/
-    /// done holes) read inside guards are substituted by the disjunction of
-    /// their writers.
-    pub fn substitute(&mut self, hole: PortRef, replacement: &Guard) {
-        match self {
-            Guard::True => {}
-            Guard::Port(p) if *p == hole => *self = replacement.clone(),
-            Guard::Port(_) => {}
-            Guard::Not(g) => g.substitute(hole, replacement),
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                a.substitute(hole, replacement);
-                b.substitute(hole, replacement);
-            }
-            // Holes are 1-bit signals and only appear as bare ports, never
-            // inside comparisons (enforced by validation after GoInsertion).
-            Guard::Comp(..) => {}
-        }
-    }
-
     /// Number of nodes in the guard tree (used by area estimation and
     /// compilation statistics).
     pub fn size(&self) -> usize {
@@ -352,14 +330,6 @@ mod tests {
         let mut ports = g.ports();
         ports.sort();
         assert_eq!(ports, vec![p("done"), p("fsm")]);
-    }
-
-    #[test]
-    fn substitution_replaces_hole_reads() {
-        let hole = PortRef::hole("one", "go");
-        let mut g = Guard::Port(hole).and(Guard::port(p("x")));
-        g.substitute(hole, &Guard::port_eq(p("fsm"), 0, 2));
-        assert_eq!(g, Guard::port_eq(p("fsm"), 0, 2).and(Guard::port(p("x"))));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! 1. wires the single top-level group enable to the component's `go`/`done`
 //!    interface ports,
 //! 2. collects all hole writes and replaces every hole read with the
-//!    disjunction of its writers (`guard & src` per write), iterating to a
-//!    fixpoint since `go` substitutions mention parent holes,
+//!    disjunction of its writers (`guard & src` per write); `go`
+//!    substitutions mention parent holes, so each hole is resolved once,
+//!    in dependency order,
 //! 3. moves all group assignments into the top-level `wires` section and
 //!    deletes the groups.
 //!
@@ -68,53 +69,13 @@ impl Visitor for RemoveGroups {
             })
             .unwrap_or(false);
 
-        // Gather hole definitions, removing the defining assignments.
-        let mut writes: HashMap<PortRef, Vec<(Guard, Atom)>> = HashMap::new();
+        // Gather hole definitions, moving the guards out of the defining
+        // assignments, which are dropped.
+        let mut holes = Holes::default();
         for group in comp.groups.iter_mut() {
-            group.assignments.retain(|asgn| {
-                if asgn.dst.is_hole() {
-                    writes
-                        .entry(asgn.dst)
-                        .or_default()
-                        .push((asgn.guard.clone(), asgn.src));
-                    false
-                } else {
-                    true
-                }
-            });
+            holes.take_definitions(&mut group.assignments);
         }
-        comp.continuous.retain(|asgn| {
-            if asgn.dst.is_hole() {
-                writes
-                    .entry(asgn.dst)
-                    .or_default()
-                    .push((asgn.guard.clone(), asgn.src));
-                false
-            } else {
-                true
-            }
-        });
-
-        // Each hole's replacement: OR over its writes of (guard & src).
-        let mut repl: HashMap<PortRef, Guard> = HashMap::new();
-        for (hole, defs) in writes {
-            let mut guard: Option<Guard> = None;
-            for (g, src) in defs {
-                let contribution = match src {
-                    Atom::Const { val: 0, .. } => continue,
-                    Atom::Const { .. } => g,
-                    Atom::Port(p) if p.is_hole() => g.and(Guard::Port(p)),
-                    Atom::Port(p) => g.and(Guard::Port(p)),
-                };
-                guard = Some(match guard {
-                    Some(acc) => acc.or(contribution),
-                    None => contribution,
-                });
-            }
-            // A hole that is never written (or only written 0) is never
-            // high.
-            repl.insert(hole, guard.unwrap_or_else(|| Guard::True.not()));
-        }
+        holes.take_definitions(&mut comp.continuous);
 
         // The top group is started by the component's own go port (with
         // re-execution protection when its done is a registered pulse).
@@ -123,97 +84,42 @@ impl Visitor for RemoveGroups {
             if top_needs_protection {
                 go_guard = go_guard.and(Guard::Port(PortRef::hole(top, "done")).not());
             }
-            repl.insert(PortRef::hole(top, "go"), go_guard);
+            holes.set(PortRef::hole(top, "go"), go_guard);
         }
 
-        // Resolve hole references inside replacements to a fixpoint. The
+        // Resolve hole reads inside the definitions, each hole once. The
         // dependency structure follows the control tree (a child's go
-        // mentions its parent's go and sibling dones), so this
-        // terminates in O(nesting depth) rounds.
-        let holes: Vec<PortRef> = repl.keys().copied().collect();
-        for round in 0.. {
-            let mut changed = false;
-            for hole in &holes {
-                let mut guard = repl[hole].clone();
-                let reads: Vec<PortRef> =
-                    guard.ports().into_iter().filter(PortRef::is_hole).collect();
-                if reads.is_empty() {
-                    continue;
-                }
-                for read in reads {
-                    let replacement = repl.get(&read).cloned().ok_or_else(|| {
-                        Error::pass(
-                            "remove-groups",
-                            format!("hole `{read}` is read but never written"),
-                        )
-                    })?;
-                    guard.substitute(read, &replacement);
-                    changed = true;
-                }
-                repl.insert(*hole, guard);
-            }
-            if !changed {
-                break;
-            }
-            if round > 256 {
-                return Err(Error::pass(
-                    "remove-groups",
-                    "interface-signal substitution did not converge (cyclic holes?)",
-                ));
-            }
-        }
+        // mentions its parent's go and sibling dones).
+        holes.resolve_all()?;
 
-        // Substitute hole reads in every remaining assignment.
-        let substitute_in = |guard: &mut Guard| -> CalyxResult<()> {
-            loop {
-                let reads: Vec<PortRef> =
-                    guard.ports().into_iter().filter(PortRef::is_hole).collect();
-                if reads.is_empty() {
-                    return Ok(());
-                }
-                for read in reads {
-                    let replacement = repl.get(&read).cloned().ok_or_else(|| {
-                        Error::pass(
-                            "remove-groups",
-                            format!("hole `{read}` is read but never written"),
-                        )
-                    })?;
-                    guard.substitute(read, &replacement);
-                }
-            }
-        };
-
+        // Inline hole reads in every remaining assignment.
         let mut flattened: Vec<Assignment> = Vec::new();
-        let group_names: Vec<_> = comp.groups.names().collect();
-        for gname in group_names {
-            let group = comp.groups.remove(gname).expect("name from iteration");
-            for mut asgn in group.assignments {
+        for group in comp.groups.iter_mut() {
+            for mut asgn in std::mem::take(&mut group.assignments) {
                 if matches!(asgn.src, Atom::Port(p) if p.is_hole()) {
                     return Err(Error::pass(
                         "remove-groups",
                         format!("hole used as assignment source in `{}`", asgn.dst),
                     ));
                 }
-                substitute_in(&mut asgn.guard)?;
+                holes.inline(&mut asgn.guard)?;
                 flattened.push(asgn);
             }
         }
+        comp.groups = Default::default();
         for asgn in &mut comp.continuous {
-            substitute_in(&mut asgn.guard)?;
+            holes.inline(&mut asgn.guard)?;
         }
         comp.continuous.extend(flattened);
 
         // Wire the component's done port.
         let done_guard = match top {
-            Some(top) => repl
-                .get(&PortRef::hole(top, "done"))
-                .cloned()
-                .ok_or_else(|| {
-                    Error::pass(
-                        "remove-groups",
-                        format!("top-level group `{top}` never writes its done hole"),
-                    )
-                })?,
+            Some(top) => holes.take(PortRef::hole(top, "done")).ok_or_else(|| {
+                Error::pass(
+                    "remove-groups",
+                    format!("top-level group `{top}` never writes its done hole"),
+                )
+            })?,
             // An empty component finishes as soon as it is started.
             None => Guard::Port(PortRef::this("go")),
         };
@@ -224,6 +130,157 @@ impl Visitor for RemoveGroups {
         ));
         // Groups are erased and control is empty; nothing to traverse.
         Ok(Action::SkipChildren)
+    }
+}
+
+/// What a hole stands for while its reads are being inlined.
+enum Slot {
+    /// OR over the hole's writes of `guard & src`, as written: it may read
+    /// other holes. `None` while every write so far drives constant 0.
+    Defined(Option<Guard>),
+    /// On the depth-first walk's stack: reading it again is a cycle.
+    Open,
+    /// Hole-free.
+    Resolved(Guard),
+}
+
+/// Every hole's definition, resolved at most once each.
+#[derive(Default)]
+struct Holes {
+    slots: HashMap<PortRef, Slot>,
+    /// The holes in the order their first write appears, so that what an
+    /// ill-formed program is told does not depend on hash order.
+    order: Vec<PortRef>,
+    /// The `Open` holes, outermost first.
+    stack: Vec<PortRef>,
+}
+
+impl Holes {
+    /// Drop the assignments of `asgns` that write holes, folding each
+    /// one's `guard & src` into the disjunction that defines its hole.
+    fn take_definitions(&mut self, asgns: &mut Vec<Assignment>) {
+        asgns.retain_mut(|asgn| {
+            if !asgn.dst.is_hole() {
+                return true;
+            }
+            let guard = std::mem::replace(&mut asgn.guard, Guard::True);
+            let contribution = match asgn.src {
+                Atom::Const { val: 0, .. } => None,
+                Atom::Const { .. } => Some(guard),
+                Atom::Port(p) => Some(guard.and(Guard::Port(p))),
+            };
+            let slot = self.slots.entry(asgn.dst).or_insert_with(|| {
+                self.order.push(asgn.dst);
+                Slot::Defined(None)
+            });
+            if let (Slot::Defined(acc), Some(contribution)) = (slot, contribution) {
+                *acc = Some(match acc.take() {
+                    Some(acc) => acc.or(contribution),
+                    None => contribution,
+                });
+            }
+            false
+        });
+    }
+
+    /// Define `hole` as `guard`, whatever wrote it.
+    fn set(&mut self, hole: PortRef, guard: Guard) {
+        if self
+            .slots
+            .insert(hole, Slot::Defined(Some(guard)))
+            .is_none()
+        {
+            self.order.push(hole);
+        }
+    }
+
+    /// Resolve every hole, in definition order.
+    fn resolve_all(&mut self) -> CalyxResult<()> {
+        for i in 0..self.order.len() {
+            self.resolved(self.order[i])?;
+        }
+        Ok(())
+    }
+
+    /// The hole-free guard `hole` stands for, computed on first request
+    /// by inlining the holes its definition reads.
+    fn resolved(&mut self, hole: PortRef) -> CalyxResult<&Guard> {
+        let slot = self.slots.get_mut(&hole).ok_or_else(|| {
+            Error::pass(
+                "remove-groups",
+                format!("hole `{hole}` is read but never written"),
+            )
+        })?;
+        match slot {
+            Slot::Resolved(_) => {}
+            Slot::Open => {
+                let first = self.stack.iter().position(|open| *open == hole);
+                let cycle: Vec<String> = self.stack[first.expect("open holes are on the stack")..]
+                    .iter()
+                    .chain([&hole])
+                    .map(PortRef::to_string)
+                    .collect();
+                return Err(Error::pass(
+                    "remove-groups",
+                    format!(
+                        "interface-signal substitution did not converge (cyclic holes?): {}",
+                        cycle.join(" -> ")
+                    ),
+                ));
+            }
+            Slot::Defined(guard) => {
+                // A hole that is never written (or only written 0) is
+                // never high.
+                let mut guard = guard.take().unwrap_or_else(|| Guard::True.not());
+                *slot = Slot::Open;
+                self.stack.push(hole);
+                self.inline(&mut guard)?;
+                self.stack.pop();
+                self.slots.insert(hole, Slot::Resolved(guard));
+            }
+        }
+        match &self.slots[&hole] {
+            Slot::Resolved(guard) => Ok(guard),
+            _ => unreachable!("the hole was resolved above"),
+        }
+    }
+
+    /// Replace every hole read in `guard` by a copy of the hole's
+    /// resolved guard, in one traversal.
+    fn inline(&mut self, guard: &mut Guard) -> CalyxResult<()> {
+        match guard {
+            Guard::True => Ok(()),
+            Guard::Port(p) if p.is_hole() => {
+                *guard = self.resolved(*p)?.clone();
+                Ok(())
+            }
+            Guard::Port(_) => Ok(()),
+            Guard::Not(inner) => self.inline(inner),
+            Guard::And(a, b) | Guard::Or(a, b) => {
+                self.inline(a)?;
+                self.inline(b)
+            }
+            // Holes are 1-bit signals read as bare ports; one inside a
+            // comparison has no guard to stand for it.
+            Guard::Comp(_, l, r) => match [l, r].into_iter().find_map(|atom| match atom {
+                Atom::Port(p) if p.is_hole() => Some(*p),
+                _ => None,
+            }) {
+                Some(hole) => Err(Error::pass(
+                    "remove-groups",
+                    format!("hole `{hole}` is read inside a comparison"),
+                )),
+                None => Ok(()),
+            },
+        }
+    }
+
+    /// Move `hole`'s resolved guard out.
+    fn take(&mut self, hole: PortRef) -> Option<Guard> {
+        match self.slots.remove(&hole)? {
+            Slot::Resolved(guard) => Some(guard),
+            _ => unreachable!("`resolve_all` resolved every hole"),
+        }
     }
 }
 
@@ -316,6 +373,105 @@ mod tests {
             .find(|a| a.dst == PortRef::this("done"))
             .unwrap();
         assert_eq!(done.guard, Guard::Port(PortRef::this("go")));
+    }
+
+    /// A `seq` / `if` / `while` nest `depth` levels deep around group `a`,
+    /// with `b` as the sibling at every level.
+    fn nest(depth: usize) -> String {
+        let mut control = "a;".to_string();
+        for level in 0..depth {
+            control = match level % 3 {
+                0 => format!("seq {{ b; {control} }}"),
+                1 => format!("if lt.out with cond {{ {control} }} else {{ b; }}"),
+                _ => format!("while lt.out with cond {{ {control} }}"),
+            };
+        }
+        format!(
+            r#"component main() -> () {{
+              cells {{ x = std_reg(8); y = std_reg(8); lt = std_lt(8); }}
+              wires {{
+                group a {{ x.in = 8'd1; x.write_en = 1'd1; a[done] = x.done; }}
+                group b {{ y.in = 8'd2; y.write_en = 1'd1; b[done] = y.done; }}
+                group cond {{ lt.left = x.out; lt.right = y.out; cond[done] = 1'd1; }}
+              }}
+              control {{ {control} }}
+            }}"#
+        )
+    }
+
+    /// Inlining is structural: every hole read becomes a copy of the
+    /// hole's resolved guard, nothing is simplified or shared. The sum
+    /// below was recorded from the fixpoint implementation this pass
+    /// replaced, so the single traversal builds trees of the same size.
+    #[test]
+    fn deep_nest_lowers_to_the_same_guard_sizes() {
+        let ctx = lower(&nest(32));
+        let main = ctx.component("main").unwrap();
+        let total: usize = main.continuous.iter().map(|a| a.guard.size()).sum();
+        assert_eq!((main.continuous.len(), total), (219, 17_718));
+    }
+
+    /// What `remove-groups` alone says about `main` with these groups,
+    /// `a` being the compiled control.
+    fn rejection(groups: &str) -> String {
+        let src = format!(
+            "component main() -> () {{
+               cells {{ x = std_reg(8); }}
+               wires {{ {groups} }}
+               control {{ a; }}
+             }}"
+        );
+        let mut ctx = parse_context(&src).unwrap();
+        RemoveGroups.run(&mut ctx).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn cyclic_holes_fail_at_once_and_name_the_cycle() {
+        let err = rejection(
+            "group a { x.in = 8'd1; a[done] = b[done]; }
+             group b { b[done] = c[done]; }
+             group c { c[done] = b[done]; }",
+        );
+        assert!(
+            err.ends_with(
+                "interface-signal substitution did not converge (cyclic holes?): \
+                 b[done] -> c[done] -> b[done]"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejections_keep_their_texts() {
+        let err = rejection("group a { x.in = c[done] ? 8'd1; a[done] = x.done; }");
+        assert!(
+            err.ends_with("hole `c[done]` is read but never written"),
+            "{err}"
+        );
+        let err = rejection(
+            "group a { x.write_en = b[done]; a[done] = x.done; }
+             group b { b[done] = x.done; }",
+        );
+        assert!(
+            err.ends_with("hole used as assignment source in `x.write_en`"),
+            "{err}"
+        );
+        let err = rejection("group a { x.in = 8'd1; }");
+        assert!(
+            err.ends_with("top-level group `a` never writes its done hole"),
+            "{err}"
+        );
+    }
+
+    /// Holes are substituted as 1-bit guard leaves; the fixpoint this pass
+    /// used to run never terminated on one inside a comparison.
+    #[test]
+    fn rejects_a_hole_inside_a_comparison() {
+        let err = rejection("group a { x.in = a[go] == 1'd1 ? 8'd1; a[done] = x.done; }");
+        assert!(
+            err.ends_with("hole `a[go]` is read inside a comparison"),
+            "{err}"
+        );
     }
 
     #[test]
