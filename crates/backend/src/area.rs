@@ -28,10 +28,14 @@
 
 use crate::api::{Backend, BackendOpts, ReportFormat};
 use calyx_core::errors::{CalyxResult, Error};
-use calyx_core::ir::{validate, Atom, CellType, CompOp, Component, Context, Guard, Id, PortRef};
+use calyx_core::ir::{
+    validate, Atom, CellType, CompOp, Component, Context, Guard, GuardMemo, Id, PortRef,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::ops::Add;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// An FPGA resource estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -264,50 +268,90 @@ fn wiring_area(comp: &Component) -> CalyxResult<Area> {
 
     // Guard logic, hash-consed: every unique boolean connective costs a
     // third of a LUT; unique comparisons cost per the table.
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut bool_nodes: u64 = 0;
-    let mut cmp_luts: u64 = 0;
+    let mut guards = GuardLogic::default();
     for asgn in &comp.continuous {
-        count_guard(&asgn.guard, comp, &mut seen, &mut bool_nodes, &mut cmp_luts)?;
+        guards.count(&asgn.guard);
     }
-    a.luts += ceil_div(bool_nodes, 3) + cmp_luts;
+    let mut cmp_luts: u64 = 0;
+    for (op, l, r) in guards.comparisons {
+        let w = u64::from(atom_width(&l, comp)?.max(atom_width(&r, comp)?));
+        cmp_luts += match op {
+            CompOp::Eq | CompOp::Neq => ceil_div(w, 3),
+            _ => w,
+        };
+    }
+    a.luts += ceil_div(guards.bool_nodes, 3) + cmp_luts;
     Ok(a)
 }
 
-fn count_guard(
-    guard: &Guard,
-    comp: &Component,
-    seen: &mut HashSet<String>,
-    bool_nodes: &mut u64,
-    cmp_luts: &mut u64,
-) -> CalyxResult<()> {
-    let key = format!("{guard}");
-    match guard {
-        Guard::True | Guard::Port(_) => {}
-        Guard::Not(inner) => {
-            if seen.insert(key) {
-                *bool_nodes += 1;
+/// The unique guard nodes of a component. A node is unique by what it
+/// prints as — `a & (b & c)` and `(a & b) & c` are one piece of logic —
+/// so the key is the printed text. A node that several guards share is
+/// printed and counted for the first of them; the nodes above it append
+/// its text instead of printing it again.
+#[derive(Default)]
+struct GuardLogic {
+    seen: HashSet<Rc<str>>,
+    /// What each shared node prints as.
+    printed: GuardMemo<Rc<str>>,
+    bool_nodes: u64,
+    /// The unique comparisons, in the order met.
+    comparisons: Vec<(CompOp, Atom, Atom)>,
+}
+
+impl GuardLogic {
+    /// Count `guard` and the nodes beneath it; returns what it prints as.
+    fn count(&mut self, guard: &Guard) -> Rc<str> {
+        let mut text = String::new();
+        match guard {
+            Guard::True | Guard::Port(_) => return guard.to_string().into(),
+            Guard::Comp(op, l, r) => {
+                let text: Rc<str> = guard.to_string().into();
+                if self.seen.insert(Rc::clone(&text)) {
+                    self.comparisons.push((*op, *l, *r));
+                }
+                return text;
             }
-            count_guard(inner, comp, seen, bool_nodes, cmp_luts)?;
+            Guard::Not(inner) => {
+                text.push('!');
+                self.operand(inner, guard, &mut text);
+            }
+            Guard::And(l, r) | Guard::Or(l, r) => {
+                self.operand(l, guard, &mut text);
+                text.push_str(if matches!(guard, Guard::And(..)) {
+                    " & "
+                } else {
+                    " | "
+                });
+                self.operand(r, guard, &mut text);
+            }
         }
-        Guard::And(l, r) | Guard::Or(l, r) => {
-            if seen.insert(key) {
-                *bool_nodes += 1;
-            }
-            count_guard(l, comp, seen, bool_nodes, cmp_luts)?;
-            count_guard(r, comp, seen, bool_nodes, cmp_luts)?;
+        let text: Rc<str> = text.into();
+        if self.seen.insert(Rc::clone(&text)) {
+            self.bool_nodes += 1;
         }
-        Guard::Comp(op, l, r) => {
-            if seen.insert(key) {
-                let w = u64::from(atom_width(l, comp)?.max(atom_width(r, comp)?));
-                *cmp_luts += match op {
-                    CompOp::Eq | CompOp::Neq => ceil_div(w, 3),
-                    _ => w,
-                };
+        text
+    }
+
+    /// Count `child` unless it has been, and append what it prints as
+    /// under `parent` to `text`.
+    fn operand(&mut self, child: &Arc<Guard>, parent: &Guard, text: &mut String) {
+        let printed = match self.printed.get(child) {
+            Some(printed) => Rc::clone(printed),
+            None => {
+                let printed = self.count(child);
+                self.printed.insert(child, Rc::clone(&printed));
+                printed
             }
+        };
+        if child.needs_parens_under(parent) {
+            text.push('(');
+            text.push_str(&printed);
+            text.push(')');
+        } else {
+            text.push_str(&printed);
         }
     }
-    Ok(())
 }
 
 fn atom_width(atom: &Atom, comp: &Component) -> CalyxResult<u32> {
@@ -342,6 +386,33 @@ mod tests {
         assert!(small.brams == 0 && small.luts > 0);
         let big = primitive_area("std_mem_d2", &[32, 64, 64, 6, 6]);
         assert!(big.brams > 0 && big.luts == 0);
+    }
+
+    /// The key of a guard is what it prints as, whether the text was
+    /// printed or put together from shared operands' texts.
+    #[test]
+    fn guard_keys_are_the_printed_guards() {
+        let p = |name: &str| Arc::new(Guard::Port(PortRef::cell(name, "out")));
+        let or = Arc::new(Guard::Or(p("a"), p("b")));
+        let and = Arc::new(Guard::And(Arc::clone(&or), p("c")));
+        let cmp = Arc::new(Guard::port_eq(PortRef::cell("fsm", "out"), 2, 4));
+        let guards = [
+            Guard::Not(Arc::clone(&and)),
+            Guard::Not(Arc::clone(&cmp)),
+            Guard::Not(Arc::new(Guard::Not(p("a")))),
+            Guard::And(Arc::clone(&and), Arc::clone(&and)),
+            Guard::Or(Arc::clone(&and), Arc::clone(&or)),
+            Guard::And(Arc::clone(&cmp), Arc::new(Guard::Or(cmp, and))),
+            Guard::Or(Arc::new(Guard::True), or),
+        ];
+        let mut logic = GuardLogic::default();
+        for guard in &guards {
+            assert_eq!(&*logic.count(guard), guard.to_string());
+        }
+        // The seven roots, `a | b`, `(a | b) & c`, `!a` and the inner
+        // `fsm.out == 4'd2 | …`; one comparison. Each is counted once,
+        // however many guards share it.
+        assert_eq!((logic.bool_nodes, logic.comparisons.len()), (11, 1));
     }
 
     #[test]

@@ -764,45 +764,14 @@ mod tests {
 
     #[test]
     fn every_std_primitive_has_a_template() {
-        const STD: [&str; 26] = [
-            "std_reg",
-            "std_wire",
-            "std_add",
-            "std_sub",
-            "std_and",
-            "std_or",
-            "std_xor",
-            "std_lsh",
-            "std_rsh",
-            "std_not",
-            "std_lt",
-            "std_gt",
-            "std_eq",
-            "std_neq",
-            "std_ge",
-            "std_le",
-            "std_slt",
-            "std_sgt",
-            "std_slice",
-            "std_pad",
-            "std_mem_d1",
-            "std_mem_d2",
-            "std_mem_d3",
-            "std_mult_pipe",
-            "std_div_pipe",
-            "std_sqrt",
-        ];
-        let lib = Library::std();
-        for prim in STD {
-            assert!(lib.get(Id::new(prim)).is_some(), "`{prim}` is not in std");
-            let module = prim_module(prim).unwrap_or_else(|| panic!("`{prim}` has no template"));
+        let names = Library::std().names();
+        assert_eq!(names.len(), 26);
+        for prim in names {
+            let module =
+                prim_module(prim.as_str()).unwrap_or_else(|| panic!("`{prim}` has no template"));
             let header = module.lines().next().unwrap();
             assert!(header.starts_with(&format!("module {prim} #(")), "{header}");
             assert!(module.ends_with("endmodule"), "{prim}");
         }
-        // The library cannot be listed, but it can be printed: a primitive
-        // added to it is one more definition than `STD` names.
-        let printed = format!("{lib:?}");
-        assert_eq!(printed.matches("PrimitiveDef {").count(), STD.len());
     }
 }

@@ -7,10 +7,11 @@
 
 use calyx_backend::{verilog, Backend, BackendOpts, VerilogBackend};
 use calyx_core::errors::CalyxResult;
-use calyx_core::ir::{Context, Control};
+use calyx_core::ir::{Context, Control, Guard, GuardMemo};
 use calyx_core::passes;
 use calyx_polybench::{compile_kernel, kernel};
 use calyx_systolic::{generate, SystolicConfig};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Compilation statistics for one design.
@@ -71,6 +72,43 @@ pub fn gemver_stats(n: u64) -> CalyxResult<CompileStats> {
 pub fn systolic_stats(n: usize) -> CalyxResult<CompileStats> {
     let ctx = generate(&SystolicConfig::square(n));
     measure(&format!("systolic {n}x{n}"), ctx)
+}
+
+/// How much of a design's guard logic is shared, over the continuous
+/// assignments of every component (all there is after lowering).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GuardSharing {
+    /// Continuous assignments.
+    pub assignments: usize,
+    /// `Σ Guard::size()`: the guards as trees, a shared node once per
+    /// use — what the printer and the Verilog emitter write.
+    pub tree_nodes: usize,
+    /// Nodes a walk enters when it goes through each shared node once.
+    pub entered_nodes: usize,
+    /// Structurally distinct sub-guards: what `entered_nodes` would be if
+    /// every equal pair of sub-guards were one node.
+    pub distinct_nodes: usize,
+}
+
+/// Measure the guard sharing of `ctx`.
+pub fn guard_sharing(ctx: &Context) -> GuardSharing {
+    let mut sharing = GuardSharing::default();
+    for comp in ctx.components.iter() {
+        let mut entered = GuardMemo::default();
+        let mut distinct: HashSet<&Guard> = HashSet::new();
+        for asgn in &comp.continuous {
+            sharing.assignments += 1;
+            sharing.tree_nodes += asgn.guard.size();
+            asgn.guard.visit_once(&mut entered, &mut |node| {
+                if !node.is_true() {
+                    sharing.entered_nodes += 1;
+                    distinct.insert(node);
+                }
+            });
+        }
+        sharing.distinct_nodes += distinct.len();
+    }
+    sharing
 }
 
 #[cfg(test)]

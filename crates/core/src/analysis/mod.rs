@@ -47,7 +47,7 @@
 //! | [`ParConflicts`] | which groups may execute in parallel (resource sharing, §5.1) | — |
 //! | [`Pcfg`] | parallel control-flow graph with p-nodes (register sharing, §5.2) | — |
 //! | [`ReadWriteSets`] | conservative register read/may-write/must-write sets per group | — |
-//! | [`PortUses`] | port → reading/writing assignment sites, cell usage digests | — |
+//! | [`PortUses`] | port → writing assignment sites, the ports read, cell usage digests | — |
 //! | [`BoundaryCells`] | cells observable outside the schedule (continuous/condition uses) | `PortUses` |
 //! | [`BoundaryRegs`] | registers observable outside the schedule (live at exit) | `BoundaryCells` |
 //! | [`Liveness`] | backward live-range dataflow over the pCFG: the engine's solution tree, p-node children included | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |

@@ -1,23 +1,25 @@
-//! Port-use sites: which assignments read and write each port.
+//! Port uses: which assignments write each port, which ports are read,
+//! and which cells each group touches.
 //!
 //! Several passes need "who touches what" facts over the whole wires
 //! section — dead-cell removal needs every referenced cell, resource
 //! sharing needs which groups use a cell and which cells the continuous
-//! assignments pin, go-insertion needs each group's `done`-hole writers.
-//! Before the [cache](super::cache), each pass re-walked every assignment
-//! of every group to answer its own variant of the question; [`PortUses`]
-//! answers all of them from one walk, built once per component generation.
+//! assignments pin, go-insertion needs each group's `done`-hole writers,
+//! the `unused-port` lint needs to know whether anything reads a port.
+//! [`PortUses`] answers all of them from one walk, built once per
+//! component generation.
 //!
-//! The site tables are stored as *flat sorted vectors* rather than
-//! per-port maps: after lowering, a component's guards contain tens of
-//! thousands of port reads, and building a `BTreeMap<PortRef, Vec<_>>`
-//! (one allocation per port, string-comparing interned ids on every
-//! insert) dominated the analysis. A bulk sort on the raw intern indices
-//! followed by binary-searched range lookups is several times cheaper,
-//! and is put off until the first lookup, which most consumers never make.
+//! After lowering, the guards of a component are a DAG that thousands of
+//! assignments reach into (see [`Guard`]): every question above is about
+//! *which* ports and cells a group or the continuous section mentions,
+//! never how often, so the walk enters a shared sub-guard once per owner
+//! and the facts stay exact. Reads are therefore a set of ports; writes —
+//! one per assignment, outside any guard — keep their sites, in a flat
+//! vector sorted by raw intern index on the first lookup, which most
+//! consumers never make.
 
 use super::cache::{Analysis, AnalysisCache};
-use crate::ir::{Component, Id, PortParent, PortRef};
+use crate::ir::{Atom, Component, Guard, GuardMemo, Id, PortParent, PortRef};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -53,8 +55,7 @@ fn port_key(p: &PortRef) -> (u8, u32, u32) {
 
 /// A flat multimap from port to sites: recorded in scan order, sorted by
 /// [`port_key`] on the first lookup. Most consumers (dead-cell removal,
-/// resource sharing) read only the cell digests beside the tables, and
-/// after lowering a sort of every guard read is most of the analysis.
+/// resource sharing) read only the cell digests beside the table.
 #[derive(Debug, Clone, Default)]
 struct SiteTable {
     scanned: Vec<(PortRef, AssignmentSite)>,
@@ -77,10 +78,11 @@ impl SiteTable {
     }
 }
 
-/// Read/write sites per port, plus the cell-level digests passes consume.
+/// Write sites per port and the ports read, plus the cell-level digests
+/// passes consume.
 #[derive(Debug, Clone, Default)]
 pub struct PortUses {
-    reads: SiteTable,
+    reads: HashSet<PortRef>,
     writes: SiteTable,
     /// cell -> groups referencing it, in group definition order (first
     /// appearance), deduplicated.
@@ -95,7 +97,7 @@ pub struct PortUses {
 /// converted to deterministic sorted structures once at the end.
 #[derive(Default)]
 struct Scan {
-    reads: SiteTable,
+    reads: HashSet<PortRef>,
     writes: SiteTable,
     cell_users: HashMap<Id, Vec<Id>>,
     continuous_cells: HashSet<Id>,
@@ -103,13 +105,35 @@ struct Scan {
 }
 
 impl Scan {
-    fn record(&mut self, asgn: &crate::ir::Assignment, site: AssignmentSite, group: Option<Id>) {
+    /// Record `asgn`, the assignment at `site` of `group` (`None` for the
+    /// continuous section). `entered` holds the shared sub-guards this
+    /// owner's earlier assignments went through.
+    fn record(
+        &mut self,
+        asgn: &crate::ir::Assignment,
+        site: AssignmentSite,
+        group: Option<Id>,
+        entered: &mut GuardMemo<()>,
+    ) {
         self.writes.scanned.push((asgn.dst, site));
         self.touch_cell(asgn.dst, group);
-        for p in asgn.reads_iter() {
-            self.reads.scanned.push((p, site));
-            self.touch_cell(p, group);
+        if let Atom::Port(p) = asgn.src {
+            self.read(p, group);
         }
+        asgn.guard.visit_once(entered, &mut |node| match node {
+            Guard::Port(p) => self.read(*p, group),
+            Guard::Comp(_, l, r) => {
+                for p in [l, r].into_iter().filter_map(Atom::port) {
+                    self.read(*p, group);
+                }
+            }
+            _ => {}
+        });
+    }
+
+    fn read(&mut self, port: PortRef, group: Option<Id>) {
+        self.reads.insert(port);
+        self.touch_cell(port, group);
     }
 
     fn touch_cell(&mut self, port: PortRef, group: Option<Id>) {
@@ -134,21 +158,26 @@ impl Scan {
 }
 
 impl PortUses {
-    /// Scan every assignment of `comp` once.
+    /// Scan every assignment of `comp`, entering a shared sub-guard once
+    /// per group and once for the continuous section.
     pub fn analyze(comp: &Component) -> Self {
         let mut scan = Scan::default();
+        let mut entered = GuardMemo::default();
         for group in comp.groups.iter() {
             let owner = SiteOwner::Group(group.name);
+            entered.clear();
             for (index, asgn) in group.assignments.iter().enumerate() {
-                scan.record(asgn, AssignmentSite { owner, index }, Some(group.name));
+                let site = AssignmentSite { owner, index };
+                scan.record(asgn, site, Some(group.name), &mut entered);
             }
         }
+        entered.clear();
         for (index, asgn) in comp.continuous.iter().enumerate() {
             let site = AssignmentSite {
                 owner: SiteOwner::Continuous,
                 index,
             };
-            scan.record(asgn, site, None);
+            scan.record(asgn, site, None, &mut entered);
         }
         PortUses {
             reads: scan.reads,
@@ -159,10 +188,9 @@ impl PortUses {
         }
     }
 
-    /// Sites reading `port`, in scan order (groups in definition order,
-    /// then continuous assignments).
-    pub fn reads(&self, port: PortRef) -> impl ExactSizeIterator<Item = AssignmentSite> + '_ {
-        self.reads.get(port).iter().map(|(_, s)| *s)
+    /// Does any assignment read `port`, as its source or in its guard?
+    pub fn is_read(&self, port: PortRef) -> bool {
+        self.reads.contains(&port)
     }
 
     /// Sites writing `port`, in scan order.
@@ -229,11 +257,7 @@ mod tests {
     fn records_read_and_write_sites() {
         let uses = analyzed(SRC);
         let g0 = SiteOwner::Group(Id::new("g0"));
-        // `a.out` is read once in g0 (r.in = a.out) and once continuously.
-        let reads: Vec<_> = uses.reads(PortRef::cell("a", "out")).collect();
-        assert_eq!(reads.len(), 2);
-        assert!(reads.iter().any(|s| s.owner == g0));
-        assert!(reads.iter().any(|s| s.owner == SiteOwner::Continuous));
+        assert!(uses.is_read(PortRef::cell("a", "out")));
         // `r.in` is written in both groups.
         let owners: Vec<_> = uses
             .writes(PortRef::cell("r", "in"))
@@ -244,7 +268,8 @@ mod tests {
             vec![g0, SiteOwner::Group(Id::new("g1"))],
             "sites follow group definition order"
         );
-        assert_eq!(uses.reads(PortRef::cell("nope", "out")).len(), 0);
+        assert!(!uses.is_read(PortRef::cell("nope", "out")));
+        assert!(!uses.is_read(PortRef::cell("r", "in")), "written only");
     }
 
     #[test]
@@ -285,7 +310,7 @@ mod tests {
                 control { g; }
             }"#,
         );
-        assert_eq!(uses.reads(PortRef::cell("c", "out")).len(), 1);
+        assert!(uses.is_read(PortRef::cell("c", "out")));
         assert!(uses.referenced_cells().contains(&Id::new("c")));
     }
 }

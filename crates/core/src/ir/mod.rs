@@ -29,7 +29,7 @@ pub use builder::Builder;
 pub use cell::{Assignment, Atom, Cell, CellType, Direction, Group, PortDef, PortParent, PortRef};
 pub use component::{Component, Context};
 pub use control::Control;
-pub use guard::{CompOp, Guard, GuardPorts};
+pub use guard::{CompOp, Guard, GuardMemo, GuardPorts};
 pub use id::Id;
 pub use parser::{parse_context, parse_guard};
 pub use primitives::{Library, PrimitiveDef, PrimitivePort, WidthSpec};

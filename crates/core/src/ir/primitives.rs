@@ -344,6 +344,13 @@ impl Library {
         self.prims.insert(def.name, def)
     }
 
+    /// The name of every primitive in the library, in name order.
+    pub fn names(&self) -> Vec<Id> {
+        let mut names: Vec<Id> = self.prims.keys().copied().collect();
+        names.sort();
+        names
+    }
+
     /// Look up a primitive by name.
     pub fn get(&self, name: Id) -> Option<&PrimitiveDef> {
         self.prims.get(&name)

@@ -38,7 +38,7 @@ use it.";
                 }
                 let reference = PortRef::this(port.name);
                 let problem = match port.direction {
-                    Direction::Input if uses.reads(reference).len() == 0 => "input",
+                    Direction::Input if !uses.is_read(reference) => "input",
                     Direction::Output if uses.writes(reference).len() == 0 => "output",
                     _ => continue,
                 };

@@ -3,16 +3,19 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{Atom, CompOp, Component, Guard};
+use crate::ir::{Atom, CompOp, Component, Guard, GuardMemo};
+use std::sync::Arc;
 
 /// Simplifies guard expressions after interface-signal inlining:
 /// double negations, `x & x` / `x | x` idempotence, constant comparisons,
 /// and `True`/`!True` identity/annihilator folding.
 ///
-/// Substitution in [`RemoveGroups`](super::RemoveGroups) can clone large
-/// guard trees; simplification both shrinks the emitted Verilog and makes
-/// area estimation (which counts guard nodes) reflect what synthesis would
-/// see after its own Boolean minimization.
+/// Simplification both shrinks the emitted Verilog and makes area
+/// estimation (which counts guard nodes) reflect what synthesis would see
+/// after its own Boolean minimization. Substitution in
+/// [`RemoveGroups`](super::RemoveGroups) shares a hole's guard among its
+/// readers; a shared node is simplified once, and a node no rule fires
+/// beneath is handed back as it came, so the sharing survives the pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GuardSimplify;
 
@@ -26,19 +29,15 @@ impl Visitor for GuardSimplify {
     }
 
     fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
-        let mut changed = false;
-        for group in comp.groups.iter_mut() {
-            for asgn in &mut group.assignments {
-                let g = std::mem::replace(&mut asgn.guard, Guard::True);
-                asgn.guard = simplify_tracked(g, &mut changed);
+        let mut simplifier = Simplifier::default();
+        let groups = comp.groups.iter_mut().map(|group| &mut group.assignments);
+        for asgn in groups.chain([&mut comp.continuous]).flatten() {
+            if let Some(simpler) = simplifier.root(&asgn.guard) {
+                asgn.guard = simpler;
             }
         }
-        for asgn in &mut comp.continuous {
-            let g = std::mem::replace(&mut asgn.guard, Guard::True);
-            asgn.guard = simplify_tracked(g, &mut changed);
-        }
         // Already-minimal guards leave the analysis cache warm.
-        if changed {
+        if simplifier.changed {
             ctx.set_dirty();
         }
         // Guards live in the wires section; the control tree is untouched.
@@ -53,85 +52,115 @@ fn is_false(g: &Guard) -> bool {
 
 /// Simplify a guard bottom-up.
 pub fn simplify(guard: Guard) -> Guard {
-    simplify_tracked(guard, &mut false)
+    Simplifier::default().root(&guard).unwrap_or(guard)
 }
 
-/// [`simplify`], additionally recording in `changed` whether any rewrite
-/// rule fired — the pass uses this to decide if the component must be
-/// reported dirty to the analysis cache.
-fn simplify_tracked(guard: Guard, changed: &mut bool) -> Guard {
-    match guard {
-        Guard::True | Guard::Port(_) => guard,
-        Guard::Not(inner) => {
-            let inner = simplify_tracked(*inner, changed);
-            match inner {
-                Guard::Not(g) => {
-                    *changed = true;
-                    *g
+/// What the rules make of one node, its children simplified.
+enum Simpler {
+    /// No rule fired on the node or beneath it.
+    Unchanged,
+    /// The node reduces to this simplified child (or grandchild).
+    Node(Arc<Guard>),
+    /// The node is rebuilt.
+    Built(Guard),
+}
+
+/// One simplification walk: every guard of a component, or one guard.
+#[derive(Default)]
+struct Simplifier {
+    /// The simplified form of every shared node met so far.
+    memo: GuardMemo<Arc<Guard>>,
+    /// Whether any rewrite rule fired — the pass uses this to decide if
+    /// the component must be reported dirty to the analysis cache.
+    changed: bool,
+}
+
+impl Simplifier {
+    /// The simplified form of an assignment's guard; `None` when no rule
+    /// fired anywhere in it.
+    fn root(&mut self, guard: &Guard) -> Option<Guard> {
+        match self.rules(guard) {
+            Simpler::Unchanged => None,
+            Simpler::Node(node) => Some(Guard::clone(&node)),
+            Simpler::Built(guard) => Some(guard),
+        }
+    }
+
+    /// The simplified form of a child: `node` itself when no rule fired
+    /// beneath it, and the same result for every owner of `node`.
+    fn child(&mut self, node: &Arc<Guard>) -> Arc<Guard> {
+        if let Some(done) = self.memo.get(node) {
+            return Arc::clone(done);
+        }
+        let simpler = match self.rules(node) {
+            Simpler::Unchanged => Arc::clone(node),
+            Simpler::Node(node) => node,
+            Simpler::Built(guard) => Arc::new(guard),
+        };
+        self.memo.insert(node, Arc::clone(&simpler));
+        simpler
+    }
+
+    /// A rule fired.
+    fn fired(&mut self, result: Simpler) -> Simpler {
+        self.changed = true;
+        result
+    }
+
+    fn rules(&mut self, guard: &Guard) -> Simpler {
+        match guard {
+            Guard::True | Guard::Port(_) => Simpler::Unchanged,
+            Guard::Not(inner) => {
+                let simple = self.child(inner);
+                match &*simple {
+                    Guard::Not(g) => self.fired(Simpler::Node(Arc::clone(g))),
+                    _ if Arc::ptr_eq(&simple, inner) => Simpler::Unchanged,
+                    _ => Simpler::Built(Guard::Not(simple)),
                 }
-                g => Guard::Not(Box::new(g)),
             }
-        }
-        Guard::And(a, b) => {
-            let a = simplify_tracked(*a, changed);
-            let b = simplify_tracked(*b, changed);
-            if a.is_true() {
-                *changed = true;
-                return b;
+            Guard::And(a, b) => {
+                let (sa, sb) = (self.child(a), self.child(b));
+                if sa.is_true() {
+                    self.fired(Simpler::Node(sb))
+                } else if sb.is_true() {
+                    self.fired(Simpler::Node(sa))
+                } else if is_false(&sa) || is_false(&sb) {
+                    self.fired(Simpler::Built(Guard::True.not()))
+                } else if sa == sb {
+                    self.fired(Simpler::Node(sa))
+                } else if Arc::ptr_eq(&sa, a) && Arc::ptr_eq(&sb, b) {
+                    Simpler::Unchanged
+                } else {
+                    Simpler::Built(Guard::And(sa, sb))
+                }
             }
-            if b.is_true() {
-                *changed = true;
-                return a;
+            Guard::Or(a, b) => {
+                let (sa, sb) = (self.child(a), self.child(b));
+                if sa.is_true() || sb.is_true() {
+                    self.fired(Simpler::Built(Guard::True))
+                } else if is_false(&sa) {
+                    self.fired(Simpler::Node(sb))
+                } else if is_false(&sb) || sa == sb {
+                    self.fired(Simpler::Node(sa))
+                } else if Arc::ptr_eq(&sa, a) && Arc::ptr_eq(&sb, b) {
+                    Simpler::Unchanged
+                } else {
+                    Simpler::Built(Guard::Or(sa, sb))
+                }
             }
-            if is_false(&a) || is_false(&b) {
-                *changed = true;
-                return Guard::True.not();
-            }
-            if a == b {
-                *changed = true;
-                return a;
-            }
-            Guard::And(Box::new(a), Box::new(b))
-        }
-        Guard::Or(a, b) => {
-            let a = simplify_tracked(*a, changed);
-            let b = simplify_tracked(*b, changed);
-            if a.is_true() || b.is_true() {
-                *changed = true;
-                return Guard::True;
-            }
-            if is_false(&a) {
-                *changed = true;
-                return b;
-            }
-            if is_false(&b) {
-                *changed = true;
-                return a;
-            }
-            if a == b {
-                *changed = true;
-                return a;
-            }
-            Guard::Or(Box::new(a), Box::new(b))
-        }
-        Guard::Comp(op, l, r) => {
-            if let (Atom::Const { val: lv, .. }, Atom::Const { val: rv, .. }) = (&l, &r) {
-                *changed = true;
-                return if op.eval(*lv, *rv) {
+            Guard::Comp(op, l, r) => {
+                let holds = match (l, r) {
+                    (Atom::Const { val: lv, .. }, Atom::Const { val: rv, .. }) => op.eval(*lv, *rv),
+                    // x == x, x <= x, x >= x are tautologies on equal atoms.
+                    _ if l == r => matches!(op, CompOp::Eq | CompOp::Leq | CompOp::Geq),
+                    _ => return Simpler::Unchanged,
+                };
+                self.fired(Simpler::Built(if holds {
                     Guard::True
                 } else {
                     Guard::True.not()
-                };
+                }))
             }
-            // x == x, x <= x, x >= x are tautologies on equal atoms.
-            if l == r {
-                *changed = true;
-                return match op {
-                    CompOp::Eq | CompOp::Leq | CompOp::Geq => Guard::True,
-                    CompOp::Neq | CompOp::Lt | CompOp::Gt => Guard::True.not(),
-                };
-            }
-            Guard::Comp(op, l, r)
         }
     }
 }
@@ -161,9 +190,37 @@ mod tests {
         assert_eq!(simplify(Guard::True.not().and(p("a"))), Guard::True.not());
         assert_eq!(simplify(Guard::True.not().or(p("a"))), p("a"));
         assert_eq!(
-            simplify(Guard::And(Box::new(Guard::True), Box::new(p("a")))),
+            simplify(Guard::And(Arc::new(Guard::True), Arc::new(p("a")))),
             p("a")
         );
+    }
+
+    /// A node with two owners is simplified once: both get the one result,
+    /// and a node no rule fires beneath is the node that came in.
+    #[test]
+    fn shared_nodes_stay_shared() {
+        let not = |g| Guard::Not(Arc::new(g));
+        let shared = Arc::new(not(not(p("a").and(p("b")))));
+        let kept = Arc::new(p("c").or(p("d")));
+        let owner = |other: &str| {
+            let left = Guard::Or(Arc::clone(&shared), Arc::new(p(other)));
+            Guard::And(Arc::new(left), Arc::clone(&kept))
+        };
+        let mut simplifier = Simplifier::default();
+        let (x, y) = (owner("x"), owner("y"));
+        let x = simplifier.root(&x).expect("`!!` folds");
+        let y = simplifier.root(&y).expect("`!!` folds");
+        assert!(simplifier.changed);
+        assert_eq!(x, p("a").and(p("b")).or(p("x")).and(p("c").or(p("d"))));
+        let (Guard::And(x_left, x_kept), Guard::And(y_left, y_kept)) = (&x, &y) else {
+            panic!("{x} and {y} are conjunctions");
+        };
+        assert!(Arc::ptr_eq(x_kept, &kept) && Arc::ptr_eq(y_kept, &kept));
+        let (Guard::Or(x_shared, _), Guard::Or(y_shared, _)) = (&**x_left, &**y_left) else {
+            panic!("{x_left} and {y_left} are disjunctions");
+        };
+        assert!(Arc::ptr_eq(x_shared, y_shared));
+        assert!(simplifier.root(&x).is_none(), "nothing left to fire");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! 2. collects all hole writes and replaces every hole read with the
 //!    disjunction of its writers (`guard & src` per write); `go`
 //!    substitutions mention parent holes, so each hole is resolved once,
-//!    in dependency order,
+//!    in dependency order, into one node that every reader then shares
+//!    (see [`Guard`] on sharing),
 //! 3. moves all group assignments into the top-level `wires` section and
 //!    deletes the groups.
 //!
@@ -19,8 +20,9 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{Assignment, Atom, Component, Control, Guard, PortRef};
+use crate::ir::{Assignment, Atom, Component, Control, Guard, GuardMemo, PortRef};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Inlines `go`/`done` interface signals and erases all groups.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,13 +104,13 @@ impl Visitor for RemoveGroups {
                         format!("hole used as assignment source in `{}`", asgn.dst),
                     ));
                 }
-                holes.inline(&mut asgn.guard)?;
+                holes.inline_into(&mut asgn.guard)?;
                 flattened.push(asgn);
             }
         }
         comp.groups = Default::default();
         for asgn in &mut comp.continuous {
-            holes.inline(&mut asgn.guard)?;
+            holes.inline_into(&mut asgn.guard)?;
         }
         comp.continuous.extend(flattened);
 
@@ -140,8 +142,8 @@ enum Slot {
     Defined(Option<Guard>),
     /// On the depth-first walk's stack: reading it again is a cycle.
     Open,
-    /// Hole-free.
-    Resolved(Guard),
+    /// Hole-free, and the one node every read of the hole becomes.
+    Resolved(Arc<Guard>),
 }
 
 /// Every hole's definition, resolved at most once each.
@@ -153,6 +155,10 @@ struct Holes {
     order: Vec<PortRef>,
     /// The `Open` holes, outermost first.
     stack: Vec<PortRef>,
+    /// The hole-free form of every shared node inlined so far. An entry
+    /// stands for good: the holes beneath its node were resolved to make
+    /// it, and a resolved hole never changes.
+    inlined: GuardMemo<Arc<Guard>>,
 }
 
 impl Holes {
@@ -204,7 +210,7 @@ impl Holes {
 
     /// The hole-free guard `hole` stands for, computed on first request
     /// by inlining the holes its definition reads.
-    fn resolved(&mut self, hole: PortRef) -> CalyxResult<&Guard> {
+    fn resolved(&mut self, hole: PortRef) -> CalyxResult<&Arc<Guard>> {
         let slot = self.slots.get_mut(&hole).ok_or_else(|| {
             Error::pass(
                 "remove-groups",
@@ -234,9 +240,9 @@ impl Holes {
                 let mut guard = guard.take().unwrap_or_else(|| Guard::True.not());
                 *slot = Slot::Open;
                 self.stack.push(hole);
-                self.inline(&mut guard)?;
+                self.inline_into(&mut guard)?;
                 self.stack.pop();
-                self.slots.insert(hole, Slot::Resolved(guard));
+                self.slots.insert(hole, Slot::Resolved(Arc::new(guard)));
             }
         }
         match &self.slots[&hole] {
@@ -245,20 +251,36 @@ impl Holes {
         }
     }
 
-    /// Replace every hole read in `guard` by a copy of the hole's
-    /// resolved guard, in one traversal.
-    fn inline(&mut self, guard: &mut Guard) -> CalyxResult<()> {
-        match guard {
-            Guard::True => Ok(()),
-            Guard::Port(p) if p.is_hole() => {
-                *guard = self.resolved(*p)?.clone();
-                Ok(())
+    /// Replace every hole read in an assignment's `guard` by the hole's
+    /// resolved guard.
+    fn inline_into(&mut self, guard: &mut Guard) -> CalyxResult<()> {
+        if let Some(inlined) = self.inline(guard)? {
+            *guard = inlined;
+        }
+        Ok(())
+    }
+
+    /// `guard` with every hole read replaced by the hole's resolved guard;
+    /// `None` when it reads no hole. Only the nodes above a hole read are
+    /// built anew: the read itself becomes the hole's one resolved node.
+    fn inline(&mut self, guard: &Guard) -> CalyxResult<Option<Guard>> {
+        Ok(match guard {
+            Guard::True => None,
+            Guard::Port(p) if p.is_hole() => Some(Guard::clone(self.resolved(*p)?)),
+            Guard::Port(_) => None,
+            Guard::Not(inner) => {
+                let inlined = self.inline_child(inner)?;
+                (!Arc::ptr_eq(&inlined, inner)).then_some(Guard::Not(inlined))
             }
-            Guard::Port(_) => Ok(()),
-            Guard::Not(inner) => self.inline(inner),
             Guard::And(a, b) | Guard::Or(a, b) => {
-                self.inline(a)?;
-                self.inline(b)
+                let (ia, ib) = (self.inline_child(a)?, self.inline_child(b)?);
+                if Arc::ptr_eq(&ia, a) && Arc::ptr_eq(&ib, b) {
+                    None
+                } else if matches!(guard, Guard::And(..)) {
+                    Some(Guard::And(ia, ib))
+                } else {
+                    Some(Guard::Or(ia, ib))
+                }
             }
             // Holes are 1-bit signals read as bare ports; one inside a
             // comparison has no guard to stand for it.
@@ -266,19 +288,40 @@ impl Holes {
                 Atom::Port(p) if p.is_hole() => Some(*p),
                 _ => None,
             }) {
-                Some(hole) => Err(Error::pass(
-                    "remove-groups",
-                    format!("hole `{hole}` is read inside a comparison"),
-                )),
-                None => Ok(()),
+                Some(hole) => {
+                    return Err(Error::pass(
+                        "remove-groups",
+                        format!("hole `{hole}` is read inside a comparison"),
+                    ))
+                }
+                None => None,
             },
+        })
+    }
+
+    /// [`inline`](Self::inline) for a child: `node` itself when it reads
+    /// no hole, and the same node for every owner of `node`.
+    fn inline_child(&mut self, node: &Arc<Guard>) -> CalyxResult<Arc<Guard>> {
+        if let Guard::Port(p) = &**node {
+            if p.is_hole() {
+                return self.resolved(*p).cloned();
+            }
         }
+        if let Some(done) = self.inlined.get(node) {
+            return Ok(Arc::clone(done));
+        }
+        let inlined = match self.inline(node)? {
+            Some(guard) => Arc::new(guard),
+            None => Arc::clone(node),
+        };
+        self.inlined.insert(node, Arc::clone(&inlined));
+        Ok(inlined)
     }
 
     /// Move `hole`'s resolved guard out.
     fn take(&mut self, hole: PortRef) -> Option<Guard> {
         match self.slots.remove(&hole)? {
-            Slot::Resolved(guard) => Some(guard),
+            Slot::Resolved(guard) => Some(Arc::unwrap_or_clone(guard)),
             _ => unreachable!("`resolve_all` resolved every hole"),
         }
     }
@@ -399,10 +442,10 @@ mod tests {
         )
     }
 
-    /// Inlining is structural: every hole read becomes a copy of the
-    /// hole's resolved guard, nothing is simplified or shared. The sum
-    /// below was recorded from the fixpoint implementation this pass
-    /// replaced, so the single traversal builds trees of the same size.
+    /// Inlining is structural: every hole read becomes the hole's resolved
+    /// guard, nothing is simplified. The sum below was recorded from the
+    /// fixpoint implementation this pass replaced, which copied the guard
+    /// into every read: counted as trees, the guards are the same size.
     #[test]
     fn deep_nest_lowers_to_the_same_guard_sizes() {
         let ctx = lower(&nest(32));
@@ -472,6 +515,86 @@ mod tests {
             err.ends_with("hole `a[go]` is read inside a comparison"),
             "{err}"
         );
+    }
+
+    /// [`rejection`] of `main` whose group `a` reads `shared` — one node —
+    /// in the guards of two assignments and in the definition of
+    /// `a[done]`, each time after `memoized`, which the definition reads
+    /// twice: the second read is answered from the memo.
+    fn rejection_of_shared(memoized: Option<&Arc<Guard>>, shared: Guard, groups: &str) -> String {
+        let src = format!(
+            "component main() -> () {{
+               cells {{ x = std_reg(8); }}
+               wires {{
+                 group a {{ x.in = 8'd1; x.in = 8'd2; x.write_en = 1'd1; a[done] = x.done; }}
+                 {groups}
+               }}
+               control {{ a; }}
+             }}"
+        );
+        let mut ctx = parse_context(&src).unwrap();
+        let shared = Arc::new(shared);
+        let beside = memoized.unwrap_or(&shared);
+        let asgns = &mut ctx.component_mut("main").unwrap().groups;
+        let asgns = &mut asgns.get_mut("a".into()).unwrap().assignments;
+        asgns[0].guard = Guard::Not(Arc::clone(beside));
+        asgns[1].guard = Guard::And(Arc::clone(beside), Arc::clone(&shared));
+        asgns[2].guard = Guard::Or(Arc::clone(&shared), Arc::clone(beside));
+        let twice = Guard::Or(Arc::clone(beside), Arc::clone(beside));
+        asgns[3].guard = Guard::And(Arc::new(twice), Arc::new(Guard::Not(shared)));
+        RemoveGroups.run(&mut ctx).unwrap_err().to_string()
+    }
+
+    /// The three rejections that come out of a guard say the same when the
+    /// node they come out of has several owners, and when it sits beside
+    /// a node the walk has inlined already.
+    #[test]
+    fn rejections_keep_their_texts_on_shared_nodes() {
+        let hole = |group: &str, port: &str| Guard::Port(PortRef::hole(group, port));
+        let fine = Arc::new(hole("b", "done").not());
+        let b = "group b { b[done] = x.done; }";
+        for memoized in [None, Some(&fine)] {
+            let comparison = Guard::Comp(
+                crate::ir::CompOp::Eq,
+                Atom::Port(PortRef::hole("a", "go")),
+                Atom::constant(1, 1),
+            );
+            let err = rejection_of_shared(memoized, comparison, b);
+            assert!(
+                err.ends_with("hole `a[go]` is read inside a comparison"),
+                "{err}"
+            );
+            let err = rejection_of_shared(memoized, hole("c", "done").not(), b);
+            assert!(
+                err.ends_with("hole `c[done]` is read but never written"),
+                "{err}"
+            );
+            let err = rejection_of_shared(memoized, hole("a", "done").not(), b);
+            assert!(
+                err.ends_with(
+                    "interface-signal substitution did not converge (cyclic holes?): \
+                     a[done] -> a[done]"
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    /// Every reader of a hole gets the hole's one resolved node: the two
+    /// assignments of group `one` read `one[go]`, and nothing else.
+    #[test]
+    fn readers_of_a_hole_share_its_node() {
+        let ctx = lower(FIG2);
+        let [x_in, x_write_en, ..] = &ctx.component("main").unwrap().continuous[..] else {
+            panic!("group `one` has two assignments");
+        };
+        assert_eq!(x_in.guard, x_write_en.guard);
+        let (Guard::And(a, a_not_done), Guard::And(b, b_not_done)) =
+            (&x_in.guard, &x_write_en.guard)
+        else {
+            panic!("`{}` is a conjunction", x_in.guard);
+        };
+        assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(a_not_done, b_not_done));
     }
 
     #[test]

@@ -28,8 +28,11 @@ use super::{
 };
 use crate::error::{SimError, SimResult};
 use crate::prim::{CombOp, PrimState, UnitOp};
-use calyx_core::ir::{Atom, CellType, Context, Control, Direction, Guard, Id, PortParent, PortRef};
+use calyx_core::ir::{
+    Atom, CellType, Context, Control, Direction, Guard, GuardMemo, Id, PortParent, PortRef,
+};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// How a flattening mode turns a primitive's port names into arena slots.
 trait PortResolver {
@@ -172,8 +175,8 @@ fn flat_atom(
     })
 }
 
-/// Intern `guard` into the `guards` arena — the one place an
-/// [`ir::Guard`](Guard) becomes [`FlatGuard`] nodes; only port resolution
+/// Interns [`ir::Guard`](Guard)s into a program's guard arena — the one
+/// place a guard becomes [`FlatGuard`] nodes; only port resolution
 /// differs between the flattening modes.
 ///
 /// Nodes are hash-consed through `cons`: children are interned before
@@ -183,30 +186,50 @@ fn flat_atom(
 /// RTL engine's sorted graph: evaluated once when `fsm.out` changes,
 /// whatever the number of assignments that test it. Sharing cannot change
 /// a value: a node is a pure function of the port valuation.
-fn intern_guard(
-    guards: &mut IndexedMap<GuardIdx, FlatGuard>,
-    cons: &mut HashMap<FlatGuard, GuardIdx>,
-    guard: &Guard,
-    resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
-) -> SimResult<GuardIdx> {
-    let node = match guard {
-        // `FlatProgram::new` seeds index 0 with the one `True` node.
-        Guard::True => return Ok(GuardIdx::new(0)),
-        Guard::Port(p) => FlatGuard::Port(resolve(p)?),
-        Guard::Not(g) => FlatGuard::Not(intern_guard(guards, cons, g, resolve)?),
-        Guard::And(a, b) => FlatGuard::And(
-            intern_guard(guards, cons, a, resolve)?,
-            intern_guard(guards, cons, b, resolve)?,
-        ),
-        Guard::Or(a, b) => FlatGuard::Or(
-            intern_guard(guards, cons, a, resolve)?,
-            intern_guard(guards, cons, b, resolve)?,
-        ),
-        Guard::Comp(op, l, r) => {
-            FlatGuard::Comp(*op, flat_atom(l, resolve)?, flat_atom(r, resolve)?)
+///
+/// Lowering already shares most of those subtrees as one `ir` node, and
+/// `done` keeps the index of every shared node interned so far: a second
+/// owner finds it by identity, before any port is resolved or node hashed.
+/// An index stands for a node *under one port numbering*, so `done` is
+/// one per elaborated component instance.
+struct GuardInterner<'a> {
+    guards: &'a mut IndexedMap<GuardIdx, FlatGuard>,
+    cons: &'a mut HashMap<FlatGuard, GuardIdx>,
+    done: &'a mut GuardMemo<GuardIdx>,
+}
+
+impl GuardInterner<'_> {
+    fn intern(
+        &mut self,
+        guard: &Guard,
+        resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
+    ) -> SimResult<GuardIdx> {
+        let node = match guard {
+            // `FlatProgram::new` seeds index 0 with the one `True` node.
+            Guard::True => return Ok(GuardIdx::new(0)),
+            Guard::Port(p) => FlatGuard::Port(resolve(p)?),
+            Guard::Not(g) => FlatGuard::Not(self.child(g, resolve)?),
+            Guard::And(a, b) => FlatGuard::And(self.child(a, resolve)?, self.child(b, resolve)?),
+            Guard::Or(a, b) => FlatGuard::Or(self.child(a, resolve)?, self.child(b, resolve)?),
+            Guard::Comp(op, l, r) => {
+                FlatGuard::Comp(*op, flat_atom(l, resolve)?, flat_atom(r, resolve)?)
+            }
+        };
+        Ok(cons_guard(self.guards, self.cons, node))
+    }
+
+    fn child(
+        &mut self,
+        node: &Arc<Guard>,
+        resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
+    ) -> SimResult<GuardIdx> {
+        if let Some(idx) = self.done.get(node) {
+            return Ok(*idx);
         }
-    };
-    Ok(cons_guard(guards, cons, node))
+        let idx = self.intern(node, resolve)?;
+        self.done.insert(node, idx);
+        Ok(idx)
+    }
 }
 
 /// The index of `node`, which is pushed unless an equal node exists.
@@ -295,8 +318,10 @@ fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers, cyclic: bool) -> Si
 struct ControlFlattener {
     prog: FlatProgram,
     port_map: HashMap<PortRef, PortIdx>,
-    /// Hash-consing table of [`intern_guard`].
+    /// Hash-consing table of [`GuardInterner`].
     cons: HashMap<FlatGuard, GuardIdx>,
+    /// The shared guards interned so far.
+    interned: GuardMemo<GuardIdx>,
     drivers: Drivers,
     /// The stateful primitives' outputs, which hold for a whole cycle.
     held: HashSet<PortIdx>,
@@ -341,12 +366,18 @@ impl ControlFlattener {
             prog,
             port_map,
             cons,
+            interned,
             ..
         } = self;
         // Ports the program never declared still get a (1-bit) slot.
         let mut resolve = |p: &PortRef| Ok(slot_of(&mut prog.ports, port_map, *p, 1));
         let src = flat_atom(&asgn.src, &mut resolve)?;
-        let guard = intern_guard(&mut prog.guards, cons, &asgn.guard, &mut resolve)?;
+        let guard = GuardInterner {
+            guards: &mut prog.guards,
+            cons,
+            done: interned,
+        }
+        .intern(&asgn.guard, &mut resolve)?;
         let t = prog.true_guard();
         let gated = match (go == t, guard == t) {
             (true, _) => guard,
@@ -477,6 +508,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
         prog: FlatProgram::new(comp.name),
         port_map: HashMap::new(),
         cons: HashMap::new(),
+        interned: GuardMemo::default(),
         drivers: Drivers::default(),
         held: HashSet::new(),
         groups: super::IndexedMap::new(),
@@ -598,7 +630,7 @@ struct DesignFlattener<'a> {
     prog: FlatProgram,
     cell_index: HashMap<String, CellIdx>,
     drivers: Drivers,
-    /// Hash-consing table of [`intern_guard`].
+    /// Hash-consing table of [`GuardInterner`].
     cons: HashMap<FlatGuard, GuardIdx>,
 }
 
@@ -704,15 +736,15 @@ impl DesignFlattener<'_> {
 
         // Resolve assignments into pending driver lists.
         let mut resolve = |p: &PortRef| resolve_port(p, &cell_ports, this_ports, name);
+        let mut interner = GuardInterner {
+            guards: &mut self.prog.guards,
+            cons: &mut self.cons,
+            done: &mut GuardMemo::default(),
+        };
         for asgn in &comp.continuous {
             let dst = resolve(&asgn.dst)?;
             let src = flat_atom(&asgn.src, &mut resolve)?;
-            let guard = intern_guard(
-                &mut self.prog.guards,
-                &mut self.cons,
-                &asgn.guard,
-                &mut resolve,
-            )?;
+            let guard = interner.intern(&asgn.guard, &mut resolve)?;
             self.drivers.push(dst, src, guard);
         }
         Ok(())
