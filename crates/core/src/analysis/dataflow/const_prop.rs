@@ -17,12 +17,13 @@
 //!   head (the `const-loop` C0206 territory: a condition over registers
 //!   the loop never changes).
 
-use super::solver::{solve, ConstVal, Direction, Solution, Transfer};
+use super::solver::{solve, ConstVal, Direction, Lattice, Solution, Transfer};
 use crate::analysis::cache::{Analysis, AnalysisCache};
 use crate::analysis::pcfg::{CondKind, Pcfg};
 use crate::analysis::read_write::ReadWriteSets;
+use crate::analysis::regset::RegSet;
 use crate::ir::{Atom, Component, Id, PortParent, PortRef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Recursion budget for the port evaluator: deeper chains (or
 /// combinational cycles, which the `comb-cycle` lint reports separately)
@@ -303,7 +304,9 @@ impl Transfer for ConstTransfer<'_> {
 
     fn group(&self, group: Id, fact: &Self::Fact) -> Self::Fact {
         let mut out = fact.clone();
-        for &r in self.rw.may_writes(group) {
+        let must = self.rw.must_writes(group);
+        for i in self.rw.may_writes(group).iter() {
+            let r = self.rw.regs().name(i);
             let written = eval_input(
                 self.comp,
                 Scope::Active(Some(group), self.comp),
@@ -311,7 +314,7 @@ impl Transfer for ConstTransfer<'_> {
                 PortRef::cell(r, "in"),
                 MAX_DEPTH,
             );
-            let new = if self.rw.must_writes(group).contains(&r) {
+            let new = if must.contains(i) {
                 written
             } else {
                 // A guarded write leaves either the old or the new value.
@@ -366,11 +369,13 @@ impl Transfer for ConstTransfer<'_> {
     }
 }
 
-/// Registers any group below `pcfg` may write.
-fn may_written_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
-    let mut regs = BTreeSet::new();
-    pcfg.for_each_group(&mut |g| regs.extend(rw.may_writes(g).iter().copied()));
-    regs
+/// Registers any group below `pcfg` may write, in name order.
+fn may_written_regs(pcfg: &Pcfg, rw: &ReadWriteSets) -> Vec<Id> {
+    let mut regs = RegSet::new();
+    pcfg.for_each_group(&mut |g| {
+        regs.join(rw.may_writes(g));
+    });
+    rw.regs().names(&regs).collect()
 }
 
 #[cfg(test)]

@@ -15,12 +15,12 @@
 //!
 //! The concrete analyses on top:
 //!
-//! - [`solve_liveness`] — backward liveness, the solver behind the cached
-//!   [`Liveness`](crate::analysis::Liveness) tree that
+//! - [`solve_liveness`] — backward liveness over
+//!   [`RegSet`](crate::analysis::RegSet) bitsets, the solver behind the
+//!   cached [`Liveness`](crate::analysis::Liveness) tree that
 //!   [`Interference`](crate::analysis::Interference) and the
-//!   `dead-write` lint walk; held equal, tree for tree, to the
-//!   hand-rolled reference solver in
-//!   [`liveness`](crate::analysis::liveness) by the differential tests;
+//!   `dead-write` lint walk; held equal, tree for tree, to an independent
+//!   `BTreeSet<Id>` reference solver by `tests/dataflow_differential.rs`;
 //! - [`ReachingDefs`] — forward def-site tracking with synthetic entry
 //!   defs, powering the `uninit-read` lint;
 //! - [`ConstProp`] — forward constant propagation over register values

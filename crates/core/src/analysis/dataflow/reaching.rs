@@ -10,11 +10,12 @@
 //! asks [`ReachingDefs::entry_reaches`]: a register read while its entry
 //! def still reaches may observe an undefined power-on value.
 
-use super::solver::{solve, Direction, Solution, Transfer};
+use super::solver::{solve, Direction, Lattice, Solution, Transfer};
 use crate::analysis::cache::{Analysis, AnalysisCache};
 use crate::analysis::liveness::par_defs;
 use crate::analysis::pcfg::{Pcfg, PcfgNode};
 use crate::analysis::read_write::ReadWriteSets;
+use crate::analysis::regset::RegSet;
 use crate::ir::{Atom, Component, Id, PortParent};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -140,13 +141,14 @@ impl Transfer for ReachTransfer<'_> {
     const DIRECTION: Direction = Direction::Forward;
 
     fn group(&self, group: Id, fact: &Self::Fact) -> Self::Fact {
+        let regs = self.rw.regs();
         let must = self.rw.must_writes(group);
         let mut out: ReachFacts = fact
             .iter()
-            .filter(|(c, _)| !must.contains(c))
+            .filter(|&&(c, _)| !regs.contains(must, c))
             .cloned()
             .collect();
-        for &r in self.rw.may_writes(group) {
+        for r in regs.names(self.rw.may_writes(group)) {
             out.insert((r, DefSite::Group(group)));
         }
         if let Some(mems) = self.mem_writes.get(&group) {
@@ -170,12 +172,13 @@ impl Transfer for ReachTransfer<'_> {
         // register holds a written value no matter how siblings
         // interleaved. Stale group defs from the join are conservative.
         let mut out = ReachFacts::new();
-        let mut killed = BTreeSet::new();
+        let mut killed = RegSet::new();
         for (child, solved) in children.iter().zip(solved) {
             out.extend(solved.output[child.exit].iter().cloned());
-            killed.extend(par_defs(child, self.rw));
+            killed.join(&par_defs(child, self.rw));
         }
-        out.retain(|&(c, site)| site != DefSite::Entry || !killed.contains(&c));
+        let regs = self.rw.regs();
+        out.retain(|&(c, site)| site != DefSite::Entry || !regs.contains(&killed, c));
         out
     }
 }

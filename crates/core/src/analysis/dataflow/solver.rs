@@ -5,7 +5,8 @@
 //! [`Direction`]. [`solve`] then computes the least fixpoint of the flow
 //! equations with a classic worklist: recompute a node's fact from its
 //! neighbors, and re-queue the neighbors on the other side whenever the
-//! result changed.
+//! result changed. The worklist starts in flow order (exit first for a
+//! backward analysis), so on an acyclic graph every node is applied once.
 //!
 //! P-nodes are where the pCFG earns its name, and [`solve`] is the only
 //! code that recurses into one. All children of a `par` execute, so each
@@ -37,8 +38,8 @@ pub trait Lattice: Clone + PartialEq {
     fn leq(&self, other: &Self) -> bool;
 }
 
-/// Any ordered set is a union lattice (used by liveness and reaching
-/// definitions).
+/// Any ordered set is a union lattice (used by reaching definitions;
+/// liveness uses the bitset [`RegSet`](crate::analysis::RegSet)).
 impl<T: Clone + Ord> Lattice for BTreeSet<T> {
     fn bottom() -> Self {
         BTreeSet::new()
@@ -143,11 +144,13 @@ pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solut
     let mut input = vec![T::Fact::bottom(); n];
     let mut output = vec![T::Fact::bottom(); n];
     let mut children = vec![Vec::new(); n];
-    // Seed every node once, in rough flow order so the common (acyclic)
-    // case converges in one sweep; loops re-queue through the edges.
+    // Seed every node once, in flow order: on an acyclic graph a node's
+    // near-side neighbours are then final before it is applied, so each
+    // node is applied once and each p-node's children solved once. Loops
+    // re-queue through the edges.
     let mut work: VecDeque<usize> = match T::DIRECTION {
-        Direction::Forward => (0..n).collect(),
-        Direction::Backward => (0..n).rev().collect(),
+        Direction::Forward => postorder(pcfg).into_iter().rev().collect(),
+        Direction::Backward => postorder(pcfg).into(),
     };
     let mut queued = vec![true; n];
     while let Some(node) = work.pop_front() {
@@ -204,6 +207,40 @@ pub fn solve<T: Transfer>(pcfg: &Pcfg, transfer: &T, boundary: T::Fact) -> Solut
         output,
         children,
     }
+}
+
+/// Every node of `pcfg` in depth-first postorder from the entry (nodes
+/// the entry does not reach after it): a node follows all its successors
+/// but those it reaches only through a back edge, so the order runs exit
+/// first and its reverse entry first.
+fn postorder(pcfg: &Pcfg) -> Vec<usize> {
+    let mut order = Vec::with_capacity(pcfg.len());
+    let mut seen = vec![false; pcfg.len()];
+    // (node, index of its next successor to visit)
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in std::iter::once(pcfg.entry).chain(0..pcfg.len()) {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        stack.push((root, 0));
+        while let Some((node, next)) = stack.last_mut() {
+            match pcfg.succs[*node].get(*next) {
+                Some(&succ) => {
+                    *next += 1;
+                    if !seen[succ] {
+                        seen[succ] = true;
+                        stack.push((succ, 0));
+                    }
+                }
+                None => {
+                    order.push(*node);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    order
 }
 
 /// Apply `node` to its near-side `fact`. A p-node's children are solved
@@ -298,6 +335,7 @@ impl Lattice for BTreeMap<Id, ConstVal> {
 mod tests {
     use super::*;
     use crate::ir::Control;
+    use std::cell::{Cell, RefCell};
 
     /// A toy forward analysis: collect every group name seen on some path.
     struct SeenGroups;
@@ -418,6 +456,88 @@ mod tests {
         let entry_fact = &sol.input[pcfg.entry];
         assert!(entry_fact.contains(&Id::new("a")));
         assert!(entry_fact.contains(&Id::new("b")));
+    }
+
+    /// Collects group names like `SeenGroups`, in either direction, and
+    /// counts the solver's calls.
+    #[derive(Default)]
+    struct Counting<const BACKWARD: bool> {
+        groups: RefCell<Vec<Id>>,
+        pars: Cell<usize>,
+    }
+
+    impl<const BACKWARD: bool> Transfer for Counting<BACKWARD> {
+        type Fact = BTreeSet<Id>;
+        const DIRECTION: Direction = if BACKWARD {
+            Direction::Backward
+        } else {
+            Direction::Forward
+        };
+
+        fn group(&self, group: Id, fact: &Self::Fact) -> Self::Fact {
+            self.groups.borrow_mut().push(group);
+            let mut f = fact.clone();
+            f.insert(group);
+            f
+        }
+
+        fn par(
+            &self,
+            children: &[Pcfg],
+            solved: &[Solution<Self::Fact>],
+            _: &Self::Fact,
+        ) -> Self::Fact {
+            self.pars.set(self.pars.get() + 1);
+            let mut out = BTreeSet::new();
+            for (child, solved) in children.iter().zip(solved) {
+                out.extend(match Self::DIRECTION {
+                    Direction::Forward => &solved.output[child.exit],
+                    Direction::Backward => &solved.input[child.entry],
+                });
+            }
+            out
+        }
+    }
+
+    /// On an acyclic pCFG the worklist applies every node once: each
+    /// group transfer runs once, and the p-node's children are solved
+    /// and combined once — in both directions, from a non-empty boundary
+    /// (which a node seeded before its flow-side neighbours would see
+    /// arrive late, and be applied again for).
+    fn assert_applied_once<const BACKWARD: bool>() {
+        // seq { a; par { seq { b; c; } d; } e; }
+        let c = Control::seq(vec![
+            Control::enable("a"),
+            Control::par(vec![
+                Control::seq(vec![Control::enable("b"), Control::enable("c")]),
+                Control::enable("d"),
+            ]),
+            Control::enable("e"),
+        ]);
+        let pcfg = Pcfg::from_control(&c);
+        let counting = Counting::<BACKWARD>::default();
+        let boundary: BTreeSet<Id> = [Id::new("boundary")].into_iter().collect();
+        let sol = solve(&pcfg, &counting, boundary);
+        let mut groups: Vec<&str> = counting
+            .groups
+            .borrow()
+            .iter()
+            .map(|g| g.as_str())
+            .collect();
+        groups.sort();
+        assert_eq!(groups, ["a", "b", "c", "d", "e"], "backward: {BACKWARD}");
+        assert_eq!(counting.pars.get(), 1, "backward: {BACKWARD}");
+        let far = match Counting::<BACKWARD>::DIRECTION {
+            Direction::Forward => &sol.output[pcfg.exit],
+            Direction::Backward => &sol.input[pcfg.entry],
+        };
+        assert_eq!(far.len(), 6, "every group and the boundary: {far:?}");
+    }
+
+    #[test]
+    fn acyclic_graphs_apply_each_node_once() {
+        assert_applied_once::<true>();
+        assert_applied_once::<false>();
     }
 
     #[test]

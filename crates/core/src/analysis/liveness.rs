@@ -7,21 +7,21 @@
 //! children execute).
 //!
 //! The cached [`Liveness`] analysis is the dataflow engine's solution
-//! tree (see [`dataflow`](super::dataflow)): the engine solves every
-//! p-node child once and keeps it, and [`Interference`] and the
-//! `dead-write` lint read the nested facts from the tree rather than
-//! solving children again. The hand-rolled
-//! [`Liveness::solve`] and [`Interference::build`] in this module are the
-//! *reference* implementation: no pass, analysis or lint calls them; the
-//! differential tests compare the engine's tree against theirs.
+//! tree over [`RegSet`]s (see [`dataflow`](super::dataflow)): the engine
+//! solves every p-node child once and keeps it, and [`Interference`] and
+//! the `dead-write` lint read the nested facts from the tree rather than
+//! solving children again. The independent `BTreeSet<Id>` reference
+//! solver the differential tests compare it against lives in
+//! `tests/dataflow_differential.rs`, not here.
 
 use super::cache::{Analysis, AnalysisCache};
-use super::dataflow::{solve_liveness, Solution};
+use super::dataflow::{solve_liveness, Lattice, Solution};
 use super::pcfg::{Pcfg, PcfgNode};
 use super::port_uses::PortUses;
 use super::read_write::ReadWriteSets;
+use super::regset::{RegIndex, RegSet};
 use crate::ir::{Component, Control, Id};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Cells observable outside the control schedule: cells read or written by
 /// continuous assignments, plus cells referenced directly as `if`/`while`
@@ -114,7 +114,8 @@ fn collect_condition_cells(control: &Control, out: &mut BTreeSet<Id>) {
 /// register sets. `input[n]` is the set live *into* node `n`, `output[n]`
 /// the set live *out of* it, and `children[n]` the liveness of p-node
 /// `n`'s child sub-pCFGs, each solved with `output[n]` live at its exit.
-pub type Liveness = Solution<BTreeSet<Id>>;
+/// The sets are over the numbering of [`ReadWriteSets::regs`].
+pub type Liveness = Solution<RegSet>;
 
 impl Analysis for Liveness {
     type Output = Liveness;
@@ -124,107 +125,25 @@ impl Analysis for Liveness {
         let pcfg = cache.get::<Pcfg>(comp);
         let rw = cache.get::<ReadWriteSets>(comp);
         let boundary = cache.get::<BoundaryRegs>(comp);
-        solve_liveness(&pcfg, &rw, boundary.registers())
+        let boundary = rw.regs().set(boundary.registers().iter().copied());
+        solve_liveness(&pcfg, &rw, &boundary)
     }
 }
 
-impl Liveness {
-    /// Solve liveness over `pcfg` with `boundary` live at the graph's
-    /// exit — the hand-rolled round-robin *reference* solver. Nothing
-    /// outside tests calls it: it exists so the engine-backed
-    /// [`solve_liveness`] has an independent implementation of the same
-    /// equations to be compared against, tree for tree.
-    pub fn solve(pcfg: &Pcfg, rw: &ReadWriteSets, boundary: &BTreeSet<Id>) -> Self {
-        let n = pcfg.len();
-        let mut live = Liveness {
-            input: vec![BTreeSet::new(); n],
-            output: vec![BTreeSet::new(); n],
-            children: vec![Vec::new(); n],
-        };
-
-        // Iterate to fixpoint (loops create cycles). Node count is small —
-        // groups per component — so a simple round-robin converges quickly.
-        loop {
-            let mut changed = false;
-            for node in (0..n).rev() {
-                // live_out = union of successors' live_in (exit keeps its
-                // boundary set).
-                let mut out = if node == pcfg.exit {
-                    boundary.clone()
-                } else {
-                    BTreeSet::new()
-                };
-                for &s in &pcfg.succs[node] {
-                    out.extend(live.input[s].iter().copied());
-                }
-                let (uses, defs, children) = node_use_def(&pcfg.nodes[node], rw, &out);
-                let mut inn: BTreeSet<Id> = out.difference(&defs).copied().collect();
-                inn.extend(uses);
-                if inn != live.input[node] || out != live.output[node] {
-                    changed = true;
-                    live.input[node] = inn;
-                    live.output[node] = out;
-                }
-                // Solved under `out`, so final once `out` is.
-                live.children[node] = children;
-            }
-            if !changed {
-                return live;
-            }
+/// The registers a `par` child certainly overwrites, for the p-node's
+/// kill set: when the child is straight-line (no node has two
+/// successors, so every node runs), the must-writes of its own group
+/// nodes; otherwise nothing. Writes inside the child's nested p-nodes
+/// are not counted. Both omissions only under-approximate the kills,
+/// which keeps registers live longer and is safe.
+pub(crate) fn par_defs(child: &Pcfg, rw: &ReadWriteSets) -> RegSet {
+    let mut defs = RegSet::new();
+    if child.succs.iter().all(|s| s.len() <= 1) {
+        for g in child.groups() {
+            defs.join(rw.must_writes(g));
         }
     }
-}
-
-/// use/def of a node, plus the solutions of its children. For p-nodes
-/// this *recursively solves* the children with the current live-out as
-/// their boundary, per the paper.
-fn node_use_def(
-    node: &PcfgNode,
-    rw: &ReadWriteSets,
-    live_out: &BTreeSet<Id>,
-) -> (BTreeSet<Id>, BTreeSet<Id>, Vec<Liveness>) {
-    match node {
-        PcfgNode::Nop => (BTreeSet::new(), BTreeSet::new(), Vec::new()),
-        PcfgNode::Group(g) => (rw.reads(*g).clone(), rw.must_writes(*g).clone(), Vec::new()),
-        PcfgNode::Par(children) => {
-            let mut uses = BTreeSet::new();
-            let mut defs = BTreeSet::new();
-            let mut solutions = Vec::new();
-            for child in children {
-                let solved = Liveness::solve(child, rw, live_out);
-                uses.extend(solved.input[child.entry].iter().copied());
-                defs.extend(par_defs(child, rw));
-                solutions.push(solved);
-            }
-            // A register used by one child must not be treated as killed by
-            // a sibling: uses win over defs at the p-node boundary.
-            let defs = defs.difference(&uses).copied().collect();
-            (uses, defs, solutions)
-        }
-    }
-}
-
-/// Must-writes of an entire sub-pCFG: only nodes that execute on *every*
-/// path kill unconditionally. We conservatively take the union of must-
-/// writes of nodes that dominate the exit; a simple safe approximation is
-/// nodes with no branching anywhere, so instead we under-approximate with
-/// the intersection-free rule: a register is killed by the child if every
-/// path from entry to exit must-writes it. For simplicity and safety this
-/// implementation only counts *straight-line* children (no branch nodes),
-/// and of those only the child's own group nodes, not nested p-nodes;
-/// otherwise it reports no kills, which is conservative (registers stay
-/// live longer). Shared by the engine transfers and the reference solver
-/// so the two can never drift.
-pub(crate) fn par_defs(child: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
-    // Straight-line check: every node has at most one successor.
-    let straight = child.succs.iter().all(|s| s.len() <= 1);
-    if !straight {
-        return BTreeSet::new();
-    }
-    child
-        .groups()
-        .flat_map(|g| rw.must_writes(g).iter().copied())
-        .collect()
+    defs
 }
 
 /// The register interference relation, built from liveness facts.
@@ -236,16 +155,16 @@ pub(crate) fn par_defs(child: &Pcfg, rw: &ReadWriteSets) -> BTreeSet<Id> {
 /// execution).
 ///
 /// The relation is dense on par-heavy designs (a clique per node), so it
-/// is held as a symmetric bit matrix: the registers the liveness tree
-/// mentions are numbered `0..n`, row `i` is `⌈n/64⌉` words, and bit `j` of
-/// it says that registers `i` and `j` conflict. A clique or a cross
-/// product is one mask per register set, OR-ed into each member's row.
-/// The numbering is internal: [`conflict`](Interference::conflict) is the
-/// only way to read the relation, so no output can depend on it.
+/// is held as a symmetric bit matrix over the component's register
+/// numbering ([`RegIndex`]): row `i` is `⌈n/64⌉` words, and bit `j` of it
+/// says that registers `i` and `j` conflict. A fact is already a row-wide
+/// mask, so a clique or a cross product is that mask OR-ed into each
+/// member's row. [`conflict`](Interference::conflict) is the only way to
+/// read the relation.
 #[derive(Debug, Clone, Default)]
 pub struct Interference {
-    /// Row (and column) of every register the relation has met.
-    index: HashMap<Id, usize>,
+    /// The numbering rows and columns follow.
+    regs: RegIndex,
     /// Words per row.
     words: usize,
     /// The rows, back to back. The diagonal is never read.
@@ -265,32 +184,14 @@ impl Analysis for Interference {
 }
 
 impl Interference {
-    /// Compute interference over `pcfg` from the *reference* liveness
-    /// solver — like [`Liveness::solve`], the comparison point for tests;
-    /// the cached analysis goes through [`Interference::build_with`].
-    pub fn build(pcfg: &Pcfg, rw: &ReadWriteSets, boundary: &BTreeSet<Id>) -> Self {
-        let live = Liveness::solve(pcfg, rw, boundary);
-        Interference::build_with(pcfg, rw, &live)
-    }
-
     /// Compute interference over `pcfg` from its solved [`Liveness`]
-    /// tree: one walk to number the registers, then one bottom-up pass
-    /// over every node of every nested sub-pCFG.
+    /// tree: one bottom-up pass over every node of every nested sub-pCFG.
     pub fn build_with(pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> Self {
-        let mut index: HashMap<Id, usize> = HashMap::new();
-        live.walk(pcfg, &mut |pcfg, live| {
-            let used = pcfg
-                .groups()
-                .flat_map(|g| rw.may_writes(g).iter().chain(rw.reads(g)));
-            for &reg in live.output.iter().flatten().chain(used) {
-                let next = index.len();
-                index.entry(reg).or_insert(next);
-            }
-        });
-        let words = index.len().div_ceil(64);
+        let regs = rw.regs().clone();
+        let words = regs.len().div_ceil(64);
         let mut interference = Interference {
-            bits: vec![0; index.len() * words],
-            index,
+            bits: vec![0; regs.len() * words],
+            regs,
             words,
         };
         interference.fill(pcfg, rw, live);
@@ -298,96 +199,86 @@ impl Interference {
     }
 
     /// Add the edges of `pcfg` and everything nested below it; returns
-    /// the mask of registers touched there. Each sub-pCFG's mask is
-    /// computed once, from its own groups and its children's masks.
-    fn fill(&mut self, pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> Vec<u64> {
-        let mut touched = vec![0; self.words];
+    /// the registers touched there. Each sub-pCFG's touched set is
+    /// computed once, from its own groups and its children's sets.
+    fn fill(&mut self, pcfg: &Pcfg, rw: &ReadWriteSets, live: &Liveness) -> RegSet {
+        let mut touched = RegSet::new();
         for (node, (live_out, solved)) in pcfg
             .nodes
             .iter()
             .zip(live.output.iter().zip(&live.children))
         {
-            let mut set = vec![0; self.words];
-            self.mark(&mut set, live_out);
-            if let PcfgNode::Group(g) = node {
-                let mut used = vec![0; self.words];
-                self.mark(&mut used, rw.may_writes(*g));
-                self.mark(&mut used, rw.reads(*g));
-                or_into(&mut set, &used);
-                or_into(&mut touched, &used);
-            }
             // Everything live or used here, pairwise: a clique.
-            self.or_into_rows(&set, &set);
-            let below: Vec<Vec<u64>> = node
+            if let PcfgNode::Group(g) = node {
+                let mut clique = rw.may_writes(*g).clone();
+                clique.join(rw.reads(*g));
+                touched.join(&clique);
+                clique.join(live_out);
+                self.or_into_rows(&clique, &clique);
+            } else {
+                self.or_into_rows(live_out, live_out);
+            }
+            let below: Vec<RegSet> = node
                 .children()
                 .iter()
                 .zip(solved)
                 .map(|(child, solved)| self.fill(child, rw, solved))
                 .collect();
-            or_into(&mut touched, &self.cross_siblings(&below));
+            touched.join(&self.cross_siblings(&below));
         }
         touched
     }
 
     /// Registers touched in different children of a p-node interfere:
-    /// cross each child's mask with everything a sibling touches — all
+    /// cross each child's set with everything a sibling touches — all
     /// that is touched, less what this child alone touches. Returns all
     /// that is touched.
-    fn cross_siblings(&mut self, children: &[Vec<u64>]) -> Vec<u64> {
-        let mut any = vec![0; self.words];
-        let mut shared = vec![0; self.words]; // touched by two or more
+    fn cross_siblings(&mut self, children: &[RegSet]) -> RegSet {
+        let mut any = RegSet::new();
+        let mut shared = RegSet::new(); // touched by two or more
         for child in children {
-            for ((shared, any), child) in shared.iter_mut().zip(&mut any).zip(child) {
-                *shared |= *any & child;
-                *any |= child;
-            }
+            shared.join(&any.intersection(child));
+            any.join(child);
         }
         for child in children {
-            let siblings: Vec<u64> = (0..self.words)
-                .map(|w| any[w] & (!child[w] | shared[w]))
-                .collect();
+            let mut alone = child.clone();
+            alone.subtract(&shared);
+            let mut siblings = any.clone();
+            siblings.subtract(&alone);
             self.or_into_rows(child, &siblings);
         }
         any
     }
 
-    /// Set the bits of `regs` in `mask`.
-    fn mark(&self, mask: &mut [u64], regs: &BTreeSet<Id>) {
-        for reg in regs {
-            let i = self.index[reg];
-            mask[i / 64] |= 1 << (i % 64);
-        }
-    }
-
     /// OR `mask` into the row of every register in `members`.
-    fn or_into_rows(&mut self, members: &[u64], mask: &[u64]) {
-        for i in (0..self.index.len()).filter(|i| members[i / 64] >> (i % 64) & 1 == 1) {
-            or_into(&mut self.bits[i * self.words..][..self.words], mask);
+    fn or_into_rows(&mut self, members: &RegSet, mask: &RegSet) {
+        for i in members.iter() {
+            let row = &mut self.bits[i * self.words..][..self.words];
+            for (word, m) in row.iter_mut().zip(mask.words()) {
+                *word |= m;
+            }
         }
     }
 
-    /// Do `a` and `b` interfere? Never for `a == b`, nor for a register
-    /// the liveness tree does not mention.
+    /// Do `a` and `b` interfere? Never for `a == b`, nor for a name that
+    /// is not a register of the component.
     pub fn conflict(&self, a: Id, b: Id) -> bool {
-        match (self.index.get(&a), self.index.get(&b)) {
-            (Some(&i), Some(&j)) if i != j => {
-                self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
-            }
+        match (self.regs.index(a), self.regs.index(b)) {
+            (Some(i), Some(j)) if i != j => self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1,
             _ => false,
         }
-    }
-}
-
-fn or_into(mask: &mut [u64], other: &[u64]) {
-    for (word, other) in mask.iter_mut().zip(other) {
-        *word |= other;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{parse_context, Control};
+    use crate::ir::{parse_context, Context};
+
+    /// The interference relation of `main`, through the cache.
+    fn interference(ctx: &Context) -> std::rc::Rc<Interference> {
+        AnalysisCache::new().get::<Interference>(ctx.component("main").unwrap())
+    }
 
     /// Two registers written and read in disjoint phases can share.
     #[test]
@@ -405,10 +296,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let comp = ctx.component("main").unwrap();
-        let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&comp.control);
-        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let interference = interference(&ctx);
         let (a, b) = (Id::new("a"), Id::new("b"));
         assert!(
             !interference.conflict(a, b),
@@ -437,10 +325,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let comp = ctx.component("main").unwrap();
-        let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&comp.control);
-        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let interference = interference(&ctx);
         assert!(interference.conflict(Id::new("a"), Id::new("b")));
     }
 
@@ -457,10 +342,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let comp = ctx.component("main").unwrap();
-        let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&comp.control);
-        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let interference = interference(&ctx);
         assert!(interference.conflict(Id::new("a"), Id::new("b")));
     }
 
@@ -483,10 +365,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let comp = ctx.component("main").unwrap();
-        let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&comp.control);
-        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let interference = interference(&ctx);
         let [r, s, t, u] = ["r", "s", "t", "u"].map(Id::new);
         for (a, b) in [(r, s), (r, t), (r, u), (s, t), (u, t)] {
             assert!(interference.conflict(a, b), "{a} and {b} run in parallel");
@@ -516,24 +395,23 @@ mod tests {
         )
         .unwrap();
         let comp = ctx.component("main").unwrap();
-        let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&comp.control);
-        let live = Liveness::solve(&pcfg, &rw, &BTreeSet::new());
+        let mut cache = AnalysisCache::new();
+        let (pcfg, rw) = (cache.get::<Pcfg>(comp), cache.get::<ReadWriteSets>(comp));
+        let live = cache.get::<Liveness>(comp);
         // `i` is live around the back edge: at the condition node's entry.
         let cond_idx = pcfg
             .nodes
             .iter()
             .position(|n| matches!(n, PcfgNode::Group(g) if g.as_str() == "cond"))
             .unwrap();
-        assert!(live.input[cond_idx].contains(&Id::new("i")));
+        assert!(rw.regs().contains(&live.input[cond_idx], Id::new("i")));
         // The loop-carried register interferes with the temporary.
-        let interference = Interference::build(&pcfg, &rw, &BTreeSet::new());
+        let interference = Interference::build_with(&pcfg, &rw, &live);
         assert!(interference.conflict(Id::new("i"), Id::new("t")));
     }
 
     #[test]
     fn boundary_registers_stay_live() {
-        let c = Control::enable("g");
         let ctx = parse_context(
             r#"component main() -> () {
                 cells { r = std_reg(8); }
@@ -544,9 +422,11 @@ mod tests {
         .unwrap();
         let comp = ctx.component("main").unwrap();
         let rw = ReadWriteSets::analyze(comp);
-        let pcfg = Pcfg::from_control(&c);
-        let boundary: BTreeSet<Id> = [Id::new("r")].into_iter().collect();
-        let live = Liveness::solve(&pcfg, &rw, &boundary);
-        assert!(live.output[pcfg.exit].contains(&Id::new("r")));
+        let pcfg = Pcfg::from_control(&comp.control);
+        let r = Id::new("r");
+        let live = solve_liveness(&pcfg, &rw, &rw.regs().set([r]));
+        assert!(rw.regs().contains(&live.output[pcfg.exit], r));
+        let live = solve_liveness(&pcfg, &rw, &RegSet::new());
+        assert!(!rw.regs().contains(&live.output[pcfg.exit], r));
     }
 }

@@ -46,12 +46,12 @@
 //! |----------|----------|------------|
 //! | [`ParConflicts`] | which groups may execute in parallel (resource sharing, §5.1) | — |
 //! | [`Pcfg`] | parallel control-flow graph with p-nodes (register sharing, §5.2) | — |
-//! | [`ReadWriteSets`] | conservative register read/may-write/must-write sets per group | — |
+//! | [`ReadWriteSets`] | the component's register numbering ([`RegIndex`], name order) and, per group, conservative read/may-write/must-write [`RegSet`]s over it | — |
 //! | [`PortUses`] | port → writing assignment sites, the ports read, cell usage digests | — |
 //! | [`BoundaryCells`] | cells observable outside the schedule (continuous/condition uses) | `PortUses` |
 //! | [`BoundaryRegs`] | registers observable outside the schedule (live at exit) | `BoundaryCells` |
-//! | [`Liveness`] | backward live-range dataflow over the pCFG: the engine's solution tree, p-node children included | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |
-//! | [`Interference`] | register interference relation for sharing: a bit matrix filled bottom-up over the `Liveness` tree | `Pcfg`, `ReadWriteSets`, `Liveness` |
+//! | [`Liveness`] | backward live-range dataflow over the pCFG: the engine's solution tree of `RegSet` facts, p-node children included | `Pcfg`, `ReadWriteSets`, `BoundaryRegs` |
+//! | [`Interference`] | register interference relation for sharing: a bit matrix over the register numbering, each node's live-out OR-ed in bottom-up over the `Liveness` tree | `Pcfg`, `ReadWriteSets`, `Liveness` |
 //! | [`ReachingDefs`] | forward def-site dataflow with power-on entry defs | `Pcfg`, `ReadWriteSets` |
 //! | [`ConstProp`] | forward register constant propagation (flat lattice) | `Pcfg`, `ReadWriteSets` |
 //!
@@ -67,6 +67,7 @@ pub mod liveness;
 pub mod pcfg;
 pub mod port_uses;
 pub mod read_write;
+pub mod regset;
 
 pub use cache::{Analysis, AnalysisCache, CacheStats};
 pub use conflict::ParConflicts;
@@ -75,3 +76,4 @@ pub use liveness::{BoundaryCells, BoundaryRegs, Interference, Liveness};
 pub use pcfg::{CondKind, CondSite, Pcfg, PcfgNode};
 pub use port_uses::{AssignmentSite, PortUses, SiteOwner};
 pub use read_write::ReadWriteSets;
+pub use regset::{RegIndex, RegSet};

@@ -6,18 +6,36 @@
 //! appearance of a register output in a source or guard; must-writes
 //! require an unconditional data write *and* an unconditional `write_en`,
 //! since only then is the old value certainly dead after the group runs.
+//!
+//! The sets are [`RegSet`]s over the component's one register numbering,
+//! which this analysis holds ([`ReadWriteSets::regs`]).
 
 use super::cache::{Analysis, AnalysisCache};
+use super::regset::{RegIndex, RegSet};
 use crate::ir::{Atom, Component, Group, Id, PortParent, PortRef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Read/write sets for every group in a component.
 #[derive(Debug, Clone, Default)]
 pub struct ReadWriteSets {
-    reads: BTreeMap<Id, BTreeSet<Id>>,
-    must_writes: BTreeMap<Id, BTreeSet<Id>>,
-    may_writes: BTreeMap<Id, BTreeSet<Id>>,
+    regs: RegIndex,
+    groups: HashMap<Id, Access>,
 }
+
+/// One group's register accesses.
+#[derive(Debug, Clone)]
+struct Access {
+    reads: RegSet,
+    must_writes: RegSet,
+    may_writes: RegSet,
+}
+
+/// What a group that is not in the component touches: nothing.
+static NONE: Access = Access {
+    reads: RegSet::new(),
+    must_writes: RegSet::new(),
+    may_writes: RegSet::new(),
+};
 
 impl Analysis for ReadWriteSets {
     type Output = ReadWriteSets;
@@ -31,64 +49,54 @@ impl Analysis for ReadWriteSets {
 impl ReadWriteSets {
     /// Analyze all groups of `comp`, considering only `std_reg` cells.
     pub fn analyze(comp: &Component) -> Self {
-        let registers: BTreeSet<Id> = comp
-            .cells
+        let regs = RegIndex::new(comp);
+        let groups = comp
+            .groups
             .iter()
-            .filter(|c| c.is_register())
-            .map(|c| c.name)
+            .map(|group| (group.name, analyze_group(group, &regs)))
             .collect();
-        let mut rw = ReadWriteSets::default();
-        for group in comp.groups.iter() {
-            let (reads, must, may) = analyze_group(group, &registers);
-            rw.reads.insert(group.name, reads);
-            rw.must_writes.insert(group.name, must);
-            rw.may_writes.insert(group.name, may);
-        }
-        rw
+        ReadWriteSets { regs, groups }
+    }
+
+    /// The component's register numbering, which every set is over.
+    pub fn regs(&self) -> &RegIndex {
+        &self.regs
+    }
+
+    fn access(&self, group: Id) -> &Access {
+        self.groups.get(&group).unwrap_or(&NONE)
     }
 
     /// Registers `group` may read.
-    pub fn reads(&self, group: Id) -> &BTreeSet<Id> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<Id>> = std::sync::OnceLock::new();
-        self.reads
-            .get(&group)
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+    pub fn reads(&self, group: Id) -> &RegSet {
+        &self.access(group).reads
     }
 
     /// Registers `group` certainly overwrites.
-    pub fn must_writes(&self, group: Id) -> &BTreeSet<Id> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<Id>> = std::sync::OnceLock::new();
-        self.must_writes
-            .get(&group)
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+    pub fn must_writes(&self, group: Id) -> &RegSet {
+        &self.access(group).must_writes
     }
 
     /// Registers `group` may write (superset of must-writes).
-    pub fn may_writes(&self, group: Id) -> &BTreeSet<Id> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<Id>> = std::sync::OnceLock::new();
-        self.may_writes
-            .get(&group)
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+    pub fn may_writes(&self, group: Id) -> &RegSet {
+        &self.access(group).may_writes
     }
 }
 
-fn reg_of(port: &PortRef, registers: &BTreeSet<Id>) -> Option<Id> {
+fn reg_of(port: &PortRef, regs: &RegIndex) -> Option<usize> {
     match port.parent {
-        PortParent::Cell(c) if registers.contains(&c) => Some(c),
+        PortParent::Cell(c) => regs.index(c),
         _ => None,
     }
 }
 
-fn analyze_group(
-    group: &Group,
-    registers: &BTreeSet<Id>,
-) -> (BTreeSet<Id>, BTreeSet<Id>, BTreeSet<Id>) {
-    let mut reads = BTreeSet::new();
-    let mut data_writes: BTreeMap<Id, bool> = BTreeMap::new(); // reg -> unconditional?
-    let mut en_writes: BTreeMap<Id, bool> = BTreeMap::new();
+fn analyze_group(group: &Group, regs: &RegIndex) -> Access {
+    let mut reads = RegSet::new();
+    let mut data_writes: BTreeMap<usize, bool> = BTreeMap::new(); // reg -> unconditional?
+    let mut en_writes: BTreeMap<usize, bool> = BTreeMap::new();
     for asgn in &group.assignments {
         for p in asgn.reads_iter() {
-            if let Some(r) = reg_of(&p, registers) {
+            if let Some(r) = reg_of(&p, regs) {
                 // Only `out` observes the register's *value*. Reading `done`
                 // observes control state (the write handshake) and would
                 // otherwise make every written register self-live-before its
@@ -98,7 +106,7 @@ fn analyze_group(
                 }
             }
         }
-        if let Some(r) = reg_of(&asgn.dst, registers) {
+        if let Some(r) = reg_of(&asgn.dst, regs) {
             let unconditional = asgn.guard.is_true();
             match asgn.dst.port.as_str() {
                 "in" => {
@@ -117,22 +125,22 @@ fn analyze_group(
             }
         }
     }
-    let mut must = BTreeSet::new();
-    let mut may = BTreeSet::new();
-    for (&r, &data_uncond) in &data_writes {
-        if let Some(&en_uncond) = en_writes.get(&r) {
-            may.insert(r);
-            if data_uncond && en_uncond {
-                must.insert(r);
-            }
+    let mut must_writes = RegSet::new();
+    let mut may_writes = RegSet::new();
+    // `write_en` driven without a data write still clobbers the register
+    // (it latches whatever the undriven `in` reads as); only both driven
+    // unconditionally is a certain overwrite.
+    for (&r, &en_uncond) in &en_writes {
+        may_writes.insert(r);
+        if en_uncond && data_writes.get(&r) == Some(&true) {
+            must_writes.insert(r);
         }
     }
-    // `write_en` driven without a data write still clobbers the register
-    // (it latches whatever the undriven `in` reads as).
-    for &r in en_writes.keys() {
-        may.insert(r);
+    Access {
+        reads,
+        must_writes,
+        may_writes,
     }
-    (reads, must, may)
 }
 
 #[cfg(test)]
@@ -146,6 +154,11 @@ mod tests {
         (rw, ctx)
     }
 
+    /// The registers of `set`, in name order.
+    fn names(rw: &ReadWriteSets, set: &RegSet) -> Vec<&'static str> {
+        rw.regs().names(set).map(Id::as_str).collect()
+    }
+
     #[test]
     fn unconditional_write_is_must() {
         let (rw, _) = analyze(
@@ -156,8 +169,8 @@ mod tests {
             }"#,
         );
         let g = Id::new("g");
-        assert!(rw.must_writes(g).contains(&Id::new("r")));
-        assert!(rw.may_writes(g).contains(&Id::new("r")));
+        assert_eq!(names(&rw, rw.must_writes(g)), ["r"]);
+        assert_eq!(names(&rw, rw.may_writes(g)), ["r"]);
     }
 
     #[test]
@@ -176,8 +189,8 @@ mod tests {
             }"#,
         );
         let g = Id::new("g");
-        assert!(!rw.must_writes(g).contains(&Id::new("r")));
-        assert!(rw.may_writes(g).contains(&Id::new("r")));
+        assert!(names(&rw, rw.must_writes(g)).is_empty());
+        assert_eq!(names(&rw, rw.may_writes(g)), ["r"]);
     }
 
     #[test]
@@ -195,9 +208,7 @@ mod tests {
                 control { g; }
             }"#,
         );
-        let reads = rw.reads(Id::new("g"));
-        assert!(reads.contains(&Id::new("a")));
-        assert!(reads.contains(&Id::new("b")));
+        assert_eq!(names(&rw, rw.reads(Id::new("g"))), ["a", "b"]);
     }
 
     #[test]
@@ -215,9 +226,7 @@ mod tests {
                 control { g; }
             }"#,
         );
-        let g = Id::new("g");
-        assert!(!rw.reads(g).contains(&Id::new("add")));
-        assert!(rw.reads(g).contains(&Id::new("r")));
+        assert_eq!(names(&rw, rw.reads(Id::new("g"))), ["r"]);
     }
 
     #[test]
@@ -229,6 +238,6 @@ mod tests {
                 control { g; }
             }"#,
         );
-        assert!(rw.may_writes(Id::new("g")).is_empty());
+        assert!(names(&rw, rw.may_writes(Id::new("g"))).is_empty());
     }
 }

@@ -66,9 +66,9 @@ spent producing a value no execution observes.";
             live.walk(&pcfg, &mut |pcfg, live| {
                 for (node, live_out) in pcfg.nodes.iter().zip(&live.output) {
                     let PcfgNode::Group(g) = node else { continue };
-                    for &r in rw.may_writes(*g) {
-                        let dead_here = !live_out.contains(&r);
-                        dead.entry((*g, r))
+                    for r in rw.may_writes(*g).iter() {
+                        let dead_here = !live_out.contains(r);
+                        dead.entry((*g, rw.regs().name(r)))
                             .and_modify(|d| *d = *d && dead_here)
                             .or_insert(dead_here);
                     }

@@ -100,10 +100,10 @@ fn check_component(
             let (_, a_mem_writes) = mems.get(&a).unwrap_or(&empty);
             let (_, b_mem_writes) = mems.get(&b).unwrap_or(&empty);
             // Write/write races, registers then memories.
-            let ww: Vec<(Id, &str)> = rw
-                .may_writes(a)
-                .intersection(rw.may_writes(b))
-                .map(|&r| (r, "register"))
+            let regs = rw.regs();
+            let ww: Vec<(Id, &str)> = regs
+                .names(&rw.may_writes(a).intersection(rw.may_writes(b)))
+                .map(|r| (r, "register"))
                 .chain(
                     a_mem_writes
                         .intersection(b_mem_writes)
@@ -120,10 +120,9 @@ fn check_component(
             let raced: BTreeSet<Id> = ww.iter().map(|&(c, _)| c).collect();
             let mut wr = |writer: Id, reader: Id| {
                 let (reader_mem_reads, _) = mems.get(&reader).unwrap_or(&empty);
-                let cells: Vec<(Id, &str)> = rw
-                    .may_writes(writer)
-                    .intersection(rw.reads(reader))
-                    .map(|&r| (r, "register"))
+                let cells: Vec<(Id, &str)> = regs
+                    .names(&rw.may_writes(writer).intersection(rw.reads(reader)))
+                    .map(|r| (r, "register"))
                     .chain(
                         if writer == a {
                             a_mem_writes

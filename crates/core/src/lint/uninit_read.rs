@@ -61,7 +61,7 @@ external input reaches a kernel.";
                 if defs.reaching_in(group.name).is_none() {
                     continue;
                 }
-                for &r in rw.reads(group.name) {
+                for r in rw.regs().names(rw.reads(group.name)) {
                     if defs.entry_reaches(group.name, r)
                         && defs.group_defs_reaching(group.name, r).is_empty()
                     {

@@ -128,10 +128,11 @@ fn opt_verilog_digest(frontend: &str, fopts: &[(&str, &str)]) -> u64 {
 
 /// Register sharing on the par-heavy designs, byte for byte. The digests
 /// were recorded from the `futil` of the commit before `Interference`
-/// became a bit matrix and `Id` reads left the interner lock; which
+/// became a bit matrix and `Id` reads left the interner lock, and the
+/// paper's 8×8 from the one before liveness facts became bitsets; which
 /// registers merge there follows from liveness, interference and the
-/// order `Id`s sort in, so a change to any of them that alters sharing
-/// shows here first.
+/// order registers are numbered and `Id`s sort in, so a change to any of
+/// them that alters sharing shows here first.
 #[test]
 fn opt_verilog_of_par_heavy_designs_is_pinned() {
     for (n, expected) in [
@@ -139,6 +140,7 @@ fn opt_verilog_of_par_heavy_designs_is_pinned() {
         ("3", 0x3813_30aa_2f3c_eff0),
         ("4", 0x0d57_fb00_96b4_da99),
         ("6", 0x16fd_bd75_b8ab_69d6),
+        ("8", 0xc4bd_a75a_9435_922d),
     ] {
         let digest = opt_verilog_digest("systolic", &[("rows", n), ("cols", n), ("inner", n)]);
         assert_eq!(digest, expected, "systolic {n}x{n}: {digest:#018x}");
