@@ -168,8 +168,11 @@ impl Backend for AreaBackend {
 /// # Errors
 ///
 /// Returns [`Error::Malformed`] when a referenced component still contains
-/// control (run lowering first) and [`Error::Undefined`] for unknown names.
+/// control (run lowering first) or instantiation is cyclic, and
+/// [`Error::Undefined`] for unknown names.
 pub fn estimate(ctx: &Context, top: &str) -> CalyxResult<Area> {
+    // The walk below recurses into instances.
+    ctx.topological_order()?;
     let mut cache: HashMap<Id, Area> = HashMap::new();
     component_area(ctx, Id::new(top), &mut cache)
 }

@@ -4,7 +4,7 @@
 //! loop under study.
 //!
 //! ```sh
-//! cargo run --release -p calyx_bench --example sim_profile -- rtl-flat gemver 8 50
+//! cargo run --release -p calyx_bench --example sim_profile -- rtl gemver 8 50
 //! ```
 
 use calyx_core::passes;
@@ -12,14 +12,14 @@ use calyx_polybench::{compile_kernel, input_data, kernel, logical_of};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = args.first().map(String::as_str).unwrap_or("rtl-flat");
+    let engine = args.first().map(String::as_str).unwrap_or("rtl");
     let kname = args.get(1).map(String::as_str).unwrap_or("gemver");
     let n: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
     let iters: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(20);
 
     let def = kernel(kname).expect("known kernel");
     let (ast, mut ctx) = compile_kernel(def, n, 1).expect("kernel compiles");
-    if engine.starts_with("rtl") {
+    if engine == "rtl" {
         passes::lower_pipeline().run(&mut ctx).expect("lowers");
     }
     let mut image = Vec::new();
@@ -36,36 +36,21 @@ fn main() {
     let mut cycles = 0u64;
     for _ in 0..iters {
         cycles = match engine {
-            "rtl-flat" => {
+            "rtl" => {
                 let mut sim = calyx_sim::rtl::Simulator::new(&ctx, "main").expect("builds");
                 for (name, data) in &image {
                     sim.set_memory(&[name], data).expect("memory");
                 }
                 sim.run(100_000_000).expect("completes").cycles
             }
-            "rtl-legacy" => {
-                let mut sim = calyx_sim::legacy::rtl::Simulator::new(&ctx, "main").expect("builds");
-                for (name, data) in &image {
-                    sim.set_memory(&[name], data).expect("memory");
-                }
-                sim.run(100_000_000).expect("completes").cycles
-            }
-            "interp-flat" => {
+            "interp" => {
                 let mut interp = calyx_sim::interp::Interpreter::new(&ctx, "main").expect("builds");
                 for (name, data) in &image {
                     interp.set_memory(name, data).expect("memory");
                 }
                 interp.run(100_000_000).expect("completes").cycles
             }
-            "interp-legacy" => {
-                let mut interp =
-                    calyx_sim::legacy::interp::Interpreter::new(&ctx, "main").expect("builds");
-                for (name, data) in &image {
-                    interp.set_memory(name, data).expect("memory");
-                }
-                interp.run(100_000_000).expect("completes").cycles
-            }
-            other => panic!("unknown engine `{other}`"),
+            other => panic!("unknown engine `{other}` (rtl or interp)"),
         };
     }
     let wall = start.elapsed();

@@ -68,6 +68,39 @@ fn unmet_precondition_is_a_clean_exit_1_with_no_output() {
     assert!(err.contains("-p lower"), "{err}");
 }
 
+/// A component that instantiates itself is refused with one message by
+/// every backend, with or without `well-formed` in the pipeline, and by
+/// `futil check` — never by overflowing the stack in a hierarchy walk.
+#[test]
+fn cyclic_instantiation_is_a_clean_exit_1_everywhere() {
+    let src = "component c() -> () {
+          cells { x = c(); r = std_reg(1); }
+          wires { group g { x.go = 1'd1; r.in = 1'd1; r.write_en = 1'd1; g[done] = r.done; } }
+          control { g; }
+        }
+        component main() -> () {
+          cells { y = c(); }
+          wires { group h { y.go = 1'd1; h[done] = y.done; } }
+          control { h; }
+        }";
+    let cyclic = "cyclic component instantiation through `c`";
+    let unchecked = "-p compile-control -p go-insertion -p remove-groups";
+    for backend in ["sim", "area", "verilog"] {
+        for pipeline in ["", unchecked] {
+            let mut args = vec!["-", "-b", backend];
+            args.extend(pipeline.split_whitespace());
+            let out = futil_stdin(&args, src);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).contains(cyclic), "{args:?}: {}", stderr(&out));
+        }
+    }
+    let out = futil_stdin(&["check", "-"], src);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let report = stdout(&out);
+    assert!(report.contains("error[C0100]"), "{report}");
+    assert!(report.contains(cyclic), "{report}");
+}
+
 /// Unknown backends exit 2 with the registry's message listing the valid
 /// choices (derived, not hardcoded).
 #[test]

@@ -29,12 +29,15 @@ pub fn validate_context(ctx: &Context) -> CalyxResult<()> {
 
 /// Collect *every* structural violation in the program into `sink`, in
 /// the same traversal order [`validate_context`] uses to find its first
-/// error: entry-point existence, then each component's groups,
-/// continuous assignments, and control program. The collecting form is
-/// what the `well-formed` lint runs, so one `futil check` reports all
-/// problems instead of stopping at the first.
+/// error: entry-point existence, acyclic instantiation, then each
+/// component's groups, continuous assignments, and control program. The
+/// collecting form is what the `well-formed` lint runs, so one `futil
+/// check` reports all problems instead of stopping at the first.
 pub fn collect_context(ctx: &Context, sink: &mut Vec<Error>) {
     if let Err(e) = ctx.entry() {
+        sink.push(e);
+    }
+    if let Err(e) = ctx.topological_order() {
         sink.push(e);
     }
     for comp in ctx.components.iter() {

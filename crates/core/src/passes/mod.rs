@@ -130,30 +130,22 @@ pub fn lower_pipeline_static() -> PassManager {
 /// The full optimizing pipeline used for the paper's headline numbers:
 /// sharing optimizations followed by latency-sensitive lowering.
 ///
-/// With all three flags on, this is the registry alias `opt` (= `all`);
-/// the flags drop individual optimizations for the §7.3 ablations.
+/// The registry alias `opt` (= `all`), with the passes each flag turns
+/// off dropped for the §7.3 ablations.
 pub fn optimized_pipeline(
     resource_sharing: bool,
     minimize_regs: bool,
     static_timing: bool,
 ) -> PassManager {
-    let mut names = vec!["well-formed", "collapse-control", "dead-group-removal"];
-    if resource_sharing {
-        names.push("resource-sharing");
-    }
-    if minimize_regs {
-        names.push("minimize-regs");
-    }
-    if static_timing {
-        names.push("infer-static-timing");
-        names.push("static-timing");
-    }
-    names.extend([
-        "compile-control",
-        "go-insertion",
-        "remove-groups",
-        "guard-simplify",
-        "dead-cell-removal",
-    ]);
+    let names: Vec<&str> = ALIAS_OPT
+        .iter()
+        .copied()
+        .filter(|&name| match name {
+            "resource-sharing" => resource_sharing,
+            "minimize-regs" => minimize_regs,
+            "infer-static-timing" | "static-timing" => static_timing,
+            _ => true,
+        })
+        .collect();
     PassManager::from_names(&names).expect("optimized pipeline passes are registered")
 }

@@ -756,10 +756,14 @@ impl DesignFlattener<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Elaboration`] for un-lowered input, undefined
-/// names, or unmodeled primitives; [`SimError::CombinationalLoop`] when
-/// the assignment graph is cyclic.
+/// Returns [`SimError::Elaboration`] for un-lowered input, cyclic
+/// instantiation, undefined names, or unmodeled primitives;
+/// [`SimError::CombinationalLoop`] when the assignment graph is cyclic.
 pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
+    // Elaboration recurses into instances, so a cycle must be refused
+    // before it starts.
+    ctx.topological_order()
+        .map_err(|e| SimError::Elaboration(e.to_string()))?;
     let top_id = Id::new(top);
     let top_comp = ctx
         .components

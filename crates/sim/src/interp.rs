@@ -24,15 +24,17 @@
 //! and only a loop that is *active* and does not converge is an error.
 //!
 //! The observable semantics — cycle counts, final state, error cases —
-//! are those of the pre-flatten engine, which survives as
-//! [`crate::legacy::interp`] and is held to byte-identical output by the
-//! differential tests. One difference is deliberate: the legacy fixpoint
-//! tests a guard against ports that are not final yet, so a guard that is
-//! only transiently true can raise a spurious conflict or leave its value
-//! on a port. Here a guard is tested on final inputs only. (And since
-//! values persist, an active loop that converges — a latch, which the
-//! `comb-cycle` lint reports and the RTL engine rejects — holds its value
-//! from cycle to cycle, where the legacy fixpoint re-derives it from zero.)
+//! are those of the tree-walking interpreter this one replaced, pinned by
+//! outcome: the tests below assert exact cycles, values and error texts,
+//! and `sim_state_pinned` holds the cycles and final state of every
+//! PolyBench kernel, recorded from that engine. Two differences are
+//! deliberate. Its fixpoint tested a guard against ports that were not
+//! final yet, so a guard only transiently true could raise a spurious
+//! conflict or leave its value on a port; here a guard is tested on final
+//! inputs only. And since values persist, an active loop that converges —
+//! a latch, which the `comb-cycle` lint reports and the RTL engine
+//! rejects — holds its value from cycle to cycle while its group stays
+//! active, where that fixpoint re-derived it from zero each cycle.
 //!
 //! This is the semantic oracle for the compiler: after lowering, the RTL
 //! simulation must leave the same architectural state (registers and
@@ -620,8 +622,7 @@ mod tests {
 
     /// What a sequence of steps leaves behind: how the last run ended
     /// (its cycle count or its error's text), then the registers and the
-    /// memories asked for. What this engine and `legacy::interp` must
-    /// agree on.
+    /// memories asked for.
     type Outcome = (Result<u64, String>, Vec<u64>, Vec<Vec<u64>>);
 
     enum Step {
@@ -629,49 +630,29 @@ mod tests {
         Memory(&'static str, &'static [u64]),
     }
 
-    /// Apply `steps` to `interp` in order. A macro, since the two
-    /// interpreters share method names and no trait.
-    macro_rules! outcome {
-        ($interp:expr, $regs:expr, $mems:expr, $steps:expr) => {{
-            let mut interp = $interp;
-            let mut last = Ok(0);
-            for step in $steps {
-                match *step {
-                    Step::Run(budget) => {
-                        last = interp
-                            .run(budget)
-                            .map(|s| s.cycles)
-                            .map_err(|e| e.to_string())
-                    }
-                    Step::Memory(m, data) => interp.set_memory(m, data).unwrap(),
-                }
-            }
-            let regs = $regs.iter().map(|r| interp.register_value(r).unwrap());
-            let regs: Vec<u64> = regs.collect();
-            let mems = $mems.iter().map(|m| interp.memory(m).unwrap());
-            (last, regs, mems.collect::<Vec<_>>())
-        }};
-    }
-
-    /// This engine's outcome on `src`.
+    /// This engine's outcome on `src`: apply `steps` in order.
     fn flat_outcome(src: &str, regs: &[&str], mems: &[&str], steps: &[Step]) -> Outcome {
-        let ctx = parse_context(src).unwrap();
-        outcome!(Interpreter::new(&ctx, "main").unwrap(), regs, mems, steps)
-    }
-
-    /// [`flat_outcome`], which must equal `legacy::interp`'s.
-    fn against_legacy(src: &str, regs: &[&str], mems: &[&str], steps: &[Step]) -> Outcome {
-        let ctx = parse_context(src).unwrap();
-        let legacy = crate::legacy::interp::Interpreter::new(&ctx, "main").unwrap();
-        let legacy: Outcome = outcome!(legacy, regs, mems, steps);
-        let flat = flat_outcome(src, regs, mems, steps);
-        assert_eq!(flat, legacy, "flat (left) and legacy (right) disagree");
-        flat
+        let mut interp = interp(src);
+        let mut last = Ok(0);
+        for step in steps {
+            match *step {
+                Step::Run(budget) => {
+                    last = interp
+                        .run(budget)
+                        .map(|s| s.cycles)
+                        .map_err(|e| e.to_string())
+                }
+                Step::Memory(m, data) => interp.set_memory(m, data).unwrap(),
+            }
+        }
+        let regs = regs.iter().map(|r| interp.register_value(r).unwrap());
+        let mems = mems.iter().map(|m| interp.memory(m).unwrap());
+        (last, regs.collect(), mems.collect())
     }
 
     /// One run to completion, registers only.
-    fn run_against_legacy(src: &str, regs: &[&str]) -> (Result<u64, String>, Vec<u64>) {
-        let (last, regs, _) = against_legacy(src, regs, &[], &[Step::Run(100)]);
+    fn run_outcome(src: &str, regs: &[&str]) -> (Result<u64, String>, Vec<u64>) {
+        let (last, regs, _) = flat_outcome(src, regs, &[], &[Step::Run(100)]);
         (last, regs)
     }
 
@@ -699,7 +680,7 @@ mod tests {
               }
               control { seq { g1; g2; } }
             }"#;
-        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(4), vec![6, 15]));
+        assert_eq!(run_outcome(src, &["x", "y"]), (Ok(4), vec![6, 15]));
         let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
         assert!(flat.graph.tail_start < flat.graph.nodes.len());
     }
@@ -722,7 +703,7 @@ mod tests {
               }
               control { seq { first; second; } }
             }"#;
-        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(4), vec![6, 2]));
+        assert_eq!(run_outcome(src, &["x", "y"]), (Ok(4), vec![6, 2]));
     }
 
     #[test]
@@ -742,9 +723,36 @@ mod tests {
             }"#;
         let diverged = "combinational loop through: fixpoint did not converge in component `main`";
         assert_eq!(
-            run_against_legacy(src, &["x", "y"]),
+            run_outcome(src, &["x", "y"]),
             (Err(diverged.to_string()), vec![7, 0])
         );
+    }
+
+    #[test]
+    fn an_active_loop_that_converges_latches() {
+        // `o` feeds its own output back: set in cycle 0 through `o.right`,
+        // it holds 1 after the set falls, while `hold` stays active. `x`
+        // samples it in cycle 2.
+        let src = r#"component main() -> () {
+              cells { o = std_or(1); c = std_reg(2); add = std_add(2); x = std_reg(1); }
+              wires {
+                group hold {
+                  o.left = o.out; o.right = c.out == 2'd0 ? 1'd1;
+                  add.left = c.out; add.right = 2'd1; c.in = add.out; c.write_en = 1'd1;
+                  x.in = o.out; x.write_en = c.out == 2'd2 ? 1'd1; hold[done] = x.done;
+                }
+              }
+              control { hold; }
+            }"#;
+        assert_eq!(run_outcome(src, &["x", "c"]), (Ok(4), vec![1, 3]));
+        // The RTL engine (`-b sim`) rejects the same loop once lowered.
+        let mut lowered = parse_context(src).unwrap();
+        calyx_core::passes::lower_pipeline()
+            .run(&mut lowered)
+            .unwrap();
+        let err = crate::rtl::Simulator::new(&lowered, "main").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.starts_with("combinational loop through: "), "{msg}");
     }
 
     #[test]
@@ -762,20 +770,17 @@ mod tests {
                 }}"#
             )
         };
-        assert_eq!(
-            run_against_legacy(&program(3), &["x", "y"]),
-            (Ok(4), vec![3, 2])
-        );
+        assert_eq!(run_outcome(&program(3), &["x", "y"]), (Ok(4), vec![3, 2]));
         let differ = program(4);
         let clash = conflict("w.in", 2);
         assert_eq!(
-            run_against_legacy(&differ, &["x", "y"]),
+            run_outcome(&differ, &["x", "y"]),
             (Err(clash.clone()), vec![0, 1])
         );
         // The conflicting node stays dirty: asking again reports it again
         // rather than a stale value.
         let steps = [Step::Run(100), Step::Run(100)];
-        let (last, ..) = against_legacy(&differ, &[], &[], &steps);
+        let (last, ..) = flat_outcome(&differ, &[], &[], &steps);
         assert_eq!(last, Err(clash));
     }
 
@@ -802,7 +807,7 @@ mod tests {
             }"#;
         let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
         assert!(flat.graph.tail_start < flat.graph.nodes.len());
-        assert_eq!(run_against_legacy(src, &["x", "y"]), (Ok(6), vec![7, 255]));
+        assert_eq!(run_outcome(src, &["x", "y"]), (Ok(6), vec![7, 255]));
     }
 
     #[test]
@@ -810,8 +815,7 @@ mod tests {
         // `v.in` and `w.in` are both doubly driven in cycle 0. Which is
         // named depends on the sorted order alone: `v.in`. The fixpoint
         // named the port whose second driver came first in assignment
-        // order, `w.in` (this engine at commit a1a6131, probed once, and
-        // `legacy::interp` still), so legacy is no oracle for the name.
+        // order, `w.in` (this engine at commit a1a6131, probed once).
         let src = r#"component main() -> () {
               cells { v = std_wire(8); w = std_wire(8); x = std_reg(8); }
               wires {
@@ -850,13 +854,10 @@ mod tests {
         let flat = |src: &str| flatten_control(&parse_context(src).unwrap(), "main").unwrap();
         let registered = program("x.done");
         assert!(flat(&registered).groups.iter().all(|g| g.done_from_state));
-        assert_eq!(
-            run_against_legacy(&registered, &["x", "n"]),
-            (Ok(2), vec![9, 1])
-        );
+        assert_eq!(run_outcome(&registered, &["x", "n"]), (Ok(2), vec![9, 1]));
         let wired = program("w.out");
         assert!(flat(&wired).groups.iter().all(|g| !g.done_from_state));
-        assert_eq!(run_against_legacy(&wired, &["x", "n"]), (Ok(2), vec![9, 2]));
+        assert_eq!(run_outcome(&wired, &["x", "n"]), (Ok(2), vec![9, 2]));
     }
 
     #[test]
@@ -873,7 +874,7 @@ mod tests {
               }
               control { seq { par { slow; seq { fast; after; } } } }
             }"#;
-        let (last, regs) = run_against_legacy(src, &["p", "q", "r"]);
+        let (last, regs) = run_outcome(src, &["p", "q", "r"]);
         assert_eq!(regs, vec![42, 1, 1]);
         assert_eq!(last, Ok(6));
     }
@@ -901,16 +902,17 @@ mod tests {
             Step::Memory("m", &[9]),
             Step::Run(100),
         ];
-        let (last, regs, mems) = against_legacy(src, &["r"], &["m"], &steps);
+        let (last, regs, mems) = flat_outcome(src, &["r"], &["m"], &steps);
         assert_eq!((last, regs, mems), (Ok(10), vec![9], vec![vec![9]]));
     }
 
     #[test]
     fn a_guard_is_tested_on_final_inputs_only() {
         // `!c.out` and `d.out` are exclusive once settled, but `d.out`
-        // rises a pass before `c.out` (which sits behind `c0`) in the
-        // legacy fixpoint, which then sees both drivers of `x.in` active
-        // and reports a conflict that no settled valuation contains.
+        // rises before `c.out` (which sits behind `c0`): a fixpoint that
+        // tested guards on inputs not yet final would see both drivers of
+        // `x.in` active and report a conflict that no settled valuation
+        // contains.
         let src = r#"component main() -> () {
               cells { c0 = std_wire(1); c = std_wire(1); d = std_wire(1); x = std_reg(8); }
               wires {
@@ -925,10 +927,6 @@ mod tests {
         let steps = [Step::Run(100)];
         let (last, regs, _) = flat_outcome(src, &["x"], &[], &steps);
         assert_eq!((last, regs), (Ok(2), vec![2]));
-        let ctx = parse_context(src).unwrap();
-        let legacy = crate::legacy::interp::Interpreter::new(&ctx, "main").unwrap();
-        let (last, ..): Outcome = outcome!(legacy, [""; 0], [""; 0], &steps);
-        assert_eq!(last, Err(conflict("x.in", 0)));
     }
 
     #[test]

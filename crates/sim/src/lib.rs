@@ -19,6 +19,15 @@
 //!   (memories, registers) must agree; the differential tests in
 //!   `tests/` exploit this as a compiler-correctness oracle.
 //!
+//! These two are the only engines, and the interpreter is the oracle the
+//! compiler is checked against. What the engines themselves compute is
+//! held by outcomes, not by a second implementation: the unit tests'
+//! literal cycle counts, values and error texts, the PolyBench reference
+//! model, and a table of cycle counts and state-report digests for every
+//! kernel under `interp`, `lower`, `lower-static` and `opt`
+//! (`crates/bench/tests/sim_state_pinned.txt`), recorded from the
+//! tree-walking engines these replaced.
+//!
 //! Both engines run over the dense arena-indexed IR built once per design
 //! by [`flatten`]: typed indices into contiguous `Vec` storage for ports,
 //! cells, guards, assignments, and control nodes, so each simulated cycle
@@ -38,15 +47,10 @@
 //! and its [`flatten::DriverRule`]: strict for [`rtl`], same-value for
 //! [`interp`]. The interpreter's graph may also be cyclic across groups
 //! that are never active together; the RTL engine rejects a cycle.
-//!
-//! The pre-flatten tree-walking engines survive unchanged in [`legacy`]
-//! as differential oracles and benchmark baselines.
 
 pub mod error;
 pub mod flatten;
 pub mod interp;
-#[doc(hidden)]
-pub mod legacy;
 pub mod prim;
 pub mod report;
 pub mod rtl;

@@ -62,26 +62,6 @@ impl StateSource for Interpreter {
     }
 }
 
-impl StateSource for crate::legacy::rtl::Simulator {
-    fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        crate::legacy::rtl::Simulator::memory(self, &[cell])
-    }
-
-    fn register(&self, cell: &str) -> SimResult<u64> {
-        crate::legacy::rtl::Simulator::register_value(self, &[cell])
-    }
-}
-
-impl StateSource for crate::legacy::interp::Interpreter {
-    fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        crate::legacy::interp::Interpreter::memory(self, cell)
-    }
-
-    fn register(&self, cell: &str) -> SimResult<u64> {
-        crate::legacy::interp::Interpreter::register_value(self, cell)
-    }
-}
-
 /// Write the cycle count and the final architectural state of `comp`'s
 /// stateful cells, best-effort: cells the engine does not model as state
 /// (adders, comparators, …) are silently skipped.

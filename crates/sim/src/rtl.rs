@@ -38,9 +38,11 @@
 //! appear at a node one of whose guards just changed, which is a dirty
 //! node. In builds with debug assertions (the test profile among them)
 //! every settle is followed by a full re-evaluation that must change
-//! nothing, so each simulation test also checks the dirty-set logic. The
-//! pre-flatten implementation survives as [`crate::legacy::rtl`] and is
-//! held to byte-identical output by the differential tests.
+//! nothing, so each simulation test also checks the dirty-set logic.
+//! What the engine computes is pinned by outcome: the tests below assert
+//! exact cycles, values and error texts, and `sim_state_pinned` holds the
+//! cycles and state of every PolyBench kernel under `lower`,
+//! `lower-static` and `opt`, recorded from the engine this one replaced.
 //!
 //! The valuation and the scan are [`Wires`], which the interpreter runs
 //! on too. What is this engine's own: it takes a lowered design, rejects
@@ -49,8 +51,7 @@
 //! (`Strict`).
 
 use crate::error::{SimError, SimResult};
-pub use crate::flatten::RunStats;
-use crate::flatten::{flatten_design, CellIdx, DriverRule, FlatDesign, FlatIdx, Wires};
+use crate::flatten::{flatten_design, CellIdx, DriverRule, FlatDesign, FlatIdx, RunStats, Wires};
 use crate::prim::mask;
 use calyx_core::ir::Context;
 
@@ -428,47 +429,31 @@ mod tests {
         // simulator's dynamic check also catches them.
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         let err = sim.run(10).unwrap_err();
-        assert!(matches!(err, SimError::DriverConflict { .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "multiple drivers active on `w.in` at cycle 0"
+        );
     }
 
-    /// What a run leaves behind, or its error's text: what this engine
-    /// and `legacy::rtl` must agree on.
+    /// What a run leaves behind, or its error's text.
     type Outcome = Result<(u64, Vec<u64>), String>;
 
-    /// Apply `steps` to `sim` in order: cycles of the last run and the
-    /// values of `regs`. A macro, since the two simulators share method
-    /// names and no trait.
-    macro_rules! outcome {
-        ($sim:expr, $regs:expr, $steps:expr) => {{
-            let mut sim = $sim;
-            let mut cycles = Ok(0);
-            for step in $steps {
-                match *step {
-                    Step::Run => cycles = sim.run(100).map(|s| s.cycles),
-                    Step::Memory(m, data) => sim.set_memory(&[m], data).unwrap(),
-                    Step::Input(p, v) => sim.set_input(p, v).unwrap(),
-                }
-            }
-            let regs = $regs.iter().map(|r| sim.register_value(&[r]).unwrap());
-            let regs: Vec<u64> = regs.collect();
-            cycles.map_err(|e| e.to_string()).map(|c| (c, regs))
-        }};
-    }
-
-    /// This engine's outcome on the flat (already lowered) `src`.
+    /// This engine's outcome on the flat (already lowered) `src`: apply
+    /// `steps` in order, then the cycles of the last run and the values
+    /// of `regs`.
     fn flat_outcome(src: &str, regs: &[&str], steps: &[Step]) -> Outcome {
-        let ctx = parse_context(src).unwrap();
-        outcome!(Simulator::new(&ctx, "main").unwrap(), regs, steps)
-    }
-
-    /// [`flat_outcome`], which must equal `legacy::rtl`'s.
-    fn against_legacy(src: &str, regs: &[&str], steps: &[Step]) -> Outcome {
-        let ctx = parse_context(src).unwrap();
-        let legacy = crate::legacy::rtl::Simulator::new(&ctx, "main").unwrap();
-        let legacy: Outcome = outcome!(legacy, regs, steps);
-        let flat = flat_outcome(src, regs, steps);
-        assert_eq!(flat, legacy, "flat (left) and legacy (right) disagree");
-        flat
+        let mut sim = Simulator::new(&parse_context(src).unwrap(), "main").unwrap();
+        let mut cycles = Ok(0);
+        for step in steps {
+            match *step {
+                Step::Run => cycles = sim.run(100).map(|s| s.cycles),
+                Step::Memory(m, data) => sim.set_memory(&[m], data).unwrap(),
+                Step::Input(p, v) => sim.set_input(p, v).unwrap(),
+            }
+        }
+        let regs = regs.iter().map(|r| sim.register_value(&[r]).unwrap());
+        let regs: Vec<u64> = regs.collect();
+        cycles.map_err(|e| e.to_string()).map(|c| (c, regs))
     }
 
     enum Step {
@@ -498,7 +483,7 @@ mod tests {
               control {{}}
             }}"#
         );
-        assert_eq!(against_legacy(&src, &["r"], &[Step::Run]), Ok((3, vec![7])));
+        assert_eq!(flat_outcome(&src, &["r"], &[Step::Run]), Ok((3, vec![7])));
     }
 
     #[test]
@@ -523,7 +508,7 @@ mod tests {
             cycle: 2,
         };
         assert_eq!(
-            against_legacy(&src, &[], &[Step::Run]),
+            flat_outcome(&src, &[], &[Step::Run]),
             Err(conflict.to_string())
         );
         // The conflicting node stays dirty: asking again reports it again
@@ -541,8 +526,7 @@ mod tests {
         // `a.in` and `b.in` both become doubly driven in cycle 1. Which
         // is named depends on the sorted order alone. `b.in` is what the
         // engine named before guards were nodes (probed once, at commit
-        // 23f839f); legacy orders its nodes by a `HashMap` walk and names
-        // either, so it is no oracle here.
+        // 23f839f).
         let src = format!(
             r#"component main() -> () {{
               cells {{ c = std_reg(2); add = std_add(2); a = std_wire(8); b = std_wire(8); }}
@@ -583,10 +567,7 @@ mod tests {
               control {}
             }"#;
         let first = [Step::Memory("m", &[5]), Step::Input("x", 3), Step::Run];
-        assert_eq!(
-            against_legacy(src, &["r", "s"], &first),
-            Ok((2, vec![5, 3]))
-        );
+        assert_eq!(flat_outcome(src, &["r", "s"], &first), Ok((2, vec![5, 3])));
         let both = [
             Step::Memory("m", &[5]),
             Step::Input("x", 3),
@@ -595,7 +576,7 @@ mod tests {
             Step::Input("x", 4),
             Step::Run,
         ];
-        assert_eq!(against_legacy(src, &["r", "s"], &both), Ok((2, vec![9, 4])));
+        assert_eq!(flat_outcome(src, &["r", "s"], &both), Ok((2, vec![9, 4])));
     }
 
     #[test]
@@ -621,7 +602,7 @@ mod tests {
               }
               control {}
             }"#;
-        assert_eq!(against_legacy(src, &["n"], &[Step::Run]), Ok((11, vec![1])));
+        assert_eq!(flat_outcome(src, &["n"], &[Step::Run]), Ok((11, vec![1])));
     }
 
     #[test]

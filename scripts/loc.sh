@@ -5,9 +5,6 @@
 #
 #   scripts/loc.sh                   one row per workspace crate, and the total
 #   scripts/loc.sh DIR...            one row per DIR instead
-#   scripts/loc.sh -x NAME [DIR...]  the same, skipping directories called NAME
-#                                    (`-x legacy crates/sim/src`: the two
-#                                    engines without their frozen oracles)
 #
 # Counted: every line of every *.rs file that is not blank, not a `//`
 # comment (doc comments included), and not inside an item under
@@ -21,16 +18,8 @@
 # another checkout: `cd ../parent && bash ../repo/scripts/loc.sh`.
 set -euo pipefail
 
-skip=(tests target)
-while [ "${1:-}" = -x ]; do
-  skip+=("${2:?-x needs a directory name}")
-  shift 2
-done
-prune=()
-for name in "${skip[@]}"; do prune+=(-not -path "*/$name/*"); done
-
 count() { # DIR -> lines
-  find "$1" -name '*.rs' "${prune[@]}" -print0 \
+  find "$1" -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' -print0 \
     | xargs -0 -r awk '
         FNR == 1 { skipping = 0 }
         skipping {

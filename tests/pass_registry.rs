@@ -1,5 +1,5 @@
 //! The pass registry drives real pipelines: alias-built pass managers must
-//! behave *identically* to the legacy pipeline constructors. Byte-identical
+//! behave *identically* to the pipeline constructors they replaced. Byte-identical
 //! printed Calyx on every PolyBench kernel pins the alias expansions (and
 //! the visitor-based pass framework behind them) to the known-good
 //! pipelines. The par-heavy designs, where `minimize-regs` decides the most,
@@ -55,12 +55,12 @@ fn printed(mut pm: PassManager, ctx: &Context) -> String {
 fn lower_alias_matches_hand_built_pipeline_on_polybench() {
     for def in KERNELS {
         let (_ast, ctx) = compile_kernel(def, N, 1).expect("kernel compiles");
-        let legacy = printed(hand_built_lower(), &ctx);
+        let hand_built = printed(hand_built_lower(), &ctx);
         let alias = printed(PassManager::from_names(&["lower"]).unwrap(), &ctx);
         let wrapper = printed(passes::lower_pipeline(), &ctx);
-        assert_eq!(legacy, alias, "{}: alias `lower` diverged", def.name);
+        assert_eq!(hand_built, alias, "{}: alias `lower` diverged", def.name);
         assert_eq!(
-            legacy, wrapper,
+            hand_built, wrapper,
             "{}: lower_pipeline() wrapper diverged",
             def.name
         );
@@ -71,11 +71,11 @@ fn lower_alias_matches_hand_built_pipeline_on_polybench() {
 fn opt_alias_matches_legacy_function_on_polybench() {
     for def in KERNELS {
         let (_ast, ctx) = compile_kernel(def, N, 1).expect("kernel compiles");
-        let legacy = printed(passes::optimized_pipeline(true, true, true), &ctx);
+        let function = printed(passes::optimized_pipeline(true, true, true), &ctx);
         let opt = printed(PassManager::from_names(&["opt"]).unwrap(), &ctx);
         let all = printed(PassManager::from_names(&["all"]).unwrap(), &ctx);
-        assert_eq!(legacy, opt, "{}: alias `opt` diverged", def.name);
-        assert_eq!(legacy, all, "{}: alias `all` diverged", def.name);
+        assert_eq!(function, opt, "{}: alias `opt` diverged", def.name);
+        assert_eq!(function, all, "{}: alias `all` diverged", def.name);
     }
 }
 
@@ -83,9 +83,13 @@ fn opt_alias_matches_legacy_function_on_polybench() {
 fn lower_static_alias_matches_hand_built_pipeline_on_polybench() {
     for def in KERNELS {
         let (_ast, ctx) = compile_kernel(def, N, 1).expect("kernel compiles");
-        let legacy = printed(hand_built_lower_static(), &ctx);
+        let hand_built = printed(hand_built_lower_static(), &ctx);
         let alias = printed(PassManager::from_names(&["lower-static"]).unwrap(), &ctx);
-        assert_eq!(legacy, alias, "{}: alias `lower-static` diverged", def.name);
+        assert_eq!(
+            hand_built, alias,
+            "{}: alias `lower-static` diverged",
+            def.name
+        );
     }
 }
 
