@@ -34,6 +34,14 @@ pub enum SimError {
     },
     /// A state-inspection call referenced a missing cell.
     UnknownCell(String),
+    /// A state-inspection call named a cell that exists but is not of the
+    /// kind it reads.
+    WrongKind {
+        /// Path of the cell.
+        cell: String,
+        /// The kind asked for: `memory` or `register`.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -58,6 +66,9 @@ impl fmt::Display for SimError {
                 "write to `{memory}` at address {address} outside size {size}"
             ),
             SimError::UnknownCell(path) => write!(f, "no such cell: `{path}`"),
+            SimError::WrongKind { cell, expected } => {
+                write!(f, "cell `{cell}` is not a {expected}")
+            }
         }
     }
 }

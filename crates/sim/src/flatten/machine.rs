@@ -5,14 +5,24 @@
 //! starts and ends the same way, and the harness around it reads and
 //! writes state the same way:
 //!
-//! 1. [`FlatProgram::publish`] — stateful primitives show their outputs,
-//!    and the caller hears which of them changed;
+//! 1. [`FlatProgram::publish_cell`] — each stateful primitive the last
+//!    tick touched shows its outputs, and the caller hears which of them
+//!    changed;
 //! 2. the engine settles every other port ([`super::Wires::settle`]),
 //!    calling [`FlatCell::comb_output`] for each combinational cell and
 //!    memory read port whose inputs changed;
-//! 3. [`FlatProgram::tick`] — every stateful primitive latches from the
-//!    settled valuation, and the caller hears which memories stored a
-//!    word.
+//! 3. [`FlatProgram::tick`] — every *armed* stateful primitive latches
+//!    from the settled valuation, and the caller hears which cells it
+//!    touched and which memories stored a word.
+//!
+//! Both ends skip what cannot have changed. A cell that is not armed would
+//! latch to exactly the state it holds (the rule is on
+//! [`FlatProgram::tick`]), so it is skipped, and a cell that was not
+//! touched shows what it showed last cycle, so it need not be published
+//! again. The caller keeps the list of stateful cells
+//! ([`FlatProgram::stateful_cells`]) and the list of touched ones; the
+//! full walk [`FlatProgram::publish`] survives only as the oracle a debug
+//! build checks every settle against.
 //!
 //! [`FlatProgram::set_memory`], [`FlatProgram::memory`] and
 //! [`FlatProgram::register_value`] are the harness's view of the same
@@ -78,72 +88,110 @@ impl FlatCell {
 }
 
 impl FlatProgram {
-    /// Start a cycle: write every stateful primitive's outputs (register
-    /// value, unit results, the registered `done` flags) into `values`,
-    /// and call `changed` with each port whose value that replaced a
-    /// different one. These are fixed for the cycle; nothing the engine
-    /// settles afterwards may overwrite them.
+    /// The stateful primitives — registers, memories and units — in cell
+    /// order: the only cells [`FlatProgram::tick`] and
+    /// [`FlatProgram::publish_cell`] have anything to do for.
+    pub fn stateful_cells(&self) -> Vec<CellIdx> {
+        let comb = |ci: &CellIdx| matches!(self.cells[*ci].kind, FlatCellKind::Comb { .. });
+        self.cells.keys().filter(|ci| !comb(ci)).collect()
+    }
+
+    /// Write stateful cell `ci`'s outputs (register value, unit results,
+    /// the registered `done` flag) into `values`, and call `changed` with
+    /// each port whose value that replaced a different one. These are
+    /// fixed for the cycle; nothing the engine settles afterwards may
+    /// overwrite them. Nothing to do for a combinational cell.
     ///
-    /// A caller whose `values` persist from the last cycle learns from
-    /// `changed` what the last tick altered.
+    /// A caller whose `values` persist from the last cycle calls this for
+    /// the cells the last tick touched, and learns from `changed` what
+    /// that tick altered.
     #[inline]
-    pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
+    pub fn publish_cell(&self, ci: CellIdx, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
         let mut show = |port: PortIdx, v: u64| {
             if std::mem::replace(&mut values[port.index()], v) != v {
                 changed(port);
             }
         };
-        for (ci, cell) in self.cells.enumerate() {
-            match (&cell.kind, &self.states[ci]) {
-                (FlatCellKind::Reg { out, done, .. }, PrimState::Reg { val, done: d, .. }) => {
-                    show(*out, *val);
-                    show(*done, u64::from(*d));
-                }
-                (FlatCellKind::Mem { done, .. }, PrimState::Mem { done: d, .. }) => {
-                    show(*done, u64::from(*d));
-                }
-                (
-                    FlatCellKind::Unit {
-                        out, out2, done, ..
-                    },
-                    PrimState::Unit {
-                        out: o,
-                        out2: o2,
-                        done: d,
-                        ..
-                    },
-                ) => {
-                    show(*out, *o);
-                    if let Some(p2) = out2 {
-                        show(*p2, *o2);
-                    }
-                    show(*done, u64::from(*d));
-                }
-                _ => {}
+        match (&self.cells[ci].kind, &self.states[ci]) {
+            (FlatCellKind::Reg { out, done, .. }, PrimState::Reg { val, done: d, .. }) => {
+                show(*out, *val);
+                show(*done, u64::from(*d));
             }
+            (FlatCellKind::Mem { done, .. }, PrimState::Mem { done: d, .. }) => {
+                show(*done, u64::from(*d));
+            }
+            (
+                FlatCellKind::Unit {
+                    out, out2, done, ..
+                },
+                PrimState::Unit {
+                    out: o,
+                    out2: o2,
+                    done: d,
+                    ..
+                },
+            ) => {
+                show(*out, *o);
+                if let Some(p2) = out2 {
+                    show(*p2, *o2);
+                }
+                show(*done, u64::from(*d));
+            }
+            _ => {}
         }
     }
 
-    /// End a cycle: every stateful primitive latches from the settled
-    /// `values` (the synchronous update). `wrote` is called with each
-    /// memory that stored a word: its read port may show a new value next
-    /// cycle although no address port moved.
+    /// [`FlatProgram::publish_cell`] for every cell: the full walk, kept
+    /// as the oracle a debug build checks the change-driven publish
+    /// against (once the wires settled, it must change nothing).
+    #[cfg(any(test, debug_assertions))]
+    pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
+        for ci in self.cells.keys() {
+            self.publish_cell(ci, values, &mut changed);
+        }
+    }
+
+    /// End a cycle: each *armed* cell of `stateful` latches from the
+    /// settled `values` (the synchronous update). A cell is armed when
+    /// latching can change its state:
+    ///
+    /// - a register or memory when its `write_en` is high, or its `done`
+    ///   is up (the pulse must fall);
+    /// - a unit when its `go` is high, it is counting down, or its `done`
+    ///   is up.
+    ///
+    /// Any other cell latches to exactly the state it holds — no write, a
+    /// `done` that stays low, an idle unit that stays idle — so it is not
+    /// touched. `ticked` is called with each armed cell (its outputs may
+    /// show new values next cycle), and `wrote` with each memory that
+    /// stored a word: its read port may show a new value next cycle
+    /// although no address port moved.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`], naming the cell's path, when a
-    /// memory is written past its end.
+    /// memory is written past its end. The cells before it in `stateful`
+    /// have latched, and were reported to `ticked`.
     #[inline]
-    pub fn tick(&mut self, values: &[u64], mut wrote: impl FnMut(CellIdx)) -> SimResult<()> {
+    pub fn tick(
+        &mut self,
+        stateful: &[CellIdx],
+        values: &[u64],
+        mut ticked: impl FnMut(CellIdx),
+        mut wrote: impl FnMut(CellIdx),
+    ) -> SimResult<()> {
         let FlatProgram { cells, states, .. } = self;
-        for (ci, cell) in cells.enumerate() {
-            match &cell.kind {
+        for &ci in stateful {
+            let state = &mut states[ci];
+            match &cells[ci].kind {
                 FlatCellKind::Reg {
                     input, write_en, ..
                 } => {
-                    let inp = values[input.index()];
                     let we = values[write_en.index()] != 0;
-                    states[ci].tick_reg(inp, we);
+                    if !we && !state.busy() {
+                        continue;
+                    }
+                    state.tick_reg(values[input.index()], we);
                 }
                 FlatCellKind::Mem {
                     addrs,
@@ -151,10 +199,13 @@ impl FlatProgram {
                     write_en,
                     ..
                 } => {
+                    let we = values[write_en.index()] != 0;
+                    if !we && !state.busy() {
+                        continue;
+                    }
                     let av = address(addrs, values);
                     let wd = values[write_data.index()];
-                    let we = values[write_en.index()] != 0;
-                    states[ci].tick_mem(&av[..addrs.len()], wd, we, &cell.path)?;
+                    state.tick_mem(&av[..addrs.len()], wd, we, &cells[ci].path)?;
                     if we {
                         wrote(ci);
                     }
@@ -162,13 +213,15 @@ impl FlatProgram {
                 FlatCellKind::Unit {
                     left, right, go, ..
                 } => {
-                    let l = values[left.index()];
-                    let r = values[right.index()];
                     let g = values[go.index()] != 0;
-                    states[ci].tick_unit(l, r, g);
+                    if !g && !state.busy() {
+                        continue;
+                    }
+                    state.tick_unit(values[left.index()], values[right.index()], g);
                 }
-                FlatCellKind::Comb { .. } => {}
+                FlatCellKind::Comb { .. } => continue,
             }
+            ticked(ci);
         }
         Ok(())
     }
@@ -245,17 +298,28 @@ mod tests {
     }
 
     /// One clock cycle with `inputs` driven; returns what the next cycle
-    /// starts from (all zero but the published state).
-    fn cycle(prog: &mut FlatProgram, inputs: &[(PortIdx, u64)]) -> SimResult<Vec<u64>> {
+    /// starts from (all zero but the published state) and the cells the
+    /// tick touched.
+    fn ticking(
+        prog: &mut FlatProgram,
+        inputs: &[(PortIdx, u64)],
+    ) -> SimResult<(Vec<u64>, Vec<CellIdx>)> {
         let mut values = vec![0; prog.ports.len()];
         prog.publish(&mut values, |_| {});
         for &(p, v) in inputs {
             values[p.index()] = v;
         }
-        prog.tick(&values, |_| {})?;
+        let mut touched = Vec::new();
+        let stateful = prog.stateful_cells();
+        prog.tick(&stateful, &values, |ci| touched.push(ci), |_| {})?;
         values.fill(0);
         prog.publish(&mut values, |_| {});
-        Ok(values)
+        Ok((values, touched))
+    }
+
+    /// [`ticking`], without the touched cells.
+    fn cycle(prog: &mut FlatProgram, inputs: &[(PortIdx, u64)]) -> SimResult<Vec<u64>> {
+        ticking(prog, inputs).map(|(values, _)| values)
     }
 
     #[test]
@@ -277,6 +341,66 @@ mod tests {
         let seen = cycle(&mut prog, &[(input, 3)]).unwrap();
         assert_eq!((seen[out.index()], seen[done.index()]), (0xff, 0));
         assert_eq!(comb_output(&prog, r, &seen), None);
+    }
+
+    #[test]
+    fn a_register_written_once_is_touched_until_its_done_falls() {
+        let (mut prog, r) = machine("r = std_reg(8); add = std_add(8);");
+        assert_eq!(prog.stateful_cells(), vec![r]);
+        let FlatCellKind::Reg {
+            input,
+            write_en,
+            out,
+            done,
+        } = prog.cells[r].kind.clone()
+        else {
+            panic!("not a register");
+        };
+        let shown = |seen: &[u64]| (seen[out.index()], seen[done.index()]);
+        let (seen, touched) = ticking(&mut prog, &[(input, 5), (write_en, 1)]).unwrap();
+        assert_eq!((shown(&seen), touched), ((5, 1), vec![r]));
+        // `write_en` is low, but the `done` pulse is up and must fall.
+        let (seen, touched) = ticking(&mut prog, &[(input, 9)]).unwrap();
+        assert_eq!((shown(&seen), touched), ((5, 0), vec![r]));
+        // Unarmed: latching would change nothing, so nothing is touched.
+        for _ in 0..3 {
+            let (seen, touched) = ticking(&mut prog, &[(input, 9)]).unwrap();
+            assert_eq!((shown(&seen), touched), ((5, 0), vec![]));
+        }
+    }
+
+    #[test]
+    fn a_unit_whose_go_falls_after_the_first_cycle_still_finishes() {
+        let (mut prog, mul) = machine("mul = std_mult_pipe(8);");
+        let FlatCellKind::Unit {
+            left,
+            right,
+            go,
+            out,
+            done,
+            ..
+        } = prog.cells[mul].kind.clone()
+        else {
+            panic!("not a unit");
+        };
+        let shown = |seen: &[u64]| (seen[out.index()], seen[done.index()]);
+        let (seen, touched) = ticking(&mut prog, &[(left, 3), (right, 5), (go, 1)]).unwrap();
+        assert_eq!((shown(&seen), touched), ((0, 0), vec![mul]));
+        // `go` is low from here on: counting down keeps the unit armed.
+        let mut trace = Vec::new();
+        for _ in 0..5 {
+            let (seen, touched) = ticking(&mut prog, &[]).unwrap();
+            trace.push((shown(&seen), touched.len()));
+        }
+        let expected = [
+            ((0, 0), 1),
+            ((0, 0), 1),
+            ((15, 1), 1),
+            // The `done` pulse falls; then the unit is idle and untouched.
+            ((15, 0), 1),
+            ((15, 0), 0),
+        ];
+        assert_eq!(trace, expected);
     }
 
     #[test]

@@ -41,9 +41,11 @@
 //! decision that does not depend on which program form is simulated:
 //!
 //! - what a stateful primitive shows at the start of a cycle
-//!   ([`FlatProgram::publish`], which also tells its caller which ports
-//!   changed) and how it latches at the end ([`FlatProgram::tick`], which
-//!   also tells its caller which memories were written);
+//!   ([`FlatProgram::publish_cell`], which also tells its caller which
+//!   ports changed) and how it latches at the end ([`FlatProgram::tick`],
+//!   which latches only the *armed* primitives and tells its caller which
+//!   it touched and which memories were written) — the rule that lets a
+//!   cycle skip every primitive that would latch to the state it holds;
 //! - what a combinational cell or a memory's read port computes from a
 //!   valuation ([`FlatCell::comb_output`]);
 //! - how the harness loads and reads state by [`CellIdx`]
@@ -55,7 +57,9 @@
 //!   ([`RunStats`]);
 //! - how the wires settle in between ([`Wires`]): port and guard values
 //!   that persist from cycle to cycle, and one scan of the dirty nodes in
-//!   sorted order, each waking its readers only when its output changed.
+//!   sorted order, each waking its readers only when its output changed;
+//!   `Wires` also keeps the list of stateful cells a tick looks at and the
+//!   list of cells it touched, which are all the next publish shows.
 //!
 //! An engine owns what drives the machine, and its [`DriverRule`]:
 //!
@@ -63,8 +67,10 @@
 //!   top-level `go`/`done` handshake, and the strict rule that two active
 //!   drivers of one port are a conflict whatever they drive;
 //! - [`crate::interp`]: the control walk that picks the active groups and
-//!   raises their `go` ports, the done-observation cycle, and the rule
-//!   that two active drivers conflict only when their values differ.
+//!   raises their `go` ports (walked again only when a group finished or
+//!   a condition without a `with` group is sampled), the done-observation
+//!   cycle, and the rule that two active drivers conflict only when their
+//!   values differ.
 //!
 //! **Guards are nodes.** Every interned guard is one [`Node::Guard`] of
 //! the sorted graph, placed after the producers of the ports it reads and

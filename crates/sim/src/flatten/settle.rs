@@ -2,14 +2,20 @@
 //! their values for a cycle, whichever engine is asking.
 //!
 //! [`Wires`] holds what persists from cycle to cycle — every port's value,
-//! every guard's, and one dirty bit per node of the [`Graph`]. A cycle is
-//! [`Wires::publish`] (stateful outputs; each that moved marks its
-//! readers), whatever the engine itself writes with [`Wires::set`],
-//! [`Wires::settle`] and [`Wires::tick`] (each memory written marks its
-//! read port). The settle visits the dirty nodes in sorted order, and a node
-//! marks its own readers only when its output differs from the stored
-//! one. Readers sit later in the order than what they read, so one
-//! ascending pass reaches the fixpoint and a node runs at most once.
+//! every guard's, one dirty bit per node of the [`Graph`], the list of
+//! stateful cells and the list of those the last tick touched. A cycle is
+//! [`Wires::publish`] (the touched cells' outputs; each that moved marks
+//! its readers), whatever the engine itself writes with [`Wires::set`],
+//! [`Wires::settle`] and [`Wires::tick`] (the armed cells latch and are
+//! listed for the next publish; each memory written marks its read port).
+//! The settle visits the dirty nodes in sorted order, and a node marks its
+//! own readers only when its output differs from the stored one. Readers
+//! sit later in the order than what they read, so one ascending pass
+//! reaches the fixpoint and a node runs at most once. So every phase of a
+//! cycle costs what changed in it, not the size of the design: the tick
+//! skips cells that are not armed ([`FlatProgram::tick`] states the rule)
+//! but still looks at each stateful cell to find out, while publish and
+//! settle see only what moved.
 //!
 //! Keeping values is sound because every port has one writer: a stateful
 //! output is written by `publish` alone, a combinational output by its
@@ -52,6 +58,11 @@ pub struct Wires {
     /// One bit per position in [`Graph::nodes`]: the nodes an input of
     /// which changed since they last ran.
     dirty: Vec<u64>,
+    /// The stateful cells, the only ones a tick looks at.
+    stateful: Vec<CellIdx>,
+    /// The cells the last tick touched (before the first cycle, every
+    /// stateful cell): the only ones whose outputs the next publish shows.
+    moved: Vec<CellIdx>,
 }
 
 /// Mark the nodes at `positions` for re-evaluation.
@@ -122,12 +133,16 @@ fn eval_node<'a, R: DriverRule>(
 }
 
 impl Wires {
-    /// All ports at zero and every node dirty.
+    /// All ports at zero, every node dirty and every stateful cell queued
+    /// for the first publish.
     pub fn new(prog: &FlatProgram, graph: &Graph) -> Self {
+        let stateful = prog.stateful_cells();
         let mut wires = Wires {
             values: vec![0; prog.ports.len()],
             guard_on: vec![false; prog.guards.len()],
             dirty: vec![0; graph.nodes.len().div_ceil(64)],
+            moved: stateful.clone(),
+            stateful,
         };
         wires.mark_all(graph);
         wires
@@ -157,24 +172,31 @@ impl Wires {
         }
     }
 
-    /// Start a cycle: show the stateful primitives' outputs.
+    /// Start a cycle: show the outputs of the cells the last tick touched.
+    /// Every other cell shows what it showed last cycle.
     #[inline]
     pub fn publish(&mut self, prog: &FlatProgram, graph: &Graph) {
-        let Wires { values, dirty, .. } = self;
-        prog.publish(values, |port| mark(dirty, graph.fanout.of_port(port)));
+        for ci in self.moved.drain(..) {
+            prog.publish_cell(ci, &mut self.values, |port| {
+                mark(&mut self.dirty, graph.fanout.of_port(port))
+            });
+        }
     }
 
-    /// End a cycle: latch the stateful primitives from the settled values.
+    /// End a cycle: latch the armed stateful primitives from the settled
+    /// values, and queue each for the next publish.
     ///
     /// # Errors
     ///
     /// Those of [`FlatProgram::tick`].
     #[inline]
     pub fn tick(&mut self, prog: &mut FlatProgram, graph: &Graph) -> SimResult<()> {
-        let Wires { values, dirty, .. } = self;
-        prog.tick(values, |mem: CellIdx| {
-            mark(dirty, graph.fanout.of_memory(mem))
-        })
+        prog.tick(
+            &self.stateful,
+            &self.values,
+            |ci| self.moved.push(ci),
+            |mem| mark(&mut self.dirty, graph.fanout.of_memory(mem)),
+        )
     }
 
     /// Evaluate the dirty nodes in sorted order, each marking its readers
@@ -199,6 +221,7 @@ impl Wires {
             values,
             guard_on,
             dirty,
+            ..
         } = self;
         let conflict = |port: PortIdx| SimError::DriverConflict {
             port: prog.ports[port].path.clone(),
@@ -271,9 +294,10 @@ impl Wires {
     }
 
     /// The self-check behind every settle in a build with debug
-    /// assertions: publishing again and re-evaluating every node in order
-    /// must change no stored value and raise no conflict. A failure means
-    /// a node was not marked dirty when one of its inputs changed.
+    /// assertions: publishing every cell again and re-evaluating every
+    /// node in order must change no stored value and raise no conflict. A
+    /// failure means a tick touched a cell it did not queue for publishing,
+    /// or a node was not marked dirty when one of its inputs changed.
     #[cfg(debug_assertions)]
     fn assert_settled<R: DriverRule>(&mut self, prog: &FlatProgram, graph: &Graph, cycle: u64) {
         prog.publish(&mut self.values, |port| {
@@ -293,5 +317,11 @@ impl Wires {
     #[cfg(test)]
     pub(crate) fn dirty_count(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The number of cells queued for the next publish.
+    #[cfg(test)]
+    pub(crate) fn moved_count(&self) -> usize {
+        self.moved.len()
     }
 }

@@ -16,6 +16,17 @@
 //! switched and the state that ticked, and a port whose group went quiet
 //! settles to zero like any other port nothing drives.
 //!
+//! The walk itself runs on events, not on every cycle. Which groups are
+//! candidates depends on the control tree's runtime state alone, and
+//! `ctrl_advance` changes that state only when a candidate group
+//! finished, or when an `if`/`while` without a `with` group is in its
+//! condition phase (it samples its port at the end of the cycle, whether
+//! or not any group finished; `Candidates::samples`). In any other cycle
+//! the tree cannot move, so the candidates stand and neither the collect
+//! nor the advance runs; only the done flags raised are lowered again. A
+//! debug build collects afresh before every cycle and checks that the
+//! candidates it kept are the same.
+//!
 //! Two things are the interpreter's own. Its driver rule (`Agree`): two
 //! active drivers of one port conflict only when their values differ. And
 //! its graph may be cyclic: groups that are never active together may
@@ -104,31 +115,50 @@ fn ctrl_start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut CtrlRuntime, n: Ctr
     }
 }
 
-/// Groups active during the cycle for this node, split into ordinary
-/// enables and `with` condition groups.
+/// What the control tree asks of a cycle: the candidate groups and
+/// whether a condition port is sampled at its end. It is a function of
+/// the [`CtrlRuntime`] alone, which only [`ctrl_advance`] changes.
+#[derive(Debug, Default, PartialEq)]
+struct Candidates {
+    /// Enabled groups.
+    enables: Vec<GroupIdx>,
+    /// The `with` groups of the conditions being evaluated.
+    conds: Vec<GroupIdx>,
+    /// An `if`/`while` without a `with` group is in its condition phase:
+    /// it samples its port at the end of the cycle, whether or not a group
+    /// finished.
+    samples: bool,
+}
+
+impl Candidates {
+    /// Replace these with what the tree below `root` asks of the next
+    /// cycle.
+    fn collect(&mut self, ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &CtrlRuntime, root: CtrlIdx) {
+        self.enables.clear();
+        self.conds.clear();
+        self.samples = false;
+        ctrl_collect(ctrl, rt, root, self);
+    }
+}
+
+/// Add what node `n` asks of the cycle to `into`.
 fn ctrl_collect(
     ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
     rt: &CtrlRuntime,
     n: CtrlIdx,
-    enables: &mut Vec<GroupIdx>,
-    conds: &mut Vec<GroupIdx>,
+    into: &mut Candidates,
 ) {
     match &ctrl[n] {
         CtrlNode::Empty => {}
-        CtrlNode::Enable { group } => enables.push(*group),
+        CtrlNode::Enable { group } => into.enables.push(*group),
         CtrlNode::Seq { children } => {
-            ctrl_collect(
-                ctrl,
-                rt,
-                children[rt.seq_pos[n.index()] as usize],
-                enables,
-                conds,
-            );
+            let child = children[rt.seq_pos[n.index()] as usize];
+            ctrl_collect(ctrl, rt, child, into);
         }
         CtrlNode::Par { children } => {
             for &c in children {
                 if !rt.finished[c.index()] {
-                    ctrl_collect(ctrl, rt, c, enables, conds);
+                    ctrl_collect(ctrl, rt, c, into);
                 }
             }
         }
@@ -139,8 +169,9 @@ fn ctrl_collect(
             ..
         } => {
             if rt.in_cond[n.index()] {
-                if let Some(c) = cond {
-                    conds.push(*c);
+                match cond {
+                    Some(c) => into.conds.push(*c),
+                    None => into.samples = true,
                 }
             } else {
                 let branch = if rt.taken[n.index()] {
@@ -148,23 +179,26 @@ fn ctrl_collect(
                 } else {
                     *fbranch
                 };
-                ctrl_collect(ctrl, rt, branch, enables, conds);
+                ctrl_collect(ctrl, rt, branch, into);
             }
         }
         CtrlNode::While { cond, body, .. } => {
             if rt.in_cond[n.index()] {
-                if let Some(c) = cond {
-                    conds.push(*c);
+                match cond {
+                    Some(c) => into.conds.push(*c),
+                    None => into.samples = true,
                 }
             } else {
-                ctrl_collect(ctrl, rt, *body, enables, conds);
+                ctrl_collect(ctrl, rt, *body, into);
             }
         }
     }
 }
 
 /// Advance a node by one cycle given this cycle's observations. Returns
-/// true when the node finished.
+/// true when the node finished. It changes `rt` only when one of the
+/// [`Candidates`] of `n` is in `done_groups`, or they sample a condition:
+/// otherwise every node it reaches waits on a group that did not finish.
 fn ctrl_advance(
     ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
     rt: &mut CtrlRuntime,
@@ -269,15 +303,19 @@ pub struct Interpreter {
     rt: CtrlRuntime,
     root_done: bool,
     cycles: u64,
-    enables: Vec<GroupIdx>,
-    conds: Vec<GroupIdx>,
+    /// What the control tree asks of the next cycle; collected again only
+    /// after the tree moved.
+    walk: Candidates,
     /// The groups whose `go` port is high.
     active: Vec<GroupIdx>,
     /// Scratch: the groups to run this cycle.
     survivors: Vec<GroupIdx>,
     /// Scratch of [`Interpreter::activate`], all false between calls.
     wanted: Vec<bool>,
+    /// Which groups finished in the last cycle, by group index.
     done_flags: Vec<bool>,
+    /// The groups whose `done_flags` are set.
+    finished: Vec<GroupIdx>,
 }
 
 /// The driver rule of the language definition: drivers that agree are one
@@ -309,6 +347,8 @@ impl Interpreter {
         let n_groups = flat.groups.len();
         let mut rt = CtrlRuntime::new(flat.ctrl.len());
         let root_done = ctrl_start(&flat.ctrl, &mut rt, flat.root);
+        let mut walk = Candidates::default();
+        walk.collect(&flat.ctrl, &rt, flat.root);
         let mut wires = Wires::new(&flat.prog, &flat.graph);
         // `go` is held high for the whole run.
         wires.set(&flat.graph, flat.go, 1);
@@ -317,29 +357,27 @@ impl Interpreter {
             rt,
             root_done,
             cycles: 0,
-            enables: Vec::new(),
-            conds: Vec::new(),
+            walk,
             active: Vec::new(),
             survivors: Vec::new(),
             wanted: vec![false; n_groups],
             done_flags: vec![false; n_groups],
+            finished: Vec::new(),
             flat,
         })
     }
 
     fn cell(&self, cell: &str) -> SimResult<CellIdx> {
-        self.flat
-            .cell_index
-            .get(&Id::new(cell))
-            .copied()
-            .ok_or_else(|| unknown(cell))
+        let ci = self.flat.cell_index.get(&Id::new(cell)).copied();
+        ci.ok_or_else(|| SimError::UnknownCell(cell.to_string()))
     }
 
     /// Initialize a memory's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `cell` is not a memory and
+    /// Returns [`SimError::UnknownCell`] when there is no cell `cell`,
+    /// [`SimError::WrongKind`] when it is not a memory, and
     /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, cell: &str, data: &[u64]) -> SimResult<()> {
         let ci = self.cell(cell)?;
@@ -348,27 +386,30 @@ impl Interpreter {
         self.flat
             .prog
             .set_memory(ci, data)
-            .unwrap_or_else(|| Err(unknown(cell)))
+            .unwrap_or_else(|| Err(not_a("memory", cell)))
     }
 
     /// Read a memory's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `cell` is not a memory.
+    /// Returns [`SimError::UnknownCell`] when there is no cell `cell` and
+    /// [`SimError::WrongKind`] when it is not a memory.
     pub fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
         let data = self.flat.prog.memory(self.cell(cell)?);
-        data.map(<[u64]>::to_vec).ok_or_else(|| unknown(cell))
+        data.map(<[u64]>::to_vec)
+            .ok_or_else(|| not_a("memory", cell))
     }
 
     /// Read a register.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `cell` is not a register.
+    /// Returns [`SimError::UnknownCell`] when there is no cell `cell` and
+    /// [`SimError::WrongKind`] when it is not a register.
     pub fn register_value(&self, cell: &str) -> SimResult<u64> {
         let val = self.flat.prog.register_value(self.cell(cell)?);
-        val.ok_or_else(|| unknown(cell))
+        val.ok_or_else(|| not_a("register", cell))
     }
 
     /// Run the control program to completion.
@@ -389,21 +430,19 @@ impl Interpreter {
         })
     }
 
-    /// Execute one cycle: settle, advance the control tree, tick state.
+    /// Execute one cycle: settle, tick state, and advance the control tree
+    /// if it can move.
     fn step(&mut self) -> SimResult<()> {
         // 1. Candidate groups this cycle: enabled groups plus the `with`
-        //    condition groups currently being evaluated.
-        let mut enables = std::mem::take(&mut self.enables);
-        let mut conds = std::mem::take(&mut self.conds);
-        enables.clear();
-        conds.clear();
-        ctrl_collect(
-            &self.flat.ctrl,
-            &self.rt,
-            self.flat.root,
-            &mut enables,
-            &mut conds,
-        );
+        //    condition groups currently being evaluated, as collected when
+        //    the tree last moved.
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = Candidates::default();
+            fresh.collect(&self.flat.ctrl, &self.rt, self.flat.root);
+            let cycle = self.cycles;
+            assert_eq!(fresh, self.walk, "cycle {cycle}: the control walk is stale");
+        }
         self.wires.publish(&self.flat.prog, &self.flat.graph);
 
         // 2. An enabled group whose done signal is already observable with
@@ -414,6 +453,7 @@ impl Interpreter {
         //    active for the whole evaluation phase. When every candidate's
         //    done condition reads state alone, it is known without
         //    settling the wires under no group first.
+        let enables = &self.walk.enables;
         if !enables.iter().all(|&g| self.flat.groups[g].done_from_state) {
             self.activate(&[]);
             self.wires
@@ -421,38 +461,41 @@ impl Interpreter {
         }
         let mut survivors = std::mem::take(&mut self.survivors);
         survivors.clear();
-        survivors.extend(enables.iter().filter(|&&g| !self.group_done(g)));
-        survivors.extend_from_slice(&conds);
+        survivors.extend(self.walk.enables.iter().filter(|&&g| !self.group_done(g)));
+        survivors.extend_from_slice(&self.walk.conds);
 
         // 3. Settle combinational values with the surviving groups.
         self.activate(&survivors);
+        self.survivors = survivors;
         self.wires
             .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
 
-        // 4. Which candidate groups finished this cycle?
-        self.done_flags.fill(false);
-        for &g in enables.iter().chain(conds.iter()) {
-            if self.group_done(g) {
+        // 4. Which candidate groups finished this cycle? Only the flags
+        //    the last cycle raised need lowering first.
+        for g in self.finished.drain(..) {
+            self.done_flags[g.index()] = false;
+        }
+        for &g in self.walk.enables.iter().chain(&self.walk.conds) {
+            if !self.done_flags[g.index()] && self.group_done(g) {
                 self.done_flags[g.index()] = true;
+                self.finished.push(g);
             }
         }
 
         // 5. Synchronous update.
         self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
 
-        // 6. Advance the control tree using this cycle's observations.
-        self.root_done = ctrl_advance(
-            &self.flat.ctrl,
-            &mut self.rt,
-            self.flat.root,
-            &self.done_flags,
-            self.wires.values(),
-        );
+        // 6. Advance the control tree using this cycle's observations. It
+        //    can move only when a group finished or a condition without a
+        //    `with` group is sampled; otherwise this cycle's candidates
+        //    are the next one's too.
+        if !self.finished.is_empty() || self.walk.samples {
+            let (ctrl, root) = (&self.flat.ctrl, self.flat.root);
+            let values = self.wires.values();
+            self.root_done = ctrl_advance(ctrl, &mut self.rt, root, &self.done_flags, values);
+            self.walk.collect(ctrl, &self.rt, root);
+        }
         self.cycles += 1;
-
-        self.enables = enables;
-        self.conds = conds;
-        self.survivors = survivors;
         Ok(())
     }
 
@@ -491,10 +534,12 @@ impl Interpreter {
     }
 }
 
-/// The lookup error for a name that is no cell, or no cell of the kind
-/// asked for.
-fn unknown(cell: &str) -> SimError {
-    SimError::UnknownCell(cell.to_string())
+/// The lookup error for a cell that exists but is not a `what`.
+fn not_a(what: &'static str, cell: &str) -> SimError {
+    SimError::WrongKind {
+        cell: cell.to_string(),
+        expected: what,
+    }
 }
 
 #[cfg(test)]
@@ -929,6 +974,72 @@ mod tests {
         assert_eq!((last, regs), (Ok(2), vec![2]));
     }
 
+    /// The cycles `src` takes on this engine and, lowered, on the RTL
+    /// engine, with the registers `regs` it leaves, which must be the same
+    /// on both.
+    fn on_both_engines(src: &str, regs: &[&str]) -> ((u64, u64), Vec<u64>) {
+        let (cycles, left) = run_outcome(src, regs);
+        let mut lowered = parse_context(src).unwrap();
+        calyx_core::passes::lower_pipeline()
+            .run(&mut lowered)
+            .unwrap();
+        let mut sim = crate::rtl::Simulator::new(&lowered, "main").unwrap();
+        let rtl_cycles = sim.run(1000).unwrap().cycles;
+        let rtl_left: Vec<u64> = regs
+            .iter()
+            .map(|r| sim.register_value(&[r]).unwrap())
+            .collect();
+        assert_eq!(rtl_left, left, "the lowered design leaves other registers");
+        ((cycles.unwrap(), rtl_cycles), left)
+    }
+
+    #[test]
+    fn a_while_without_a_with_group_samples_a_register_each_time_round() {
+        // `more` is the loop condition itself, rewritten by `check` at the
+        // end of each iteration: no group computes it while the loop is in
+        // its condition phase, which lasts one cycle per test.
+        let src = r#"component main() -> () {
+              cells { more = std_reg(1); n = std_reg(4); add = std_add(4); lt = std_lt(4); }
+              wires {
+                group init { more.in = 1'd1; more.write_en = 1'd1; init[done] = more.done; }
+                group incr {
+                  add.left = n.out; add.right = 4'd1; n.in = add.out; n.write_en = 1'd1;
+                  incr[done] = n.done;
+                }
+                group check {
+                  lt.left = n.out; lt.right = 4'd3; more.in = lt.out; more.write_en = 1'd1;
+                  check[done] = more.done;
+                }
+              }
+              control { seq { init; while more.out { seq { incr; check; } } } }
+            }"#;
+        // `init` 2 cycles, three rounds of 1 + 2 + 2, the exit test 1.
+        assert_eq!(on_both_engines(src, &["more", "n"]), ((18, 23), vec![0, 3]));
+    }
+
+    #[test]
+    fn an_if_without_a_with_group_samples_a_continuously_driven_comparison() {
+        // `gt` is driven outside every group, so it follows `a.out` on
+        // every cycle, the one the `if` samples in among them.
+        let program = |a: u8| {
+            format!(
+                r#"component main() -> () {{
+                  cells {{ a = std_reg(8); gt = std_gt(8); r = std_reg(8); }}
+                  wires {{
+                    gt.left = a.out; gt.right = 8'd5;
+                    group wa {{ a.in = 8'd{a}; a.write_en = 1'd1; wa[done] = a.done; }}
+                    group t {{ r.in = 8'd1; r.write_en = 1'd1; t[done] = r.done; }}
+                    group f {{ r.in = 8'd2; r.write_en = 1'd1; f[done] = r.done; }}
+                  }}
+                  control {{ seq {{ wa; if gt.out {{ t; }} else {{ f; }} }} }}
+                }}"#
+            )
+        };
+        // `wa` 2 cycles, the test 1, the branch 2.
+        assert_eq!(on_both_engines(&program(9), &["r"]), ((5, 6), vec![1]));
+        assert_eq!(on_both_engines(&program(3), &["r"]), ((5, 6), vec![2]));
+    }
+
     #[test]
     fn rejects_component_instances() {
         let ctx = parse_context(
@@ -963,9 +1074,38 @@ mod tests {
               control {}
             }"#,
         );
-        assert!(matches!(
-            i.register_value("add"),
-            Err(SimError::UnknownCell(_))
-        ));
+        let text = |e: SimError| e.to_string();
+        assert_eq!(
+            i.register_value("add").map_err(text),
+            Err("cell `add` is not a register".to_string())
+        );
+        assert_eq!(
+            i.register_value("nope").map_err(text),
+            Err("no such cell: `nope`".to_string())
+        );
+    }
+
+    #[test]
+    fn a_lookup_of_the_wrong_kind_names_the_cell_and_the_kind() {
+        let mut i = interp(
+            r#"component main() -> () {
+              cells { add = std_add(8); r = std_reg(8); m = std_mem_d1(8, 1, 1); }
+              wires {}
+              control {}
+            }"#,
+        );
+        let text = |e: SimError| e.to_string();
+        assert_eq!(
+            i.register_value("m").map_err(text),
+            Err("cell `m` is not a register".to_string())
+        );
+        assert_eq!(
+            i.memory("r").map_err(text),
+            Err("cell `r` is not a memory".to_string())
+        );
+        assert_eq!(
+            i.set_memory("add", &[1]).map_err(text),
+            Err("cell `add` is not a memory".to_string())
+        );
     }
 }

@@ -248,6 +248,19 @@ impl PrimState {
         }
     }
 
+    /// Whether the next clock edge changes this primitive's state even with
+    /// its enable (`write_en`, `go`) low: a `done` pulse is up and must
+    /// fall, or a unit is counting down.
+    #[inline]
+    pub fn busy(&self) -> bool {
+        match self {
+            PrimState::Reg { done, .. } | PrimState::Mem { done, .. } => *done,
+            PrimState::Unit {
+                remaining, done, ..
+            } => *done || remaining.is_some(),
+        }
+    }
+
     /// Advance a register one clock edge.
     pub fn tick_reg(&mut self, input: u64, write_en: bool) {
         if let PrimState::Reg { val, done, width } = self {

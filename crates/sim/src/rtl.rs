@@ -15,16 +15,20 @@
 //!
 //! A simulated cycle evaluates **only what changed**. Port values and
 //! guard values persist from cycle to cycle. A cycle starts by publishing
-//! the stateful primitives' outputs; each one that differs from last
-//! cycle marks its readers dirty, as does each memory the last tick wrote.
-//! The settle then visits the dirty nodes in sorted order, and a node
-//! marks its own readers only when its output differs from the stored
-//! one. Readers sit later in the order than what they read, so one
-//! ascending scan of the dirty set reaches a fixpoint, and a node runs at
-//! most once per cycle. Lowering stamps `fsm.out == k` on every
-//! assignment of FSM state `k`; those comparisons are re-evaluated when
-//! `fsm.out` moves, but only the two that flip wake the assignments
-//! behind them. A synchronous primitive tick ends the cycle.
+//! the outputs of the stateful primitives the last tick touched; each one
+//! that differs from last cycle marks its readers dirty, as does each
+//! memory the last tick wrote. The settle then visits the dirty nodes in
+//! sorted order, and a node marks its own readers only when its output
+//! differs from the stored one. Readers sit later in the order than what
+//! they read, so one ascending scan of the dirty set reaches a fixpoint,
+//! and a node runs at most once per cycle. Lowering stamps `fsm.out == k`
+//! on every assignment of FSM state `k`; those comparisons are
+//! re-evaluated when `fsm.out` moves, but only the two that flip wake the
+//! assignments behind them. A synchronous tick ends the cycle: it looks at
+//! the stateful primitives only (never a combinational cell) and latches
+//! only the *armed* ones — a register whose `write_en` is high, a `done`
+//! pulse that must fall, a unit that is started or counting — which it
+//! queues for the next publish.
 //!
 //! Keeping values is sound because every port has one writer: IR
 //! validation admits assignments only to a cell's inputs and the
@@ -37,8 +41,9 @@
 //! Verilator would flag in the emitted SystemVerilog. A conflict can only
 //! appear at a node one of whose guards just changed, which is a dirty
 //! node. In builds with debug assertions (the test profile among them)
-//! every settle is followed by a full re-evaluation that must change
-//! nothing, so each simulation test also checks the dirty-set logic.
+//! every settle is followed by a full publish and a full re-evaluation
+//! that must change nothing, so each simulation test also checks the
+//! dirty set and the queue of touched cells.
 //! What the engine computes is pinned by outcome: the tests below assert
 //! exact cycles, values and error texts, and `sim_state_pinned` holds the
 //! cycles and state of every PolyBench kernel under `lower`,
@@ -127,8 +132,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` does not name a memory
-    /// and [`SimError::OutOfBounds`] when `data` is longer than the memory.
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell,
+    /// [`SimError::WrongKind`] when it names one that is not a memory, and
+    /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
     pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
         let idx = self.prim_idx(path)?;
         // A read port may show a new word under an unchanged address.
@@ -143,7 +149,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` does not name a memory.
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
+    /// [`SimError::WrongKind`] when it names one that is not a memory.
     pub fn memory(&self, path: &[&str]) -> SimResult<Vec<u64>> {
         let idx = self.prim_idx(path)?;
         let data = self.flat.prog.memory(idx);
@@ -155,8 +162,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` does not name a
-    /// register.
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
+    /// [`SimError::WrongKind`] when it names one that is not a register.
     pub fn register_value(&self, path: &[&str]) -> SimResult<u64> {
         let idx = self.prim_idx(path)?;
         let val = self.flat.prog.register_value(idx);
@@ -197,8 +204,11 @@ impl Simulator {
 }
 
 /// The lookup error for a cell that exists but is not a `what`.
-fn not_a(what: &str, path: &[&str]) -> SimError {
-    SimError::UnknownCell(format!("`{}` is not a {what}", path.join(".")))
+fn not_a(what: &'static str, path: &[&str]) -> SimError {
+    SimError::WrongKind {
+        cell: path.join("."),
+        expected: what,
+    }
 }
 
 #[cfg(test)]
@@ -618,6 +628,65 @@ mod tests {
         assert_eq!(sim.wires.dirty_count(), sim.flat.graph.nodes.len());
         sim.settle(0).unwrap();
         assert_eq!(sim.wires.dirty_count(), 0);
+    }
+
+    #[test]
+    fn a_quiescent_cycle_queues_nothing_to_publish() {
+        // `r` and `st` are written in cycle 0 only, and their `done`
+        // pulses fall in cycle 1; from then on nothing is armed.
+        let src = r#"component main() -> () {
+              cells { r = std_reg(8); st = std_reg(1); add = std_add(8); }
+              wires {
+                r.in = 8'd7; r.write_en = !st.out ? 1'd1;
+                st.in = 1'd1; st.write_en = !st.out ? 1'd1;
+                add.left = r.out; add.right = 8'd1;
+                done = st.out ? 1'd1;
+              }
+              control {}
+            }"#;
+        let mut sim = Simulator::new(&parse_context(src).unwrap(), "main").unwrap();
+        // Before the first cycle every stateful cell is queued, and only
+        // those.
+        assert_eq!(sim.wires.moved_count(), 2);
+        let mut queued = Vec::new();
+        for cycle in 0..4 {
+            sim.settle(cycle).unwrap();
+            sim.wires.tick(&mut sim.flat.prog, &sim.flat.graph).unwrap();
+            queued.push(sim.wires.moved_count());
+        }
+        assert_eq!(queued, [2, 2, 0, 0]);
+        assert_eq!(sim.register_value(&["r"]), Ok(7));
+    }
+
+    #[test]
+    fn a_lookup_of_the_wrong_kind_names_the_cell_and_the_kind() {
+        let src = r#"component main() -> () {
+              cells { add = std_add(8); r = std_reg(8); m = std_mem_d1(8, 1, 1); }
+              wires { r.in = 8'd1; r.write_en = 1'd1; done = r.done ? 1'd1; }
+              control {}
+            }"#;
+        let mut sim = Simulator::new(&parse_context(src).unwrap(), "main").unwrap();
+        let text = |r: SimResult<()>| r.unwrap_err().to_string();
+        assert_eq!(
+            text(sim.register_value(&["add"]).map(drop)),
+            "cell `add` is not a register"
+        );
+        assert_eq!(
+            text(sim.register_value(&["m"]).map(drop)),
+            "cell `m` is not a register"
+        );
+        assert_eq!(
+            text(sim.memory(&["r"]).map(drop)),
+            "cell `r` is not a memory"
+        );
+        assert_eq!(
+            text(sim.set_memory(&["add"], &[1])),
+            "cell `add` is not a memory"
+        );
+        assert_eq!(
+            text(sim.register_value(&["nope"]).map(drop)),
+            "no such cell: `nope`"
+        );
     }
 
     #[test]
