@@ -368,11 +368,12 @@ fn atom_width(atom: &Atom, comp: &Component) -> CalyxResult<u32> {
 mod tests {
     use super::*;
     use calyx_core::ir::parse_context;
-    use calyx_core::passes;
+    use calyx_core::passes::{opt_without, PassManager};
 
     fn lowered(src: &str) -> Context {
         let mut ctx = parse_context(src).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         ctx
     }
 
@@ -462,15 +463,18 @@ mod tests {
               }
               control { seq { g0; g1; } }
             }"#;
-        let lower = |rs: bool| {
+        let lower = |pipeline: &[&str]| {
             let mut c = parse_context(src).unwrap();
-            passes::optimized_pipeline(rs, false, false)
+            PassManager::from_names(pipeline)
+                .unwrap()
                 .run(&mut c)
                 .unwrap();
             c
         };
-        let baseline_ctx = lower(false);
-        let shared_ctx = lower(true);
+        let baseline_ctx = lower(&["lower"]);
+        let resource_sharing =
+            opt_without(&["minimize-regs", "infer-static-timing", "static-timing"]);
+        let shared_ctx = lower(&resource_sharing);
         let baseline = estimate(&baseline_ctx, "main").unwrap();
         let shared = estimate(&shared_ctx, "main").unwrap();
         // Sharing physically removed an adder...

@@ -157,7 +157,7 @@ impl Backend for InterpBackend {
 mod tests {
     use super::*;
     use calyx_core::ir::parse_context;
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
 
     const COUNTER: &str = r#"
         component main() -> () {
@@ -181,7 +181,8 @@ mod tests {
     #[test]
     fn sim_backend_reports_cycles_and_state_of_the_lowered_design() {
         let mut ctx = parse_context(COUNTER).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let backend = SimBackend::from_opts(&BackendOpts::default());
         backend.validate(&ctx).unwrap();
         let mut out = Vec::new();
@@ -215,7 +216,8 @@ mod tests {
     #[test]
     fn cycle_budget_flows_through_backend_opts() {
         let mut ctx = parse_context(COUNTER).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let backend = SimBackend::from_opts(&BackendOpts {
             cycles: 1,
             ..BackendOpts::default()
@@ -283,7 +285,8 @@ mod tests {
     #[test]
     fn simulation_backends_record_throughput_on_success() {
         let mut lowered = parse_context(COUNTER).unwrap();
-        passes::lower_pipeline().run(&mut lowered).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut lowered).unwrap();
         let sim = SimBackend::from_opts(&BackendOpts::default());
         assert!(
             Backend::throughput(&sim).is_none(),

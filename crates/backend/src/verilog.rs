@@ -539,11 +539,12 @@ endmodule"#
 mod tests {
     use super::*;
     use calyx_core::ir::{parse_context, Library};
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
 
     fn lowered(src: &str) -> Context {
         let mut ctx = parse_context(src).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         ctx
     }
 

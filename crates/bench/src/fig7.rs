@@ -13,7 +13,7 @@
 
 use calyx_backend::area::{self, primitive_area, Area};
 use calyx_core::errors::CalyxResult;
-use calyx_core::passes;
+use calyx_core::passes::PassManager;
 use calyx_sim::rtl::Simulator;
 use calyx_systolic::{generate, SystolicConfig};
 
@@ -36,19 +36,17 @@ pub struct Fig7Row {
     pub hls_luts: u64,
 }
 
-/// Simulate one systolic configuration; returns `(cycles, area)`.
+/// Lower one systolic configuration with the pass alias `pipeline`
+/// (`lower-static` is the latency-sensitive design, `lower` the
+/// latency-insensitive one) and simulate it; returns `(cycles, area)`.
 ///
 /// # Errors
 ///
-/// Propagates compilation and simulation failures.
-pub fn run_systolic(n: usize, static_timing: bool) -> CalyxResult<(u64, Area)> {
+/// Propagates unknown aliases, compilation and simulation failures.
+pub fn run_systolic(n: usize, pipeline: &str) -> CalyxResult<(u64, Area)> {
     let cfg = SystolicConfig::square(n);
     let mut ctx = generate(&cfg);
-    if static_timing {
-        passes::lower_pipeline_static().run(&mut ctx)?;
-    } else {
-        passes::lower_pipeline().run(&mut ctx)?;
-    }
+    PassManager::from_names(&[pipeline])?.run(&mut ctx)?;
     let mut sim = Simulator::new(&ctx, "main")
         .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
     // Deterministic operands.
@@ -109,8 +107,8 @@ pub fn compute(sizes: &[usize]) -> CalyxResult<Vec<Fig7Row>> {
     sizes
         .iter()
         .map(|&n| {
-            let (static_cycles, static_area) = run_systolic(n, true)?;
-            let (dynamic_cycles, dynamic_area) = run_systolic(n, false)?;
+            let (static_cycles, static_area) = run_systolic(n, "lower-static")?;
+            let (dynamic_cycles, dynamic_area) = run_systolic(n, "lower")?;
             let hls = run_hls_matmul(n)?;
             Ok(Fig7Row {
                 n,

@@ -11,7 +11,7 @@
 
 use calyx_backend::area;
 use calyx_core::errors::CalyxResult;
-use calyx_polybench::{simulate, KernelDef, PipelineConfig, KERNELS};
+use calyx_polybench::{simulate, KernelDef, KERNELS};
 
 /// One bar of Figure 8.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ impl Fig8Row {
 ///
 /// Propagates compilation/verification failures.
 pub fn run_kernel(def: &KernelDef, n: u64, unroll: u64) -> CalyxResult<Fig8Row> {
-    let run = simulate(def, n, unroll, PipelineConfig::all())?;
+    let run = simulate(def, n, unroll, &["opt"])?;
     let calyx_area = area::estimate(&run.lowered, "main")?;
     let hls = calyx_hls::estimate(&run.ast)?;
     Ok(Fig8Row {

@@ -15,7 +15,8 @@
 
 use calyx_backend::area::{self, Area};
 use calyx_core::errors::CalyxResult;
-use calyx_polybench::{simulate, KernelDef, PipelineConfig, KERNELS};
+use calyx_core::passes::opt_without;
+use calyx_polybench::{simulate, KernelDef, KERNELS};
 
 /// Per-kernel ablation results.
 #[derive(Debug, Clone)]
@@ -63,8 +64,8 @@ impl Fig9Row {
     }
 }
 
-fn area_of(def: &KernelDef, n: u64, cfg: PipelineConfig) -> CalyxResult<(Area, u64)> {
-    let run = simulate(def, n, 1, cfg)?;
+fn area_of(def: &KernelDef, n: u64, pipeline: &[&str]) -> CalyxResult<(Area, u64)> {
+    let run = simulate(def, n, 1, pipeline)?;
     Ok((area::estimate(&run.lowered, "main")?, run.cycles))
 }
 
@@ -74,16 +75,16 @@ fn area_of(def: &KernelDef, n: u64, cfg: PipelineConfig) -> CalyxResult<(Area, u
 ///
 /// Propagates compilation/verification failures.
 pub fn run_kernel(def: &KernelDef, n: u64) -> CalyxResult<Fig9Row> {
-    let cfg = |rs: bool, mr: bool, st: bool| PipelineConfig {
-        resource_sharing: rs,
-        minimize_regs: mr,
-        static_timing: st,
-    };
-    let (baseline, dynamic_cycles) = area_of(def, n, cfg(false, false, false))?;
-    let (resource_sharing, _) = area_of(def, n, cfg(true, false, false))?;
-    let (register_sharing, _) = area_of(def, n, cfg(false, true, false))?;
-    let (both, _) = area_of(def, n, cfg(true, true, false))?;
-    let (_, static_cycles) = area_of(def, n, cfg(false, false, true))?;
+    // The sharing ablations leave out static compilation too: Fig 9a/9b
+    // compare latency-insensitive designs against the `lower` baseline.
+    let (baseline, dynamic_cycles) = area_of(def, n, &["lower"])?;
+    let rs_only = opt_without(&["minimize-regs", "infer-static-timing", "static-timing"]);
+    let (resource_sharing, _) = area_of(def, n, &rs_only)?;
+    let mr_only = opt_without(&["resource-sharing", "infer-static-timing", "static-timing"]);
+    let (register_sharing, _) = area_of(def, n, &mr_only)?;
+    let rs_and_mr = opt_without(&["infer-static-timing", "static-timing"]);
+    let (both, _) = area_of(def, n, &rs_and_mr)?;
+    let (_, static_cycles) = area_of(def, n, &["lower-static"])?;
     Ok(Fig9Row {
         abbrev: def.abbrev,
         baseline,

@@ -8,7 +8,7 @@
 use calyx_backend::{verilog, Backend, BackendOpts, VerilogBackend};
 use calyx_core::errors::CalyxResult;
 use calyx_core::ir::{Context, Control, Guard, GuardMemo};
-use calyx_core::passes;
+use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, kernel};
 use calyx_systolic::{generate, SystolicConfig};
 use std::collections::HashSet;
@@ -37,7 +37,7 @@ fn measure(name: &str, mut ctx: Context) -> CalyxResult<CompileStats> {
     let groups = main.groups.len();
     let control_statements = Control::statement_count(&main.control);
     let start = Instant::now();
-    passes::lower_pipeline_static().run(&mut ctx)?;
+    PassManager::from_names(&["lower-static"])?.run(&mut ctx)?;
     // Stream emission (the timed path the paper measures) into one buffer.
     let mut sv = Vec::new();
     VerilogBackend::from_opts(&BackendOpts::default()).emit(&ctx, &mut sv)?;

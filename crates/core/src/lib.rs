@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use calyx_core::ir::{Builder, Context, Control};
-//! use calyx_core::passes;
+//! use calyx_core::passes::PassManager;
 //!
 //! # fn main() -> Result<(), calyx_core::errors::Error> {
 //! let mut ctx = Context::new();
@@ -52,7 +52,7 @@
 //!     b.set_control(Control::seq(vec![Control::enable(one), Control::enable(two)]));
 //! }
 //! ctx.add_component(comp);
-//! passes::lower_pipeline().run(&mut ctx)?;
+//! PassManager::from_names(&["lower"])?.run(&mut ctx)?;
 //! // After lowering, no groups or control statements remain.
 //! let main = ctx.component("main").unwrap();
 //! assert!(main.groups.is_empty());

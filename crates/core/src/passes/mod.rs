@@ -1,12 +1,16 @@
-//! Compiler passes: the visitor framework, the analysis-query context, the
-//! named pass registry, and the standard pipelines.
+//! Compiler passes: the visitor framework, the analysis-query context, and
+//! the named pass registry.
 //!
 //! Passes implement [`Visitor`] (structural traversal with [`Action`]
 //! steering — see the [`visitor`] module docs for the contract) and are
-//! composed by [`PassManager`]. Pipelines are *data*: every pass has a
-//! kebab-case name in the [`PassRegistry`], aliases name standard
-//! pipelines, and [`PassManager::from_names`] builds any mix of the two —
-//! the same surface the `futil -p` CLI exposes.
+//! composed by [`PassManager`]. Pipelines are *data*, named in one place:
+//! every pass has a kebab-case name in the [`PassRegistry`], aliases name
+//! standard pipelines, and [`PassManager::from_names`] builds any mix of
+//! the two — the same names `futil -p`, a service request's `pipeline`
+//! array and a plan op's fingerprint use. There is no pipeline
+//! constructor besides it: the lowering pipeline is
+//! `PassManager::from_names(&["lower"])`, and the §7.3 ablations are `opt`
+//! with passes left out ([`opt_without`]).
 //!
 //! # Analyses and `PassCtx`
 //!
@@ -95,7 +99,8 @@ pub use infer_static::InferStaticTiming;
 pub use minimize_regs::MinimizeRegs;
 pub use pass_ctx::PassCtx;
 pub use registry::{
-    PassRegistry, RegisteredPass, ALIAS_LOWER, ALIAS_LOWER_STATIC, ALIAS_NONE, ALIAS_OPT,
+    opt_without, PassRegistry, RegisteredPass, ALIAS_LOWER, ALIAS_LOWER_STATIC, ALIAS_NONE,
+    ALIAS_OPT,
 };
 pub use remove_groups::RemoveGroups;
 pub use resource_sharing::ResourceSharing;
@@ -107,45 +112,3 @@ pub use well_formed::WellFormed;
 // Re-exported so pass authors reach the whole query surface from one
 // module: hooks take `PassCtx`, standalone drivers take `AnalysisCache`.
 pub use crate::analysis::{AnalysisCache, CacheStats};
-
-/// The standard lowering pipeline: validate, clean up, insert `go` guards,
-/// compile control to FSMs, and inline interface signals.
-///
-/// A thin wrapper over the registry alias `lower`; see
-/// [`lower_pipeline_static`] for the variant that first applies latency
-/// inference and static compilation.
-pub fn lower_pipeline() -> PassManager {
-    PassManager::from_names(&["lower"]).expect("`lower` alias is registered")
-}
-
-/// The lowering pipeline with latency-sensitive compilation enabled:
-/// latencies are inferred (§5.3) and statically schedulable control is
-/// compiled with counter FSMs (§4.4) before the dynamic fallback runs.
-///
-/// A thin wrapper over the registry alias `lower-static`.
-pub fn lower_pipeline_static() -> PassManager {
-    PassManager::from_names(&["lower-static"]).expect("`lower-static` alias is registered")
-}
-
-/// The full optimizing pipeline used for the paper's headline numbers:
-/// sharing optimizations followed by latency-sensitive lowering.
-///
-/// The registry alias `opt` (= `all`), with the passes each flag turns
-/// off dropped for the §7.3 ablations.
-pub fn optimized_pipeline(
-    resource_sharing: bool,
-    minimize_regs: bool,
-    static_timing: bool,
-) -> PassManager {
-    let names: Vec<&str> = ALIAS_OPT
-        .iter()
-        .copied()
-        .filter(|&name| match name {
-            "resource-sharing" => resource_sharing,
-            "minimize-regs" => minimize_regs,
-            "infer-static-timing" | "static-timing" => static_timing,
-            _ => true,
-        })
-        .collect();
-    PassManager::from_names(&names).expect("optimized pipeline passes are registered")
-}

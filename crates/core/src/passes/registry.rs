@@ -72,6 +72,23 @@ pub const ALIAS_OPT: &[&str] = &[
 /// Validation only.
 pub const ALIAS_NONE: &[&str] = &["well-formed"];
 
+/// The `opt` pipeline with the named passes left out: the §7.3 ablations
+/// switch an optimization off by name (`["infer-static-timing",
+/// "static-timing"]` drops latency-sensitive compilation, and leaving out
+/// `minimize-regs` too keeps resource sharing alone).
+///
+/// # Panics
+///
+/// Panics when a name is not in `opt`, so a misspelt pass cannot leave
+/// the optimization it meant to drop switched on.
+pub fn opt_without(skip: &[&str]) -> Vec<&'static str> {
+    for name in skip {
+        assert!(ALIAS_OPT.contains(name), "`{name}` is not an `opt` pass");
+    }
+    let keep = |name: &&str| !skip.contains(name);
+    ALIAS_OPT.iter().copied().filter(keep).collect()
+}
+
 /// A pass known to the registry.
 pub struct RegisteredPass {
     /// The pass's unique kebab-case name.
@@ -129,6 +146,11 @@ impl Default for PassRegistry {
     /// The standard registry: all passes in this crate, plus the aliases
     /// `none`, `lower`, `lower-static`, `opt`, and `all` (the artifact's
     /// name for the full pipeline).
+    ///
+    /// Aliases are registered lightest first, and that order is their
+    /// rank: the plan graph prices an alias's op by its position in
+    /// [`aliases`](PassRegistry::aliases), so a bare `--to calyx-lowered`
+    /// runs `lower`, and an alias added later ranks after these five.
     fn default() -> Self {
         let mut reg = PassRegistry::empty();
         reg.register::<WellFormed>();
@@ -263,8 +285,9 @@ impl PassRegistry {
 
 impl PassManager {
     /// Build a pipeline from pass names and aliases using the standard
-    /// registry — the data-driven equivalent of the `lower_pipeline*`
-    /// constructors and the engine behind `futil -p`.
+    /// registry — the one way a pipeline is named, behind `futil -p`, a
+    /// service request's `pipeline` and every caller in the workspace
+    /// (`from_names(&["lower"])` is the standard lowering pipeline).
     ///
     /// # Errors
     ///
@@ -303,6 +326,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The ablation baselines are the lowering aliases: `opt` without
+    /// sharing is `lower-static`, and without static compilation too is
+    /// `lower`.
+    #[test]
+    fn opt_without_its_optimizations_is_a_lowering_alias() {
+        let sharing = ["resource-sharing", "minimize-regs"];
+        assert_eq!(opt_without(&sharing), ALIAS_LOWER_STATIC);
+        let all = [&sharing[..], &["infer-static-timing", "static-timing"]].concat();
+        assert_eq!(opt_without(&all), ALIAS_LOWER);
+        assert_eq!(opt_without(&[]), ALIAS_OPT);
+    }
+
+    #[test]
+    #[should_panic(expected = "`minimise-regs` is not an `opt` pass")]
+    fn opt_without_rejects_a_misspelt_pass() {
+        opt_without(&["minimise-regs"]);
     }
 
     #[test]

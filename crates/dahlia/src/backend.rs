@@ -586,13 +586,14 @@ mod tests {
     use super::*;
     use crate::compile;
     use calyx_core::ir::validate;
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
     use calyx_sim::rtl::Simulator;
 
     fn run(src: &str, init: &[(&str, Vec<u64>)]) -> Simulator {
         let mut ctx = compile(src).unwrap();
         validate::validate_context(&ctx).expect("emitted Calyx is well-formed");
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         for (mem, data) in init {
             sim.set_memory(&[mem], data).unwrap();
@@ -694,7 +695,8 @@ mod tests {
         let data: Vec<u64> = (0..8).collect();
         let banks = split_banks(&decl, &data);
         let mut ctx = compile(src).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         sim.set_memory(&["a_b0"], &banks[0]).unwrap();
         sim.set_memory(&["a_b1"], &banks[1]).unwrap();

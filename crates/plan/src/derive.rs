@@ -18,11 +18,13 @@
 //!   `remove-groups`) contributes an op from `calyx` to the shared
 //!   `calyx-lowered` state (the alias as the pipeline, the `calyx`
 //!   printer backend), fingerprinted on its expansion so editing an
-//!   alias invalidates exactly the builds that used it. Costs prefer
-//!   `lower` over the heavier static/optimizing pipelines; a
-//!   non-lowering alias (like `none`) maps `calyx` to itself and is
-//!   skipped. Unknown (third-party) aliases get a cost above the
-//!   standard four so they never silently hijack a default route.
+//!   alias invalidates exactly the builds that used it. An alias's cost
+//!   is ten times its position in [`PassRegistry::aliases`], and the
+//!   standard registry adds its aliases lightest first, so `lower` (10)
+//!   beats `lower-static` (20), `opt` (30) and `all` (40); an alias a
+//!   third party adds later ranks after all of them and never silently
+//!   hijacks a default route. A non-lowering alias (like `none`) maps
+//!   `calyx` to itself and is skipped.
 //! - Every **backend** except the `calyx` printer contributes an
 //!   `emit-<name>` op from `calyx`, running the backend's
 //!   [`default_pipeline`] in-op before emitting (`verilog` runs `lower`,
@@ -48,6 +50,8 @@
 //! underlying registries: register into a session's registries and call
 //! [`from_session`], or add bespoke states/ops directly with
 //! [`PlanGraph::add_state`]/[`PlanGraph::add_op`].
+//!
+//! [`PassRegistry::aliases`]: calyx_core::passes::PassRegistry::aliases
 
 use crate::graph::PlanGraph;
 use crate::op::{ExecEnv, OpSpec, OptUse};
@@ -60,20 +64,6 @@ use calyx_service::{default_pipeline, Job, Session};
 /// is structural (no groups, no control), i.e. in the `calyx-lowered`
 /// state.
 const LOWERING_MARK: &str = "remove-groups";
-
-/// Routing cost of a pipeline-alias op. The standard aliases are ranked
-/// so a bare `--to verilog` plans the paper's plain lowering pipeline,
-/// not the heavier static or optimizing ones; third-party aliases rank
-/// after all four until given an explicit cost here.
-fn alias_cost(name: &str) -> u32 {
-    match name {
-        "lower" => 10,
-        "lower-static" => 20,
-        "opt" => 30,
-        "all" => 40,
-        _ => 50,
-    }
-}
 
 /// The standard build graph, derived from the default registries.
 pub fn standard() -> PlanGraph {
@@ -151,7 +141,7 @@ pub fn from_session(session: &Session) -> PlanGraph {
     // Pipeline-alias ops: `calyx` → `calyx-lowered`, fingerprinted on
     // the expansion. Non-lowering aliases (`none`) are skipped — they
     // map the state to itself.
-    for (alias, expansion) in passes.aliases() {
+    for (position, (alias, expansion)) in (0u32..).zip(passes.aliases()) {
         if !expansion.contains(&LOWERING_MARK) {
             continue;
         }
@@ -161,7 +151,7 @@ pub fn from_session(session: &Session) -> PlanGraph {
             description: format!("run the `{alias}` pass pipeline ({} passes)", names.len()),
             from: calyx,
             to: lowered,
-            cost: alias_cost(alias),
+            cost: 10 * position,
             fingerprint: format!("passes:{}", names.join(",")),
             uses: OptUse::default(),
             run: Box::new(move |src, env, _| {
@@ -384,6 +374,32 @@ mod tests {
         let names: Vec<&str> = route.steps.iter().map(|&i| g.ops()[i].name()).collect();
         // Cost ranking: `lower` beats `lower-static`, `opt`, and `all`.
         assert_eq!(names, ["lower"]);
+    }
+
+    /// A third-party lowering alias ranks after the standard ones, even
+    /// when its pipeline is lighter than `lower`.
+    #[test]
+    fn a_later_lowering_alias_never_wins_the_default_route() {
+        let mut passes = PassRegistry::default();
+        passes.add_alias(
+            "quick-lower",
+            &["compile-control", "go-insertion", "remove-groups"],
+        );
+        let g = from_session(&Session {
+            passes,
+            ..Session::default()
+        });
+        let quick = g
+            .op_by_name("quick-lower")
+            .expect("a lowering alias is an op");
+        assert!(g.ops().iter().all(|op| op.cost() <= quick.cost()));
+        let route = g
+            .plan(
+                g.state_id("calyx").unwrap(),
+                g.state_id("calyx-lowered").unwrap(),
+            )
+            .unwrap();
+        assert_eq!(g.ops()[route.steps[0]].name(), "lower");
     }
 
     #[test]

@@ -89,27 +89,6 @@ impl PlanGraph {
         steps.reverse();
         Ok(Route { from, to, steps })
     }
-
-    /// Every state reachable from `from` (excluding `from` itself), in
-    /// registration order — the same set the no-route error lists.
-    pub fn reachable(&self, from: StateId) -> Vec<StateId> {
-        let n = self.states().len();
-        let mut seen = vec![false; n];
-        seen[from.0] = true;
-        let mut frontier = vec![from.0];
-        while let Some(u) = frontier.pop() {
-            for op in self.ops() {
-                if op.from().0 == u && !seen[op.to().0] {
-                    seen[op.to().0] = true;
-                    frontier.push(op.to().0);
-                }
-            }
-        }
-        (0..n)
-            .filter(|&i| i != from.0 && seen[i])
-            .map(StateId)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,8 +151,6 @@ mod tests {
         // Nothing leaves the goal-only states.
         let msg = g.plan(d, a).unwrap_err().to_string();
         assert!(msg.contains("no ops leave state `d`"), "{msg}");
-        assert_eq!(g.reachable(a).len(), 3);
-        assert!(g.reachable(island).is_empty());
     }
 
     #[test]

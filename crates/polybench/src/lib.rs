@@ -7,8 +7,8 @@
 //! eleven; see `kernels` docs for the gap).
 //!
 //! The [`simulate`] harness compiles a kernel through the Dahlia→Calyx
-//! pipeline, lowers it with a chosen optimization configuration, runs the
-//! cycle-accurate simulator with deterministic input data, and checks every
+//! pipeline, lowers it with a pipeline named by pass registry names, runs
+//! the cycle-accurate simulator with deterministic input data, and checks every
 //! output memory against the reference — this is the correctness backbone
 //! of the whole repository.
 
@@ -17,7 +17,7 @@ pub mod reference;
 
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Context;
-use calyx_core::passes;
+use calyx_core::passes::PassManager;
 use calyx_dahlia::ast::Program;
 use calyx_dahlia::backend::{join_banks, memory_banks, split_banks};
 use calyx_sim::rtl::Simulator;
@@ -241,37 +241,6 @@ pub fn input_data(kernel: &str, logical: &str, len: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Optimization configuration for [`simulate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Enable resource sharing (§5.1).
-    pub resource_sharing: bool,
-    /// Enable register sharing (§5.2).
-    pub minimize_regs: bool,
-    /// Enable latency inference + static compilation (§4.4, §5.3).
-    pub static_timing: bool,
-}
-
-impl PipelineConfig {
-    /// Everything on — the paper's headline configuration.
-    pub fn all() -> Self {
-        PipelineConfig {
-            resource_sharing: true,
-            minimize_regs: true,
-            static_timing: true,
-        }
-    }
-
-    /// Everything off — the ablation baseline.
-    pub fn none() -> Self {
-        PipelineConfig {
-            resource_sharing: false,
-            minimize_regs: false,
-            static_timing: false,
-        }
-    }
-}
-
 /// Result of a verified simulation run.
 #[derive(Debug, Clone)]
 pub struct KernelRun {
@@ -293,22 +262,20 @@ pub fn compile_kernel(def: &KernelDef, n: u64, unroll: u64) -> CalyxResult<(Prog
     calyx_dahlia::compile_with_ast(&src)
 }
 
-/// Compile, lower, simulate with deterministic inputs, and verify every
-/// output memory against the reference semantics.
+/// Compile, lower with `pipeline` (pass names and aliases, as `futil -p`
+/// takes them: `["lower"]`, `["opt"]`, an ablation from
+/// [`opt_without`](calyx_core::passes::opt_without)), simulate with
+/// deterministic inputs, and verify every output memory against the
+/// reference semantics.
 ///
 /// # Errors
 ///
-/// Returns compilation/simulation errors, or [`Error::Malformed`] when an
-/// output memory diverges from the reference (a compiler bug).
-pub fn simulate(
-    def: &KernelDef,
-    n: u64,
-    unroll: u64,
-    cfg: PipelineConfig,
-) -> CalyxResult<KernelRun> {
+/// Returns unknown pass names, compilation/simulation errors, or
+/// [`Error::Malformed`] when an output memory diverges from the reference
+/// (a compiler bug).
+pub fn simulate(def: &KernelDef, n: u64, unroll: u64, pipeline: &[&str]) -> CalyxResult<KernelRun> {
     let (ast, mut ctx) = compile_kernel(def, n, unroll)?;
-    passes::optimized_pipeline(cfg.resource_sharing, cfg.minimize_regs, cfg.static_timing)
-        .run(&mut ctx)?;
+    PassManager::from_names(pipeline)?.run(&mut ctx)?;
 
     let mut sim =
         Simulator::new(&ctx, "main").map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
@@ -869,21 +836,21 @@ mod tests {
 
     #[test]
     fn gemm_simulates_correctly() {
-        simulate(kernel("gemm").unwrap(), 4, 1, PipelineConfig::none()).unwrap();
+        simulate(kernel("gemm").unwrap(), 4, 1, &["lower"]).unwrap();
     }
 
     #[test]
     fn trisolv_simulates_correctly_with_division() {
-        simulate(kernel("trisolv").unwrap(), 4, 1, PipelineConfig::none()).unwrap();
+        simulate(kernel("trisolv").unwrap(), 4, 1, &["lower"]).unwrap();
     }
 
     #[test]
     fn cholesky_simulates_correctly_with_sqrt() {
-        simulate(kernel("cholesky").unwrap(), 4, 1, PipelineConfig::all()).unwrap();
+        simulate(kernel("cholesky").unwrap(), 4, 1, &["opt"]).unwrap();
     }
 
     #[test]
     fn unrolled_gemm_matches_reference() {
-        simulate(kernel("gemm").unwrap(), 4, 2, PipelineConfig::none()).unwrap();
+        simulate(kernel("gemm").unwrap(), 4, 2, &["lower"]).unwrap();
     }
 }

@@ -41,8 +41,8 @@ pub fn sqrt(v: u64) -> u64 {
     calyx_sim_isqrt(v)
 }
 
-// A local copy of the simulator's isqrt to avoid a dependency cycle; the
-// integration tests assert the two agree.
+// A local copy of `calyx_sim::prim::isqrt`: the reference must not call
+// the code it checks. `sqrt_agrees_with_the_simulator` holds the two equal.
 fn calyx_sim_isqrt(v: u64) -> u64 {
     if v == 0 {
         return 0;
@@ -86,6 +86,21 @@ mod tests {
         for v in [0u64, 1, 2, 3, 4, 15, 16, 17, 143, 144, 145] {
             let r = sqrt(v);
             assert!(r * r <= v && (r + 1) * (r + 1) > v);
+        }
+    }
+
+    /// Every 16-bit input, then both sides of each square at the powers of
+    /// two and one below them, up to `(2^32 - 1)^2 + 1`.
+    #[test]
+    fn sqrt_agrees_with_the_simulator() {
+        let squares = (1..=32).flat_map(|j| {
+            [(1u64 << j) - 1, 1u64 << j]
+                .into_iter()
+                .filter(|&k| k <= u64::from(u32::MAX))
+                .flat_map(|k| [k * k - 1, k * k, k * k + 1])
+        });
+        for v in (0..1u64 << 16).chain(squares) {
+            assert_eq!(sqrt(v), calyx_sim::prim::isqrt(v), "sqrt({v})");
         }
     }
 }

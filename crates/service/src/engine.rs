@@ -21,7 +21,7 @@ use crate::session::{Job, Session};
 use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
 use calyx_frontend::FrontendRegistry;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -132,17 +132,24 @@ fn job_name(req: &JobRequest, id: usize) -> String {
 /// discipline as `futil -o`). Shared with the plan executor's artifact
 /// cache, which needs the same no-partial-files guarantee.
 ///
+/// Each call stages in its own sibling (process id plus a process-wide
+/// counter), so concurrent writers of one path — two builds sharing a
+/// cache, two batch jobs with one output name — each rename a whole file
+/// into place and the last rename wins.
+///
 /// # Errors
 ///
 /// Returns the underlying I/O error; the `.tmp` sibling is removed on
 /// failure.
 pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     if let Some(parent) = Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let tmp = format!("{path}.tmp");
+    let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = format!("{path}.{}.{n}.tmp", std::process::id());
     let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -419,6 +426,44 @@ mod tests {
         assert_eq!(again.cache, Some("hit"));
         assert_eq!(again.output, resp.output);
         assert_eq!(service.cache_stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    /// Writers racing on one path each stage in their own temp file: every
+    /// call succeeds and the survivor is one writer's whole payload.
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 20;
+        const SIZE: usize = 1 << 18;
+        let dir = std::env::temp_dir().join(format!("write-atomic-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("out.bin").to_str().unwrap().to_string();
+        // Every round starts all writers together, so their writes overlap.
+        let start = std::sync::Barrier::new(THREADS);
+        let failures: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (path, start) = (&path, &start);
+                    s.spawn(move || {
+                        (0..ROUNDS)
+                            .filter(|r| {
+                                let payload = vec![(t * ROUNDS + r) as u8; SIZE];
+                                start.wait();
+                                write_atomic(path, &payload).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let survivor = std::fs::read(&path).unwrap();
+        let leftovers = std::fs::read_dir(&dir).unwrap().count();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(failures, 0, "of {} writes", THREADS * ROUNDS);
+        assert_eq!(survivor.len(), SIZE);
+        assert!(survivor.iter().all(|&b| b == survivor[0]), "torn write");
+        assert_eq!(leftovers, 1, "temp files left behind");
     }
 
     #[test]

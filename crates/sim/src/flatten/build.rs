@@ -809,7 +809,7 @@ pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
 mod tests {
     use super::*;
     use calyx_core::ir::parse_context;
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
 
     const COUNTER: &str = r#"component main() -> () {
           cells { i = std_reg(8); lt = std_lt(8); add = std_add(8); }
@@ -852,7 +852,8 @@ mod tests {
     #[test]
     fn design_flattening_topo_sorts_nodes() {
         let mut ctx = parse_context(COUNTER).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let flat = flatten_design(&ctx, "main").unwrap();
         // Every driven port appears in exactly one Drivers node, and the
         // order respects combinational dependencies: a node reading port p
@@ -891,7 +892,8 @@ mod tests {
     fn lowered_gemm() -> FlatDesign {
         let gemm = calyx_polybench::kernel("gemm").unwrap();
         let (_, mut ctx) = calyx_polybench::compile_kernel(gemm, 4, 1).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         flatten_design(&ctx, "main").unwrap()
     }
 

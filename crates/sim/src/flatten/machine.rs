@@ -554,9 +554,8 @@ mod tests {
         let ctx = parse_context(src).unwrap();
         let mut interp = crate::interp::Interpreter::new(&ctx, "main").unwrap();
         let mut lowered = parse_context(src).unwrap();
-        calyx_core::passes::lower_pipeline()
-            .run(&mut lowered)
-            .unwrap();
+        let mut pipeline = calyx_core::passes::PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut lowered).unwrap();
         let mut sim = crate::rtl::Simulator::new(&lowered, "main").unwrap();
 
         let expected = SimError::OutOfBounds {

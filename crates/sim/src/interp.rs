@@ -792,9 +792,8 @@ mod tests {
         assert_eq!(run_outcome(src, &["x", "c"]), (Ok(4), vec![1, 3]));
         // The RTL engine (`-b sim`) rejects the same loop once lowered.
         let mut lowered = parse_context(src).unwrap();
-        calyx_core::passes::lower_pipeline()
-            .run(&mut lowered)
-            .unwrap();
+        let mut pipeline = calyx_core::passes::PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut lowered).unwrap();
         let err = crate::rtl::Simulator::new(&lowered, "main").unwrap_err();
         let msg = err.to_string();
         assert!(msg.starts_with("combinational loop through: "), "{msg}");
@@ -980,9 +979,8 @@ mod tests {
     fn on_both_engines(src: &str, regs: &[&str]) -> ((u64, u64), Vec<u64>) {
         let (cycles, left) = run_outcome(src, regs);
         let mut lowered = parse_context(src).unwrap();
-        calyx_core::passes::lower_pipeline()
-            .run(&mut lowered)
-            .unwrap();
+        let mut pipeline = calyx_core::passes::PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut lowered).unwrap();
         let mut sim = crate::rtl::Simulator::new(&lowered, "main").unwrap();
         let rtl_cycles = sim.run(1000).unwrap().cycles;
         let rtl_left: Vec<u64> = regs

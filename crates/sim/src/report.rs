@@ -91,7 +91,7 @@ pub fn write_state_report(
 mod tests {
     use super::*;
     use calyx_core::ir::parse_context;
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
 
     const COUNTER: &str = r#"
         component main() -> () {
@@ -115,7 +115,8 @@ mod tests {
 
         // RTL simulator over the lowered design.
         let mut lowered = parse_context(COUNTER).unwrap();
-        passes::lower_pipeline().run(&mut lowered).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut lowered).unwrap();
         let mut sim = Simulator::new(&lowered, "main").unwrap();
         let sstats = sim.run(1000).unwrap();
         let mut sbuf = Vec::new();

@@ -215,11 +215,12 @@ fn not_a(what: &'static str, path: &[&str]) -> SimError {
 mod tests {
     use super::*;
     use calyx_core::ir::parse_context;
-    use calyx_core::passes;
+    use calyx_core::passes::PassManager;
 
     fn lower_and_sim(src: &str) -> Simulator {
         let mut ctx = parse_context(src).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         Simulator::new(&ctx, "main").unwrap()
     }
 
@@ -718,12 +719,14 @@ mod tests {
               control { seq { one; two; } }
             }"#;
         let mut dynamic = parse_context(src).unwrap();
-        passes::lower_pipeline().run(&mut dynamic).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut dynamic).unwrap();
         let mut dsim = Simulator::new(&dynamic, "main").unwrap();
         let dstats = dsim.run(100).unwrap();
 
         let mut static_ = parse_context(src).unwrap();
-        passes::lower_pipeline_static().run(&mut static_).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower-static"]).unwrap();
+        pipeline.run(&mut static_).unwrap();
         let mut ssim = Simulator::new(&static_, "main").unwrap();
         let sstats = ssim.run(100).unwrap();
 

@@ -418,22 +418,19 @@ pub fn reference_matmul(
 mod tests {
     use super::*;
     use calyx_core::ir::validate;
-    use calyx_core::passes;
+    use calyx_core::passes::{self, PassManager};
     use calyx_sim::rtl::Simulator;
 
     fn run_array(
         cfg: &SystolicConfig,
         a: &[Vec<u64>],
         bm: &[Vec<u64>],
-        static_: bool,
+        pipeline: &str,
     ) -> (Vec<u64>, u64) {
         let mut ctx = generate(cfg);
         validate::validate_context(&ctx).expect("generated design is well-formed");
-        if static_ {
-            passes::lower_pipeline_static().run(&mut ctx).unwrap();
-        } else {
-            passes::lower_pipeline().run(&mut ctx).unwrap();
-        }
+        let mut pipeline = PassManager::from_names(&[pipeline]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         for (r, row) in a.iter().enumerate() {
             sim.set_memory(&[&format!("l{r}")], row).unwrap();
@@ -461,7 +458,7 @@ mod tests {
         let cfg = SystolicConfig::square(2);
         let (a, bm) = sample(2);
         let expected = reference_matmul(&a, &bm, 2, 32);
-        let (got, _) = run_array(&cfg, &a, &bm, false);
+        let (got, _) = run_array(&cfg, &a, &bm, "lower");
         let flat: Vec<u64> = expected.into_iter().flatten().collect();
         assert_eq!(got, flat);
     }
@@ -474,8 +471,8 @@ mod tests {
             .into_iter()
             .flatten()
             .collect();
-        let (dyn_out, dyn_cycles) = run_array(&cfg, &a, &bm, false);
-        let (st_out, st_cycles) = run_array(&cfg, &a, &bm, true);
+        let (dyn_out, dyn_cycles) = run_array(&cfg, &a, &bm, "lower");
+        let (st_out, st_cycles) = run_array(&cfg, &a, &bm, "lower-static");
         assert_eq!(dyn_out, expected);
         assert_eq!(st_out, expected);
         assert!(
@@ -498,7 +495,7 @@ mod tests {
             .into_iter()
             .flatten()
             .collect();
-        let (got, _) = run_array(&cfg, &a, &bm, false);
+        let (got, _) = run_array(&cfg, &a, &bm, "lower");
         assert_eq!(got, expected);
     }
 

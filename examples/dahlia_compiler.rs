@@ -9,7 +9,7 @@
 
 use calyx::backend::verilog;
 use calyx::core::ir::Printer;
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use calyx::sim::rtl::Simulator;
 
 const SRC: &str = "
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ngroup latencies: {}", statics.join(", "));
 
     // Lower with the full optimizing pipeline and simulate.
-    passes::optimized_pipeline(true, true, true).run(&mut ctx)?;
+    PassManager::from_names(&["opt"])?.run(&mut ctx)?;
     let mut sim = Simulator::new(&ctx, "main")?;
     let a: Vec<u64> = (1..=8).collect();
     let b: Vec<u64> = (0..8).map(|i| (i % 3) + 1).collect();

@@ -7,7 +7,7 @@
 
 use calyx::backend::{area, verilog, Backend, BackendOpts, VerilogBackend};
 use calyx::core::ir::{Builder, Context, Control, Printer};
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use calyx::sim::rtl::Simulator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Calyx source ===\n{}", Printer::print_context(&ctx));
 
     // Lower: control becomes latency-insensitive FSMs, groups are erased.
-    passes::lower_pipeline().run(&mut ctx)?;
+    PassManager::from_names(&["lower"])?.run(&mut ctx)?;
 
     // Simulate the lowered RTL.
     let mut sim = Simulator::new(&ctx, "main")?;

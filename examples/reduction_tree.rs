@@ -12,7 +12,7 @@
 //! ```
 
 use calyx::core::ir::{parse_context, Id, Printer};
-use calyx::core::passes::{self, Pass};
+use calyx::core::passes::{self, Pass, PassManager};
 use calyx::sim::rtl::Simulator;
 
 const TREE: &str = r#"
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Lower and simulate: the optimized tree still sums correctly.
-    passes::lower_pipeline().run(&mut ctx)?;
+    PassManager::from_names(&["lower"])?.run(&mut ctx)?;
     let mut sim = Simulator::new(&ctx, "main")?;
     for (mem, v) in [("m1", 3u64), ("m2", 7), ("m3", 11), ("m4", 21)] {
         sim.set_memory(&[mem], &[v])?;

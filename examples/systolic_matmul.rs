@@ -8,18 +8,16 @@
 #![allow(clippy::needless_range_loop)]
 
 use calyx::backend::area;
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use calyx::sim::rtl::Simulator;
 use calyx::systolic::{generate, reference_matmul, SystolicConfig};
 
-fn run(n: usize, static_timing: bool) -> Result<(u64, u64), Box<dyn std::error::Error>> {
+/// Lower an n×n array with the pass alias `pipeline`, simulate it, and
+/// return its cycles and LUTs.
+fn run(n: usize, pipeline: &str) -> Result<(u64, u64), Box<dyn std::error::Error>> {
     let cfg = SystolicConfig::square(n);
     let mut ctx = generate(&cfg);
-    if static_timing {
-        passes::lower_pipeline_static().run(&mut ctx)?;
-    } else {
-        passes::lower_pipeline().run(&mut ctx)?;
-    }
+    PassManager::from_names(&[pipeline])?.run(&mut ctx)?;
 
     let a: Vec<Vec<u64>> = (0..n)
         .map(|r| (0..n).map(|k| ((r + k) % 5 + 1) as u64).collect())
@@ -53,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("| size | dynamic cycles | static cycles | speedup | LUTs (static) |");
     println!("|------|---------------:|--------------:|--------:|--------------:|");
     for n in [2usize, 4, 6] {
-        let (dyn_cycles, _) = run(n, false)?;
-        let (static_cycles, luts) = run(n, true)?;
+        let (dyn_cycles, _) = run(n, "lower")?;
+        let (static_cycles, luts) = run(n, "lower-static")?;
         println!(
             "| {n}x{n} | {dyn_cycles} | {static_cycles} | {:.2}x | {luts} |",
             dyn_cycles as f64 / static_cycles as f64

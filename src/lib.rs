@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use calyx::core::ir::{Builder, Context};
-//! use calyx::core::passes;
+//! use calyx::core::passes::PassManager;
 //! use calyx::sim::rtl::Simulator;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,7 @@
 //! ctx.add_component(comp);
 //!
 //! // Lower control to structural FSMs and simulate the result.
-//! passes::lower_pipeline().run(&mut ctx)?;
+//! PassManager::from_names(&["lower"])?.run(&mut ctx)?;
 //! let mut sim = Simulator::new(&ctx, "main")?;
 //! let stats = sim.run(1000)?;
 //! assert_eq!(sim.register_value(&["r"])?, 1);

@@ -2,14 +2,15 @@
 //! real designs from both frontends.
 
 use calyx::backend::{area, verilog};
-use calyx::core::passes;
-use calyx::polybench::{kernel, PipelineConfig};
+use calyx::core::passes::PassManager;
+use calyx::polybench::kernel;
 use calyx::systolic::{generate, SystolicConfig};
 
 #[test]
 fn systolic_array_emits_synthesizable_shaped_verilog() {
     let mut ctx = generate(&SystolicConfig::square(4));
-    passes::lower_pipeline_static().run(&mut ctx).unwrap();
+    let mut pipeline = PassManager::from_names(&["lower-static"]).unwrap();
+    pipeline.run(&mut ctx).unwrap();
     let sv = verilog::emit(&ctx).unwrap();
     // Structural sanity: balanced module/endmodule, a PE definition before
     // main, memories as instances, a threaded clock.
@@ -26,7 +27,7 @@ fn systolic_array_emits_synthesizable_shaped_verilog() {
 #[test]
 fn polybench_kernel_emits_verilog_and_area() {
     let def = kernel("gemm").unwrap();
-    let run = calyx::polybench::simulate(def, 4, 1, PipelineConfig::all()).unwrap();
+    let run = calyx::polybench::simulate(def, 4, 1, &["opt"]).unwrap();
     let sv = verilog::emit(&run.lowered).unwrap();
     assert!(sv.contains("module main"));
     assert!(sv.contains("module std_mult_pipe"));
@@ -38,12 +39,14 @@ fn polybench_kernel_emits_verilog_and_area() {
 fn area_grows_with_array_size() {
     let small = {
         let mut ctx = generate(&SystolicConfig::square(2));
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         area::estimate(&ctx, "main").unwrap()
     };
     let large = {
         let mut ctx = generate(&SystolicConfig::square(4));
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         area::estimate(&ctx, "main").unwrap()
     };
     assert!(large.luts > small.luts);
@@ -55,7 +58,8 @@ fn area_grows_with_array_size() {
 fn emitted_verilog_loc_tracks_design_size() {
     let loc = |n: usize| {
         let mut ctx = generate(&SystolicConfig::square(n));
-        passes::lower_pipeline_static().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower-static"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
         verilog::line_count(&verilog::emit(&ctx).unwrap())
     };
     assert!(loc(4) > loc(2));

@@ -5,7 +5,7 @@
 use calyx::backend::{area, verilog};
 use calyx::backend::{Backend, BackendOpts, BackendRegistry, CalyxBackend, VerilogBackend};
 use calyx::core::ir::{parse_context, Context, Printer};
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use calyx::polybench::{compile_kernel, KERNELS};
 
 fn emit_via_registry(name: &str, ctx: &Context) -> Vec<u8> {
@@ -25,7 +25,8 @@ fn streaming_backends_match_string_entry_points_on_all_kernels() {
     assert_eq!(KERNELS.len(), 19);
     for def in KERNELS {
         let (_, mut ctx) = compile_kernel(def, 4, 1).unwrap();
-        passes::lower_pipeline().run(&mut ctx).unwrap();
+        let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+        pipeline.run(&mut ctx).unwrap();
 
         let old_sv = verilog::emit(&ctx).unwrap();
         let new_sv = emit_via_registry("verilog", &ctx);
@@ -80,7 +81,8 @@ fn lowering_preconditions_gate_emission_without_partial_output() {
 #[test]
 fn area_reports_are_stable_and_consistent_across_formats() {
     let mut ctx = parse_context(UNLOWERED).unwrap();
-    passes::lower_pipeline().run(&mut ctx).unwrap();
+    let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+    pipeline.run(&mut ctx).unwrap();
     let a = area::estimate(&ctx, "main").unwrap();
 
     let text = String::from_utf8(emit_via_registry("area", &ctx)).unwrap();
@@ -120,7 +122,8 @@ fn area_reports_are_stable_and_consistent_across_formats() {
 fn sim_and_interp_backends_agree_on_final_state() {
     let unlowered = parse_context(UNLOWERED).unwrap();
     let mut lowered = parse_context(UNLOWERED).unwrap();
-    passes::lower_pipeline().run(&mut lowered).unwrap();
+    let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+    pipeline.run(&mut lowered).unwrap();
 
     let state_lines = |report: Vec<u8>| -> Vec<String> {
         String::from_utf8(report)
@@ -155,7 +158,8 @@ fn wrapper_and_streaming_reject_identically() {
 #[test]
 fn backend_opts_reach_registry_constructed_backends() {
     let mut ctx = parse_context(UNLOWERED).unwrap();
-    passes::lower_pipeline().run(&mut ctx).unwrap();
+    let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+    pipeline.run(&mut ctx).unwrap();
     let backend = BackendRegistry::default()
         .get(
             "sim",
@@ -211,7 +215,8 @@ fn third_party_backends_register_alongside_builtins() {
 fn every_registered_backend_emits_nonempty_output() {
     let unlowered = parse_context(UNLOWERED).unwrap();
     let mut lowered = parse_context(UNLOWERED).unwrap();
-    passes::lower_pipeline().run(&mut lowered).unwrap();
+    let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+    pipeline.run(&mut lowered).unwrap();
     for b in BackendRegistry::default().backends() {
         let ctx = if b.required_pipeline == ["lower"] {
             &lowered

@@ -9,7 +9,7 @@
 
 mod random_programs;
 
-use calyx::core::passes;
+use calyx::core::passes::{opt_without, PassManager};
 use calyx::sim::interp::Interpreter;
 use calyx::sim::rtl::Simulator;
 use proptest::prelude::*;
@@ -27,10 +27,11 @@ fn run_interp(spec: &ProgramSpec) -> Vec<(String, Vec<u64>)> {
     )
 }
 
-/// Final state via lowering + RTL simulation.
-fn run_rtl(spec: &ProgramSpec, rs: bool, mr: bool, st: bool) -> Vec<(String, Vec<u64>)> {
+/// Final state via lowering with `pipeline` + RTL simulation.
+fn run_rtl(spec: &ProgramSpec, pipeline: &[&str]) -> Vec<(String, Vec<u64>)> {
     let mut ctx = build_program(spec);
-    passes::optimized_pipeline(rs, mr, st)
+    PassManager::from_names(pipeline)
+        .unwrap()
         .run(&mut ctx)
         .expect("pipeline succeeds");
     let mut sim = Simulator::new(&ctx, "main").expect("elaborates");
@@ -54,7 +55,7 @@ proptest! {
     #[test]
     fn compiled_execution_matches_interpreter(spec in random_programs::program_spec()) {
         let reference = run_interp(&spec);
-        let lowered = run_rtl(&spec, false, false, false);
+        let lowered = run_rtl(&spec, &["lower"]);
         prop_assert_eq!(&reference, &lowered, "dynamic lowering diverged");
     }
 
@@ -62,12 +63,12 @@ proptest! {
     /// architectural results.
     #[test]
     fn optimizations_preserve_semantics(spec in random_programs::program_spec()) {
-        let baseline = run_rtl(&spec, false, false, false);
-        let shared = run_rtl(&spec, true, true, false);
+        let baseline = run_rtl(&spec, &["lower"]);
+        let shared = run_rtl(&spec, &opt_without(&["infer-static-timing", "static-timing"]));
         prop_assert_eq!(&baseline, &shared, "sharing passes diverged");
-        let static_ = run_rtl(&spec, false, false, true);
+        let static_ = run_rtl(&spec, &["lower-static"]);
         prop_assert_eq!(&baseline, &static_, "static timing diverged");
-        let all = run_rtl(&spec, true, true, true);
+        let all = run_rtl(&spec, &["opt"]);
         prop_assert_eq!(&baseline, &all, "combined pipeline diverged");
     }
 }

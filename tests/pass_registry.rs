@@ -1,8 +1,8 @@
-//! The pass registry drives real pipelines: alias-built pass managers must
-//! behave *identically* to the pipeline constructors they replaced. Byte-identical
-//! printed Calyx on every PolyBench kernel pins the alias expansions (and
-//! the visitor-based pass framework behind them) to the known-good
-//! pipelines. The par-heavy designs, where `minimize-regs` decides the most,
+//! The pass registry drives real pipelines: every alias must behave
+//! *identically* to its pipeline built pass struct by pass struct.
+//! Byte-identical printed Calyx on every PolyBench kernel pins the alias
+//! expansions (and the visitor-based pass framework behind them) to those
+//! known-good pipelines. The par-heavy designs, where `minimize-regs` decides the most,
 //! are pinned harder: by the digest of their optimized Verilog.
 
 use calyx::core::ir::{Context, Printer};
@@ -12,9 +12,8 @@ use calyx::service::{digest64, Job, Session};
 
 const N: u64 = 4;
 
-/// The pre-registry `lower_pipeline()`, reconstructed by registering the
-/// pass structs directly — the known-good hand-built pipeline the aliases
-/// must reproduce.
+/// `lower`, reconstructed by registering the pass structs directly — the
+/// known-good hand-built pipeline the alias must reproduce.
 fn hand_built_lower() -> PassManager {
     let mut pm = PassManager::new();
     pm.register(passes::WellFormed);
@@ -28,12 +27,30 @@ fn hand_built_lower() -> PassManager {
     pm
 }
 
-/// The pre-registry `lower_pipeline_static()`, hand-built.
+/// `lower-static`, hand-built.
 fn hand_built_lower_static() -> PassManager {
     let mut pm = PassManager::new();
     pm.register(passes::WellFormed);
     pm.register(passes::CollapseControl);
     pm.register(passes::DeadGroupRemoval::default());
+    pm.register(passes::InferStaticTiming);
+    pm.register(passes::StaticTiming);
+    pm.register(passes::CompileControl);
+    pm.register(passes::GoInsertion);
+    pm.register(passes::RemoveGroups);
+    pm.register(passes::GuardSimplify);
+    pm.register(passes::DeadCellRemoval::default());
+    pm
+}
+
+/// `opt` (and `all`), hand-built: sharing, then `lower-static`.
+fn hand_built_opt() -> PassManager {
+    let mut pm = PassManager::new();
+    pm.register(passes::WellFormed);
+    pm.register(passes::CollapseControl);
+    pm.register(passes::DeadGroupRemoval::default());
+    pm.register(passes::ResourceSharing);
+    pm.register(passes::MinimizeRegs);
     pm.register(passes::InferStaticTiming);
     pm.register(passes::StaticTiming);
     pm.register(passes::CompileControl);
@@ -57,25 +74,19 @@ fn lower_alias_matches_hand_built_pipeline_on_polybench() {
         let (_ast, ctx) = compile_kernel(def, N, 1).expect("kernel compiles");
         let hand_built = printed(hand_built_lower(), &ctx);
         let alias = printed(PassManager::from_names(&["lower"]).unwrap(), &ctx);
-        let wrapper = printed(passes::lower_pipeline(), &ctx);
         assert_eq!(hand_built, alias, "{}: alias `lower` diverged", def.name);
-        assert_eq!(
-            hand_built, wrapper,
-            "{}: lower_pipeline() wrapper diverged",
-            def.name
-        );
     }
 }
 
 #[test]
-fn opt_alias_matches_legacy_function_on_polybench() {
+fn opt_alias_matches_hand_built_pipeline_on_polybench() {
     for def in KERNELS {
         let (_ast, ctx) = compile_kernel(def, N, 1).expect("kernel compiles");
-        let function = printed(passes::optimized_pipeline(true, true, true), &ctx);
+        let hand_built = printed(hand_built_opt(), &ctx);
         let opt = printed(PassManager::from_names(&["opt"]).unwrap(), &ctx);
         let all = printed(PassManager::from_names(&["all"]).unwrap(), &ctx);
-        assert_eq!(function, opt, "{}: alias `opt` diverged", def.name);
-        assert_eq!(function, all, "{}: alias `all` diverged", def.name);
+        assert_eq!(hand_built, opt, "{}: alias `opt` diverged", def.name);
+        assert_eq!(hand_built, all, "{}: alias `all` diverged", def.name);
     }
 }
 

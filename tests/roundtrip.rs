@@ -5,7 +5,7 @@
 mod random_programs;
 
 use calyx::core::ir::{parse_context, Printer};
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use proptest::prelude::*;
 
 proptest! {
@@ -26,7 +26,7 @@ proptest! {
     #[test]
     fn lowered_programs_roundtrip(spec in random_programs::program_spec()) {
         let mut ctx = random_programs::build_program(&spec);
-        passes::lower_pipeline().run(&mut ctx).expect("lowers");
+        PassManager::from_names(&["lower"]).unwrap().run(&mut ctx).expect("lowers");
         let printed = Printer::print_context(&ctx);
         let reparsed = parse_context(&printed)
             .map_err(|e| TestCaseError::fail(format!("reparse failed: {e}\n{printed}")))?;

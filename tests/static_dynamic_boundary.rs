@@ -14,12 +14,13 @@
 //! the drained memory slot reading 0 if the saver logic regresses.
 
 use calyx::core::ir::parse_context;
-use calyx::core::passes;
+use calyx::core::passes::PassManager;
 use calyx::sim::rtl::Simulator;
 
 fn run(src: &str) -> Vec<u64> {
     let mut ctx = parse_context(src).expect("parses");
-    passes::lower_pipeline().run(&mut ctx).expect("lowers");
+    let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
+    pipeline.run(&mut ctx).expect("lowers");
     let mut sim = Simulator::new(&ctx, "main").expect("elaborates");
     sim.run(10_000).expect("terminates");
     sim.memory(&["mem"]).expect("memory readable")
