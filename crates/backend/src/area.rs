@@ -6,18 +6,23 @@
 //! (FSM guards), sharing-induced multiplexers, and datapath units are all
 //! visible to the estimate:
 //!
+//! A primitive is priced by its [`PrimKind`], at width W (its first
+//! parameter):
+//!
 //! | structure | LUTs | FFs | DSP | BRAM |
 //! |---|---|---|---|---|
-//! | `std_reg(W)` | 0 | W + 1 (done) | | |
-//! | `std_add/std_sub(W)` | W (carry chain) | | | |
-//! | bitwise logic (W) | ⌈W/2⌉ (LUT6 packing) | | | |
-//! | eq/neq (W) | ⌈W/3⌉ (3 bits/LUT + reduce) | | | |
-//! | ordered compares (W) | W (carry chain) | | | |
-//! | shifts (W) | ⌈W·log₂W/2⌉ (barrel) | | | |
-//! | `std_mult_pipe(W)` | W/2 control | 2·W pipeline | ⌈W/18⌉² | |
-//! | `std_div_pipe(W)` | 4·W (iterative) | 3·W | | |
-//! | `std_sqrt(W)` | 2·W | 2·W | | |
-//! | memory (bits B) | ⌈B/64⌉ if B ≤ 4096 (LUTRAM) | | | ⌈B/18432⌉ otherwise |
+//! | `Reg` | 0 | W + 1 (done) | | |
+//! | `Comb(Add \| Sub)` | W (carry chain) | | | |
+//! | `Comb(And \| Or \| Xor \| Not)` | ⌈W/2⌉ (LUT6 packing) | | | |
+//! | `Comb(Eq \| Neq)` | ⌈W/3⌉ (3 bits/LUT + reduce) | | | |
+//! | `Comb` ordered compares | W (carry chain) | | | |
+//! | `Comb(Lsh \| Rsh)` | ⌈W·log₂W/2⌉ (barrel) | | | |
+//! | `Comb(Slice \| Pad \| Wire)` | 0 (wiring) | | | |
+//! | `Unit(Mult)` | W/2 control | 2·W pipeline | ⌈W/18⌉² | |
+//! | `Unit(Div)` | 4·W (iterative) | 3·W | | |
+//! | `Unit(Sqrt)` | 2·W | 2·W | | |
+//! | `Mem` (bits B) | ⌈B/64⌉ if B ≤ 4096 (LUTRAM) | | | ⌈B/18432⌉ otherwise |
+//! | an `extern` | 0 (vendor IP, reported separately) | | | |
 //! | k-driver port mux (width W) | W·⌈(k−1)/2⌉ (4:1 per LUT6 pair) | | | |
 //! | guard logic | ⌈unique boolean nodes/3⌉ + per-comparison costs | | | |
 //!
@@ -29,8 +34,9 @@
 use crate::api::{Backend, BackendOpts, ReportFormat};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Atom, CellType, CompOp, Component, Context, Guard, GuardMemo, Id, PortRef,
+    validate, Atom, CellType, CompOp, Component, Context, Guard, GuardMemo, Id, PortRef, PrimKind,
 };
+use calyx_core::prim::{CombOp, UnitOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::ops::Add;
@@ -192,7 +198,7 @@ fn component_area(ctx: &Context, name: Id, cache: &mut HashMap<Id, Area>) -> Cal
             + match &cell.prototype {
                 CellType::Primitive {
                     name: prim, params, ..
-                } => primitive_area(prim.as_str(), params),
+                } => primitive_area(*prim, params),
                 CellType::Component { name: child } => component_area(ctx, *child, cache)?,
             };
     }
@@ -201,54 +207,52 @@ fn component_area(ctx: &Context, name: Id, cache: &mut HashMap<Id, Area>) -> Cal
     Ok(total)
 }
 
-/// Resource cost of one primitive instance (the table from the module
-/// docs). Public so the HLS baseline model prices its functional units and
-/// memories with the *same* technology numbers, keeping the paper's
-/// relative area comparisons meaningful.
-pub fn primitive_area(prim: &str, params: &[u64]) -> Area {
+/// Resource cost of one instance of primitive `prim`, by its kind (the
+/// table from the module docs). Public so the HLS baseline model prices
+/// its functional units and memories with the *same* technology numbers,
+/// keeping the paper's relative area comparisons meaningful.
+pub fn primitive_area(prim: impl Into<Id>, params: &[u64]) -> Area {
+    use CombOp::*;
     let w = params.first().copied().unwrap_or(1);
     let mut a = Area::default();
-    match prim {
-        "std_reg" => {
+    let Some(kind) = PrimKind::of(prim.into()) else {
+        // An `extern`: unknown implementation, count nothing. This is what
+        // the paper does with black-box RTL (vendor IP reported separately
+        // by synthesis).
+        return a;
+    };
+    match kind {
+        PrimKind::Reg => {
             a.ffs = w + 1;
             a.register_cells = 1;
         }
-        "std_add" | "std_sub" => a.luts = w,
-        "std_and" | "std_or" | "std_xor" | "std_not" => a.luts = ceil_div(w, 2),
-        "std_eq" | "std_neq" => a.luts = ceil_div(w, 3),
-        "std_lt" | "std_gt" | "std_ge" | "std_le" | "std_slt" | "std_sgt" => a.luts = w,
-        "std_lsh" | "std_rsh" => a.luts = ceil_div(w * log2_ceil(w.max(2)), 2),
-        "std_slice" | "std_pad" | "std_wire" => {}
-        "std_mult_pipe" => {
+        PrimKind::Comb(Add | Sub) => a.luts = w,
+        PrimKind::Comb(And | Or | Xor | Not) => a.luts = ceil_div(w, 2),
+        PrimKind::Comb(Eq | Neq) => a.luts = ceil_div(w, 3),
+        PrimKind::Comb(Lt | Gt | Ge | Le | Slt | Sgt) => a.luts = w,
+        PrimKind::Comb(Lsh | Rsh) => a.luts = ceil_div(w * log2_ceil(w.max(2)), 2),
+        PrimKind::Comb(Slice | Pad | Wire) => {}
+        PrimKind::Unit(UnitOp::Mult) => {
             a.luts = w / 2;
             a.ffs = 2 * w;
             a.dsps = ceil_div(w, 18).pow(2);
         }
-        "std_div_pipe" => {
+        PrimKind::Unit(UnitOp::Div) => {
             a.luts = 4 * w;
             a.ffs = 3 * w;
         }
-        "std_sqrt" => {
+        PrimKind::Unit(UnitOp::Sqrt) => {
             a.luts = 2 * w;
             a.ffs = 2 * w;
         }
-        "std_mem_d1" | "std_mem_d2" | "std_mem_d3" => {
-            let size: u64 = match prim {
-                "std_mem_d1" => params[1],
-                "std_mem_d2" => params[1] * params[2],
-                _ => params[1] * params[2] * params[3],
-            };
-            let bits = w * size;
+        PrimKind::Mem { dims } => {
+            let bits = w * params[1..=dims].iter().product::<u64>();
             if bits <= 4096 {
                 a.luts = ceil_div(bits, 64);
             } else {
                 a.brams = ceil_div(bits, 18 * 1024);
             }
         }
-        // Extern primitives: unknown implementation, count nothing. This is
-        // what the paper does with black-box RTL (vendor IP reported
-        // separately by synthesis).
-        _ => {}
     }
     a
 }

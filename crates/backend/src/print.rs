@@ -38,6 +38,7 @@ impl Backend for CalyxBackend {
         // Stream component-by-component; byte-identical to
         // `Printer::print_context` without materializing the whole
         // program text.
+        out.write_all(Printer::print_externs(&ctx.lib).as_bytes())?;
         for comp in ctx.components.iter() {
             write!(out, "{}", Printer::print_component(comp))?;
             writeln!(out)?;
@@ -55,6 +56,7 @@ mod tests {
     fn emission_matches_the_printer_byte_for_byte() {
         let ctx = parse_context(
             r#"
+            extern "blackbox.sv" { component my_unit(in: 8) -> (out: 8); }
             component helper() -> () {
               cells { r = std_reg(8); }
               wires { group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; } }

@@ -16,9 +16,10 @@
 use crate::api::{Backend, BackendOpts};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, Id, PortParent,
-    PortRef,
+    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, Id, Library,
+    PortParent, PortRef, PrimKind,
 };
+use calyx_core::prim::{CombOp, UnitOp};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::io;
@@ -102,7 +103,7 @@ pub fn emit_to(ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
     for comp in ctx.components.iter() {
         for cell in comp.cells.iter() {
             if let CellType::Primitive { name, .. } = &cell.prototype {
-                let module = prim_module(name.as_str()).ok_or_else(|| {
+                let module = PrimKind::of(*name).map(prim_module).ok_or_else(|| {
                     Error::malformed(format!(
                         "cell `{}` of component `{}` instantiates primitive `{name}`, \
                          which has no SystemVerilog template",
@@ -128,7 +129,7 @@ pub fn emit_to(ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
             .get(name)
             .expect("topological order lists existing components");
         buf.clear();
-        emit_component(comp, &mut buf)?;
+        emit_component(comp, &ctx.lib, &mut buf)?;
         buf.push('\n');
         out.write_all(buf.as_bytes())?;
     }
@@ -161,7 +162,7 @@ fn decimal(n: u64, buf: &mut String) {
 }
 
 /// Append the module of `comp`, through its `endmodule` line.
-fn emit_component(comp: &Component, buf: &mut String) -> CalyxResult<()> {
+fn emit_component(comp: &Component, lib: &Library, buf: &mut String) -> CalyxResult<()> {
     buf.push_str("module ");
     buf.push_str(comp.name.as_str());
     buf.push_str(" (\n");
@@ -193,9 +194,19 @@ fn emit_component(comp: &Component, buf: &mut String) -> CalyxResult<()> {
             CellType::Primitive { name, params } => {
                 buf.push_str(name.as_str());
                 buf.push_str(" #(");
-                prim_parameters(name.as_str(), params, buf);
+                let def = lib.expect(*name)?;
+                let mut sep = "";
+                for (param, value) in def.params.iter().zip(params) {
+                    buf.push_str(sep);
+                    sep = ", ";
+                    buf.push('.');
+                    buf.push_str(param.as_str());
+                    buf.push('(');
+                    decimal(*value, buf);
+                    buf.push(')');
+                }
                 buf.push_str(") ");
-                prim_has_clk(name.as_str())
+                !def.is_comb()
             }
             CellType::Component { name } => {
                 buf.push_str(name.as_str());
@@ -326,59 +337,12 @@ fn binary_expr(a: &Guard, op: &str, b: &Guard, buf: &mut String) {
     buf.push(')');
 }
 
-/// Append a primitive instance's `.NAME(value)` parameter list.
-fn prim_parameters(prim: &str, params: &[u64], buf: &mut String) {
-    let names: &[&str] = match prim {
-        "std_slice" | "std_pad" => &[".IN_WIDTH", ".OUT_WIDTH"],
-        "std_mem_d1" => &[".WIDTH", ".SIZE", ".IDX_SIZE"],
-        "std_mem_d2" => &[
-            ".WIDTH",
-            ".D0_SIZE",
-            ".D1_SIZE",
-            ".D0_IDX_SIZE",
-            ".D1_IDX_SIZE",
-        ],
-        "std_mem_d3" => &[
-            ".WIDTH",
-            ".D0_SIZE",
-            ".D1_SIZE",
-            ".D2_SIZE",
-            ".D0_IDX_SIZE",
-            ".D1_IDX_SIZE",
-            ".D2_IDX_SIZE",
-        ],
-        _ => &[".WIDTH"],
-    };
-    let mut sep = "";
-    for (name, value) in names.iter().zip(params) {
-        buf.push_str(sep);
-        sep = ", ";
-        buf.push_str(name);
-        buf.push('(');
-        decimal(*value, buf);
-        buf.push(')');
-    }
-}
-
-fn prim_has_clk(prim: &str) -> bool {
-    matches!(
-        prim,
-        "std_reg"
-            | "std_mem_d1"
-            | "std_mem_d2"
-            | "std_mem_d3"
-            | "std_mult_pipe"
-            | "std_div_pipe"
-            | "std_sqrt"
-    )
-}
-
-/// SystemVerilog source of the module implementing a primitive, which
-/// carries the primitive's name; `None` for a primitive this backend has
-/// no template for (a user-added one).
-fn prim_module(prim: &str) -> Option<&'static str> {
-    Some(match prim {
-        "std_reg" => {
+/// SystemVerilog source of the module implementing a std primitive of
+/// `kind`, which carries the primitive's name.
+fn prim_module(kind: PrimKind) -> &'static str {
+    use CombOp::*;
+    match kind {
+        PrimKind::Reg => {
             r#"module std_reg #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] in, input logic write_en, input logic clk,
   output logic [WIDTH-1:0] out, output logic done);
@@ -388,46 +352,46 @@ fn prim_module(prim: &str) -> Option<&'static str> {
   end
 endmodule"#
         }
-        "std_wire" => {
+        PrimKind::Comb(Wire) => {
             r#"module std_wire #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] in, output logic [WIDTH-1:0] out);
   assign out = in;
 endmodule"#
         }
-        "std_add" => binop!("std_add", "left + right"),
-        "std_sub" => binop!("std_sub", "left - right"),
-        "std_and" => binop!("std_and", "left & right"),
-        "std_or" => binop!("std_or", "left | right"),
-        "std_xor" => binop!("std_xor", "left ^ right"),
-        "std_lsh" => binop!("std_lsh", "left << right"),
-        "std_rsh" => binop!("std_rsh", "left >> right"),
-        "std_not" => {
+        PrimKind::Comb(Add) => binop!("std_add", "left + right"),
+        PrimKind::Comb(Sub) => binop!("std_sub", "left - right"),
+        PrimKind::Comb(And) => binop!("std_and", "left & right"),
+        PrimKind::Comb(Or) => binop!("std_or", "left | right"),
+        PrimKind::Comb(Xor) => binop!("std_xor", "left ^ right"),
+        PrimKind::Comb(Lsh) => binop!("std_lsh", "left << right"),
+        PrimKind::Comb(Rsh) => binop!("std_rsh", "left >> right"),
+        PrimKind::Comb(Not) => {
             r#"module std_not #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] in, output logic [WIDTH-1:0] out);
   assign out = ~in;
 endmodule"#
         }
-        "std_lt" => cmp!("std_lt", "left < right"),
-        "std_gt" => cmp!("std_gt", "left > right"),
-        "std_eq" => cmp!("std_eq", "left == right"),
-        "std_neq" => cmp!("std_neq", "left != right"),
-        "std_ge" => cmp!("std_ge", "left >= right"),
-        "std_le" => cmp!("std_le", "left <= right"),
-        "std_slt" => cmp!("std_slt", "$signed(left) < $signed(right)"),
-        "std_sgt" => cmp!("std_sgt", "$signed(left) > $signed(right)"),
-        "std_slice" => {
+        PrimKind::Comb(Lt) => cmp!("std_lt", "left < right"),
+        PrimKind::Comb(Gt) => cmp!("std_gt", "left > right"),
+        PrimKind::Comb(Eq) => cmp!("std_eq", "left == right"),
+        PrimKind::Comb(Neq) => cmp!("std_neq", "left != right"),
+        PrimKind::Comb(Ge) => cmp!("std_ge", "left >= right"),
+        PrimKind::Comb(Le) => cmp!("std_le", "left <= right"),
+        PrimKind::Comb(Slt) => cmp!("std_slt", "$signed(left) < $signed(right)"),
+        PrimKind::Comb(Sgt) => cmp!("std_sgt", "$signed(left) > $signed(right)"),
+        PrimKind::Comb(Slice) => {
             r#"module std_slice #(parameter IN_WIDTH = 32, parameter OUT_WIDTH = 8) (
   input logic [IN_WIDTH-1:0] in, output logic [OUT_WIDTH-1:0] out);
   assign out = in[OUT_WIDTH-1:0];
 endmodule"#
         }
-        "std_pad" => {
+        PrimKind::Comb(Pad) => {
             r#"module std_pad #(parameter IN_WIDTH = 8, parameter OUT_WIDTH = 32) (
   input logic [IN_WIDTH-1:0] in, output logic [OUT_WIDTH-1:0] out);
   assign out = {{(OUT_WIDTH-IN_WIDTH){1'b0}}, in};
 endmodule"#
         }
-        "std_mem_d1" => {
+        PrimKind::Mem { dims: 1 } => {
             r#"module std_mem_d1 #(parameter WIDTH = 32, parameter SIZE = 16, parameter IDX_SIZE = 4) (
   input logic [IDX_SIZE-1:0] addr0, input logic [WIDTH-1:0] write_data,
   input logic write_en, input logic clk,
@@ -440,7 +404,7 @@ endmodule"#
   end
 endmodule"#
         }
-        "std_mem_d2" => {
+        PrimKind::Mem { dims: 2 } => {
             r#"module std_mem_d2 #(parameter WIDTH = 32, parameter D0_SIZE = 16, parameter D1_SIZE = 16,
   parameter D0_IDX_SIZE = 4, parameter D1_IDX_SIZE = 4) (
   input logic [D0_IDX_SIZE-1:0] addr0, input logic [D1_IDX_SIZE-1:0] addr1,
@@ -454,7 +418,8 @@ endmodule"#
   end
 endmodule"#
         }
-        "std_mem_d3" => {
+        // The table's memories have one to three dimensions.
+        PrimKind::Mem { .. } => {
             r#"module std_mem_d3 #(parameter WIDTH = 32, parameter D0_SIZE = 8, parameter D1_SIZE = 8,
   parameter D2_SIZE = 8, parameter D0_IDX_SIZE = 3, parameter D1_IDX_SIZE = 3, parameter D2_IDX_SIZE = 3) (
   input logic [D0_IDX_SIZE-1:0] addr0, input logic [D1_IDX_SIZE-1:0] addr1, input logic [D2_IDX_SIZE-1:0] addr2,
@@ -468,7 +433,7 @@ endmodule"#
   end
 endmodule"#
         }
-        "std_mult_pipe" => {
+        PrimKind::Unit(UnitOp::Mult) => {
             r#"module std_mult_pipe #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] left, input logic [WIDTH-1:0] right,
   input logic go, input logic clk,
@@ -486,7 +451,7 @@ endmodule"#
   end
 endmodule"#
         }
-        "std_div_pipe" => {
+        PrimKind::Unit(UnitOp::Div) => {
             r#"module std_div_pipe #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] left, input logic [WIDTH-1:0] right,
   input logic go, input logic clk,
@@ -508,7 +473,7 @@ endmodule"#
   end
 endmodule"#
         }
-        "std_sqrt" => {
+        PrimKind::Unit(UnitOp::Sqrt) => {
             r#"module std_sqrt #(parameter WIDTH = 32) (
   input logic [WIDTH-1:0] in, input logic go, input logic clk,
   output logic [WIDTH-1:0] out, output logic done);
@@ -531,14 +496,13 @@ endmodule"#
   end
 endmodule"#
         }
-        _ => return None,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calyx_core::ir::{parse_context, Library};
+    use calyx_core::ir::parse_context;
     use calyx_core::passes::PassManager;
 
     fn lowered(src: &str) -> Context {
@@ -761,18 +725,5 @@ mod tests {
             "{msg}"
         );
         assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
-    }
-
-    #[test]
-    fn every_std_primitive_has_a_template() {
-        let names = Library::std().names();
-        assert_eq!(names.len(), 26);
-        for prim in names {
-            let module =
-                prim_module(prim.as_str()).unwrap_or_else(|| panic!("`{prim}` has no template"));
-            let header = module.lines().next().unwrap();
-            assert!(header.starts_with(&format!("module {prim} #(")), "{header}");
-            assert!(module.ends_with("endmodule"), "{prim}");
-        }
     }
 }

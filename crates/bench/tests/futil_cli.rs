@@ -433,6 +433,66 @@ fn parse_errors_render_caret_diagnostics() {
     assert!(stderr(&out).contains("<stdin>:1:"), "{}", stderr(&out));
 }
 
+const EXTERN_PROGRAM: &str = "extern \"blackbox.sv\" { component my_unit(in: 8) -> (out: 8); }
+component main() -> () {
+  cells { r = std_reg(8); u = my_unit(); }
+  wires { u.in = 8'd1; }
+  control {}
+}
+";
+
+/// An `extern` prints back as an `extern`, so `-b calyx` output is a
+/// program `futil` reads back to the same text; the Verilog backend
+/// refuses the black box before writing a byte.
+#[test]
+fn extern_programs_print_back_and_have_no_template() {
+    let first = futil_stdin(&["-", "-b", "calyx", "-p", "none"], EXTERN_PROGRAM);
+    assert_eq!(first.status.code(), Some(0), "{}", stderr(&first));
+    assert!(
+        stdout(&first)
+            .starts_with("extern \"blackbox.sv\" {\n  component my_unit(in: 8) -> (out: 8);\n}\n"),
+        "{}",
+        stdout(&first)
+    );
+    let second = futil_stdin(&["-", "-b", "calyx", "-p", "none"], &stdout(&first));
+    assert_eq!(second.status.code(), Some(0), "{}", stderr(&second));
+    assert_eq!(stdout(&second), stdout(&first));
+
+    let sv = futil_stdin(&["-", "-b", "verilog"], EXTERN_PROGRAM);
+    assert_eq!(sv.status.code(), Some(1));
+    assert!(sv.stdout.is_empty(), "{}", stdout(&sv));
+    assert!(
+        stderr(&sv).contains("`my_unit`, which has no SystemVerilog template"),
+        "{}",
+        stderr(&sv)
+    );
+}
+
+/// An `extern` naming a std primitive is a parse error at the name, for
+/// every backend — it used to replace `std_reg` for the rest of the
+/// program.
+#[test]
+fn an_extern_cannot_shadow_a_std_primitive() {
+    let src = "extern \"bb.sv\" { component std_reg(in: 8) -> (out: 8); }
+component main() -> () { cells { r = std_reg(); } wires {} control {} }
+";
+    for backend in ["calyx", "verilog", "area", "sim"] {
+        let out = futil_stdin(&["-", "-b", backend], src);
+        assert_eq!(out.status.code(), Some(1), "{backend}");
+        assert!(out.stdout.is_empty(), "{backend}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(err.contains("<stdin>:1:28"), "{backend}: {err}");
+        assert!(
+            err.contains("redefines the standard primitive `std_reg`"),
+            "{err}"
+        );
+        assert!(
+            err.lines().last().unwrap().trim_end().ends_with('^'),
+            "{err}"
+        );
+    }
+}
+
 /// `--format json` flows through `BackendOpts` to the area backend.
 #[test]
 fn area_backend_reports_text_and_json() {

@@ -22,7 +22,7 @@ use crate::analysis::cache::{Analysis, AnalysisCache};
 use crate::analysis::pcfg::{CondKind, Pcfg};
 use crate::analysis::read_write::ReadWriteSets;
 use crate::analysis::regset::RegSet;
-use crate::ir::{Atom, Component, Id, PortParent, PortRef};
+use crate::ir::{Atom, Component, Id, PortParent, PortRef, PrimKind};
 use std::collections::BTreeMap;
 
 /// Recursion budget for the port evaluator: deeper chains (or
@@ -121,62 +121,27 @@ fn eval_port_at(
     if port.port.as_str() != "out" {
         return Some(ConstVal::Nac);
     }
-    let Some(width) = cell.port_width(Id::new("out")) else {
+    // Stateful and `extern` primitives are not evaluated.
+    let (Some(PrimKind::Comb(op)), Some(&[in_width, ..]), Some(width)) = (
+        cell.kind(),
+        cell.primitive_params(),
+        cell.port_width(Id::new("out")),
+    ) else {
         return Some(ConstVal::Nac);
     };
     let input =
         |name: &str| eval_input(comp, scope, regs, PortRef::cell(cell_name, name), depth - 1);
-    let prim = |p: &str| cell.is_primitive(p);
-    let unary = |f: fn(u64) -> u64| lift1(input("in"), f);
-    let binary = |f: fn(u64, u64) -> u64| lift2(input("left"), input("right"), f);
-    let v = if prim("std_wire") || prim("std_slice") || prim("std_pad") {
-        unary(|a| a)
-    } else if prim("std_not") {
-        unary(|a| !a)
-    } else if prim("std_add") {
-        binary(u64::wrapping_add)
-    } else if prim("std_sub") {
-        binary(u64::wrapping_sub)
-    } else if prim("std_and") {
-        binary(|a, b| a & b)
-    } else if prim("std_or") {
-        binary(|a, b| a | b)
-    } else if prim("std_xor") {
-        binary(|a, b| a ^ b)
-    } else if prim("std_lt") {
-        binary(|a, b| u64::from(a < b))
-    } else if prim("std_gt") {
-        binary(|a, b| u64::from(a > b))
-    } else if prim("std_eq") {
-        binary(|a, b| u64::from(a == b))
-    } else if prim("std_neq") {
-        binary(|a, b| u64::from(a != b))
-    } else if prim("std_ge") {
-        binary(|a, b| u64::from(a >= b))
-    } else if prim("std_le") {
-        binary(|a, b| u64::from(a <= b))
+    let (left, right) = if op.is_binary() {
+        (input("left"), input("right"))
     } else {
-        // Stateful, signed, or unknown primitives: not evaluated.
-        Some(ConstVal::Nac)
+        (input("in"), Some(ConstVal::Const(0)))
     };
-    match v {
-        Some(ConstVal::Const(v)) => Some(ConstVal::Const(mask(v, width))),
-        other => other,
-    }
-}
-
-/// Lift a unary operator: bottom stays bottom, Nac stays Nac.
-fn lift1(a: Option<ConstVal>, f: fn(u64) -> u64) -> Option<ConstVal> {
-    match a? {
-        ConstVal::Const(a) => Some(ConstVal::Const(f(a))),
-        ConstVal::Nac => Some(ConstVal::Nac),
-    }
-}
-
-/// Lift a binary operator: bottom infects first, then Nac.
-fn lift2(a: Option<ConstVal>, b: Option<ConstVal>, f: fn(u64, u64) -> u64) -> Option<ConstVal> {
-    match (a?, b?) {
-        (ConstVal::Const(a), ConstVal::Const(b)) => Some(ConstVal::Const(f(a, b))),
+    // Bottom infects first, then Nac. A constant folds to what the
+    // simulator computes.
+    match (left?, right?) {
+        (ConstVal::Const(l), ConstVal::Const(r)) => {
+            Some(ConstVal::Const(op.eval(l, r, in_width as u32, width)))
+        }
         _ => Some(ConstVal::Nac),
     }
 }
@@ -213,14 +178,6 @@ fn eval_input(
         return Some(ConstVal::Nac);
     }
     value
-}
-
-fn mask(v: u64, width: u32) -> u64 {
-    if width >= 64 {
-        v
-    } else {
-        v & ((1u64 << width) - 1)
-    }
 }
 
 /// A solved `if`/`while` condition site.

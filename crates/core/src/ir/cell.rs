@@ -1,6 +1,6 @@
 //! Cells, ports, and guarded assignments (paper §3.2).
 
-use super::{Attributes, Guard, Id};
+use super::{Attributes, Guard, Id, PrimKind};
 use crate::utils::Named;
 
 /// Direction of a port from the perspective of its owner.
@@ -175,15 +175,22 @@ impl Cell {
         }
     }
 
-    /// True for `std_reg` instances — the cells tracked by register sharing.
+    /// What the cell instantiates, if it is a std primitive.
+    pub fn kind(&self) -> Option<PrimKind> {
+        match &self.prototype {
+            CellType::Primitive { name, .. } => PrimKind::of(*name),
+            CellType::Component { .. } => None,
+        }
+    }
+
+    /// True for registers — the cells tracked by register sharing.
     pub fn is_register(&self) -> bool {
-        self.is_primitive("std_reg")
+        self.kind() == Some(PrimKind::Reg)
     }
 
     /// True for memory primitives of any dimensionality.
     pub fn is_memory(&self) -> bool {
-        matches!(&self.prototype, CellType::Primitive { name, .. }
-            if name.as_str().starts_with("std_mem_d"))
+        matches!(self.kind(), Some(PrimKind::Mem { .. }))
     }
 }
 

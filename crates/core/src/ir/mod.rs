@@ -32,7 +32,7 @@ pub use control::Control;
 pub use guard::{CompOp, Guard, GuardMemo, GuardPorts};
 pub use id::Id;
 pub use parser::{parse_context, parse_guard};
-pub use primitives::{Library, PrimitiveDef, PrimitivePort, WidthSpec};
+pub use primitives::{Library, PrimKind, PrimitiveDef, PrimitivePort, WidthSpec};
 pub use printer::Printer;
 pub use rewriter::Rewriter;
 pub use source_map::{Loc, SourceMap, Truncation};

@@ -24,9 +24,10 @@
 use super::cell::Group;
 use super::{
     Assignment, Atom, Attributes, CellType, CompOp, Component, Context, Control, Direction, Guard,
-    Id, Loc, PortDef, PrimitiveDef, PrimitivePort, SourceMap, Truncation, WidthSpec,
+    Id, Library, Loc, PortDef, PrimitiveDef, PrimitivePort, SourceMap, Truncation, WidthSpec,
 };
 use crate::errors::{CalyxResult, Error};
+use crate::prim::mask;
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -183,11 +184,7 @@ fn lex(src: &str) -> CalyxResult<(Vec<Spanned>, Vec<Truncation>)> {
                         col,
                     })?;
                     let width = first as u32;
-                    let kept = if width >= 64 {
-                        val
-                    } else {
-                        val & ((1u64 << width) - 1)
-                    };
+                    let kept = mask(val, width);
                     if kept != val {
                         truncations.push(Truncation {
                             loc: Loc { line, col },
@@ -713,22 +710,34 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<RawCo
 }
 
 /// Parse `extern "file.sv" { component name(ins) -> (outs); ... }` into
-/// primitive definitions with fixed widths.
-fn parse_extern(p: &mut Parser) -> CalyxResult<Vec<PrimitiveDef>> {
+/// kind-less rows of `lib` with fixed widths. A name already in `lib` —
+/// a std primitive or an earlier `extern` — is an error at that name.
+fn parse_extern(p: &mut Parser, lib: &mut Library) -> CalyxResult<()> {
     p.keyword("extern")?;
-    match p.next() {
-        Tok::Str(_) => {}
+    let file = match p.next() {
+        Tok::Str(file) => file,
         other => {
             return Err(p.err(format!(
                 "expected file string after `extern`, found {other:?}"
             )))
         }
-    }
+    };
     p.expect(Tok::LBrace, "`{`")?;
-    let mut defs = Vec::new();
     while !p.eat(Tok::RBrace) {
         p.keyword("component")?;
+        let at = p.loc();
         let name = p.ident("extern component name")?;
+        if let Some(prev) = lib.get(name) {
+            let msg = match &prev.file {
+                None => format!("extern `{name}` redefines the standard primitive `{name}`"),
+                Some(f) => format!("extern `{name}` is already declared (in \"{f}\")"),
+            };
+            return Err(Error::Parse {
+                msg,
+                line: at.line,
+                col: at.col,
+            });
+        }
         let attrs = p.angle_attributes()?;
         let inputs = p.port_list(Direction::Input)?;
         p.expect(Tok::Arrow, "`->`")?;
@@ -743,15 +752,16 @@ fn parse_extern(p: &mut Parser) -> CalyxResult<Vec<PrimitiveDef>> {
                 direction: pd.direction,
             })
             .collect();
-        defs.push(PrimitiveDef {
+        lib.add(PrimitiveDef {
             name,
             params: Vec::new(),
             ports,
             attributes: attrs,
-            is_comb: false,
+            kind: None,
+            file: Some(file.clone()),
         });
     }
-    Ok(defs)
+    Ok(())
 }
 
 /// Parse a complete program into a [`Context`] with the standard library.
@@ -783,11 +793,7 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
                 }
                 p.expect(Tok::Semi, "`;`")?;
             }
-            Tok::Ident(s) if s == "extern" => {
-                for def in parse_extern(&mut p)? {
-                    ctx.lib.add(def);
-                }
-            }
+            Tok::Ident(s) if s == "extern" => parse_extern(&mut p, &mut ctx.lib)?,
             Tok::Ident(s) if s == "component" => raws.push(parse_component(&mut p, &mut sources)?),
             other => return Err(p.err(format!("expected top-level item, found {other:?}"))),
         }
@@ -1019,6 +1025,66 @@ mod tests {
         let s = main.cells.get(Id::new("s")).unwrap();
         assert!(s.is_primitive("sqrt"));
         assert_eq!(s.port_width(Id::new("out")), Some(32));
+        let def = ctx.lib.expect(Id::new("sqrt")).unwrap();
+        assert_eq!((def.kind, def.file.as_deref()), (None, Some("sqrt.sv")));
+    }
+
+    /// An `extern` may not take a std primitive's name or repeat an
+    /// earlier `extern`: either is an error at the second name.
+    #[test]
+    fn extern_redefinitions_are_positioned_errors() {
+        for (src, col, what) in [
+            (
+                "extern \"bb.sv\" { component std_reg(in: 8) -> (out: 8); }",
+                28,
+                "standard primitive `std_reg`",
+            ),
+            (
+                "extern \"a.sv\" { component u(in: 8) -> (out: 8); }\n\
+                 extern \"b.sv\" { component u(in: 8) -> (out: 8); }",
+                27,
+                "already declared (in \"a.sv\")",
+            ),
+        ] {
+            match parse_context(src).unwrap_err() {
+                Error::Parse { msg, line, col: c } => {
+                    assert!(msg.contains(what), "{msg}");
+                    assert_eq!((line, c), (src.lines().count(), col), "{msg}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Externs print before the components, grouped by file in
+    /// declaration order, and the printed text parses back to itself.
+    #[test]
+    fn externs_print_and_round_trip() {
+        let src = r#"
+            extern "b.sv" { component zed<"static"=2>(in: 8) -> (out: 8); }
+            extern "a.sv" {
+              component alpha(@go go: 1, x: 4) -> (y: 4, done: 1);
+              component beta() -> (o: 1);
+            }
+            component main() -> () {
+              cells { z = zed(); a = alpha(); }
+              wires { z.in = 8'd1; }
+              control {}
+            }
+        "#;
+        let printed = Printer::print_context(&parse_context(src).unwrap());
+        assert!(
+            printed.starts_with(
+                "extern \"b.sv\" {\n  component zed<\"static\"=2>(in: 8) -> (out: 8);\n}\n\n\
+                 extern \"a.sv\" {\n  component alpha(go: 1, x: 4) -> (y: 4, done: 1);\n  \
+                 component beta() -> (o: 1);\n}\n\ncomponent main"
+            ),
+            "{printed}"
+        );
+        let reparsed = parse_context(&printed).unwrap();
+        assert_eq!(Printer::print_context(&reparsed), printed);
+        let zed = reparsed.lib.expect(Id::new("zed")).unwrap();
+        assert_eq!(zed.static_latency(), Some(2));
     }
 
     #[test]

@@ -1,24 +1,85 @@
-//! The standard primitive library.
+//! The standard primitive library: one table, one row per primitive.
 //!
 //! Primitives are the leaves of the hardware hierarchy: registers, adders,
-//! memories, and pipelined arithmetic units. Each [`PrimitiveDef`] declares
-//! parameters (widths and sizes) and ports whose widths may reference those
-//! parameters; instantiation resolves the widths to concrete values.
+//! memories, and pipelined arithmetic units. Each row is a
+//! [`PrimitiveDef`]: parameters (widths and sizes), ports whose widths may
+//! reference those parameters, and a [`PrimKind`] saying what the
+//! primitive *is*. Whether it is combinational, its `"static"` latency and
+//! whether it has a clock are derived from the kind, and every consumer
+//! matches on the kind, never on the name: the simulator's behavioural
+//! models, the SystemVerilog templates, the area costs and constant
+//! folding ([`CombOp::eval`]). A kind with no model, template or cost does
+//! not compile. An `extern` row has no kind: a black box with fixed-width
+//! ports, which no backend can model.
 //!
-//! Timing conventions (shared with the simulator and the Verilog backend):
+//! # Timing contract
 //!
-//! - Combinational primitives (`is_comb`) settle within a cycle.
-//! - `std_reg` and memories commit on the clock edge; their `done` port is
-//!   *registered*, reading 1 the cycle after `write_en` was high.
-//! - `std_mult_pipe`/`std_div_pipe` assert `done` exactly 4 cycles after
-//!   `go` is sampled (the paper's "multiplies take four cycles", §6.2).
-//! - `std_sqrt` has *data-dependent* latency — it exercises the
-//!   latency-insensitive compilation path, like the paper's black-box RTL
-//!   square root.
+//! The simulator's models and the emitted SystemVerilog both keep it:
+//!
+//! - [`PrimKind::Comb`] primitives settle within the cycle their inputs
+//!   do. A memory's `read_data` is combinational on its address ports too.
+//! - [`PrimKind::Reg`] and [`PrimKind::Mem`] commit on the clock edge when
+//!   `write_en` is high. Their `done` is *registered*: it reads 1 for the
+//!   one cycle after `write_en` was high. Their `"static"` latency is 1.
+//! - A [`PrimKind::Unit`] latches its operands when `go` is sampled high,
+//!   raises `done` for one cycle when the result is ready, and holds `out`
+//!   afterwards. `std_mult_pipe` and `std_div_pipe` raise `done` exactly 4
+//!   edges after `go` (the paper's "multiplies take four cycles", §6.2),
+//!   and declare `"static"` 4.
+//! - `std_sqrt` declares no latency, like the paper's black-box square
+//!   root. Its behavioural model's latency is data-dependent (half the
+//!   operand's significant bits, plus two). Its SV template's is fixed per
+//!   width: `done` comes `WIDTH/2 + 1` edges after `go`. Both keep the
+//!   go/done contract, and latency-insensitive compilation relies on
+//!   nothing else.
 
 use super::{attr, Attributes, Direction, Id, PortDef};
 use crate::errors::{CalyxResult, Error};
+use crate::prim::{CombOp, UnitOp};
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// What a primitive is. Everything a backend needs to know about a std
+/// primitive beyond its ports follows from this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PrimKind {
+    /// A combinational operator.
+    Comb(CombOp),
+    /// A register: `in`, `write_en` → `out`, `done`.
+    Reg,
+    /// A memory of `dims` dimensions: one `addr<i>` port per dimension,
+    /// `write_data`, `write_en` → `read_data`, `done`.
+    Mem {
+        /// Number of dimensions (1 to 3).
+        dims: usize,
+    },
+    /// A unit with a go/done handshake.
+    Unit(UnitOp),
+}
+
+impl PrimKind {
+    /// The kind of std primitive `name`; `None` for an `extern` or an
+    /// unknown name. An `extern` cannot take a std name, so a cell naming
+    /// a std primitive is that primitive.
+    pub fn of(name: Id) -> Option<PrimKind> {
+        std_table().get(name)?.kind
+    }
+
+    /// True for combinational operators.
+    pub fn is_comb(self) -> bool {
+        matches!(self, PrimKind::Comb(_))
+    }
+
+    /// The fixed latency of the primitive's go/done (or write_en/done)
+    /// interface, which is its `"static"` attribute.
+    pub fn static_latency(self) -> Option<u64> {
+        match self {
+            PrimKind::Comb(_) => None,
+            PrimKind::Reg | PrimKind::Mem { .. } => Some(1),
+            PrimKind::Unit(op) => op.static_latency().map(u64::from),
+        }
+    }
+}
 
 /// A port width: either a constant or a reference to a primitive parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +101,7 @@ pub struct PrimitivePort {
     pub direction: Direction,
 }
 
-/// The definition of a primitive component.
+/// One row of the primitive table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrimitiveDef {
     /// Primitive name, e.g. `std_add`.
@@ -49,16 +110,28 @@ pub struct PrimitiveDef {
     pub params: Vec<Id>,
     /// Port declarations.
     pub ports: Vec<PrimitivePort>,
-    /// Definition-level attributes (`share`, `static`).
+    /// Definition-level attributes: `share` on a std row, whatever an
+    /// `extern` declares.
     pub attributes: Attributes,
-    /// True when the primitive is purely combinational.
-    pub is_comb: bool,
+    /// What the primitive is; `None` for an `extern` black box.
+    pub kind: Option<PrimKind>,
+    /// The file an `extern` names; `None` on a std row.
+    pub file: Option<String>,
 }
 
 impl PrimitiveDef {
-    /// Fixed latency in cycles, if the primitive declares one.
+    /// Fixed latency in cycles, if the primitive has one: derived from the
+    /// kind, or what an `extern` declares.
     pub fn static_latency(&self) -> Option<u64> {
-        self.attributes.get(attr::static_())
+        match self.kind {
+            Some(kind) => kind.static_latency(),
+            None => self.attributes.get(attr::static_()),
+        }
+    }
+
+    /// True when the primitive is purely combinational.
+    pub fn is_comb(&self) -> bool {
+        self.kind.is_some_and(PrimKind::is_comb)
     }
 
     /// True when marked shareable for resource sharing.
@@ -106,10 +179,13 @@ impl PrimitiveDef {
     }
 }
 
-/// The collection of known primitives (plus `extern` black-box components).
+/// The collection of known primitives: the std table plus the program's
+/// `extern` black boxes.
 #[derive(Debug, Clone)]
 pub struct Library {
     prims: HashMap<Id, PrimitiveDef>,
+    /// The `extern` rows, in declaration order.
+    externs: Vec<Id>,
 }
 
 impl Default for Library {
@@ -118,230 +194,175 @@ impl Default for Library {
     }
 }
 
-/// Shorthand used by [`Library::std`] below.
-struct Sig(&'static str, &'static [&'static str]);
+/// The std table, built once per process.
+fn std_table() -> &'static Library {
+    static STD: OnceLock<Library> = OnceLock::new();
+    STD.get_or_init(|| {
+        use CombOp::*;
+        use PrimKind::{Comb, Mem, Reg, Unit};
+        let mut lib = Library {
+            prims: HashMap::new(),
+            externs: Vec::new(),
+        };
+        // Name, kind, and whether resource sharing may share instances.
+        for (name, kind, share) in [
+            ("std_reg", Reg, false),
+            ("std_wire", Comb(Wire), false),
+            ("std_add", Comb(Add), true),
+            ("std_sub", Comb(Sub), true),
+            ("std_and", Comb(And), true),
+            ("std_or", Comb(Or), true),
+            ("std_xor", Comb(Xor), true),
+            ("std_lsh", Comb(Lsh), true),
+            ("std_rsh", Comb(Rsh), true),
+            ("std_not", Comb(Not), true),
+            ("std_lt", Comb(Lt), true),
+            ("std_gt", Comb(Gt), true),
+            ("std_eq", Comb(Eq), true),
+            ("std_neq", Comb(Neq), true),
+            ("std_ge", Comb(Ge), true),
+            ("std_le", Comb(Le), true),
+            ("std_slt", Comb(Slt), true),
+            ("std_sgt", Comb(Sgt), true),
+            ("std_slice", Comb(Slice), true),
+            ("std_pad", Comb(Pad), true),
+            ("std_mult_pipe", Unit(UnitOp::Mult), true),
+            ("std_div_pipe", Unit(UnitOp::Div), true),
+            ("std_sqrt", Unit(UnitOp::Sqrt), false),
+            ("std_mem_d1", Mem { dims: 1 }, false),
+            ("std_mem_d2", Mem { dims: 2 }, false),
+            ("std_mem_d3", Mem { dims: 3 }, false),
+        ] {
+            let mut attributes = Attributes::new();
+            if share {
+                attributes.insert(attr::share(), 1);
+            }
+            let (params, ports) = interface(kind);
+            let def = PrimitiveDef {
+                name: Id::new(name),
+                params,
+                ports,
+                attributes,
+                kind: Some(kind),
+                file: None,
+            };
+            lib.prims.insert(def.name, def);
+        }
+        lib
+    })
+}
+
+/// The parameters and ports of a std primitive of `kind`: the port names
+/// the behavioural model, the template and the area cost rely on.
+fn interface(kind: PrimKind) -> (Vec<Id>, Vec<PrimitivePort>) {
+    use CombOp::*;
+    use Direction::{Input, Output};
+    let param = |name: &str| WidthSpec::Param(Id::new(name));
+    let (w, one) = (param("WIDTH"), WidthSpec::Const(1));
+    let mut params = vec![Id::new("WIDTH")];
+    let ports = match kind {
+        PrimKind::Comb(Add | Sub | And | Or | Xor | Lsh | Rsh) => {
+            vec![("left", w, Input), ("right", w, Input), ("out", w, Output)]
+        }
+        PrimKind::Comb(Lt | Gt | Eq | Neq | Ge | Le | Slt | Sgt) => {
+            vec![
+                ("left", w, Input),
+                ("right", w, Input),
+                ("out", one, Output),
+            ]
+        }
+        PrimKind::Comb(Not | Wire) => vec![("in", w, Input), ("out", w, Output)],
+        // Width adaptation: truncation and zero-extension.
+        PrimKind::Comb(Slice | Pad) => {
+            params = vec![Id::new("IN_WIDTH"), Id::new("OUT_WIDTH")];
+            vec![
+                ("in", param("IN_WIDTH"), Input),
+                ("out", param("OUT_WIDTH"), Output),
+            ]
+        }
+        PrimKind::Reg => vec![
+            ("in", w, Input),
+            ("write_en", one, Input),
+            ("out", w, Output),
+            ("done", one, Output),
+        ],
+        PrimKind::Unit(UnitOp::Mult) => vec![
+            ("left", w, Input),
+            ("right", w, Input),
+            ("go", one, Input),
+            ("out", w, Output),
+            ("done", one, Output),
+        ],
+        PrimKind::Unit(UnitOp::Div) => vec![
+            ("left", w, Input),
+            ("right", w, Input),
+            ("go", one, Input),
+            ("out_quotient", w, Output),
+            ("out_remainder", w, Output),
+            ("done", one, Output),
+        ],
+        PrimKind::Unit(UnitOp::Sqrt) => vec![
+            ("in", w, Input),
+            ("go", one, Input),
+            ("out", w, Output),
+            ("done", one, Output),
+        ],
+        PrimKind::Mem { dims } => {
+            // A 1-d memory's sizes are `SIZE`/`IDX_SIZE`; deeper ones
+            // number them per dimension.
+            let dim = |i: usize, what: &str| match dims {
+                1 => what.to_string(),
+                _ => format!("D{i}_{what}"),
+            };
+            params.extend((0..dims).map(|i| Id::new(dim(i, "SIZE"))));
+            params.extend((0..dims).map(|i| Id::new(dim(i, "IDX_SIZE"))));
+            let mut ports: Vec<PrimitivePort> = (0..dims)
+                .map(|i| PrimitivePort {
+                    name: Id::new(format!("addr{i}")),
+                    width: WidthSpec::Param(Id::new(dim(i, "IDX_SIZE"))),
+                    direction: Input,
+                })
+                .collect();
+            ports.extend(primitive_ports(vec![
+                ("write_data", w, Input),
+                ("write_en", one, Input),
+                ("read_data", w, Output),
+                ("done", one, Output),
+            ]));
+            return (params, ports);
+        }
+    };
+    (params, primitive_ports(ports))
+}
+
+fn primitive_ports(ports: Vec<(&str, WidthSpec, Direction)>) -> Vec<PrimitivePort> {
+    ports
+        .into_iter()
+        .map(|(name, width, direction)| PrimitivePort {
+            name: Id::new(name),
+            width,
+            direction,
+        })
+        .collect()
+}
 
 impl Library {
-    /// An empty library (no primitives). Useful for tests that define their
-    /// own.
-    pub fn empty() -> Self {
-        Library {
-            prims: HashMap::new(),
-        }
-    }
-
     /// The standard library every [`Context`](super::Context) starts with.
     pub fn std() -> Self {
-        use Direction::{Input, Output};
-        let mut lib = Library::empty();
-
-        let w = WidthSpec::Param(Id::new("WIDTH"));
-        let one = WidthSpec::Const(1);
-
-        // Registers: in, write_en -> out, done. `done` is registered.
-        lib.define(
-            Sig("std_reg", &["WIDTH"]),
-            vec![
-                ("in", w, Input),
-                ("write_en", one, Input),
-                ("out", w, Output),
-                ("done", one, Output),
-            ],
-            Attributes::new().with(attr::static_(), 1),
-            false,
-        );
-
-        // A named wire; useful for fan-out control and port adaptation.
-        lib.define(
-            Sig("std_wire", &["WIDTH"]),
-            vec![("in", w, Input), ("out", w, Output)],
-            Attributes::new(),
-            true,
-        );
-
-        // Combinational binary arithmetic/logic: left, right -> out.
-        for name in [
-            "std_add", "std_sub", "std_and", "std_or", "std_xor", "std_lsh", "std_rsh",
-        ] {
-            lib.define(
-                Sig(name, &["WIDTH"]),
-                vec![("left", w, Input), ("right", w, Input), ("out", w, Output)],
-                Attributes::new().with(attr::share(), 1),
-                true,
-            );
-        }
-
-        // Bitwise negation.
-        lib.define(
-            Sig("std_not", &["WIDTH"]),
-            vec![("in", w, Input), ("out", w, Output)],
-            Attributes::new().with(attr::share(), 1),
-            true,
-        );
-
-        // Comparisons: left, right -> out (1 bit). Both unsigned and signed
-        // views are provided; the signed ones interpret operands as two's
-        // complement at the declared width.
-        for name in [
-            "std_lt", "std_gt", "std_eq", "std_neq", "std_ge", "std_le", "std_slt", "std_sgt",
-        ] {
-            lib.define(
-                Sig(name, &["WIDTH"]),
-                vec![
-                    ("left", w, Input),
-                    ("right", w, Input),
-                    ("out", one, Output),
-                ],
-                Attributes::new().with(attr::share(), 1),
-                true,
-            );
-        }
-
-        // Width adaptation: truncation and zero-extension.
-        let iw = WidthSpec::Param(Id::new("IN_WIDTH"));
-        let ow = WidthSpec::Param(Id::new("OUT_WIDTH"));
-        for name in ["std_slice", "std_pad"] {
-            lib.define(
-                Sig(name, &["IN_WIDTH", "OUT_WIDTH"]),
-                vec![("in", iw, Input), ("out", ow, Output)],
-                Attributes::new().with(attr::share(), 1),
-                true,
-            );
-        }
-
-        // Pipelined multiplier/divider: 4-cycle latency, go/done interface.
-        lib.define(
-            Sig("std_mult_pipe", &["WIDTH"]),
-            vec![
-                ("left", w, Input),
-                ("right", w, Input),
-                ("go", one, Input),
-                ("out", w, Output),
-                ("done", one, Output),
-            ],
-            Attributes::new()
-                .with(attr::static_(), 4)
-                .with(attr::share(), 1),
-            false,
-        );
-        lib.define(
-            Sig("std_div_pipe", &["WIDTH"]),
-            vec![
-                ("left", w, Input),
-                ("right", w, Input),
-                ("go", one, Input),
-                ("out_quotient", w, Output),
-                ("out_remainder", w, Output),
-                ("done", one, Output),
-            ],
-            Attributes::new()
-                .with(attr::static_(), 4)
-                .with(attr::share(), 1),
-            false,
-        );
-
-        // Integer square root with data-dependent latency (the paper's
-        // black-box `sqrt.sv` example; exercises latency-insensitive code).
-        lib.define(
-            Sig("std_sqrt", &["WIDTH"]),
-            vec![
-                ("in", w, Input),
-                ("go", one, Input),
-                ("out", w, Output),
-                ("done", one, Output),
-            ],
-            Attributes::new(),
-            false,
-        );
-
-        // Memories. Reads are combinational on the address ports; writes
-        // commit on the clock edge with a registered `done`.
-        let size = |n: &str| WidthSpec::Param(Id::new(n));
-        lib.define_mem(
-            "std_mem_d1",
-            &["WIDTH", "SIZE", "IDX_SIZE"],
-            vec![("addr0", size("IDX_SIZE"))],
-        );
-        lib.define_mem(
-            "std_mem_d2",
-            &["WIDTH", "D0_SIZE", "D1_SIZE", "D0_IDX_SIZE", "D1_IDX_SIZE"],
-            vec![
-                ("addr0", size("D0_IDX_SIZE")),
-                ("addr1", size("D1_IDX_SIZE")),
-            ],
-        );
-        lib.define_mem(
-            "std_mem_d3",
-            &[
-                "WIDTH",
-                "D0_SIZE",
-                "D1_SIZE",
-                "D2_SIZE",
-                "D0_IDX_SIZE",
-                "D1_IDX_SIZE",
-                "D2_IDX_SIZE",
-            ],
-            vec![
-                ("addr0", size("D0_IDX_SIZE")),
-                ("addr1", size("D1_IDX_SIZE")),
-                ("addr2", size("D2_IDX_SIZE")),
-            ],
-        );
-        lib
+        std_table().clone()
     }
 
-    fn define(
-        &mut self,
-        sig: Sig,
-        ports: Vec<(&str, WidthSpec, Direction)>,
-        attributes: Attributes,
-        is_comb: bool,
-    ) {
-        let def = PrimitiveDef {
-            name: Id::new(sig.0),
-            params: sig.1.iter().map(Id::new).collect(),
-            ports: ports
-                .into_iter()
-                .map(|(n, w, d)| PrimitivePort {
-                    name: Id::new(n),
-                    width: w,
-                    direction: d,
-                })
-                .collect(),
-            attributes,
-            is_comb,
-        };
+    /// Declare an `extern` black box. The name must be free: the parser
+    /// refuses an `extern` that names a std primitive or an earlier one.
+    pub fn add(&mut self, def: PrimitiveDef) {
+        debug_assert!(!self.prims.contains_key(&def.name), "{}", def.name);
+        self.externs.push(def.name);
         self.prims.insert(def.name, def);
     }
 
-    fn define_mem(
-        &mut self,
-        name: &'static str,
-        params: &'static [&'static str],
-        addrs: Vec<(&str, WidthSpec)>,
-    ) {
-        use Direction::{Input, Output};
-        let w = WidthSpec::Param(Id::new("WIDTH"));
-        let one = WidthSpec::Const(1);
-        let mut ports: Vec<(&str, WidthSpec, Direction)> = addrs
-            .into_iter()
-            .map(|(n, spec)| (n, spec, Input))
-            .collect();
-        ports.push(("write_data", w, Input));
-        ports.push(("write_en", one, Input));
-        ports.push(("read_data", w, Output));
-        ports.push(("done", one, Output));
-        self.define(
-            Sig(name, params),
-            ports,
-            Attributes::new().with(attr::static_(), 1),
-            false,
-        );
-    }
-
-    /// Register an additional primitive (used for `extern` declarations).
-    pub fn add(&mut self, def: PrimitiveDef) -> Option<PrimitiveDef> {
-        self.prims.insert(def.name, def)
+    /// The `extern` rows, in declaration order.
+    pub fn externs(&self) -> impl Iterator<Item = &PrimitiveDef> {
+        self.externs.iter().map(|name| &self.prims[name])
     }
 
     /// The name of every primitive in the library, in name order.
@@ -409,35 +430,44 @@ mod tests {
         assert_eq!(by_name("addr0").width, 2);
         assert_eq!(by_name("addr1").width, 3);
         assert_eq!(by_name("read_data").width, 32);
+        let names = |def: &PrimitiveDef| def.params.iter().map(|p| p.as_str()).collect::<Vec<_>>();
+        assert_eq!(
+            names(mem),
+            ["WIDTH", "D0_SIZE", "D1_SIZE", "D0_IDX_SIZE", "D1_IDX_SIZE"]
+        );
+        let d1 = lib.expect(Id::new("std_mem_d1")).unwrap();
+        assert_eq!(names(d1), ["WIDTH", "SIZE", "IDX_SIZE"]);
     }
 
     #[test]
     fn latency_and_share_attributes() {
         let lib = Library::std();
-        assert_eq!(
-            lib.expect(Id::new("std_reg")).unwrap().static_latency(),
-            Some(1)
-        );
-        assert_eq!(
-            lib.expect(Id::new("std_mult_pipe"))
-                .unwrap()
-                .static_latency(),
-            Some(4)
-        );
-        assert!(lib.expect(Id::new("std_add")).unwrap().is_shareable());
-        assert!(!lib.expect(Id::new("std_reg")).unwrap().is_shareable());
-        assert!(lib
-            .expect(Id::new("std_sqrt"))
-            .unwrap()
-            .static_latency()
-            .is_none());
+        let def = |name: &str| lib.expect(Id::new(name)).unwrap();
+        assert_eq!(def("std_reg").static_latency(), Some(1));
+        assert_eq!(def("std_mem_d3").static_latency(), Some(1));
+        assert_eq!(def("std_mult_pipe").static_latency(), Some(4));
+        assert!(def("std_sqrt").static_latency().is_none());
+        assert!(def("std_add").static_latency().is_none());
+        assert!(def("std_add").is_shareable());
+        assert!(!def("std_reg").is_shareable());
     }
 
     #[test]
     fn combinational_marking() {
         let lib = Library::std();
-        assert!(lib.expect(Id::new("std_add")).unwrap().is_comb);
-        assert!(!lib.expect(Id::new("std_reg")).unwrap().is_comb);
-        assert!(!lib.expect(Id::new("std_mem_d1")).unwrap().is_comb);
+        let def = |name: &str| lib.expect(Id::new(name)).unwrap();
+        assert!(def("std_add").is_comb());
+        assert!(!def("std_reg").is_comb());
+        assert!(!def("std_mem_d1").is_comb());
+    }
+
+    #[test]
+    fn kinds_resolve_through_the_std_table() {
+        assert_eq!(PrimKind::of(Id::new("std_reg")), Some(PrimKind::Reg));
+        assert_eq!(
+            PrimKind::of(Id::new("std_mem_d2")),
+            Some(PrimKind::Mem { dims: 2 })
+        );
+        assert_eq!(PrimKind::of(Id::new("my_unit")), None);
     }
 }

@@ -7,7 +7,8 @@
 
 use super::cell::Group;
 use super::{
-    attr, Assignment, Attributes, Cell, CellType, Component, Context, Control, Direction, PortDef,
+    attr, Assignment, Attributes, Cell, CellType, Component, Context, Control, Direction, Id,
+    Library, WidthSpec,
 };
 use std::fmt::Write;
 
@@ -16,9 +17,9 @@ use std::fmt::Write;
 pub struct Printer;
 
 impl Printer {
-    /// Print an entire program.
+    /// Print an entire program: its `extern` blocks, then its components.
     pub fn print_context(ctx: &Context) -> String {
-        let mut out = String::new();
+        let mut out = Self::print_externs(&ctx.lib);
         for comp in ctx.components.iter() {
             out.push_str(&Self::print_component(comp));
             out.push('\n');
@@ -26,33 +27,67 @@ impl Printer {
         out
     }
 
+    /// Print the `extern` rows of `lib` in declaration order, one block
+    /// per run of rows that name the same file.
+    pub fn print_externs(lib: &Library) -> String {
+        let mut s = String::new();
+        let mut open: Option<&str> = None;
+        for def in lib.externs() {
+            let file = def.file.as_deref().unwrap_or_default();
+            if open != Some(file) {
+                if open.is_some() {
+                    s.push_str("}\n\n");
+                }
+                let _ = writeln!(s, "extern \"{file}\" {{");
+                open = Some(file);
+            }
+            let ports = |direction| {
+                fmt_ports(
+                    def.ports
+                        .iter()
+                        .filter(|p| p.direction == direction)
+                        .map(|p| {
+                            let width = match p.width {
+                                WidthSpec::Const(w) => w.to_string(),
+                                WidthSpec::Param(name) => name.to_string(),
+                            };
+                            (p.name, width)
+                        }),
+                )
+            };
+            let _ = writeln!(
+                s,
+                "  component {}{}({}) -> ({});",
+                def.name,
+                fmt_attributes_angle(&def.attributes),
+                ports(Direction::Input),
+                ports(Direction::Output)
+            );
+        }
+        if open.is_some() {
+            s.push_str("}\n\n");
+        }
+        s
+    }
+
     /// Print one component.
     pub fn print_component(comp: &Component) -> String {
         let mut s = String::new();
         let _ = write!(s, "component {}", comp.name);
         let _ = write!(s, "{}", fmt_attributes_angle(&comp.attributes));
-        let inputs: Vec<&PortDef> = comp
-            .signature
-            .iter()
-            .filter(|p| p.direction == Direction::Input && !p.attributes.has(attr::interface()))
-            .collect();
-        let outputs: Vec<&PortDef> = comp
-            .signature
-            .iter()
-            .filter(|p| p.direction == Direction::Output && !p.attributes.has(attr::interface()))
-            .collect();
-        let fmt_ports = |ports: &[&PortDef]| {
-            ports
-                .iter()
-                .map(|p| format!("{}: {}", p.name, p.width))
-                .collect::<Vec<_>>()
-                .join(", ")
+        let ports = |direction| {
+            fmt_ports(
+                comp.signature
+                    .iter()
+                    .filter(|p| p.direction == direction && !p.attributes.has(attr::interface()))
+                    .map(|p| (p.name, p.width)),
+            )
         };
         let _ = writeln!(
             s,
             "({}) -> ({}) {{",
-            fmt_ports(&inputs),
-            fmt_ports(&outputs)
+            ports(Direction::Input),
+            ports(Direction::Output)
         );
 
         let _ = writeln!(s, "  cells {{");
@@ -197,6 +232,14 @@ impl Printer {
             }
         }
     }
+}
+
+/// Format a signature's ports: `name: width, ...`.
+fn fmt_ports<W: std::fmt::Display>(ports: impl Iterator<Item = (Id, W)>) -> String {
+    ports
+        .map(|(name, width)| format!("{name}: {width}"))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Format attributes in angle-bracket style: `<"static"=1, "share"=1>`.

@@ -26,6 +26,8 @@
 //!   position-carrying diagnostics and a registry of read-only lints
 //!   (par-race detection, combinational cycles, dead code, …) that reuse
 //!   the cached analyses.
+//! - [`prim`]: what the primitive operators compute, shared by the
+//!   simulator and constant folding.
 //!
 //! # Example
 //!
@@ -66,4 +68,5 @@ pub mod errors;
 pub mod ir;
 pub mod lint;
 pub mod passes;
+pub mod prim;
 pub mod utils;

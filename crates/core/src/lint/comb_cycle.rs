@@ -52,7 +52,7 @@ type Graph = BTreeMap<PortRef, BTreeSet<PortRef>>;
 
 fn is_comb_cell(ctx: &Context, cell: &Cell) -> bool {
     match &cell.prototype {
-        CellType::Primitive { name, .. } => ctx.lib.get(*name).is_some_and(|p| p.is_comb),
+        CellType::Primitive { name, .. } => ctx.lib.get(*name).is_some_and(|p| p.is_comb()),
         // Component instances have a registered `done` and never settle
         // combinationally; treat them as sequential.
         CellType::Component { .. } => false,

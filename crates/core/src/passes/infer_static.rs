@@ -109,7 +109,7 @@ fn activation_port(cell: &Cell) -> &'static str {
 /// Is this cell stateful (has an activation interface)?
 fn is_stateful(ctx: &Context, cell: &Cell) -> bool {
     match &cell.prototype {
-        CellType::Primitive { name, .. } => ctx.lib.get(*name).is_some_and(|d| !d.is_comb),
+        CellType::Primitive { name, .. } => ctx.lib.get(*name).is_some_and(|d| !d.is_comb()),
         CellType::Component { .. } => true,
     }
 }

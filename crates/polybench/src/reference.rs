@@ -38,12 +38,12 @@ pub fn rem(a: u64, b: u64) -> u64 {
 
 /// Integer square root matching `std_sqrt`.
 pub fn sqrt(v: u64) -> u64 {
-    calyx_sim_isqrt(v)
+    local_isqrt(v)
 }
 
-// A local copy of `calyx_sim::prim::isqrt`: the reference must not call
+// A local copy of `calyx_core::prim::isqrt`: the reference must not call
 // the code it checks. `sqrt_agrees_with_the_simulator` holds the two equal.
-fn calyx_sim_isqrt(v: u64) -> u64 {
+fn local_isqrt(v: u64) -> u64 {
     if v == 0 {
         return 0;
     }
@@ -100,7 +100,7 @@ mod tests {
                 .flat_map(|k| [k * k - 1, k * k, k * k + 1])
         });
         for v in (0..1u64 << 16).chain(squares) {
-            assert_eq!(sqrt(v), calyx_sim::prim::isqrt(v), "sqrt({v})");
+            assert_eq!(sqrt(v), calyx_core::prim::isqrt(v), "sqrt({v})");
         }
     }
 }

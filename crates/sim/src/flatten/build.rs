@@ -27,10 +27,12 @@ use super::{
     FlatGroup, FlatGuard, FlatProgram, Graph, Node, PortData,
 };
 use crate::error::{SimError, SimResult};
-use crate::prim::{CombOp, PrimState, UnitOp};
+use crate::prim::PrimState;
 use calyx_core::ir::{
     Atom, CellType, Context, Control, Direction, Guard, GuardMemo, Id, PortParent, PortRef,
+    PrimKind,
 };
+use calyx_core::prim::UnitOp;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -45,39 +47,44 @@ trait PortResolver {
 /// Build the behavioral model of one primitive instance. Shared between
 /// both flattening modes; only port-name resolution differs.
 fn instantiate_primitive<R: PortResolver>(
-    prim: &str,
+    prim: Id,
     params: &[u64],
     r: &mut R,
 ) -> SimResult<(FlatCellKind, PrimState)> {
+    let Some(kind) = PrimKind::of(prim) else {
+        return Err(SimError::Elaboration(format!(
+            "primitive `{prim}` has no behavioral model"
+        )));
+    };
     let width = params.first().copied().unwrap_or(1) as u32;
-    if let Some(op) = CombOp::from_name(prim) {
-        let (left, right) = if op.is_binary() {
-            (r.port("left")?, Some(r.port("right")?))
-        } else {
-            (r.port("in")?, None)
-        };
-        let out = r.port("out")?;
-        let out_width = r.width(out);
-        // Combinational primitives carry no state; a zero-width register
-        // placeholder keeps the state arena index-aligned with cells.
-        return Ok((
-            FlatCellKind::Comb {
-                op,
-                left,
-                right,
-                out,
-                in_width: width,
-                out_width,
-            },
-            PrimState::Reg {
-                val: 0,
-                done: false,
-                width: 0,
-            },
-        ));
-    }
-    match prim {
-        "std_reg" => Ok((
+    Ok(match kind {
+        PrimKind::Comb(op) => {
+            let (left, right) = if op.is_binary() {
+                (r.port("left")?, Some(r.port("right")?))
+            } else {
+                (r.port("in")?, None)
+            };
+            let out = r.port("out")?;
+            let out_width = r.width(out);
+            // Combinational primitives carry no state; a zero-width register
+            // placeholder keeps the state arena index-aligned with cells.
+            (
+                FlatCellKind::Comb {
+                    op,
+                    left,
+                    right,
+                    out,
+                    in_width: width,
+                    out_width,
+                },
+                PrimState::Reg {
+                    val: 0,
+                    done: false,
+                    width: 0,
+                },
+            )
+        }
+        PrimKind::Reg => (
             FlatCellKind::Reg {
                 input: r.port("in")?,
                 write_en: r.port("write_en")?,
@@ -89,19 +96,14 @@ fn instantiate_primitive<R: PortResolver>(
                 done: false,
                 width,
             },
-        )),
-        "std_mem_d1" | "std_mem_d2" | "std_mem_d3" => {
-            let ndims = match prim {
-                "std_mem_d1" => 1,
-                "std_mem_d2" => 2,
-                _ => 3,
-            };
-            let dims: Vec<u64> = params[1..=ndims].to_vec();
-            let size: u64 = dims.iter().product();
-            let addrs = (0..ndims)
+        ),
+        PrimKind::Mem { dims } => {
+            let sizes: Vec<u64> = params[1..=dims].to_vec();
+            let size: u64 = sizes.iter().product();
+            let addrs = (0..dims)
                 .map(|i| r.port(&format!("addr{i}")))
                 .collect::<SimResult<Vec<_>>>()?;
-            Ok((
+            (
                 FlatCellKind::Mem {
                     addrs,
                     write_data: r.port("write_data")?,
@@ -111,34 +113,27 @@ fn instantiate_primitive<R: PortResolver>(
                 },
                 PrimState::Mem {
                     data: vec![0; size as usize],
-                    dims,
+                    dims: sizes,
                     done: false,
                     width,
                 },
-            ))
+            )
         }
-        "std_mult_pipe" | "std_div_pipe" | "std_sqrt" => {
-            let (op, left, right, out, out2) = match prim {
-                "std_mult_pipe" => (
-                    UnitOp::Mult,
-                    r.port("left")?,
-                    r.port("right")?,
-                    r.port("out")?,
-                    None,
-                ),
-                "std_div_pipe" => (
-                    UnitOp::Div,
+        PrimKind::Unit(op) => {
+            let (left, right, out, out2) = match op {
+                UnitOp::Mult => (r.port("left")?, r.port("right")?, r.port("out")?, None),
+                UnitOp::Div => (
                     r.port("left")?,
                     r.port("right")?,
                     r.port("out_quotient")?,
                     Some(r.port("out_remainder")?),
                 ),
-                _ => {
+                UnitOp::Sqrt => {
                     let input = r.port("in")?;
-                    (UnitOp::Sqrt, input, input, r.port("out")?, None)
+                    (input, input, r.port("out")?, None)
                 }
             };
-            Ok((
+            (
                 FlatCellKind::Unit {
                     left,
                     right,
@@ -156,12 +151,9 @@ fn instantiate_primitive<R: PortResolver>(
                     done: false,
                     width,
                 },
-            ))
+            )
         }
-        other => Err(SimError::Elaboration(format!(
-            "primitive `{other}` has no behavioral model"
-        ))),
-    }
+    })
 }
 
 /// Flatten an atom, resolving a port through `resolve`.
@@ -545,7 +537,7 @@ pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
                         cell: cell.name,
                         width,
                     };
-                    instantiate_primitive(name.as_str(), params, &mut r)?
+                    instantiate_primitive(*name, params, &mut r)?
                 };
                 f.held.extend(held_outputs(&kind).into_iter().flatten());
                 let ci = f.prog.cells.push(FlatCell {
@@ -717,7 +709,7 @@ impl DesignFlattener<'_> {
                             map: &map,
                             prim: prim_name.as_str(),
                         };
-                        instantiate_primitive(prim_name.as_str(), params, &mut r)?
+                        instantiate_primitive(*prim_name, params, &mut r)?
                     };
                     let ci = self.prog.cells.push(FlatCell {
                         path: path.clone(),

@@ -35,7 +35,8 @@
 
 use super::{CellIdx, FlatCell, FlatCellKind, FlatIdx, FlatProgram, PortIdx};
 use crate::error::{SimError, SimResult};
-use crate::prim::{mask, PrimState};
+use crate::prim::PrimState;
+use calyx_core::prim::mask;
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,7 +267,7 @@ impl FlatProgram {
     }
 
     /// The value held by register `ci`; `None` when `ci` is not a
-    /// `std_reg` (combinational cells carry a placeholder register state,
+    /// register (combinational cells carry a placeholder register state,
     /// so the cell kind is checked too).
     pub fn register_value(&self, ci: CellIdx) -> Option<u64> {
         let is_reg = matches!(self.cells[ci].kind, FlatCellKind::Reg { .. });

@@ -112,8 +112,9 @@ pub use machine::RunStats;
 pub use settle::{DriverRule, Wires};
 
 use crate::error::{SimError, SimResult};
-use crate::prim::{CombOp, PrimState};
+use crate::prim::PrimState;
 use calyx_core::ir::{CompOp, Id};
+use calyx_core::prim::CombOp;
 use std::collections::HashMap;
 
 /// A flattened atom: a port slot or a literal.
@@ -176,7 +177,7 @@ pub struct PortData {
 /// How a primitive instance connects to the port arena.
 #[derive(Debug, Clone)]
 pub enum FlatCellKind {
-    /// A combinational operator.
+    /// A [`PrimKind::Comb`](calyx_core::ir::PrimKind::Comb) operator.
     Comb {
         /// The operation.
         op: CombOp,
@@ -191,7 +192,7 @@ pub enum FlatCellKind {
         /// Declared output width.
         out_width: u32,
     },
-    /// A `std_reg`.
+    /// A [`PrimKind::Reg`](calyx_core::ir::PrimKind::Reg).
     Reg {
         /// Data input.
         input: PortIdx,
@@ -202,7 +203,7 @@ pub enum FlatCellKind {
         /// One-cycle done pulse.
         done: PortIdx,
     },
-    /// A `std_mem_d1`/`d2`/`d3`.
+    /// A [`PrimKind::Mem`](calyx_core::ir::PrimKind::Mem).
     Mem {
         /// Address ports, one per dimension.
         addrs: Vec<PortIdx>,
@@ -215,12 +216,11 @@ pub enum FlatCellKind {
         /// One-cycle done pulse.
         done: PortIdx,
     },
-    /// A latency-sensitive unit (`std_mult_pipe`, `std_div_pipe`,
-    /// `std_sqrt`).
+    /// A [`PrimKind::Unit`](calyx_core::ir::PrimKind::Unit).
     Unit {
-        /// Left operand (aliases the sole input for `std_sqrt`).
+        /// Left operand (aliases a one-operand unit's sole input).
         left: PortIdx,
-        /// Right operand (aliases the sole input for `std_sqrt`).
+        /// Right operand (aliases a one-operand unit's sole input).
         right: PortIdx,
         /// Start signal.
         go: PortIdx,

@@ -1,138 +1,16 @@
-//! Behavioral models of the standard primitives.
-//!
-//! The timing contract matches the library definitions in
-//! `calyx_core::ir::primitives` and the emitted SystemVerilog:
-//!
-//! - registers/memories commit on the clock edge, with a *registered*
-//!   `done` (high for the one cycle after `write_en`);
-//! - `std_mult_pipe`/`std_div_pipe` raise `done` exactly `L = 4` cycles
-//!   after `go` is first sampled, holding `out` stable afterwards;
-//! - `std_sqrt` is the same shape with a *data-dependent* latency
-//!   (half the significant bits of the operand, plus two);
-//! - everything else is combinational.
+//! Behavioral models of the stateful primitives: the state a register,
+//! memory or unit keeps between clock edges, and how an edge changes it.
+//! They keep the timing contract of the primitive table
+//! ([`PrimKind`](calyx_core::ir::PrimKind)); combinational operators are
+//! [`CombOp::eval`](calyx_core::prim::CombOp::eval) and carry no state.
 
 use crate::error::{SimError, SimResult};
-
-/// Mask `val` to `width` bits.
-pub fn mask(val: u64, width: u32) -> u64 {
-    if width >= 64 {
-        val
-    } else {
-        val & ((1u64 << width) - 1)
-    }
-}
-
-/// Sign-extend a `width`-bit value to i64.
-pub fn to_signed(val: u64, width: u32) -> i64 {
-    if width == 0 || width >= 64 {
-        return val as i64;
-    }
-    let shift = 64 - width;
-    ((val << shift) as i64) >> shift
-}
-
-/// Combinational operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Not,
-    Lsh,
-    Rsh,
-    Lt,
-    Gt,
-    Eq,
-    Neq,
-    Ge,
-    Le,
-    Slt,
-    Sgt,
-    Slice,
-    Pad,
-    Wire,
-}
-
-impl CombOp {
-    /// Parse a primitive name into its operator.
-    pub fn from_name(name: &str) -> Option<CombOp> {
-        Some(match name {
-            "std_add" => CombOp::Add,
-            "std_sub" => CombOp::Sub,
-            "std_and" => CombOp::And,
-            "std_or" => CombOp::Or,
-            "std_xor" => CombOp::Xor,
-            "std_not" => CombOp::Not,
-            "std_lsh" => CombOp::Lsh,
-            "std_rsh" => CombOp::Rsh,
-            "std_lt" => CombOp::Lt,
-            "std_gt" => CombOp::Gt,
-            "std_eq" => CombOp::Eq,
-            "std_neq" => CombOp::Neq,
-            "std_ge" => CombOp::Ge,
-            "std_le" => CombOp::Le,
-            "std_slt" => CombOp::Slt,
-            "std_sgt" => CombOp::Sgt,
-            "std_slice" => CombOp::Slice,
-            "std_pad" => CombOp::Pad,
-            "std_wire" => CombOp::Wire,
-            _ => return None,
-        })
-    }
-
-    /// Is this a two-operand operator (`left`/`right` rather than `in`)?
-    pub fn is_binary(self) -> bool {
-        !matches!(
-            self,
-            CombOp::Not | CombOp::Slice | CombOp::Pad | CombOp::Wire
-        )
-    }
-
-    /// Evaluate with operand width `w` and output width `ow`.
-    pub fn eval(self, l: u64, r: u64, w: u32, ow: u32) -> u64 {
-        let b = |cond: bool| u64::from(cond);
-        match self {
-            CombOp::Add => mask(l.wrapping_add(r), w),
-            CombOp::Sub => mask(l.wrapping_sub(r), w),
-            CombOp::And => l & r,
-            CombOp::Or => l | r,
-            CombOp::Xor => l ^ r,
-            CombOp::Not => mask(!l, w),
-            CombOp::Lsh => {
-                if r >= u64::from(w) {
-                    0
-                } else {
-                    mask(l << r, w)
-                }
-            }
-            CombOp::Rsh => {
-                if r >= u64::from(w) {
-                    0
-                } else {
-                    l >> r
-                }
-            }
-            CombOp::Lt => b(l < r),
-            CombOp::Gt => b(l > r),
-            CombOp::Eq => b(l == r),
-            CombOp::Neq => b(l != r),
-            CombOp::Ge => b(l >= r),
-            CombOp::Le => b(l <= r),
-            CombOp::Slt => b(to_signed(l, w) < to_signed(r, w)),
-            CombOp::Sgt => b(to_signed(l, w) > to_signed(r, w)),
-            CombOp::Slice => mask(l, ow),
-            CombOp::Pad => l,
-            CombOp::Wire => l,
-        }
-    }
-}
+use calyx_core::prim::{mask, UnitOp};
 
 /// State of a stateful primitive instance.
 #[derive(Debug, Clone)]
 pub enum PrimState {
-    /// `std_reg`.
+    /// A register.
     Reg {
         /// Stored value.
         val: u64,
@@ -141,7 +19,7 @@ pub enum PrimState {
         /// Bit width.
         width: u32,
     },
-    /// `std_mem_d1`/`d2`/`d3`.
+    /// A memory.
     Mem {
         /// Flat storage, row-major.
         data: Vec<u64>,
@@ -152,8 +30,7 @@ pub enum PrimState {
         /// Element width.
         width: u32,
     },
-    /// `std_mult_pipe` / `std_div_pipe` / `std_sqrt`: a unit with a
-    /// go/done handshake and an internal countdown.
+    /// A unit with a go/done handshake and an internal countdown.
     Unit {
         /// Which operation to perform on completion.
         op: UnitOp,
@@ -170,60 +47,6 @@ pub enum PrimState {
         /// Operand width.
         width: u32,
     },
-}
-
-/// The operation a [`PrimState::Unit`] performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitOp {
-    /// 4-cycle pipelined multiply.
-    Mult,
-    /// 4-cycle pipelined divide (quotient + remainder).
-    Div,
-    /// Data-dependent-latency integer square root.
-    Sqrt,
-}
-
-impl UnitOp {
-    /// Latency from `go` to `done` for the latched operands.
-    pub fn latency(self, operand: u64) -> u32 {
-        match self {
-            UnitOp::Mult | UnitOp::Div => 4,
-            // Data-dependent: half the significant bits, plus two. A zero
-            // operand still takes two cycles.
-            UnitOp::Sqrt => 2 + (64 - operand.leading_zeros()) / 2,
-        }
-    }
-
-    /// Compute `(out, out2)` from the latched operands.
-    pub fn compute(self, l: u64, r: u64, width: u32) -> (u64, u64) {
-        match self {
-            UnitOp::Mult => (mask(l.wrapping_mul(r), width), 0),
-            UnitOp::Div => match (l.checked_div(r), l.checked_rem(r)) {
-                (Some(q), Some(rem)) => (mask(q, width), mask(rem, width)),
-                // Hardware convention: all-ones quotient, dividend
-                // remainder (documented; division by zero is a frontend
-                // bug but must not crash the simulation).
-                _ => (mask(u64::MAX, width), l),
-            },
-            UnitOp::Sqrt => (isqrt(l), 0),
-        }
-    }
-}
-
-/// Integer square root (floor).
-pub fn isqrt(v: u64) -> u64 {
-    if v == 0 {
-        return 0;
-    }
-    let mut x = (v as f64).sqrt() as u64;
-    // Correct potential floating-point error.
-    while x.saturating_mul(x) > v {
-        x -= 1;
-    }
-    while (x + 1).saturating_mul(x + 1) <= v {
-        x += 1;
-    }
-    x
 }
 
 impl PrimState {
@@ -359,47 +182,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn masking() {
-        assert_eq!(mask(0x1ff, 8), 0xff);
-        assert_eq!(mask(5, 64), 5);
-        assert_eq!(mask(u64::MAX, 1), 1);
-    }
-
-    #[test]
-    fn signed_views() {
-        assert_eq!(to_signed(0xff, 8), -1);
-        assert_eq!(to_signed(0x7f, 8), 127);
-        assert_eq!(to_signed(0x80, 8), -128);
-    }
-
-    #[test]
-    fn comb_arithmetic_wraps() {
-        assert_eq!(CombOp::Add.eval(0xff, 1, 8, 8), 0);
-        assert_eq!(CombOp::Sub.eval(0, 1, 8, 8), 0xff);
-    }
-
-    #[test]
-    fn comb_shifts_saturate() {
-        assert_eq!(CombOp::Lsh.eval(1, 3, 8, 8), 8);
-        assert_eq!(CombOp::Lsh.eval(1, 8, 8, 8), 0);
-        assert_eq!(CombOp::Rsh.eval(0x80, 7, 8, 8), 1);
-        assert_eq!(CombOp::Rsh.eval(0x80, 9, 8, 8), 0);
-    }
-
-    #[test]
-    fn signed_comparisons() {
-        assert_eq!(CombOp::Slt.eval(0xff, 0, 8, 1), 1); // -1 < 0
-        assert_eq!(CombOp::Lt.eval(0xff, 0, 8, 1), 0); // 255 < 0 is false
-        assert_eq!(CombOp::Sgt.eval(1, 0xff, 8, 1), 1); // 1 > -1
-    }
-
-    #[test]
-    fn slice_truncates_pad_extends() {
-        assert_eq!(CombOp::Slice.eval(0x1234, 0, 16, 8), 0x34);
-        assert_eq!(CombOp::Pad.eval(0x34, 0, 8, 16), 0x34);
-    }
-
-    #[test]
     fn register_done_is_registered() {
         let mut r = PrimState::Reg {
             val: 0,
@@ -459,28 +241,6 @@ mod tests {
                 assert_eq!(*out, 42, "result held after done");
             }
             _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn divider_handles_zero() {
-        assert_eq!(UnitOp::Div.compute(10, 3, 8), (3, 1));
-        assert_eq!(UnitOp::Div.compute(10, 0, 8), (0xff, 10));
-    }
-
-    #[test]
-    fn sqrt_latency_is_data_dependent() {
-        assert!(UnitOp::Sqrt.latency(0) < UnitOp::Sqrt.latency(1 << 30));
-        assert_eq!(UnitOp::Sqrt.compute(16, 0, 32).0, 4);
-        assert_eq!(UnitOp::Sqrt.compute(17, 0, 32).0, 4);
-        assert_eq!(UnitOp::Sqrt.compute(0, 0, 32).0, 0);
-    }
-
-    #[test]
-    fn isqrt_exhaustive_small() {
-        for v in 0..1000u64 {
-            let r = isqrt(v);
-            assert!(r * r <= v && (r + 1) * (r + 1) > v, "isqrt({v}) = {r}");
         }
     }
 

@@ -57,8 +57,8 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{flatten_design, CellIdx, DriverRule, FlatDesign, FlatIdx, RunStats, Wires};
-use crate::prim::mask;
 use calyx_core::ir::Context;
+use calyx_core::prim::mask;
 
 /// A cycle-accurate simulator instance.
 ///

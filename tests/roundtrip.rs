@@ -34,6 +34,36 @@ proptest! {
     }
 }
 
+/// `extern` declarations survive printing, before and after lowering.
+#[test]
+fn extern_programs_roundtrip() {
+    let src = r#"
+        extern "blackbox.sv" { component my_unit(in: 8, go: 1) -> (out: 8, done: 1); }
+        component main() -> () {
+          cells { u = my_unit(); r = std_reg(8); }
+          wires {
+            group run { u.in = 8'd3; u.go = 1'd1; run[done] = u.done; }
+            group save { r.in = u.out; r.write_en = 1'd1; save[done] = r.done; }
+          }
+          control { seq { run; save; } }
+        }
+    "#;
+    let mut ctx = parse_context(src).unwrap();
+    for stage in ["parsed", "lowered"] {
+        let printed = Printer::print_context(&ctx);
+        assert!(
+            printed.starts_with("extern \"blackbox.sv\" {\n"),
+            "{stage}:\n{printed}"
+        );
+        let reparsed = parse_context(&printed).unwrap_or_else(|e| panic!("{stage}: {e}"));
+        assert_eq!(Printer::print_context(&reparsed), printed, "{stage}");
+        PassManager::from_names(&["lower"])
+            .unwrap()
+            .run(&mut ctx)
+            .unwrap();
+    }
+}
+
 #[test]
 fn polybench_sources_roundtrip_through_calyx() {
     for def in calyx::polybench::KERNELS.iter().take(6) {
