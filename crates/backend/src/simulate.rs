@@ -14,7 +14,7 @@
 
 use crate::api::{Backend, BackendOpts, SimThroughput};
 use calyx_core::errors::{CalyxResult, Error};
-use calyx_core::ir::{validate, CellType, Context};
+use calyx_core::ir::{validate, Context};
 use calyx_sim::interp::Interpreter;
 use calyx_sim::report::write_state_report;
 use calyx_sim::rtl::Simulator;
@@ -73,7 +73,7 @@ impl Backend for SimBackend {
             cycles: stats.cycles,
             wall: start.elapsed(),
         }));
-        write_state_report(&sim, ctx.entry()?, stats, out)?;
+        write_state_report(sim.state(), ctx.entry()?, stats, out)?;
         Ok(())
     }
 
@@ -84,7 +84,8 @@ impl Backend for SimBackend {
 
 /// Runs the reference control-tree interpreter and reports cycles +
 /// final state. Consumes *un-lowered* programs (its declared pipeline is
-/// `none`, i.e. validation only); the design must be a single component.
+/// `none`, i.e. validation only), component instances included: every
+/// instance runs its own control, started by its `go` port.
 pub struct InterpBackend {
     cycles: u64,
     /// See [`SimBackend`]'s field of the same name.
@@ -108,28 +109,8 @@ impl Backend for InterpBackend {
         &["none"]
     }
 
-    /// The interpreter executes exactly one component, so any
-    /// component-typed cell is rejected here — up front, positioned at
-    /// the offending declaration when the source map knows it — rather
-    /// than surfacing later as a runtime `SimError` mid-emission.
     fn validate(&self, ctx: &Context) -> CalyxResult<()> {
-        let entry = ctx.entry()?;
-        for cell in entry.cells.iter() {
-            if let CellType::Component { name } = &cell.prototype {
-                let at = ctx
-                    .sources
-                    .cell(entry.name, cell.name)
-                    .map(|loc| format!(" (declared at {}:{})", loc.line, loc.col))
-                    .unwrap_or_default();
-                return Err(Error::malformed(format!(
-                    "cell `{}`{at} instantiates component `{name}`; the interpreter \
-                     only supports single-component designs — lower the design \
-                     (`-p lower`) and use `-b sim` instead",
-                    cell.name
-                )));
-            }
-        }
-        Ok(())
+        ctx.entry().map(drop)
     }
 
     fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
@@ -144,7 +125,7 @@ impl Backend for InterpBackend {
             cycles: stats.cycles,
             wall: start.elapsed(),
         }));
-        write_state_report(&interp, ctx.entry()?, stats, out)?;
+        write_state_report(interp.state(), ctx.entry()?, stats, out)?;
         Ok(())
     }
 
@@ -224,62 +205,6 @@ mod tests {
         });
         let err = backend.emit(&ctx, &mut Vec::new()).unwrap_err();
         assert!(format!("{err}").contains("1 cycles"), "{err}");
-    }
-
-    #[test]
-    fn interp_backend_rejects_multi_component_designs() {
-        let ctx = parse_context(
-            r#"
-            component child() -> () {
-              cells { r = std_reg(8); }
-              wires { group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; } }
-              control { g; }
-            }
-            component main() -> () {
-              cells { c = child(); }
-              wires { group go { c.go = 1'd1; go[done] = c.done; } }
-              control { go; }
-            }"#,
-        )
-        .unwrap();
-        let backend = InterpBackend::from_opts(&BackendOpts::default());
-        let err = backend.validate(&ctx).unwrap_err();
-        let msg = format!("{err}");
-        // The rejection is up-front, names the offending cell, and points
-        // at its declaration (the source map knows where `c` was parsed).
-        assert!(msg.contains("cell `c`"), "{msg}");
-        assert!(msg.contains("component `child`"), "{msg}");
-        assert!(msg.contains("declared at "), "{msg}");
-        assert!(msg.contains("`-b sim`"), "{msg}");
-        // Emission on the invalid design fails without writing anything.
-        let mut out = Vec::new();
-        assert!(backend.emit(&ctx, &mut out).is_err());
-        assert!(out.is_empty(), "partial output on precondition failure");
-    }
-
-    #[test]
-    fn interp_rejection_survives_a_missing_source_map() {
-        // Generated programs (frontends, builders) have no source
-        // positions; the message degrades to span-free.
-        let mut ctx = parse_context(
-            r#"
-            component child() -> () {
-              cells { r = std_reg(8); }
-              wires { group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; } }
-              control { g; }
-            }
-            component main() -> () {
-              cells { c = child(); }
-              wires { group go { c.go = 1'd1; go[done] = c.done; } }
-              control { go; }
-            }"#,
-        )
-        .unwrap();
-        ctx.sources = Default::default();
-        let backend = InterpBackend::from_opts(&BackendOpts::default());
-        let msg = format!("{}", backend.validate(&ctx).unwrap_err());
-        assert!(msg.contains("cell `c`"), "{msg}");
-        assert!(!msg.contains("declared at"), "{msg}");
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn cyclic_instantiation_is_a_clean_exit_1_everywhere() {
         }";
     let cyclic = "cyclic component instantiation through `c`";
     let unchecked = "-p compile-control -p go-insertion -p remove-groups";
-    for backend in ["sim", "area", "verilog"] {
+    for backend in ["sim", "interp", "area", "verilog"] {
         for pipeline in ["", unchecked] {
             let mut args = vec!["-", "-b", backend];
             args.extend(pipeline.split_whitespace());
@@ -99,6 +99,22 @@ fn cyclic_instantiation_is_a_clean_exit_1_everywhere() {
     let report = stdout(&out);
     assert!(report.contains("error[C0100]"), "{report}");
     assert!(report.contains(cyclic), "{report}");
+}
+
+/// The interpreter runs the paper's Fig 7 hierarchy un-lowered, PE
+/// components and all, and leaves the `out` the lowered design does.
+#[test]
+fn interp_and_sim_leave_the_same_systolic_out() {
+    let file = example("matmul2x2.systolic");
+    let out_line = |backend: &str| {
+        let out = futil(&[file.to_str().unwrap(), "-b", backend]);
+        assert_eq!(out.status.code(), Some(0), "{backend}: {}", stderr(&out));
+        let report = stdout(&out);
+        let line = report.lines().find(|l| l.starts_with("out = "));
+        line.unwrap_or_else(|| panic!("{backend}: no `out`: {report}"))
+            .to_string()
+    };
+    assert_eq!(out_line("interp"), out_line("sim"));
 }
 
 /// Unknown backends exit 2 with the registry's message listing the valid

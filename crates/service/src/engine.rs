@@ -550,22 +550,21 @@ mod tests {
     #[test]
     fn hits_and_misses_report_the_same_source_positions() {
         // Two components, deliberately not in the printer's layout: the
-        // offending cell sits at 13:7 here and elsewhere in canonical
-        // text.
+        // offending assignment (a sub-component driving its own `done`,
+        // which the interpreter refuses) sits at 6:9 here and elsewhere
+        // in canonical text.
         let src = "component helper() -> () {
   cells { r = std_reg(8); }
   wires {
-    group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; }
+    r.in = 8'd1; r.write_en = 1'd1;
+
+        done = r.done ? 1'd1;
   }
-  control { g; }
+  control {}
 }
 
-
 component main() -> () {
-  cells {
-
-      s = helper();
-  }
+  cells { s = helper(); }
   wires { group go { s.go = 1'd1; go[done] = s.done; } }
   control { go; }
 }
@@ -581,7 +580,7 @@ component main() -> () {
         assert_eq!(service.cache_stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!((miss.status, hit.status), (Status::Error, Status::Error));
         let error = miss.error.unwrap();
-        assert!(error.contains("cell `s` (declared at 13:7)"), "{error}");
+        assert!(error.contains("`done` at 6:9"), "{error}");
         assert_eq!(hit.error.unwrap(), error);
     }
 

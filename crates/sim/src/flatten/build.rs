@@ -1,55 +1,48 @@
-//! Construction of the flat IR from a [`Context`].
+//! Construction of the flat IR from a [`Context`]: one elaborator for both
+//! engines.
 //!
-//! Two flattening modes share one primitive-instantiation path:
+//! [`flatten`] walks the instance tree from the top component. A
+//! component-typed cell is elaborated in place: the cell's ports *are* the
+//! child's `this` ports (the same arena slots), so hierarchy costs nothing
+//! at simulation time, and the child's cells are named by their instance
+//! path (`pe_0_0.acc`). Every instance keeps its groups — each a `go` port
+//! that gates its assignments, its hole slots and a done condition — and
+//! its control tree, one root per instance in the shared [`CtrlNode`]
+//! arena. A lowered design simply has none; which forms an engine runs is
+//! the engine's to decide.
 //!
-//! - [`flatten_control`] lowers a *single* component for the reference
-//!   interpreter, keeping groups (each a `go` port that gates its
-//!   assignments, and a done condition) and the control tree (as a
-//!   [`CtrlNode`] arena). Port slots are created on demand for every
-//!   `PortRef` the program mentions — including group holes — which
-//!   reproduces the interpreter's historical "unknown ports read as zero"
-//!   semantics exactly.
-//! - [`flatten_design`] elaborates a *lowered* hierarchy for the RTL
-//!   engine. Subcomponent instances are elaborated in place: a cell's
-//!   ports and the child component's `this` ports are the same arena
-//!   slots, so hierarchy costs nothing at simulation time.
+//! A port resolves only to a declared port or a group hole; anything else
+//! is an elaboration error (`well-formed` rejects such a program first).
+//! No port is named at set-up: [`FlatProgram::port_name`] renders one
+//! from the instance prefix and the `PortRef` when an error asks.
 //!
-//! Both end in [`build_graph`]: all drivers of one port are grouped into
+//! It ends in [`build_graph`]: all drivers of one port are grouped into
 //! a contiguous assignment range; those driver nodes, the interned guards
 //! and the combinational cells are sorted once, and the graph that was
 //! sorted is kept as the fan-out table.
 
-use super::index::{
-    CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
-};
+use super::index::{CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx};
 use super::{
-    sort_nodes, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatControl, FlatDesign,
-    FlatGroup, FlatGuard, FlatProgram, Graph, Node, PortData,
+    sort_nodes, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatDesign, FlatGroup,
+    FlatGuard, FlatInstance, FlatProgram, Graph, Node, PortData,
 };
 use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
 use calyx_core::ir::{
-    Atom, CellType, Context, Control, Direction, Guard, GuardMemo, Id, PortParent, PortRef,
-    PrimKind,
+    Assignment, Atom, CellType, Context, Control, Direction, Guard, GuardMemo, Id, PortDef,
+    PortRef, PrimKind,
 };
 use calyx_core::prim::UnitOp;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// How a flattening mode turns a primitive's port names into arena slots.
-trait PortResolver {
-    /// The slot for port `name` of the cell being instantiated.
-    fn port(&mut self, name: &str) -> SimResult<PortIdx>;
-    /// The declared width of an already-resolved slot.
-    fn width(&self, port: PortIdx) -> u32;
-}
-
-/// Build the behavioral model of one primitive instance. Shared between
-/// both flattening modes; only port-name resolution differs.
-fn instantiate_primitive<R: PortResolver>(
+/// Build the behavioral model of one primitive instance, finding each of
+/// its ports by name through `port`.
+fn instantiate_primitive(
     prim: Id,
     params: &[u64],
-    r: &mut R,
+    ports: &IndexedMap<PortIdx, PortData>,
+    port: impl Fn(&str) -> SimResult<PortIdx>,
 ) -> SimResult<(FlatCellKind, PrimState)> {
     let Some(kind) = PrimKind::of(prim) else {
         return Err(SimError::Elaboration(format!(
@@ -60,12 +53,11 @@ fn instantiate_primitive<R: PortResolver>(
     Ok(match kind {
         PrimKind::Comb(op) => {
             let (left, right) = if op.is_binary() {
-                (r.port("left")?, Some(r.port("right")?))
+                (port("left")?, Some(port("right")?))
             } else {
-                (r.port("in")?, None)
+                (port("in")?, None)
             };
-            let out = r.port("out")?;
-            let out_width = r.width(out);
+            let out = port("out")?;
             // Combinational primitives carry no state; a zero-width register
             // placeholder keeps the state arena index-aligned with cells.
             (
@@ -75,7 +67,7 @@ fn instantiate_primitive<R: PortResolver>(
                     right,
                     out,
                     in_width: width,
-                    out_width,
+                    out_width: ports[out].width,
                 },
                 PrimState::Reg {
                     val: 0,
@@ -86,10 +78,10 @@ fn instantiate_primitive<R: PortResolver>(
         }
         PrimKind::Reg => (
             FlatCellKind::Reg {
-                input: r.port("in")?,
-                write_en: r.port("write_en")?,
-                out: r.port("out")?,
-                done: r.port("done")?,
+                input: port("in")?,
+                write_en: port("write_en")?,
+                out: port("out")?,
+                done: port("done")?,
             },
             PrimState::Reg {
                 val: 0,
@@ -101,15 +93,15 @@ fn instantiate_primitive<R: PortResolver>(
             let sizes: Vec<u64> = params[1..=dims].to_vec();
             let size: u64 = sizes.iter().product();
             let addrs = (0..dims)
-                .map(|i| r.port(&format!("addr{i}")))
+                .map(|i| port(&format!("addr{i}")))
                 .collect::<SimResult<Vec<_>>>()?;
             (
                 FlatCellKind::Mem {
                     addrs,
-                    write_data: r.port("write_data")?,
-                    write_en: r.port("write_en")?,
-                    read_data: r.port("read_data")?,
-                    done: r.port("done")?,
+                    write_data: port("write_data")?,
+                    write_en: port("write_en")?,
+                    read_data: port("read_data")?,
+                    done: port("done")?,
                 },
                 PrimState::Mem {
                     data: vec![0; size as usize],
@@ -121,26 +113,26 @@ fn instantiate_primitive<R: PortResolver>(
         }
         PrimKind::Unit(op) => {
             let (left, right, out, out2) = match op {
-                UnitOp::Mult => (r.port("left")?, r.port("right")?, r.port("out")?, None),
+                UnitOp::Mult => (port("left")?, port("right")?, port("out")?, None),
                 UnitOp::Div => (
-                    r.port("left")?,
-                    r.port("right")?,
-                    r.port("out_quotient")?,
-                    Some(r.port("out_remainder")?),
+                    port("left")?,
+                    port("right")?,
+                    port("out_quotient")?,
+                    Some(port("out_remainder")?),
                 ),
                 UnitOp::Sqrt => {
-                    let input = r.port("in")?;
-                    (input, input, r.port("out")?, None)
+                    let input = port("in")?;
+                    (input, input, port("out")?, None)
                 }
             };
             (
                 FlatCellKind::Unit {
                     left,
                     right,
-                    go: r.port("go")?,
+                    go: port("go")?,
                     out,
                     out2,
-                    done: r.port("done")?,
+                    done: port("done")?,
                 },
                 PrimState::Unit {
                     op,
@@ -156,20 +148,38 @@ fn instantiate_primitive<R: PortResolver>(
     })
 }
 
-/// Flatten an atom, resolving a port through `resolve`.
-fn flat_atom(
-    atom: &Atom,
-    resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
-) -> SimResult<FlatAtom> {
-    Ok(match atom {
-        Atom::Port(p) => FlatAtom::Port(resolve(p)?),
-        Atom::Const { val, .. } => FlatAtom::Const(*val),
-    })
+/// What one instance's assignments and control may name: its declared
+/// ports (its own `this` ports, its cells') and its groups' holes, and its
+/// groups.
+struct Scope {
+    component: Id,
+    ports: HashMap<PortRef, PortIdx>,
+    groups: HashMap<Id, GroupIdx>,
+}
+
+impl Scope {
+    fn port(&self, port: &PortRef) -> SimResult<PortIdx> {
+        self.ports.get(port).copied().ok_or_else(|| {
+            SimError::Elaboration(format!("unresolved port `{port}` in `{}`", self.component))
+        })
+    }
+
+    fn group(&self, group: Id) -> SimResult<GroupIdx> {
+        self.groups.get(&group).copied().ok_or_else(|| {
+            SimError::Elaboration(format!("undefined group `{group}` in `{}`", self.component))
+        })
+    }
+
+    fn atom(&self, atom: &Atom) -> SimResult<FlatAtom> {
+        Ok(match atom {
+            Atom::Port(p) => FlatAtom::Port(self.port(p)?),
+            Atom::Const { val, .. } => FlatAtom::Const(*val),
+        })
+    }
 }
 
 /// Interns [`ir::Guard`](Guard)s into a program's guard arena — the one
-/// place a guard becomes [`FlatGuard`] nodes; only port resolution
-/// differs between the flattening modes.
+/// place a guard becomes [`FlatGuard`] nodes.
 ///
 /// Nodes are hash-consed through `cons`: children are interned before
 /// parents, so equal subtrees hit the same child indices and dedup
@@ -191,34 +201,24 @@ struct GuardInterner<'a> {
 }
 
 impl GuardInterner<'_> {
-    fn intern(
-        &mut self,
-        guard: &Guard,
-        resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
-    ) -> SimResult<GuardIdx> {
+    fn intern(&mut self, guard: &Guard, scope: &Scope) -> SimResult<GuardIdx> {
         let node = match guard {
             // `FlatProgram::new` seeds index 0 with the one `True` node.
             Guard::True => return Ok(GuardIdx::new(0)),
-            Guard::Port(p) => FlatGuard::Port(resolve(p)?),
-            Guard::Not(g) => FlatGuard::Not(self.child(g, resolve)?),
-            Guard::And(a, b) => FlatGuard::And(self.child(a, resolve)?, self.child(b, resolve)?),
-            Guard::Or(a, b) => FlatGuard::Or(self.child(a, resolve)?, self.child(b, resolve)?),
-            Guard::Comp(op, l, r) => {
-                FlatGuard::Comp(*op, flat_atom(l, resolve)?, flat_atom(r, resolve)?)
-            }
+            Guard::Port(p) => FlatGuard::Port(scope.port(p)?),
+            Guard::Not(g) => FlatGuard::Not(self.child(g, scope)?),
+            Guard::And(a, b) => FlatGuard::And(self.child(a, scope)?, self.child(b, scope)?),
+            Guard::Or(a, b) => FlatGuard::Or(self.child(a, scope)?, self.child(b, scope)?),
+            Guard::Comp(op, l, r) => FlatGuard::Comp(*op, scope.atom(l)?, scope.atom(r)?),
         };
         Ok(cons_guard(self.guards, self.cons, node))
     }
 
-    fn child(
-        &mut self,
-        node: &Arc<Guard>,
-        resolve: &mut impl FnMut(&PortRef) -> SimResult<PortIdx>,
-    ) -> SimResult<GuardIdx> {
+    fn child(&mut self, node: &Arc<Guard>, scope: &Scope) -> SimResult<GuardIdx> {
         if let Some(idx) = self.done.get(node) {
             return Ok(*idx);
         }
-        let idx = self.intern(node, resolve)?;
+        let idx = self.intern(node, scope)?;
         self.done.insert(node, idx);
         Ok(idx)
     }
@@ -255,8 +255,8 @@ impl Drivers {
 /// Build the evaluation graph of `prog`, whose assignments are `drivers`
 /// (the assignment arena is filled here): one node per driven port, per
 /// combinational cell or memory read port, and per interned guard,
-/// sorted. A structural cycle is an error unless `cyclic`.
-fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers, cyclic: bool) -> SimResult<Graph> {
+/// sorted.
+fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers) -> Graph {
     // Pack each destination's drivers into a contiguous assignment range.
     let mut nodes = Vec::new();
     for dst in drivers.order {
@@ -282,7 +282,7 @@ fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers, cyclic: bool) -> Si
     // by (the stuck nodes, in this order) stay the ports and cells.
     nodes.extend(prog.guards.keys().map(Node::Guard));
 
-    let mut graph = sort_nodes(&nodes, prog, cyclic)?;
+    let mut graph = sort_nodes(&nodes, prog);
 
     // Repack assignments into *evaluation* order. The packing above is
     // destination-discovery order; a settle visits nodes in sorted order,
@@ -300,287 +300,7 @@ fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers, cyclic: bool) -> Si
         }
     }
     prog.assigns = assigns;
-    Ok(graph)
-}
-
-// ---------------------------------------------------------------------------
-// Single-component flattening for the interpreter.
-// ---------------------------------------------------------------------------
-
-struct ControlFlattener {
-    prog: FlatProgram,
-    port_map: HashMap<PortRef, PortIdx>,
-    /// Hash-consing table of [`GuardInterner`].
-    cons: HashMap<FlatGuard, GuardIdx>,
-    /// The shared guards interned so far.
-    interned: GuardMemo<GuardIdx>,
-    drivers: Drivers,
-    /// The stateful primitives' outputs, which hold for a whole cycle.
-    held: HashSet<PortIdx>,
-    groups: super::IndexedMap<GroupIdx, FlatGroup>,
-    group_map: HashMap<Id, GroupIdx>,
-    ctrl: super::IndexedMap<CtrlIdx, CtrlNode>,
-    cell_index: HashMap<Id, CellIdx>,
-}
-
-/// The slot for `port`, allocating one with `width` on first mention.
-/// Takes the two tables apart from the flattener so that guard interning
-/// can allocate slots while it holds the guard arena.
-fn slot_of(
-    ports: &mut IndexedMap<PortIdx, PortData>,
-    port_map: &mut HashMap<PortRef, PortIdx>,
-    port: PortRef,
-    width: u32,
-) -> PortIdx {
-    *port_map.entry(port).or_insert_with(|| {
-        ports.push(PortData {
-            width,
-            path: port.to_string(),
-        })
-    })
-}
-
-impl ControlFlattener {
-    fn port_of(&mut self, port: PortRef, width: u32) -> PortIdx {
-        slot_of(&mut self.prog.ports, &mut self.port_map, port, width)
-    }
-
-    /// Flatten `asgn`, which is active while `go` is: a group's `go`
-    /// guard, or the `True` node for a continuous assignment. Returns the
-    /// assignment's own guard and its source.
-    fn assign_of(
-        &mut self,
-        asgn: &calyx_core::ir::Assignment,
-        go: GuardIdx,
-    ) -> SimResult<(GuardIdx, FlatAtom)> {
-        let dst = self.port_of(asgn.dst, 1);
-        let Self {
-            prog,
-            port_map,
-            cons,
-            interned,
-            ..
-        } = self;
-        // Ports the program never declared still get a (1-bit) slot.
-        let mut resolve = |p: &PortRef| Ok(slot_of(&mut prog.ports, port_map, *p, 1));
-        let src = flat_atom(&asgn.src, &mut resolve)?;
-        let guard = GuardInterner {
-            guards: &mut prog.guards,
-            cons,
-            done: interned,
-        }
-        .intern(&asgn.guard, &mut resolve)?;
-        let t = prog.true_guard();
-        let gated = match (go == t, guard == t) {
-            (true, _) => guard,
-            (false, true) => go,
-            (false, false) => cons_guard(&mut prog.guards, cons, FlatGuard::And(go, guard)),
-        };
-        self.drivers.push(dst, src, gated);
-        Ok((guard, src))
-    }
-
-    /// Add group `name`, active while `go` is high.
-    fn add_group(
-        &mut self,
-        name: Id,
-        go: PortIdx,
-        done_writes: Vec<(GuardIdx, FlatAtom)>,
-    ) -> GroupIdx {
-        let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held.contains(&p));
-        let done_from_state = done_writes
-            .iter()
-            .all(|&(guard, src)| held(src) && guard_reads_only(&self.prog.guards, guard, &held));
-        let g = self.groups.push(FlatGroup {
-            name,
-            go,
-            done_writes,
-            done_from_state,
-        });
-        self.group_map.insert(name, g);
-        g
-    }
-
-    /// A fresh `go` port for group `name`. A slot of its own: whatever
-    /// the program does with the hole `name[go]`, only the interpreter
-    /// writes this one.
-    fn go_port(&mut self, name: Id) -> PortIdx {
-        self.prog.ports.push(PortData {
-            width: 1,
-            path: PortRef::hole(name, "go").to_string(),
-        })
-    }
-
-    /// The group's index; unknown names get an empty placeholder, which
-    /// (like the tree-walking interpreter) never signals done.
-    fn group_of(&mut self, name: Id) -> GroupIdx {
-        match self.group_map.get(&name) {
-            Some(&g) => g,
-            None => {
-                let go = self.go_port(name);
-                self.add_group(name, go, Vec::new())
-            }
-        }
-    }
-
-    fn ctrl_of(&mut self, stmt: &Control) -> CtrlIdx {
-        let node = match stmt {
-            Control::Empty => CtrlNode::Empty,
-            Control::Enable { group, .. } => CtrlNode::Enable {
-                group: self.group_of(*group),
-            },
-            Control::Seq { stmts, .. } => CtrlNode::Seq {
-                children: stmts.iter().map(|s| self.ctrl_of(s)).collect(),
-            },
-            Control::Par { stmts, .. } => CtrlNode::Par {
-                children: stmts.iter().map(|s| self.ctrl_of(s)).collect(),
-            },
-            Control::If {
-                port,
-                cond,
-                tbranch,
-                fbranch,
-                ..
-            } => {
-                let port = self.port_of(*port, 1);
-                let cond = cond.map(|c| self.group_of(c));
-                let tbranch = self.ctrl_of(tbranch);
-                let fbranch = self.ctrl_of(fbranch);
-                CtrlNode::If {
-                    port,
-                    cond,
-                    tbranch,
-                    fbranch,
-                }
-            }
-            Control::While {
-                port, cond, body, ..
-            } => {
-                let port = self.port_of(*port, 1);
-                let cond = cond.map(|c| self.group_of(c));
-                let body = self.ctrl_of(body);
-                CtrlNode::While { port, cond, body }
-            }
-        };
-        self.ctrl.push(node)
-    }
-}
-
-struct CellPortResolver<'a> {
-    f: &'a mut ControlFlattener,
-    cell: Id,
-    width: u32,
-}
-
-impl PortResolver for CellPortResolver<'_> {
-    fn port(&mut self, name: &str) -> SimResult<PortIdx> {
-        // Ports missing from the cell's declaration are allocated with the
-        // primitive's data width — the interpreter never errors on them.
-        Ok(self.f.port_of(PortRef::cell(self.cell, name), self.width))
-    }
-
-    fn width(&self, port: PortIdx) -> u32 {
-        self.f.prog.ports[port].width
-    }
-}
-
-/// Flatten component `top` of `ctx` for the reference interpreter.
-///
-/// # Errors
-///
-/// Returns [`SimError::Elaboration`] when the component does not exist,
-/// instantiates other components, or uses unmodeled primitives.
-pub fn flatten_control(ctx: &Context, top: &str) -> SimResult<FlatControl> {
-    let comp = ctx
-        .components
-        .get(Id::new(top))
-        .ok_or_else(|| SimError::Elaboration(format!("no component `{top}`")))?;
-
-    let mut f = ControlFlattener {
-        prog: FlatProgram::new(comp.name),
-        port_map: HashMap::new(),
-        cons: HashMap::new(),
-        interned: GuardMemo::default(),
-        drivers: Drivers::default(),
-        held: HashSet::new(),
-        groups: super::IndexedMap::new(),
-        group_map: HashMap::new(),
-        ctrl: super::IndexedMap::new(),
-        cell_index: HashMap::new(),
-    };
-
-    // Interface ports.
-    for pd in &comp.signature {
-        f.port_of(PortRef::this(pd.name), pd.width);
-    }
-    let go = f.port_of(PortRef::this("go"), 1);
-
-    // Cells: allocate declared ports at their declared widths, then wire
-    // up the behavioral model.
-    for cell in comp.cells.iter() {
-        match &cell.prototype {
-            CellType::Component { name } => {
-                return Err(SimError::Elaboration(format!(
-                    "interpreter does not support component instances (`{}` of `{name}`); \
-                     lower and use the RTL simulator",
-                    cell.name
-                )))
-            }
-            CellType::Primitive { name, params } => {
-                for pd in &cell.ports {
-                    f.port_of(PortRef::cell(cell.name, pd.name), pd.width);
-                }
-                let width = params.first().copied().unwrap_or(1) as u32;
-                let (kind, state) = {
-                    let mut r = CellPortResolver {
-                        f: &mut f,
-                        cell: cell.name,
-                        width,
-                    };
-                    instantiate_primitive(*name, params, &mut r)?
-                };
-                f.held.extend(held_outputs(&kind).into_iter().flatten());
-                let ci = f.prog.cells.push(FlatCell {
-                    path: cell.name.to_string(),
-                    kind,
-                });
-                f.prog.states.push(state);
-                f.cell_index.insert(cell.name, ci);
-            }
-        }
-    }
-
-    let always = f.prog.true_guard();
-    for asgn in &comp.continuous {
-        f.assign_of(asgn, always)?;
-    }
-    for group in comp.groups.iter() {
-        let go = f.go_port(group.name);
-        let go_guard = cons_guard(&mut f.prog.guards, &mut f.cons, FlatGuard::Port(go));
-        let done_hole = group.done_hole();
-        let mut done_writes = Vec::new();
-        for asgn in &group.assignments {
-            let own = f.assign_of(asgn, go_guard)?;
-            if asgn.dst == done_hole {
-                done_writes.push(own);
-            }
-        }
-        f.add_group(group.name, go, done_writes);
-    }
-
-    let root = f.ctrl_of(&comp.control);
-
-    let graph = build_graph(&mut f.prog, f.drivers, true)?;
-
-    Ok(FlatControl {
-        prog: f.prog,
-        graph,
-        go,
-        groups: f.groups,
-        ctrl: f.ctrl,
-        root,
-        cell_index: f.cell_index,
-    })
+    graph
 }
 
 /// The outputs of a stateful primitive: what `publish` writes, and
@@ -613,187 +333,266 @@ fn guard_reads_only(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hierarchy elaboration for the RTL engine.
-// ---------------------------------------------------------------------------
-
-struct DesignFlattener<'a> {
+/// The arenas being filled, and what waits for the graph to be built.
+struct Flattener<'a> {
     ctx: &'a Context,
     prog: FlatProgram,
-    cell_index: HashMap<String, CellIdx>,
     drivers: Drivers,
     /// Hash-consing table of [`GuardInterner`].
     cons: HashMap<FlatGuard, GuardIdx>,
+    /// The outputs that hold for a whole cycle: the stateful primitives',
+    /// and each sub-instance's `done`, which only the interpreter drives.
+    held: HashSet<PortIdx>,
+    groups: IndexedMap<GroupIdx, FlatGroup>,
+    ctrl: IndexedMap<CtrlIdx, CtrlNode>,
 }
 
-struct DeclaredPortResolver<'a> {
-    ports: &'a super::IndexedMap<PortIdx, PortData>,
-    map: &'a HashMap<Id, PortIdx>,
-    prim: &'a str,
-}
-
-impl PortResolver for DeclaredPortResolver<'_> {
-    fn port(&mut self, name: &str) -> SimResult<PortIdx> {
-        self.map.get(&Id::new(name)).copied().ok_or_else(|| {
-            SimError::Elaboration(format!("primitive `{}` missing port `{name}`", self.prim))
+impl Flattener<'_> {
+    fn alloc(&mut self, instance: u32, width: u32, port: PortRef) -> PortIdx {
+        self.prog.ports.push(PortData {
+            width,
+            instance,
+            port,
         })
     }
 
-    fn width(&self, port: PortIdx) -> u32 {
-        self.ports[port].width
-    }
-}
-
-fn resolve_port(
-    port: &PortRef,
-    cell_ports: &HashMap<Id, HashMap<Id, PortIdx>>,
-    this_ports: &HashMap<Id, PortIdx>,
-    name: Id,
-) -> SimResult<PortIdx> {
-    match port.parent {
-        PortParent::Cell(c) => cell_ports
-            .get(&c)
-            .and_then(|m| m.get(&port.port))
-            .copied()
-            .ok_or_else(|| SimError::Elaboration(format!("unresolved port `{port}` in `{name}`"))),
-        PortParent::This => this_ports.get(&port.port).copied().ok_or_else(|| {
-            SimError::Elaboration(format!("unresolved this-port `{port}` in `{name}`"))
-        }),
-        PortParent::Group(_) => Err(SimError::Elaboration(format!(
-            "hole `{port}` survives in lowered component `{name}`"
-        ))),
-    }
-}
-
-impl DesignFlattener<'_> {
-    fn alloc(&mut self, width: u32, path: String) -> PortIdx {
-        self.prog.ports.push(PortData { width, path })
-    }
-
-    fn elaborate_component(
-        &mut self,
-        name: Id,
-        this_ports: &HashMap<Id, PortIdx>,
-        prefix: &str,
-    ) -> SimResult<()> {
+    /// Elaborate an instance of component `name` at path `prefix`, whose
+    /// `this` ports are the slots `this`.
+    fn elaborate(&mut self, name: Id, prefix: String, this: &[(Id, PortIdx)]) -> SimResult<()> {
         let comp = self
             .ctx
             .components
             .get(name)
             .ok_or_else(|| SimError::Elaboration(format!("undefined component `{name}`")))?;
-        if !comp.groups.is_empty() || !comp.control.is_empty() {
-            return Err(SimError::Elaboration(format!(
-                "component `{name}` still has groups/control; run the lowering \
-                 pipeline first (or use the interpreter)"
-            )));
-        }
+        let inst = self.prog.instances.len() as u32;
+        let mut scope = Scope {
+            component: name,
+            ports: this.iter().map(|&(n, p)| (PortRef::this(n), p)).collect(),
+            groups: HashMap::new(),
+        };
+        let interface = |port: &str| scope.port(&PortRef::this(port));
+        let (go, done) = (interface("go")?, interface("done")?);
+        self.prog.instances.push(FlatInstance {
+            prefix,
+            component: name,
+            go,
+            done,
+            // Set once the control tree is flattened.
+            root: CtrlIdx::new(0),
+        });
 
-        // Allocate cell ports; recurse into subcomponents, whose `this`
-        // ports alias the cell's slots.
-        let mut cell_ports: HashMap<Id, HashMap<Id, PortIdx>> = HashMap::new();
+        // Cells: declared ports at their declared widths, then the
+        // primitive's model, or the child instance on the same slots.
         for cell in comp.cells.iter() {
-            let mut map = HashMap::new();
             for pd in &cell.ports {
-                let idx = self.alloc(pd.width, format!("{prefix}{}.{}", cell.name, pd.name));
-                map.insert(pd.name, idx);
+                let port = PortRef::cell(cell.name, pd.name);
+                let slot = self.alloc(inst, pd.width, port);
+                scope.ports.insert(port, slot);
             }
+            let prefix = &self.prog.instances[inst as usize].prefix;
             match &cell.prototype {
-                CellType::Primitive {
-                    name: prim_name,
-                    params,
-                } => {
+                CellType::Primitive { name: prim, params } => {
+                    let port = |port: &str| scope.port(&PortRef::cell(cell.name, port));
+                    let (kind, state) =
+                        instantiate_primitive(*prim, params, &self.prog.ports, port)?;
                     let path = format!("{prefix}{}", cell.name);
-                    let (kind, state) = {
-                        let mut r = DeclaredPortResolver {
-                            ports: &self.prog.ports,
-                            map: &map,
-                            prim: prim_name.as_str(),
-                        };
-                        instantiate_primitive(*prim_name, params, &mut r)?
-                    };
+                    self.held.extend(held_outputs(&kind).into_iter().flatten());
                     let ci = self.prog.cells.push(FlatCell {
                         path: path.clone(),
                         kind,
                     });
                     self.prog.states.push(state);
-                    self.cell_index.insert(path, ci);
+                    self.prog.cell_index.insert(path, ci);
                 }
                 CellType::Component { name: child } => {
-                    let child_prefix = format!("{prefix}{}.", cell.name);
-                    self.elaborate_component(*child, &map, &child_prefix)?;
+                    let prefix = format!("{prefix}{}.", cell.name);
+                    let slot =
+                        |pd: &PortDef| (pd.name, scope.ports[&PortRef::cell(cell.name, pd.name)]);
+                    let child_this: Vec<(Id, PortIdx)> = cell.ports.iter().map(slot).collect();
+                    self.elaborate(*child, prefix, &child_this)?;
+                    self.held
+                        .insert(scope.ports[&PortRef::cell(cell.name, "done")]);
                 }
             }
-            cell_ports.insert(cell.name, map);
         }
 
-        // Resolve assignments into pending driver lists.
-        let mut resolve = |p: &PortRef| resolve_port(p, &cell_ports, this_ports, name);
-        let mut interner = GuardInterner {
+        // Every group gets a `go` port of its own, which only the
+        // interpreter writes (whatever the program does with the hole
+        // `g[go]`), and slots for its two holes.
+        let mut gos = Vec::with_capacity(comp.groups.len());
+        for group in comp.groups.iter() {
+            for hole in ["go", "done"] {
+                let port = PortRef::hole(group.name, hole);
+                let slot = self.alloc(inst, 1, port);
+                scope.ports.insert(port, slot);
+            }
+            gos.push(self.alloc(inst, 1, PortRef::hole(group.name, "go")));
+        }
+
+        // One memo per instance: an index is a node under this instance's
+        // port numbering.
+        let mut interned = GuardMemo::default();
+        let always = self.prog.true_guard();
+        for asgn in &comp.continuous {
+            self.assign(asgn, always, &scope, &mut interned)?;
+        }
+        for (group, go) in comp.groups.iter().zip(gos) {
+            let go_guard = cons_guard(&mut self.prog.guards, &mut self.cons, FlatGuard::Port(go));
+            let done_hole = group.done_hole();
+            let mut done_writes = Vec::new();
+            for asgn in &group.assignments {
+                let own = self.assign(asgn, go_guard, &scope, &mut interned)?;
+                if asgn.dst == done_hole {
+                    done_writes.push(own);
+                }
+            }
+            let g = self.add_group(group.name, go, done_writes);
+            scope.groups.insert(group.name, g);
+        }
+
+        self.prog.instances[inst as usize].root = self.ctrl_of(&comp.control, &scope)?;
+        Ok(())
+    }
+
+    /// Flatten `asgn`, which is active while `go` is: a group's `go`
+    /// guard, or the `True` node for a continuous assignment. Returns the
+    /// assignment's own guard and its source.
+    fn assign(
+        &mut self,
+        asgn: &Assignment,
+        go: GuardIdx,
+        scope: &Scope,
+        interned: &mut GuardMemo<GuardIdx>,
+    ) -> SimResult<(GuardIdx, FlatAtom)> {
+        let dst = scope.port(&asgn.dst)?;
+        let src = scope.atom(&asgn.src)?;
+        let guard = GuardInterner {
             guards: &mut self.prog.guards,
             cons: &mut self.cons,
-            done: &mut GuardMemo::default(),
-        };
-        for asgn in &comp.continuous {
-            let dst = resolve(&asgn.dst)?;
-            let src = flat_atom(&asgn.src, &mut resolve)?;
-            let guard = interner.intern(&asgn.guard, &mut resolve)?;
-            self.drivers.push(dst, src, guard);
+            done: interned,
         }
-        Ok(())
+        .intern(&asgn.guard, scope)?;
+        let t = self.prog.true_guard();
+        let gated = match (go == t, guard == t) {
+            (true, _) => guard,
+            (false, true) => go,
+            (false, false) => cons_guard(
+                &mut self.prog.guards,
+                &mut self.cons,
+                FlatGuard::And(go, guard),
+            ),
+        };
+        self.drivers.push(dst, src, gated);
+        Ok((guard, src))
+    }
+
+    /// Add group `name`, active while `go` is high.
+    fn add_group(
+        &mut self,
+        name: Id,
+        go: PortIdx,
+        done_writes: Vec<(GuardIdx, FlatAtom)>,
+    ) -> GroupIdx {
+        let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held.contains(&p));
+        let done_from_state = done_writes
+            .iter()
+            .all(|&(guard, src)| held(src) && guard_reads_only(&self.prog.guards, guard, &held));
+        self.groups.push(FlatGroup {
+            name,
+            go,
+            done_writes,
+            done_from_state,
+        })
+    }
+
+    fn ctrl_of(&mut self, stmt: &Control, scope: &Scope) -> SimResult<CtrlIdx> {
+        let mut children = |stmts: &[Control]| -> SimResult<Vec<CtrlIdx>> {
+            stmts.iter().map(|s| self.ctrl_of(s, scope)).collect()
+        };
+        let node = match stmt {
+            Control::Empty => CtrlNode::Empty,
+            Control::Enable { group, .. } => CtrlNode::Enable {
+                group: scope.group(*group)?,
+            },
+            Control::Seq { stmts, .. } => CtrlNode::Seq {
+                children: children(stmts)?,
+            },
+            Control::Par { stmts, .. } => CtrlNode::Par {
+                children: children(stmts)?,
+            },
+            Control::If {
+                port,
+                cond,
+                tbranch,
+                fbranch,
+                ..
+            } => CtrlNode::If {
+                port: scope.port(port)?,
+                cond: cond.map(|c| scope.group(c)).transpose()?,
+                tbranch: self.ctrl_of(tbranch, scope)?,
+                fbranch: self.ctrl_of(fbranch, scope)?,
+            },
+            Control::While {
+                port, cond, body, ..
+            } => CtrlNode::While {
+                port: scope.port(port)?,
+                cond: cond.map(|c| scope.group(c)).transpose()?,
+                body: self.ctrl_of(body, scope)?,
+            },
+        };
+        Ok(self.ctrl.push(node))
     }
 }
 
-/// Elaborate the lowered hierarchy rooted at component `top` into a flat
-/// design with topologically sorted evaluation nodes and their fan-out.
+/// Elaborate the component hierarchy rooted at `top` into one flat design
+/// for either engine: every instance's cells, assignments, groups and
+/// control tree, and the sorted evaluation graph with its fan-out.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Elaboration`] for un-lowered input, cyclic
-/// instantiation, undefined names, or unmodeled primitives;
-/// [`SimError::CombinationalLoop`] when the assignment graph is cyclic.
-pub fn flatten_design(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
+/// Returns [`SimError::Elaboration`] for cyclic instantiation, undefined
+/// names, a port that is neither declared nor a group hole, or an
+/// unmodeled primitive.
+pub fn flatten(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
     // Elaboration recurses into instances, so a cycle must be refused
     // before it starts.
     ctx.topological_order()
         .map_err(|e| SimError::Elaboration(e.to_string()))?;
-    let top_id = Id::new(top);
-    let top_comp = ctx
+    let top = Id::new(top);
+    let comp = ctx
         .components
-        .get(top_id)
+        .get(top)
         .ok_or_else(|| SimError::Elaboration(format!("no component `{top}`")))?;
 
-    let mut f = DesignFlattener {
+    let mut f = Flattener {
         ctx,
-        prog: FlatProgram::new(top_id),
-        cell_index: HashMap::new(),
+        prog: FlatProgram::new(),
         drivers: Drivers::default(),
         cons: HashMap::new(),
+        held: HashSet::new(),
+        groups: IndexedMap::new(),
+        ctrl: IndexedMap::new(),
     };
+    // The top's interface ports are its own, instance 0's.
+    let this: Vec<(Id, PortIdx)> = comp
+        .signature
+        .iter()
+        .map(|pd| (pd.name, f.alloc(0, pd.width, PortRef::this(pd.name))))
+        .collect();
+    let inputs = comp.signature.iter().zip(&this);
+    let top_inputs = inputs
+        .filter(|(pd, _)| pd.direction == Direction::Input)
+        .map(|(_, &slot)| slot)
+        .collect();
+    f.elaborate(top, String::new(), &this)?;
 
-    // Top-level interface ports.
-    let mut this_ports = HashMap::new();
-    let mut top_inputs = HashMap::new();
-    for pd in &top_comp.signature {
-        let idx = f.alloc(pd.width, format!("{top}.{}", pd.name));
-        this_ports.insert(pd.name, idx);
-        if pd.direction == Direction::Input {
-            top_inputs.insert(pd.name.to_string(), idx);
-        }
-    }
-    let top_go = this_ports[&Id::new("go")];
-    let top_done = this_ports[&Id::new("done")];
-
-    f.elaborate_component(top_id, &this_ports, "")?;
-
-    let graph = build_graph(&mut f.prog, f.drivers, false)?;
-
+    let graph = build_graph(&mut f.prog, f.drivers);
     Ok(FlatDesign {
         prog: f.prog,
         graph,
-        top_go,
-        top_done,
+        groups: f.groups,
+        ctrl: f.ctrl,
         top_inputs,
-        cell_index: f.cell_index,
     })
 }
 
@@ -819,7 +618,7 @@ mod tests {
     #[test]
     fn control_flattening_builds_dense_arenas() {
         let ctx = parse_context(COUNTER).unwrap();
-        let flat = flatten_control(&ctx, "main").unwrap();
+        let flat = flatten(&ctx, "main").unwrap();
         assert_eq!(flat.prog.cells.len(), 3);
         assert_eq!(flat.groups.len(), 2);
         assert_eq!(flat.prog.assigns.len(), 8);
@@ -828,7 +627,7 @@ mod tests {
         for g in flat.groups.iter() {
             assert_eq!(g.done_writes.len(), 1);
             assert!(g.done_from_state);
-            assert_eq!(flat.prog.ports[g.go].path, format!("{}[go]", g.name));
+            assert_eq!(flat.prog.port_name(g.go), format!("{}[go]", g.name));
         }
         let go_guards = flat.groups.iter().map(|g| FlatGuard::Port(g.go));
         let go_guards: Vec<FlatGuard> = go_guards.collect();
@@ -837,8 +636,10 @@ mod tests {
         }
         // Nothing here is cyclic: the whole graph is sorted.
         assert_eq!(flat.graph.tail_start, flat.graph.nodes.len());
+        assert!(flat.graph.cycle.is_empty());
         // The control tree flattened to while(enable).
-        assert!(matches!(flat.ctrl[flat.root], CtrlNode::While { .. }));
+        let root = flat.prog.instances[0].root;
+        assert!(matches!(flat.ctrl[root], CtrlNode::While { .. }));
     }
 
     #[test]
@@ -846,7 +647,7 @@ mod tests {
         let mut ctx = parse_context(COUNTER).unwrap();
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut ctx).unwrap();
-        let flat = flatten_design(&ctx, "main").unwrap();
+        let flat = flatten(&ctx, "main").unwrap();
         // Every driven port appears in exactly one Drivers node, and the
         // order respects combinational dependencies: a node reading port p
         // runs after the node producing p.
@@ -880,13 +681,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_instance_is_elaborated_on_its_cells_slots() {
+        let ctx = parse_context(
+            r#"component child(x: 8) -> (y: 8) {
+              cells { r = std_reg(8); }
+              wires { group w { r.in = x; r.write_en = 1'd1; w[done] = r.done; } y = r.out; }
+              control { w; }
+            }
+            component main() -> () {
+              cells { c = child(); }
+              wires { group g { c.x = 8'd3; c.go = 1'd1; g[done] = c.done; } }
+              control { g; }
+            }"#,
+        )
+        .unwrap();
+        let flat = flatten(&ctx, "main").unwrap();
+        let prefixes: Vec<&str> = flat
+            .prog
+            .instances
+            .iter()
+            .map(|i| i.prefix.as_str())
+            .collect();
+        assert_eq!(prefixes, ["", "c."]);
+        // The child's `this` ports are its parent's `c.*` slots.
+        let child = &flat.prog.instances[1];
+        assert_eq!(flat.prog.port_name(child.go), "c.go");
+        assert_eq!(flat.prog.port_name(child.done), "c.done");
+        let driven = flat.prog.assigns.iter().map(|a| flat.prog.port_name(a.dst));
+        let mut driven: Vec<String> = driven.collect();
+        driven.sort();
+        assert_eq!(
+            driven,
+            [
+                "c.go",
+                "c.r.in",
+                "c.r.write_en",
+                "c.w[done]",
+                "c.x",
+                "c.y",
+                "g[done]"
+            ]
+        );
+        // Cells are named by their path; the parent's group waits on a
+        // `done` only the interpreter drives, which holds for the cycle.
+        assert_eq!(flat.prog.cell_index.keys().collect::<Vec<_>>(), ["c.r"]);
+        assert!(flat.groups.iter().all(|g| g.done_from_state));
+        assert!(matches!(flat.ctrl[child.root], CtrlNode::Enable { .. }));
+    }
+
     /// The lowered gemm kernel: guards of every shape, memories, units.
     fn lowered_gemm() -> FlatDesign {
         let gemm = calyx_polybench::kernel("gemm").unwrap();
         let (_, mut ctx) = calyx_polybench::compile_kernel(gemm, 4, 1).unwrap();
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut ctx).unwrap();
-        flatten_design(&ctx, "main").unwrap()
+        flatten(&ctx, "main").unwrap()
     }
 
     #[test]
@@ -973,7 +823,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let flat = flatten_design(&ctx, "main").unwrap();
+        let flat = flatten(&ctx, "main").unwrap();
         // The position of the one node `wanted` picks.
         fn position(flat: &FlatDesign, wanted: impl Fn(&Node) -> bool) -> u32 {
             let mut hits = (0u32..).zip(&flat.graph.nodes).filter(|(_, n)| wanted(n));
@@ -983,7 +833,7 @@ mod tests {
         }
         let driver = |path: &str| {
             let mut asgns = flat.prog.assigns.iter();
-            asgns.find(|a| flat.prog.ports[a.dst].path == path).unwrap()
+            asgns.find(|a| flat.prog.port_name(a.dst) == path).unwrap()
         };
         let shared = driver("r.in").guard;
         assert_eq!(driver("r.write_en").guard, shared);
@@ -992,7 +842,7 @@ mod tests {
         let drives = |path: &str| {
             position(
                 &flat,
-                |n| matches!(n, Node::Drivers { dst, .. } if flat.prog.ports[*dst].path == path),
+                |n| matches!(n, Node::Drivers { dst, .. } if flat.prog.port_name(*dst) == path),
             )
         };
         let mut readers = flat.graph.fanout.of_guard(shared).to_vec();
@@ -1003,21 +853,26 @@ mod tests {
     }
 
     #[test]
-    fn unknown_ports_get_slots_instead_of_errors() {
-        // The interpreter's historical behavior: reads of never-driven,
-        // never-declared ports yield zero rather than an elaboration error.
-        let ctx = parse_context(
-            r#"component main() -> () {
-              cells { r = std_reg(8); }
-              wires { group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; } }
-              control { g; }
-            }"#,
-        )
-        .unwrap();
-        let flat = flatten_control(&ctx, "main").unwrap();
-        // go + signature + r's declared ports + the group hole all have slots.
-        assert!(flat.prog.ports.len() >= 5);
-        assert_eq!(flat.groups[GroupIdx::new(0)].done_writes.len(), 1);
+    fn undeclared_ports_are_elaboration_errors() {
+        // `well-formed` rejects both first; the elaborator allocates no
+        // slot for a port nothing declares.
+        let program = |wires: &str, control: &str| {
+            let src = format!(
+                "component main() -> () {{ cells {{ r = std_reg(8); }} wires {{ {wires} }} control {{ {control} }} }}"
+            );
+            let ctx = parse_context(&src).unwrap();
+            flatten(&ctx, "main").err().map(|e| e.to_string())
+        };
+        let group = "group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; }";
+        assert_eq!(program(group, "g;"), None);
+        assert_eq!(
+            program("group g { r.in = r.bogus; g[done] = r.done; }", "g;"),
+            Some("elaboration failed: unresolved port `r.bogus` in `main`".to_string())
+        );
+        assert_eq!(
+            program(group, "h;"),
+            Some("elaboration failed: undefined group `h` in `main`".to_string())
+        );
     }
 
     #[test]
@@ -1040,12 +895,12 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let flat = flatten_control(&ctx, "main").unwrap();
+        let flat = flatten(&ctx, "main").unwrap();
         let guards = &flat.prog.guards;
         // The guard of the assignment to `path`, under its group's `go`.
         let guard = |path: &str| {
             let mut asgns = flat.prog.assigns.iter();
-            let a = asgns.find(|a| flat.prog.ports[a.dst].path == path).unwrap();
+            let a = asgns.find(|a| flat.prog.port_name(a.dst) == path).unwrap();
             let FlatGuard::And(go, own) = guards[a.guard] else {
                 panic!("`{path}` is not gated: {:?}", guards[a.guard]);
             };
@@ -1072,8 +927,9 @@ mod tests {
 
     #[test]
     fn design_guard_arena_is_unchanged_on_lowered_gemm() {
-        // The shared interner must cons exactly what `flatten_design`'s
-        // own did: 118 is the arena length measured before the two merged.
+        // The one elaborator must cons exactly what the RTL engine's own
+        // did: 118 is the arena length measured before the interners, and
+        // then the elaborators, merged.
         assert_eq!(lowered_gemm().prog.guards.len(), 118);
     }
 }

@@ -26,8 +26,8 @@
 //!
 //! [`FlatProgram::set_memory`], [`FlatProgram::memory`] and
 //! [`FlatProgram::register_value`] are the harness's view of the same
-//! state, addressed by [`CellIdx`]; each engine keeps only its own name →
-//! index lookup and the wording of its lookup error.
+//! state, addressed by hierarchical path (`pe_0_0.acc`) for both engines,
+//! with one wording for each lookup error.
 //!
 //! The functions on the per-cycle path are `#[inline]`: each is called
 //! from inside an engine's per-cycle loop, which should compile with the
@@ -227,61 +227,86 @@ impl FlatProgram {
         Ok(())
     }
 
-    /// Load `data` into memory `ci` from address 0 (row-major for
+    /// The primitive at hierarchical path `path` (`acc`, `pe_0_0.acc`).
+    fn cell(&self, path: &str) -> SimResult<CellIdx> {
+        let ci = self.cell_index.get(path).copied();
+        ci.ok_or_else(|| SimError::UnknownCell(path.to_string()))
+    }
+
+    /// Load `data` into the memory at `path` from address 0 (row-major for
     /// multi-dimensional memories), masking each word to the element
-    /// width; a shorter image leaves the tail as it was. `None` when
-    /// `ci` is not a memory.
+    /// width; a shorter image leaves the tail as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::OutOfBounds`] when `data` is longer than the
-    /// memory.
-    pub fn set_memory(&mut self, ci: CellIdx, data: &[u64]) -> Option<SimResult<()>> {
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell,
+    /// [`SimError::WrongKind`] when it names one that is not a memory, and
+    /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
+    pub fn set_memory(&mut self, path: &str, data: &[u64]) -> SimResult<()> {
+        let ci = self.cell(path)?;
         let PrimState::Mem {
             data: storage,
             width,
             ..
         } = &mut self.states[ci]
         else {
-            return None;
+            return Err(not_a("memory", path));
         };
         if data.len() > storage.len() {
-            return Some(Err(SimError::OutOfBounds {
-                memory: self.cells[ci].path.clone(),
+            return Err(SimError::OutOfBounds {
+                memory: path.to_string(),
                 address: data.len() as u64,
                 size: storage.len() as u64,
-            }));
+            });
         }
         for (slot, v) in storage.iter_mut().zip(data) {
             *slot = mask(*v, *width);
         }
-        Some(Ok(()))
+        Ok(())
     }
 
-    /// The contents of memory `ci`; `None` when `ci` is not a memory.
-    pub fn memory(&self, ci: CellIdx) -> Option<&[u64]> {
-        match &self.states[ci] {
-            PrimState::Mem { data, .. } => Some(data),
-            _ => None,
+    /// The contents of the memory at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
+    /// [`SimError::WrongKind`] when it names one that is not a memory.
+    pub fn memory(&self, path: &str) -> SimResult<&[u64]> {
+        match &self.states[self.cell(path)?] {
+            PrimState::Mem { data, .. } => Ok(data),
+            _ => Err(not_a("memory", path)),
         }
     }
 
-    /// The value held by register `ci`; `None` when `ci` is not a
-    /// register (combinational cells carry a placeholder register state,
-    /// so the cell kind is checked too).
-    pub fn register_value(&self, ci: CellIdx) -> Option<u64> {
-        let is_reg = matches!(self.cells[ci].kind, FlatCellKind::Reg { .. });
-        match &self.states[ci] {
-            PrimState::Reg { val, .. } if is_reg => Some(*val),
-            _ => None,
+    /// The value held by the register at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
+    /// [`SimError::WrongKind`] when it names one that is not a register
+    /// (combinational cells carry a placeholder register state, so the
+    /// cell kind is checked too).
+    pub fn register_value(&self, path: &str) -> SimResult<u64> {
+        let ci = self.cell(path)?;
+        match (&self.cells[ci].kind, &self.states[ci]) {
+            (FlatCellKind::Reg { .. }, PrimState::Reg { val, .. }) => Ok(*val),
+            _ => Err(not_a("register", path)),
         }
+    }
+}
+
+/// The lookup error for a cell that exists but is not a `what`.
+fn not_a(what: &'static str, path: &str) -> SimError {
+    SimError::WrongKind {
+        cell: path.to_string(),
+        expected: what,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flatten::flatten_control;
+    use crate::flatten::flatten;
     use calyx_core::ir::parse_context;
 
     /// The machine of a component holding just `cells`, with the index of
@@ -290,7 +315,7 @@ mod tests {
         let src =
             format!("component main() -> () {{ cells {{ {cells} }} wires {{}} control {{}} }}");
         let ctx = parse_context(&src).unwrap();
-        let prog = flatten_control(&ctx, "main").unwrap().prog;
+        let prog = flatten(&ctx, "main").unwrap().prog;
         (prog, CellIdx::new(0))
     }
 
@@ -337,7 +362,7 @@ mod tests {
         };
         let seen = cycle(&mut prog, &[(input, 0x1ff), (write_en, 1)]).unwrap();
         assert_eq!((seen[out.index()], seen[done.index()]), (0xff, 1));
-        assert_eq!(prog.register_value(r), Some(0xff));
+        assert_eq!(prog.register_value("r"), Ok(0xff));
         // No write: the value holds and `done` was a one-cycle pulse.
         let seen = cycle(&mut prog, &[(input, 3)]).unwrap();
         assert_eq!((seen[out.index()], seen[done.index()]), (0xff, 0));
@@ -422,7 +447,7 @@ mod tests {
         write.extend([(write_data, 0x1ab), (write_en, 1)]);
         let mut seen = cycle(&mut prog, &write).unwrap();
         assert_eq!(seen[done.index()], 1);
-        assert_eq!(prog.memory(m), Some(&[0, 0, 0, 0, 0, 0xab][..]));
+        assert_eq!(prog.memory("m"), Ok(&[0, 0, 0, 0, 0, 0xab][..]));
         // The read port is combinational: it follows the address ports.
         for (p, v) in at(1, 2) {
             seen[p.index()] = v;
@@ -520,26 +545,33 @@ mod tests {
         values[right.unwrap().index()] = 9;
         assert_eq!(comb_output(&prog, add, &values), Some((out, 2)));
         // Its placeholder state is not a register, nor a memory.
-        assert_eq!(prog.register_value(add), None);
-        assert_eq!(prog.memory(add), None);
+        let not_a = |expected| SimError::WrongKind {
+            cell: "add".to_string(),
+            expected,
+        };
+        assert_eq!(prog.register_value("add"), Err(not_a("register")));
+        assert_eq!(prog.memory("add"), Err(not_a("memory")));
     }
 
     #[test]
     fn memory_images_are_masked_and_bounds_checked() {
-        let (mut prog, m) = machine("m = std_mem_d1(4, 3, 2); r = std_reg(4);");
-        assert_eq!(prog.set_memory(m, &[0x1f, 2]), Some(Ok(())));
-        assert_eq!(prog.memory(m), Some(&[0xf, 2, 0][..]));
+        let (mut prog, _) = machine("m = std_mem_d1(4, 3, 2); r = std_reg(4);");
+        assert_eq!(prog.set_memory("m", &[0x1f, 2]), Ok(()));
+        assert_eq!(prog.memory("m"), Ok(&[0xf, 2, 0][..]));
         assert_eq!(
-            prog.set_memory(m, &[1, 2, 3, 4]),
-            Some(Err(SimError::OutOfBounds {
+            prog.set_memory("m", &[1, 2, 3, 4]),
+            Err(SimError::OutOfBounds {
                 memory: "m".to_string(),
                 address: 4,
                 size: 3,
-            }))
+            })
         );
         // A rejected image writes nothing.
-        assert_eq!(prog.memory(m), Some(&[0xf, 2, 0][..]));
-        assert_eq!(prog.set_memory(CellIdx::new(1), &[1]), None);
+        assert_eq!(prog.memory("m"), Ok(&[0xf, 2, 0][..]));
+        assert!(matches!(
+            prog.set_memory("r", &[1]),
+            Err(SimError::WrongKind { .. })
+        ));
     }
 
     /// Both engines load images through [`FlatProgram::set_memory`], so an

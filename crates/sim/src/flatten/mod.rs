@@ -16,8 +16,8 @@
 //!   is `values[p.index()]` instead of a hash lookup.
 //! - **Interned guards** — guard expressions live in one arena of
 //!   [`FlatGuard`] nodes referring to children by [`GuardIdx`]; no `Box`
-//!   chains. Both entry points build it through one hash-consing
-//!   interner, so structurally equal subtrees are one node.
+//!   chains. The elaborator builds it through one hash-consing interner,
+//!   so structurally equal subtrees are one node.
 //! - **Assignment tables** — assignments are stored contiguously grouped
 //!   by the port they drive, in evaluation order, so "the drivers of a
 //!   port" is one [`IndexRange`].
@@ -25,14 +25,14 @@
 //!   replace the interpreter's recursive `StmtState` clone-on-advance
 //!   machinery.
 //!
-//! Two entry points produce engine-specific views over the same arenas:
-//! [`flatten_control`] keeps groups and the control tree of one component
-//! for the reference interpreter, while [`flatten_design`] elaborates a
-//! lowered hierarchy in place (a cell's ports and the child component's
-//! `this` ports are the same arena slots). Both end the same way: the
-//! guard/driver/cell [`Node`]s are sorted once, and the graph that was
-//! sorted is kept as the [`FanOut`] table the change-driven settle
-//! follows ([`Graph`]).
+//! One entry point, [`flatten`], elaborates the component hierarchy for
+//! both engines. An instance is elaborated in place (a cell's ports and
+//! the child component's `this` ports are the same arena slots), and every
+//! instance keeps its groups and its control tree, one root per
+//! [`FlatInstance`]; a lowered design simply has none. It ends with the
+//! guard/driver/cell [`Node`]s sorted once, and the graph that was sorted
+//! kept as the [`FanOut`] table the change-driven settle follows
+//! ([`Graph`]).
 //!
 //! # What the machine owns, and what an engine owns
 //!
@@ -48,8 +48,8 @@
 //!   cycle skip every primitive that would latch to the state it holds;
 //! - what a combinational cell or a memory's read port computes from a
 //!   valuation ([`FlatCell::comb_output`]);
-//! - how the harness loads and reads state by [`CellIdx`]
-//!   ([`FlatProgram::set_memory`], [`FlatProgram::memory`],
+//! - how the harness loads and reads state by hierarchical cell path
+//!   (`pe_0_0.acc`; [`FlatProgram::set_memory`], [`FlatProgram::memory`],
 //!   [`FlatProgram::register_value`]), including the rule that an image
 //!   longer than its memory is an error;
 //! - how an `ir::Guard` becomes [`FlatGuard`] nodes (one hash-consing
@@ -63,14 +63,15 @@
 //!
 //! An engine owns what drives the machine, and its [`DriverRule`]:
 //!
-//! - [`crate::rtl`]: a lowered design whose graph must be acyclic, the
-//!   top-level `go`/`done` handshake, and the strict rule that two active
-//!   drivers of one port are a conflict whatever they drive;
+//! - [`crate::rtl`]: a lowered design (it refuses groups, control and a
+//!   cyclic graph), the top-level `go`/`done` handshake, and the strict
+//!   rule that two active drivers of one port are a conflict whatever they
+//!   drive;
 //! - [`crate::interp`]: the control walk that picks the active groups and
 //!   raises their `go` ports (walked again only when a group finished or
-//!   a condition without a `with` group is sampled), the done-observation
-//!   cycle, and the rule that two active drivers conflict only when their
-//!   values differ.
+//!   a condition without a `with` group is sampled), each sub-instance's
+//!   `go`/`done` handshake, the done-observation cycle, and the rule that
+//!   two active drivers conflict only when their values differ.
 //!
 //! **Guards are nodes.** Every interned guard is one [`Node::Guard`] of
 //! the sorted graph, placed after the producers of the ports it reads and
@@ -92,28 +93,26 @@
 //!
 //! **The interpreter's graph may be cyclic.** Two groups may wire the
 //! same combinational cells in opposite orders, which is legal as long as
-//! they are never active together. [`flatten_control`] therefore lets the
-//! sort finish: what Kahn's algorithm cannot place becomes the graph's
-//! *tail* ([`Graph::tail_start`]), which the scan sweeps repeatedly,
-//! under a budget, until nothing in it changes. [`flatten_design`]
-//! rejects a cyclic graph, so the RTL engine's tail is always empty and
-//! its scan a single pass.
+//! they are never active together. The sort therefore always finishes:
+//! what Kahn's algorithm cannot place becomes the graph's *tail*
+//! ([`Graph::tail_start`]), which the scan sweeps repeatedly, under a
+//! budget, until nothing in it changes. The RTL engine refuses a graph
+//! with a tail ([`Graph::cycle`] says why), so its scan is a single pass.
 
 mod build;
 pub mod index;
 mod machine;
 mod settle;
 
-pub use build::{flatten_control, flatten_design};
+pub use build::flatten;
 pub use index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
 pub use machine::RunStats;
 pub use settle::{DriverRule, Wires};
 
-use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
-use calyx_core::ir::{CompOp, Id};
+use calyx_core::ir::{CompOp, Id, PortRef};
 use calyx_core::prim::CombOp;
 use std::collections::HashMap;
 
@@ -164,14 +163,17 @@ pub struct FlatAssign {
     pub guard: GuardIdx,
 }
 
-/// Static description of one port slot.
-#[derive(Debug, Clone)]
+/// Static description of one port slot. It carries no name:
+/// [`FlatProgram::port_name`] renders one when an error asks.
+#[derive(Debug, Clone, Copy)]
 pub struct PortData {
     /// Bit width (used for masking in the RTL engine).
     pub width: u32,
-    /// Diagnostic name: `cell.port`, `group[done]`, or a hierarchical
-    /// `parent.child.port` path depending on the flattening mode.
-    pub path: String,
+    /// The instance the port belongs to, by position in
+    /// [`FlatProgram::instances`].
+    pub instance: u32,
+    /// The port as that instance's component names it.
+    pub port: PortRef,
 }
 
 /// How a primitive instance connects to the port arena.
@@ -306,11 +308,26 @@ pub enum CtrlNode {
     },
 }
 
+/// One elaborated component instance.
+#[derive(Debug, Clone)]
+pub struct FlatInstance {
+    /// Its hierarchical path, as the prefix of its cells' and ports'
+    /// names: empty for the top, `pe_0_0.` for its cell `pe_0_0`.
+    pub prefix: String,
+    /// The component it instantiates.
+    pub component: Id,
+    /// Its `go` port: the top's is held high for a whole run, a
+    /// sub-instance's is the slot its parent drives as `cell.go`.
+    pub go: PortIdx,
+    /// Its `done` port.
+    pub done: PortIdx,
+    /// The root of its control tree ([`CtrlNode::Empty`] when lowered).
+    pub root: CtrlIdx,
+}
+
 /// The arenas shared by both engines.
 #[derive(Debug, Clone)]
 pub struct FlatProgram {
-    /// The component this was flattened from (diagnostics).
-    pub name: Id,
     /// All port slots.
     pub ports: IndexedMap<PortIdx, PortData>,
     /// Interned guard nodes. Index 0 is always [`FlatGuard::True`].
@@ -322,20 +339,27 @@ pub struct FlatProgram {
     /// Initial behavioral state, aligned with `cells` (combinational
     /// cells carry a zero-width placeholder).
     pub states: IndexedMap<CellIdx, PrimState>,
+    /// Every elaborated component instance, parents before children: the
+    /// top is the first.
+    pub instances: Vec<FlatInstance>,
+    /// The primitives by hierarchical path (`acc`, `pe_0_0.acc`): how the
+    /// harness names state.
+    pub(crate) cell_index: HashMap<String, CellIdx>,
 }
 
 impl FlatProgram {
-    fn new(name: Id) -> Self {
+    fn new() -> Self {
         let mut guards = IndexedMap::new();
         let t = guards.push(FlatGuard::True);
         debug_assert_eq!(t, GuardIdx::new(0));
         FlatProgram {
-            name,
             ports: IndexedMap::new(),
             guards,
             assigns: IndexedMap::new(),
             cells: IndexedMap::new(),
             states: IndexedMap::new(),
+            instances: Vec::new(),
+            cell_index: HashMap::new(),
         }
     }
 
@@ -343,27 +367,14 @@ impl FlatProgram {
     pub fn true_guard(&self) -> GuardIdx {
         GuardIdx::new(0)
     }
-}
 
-/// Flat view for the reference interpreter: shared arenas plus groups and
-/// the flattened control tree of a single component.
-#[derive(Debug, Clone)]
-pub struct FlatControl {
-    /// Shared arenas.
-    pub prog: FlatProgram,
-    /// The evaluation graph over the continuous assignments and every
-    /// group's; possibly cyclic.
-    pub graph: Graph,
-    /// The component's `go` port slot.
-    pub go: PortIdx,
-    /// All groups.
-    pub groups: IndexedMap<GroupIdx, FlatGroup>,
-    /// The flattened control tree.
-    pub ctrl: IndexedMap<CtrlIdx, CtrlNode>,
-    /// Root control node.
-    pub root: CtrlIdx,
-    /// Cell-name lookup for state inspection.
-    pub cell_index: HashMap<Id, CellIdx>,
+    /// The name an error gives port `p`: its instance's prefix, then the
+    /// port as that instance's component names it (`w.in`, `g[go]`,
+    /// `pe_0_0.mul.left`).
+    pub fn port_name(&self, p: PortIdx) -> String {
+        let PortData { instance, port, .. } = self.ports[p];
+        format!("{}{port}", self.instances[instance as usize].prefix)
+    }
 }
 
 /// One evaluation step of the sorted graph. Every node has
@@ -512,24 +523,29 @@ pub struct Graph {
     /// everything downstream of one, which no order makes final in one
     /// pass. `nodes.len()` for an acyclic graph.
     pub tail_start: usize,
+    /// What the sort could not place when it first stalled: up to eight
+    /// of the ports and cells on or behind a structural cycle, in node
+    /// order. Empty exactly when the tail is.
+    pub cycle: Vec<String>,
 }
 
-/// Flat view for the RTL engine: shared arenas plus the topologically
-/// sorted evaluation nodes of an elaborated (lowered) hierarchy.
+/// A design flattened for either engine: the shared arenas, the sorted
+/// graph over every assignment of every instance, and every instance's
+/// groups and control tree.
 #[derive(Debug, Clone)]
 pub struct FlatDesign {
     /// Shared arenas.
     pub prog: FlatProgram,
-    /// The evaluation graph; acyclic, so its tail is empty.
+    /// The evaluation graph over the continuous assignments and every
+    /// group's; possibly cyclic.
     pub graph: Graph,
-    /// The top component's `go` port.
-    pub top_go: PortIdx,
-    /// The top component's `done` port.
-    pub top_done: PortIdx,
-    /// Top-level input ports by name.
-    pub top_inputs: HashMap<String, PortIdx>,
-    /// Hierarchical-path lookup for state inspection.
-    pub cell_index: HashMap<String, CellIdx>,
+    /// Every instance's groups.
+    pub groups: IndexedMap<GroupIdx, FlatGroup>,
+    /// Every instance's control tree, each rooted at its
+    /// [`FlatInstance::root`].
+    pub ctrl: IndexedMap<CtrlIdx, CtrlNode>,
+    /// The top component's input ports.
+    pub top_inputs: HashMap<Id, PortIdx>,
 }
 
 /// Evaluate an atom against the dense valuation.
@@ -577,16 +593,15 @@ pub fn eval_guard_node(node: FlatGuard, values: &[u64], guard_on: &[bool]) -> bo
 /// order together with the graph it sorted, re-expressed in sorted
 /// positions.
 ///
-/// When the graph is cyclic, `cyclic` decides: without it the loop is
-/// reported by listing (up to eight of) the paths still unresolved; with
-/// it the sort goes on from the first unplaced node, as often as it
-/// stalls, and everything placed from the first stall on is the graph's
-/// tail.
+/// When the graph is cyclic, the first stall lists (up to eight of) the
+/// ports and cells still unplaced as [`Graph::cycle`]; then the sort goes
+/// on from the first unplaced node, as often as it stalls, and everything
+/// placed from the first stall on is the graph's tail.
 ///
 /// The graph is built once, by counting: one pass sizes every row, a
 /// second fills them, and the sort walks the rows of what each finished
 /// node produces.
-pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram, cyclic: bool) -> SimResult<Graph> {
+pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> Graph {
     let rows = Rows {
         n_ports: prog.ports.len(),
         n_guards: prog.guards.len(),
@@ -634,6 +649,7 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram, cyclic: bool) -> Si
     // Where each node landed, to re-express the rows afterwards.
     let mut position = vec![0u32; nodes.len()];
     let mut tail_start = nodes.len();
+    let mut cycle = Vec::new();
     // Nodes before this one are placed or ready.
     let mut unplaced = 0;
     loop {
@@ -654,20 +670,19 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram, cyclic: bool) -> Si
         if sorted.len() == nodes.len() {
             break;
         }
-        if !cyclic {
-            let stuck: Vec<String> = nodes
+        if cycle.is_empty() {
+            cycle = nodes
                 .iter()
                 .zip(&in_degree)
                 .filter(|(_, &d)| d > 0)
                 .filter_map(|(n, _)| match *n {
-                    Node::Drivers { dst, .. } => Some(prog.ports[dst].path.clone()),
+                    Node::Drivers { dst, .. } => Some(prog.port_name(dst)),
                     Node::Cell(c) => Some(prog.cells[c].path.clone()),
                     // A guard is stuck only behind a port that is listed.
                     Node::Guard(_) => None,
                 })
                 .take(8)
                 .collect();
-            return Err(SimError::CombinationalLoop(stuck));
         }
         tail_start = tail_start.min(sorted.len());
         while in_degree[unplaced] == 0 {
@@ -679,9 +694,10 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram, cyclic: bool) -> Si
     for reader in &mut fanout.readers {
         *reader = position[*reader as usize];
     }
-    Ok(Graph {
+    Graph {
         nodes: sorted,
         fanout,
         tail_start,
-    })
+        cycle,
+    }
 }

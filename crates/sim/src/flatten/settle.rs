@@ -224,7 +224,7 @@ impl Wires {
             ..
         } = self;
         let conflict = |port: PortIdx| SimError::DriverConflict {
-            port: prog.ports[port].path.clone(),
+            port: prog.port_name(port),
             cycle,
         };
         let tail = graph.tail_start;
@@ -282,7 +282,7 @@ impl Wires {
             if sweeps == 0 {
                 return Err(SimError::CombinationalLoop(vec![format!(
                     "fixpoint did not converge in component `{}`",
-                    prog.name
+                    prog.instances[0].component
                 )]));
             }
             sweeps -= 1;
@@ -301,7 +301,7 @@ impl Wires {
     #[cfg(debug_assertions)]
     fn assert_settled<R: DriverRule>(&mut self, prog: &FlatProgram, graph: &Graph, cycle: u64) {
         prog.publish(&mut self.values, |port| {
-            panic!("cycle {cycle}: `{}` changed", prog.ports[port].path)
+            panic!("cycle {cycle}: `{}` changed", prog.port_name(port))
         });
         for pos in 0..graph.nodes.len() {
             let changed = eval_node::<R>(prog, graph, &mut self.values, &mut self.guard_on, pos);

@@ -17,14 +17,15 @@
 //! settles to zero like any other port nothing drives.
 //!
 //! The walk itself runs on events, not on every cycle. Which groups are
-//! candidates depends on the control tree's runtime state alone, and
-//! `ctrl_advance` changes that state only when a candidate group
-//! finished, or when an `if`/`while` without a `with` group is in its
-//! condition phase (it samples its port at the end of the cycle, whether
-//! or not any group finished; `Candidates::samples`). In any other cycle
-//! the tree cannot move, so the candidates stand and neither the collect
-//! nor the advance runs; only the done flags raised are lowered again. A
-//! debug build collects afresh before every cycle and checks that the
+//! candidates depends on the control trees' runtime state and on which
+//! instances run, and `ctrl_advance` changes that state only when a
+//! candidate group finished, or when an `if`/`while` without a `with`
+//! group is in its condition phase (it samples its port at the end of the
+//! cycle, whether or not any group finished; `Candidates::samples`); an
+//! instance starts only when its `go` rises. In any other cycle no tree
+//! can move, so the candidates stand and neither the collect nor the
+//! advance runs; only the done flags raised are lowered again. A debug
+//! build collects afresh before every cycle and checks that the
 //! candidates it kept are the same.
 //!
 //! Two things are the interpreter's own. Its driver rule (`Agree`): two
@@ -52,15 +53,34 @@
 //! memories) as this interpreter, even though cycle counts differ. The
 //! differential tests in `tests/` rely on exactly that.
 //!
-//! Limitations (by design — the RTL engine covers the rest): programs must
-//! be single-component (no component-typed cells).
+//! **Component instances.** [`crate::flatten`] elaborates the hierarchy
+//! the RTL engine runs, keeping every instance's groups and control tree,
+//! and the interpreter runs every instance's tree. The top component's
+//! `go` is held high from construction, and the run ends when its tree
+//! finishes. A sub-instance is started and finished through its `go` and
+//! `done` ports (paper §3):
+//!
+//! - it is idle until a cycle ends with its `go` port at 1; its tree then
+//!   starts, and its groups are candidates from the next cycle;
+//! - when its tree finishes (an empty tree finishes when it starts), its
+//!   `done` reads 1 from the next cycle until a cycle ends with `go` at 0;
+//!   then `done` falls and the instance is idle again, so a later `go`
+//!   restarts it;
+//! - only the interpreter drives an instance's `done`, and it holds for
+//!   the whole cycle, so a group's done condition over it is known from
+//!   state alone ([`crate::flatten::FlatGroup::done_from_state`]). A
+//!   sub-component whose wires also drive its own `done` is refused.
+//!
+//! A design without instances does no per-cycle instance work. The cycles
+//! of a hierarchy need not equal those of its lowered form; its final
+//! state must.
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{
-    eval_atom, eval_guard, flatten_control, CellIdx, CtrlIdx, CtrlNode, DriverRule, FlatControl,
-    FlatIdx, GroupIdx, IndexedMap, RunStats, Wires,
+    eval_atom, eval_guard, flatten, CtrlIdx, CtrlNode, DriverRule, FlatDesign, FlatIdx,
+    FlatInstance, FlatProgram, GroupIdx, IndexedMap, RunStats, Wires,
 };
-use calyx_core::ir::{Context, Id};
+use calyx_core::ir::{Assignment, Context, Id, PortRef};
 
 /// Per-node runtime state of the flattened control tree. Indexed by
 /// [`CtrlIdx`]; each field is meaningful only for the node kinds that use
@@ -115,9 +135,10 @@ fn ctrl_start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut CtrlRuntime, n: Ctr
     }
 }
 
-/// What the control tree asks of a cycle: the candidate groups and
+/// What the control trees ask of a cycle: the candidate groups and
 /// whether a condition port is sampled at its end. It is a function of
-/// the [`CtrlRuntime`] alone, which only [`ctrl_advance`] changes.
+/// the [`CtrlRuntime`], which only [`ctrl_advance`] and [`ctrl_start`]
+/// change, and of which instances run.
 #[derive(Debug, Default, PartialEq)]
 struct Candidates {
     /// Enabled groups.
@@ -131,13 +152,17 @@ struct Candidates {
 }
 
 impl Candidates {
-    /// Replace these with what the tree below `root` asks of the next
-    /// cycle.
-    fn collect(&mut self, ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &CtrlRuntime, root: CtrlIdx) {
+    /// Replace these with what the trees of the running instances ask of
+    /// the next cycle.
+    fn collect(&mut self, flat: &FlatDesign, rt: &CtrlRuntime, phases: &[Phase]) {
         self.enables.clear();
         self.conds.clear();
         self.samples = false;
-        ctrl_collect(ctrl, rt, root, self);
+        for (inst, phase) in flat.prog.instances.iter().zip(phases) {
+            if *phase == Phase::Running {
+                ctrl_collect(&flat.ctrl, rt, inst.root, self);
+            }
+        }
     }
 }
 
@@ -296,15 +321,29 @@ fn ctrl_advance(
     }
 }
 
-/// The interpreter for one component.
+/// Where an instance is in its `go`/`done` handshake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Waiting for a cycle that ends with its `go` high.
+    Idle,
+    /// Its control tree is running.
+    Running,
+    /// Its tree finished: its `done` reads 1 until a cycle ends with its
+    /// `go` low.
+    Done,
+}
+
+/// The interpreter for a component hierarchy.
 pub struct Interpreter {
-    flat: FlatControl,
+    flat: FlatDesign,
     wires: Wires,
     rt: CtrlRuntime,
-    root_done: bool,
+    /// Each instance's phase, by position in [`FlatProgram::instances`].
+    /// The run is over when the top's is `Done`.
+    phases: Vec<Phase>,
     cycles: u64,
-    /// What the control tree asks of the next cycle; collected again only
-    /// after the tree moved.
+    /// What the control trees ask of the next cycle; collected again only
+    /// after a tree moved or an instance started.
     walk: Candidates,
     /// The groups whose `go` port is high.
     active: Vec<GroupIdx>,
@@ -318,9 +357,23 @@ pub struct Interpreter {
     finished: Vec<GroupIdx>,
 }
 
+/// Whether component `name`'s own wires drive its `done` port, which the
+/// interpreter drives for a sub-instance: `Some` with where the source
+/// map places the first such assignment (` at line:col`, or nothing).
+fn drives_own_done(ctx: &Context, name: Id) -> Option<String> {
+    let comp = ctx.component(name)?;
+    let done = PortRef::this("done");
+    let find = |asgns: &[Assignment]| asgns.iter().position(|a| a.dst == done);
+    let continuous = find(&comp.continuous).map(|i| (None, i));
+    let mut groups = comp.groups.iter();
+    let (group, index) = continuous
+        .or_else(|| groups.find_map(|g| find(&g.assignments).map(|i| (Some(g.name), i))))?;
+    let loc = ctx.sources.assignment(name, group, index);
+    Some(loc.map_or(String::new(), |l| format!(" at {}:{}", l.line, l.col)))
+}
+
 /// The driver rule of the language definition: drivers that agree are one
-/// driver, and a value is not cut to its port's width (an undeclared port
-/// has none).
+/// driver, and a value is not cut to its port's width.
 struct Agree;
 
 impl DriverRule for Agree {
@@ -336,26 +389,44 @@ impl DriverRule for Agree {
 }
 
 impl Interpreter {
-    /// Build an interpreter for component `top` of `ctx`.
+    /// Build an interpreter for the hierarchy rooted at component `top`
+    /// of `ctx`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Elaboration`] when the component instantiates
-    /// other components or uses unmodeled primitives.
+    /// Those of [`flatten`], and [`SimError::Elaboration`] when a
+    /// sub-component's wires drive its own `done`.
     pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
-        let flat = flatten_control(ctx, top)?;
+        let flat = flatten(ctx, top)?;
+        for inst in &flat.prog.instances[1..] {
+            if let Some(at) = drives_own_done(ctx, inst.component) {
+                return Err(SimError::Elaboration(format!(
+                    "instance `{}` of `{}` drives its own `done`{at}, which the interpreter \
+                     raises when its control finishes",
+                    inst.prefix.trim_end_matches('.'),
+                    inst.component
+                )));
+            }
+        }
         let n_groups = flat.groups.len();
         let mut rt = CtrlRuntime::new(flat.ctrl.len());
-        let root_done = ctrl_start(&flat.ctrl, &mut rt, flat.root);
+        let mut phases = vec![Phase::Idle; flat.prog.instances.len()];
+        // The top's `go` is held high for the whole run: its tree starts
+        // now.
+        let top = &flat.prog.instances[0];
+        phases[0] = if ctrl_start(&flat.ctrl, &mut rt, top.root) {
+            Phase::Done
+        } else {
+            Phase::Running
+        };
         let mut walk = Candidates::default();
-        walk.collect(&flat.ctrl, &rt, flat.root);
+        walk.collect(&flat, &rt, &phases);
         let mut wires = Wires::new(&flat.prog, &flat.graph);
-        // `go` is held high for the whole run.
-        wires.set(&flat.graph, flat.go, 1);
+        wires.set(&flat.graph, top.go, 1);
         Ok(Interpreter {
             wires,
             rt,
-            root_done,
+            phases,
             cycles: 0,
             walk,
             active: Vec::new(),
@@ -367,49 +438,40 @@ impl Interpreter {
         })
     }
 
-    fn cell(&self, cell: &str) -> SimResult<CellIdx> {
-        let ci = self.flat.cell_index.get(&Id::new(cell)).copied();
-        ci.ok_or_else(|| SimError::UnknownCell(cell.to_string()))
-    }
-
-    /// Initialize a memory's contents.
+    /// Initialize the contents of the memory at hierarchical path `cell`
+    /// (`m`, `pe_0_0.m`): [`FlatProgram::set_memory`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when there is no cell `cell`,
-    /// [`SimError::WrongKind`] when it is not a memory, and
-    /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
+    /// Those of [`FlatProgram::set_memory`].
     pub fn set_memory(&mut self, cell: &str, data: &[u64]) -> SimResult<()> {
-        let ci = self.cell(cell)?;
         // A read port may show a new word under an unchanged address.
         self.wires.mark_all(&self.flat.graph);
-        self.flat
-            .prog
-            .set_memory(ci, data)
-            .unwrap_or_else(|| Err(not_a("memory", cell)))
+        self.flat.prog.set_memory(cell, data)
     }
 
     /// Read a memory's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when there is no cell `cell` and
-    /// [`SimError::WrongKind`] when it is not a memory.
+    /// Those of [`FlatProgram::memory`].
     pub fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        let data = self.flat.prog.memory(self.cell(cell)?);
-        data.map(<[u64]>::to_vec)
-            .ok_or_else(|| not_a("memory", cell))
+        self.flat.prog.memory(cell).map(<[u64]>::to_vec)
     }
 
     /// Read a register.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when there is no cell `cell` and
-    /// [`SimError::WrongKind`] when it is not a register.
+    /// Those of [`FlatProgram::register_value`].
     pub fn register_value(&self, cell: &str) -> SimResult<u64> {
-        let val = self.flat.prog.register_value(self.cell(cell)?);
-        val.ok_or_else(|| not_a("register", cell))
+        self.flat.prog.register_value(cell)
+    }
+
+    /// The architectural state, for a report
+    /// ([`crate::report::write_state_report`]).
+    pub fn state(&self) -> &FlatProgram {
+        &self.flat.prog
     }
 
     /// Run the control program to completion.
@@ -419,7 +481,7 @@ impl Interpreter {
     /// Returns [`SimError::Timeout`] past the cycle budget, driver-conflict
     /// and convergence errors from settling.
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
-        while !self.root_done {
+        while self.phases[0] != Phase::Done {
             if self.cycles >= max_cycles {
                 return Err(SimError::Timeout { max_cycles });
             }
@@ -430,16 +492,16 @@ impl Interpreter {
         })
     }
 
-    /// Execute one cycle: settle, tick state, and advance the control tree
-    /// if it can move.
+    /// Execute one cycle: settle, tick state, and advance the control trees
+    /// if they can move.
     fn step(&mut self) -> SimResult<()> {
         // 1. Candidate groups this cycle: enabled groups plus the `with`
         //    condition groups currently being evaluated, as collected when
-        //    the tree last moved.
+        //    a tree last moved.
         #[cfg(debug_assertions)]
         {
             let mut fresh = Candidates::default();
-            fresh.collect(&self.flat.ctrl, &self.rt, self.flat.root);
+            fresh.collect(&self.flat, &self.rt, &self.phases);
             let cycle = self.cycles;
             assert_eq!(fresh, self.walk, "cycle {cycle}: the control walk is stale");
         }
@@ -485,18 +547,63 @@ impl Interpreter {
         // 5. Synchronous update.
         self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
 
-        // 6. Advance the control tree using this cycle's observations. It
-        //    can move only when a group finished or a condition without a
-        //    `with` group is sampled; otherwise this cycle's candidates
-        //    are the next one's too.
-        if !self.finished.is_empty() || self.walk.samples {
-            let (ctrl, root) = (&self.flat.ctrl, self.flat.root);
-            let values = self.wires.values();
-            self.root_done = ctrl_advance(ctrl, &mut self.rt, root, &self.done_flags, values);
-            self.walk.collect(ctrl, &self.rt, root);
-        }
+        // 6. Advance the control trees and the sub-instances' handshakes
+        //    on this cycle's observations.
+        self.advance();
         self.cycles += 1;
         Ok(())
+    }
+
+    /// The end of a cycle for the control trees. A tree can move only
+    /// when a group finished or a condition without a `with` group is
+    /// sampled, and the candidates change only then or when an instance
+    /// starts; otherwise this cycle's candidates are the next one's too.
+    /// A sub-instance's `done` shows its phase from the next cycle on.
+    fn advance(&mut self) {
+        let Interpreter {
+            flat,
+            wires,
+            rt,
+            phases,
+            walk,
+            done_flags,
+            finished,
+            ..
+        } = self;
+        let instances = &flat.prog.instances;
+        let go = |wires: &Wires, inst: &FlatInstance| wires.values()[inst.go.index()] != 0;
+        // Before any tree moves: a `done` raised by a tree finishing now is
+        // seen for at least the next cycle, whatever `go` did in this one.
+        for (inst, phase) in instances.iter().zip(phases.iter_mut()).skip(1) {
+            if *phase == Phase::Done && !go(wires, inst) {
+                *phase = Phase::Idle;
+            }
+        }
+        let moved = !finished.is_empty() || walk.samples;
+        if moved {
+            for (inst, phase) in instances.iter().zip(phases.iter_mut()) {
+                if *phase == Phase::Running
+                    && ctrl_advance(&flat.ctrl, rt, inst.root, done_flags, wires.values())
+                {
+                    *phase = Phase::Done;
+                }
+            }
+        }
+        let mut started = false;
+        for (inst, phase) in instances.iter().zip(phases.iter_mut()).skip(1) {
+            if *phase == Phase::Idle && go(wires, inst) {
+                started = true;
+                *phase = if ctrl_start(&flat.ctrl, rt, inst.root) {
+                    Phase::Done
+                } else {
+                    Phase::Running
+                };
+            }
+            wires.set(&flat.graph, inst.done, u64::from(*phase == Phase::Done));
+        }
+        if moved || started {
+            walk.collect(flat, rt, phases);
+        }
     }
 
     /// Does group `g`'s done condition hold under the current values? Its
@@ -531,14 +638,6 @@ impl Interpreter {
         }
         active.clear();
         active.extend_from_slice(want);
-    }
-}
-
-/// The lookup error for a cell that exists but is not a `what`.
-fn not_a(what: &'static str, cell: &str) -> SimError {
-    SimError::WrongKind {
-        cell: cell.to_string(),
-        expected: what,
     }
 }
 
@@ -726,7 +825,7 @@ mod tests {
               control { seq { g1; g2; } }
             }"#;
         assert_eq!(run_outcome(src, &["x", "y"]), (Ok(4), vec![6, 15]));
-        let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        let flat = flatten(&parse_context(src).unwrap(), "main").unwrap();
         assert!(flat.graph.tail_start < flat.graph.nodes.len());
     }
 
@@ -849,7 +948,7 @@ mod tests {
               }
               control { seq { g3; par { g1; g2; } g4; } }
             }"#;
-        let flat = flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        let flat = flatten(&parse_context(src).unwrap(), "main").unwrap();
         assert!(flat.graph.tail_start < flat.graph.nodes.len());
         assert_eq!(run_outcome(src, &["x", "y"]), (Ok(6), vec![7, 255]));
     }
@@ -895,7 +994,7 @@ mod tests {
                 }}"#
             )
         };
-        let flat = |src: &str| flatten_control(&parse_context(src).unwrap(), "main").unwrap();
+        let flat = |src: &str| flatten(&parse_context(src).unwrap(), "main").unwrap();
         let registered = program("x.done");
         assert!(flat(&registered).groups.iter().all(|g| g.done_from_state));
         assert_eq!(run_outcome(&registered, &["x", "n"]), (Ok(2), vec![9, 1]));
@@ -1038,22 +1137,76 @@ mod tests {
         assert_eq!(on_both_engines(&program(3), &["r"]), ((5, 6), vec![2]));
     }
 
-    #[test]
-    fn rejects_component_instances() {
-        let ctx = parse_context(
-            r#"
-            component child() -> () { cells {} wires {} control {} }
-            component main() -> () {
-              cells { c = child(); }
-              wires {}
-              control {}
-            }"#,
+    /// `main` runs `control` over `invoke`, which starts instance `c` of
+    /// `child` and is done when `c` is.
+    fn calling(child: &str, control: &str) -> String {
+        format!(
+            r#"component child() -> () {{ {child} }}
+            component main() -> () {{
+              cells {{ c = child(); flag = std_reg(8); }}
+              wires {{
+                group invoke {{ c.go = 1'd1; invoke[done] = c.done; }}
+                group after {{ flag.in = 8'd1; flag.write_en = 1'd1; after[done] = flag.done; }}
+              }}
+              control {{ {control} }}
+            }}"#
         )
-        .unwrap();
-        assert!(matches!(
-            Interpreter::new(&ctx, "main"),
-            Err(SimError::Elaboration(_))
-        ));
+    }
+
+    #[test]
+    fn an_empty_child_is_done_the_cycle_after_its_go() {
+        // Cycle 0 ends with `c.go` high: the empty tree starts and
+        // finishes. Cycle 1 sees `c.done`, so `invoke` is done.
+        let src = calling("cells {} wires {} control {}", "invoke;");
+        assert_eq!(run_outcome(&src, &["flag"]), (Ok(2), vec![0]));
+    }
+
+    #[test]
+    fn a_child_runs_its_control_between_go_and_done() {
+        // `invoke` 1 cycle to start `c`, `w` 2, `c.done` seen 1; `after` 2.
+        let child = r#"cells { r = std_reg(8); }
+              wires { group w { r.in = 8'd9; r.write_en = 1'd1; w[done] = r.done; } }
+              control { w; }"#;
+        let src = calling(child, "seq { invoke; after; }");
+        assert_eq!(
+            on_both_engines(&src, &["c.r", "flag"]),
+            ((6, 5), vec![9, 1])
+        );
+        let flat = flatten(&parse_context(&src).unwrap(), "main").unwrap();
+        let named = |g: GroupIdx| flat.prog.port_name(flat.groups[g].go);
+        let names: Vec<String> = flat.groups.keys().map(named).collect();
+        assert_eq!(names, ["c.w[go]", "invoke[go]", "after[go]"]);
+    }
+
+    #[test]
+    fn a_later_go_restarts_a_finished_child() {
+        // `c.done` falls once a cycle ends with `c.go` low, which the
+        // done-observation cycle of the first `invoke` is: the second
+        // `invoke` starts `c` again.
+        let child = r#"cells { r = std_reg(8); add = std_add(8); }
+              wires {
+                group incr {
+                  add.left = r.out; add.right = 8'd1; r.in = add.out; r.write_en = 1'd1;
+                  incr[done] = r.done;
+                }
+              }
+              control { incr; }"#;
+        let src = calling(child, "seq { invoke; invoke; }");
+        assert_eq!(on_both_engines(&src, &["c.r"]), ((8, 5), vec![2]));
+    }
+
+    #[test]
+    fn a_child_that_drives_its_own_done_is_refused() {
+        let child = r#"cells { r = std_reg(1); }
+              wires { r.in = 1'd1; r.write_en = 1'd1; done = r.done ? 1'd1; }
+              control {}"#;
+        let ctx = parse_context(&calling(child, "invoke;")).unwrap();
+        let err = Interpreter::new(&ctx, "main").err().unwrap().to_string();
+        assert_eq!(
+            err,
+            "elaboration failed: instance `c` of `child` drives its own `done` at 2:55, \
+             which the interpreter raises when its control finishes"
+        );
     }
 
     #[test]

@@ -29,24 +29,27 @@
 //! tree-walking engines these replaced.
 //!
 //! Both engines run over the dense arena-indexed IR built once per design
-//! by [`flatten`]: typed indices into contiguous `Vec` storage for ports,
-//! cells, guards, assignments, and control nodes, so each simulated cycle
-//! is pure array indexing. That IR is also the one **cycle machine** under
-//! both of them. [`flatten::FlatProgram`] owns, once, everything about a
-//! cycle that does not depend on the engine: what stateful primitives
-//! show when it starts (`publish`), how they latch when it ends (`tick`),
-//! what a combinational cell or memory read port computes
-//! ([`flatten::FlatCell::comb_output`], over the behavioral models in
-//! [`prim`]), how a harness loads and reads memories and registers, and
-//! how guards are interned. [`flatten::Wires`] owns how the wires settle
-//! in between: a valuation that persists across cycles and a
-//! change-driven visit of the sorted nodes (guards among them).
-//! An engine owns what drives that machine — [`rtl`] a lowered design and
-//! its `go`/`done` handshake, [`interp`] the control walk, which raises
-//! the `go` port of each active group, and the done-observation cycle —
-//! and its [`flatten::DriverRule`]: strict for [`rtl`], same-value for
-//! [`interp`]. The interpreter's graph may also be cyclic across groups
-//! that are never active together; the RTL engine rejects a cycle.
+//! by one elaborator, [`flatten::flatten`]: the component hierarchy,
+//! instances elaborated in place, with typed indices into contiguous `Vec`
+//! storage for ports, cells, guards, assignments, and control nodes, so
+//! each simulated cycle is pure array indexing. That IR is also the one
+//! **cycle machine** under both of them. [`flatten::FlatProgram`] owns,
+//! once, everything about a cycle that does not depend on the engine: what
+//! stateful primitives show when it starts (`publish`), how they latch
+//! when it ends (`tick`), what a combinational cell or memory read port
+//! computes ([`flatten::FlatCell::comb_output`], over the behavioral
+//! models in [`prim`]), how a harness loads and reads memories and
+//! registers by hierarchical path, and how guards are interned.
+//! [`flatten::Wires`] owns how the wires settle in between: a valuation
+//! that persists across cycles and a change-driven visit of the sorted
+//! nodes (guards among them). An engine owns what drives that machine —
+//! [`rtl`] a lowered design and its `go`/`done` handshake, [`interp`] the
+//! control walk over every instance's tree, which raises the `go` port of
+//! each active group, each sub-instance's `go`/`done` handshake, and the
+//! done-observation cycle — and its [`flatten::DriverRule`]: strict for
+//! [`rtl`], same-value for [`interp`]. The interpreter's graph may also be
+//! cyclic across groups that are never active together; the RTL engine
+//! refuses a cycle, and groups or control.
 
 pub mod error;
 pub mod flatten;
@@ -57,5 +60,5 @@ pub mod rtl;
 
 pub use error::{SimError, SimResult};
 pub use flatten::RunStats;
-pub use report::{write_state_report, StateSource};
+pub use report::write_state_report;
 pub use rtl::Simulator;

@@ -1,11 +1,10 @@
 //! Final-state reports shared by the simulation backends.
 //!
 //! Both engines — the cycle-accurate [`Simulator`]
-//! and the reference [`Interpreter`] — expose
-//! architectural state (memories and registers) through engine-specific
-//! accessors. [`StateSource`] unifies them behind one read-only view so
-//! that a single [`write_state_report`] produces the `futil -b sim` /
-//! `futil -b interp` output format:
+//! and the reference [`Interpreter`] — keep architectural state (memories
+//! and registers) in one [`FlatProgram`], addressed by hierarchical path,
+//! so a single [`write_state_report`] over it produces the
+//! `futil -b sim` / `futil -b interp` output format:
 //!
 //! ```text
 //! done in 23 cycles
@@ -14,63 +13,25 @@
 //! ```
 //!
 //! One line per stateful cell of the inspected component, memories first
-//! preference (a cell is reported as a memory when the engine knows it as
-//! one, otherwise as a register; combinational cells are skipped).
+//! preference (a cell is reported as a memory when it is one, otherwise as
+//! a register; combinational cells and component instances are skipped).
+//!
+//! [`Simulator`]: crate::rtl::Simulator
+//! [`Interpreter`]: crate::interp::Interpreter
 
-use crate::error::SimResult;
-use crate::flatten::RunStats;
-use crate::interp::Interpreter;
-use crate::rtl::Simulator;
+use crate::flatten::{FlatProgram, RunStats};
 use calyx_core::ir::Component;
 use std::io::{self, Write};
 
-/// Read-only architectural state of a finished simulation, keyed by cell
-/// name within the inspected component.
-pub trait StateSource {
-    /// The full contents of memory cell `cell`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's lookup error when `cell` is not a memory.
-    fn memory(&self, cell: &str) -> SimResult<Vec<u64>>;
-
-    /// The value held by register cell `cell`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's lookup error when `cell` is not a register.
-    fn register(&self, cell: &str) -> SimResult<u64>;
-}
-
-impl StateSource for Simulator {
-    fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        Simulator::memory(self, &[cell])
-    }
-
-    fn register(&self, cell: &str) -> SimResult<u64> {
-        Simulator::register_value(self, &[cell])
-    }
-}
-
-impl StateSource for Interpreter {
-    fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        Interpreter::memory(self, cell)
-    }
-
-    fn register(&self, cell: &str) -> SimResult<u64> {
-        Interpreter::register_value(self, cell)
-    }
-}
-
 /// Write the cycle count and the final architectural state of `comp`'s
-/// stateful cells, best-effort: cells the engine does not model as state
-/// (adders, comparators, …) are silently skipped.
+/// stateful cells, as `state` holds it, best-effort: cells that are not
+/// state (adders, comparators, instances, …) are silently skipped.
 ///
 /// # Errors
 ///
 /// Propagates write failures from `out`.
 pub fn write_state_report(
-    src: &dyn StateSource,
+    state: &FlatProgram,
     comp: &Component,
     stats: RunStats,
     out: &mut dyn Write,
@@ -78,9 +39,9 @@ pub fn write_state_report(
     writeln!(out, "done in {} cycles", stats.cycles)?;
     for cell in comp.cells.iter() {
         let name = cell.name.as_str();
-        if let Ok(mem) = src.memory(name) {
+        if let Ok(mem) = state.memory(name) {
             writeln!(out, "{name} = {mem:?}")?;
-        } else if let Ok(v) = src.register(name) {
+        } else if let Ok(v) = state.register_value(name) {
             writeln!(out, "{name} = {v}")?;
         }
     }
@@ -90,6 +51,8 @@ pub fn write_state_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Interpreter;
+    use crate::rtl::Simulator;
     use calyx_core::ir::parse_context;
     use calyx_core::passes::PassManager;
 
@@ -108,7 +71,7 @@ mod tests {
         let mut interp = Interpreter::new(&ctx, "main").unwrap();
         let istats = interp.run(1000).unwrap();
         let mut ibuf = Vec::new();
-        write_state_report(&interp, ctx.entry().unwrap(), istats, &mut ibuf).unwrap();
+        write_state_report(interp.state(), ctx.entry().unwrap(), istats, &mut ibuf).unwrap();
         let ireport = String::from_utf8(ibuf).unwrap();
         assert!(ireport.starts_with("done in "), "{ireport}");
         assert!(ireport.contains("r = 7"), "{ireport}");
@@ -120,7 +83,7 @@ mod tests {
         let mut sim = Simulator::new(&lowered, "main").unwrap();
         let sstats = sim.run(1000).unwrap();
         let mut sbuf = Vec::new();
-        write_state_report(&sim, lowered.entry().unwrap(), sstats, &mut sbuf).unwrap();
+        write_state_report(sim.state(), lowered.entry().unwrap(), sstats, &mut sbuf).unwrap();
         let sreport = String::from_utf8(sbuf).unwrap();
         assert!(sreport.contains("r = 7"), "{sreport}");
     }

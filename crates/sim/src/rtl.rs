@@ -49,15 +49,16 @@
 //! cycles and state of every PolyBench kernel under `lower`,
 //! `lower-static` and `opt`, recorded from the engine this one replaced.
 //!
-//! The valuation and the scan are [`Wires`], which the interpreter runs
-//! on too. What is this engine's own: it takes a lowered design, rejects
-//! a cyclic graph when it is built, drives `go` and watches `done`, and
-//! holds that two active drivers of one port conflict whatever they drive
-//! (`Strict`).
+//! The elaboration and the scan are [`flatten`] and [`Wires`], which the
+//! interpreter runs on too. What is this engine's own: it takes a lowered
+//! design — [`Simulator::new`] refuses, after the one elaboration, a
+//! design that still has groups or control and a cyclic graph — drives
+//! `go` and watches `done`, and holds that two active drivers of one port
+//! conflict whatever they drive (`Strict`).
 
 use crate::error::{SimError, SimResult};
-use crate::flatten::{flatten_design, CellIdx, DriverRule, FlatDesign, FlatIdx, RunStats, Wires};
-use calyx_core::ir::Context;
+use crate::flatten::{flatten, DriverRule, FlatDesign, FlatIdx, FlatProgram, RunStats, Wires};
+use calyx_core::ir::{Context, Id};
 use calyx_core::prim::mask;
 
 /// A cycle-accurate simulator instance.
@@ -96,10 +97,24 @@ impl Simulator {
     /// names, or unmodeled primitives; [`SimError::CombinationalLoop`] when
     /// the assignment graph is cyclic.
     pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
-        let flat = flatten_design(ctx, top)?;
+        let flat = flatten(ctx, top)?;
+        let unlowered = flat.prog.instances.iter().find(|i| {
+            let comp = ctx.component(i.component);
+            comp.is_some_and(|c| !c.groups.is_empty() || !c.control.is_empty())
+        });
+        if let Some(inst) = unlowered {
+            return Err(SimError::Elaboration(format!(
+                "component `{}` still has groups/control; run the lowering \
+                 pipeline first (or use the interpreter)",
+                inst.component
+            )));
+        }
+        if !flat.graph.cycle.is_empty() {
+            return Err(SimError::CombinationalLoop(flat.graph.cycle));
+        }
         let mut wires = Wires::new(&flat.prog, &flat.graph);
         // `go` is held high for the whole run.
-        wires.set(&flat.graph, flat.top_go, 1);
+        wires.set(&flat.graph, flat.prog.instances[0].go, 1);
         Ok(Simulator { flat, wires })
     }
 
@@ -112,62 +127,47 @@ impl Simulator {
         let idx = *self
             .flat
             .top_inputs
-            .get(port)
+            .get(&Id::new(port))
             .ok_or_else(|| SimError::UnknownCell(format!("top-level input `{port}`")))?;
         let value = mask(value, self.flat.prog.ports[idx].width);
         self.wires.set(&self.flat.graph, idx, value);
         Ok(())
     }
 
-    fn prim_idx(&self, path: &[&str]) -> SimResult<CellIdx> {
-        let key = path.join(".");
-        self.flat
-            .cell_index
-            .get(&key)
-            .copied()
-            .ok_or(SimError::UnknownCell(key))
-    }
-
-    /// Initialize a memory cell's contents (row-major for multi-dim).
+    /// Initialize the contents of the memory at hierarchical path `path`
+    /// (row-major for multi-dim): [`FlatProgram::set_memory`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` names no cell,
-    /// [`SimError::WrongKind`] when it names one that is not a memory, and
-    /// [`SimError::OutOfBounds`] when `data` is longer than the memory.
+    /// Those of [`FlatProgram::set_memory`].
     pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
-        let idx = self.prim_idx(path)?;
         // A read port may show a new word under an unchanged address.
         self.wires.mark_all(&self.flat.graph);
-        self.flat
-            .prog
-            .set_memory(idx, data)
-            .unwrap_or_else(|| Err(not_a("memory", path)))
+        self.flat.prog.set_memory(&path.join("."), data)
     }
 
     /// Read back a memory cell's contents.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
-    /// [`SimError::WrongKind`] when it names one that is not a memory.
+    /// Those of [`FlatProgram::memory`].
     pub fn memory(&self, path: &[&str]) -> SimResult<Vec<u64>> {
-        let idx = self.prim_idx(path)?;
-        let data = self.flat.prog.memory(idx);
-        data.map(<[u64]>::to_vec)
-            .ok_or_else(|| not_a("memory", path))
+        self.flat.prog.memory(&path.join(".")).map(<[u64]>::to_vec)
     }
 
     /// Read a register's current value.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCell`] when `path` names no cell and
-    /// [`SimError::WrongKind`] when it names one that is not a register.
+    /// Those of [`FlatProgram::register_value`].
     pub fn register_value(&self, path: &[&str]) -> SimResult<u64> {
-        let idx = self.prim_idx(path)?;
-        let val = self.flat.prog.register_value(idx);
-        val.ok_or_else(|| not_a("register", path))
+        self.flat.prog.register_value(&path.join("."))
+    }
+
+    /// The architectural state, for a report
+    /// ([`crate::report::write_state_report`]).
+    pub fn state(&self) -> &FlatProgram {
+        &self.flat.prog
     }
 
     /// Number of primitive instances (used by compilation statistics).
@@ -181,7 +181,7 @@ impl Simulator {
         let Simulator { flat, wires } = self;
         wires.publish(&flat.prog, &flat.graph);
         wires.settle::<Strict>(&flat.prog, &flat.graph, cycle)?;
-        Ok(wires.values()[flat.top_done.index()] != 0)
+        Ok(wires.values()[flat.prog.instances[0].done.index()] != 0)
     }
 
     /// Run the design: assert `go`, clock until `done`, report the cycle
@@ -200,14 +200,6 @@ impl Simulator {
             }
         }
         Err(SimError::Timeout { max_cycles })
-    }
-}
-
-/// The lookup error for a cell that exists but is not a `what`.
-fn not_a(what: &'static str, path: &[&str]) -> SimError {
-    SimError::WrongKind {
-        cell: path.join("."),
-        expected: what,
     }
 }
 

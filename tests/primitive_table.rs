@@ -9,7 +9,7 @@ use calyx::backend::verilog;
 use calyx::core::analysis::dataflow::{eval_port, Scope};
 use calyx::core::ir::{parse_context, Context, Id, Library, PortRef, PrimKind, PrimitiveDef};
 use calyx::core::prim::{mask, CombOp, UnitOp};
-use calyx::sim::flatten::{flatten_control, CellIdx, FlatCellKind, FlatIdx, FlatProgram, PortIdx};
+use calyx::sim::flatten::{flatten, CellIdx, FlatCellKind, FlatIdx, FlatProgram, PortIdx};
 use proptest::prelude::*;
 
 /// Every row of the std table, in name order.
@@ -54,7 +54,7 @@ fn every_row_has_a_model_a_template_and_a_cost() {
         let kind = def.kind.expect("a std row has a kind");
         let params = params(&def, 8, 8);
         let ctx = one_cell(&def, &params, "");
-        if let Err(e) = flatten_control(&ctx, "main") {
+        if let Err(e) = flatten(&ctx, "main") {
             panic!("`{name}` has no behavioural model: {e}");
         }
         let sv = verilog::emit(&ctx).unwrap_or_else(|e| panic!("`{name}`: {e}"));
@@ -122,7 +122,7 @@ proptest! {
                 continue;
             }
             let ctx = one_cell(&def, &params(&def, width, width), "");
-            let mut prog = flatten_control(&ctx, "main").unwrap().prog;
+            let mut prog = flatten(&ctx, "main").unwrap().prog;
             let (inputs, activate, done) = match &prog.cells[CellIdx::new(0)].kind {
                 FlatCellKind::Reg { input, write_en, done, .. } => {
                     (vec![(*input, a)], *write_en, *done)
@@ -173,7 +173,7 @@ proptest! {
             let folded = eval_port(comp, Scope::All, None, PortRef::cell("p", "out"));
             prop_assert_eq!(folded, Some(expected), "{}", def.name);
 
-            let prog = flatten_control(&ctx, "main").unwrap().prog;
+            let prog = flatten(&ctx, "main").unwrap().prog;
             let ci = CellIdx::new(0);
             let FlatCellKind::Comb { left, right, .. } = prog.cells[ci].kind else {
                 unreachable!("`{}` is combinational", def.name);

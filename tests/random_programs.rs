@@ -6,17 +6,23 @@
 #![allow(dead_code)]
 //!
 //! Programs use a fixed pool of 8-bit data registers and one external
-//! memory. Leaf groups perform register arithmetic and memory traffic;
-//! the control tree composes them with `seq`, `par`, `if`, and bounded
-//! `while` loops. Well-formedness is maintained by construction:
+//! memory. Leaf groups perform register arithmetic and memory traffic, or
+//! route a register through an instance of a child component (started by
+//! its `go`, finished by its `done`); the control tree composes them with
+//! `seq`, `par`, `if`, and bounded `while` loops. Well-formedness is
+//! maintained by construction:
 //!
 //! - `par` branches receive *disjoint* register sets and at most one
 //!   branch touches the memory (the unique-driver rule);
 //! - every `while` owns a dedicated counter register, reset immediately
 //!   before the loop, so all programs terminate;
-//! - `if`/`while` conditions are combinational comparison groups.
+//! - `if`/`while` conditions are combinational comparison groups;
+//! - every call site instantiates a child of its own, so `par` branches
+//!   never share one.
 
-use calyx::core::ir::{Builder, Context, Control, Id, PortRef};
+use calyx::core::ir::{
+    Builder, Component, Context, Control, Direction, Guard, Id, PortDef, PortRef,
+};
 use proptest::prelude::*;
 
 /// Width of all data registers.
@@ -45,6 +51,8 @@ pub enum Action {
     Store { addr: u64, src: usize },
     /// `r[dst] <- mem[addr]`
     Load { dst: usize, addr: u64 },
+    /// `r[dst] <- r[src]`, through a fresh instance of the child component
+    Call { dst: usize, src: usize },
 }
 
 impl Action {
@@ -53,7 +61,8 @@ impl Action {
             Action::SetConst { dst, .. }
             | Action::AddConst { dst, .. }
             | Action::AddRegs { dst, .. }
-            | Action::Load { dst, .. } => Some(*dst),
+            | Action::Load { dst, .. }
+            | Action::Call { dst, .. } => Some(*dst),
             Action::Store { .. } => None,
         }
     }
@@ -61,7 +70,7 @@ impl Action {
     fn reads_regs(&self, out: &mut std::collections::BTreeSet<usize>) {
         match self {
             Action::SetConst { .. } | Action::Load { .. } => {}
-            Action::AddConst { src, .. } | Action::Store { src, .. } => {
+            Action::AddConst { src, .. } | Action::Store { src, .. } | Action::Call { src, .. } => {
                 out.insert(*src);
             }
             Action::AddRegs { a, b, .. } => {
@@ -177,6 +186,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         (0..REGS, 0..REGS, 0..REGS).prop_map(|(dst, a, b)| Action::AddRegs { dst, a, b }),
         (0..MEM_SIZE, 0..REGS).prop_map(|(addr, src)| Action::Store { addr, src }),
         (0..REGS, 0..MEM_SIZE).prop_map(|(dst, addr)| Action::Load { dst, addr }),
+        (0..REGS, 0..REGS).prop_map(|(dst, src)| Action::Call { dst, src }),
     ]
 }
 
@@ -292,9 +302,34 @@ fn reg_name(i: usize) -> String {
     format!("r{i}")
 }
 
+/// The component a [`Action::Call`] instantiates: it latches `in` into a
+/// register of its own and shows it on `out`.
+const CHILD: &str = "latch";
+
+fn build_child(ctx: &Context) -> Component {
+    let mut child = Component::new(
+        CHILD,
+        vec![
+            PortDef::new("in", WIDTH as u32, Direction::Input),
+            PortDef::new("out", WIDTH as u32, Direction::Output),
+        ],
+    );
+    let mut b = Builder::new(&mut child, ctx);
+    let r = b.add_primitive("r", "std_reg", &[WIDTH]);
+    let g = b.add_group("store");
+    b.asgn(g, (r, "in"), PortRef::this("in"));
+    b.asgn_const(g, (r, "write_en"), 1, 1);
+    b.group_done(g, (r, "done"));
+    b.cont(PortRef::this("out"), (r, "out"));
+    b.set_control(Control::enable(g));
+    child
+}
+
 /// Build the Calyx program for a spec.
 pub fn build_program(spec: &ProgramSpec) -> Context {
     let mut ctx = Context::new();
+    let child = build_child(&ctx);
+    ctx.add_component(child);
     let mut comp = ctx.new_component("main");
     {
         let mut b = Builder::new(&mut comp, &ctx);
@@ -321,11 +356,10 @@ pub fn build_program(spec: &ProgramSpec) -> Context {
         // into its reserved memory slot.
         let mut stmts = vec![control];
         for i in 0..REGS {
-            let g = gen.action_group(&Action::Store {
+            stmts.push(gen.action(&Action::Store {
                 addr: MEM_SIZE + i as u64,
                 src: i,
-            });
-            stmts.push(Control::enable(g));
+            }));
         }
         gen.b.set_control(Control::seq(stmts));
     }
@@ -346,7 +380,9 @@ impl Gen<'_, '_> {
         format!("{prefix}{}", self.group_counter)
     }
 
-    fn action_group(&mut self, action: &Action) -> Id {
+    /// The control of `action`: one group, or for a call, the group that
+    /// runs the child and the one that latches its result.
+    fn action(&mut self, action: &Action) -> Control {
         let name = self.fresh("act");
         let g = self.b.add_group(&name);
         match action {
@@ -394,13 +430,28 @@ impl Gen<'_, '_> {
                 self.b.asgn_const(g, (d, "write_en"), 1, 1);
                 self.b.group_done(g, (d, "done"));
             }
+            Action::Call { dst, src } => {
+                let cell = self.fresh("call");
+                let c = self.b.add_component_cell(&cell, CHILD);
+                let (d, s) = (Id::new(reg_name(*dst)), Id::new(reg_name(*src)));
+                self.b.asgn(g, (c, "in"), (s, "out"));
+                let running = Guard::Port(PortRef::cell(c, "done")).not();
+                self.b.asgn_const_guarded(g, (c, "go"), 1, 1, running);
+                self.b.group_done(g, (c, "done"));
+                let name = self.fresh("ret");
+                let ret = self.b.add_group(&name);
+                self.b.asgn(ret, (d, "in"), (c, "out"));
+                self.b.asgn_const(ret, (d, "write_en"), 1, 1);
+                self.b.group_done(ret, (d, "done"));
+                return Control::seq(vec![Control::enable(g), Control::enable(ret)]);
+            }
         }
-        g
+        Control::enable(g)
     }
 
     fn node(&mut self, node: &Node) -> Control {
         match node {
-            Node::Leaf(a) => Control::enable(self.action_group(a)),
+            Node::Leaf(a) => self.action(a),
             Node::Seq(ns) => Control::seq(ns.iter().map(|n| self.node(n)).collect()),
             Node::Par(ns) => Control::par(ns.iter().map(|n| self.node(n)).collect()),
             Node::If {
