@@ -36,6 +36,7 @@ use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
     validate, Atom, CellType, CompOp, Component, Context, Guard, GuardMemo, Id, PortRef, PrimKind,
 };
+use calyx_core::json::Json;
 use calyx_core::prim::{CombOp, UnitOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
@@ -84,21 +85,6 @@ impl Area {
             writeln!(out, "{name} {value}")?;
         }
         Ok(())
-    }
-
-    /// Write the report as a single JSON object (keys as in
-    /// [`Area::metrics`]), terminated by a newline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures from `out`.
-    pub fn write_json(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        write!(out, "{{")?;
-        for (idx, (name, value)) in self.metrics().into_iter().enumerate() {
-            let sep = if idx == 0 { "" } else { "," };
-            write!(out, "{sep}\"{name}\":{value}")?;
-        }
-        writeln!(out, "}}")
     }
 }
 
@@ -160,7 +146,10 @@ impl Backend for AreaBackend {
         let area = estimate(ctx, ctx.entrypoint.as_str())?;
         match self.format {
             ReportFormat::Text => area.write_text(out)?,
-            ReportFormat::Json => area.write_json(out)?,
+            ReportFormat::Json => {
+                let metrics = area.metrics().map(|(name, value)| (name, value.into()));
+                writeln!(out, "{}", Json::obj(metrics).render())?;
+            }
         }
         Ok(())
     }

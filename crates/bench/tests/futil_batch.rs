@@ -21,7 +21,7 @@ fn futil(args: &[&str]) -> Output {
 }
 
 /// Run futil with `input` piped to stdin (manifests from `-`, serve).
-fn futil_stdin(args: &[&str], input: &str) -> Output {
+fn futil_stdin(args: &[&str], input: impl AsRef<[u8]>) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_futil"))
         .args(args)
         .stdin(Stdio::piped())
@@ -33,7 +33,7 @@ fn futil_stdin(args: &[&str], input: &str) -> Output {
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("stdin writes");
     child.wait_with_output().expect("futil exits")
 }
@@ -309,6 +309,68 @@ fn serve_answers_listings_jobs_and_malformed_requests_then_exits_0() {
             .contains("component main"),
         "inline output streams back"
     );
+}
+
+/// Parse the responses of a serve run, in `id` order, after checking it
+/// exited 0 with one response per request.
+fn serve_responses(out: &Output, requests: usize) -> Vec<json::Json> {
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(out));
+    let mut responses: Vec<json::Json> = stdout(out)
+        .lines()
+        .map(|l| json::parse(l).expect("responses are valid JSON"))
+        .collect();
+    assert_eq!(responses.len(), requests, "{}", stdout(out));
+    responses.sort_by_key(|r| r.get("id").and_then(json::Json::as_u64));
+    responses
+}
+
+fn error_of(response: &json::Json) -> &str {
+    response
+        .get("error")
+        .and_then(json::Json::as_str)
+        .unwrap_or("")
+}
+
+/// A request nested 200,000 levels deep is a positioned bad request; the
+/// server answers it and the next one, and exits 0 at EOF.
+#[test]
+fn serve_answers_a_deeply_nested_request_and_goes_on() {
+    let input = format!("{}\n{{\"list\": \"lints\"}}\n", "[".repeat(200_000));
+    let responses = serve_responses(&futil_stdin(&["serve"], input), 2);
+    assert_eq!(
+        error_of(&responses[0]),
+        "bad request: column 129: nesting deeper than 128 levels"
+    );
+    assert_eq!(responses[1].get("list").unwrap().as_str(), Some("lints"));
+}
+
+/// The same line in a `--batch` manifest is a usage error naming the
+/// manifest line, before any job runs.
+#[test]
+fn a_deeply_nested_manifest_line_is_a_positioned_exit_2() {
+    let input = format!("{{\"input\": \"a.futil\"}}\n{}\n", "[".repeat(200_000));
+    let out = futil_stdin(&["--batch", "-"], input);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("<stdin>:2: column 129: nesting deeper"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// A line that is not UTF-8 is a bad request under its own `id`; the
+/// requests around it are answered.
+#[test]
+fn serve_answers_a_non_utf8_request_and_goes_on() {
+    let input: &[u8] = b"{\"list\": \"backends\"}\n\xff\xfe\n{\"list\": \"lints\"}\n";
+    let responses = serve_responses(&futil_stdin(&["serve"], input), 3);
+    assert_eq!(responses[0].get("list").unwrap().as_str(), Some("backends"));
+    assert_eq!(responses[1].get("status").unwrap().as_str(), Some("error"));
+    assert_eq!(
+        error_of(&responses[1]),
+        "bad request: column 1: the request is not valid UTF-8"
+    );
+    assert_eq!(responses[2].get("list").unwrap().as_str(), Some("lints"));
 }
 
 /// Serve-side usage errors still exit 2: `--max-connections` is

@@ -520,6 +520,6 @@ fn area_backend_reports_text_and_json() {
     let json = futil(&[file.to_str().unwrap(), "-b", "area", "--format", "json"]);
     assert_eq!(json.status.code(), Some(0));
     let body = stdout(&json);
-    assert!(body.trim_end().starts_with("{\"luts\":"), "{body}");
+    assert!(body.trim_end().starts_with("{\"luts\": "), "{body}");
     assert!(body.trim_end().ends_with('}'), "{body}");
 }

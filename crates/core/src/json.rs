@@ -1,22 +1,42 @@
-//! A minimal JSON reader/writer for the service protocol.
+//! JSON: the one value type, reader and writer of the workspace.
 //!
-//! The workspace is offline (no serde), and the protocol only needs a
-//! small, predictable subset of JSON: one object per line, string and
-//! integer scalars, one level of nesting for `fopts`/`pipeline`. This
-//! module parses a full JSON value into [`Json`] — tracking the 1-based
-//! byte column of every object key so unknown-field diagnostics can
-//! point at the offending key — and renders values back out through the
-//! lint sink's string encoder ([`escape`]).
+//! The workspace is offline (no serde), and every machine-readable output
+//! — the `futil check --format json` report, the `area` report, the
+//! batch summary, the JSON-lines responses and listings of `futil serve`
+//! — is a [`Json`] value built by its owner and rendered here, so the
+//! syntax, the string escaping and the layout are known to this module
+//! alone. There are two layouts:
+//!
+//! - [`Json::render`]: compact, one line, with `", "` between items and
+//!   `": "` after keys (`{"id": 0, "items": [1, 2]}`);
+//! - [`Json::render_block`]: a top-level object's members one per line at
+//!   two spaces, and a member's non-empty array one element per line at
+//!   four spaces; everything deeper is compact.
+//!
+//! [`parse`] reads a full JSON value, tracking the 1-based byte column of
+//! every object key so unknown-field diagnostics can point at the key.
+//! Nesting is bounded by [`MAX_DEPTH`], so hostile input is a positioned
+//! [`JsonError`], never a stack overflow.
+//!
+//! ```
+//! use calyx_core::json::{parse, Json};
+//!
+//! let v = Json::obj([("file", "a.futil".into()), ("codes", Json::Arr(vec!["C0101".into()]))]);
+//! assert_eq!(v.render(), r#"{"file": "a.futil", "codes": ["C0101"]}"#);
+//! assert_eq!(v.render_block(), "{\n  \"file\": \"a.futil\",\n  \"codes\": [\n    \"C0101\"\n  ]\n}");
+//! assert_eq!(parse(&v.render_block()).unwrap().render(), v.render());
+//! ```
 
 use std::fmt;
 
-/// Encode a string as a JSON string literal (quotes included): the
-/// encoder `futil check --format json` uses, under this module's name.
-pub use calyx_core::lint::json_string as escape;
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// service protocol needs two levels and the benchmark's result files
+/// about five.
+pub const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value.
+/// A JSON value.
 ///
-/// Object members keep their textual order (and each key's source
+/// Object members keep their order (and, when parsed, each key's source
 /// column) rather than collapsing into a map, so diagnostics and golden
 /// tests see exactly what was written.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,9 +45,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; the protocol only uses non-negative integers.
+    /// Any number. A non-finite one renders as `null`.
     Num(f64),
-    /// A string literal, unescaped.
+    /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
@@ -40,7 +60,8 @@ pub enum Json {
 pub struct Member {
     /// The (unescaped) key.
     pub key: String,
-    /// 1-based byte column of the key's opening quote, for diagnostics.
+    /// 1-based byte column of the key's opening quote, for diagnostics
+    /// (0 for a member that was built, not parsed).
     pub col: usize,
     /// The member's value.
     pub value: Json,
@@ -61,7 +82,52 @@ impl fmt::Display for JsonError {
     }
 }
 
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+macro_rules! json_num_from {
+    ($($t:ty),+) => {
+        $(impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        })+
+    };
+}
+
+json_num_from!(u64, u128, usize, f64);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 impl Json {
+    /// An object of `(key, value)` members, in the given order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(key, value)| Member {
+                    key: key.to_string(),
+                    col: 0,
+                    value,
+                })
+                .collect(),
+        )
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -107,49 +173,103 @@ impl Json {
             .map(|m| &m.value)
     }
 
-    /// Render the value as compact JSON (keys in stored order).
+    /// The value as compact JSON on one line (keys in stored order).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut out);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// The value in the block layout (see the [module docs](self)); a
+    /// value that is not an object renders compact.
+    pub fn render_block(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Json::Obj(members) => list(&mut out, ('{', '}'), members, Some(1), |out, m| {
+                m.write_key(out);
+                match &m.value {
+                    Json::Arr(items) => {
+                        list(out, ('[', ']'), items, Some(2), |out, v| v.write(out))
+                    }
+                    v => v.write(out),
+                }
+            }),
+            v => v.write(&mut out),
+        }
+        out
+    }
+
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+                out.push_str(&(*n as i64).to_string());
             }
-            Json::Str(s) => out.push_str(&escape(s)),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, m) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&escape(&m.key));
-                    out.push_str(": ");
-                    m.value.render_into(out);
-                }
-                out.push('}');
-            }
+            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => list(out, ('[', ']'), items, None, |out, v| v.write(out)),
+            Json::Obj(members) => list(out, ('{', '}'), members, None, |out, m| {
+                m.write_key(out);
+                m.value.write(out);
+            }),
         }
     }
+}
+
+impl Member {
+    fn write_key(&self, out: &mut String) {
+        write_string(out, &self.key);
+        out.push_str(": ");
+    }
+}
+
+/// `open`, the items, `close`: on one line separated by `", "` when
+/// `level` is `None`, else one item per line, indented two spaces per
+/// level.
+fn list<T>(
+    out: &mut String,
+    (open, close): (char, char),
+    items: &[T],
+    level: Option<usize>,
+    mut item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, it) in items.iter().enumerate() {
+        match level {
+            None if i > 0 => out.push_str(", "),
+            None => {}
+            Some(level) => {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                out.push_str(&"  ".repeat(level));
+            }
+        }
+        item(out, it);
+    }
+    if let (Some(level), false) = (level, items.is_empty()) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level - 1));
+    }
+    out.push(close);
+}
+
+/// A string literal, quotes included: `"`, `\` and control characters
+/// escaped, everything else verbatim.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
@@ -157,11 +277,14 @@ impl Json {
 /// # Errors
 ///
 /// Returns a [`JsonError`] with the 1-based byte column of the first
-/// offending character.
+/// offending character, including the bracket that nests deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -172,9 +295,14 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
+/// The reader's cursor. `pos` only ever steps over ASCII bytes or whole
+/// runs of string content, so it is always a char boundary of `src`.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -215,8 +343,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -225,6 +353,21 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -286,13 +429,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a char boundary.
+            let end = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -327,15 +478,6 @@ impl Parser<'_> {
                             return Err(self.err(format!("invalid escape `\\{}`", other as char)));
                         }
                     }
-                }
-                Some(_) => {
-                    // Copy one whole UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -376,7 +518,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number `{text}`")))
@@ -386,6 +528,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars_round_trip() {
@@ -442,6 +585,24 @@ mod tests {
 
         let e = parse("").unwrap_err();
         assert!(e.msg.contains("end of input"), "{e}");
+
+        let e = parse(r#""\u12"#).unwrap_err();
+        assert!(e.msg.contains("truncated"), "{e}");
+    }
+
+    /// Nesting stops at [`MAX_DEPTH`] with the column of the bracket that
+    /// goes one deeper, however deep the input goes.
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.col, MAX_DEPTH + 1);
+        assert!(e.msg.contains("nesting deeper than 128"), "{e}");
+        let e = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.col, MAX_DEPTH + 1, "{e}");
+        let e = parse(&"{\"a\": ".repeat(200_000)).unwrap_err();
+        assert_eq!(e.col, MAX_DEPTH * 6 + 1, "{e}");
     }
 
     #[test]
@@ -453,8 +614,89 @@ mod tests {
     }
 
     #[test]
-    fn escape_matches_lint_sink_rules() {
-        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    fn string_escapes_encode() {
+        assert_eq!(Json::from("a\"b\\c\nd").render(), r#""a\"b\\c\nd""#);
+        assert_eq!(Json::from("\u{1}").render(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(n).render(), "null");
+        }
+        assert_eq!(Json::Num(-0.0).render(), "0");
+        assert_eq!(Json::Num(2.5).render(), "2.5");
+    }
+
+    #[test]
+    fn block_layout_breaks_two_levels() {
+        let v = Json::obj([
+            ("n", 1u64.into()),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![Json::obj([("a", Json::Arr(vec![1u64.into()]))])]),
+            ),
+            ("nested", Json::obj([("b", Json::Null)])),
+        ]);
+        assert_eq!(
+            v.render_block(),
+            "{\n  \"n\": 1,\n  \"empty\": [],\n  \"rows\": [\n    {\"a\": [1]}\n  ],\n  \"nested\": {\"b\": null}\n}"
+        );
+        assert_eq!(Json::obj([]).render_block(), "{}");
+        assert_eq!(Json::Arr(vec![Json::Null]).render_block(), "[null]");
+    }
+
+    /// Strings from every control character, quotes, backslashes, BMP
+    /// and non-BMP characters.
+    fn text() -> impl Strategy<Value = String> {
+        let c = prop_oneof![
+            '\u{0}'..'\u{20}',
+            Just('"'),
+            Just('\\'),
+            Just('/'),
+            ' '..'\u{7f}',
+            '\u{80}'..'\u{10000}',
+            '\u{10000}'..'\u{10ffff}',
+        ];
+        prop::collection::vec(c, 0..8).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn value() -> impl Strategy<Value = Json> {
+        let leaf = prop_oneof![
+            Just(Json::Null),
+            (0..2u8).prop_map(|b| Json::Bool(b == 1)),
+            (-1_000_000i64..1_000_000).prop_map(|n| Json::Num(n as f64)),
+            (-1e6..1e6f64).prop_map(Json::Num),
+            (0..4u8).prop_map(|e| Json::Num(10f64.powi(15 + i32::from(e)) + 1.0)),
+            text().prop_map(Json::Str),
+        ];
+        leaf.prop_recursive(4, 64, 5, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..5).prop_map(Json::Arr),
+                prop::collection::vec((text(), inner), 0..5).prop_map(|members| {
+                    Json::Obj(
+                        members
+                            .into_iter()
+                            .map(|(key, value)| Member { key, col: 0, value })
+                            .collect(),
+                    )
+                }),
+            ]
+        })
+    }
+
+    proptest! {
+        /// What the writer renders, the reader reads back to a value that
+        /// renders the same, in both layouts. Rendered text is compared,
+        /// not values: a parsed member carries its key's column.
+        #[test]
+        fn every_rendered_value_parses_back(v in value()) {
+            for text in [v.render(), v.render_block()] {
+                let back = parse(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text}")))?;
+                prop_assert_eq!(back.render(), v.render());
+                prop_assert_eq!(back.render_block(), v.render_block());
+            }
+        }
     }
 }

@@ -28,6 +28,8 @@
 //!   the cached analyses.
 //! - [`prim`]: what the primitive operators compute, shared by the
 //!   simulator and constant folding.
+//! - [`json`]: the one JSON value, reader and writer; every report and
+//!   protocol response in the workspace is a [`json::Json`] rendered here.
 //!
 //! # Example
 //!
@@ -66,6 +68,7 @@
 pub mod analysis;
 pub mod errors;
 pub mod ir;
+pub mod json;
 pub mod lint;
 pub mod passes;
 pub mod prim;

@@ -1,6 +1,7 @@
 //! The accumulating diagnostic collector.
 
 use super::diagnostic::{Diagnostic, Severity};
+use crate::json::Json;
 
 /// Collects [`Diagnostic`]s instead of failing fast, so one checking run
 /// reports *every* problem in the program.
@@ -124,55 +125,28 @@ impl DiagnosticSink {
     /// `line`/`col` are `null` for position-free findings. The schema is
     /// pinned by golden tests; add fields rather than changing these.
     pub fn render_json(&self, file: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"file\": {},\n", json_string(file)));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let (line, col) = match d.loc {
-                Some(l) => (l.line.to_string(), l.col.to_string()),
-                None => ("null".to_string(), "null".to_string()),
-            };
-            let notes: Vec<String> = d.notes.iter().map(|n| json_string(n)).collect();
-            out.push_str(&format!(
-                "    {{\"code\": {}, \"lint\": {}, \"severity\": {}, \"line\": {line}, \
-                 \"col\": {col}, \"message\": {}, \"notes\": [{}]}}",
-                json_string(d.code),
-                json_string(d.lint),
-                json_string(&d.severity.to_string()),
-                json_string(&d.message),
-                notes.join(", ")
-            ));
-        }
-        if !self.diags.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
+        let diagnostics = self.diags.iter().map(|d| {
+            Json::obj([
+                ("code", d.code.into()),
+                ("lint", d.lint.into()),
+                ("severity", d.severity.to_string().into()),
+                ("line", d.loc.map(|l| l.line).into()),
+                ("col", d.loc.map(|l| l.col).into()),
+                ("message", d.message.as_str().into()),
+                (
+                    "notes",
+                    Json::Arr(d.notes.iter().map(|n| n.as_str().into()).collect()),
+                ),
+            ])
+        });
+        Json::obj([
+            ("file", file.into()),
+            ("errors", self.errors().into()),
+            ("warnings", self.warnings().into()),
+            ("diagnostics", Json::Arr(diagnostics.collect())),
+        ])
+        .render_block()
     }
-}
-
-/// Encode a string as a JSON string literal (quotes included) — the one
-/// string encoder every JSON emitter in the workspace shares.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -148,12 +148,6 @@ fn child_groups(stmts: &[Control]) -> Vec<Id> {
     stmts.iter().filter_map(compiled_child).collect()
 }
 
-/// `group[go]` as a guard.
-#[allow(dead_code)]
-fn go(group: Id) -> Guard {
-    Guard::Port(PortRef::hole(group, "go"))
-}
-
 /// `group[done]` as a guard.
 fn done(group: Id) -> Guard {
     Guard::Port(PortRef::hole(group, "done"))

@@ -3,19 +3,16 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{Attributes, Component, Control, Id, PortRef};
-use std::collections::BTreeSet;
+use crate::ir::Component;
 
 /// Deletes groups that the control program never enables (directly or as a
 /// `with` condition group). Dead groups otherwise survive into lowering and
 /// cost area for no behavior.
 ///
-/// A stateful [`Visitor`]: the `enable`/`start_if`/`start_while` hooks
-/// collect the live set, and `finish_component` sweeps the rest.
-#[derive(Debug, Clone, Default)]
-pub struct DeadGroupRemoval {
-    used: BTreeSet<Id>,
-}
+/// The live set is [`Control::used_groups`](crate::ir::Control::used_groups)
+/// of the component's control; `start_component` sweeps the rest.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeadGroupRemoval;
 
 impl Visitor for DeadGroupRemoval {
     fn name(&self) -> &'static str {
@@ -26,69 +23,21 @@ impl Visitor for DeadGroupRemoval {
         "remove groups unused by the control program"
     }
 
-    fn start_component(
-        &mut self,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.used.clear();
-        Ok(Action::Continue)
-    }
-
-    fn enable(
-        &mut self,
-        group: &mut Id,
-        _attributes: &mut Attributes,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.used.insert(*group);
-        Ok(Action::Continue)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_if(
-        &mut self,
-        _port: &mut PortRef,
-        cond: &mut Option<Id>,
-        _tbranch: &mut Control,
-        _fbranch: &mut Control,
-        _attributes: &mut Attributes,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.used.extend(*cond);
-        Ok(Action::Continue)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_while(
-        &mut self,
-        _port: &mut PortRef,
-        cond: &mut Option<Id>,
-        _body: &mut Control,
-        _attributes: &mut Attributes,
-        _comp: &mut Component,
-        _ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        self.used.extend(*cond);
-        Ok(Action::Continue)
-    }
-
-    fn finish_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<()> {
+    fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
+        let used = comp.control.used_groups();
         let before = comp.groups.len();
-        comp.groups.retain(|g| self.used.contains(&g.name));
+        comp.groups.retain(|g| used.contains(&g.name));
         if comp.groups.len() != before {
             ctx.set_dirty();
         }
-        Ok(())
+        Ok(Action::SkipChildren)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::parse_context;
+    use crate::ir::{parse_context, Id};
     use crate::passes::Pass;
 
     #[test]
@@ -104,7 +53,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadGroupRemoval::default().run(&mut ctx).unwrap();
+        DeadGroupRemoval.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         assert!(main.groups.contains(Id::new("live")));
         assert!(!main.groups.contains(Id::new("dead")));
@@ -123,7 +72,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadGroupRemoval::default().run(&mut ctx).unwrap();
+        DeadGroupRemoval.run(&mut ctx).unwrap();
         assert_eq!(ctx.component("main").unwrap().groups.len(), 2);
     }
 
@@ -149,7 +98,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadGroupRemoval::default().run(&mut ctx).unwrap();
+        DeadGroupRemoval.run(&mut ctx).unwrap();
         assert_eq!(ctx.component("helper").unwrap().groups.len(), 1);
         let main = ctx.component("main").unwrap();
         assert!(main.groups.contains(Id::new("g")));

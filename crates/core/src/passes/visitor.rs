@@ -3,15 +3,15 @@
 //!
 //! Structural passes implement [`Visitor`] instead of hand-rolling a
 //! recursion over [`Control`]. The framework walks each component's control
-//! tree once, calling a *pre* hook before descending into a statement's
-//! children (`start_seq`, `start_par`, `start_if`, `start_while`) and a
-//! *post* hook after them (`finish_seq`, …). Leaf statements get a single
-//! hook (`enable`, `empty`). Hooks receive the statement's fields, the
-//! enclosing [`Component`] (mutably — the control tree is detached from the
-//! component during traversal, so cells and groups can be edited freely),
-//! and a [`PassCtx`] bundling the read-only context view (library and
-//! sibling-signature lookups, via deref) with the pipeline's
-//! [`AnalysisCache`].
+//! tree once, bottom-up: an enable gets one hook (`enable`), and a block
+//! gets a *post* hook after its children have been visited (`finish_seq`,
+//! `finish_par`, `finish_if`, `finish_while`). Around the tree,
+//! `start_component` and `finish_component` see the whole component. Hooks
+//! receive the statement's fields, the enclosing [`Component`] (mutably —
+//! the control tree is detached from the component during traversal, so
+//! cells and groups can be edited freely), and a [`PassCtx`] bundling the
+//! read-only context view (library and sibling-signature lookups, via
+//! deref) with the pipeline's [`AnalysisCache`].
 //!
 //! Every visitor automatically implements [`Pass`] through a blanket impl,
 //! so visitors register with [`PassManager`](super::PassManager) and the
@@ -21,23 +21,16 @@
 //!
 //! Each hook steers the traversal by returning an [`Action`]:
 //!
-//! - [`Action::Continue`]: proceed normally (descend into children after a
-//!   pre hook; keep walking siblings after a post hook).
-//! - [`Action::SkipChildren`]: from a pre hook, do not visit this
-//!   statement's children **and do not call its post hook**; from
-//!   [`Visitor::start_component`], skip the control traversal entirely
-//!   (but still call [`Visitor::finish_component`]). From a *post* hook
-//!   there are no children left to skip, so it is equivalent to
-//!   `Continue`.
-//! - [`Action::Change`]`(c)`: replace the current statement with `c`. From a
-//!   pre hook the replacement is **not** re-visited (children and post hook
-//!   are skipped); from a post hook the replacement stands as-is. This is
-//!   how bottom-up rewrites like
+//! - [`Action::Continue`]: proceed normally.
+//! - [`Action::SkipChildren`]: from [`Visitor::start_component`], skip the
+//!   control traversal entirely (but still call
+//!   [`Visitor::finish_component`]). From any other hook it is equivalent
+//!   to `Continue`.
+//! - [`Action::Change`]`(c)`: replace the current statement with `c`, which
+//!   is not visited. From `start_component` it replaces the whole control
+//!   program. This is how bottom-up rewrites like
 //!   [`CompileControl`](super::CompileControl) fold a subtree into a single
 //!   enable.
-//! - [`Action::Stop`]: halt the control traversal of this component *and*
-//!   skip all remaining components. `finish_component` still runs for the
-//!   component that stopped.
 //!
 //! # Mutation signals
 //!
@@ -52,9 +45,9 @@
 //!   queries later in the same visit see fresh facts; clean visits keep
 //!   the cache warm for later passes.
 //!
-//! The contract in executable form — a visitor that counts enables, prunes
-//! a `par` subtree with `SkipChildren`, and rewrites one statement with
-//! `Change`:
+//! The contract in executable form — a visitor that counts enables, skips
+//! one component's control with `SkipChildren`, and rewrites one
+//! statement with `Change`:
 //!
 //! ```
 //! use calyx_core::errors::CalyxResult;
@@ -73,6 +66,13 @@
 //!     fn description(&self) -> &'static str {
 //!         "doc example for the Action contract"
 //!     }
+//!     // Component hook: the enables of `blackbox` are never visited.
+//!     fn start_component(&mut self, comp: &mut Component, _ctx: &mut PassCtx) -> CalyxResult<Action> {
+//!         if comp.name.as_str() == "blackbox" {
+//!             return Ok(Action::SkipChildren);
+//!         }
+//!         Ok(Action::Continue)
+//!     }
 //!     // Leaf hook: called once per (visited) enable.
 //!     fn enable(
 //!         &mut self,
@@ -83,32 +83,21 @@
 //!     ) -> CalyxResult<Action> {
 //!         self.enables_seen += 1;
 //!         if group.as_str() == "swap_me" {
-//!             // Replace this enable; the replacement is not re-visited
-//!             // (and the component is marked dirty automatically).
+//!             // Replace this enable; the replacement is not visited (and
+//!             // the component is marked dirty automatically).
 //!             return Ok(Action::Change(Control::enable("swapped")));
 //!         }
 //!         Ok(Action::Continue)
 //!     }
-//!     // Pre hook: enables under `par` are never visited.
-//!     fn start_par(
-//!         &mut self,
-//!         _stmts: &mut Vec<Control>,
-//!         _attributes: &mut Attributes,
-//!         _comp: &mut Component,
-//!         _ctx: &mut PassCtx,
-//!     ) -> CalyxResult<Action> {
-//!         Ok(Action::SkipChildren)
-//!     }
 //! }
 //!
 //! let mut ctx = Context::new();
-//! let mut comp = ctx.new_component("main");
-//! comp.control = Control::seq(vec![
-//!     Control::enable("swap_me"),
-//!     Control::par(vec![Control::enable("hidden")]),
-//!     Control::enable("visible"),
-//! ]);
-//! ctx.add_component(comp);
+//! let mut blackbox = ctx.new_component("blackbox");
+//! blackbox.control = Control::enable("hidden");
+//! ctx.add_component(blackbox);
+//! let mut main = ctx.new_component("main");
+//! main.control = Control::seq(vec![Control::enable("swap_me"), Control::enable("visible")]);
+//! ctx.add_component(main);
 //!
 //! let mut pass = Example::default();
 //! pass.run(&mut ctx).unwrap(); // Visitor is a Pass via the blanket impl
@@ -133,13 +122,12 @@ use crate::ir::{Attributes, Component, Context, Control, Id, PortRef};
 pub enum Action {
     /// Proceed normally.
     Continue,
-    /// Skip this statement's children (and its post hook).
+    /// From [`Visitor::start_component`]: skip the component's control
+    /// tree.
     SkipChildren,
-    /// Replace the current statement; the replacement is not re-visited.
+    /// Replace the current statement; the replacement is not visited.
     /// Also marks the component dirty for the analysis cache.
     Change(Control),
-    /// Halt the traversal: remaining statements and components are skipped.
-    Stop,
 }
 
 /// The order in which a visitor's components are traversed.
@@ -190,19 +178,9 @@ pub trait Visitor {
         Ok(())
     }
 
-    /// Called once after every component has been visited. The same
-    /// invalidation responsibility as [`Visitor::start_context`] applies.
-    ///
-    /// # Errors
-    ///
-    /// An error is reported as the pass's failure.
-    fn finish_context(&mut self, ctx: &mut Context, cache: &mut AnalysisCache) -> CalyxResult<()> {
-        Ok(())
-    }
-
     /// Called before a component's control tree is traversed.
-    /// [`Action::Change`] replaces the component's control program (which is
-    /// then not traversed).
+    /// [`Action::SkipChildren`] skips the tree; [`Action::Change`] replaces
+    /// the component's control program (which is then not traversed).
     ///
     /// # Errors
     ///
@@ -212,23 +190,14 @@ pub trait Visitor {
     }
 
     /// Called after a component's control tree has been traversed (also when
-    /// the traversal was skipped or stopped). Mutations made here still
-    /// count: call [`PassCtx::set_dirty`] to report them.
+    /// the traversal was skipped). Mutations made here still count: call
+    /// [`PassCtx::set_dirty`] to report them.
     ///
     /// # Errors
     ///
     /// An error aborts the pass.
     fn finish_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<()> {
         Ok(())
-    }
-
-    /// Leaf hook for [`Control::Empty`].
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the pass.
-    fn empty(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
-        Ok(Action::Continue)
     }
 
     /// Leaf hook for [`Control::Enable`].
@@ -239,21 +208,6 @@ pub trait Visitor {
     fn enable(
         &mut self,
         group: &mut Id,
-        attributes: &mut Attributes,
-        comp: &mut Component,
-        ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        Ok(Action::Continue)
-    }
-
-    /// Pre hook for [`Control::Seq`].
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the pass.
-    fn start_seq(
-        &mut self,
-        stmts: &mut Vec<Control>,
         attributes: &mut Attributes,
         comp: &mut Component,
         ctx: &mut PassCtx,
@@ -276,21 +230,6 @@ pub trait Visitor {
         Ok(Action::Continue)
     }
 
-    /// Pre hook for [`Control::Par`].
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the pass.
-    fn start_par(
-        &mut self,
-        stmts: &mut Vec<Control>,
-        attributes: &mut Attributes,
-        comp: &mut Component,
-        ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        Ok(Action::Continue)
-    }
-
     /// Post hook for [`Control::Par`]: children have been visited.
     ///
     /// # Errors
@@ -299,25 +238,6 @@ pub trait Visitor {
     fn finish_par(
         &mut self,
         stmts: &mut Vec<Control>,
-        attributes: &mut Attributes,
-        comp: &mut Component,
-        ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        Ok(Action::Continue)
-    }
-
-    /// Pre hook for [`Control::If`].
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the pass.
-    #[allow(clippy::too_many_arguments)]
-    fn start_if(
-        &mut self,
-        port: &mut PortRef,
-        cond: &mut Option<Id>,
-        tbranch: &mut Control,
-        fbranch: &mut Control,
         attributes: &mut Attributes,
         comp: &mut Component,
         ctx: &mut PassCtx,
@@ -344,24 +264,6 @@ pub trait Visitor {
         Ok(Action::Continue)
     }
 
-    /// Pre hook for [`Control::While`].
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the pass.
-    #[allow(clippy::too_many_arguments)]
-    fn start_while(
-        &mut self,
-        port: &mut PortRef,
-        cond: &mut Option<Id>,
-        body: &mut Control,
-        attributes: &mut Attributes,
-        comp: &mut Component,
-        ctx: &mut PassCtx,
-    ) -> CalyxResult<Action> {
-        Ok(Action::Continue)
-    }
-
     /// Post hook for [`Control::While`]: the body has been visited.
     ///
     /// # Errors
@@ -381,105 +283,54 @@ pub trait Visitor {
     }
 }
 
-/// Whether the traversal keeps going or was halted by [`Action::Stop`].
-enum Flow {
-    Continue,
-    Stop,
-}
-
-/// Visit one statement: pre hook, children, post hook.
+/// Visit one statement: its children, then its hook.
 fn visit_stmt<V: Visitor + ?Sized>(
     v: &mut V,
     stmt: &mut Control,
     comp: &mut Component,
     ctx: &mut PassCtx,
-) -> CalyxResult<Flow> {
-    let pre = match stmt {
-        Control::Empty => v.empty(comp, ctx)?,
+) -> CalyxResult<()> {
+    let action = match stmt {
+        Control::Empty => Action::Continue,
         Control::Enable { group, attributes } => v.enable(group, attributes, comp, ctx)?,
-        Control::Seq { stmts, attributes } => v.start_seq(stmts, attributes, comp, ctx)?,
-        Control::Par { stmts, attributes } => v.start_par(stmts, attributes, comp, ctx)?,
-        Control::If {
-            port,
-            cond,
-            tbranch,
-            fbranch,
-            attributes,
-        } => v.start_if(port, cond, tbranch, fbranch, attributes, comp, ctx)?,
-        Control::While {
-            port,
-            cond,
-            body,
-            attributes,
-        } => v.start_while(port, cond, body, attributes, comp, ctx)?,
-    };
-    match pre {
-        Action::Stop => return Ok(Flow::Stop),
-        Action::Change(new) => {
-            ctx.set_dirty();
-            *stmt = new;
-            return Ok(Flow::Continue);
-        }
-        Action::SkipChildren => return Ok(Flow::Continue),
-        Action::Continue => {}
-    }
-
-    match stmt {
-        // Leaves have no children and no post hook.
-        Control::Empty | Control::Enable { .. } => return Ok(Flow::Continue),
-        Control::Seq { stmts, .. } | Control::Par { stmts, .. } => {
+        Control::Seq { stmts, attributes } => {
             for s in stmts.iter_mut() {
-                if let Flow::Stop = visit_stmt(v, s, comp, ctx)? {
-                    return Ok(Flow::Stop);
-                }
+                visit_stmt(v, s, comp, ctx)?;
             }
+            v.finish_seq(stmts, attributes, comp, ctx)?
         }
-        Control::If {
-            tbranch, fbranch, ..
-        } => {
-            if let Flow::Stop = visit_stmt(v, tbranch, comp, ctx)? {
-                return Ok(Flow::Stop);
+        Control::Par { stmts, attributes } => {
+            for s in stmts.iter_mut() {
+                visit_stmt(v, s, comp, ctx)?;
             }
-            if let Flow::Stop = visit_stmt(v, fbranch, comp, ctx)? {
-                return Ok(Flow::Stop);
-            }
+            v.finish_par(stmts, attributes, comp, ctx)?
         }
-        Control::While { body, .. } => {
-            if let Flow::Stop = visit_stmt(v, body, comp, ctx)? {
-                return Ok(Flow::Stop);
-            }
-        }
-    }
-
-    let post = match stmt {
-        Control::Seq { stmts, attributes } => v.finish_seq(stmts, attributes, comp, ctx)?,
-        Control::Par { stmts, attributes } => v.finish_par(stmts, attributes, comp, ctx)?,
         Control::If {
             port,
             cond,
             tbranch,
             fbranch,
             attributes,
-        } => v.finish_if(port, cond, tbranch, fbranch, attributes, comp, ctx)?,
+        } => {
+            visit_stmt(v, tbranch, comp, ctx)?;
+            visit_stmt(v, fbranch, comp, ctx)?;
+            v.finish_if(port, cond, tbranch, fbranch, attributes, comp, ctx)?
+        }
         Control::While {
             port,
             cond,
             body,
             attributes,
-        } => v.finish_while(port, cond, body, attributes, comp, ctx)?,
-        // Leaves returned above; a child rewrite cannot change this node's
-        // variant.
-        Control::Empty | Control::Enable { .. } => Action::Continue,
-    };
-    match post {
-        Action::Stop => Ok(Flow::Stop),
-        Action::Change(new) => {
-            ctx.set_dirty();
-            *stmt = new;
-            Ok(Flow::Continue)
+        } => {
+            visit_stmt(v, body, comp, ctx)?;
+            v.finish_while(port, cond, body, attributes, comp, ctx)?
         }
-        Action::SkipChildren | Action::Continue => Ok(Flow::Continue),
+    };
+    if let Action::Change(new) = action {
+        ctx.set_dirty();
+        *stmt = new;
     }
+    Ok(())
 }
 
 /// Visit one component: `start_component`, the control tree, then
@@ -489,24 +340,21 @@ fn visit_component<V: Visitor + ?Sized>(
     v: &mut V,
     comp: &mut Component,
     ctx: &mut PassCtx,
-) -> CalyxResult<Flow> {
-    let flow = match v.start_component(comp, ctx)? {
+) -> CalyxResult<()> {
+    match v.start_component(comp, ctx)? {
         Action::Continue => {
             let mut control = std::mem::take(&mut comp.control);
-            let flow = visit_stmt(v, &mut control, comp, ctx);
+            let visited = visit_stmt(v, &mut control, comp, ctx);
             comp.control = control;
-            flow?
+            visited?;
         }
-        Action::SkipChildren => Flow::Continue,
+        Action::SkipChildren => {}
         Action::Change(control) => {
             ctx.set_dirty();
             comp.control = control;
-            Flow::Continue
         }
-        Action::Stop => Flow::Stop,
-    };
-    v.finish_component(comp, ctx)?;
-    Ok(flow)
+    }
+    v.finish_component(comp, ctx)
 }
 
 /// Every visitor is a pass: the adapter iterates components in the
@@ -536,13 +384,11 @@ impl<V: Visitor> Pass for V {
                 continue;
             };
             let mut pctx = PassCtx::new(ctx, cache, name);
-            let result = visit_component(self, &mut comp, &mut pctx);
+            let visited = visit_component(self, &mut comp, &mut pctx);
             ctx.components.insert(comp);
-            if let Flow::Stop = result? {
-                break;
-            }
+            visited?;
         }
-        self.finish_context(ctx, cache)
+        Ok(())
     }
 }
 
@@ -555,8 +401,7 @@ mod tests {
     #[derive(Default)]
     struct Tracer {
         log: Vec<String>,
-        stop_at: Option<&'static str>,
-        skip_seqs: bool,
+        skip_components: bool,
     }
 
     impl Visitor for Tracer {
@@ -572,6 +417,9 @@ mod tests {
             _: &mut PassCtx,
         ) -> CalyxResult<Action> {
             self.log.push(format!("start:{}", comp.name));
+            if self.skip_components {
+                return Ok(Action::SkipChildren);
+            }
             Ok(Action::Continue)
         }
         fn finish_component(&mut self, comp: &mut Component, _: &mut PassCtx) -> CalyxResult<()> {
@@ -586,22 +434,6 @@ mod tests {
             _: &mut PassCtx,
         ) -> CalyxResult<Action> {
             self.log.push(format!("enable:{group}"));
-            if self.stop_at == Some(group.as_str()) {
-                return Ok(Action::Stop);
-            }
-            Ok(Action::Continue)
-        }
-        fn start_seq(
-            &mut self,
-            _: &mut Vec<Control>,
-            _: &mut Attributes,
-            _: &mut Component,
-            _: &mut PassCtx,
-        ) -> CalyxResult<Action> {
-            self.log.push("start_seq".into());
-            if self.skip_seqs {
-                return Ok(Action::SkipChildren);
-            }
             Ok(Action::Continue)
         }
         fn finish_seq(
@@ -612,18 +444,6 @@ mod tests {
             _: &mut PassCtx,
         ) -> CalyxResult<Action> {
             self.log.push("finish_seq".into());
-            Ok(Action::Continue)
-        }
-        fn start_while(
-            &mut self,
-            _: &mut PortRef,
-            _: &mut Option<Id>,
-            _: &mut Control,
-            _: &mut Attributes,
-            _: &mut Component,
-            _: &mut PassCtx,
-        ) -> CalyxResult<Action> {
-            self.log.push("start_while".into());
             Ok(Action::Continue)
         }
         fn finish_while(
@@ -660,9 +480,7 @@ mod tests {
             t.log,
             vec![
                 "start:main",
-                "start_seq",
                 "enable:a",
-                "start_while",
                 "enable:b",
                 "finish_while",
                 "finish_seq",
@@ -675,41 +493,13 @@ mod tests {
     fn skip_children_suppresses_children_and_post_hook() {
         let mut ctx = ctx_with(Control::seq(vec![Control::enable("a")]));
         let mut t = Tracer {
-            skip_seqs: true,
+            skip_components: true,
             ..Tracer::default()
         };
         t.run(&mut ctx).unwrap();
-        assert_eq!(t.log, vec!["start:main", "start_seq", "finish:main"]);
-    }
-
-    #[test]
-    fn stop_halts_remaining_statements_and_components() {
-        let mut ctx = Context::new();
-        let mut a = ctx.new_component("a");
-        a.control = Control::seq(vec![
-            Control::enable("x"),
-            Control::enable("halt"),
-            Control::enable("never"),
-        ]);
-        ctx.add_component(a);
-        ctx.add_component(ctx.new_component("b"));
-        let mut t = Tracer {
-            stop_at: Some("halt"),
-            ..Tracer::default()
-        };
-        t.run(&mut ctx).unwrap();
-        // `never` is skipped, the seq's post hook is skipped, component `b`
-        // is never started — but `finish_component` for `a` still runs.
-        assert_eq!(
-            t.log,
-            vec![
-                "start:a",
-                "start_seq",
-                "enable:x",
-                "enable:halt",
-                "finish:a"
-            ]
-        );
+        // Neither the enable nor the seq's post hook runs; the component's
+        // own post hook does.
+        assert_eq!(t.log, vec!["start:main", "finish:main"]);
     }
 
     /// Rewrites every enable of `old` to an enable of `new`.

@@ -29,7 +29,10 @@
 //! - [`server::serve`] speaks a JSON-lines protocol
 //!   ([`protocol::REQUEST_KEYS`] / [`protocol::RESPONSE_KEYS`]) over any
 //!   reader/writer pair — stdin/stdout for `futil serve`, a unix socket
-//!   for [`server::serve_socket`].
+//!   for [`server::serve_socket`]. Requests are read and responses built
+//!   with [`calyx_core::json`]. It is re-exported here as [`json`]
+//!   because the benchmark package (`benchmark/`, built on its own
+//!   against these crates by path) imports `calyx_service::json`.
 //!
 //! The `futil --batch` and `futil serve` driver modes are thin shells
 //! over these pieces; single-shot `futil` calls the session's stages
@@ -54,12 +57,13 @@
 
 pub mod cache;
 pub mod engine;
-pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod session;
+
+pub use calyx_core::json;
 
 pub use cache::{digest64, CacheStats, ParseCache};
 pub use engine::{write_atomic, CompileService, JobDefaults};

@@ -6,6 +6,7 @@
 //! block or a schema-pinned JSON object (`futil --batch --format json`).
 
 use crate::cache::CacheStats;
+use crate::json::Json;
 use crate::protocol::{JobResponse, Status};
 use std::time::Duration;
 
@@ -140,58 +141,53 @@ impl BatchSummary {
         out
     }
 
-    /// The machine-readable summary: a single JSON object whose schema
-    /// (keys, nesting, and per-job records) is pinned by golden tests —
-    /// add fields rather than changing these.
+    /// The machine-readable summary: one object in the block layout of
+    /// [`Json::render_block`], whose schema (keys, nesting, and per-job
+    /// records) is pinned by golden tests — add fields rather than
+    /// changing these. `kernels_per_sec` is rounded to one decimal.
     ///
     /// ```json
     /// {
-    ///   "jobs": 2, "ok": 2, "failed": 0, "skipped": 0,
-    ///   "wall_us": 3120, "kernels_per_sec": 641.0,
-    ///   "p50_us": 1490, "p99_us": 1630,
+    ///   "jobs": 2,
+    ///   "ok": 2,
+    ///   "failed": 0,
+    ///   "skipped": 0,
+    ///   "wall_us": 3120,
+    ///   "kernels_per_sec": 641,
+    ///   "p50_us": 1490,
+    ///   "p99_us": 1630,
     ///   "parse_cache": {"hits": 1, "misses": 1},
     ///   "results": [
-    ///     {"id": 0, "name": "gemm", "status": "ok", "cache": "miss",
-    ///      "parse_us": 900, "passes_us": 400, "emit_us": 150,
-    ///      "total_us": 1490, "out": "out/gemm.sv"}
+    ///     {"id": 0, "name": "gemm", "status": "ok", "cache": "miss", "parse_us": 900, …},
+    ///     …
     ///   ]
     /// }
     /// ```
     pub fn render_json(&self) -> String {
         let lat = self.latencies();
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"jobs\": {}, \"ok\": {}, \"failed\": {}, \"skipped\": {},\n",
-            self.results.len(),
-            self.ok(),
-            self.failed(),
-            self.skipped()
-        ));
-        out.push_str(&format!(
-            "  \"wall_us\": {}, \"kernels_per_sec\": {:.1},\n",
-            self.wall.as_micros(),
-            self.kernels_per_sec()
-        ));
-        out.push_str(&format!(
-            "  \"p50_us\": {}, \"p99_us\": {},\n",
-            percentile(&lat, 50).as_micros(),
-            percentile(&lat, 99).as_micros()
-        ));
-        out.push_str(&format!(
-            "  \"parse_cache\": {{\"hits\": {}, \"misses\": {}}},\n",
-            self.cache.hits, self.cache.misses
-        ));
-        out.push_str("  \"results\": [");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            out.push_str(&r.render());
-        }
-        if !self.results.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
+        let cache = Json::obj([
+            ("hits", self.cache.hits.into()),
+            ("misses", self.cache.misses.into()),
+        ]);
+        Json::obj([
+            ("jobs", self.results.len().into()),
+            ("ok", self.ok().into()),
+            ("failed", self.failed().into()),
+            ("skipped", self.skipped().into()),
+            ("wall_us", self.wall.as_micros().into()),
+            (
+                "kernels_per_sec",
+                ((self.kernels_per_sec() * 10.0).round() / 10.0).into(),
+            ),
+            ("p50_us", percentile(&lat, 50).as_micros().into()),
+            ("p99_us", percentile(&lat, 99).as_micros().into()),
+            ("parse_cache", cache),
+            (
+                "results",
+                Json::Arr(self.results.iter().map(JobResponse::to_json).collect()),
+            ),
+        ])
+        .render_block()
     }
 }
 
@@ -286,11 +282,17 @@ mod tests {
         let s = sample();
         assert_eq!(
             s.render_json(),
-            "{\n  \"jobs\": 3, \"ok\": 2, \"failed\": 1, \"skipped\": 0,\n  \"wall_us\": 2000, \"kernels_per_sec\": 1000.0,\n  \"p50_us\": 700, \"p99_us\": 1490,\n  \"parse_cache\": {\"hits\": 1, \"misses\": 1},\n  \"results\": [\n    {\"id\": 0, \"name\": \"a\", \"status\": \"ok\", \"cache\": \"miss\", \"parse_us\": 900, \"passes_us\": 400, \"emit_us\": 150, \"total_us\": 1490},\n    {\"id\": 1, \"name\": \"b\", \"status\": \"ok\", \"cache\": \"hit\", \"parse_us\": 100, \"passes_us\": 410, \"emit_us\": 160, \"total_us\": 700},\n    {\"id\": 2, \"name\": \"c\", \"status\": \"error\", \"error\": \"no such kernel\"}\n  ]\n}"
+            "{\n  \"jobs\": 3,\n  \"ok\": 2,\n  \"failed\": 1,\n  \"skipped\": 0,\n  \"wall_us\": 2000,\n  \"kernels_per_sec\": 1000,\n  \"p50_us\": 700,\n  \"p99_us\": 1490,\n  \"parse_cache\": {\"hits\": 1, \"misses\": 1},\n  \"results\": [\n    {\"id\": 0, \"name\": \"a\", \"status\": \"ok\", \"cache\": \"miss\", \"parse_us\": 900, \"passes_us\": 400, \"emit_us\": 150, \"total_us\": 1490},\n    {\"id\": 1, \"name\": \"b\", \"status\": \"ok\", \"cache\": \"hit\", \"parse_us\": 100, \"passes_us\": 410, \"emit_us\": 160, \"total_us\": 700},\n    {\"id\": 2, \"name\": \"c\", \"status\": \"error\", \"error\": \"no such kernel\"}\n  ]\n}"
         );
         // And it parses back with the crate's own reader.
         let v = crate::json::parse(&s.render_json()).unwrap();
         assert_eq!(v.get("jobs").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("results").unwrap().as_arr().unwrap().len(), 3);
+        // Throughput keeps one decimal.
+        let s = BatchSummary {
+            wall: Duration::from_millis(3),
+            ..sample()
+        };
+        assert!(s.render_json().contains("\"kernels_per_sec\": 666.7,\n"));
     }
 }

@@ -10,7 +10,7 @@
 //! field produces a positioned error listing the valid keys instead of
 //! being silently ignored.
 
-use crate::json::{self, escape, Json};
+use crate::json::{self, Json};
 use crate::metrics::StageTimes;
 use crate::session::Session;
 
@@ -362,61 +362,61 @@ impl JobResponse {
         self.status == Status::Ok
     }
 
-    /// Render as one JSON line (no trailing newline). Field order is
-    /// fixed; absent optionals are omitted rather than `null`, and every
-    /// key is drawn from [`RESPONSE_KEYS`].
-    pub fn render(&self) -> String {
-        let mut out = format!("{{\"id\": {}", self.id);
+    /// The response as an object. Field order is fixed; absent optionals
+    /// are omitted rather than `null`, and every key is drawn from
+    /// [`RESPONSE_KEYS`].
+    pub(crate) fn to_json(&self) -> Json {
+        let mut members = vec![("id", self.id.into())];
         if !self.name.is_empty() {
-            out.push_str(&format!(", \"name\": {}", escape(&self.name)));
+            members.push(("name", self.name.as_str().into()));
         }
-        out.push_str(&format!(", \"status\": \"{}\"", self.status));
+        members.push(("status", self.status.as_str().into()));
         if let Some(e) = &self.error {
-            out.push_str(&format!(", \"error\": {}", escape(e)));
+            members.push(("error", e.as_str().into()));
         }
         if let Some(c) = self.cache {
-            out.push_str(&format!(", \"cache\": \"{c}\""));
+            members.push(("cache", c.into()));
         }
         if let Some(s) = &self.stages {
-            out.push_str(&format!(
-                ", \"parse_us\": {}, \"passes_us\": {}, \"emit_us\": {}, \"total_us\": {}",
-                s.parse.as_micros(),
-                s.passes.as_micros(),
-                s.emit.as_micros(),
-                s.total.as_micros()
-            ));
+            let stages = [
+                ("parse_us", s.parse),
+                ("passes_us", s.passes),
+                ("emit_us", s.emit),
+                ("total_us", s.total),
+            ];
+            members.extend(stages.map(|(key, d)| (key, d.as_micros().into())));
         }
         if let Some(p) = &self.out {
-            out.push_str(&format!(", \"out\": {}", escape(p)));
+            members.push(("out", p.as_str().into()));
         }
         if let Some(o) = &self.output {
-            out.push_str(&format!(", \"output\": {}", escape(o)));
+            members.push(("output", o.as_str().into()));
         }
-        out.push('}');
-        out
+        Json::obj(members)
+    }
+
+    /// The response as one JSON line (no trailing newline).
+    pub fn render(&self) -> String {
+        self.to_json().render()
     }
 }
 
 /// Render a listing response for `list` requests: the registry name and
 /// its `{name, description}` items, all drawn from [`RESPONSE_KEYS`].
 pub fn render_listing(id: usize, kind: &str, items: &[(String, String)]) -> String {
-    let mut out = format!(
-        "{{\"id\": {id}, \"status\": \"ok\", \"list\": {}",
-        escape(kind)
-    );
-    out.push_str(", \"items\": [");
-    for (i, (name, description)) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"name\": {}, \"description\": {}}}",
-            escape(name),
-            escape(description)
-        ));
-    }
-    out.push_str("]}");
-    out
+    let items = items.iter().map(|(name, description)| {
+        Json::obj([
+            ("name", name.as_str().into()),
+            ("description", description.as_str().into()),
+        ])
+    });
+    Json::obj([
+        ("id", id.into()),
+        ("status", Status::Ok.as_str().into()),
+        ("list", kind.into()),
+        ("items", Json::Arr(items.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -53,7 +53,8 @@ fn respond<W: Write>(writer: &Mutex<W>, line: &str) {
 /// drained, so callers can keep using the stream (or assert on it).
 ///
 /// Blank lines are ignored. Request `id`s are assigned in arrival order,
-/// starting at 0, counting malformed requests too.
+/// starting at 0, counting malformed requests (a line that is not JSON,
+/// nests too deep, or is not UTF-8) too.
 ///
 /// # Errors
 ///
@@ -73,14 +74,20 @@ where
     let mut next_id = 0;
     {
         let pool = WorkerPool::new(opts.jobs);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
+        // Lines are read as bytes: one that is not UTF-8 is a bad request,
+        // not the end of the stream.
+        for line in reader.split(b'\n') {
+            let request = match String::from_utf8(line?) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => Request::from_json_line(&line),
+                Err(e) => Err(format!(
+                    "column {}: the request is not valid UTF-8",
+                    e.utf8_error().valid_up_to() + 1
+                )),
+            };
             let id = next_id;
             next_id += 1;
-            match Request::from_json_line(&line) {
+            match request {
                 Err(msg) => {
                     // Malformed input answers immediately (preserving
                     // arrival order for the `id`) and the server lives.
@@ -184,7 +191,7 @@ mod tests {
     fn serves_jobs_listings_and_errors_on_one_stream() {
         let input = format!(
             "{}\n\n{}\n{}\n",
-            format_args!("{{\"source\": {}, \"name\": \"p\"}}", json::escape(PROGRAM)),
+            json::Json::obj([("source", PROGRAM.into()), ("name", "p".into())]).render(),
             r#"{"list": "backends"}"#,
             r#"{"sorce": "x"}"#,
         );
@@ -222,7 +229,7 @@ mod tests {
         let input = format!(
             "this is not json\n{}\n{}\n",
             r#"{"source": "component main( {"}"#,
-            format_args!("{{\"source\": {}}}", json::escape(PROGRAM)),
+            json::Json::obj([("source", PROGRAM.into())]).render(),
         );
         let lines = serve_lines(&input, 2);
         assert_eq!(lines.len(), 3);

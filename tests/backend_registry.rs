@@ -109,7 +109,7 @@ fn area_reports_are_stable_and_consistent_across_formats() {
     assert_eq!(
         json.trim_end(),
         format!(
-            "{{\"luts\":{},\"ffs\":{},\"dsps\":{},\"brams\":{},\"register_cells\":{}}}",
+            "{{\"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \"register_cells\": {}}}",
             a.luts, a.ffs, a.dsps, a.brams, a.register_cells
         )
     );

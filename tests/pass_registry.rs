@@ -18,7 +18,7 @@ fn hand_built_lower() -> PassManager {
     let mut pm = PassManager::new();
     pm.register(passes::WellFormed);
     pm.register(passes::CollapseControl);
-    pm.register(passes::DeadGroupRemoval::default());
+    pm.register(passes::DeadGroupRemoval);
     pm.register(passes::CompileControl);
     pm.register(passes::GoInsertion);
     pm.register(passes::RemoveGroups);
@@ -32,7 +32,7 @@ fn hand_built_lower_static() -> PassManager {
     let mut pm = PassManager::new();
     pm.register(passes::WellFormed);
     pm.register(passes::CollapseControl);
-    pm.register(passes::DeadGroupRemoval::default());
+    pm.register(passes::DeadGroupRemoval);
     pm.register(passes::InferStaticTiming);
     pm.register(passes::StaticTiming);
     pm.register(passes::CompileControl);
@@ -48,7 +48,7 @@ fn hand_built_opt() -> PassManager {
     let mut pm = PassManager::new();
     pm.register(passes::WellFormed);
     pm.register(passes::CollapseControl);
-    pm.register(passes::DeadGroupRemoval::default());
+    pm.register(passes::DeadGroupRemoval);
     pm.register(passes::ResourceSharing);
     pm.register(passes::MinimizeRegs);
     pm.register(passes::InferStaticTiming);
