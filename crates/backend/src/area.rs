@@ -38,7 +38,8 @@ use calyx_core::ir::{
 };
 use calyx_core::json::Json;
 use calyx_core::prim::{CombOp, UnitOp};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Add;
 use std::rc::Rc;
@@ -168,11 +169,11 @@ impl Backend for AreaBackend {
 pub fn estimate(ctx: &Context, top: &str) -> CalyxResult<Area> {
     // The walk below recurses into instances.
     ctx.topological_order()?;
-    let mut cache: HashMap<Id, Area> = HashMap::new();
+    let mut cache: FxHashMap<Id, Area> = FxHashMap::default();
     component_area(ctx, Id::new(top), &mut cache)
 }
 
-fn component_area(ctx: &Context, name: Id, cache: &mut HashMap<Id, Area>) -> CalyxResult<Area> {
+fn component_area(ctx: &Context, name: Id, cache: &mut FxHashMap<Id, Area>) -> CalyxResult<Area> {
     if let Some(a) = cache.get(&name) {
         return Ok(*a);
     }
@@ -287,7 +288,8 @@ fn wiring_area(comp: &Component) -> CalyxResult<Area> {
 /// its text instead of printing it again.
 #[derive(Default)]
 struct GuardLogic {
-    seen: HashSet<Rc<str>>,
+    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
+    seen: std::collections::HashSet<Rc<str>>,
     /// What each shared node prints as.
     printed: GuardMemo<Rc<str>>,
     bool_nodes: u64,

@@ -11,7 +11,7 @@ use calyx_core::ir::{Context, Control, Guard, GuardMemo};
 use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, kernel};
 use calyx_systolic::{generate, SystolicConfig};
-use std::collections::HashSet;
+use rustc_hash::FxHashSet;
 use std::time::{Duration, Instant};
 
 /// Compilation statistics for one design.
@@ -95,7 +95,7 @@ pub fn guard_sharing(ctx: &Context) -> GuardSharing {
     let mut sharing = GuardSharing::default();
     for comp in ctx.components.iter() {
         let mut entered = GuardMemo::default();
-        let mut distinct: HashSet<&Guard> = HashSet::new();
+        let mut distinct: FxHashSet<&Guard> = FxHashSet::default();
         for asgn in &comp.continuous {
             sharing.assignments += 1;
             sharing.tree_nodes += asgn.guard.size();

@@ -43,8 +43,8 @@
 //! facts); signaling spuriously only costs recomputation.
 
 use crate::ir::{Component, Id};
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::any::{Any, TypeId};
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// A memoizable analysis over one component.
@@ -114,12 +114,12 @@ impl CacheStats {
 #[derive(Default)]
 pub struct AnalysisCache {
     /// component -> analysis TypeId -> result.
-    entries: HashMap<Id, HashMap<TypeId, Rc<dyn Any>>>,
+    entries: FxHashMap<Id, FxHashMap<TypeId, Rc<dyn Any>>>,
     /// Monotonic per-component generation; bumped on every invalidation.
-    generations: HashMap<Id, u64>,
+    generations: FxHashMap<Id, u64>,
     /// (component, analysis) pairs ever computed — distinguishes first
     /// computes from recomputes in [`CacheStats`].
-    ever_computed: HashSet<(Id, TypeId)>,
+    ever_computed: FxHashSet<(Id, TypeId)>,
     /// Queries currently being computed, to catch cyclic dependencies.
     in_flight: Vec<(Id, TypeId, &'static str)>,
     /// When set, every query recomputes (the differential-testing and

@@ -109,7 +109,7 @@ fn eval_port_at(
         return Some(ConstVal::Nac);
     };
     if cell.is_register() {
-        if port.port.as_str() == "out" {
+        if port.port == Id::OUT {
             return match regs {
                 // Structural mode never assumes register contents.
                 None => Some(ConstVal::Nac),
@@ -118,23 +118,22 @@ fn eval_port_at(
         }
         return Some(ConstVal::Nac);
     }
-    if port.port.as_str() != "out" {
+    if port.port != Id::OUT {
         return Some(ConstVal::Nac);
     }
     // Stateful and `extern` primitives are not evaluated.
     let (Some(PrimKind::Comb(op)), Some(&[in_width, ..]), Some(width)) = (
         cell.kind(),
         cell.primitive_params(),
-        cell.port_width(Id::new("out")),
+        cell.port_width(Id::OUT),
     ) else {
         return Some(ConstVal::Nac);
     };
-    let input =
-        |name: &str| eval_input(comp, scope, regs, PortRef::cell(cell_name, name), depth - 1);
+    let input = |name| eval_input(comp, scope, regs, PortRef::cell(cell_name, name), depth - 1);
     let (left, right) = if op.is_binary() {
-        (input("left"), input("right"))
+        (input(Id::LEFT), input(Id::RIGHT))
     } else {
-        (input("in"), Some(ConstVal::Const(0)))
+        (input(Id::IN), Some(ConstVal::Const(0)))
     };
     // Bottom infects first, then Nac. A constant folds to what the
     // simulator computes.
@@ -268,7 +267,7 @@ impl Transfer for ConstTransfer<'_> {
                 self.comp,
                 Scope::Active(Some(group), self.comp),
                 Some(fact),
-                PortRef::cell(r, "in"),
+                PortRef::cell(r, Id::IN),
                 MAX_DEPTH,
             );
             let new = if must.contains(i) {

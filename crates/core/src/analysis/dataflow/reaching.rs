@@ -122,8 +122,7 @@ impl<'a> ReachTransfer<'a> {
                 .assignments
                 .iter()
                 .filter(|a| {
-                    a.dst.port.as_str() == "write_en"
-                        && !matches!(a.src, Atom::Const { val: 0, .. })
+                    a.dst.port == Id::WRITE_EN && !matches!(a.src, Atom::Const { val: 0, .. })
                 })
                 .filter_map(|a| match a.dst.parent {
                     PortParent::Cell(c) if memories.contains(&c) => Some(c),

@@ -20,7 +20,8 @@
 
 use super::cache::{Analysis, AnalysisCache};
 use crate::ir::{Atom, Component, Guard, GuardMemo, Id, PortParent, PortRef};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// Where an assignment lives.
@@ -82,7 +83,7 @@ impl SiteTable {
 /// passes consume.
 #[derive(Debug, Clone, Default)]
 pub struct PortUses {
-    reads: HashSet<PortRef>,
+    reads: FxHashSet<PortRef>,
     writes: SiteTable,
     /// cell -> groups referencing it, in group definition order (first
     /// appearance), deduplicated.
@@ -97,11 +98,11 @@ pub struct PortUses {
 /// converted to deterministic sorted structures once at the end.
 #[derive(Default)]
 struct Scan {
-    reads: HashSet<PortRef>,
+    reads: FxHashSet<PortRef>,
     writes: SiteTable,
-    cell_users: HashMap<Id, Vec<Id>>,
-    continuous_cells: HashSet<Id>,
-    referenced_cells: HashSet<Id>,
+    cell_users: FxHashMap<Id, Vec<Id>>,
+    continuous_cells: FxHashSet<Id>,
+    referenced_cells: FxHashSet<Id>,
 }
 
 impl Scan {

@@ -13,13 +13,14 @@
 use super::cache::{Analysis, AnalysisCache};
 use super::regset::{RegIndex, RegSet};
 use crate::ir::{Atom, Component, Group, Id, PortParent, PortRef};
-use std::collections::{BTreeMap, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 
 /// Read/write sets for every group in a component.
 #[derive(Debug, Clone, Default)]
 pub struct ReadWriteSets {
     regs: RegIndex,
-    groups: HashMap<Id, Access>,
+    groups: FxHashMap<Id, Access>,
 }
 
 /// One group's register accesses.
@@ -101,19 +102,19 @@ fn analyze_group(group: &Group, regs: &RegIndex) -> Access {
                 // observes control state (the write handshake) and would
                 // otherwise make every written register self-live-before its
                 // write, inflating every live range by one group.
-                if p.port.as_str() == "out" {
+                if p.port == Id::OUT {
                     reads.insert(r);
                 }
             }
         }
         if let Some(r) = reg_of(&asgn.dst, regs) {
             let unconditional = asgn.guard.is_true();
-            match asgn.dst.port.as_str() {
-                "in" => {
+            match asgn.dst.port {
+                Id::IN => {
                     let e = data_writes.entry(r).or_insert(false);
                     *e = *e || unconditional;
                 }
-                "write_en" => {
+                Id::WRITE_EN => {
                     // `write_en = 0` is not a write at all.
                     let enables = !matches!(asgn.src, Atom::Const { val: 0, .. });
                     if enables {

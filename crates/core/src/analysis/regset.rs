@@ -15,13 +15,13 @@
 
 use super::dataflow::Lattice;
 use crate::ir::{Component, Id};
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// A component's registers, numbered `0..n` in name order.
 #[derive(Debug, Clone, Default)]
 pub struct RegIndex {
     names: Vec<Id>,
-    index: HashMap<Id, usize>,
+    index: FxHashMap<Id, usize>,
 }
 
 impl RegIndex {

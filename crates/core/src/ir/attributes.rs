@@ -16,37 +16,25 @@ pub mod attr {
     /// Latency in cycles; consumed by
     /// [`StaticTiming`](crate::passes::StaticTiming) and produced by
     /// [`InferStaticTiming`](crate::passes::InferStaticTiming).
-    pub fn static_() -> Id {
-        Id::new("static")
-    }
+    pub const STATIC: Id = Id::STATIC;
 
     /// Marks a cell type safe for
     /// [`ResourceSharing`](crate::passes::ResourceSharing).
-    pub fn share() -> Id {
-        Id::new("share")
-    }
+    pub const SHARE: Id = Id::SHARE;
 
     /// Marks a memory whose contents are externally visible; such cells are
     /// never shared and survive dead-cell removal.
-    pub fn external() -> Id {
-        Id::new("external")
-    }
+    pub const EXTERNAL: Id = Id::EXTERNAL;
 
     /// Marks the implicit `go`/`done` interface ports on components.
-    pub fn interface() -> Id {
-        Id::new("interface")
-    }
+    pub const INTERFACE: Id = Id::INTERFACE;
 
     /// Marks compiler-generated FSM state registers so area reporting can
     /// distinguish control from data state.
-    pub fn fsm() -> Id {
-        Id::new("fsm")
-    }
+    pub const FSM: Id = Id::FSM;
 
     /// Marks compiler-generated groups (compilation groups).
-    pub fn generated() -> Id {
-        Id::new("generated")
-    }
+    pub const GENERATED: Id = Id::GENERATED;
 }
 
 /// An ordered collection of `name = value` attributes.
@@ -54,9 +42,9 @@ pub mod attr {
 /// ```
 /// use calyx_core::ir::{attr, Attributes};
 /// let mut attrs = Attributes::default();
-/// attrs.insert(attr::static_(), 3);
-/// assert_eq!(attrs.get(attr::static_()), Some(3));
-/// assert!(attrs.has(attr::static_()));
+/// attrs.insert(attr::STATIC, 3);
+/// assert_eq!(attrs.get(attr::STATIC), Some(3));
+/// assert!(attrs.has(attr::STATIC));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Attributes(BTreeMap<Id, u64>);
@@ -117,10 +105,10 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut a = Attributes::new();
-        assert_eq!(a.insert(attr::static_(), 2), None);
-        assert_eq!(a.insert(attr::static_(), 5), Some(2));
-        assert_eq!(a.get(attr::static_()), Some(5));
-        assert_eq!(a.remove(attr::static_()), Some(5));
+        assert_eq!(a.insert(attr::STATIC, 2), None);
+        assert_eq!(a.insert(attr::STATIC, 5), Some(2));
+        assert_eq!(a.get(attr::STATIC), Some(5));
+        assert_eq!(a.remove(attr::STATIC), Some(5));
         assert!(a.is_empty());
     }
 
@@ -133,10 +121,8 @@ mod tests {
 
     #[test]
     fn with_chains() {
-        let a = Attributes::new()
-            .with(attr::share(), 1)
-            .with(attr::static_(), 4);
-        assert!(a.has(attr::share()));
-        assert_eq!(a.get(attr::static_()), Some(4));
+        let a = Attributes::new().with(attr::SHARE, 1).with(attr::STATIC, 4);
+        assert!(a.has(attr::SHARE));
+        assert_eq!(a.get(attr::STATIC), Some(4));
     }
 }

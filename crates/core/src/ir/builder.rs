@@ -20,6 +20,12 @@ impl IntoPortRef for PortRef {
     }
 }
 
+impl IntoPortRef for (Id, Id) {
+    fn into_port_ref(self) -> PortRef {
+        PortRef::cell(self.0, self.1)
+    }
+}
+
 impl IntoPortRef for (Id, &str) {
     fn into_port_ref(self) -> PortRef {
         PortRef::cell(self.0, self.1)
@@ -62,14 +68,15 @@ impl<'a> Builder<'a> {
     /// Instantiate a primitive cell named `prefix` (or `prefix0`, `prefix1`,
     /// … when taken) and return its name.
     #[track_caller]
-    pub fn add_primitive(&mut self, prefix: &str, prim: &str, params: &[u64]) -> Id {
+    pub fn add_primitive(&mut self, prefix: &str, prim: impl Into<Id>, params: &[u64]) -> Id {
+        let prim = prim.into();
         let name = self.comp.fresh_cell_name(prefix);
         let cell = self
             .ctx
             .make_cell(
                 name,
                 CellType::Primitive {
-                    name: Id::new(prim),
+                    name: prim,
                     params: params.to_vec(),
                 },
             )
@@ -121,7 +128,7 @@ impl<'a> Builder<'a> {
             .get_mut(name)
             .expect("group was just inserted")
             .attributes
-            .insert(attr::static_(), latency);
+            .insert(attr::STATIC, latency);
         name
     }
 
@@ -203,7 +210,7 @@ impl<'a> Builder<'a> {
     /// Set the group's done condition: `group[done] = src`.
     #[track_caller]
     pub fn group_done(&mut self, group: Id, src: impl IntoPortRef) {
-        let asgn = Assignment::new(PortRef::hole(group, "done"), src.into_port_ref());
+        let asgn = Assignment::new(PortRef::hole(group, Id::DONE), src.into_port_ref());
         self.push(Some(group), asgn);
     }
 
@@ -211,7 +218,7 @@ impl<'a> Builder<'a> {
     /// groups, e.g. `if`/`while` condition groups).
     #[track_caller]
     pub fn group_done_const(&mut self, group: Id, val: u64) {
-        let asgn = Assignment::new(PortRef::hole(group, "done"), Atom::constant(val, 1));
+        let asgn = Assignment::new(PortRef::hole(group, Id::DONE), Atom::constant(val, 1));
         self.push(Some(group), asgn);
     }
 

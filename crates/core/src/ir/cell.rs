@@ -333,12 +333,12 @@ impl Group {
 
     /// The group's `"static"` latency attribute, if annotated.
     pub fn static_latency(&self) -> Option<u64> {
-        self.attributes.get(super::attr::static_())
+        self.attributes.get(super::attr::STATIC)
     }
 
     /// Reference to this group's `done` hole.
     pub fn done_hole(&self) -> PortRef {
-        PortRef::hole(self.name, "done")
+        PortRef::hole(self.name, Id::DONE)
     }
 
     /// Assignments that write this group's `done` hole.

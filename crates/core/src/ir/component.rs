@@ -7,6 +7,7 @@ use super::{
 };
 use crate::errors::{CalyxResult, Error};
 use crate::utils::{Named, OrderedMap};
+use rustc_hash::FxHashMap;
 
 /// A Calyx component: cells, wires, and a control program.
 ///
@@ -39,6 +40,7 @@ pub struct Component {
 
 /// Suffix hints for fresh cell/group names; cells and groups are separate
 /// namespaces, so each keeps its own map.
+#[allow(clippy::disallowed_types)] // prefixes can be input text: keep SipHash
 #[derive(Debug, Clone, Default)]
 struct FreshHints {
     cells: std::collections::HashMap<String, u64>,
@@ -52,16 +54,14 @@ impl Component {
     /// caller already declared them.
     pub fn new(name: impl Into<Id>, ports: Vec<PortDef>) -> Self {
         let mut signature = ports;
-        let go = Id::new("go");
-        let done = Id::new("done");
-        if !signature.iter().any(|p| p.name == go) {
-            let mut p = PortDef::new(go, 1, Direction::Input);
-            p.attributes.insert(attr::interface(), 1);
+        if !signature.iter().any(|p| p.name == Id::GO) {
+            let mut p = PortDef::new(Id::GO, 1, Direction::Input);
+            p.attributes.insert(attr::INTERFACE, 1);
             signature.push(p);
         }
-        if !signature.iter().any(|p| p.name == done) {
-            let mut p = PortDef::new(done, 1, Direction::Output);
-            p.attributes.insert(attr::interface(), 1);
+        if !signature.iter().any(|p| p.name == Id::DONE) {
+            let mut p = PortDef::new(Id::DONE, 1, Direction::Output);
+            p.attributes.insert(attr::INTERFACE, 1);
             signature.push(p);
         }
         Component {
@@ -111,12 +111,12 @@ impl Component {
                         self.name
                     )));
                 }
-                let p = port.port.as_str();
-                if p == "go" || p == "done" {
+                if port.port == Id::GO || port.port == Id::DONE {
                     Ok(1)
                 } else {
                     Err(Error::undefined(format!(
-                        "hole `{group}[{p}]`: only `go` and `done` holes exist"
+                        "hole `{group}[{}]`: only `go` and `done` holes exist",
+                        port.port
                     )))
                 }
             }
@@ -125,7 +125,7 @@ impl Component {
 
     /// The component's `"static"` latency attribute, if annotated/inferred.
     pub fn static_latency(&self) -> Option<u64> {
-        self.attributes.get(attr::static_())
+        self.attributes.get(attr::STATIC)
     }
 
     /// A cell name based on `prefix` that is not yet taken.
@@ -223,7 +223,7 @@ impl Context {
         Context {
             components: OrderedMap::new(),
             lib: Library::std(),
-            entrypoint: Id::new("main"),
+            entrypoint: Id::MAIN,
             sources: super::SourceMap::default(),
         }
     }
@@ -311,11 +311,11 @@ impl Context {
     /// Returns [`Error::Malformed`] if instantiation is cyclic.
     pub fn topological_order(&self) -> CalyxResult<Vec<Id>> {
         let mut order = Vec::new();
-        let mut state: std::collections::HashMap<Id, u8> = std::collections::HashMap::new();
+        let mut state: FxHashMap<Id, u8> = FxHashMap::default();
         fn visit(
             ctx: &Context,
             name: Id,
-            state: &mut std::collections::HashMap<Id, u8>,
+            state: &mut FxHashMap<Id, u8>,
             order: &mut Vec<Id>,
         ) -> CalyxResult<()> {
             match state.get(&name) {
@@ -367,7 +367,7 @@ mod tests {
         let go = comp.signature_port(Id::new("go")).unwrap();
         assert_eq!(go.width, 1);
         assert_eq!(go.direction, Direction::Input);
-        assert!(go.attributes.has(attr::interface()));
+        assert!(go.attributes.has(attr::INTERFACE));
         let done = comp.signature_port(Id::new("done")).unwrap();
         assert_eq!(done.direction, Direction::Output);
     }

@@ -137,8 +137,7 @@ impl Control {
 
     /// The statement's `"static"` latency attribute, if annotated.
     pub fn static_latency(&self) -> Option<u64> {
-        self.attributes()
-            .and_then(|a| a.get(super::attr::static_()))
+        self.attributes().and_then(|a| a.get(super::attr::STATIC))
     }
 
     /// Visit every enabled group name (including `with` condition groups).
@@ -199,7 +198,7 @@ impl Control {
     }
 
     /// Rename groups through `map` (used by sharing passes when merging).
-    pub fn rename_groups(&mut self, map: &std::collections::HashMap<Id, Id>) {
+    pub fn rename_groups(&mut self, map: &rustc_hash::FxHashMap<Id, Id>) {
         match self {
             Control::Empty => {}
             Control::Enable { group, .. } => {
@@ -289,7 +288,7 @@ mod tests {
         assert_eq!(c.static_latency(), None);
         c.attributes_mut()
             .unwrap()
-            .insert(crate::ir::attr::static_(), 7);
+            .insert(crate::ir::attr::STATIC, 7);
         assert_eq!(c.static_latency(), Some(7));
     }
 }

@@ -39,7 +39,8 @@
 //! compare equal.
 
 use super::cell::{Atom, PortRef};
-use std::collections::hash_map::{Entry, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Comparison operators usable inside guards.
@@ -290,13 +291,13 @@ impl Guard {
 #[derive(Debug)]
 pub struct GuardMemo<T> {
     /// The node is kept beside its result so that its address stays its own.
-    by_node: HashMap<*const Guard, (Arc<Guard>, T)>,
+    by_node: FxHashMap<*const Guard, (Arc<Guard>, T)>,
 }
 
 impl<T> Default for GuardMemo<T> {
     fn default() -> Self {
         GuardMemo {
-            by_node: HashMap::new(),
+            by_node: FxHashMap::default(),
         }
     }
 }

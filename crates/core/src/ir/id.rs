@@ -6,19 +6,33 @@
 //! right trade-off for a compiler: the set of distinct names is small and
 //! bounded by the input programs.
 //!
-//! **What takes the lock.** Only [`Id::new`]: it looks the name up in a
-//! `Mutex`-guarded `HashMap<&'static str, u32>` and, for a new name,
-//! appends it. Everything that *reads* an `Id` — [`Id::as_str`], `Ord`,
-//! `Display`, `Debug` — takes no lock. The index → text table is
-//! append-only storage outside the mutex: a fixed array of buckets of
-//! doubling size, each allocated once and each slot written once (both
-//! `OnceLock`s), and `Id::new` writes a name's slot before it returns the
-//! index, so whoever holds an `Id` finds its slot filled. Reads are the
-//! hot side: every `BTreeSet<Id>` and `BTreeMap<Id, _>` in the compiler
-//! compares keys on each step of each lookup, and a comparison that
-//! locked would make the liveness sets of a large `par` cost lock
-//! round-trips by the million and queue concurrent compiles (`futil
-//! --batch`) on one mutex.
+//! **Well-known names.** The names the compiler itself spells — interface
+//! and primitive ports (`go`, `done`, `out`, …), the attributes, the std
+//! primitives and the prefixes of generated groups and cells — sit at
+//! fixed indices, each a `const` on `Id` ([`Id::GO`], [`Id::STATIC`], …).
+//! Their text is a static array, so a const reads before any `Id::new`
+//! has run, and hot code passes the const instead of interning the text
+//! again.
+//!
+//! **What takes the lock.** Only [`Id::new`] of a name that is not
+//! well-known. A well-known name is found in a fixed table built once and
+//! never written again, so `Id::new("done")` returns [`Id::DONE`] without
+//! locking. Any other name is looked up in a `Mutex`-guarded
+//! `HashMap<&'static str, u32>`, appended if new. Everything that *reads*
+//! an `Id` — [`Id::as_str`], `Ord`, `Display`, `Debug` — takes no lock.
+//! The index → text table of the other names is append-only storage
+//! outside the mutex: a fixed array of buckets of doubling size, each
+//! allocated once and each slot written once (both `OnceLock`s), and
+//! `Id::new` writes a name's slot before it returns the index, so whoever
+//! holds an `Id` finds its slot filled. Reads are the hot side: every
+//! `BTreeSet<Id>` and `BTreeMap<Id, _>` in the compiler compares keys on
+//! each step of each lookup, and a comparison that locked would make the
+//! liveness sets of a large `par` cost lock round-trips by the million and
+//! queue concurrent compiles (`futil --batch`) on one mutex.
+//!
+//! **Which hash where.** The text map hashes with std's `RandomState`:
+//! its keys come from the input, and `futil serve` takes hostile input.
+//! A map keyed by `Id`s themselves hashes the index with `FxHasher`.
 //!
 //! **Why `Id` stays 4 bytes.** `Id` is a field of every port reference,
 //! assignment and guard leaf, so its width is the width of the IR. A
@@ -32,13 +46,116 @@
 //! intern indices depend on creation order — on which program a
 //! long-lived `futil serve` compiled first. `cmp` answers `Equal` from the
 //! indices alone and otherwise compares the two strings, so sorted output
-//! is alphabetical and the same in every process.
+//! is alphabetical and the same in every process, well-known names
+//! included.
 
 use parking_lot::{Mutex, MutexGuard};
+use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
+
+/// Declares the well-known names in index order: the text table and one
+/// `const` on [`Id`] per name.
+macro_rules! well_known {
+    ($($konst:ident = $text:literal,)*) => {
+        /// The text of each well-known name, by index.
+        const WELL_KNOWN: &[&str] = &[$($text),*];
+
+        /// Numbers the names, so each const gets its position.
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[repr(u32)]
+        enum WellKnown { $($konst),* }
+
+        impl Id {
+            $(
+                #[doc = concat!("`", $text, "`, interned at a fixed index.")]
+                pub const $konst: Id = Id(WellKnown::$konst as u32);
+            )*
+        }
+    };
+}
+
+well_known! {
+    // Interface and primitive ports.
+    GO = "go",
+    DONE = "done",
+    IN = "in",
+    OUT = "out",
+    WRITE_EN = "write_en",
+    LEFT = "left",
+    RIGHT = "right",
+    READ_DATA = "read_data",
+    WRITE_DATA = "write_data",
+    ADDR0 = "addr0",
+    ADDR1 = "addr1",
+    ADDR2 = "addr2",
+    OUT_QUOTIENT = "out_quotient",
+    OUT_REMAINDER = "out_remainder",
+    // Attributes (`attr`).
+    STATIC = "static",
+    SHARE = "share",
+    EXTERNAL = "external",
+    INTERFACE = "interface",
+    FSM = "fsm",
+    GENERATED = "generated",
+    // The std primitives.
+    STD_REG = "std_reg",
+    STD_WIRE = "std_wire",
+    STD_ADD = "std_add",
+    STD_SUB = "std_sub",
+    STD_AND = "std_and",
+    STD_OR = "std_or",
+    STD_XOR = "std_xor",
+    STD_LSH = "std_lsh",
+    STD_RSH = "std_rsh",
+    STD_NOT = "std_not",
+    STD_LT = "std_lt",
+    STD_GT = "std_gt",
+    STD_EQ = "std_eq",
+    STD_NEQ = "std_neq",
+    STD_GE = "std_ge",
+    STD_LE = "std_le",
+    STD_SLT = "std_slt",
+    STD_SGT = "std_sgt",
+    STD_SLICE = "std_slice",
+    STD_PAD = "std_pad",
+    STD_MULT_PIPE = "std_mult_pipe",
+    STD_DIV_PIPE = "std_div_pipe",
+    STD_SQRT = "std_sqrt",
+    STD_MEM_D1 = "std_mem_d1",
+    STD_MEM_D2 = "std_mem_d2",
+    STD_MEM_D3 = "std_mem_d3",
+    // The entry point, and the prefixes of generated groups and cells.
+    MAIN = "main",
+    SEQ = "seq",
+    PAR = "par",
+    IF = "if",
+    WHILE = "while",
+    CS = "cs",
+    CC = "cc",
+    INCR = "incr",
+    STATIC_SEQ = "static_seq",
+    STATIC_PAR = "static_par",
+    PROBE = "__probe",
+}
+
+impl Id {
+    /// The address ports of a memory, by dimension.
+    pub const ADDRS: [Id; 3] = [Id::ADDR0, Id::ADDR1, Id::ADDR2];
+}
+
+/// The first index of a name that is not well-known.
+const FIRST_DYNAMIC: u32 = WELL_KNOWN.len() as u32;
+
+/// Text → index of the well-known names. Built once and never written
+/// again, so it is read without a lock; its keys are fixed, so a hash that
+/// input could steer is harmless here.
+fn lookup_well_known(name: &str) -> Option<Id> {
+    static BY_TEXT: OnceLock<FxHashMap<&'static str, Id>> = OnceLock::new();
+    let by_text = BY_TEXT.get_or_init(|| (0..).zip(WELL_KNOWN).map(|(i, &t)| (t, Id(i))).collect());
+    by_text.get(name).copied()
+}
 
 /// Slots in bucket 0; bucket `b` holds `FIRST_BUCKET << b`.
 const FIRST_BUCKET: u64 = 64;
@@ -47,19 +164,22 @@ const BUCKETS: usize = 27;
 
 type Bucket = Box<[OnceLock<&'static str>]>;
 
-/// Index → text, read without a lock. A slot is written once, under the
-/// [`lock_names`] lock, before its index is handed out.
+/// Index → text of the names that are not well-known, read without a
+/// lock. A slot is written once, under the [`lock_names`] lock, before its
+/// index is handed out.
 static TABLE: [OnceLock<Bucket>; BUCKETS] = [const { OnceLock::new() }; BUCKETS];
 
-/// Lock text → index; the next index is the map's length.
-fn lock_names() -> MutexGuard<'static, HashMap<&'static str, u32>> {
-    static NAMES: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+/// Lock text → index of the names that are not well-known; the next index
+/// is [`FIRST_DYNAMIC`] plus the map's length.
+#[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
+fn lock_names() -> MutexGuard<'static, std::collections::HashMap<&'static str, u32>> {
+    static NAMES: OnceLock<Mutex<std::collections::HashMap<&'static str, u32>>> = OnceLock::new();
     #[cfg(test)]
     tests::LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
-    NAMES.get_or_init(|| Mutex::new(HashMap::new())).lock()
+    NAMES.get_or_init(Mutex::default).lock()
 }
 
-/// The (bucket, slot) of intern index `idx`.
+/// The (bucket, slot) of the `idx`-th name that is not well-known.
 fn locate(idx: u32) -> (usize, usize) {
     let pos = u64::from(idx) + FIRST_BUCKET;
     let bucket = pos.ilog2() - FIRST_BUCKET.ilog2();
@@ -96,12 +216,18 @@ impl Id {
     /// Intern `name` and return its handle.
     pub fn new(name: impl AsRef<str>) -> Self {
         let name = name.as_ref();
+        if let Some(id) = lookup_well_known(name) {
+            return id;
+        }
         let mut names = lock_names();
         if let Some(&idx) = names.get(name) {
             return Id(idx);
         }
-        let idx = u32::try_from(names.len()).expect("fewer than 2^32 distinct names");
-        let (bucket, slot) = locate(idx);
+        let nth = u32::try_from(names.len()).expect("fewer than 2^32 distinct names");
+        let idx = nth
+            .checked_add(FIRST_DYNAMIC)
+            .expect("fewer than 2^32 distinct names");
+        let (bucket, slot) = locate(nth);
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         let bucket = TABLE[bucket].get_or_init(|| {
             (0..FIRST_BUCKET << bucket)
@@ -117,7 +243,10 @@ impl Id {
 
     /// The interned text.
     pub fn as_str(self) -> &'static str {
-        let (bucket, slot) = locate(self.0);
+        let Some(nth) = self.0.checked_sub(FIRST_DYNAMIC) else {
+            return WELL_KNOWN[self.0 as usize];
+        };
+        let (bucket, slot) = locate(nth);
         TABLE[bucket]
             .get()
             .and_then(|bucket| bucket[slot].get())
@@ -167,9 +296,10 @@ impl From<String> for Id {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::PortRef;
     use proptest::prelude::*;
     use std::cell::Cell;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::{mpsc, Barrier};
 
     thread_local! {
@@ -243,6 +373,47 @@ mod tests {
     }
 
     #[test]
+    fn every_well_known_name_round_trips() {
+        for (idx, &text) in (0..).zip(WELL_KNOWN) {
+            let id = Id(idx);
+            assert_eq!(id.as_str(), text);
+            assert_eq!(Id::new(id.as_str()), id, "`{text}` is listed twice");
+        }
+        assert_eq!(Id::GO.as_str(), "go");
+        assert_eq!(Id::PROBE.as_str(), "__probe");
+        let addrs = Id::ADDRS.map(Id::as_str);
+        assert_eq!(addrs, ["addr0", "addr1", "addr2"]);
+        // A name that is not well-known never takes a fixed index.
+        assert!(Id::new("not_well_known").raw() >= FIRST_DYNAMIC);
+    }
+
+    #[test]
+    fn well_known_names_take_no_lock() {
+        let group = Id::new("well_known_group");
+        let before = locks_taken();
+        assert_eq!(Id::new("done"), Id::DONE);
+        assert_eq!(Id::from("write_en"), Id::WRITE_EN);
+        let hole = PortRef::hole(group, Id::GO);
+        assert_eq!(hole.to_string(), "well_known_group[go]");
+        assert_eq!(locks_taken(), before, "a well-known name took the lock");
+    }
+
+    #[test]
+    fn well_known_names_sort_by_text() {
+        let mut ids = [
+            Id::new("zz_dynamic"),
+            Id::OUT,
+            Id::new("aa_dynamic"),
+            Id::DONE,
+        ];
+        ids.sort();
+        assert_eq!(
+            ids.map(Id::as_str),
+            ["aa_dynamic", "done", "out", "zz_dynamic"]
+        );
+    }
+
+    #[test]
     fn many_names_cross_bucket_boundaries() {
         // At least 10,000 names, and on until they span four buckets:
         // where the first lands depends on what other tests interned.
@@ -251,7 +422,7 @@ mod tests {
         while names.len() < 10_000 || buckets.len() < 4 {
             let name = format!("bucketed{}", names.len());
             let id = Id::new(&name);
-            buckets.insert(locate(id.raw()).0);
+            buckets.insert(locate(id.raw() - FIRST_DYNAMIC).0);
             names.push(name);
             ids.push(id);
         }
@@ -310,7 +481,7 @@ mod tests {
                 .map(|r| r.join().expect("reader thread"))
                 .collect()
         });
-        let mut by_name: HashMap<&str, Id> = HashMap::new();
+        let mut by_name: BTreeMap<&str, Id> = BTreeMap::new();
         for (name, id) in seen.iter().flatten() {
             assert_eq!(*by_name.entry(name).or_insert(*id), *id, "`{name}`");
         }

@@ -36,7 +36,7 @@
 use super::{attr, Attributes, Direction, Id, PortDef};
 use crate::errors::{CalyxResult, Error};
 use crate::prim::{CombOp, UnitOp};
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 use std::sync::OnceLock;
 
 /// What a primitive is. Everything a backend needs to know about a std
@@ -125,7 +125,7 @@ impl PrimitiveDef {
     pub fn static_latency(&self) -> Option<u64> {
         match self.kind {
             Some(kind) => kind.static_latency(),
-            None => self.attributes.get(attr::static_()),
+            None => self.attributes.get(attr::STATIC),
         }
     }
 
@@ -136,7 +136,7 @@ impl PrimitiveDef {
 
     /// True when marked shareable for resource sharing.
     pub fn is_shareable(&self) -> bool {
-        self.attributes.has(attr::share())
+        self.attributes.has(attr::SHARE)
     }
 
     /// Resolve this definition's ports against concrete parameter values.
@@ -154,7 +154,7 @@ impl PrimitiveDef {
                 params.len()
             )));
         }
-        let env: HashMap<Id, u64> = self
+        let env: FxHashMap<Id, u64> = self
             .params
             .iter()
             .copied()
@@ -183,7 +183,7 @@ impl PrimitiveDef {
 /// `extern` black boxes.
 #[derive(Debug, Clone)]
 pub struct Library {
-    prims: HashMap<Id, PrimitiveDef>,
+    prims: FxHashMap<Id, PrimitiveDef>,
     /// The `extern` rows, in declaration order.
     externs: Vec<Id>,
 }
@@ -201,7 +201,7 @@ fn std_table() -> &'static Library {
         use CombOp::*;
         use PrimKind::{Comb, Mem, Reg, Unit};
         let mut lib = Library {
-            prims: HashMap::new(),
+            prims: FxHashMap::default(),
             externs: Vec::new(),
         };
         // Name, kind, and whether resource sharing may share instances.
@@ -235,7 +235,7 @@ fn std_table() -> &'static Library {
         ] {
             let mut attributes = Attributes::new();
             if share {
-                attributes.insert(attr::share(), 1);
+                attributes.insert(attr::SHARE, 1);
             }
             let (params, ports) = interface(kind);
             let def = PrimitiveDef {
@@ -318,7 +318,7 @@ fn interface(kind: PrimKind) -> (Vec<Id>, Vec<PrimitivePort>) {
             params.extend((0..dims).map(|i| Id::new(dim(i, "IDX_SIZE"))));
             let mut ports: Vec<PrimitivePort> = (0..dims)
                 .map(|i| PrimitivePort {
-                    name: Id::new(format!("addr{i}")),
+                    name: Id::ADDRS[i],
                     width: WidthSpec::Param(Id::new(dim(i, "IDX_SIZE"))),
                     direction: Input,
                 })

@@ -79,7 +79,7 @@ impl Printer {
             fmt_ports(
                 comp.signature
                     .iter()
-                    .filter(|p| p.direction == direction && !p.attributes.has(attr::interface()))
+                    .filter(|p| p.direction == direction && !p.attributes.has(attr::INTERFACE))
                     .map(|p| (p.name, p.width)),
             )
         };
@@ -259,7 +259,7 @@ fn fmt_attributes_angle(attrs: &Attributes) -> String {
 fn fmt_attributes_at(attrs: &Attributes) -> String {
     let mut s = String::new();
     for (k, v) in attrs.iter() {
-        if v == 1 && k != attr::static_() {
+        if v == 1 && k != attr::STATIC {
             let _ = write!(s, "@{k} ");
         } else {
             let _ = write!(s, "@{k}({v}) ");
@@ -355,7 +355,7 @@ mod tests {
         {
             let mut b = Builder::new(&mut comp, &ctx);
             let m = b.add_primitive("m", "std_mem_d1", &[32, 4, 2]);
-            b.set_cell_attribute(m, attr::external(), 1);
+            b.set_cell_attribute(m, attr::EXTERNAL, 1);
         }
         let text = Printer::print_component(&comp);
         assert!(text.contains("@external m = std_mem_d1(32, 4, 2);"));

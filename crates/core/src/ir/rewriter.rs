@@ -8,23 +8,23 @@
 
 use super::cell::Group;
 use super::{Assignment, Atom, Control, Id, PortParent, PortRef};
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// A substitution over cell names and (optionally) exact port references.
 #[derive(Debug, Clone, Default)]
 pub struct Rewriter {
     /// Cell-level renames: every `old.port` becomes `new.port`.
-    pub cell_map: HashMap<Id, Id>,
+    pub cell_map: FxHashMap<Id, Id>,
     /// Exact port-reference renames, applied before `cell_map`.
-    pub port_map: HashMap<PortRef, PortRef>,
+    pub port_map: FxHashMap<PortRef, PortRef>,
 }
 
 impl Rewriter {
     /// A rewriter renaming cells according to `cell_map`.
-    pub fn from_cells(cell_map: HashMap<Id, Id>) -> Self {
+    pub fn from_cells(cell_map: FxHashMap<Id, Id>) -> Self {
         Rewriter {
             cell_map,
-            port_map: HashMap::new(),
+            port_map: FxHashMap::default(),
         }
     }
 

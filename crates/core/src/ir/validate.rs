@@ -226,7 +226,7 @@ fn check_unique_drivers(
     scope: &str,
     sink: &mut Vec<Error>,
 ) {
-    let mut unconditional = std::collections::HashSet::new();
+    let mut unconditional = rustc_hash::FxHashSet::default();
     for asgn in assignments {
         if asgn.guard.is_true() && !unconditional.insert(asgn.dst) {
             sink.push(Error::malformed(format!(

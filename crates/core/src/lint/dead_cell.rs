@@ -36,7 +36,7 @@ when the schedule never touches them.";
             for cell in comp.cells.iter() {
                 if uses.referenced_cells().contains(&cell.name)
                     || boundary.cells().contains(&cell.name)
-                    || cell.attributes.has(attr::external())
+                    || cell.attributes.has(attr::EXTERNAL)
                 {
                     continue;
                 }

@@ -91,7 +91,7 @@ fn is_const_init(comp: &Component, group: Id, reg: Id) -> bool {
     };
     let mut any = false;
     for a in &g.assignments {
-        if a.dst.parent == PortParent::Cell(reg) && a.dst.port.as_str() == "in" {
+        if a.dst.parent == PortParent::Cell(reg) && a.dst.port == Id::IN {
             any = true;
             if !matches!(a.src, Atom::Const { .. }) {
                 return false;
@@ -105,7 +105,7 @@ fn report(ctx: &Context, comp: &Component, sink: &mut DiagnosticSink, group: Id,
     let write_site = comp.groups.get(group).and_then(|g| {
         g.assignments
             .iter()
-            .position(|a| a.dst.parent == PortParent::Cell(reg) && a.dst.port.as_str() == "in")
+            .position(|a| a.dst.parent == PortParent::Cell(reg) && a.dst.port == Id::IN)
     });
     let loc = write_site
         .and_then(|idx| ctx.sources.assignment(comp.name, Some(group), idx))

@@ -62,15 +62,15 @@ fn memory_accesses(comp: &Component) -> BTreeMap<Id, (BTreeSet<Id>, BTreeSet<Id>
         for asgn in &group.assignments {
             if let Some(c) = asgn.dst.cell_parent() {
                 // `write_en = 0` disables the write and is not an access.
-                let disabled = asgn.dst.port.as_str() == "write_en"
-                    && matches!(asgn.src, Atom::Const { val: 0, .. });
-                if memories.contains(&c) && asgn.dst.port.as_str() == "write_en" && !disabled {
+                let disabled =
+                    asgn.dst.port == Id::WRITE_EN && matches!(asgn.src, Atom::Const { val: 0, .. });
+                if memories.contains(&c) && asgn.dst.port == Id::WRITE_EN && !disabled {
                     writes.insert(c);
                 }
             }
             for p in asgn.reads_iter() {
                 if let Some(c) = p.cell_parent() {
-                    if memories.contains(&c) && p.port.as_str() == "read_data" {
+                    if memories.contains(&c) && p.port == Id::READ_DATA {
                         reads.insert(c);
                     }
                 }

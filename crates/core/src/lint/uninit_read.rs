@@ -77,7 +77,7 @@ fn report(ctx: &Context, comp: &Component, sink: &mut DiagnosticSink, group: Id,
     let read_site = comp.groups.get(group).and_then(|g| {
         g.assignments.iter().position(|a| {
             a.reads_iter()
-                .any(|p| p.parent == PortParent::Cell(reg) && p.port.as_str() == "out")
+                .any(|p| p.parent == PortParent::Cell(reg) && p.port == Id::OUT)
         })
     });
     let loc = read_site

@@ -33,7 +33,7 @@ use it.";
         for comp in ctx.components.iter() {
             let uses = cache.get::<PortUses>(comp);
             for port in &comp.signature {
-                if port.attributes.has(attr::interface()) {
+                if port.attributes.has(attr::INTERFACE) {
                     continue;
                 }
                 let reference = PortRef::this(port.name);

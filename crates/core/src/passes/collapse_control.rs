@@ -195,7 +195,7 @@ mod tests {
         let mut c = Control::seq(vec![Control::enable("a")]);
         c.attributes_mut()
             .unwrap()
-            .insert(crate::ir::attr::static_(), 3);
+            .insert(crate::ir::attr::STATIC, 3);
         assert!(matches!(collapse(c), Control::Seq { .. }));
     }
 

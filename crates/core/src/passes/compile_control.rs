@@ -150,7 +150,7 @@ fn child_groups(stmts: &[Control]) -> Vec<Id> {
 
 /// `group[done]` as a guard.
 fn done(group: Id) -> Guard {
-    Guard::Port(PortRef::hole(group, "done"))
+    Guard::Port(PortRef::hole(group, Id::DONE))
 }
 
 /// Does enabling this group require `!done` re-execution protection?
@@ -182,7 +182,7 @@ fn needs_done_protection(b: &mut Builder, group: Id) -> bool {
     // compilation groups and constant-done groups never have registered
     // pulses.
     g.done_writes().any(|asgn| match &asgn.src {
-        crate::ir::Atom::Port(p) if p.port.as_str() == "done" => p
+        crate::ir::Atom::Port(p) if p.port == Id::DONE => p
             .cell_parent()
             .and_then(|c| comp.cells.get(c))
             .is_some_and(|cell| cell.is_register() || cell.is_memory()),
@@ -230,26 +230,26 @@ fn is_static_island(b: &mut Builder, child: Id) -> bool {
 fn wire_child(b: &mut Builder, g: Id, child: Id, base: Guard) -> Guard {
     if !is_static_island(b, child) {
         let en = enable_guard(b, child, base);
-        b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, en);
+        b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
         return done(child);
     }
-    let sd = b.add_primitive(&format!("sd_{child}"), "std_reg", &[1]);
-    b.set_cell_attribute(sd, attr::fsm(), 1);
-    let sd_out = Guard::Port(PortRef::cell(sd, "out"));
+    let sd = b.add_primitive(&format!("sd_{child}"), Id::STD_REG, &[1]);
+    b.set_cell_attribute(sd, attr::FSM, 1);
+    let sd_out = Guard::Port(PortRef::cell(sd, Id::OUT));
     // Run the island until its completion is recorded (also protects it
     // from re-executing during the handoff cycle).
     let en = base.clone().and(sd_out.clone().not());
-    b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, en);
+    b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
     // Record the combinational done on the commit cycle (`!sd` keeps this
     // disjoint from the consume write for constant-done islands)...
     let record = base.clone().and(done(child)).and(sd_out.clone().not());
-    b.asgn_const_guarded(g, (sd, "in"), 1, 1, record.clone());
-    b.asgn_const_guarded(g, (sd, "write_en"), 1, 1, record);
+    b.asgn_const_guarded(g, (sd, Id::IN), 1, 1, record.clone());
+    b.asgn_const_guarded(g, (sd, Id::WRITE_EN), 1, 1, record);
     // ...and consume it the cycle after, when the parent advances, so the
     // saver is clear if the statement re-executes inside a loop.
     let consume = base.and(sd_out.clone());
-    b.asgn_const_guarded(g, (sd, "in"), 0, 1, consume.clone());
-    b.asgn_const_guarded(g, (sd, "write_en"), 1, 1, consume);
+    b.asgn_const_guarded(g, (sd, Id::IN), 0, 1, consume.clone());
+    b.asgn_const_guarded(g, (sd, Id::WRITE_EN), 1, 1, consume);
     sd_out
 }
 
@@ -259,26 +259,26 @@ fn wire_child(b: &mut Builder, g: Id, child: Id, base: Guard) -> Guard {
 fn compile_seq(b: &mut Builder, children: &[Id]) -> Id {
     let n = children.len() as u64;
     let width = bits_needed(n);
-    let fsm = b.add_primitive("fsm", "std_reg", &[u64::from(width)]);
-    b.set_cell_attribute(fsm, attr::fsm(), 1);
+    let fsm = b.add_primitive("fsm", Id::STD_REG, &[u64::from(width)]);
+    b.set_cell_attribute(fsm, attr::FSM, 1);
     let g = b.add_group("seq");
-    b.set_group_attribute(g, attr::generated(), 1);
-    let fsm_out = PortRef::cell(fsm, "out");
+    b.set_group_attribute(g, attr::GENERATED, 1);
+    let fsm_out = PortRef::cell(fsm, Id::OUT);
 
     for (i, &child) in children.iter().enumerate() {
         let state = Guard::port_eq(fsm_out, i as u64, width);
         // Enable the child while in its state; advance when it completes.
         let finished = wire_child(b, g, child, state.clone());
         let tick = state.and(finished);
-        b.asgn_const_guarded(g, (fsm, "in"), i as u64 + 1, width, tick.clone());
-        b.asgn_const_guarded(g, (fsm, "write_en"), 1, 1, tick);
+        b.asgn_const_guarded(g, (fsm, Id::IN), i as u64 + 1, width, tick.clone());
+        b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, tick);
     }
 
     // Final state: signal done and reset the FSM for re-entry.
     let final_state = Guard::port_eq(fsm_out, n, width);
-    b.asgn_const_guarded(g, PortRef::hole(g, "done"), 1, 1, final_state.clone());
-    b.asgn_const_guarded(g, (fsm, "in"), 0, width, final_state.clone());
-    b.asgn_const_guarded(g, (fsm, "write_en"), 1, 1, final_state);
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, final_state.clone());
+    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, final_state.clone());
+    b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, final_state);
     g
 }
 
@@ -286,39 +286,39 @@ fn compile_seq(b: &mut Builder, children: &[Id]) -> Id {
 /// pulse; the block is done when all savers read 1, which also resets them.
 fn compile_par(b: &mut Builder, children: &[Id]) -> Id {
     let g = b.add_group("par");
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
 
     let savers: Vec<Id> = children
         .iter()
         .map(|child| {
-            let pd = b.add_primitive(&format!("pd_{child}"), "std_reg", &[1]);
-            b.set_cell_attribute(pd, attr::fsm(), 1);
+            let pd = b.add_primitive(&format!("pd_{child}"), Id::STD_REG, &[1]);
+            b.set_cell_attribute(pd, attr::FSM, 1);
             pd
         })
         .collect();
 
     let all_done = savers
         .iter()
-        .map(|pd| Guard::Port(PortRef::cell(*pd, "out")))
+        .map(|pd| Guard::Port(PortRef::cell(*pd, Id::OUT)))
         .reduce(Guard::and)
         .expect("par blocks have at least one child");
 
     for (child, pd) in children.iter().zip(&savers) {
         // Run the child until its saver records completion.
-        let not_finished = Guard::Port(PortRef::cell(*pd, "out")).not();
+        let not_finished = Guard::Port(PortRef::cell(*pd, Id::OUT)).not();
         let en = enable_guard(b, *child, not_finished);
-        b.asgn_const_guarded(g, PortRef::hole(*child, "go"), 1, 1, en);
+        b.asgn_const_guarded(g, PortRef::hole(*child, Id::GO), 1, 1, en);
         // Record the done pulse (masked during the reset cycle so the two
         // saver writes cannot conflict when a child's done is level-high).
         let record = done(*child).and(all_done.clone().not());
-        b.asgn_const_guarded(g, (*pd, "in"), 1, 1, record.clone());
-        b.asgn_const_guarded(g, (*pd, "write_en"), 1, 1, record);
+        b.asgn_const_guarded(g, (*pd, Id::IN), 1, 1, record.clone());
+        b.asgn_const_guarded(g, (*pd, Id::WRITE_EN), 1, 1, record);
         // Reset for re-entry.
-        b.asgn_const_guarded(g, (*pd, "in"), 0, 1, all_done.clone());
-        b.asgn_const_guarded(g, (*pd, "write_en"), 1, 1, all_done.clone());
+        b.asgn_const_guarded(g, (*pd, Id::IN), 0, 1, all_done.clone());
+        b.asgn_const_guarded(g, (*pd, Id::WRITE_EN), 1, 1, all_done.clone());
     }
 
-    b.asgn_const_guarded(g, PortRef::hole(g, "done"), 1, 1, all_done);
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, all_done);
     g
 }
 
@@ -333,28 +333,28 @@ struct CondRegs {
 }
 
 fn build_cond(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>) -> CondRegs {
-    let cc = b.add_primitive("cc", "std_reg", &[1]);
-    let cs = b.add_primitive("cs", "std_reg", &[1]);
-    b.set_cell_attribute(cc, attr::fsm(), 1);
-    b.set_cell_attribute(cs, attr::fsm(), 1);
-    let computing = Guard::Port(PortRef::cell(cc, "out")).not();
+    let cc = b.add_primitive("cc", Id::STD_REG, &[1]);
+    let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
+    b.set_cell_attribute(cc, attr::FSM, 1);
+    b.set_cell_attribute(cs, attr::FSM, 1);
+    let computing = Guard::Port(PortRef::cell(cc, Id::OUT)).not();
 
     // Condition groups are enabled for the whole evaluation phase. They are
     // expected to be combinational or idempotent (both frontends generate
     // combinational condition groups).
     let cond_done = match cond {
         Some(cg) => {
-            b.asgn_const_guarded(g, PortRef::hole(cg, "go"), 1, 1, computing.clone());
+            b.asgn_const_guarded(g, PortRef::hole(cg, Id::GO), 1, 1, computing.clone());
             done(cg)
         }
         None => Guard::True,
     };
 
     let latch = computing.and(cond_done);
-    b.asgn_const_guarded(g, (cc, "in"), 1, 1, latch.clone());
-    b.asgn_const_guarded(g, (cc, "write_en"), 1, 1, latch.clone());
-    b.asgn_guarded(g, (cs, "in"), port, latch.clone());
-    b.asgn_const_guarded(g, (cs, "write_en"), 1, 1, latch);
+    b.asgn_const_guarded(g, (cc, Id::IN), 1, 1, latch.clone());
+    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, latch.clone());
+    b.asgn_guarded(g, (cs, Id::IN), port, latch.clone());
+    b.asgn_const_guarded(g, (cs, Id::WRITE_EN), 1, 1, latch);
     CondRegs { cc, cs }
 }
 
@@ -366,10 +366,10 @@ fn compile_if(
     fbranch: Option<Id>,
 ) -> Id {
     let g = b.add_group("if");
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
     let CondRegs { cc, cs } = build_cond(b, g, port, cond);
-    let computed = Guard::Port(PortRef::cell(cc, "out"));
-    let taken = Guard::Port(PortRef::cell(cs, "out"));
+    let computed = Guard::Port(PortRef::cell(cc, Id::OUT));
+    let taken = Guard::Port(PortRef::cell(cs, Id::OUT));
 
     // done(g) = computed & (taken ? t_done : f_done); empty branches finish
     // immediately.
@@ -390,41 +390,43 @@ fn compile_if(
     }
     let done_guard = done_guard.expect("both branches contribute a done condition");
 
-    b.asgn_const_guarded(g, PortRef::hole(g, "done"), 1, 1, done_guard.clone());
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, done_guard.clone());
     // Reset the condition registers when finishing so the statement can
     // re-execute inside loops.
-    b.asgn_const_guarded(g, (cc, "in"), 0, 1, done_guard.clone());
-    b.asgn_const_guarded(g, (cc, "write_en"), 1, 1, done_guard);
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, done_guard.clone());
+    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, done_guard);
     g
 }
 
 fn compile_while(b: &mut Builder, port: PortRef, cond: Option<Id>, body: Option<Id>) -> Id {
     let g = b.add_group("while");
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
     let CondRegs { cc, cs } = build_cond(b, g, port, cond);
-    let computed = Guard::Port(PortRef::cell(cc, "out"));
-    let looping = computed.clone().and(Guard::Port(PortRef::cell(cs, "out")));
+    let computed = Guard::Port(PortRef::cell(cc, Id::OUT));
+    let looping = computed
+        .clone()
+        .and(Guard::Port(PortRef::cell(cs, Id::OUT)));
 
     // Body iteration: run the body, then clear `cc` to re-evaluate the
     // condition.
     let iter_end = match body {
         Some(child) => {
             let en = enable_guard(b, child, looping.clone());
-            b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, en);
+            b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
             looping.and(done(child))
         }
         // An empty body completes instantly; the condition is re-evaluated
         // every other cycle.
         None => looping,
     };
-    b.asgn_const_guarded(g, (cc, "in"), 0, 1, iter_end.clone());
-    b.asgn_const_guarded(g, (cc, "write_en"), 1, 1, iter_end);
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, iter_end.clone());
+    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, iter_end);
 
     // Exit when the condition was computed false; also reset `cc`.
-    let exit = computed.and(Guard::Port(PortRef::cell(cs, "out")).not());
-    b.asgn_const_guarded(g, PortRef::hole(g, "done"), 1, 1, exit.clone());
-    b.asgn_const_guarded(g, (cc, "in"), 0, 1, exit.clone());
-    b.asgn_const_guarded(g, (cc, "write_en"), 1, 1, exit);
+    let exit = computed.and(Guard::Port(PortRef::cell(cs, Id::OUT)).not());
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, exit.clone());
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, exit.clone());
+    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, exit);
     g
 }
 
@@ -462,12 +464,12 @@ mod tests {
             other => panic!("expected single enable, got {other:?}"),
         }
         // An FSM register was created.
-        assert!(main.cells.iter().any(|c| c.attributes.has(attr::fsm())));
+        assert!(main.cells.iter().any(|c| c.attributes.has(attr::FSM)));
         // The compilation group writes the children's go holes.
         let seq_group = main
             .groups
             .iter()
-            .find(|g| g.attributes.has(attr::generated()))
+            .find(|g| g.attributes.has(attr::GENERATED))
             .unwrap();
         let writes_go = |child: &str| {
             seq_group
@@ -488,7 +490,7 @@ mod tests {
         let seq_group = main
             .groups
             .iter()
-            .find(|g| g.attributes.has(attr::generated()))
+            .find(|g| g.attributes.has(attr::GENERATED))
             .unwrap();
         // Find the reset write: fsm.in = (fsm.out == 2) ? 0.
         let reset = seq_group.assignments.iter().any(|a| {
@@ -513,7 +515,7 @@ mod tests {
         let savers = main
             .cells
             .iter()
-            .filter(|c| c.attributes.has(attr::fsm()))
+            .filter(|c| c.attributes.has(attr::FSM))
             .count();
         assert_eq!(savers, 2, "one done-saver register per par child");
         validate::validate_context(&ctx).unwrap();
@@ -561,7 +563,7 @@ mod tests {
         let generated = main
             .groups
             .iter()
-            .filter(|g| g.attributes.has(attr::generated()))
+            .filter(|g| g.attributes.has(attr::GENERATED))
             .count();
         assert_eq!(generated, 2);
         match &main.control {
@@ -612,7 +614,7 @@ mod tests {
         let seq_group = main
             .groups
             .iter()
-            .find(|g| g.attributes.has(attr::generated()))
+            .find(|g| g.attributes.has(attr::GENERATED))
             .unwrap();
         let island_go = seq_group
             .assignments
@@ -663,7 +665,7 @@ mod tests {
         let seq_group = main
             .groups
             .iter()
-            .find(|g| g.attributes.has(attr::generated()))
+            .find(|g| g.attributes.has(attr::GENERATED))
             .unwrap();
         let go_guard = |child: &str| {
             seq_group

@@ -17,11 +17,8 @@ use crate::ir::{attr, Component};
 /// The references come from two cached analyses instead of a walk of its
 /// own: [`PortUses`] for every assignment, [`BoundaryCells`] for the
 /// `if`/`while` condition ports.
-///
-/// Stateless, but not a unit struct: every caller constructs it with
-/// `DeadCellRemoval::default()`, which clippy rejects on a unit struct.
-#[derive(Debug, Clone, Default)]
-pub struct DeadCellRemoval {}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeadCellRemoval;
 
 impl Visitor for DeadCellRemoval {
     fn name(&self) -> &'static str {
@@ -39,7 +36,7 @@ impl Visitor for DeadCellRemoval {
         comp.cells.retain(|c| {
             uses.referenced_cells().contains(&c.name)
                 || boundary.cells().contains(&c.name)
-                || c.attributes.has(attr::external())
+                || c.attributes.has(attr::EXTERNAL)
         });
         if comp.cells.len() != before {
             ctx.set_dirty();
@@ -70,7 +67,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadCellRemoval::default().run(&mut ctx).unwrap();
+        DeadCellRemoval.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         assert!(main.cells.contains(Id::new("used")));
         assert!(!main.cells.contains(Id::new("dead")));
@@ -96,7 +93,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadCellRemoval::default().run(&mut ctx).unwrap();
+        DeadCellRemoval.run(&mut ctx).unwrap();
         assert!(ctx
             .component("main")
             .unwrap()
@@ -117,7 +114,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        DeadCellRemoval::default().run(&mut ctx).unwrap();
+        DeadCellRemoval.run(&mut ctx).unwrap();
         assert!(ctx.component("main").unwrap().cells.contains(Id::new("lt")));
     }
 }

@@ -4,7 +4,7 @@ use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::analysis::{PortUses, SiteOwner};
 use crate::errors::CalyxResult;
-use crate::ir::{Component, Guard, PortRef};
+use crate::ir::{Component, Guard, Id, PortRef};
 use std::collections::BTreeSet;
 
 /// Guards every assignment inside a group with the group's `go` interface
@@ -40,10 +40,10 @@ impl Visitor for GoInsertion {
         let uses = ctx.get::<PortUses>(comp);
         let mut mutated = false;
         for group in comp.groups.iter_mut() {
-            let go = Guard::Port(PortRef::hole(group.name, "go"));
+            let go = Guard::Port(PortRef::hole(group.name, Id::GO));
             // This group's writes to its own done hole keep their guards.
             let skip: BTreeSet<usize> = uses
-                .writes(PortRef::hole(group.name, "done"))
+                .writes(PortRef::hole(group.name, Id::DONE))
                 .filter(|s| s.owner == SiteOwner::Group(group.name))
                 .map(|s| s.index)
                 .collect();

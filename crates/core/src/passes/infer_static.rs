@@ -68,7 +68,7 @@ impl Visitor for InferStaticTiming {
                     .get_mut(name)
                     .expect("stable names")
                     .attributes
-                    .insert(attr::static_(), latency);
+                    .insert(attr::STATIC, latency);
             }
         }
         // Component-level latency from the (possibly annotated) control
@@ -79,7 +79,7 @@ impl Visitor for InferStaticTiming {
             let control = comp.control.clone();
             if let Some(latency) = stmt_latency(comp, &control) {
                 if latency > 0 {
-                    comp.attributes.insert(attr::static_(), latency);
+                    comp.attributes.insert(attr::STATIC, latency);
                 }
             }
         }
@@ -98,11 +98,11 @@ fn cell_latency(ctx: &Context, cell: &Cell) -> Option<u64> {
 }
 
 /// The activation port for a cell: `write_en` for storage, `go` otherwise.
-fn activation_port(cell: &Cell) -> &'static str {
+fn activation_port(cell: &Cell) -> Id {
     if cell.is_register() || cell.is_memory() {
-        "write_en"
+        Id::WRITE_EN
     } else {
-        "go"
+        Id::GO
     }
 }
 
@@ -121,7 +121,7 @@ fn activation_guard_ok(guard: &Guard, cell: Id) -> bool {
         return true;
     }
     matches!(guard, Guard::Not(inner)
-        if matches!(&**inner, Guard::Port(p) if *p == PortRef::cell(cell, "done")))
+        if matches!(&**inner, Guard::Port(p) if *p == PortRef::cell(cell, Id::DONE)))
 }
 
 fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
@@ -134,7 +134,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
     let Atom::Port(done_src) = done.src else {
         return None;
     };
-    if done_src.port.as_str() != "done" {
+    if done_src.port != Id::DONE {
         return None;
     }
     let done_cell = done_src.cell_parent()?;
@@ -154,7 +154,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
         if !is_stateful(ctx, cell) {
             continue;
         }
-        if asgn.dst.port.as_str() == activation_port(cell) {
+        if asgn.dst.port == activation_port(cell) {
             // `write_en = 0` / `go = 0` is not an activation.
             if matches!(asgn.src, Atom::Const { val: 0, .. }) {
                 continue;
@@ -194,7 +194,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
                 (Atom::Const { val: 1, .. }, Guard::Port(p)) => *p,
                 _ => return None,
             };
-            if en_src.port.as_str() != "done" {
+            if en_src.port != Id::DONE {
                 return None;
             }
             let unit = en_src.cell_parent()?;

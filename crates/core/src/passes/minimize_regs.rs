@@ -19,7 +19,8 @@ use super::visitor::{Action, Visitor};
 use crate::analysis::liveness::{BoundaryRegs, Interference};
 use crate::errors::CalyxResult;
 use crate::ir::{Component, Id, Rewriter};
-use std::collections::{BTreeMap, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 
 /// Merge registers with non-overlapping live ranges.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,7 +55,7 @@ impl Visitor for MinimizeRegs {
             .collect();
 
         // Greedy coloring: colors are representative registers.
-        let mut color_of: HashMap<Id, Id> = HashMap::new();
+        let mut color_of: FxHashMap<Id, Id> = FxHashMap::default();
         let mut members: BTreeMap<Id, Vec<Id>> = BTreeMap::new(); // color -> regs
         let mut colors_by_width: BTreeMap<u64, Vec<Id>> = BTreeMap::new();
         for &(reg, width) in &registers {
@@ -87,7 +88,7 @@ impl Visitor for MinimizeRegs {
         }
 
         // Build and apply the global renaming.
-        let cell_map: HashMap<Id, Id> = color_of
+        let cell_map: FxHashMap<Id, Id> = color_of
             .iter()
             .filter(|(reg, color)| reg != color)
             .map(|(reg, color)| (*reg, *color))
@@ -145,9 +146,7 @@ mod tests {
         "#;
         let mut ctx = parse_context(src).unwrap();
         MinimizeRegs.run(&mut ctx).unwrap();
-        super::super::DeadCellRemoval::default()
-            .run(&mut ctx)
-            .unwrap();
+        super::super::DeadCellRemoval.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         let regs = main.cells.iter().filter(|c| c.is_register()).count();
         assert_eq!(regs, 1, "t0 and t1 should share one register");

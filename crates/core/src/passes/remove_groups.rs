@@ -20,8 +20,8 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{Assignment, Atom, Component, Control, Guard, GuardMemo, PortRef};
-use std::collections::HashMap;
+use crate::ir::{Assignment, Atom, Component, Control, Guard, GuardMemo, Id, PortRef};
+use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// Inlines `go`/`done` interface signals and erases all groups.
@@ -62,7 +62,7 @@ impl Visitor for RemoveGroups {
             .and_then(|t| comp.groups.get(t))
             .map(|g| {
                 g.done_writes().any(|asgn| match &asgn.src {
-                    Atom::Port(p) if p.port.as_str() == "done" => p
+                    Atom::Port(p) if p.port == Id::DONE => p
                         .cell_parent()
                         .and_then(|c| comp.cells.get(c))
                         .is_some_and(|cell| cell.is_register() || cell.is_memory()),
@@ -82,11 +82,11 @@ impl Visitor for RemoveGroups {
         // The top group is started by the component's own go port (with
         // re-execution protection when its done is a registered pulse).
         if let Some(top) = top {
-            let mut go_guard = Guard::Port(PortRef::this("go"));
+            let mut go_guard = Guard::Port(PortRef::this(Id::GO));
             if top_needs_protection {
-                go_guard = go_guard.and(Guard::Port(PortRef::hole(top, "done")).not());
+                go_guard = go_guard.and(Guard::Port(PortRef::hole(top, Id::DONE)).not());
             }
-            holes.set(PortRef::hole(top, "go"), go_guard);
+            holes.set(PortRef::hole(top, Id::GO), go_guard);
         }
 
         // Resolve hole reads inside the definitions, each hole once. The
@@ -116,17 +116,17 @@ impl Visitor for RemoveGroups {
 
         // Wire the component's done port.
         let done_guard = match top {
-            Some(top) => holes.take(PortRef::hole(top, "done")).ok_or_else(|| {
+            Some(top) => holes.take(PortRef::hole(top, Id::DONE)).ok_or_else(|| {
                 Error::pass(
                     "remove-groups",
                     format!("top-level group `{top}` never writes its done hole"),
                 )
             })?,
             // An empty component finishes as soon as it is started.
-            None => Guard::Port(PortRef::this("go")),
+            None => Guard::Port(PortRef::this(Id::GO)),
         };
         comp.continuous.push(Assignment::guarded(
-            PortRef::this("done"),
+            PortRef::this(Id::DONE),
             Atom::constant(1, 1),
             done_guard,
         ));
@@ -149,7 +149,7 @@ enum Slot {
 /// Every hole's definition, resolved at most once each.
 #[derive(Default)]
 struct Holes {
-    slots: HashMap<PortRef, Slot>,
+    slots: FxHashMap<PortRef, Slot>,
     /// The holes in the order their first write appears, so that what an
     /// ill-formed program is told does not depend on hash order.
     order: Vec<PortRef>,

@@ -24,7 +24,8 @@ use crate::analysis::conflict::ParConflicts;
 use crate::analysis::{BoundaryCells, PortUses};
 use crate::errors::CalyxResult;
 use crate::ir::{attr, CellType, Component, Control, Id, Rewriter};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Share `@share`-annotated cells between temporally disjoint groups.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,7 +62,7 @@ impl Visitor for ResourceSharing {
                 CellType::Component { name } => ctx
                     .components
                     .get(*name)
-                    .is_some_and(|c| c.attributes.has(attr::share())),
+                    .is_some_and(|c| c.attributes.has(attr::SHARE)),
             })
             .map(|c| c.name)
             .collect();
@@ -77,7 +78,7 @@ impl Visitor for ResourceSharing {
             .collect();
 
         // Claims: representative cell -> groups using it.
-        let mut claims: HashMap<Id, Vec<Id>> = HashMap::new();
+        let mut claims: FxHashMap<Id, Vec<Id>> = FxHashMap::default();
         for (cell, groups) in &users {
             if groups.len() > 1 {
                 claims.insert(*cell, groups.clone());
@@ -85,7 +86,7 @@ impl Visitor for ResourceSharing {
         }
 
         // Representative pool per prototype, in allocation order.
-        let mut pool: HashMap<CellType, Vec<Id>> = HashMap::new();
+        let mut pool: FxHashMap<CellType, Vec<Id>> = FxHashMap::default();
         let prototype = |comp: &crate::ir::Component, cell: Id| {
             comp.cells
                 .get(cell)
@@ -100,7 +101,7 @@ impl Visitor for ResourceSharing {
         }
 
         // Greedy allocation in control order.
-        let mut rewrites: BTreeMap<Id, HashMap<Id, Id>> = BTreeMap::new();
+        let mut rewrites: BTreeMap<Id, FxHashMap<Id, Id>> = BTreeMap::new();
         for group in control_order(&comp.control) {
             let Some(cells) = group_cells(&users, group) else {
                 continue;
@@ -231,9 +232,7 @@ mod tests {
             .any(|a| a.dst == PortRef::cell("a0", "left"));
         assert!(uses_a0, "incr_r1 should be rewritten to use a0:\n{incr_r1}");
         // After dead-cell removal, a1 disappears.
-        super::super::DeadCellRemoval::default()
-            .run(&mut ctx)
-            .unwrap();
+        super::super::DeadCellRemoval.run(&mut ctx).unwrap();
         assert!(!ctx.component("main").unwrap().cells.contains(Id::new("a1")));
     }
 
@@ -318,9 +317,7 @@ mod tests {
         "#;
         let mut ctx = parse_context(src).unwrap();
         ResourceSharing.run(&mut ctx).unwrap();
-        super::super::DeadCellRemoval::default()
-            .run(&mut ctx)
-            .unwrap();
+        super::super::DeadCellRemoval.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         assert!(main.cells.contains(Id::new("a0")));
         assert!(main.cells.contains(Id::new("a1")));
@@ -345,9 +342,7 @@ mod tests {
         "#;
         let mut ctx = parse_context(src).unwrap();
         ResourceSharing.run(&mut ctx).unwrap();
-        super::super::DeadCellRemoval::default()
-            .run(&mut ctx)
-            .unwrap();
+        super::super::DeadCellRemoval.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         assert!(main.cells.contains(Id::new("a1")), "pinned cell survives");
     }

@@ -56,7 +56,7 @@ impl Visitor for StaticTiming {
         // Mirror the group's (possibly inferred) latency onto the enable so
         // parents and later passes can read it off the control tree.
         if let Some(l) = comp.groups.get(*group).and_then(Group::static_latency) {
-            attributes.insert(attr::static_(), l);
+            attributes.insert(attr::STATIC, l);
         }
         Ok(Action::Continue)
     }
@@ -117,7 +117,7 @@ impl Visitor for StaticTiming {
         // arrays rely on this composition).
         if let Control::Enable { group, .. } = &comp.control {
             if let Some(l) = comp.groups.get(*group).and_then(Group::static_latency) {
-                comp.attributes.insert(attr::static_(), l);
+                comp.attributes.insert(attr::STATIC, l);
             }
         }
         Ok(())
@@ -243,7 +243,7 @@ fn as_static_enable(comp: &Component, stmt: &Control) -> Option<(Option<Id>, u64
 fn static_enable(group: Id, latency: u64) -> Control {
     let mut e = Control::enable(group);
     if let Some(a) = e.attributes_mut() {
-        a.insert(attr::static_(), latency);
+        a.insert(attr::STATIC, latency);
     }
     e
 }
@@ -267,25 +267,25 @@ fn window_guard(fsm_out: PortRef, lo: u64, hi: u64, total: u64, width: u32) -> G
 /// is needed).
 fn build_counter(b: &mut Builder, g: Id, total: u64) -> Option<(PortRef, u32)> {
     if total <= 1 {
-        b.asgn_const(g, PortRef::hole(g, "done"), 1, 1);
+        b.asgn_const(g, PortRef::hole(g, Id::DONE), 1, 1);
         return None;
     }
     let width = bits_needed(total - 1);
-    let fsm = b.add_primitive("fsm", "std_reg", &[u64::from(width)]);
-    b.set_cell_attribute(fsm, attr::fsm(), 1);
-    let add = b.add_primitive("incr", "std_add", &[u64::from(width)]);
-    b.set_cell_attribute(add, attr::fsm(), 1);
-    let fsm_out = PortRef::cell(fsm, "out");
+    let fsm = b.add_primitive("fsm", Id::STD_REG, &[u64::from(width)]);
+    b.set_cell_attribute(fsm, attr::FSM, 1);
+    let add = b.add_primitive("incr", Id::STD_ADD, &[u64::from(width)]);
+    b.set_cell_attribute(add, attr::FSM, 1);
+    let fsm_out = PortRef::cell(fsm, Id::OUT);
 
-    b.asgn(g, (add, "left"), fsm_out);
-    b.asgn_const(g, (add, "right"), 1, width);
+    b.asgn(g, (add, Id::LEFT), fsm_out);
+    b.asgn_const(g, (add, Id::RIGHT), 1, width);
     let not_last = Guard::port_lt(fsm_out, total - 1, width);
-    b.asgn_guarded(g, (fsm, "in"), (add, "out"), not_last.clone());
-    b.asgn_const_guarded(g, (fsm, "write_en"), 1, 1, not_last);
+    b.asgn_guarded(g, (fsm, Id::IN), (add, Id::OUT), not_last.clone());
+    b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, not_last);
     let last = Guard::port_eq(fsm_out, total - 1, width);
-    b.asgn_const_guarded(g, (fsm, "in"), 0, width, last.clone());
-    b.asgn_const_guarded(g, (fsm, "write_en"), 1, 1, last.clone());
-    b.asgn_const_guarded(g, PortRef::hole(g, "done"), 1, 1, last);
+    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, last.clone());
+    b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, last.clone());
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, last);
     Some((fsm_out, width))
 }
 
@@ -294,7 +294,7 @@ fn build_counter(b: &mut Builder, g: Id, total: u64) -> Option<(PortRef, u32)> {
 fn build_static_seq(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
     let total: u64 = children.iter().map(|(_, l)| l).sum();
     let g = b.add_static_group("static_seq", total);
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
     let counter = build_counter(b, g, total);
     let mut offset = 0;
     for &(child, latency) in children {
@@ -302,7 +302,7 @@ fn build_static_seq(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
             Some((fsm_out, width)) => window_guard(fsm_out, offset, offset + latency, total, width),
             None => Guard::True,
         };
-        b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, guard);
+        b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
         offset += latency;
     }
     (g, total)
@@ -313,14 +313,14 @@ fn build_static_seq(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
 fn build_static_par(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
     let total: u64 = children.iter().map(|(_, l)| *l).max().unwrap_or(1);
     let g = b.add_static_group("static_par", total);
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
     let counter = build_counter(b, g, total);
     for &(child, latency) in children {
         let guard = match counter {
             Some((fsm_out, width)) => window_guard(fsm_out, 0, latency, total, width),
             None => Guard::True,
         };
-        b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, guard);
+        b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
     }
     (g, total)
 }
@@ -339,7 +339,7 @@ fn build_static_if(
     let branch_lat = tbranch.1.max(fbranch.1);
     let total = cond_lat + branch_lat;
     let g = b.add_static_group("static_if", total);
-    b.set_group_attribute(g, attr::generated(), 1);
+    b.set_group_attribute(g, attr::GENERATED, 1);
     let counter = build_counter(b, g, total);
 
     let window = |counter: &Option<(PortRef, u32)>, lo: u64, hi: u64| match counter {
@@ -350,7 +350,7 @@ fn build_static_if(
     if let Some(cg) = cond {
         b.asgn_const_guarded(
             g,
-            PortRef::hole(cg, "go"),
+            PortRef::hole(cg, Id::GO),
             1,
             1,
             window(&counter, 0, cond_lat),
@@ -358,22 +358,22 @@ fn build_static_if(
     }
 
     if branch_lat > 0 {
-        let cs = b.add_primitive("cs", "std_reg", &[1]);
-        b.set_cell_attribute(cs, attr::fsm(), 1);
+        let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
+        b.set_cell_attribute(cs, attr::FSM, 1);
         // Latch the condition on the final condition cycle.
         let latch = match &counter {
             Some((fsm_out, width)) => Guard::port_eq(*fsm_out, cond_lat - 1, *width),
             None => Guard::True,
         };
-        b.asgn_guarded(g, (cs, "in"), port, latch.clone());
-        b.asgn_const_guarded(g, (cs, "write_en"), 1, 1, latch);
-        let taken = Guard::Port(PortRef::cell(cs, "out"));
+        b.asgn_guarded(g, (cs, Id::IN), port, latch.clone());
+        b.asgn_const_guarded(g, (cs, Id::WRITE_EN), 1, 1, latch);
+        let taken = Guard::Port(PortRef::cell(cs, Id::OUT));
         for (branch, active) in [(tbranch, taken.clone()), (fbranch, taken.not())] {
             let (Some(child), latency) = branch else {
                 continue;
             };
             let guard = window(&counter, cond_lat, cond_lat + latency).and(active);
-            b.asgn_const_guarded(g, PortRef::hole(child, "go"), 1, 1, guard);
+            b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
         }
     }
     (g, total)
@@ -407,7 +407,7 @@ mod tests {
         match &main.control {
             Control::Enable { group, attributes } => {
                 assert!(group.as_str().starts_with("static_seq"));
-                assert_eq!(attributes.get(attr::static_()), Some(3));
+                assert_eq!(attributes.get(attr::STATIC), Some(3));
             }
             other => panic!("expected static enable, got {other:?}"),
         }
@@ -483,7 +483,7 @@ mod tests {
             Control::While { body, .. } => match body.as_ref() {
                 Control::Enable { group, attributes } => {
                     assert!(group.as_str().starts_with("static_seq"));
-                    assert_eq!(attributes.get(attr::static_()), Some(2));
+                    assert_eq!(attributes.get(attr::STATIC), Some(2));
                 }
                 other => panic!("body should be a static enable, got {other:?}"),
             },

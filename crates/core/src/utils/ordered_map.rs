@@ -1,7 +1,7 @@
 //! An insertion-ordered map keyed by interned identifiers.
 
 use crate::ir::Id;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Types that carry their own name.
 ///
@@ -16,20 +16,20 @@ pub trait Named {
 ///
 /// Calyx programs are ordered documents: cells, groups, and components print
 /// and elaborate in the order a frontend created them, which keeps compiler
-/// output deterministic. A `HashMap` alone would make pass output depend on
+/// output deterministic. A `FxHashMap` alone would make pass output depend on
 /// hash order; a `Vec` alone would make lookups linear. This structure keeps
 /// both properties.
 #[derive(Debug, Clone)]
 pub struct OrderedMap<V> {
     values: Vec<V>,
-    index: HashMap<Id, usize>,
+    index: FxHashMap<Id, usize>,
 }
 
 impl<V> Default for OrderedMap<V> {
     fn default() -> Self {
         OrderedMap {
             values: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         }
     }
 }

@@ -6,7 +6,7 @@
 use calyx_core::ir::{parse_guard, Atom, CompOp, Guard, PortRef};
 use calyx_core::passes::simplify;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// A tiny universe of ports: four 1-bit flags and two 4-bit buses.
@@ -19,7 +19,7 @@ fn bus(i: usize) -> PortRef {
 }
 
 /// Evaluate a guard under a valuation (missing ports read 0).
-fn eval(g: &Guard, env: &HashMap<PortRef, u64>) -> bool {
+fn eval(g: &Guard, env: &FxHashMap<PortRef, u64>) -> bool {
     let atom = |a: &Atom| match a {
         Atom::Port(p) => env.get(p).copied().unwrap_or(0),
         Atom::Const { val, .. } => *val,
@@ -140,13 +140,13 @@ fn same_nodes(a: &Guard, b: &Guard) -> bool {
     }
 }
 
-fn valuation() -> impl Strategy<Value = HashMap<PortRef, u64>> {
+fn valuation() -> impl Strategy<Value = FxHashMap<PortRef, u64>> {
     (
         prop::collection::vec(0..2u64, 4),
         prop::collection::vec(0..16u64, 2),
     )
         .prop_map(|(flags, buses)| {
-            let mut env = HashMap::new();
+            let mut env = FxHashMap::default();
             for (i, v) in flags.into_iter().enumerate() {
                 env.insert(port(i), v);
             }

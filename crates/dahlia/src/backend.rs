@@ -15,7 +15,7 @@ use crate::check::{expr_width, Env};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{attr, Atom, Builder, Context, Control, Guard, Id, PortRef};
 use calyx_core::utils::bits_needed;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// The physical memory cells implementing a (possibly banked) declaration,
 /// in bank order, together with the per-bank dimension sizes.
@@ -123,7 +123,7 @@ pub fn emit(p: &Program) -> CalyxResult<Context> {
         let mut b = Builder::new(&mut main, &ctx);
         let mut em = Emitter {
             env: Env::from_program(p),
-            mem_cells: HashMap::new(),
+            mem_cells: FxHashMap::default(),
             counter: 0,
         };
         // Materialize physical memories.
@@ -144,7 +144,7 @@ pub fn emit(p: &Program) -> CalyxResult<Context> {
                     }
                 };
                 let cell = b.add_primitive(name, prim, &params);
-                b.set_cell_attribute(cell, attr::external(), 1);
+                b.set_cell_attribute(cell, attr::EXTERNAL, 1);
                 let bank = if decl.is_banked() {
                     Some(i as u64)
                 } else {
@@ -174,12 +174,12 @@ struct GroupCtx {
     /// Memory cells whose address ports this group already drives; lowering
     /// guarantees any further access in the same statement uses identical
     /// indices (same-port sharing), so re-driving is skipped.
-    driven_mems: std::collections::HashSet<Id>,
+    driven_mems: rustc_hash::FxHashSet<Id>,
 }
 
 struct Emitter {
     env: Env,
-    mem_cells: HashMap<(Id, Option<u64>), Id>,
+    mem_cells: FxHashMap<(Id, Option<u64>), Id>,
     counter: usize,
 }
 
@@ -196,7 +196,7 @@ impl Emitter {
         if b.component().cells.contains(var) {
             var
         } else {
-            b.add_primitive(var.as_str(), "std_reg", &[u64::from(width)])
+            b.add_primitive(var.as_str(), Id::STD_REG, &[u64::from(width)])
         }
     }
 
@@ -260,31 +260,32 @@ impl Emitter {
 
                 // init: var <- lo
                 let init = b.add_static_group(&self.fresh("init"), 1);
-                b.asgn_const(init, (reg, "in"), *lo, *width);
-                b.asgn_const(init, (reg, "write_en"), 1, 1);
-                b.group_done(init, (reg, "done"));
+                b.asgn_const(init, (reg, Id::IN), *lo, *width);
+                b.asgn_const(init, (reg, Id::WRITE_EN), 1, 1);
+                b.group_done(init, (reg, Id::DONE));
 
                 // cond: var < hi
-                let lt = b.add_primitive(&self.fresh("lt"), "std_lt", &[u64::from(*width)]);
+                let lt = b.add_primitive(&self.fresh("lt"), Id::STD_LT, &[u64::from(*width)]);
                 let cond = b.add_group(&self.fresh("cond"));
-                b.asgn(cond, (lt, "left"), (reg, "out"));
-                b.asgn_const(cond, (lt, "right"), *hi, *width);
+                b.asgn(cond, (lt, Id::LEFT), (reg, Id::OUT));
+                b.asgn_const(cond, (lt, Id::RIGHT), *hi, *width);
                 b.group_done_const(cond, 1);
 
                 // incr: var <- var + 1
-                let add = b.add_primitive(&self.fresh("incr_add"), "std_add", &[u64::from(*width)]);
+                let add =
+                    b.add_primitive(&self.fresh("incr_add"), Id::STD_ADD, &[u64::from(*width)]);
                 let incr = b.add_static_group(&self.fresh("incr"), 1);
-                b.asgn(incr, (add, "left"), (reg, "out"));
-                b.asgn_const(incr, (add, "right"), 1, *width);
-                b.asgn(incr, (reg, "in"), (add, "out"));
-                b.asgn_const(incr, (reg, "write_en"), 1, 1);
-                b.group_done(incr, (reg, "done"));
+                b.asgn(incr, (add, Id::LEFT), (reg, Id::OUT));
+                b.asgn_const(incr, (add, Id::RIGHT), 1, *width);
+                b.asgn(incr, (reg, Id::IN), (add, Id::OUT));
+                b.asgn_const(incr, (reg, Id::WRITE_EN), 1, 1);
+                b.group_done(incr, (reg, Id::DONE));
 
                 let body = self.block_control(b, body)?;
                 let loop_body = Control::seq(vec![body, Control::enable(incr)]);
                 Control::seq(vec![
                     Control::enable(init),
-                    Control::while_(PortRef::cell(lt, "out"), Some(cond), loop_body),
+                    Control::while_(PortRef::cell(lt, Id::OUT), Some(cond), loop_body),
                 ])
             }
             Stmt::Seq(ss) => Control::seq(
@@ -324,12 +325,12 @@ impl Emitter {
         let mut gctx = GroupCtx::default();
         let (atom, aw) = self.compile_expr(b, g, rhs, width, &mut gctx)?;
         let atom = adapt(b, g, self, atom, aw, width);
-        drive(b, g, PortRef::cell(reg, "in"), atom);
+        drive(b, g, PortRef::cell(reg, Id::IN), atom);
         self.finish_write(
             b,
             g,
-            PortRef::cell(reg, "write_en"),
-            PortRef::cell(reg, "done"),
+            PortRef::cell(reg, Id::WRITE_EN),
+            PortRef::cell(reg, Id::DONE),
             &gctx,
         );
         Ok(Control::enable(g))
@@ -357,16 +358,16 @@ impl Emitter {
         let (atom, aw) = self.compile_expr(b, g, rhs, decl.width, &mut gctx)?;
         let atom = adapt(b, g, self, atom, aw, decl.width);
         match atom {
-            Atom::Port(p) => b.asgn(g, PortRef::cell(cell, "write_data"), p),
+            Atom::Port(p) => b.asgn(g, PortRef::cell(cell, Id::WRITE_DATA), p),
             Atom::Const { val, width } => {
-                b.asgn_const(g, PortRef::cell(cell, "write_data"), val, width)
+                b.asgn_const(g, PortRef::cell(cell, Id::WRITE_DATA), val, width)
             }
         }
         self.finish_write(
             b,
             g,
-            PortRef::cell(cell, "write_en"),
-            PortRef::cell(cell, "done"),
+            PortRef::cell(cell, Id::WRITE_EN),
+            PortRef::cell(cell, Id::DONE),
             &gctx,
         );
         Ok(Control::enable(g))
@@ -383,7 +384,7 @@ impl Emitter {
     ) {
         if gctx.unit_dones.is_empty() {
             b.asgn_const(g, write_en, 1, 1);
-            b.set_group_attribute(g, attr::static_(), 1);
+            b.set_group_attribute(g, attr::STATIC, 1);
         } else {
             let guard = gctx
                 .unit_dones
@@ -394,7 +395,7 @@ impl Emitter {
             b.asgn_const_guarded(g, write_en, 1, 1, guard);
             if !gctx.has_sqrt {
                 // Units start together and take 4 cycles; the write adds 1.
-                b.set_group_attribute(g, attr::static_(), 5);
+                b.set_group_attribute(g, attr::STATIC, 5);
             }
         }
         b.group_done(g, done);
@@ -413,9 +414,9 @@ impl Emitter {
             Atom::Port(_) => return Err(Error::malformed("conditions must be 1 bit wide")),
             Atom::Const { val, .. } => {
                 // Materialize constant conditions through a wire.
-                let wire = b.add_primitive(&self.fresh("cw"), "std_wire", &[1]);
-                b.asgn_const(g, (wire, "in"), val, 1);
-                PortRef::cell(wire, "out")
+                let wire = b.add_primitive(&self.fresh("cw"), Id::STD_WIRE, &[1]);
+                b.asgn_const(g, (wire, Id::IN), val, 1);
+                PortRef::cell(wire, Id::OUT)
             }
         };
         b.group_done_const(g, 1);
@@ -474,7 +475,7 @@ impl Emitter {
                     .vars
                     .get(v)
                     .ok_or_else(|| Error::malformed(format!("undeclared `{v}`")))?;
-                (Atom::Port(PortRef::cell(*v, "out")), w)
+                (Atom::Port(PortRef::cell(*v, Id::OUT)), w)
             }
             Expr::ReadMem { mem, bank, indices } => {
                 let decl = self
@@ -485,7 +486,7 @@ impl Emitter {
                     .ok_or_else(|| Error::malformed(format!("undeclared memory `{mem}`")))?;
                 let cell = self.mem_cell(*mem, *bank)?;
                 self.drive_addresses(b, g, cell, &decl, *bank, indices, gctx)?;
-                (Atom::Port(PortRef::cell(cell, "read_data")), decl.width)
+                (Atom::Port(PortRef::cell(cell, Id::READ_DATA)), decl.width)
             }
             Expr::Binop { op, lhs, rhs } => {
                 let w = expr_width(e, &self.env)?.unwrap_or(expected);
@@ -503,57 +504,57 @@ impl Emitter {
                 match op {
                     BinOp::Mul | BinOp::Div | BinOp::Rem => {
                         let (prim, out_port) = match op {
-                            BinOp::Mul => ("std_mult_pipe", "out"),
-                            BinOp::Div => ("std_div_pipe", "out_quotient"),
-                            _ => ("std_div_pipe", "out_remainder"),
+                            BinOp::Mul => (Id::STD_MULT_PIPE, Id::OUT),
+                            BinOp::Div => (Id::STD_DIV_PIPE, Id::OUT_QUOTIENT),
+                            _ => (Id::STD_DIV_PIPE, Id::OUT_REMAINDER),
                         };
                         let unit = b.add_primitive(&self.fresh("unit"), prim, &[u64::from(opw)]);
-                        drive(b, g, PortRef::cell(unit, "left"), la);
-                        drive(b, g, PortRef::cell(unit, "right"), ra);
-                        let done = PortRef::cell(unit, "done");
-                        b.asgn_const_guarded(g, (unit, "go"), 1, 1, Guard::Port(done).not());
+                        drive(b, g, PortRef::cell(unit, Id::LEFT), la);
+                        drive(b, g, PortRef::cell(unit, Id::RIGHT), ra);
+                        let done = PortRef::cell(unit, Id::DONE);
+                        b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, Guard::Port(done).not());
                         gctx.unit_dones.push(done);
                         (Atom::Port(PortRef::cell(unit, out_port)), opw)
                     }
                     _ => {
                         let prim = comb_prim(*op);
                         let cell = b.add_primitive(&self.fresh("op"), prim, &[u64::from(opw)]);
-                        drive(b, g, PortRef::cell(cell, "left"), la);
-                        drive(b, g, PortRef::cell(cell, "right"), ra);
+                        drive(b, g, PortRef::cell(cell, Id::LEFT), la);
+                        drive(b, g, PortRef::cell(cell, Id::RIGHT), ra);
                         let out_w = if op.is_comparison() { 1 } else { opw };
-                        (Atom::Port(PortRef::cell(cell, "out")), out_w)
+                        (Atom::Port(PortRef::cell(cell, Id::OUT)), out_w)
                     }
                 }
             }
             Expr::Sqrt(inner) => {
                 let (ia, iw) = self.compile_expr(b, g, inner, expected, gctx)?;
-                let unit = b.add_primitive(&self.fresh("sqrt"), "std_sqrt", &[u64::from(iw)]);
-                drive(b, g, PortRef::cell(unit, "in"), ia);
-                let done = PortRef::cell(unit, "done");
-                b.asgn_const_guarded(g, (unit, "go"), 1, 1, Guard::Port(done).not());
+                let unit = b.add_primitive(&self.fresh("sqrt"), Id::STD_SQRT, &[u64::from(iw)]);
+                drive(b, g, PortRef::cell(unit, Id::IN), ia);
+                let done = PortRef::cell(unit, Id::DONE);
+                b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, Guard::Port(done).not());
                 gctx.unit_dones.push(done);
                 gctx.has_sqrt = true;
-                (Atom::Port(PortRef::cell(unit, "out")), iw)
+                (Atom::Port(PortRef::cell(unit, Id::OUT)), iw)
             }
         })
     }
 }
 
-fn comb_prim(op: BinOp) -> &'static str {
+fn comb_prim(op: BinOp) -> Id {
     match op {
-        BinOp::Add => "std_add",
-        BinOp::Sub => "std_sub",
-        BinOp::And => "std_and",
-        BinOp::Or => "std_or",
-        BinOp::Xor => "std_xor",
-        BinOp::Shl => "std_lsh",
-        BinOp::Shr => "std_rsh",
-        BinOp::Lt => "std_lt",
-        BinOp::Gt => "std_gt",
-        BinOp::Eq => "std_eq",
-        BinOp::Neq => "std_neq",
-        BinOp::Ge => "std_ge",
-        BinOp::Le => "std_le",
+        BinOp::Add => Id::STD_ADD,
+        BinOp::Sub => Id::STD_SUB,
+        BinOp::And => Id::STD_AND,
+        BinOp::Or => Id::STD_OR,
+        BinOp::Xor => Id::STD_XOR,
+        BinOp::Shl => Id::STD_LSH,
+        BinOp::Shr => Id::STD_RSH,
+        BinOp::Lt => Id::STD_LT,
+        BinOp::Gt => Id::STD_GT,
+        BinOp::Eq => Id::STD_EQ,
+        BinOp::Neq => Id::STD_NEQ,
+        BinOp::Ge => Id::STD_GE,
+        BinOp::Le => Id::STD_LE,
         BinOp::Mul | BinOp::Div | BinOp::Rem => unreachable!("sequential ops handled separately"),
     }
 }
@@ -575,8 +576,8 @@ fn adapt(b: &mut Builder, g: Id, em: &mut Emitter, atom: Atom, from: u32, to: u3
         Atom::Port(p) => {
             let prim = if from > to { "std_slice" } else { "std_pad" };
             let cell = b.add_primitive(&em.fresh("adapt"), prim, &[u64::from(from), u64::from(to)]);
-            b.asgn(g, PortRef::cell(cell, "in"), p);
-            Atom::Port(PortRef::cell(cell, "out"))
+            b.asgn(g, PortRef::cell(cell, Id::IN), p);
+            Atom::Port(PortRef::cell(cell, Id::OUT))
         }
     }
 }

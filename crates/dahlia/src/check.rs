@@ -10,15 +10,16 @@
 use crate::ast::{Block, Expr, MemDecl, Program, Stmt};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Id;
-use std::collections::{BTreeSet, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::BTreeSet;
 
 /// Widths of declared variables and memories.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     /// Variable widths.
-    pub vars: HashMap<Id, u32>,
+    pub vars: FxHashMap<Id, u32>,
     /// Memory declarations.
-    pub mems: HashMap<Id, MemDecl>,
+    pub mems: FxHashMap<Id, MemDecl>,
 }
 
 impl Env {

@@ -25,7 +25,7 @@ use crate::ast::{Block, Expr, Program, Stmt};
 use crate::check::{expr_width, Env};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Id;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Lower a checked program.
 ///
@@ -153,9 +153,9 @@ fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
 
 /// Names `let`-bound inside an unrolled body, renamed per lane so parallel
 /// lanes do not race on their temporaries.
-fn lane_renames(body: &Block, lane: u64) -> HashMap<Id, Id> {
-    let mut map = HashMap::new();
-    fn collect(s: &Stmt, lane: u64, map: &mut HashMap<Id, Id>) {
+fn lane_renames(body: &Block, lane: u64) -> FxHashMap<Id, Id> {
+    let mut map = FxHashMap::default();
+    fn collect(s: &Stmt, lane: u64, map: &mut FxHashMap<Id, Id>) {
         match s {
             Stmt::Let { var, .. } => {
                 map.insert(*var, Id::new(format!("{var}__l{lane}")));
@@ -191,7 +191,7 @@ fn lane_stmt(
     var: Id,
     lane: u64,
     unroll: u64,
-    renames: &HashMap<Id, Id>,
+    renames: &FxHashMap<Id, Id>,
     env: &Env,
 ) -> CalyxResult<Stmt> {
     Ok(match s {
@@ -292,7 +292,7 @@ fn lane_expr(
     var: Id,
     lane: u64,
     unroll: u64,
-    renames: &HashMap<Id, Id>,
+    renames: &FxHashMap<Id, Id>,
     env: &Env,
 ) -> CalyxResult<Expr> {
     Ok(match e {
@@ -531,7 +531,7 @@ fn simplify_rhs(
     // Read deduplication happens on a synthetic Let so the same walker
     // handles all statement kinds.
     let probe = Stmt::Let {
-        var: Id::new("__probe"),
+        var: Id::PROBE,
         width,
         init: e,
     };
@@ -623,11 +623,11 @@ fn dedup_reads(
     pre: &mut Vec<Stmt>,
 ) -> CalyxResult<Stmt> {
     type Key = (Id, Option<u64>);
-    let mut claimed: HashMap<Key, Vec<Expr>> = HashMap::new();
+    let mut claimed: FxHashMap<Key, Vec<Expr>> = FxHashMap::default();
 
     fn walk(
         e: Expr,
-        claimed: &mut HashMap<(Id, Option<u64>), Vec<Expr>>,
+        claimed: &mut FxHashMap<(Id, Option<u64>), Vec<Expr>>,
         env: &mut Env,
         fresh: &mut usize,
         pre: &mut Vec<Stmt>,

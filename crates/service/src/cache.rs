@@ -15,7 +15,6 @@
 
 use calyx_core::ir::Context;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,7 +51,8 @@ type Slot = Arc<Mutex<Option<Arc<Context>>>>;
 /// parsed program.
 #[derive(Debug, Default)]
 pub struct ParseCache {
-    map: Mutex<HashMap<(String, u64), Slot>>,
+    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
+    map: Mutex<std::collections::HashMap<(String, u64), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

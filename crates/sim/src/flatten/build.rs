@@ -33,7 +33,7 @@ use calyx_core::ir::{
     PortRef, PrimKind,
 };
 use calyx_core::prim::UnitOp;
-use std::collections::{HashMap, HashSet};
+use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// Build the behavioral model of one primitive instance, finding each of
@@ -42,7 +42,7 @@ fn instantiate_primitive(
     prim: Id,
     params: &[u64],
     ports: &IndexedMap<PortIdx, PortData>,
-    port: impl Fn(&str) -> SimResult<PortIdx>,
+    port: impl Fn(Id) -> SimResult<PortIdx>,
 ) -> SimResult<(FlatCellKind, PrimState)> {
     let Some(kind) = PrimKind::of(prim) else {
         return Err(SimError::Elaboration(format!(
@@ -53,11 +53,11 @@ fn instantiate_primitive(
     Ok(match kind {
         PrimKind::Comb(op) => {
             let (left, right) = if op.is_binary() {
-                (port("left")?, Some(port("right")?))
+                (port(Id::LEFT)?, Some(port(Id::RIGHT)?))
             } else {
-                (port("in")?, None)
+                (port(Id::IN)?, None)
             };
-            let out = port("out")?;
+            let out = port(Id::OUT)?;
             // Combinational primitives carry no state; a zero-width register
             // placeholder keeps the state arena index-aligned with cells.
             (
@@ -78,10 +78,10 @@ fn instantiate_primitive(
         }
         PrimKind::Reg => (
             FlatCellKind::Reg {
-                input: port("in")?,
-                write_en: port("write_en")?,
-                out: port("out")?,
-                done: port("done")?,
+                input: port(Id::IN)?,
+                write_en: port(Id::WRITE_EN)?,
+                out: port(Id::OUT)?,
+                done: port(Id::DONE)?,
             },
             PrimState::Reg {
                 val: 0,
@@ -92,16 +92,17 @@ fn instantiate_primitive(
         PrimKind::Mem { dims } => {
             let sizes: Vec<u64> = params[1..=dims].to_vec();
             let size: u64 = sizes.iter().product();
-            let addrs = (0..dims)
-                .map(|i| port(&format!("addr{i}")))
+            let addrs = Id::ADDRS[..dims]
+                .iter()
+                .map(|&addr| port(addr))
                 .collect::<SimResult<Vec<_>>>()?;
             (
                 FlatCellKind::Mem {
                     addrs,
-                    write_data: port("write_data")?,
-                    write_en: port("write_en")?,
-                    read_data: port("read_data")?,
-                    done: port("done")?,
+                    write_data: port(Id::WRITE_DATA)?,
+                    write_en: port(Id::WRITE_EN)?,
+                    read_data: port(Id::READ_DATA)?,
+                    done: port(Id::DONE)?,
                 },
                 PrimState::Mem {
                     data: vec![0; size as usize],
@@ -113,26 +114,26 @@ fn instantiate_primitive(
         }
         PrimKind::Unit(op) => {
             let (left, right, out, out2) = match op {
-                UnitOp::Mult => (port("left")?, port("right")?, port("out")?, None),
+                UnitOp::Mult => (port(Id::LEFT)?, port(Id::RIGHT)?, port(Id::OUT)?, None),
                 UnitOp::Div => (
-                    port("left")?,
-                    port("right")?,
-                    port("out_quotient")?,
-                    Some(port("out_remainder")?),
+                    port(Id::LEFT)?,
+                    port(Id::RIGHT)?,
+                    port(Id::OUT_QUOTIENT)?,
+                    Some(port(Id::OUT_REMAINDER)?),
                 ),
                 UnitOp::Sqrt => {
-                    let input = port("in")?;
-                    (input, input, port("out")?, None)
+                    let input = port(Id::IN)?;
+                    (input, input, port(Id::OUT)?, None)
                 }
             };
             (
                 FlatCellKind::Unit {
                     left,
                     right,
-                    go: port("go")?,
+                    go: port(Id::GO)?,
                     out,
                     out2,
-                    done: port("done")?,
+                    done: port(Id::DONE)?,
                 },
                 PrimState::Unit {
                     op,
@@ -153,8 +154,8 @@ fn instantiate_primitive(
 /// groups.
 struct Scope {
     component: Id,
-    ports: HashMap<PortRef, PortIdx>,
-    groups: HashMap<Id, GroupIdx>,
+    ports: FxHashMap<PortRef, PortIdx>,
+    groups: FxHashMap<Id, GroupIdx>,
 }
 
 impl Scope {
@@ -196,7 +197,7 @@ impl Scope {
 /// one per elaborated component instance.
 struct GuardInterner<'a> {
     guards: &'a mut IndexedMap<GuardIdx, FlatGuard>,
-    cons: &'a mut HashMap<FlatGuard, GuardIdx>,
+    cons: &'a mut FxHashMap<FlatGuard, GuardIdx>,
     done: &'a mut GuardMemo<GuardIdx>,
 }
 
@@ -227,7 +228,7 @@ impl GuardInterner<'_> {
 /// The index of `node`, which is pushed unless an equal node exists.
 fn cons_guard(
     guards: &mut IndexedMap<GuardIdx, FlatGuard>,
-    cons: &mut HashMap<FlatGuard, GuardIdx>,
+    cons: &mut FxHashMap<FlatGuard, GuardIdx>,
     node: FlatGuard,
 ) -> GuardIdx {
     *cons.entry(node).or_insert_with(|| guards.push(node))
@@ -236,15 +237,16 @@ fn cons_guard(
 /// The assignments seen so far, by the port they drive.
 #[derive(Default)]
 struct Drivers {
-    /// Pending drivers per destination, in push order.
-    of: HashMap<PortIdx, Vec<(FlatAtom, GuardIdx)>>,
+    /// Pending drivers per destination port, in push order; one entry per
+    /// allocated port.
+    of: Vec<Vec<(FlatAtom, GuardIdx)>>,
     /// Destinations in first-seen order, for deterministic node layout.
     order: Vec<PortIdx>,
 }
 
 impl Drivers {
     fn push(&mut self, dst: PortIdx, src: FlatAtom, guard: GuardIdx) {
-        let entry = self.of.entry(dst).or_default();
+        let entry = &mut self.of[dst.index()];
         if entry.is_empty() {
             self.order.push(dst);
         }
@@ -260,7 +262,7 @@ fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers) -> Graph {
     // Pack each destination's drivers into a contiguous assignment range.
     let mut nodes = Vec::new();
     for dst in drivers.order {
-        let asgns = drivers.of.remove(&dst).expect("ordered driver exists");
+        let asgns = std::mem::take(&mut drivers.of[dst.index()]);
         let start = prog.assigns.next_idx();
         for (src, guard) in asgns {
             prog.assigns.push(FlatAssign { dst, src, guard });
@@ -339,16 +341,20 @@ struct Flattener<'a> {
     prog: FlatProgram,
     drivers: Drivers,
     /// Hash-consing table of [`GuardInterner`].
-    cons: HashMap<FlatGuard, GuardIdx>,
-    /// The outputs that hold for a whole cycle: the stateful primitives',
-    /// and each sub-instance's `done`, which only the interpreter drives.
-    held: HashSet<PortIdx>,
+    cons: FxHashMap<FlatGuard, GuardIdx>,
+    /// Per port: whether it is an output that holds for a whole cycle —
+    /// the stateful primitives', and each sub-instance's `done`, which
+    /// only the interpreter drives.
+    held: Vec<bool>,
     groups: IndexedMap<GroupIdx, FlatGroup>,
     ctrl: IndexedMap<CtrlIdx, CtrlNode>,
 }
 
 impl Flattener<'_> {
+    /// A new port slot, with its (empty) driver list and `held` flag.
     fn alloc(&mut self, instance: u32, width: u32, port: PortRef) -> PortIdx {
+        self.drivers.of.push(Vec::new());
+        self.held.push(false);
         self.prog.ports.push(PortData {
             width,
             instance,
@@ -368,10 +374,10 @@ impl Flattener<'_> {
         let mut scope = Scope {
             component: name,
             ports: this.iter().map(|&(n, p)| (PortRef::this(n), p)).collect(),
-            groups: HashMap::new(),
+            groups: FxHashMap::default(),
         };
-        let interface = |port: &str| scope.port(&PortRef::this(port));
-        let (go, done) = (interface("go")?, interface("done")?);
+        let interface = |port: Id| scope.port(&PortRef::this(port));
+        let (go, done) = (interface(Id::GO)?, interface(Id::DONE)?);
         self.prog.instances.push(FlatInstance {
             prefix,
             component: name,
@@ -392,11 +398,13 @@ impl Flattener<'_> {
             let prefix = &self.prog.instances[inst as usize].prefix;
             match &cell.prototype {
                 CellType::Primitive { name: prim, params } => {
-                    let port = |port: &str| scope.port(&PortRef::cell(cell.name, port));
+                    let port = |port: Id| scope.port(&PortRef::cell(cell.name, port));
                     let (kind, state) =
                         instantiate_primitive(*prim, params, &self.prog.ports, port)?;
                     let path = format!("{prefix}{}", cell.name);
-                    self.held.extend(held_outputs(&kind).into_iter().flatten());
+                    for p in held_outputs(&kind).into_iter().flatten() {
+                        self.held[p.index()] = true;
+                    }
                     let ci = self.prog.cells.push(FlatCell {
                         path: path.clone(),
                         kind,
@@ -410,8 +418,8 @@ impl Flattener<'_> {
                         |pd: &PortDef| (pd.name, scope.ports[&PortRef::cell(cell.name, pd.name)]);
                     let child_this: Vec<(Id, PortIdx)> = cell.ports.iter().map(slot).collect();
                     self.elaborate(*child, prefix, &child_this)?;
-                    self.held
-                        .insert(scope.ports[&PortRef::cell(cell.name, "done")]);
+                    let done = scope.ports[&PortRef::cell(cell.name, Id::DONE)];
+                    self.held[done.index()] = true;
                 }
             }
         }
@@ -421,12 +429,12 @@ impl Flattener<'_> {
         // `g[go]`), and slots for its two holes.
         let mut gos = Vec::with_capacity(comp.groups.len());
         for group in comp.groups.iter() {
-            for hole in ["go", "done"] {
+            for hole in [Id::GO, Id::DONE] {
                 let port = PortRef::hole(group.name, hole);
                 let slot = self.alloc(inst, 1, port);
                 scope.ports.insert(port, slot);
             }
-            gos.push(self.alloc(inst, 1, PortRef::hole(group.name, "go")));
+            gos.push(self.alloc(inst, 1, PortRef::hole(group.name, Id::GO)));
         }
 
         // One memo per instance: an index is a node under this instance's
@@ -493,7 +501,7 @@ impl Flattener<'_> {
         go: PortIdx,
         done_writes: Vec<(GuardIdx, FlatAtom)>,
     ) -> GroupIdx {
-        let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held.contains(&p));
+        let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held[p.index()]);
         let done_from_state = done_writes
             .iter()
             .all(|&(guard, src)| held(src) && guard_reads_only(&self.prog.guards, guard, &held));
@@ -568,8 +576,8 @@ pub fn flatten(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
         ctx,
         prog: FlatProgram::new(),
         drivers: Drivers::default(),
-        cons: HashMap::new(),
-        held: HashSet::new(),
+        cons: FxHashMap::default(),
+        held: Vec::new(),
         groups: IndexedMap::new(),
         ctrl: IndexedMap::new(),
     };

@@ -114,7 +114,7 @@ pub use settle::{DriverRule, Wires};
 use crate::prim::PrimState;
 use calyx_core::ir::{CompOp, Id, PortRef};
 use calyx_core::prim::CombOp;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// A flattened atom: a port slot or a literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -344,7 +344,8 @@ pub struct FlatProgram {
     pub instances: Vec<FlatInstance>,
     /// The primitives by hierarchical path (`acc`, `pe_0_0.acc`): how the
     /// harness names state.
-    pub(crate) cell_index: HashMap<String, CellIdx>,
+    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
+    pub(crate) cell_index: std::collections::HashMap<String, CellIdx>,
 }
 
 impl FlatProgram {
@@ -359,7 +360,7 @@ impl FlatProgram {
             cells: IndexedMap::new(),
             states: IndexedMap::new(),
             instances: Vec::new(),
-            cell_index: HashMap::new(),
+            cell_index: Default::default(),
         }
     }
 
@@ -545,7 +546,7 @@ pub struct FlatDesign {
     /// [`FlatInstance::root`].
     pub ctrl: IndexedMap<CtrlIdx, CtrlNode>,
     /// The top component's input ports.
-    pub top_inputs: HashMap<Id, PortIdx>,
+    pub top_inputs: FxHashMap<Id, PortIdx>,
 }
 
 /// Evaluate an atom against the dense valuation.

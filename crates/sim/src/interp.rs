@@ -362,7 +362,7 @@ pub struct Interpreter {
 /// map places the first such assignment (` at line:col`, or nothing).
 fn drives_own_done(ctx: &Context, name: Id) -> Option<String> {
     let comp = ctx.component(name)?;
-    let done = PortRef::this("done");
+    let done = PortRef::this(Id::DONE);
     let find = |asgns: &[Assignment]| asgns.iter().position(|a| a.dst == done);
     let continuous = find(&comp.continuous).map(|i| (None, i));
     let mut groups = comp.groups.iter();

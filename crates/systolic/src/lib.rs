@@ -72,41 +72,41 @@ pub fn build_mac_pe(ctx: &Context, width: u32) -> Component {
     );
     let mut b = Builder::new(&mut pe, ctx);
     let w = u64::from(width);
-    let mul = b.add_primitive("mul", "std_mult_pipe", &[w]);
-    let prod = b.add_primitive("prod", "std_reg", &[w]);
-    let acc = b.add_primitive("acc", "std_reg", &[w]);
-    let add = b.add_primitive("add", "std_add", &[w]);
+    let mul = b.add_primitive("mul", Id::STD_MULT_PIPE, &[w]);
+    let prod = b.add_primitive("prod", Id::STD_REG, &[w]);
+    let acc = b.add_primitive("acc", Id::STD_REG, &[w]);
+    let add = b.add_primitive("add", Id::STD_ADD, &[w]);
 
     // prod <- top * left (latency 4 + 1; inferred by rule C of §5.3).
     let do_mul = b.add_group("do_mul");
-    b.asgn(do_mul, (mul, "left"), PortRef::this("top"));
-    b.asgn(do_mul, (mul, "right"), PortRef::this("left"));
+    b.asgn(do_mul, (mul, Id::LEFT), PortRef::this("top"));
+    b.asgn(do_mul, (mul, Id::RIGHT), PortRef::this(Id::LEFT));
     b.asgn_const_guarded(
         do_mul,
-        (mul, "go"),
+        (mul, Id::GO),
         1,
         1,
-        calyx_core::ir::Guard::Port(PortRef::cell(mul, "done")).not(),
+        calyx_core::ir::Guard::Port(PortRef::cell(mul, Id::DONE)).not(),
     );
-    b.asgn(do_mul, (prod, "in"), (mul, "out"));
+    b.asgn(do_mul, (prod, Id::IN), (mul, Id::OUT));
     b.asgn_const_guarded(
         do_mul,
-        (prod, "write_en"),
+        (prod, Id::WRITE_EN),
         1,
         1,
-        calyx_core::ir::Guard::Port(PortRef::cell(mul, "done")),
+        calyx_core::ir::Guard::Port(PortRef::cell(mul, Id::DONE)),
     );
-    b.group_done(do_mul, (prod, "done"));
+    b.group_done(do_mul, (prod, Id::DONE));
 
     // acc <- acc + prod (latency 1; rule B).
     let do_add = b.add_group("do_add");
-    b.asgn(do_add, (add, "left"), (acc, "out"));
-    b.asgn(do_add, (add, "right"), (prod, "out"));
-    b.asgn(do_add, (acc, "in"), (add, "out"));
-    b.asgn_const(do_add, (acc, "write_en"), 1, 1);
-    b.group_done(do_add, (acc, "done"));
+    b.asgn(do_add, (add, Id::LEFT), (acc, Id::OUT));
+    b.asgn(do_add, (add, Id::RIGHT), (prod, Id::OUT));
+    b.asgn(do_add, (acc, Id::IN), (add, Id::OUT));
+    b.asgn_const(do_add, (acc, Id::WRITE_EN), 1, 1);
+    b.group_done(do_add, (acc, Id::DONE));
 
-    b.cont(PortRef::this("out"), (acc, "out"));
+    b.cont(PortRef::this(Id::OUT), (acc, Id::OUT));
     b.set_control(Control::seq(vec![
         Control::enable(do_mul),
         Control::enable(do_add),
@@ -161,7 +161,7 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                     "std_mem_d1",
                     &[w, k, u64::from(idx_width)],
                 );
-                b.set_cell_attribute(m, attr::external(), 1);
+                b.set_cell_attribute(m, attr::EXTERNAL, 1);
                 m
             })
             .collect();
@@ -172,7 +172,7 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                     "std_mem_d1",
                     &[w, k, u64::from(idx_width)],
                 );
-                b.set_cell_attribute(m, attr::external(), 1);
+                b.set_cell_attribute(m, attr::EXTERNAL, 1);
                 m
             })
             .collect();
@@ -187,7 +187,7 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                 u64::from(col_bits),
             ],
         );
-        b.set_cell_attribute(out_mem, attr::external(), 1);
+        b.set_cell_attribute(out_mem, attr::EXTERNAL, 1);
 
         // Fabric: PEs plus their operand registers.
         let mut pes = Vec::new();
@@ -199,11 +199,11 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
             let mut left_row = Vec::new();
             for c in 0..cfg.cols {
                 let pe = b.add_component_cell(&format!("pe_{r}_{c}"), pe_name.as_str());
-                let tr = b.add_primitive(&format!("top_{r}_{c}"), "std_reg", &[w]);
-                let lr = b.add_primitive(&format!("left_{r}_{c}"), "std_reg", &[w]);
+                let tr = b.add_primitive(&format!("top_{r}_{c}"), Id::STD_REG, &[w]);
+                let lr = b.add_primitive(&format!("left_{r}_{c}"), Id::STD_REG, &[w]);
                 // Operands are wired continuously; activation is scheduled.
-                b.cont((pe, "top"), (tr, "out"));
-                b.cont((pe, "left"), (lr, "out"));
+                b.cont((pe, "top"), (tr, Id::OUT));
+                b.cont((pe, Id::LEFT), (lr, Id::OUT));
                 pe_row.push(pe);
                 top_row.push(tr);
                 left_row.push(lr);
@@ -223,17 +223,17 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
         // same par step (the register read observes the pre-increment
         // value).
         let idx_t: Vec<Id> = (0..cfg.cols)
-            .map(|c| b.add_primitive(&format!("idx_t{c}"), "std_reg", &[u64::from(idx_width)]))
+            .map(|c| b.add_primitive(&format!("idx_t{c}"), Id::STD_REG, &[u64::from(idx_width)]))
             .collect();
         let idx_l: Vec<Id> = (0..cfg.rows)
-            .map(|r| b.add_primitive(&format!("idx_l{r}"), "std_reg", &[u64::from(idx_width)]))
+            .map(|r| b.add_primitive(&format!("idx_l{r}"), Id::STD_REG, &[u64::from(idx_width)]))
             .collect();
         for c in 0..cfg.cols {
             let g = b.add_group(&format!("feed_t{c}"));
-            b.asgn(g, (t_mems[c], "addr0"), (idx_t[c], "out"));
-            b.asgn(g, (grid.top_regs[0][c], "in"), (t_mems[c], "read_data"));
-            b.asgn_const(g, (grid.top_regs[0][c], "write_en"), 1, 1);
-            b.group_done(g, (grid.top_regs[0][c], "done"));
+            b.asgn(g, (t_mems[c], Id::ADDR0), (idx_t[c], Id::OUT));
+            b.asgn(g, (grid.top_regs[0][c], Id::IN), (t_mems[c], Id::READ_DATA));
+            b.asgn_const(g, (grid.top_regs[0][c], Id::WRITE_EN), 1, 1);
+            b.group_done(g, (grid.top_regs[0][c], Id::DONE));
             feed_groups_t.push(g);
 
             let add = b.add_primitive(
@@ -242,19 +242,23 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                 &[u64::from(idx_width)],
             );
             let ig = b.add_group(&format!("incr_t{c}"));
-            b.asgn(ig, (add, "left"), (idx_t[c], "out"));
-            b.asgn_const(ig, (add, "right"), 1, idx_width);
-            b.asgn(ig, (idx_t[c], "in"), (add, "out"));
-            b.asgn_const(ig, (idx_t[c], "write_en"), 1, 1);
-            b.group_done(ig, (idx_t[c], "done"));
+            b.asgn(ig, (add, Id::LEFT), (idx_t[c], Id::OUT));
+            b.asgn_const(ig, (add, Id::RIGHT), 1, idx_width);
+            b.asgn(ig, (idx_t[c], Id::IN), (add, Id::OUT));
+            b.asgn_const(ig, (idx_t[c], Id::WRITE_EN), 1, 1);
+            b.group_done(ig, (idx_t[c], Id::DONE));
             incr_groups_t.push(ig);
         }
         for r in 0..cfg.rows {
             let g = b.add_group(&format!("feed_l{r}"));
-            b.asgn(g, (l_mems[r], "addr0"), (idx_l[r], "out"));
-            b.asgn(g, (grid.left_regs[r][0], "in"), (l_mems[r], "read_data"));
-            b.asgn_const(g, (grid.left_regs[r][0], "write_en"), 1, 1);
-            b.group_done(g, (grid.left_regs[r][0], "done"));
+            b.asgn(g, (l_mems[r], Id::ADDR0), (idx_l[r], Id::OUT));
+            b.asgn(
+                g,
+                (grid.left_regs[r][0], Id::IN),
+                (l_mems[r], Id::READ_DATA),
+            );
+            b.asgn_const(g, (grid.left_regs[r][0], Id::WRITE_EN), 1, 1);
+            b.group_done(g, (grid.left_regs[r][0], Id::DONE));
             feed_groups_l.push(g);
 
             let add = b.add_primitive(
@@ -263,11 +267,11 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                 &[u64::from(idx_width)],
             );
             let ig = b.add_group(&format!("incr_l{r}"));
-            b.asgn(ig, (add, "left"), (idx_l[r], "out"));
-            b.asgn_const(ig, (add, "right"), 1, idx_width);
-            b.asgn(ig, (idx_l[r], "in"), (add, "out"));
-            b.asgn_const(ig, (idx_l[r], "write_en"), 1, 1);
-            b.group_done(ig, (idx_l[r], "done"));
+            b.asgn(ig, (add, Id::LEFT), (idx_l[r], Id::OUT));
+            b.asgn_const(ig, (add, Id::RIGHT), 1, idx_width);
+            b.asgn(ig, (idx_l[r], Id::IN), (add, Id::OUT));
+            b.asgn_const(ig, (idx_l[r], Id::WRITE_EN), 1, 1);
+            b.group_done(ig, (idx_l[r], Id::DONE));
             incr_groups_l.push(ig);
         }
 
@@ -277,11 +281,11 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                 let g = b.add_group(&format!("down_{r}_{c}"));
                 b.asgn(
                     g,
-                    (grid.top_regs[r][c], "in"),
-                    (grid.top_regs[r - 1][c], "out"),
+                    (grid.top_regs[r][c], Id::IN),
+                    (grid.top_regs[r - 1][c], Id::OUT),
                 );
-                b.asgn_const(g, (grid.top_regs[r][c], "write_en"), 1, 1);
-                b.group_done(g, (grid.top_regs[r][c], "done"));
+                b.asgn_const(g, (grid.top_regs[r][c], Id::WRITE_EN), 1, 1);
+                b.group_done(g, (grid.top_regs[r][c], Id::DONE));
                 down_groups[r][c] = Some(g);
             }
         }
@@ -290,11 +294,11 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
                 let g = b.add_group(&format!("right_{r}_{c}"));
                 b.asgn(
                     g,
-                    (grid.left_regs[r][c], "in"),
-                    (grid.left_regs[r][c - 1], "out"),
+                    (grid.left_regs[r][c], Id::IN),
+                    (grid.left_regs[r][c - 1], Id::OUT),
                 );
-                b.asgn_const(g, (grid.left_regs[r][c], "write_en"), 1, 1);
-                b.group_done(g, (grid.left_regs[r][c], "done"));
+                b.asgn_const(g, (grid.left_regs[r][c], Id::WRITE_EN), 1, 1);
+                b.group_done(g, (grid.left_regs[r][c], Id::DONE));
                 right_groups[r][c] = Some(g);
             }
         }
@@ -304,8 +308,8 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
             let mut row = Vec::new();
             for c in 0..cfg.cols {
                 let g = b.add_group(&format!("run_pe_{r}_{c}"));
-                b.asgn_const(g, (grid.pes[r][c], "go"), 1, 1);
-                b.group_done(g, (grid.pes[r][c], "done"));
+                b.asgn_const(g, (grid.pes[r][c], Id::GO), 1, 1);
+                b.group_done(g, (grid.pes[r][c], Id::DONE));
                 row.push(g);
             }
             pe_groups.push(row);
@@ -315,11 +319,11 @@ pub fn generate(cfg: &SystolicConfig) -> Context {
         for r in 0..cfg.rows {
             for c in 0..cfg.cols {
                 let g = b.add_group(&format!("write_{r}_{c}"));
-                b.asgn_const(g, (out_mem, "addr0"), r as u64, row_bits);
-                b.asgn_const(g, (out_mem, "addr1"), c as u64, col_bits);
-                b.asgn(g, (out_mem, "write_data"), (grid.pes[r][c], "out"));
-                b.asgn_const(g, (out_mem, "write_en"), 1, 1);
-                b.group_done(g, (out_mem, "done"));
+                b.asgn_const(g, (out_mem, Id::ADDR0), r as u64, row_bits);
+                b.asgn_const(g, (out_mem, Id::ADDR1), c as u64, col_bits);
+                b.asgn(g, (out_mem, Id::WRITE_DATA), (grid.pes[r][c], Id::OUT));
+                b.asgn_const(g, (out_mem, Id::WRITE_EN), 1, 1);
+                b.group_done(g, (out_mem, Id::DONE));
                 write_groups.push(g);
             }
         }

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let mut b = Builder::new(&mut comp, &ctx);
         let mem = b.add_primitive("m", "std_mem_d1", &[32, 4, 2]);
-        b.set_cell_attribute(mem, calyx::core::ir::attr::external(), 1);
+        b.set_cell_attribute(mem, calyx::core::ir::attr::EXTERNAL, 1);
         let idx = b.add_primitive("idx", "std_reg", &[3]);
         let acc = b.add_primitive("acc", "std_reg", &[32]);
         let lt = b.add_primitive("lt", "std_lt", &[3]);

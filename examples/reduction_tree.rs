@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // §2.2: resource sharing discovers that add2 never runs in parallel
     // with the first layer and rewires it onto a shared adder.
     passes::ResourceSharing.run(&mut ctx)?;
-    passes::DeadCellRemoval::default().run(&mut ctx)?;
+    passes::DeadCellRemoval.run(&mut ctx)?;
     let main = ctx.component("main").expect("main exists");
     let adders = main
         .cells

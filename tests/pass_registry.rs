@@ -23,7 +23,7 @@ fn hand_built_lower() -> PassManager {
     pm.register(passes::GoInsertion);
     pm.register(passes::RemoveGroups);
     pm.register(passes::GuardSimplify);
-    pm.register(passes::DeadCellRemoval::default());
+    pm.register(passes::DeadCellRemoval);
     pm
 }
 
@@ -39,7 +39,7 @@ fn hand_built_lower_static() -> PassManager {
     pm.register(passes::GoInsertion);
     pm.register(passes::RemoveGroups);
     pm.register(passes::GuardSimplify);
-    pm.register(passes::DeadCellRemoval::default());
+    pm.register(passes::DeadCellRemoval);
     pm
 }
 
@@ -57,7 +57,7 @@ fn hand_built_opt() -> PassManager {
     pm.register(passes::GoInsertion);
     pm.register(passes::RemoveGroups);
     pm.register(passes::GuardSimplify);
-    pm.register(passes::DeadCellRemoval::default());
+    pm.register(passes::DeadCellRemoval);
     pm
 }
 

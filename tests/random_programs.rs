@@ -343,7 +343,7 @@ pub fn build_program(spec: &ProgramSpec) -> Context {
             b.add_primitive(&format!("wlt{i}"), "std_lt", &[WIDTH]);
         }
         let mem = b.add_primitive("mem", "std_mem_d1", &[WIDTH, MEM_TOTAL, 4]);
-        b.set_cell_attribute(mem, calyx::core::ir::attr::external(), 1);
+        b.set_cell_attribute(mem, calyx::core::ir::attr::EXTERNAL, 1);
 
         let mut gen = Gen {
             b: &mut b,
