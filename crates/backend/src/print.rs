@@ -35,14 +35,18 @@ impl Backend for CalyxBackend {
     }
 
     fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
-        // Stream component-by-component; byte-identical to
-        // `Printer::print_context` without materializing the whole
-        // program text.
-        out.write_all(Printer::print_externs(&ctx.lib).as_bytes())?;
+        // Stream component by component through one reused buffer;
+        // byte-identical to `Printer::print_context` without
+        // materializing the whole program text.
+        let mut buf = String::new();
+        Printer::write_externs(&ctx.lib, &mut buf);
         for comp in ctx.components.iter() {
-            write!(out, "{}", Printer::print_component(comp))?;
-            writeln!(out)?;
+            Printer::write_component(comp, &mut buf);
+            buf.push('\n');
+            out.write_all(buf.as_bytes())?;
+            buf.clear();
         }
+        out.write_all(buf.as_bytes())?;
         Ok(())
     }
 }

@@ -10,19 +10,37 @@
 //! Text is built in one `String` buffer that [`emit_to`] reuses: the
 //! header and prelude, then each module, are appended to it piece by
 //! piece (every helper takes the buffer and appends; none returns a
-//! `String`) and handed to the writer with one `write_all` each. A guard
-//! is walked once, and the buffer never holds more than one module.
+//! `String`; numbers are spelled without `fmt`) and handed to the writer
+//! with one `write_all` each, so the buffer never holds more than one
+//! module. Drivers are grouped by a stable sort of the continuous
+//! assignments on their destination, which keeps each port's drivers in
+//! program order.
+//!
+//! **Shared guards are rendered once per module.** After lowering, a
+//! guard node may have many owners (the FSM conditions `remove-groups`
+//! hands every reader of a hole), and the text of a node does not depend
+//! on where it sits: every connective is fully parenthesized. So the
+//! first use of a shared node records the byte range its text took in the
+//! buffer (a [`GuardMemo`] keyed on the node), and every later use in the
+//! same module copies that range with `String::extend_from_within`
+//! instead of walking the node again. The text is the one a plain walk
+//! writes; only the walk is saved.
 
 use crate::api::{Backend, BackendOpts};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, Id, Library,
-    PortParent, PortRef, PrimKind,
+    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, GuardMemo, Id,
+    Library, PortParent, PortRef, PrimKind,
 };
 use calyx_core::prim::{CombOp, UnitOp};
+use calyx_core::utils::decimal as spell_decimal;
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use std::io;
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Where each shared guard node's text sits in the module being written.
+type Rendered = GuardMemo<Range<usize>>;
 
 /// Produce the module text of a combinational binary primitive.
 macro_rules! binop {
@@ -123,13 +141,15 @@ pub fn emit_to(ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
     }
     out.write_all(buf.as_bytes())?;
 
+    let mut rendered = Rendered::default();
     for name in order {
         let comp = ctx
             .components
             .get(name)
             .expect("topological order lists existing components");
         buf.clear();
-        emit_component(comp, &ctx.lib, &mut buf)?;
+        rendered.clear();
+        emit_component(comp, &ctx.lib, &mut rendered, &mut buf)?;
         buf.push('\n');
         out.write_all(buf.as_bytes())?;
     }
@@ -158,11 +178,17 @@ pub fn line_count(sv: &str) -> usize {
 
 /// Append `n` in decimal.
 fn decimal(n: u64, buf: &mut String) {
-    write!(buf, "{n}").expect("writing to a String cannot fail");
+    buf.push_str(spell_decimal(n, &mut [0; 20]));
 }
 
-/// Append the module of `comp`, through its `endmodule` line.
-fn emit_component(comp: &Component, lib: &Library, buf: &mut String) -> CalyxResult<()> {
+/// Append the module of `comp`, through its `endmodule` line. `rendered`
+/// starts empty and `buf` holds nothing before the module.
+fn emit_component(
+    comp: &Component,
+    lib: &Library,
+    rendered: &mut Rendered,
+    buf: &mut String,
+) -> CalyxResult<()> {
     buf.push_str("module ");
     buf.push_str(comp.name.as_str());
     buf.push_str(" (\n");
@@ -235,12 +261,12 @@ fn emit_component(comp: &Component, lib: &Library, buf: &mut String) -> CalyxRes
 
     // Drivers: all assignments to the same port merge into a ternary chain
     // `G1 ? S1 : G2 ? S2 : … : W'd0`, which ends early at the first
-    // unguarded driver.
-    let mut drivers: BTreeMap<PortRef, Vec<&Assignment>> = BTreeMap::new();
-    for asgn in &comp.continuous {
-        drivers.entry(asgn.dst).or_default().push(asgn);
-    }
-    for (dst, asgns) in drivers {
+    // unguarded driver. Ports come in `PortRef` order; the sort is stable,
+    // so each port's drivers stay in program order.
+    let mut drivers: Vec<&Assignment> = comp.continuous.iter().collect();
+    drivers.sort_by_key(|asgn| asgn.dst);
+    for asgns in drivers.chunk_by(|a, b| a.dst == b.dst) {
+        let dst = asgns[0].dst;
         let width = comp.port_width(&dst)?;
         buf.push_str("  assign ");
         port_net(&dst, buf);
@@ -252,7 +278,7 @@ fn emit_component(comp: &Component, lib: &Library, buf: &mut String) -> CalyxRes
                 closed = true;
                 break;
             }
-            guard_expr(&asgn.guard, buf);
+            guard_expr(&asgn.guard, rendered, buf);
             buf.push_str(" ? ");
             atom_expr(&asgn.src, buf);
             buf.push_str(" : ");
@@ -305,17 +331,17 @@ fn atom_expr(a: &Atom, buf: &mut String) {
     }
 }
 
-fn guard_expr(g: &Guard, buf: &mut String) {
+fn guard_expr(g: &Guard, rendered: &mut Rendered, buf: &mut String) {
     match g {
         Guard::True => buf.push_str("1'b1"),
         Guard::Port(p) => port_net(p, buf),
         Guard::Not(inner) => {
             buf.push_str("~(");
-            guard_expr(inner, buf);
+            operand_expr(inner, rendered, buf);
             buf.push(')');
         }
-        Guard::And(a, b) => binary_expr(a, " & ", b, buf),
-        Guard::Or(a, b) => binary_expr(a, " | ", b, buf),
+        Guard::And(a, b) => binary_expr(a, " & ", b, rendered, buf),
+        Guard::Or(a, b) => binary_expr(a, " | ", b, rendered, buf),
         Guard::Comp(op, l, r) => {
             buf.push('(');
             atom_expr(l, buf);
@@ -329,12 +355,30 @@ fn guard_expr(g: &Guard, buf: &mut String) {
 }
 
 /// Append `(A op B)`.
-fn binary_expr(a: &Guard, op: &str, b: &Guard, buf: &mut String) {
+fn binary_expr(
+    a: &Arc<Guard>,
+    op: &str,
+    b: &Arc<Guard>,
+    rendered: &mut Rendered,
+    buf: &mut String,
+) {
     buf.push('(');
-    guard_expr(a, buf);
+    operand_expr(a, rendered, buf);
     buf.push_str(op);
-    guard_expr(b, buf);
+    operand_expr(b, rendered, buf);
     buf.push(')');
+}
+
+/// Append a connective's operand: a copy of its text when the module
+/// already holds it, else the node itself, recording where it went.
+fn operand_expr(g: &Arc<Guard>, rendered: &mut Rendered, buf: &mut String) {
+    if let Some(text) = rendered.get(g) {
+        buf.extend_from_within(text.clone());
+        return;
+    }
+    let start = buf.len();
+    guard_expr(g, rendered, buf);
+    rendered.insert(g, start..buf.len());
 }
 
 /// SystemVerilog source of the module implementing a std primitive of
@@ -572,6 +616,57 @@ mod tests {
         let main_pos = sv.find("module main").unwrap();
         assert!(child_pos < main_pos);
         assert!(sv.contains("child c ("));
+    }
+
+    /// The same guard with every node copied: no node has two owners.
+    fn unshared(g: &Guard) -> Guard {
+        let copy = |g: &Arc<Guard>| Arc::new(unshared(g));
+        match g {
+            Guard::Not(a) => Guard::Not(copy(a)),
+            Guard::And(a, b) => Guard::And(copy(a), copy(b)),
+            Guard::Or(a, b) => Guard::Or(copy(a), copy(b)),
+            leaf => leaf.clone(),
+        }
+    }
+
+    /// A lowered program's shared guard nodes are written by copying the
+    /// text of their first use; a deep copy whose guards share nothing
+    /// is written by walking every node, and the two texts are the same.
+    #[test]
+    fn shared_guards_emit_the_text_of_an_unshared_copy() {
+        let ctx = lowered(
+            r#"
+            component main() -> () {
+              cells { x = std_reg(8); lt = std_lt(8); a = std_add(8); }
+              wires {
+                group cond { lt.left = x.out; lt.right = 8'd5; cond[done] = 1'd1; }
+                group incr {
+                  a.left = x.out; a.right = 8'd1;
+                  x.in = a.out; x.write_en = 1'd1; incr[done] = x.done;
+                }
+                group reset { x.in = 8'd0; x.write_en = 1'd1; reset[done] = x.done; }
+              }
+              control { seq { reset; while lt.out with cond { seq { incr; incr; } } reset; } }
+            }"#,
+        );
+        let guarded = || {
+            let main = ctx.component("main").unwrap();
+            main.continuous.iter().filter(|a| !a.guard.is_true())
+        };
+        let (mut seen, mut entered) = (GuardMemo::default(), 0);
+        for asgn in guarded() {
+            asgn.guard.visit_once(&mut seen, &mut |_| entered += 1);
+        }
+        let as_trees: usize = guarded().map(|a| a.guard.size()).sum();
+        assert!(entered < as_trees, "the lowered program shares guard nodes");
+
+        let mut copy = ctx.clone();
+        for comp in copy.components.iter_mut() {
+            for asgn in &mut comp.continuous {
+                asgn.guard = unshared(&asgn.guard);
+            }
+        }
+        assert_eq!(emit(&copy).unwrap(), emit(&ctx).unwrap());
     }
 
     #[test]

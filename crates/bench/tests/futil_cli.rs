@@ -449,6 +449,25 @@ fn parse_errors_render_caret_diagnostics() {
     assert!(stderr(&out).contains("<stdin>:1:"), "{}", stderr(&out));
 }
 
+/// The caret counts characters: after a two-byte `é` it still lands under
+/// the first letter of the offending name.
+#[test]
+fn the_caret_lands_under_the_name_after_a_non_ascii_character() {
+    let src = "extern \"é.sv\" { component std_reg(in: 8) -> (out: 8); }\n";
+    let out = futil_stdin(&["-"], src);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("<stdin>:1:27"), "{err}");
+    let caret = err.lines().last().unwrap();
+    let column = caret.chars().count() - " 1 | ".chars().count();
+    assert_eq!(caret.trim_end().chars().last(), Some('^'), "{err}");
+    assert_eq!(
+        src.chars().skip(column - 1).take(7).collect::<String>(),
+        "std_reg",
+        "{err}"
+    );
+}
+
 const EXTERN_PROGRAM: &str = "extern \"blackbox.sv\" { component my_unit(in: 8) -> (out: 8); }
 component main() -> () {
   cells { r = std_reg(8); u = my_unit(); }

@@ -74,6 +74,6 @@ pub use conflict::ParConflicts;
 pub use dataflow::{ConstProp, ReachingDefs};
 pub use liveness::{BoundaryCells, BoundaryRegs, Interference, Liveness};
 pub use pcfg::{CondKind, CondSite, Pcfg, PcfgNode};
-pub use port_uses::{AssignmentSite, PortUses, SiteOwner};
+pub use port_uses::PortUses;
 pub use read_write::ReadWriteSets;
 pub use regset::{RegIndex, RegSet};

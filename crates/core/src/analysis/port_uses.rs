@@ -1,90 +1,29 @@
-//! Port uses: which assignments write each port, which ports are read,
-//! and which cells each group touches.
+//! Port uses: which ports are written and read, and which cells each
+//! group touches.
 //!
 //! Several passes need "who touches what" facts over the whole wires
 //! section — dead-cell removal needs every referenced cell, resource
 //! sharing needs which groups use a cell and which cells the continuous
-//! assignments pin, go-insertion needs each group's `done`-hole writers,
-//! the `unused-port` lint needs to know whether anything reads a port.
-//! [`PortUses`] answers all of them from one walk, built once per
-//! component generation.
+//! assignments pin, the `unused-port` lint needs to know whether anything
+//! reads or writes a port. [`PortUses`] answers all of them from one
+//! walk, built once per component generation.
 //!
 //! After lowering, the guards of a component are a DAG that thousands of
 //! assignments reach into (see [`Guard`]): every question above is about
 //! *which* ports and cells a group or the continuous section mentions,
 //! never how often, so the walk enters a shared sub-guard once per owner
-//! and the facts stay exact. Reads are therefore a set of ports; writes —
-//! one per assignment, outside any guard — keep their sites, in a flat
-//! vector sorted by raw intern index on the first lookup, which most
-//! consumers never make.
+//! and the facts stay exact.
 
 use super::cache::{Analysis, AnalysisCache};
-use crate::ir::{Atom, Component, Guard, GuardMemo, Id, PortParent, PortRef};
+use crate::ir::{Atom, Component, Guard, GuardMemo, Id, PortRef};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
 
-/// Where an assignment lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SiteOwner {
-    /// Inside the named group.
-    Group(Id),
-    /// In the component's continuous `wires` section.
-    Continuous,
-}
-
-/// One assignment site: its owner plus its index in the owner's assignment
-/// list (stable until the component is mutated, which invalidates the
-/// analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct AssignmentSite {
-    /// The group (or continuous section) holding the assignment.
-    pub owner: SiteOwner,
-    /// Index into the owner's assignment vector.
-    pub index: usize,
-}
-
-/// Process-local sort key for grouping sites by port: raw intern indices,
-/// never exposed (lookup tables only — iteration order is not observable).
-fn port_key(p: &PortRef) -> (u8, u32, u32) {
-    match p.parent {
-        PortParent::Cell(c) => (0, c.raw(), p.port.raw()),
-        PortParent::Group(g) => (1, g.raw(), p.port.raw()),
-        PortParent::This => (2, 0, p.port.raw()),
-    }
-}
-
-/// A flat multimap from port to sites: recorded in scan order, sorted by
-/// [`port_key`] on the first lookup. Most consumers (dead-cell removal,
-/// resource sharing) read only the cell digests beside the table.
-#[derive(Debug, Clone, Default)]
-struct SiteTable {
-    scanned: Vec<(PortRef, AssignmentSite)>,
-    sorted: OnceLock<Vec<(PortRef, AssignmentSite)>>,
-}
-
-impl SiteTable {
-    fn get(&self, port: PortRef) -> &[(PortRef, AssignmentSite)] {
-        // Stable sort groups equal ports while preserving scan order
-        // within each port.
-        let sorted = self.sorted.get_or_init(|| {
-            let mut sites = self.scanned.clone();
-            sites.sort_by_key(|(p, _)| port_key(p));
-            sites
-        });
-        let key = port_key(&port);
-        let lo = sorted.partition_point(|(p, _)| port_key(p) < key);
-        let hi = sorted.partition_point(|(p, _)| port_key(p) <= key);
-        &sorted[lo..hi]
-    }
-}
-
-/// Write sites per port and the ports read, plus the cell-level digests
-/// passes consume.
+/// The ports written and read, plus the cell-level digests passes consume.
 #[derive(Debug, Clone, Default)]
 pub struct PortUses {
     reads: FxHashSet<PortRef>,
-    writes: SiteTable,
+    writes: FxHashSet<PortRef>,
     /// cell -> groups referencing it, in group definition order (first
     /// appearance), deduplicated.
     cell_users: BTreeMap<Id, Vec<Id>>,
@@ -99,24 +38,23 @@ pub struct PortUses {
 #[derive(Default)]
 struct Scan {
     reads: FxHashSet<PortRef>,
-    writes: SiteTable,
+    writes: FxHashSet<PortRef>,
     cell_users: FxHashMap<Id, Vec<Id>>,
     continuous_cells: FxHashSet<Id>,
     referenced_cells: FxHashSet<Id>,
 }
 
 impl Scan {
-    /// Record `asgn`, the assignment at `site` of `group` (`None` for the
-    /// continuous section). `entered` holds the shared sub-guards this
-    /// owner's earlier assignments went through.
+    /// Record `asgn`, an assignment of `group` (`None` for the continuous
+    /// section). `entered` holds the shared sub-guards this owner's earlier
+    /// assignments went through.
     fn record(
         &mut self,
         asgn: &crate::ir::Assignment,
-        site: AssignmentSite,
         group: Option<Id>,
         entered: &mut GuardMemo<()>,
     ) {
-        self.writes.scanned.push((asgn.dst, site));
+        self.writes.insert(asgn.dst);
         self.touch_cell(asgn.dst, group);
         if let Atom::Port(p) = asgn.src {
             self.read(p, group);
@@ -165,20 +103,14 @@ impl PortUses {
         let mut scan = Scan::default();
         let mut entered = GuardMemo::default();
         for group in comp.groups.iter() {
-            let owner = SiteOwner::Group(group.name);
             entered.clear();
-            for (index, asgn) in group.assignments.iter().enumerate() {
-                let site = AssignmentSite { owner, index };
-                scan.record(asgn, site, Some(group.name), &mut entered);
+            for asgn in &group.assignments {
+                scan.record(asgn, Some(group.name), &mut entered);
             }
         }
         entered.clear();
-        for (index, asgn) in comp.continuous.iter().enumerate() {
-            let site = AssignmentSite {
-                owner: SiteOwner::Continuous,
-                index,
-            };
-            scan.record(asgn, site, None, &mut entered);
+        for asgn in &comp.continuous {
+            scan.record(asgn, None, &mut entered);
         }
         PortUses {
             reads: scan.reads,
@@ -194,9 +126,9 @@ impl PortUses {
         self.reads.contains(&port)
     }
 
-    /// Sites writing `port`, in scan order.
-    pub fn writes(&self, port: PortRef) -> impl ExactSizeIterator<Item = AssignmentSite> + '_ {
-        self.writes.get(port).iter().map(|(_, s)| *s)
+    /// Does any assignment write `port`?
+    pub fn is_written(&self, port: PortRef) -> bool {
+        self.writes.contains(&port)
     }
 
     /// Groups referencing `cell`, in group definition order.
@@ -257,29 +189,14 @@ mod tests {
     #[test]
     fn records_read_and_write_sites() {
         let uses = analyzed(SRC);
-        let g0 = SiteOwner::Group(Id::new("g0"));
         assert!(uses.is_read(PortRef::cell("a", "out")));
-        // `r.in` is written in both groups.
-        let owners: Vec<_> = uses
-            .writes(PortRef::cell("r", "in"))
-            .map(|s| s.owner)
-            .collect();
-        assert_eq!(
-            owners,
-            vec![g0, SiteOwner::Group(Id::new("g1"))],
-            "sites follow group definition order"
-        );
+        assert!(uses.is_written(PortRef::cell("r", "in")));
+        assert!(uses.is_written(PortRef::this(Id::new("o"))));
+        assert!(uses.is_written(PortRef::hole("g0", "done")));
+        assert!(!uses.is_written(PortRef::hole("g0", "go")));
+        assert!(!uses.is_written(PortRef::cell("a", "out")), "read only");
         assert!(!uses.is_read(PortRef::cell("nope", "out")));
         assert!(!uses.is_read(PortRef::cell("r", "in")), "written only");
-    }
-
-    #[test]
-    fn done_hole_writers_are_indexed() {
-        let uses = analyzed(SRC);
-        let sites: Vec<_> = uses.writes(PortRef::hole("g0", "done")).collect();
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].owner, SiteOwner::Group(Id::new("g0")));
-        assert_eq!(sites[0].index, 4, "done write is g0's fifth assignment");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cells, ports, and guarded assignments (paper §3.2).
 
 use super::{Attributes, Guard, Id, PrimKind};
-use crate::utils::Named;
+use crate::utils::{decimal, Named};
 
 /// Direction of a port from the perspective of its owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,13 +111,30 @@ impl PortRef {
     }
 }
 
+impl PortRef {
+    /// Write the reference as Calyx text: `cell.port`, `group[port]` or
+    /// `port`. `Display` and the printer both write through this.
+    pub fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        match self.parent {
+            PortParent::Cell(c) => {
+                out.write_str(c.as_str())?;
+                out.write_char('.')?;
+                out.write_str(self.port.as_str())
+            }
+            PortParent::Group(g) => {
+                out.write_str(g.as_str())?;
+                out.write_char('[')?;
+                out.write_str(self.port.as_str())?;
+                out.write_char(']')
+            }
+            PortParent::This => out.write_str(self.port.as_str()),
+        }
+    }
+}
+
 impl std::fmt::Display for PortRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.parent {
-            PortParent::Cell(c) => write!(f, "{}.{}", c, self.port),
-            PortParent::Group(g) => write!(f, "{}[{}]", g, self.port),
-            PortParent::This => write!(f, "{}", self.port),
-        }
+        self.write_to(f)
     }
 }
 
@@ -241,12 +258,25 @@ impl From<PortRef> for Atom {
     }
 }
 
+impl Atom {
+    /// Write the atom as Calyx text: a port reference or `width'dval`.
+    /// `Display` and the printer both write through this.
+    pub fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        match self {
+            Atom::Port(p) => p.write_to(out),
+            Atom::Const { val, width } => {
+                let mut digits = [0; 20];
+                out.write_str(decimal(u64::from(*width), &mut digits))?;
+                out.write_str("'d")?;
+                out.write_str(decimal(*val, &mut digits))
+            }
+        }
+    }
+}
+
 impl std::fmt::Display for Atom {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Atom::Port(p) => write!(f, "{p}"),
-            Atom::Const { val, width } => write!(f, "{width}'d{val}"),
-        }
+        self.write_to(f)
     }
 }
 

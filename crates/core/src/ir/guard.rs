@@ -15,7 +15,9 @@
 //! hole the same node, so a lowered component carries each FSM condition
 //! once however many assignments test it. Nothing observable depends on
 //! who shares what: [`PartialEq`] and [`Hash`] are structural, the printer
-//! and the Verilog emitter write a shared node out once per use, and
+//! and the Verilog emitter write a shared node's text out once per use
+//! (the emitter walks the node once per module and copies its text after
+//! that), and
 //! [`Guard::map_ports`] copies a shared node before it renames inside it,
 //! so a rewrite through one owner never shows through another.
 //!
@@ -390,45 +392,55 @@ impl From<PortRef> for Guard {
     }
 }
 
+impl Guard {
+    /// Write the guard as Calyx text. Precedence: `!` > comparison > `&` >
+    /// `|`; a child that binds looser than its parent is parenthesized
+    /// (matching the parser's grammar, so `!(x == 1)` keeps its
+    /// parentheses while `x == 1 & y` needs none). `Display` and the
+    /// printer both write through this.
+    pub fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        match self {
+            Guard::True => out.write_str("1'd1"),
+            Guard::Port(p) => p.write_to(out),
+            Guard::Not(inner) => {
+                out.write_char('!')?;
+                inner.write_under(self, out)
+            }
+            Guard::And(a, b) => {
+                a.write_under(self, out)?;
+                out.write_str(" & ")?;
+                b.write_under(self, out)
+            }
+            Guard::Or(a, b) => {
+                a.write_under(self, out)?;
+                out.write_str(" | ")?;
+                b.write_under(self, out)
+            }
+            Guard::Comp(op, l, r) => {
+                l.write_to(out)?;
+                out.write_char(' ')?;
+                out.write_str(op.as_str())?;
+                out.write_char(' ')?;
+                r.write_to(out)
+            }
+        }
+    }
+
+    /// Write the guard as an operand of `parent`.
+    fn write_under(&self, parent: &Guard, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        if self.needs_parens_under(parent) {
+            out.write_char('(')?;
+            self.write_to(out)?;
+            out.write_char(')')
+        } else {
+            self.write_to(out)
+        }
+    }
+}
+
 impl std::fmt::Display for Guard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Precedence: ! > comparison > & > |. Parenthesize children with
-        // looser binding (matching the parser's grammar, so `!(x == 1)`
-        // keeps its parentheses while `x == 1 & y` does not need any).
-        fn fmt_under(
-            g: &Guard,
-            parent: Option<&Guard>,
-            f: &mut std::fmt::Formatter<'_>,
-        ) -> std::fmt::Result {
-            let need_parens = parent.is_some_and(|parent| g.needs_parens_under(parent));
-            if need_parens {
-                write!(f, "(")?;
-            }
-            match g {
-                Guard::True => write!(f, "1'd1")?,
-                Guard::Port(p) => write!(f, "{p}")?,
-                Guard::Not(inner) => {
-                    write!(f, "!")?;
-                    fmt_under(inner, Some(g), f)?;
-                }
-                Guard::And(a, b) => {
-                    fmt_under(a, Some(g), f)?;
-                    write!(f, " & ")?;
-                    fmt_under(b, Some(g), f)?;
-                }
-                Guard::Or(a, b) => {
-                    fmt_under(a, Some(g), f)?;
-                    write!(f, " | ")?;
-                    fmt_under(b, Some(g), f)?;
-                }
-                Guard::Comp(op, l, r) => write!(f, "{l} {} {r}", op.as_str())?,
-            }
-            if need_parens {
-                write!(f, ")")?;
-            }
-            Ok(())
-        }
-        fmt_under(self, None, f)
+        self.write_to(f)
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! **Well-known names.** The names the compiler itself spells — interface
 //! and primitive ports (`go`, `done`, `out`, …), the attributes, the std
-//! primitives and the prefixes of generated groups and cells — sit at
+//! primitives, the prefixes of generated groups and cells, and the
+//! keywords of the textual format — sit at
 //! fixed indices, each a `const` on `Id` ([`Id::GO`], [`Id::STATIC`], …).
 //! Their text is a static array, so a const reads before any `Id::new`
 //! has run, and hot code passes the const instead of interning the text
@@ -138,6 +139,17 @@ well_known! {
     STATIC_SEQ = "static_seq",
     STATIC_PAR = "static_par",
     PROBE = "__probe",
+    // The keywords of the textual format (`seq`, `par`, `if` and `while`
+    // are above), so the parser compares a keyword as an index.
+    IMPORT = "import",
+    EXTERN = "extern",
+    COMPONENT = "component",
+    CELLS = "cells",
+    WIRES = "wires",
+    CONTROL = "control",
+    GROUP = "group",
+    WITH = "with",
+    ELSE = "else",
 }
 
 impl Id {
@@ -205,10 +217,9 @@ fn locate(idx: u32) -> (usize, usize) {
 pub struct Id(u32);
 
 impl Id {
-    /// The raw intern index. Only meaningful within one process: use it for
-    /// hashing/sorting where determinism across runs is not observable
-    /// (e.g. grouping map entries that are only ever looked up by key),
-    /// never for ordered output.
+    /// The raw intern index, which tests of the interner inspect. Only
+    /// meaningful within one process, so never an output order.
+    #[cfg(test)]
     pub(crate) fn raw(self) -> u32 {
         self.0
     }

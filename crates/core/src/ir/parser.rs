@@ -20,6 +20,16 @@
 //!
 //! Components may reference each other in any order; parsing is two-phase
 //! (signatures first, then bodies).
+//!
+//! **What a token costs.** The lexer makes one pass over the bytes and
+//! allocates nothing per token: a [`Tok`] is `Copy`, an identifier is
+//! interned as it is lexed (a keyword is a well-known [`Id`], so matching
+//! one compares two indices), and a string literal is a slice of the
+//! source, which keeps `import` and `extern` paths out of the interner.
+//! Positions are 1-based lines and columns counted in characters, the
+//! coordinates [`caret_snippet`](crate::errors::caret_snippet) renders.
+//! Error texts print a token as `Ident("x")`, `Str("f.sv")`, `Num(3)`,
+//! `Sized { width: 4, val: 1 }` or a punctuation name such as `LParen`.
 
 use super::cell::Group;
 use super::{
@@ -28,17 +38,33 @@ use super::{
 };
 use crate::errors::{CalyxResult, Error};
 use crate::prim::mask;
+use std::fmt;
 
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// An interned identifier whose `Debug` is its text, so a token prints as
+/// `Ident("x")` in error messages.
+#[derive(Clone, Copy, PartialEq)]
+struct Name(Id);
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0.as_str(), f)
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'src> {
+    Ident(Name),
     Num(u64),
-    Sized { width: u32, val: u64 },
-    Str(String),
+    Sized {
+        width: u32,
+        val: u64,
+    },
+    /// The text between the quotes.
+    Str(&'src str),
     // Punctuation and operators.
     LParen,
     RParen,
@@ -66,171 +92,154 @@ enum Tok {
     Eof,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
-    line: usize,
-    col: usize,
+#[derive(Debug, Clone, Copy)]
+struct Spanned<'src> {
+    tok: Tok<'src>,
+    loc: Loc,
+}
+
+/// A parse error at `loc`.
+fn err_at(loc: Loc, msg: impl fmt::Display) -> Error {
+    Error::Parse {
+        msg: msg.to_string(),
+        line: loc.line,
+        col: loc.col,
+    }
+}
+
+/// A width, which must fit `u32`.
+fn width_at(n: u64, loc: Loc) -> CalyxResult<u32> {
+    u32::try_from(n).map_err(|_| err_at(loc, format!("width `{n}` out of range")))
+}
+
+/// The end of the run of bytes from `i` that satisfy `f`.
+fn run_end(bytes: &[u8], mut i: usize, f: impl Fn(u8) -> bool) -> usize {
+    while i < bytes.len() && f(bytes[i]) {
+        i += 1;
+    }
+    i
 }
 
 /// Tokenize `src`, additionally reporting every sized literal whose value
 /// was truncated to its declared width — masking happens here, so the
 /// lexer is the only place the over-wide value is still observable.
-fn lex(src: &str) -> CalyxResult<(Vec<Spanned>, Vec<Truncation>)> {
-    let mut toks = Vec::new();
+fn lex(src: &str) -> CalyxResult<(Vec<Spanned<'_>>, Vec<Truncation>)> {
+    let mut toks = Vec::with_capacity(src.len() / 4);
     let mut truncations = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
     let mut line = 1;
     let mut col = 1;
+    // Push a token that spans `$len` bytes of as many characters.
     macro_rules! push {
         ($tok:expr, $len:expr) => {{
+            let len = $len;
             toks.push(Spanned {
                 tok: $tok,
-                line,
-                col,
+                loc: Loc { line, col },
             });
-            i += $len;
-            col += $len;
+            i += len;
+            col += len;
         }};
     }
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
+        let here = Loc { line, col };
+        let next = bytes.get(i + 1).copied();
+        match bytes[i] {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
             }
-            ' ' | '\t' | '\r' => {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
                 col += 1;
             }
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+            b'/' if next == Some(b'/') => i = run_end(bytes, i, |b| b != b'\n'),
+            b'(' => push!(Tok::LParen, 1),
+            b')' => push!(Tok::RParen, 1),
+            b'{' => push!(Tok::LBrace, 1),
+            b'}' => push!(Tok::RBrace, 1),
+            b'[' => push!(Tok::LBracket, 1),
+            b']' => push!(Tok::RBracket, 1),
+            b';' => push!(Tok::Semi, 1),
+            b':' => push!(Tok::Colon, 1),
+            b',' => push!(Tok::Comma, 1),
+            b'.' => push!(Tok::Dot, 1),
+            b'?' => push!(Tok::Question, 1),
+            b'&' if next == Some(b'&') => push!(Tok::Amp, 2),
+            b'&' => push!(Tok::Amp, 1),
+            b'|' if next == Some(b'|') => push!(Tok::Pipe, 2),
+            b'|' => push!(Tok::Pipe, 1),
+            b'@' => push!(Tok::At, 1),
+            b'-' if next == Some(b'>') => push!(Tok::Arrow, 2),
+            b'=' if next == Some(b'=') => push!(Tok::EqEq, 2),
+            b'=' => push!(Tok::Eq, 1),
+            b'!' if next == Some(b'=') => push!(Tok::Neq, 2),
+            b'!' => push!(Tok::Bang, 1),
+            b'<' if next == Some(b'=') => push!(Tok::Leq, 2),
+            b'<' => push!(Tok::Lt, 1),
+            b'>' if next == Some(b'=') => push!(Tok::Geq, 2),
+            b'>' => push!(Tok::Gt, 1),
+            b'"' => {
+                let end = run_end(bytes, i + 1, |b| b != b'"');
+                if end >= bytes.len() {
+                    return Err(err_at(here, "unterminated string literal"));
                 }
+                let text = &src[i + 1..end];
+                toks.push(Spanned {
+                    tok: Tok::Str(text),
+                    loc: here,
+                });
+                // The quotes are one column each; the text may not be ASCII.
+                col += text.chars().count() + 2;
+                i = end + 1;
             }
-            '(' => push!(Tok::LParen, 1),
-            ')' => push!(Tok::RParen, 1),
-            '{' => push!(Tok::LBrace, 1),
-            '}' => push!(Tok::RBrace, 1),
-            '[' => push!(Tok::LBracket, 1),
-            ']' => push!(Tok::RBracket, 1),
-            ';' => push!(Tok::Semi, 1),
-            ':' => push!(Tok::Colon, 1),
-            ',' => push!(Tok::Comma, 1),
-            '.' => push!(Tok::Dot, 1),
-            '?' => push!(Tok::Question, 1),
-            '&' if bytes.get(i + 1) == Some(&b'&') => push!(Tok::Amp, 2),
-            '&' => push!(Tok::Amp, 1),
-            '|' if bytes.get(i + 1) == Some(&b'|') => push!(Tok::Pipe, 2),
-            '|' => push!(Tok::Pipe, 1),
-            '@' => push!(Tok::At, 1),
-            '-' if bytes.get(i + 1) == Some(&b'>') => push!(Tok::Arrow, 2),
-            '=' if bytes.get(i + 1) == Some(&b'=') => push!(Tok::EqEq, 2),
-            '=' => push!(Tok::Eq, 1),
-            '!' if bytes.get(i + 1) == Some(&b'=') => push!(Tok::Neq, 2),
-            '!' => push!(Tok::Bang, 1),
-            '<' if bytes.get(i + 1) == Some(&b'=') => push!(Tok::Leq, 2),
-            '<' => push!(Tok::Lt, 1),
-            '>' if bytes.get(i + 1) == Some(&b'=') => push!(Tok::Geq, 2),
-            '>' => push!(Tok::Gt, 1),
-            '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += 1;
-                }
-                if j >= bytes.len() {
-                    return Err(Error::Parse {
-                        msg: "unterminated string literal".into(),
-                        line,
-                        col,
-                    });
-                }
-                let s = src[start..j].to_string();
-                let len = j + 1 - i;
-                push!(Tok::Str(s), len);
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let first: u64 = src[start..j].parse().map_err(|_| Error::Parse {
-                    msg: format!("number `{}` out of range", &src[start..j]),
-                    line,
-                    col,
-                })?;
+            b'0'..=b'9' => {
+                let end = run_end(bytes, i, |b| b.is_ascii_digit());
+                let digits = &src[i..end];
+                let first: u64 = digits
+                    .parse()
+                    .map_err(|_| err_at(here, format!("number `{digits}` out of range")))?;
                 // Sized literal: `32'd5`.
-                if bytes.get(j) == Some(&b'\'') && bytes.get(j + 1) == Some(&b'd') {
-                    let vstart = j + 2;
-                    let mut k = vstart;
-                    while k < bytes.len() && bytes[k].is_ascii_digit() {
-                        k += 1;
+                if bytes.get(end) == Some(&b'\'') && bytes.get(end + 1) == Some(&b'd') {
+                    let vend = run_end(bytes, end + 2, |b| b.is_ascii_digit());
+                    if vend == end + 2 {
+                        return Err(err_at(here, "expected digits after 'd"));
                     }
-                    if k == vstart {
-                        return Err(Error::Parse {
-                            msg: "expected digits after 'd".into(),
-                            line,
-                            col,
-                        });
-                    }
-                    let val: u64 = src[vstart..k].parse().map_err(|_| Error::Parse {
-                        msg: format!("constant `{}` out of range", &src[vstart..k]),
-                        line,
-                        col,
-                    })?;
-                    let width = first as u32;
+                    let digits = &src[end + 2..vend];
+                    let val: u64 = digits
+                        .parse()
+                        .map_err(|_| err_at(here, format!("constant `{digits}` out of range")))?;
+                    let width = width_at(first, here)?;
                     let kept = mask(val, width);
                     if kept != val {
                         truncations.push(Truncation {
-                            loc: Loc { line, col },
+                            loc: here,
                             width,
                             val,
                             kept,
                         });
                     }
-                    let len = k - i;
-                    push!(
-                        Tok::Sized {
-                            width: first as u32,
-                            val
-                        },
-                        len
-                    );
+                    push!(Tok::Sized { width, val }, vend - i);
                 } else {
-                    let len = j - i;
-                    push!(Tok::Num(first), len);
+                    push!(Tok::Num(first), end - i);
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
-                    j += 1;
-                }
-                let s = src[start..j].to_string();
-                let len = j - i;
-                push!(Tok::Ident(s), len);
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let end = run_end(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                push!(Tok::Ident(Name(Id::new(&src[i..end]))), end - i);
             }
-            other => {
-                return Err(Error::Parse {
-                    msg: format!("unexpected character `{other}`"),
-                    line,
-                    col,
-                })
+            _ => {
+                // Every token ends on an ASCII byte, so `i` starts a character.
+                let other = src[i..].chars().next().expect("`i` is inside `src`");
+                return Err(err_at(here, format!("unexpected character `{other}`")));
             }
         }
     }
     toks.push(Spanned {
         tok: Tok::Eof,
-        line,
-        col,
+        loc: Loc { line, col },
     });
     Ok((toks, truncations))
 }
@@ -239,8 +248,8 @@ fn lex(src: &str) -> CalyxResult<(Vec<Spanned>, Vec<Truncation>)> {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
 }
 
@@ -250,13 +259,13 @@ enum GExpr {
     Guard(Guard),
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn next(&mut self) -> Tok<'src> {
+        let t = self.peek();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -266,24 +275,15 @@ impl Parser {
     /// The position of the *current* (not yet consumed) token — captured
     /// before consuming a name to record where that name is declared.
     fn loc(&self) -> Loc {
-        let sp = &self.toks[self.pos];
-        Loc {
-            line: sp.line,
-            col: sp.col,
-        }
+        self.toks[self.pos].loc
     }
 
-    fn err(&self, msg: impl std::fmt::Display) -> Error {
-        let sp = &self.toks[self.pos];
-        Error::Parse {
-            msg: msg.to_string(),
-            line: sp.line,
-            col: sp.col,
-        }
+    fn err(&self, msg: impl fmt::Display) -> Error {
+        err_at(self.loc(), msg)
     }
 
     fn expect(&mut self, tok: Tok, what: &str) -> CalyxResult<()> {
-        if *self.peek() == tok {
+        if self.peek() == tok {
             self.next();
             Ok(())
         } else {
@@ -292,7 +292,7 @@ impl Parser {
     }
 
     fn eat(&mut self, tok: Tok) -> bool {
-        if *self.peek() == tok {
+        if self.peek() == tok {
             self.next();
             true
         } else {
@@ -301,31 +301,29 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> CalyxResult<Id> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
+        match self.peek() {
+            Tok::Ident(Name(id)) => {
                 self.next();
-                Ok(Id::new(s))
+                Ok(id)
             }
             other => Err(self.err(format!("expected {what}, found {other:?}"))),
         }
     }
 
-    fn keyword(&mut self, kw: &str) -> CalyxResult<()> {
-        match self.peek() {
-            Tok::Ident(s) if s == kw => {
-                self.next();
-                Ok(())
-            }
-            other => Err(self.err(format!("expected keyword `{kw}`, found {other:?}"))),
+    fn keyword(&mut self, kw: Id) -> CalyxResult<()> {
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected keyword `{kw}`, found {:?}", self.peek())))
         }
     }
 
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+    fn eat_keyword(&mut self, kw: Id) -> bool {
+        self.eat(Tok::Ident(Name(kw)))
     }
 
     fn num(&mut self, what: &str) -> CalyxResult<u64> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Num(n) => {
                 self.next();
                 Ok(n)
@@ -389,7 +387,8 @@ impl Parser {
             let loc = self.loc();
             let name = self.ident("port name")?;
             self.expect(Tok::Colon, "`:`")?;
-            let width = self.num("port width")? as u32;
+            let at = self.loc();
+            let width = width_at(self.num("port width")?, at)?;
             let mut def = PortDef::new(name, width, direction);
             def.attributes = attrs;
             ports.push((def, loc));
@@ -417,7 +416,7 @@ impl Parser {
     }
 
     fn atom(&mut self) -> CalyxResult<Atom> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Sized { width, val } => {
                 self.next();
                 Ok(Atom::constant(val, width))
@@ -434,8 +433,7 @@ impl Parser {
 
     fn g_or(&mut self) -> CalyxResult<GExpr> {
         let mut lhs = self.g_and()?;
-        while *self.peek() == Tok::Pipe {
-            self.next();
+        while self.eat(Tok::Pipe) {
             let rhs = self.g_and()?;
             lhs = GExpr::Guard(to_guard(lhs)?.or(to_guard(rhs)?));
         }
@@ -444,8 +442,7 @@ impl Parser {
 
     fn g_and(&mut self) -> CalyxResult<GExpr> {
         let mut lhs = self.g_cmp()?;
-        while *self.peek() == Tok::Amp {
-            self.next();
+        while self.eat(Tok::Amp) {
             let rhs = self.g_cmp()?;
             lhs = GExpr::Guard(to_guard(lhs)?.and(to_guard(rhs)?));
         }
@@ -507,38 +504,23 @@ impl Parser {
 
     fn control_stmt(&mut self) -> CalyxResult<Control> {
         let attrs = self.at_attributes()?;
-        let mut stmt = if self.at_keyword("seq") {
-            self.next();
+        let mut stmt = if self.eat_keyword(Id::SEQ) {
             Control::seq(self.stmt_block()?)
-        } else if self.at_keyword("par") {
-            self.next();
+        } else if self.eat_keyword(Id::PAR) {
             Control::par(self.stmt_block()?)
-        } else if self.at_keyword("if") {
-            self.next();
+        } else if self.eat_keyword(Id::IF) {
             let port = self.port_ref()?;
-            let cond = if self.at_keyword("with") {
-                self.next();
-                Some(self.ident("condition group")?)
-            } else {
-                None
-            };
+            let cond = self.with_group()?;
             let tbranch = block_to_control(self.stmt_block()?);
-            let fbranch = if self.at_keyword("else") {
-                self.next();
+            let fbranch = if self.eat_keyword(Id::ELSE) {
                 block_to_control(self.stmt_block()?)
             } else {
                 Control::Empty
             };
             Control::if_(port, cond, tbranch, fbranch)
-        } else if self.at_keyword("while") {
-            self.next();
+        } else if self.eat_keyword(Id::WHILE) {
             let port = self.port_ref()?;
-            let cond = if self.at_keyword("with") {
-                self.next();
-                Some(self.ident("condition group")?)
-            } else {
-                None
-            };
+            let cond = self.with_group()?;
             let body = block_to_control(self.stmt_block()?);
             Control::while_(port, cond, body)
         } else {
@@ -552,6 +534,15 @@ impl Parser {
             }
         }
         Ok(stmt)
+    }
+
+    /// `with group` after an `if` or `while` port — optional.
+    fn with_group(&mut self) -> CalyxResult<Option<Id>> {
+        if self.eat_keyword(Id::WITH) {
+            self.ident("condition group").map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     fn stmt_block(&mut self) -> CalyxResult<Vec<Control>> {
@@ -601,33 +592,34 @@ struct RawCell {
     params: Vec<u64>,
 }
 
-struct RawComponent {
+/// What phase 2 fills in: the body of a component that phase 1
+/// registered with its signature.
+struct RawBody {
     name: Id,
-    attrs: Attributes,
-    inputs: Vec<PortDef>,
-    outputs: Vec<PortDef>,
     cells: Vec<RawCell>,
     groups: Vec<Group>,
     continuous: Vec<Assignment>,
     control: Control,
 }
 
-fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<RawComponent> {
-    p.keyword("component")?;
+/// Parse one component into its signature-only [`Component`] and the body
+/// phase 2 resolves.
+fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<(Component, RawBody)> {
+    p.keyword(Id::COMPONENT)?;
     let name = p.ident("component name")?;
     let attrs = p.angle_attributes()?;
-    let inputs = p.port_list(Direction::Input)?;
+    let mut ports = p.port_list(Direction::Input)?;
     p.expect(Tok::Arrow, "`->`")?;
-    let outputs = p.port_list(Direction::Output)?;
-    for (def, loc) in inputs.iter().chain(outputs.iter()) {
+    ports.extend(p.port_list(Direction::Output)?);
+    for (def, loc) in &ports {
         sources.record_port(name, def.name, *loc);
     }
-    let inputs: Vec<PortDef> = inputs.into_iter().map(|(d, _)| d).collect();
-    let outputs: Vec<PortDef> = outputs.into_iter().map(|(d, _)| d).collect();
+    let mut signature = Component::new(name, ports.into_iter().map(|(d, _)| d).collect());
+    signature.attributes = attrs;
     p.expect(Tok::LBrace, "`{`")?;
 
     // cells { ... }
-    p.keyword("cells")?;
+    p.keyword(Id::CELLS)?;
     p.expect(Tok::LBrace, "`{`")?;
     let mut cells = Vec::new();
     while !p.eat(Tok::RBrace) {
@@ -658,13 +650,12 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<RawCo
     }
 
     // wires { ... }
-    p.keyword("wires")?;
+    p.keyword(Id::WIRES)?;
     p.expect(Tok::LBrace, "`{`")?;
     let mut groups = Vec::new();
     let mut continuous = Vec::new();
     while !p.eat(Tok::RBrace) {
-        if p.at_keyword("group") {
-            p.next();
+        if p.eat_keyword(Id::GROUP) {
             let gloc = p.loc();
             let gname = p.ident("group name")?;
             let gattrs = p.angle_attributes()?;
@@ -686,7 +677,7 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<RawCo
     }
 
     // control { ... }
-    p.keyword("control")?;
+    p.keyword(Id::CONTROL)?;
     p.expect(Tok::LBrace, "`{`")?;
     let control = if p.eat(Tok::RBrace) {
         Control::Empty
@@ -697,23 +688,21 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<RawCo
     };
 
     p.expect(Tok::RBrace, "`}` (end of component)")?;
-    Ok(RawComponent {
+    let body = RawBody {
         name,
-        attrs,
-        inputs,
-        outputs,
         cells,
         groups,
         continuous,
         control,
-    })
+    };
+    Ok((signature, body))
 }
 
 /// Parse `extern "file.sv" { component name(ins) -> (outs); ... }` into
 /// kind-less rows of `lib` with fixed widths. A name already in `lib` —
 /// a std primitive or an earlier `extern` — is an error at that name.
 fn parse_extern(p: &mut Parser, lib: &mut Library) -> CalyxResult<()> {
-    p.keyword("extern")?;
+    p.keyword(Id::EXTERN)?;
     let file = match p.next() {
         Tok::Str(file) => file,
         other => {
@@ -724,7 +713,7 @@ fn parse_extern(p: &mut Parser, lib: &mut Library) -> CalyxResult<()> {
     };
     p.expect(Tok::LBrace, "`{`")?;
     while !p.eat(Tok::RBrace) {
-        p.keyword("component")?;
+        p.keyword(Id::COMPONENT)?;
         let at = p.loc();
         let name = p.ident("extern component name")?;
         if let Some(prev) = lib.get(name) {
@@ -732,11 +721,7 @@ fn parse_extern(p: &mut Parser, lib: &mut Library) -> CalyxResult<()> {
                 None => format!("extern `{name}` redefines the standard primitive `{name}`"),
                 Some(f) => format!("extern `{name}` is already declared (in \"{f}\")"),
             };
-            return Err(Error::Parse {
-                msg,
-                line: at.line,
-                col: at.col,
-            });
+            return Err(err_at(at, msg));
         }
         let attrs = p.angle_attributes()?;
         let inputs = p.port_list(Direction::Input)?;
@@ -758,7 +743,7 @@ fn parse_extern(p: &mut Parser, lib: &mut Library) -> CalyxResult<()> {
             ports,
             attributes: attrs,
             kind: None,
-            file: Some(file.clone()),
+            file: Some(file.to_owned()),
         });
     }
     Ok(())
@@ -778,12 +763,14 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
         sources.record_truncation(t);
     }
     let mut p = Parser { toks, pos: 0 };
-    let mut raws = Vec::new();
+    let mut bodies = Vec::new();
     let mut ctx = Context::new();
+    // Phase 1: register signatures as the components are read, so they
+    // can instantiate each other regardless of definition order.
     loop {
         match p.peek() {
             Tok::Eof => break,
-            Tok::Ident(s) if s == "import" => {
+            Tok::Ident(Name(Id::IMPORT)) => {
                 p.next();
                 match p.next() {
                     Tok::Str(_) => {}
@@ -793,30 +780,21 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
                 }
                 p.expect(Tok::Semi, "`;`")?;
             }
-            Tok::Ident(s) if s == "extern" => parse_extern(&mut p, &mut ctx.lib)?,
-            Tok::Ident(s) if s == "component" => raws.push(parse_component(&mut p, &mut sources)?),
+            Tok::Ident(Name(Id::EXTERN)) => parse_extern(&mut p, &mut ctx.lib)?,
+            Tok::Ident(Name(Id::COMPONENT)) => {
+                let (signature, body) = parse_component(&mut p, &mut sources)?;
+                ctx.add_component(signature);
+                bodies.push(body);
+            }
             other => return Err(p.err(format!("expected top-level item, found {other:?}"))),
         }
     }
 
-    // Phase 1: register signatures so components can instantiate each other
-    // regardless of definition order.
-    for raw in &raws {
-        let mut ports = raw.inputs.clone();
-        ports.extend(raw.outputs.iter().cloned());
-        let mut comp = Component::new(raw.name, ports);
-        comp.attributes = raw.attrs.clone();
-        ctx.add_component(comp);
-    }
-
-    // Phase 2: fill in bodies.
-    for raw in raws {
-        let mut comp = ctx
-            .components
-            .get(raw.name)
-            .cloned()
-            .expect("registered in phase 1");
-        for rc in raw.cells {
+    // Phase 2: fill in bodies. A cell resolves against the signatures
+    // alone, so each is made before its component is borrowed to take it.
+    for body in bodies {
+        let registered = "registered in phase 1";
+        for rc in body.cells {
             let proto = if ctx.components.contains(rc.proto) {
                 CellType::Component { name: rc.proto }
             } else {
@@ -827,25 +805,26 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
             };
             let mut cell = ctx.make_cell(rc.name, proto)?;
             cell.attributes = rc.attrs;
+            let comp = ctx.components.get_mut(body.name).expect(registered);
             if comp.cells.insert(cell).is_some() {
                 return Err(Error::malformed(format!(
                     "duplicate cell `{}` in component `{}`",
-                    rc.name, raw.name
+                    rc.name, body.name
                 )));
             }
         }
-        for g in raw.groups {
+        let comp = ctx.components.get_mut(body.name).expect(registered);
+        for g in body.groups {
             let gname = g.name;
             if comp.groups.insert(g).is_some() {
                 return Err(Error::malformed(format!(
                     "duplicate group `{gname}` in component `{}`",
-                    raw.name
+                    body.name
                 )));
             }
         }
-        comp.continuous = raw.continuous;
-        comp.control = raw.control;
-        ctx.add_component(comp);
+        comp.continuous = body.continuous;
+        comp.control = body.control;
     }
     ctx.sources = sources;
     Ok(ctx)
@@ -861,7 +840,7 @@ pub fn parse_guard(src: &str) -> CalyxResult<Guard> {
     let (toks, _) = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let e = p.gexpr()?;
-    if *p.peek() != Tok::Eof {
+    if p.peek() != Tok::Eof {
         return Err(p.err("trailing tokens after guard"));
     }
     to_guard(e)
@@ -1112,6 +1091,82 @@ mod tests {
                 assert!(col > 20);
             }
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    /// The message and `(line, col)` of the parse error `src` fails with.
+    #[track_caller]
+    fn parse_error(src: &str) -> (String, usize, usize) {
+        match parse_context(src) {
+            Err(Error::Parse { msg, line, col }) => (msg, line, col),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// Error texts name a token by its kind and text, one case per kind.
+    #[test]
+    fn error_texts_name_the_token_found() {
+        for (src, found) in [
+            ("component main() -> () { x }", r#"Ident("x")"#),
+            (r#"component main() -> () { "s" }"#, r#"Str("s")"#),
+            ("component 7", "Num(7)"),
+            (
+                "component main() -> () { cells { r = std_reg(1'd1); } }",
+                "Sized { width: 1, val: 1 }",
+            ),
+            (
+                "component main() -> () { cells { r = std_reg(1) } }",
+                "RBrace",
+            ),
+            ("component main() -> () {", "Eof"),
+        ] {
+            let (msg, ..) = parse_error(src);
+            assert!(msg.ends_with(&format!(", found {found}")), "{src}: {msg}");
+        }
+        let (msg, ..) = parse_error("component main() -> () { x }");
+        assert_eq!(msg, r#"expected keyword `cells`, found Ident("x")"#);
+    }
+
+    /// A column counts characters: the `é` in the path is one column,
+    /// though two bytes.
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let src = "extern \"é.sv\" { component std_reg(in: 8) -> (out: 8); }";
+        let (msg, line, col) = parse_error(src);
+        assert!(msg.contains("standard primitive `std_reg`"), "{msg}");
+        assert_eq!((line, col), (1, 27));
+        assert!(src
+            .chars()
+            .skip(col - 1)
+            .collect::<String>()
+            .starts_with("std_reg"));
+    }
+
+    #[test]
+    fn an_unexpected_character_is_named_as_itself() {
+        let src = "component main() -> () { cells { é = std_reg(1); } wires {} control {} }";
+        let (msg, line, col) = parse_error(src);
+        assert_eq!(msg, "unexpected character `é`");
+        assert_eq!((line, col), (1, 34));
+    }
+
+    /// A width that does not fit 32 bits is an error at its number, for a
+    /// port and for a sized constant, instead of wrapping.
+    #[test]
+    fn widths_beyond_u32_are_positioned_errors() {
+        for (src, number) in [
+            (
+                "component main(x: 4294967297) -> () { cells {} wires {} control {} }",
+                "4294967297",
+            ),
+            (
+                "component main() -> (o: 8) { cells {} wires { o = 4294967304'd1; } control {} }",
+                "4294967304",
+            ),
+        ] {
+            let (msg, line, col) = parse_error(src);
+            assert_eq!(msg, format!("width `{number}` out of range"));
+            assert_eq!((line, col), (1, src.find(number).unwrap() + 1));
         }
     }
 

@@ -4,13 +4,22 @@
 //! (property-tested in the parser module). Implicit interface ports
 //! (`go`/`done` with the `interface` attribute) are omitted from signatures
 //! since [`Component::new`] re-adds them.
+//!
+//! One `&mut String` runs through every writer, from a whole context down
+//! to a port reference: no item is rendered into a `String` of its own
+//! first, an indent is pushed as spaces where it is needed, and names,
+//! widths and constants are appended without `fmt` (a port, constant or
+//! guard writes through its `write_to`, which its `Display` shares). The
+//! `print_*` functions hand a fresh `String` to those writers; the `calyx`
+//! backend streams [`Printer::write_externs`] and
+//! [`Printer::write_component`] through one reused buffer.
 
 use super::cell::Group;
 use super::{
     attr, Assignment, Attributes, Cell, CellType, Component, Context, Control, Direction, Id,
-    Library, WidthSpec,
+    Library, PortDef, PrimitivePort, WidthSpec,
 };
-use std::fmt::Write;
+use crate::utils::decimal;
 
 /// Renders IR structures as Calyx source text.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,9 +28,10 @@ pub struct Printer;
 impl Printer {
     /// Print an entire program: its `extern` blocks, then its components.
     pub fn print_context(ctx: &Context) -> String {
-        let mut out = Self::print_externs(&ctx.lib);
+        let mut out = String::new();
+        Self::write_externs(&ctx.lib, &mut out);
         for comp in ctx.components.iter() {
-            out.push_str(&Self::print_component(comp));
+            Self::write_component(comp, &mut out);
             out.push('\n');
         }
         out
@@ -30,242 +40,315 @@ impl Printer {
     /// Print the `extern` rows of `lib` in declaration order, one block
     /// per run of rows that name the same file.
     pub fn print_externs(lib: &Library) -> String {
-        let mut s = String::new();
+        let mut out = String::new();
+        Self::write_externs(lib, &mut out);
+        out
+    }
+
+    /// Append what [`Printer::print_externs`] prints to `out`.
+    pub fn write_externs(lib: &Library, out: &mut String) {
         let mut open: Option<&str> = None;
         for def in lib.externs() {
             let file = def.file.as_deref().unwrap_or_default();
             if open != Some(file) {
                 if open.is_some() {
-                    s.push_str("}\n\n");
+                    out.push_str("}\n\n");
                 }
-                let _ = writeln!(s, "extern \"{file}\" {{");
+                out.push_str("extern \"");
+                out.push_str(file);
+                out.push_str("\" {\n");
                 open = Some(file);
             }
-            let ports = |direction| {
-                fmt_ports(
-                    def.ports
-                        .iter()
-                        .filter(|p| p.direction == direction)
-                        .map(|p| {
-                            let width = match p.width {
-                                WidthSpec::Const(w) => w.to_string(),
-                                WidthSpec::Param(name) => name.to_string(),
-                            };
-                            (p.name, width)
-                        }),
-                )
-            };
-            let _ = writeln!(
-                s,
-                "  component {}{}({}) -> ({});",
-                def.name,
-                fmt_attributes_angle(&def.attributes),
+            out.push_str("  component ");
+            out.push_str(def.name.as_str());
+            write_attributes_angle(&def.attributes, out);
+            let ports = |direction| def.ports.iter().filter(move |p| p.direction == direction);
+            write_signature(
+                out,
                 ports(Direction::Input),
-                ports(Direction::Output)
+                ports(Direction::Output),
+                write_prim_port,
             );
+            out.push_str(";\n");
         }
         if open.is_some() {
-            s.push_str("}\n\n");
+            out.push_str("}\n\n");
         }
-        s
     }
 
     /// Print one component.
     pub fn print_component(comp: &Component) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "component {}", comp.name);
-        let _ = write!(s, "{}", fmt_attributes_angle(&comp.attributes));
+        let mut out = String::new();
+        Self::write_component(comp, &mut out);
+        out
+    }
+
+    /// Append what [`Printer::print_component`] prints to `out`.
+    pub fn write_component(comp: &Component, out: &mut String) {
+        out.push_str("component ");
+        out.push_str(comp.name.as_str());
+        write_attributes_angle(&comp.attributes, out);
         let ports = |direction| {
-            fmt_ports(
-                comp.signature
-                    .iter()
-                    .filter(|p| p.direction == direction && !p.attributes.has(attr::INTERFACE))
-                    .map(|p| (p.name, p.width)),
-            )
+            comp.signature
+                .iter()
+                .filter(move |p| p.direction == direction && !p.attributes.has(attr::INTERFACE))
         };
-        let _ = writeln!(
-            s,
-            "({}) -> ({}) {{",
+        write_signature(
+            out,
             ports(Direction::Input),
-            ports(Direction::Output)
+            ports(Direction::Output),
+            write_port_def,
         );
-
-        let _ = writeln!(s, "  cells {{");
+        out.push_str(" {\n  cells {\n");
         for cell in comp.cells.iter() {
-            let _ = writeln!(s, "    {}", Self::print_cell(cell));
+            indent(2, out);
+            write_cell(cell, out);
+            out.push('\n');
         }
-        let _ = writeln!(s, "  }}");
-
-        let _ = writeln!(s, "  wires {{");
+        out.push_str("  }\n  wires {\n");
         for group in comp.groups.iter() {
-            for line in Self::print_group(group).lines() {
-                let _ = writeln!(s, "    {line}");
-            }
+            write_group(group, 2, out);
         }
         for asgn in &comp.continuous {
-            let _ = writeln!(s, "    {}", Self::print_assignment(asgn));
+            indent(2, out);
+            write_assignment(asgn, out);
+            out.push('\n');
         }
-        let _ = writeln!(s, "  }}");
-
-        let _ = writeln!(s, "  control {{");
-        if !comp.control.is_empty() {
-            let mut body = String::new();
-            Self::write_control(&comp.control, 2, &mut body);
-            s.push_str(&body);
-        }
-        let _ = writeln!(s, "  }}");
-        let _ = writeln!(s, "}}");
-        s
+        out.push_str("  }\n  control {\n");
+        write_control(&comp.control, 2, out);
+        out.push_str("  }\n}\n");
     }
 
     /// Print a cell declaration, e.g. `@external m = std_mem_d1(32, 4, 2);`.
     pub fn print_cell(cell: &Cell) -> String {
-        let attrs = fmt_attributes_at(&cell.attributes);
-        match &cell.prototype {
-            CellType::Primitive { name, params } => {
-                let params = params
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("{attrs}{} = {}({params});", cell.name, name)
-            }
-            CellType::Component { name } => format!("{attrs}{} = {}();", cell.name, name),
-        }
+        let mut out = String::new();
+        write_cell(cell, &mut out);
+        out
     }
 
     /// Print a group definition.
     pub fn print_group(group: &Group) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "group {}{} {{",
-            group.name,
-            fmt_attributes_angle(&group.attributes)
-        );
-        for asgn in &group.assignments {
-            let _ = writeln!(s, "  {}", Self::print_assignment(asgn));
-        }
-        let _ = writeln!(s, "}}");
-        s
+        let mut out = String::new();
+        write_group(group, 0, &mut out);
+        out
     }
 
     /// Print a single assignment.
     pub fn print_assignment(asgn: &Assignment) -> String {
-        if asgn.guard.is_true() {
-            format!("{} = {};", asgn.dst, asgn.src)
-        } else {
-            format!("{} = {} ? {};", asgn.dst, asgn.guard, asgn.src)
-        }
+        let mut out = String::new();
+        write_assignment(asgn, &mut out);
+        out
     }
 
     /// Print a control program (for debugging and tests).
     pub fn print_control(control: &Control) -> String {
-        let mut s = String::new();
-        Self::write_control(control, 0, &mut s);
-        s
+        let mut out = String::new();
+        write_control(control, 0, &mut out);
+        out
     }
+}
 
-    fn write_control(control: &Control, indent: usize, out: &mut String) {
-        let pad = "  ".repeat(indent);
-        match control {
-            Control::Empty => {}
-            Control::Enable { group, attributes } => {
-                let _ = writeln!(out, "{pad}{}{group};", fmt_attributes_at(attributes));
-            }
-            Control::Seq { stmts, attributes } => {
-                let _ = writeln!(out, "{pad}{}seq {{", fmt_attributes_at(attributes));
-                for stmt in stmts {
-                    Self::write_control(stmt, indent + 1, out);
-                }
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Control::Par { stmts, attributes } => {
-                let _ = writeln!(out, "{pad}{}par {{", fmt_attributes_at(attributes));
-                for stmt in stmts {
-                    Self::write_control(stmt, indent + 1, out);
-                }
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Control::If {
-                port,
-                cond,
-                tbranch,
-                fbranch,
-                attributes,
-            } => {
-                let with = match cond {
-                    Some(c) => format!(" with {c}"),
-                    None => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{pad}{}if {port}{with} {{",
-                    fmt_attributes_at(attributes)
-                );
-                Self::write_control(tbranch, indent + 1, out);
-                if fbranch.is_empty() {
-                    let _ = writeln!(out, "{pad}}}");
-                } else {
-                    let _ = writeln!(out, "{pad}}} else {{");
-                    Self::write_control(fbranch, indent + 1, out);
-                    let _ = writeln!(out, "{pad}}}");
-                }
-            }
-            Control::While {
-                port,
-                cond,
-                body,
-                attributes,
-            } => {
-                let with = match cond {
-                    Some(c) => format!(" with {c}"),
-                    None => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{pad}{}while {port}{with} {{",
-                    fmt_attributes_at(attributes)
-                );
-                Self::write_control(body, indent + 1, out);
-                let _ = writeln!(out, "{pad}}}");
-            }
+// Writing to a `String` cannot fail, so the writers below drop the
+// `fmt::Result` of `write_to`.
+
+/// Append `level` indents of two spaces.
+fn indent(level: usize, out: &mut String) {
+    for _ in 0..level {
+        out.push_str("  ");
+    }
+}
+
+fn push_decimal(n: u64, out: &mut String) {
+    out.push_str(decimal(n, &mut [0; 20]));
+}
+
+/// Append `items`, each written by `write`, separated by `, `.
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(T, &mut String),
+) {
+    let mut sep = "";
+    for item in items {
+        out.push_str(sep);
+        sep = ", ";
+        write(item, out);
+    }
+}
+
+/// Append `(inputs) -> (outputs)`.
+fn write_signature<T>(
+    out: &mut String,
+    inputs: impl Iterator<Item = T>,
+    outputs: impl Iterator<Item = T>,
+    mut write: impl FnMut(T, &mut String),
+) {
+    out.push('(');
+    write_list(out, inputs, &mut write);
+    out.push_str(") -> (");
+    write_list(out, outputs, &mut write);
+    out.push(')');
+}
+
+/// `name: width` of a component's signature.
+fn write_port_def(p: &PortDef, out: &mut String) {
+    out.push_str(p.name.as_str());
+    out.push_str(": ");
+    push_decimal(u64::from(p.width), out);
+}
+
+/// `name: width` of an `extern` row, where a width may be a parameter.
+fn write_prim_port(p: &PrimitivePort, out: &mut String) {
+    out.push_str(p.name.as_str());
+    out.push_str(": ");
+    match p.width {
+        WidthSpec::Const(w) => push_decimal(u64::from(w), out),
+        WidthSpec::Param(name) => out.push_str(name.as_str()),
+    }
+}
+
+fn write_cell(cell: &Cell, out: &mut String) {
+    write_attributes_at(&cell.attributes, out);
+    out.push_str(cell.name.as_str());
+    out.push_str(" = ");
+    match &cell.prototype {
+        CellType::Primitive { name, params } => {
+            out.push_str(name.as_str());
+            out.push('(');
+            write_list(out, params, |p, out| push_decimal(*p, out));
+            out.push_str(");");
+        }
+        CellType::Component { name } => {
+            out.push_str(name.as_str());
+            out.push_str("();");
         }
     }
 }
 
-/// Format a signature's ports: `name: width, ...`.
-fn fmt_ports<W: std::fmt::Display>(ports: impl Iterator<Item = (Id, W)>) -> String {
-    ports
-        .map(|(name, width)| format!("{name}: {width}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// Append a group at `level`, its assignments one level deeper.
+fn write_group(group: &Group, level: usize, out: &mut String) {
+    indent(level, out);
+    out.push_str("group ");
+    out.push_str(group.name.as_str());
+    write_attributes_angle(&group.attributes, out);
+    out.push_str(" {\n");
+    for asgn in &group.assignments {
+        indent(level + 1, out);
+        write_assignment(asgn, out);
+        out.push('\n');
+    }
+    indent(level, out);
+    out.push_str("}\n");
 }
 
-/// Format attributes in angle-bracket style: `<"static"=1, "share"=1>`.
-fn fmt_attributes_angle(attrs: &Attributes) -> String {
+fn write_assignment(asgn: &Assignment, out: &mut String) {
+    let _ = asgn.dst.write_to(out);
+    out.push_str(" = ");
+    if !asgn.guard.is_true() {
+        let _ = asgn.guard.write_to(out);
+        out.push_str(" ? ");
+    }
+    let _ = asgn.src.write_to(out);
+    out.push(';');
+}
+
+/// Append `control` at `level`; [`Control::Empty`] appends nothing.
+fn write_control(control: &Control, level: usize, out: &mut String) {
+    let open = |keyword: &str, attributes: &Attributes, out: &mut String| {
+        indent(level, out);
+        write_attributes_at(attributes, out);
+        out.push_str(keyword);
+    };
+    let close = |out: &mut String| {
+        indent(level, out);
+        out.push_str("}\n");
+    };
+    match control {
+        Control::Empty => {}
+        Control::Enable { group, attributes } => {
+            open(group.as_str(), attributes, out);
+            out.push_str(";\n");
+        }
+        Control::Seq { stmts, attributes } | Control::Par { stmts, attributes } => {
+            let keyword = if matches!(control, Control::Seq { .. }) {
+                "seq {\n"
+            } else {
+                "par {\n"
+            };
+            open(keyword, attributes, out);
+            for stmt in stmts {
+                write_control(stmt, level + 1, out);
+            }
+            close(out);
+        }
+        Control::If {
+            port,
+            cond,
+            tbranch,
+            fbranch,
+            attributes,
+        } => {
+            open("if ", attributes, out);
+            write_port_with(port, *cond, out);
+            write_control(tbranch, level + 1, out);
+            if !fbranch.is_empty() {
+                indent(level, out);
+                out.push_str("} else {\n");
+                write_control(fbranch, level + 1, out);
+            }
+            close(out);
+        }
+        Control::While {
+            port,
+            cond,
+            body,
+            attributes,
+        } => {
+            open("while ", attributes, out);
+            write_port_with(port, *cond, out);
+            write_control(body, level + 1, out);
+            close(out);
+        }
+    }
+}
+
+/// `port with cond {` and the line break, after `if` or `while`.
+fn write_port_with(port: &super::PortRef, cond: Option<Id>, out: &mut String) {
+    let _ = port.write_to(out);
+    if let Some(cond) = cond {
+        out.push_str(" with ");
+        out.push_str(cond.as_str());
+    }
+    out.push_str(" {\n");
+}
+
+/// Attributes in angle-bracket style: `<"static"=1, "share"=1>`.
+fn write_attributes_angle(attrs: &Attributes, out: &mut String) {
     if attrs.is_empty() {
-        return String::new();
+        return;
     }
-    let body = attrs
-        .iter()
-        .map(|(k, v)| format!("\"{k}\"={v}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("<{body}>")
+    out.push('<');
+    write_list(out, attrs.iter(), |(k, v), out| {
+        out.push('"');
+        out.push_str(k.as_str());
+        out.push_str("\"=");
+        push_decimal(v, out);
+    });
+    out.push('>');
 }
 
-/// Format attributes in at-sign style: `@external @static(2) `.
-fn fmt_attributes_at(attrs: &Attributes) -> String {
-    let mut s = String::new();
+/// Attributes in at-sign style: `@external @static(2) `.
+fn write_attributes_at(attrs: &Attributes, out: &mut String) {
     for (k, v) in attrs.iter() {
-        if v == 1 && k != attr::STATIC {
-            let _ = write!(s, "@{k} ");
-        } else {
-            let _ = write!(s, "@{k}({v}) ");
+        out.push('@');
+        out.push_str(k.as_str());
+        if v != 1 || k == attr::STATIC {
+            out.push('(');
+            push_decimal(v, out);
+            out.push(')');
         }
+        out.push(' ');
     }
-    s
 }
 
 /// `Display` implementations delegate to the printer for convenience.

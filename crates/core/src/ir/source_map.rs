@@ -17,7 +17,7 @@
 //! [`width-truncation`](crate::lint) lint replays these events.
 
 use super::Id;
-use std::collections::BTreeMap;
+use rustc_hash::FxHashMap;
 
 /// A 1-based source position (line, column) — the same coordinates
 /// [`Error::Parse`](crate::errors::Error) reports and
@@ -49,14 +49,15 @@ pub struct Truncation {
 /// Keys are `(component, name)` pairs (assignments add the index within
 /// their group or the continuous section), so the table stays valid as
 /// long as the named entities exist — passes that synthesize or rename
-/// entities simply produce names with no entry.
+/// entities simply produce names with no entry. The tables are only ever
+/// looked up, never walked, so they hash the interned indices.
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
-    cells: BTreeMap<(Id, Id), Loc>,
-    groups: BTreeMap<(Id, Id), Loc>,
-    ports: BTreeMap<(Id, Id), Loc>,
+    cells: FxHashMap<(Id, Id), Loc>,
+    groups: FxHashMap<(Id, Id), Loc>,
+    ports: FxHashMap<(Id, Id), Loc>,
     /// `(component, group, index)`; `None` is the continuous section.
-    assignments: BTreeMap<(Id, Option<Id>, usize), Loc>,
+    assignments: FxHashMap<(Id, Option<Id>, usize), Loc>,
     truncations: Vec<Truncation>,
 }
 

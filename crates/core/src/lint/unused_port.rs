@@ -39,7 +39,7 @@ use it.";
                 let reference = PortRef::this(port.name);
                 let problem = match port.direction {
                     Direction::Input if !uses.is_read(reference) => "input",
-                    Direction::Output if uses.writes(reference).len() == 0 => "output",
+                    Direction::Output if !uses.is_written(reference) => "output",
                     _ => continue,
                 };
                 let verb = match port.direction {

@@ -2,10 +2,8 @@
 
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
-use crate::analysis::{PortUses, SiteOwner};
 use crate::errors::CalyxResult;
 use crate::ir::{Component, Guard, Id, PortRef};
-use std::collections::BTreeSet;
 
 /// Guards every assignment inside a group with the group's `go` interface
 /// signal.
@@ -15,9 +13,8 @@ use std::collections::BTreeSet;
 /// these inserted guards are what keeps the right assignments active at the
 /// right time. Writes to the group's *own* `done` hole are left unguarded —
 /// the paper's Fig. 2b shows `one[done] = x.done` surviving unchanged — since
-/// `done` is only consulted while the group is running. The done-writer
-/// sites to skip come from the cached [`PortUses`] analysis rather than a
-/// per-assignment destination comparison.
+/// `done` is only consulted while the group is running. Such a write is
+/// told by its destination alone, so the pass asks no analysis.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GoInsertion;
 
@@ -31,24 +28,13 @@ impl Visitor for GoInsertion {
     }
 
     fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
-        // In the standard pipelines this query is usually a cold compute
-        // (compile-control just rewrote the component) and the guard
-        // rewrite below invalidates it again; the value of routing it
-        // through the cache is the shared single-walk scan and that any
-        // custom pipeline placing go-insertion after a read-only stretch
-        // gets the memoized table for free.
-        let uses = ctx.get::<PortUses>(comp);
         let mut mutated = false;
         for group in comp.groups.iter_mut() {
             let go = Guard::Port(PortRef::hole(group.name, Id::GO));
             // This group's writes to its own done hole keep their guards.
-            let skip: BTreeSet<usize> = uses
-                .writes(PortRef::hole(group.name, Id::DONE))
-                .filter(|s| s.owner == SiteOwner::Group(group.name))
-                .map(|s| s.index)
-                .collect();
-            for (index, asgn) in group.assignments.iter_mut().enumerate() {
-                if !skip.contains(&index) {
+            let done = PortRef::hole(group.name, Id::DONE);
+            for asgn in &mut group.assignments {
+                if asgn.dst != done {
                     let guard = std::mem::replace(&mut asgn.guard, Guard::True);
                     asgn.guard = go.clone().and(guard);
                     mutated = true;

@@ -20,9 +20,32 @@ pub fn is_kebab_case(name: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
 }
 
+/// `n` in decimal, spelled into `digits` without `fmt`. The text writers
+/// (the Calyx printer and the Verilog emitter) write every width and
+/// constant through this.
+pub fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[start..]).expect("ASCII digits")
+}
+
 #[cfg(test)]
 mod tests {
-    use super::is_kebab_case;
+    use super::{decimal, is_kebab_case};
+
+    #[test]
+    fn decimal_matches_fmt() {
+        for n in [0, 1, 9, 10, 99, 100, 4_294_967_296, u64::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string());
+        }
+    }
 
     #[test]
     fn kebab_case_predicate() {

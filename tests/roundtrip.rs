@@ -4,7 +4,7 @@
 
 mod random_programs;
 
-use calyx::core::ir::{parse_context, Printer};
+use calyx::core::ir::{parse_context, Context, Printer};
 use calyx::core::passes::PassManager;
 use proptest::prelude::*;
 
@@ -64,17 +64,41 @@ fn extern_programs_roundtrip() {
     }
 }
 
-#[test]
-fn polybench_sources_roundtrip_through_calyx() {
-    for def in calyx::polybench::KERNELS.iter().take(6) {
-        let (_, ctx) = calyx::polybench::compile_kernel(def, 4, 1).unwrap();
+/// Print → parse → print is stable for `ctx` as given and after each of
+/// `lower` and `opt`, each run from the program as given.
+#[track_caller]
+fn roundtrips_at_every_stage(name: &str, ctx: &Context) {
+    for pipeline in [None, Some("lower"), Some("opt")] {
+        let mut ctx = ctx.clone();
+        if let Some(pipeline) = pipeline {
+            PassManager::from_names(&[pipeline])
+                .unwrap()
+                .run(&mut ctx)
+                .unwrap_or_else(|e| panic!("{name} under {pipeline}: {e}"));
+        }
+        let stage = pipeline.unwrap_or("as generated");
         let printed = Printer::print_context(&ctx);
-        let reparsed = parse_context(&printed).unwrap_or_else(|e| panic!("{}: {e}", def.name));
+        let reparsed = parse_context(&printed).unwrap_or_else(|e| panic!("{name} ({stage}): {e}"));
         assert_eq!(
             Printer::print_context(&reparsed),
             printed,
-            "{} did not round-trip",
-            def.name
+            "{name} ({stage}) did not round-trip"
         );
+    }
+}
+
+#[test]
+fn polybench_sources_roundtrip_through_calyx() {
+    for def in calyx::polybench::KERNELS {
+        let (_, ctx) = calyx::polybench::compile_kernel(def, 4, 1).unwrap();
+        roundtrips_at_every_stage(def.name, &ctx);
+    }
+}
+
+#[test]
+fn systolic_arrays_roundtrip_through_calyx() {
+    for n in 2..=6 {
+        let ctx = calyx::systolic::generate(&calyx::systolic::SystolicConfig::square(n));
+        roundtrips_at_every_stage(&format!("systolic {n}x{n}"), &ctx);
     }
 }
