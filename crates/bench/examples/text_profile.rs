@@ -1,8 +1,9 @@
 //! Profiling harness for the three text layers: parse (Calyx text → IR),
-//! print (IR → Calyx text) and emit (lowered IR → SystemVerilog), over the
-//! 19 PolyBench kernels and the systolic arrays, many times, in one
-//! process. A sampling profiler then sees only these loops, and two builds
-//! compare layer by layer without a ledger run.
+//! print (IR → Calyx text) and emit (lowered IR → SystemVerilog), and for
+//! the two hashes over that text, over the 19 PolyBench kernels and the
+//! systolic arrays, many times, in one process. A sampling profiler then
+//! sees only these loops, and two builds compare layer by layer without a
+//! ledger run.
 //!
 //! ```sh
 //! cargo run --release -p calyx_bench --example text_profile
@@ -13,13 +14,17 @@
 //! 20), systolic sizes (default `2,4,6`). Each design is the program the
 //! frontend generates; `print` writes it as Calyx, `parse` reads that text
 //! back, and `emit` writes the program lowered by `lower` as
-//! SystemVerilog. Each layer is reported per sweep over a set of designs,
-//! with the bytes it reads (parse) or writes (print, emit) and the rate.
+//! SystemVerilog. `key` hashes the Calyx and the Verilog text with
+//! `content_key`, the key of the parse and artifact caches, and `pin` with
+//! `digest64`, the FNV-1a the pinned tables record. Each layer is reported
+//! per sweep over a set of designs, with the bytes it reads (parse, key,
+//! pin) or writes (print, emit) and the rate.
 
 use calyx_backend::verilog::emit_to;
 use calyx_core::ir::{parse_context, Context, Printer};
 use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, KERNELS};
+use calyx_service::{content_key, digest64};
 use calyx_systolic::{generate, SystolicConfig};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -32,6 +37,8 @@ struct Design {
     text: String,
     /// The program after `lower`.
     lowered: Context,
+    /// `lowered` as SystemVerilog.
+    verilog: Vec<u8>,
 }
 
 impl Design {
@@ -42,7 +49,14 @@ impl Design {
             .expect("`lower` is registered")
             .run(&mut lowered)
             .expect("lowers");
-        Design { ctx, text, lowered }
+        let mut verilog = Vec::new();
+        emit_to(&lowered, &mut verilog).expect("lowered programs emit");
+        Design {
+            ctx,
+            text,
+            lowered,
+            verilog,
+        }
     }
 }
 
@@ -77,8 +91,20 @@ fn measure(designs: &[Design], runs: u32, mut layer: impl FnMut(&Design) -> usiz
     cost
 }
 
-/// Report the three layers over `designs`, and return them.
-fn report(set: &str, designs: &[Design], runs: u32) -> [Layer; 3] {
+/// A layer that hashes a design's Calyx and Verilog text with `hash`.
+fn hashed(hash: impl Fn(&[u8]) -> u64) -> impl FnMut(&Design) -> usize {
+    move |d| {
+        black_box(hash(black_box(d.text.as_bytes())));
+        black_box(hash(black_box(&d.verilog)));
+        d.text.len() + d.verilog.len()
+    }
+}
+
+/// The layers, in the order [`report`] returns them.
+const LAYERS: [&str; 5] = ["parse", "print", "emit", "key", "pin"];
+
+/// Report every layer over `designs`, and return them.
+fn report(set: &str, designs: &[Design], runs: u32) -> [Layer; 5] {
     let parse = measure(designs, runs, |d| {
         black_box(parse_context(&d.text).expect("printed text parses"));
         d.text.len()
@@ -92,10 +118,13 @@ fn report(set: &str, designs: &[Design], runs: u32) -> [Layer; 3] {
         emit_to(&d.lowered, &mut sink).expect("lowered programs emit");
         black_box(&sink).len()
     });
-    for (name, layer) in [("parse", &parse), ("print", &print), ("emit", &emit)] {
+    let key = measure(designs, runs, hashed(|t| content_key(&[t])));
+    let pin = measure(designs, runs, hashed(digest64));
+    let layers = [parse, print, emit, key, pin];
+    for (name, layer) in LAYERS.iter().zip(&layers) {
         println!("{}", layer.line(&format!("{set} {name}")));
     }
-    [parse, print, emit]
+    layers
 }
 
 fn main() {
@@ -125,10 +154,7 @@ fn main() {
 
     let polybench = report(&format!("polybench n={n}"), &kernels, runs);
     let systolic = report(&format!("systolic {sizes:?}"), &arrays, runs);
-    for (name, (a, b)) in ["parse", "print", "emit"]
-        .iter()
-        .zip(polybench.iter().zip(&systolic))
-    {
+    for (name, (a, b)) in LAYERS.iter().zip(polybench.iter().zip(&systolic)) {
         let both = Layer {
             bytes: a.bytes + b.bytes,
             time: a.time + b.time,

@@ -9,13 +9,21 @@
 //! frontend step, produces the same canonical Calyx, and every
 //! downstream step hits the cache again.
 //!
+//! The key is [`calyx_service::content_key`] of `[fingerprint, input]`,
+//! the key the service's parse cache uses too: one streaming pass over
+//! the input, with no joined copy of it. A warm step costs that pass plus
+//! one file read, and `read_to_string` still checks the artifact is
+//! UTF-8. The pins keep FNV-1a (`calyx_service::digest64`); a cache
+//! written under an older key is orphaned, never misread, because a key
+//! only names a file.
+//!
 //! Layout: one file per artifact, `<op>-<key:016x>.<artifact_ext>`, in
 //! a flat directory (default `.futil-cache`). Writes go through
 //! [`calyx_service::write_atomic`] (tmp + rename), so a crashed or
 //! concurrent build never leaves a torn artifact behind.
 
 use calyx_core::errors::{CalyxResult, Error};
-use calyx_service::{digest64, write_atomic};
+use calyx_service::{content_key, write_atomic};
 use std::path::{Path, PathBuf};
 
 /// An on-disk artifact cache rooted at one directory.
@@ -38,7 +46,7 @@ impl ArtifactCache {
 
     /// The cache key for running an op with `fingerprint` over `input`.
     pub fn key(fingerprint: &str, input: &str) -> u64 {
-        digest64(format!("{fingerprint}\x1f{input}").as_bytes())
+        content_key(&[fingerprint.as_bytes(), input.as_bytes()])
     }
 
     /// The on-disk path of an artifact.
@@ -52,7 +60,8 @@ impl ArtifactCache {
         std::fs::read_to_string(self.path(op_name, key, artifact_ext)).ok()
     }
 
-    /// Store an artifact (atomic tmp + rename).
+    /// Store an artifact (atomic tmp + rename). `write_atomic` creates
+    /// the cache directory on the way, so each store makes it once.
     ///
     /// # Errors
     ///
@@ -65,16 +74,18 @@ impl ArtifactCache {
         artifact_ext: &str,
         text: &str,
     ) -> CalyxResult<()> {
-        std::fs::create_dir_all(&self.root).map_err(|e| {
-            Error::malformed(format!(
-                "cannot create cache directory `{}`: {e}",
-                self.root.display()
-            ))
-        })?;
         let path = self.path(op_name, key, artifact_ext);
         let path_str = path.to_string_lossy();
-        write_atomic(&path_str, text.as_bytes())
-            .map_err(|e| Error::malformed(format!("cannot write `{path_str}`: {e}")))
+        write_atomic(&path_str, text.as_bytes()).map_err(|e| {
+            Error::malformed(if self.root.is_dir() {
+                format!("cannot write `{path_str}`: {e}")
+            } else {
+                format!(
+                    "cannot create cache directory `{}`: {e}",
+                    self.root.display()
+                )
+            })
+        })
     }
 }
 
@@ -107,11 +118,30 @@ mod tests {
         assert_ne!(ArtifactCache::key("op:v2", "input"), base);
         assert_ne!(ArtifactCache::key("op:v1", "input2"), base);
         assert_eq!(ArtifactCache::key("op:v1", "input"), base);
-        // The separator keeps (fingerprint, input) unambiguous.
+        // The parts' lengths keep (fingerprint, input) unambiguous.
         assert_ne!(
             ArtifactCache::key("op", ":v1input"),
             ArtifactCache::key("op:v1", "input")
         );
+    }
+
+    #[test]
+    fn store_errors_name_what_failed() {
+        let root = temp_root("errors");
+        // A file where the directory should be: it cannot be created.
+        std::fs::write(&root, "not a directory").unwrap();
+        let cache = ArtifactCache::new(&root);
+        let err = cache.store("demo", 1, "futil", "body").unwrap_err();
+        assert!(
+            err.to_string().contains("cannot create cache directory"),
+            "{err}"
+        );
+        std::fs::remove_file(&root).unwrap();
+        // The directory exists but a directory sits at the artifact's path.
+        std::fs::create_dir_all(cache.path("demo", 1, "futil")).unwrap();
+        let err = cache.store("demo", 1, "futil", "body").unwrap_err();
+        assert!(err.to_string().contains("cannot write"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

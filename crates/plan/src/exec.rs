@@ -4,8 +4,11 @@
 //! Each step computes its cache key from the *current* artifact text
 //! (not the original input), so cache hits propagate transitively: if
 //! step N re-runs but produces byte-identical output, step N+1 still
-//! hits. Per-step [`StepReport`]s record whether the step ran or was
-//! served from cache, with wall times, so drivers can print
+//! hits. The key is [`ArtifactCache::key`], the service's
+//! `content_key` over the op's fingerprint and that text: a cached step
+//! costs one fast pass over its input plus one file read. Per-step
+//! [`StepReport`]s record whether the step ran or was served from
+//! cache, with wall times, so drivers can print
 //! `step <op>: ran|cached` status lines and benches can assert
 //! "warm rebuild executes zero steps".
 

@@ -3,10 +3,11 @@
 //! Batch and serve workloads hammer the compiler with *repeated* inputs
 //! — the same generated kernel compiled to several backends, the same
 //! file re-requested across serve connections. The cache keys each parse
-//! by `(frontend fingerprint, content digest)` and stores the parsed
-//! [`Context`] itself: the IR is `Send + Sync` (pinned by a compile-time
-//! test in `calyx_core`), so a hit is one `Context::clone` and carries
-//! the source positions of the text the user wrote.
+//! by the frontend fingerprint and the source's [`content_key`], and
+//! stores the parsed [`Context`] itself: the IR is `Send + Sync` (pinned
+//! by a compile-time test in `calyx_core`), so a hit is one
+//! `Context::clone` and carries the source positions of the text the
+//! user wrote.
 //!
 //! [`ParseCache::get_or_parse`] is the whole protocol: one call looks the
 //! key up and, on a miss, runs the frontend while holding that key's
@@ -15,16 +16,49 @@
 
 use calyx_core::ir::Context;
 use parking_lot::Mutex;
+use rustc_hash::FxHasher;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a 64-bit digest of `bytes` — the cache's content key. Stable
-/// across runs and platforms (no randomized hasher), cheap, and
-/// collision-resistant enough for a cache whose worst case is a spurious
-/// miss... which cannot happen either: a digest collision would serve
-/// the wrong program, so the full fingerprint keeps the frontend name
-/// and options alongside it and entries are only shared for equal
-/// digests *and* equal fingerprints.
+/// The content key of both compile caches: the parse cache keys a
+/// program by `content_key(&[src])`, and `futil build`'s artifact cache
+/// names a step's output by `content_key(&[fingerprint, input])`.
+///
+/// The parts are hashed in order by the vendored `rustc_hash` byte mixer
+/// ([`FxHasher::write`], a wyhash-style mix that reads eight bytes at a
+/// time), each preceded by its length. The lengths make the split
+/// unambiguous, so `("op", ":v1input")` and `("op:v1", "input")` are
+/// different keys with no separator byte, and the input is never copied
+/// into a joined string first.
+///
+/// The key is deterministic across runs, processes and platforms (the
+/// mixer reads little-endian words, lengths go in as `u64`), because it
+/// names files that outlive the process. It is not
+/// collision-resistant against a chosen input: someone who picks both
+/// texts can make two of them share a key and be served the other's
+/// artifact. [`digest64`] never was either. Both caches hold the user's
+/// own inputs; a service that caches other people's text needs a keyed or
+/// cryptographic hash first.
+///
+/// A change to this function orphans every existing `.futil-cache` entry
+/// (old files are never misread, only never found again), so its output
+/// is pinned by a known-answer test.
+pub fn content_key(parts: &[&[u8]]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for part in parts {
+        hasher.write_usize(part.len());
+        hasher.write(part);
+    }
+    hasher.finish()
+}
+
+/// FNV-1a 64-bit digest of `bytes`: the pin format. The golden tables
+/// (`tests/lowered_output_pinned.txt`, `sim_state_pinned.txt`), the
+/// `pass_registry` digests, `scripts/goldens.sh`'s perl twin and the
+/// benchmark's output checks all record it, so it must stay byte-for-byte
+/// FNV-1a. It is byte-serial (≈0.6 GB/s); no cache keys on it, see
+/// [`content_key`].
 pub fn digest64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -47,7 +81,7 @@ pub struct CacheStats {
 /// parsing thread holds the lock, identical jobs queue on it).
 type Slot = Arc<Mutex<Option<Arc<Context>>>>;
 
-/// A thread-safe map from `(frontend fingerprint, source digest)` to the
+/// A thread-safe map from `(frontend fingerprint, source key)` to the
 /// parsed program.
 #[derive(Debug, Default)]
 pub struct ParseCache {
@@ -89,7 +123,8 @@ impl ParseCache {
         fp
     }
 
-    /// The program for `(fingerprint, digest)` and whether it was a hit:
+    /// The program for `(fingerprint, src_key)`, `src_key` being the
+    /// source's [`content_key`], and whether it was a hit:
     /// a clone of the cached one, else the result of `parse`, which is
     /// cached when it succeeds. The lookup and the insert are one atomic
     /// step per key — of N concurrent identical requests exactly one
@@ -102,10 +137,10 @@ impl ParseCache {
     pub fn get_or_parse<E>(
         &self,
         fingerprint: &str,
-        digest: u64,
+        src_key: u64,
         parse: impl FnOnce() -> Result<Context, E>,
     ) -> Result<(Context, bool), E> {
-        let key = || (fingerprint.to_string(), digest);
+        let key = || (fingerprint.to_string(), src_key);
         let slot = Arc::clone(self.map.lock().entry(key()).or_default());
         let mut cached = slot.lock();
         if let Some(ctx) = cached.clone() {
@@ -145,6 +180,48 @@ impl ParseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rustc_hash::FxHashSet;
+
+    #[test]
+    fn content_key_is_pinned() {
+        // Known answers: a change here orphans every user's
+        // `.futil-cache`, so it must be deliberate.
+        assert_eq!(content_key(&[]), 0);
+        assert_eq!(content_key(&[b""]), 0xf456_d268_76d7_2d91);
+        assert_eq!(content_key(&[b"a"]), 0x726c_272e_190e_ce3d);
+        assert_eq!(
+            content_key(&[b"op:v1", b"component main() -> () {}"]),
+            0xfa0c_454d_3d14_2eac
+        );
+        // Where one part ends is part of the key.
+        assert_ne!(
+            content_key(&[b"op", b":v1input"]),
+            content_key(&[b"op:v1", b"input"])
+        );
+    }
+
+    proptest! {
+        /// Every one-byte change of a text, and every split of it into
+        /// two parts, is a key of its own.
+        #[test]
+        fn a_changed_byte_or_moved_boundary_changes_the_key(
+            text in prop::collection::vec(0u8..=255, 0..80),
+            flip in 1u8..=255,
+        ) {
+            let mut keys = FxHashSet::default();
+            keys.insert(content_key(&[&text]));
+            for at in 0..=text.len() {
+                keys.insert(content_key(&[&text[..at], &text[at..]]));
+            }
+            for at in 0..text.len() {
+                let mut changed = text.clone();
+                changed[at] ^= flip;
+                keys.insert(content_key(&[&changed]));
+            }
+            prop_assert_eq!(keys.len(), 2 * text.len() + 2);
+        }
+    }
 
     #[test]
     fn digest_is_stable_and_content_sensitive() {
@@ -190,7 +267,7 @@ mod tests {
     fn get_or_parse_counts_hits_and_misses_and_caches_no_failure() {
         let cache = ParseCache::new();
         let fp = ParseCache::fingerprint("calyx", &[]);
-        let d = digest64(b"component main() -> () {}");
+        let d = content_key(&[b"component main() -> () {}"]);
         let parse = || Ok::<_, String>(Context::new());
 
         // A failed parse is a miss that leaves nothing behind.
@@ -201,7 +278,7 @@ mod tests {
         assert!(!cache.get_or_parse(&fp, d, parse).unwrap().1);
         let never = || -> Result<Context, String> { panic!("a hit must not parse") };
         assert!(cache.get_or_parse(&fp, d, never).unwrap().1);
-        // Same digest under another fingerprint is a separate entry.
+        // The same source under another fingerprint is a separate entry.
         assert!(!cache.get_or_parse("other", d, parse).unwrap().1);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
     }

@@ -18,7 +18,7 @@
 //!   and over-budget jobs are abandoned as
 //!   [`protocol::Status::Timeout`].
 //! - [`cache::ParseCache`] shares frontend work between jobs, keyed by
-//!   `(frontend + options, source digest)` and storing the parsed
+//!   `(frontend + options, source key)` and storing the parsed
 //!   program itself: a hit is a clone, so cached and uncached jobs see
 //!   the same IR and the same source positions, and concurrent
 //!   identical jobs wait for one parse instead of each running the
@@ -65,7 +65,7 @@ pub mod session;
 
 pub use calyx_core::json;
 
-pub use cache::{digest64, CacheStats, ParseCache};
+pub use cache::{content_key, digest64, CacheStats, ParseCache};
 pub use engine::{write_atomic, CompileService, JobDefaults};
 pub use metrics::{percentile, BatchSummary, StageTimes};
 pub use pool::{catch_job_panic, WorkerPool};

@@ -18,7 +18,7 @@
 //! to exit 1; the service puts the message in the response; the plan
 //! executor takes the error.
 
-use crate::cache::{digest64, ParseCache};
+use crate::cache::{content_key, ParseCache};
 use crate::metrics::StageTimes;
 use calyx_backend::{BackendOpts, BackendRegistry, DynBackend};
 use calyx_core::analysis::AnalysisCache;
@@ -323,9 +323,9 @@ impl Resolved {
         let started = Instant::now();
         let (mut ctx, hit) = match cache {
             Some(cache) => {
-                let digest = digest64(src.as_bytes());
+                let key = content_key(&[src.as_bytes()]);
                 let parse = || self.parse(shown, src);
-                let (ctx, hit) = cache.get_or_parse(&self.fingerprint, digest, parse)?;
+                let (ctx, hit) = cache.get_or_parse(&self.fingerprint, key, parse)?;
                 (ctx, Some(if hit { "hit" } else { "miss" }))
             }
             None => (self.parse(shown, src)?, None),
