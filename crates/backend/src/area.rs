@@ -28,13 +28,18 @@
 //!
 //! Guard subexpressions are hash-consed before counting, mirroring the
 //! common-subexpression extraction synthesis performs on FSM state decodes.
+//! The key is a node's printed text, not its id in the component's guard
+//! pool: `a & (b & c)` and `(a & b) & c` print alike and are one piece of
+//! logic. Each pool node the assignments reach is printed once, in id
+//! order, from its children's texts.
 //! Absolute numbers are not Vivado's; *ratios* between designs estimated by
 //! the same model are the quantities the paper's figures plot.
 
 use crate::api::{Backend, BackendOpts, ReportFormat};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Atom, CellType, CompOp, Component, Context, Guard, GuardMemo, Id, PortRef, PrimKind,
+    validate, Atom, CellType, CompOp, Component, Context, GuardNode, GuardPool, Id, PortRef,
+    PrimKind,
 };
 use calyx_core::json::Json;
 use calyx_core::prim::{CombOp, UnitOp};
@@ -43,7 +48,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::ops::Add;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// An FPGA resource estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -265,10 +269,10 @@ fn wiring_area(comp: &Component) -> CalyxResult<Area> {
 
     // Guard logic, hash-consed: every unique boolean connective costs a
     // third of a LUT; unique comparisons cost per the table.
-    let mut guards = GuardLogic::default();
-    for asgn in &comp.continuous {
-        guards.count(&asgn.guard);
-    }
+    let live = comp
+        .guards
+        .reachable(comp.continuous.iter().map(|a| a.guard));
+    let guards = GuardLogic::count(&comp.guards, &live);
     let mut cmp_luts: u64 = 0;
     for (op, l, r) in guards.comparisons {
         let w = u64::from(atom_width(&l, comp)?.max(atom_width(&r, comp)?));
@@ -282,73 +286,76 @@ fn wiring_area(comp: &Component) -> CalyxResult<Area> {
 }
 
 /// The unique guard nodes of a component. A node is unique by what it
-/// prints as — `a & (b & c)` and `(a & b) & c` are one piece of logic —
-/// so the key is the printed text. A node that several guards share is
-/// printed and counted for the first of them; the nodes above it append
-/// its text instead of printing it again.
+/// prints as — `a & (b & c)` and `(a & b) & c` are one piece of logic, and
+/// two pool ids — so the key is the printed text. Each node is printed
+/// once, in ascending id order, from its children's texts.
 #[derive(Default)]
 struct GuardLogic {
-    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
-    seen: std::collections::HashSet<Rc<str>>,
-    /// What each shared node prints as.
-    printed: GuardMemo<Rc<str>>,
     bool_nodes: u64,
     /// The unique comparisons, in the order met.
     comparisons: Vec<(CompOp, Atom, Atom)>,
 }
 
 impl GuardLogic {
-    /// Count `guard` and the nodes beneath it; returns what it prints as.
-    fn count(&mut self, guard: &Guard) -> Rc<str> {
-        let mut text = String::new();
-        match guard {
-            Guard::True | Guard::Port(_) => return guard.to_string().into(),
-            Guard::Comp(op, l, r) => {
-                let text: Rc<str> = guard.to_string().into();
-                if self.seen.insert(Rc::clone(&text)) {
-                    self.comparisons.push((*op, *l, *r));
-                }
-                return text;
+    /// Count the nodes of `guards` that `live` marks.
+    fn count(guards: &GuardPool, live: &[bool]) -> Self {
+        let mut logic = GuardLogic::default();
+        #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
+        let mut seen: std::collections::HashSet<Rc<str>> = std::collections::HashSet::new();
+        // What each live node prints as, by id.
+        let mut printed: Vec<Option<Rc<str>>> = Vec::with_capacity(live.len());
+        for (id, &live) in guards.ids().zip(live) {
+            if !live {
+                printed.push(None);
+                continue;
             }
-            Guard::Not(inner) => {
-                text.push('!');
-                self.operand(inner, guard, &mut text);
-            }
-            Guard::And(l, r) | Guard::Or(l, r) => {
-                self.operand(l, guard, &mut text);
-                text.push_str(if matches!(guard, Guard::And(..)) {
-                    " & "
+            let node = guards[id];
+            let mut text = String::new();
+            let operand = |child: calyx_core::ir::GuardId, text: &mut String| {
+                let child_text = printed[child.index()].as_deref().expect("children first");
+                if guards[child].needs_parens_under(&node) {
+                    text.push('(');
+                    text.push_str(child_text);
+                    text.push(')');
                 } else {
-                    " | "
-                });
-                self.operand(r, guard, &mut text);
+                    text.push_str(child_text);
+                }
+            };
+            match node {
+                GuardNode::True | GuardNode::Port(_) | GuardNode::Comp(..) => {
+                    text = guards.display(id).to_string();
+                }
+                GuardNode::Not(inner) => {
+                    text.push('!');
+                    operand(inner, &mut text);
+                }
+                GuardNode::And(l, r) | GuardNode::Or(l, r) => {
+                    operand(l, &mut text);
+                    text.push_str(if matches!(node, GuardNode::And(..)) {
+                        " & "
+                    } else {
+                        " | "
+                    });
+                    operand(r, &mut text);
+                }
             }
-        }
-        let text: Rc<str> = text.into();
-        if self.seen.insert(Rc::clone(&text)) {
-            self.bool_nodes += 1;
-        }
-        text
-    }
-
-    /// Count `child` unless it has been, and append what it prints as
-    /// under `parent` to `text`.
-    fn operand(&mut self, child: &Arc<Guard>, parent: &Guard, text: &mut String) {
-        let printed = match self.printed.get(child) {
-            Some(printed) => Rc::clone(printed),
-            None => {
-                let printed = self.count(child);
-                self.printed.insert(child, Rc::clone(&printed));
-                printed
+            let text: Rc<str> = text.into();
+            match node {
+                GuardNode::True | GuardNode::Port(_) => {}
+                GuardNode::Comp(op, l, r) => {
+                    if seen.insert(Rc::clone(&text)) {
+                        logic.comparisons.push((op, l, r));
+                    }
+                }
+                _ => {
+                    if seen.insert(Rc::clone(&text)) {
+                        logic.bool_nodes += 1;
+                    }
+                }
             }
-        };
-        if child.needs_parens_under(parent) {
-            text.push('(');
-            text.push_str(&printed);
-            text.push(')');
-        } else {
-            text.push_str(&printed);
+            printed.push(Some(text));
         }
+        logic
     }
 }
 
@@ -391,27 +398,31 @@ mod tests {
     /// printed or put together from shared operands' texts.
     #[test]
     fn guard_keys_are_the_printed_guards() {
-        let p = |name: &str| Arc::new(Guard::Port(PortRef::cell(name, "out")));
-        let or = Arc::new(Guard::Or(p("a"), p("b")));
-        let and = Arc::new(Guard::And(Arc::clone(&or), p("c")));
-        let cmp = Arc::new(Guard::port_eq(PortRef::cell("fsm", "out"), 2, 4));
+        use calyx_core::ir::Guard;
+        let p = |name: &str| Guard::Port(PortRef::cell(name, "out"));
+        let or = p("a").or(p("b"));
+        let and = or.clone().and(p("c"));
+        let cmp = Guard::port_eq(PortRef::cell("fsm", "out"), 2, 4);
+        let not = |g: &Guard| Guard::Not(Box::new(g.clone()));
         let guards = [
-            Guard::Not(Arc::clone(&and)),
-            Guard::Not(Arc::clone(&cmp)),
-            Guard::Not(Arc::new(Guard::Not(p("a")))),
-            Guard::And(Arc::clone(&and), Arc::clone(&and)),
-            Guard::Or(Arc::clone(&and), Arc::clone(&or)),
-            Guard::And(Arc::clone(&cmp), Arc::new(Guard::Or(cmp, and))),
-            Guard::Or(Arc::new(Guard::True), or),
+            not(&and),
+            not(&cmp),
+            not(&not(&p("a"))),
+            Guard::And(Box::new(and.clone()), Box::new(and.clone())),
+            and.clone().or(or.clone()),
+            cmp.clone().and(cmp.or(and)),
+            Guard::Or(Box::new(Guard::True), Box::new(or)),
+            // `a & (b & c)` prints as `a & b & c`, as `(a & b) & c` does.
+            p("a").and(p("b")).and(p("c")),
+            p("a").and(p("b").and(p("c"))),
         ];
-        let mut logic = GuardLogic::default();
-        for guard in &guards {
-            assert_eq!(&*logic.count(guard), guard.to_string());
-        }
-        // The seven roots, `a | b`, `(a | b) & c`, `!a` and the inner
-        // `fsm.out == 4'd2 | …`; one comparison. Each is counted once,
-        // however many guards share it.
-        assert_eq!((logic.bool_nodes, logic.comparisons.len()), (11, 1));
+        let mut pool = GuardPool::default();
+        let roots: Vec<_> = guards.iter().map(|g| pool.intern(g)).collect();
+        let logic = GuardLogic::count(&pool, &pool.reachable(roots));
+        // The seven first roots, `a | b`, `(a | b) & c`, `!a` and the inner
+        // `fsm.out == 4'd2 | …`; `a & b`, `b & c` and one `a & b & c`; one
+        // comparison. Each is counted once, however many guards share it.
+        assert_eq!((logic.bool_nodes, logic.comparisons.len()), (14, 1));
     }
 
     #[test]

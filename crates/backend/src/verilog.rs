@@ -16,31 +16,29 @@
 //! assignments on their destination, which keeps each port's drivers in
 //! program order.
 //!
-//! **Shared guards are rendered once per module.** After lowering, a
+//! **Each guard node is rendered once per module.** After lowering, a
 //! guard node may have many owners (the FSM conditions `remove-groups`
 //! hands every reader of a hole), and the text of a node does not depend
 //! on where it sits: every connective is fully parenthesized. So the
-//! first use of a shared node records the byte range its text took in the
-//! buffer (a [`GuardMemo`] keyed on the node), and every later use in the
-//! same module copies that range with `String::extend_from_within`
-//! instead of walking the node again. The text is the one a plain walk
-//! writes; only the walk is saved.
+//! first use of a node records the byte range its text took in the buffer
+//! (a `Vec` of ranges by [`GuardId`] of the component's pool), and every
+//! later use in the same module copies that range with
+//! `String::extend_from_within` instead of walking the node again. The
+//! text is the one a plain walk writes; only the walk is saved. The walk
+//! keeps its own stack, so a guard nested as deep as the input can spell
+//! is written without recursion.
 
 use crate::api::{Backend, BackendOpts};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Assignment, Atom, CellType, Component, Context, Direction, Guard, GuardMemo, Id,
-    Library, PortParent, PortRef, PrimKind,
+    validate, Assignment, Atom, CellType, Component, Context, Direction, GuardId, GuardNode,
+    GuardPool, Id, Library, PortParent, PortRef, PrimKind,
 };
 use calyx_core::prim::{CombOp, UnitOp};
 use calyx_core::utils::decimal as spell_decimal;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Where each shared guard node's text sits in the module being written.
-type Rendered = GuardMemo<Range<usize>>;
 
 /// Produce the module text of a combinational binary primitive.
 macro_rules! binop {
@@ -148,7 +146,7 @@ pub fn emit_to(ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
             .get(name)
             .expect("topological order lists existing components");
         buf.clear();
-        rendered.clear();
+        rendered.start(&comp.guards);
         emit_component(comp, &ctx.lib, &mut rendered, &mut buf)?;
         buf.push('\n');
         out.write_all(buf.as_bytes())?;
@@ -278,7 +276,7 @@ fn emit_component(
                 closed = true;
                 break;
             }
-            guard_expr(&asgn.guard, rendered, buf);
+            rendered.guard(&comp.guards, asgn.guard, buf);
             buf.push_str(" ? ");
             atom_expr(&asgn.src, buf);
             buf.push_str(" : ");
@@ -331,54 +329,88 @@ fn atom_expr(a: &Atom, buf: &mut String) {
     }
 }
 
-fn guard_expr(g: &Guard, rendered: &mut Rendered, buf: &mut String) {
-    match g {
-        Guard::True => buf.push_str("1'b1"),
-        Guard::Port(p) => port_net(p, buf),
-        Guard::Not(inner) => {
-            buf.push_str("~(");
-            operand_expr(inner, rendered, buf);
-            buf.push(')');
-        }
-        Guard::And(a, b) => binary_expr(a, " & ", b, rendered, buf),
-        Guard::Or(a, b) => binary_expr(a, " | ", b, rendered, buf),
-        Guard::Comp(op, l, r) => {
-            buf.push('(');
-            atom_expr(l, buf);
-            buf.push(' ');
-            buf.push_str(op.as_str());
-            buf.push(' ');
-            atom_expr(r, buf);
-            buf.push(')');
-        }
-    }
+/// Where each guard node's text sits in the module being written, by id
+/// (an empty range before its first use), and the stack of the walk that
+/// writes a guard.
+#[derive(Default)]
+struct Rendered {
+    text: Vec<Range<usize>>,
+    stack: Vec<Piece>,
 }
 
-/// Append `(A op B)`.
-fn binary_expr(
-    a: &Arc<Guard>,
-    op: &str,
-    b: &Arc<Guard>,
-    rendered: &mut Rendered,
-    buf: &mut String,
-) {
-    buf.push('(');
-    operand_expr(a, rendered, buf);
-    buf.push_str(op);
-    operand_expr(b, rendered, buf);
-    buf.push(')');
+/// What is left to write of a guard: a node, a fixed piece of text, or the
+/// end of a node's text, whose range is then recorded.
+enum Piece {
+    Node(GuardId),
+    Text(&'static str),
+    End(GuardId, usize),
 }
 
-/// Append a connective's operand: a copy of its text when the module
-/// already holds it, else the node itself, recording where it went.
-fn operand_expr(g: &Arc<Guard>, rendered: &mut Rendered, buf: &mut String) {
-    if let Some(text) = rendered.get(g) {
-        buf.extend_from_within(text.clone());
-        return;
+impl Rendered {
+    /// Forget the last module's text and make room for `guards`.
+    fn start(&mut self, guards: &GuardPool) {
+        self.text.clear();
+        self.text.resize(guards.len(), 0..0);
     }
-    let start = buf.len();
-    guard_expr(g, rendered, buf);
-    rendered.insert(g, start..buf.len());
+
+    /// Append the text of `guard`: `1'b1`, a net, `~(A)`, `(A & B)`,
+    /// `(A | B)` or `(l op r)`, a node met before copied from its first
+    /// use.
+    fn guard(&mut self, guards: &GuardPool, guard: GuardId, buf: &mut String) {
+        self.stack.push(Piece::Node(guard));
+        while let Some(piece) = self.stack.pop() {
+            let id = match piece {
+                Piece::Text(text) => {
+                    buf.push_str(text);
+                    continue;
+                }
+                Piece::End(id, start) => {
+                    self.text[id.index()] = start..buf.len();
+                    continue;
+                }
+                Piece::Node(id) => id,
+            };
+            let written = &self.text[id.index()];
+            if !written.is_empty() {
+                buf.extend_from_within(written.clone());
+                continue;
+            }
+            let start = buf.len();
+            match guards[id] {
+                GuardNode::True => buf.push_str("1'b1"),
+                GuardNode::Port(p) => port_net(&p, buf),
+                GuardNode::Comp(op, l, r) => {
+                    buf.push('(');
+                    atom_expr(&l, buf);
+                    buf.push(' ');
+                    buf.push_str(op.as_str());
+                    buf.push(' ');
+                    atom_expr(&r, buf);
+                    buf.push(')');
+                }
+                GuardNode::Not(a) => {
+                    buf.push_str("~(");
+                    self.stack
+                        .extend([Piece::End(id, start), Piece::Text(")"), Piece::Node(a)]);
+                }
+                GuardNode::And(a, b) | GuardNode::Or(a, b) => {
+                    let op = if matches!(guards[id], GuardNode::And(..)) {
+                        " & "
+                    } else {
+                        " | "
+                    };
+                    buf.push('(');
+                    self.stack.extend([
+                        Piece::End(id, start),
+                        Piece::Text(")"),
+                        Piece::Node(b),
+                        Piece::Text(op),
+                        Piece::Node(a),
+                    ]);
+                }
+            }
+        }
+    }
 }
 
 /// SystemVerilog source of the module implementing a std primitive of
@@ -618,20 +650,9 @@ mod tests {
         assert!(sv.contains("child c ("));
     }
 
-    /// The same guard with every node copied: no node has two owners.
-    fn unshared(g: &Guard) -> Guard {
-        let copy = |g: &Arc<Guard>| Arc::new(unshared(g));
-        match g {
-            Guard::Not(a) => Guard::Not(copy(a)),
-            Guard::And(a, b) => Guard::And(copy(a), copy(b)),
-            Guard::Or(a, b) => Guard::Or(copy(a), copy(b)),
-            leaf => leaf.clone(),
-        }
-    }
-
     /// A lowered program's shared guard nodes are written by copying the
-    /// text of their first use; a deep copy whose guards share nothing
-    /// is written by walking every node, and the two texts are the same.
+    /// text of their first use; every `assign` line is the one a plain
+    /// walk of each guard as a tree writes, later uses included.
     #[test]
     fn shared_guards_emit_the_text_of_an_unshared_copy() {
         let ctx = lowered(
@@ -649,24 +670,91 @@ mod tests {
               control { seq { reset; while lt.out with cond { seq { incr; incr; } } reset; } }
             }"#,
         );
-        let guarded = || {
-            let main = ctx.component("main").unwrap();
-            main.continuous.iter().filter(|a| !a.guard.is_true())
-        };
-        let (mut seen, mut entered) = (GuardMemo::default(), 0);
-        for asgn in guarded() {
-            asgn.guard.visit_once(&mut seen, &mut |_| entered += 1);
-        }
-        let as_trees: usize = guarded().map(|a| a.guard.size()).sum();
-        assert!(entered < as_trees, "the lowered program shares guard nodes");
+        let main = ctx.component("main").unwrap();
+        let guarded: Vec<_> = main
+            .continuous
+            .iter()
+            .filter(|a| !a.guard.is_true())
+            .collect();
+        let sizes = main.guards.tree_sizes();
+        let as_trees: usize = guarded.iter().map(|a| sizes[a.guard.index()]).sum();
+        assert!(
+            main.guards.len() < as_trees,
+            "the lowered program shares guard nodes"
+        );
+        let mut roots: Vec<GuardId> = guarded.iter().map(|a| a.guard).collect();
+        roots.sort();
+        roots.dedup();
+        assert!(
+            roots.len() < guarded.len(),
+            "assignments share whole guards"
+        );
 
-        let mut copy = ctx.clone();
-        for comp in copy.components.iter_mut() {
-            for asgn in &mut comp.continuous {
-                asgn.guard = unshared(&asgn.guard);
+        // Every `assign` line of `main` as a tree walk writes it: drivers
+        // in `PortRef` order, each port's in program order, every guard
+        // spelled out in full, a node met before included.
+        let mut drivers: Vec<&Assignment> = main.continuous.iter().collect();
+        drivers.sort_by_key(|asgn| asgn.dst);
+        let mut expected = Vec::new();
+        for asgns in drivers.chunk_by(|a, b| a.dst == b.dst) {
+            let mut line = String::from("  assign ");
+            port_net(&asgns[0].dst, &mut line);
+            line.push_str(" = ");
+            let unguarded = asgns.iter().position(|a| a.guard.is_true());
+            for asgn in &asgns[..unguarded.unwrap_or(asgns.len())] {
+                tree_expr(&main.guards.tree(asgn.guard), &mut line);
+                line.push_str(" ? ");
+                atom_expr(&asgn.src, &mut line);
+                line.push_str(" : ");
+            }
+            match unguarded {
+                Some(i) => atom_expr(&asgns[i].src, &mut line),
+                None => sized_constant(main.port_width(&asgns[0].dst).unwrap(), 0, &mut line),
+            }
+            line.push(';');
+            expected.push(line);
+        }
+
+        let sv = emit(&ctx).unwrap();
+        let module = &sv[sv.find("module main (").unwrap()..];
+        let written: Vec<&str> = module
+            .lines()
+            .take_while(|l| *l != "endmodule")
+            .filter(|l| l.starts_with("  assign "))
+            .collect();
+        assert_eq!(written, expected);
+    }
+
+    /// The Verilog text of a guard tree, written by plain recursion.
+    fn tree_expr(g: &calyx_core::ir::Guard, buf: &mut String) {
+        use calyx_core::ir::Guard;
+        match g {
+            Guard::True => buf.push_str("1'b1"),
+            Guard::Port(p) => port_net(p, buf),
+            Guard::Not(a) => {
+                buf.push_str("~(");
+                tree_expr(a, buf);
+                buf.push(')');
+            }
+            Guard::And(a, b) | Guard::Or(a, b) => {
+                buf.push('(');
+                tree_expr(a, buf);
+                buf.push_str(if matches!(g, Guard::And(..)) {
+                    " & "
+                } else {
+                    " | "
+                });
+                tree_expr(b, buf);
+                buf.push(')');
+            }
+            Guard::Comp(op, l, r) => {
+                buf.push('(');
+                atom_expr(l, buf);
+                buf.push_str(&format!(" {} ", op.as_str()));
+                atom_expr(r, buf);
+                buf.push(')');
             }
         }
-        assert_eq!(emit(&copy).unwrap(), emit(&ctx).unwrap());
     }
 
     #[test]

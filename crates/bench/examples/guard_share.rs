@@ -1,9 +1,9 @@
 //! How much of each lowered design's guard logic is shared: per design,
 //! the continuous assignments, their guards counted as trees (what is
-//! printed), the nodes a walk enters when it goes through a shared node
-//! once (what the passes, `flatten` and the area estimator pay for), and
-//! the structurally distinct sub-guards (what a hash-consed representation
-//! would hold — ROADMAP item 3).
+//! printed), the pool nodes the guards reach (what the passes, `flatten`
+//! and the area estimator walk), and the structurally distinct
+//! sub-guards, counted apart (equal to the pool nodes: the pool is
+//! hash-consed).
 //!
 //! ```sh
 //! cargo run --release -p calyx_bench --example guard_share

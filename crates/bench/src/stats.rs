@@ -7,11 +7,11 @@
 
 use calyx_backend::{verilog, Backend, BackendOpts, VerilogBackend};
 use calyx_core::errors::CalyxResult;
-use calyx_core::ir::{Context, Control, Guard, GuardMemo};
+use calyx_core::ir::{Context, Control, GuardId, GuardNode};
 use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, kernel};
 use calyx_systolic::{generate, SystolicConfig};
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::{Duration, Instant};
 
 /// Compilation statistics for one design.
@@ -80,13 +80,16 @@ pub fn systolic_stats(n: usize) -> CalyxResult<CompileStats> {
 pub struct GuardSharing {
     /// Continuous assignments.
     pub assignments: usize,
-    /// `Σ Guard::size()`: the guards as trees, a shared node once per
-    /// use — what the printer and the Verilog emitter write.
+    /// `Σ GuardPool::tree_sizes()` over the assignments: the guards as
+    /// trees, a shared node once per use — what the printer and the
+    /// Verilog emitter write.
     pub tree_nodes: usize,
-    /// Nodes a walk enters when it goes through each shared node once.
+    /// Nodes a walk enters when it goes through each pool node once: the
+    /// pool's nodes the guards reach.
     pub entered_nodes: usize,
-    /// Structurally distinct sub-guards: what `entered_nodes` would be if
-    /// every equal pair of sub-guards were one node.
+    /// Structurally distinct sub-guards, counted by hash-consing the
+    /// reached nodes anew: equal to `entered_nodes` when the pool holds
+    /// no two equal nodes.
     pub distinct_nodes: usize,
 }
 
@@ -94,17 +97,25 @@ pub struct GuardSharing {
 pub fn guard_sharing(ctx: &Context) -> GuardSharing {
     let mut sharing = GuardSharing::default();
     for comp in ctx.components.iter() {
-        let mut entered = GuardMemo::default();
-        let mut distinct: FxHashSet<&Guard> = FxHashSet::default();
-        for asgn in &comp.continuous {
-            sharing.assignments += 1;
-            sharing.tree_nodes += asgn.guard.size();
-            asgn.guard.visit_once(&mut entered, &mut |node| {
-                if !node.is_true() {
-                    sharing.entered_nodes += 1;
-                    distinct.insert(node);
-                }
-            });
+        let pool = &comp.guards;
+        let roots = || comp.continuous.iter().map(|a| a.guard);
+        let sizes = pool.tree_sizes();
+        sharing.assignments += comp.continuous.len();
+        sharing.tree_nodes += roots().map(|g| sizes[g.index()]).sum::<usize>();
+        // Each node's structural class, numbered afresh: a node whose
+        // fields and children's classes match an earlier node's is in
+        // that node's class.
+        let mut class: Vec<GuardId> = Vec::with_capacity(pool.len());
+        let mut classes: FxHashMap<GuardNode, GuardId> = FxHashMap::default();
+        let mut distinct = FxHashSet::default();
+        for (id, live) in pool.ids().zip(pool.reachable(roots())) {
+            let node = pool[id].map_children(|c| class[c.index()]);
+            let own = *classes.entry(node).or_insert(id);
+            class.push(own);
+            if live && !id.is_true() {
+                sharing.entered_nodes += 1;
+                distinct.insert(own);
+            }
         }
         sharing.distinct_nodes += distinct.len();
     }

@@ -344,6 +344,27 @@ fn serve_answers_a_deeply_nested_request_and_goes_on() {
     assert_eq!(responses[1].get("list").unwrap().as_str(), Some("lints"));
 }
 
+/// A job whose guard nests 50,000 `!` deep gets one error response,
+/// and the server answers the next request.
+#[test]
+fn serve_answers_a_deeply_nested_guard_and_goes_on() {
+    let src = format!(
+        "component main() -> () {{ cells {{ r = std_reg(1); }} \
+         wires {{ group g {{ r.in = {}r.out ? 1'd1; g[done] = r.done; }} }} control {{ g; }} }}",
+        "!".repeat(50_000)
+    );
+    let input =
+        format!("{{\"source\": {src:?}, \"backend\": \"verilog\"}}\n{{\"list\": \"lints\"}}\n");
+    let responses = serve_responses(&futil_stdin(&["serve"], input), 2);
+    assert_eq!(responses[0].get("status").unwrap().as_str(), Some("error"));
+    assert!(
+        error_of(&responses[0]).contains("guard nests deeper than 256 levels of `!` and `(`"),
+        "{}",
+        &error_of(&responses[0])[..200]
+    );
+    assert_eq!(responses[1].get("list").unwrap().as_str(), Some("lints"));
+}
+
 /// The same line in a `--batch` manifest is a usage error naming the
 /// manifest line, before any job runs.
 #[test]

@@ -542,3 +542,87 @@ fn area_backend_reports_text_and_json() {
     assert!(body.trim_end().starts_with("{\"luts\": "), "{body}");
     assert!(body.trim_end().ends_with('}'), "{body}");
 }
+
+/// A program whose one guard is `guard`.
+fn guarded_by(guard: &str) -> String {
+    format!(
+        "component main(a: 1, b: 1) -> (out: 1) {{
+           cells {{ r = std_reg(1); }}
+           wires {{
+             out = r.out;
+             group g {{ r.in = {guard} ? 1'd1; r.write_en = 1'd1; g[done] = r.done; }}
+           }}
+           control {{ g; }}
+         }}"
+    )
+}
+
+/// A 100,000-term `&` chain is one guard 100,000 nodes deep: every pass
+/// and the Verilog writer walk it without recursing, so it reaches
+/// Verilog, whole.
+#[test]
+fn a_flat_100000_term_chain_reaches_verilog() {
+    let terms: Vec<&str> = (0..100_000).map(|i| ["a", "b"][i % 2]).collect();
+    let out = futil_stdin(&["-", "-b", "verilog"], &guarded_by(&terms.join(" & ")));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let sv = stdout(&out);
+    // The chain is left-leaning, so its Verilog is `((a & b) & a) & …`
+    // with every connective in parentheses.
+    let mut chain = "(".repeat(terms.len() - 1) + terms[0];
+    for term in &terms[1..] {
+        chain.push_str(" & ");
+        chain.push_str(term);
+        chain.push(')');
+    }
+    let driver = sv
+        .lines()
+        .find(|l| l.starts_with("  assign r_in = "))
+        .expect("r.in is driven");
+    assert!(driver.contains(&chain), "{}", &driver[..80]);
+}
+
+/// `!` and `(` nested past the parser's cap are a positioned parse error,
+/// not a stack overflow.
+#[test]
+fn deeply_nested_guards_are_parse_errors() {
+    for guard in [
+        "(".repeat(20_000) + "a" + &")".repeat(20_000),
+        "!".repeat(50_000) + "a",
+    ] {
+        let out = futil_stdin(&["-", "-b", "verilog"], &guarded_by(&guard));
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(out.stdout.is_empty());
+        let err = stderr(&out);
+        assert!(
+            err.contains("guard nests deeper than 256 levels of `!` and `(`"),
+            "{}",
+            &err[..err.len().min(300)]
+        );
+    }
+}
+
+/// A done condition that is a 100,000-term chain simulates under both
+/// engines: the interpreter evaluates a condition that deep in index
+/// order instead of recursing, and the RTL engine never recurses.
+#[test]
+fn a_flat_100000_term_done_condition_simulates() {
+    let terms: Vec<&str> = std::iter::once("r.done")
+        .chain((0..100_000).map(|i| ["!a", "!b"][i % 2]))
+        .collect();
+    let src = format!(
+        "component main(a: 1, b: 1) -> (out: 1) {{
+           cells {{ r = std_reg(1); }}
+           wires {{
+             out = r.out;
+             group g {{ r.in = 1'd1; r.write_en = 1'd1; g[done] = {} ? 1'd1; }}
+           }}
+           control {{ g; }}
+         }}",
+        terms.join(" & ")
+    );
+    for backend in ["interp", "sim"] {
+        let out = futil_stdin(&["-", "-b", backend], &src);
+        assert_eq!(out.status.code(), Some(0), "{backend}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "done in 2 cycles\nr = 1\n", "{backend}");
+    }
+}

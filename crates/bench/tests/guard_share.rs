@@ -1,10 +1,10 @@
-//! Lowering shares guards: `remove-groups` hands every reader of a hole
-//! the same node and the passes after it keep it one node, so a walk that
-//! goes through each shared node once enters few more nodes than there are
-//! distinct sub-guards — while the guards, counted as trees, are the ones
-//! lowering built when every reader held a copy (`Σ Guard::size()`
-//! recorded from the commit before guards were shared; the printed designs
-//! are pinned byte for byte by `tests/lowered_output_pinned.rs`).
+//! Lowering shares guards: a component's guards are one hash-consed pool,
+//! so a walk that goes through each pool node once enters exactly the
+//! structurally distinct sub-guards — while the guards, counted as trees,
+//! are the ones lowering built when every reader held a copy
+//! (`Σ GuardPool::tree_sizes()` recorded from the commit before guards were shared;
+//! the printed designs are pinned byte for byte by
+//! `tests/lowered_output_pinned.rs`).
 
 use calyx_bench::stats::guard_sharing;
 use calyx_core::ir::Context;
@@ -19,7 +19,7 @@ fn check(name: &str, mut ctx: Context, alias: &str, recorded: (usize, usize)) {
     passes.run(&mut ctx).unwrap();
     let s = guard_sharing(&ctx);
     assert_eq!((s.assignments, s.tree_nodes), recorded, "{name}: {s:?}");
-    assert!(s.entered_nodes <= 4 * s.distinct_nodes, "{name}: {s:?}");
+    assert_eq!(s.entered_nodes, s.distinct_nodes, "{name}: {s:?}");
     assert!(s.entered_nodes * 2 < s.tree_nodes, "{name}: {s:?}");
 }
 

@@ -21,6 +21,7 @@ use super::port_uses::PortUses;
 use super::read_write::ReadWriteSets;
 use super::regset::{RegIndex, RegSet};
 use crate::ir::{Component, Control, Id};
+use rustc_hash::FxHashSet;
 use std::collections::BTreeSet;
 
 /// Cells observable outside the control schedule: cells read or written by
@@ -30,12 +31,12 @@ use std::collections::BTreeSet;
 /// registers that live-range analysis must keep live at the exit.
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryCells {
-    cells: BTreeSet<Id>,
+    cells: FxHashSet<Id>,
 }
 
 impl BoundaryCells {
     /// The boundary cell set.
-    pub fn cells(&self) -> &BTreeSet<Id> {
+    pub fn cells(&self) -> &FxHashSet<Id> {
         &self.cells
     }
 }
@@ -46,7 +47,7 @@ impl Analysis for BoundaryCells {
 
     fn compute(comp: &Component, cache: &mut AnalysisCache) -> BoundaryCells {
         let uses = cache.get::<PortUses>(comp);
-        let mut cells: BTreeSet<Id> = uses.continuous_cells().clone();
+        let mut cells = uses.continuous_cells().clone();
         collect_condition_cells(&comp.control, &mut cells);
         BoundaryCells { cells }
     }
@@ -85,7 +86,7 @@ impl Analysis for BoundaryRegs {
 }
 
 /// Cells referenced as `if`/`while` condition ports anywhere in `control`.
-fn collect_condition_cells(control: &Control, out: &mut BTreeSet<Id>) {
+fn collect_condition_cells(control: &Control, out: &mut FxHashSet<Id>) {
     match control {
         Control::Empty | Control::Enable { .. } => {}
         Control::Seq { stmts, .. } | Control::Par { stmts, .. } => {

@@ -9,15 +9,16 @@
 //! walk, built once per component generation.
 //!
 //! After lowering, the guards of a component are a DAG that thousands of
-//! assignments reach into (see [`Guard`]): every question above is about
-//! *which* ports and cells a group or the continuous section mentions,
-//! never how often, so the walk enters a shared sub-guard once per owner
-//! and the facts stay exact.
+//! assignments reach into (see [`GuardPool`]): every question above is
+//! about *which* ports and cells a group or the continuous section
+//! mentions, never how often, so the walk enters a node once per owner —
+//! a `Vec` by id holds the owner that last went through each node — and
+//! the facts stay exact.
 
 use super::cache::{Analysis, AnalysisCache};
-use crate::ir::{Atom, Component, Guard, GuardMemo, Id, PortRef};
+use crate::ir::{Assignment, Atom, Component, GuardId, GuardPool, Id, PortRef};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The ports written and read, plus the cell-level digests passes consume.
 #[derive(Debug, Clone, Default)]
@@ -28,13 +29,14 @@ pub struct PortUses {
     /// appearance), deduplicated.
     cell_users: BTreeMap<Id, Vec<Id>>,
     /// Cells referenced (read or written) by continuous assignments.
-    continuous_cells: BTreeSet<Id>,
+    continuous_cells: FxHashSet<Id>,
     /// Every cell referenced by any assignment anywhere.
-    referenced_cells: BTreeSet<Id>,
+    referenced_cells: FxHashSet<Id>,
 }
 
-/// Scan-time accumulator using hash containers (cheap `Id` hashing);
-/// converted to deterministic sorted structures once at the end.
+/// Scan-time accumulator using hash containers (cheap `Id` hashing); the
+/// cell → groups map is sorted by cell name once at the end, the sets are
+/// only ever asked what they contain.
 #[derive(Default)]
 struct Scan {
     reads: FxHashSet<PortRef>,
@@ -46,28 +48,39 @@ struct Scan {
 
 impl Scan {
     /// Record `asgn`, an assignment of `group` (`None` for the continuous
-    /// section). `entered` holds the shared sub-guards this owner's earlier
-    /// assignments went through.
+    /// section). `entered` holds, per guard node, the last owner whose
+    /// walk went through it; this walk is `owner`'s.
     fn record(
         &mut self,
-        asgn: &crate::ir::Assignment,
+        asgn: &Assignment,
         group: Option<Id>,
-        entered: &mut GuardMemo<()>,
+        guards: &GuardPool,
+        owner: u32,
+        entered: &mut [u32],
+        stack: &mut Vec<GuardId>,
     ) {
         self.writes.insert(asgn.dst);
         self.touch_cell(asgn.dst, group);
         if let Atom::Port(p) = asgn.src {
             self.read(p, group);
         }
-        asgn.guard.visit_once(entered, &mut |node| match node {
-            Guard::Port(p) => self.read(*p, group),
-            Guard::Comp(_, l, r) => {
-                for p in [l, r].into_iter().filter_map(Atom::port) {
-                    self.read(*p, group);
+        if asgn.guard.is_true() || entered[asgn.guard.index()] == owner {
+            return;
+        }
+        entered[asgn.guard.index()] = owner;
+        stack.push(asgn.guard);
+        while let Some(id) = stack.pop() {
+            let node = guards[id];
+            for p in node.ports() {
+                self.read(p, group);
+            }
+            for child in node.children() {
+                if entered[child.index()] != owner {
+                    entered[child.index()] = owner;
+                    stack.push(child);
                 }
             }
-            _ => {}
-        });
+        }
     }
 
     fn read(&mut self, port: PortRef, group: Option<Id>) {
@@ -79,45 +92,51 @@ impl Scan {
         let Some(cell) = port.cell_parent() else {
             return;
         };
-        self.referenced_cells.insert(cell);
-        match group {
+        let new_to_owner = match group {
             Some(g) => {
                 let users = self.cell_users.entry(cell).or_default();
                 // Groups are scanned in definition order, so a repeat can
                 // only be the most recent entry.
-                if users.last() != Some(&g) {
+                let new = users.last() != Some(&g);
+                if new {
                     users.push(g);
                 }
+                new
             }
-            None => {
-                self.continuous_cells.insert(cell);
-            }
+            None => self.continuous_cells.insert(cell),
+        };
+        // Every owner's first touch of a cell is recorded; the rest add
+        // nothing.
+        if new_to_owner {
+            self.referenced_cells.insert(cell);
         }
     }
 }
 
 impl PortUses {
-    /// Scan every assignment of `comp`, entering a shared sub-guard once
-    /// per group and once for the continuous section.
+    /// Scan every assignment of `comp`, entering a guard node once per
+    /// group and once for the continuous section.
     pub fn analyze(comp: &Component) -> Self {
         let mut scan = Scan::default();
-        let mut entered = GuardMemo::default();
-        for group in comp.groups.iter() {
-            entered.clear();
-            for asgn in &group.assignments {
-                scan.record(asgn, Some(group.name), &mut entered);
+        // Owners are numbered from 1: no walk has entered a node yet.
+        let mut entered = vec![0; comp.guards.len()];
+        let mut stack = Vec::new();
+        let owners = comp
+            .groups
+            .iter()
+            .map(|group| (Some(group.name), group.assignments.as_slice()))
+            .chain([(None, comp.continuous.as_slice())]);
+        for (owner, (group, asgns)) in (1..).zip(owners) {
+            for asgn in asgns {
+                scan.record(asgn, group, &comp.guards, owner, &mut entered, &mut stack);
             }
-        }
-        entered.clear();
-        for asgn in &comp.continuous {
-            scan.record(asgn, None, &mut entered);
         }
         PortUses {
             reads: scan.reads,
             writes: scan.writes,
             cell_users: scan.cell_users.into_iter().collect(),
-            continuous_cells: scan.continuous_cells.into_iter().collect(),
-            referenced_cells: scan.referenced_cells.into_iter().collect(),
+            continuous_cells: scan.continuous_cells,
+            referenced_cells: scan.referenced_cells,
         }
     }
 
@@ -142,12 +161,12 @@ impl PortUses {
     }
 
     /// Cells referenced by continuous assignments (reads or writes).
-    pub fn continuous_cells(&self) -> &BTreeSet<Id> {
+    pub fn continuous_cells(&self) -> &FxHashSet<Id> {
         &self.continuous_cells
     }
 
     /// Every cell referenced by any assignment (group or continuous).
-    pub fn referenced_cells(&self) -> &BTreeSet<Id> {
+    pub fn referenced_cells(&self) -> &FxHashSet<Id> {
         &self.referenced_cells
     }
 }
@@ -207,9 +226,11 @@ mod tests {
             &[Id::new("g0"), Id::new("g1")]
         );
         assert_eq!(uses.cell_users(Id::new("a")), &[Id::new("g0")]);
-        let cont: Vec<_> = uses.continuous_cells().iter().map(|c| c.as_str()).collect();
+        let mut cont: Vec<_> = uses.continuous_cells().iter().map(|c| c.as_str()).collect();
+        cont.sort_unstable();
         assert_eq!(cont, vec!["a", "w"]);
-        let all: Vec<_> = uses.referenced_cells().iter().map(|c| c.as_str()).collect();
+        let mut all: Vec<_> = uses.referenced_cells().iter().map(|c| c.as_str()).collect();
+        all.sort_unstable();
         assert_eq!(all, vec!["a", "r", "w"]);
     }
 

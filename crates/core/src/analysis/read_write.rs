@@ -12,7 +12,7 @@
 
 use super::cache::{Analysis, AnalysisCache};
 use super::regset::{RegIndex, RegSet};
-use crate::ir::{Atom, Component, Group, Id, PortParent, PortRef};
+use crate::ir::{Atom, Component, Group, GuardPool, Id, PortParent, PortRef};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
@@ -54,7 +54,7 @@ impl ReadWriteSets {
         let groups = comp
             .groups
             .iter()
-            .map(|group| (group.name, analyze_group(group, &regs)))
+            .map(|group| (group.name, analyze_group(group, &comp.guards, &regs)))
             .collect();
         ReadWriteSets { regs, groups }
     }
@@ -91,12 +91,12 @@ fn reg_of(port: &PortRef, regs: &RegIndex) -> Option<usize> {
     }
 }
 
-fn analyze_group(group: &Group, regs: &RegIndex) -> Access {
+fn analyze_group(group: &Group, guards: &GuardPool, regs: &RegIndex) -> Access {
     let mut reads = RegSet::new();
     let mut data_writes: BTreeMap<usize, bool> = BTreeMap::new(); // reg -> unconditional?
     let mut en_writes: BTreeMap<usize, bool> = BTreeMap::new();
     for asgn in &group.assignments {
-        for p in asgn.reads_iter() {
+        for p in asgn.reads_iter(guards) {
             if let Some(r) = reg_of(&p, regs) {
                 // Only `out` observes the register's *value*. Reading `done`
                 // observes control state (the write handshake) and would

@@ -6,7 +6,10 @@
 //! surface where they are made rather than at validation or simulation time.
 
 use super::cell::Group;
-use super::{attr, Assignment, Atom, CellType, Component, Context, Control, Guard, Id, PortRef};
+use super::{
+    attr, Assignment, Atom, CellType, Component, Context, Control, Guard, GuardId, GuardPool, Id,
+    PortRef,
+};
 
 /// Things that can name a port: a [`PortRef`], or `(cell, port)` pairs.
 pub trait IntoPortRef {
@@ -38,6 +41,25 @@ impl IntoPortRef for (&str, &str) {
     }
 }
 
+/// Things that can guard an assignment: a [`Guard`] tree, which is
+/// interned into the component's pool, or an id already in it.
+pub trait IntoGuard {
+    /// The guard's id in `guards`.
+    fn into_guard(self, guards: &mut GuardPool) -> GuardId;
+}
+
+impl IntoGuard for Guard {
+    fn into_guard(self, guards: &mut GuardPool) -> GuardId {
+        guards.intern(&self)
+    }
+}
+
+impl IntoGuard for GuardId {
+    fn into_guard(self, _: &mut GuardPool) -> GuardId {
+        self
+    }
+}
+
 /// A builder of assignments and cells for one component.
 ///
 /// The builder borrows the [`Context`] immutably (for the primitive library
@@ -63,6 +85,11 @@ impl<'a> Builder<'a> {
     /// The component being built.
     pub fn component(&mut self) -> &mut Component {
         self.comp
+    }
+
+    /// The component's guard pool, for guards built as ids.
+    pub fn guards(&mut self) -> &mut GuardPool {
+        &mut self.comp.guards
     }
 
     /// Instantiate a primitive cell named `prefix` (or `prefix0`, `prefix1`,
@@ -187,8 +214,9 @@ impl<'a> Builder<'a> {
         group: Id,
         dst: impl IntoPortRef,
         src: impl IntoPortRef,
-        guard: Guard,
+        guard: impl IntoGuard,
     ) {
+        let guard = guard.into_guard(&mut self.comp.guards);
         let asgn = Assignment::guarded(dst.into_port_ref(), src.into_port_ref(), guard);
         self.push(Some(group), asgn);
     }
@@ -201,8 +229,9 @@ impl<'a> Builder<'a> {
         dst: impl IntoPortRef,
         val: u64,
         width: u32,
-        guard: Guard,
+        guard: impl IntoGuard,
     ) {
+        let guard = guard.into_guard(&mut self.comp.guards);
         let asgn = Assignment::guarded(dst.into_port_ref(), Atom::constant(val, width), guard);
         self.push(Some(group), asgn);
     }

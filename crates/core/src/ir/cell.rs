@@ -1,6 +1,6 @@
 //! Cells, ports, and guarded assignments (paper §3.2).
 
-use super::{Attributes, Guard, Id, PrimKind};
+use super::{Attributes, GuardId, GuardPool, Id, PrimKind};
 use crate::utils::{decimal, Named};
 
 /// Direction of a port from the perspective of its owner.
@@ -282,8 +282,9 @@ impl std::fmt::Display for Atom {
 
 /// A guarded, non-blocking connection: `dst = guard ? src` (paper §3.2).
 ///
-/// When the guard is [`Guard::True`] the assignment is unconditional and
-/// prints without the `guard ?` prefix. Calyx requires a unique active
+/// The guard is an id into the owning component's
+/// [`GuardPool`](super::GuardPool). When it is [`GuardId::TRUE`] the
+/// assignment is unconditional and prints without the `guard ?` prefix. Calyx requires a unique active
 /// driver per port per cycle; the simulator enforces this dynamically and
 /// [`validate`](super::validate) catches syntactic duplicates.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,8 +293,10 @@ pub struct Assignment {
     pub dst: PortRef,
     /// The driving port or constant.
     pub src: Atom,
-    /// Activation condition.
-    pub guard: Guard,
+    /// Activation condition, in the component's [`Component::guards`].
+    ///
+    /// [`Component::guards`]: super::Component::guards
+    pub guard: GuardId,
 }
 
 impl Assignment {
@@ -302,12 +305,13 @@ impl Assignment {
         Assignment {
             dst,
             src: src.into(),
-            guard: Guard::True,
+            guard: GuardId::TRUE,
         }
     }
 
-    /// A guarded assignment.
-    pub fn guarded(dst: PortRef, src: impl Into<Atom>, guard: Guard) -> Self {
+    /// An assignment guarded by `guard`, an id of the pool of the
+    /// component it goes into.
+    pub fn guarded(dst: PortRef, src: impl Into<Atom>, guard: GuardId) -> Self {
         Assignment {
             dst,
             src: src.into(),
@@ -315,28 +319,28 @@ impl Assignment {
         }
     }
 
-    /// All ports read by this assignment: the source (if a port) plus every
-    /// port in the guard.
+    /// All ports read by this assignment, whose guard is in `guards`: the
+    /// source (if a port) plus every port in the guard.
     ///
     /// Allocates a fresh `Vec` on every call; inside analysis loops that
     /// visit every assignment, prefer the non-collecting
     /// [`reads_iter`](Assignment::reads_iter).
-    pub fn reads(&self) -> Vec<PortRef> {
-        self.reads_iter().collect()
+    pub fn reads(&self, guards: &GuardPool) -> Vec<PortRef> {
+        self.reads_iter(guards).collect()
     }
 
     /// Iterate over the ports read by this assignment without allocating a
     /// vector: the source port (if any) followed by the guard's ports in
-    /// [`Guard::ports_into`](super::Guard::ports_into) order.
+    /// [`GuardPool::ports`] order.
     ///
-    /// For unguarded assignments (guard [`Guard::True`](super::Guard::True))
-    /// this performs no heap allocation at all.
-    pub fn reads_iter(&self) -> impl Iterator<Item = PortRef> + '_ {
+    /// For unguarded assignments (guard [`GuardId::TRUE`]) this performs
+    /// no heap allocation at all.
+    pub fn reads_iter<'a>(&self, guards: &'a GuardPool) -> impl Iterator<Item = PortRef> + 'a {
         self.src
             .port()
             .copied()
             .into_iter()
-            .chain(self.guard.ports_iter())
+            .chain(guards.ports(self.guard))
     }
 }
 
@@ -375,22 +379,6 @@ impl Group {
     pub fn done_writes(&self) -> impl Iterator<Item = &Assignment> {
         let done = self.done_hole();
         self.assignments.iter().filter(move |a| a.dst == done)
-    }
-
-    /// Names of all cells referenced (read or written) by the group.
-    pub fn used_cells(&self) -> std::collections::BTreeSet<Id> {
-        let mut cells = std::collections::BTreeSet::new();
-        for asgn in &self.assignments {
-            if let Some(c) = asgn.dst.cell_parent() {
-                cells.insert(c);
-            }
-            for p in asgn.reads_iter() {
-                if let Some(c) = p.cell_parent() {
-                    cells.insert(c);
-                }
-            }
-        }
-        cells
     }
 }
 
@@ -432,45 +420,39 @@ mod tests {
 
     #[test]
     fn assignment_reads_include_guard_ports() {
+        let mut guards = GuardPool::default();
         let asgn = Assignment::guarded(
             PortRef::cell("r", "in"),
             PortRef::cell("a", "out"),
-            Guard::port(PortRef::cell("cmp", "out")),
+            guards.port(PortRef::cell("cmp", "out")),
         );
-        let reads = asgn.reads();
-        assert!(reads.contains(&PortRef::cell("a", "out")));
-        assert!(reads.contains(&PortRef::cell("cmp", "out")));
+        let reads = asgn.reads(&guards);
+        assert_eq!(
+            reads,
+            vec![PortRef::cell("a", "out"), PortRef::cell("cmp", "out")]
+        );
     }
 
     #[test]
     fn reads_iter_matches_reads() {
+        let mut guards = GuardPool::default();
+        let cmp_and_b = guards.intern(
+            &super::super::Guard::port(PortRef::cell("cmp", "out"))
+                .and(super::super::Guard::port(PortRef::cell("b", "out"))),
+        );
         let asgns = [
             Assignment::new(PortRef::cell("r", "in"), Atom::constant(1, 8)),
             Assignment::new(PortRef::cell("r", "in"), PortRef::cell("a", "out")),
             Assignment::guarded(
                 PortRef::cell("r", "in"),
                 PortRef::cell("a", "out"),
-                Guard::port(PortRef::cell("cmp", "out"))
-                    .and(Guard::port(PortRef::cell("b", "out"))),
+                cmp_and_b,
             ),
         ];
         for asgn in &asgns {
-            let iterated: Vec<_> = asgn.reads_iter().collect();
-            assert_eq!(iterated, asgn.reads());
+            let iterated: Vec<_> = asgn.reads_iter(&guards).collect();
+            assert_eq!(iterated, asgn.reads(&guards));
         }
-    }
-
-    #[test]
-    fn group_used_cells() {
-        let mut g = Group::new("g");
-        g.assignments.push(Assignment::new(
-            PortRef::cell("r", "in"),
-            PortRef::cell("add", "out"),
-        ));
-        g.assignments
-            .push(Assignment::new(g.done_hole(), PortRef::cell("r", "done")));
-        let cells: Vec<_> = g.used_cells().into_iter().map(|c| c.as_str()).collect();
-        assert_eq!(cells, vec!["add", "r"]);
     }
 
     #[test]

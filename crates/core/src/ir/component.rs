@@ -2,8 +2,8 @@
 
 use super::cell::Group;
 use super::{
-    attr, Assignment, Attributes, Cell, CellType, Control, Direction, Id, Library, PortDef,
-    PortParent, PortRef,
+    attr, Assignment, Attributes, Cell, CellType, Control, Direction, GuardPool, Id, Library,
+    PortDef, PortParent, PortRef,
 };
 use crate::errors::{CalyxResult, Error};
 use crate::utils::{Named, OrderedMap};
@@ -26,6 +26,8 @@ pub struct Component {
     pub groups: OrderedMap<Group>,
     /// Assignments that are always active (the top-level `wires` content).
     pub continuous: Vec<Assignment>,
+    /// Every assignment's guard: [`Assignment::guard`] is an id into it.
+    pub guards: GuardPool,
     /// The execution schedule.
     pub control: Control,
     /// Component attributes (e.g. inferred `"static"` latency).
@@ -70,6 +72,7 @@ impl Component {
             cells: OrderedMap::new(),
             groups: OrderedMap::new(),
             continuous: Vec::new(),
+            guards: GuardPool::default(),
             control: Control::Empty,
             attributes: Attributes::new(),
             fresh_hints: FreshHints::default(),
@@ -188,6 +191,30 @@ impl Component {
             .iter()
             .flat_map(|g| g.assignments.iter())
             .chain(self.continuous.iter())
+    }
+
+    /// Every assignment, mutably, in [`Component::all_assignments`]
+    /// order, beside the pool their guards index.
+    pub fn wires_mut(&mut self) -> (impl Iterator<Item = &mut Assignment>, &mut GuardPool) {
+        let assignments = self
+            .groups
+            .iter_mut()
+            .flat_map(|g| g.assignments.iter_mut())
+            .chain(self.continuous.iter_mut());
+        (assignments, &mut self.guards)
+    }
+
+    /// Drop the guard nodes no assignment reaches — what a pass that
+    /// rewrites guards leaves behind — keeping id order topological.
+    pub fn compact_guards(&mut self) {
+        let live = self
+            .guards
+            .reachable(self.all_assignments().map(|a| a.guard));
+        if let Some(new_id) = self.guards.retain(&live) {
+            for asgn in self.wires_mut().0 {
+                asgn.guard = new_id[asgn.guard.index()];
+            }
+        }
     }
 }
 

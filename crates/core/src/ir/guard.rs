@@ -6,44 +6,43 @@
 //! compilation passes emit (`fsm.out == 0`, `fsm.out < 3`; paper Fig. 2c
 //! and §4.4).
 //!
-//! # Sharing
+//! # One pool per component
 //!
-//! The children of `Not`/`And`/`Or` are `Arc<Guard>`: a guard is a DAG
-//! whose sub-guards may have several owners. Cloning a guard copies its
-//! root and shares everything beneath it, and interface-signal inlining
-//! ([`RemoveGroups`](crate::passes::RemoveGroups)) hands every reader of a
-//! hole the same node, so a lowered component carries each FSM condition
-//! once however many assignments test it. Nothing observable depends on
-//! who shares what: [`PartialEq`] and [`Hash`] are structural, the printer
-//! and the Verilog emitter write a shared node's text out once per use
-//! (the emitter walks the node once per module and copies its text after
-//! that), and
-//! [`Guard::map_ports`] copies a shared node before it renames inside it,
-//! so a rewrite through one owner never shows through another.
+//! A component stores its guards in one hash-consed [`GuardPool`], and an
+//! [`Assignment`](super::Assignment) holds a [`GuardId`] into it. A node's
+//! children are ids, structurally equal guards are one id, and a child's
+//! id is always lower than its parent's, so ascending id order is a
+//! topological order. [`GuardId::TRUE`] is id 0 in every pool, which is
+//! why an assignment can tell that it is unconditional without the pool.
 //!
-//! # Walking a shared guard once
+//! Every walk over a component's guards is a loop over ids with a `Vec`
+//! memo: a pass that rewrites every reachable node goes through them in
+//! ascending order, a walk that must keep first-encounter order from the
+//! assignment roots uses [`PostOrder`]'s explicit stack, and the printers
+//! keep one of their own. None of them recurse, so a guard as deep as the
+//! input can spell is as cheap as a wide one. A node nobody can see being
+//! shared is shared anyway: what reads a pool depends on structure alone,
+//! and hash-consing keeps structure. A pass that rewrites guards leaves
+//! the nodes it replaced behind; [`Component::compact_guards`] drops them,
+//! keeping the order.
 //!
-//! A walk that recurses through the children visits a node once per path
-//! to it — after lowering, an order of magnitude more visits than there
-//! are nodes. [`GuardMemo`] keeps a walk's result per node, keyed on the
-//! node's address ([`Arc::as_ptr`]), so the walk enters a shared node
-//! once. An address identifies a node only while the node is alive, so
-//! the memo holds an `Arc` of every node it has an entry for: a key can
-//! never be freed and reused under it, even by a walk that replaces the
-//! guards it came from (`guard-simplify`, `remove-groups`). What the memo
-//! cannot see is a node *changed in place*; a memo is for one walk over
-//! guards nobody mutates meanwhile, and `map_ports` — the one in-place
-//! mutation — copies a node the memo holds instead of writing to it.
-//! Identity is only ever a shortcut to a result that depends on the node's
-//! structure alone (or on structure and a context fixed for the memo's
-//! life, such as one component instance's port numbering), which is why
-//! equality stays structural: two equal guards built apart must still
-//! compare equal.
+//! [`Component::compact_guards`]: super::Component::compact_guards
+//!
+//! # Guard trees
+//!
+//! [`Guard`] is the same language as an owned tree. Frontends,
+//! `static-timing` and tests write guards that way, and the [`Builder`]
+//! interns them when it adds an assignment ([`GuardPool::intern`]);
+//! `compile-control` builds ids through `Builder::guards` instead.
+//! [`GuardPool::tree`] reads a guard back as a tree. No component stores
+//! a tree.
+//!
+//! [`Builder`]: super::Builder
 
 use super::cell::{Atom, PortRef};
-use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
-use std::sync::Arc;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Index;
 
 /// Comparison operators usable inside guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,12 +87,22 @@ impl CompOp {
     }
 }
 
-/// A boolean guard expression.
-///
-/// The children of a connective are shared: cloning a guard copies its
-/// root only, and several guards may own one sub-guard. Equality and
-/// hashing are structural, and [`map_ports`](Guard::map_ports) copies a
-/// shared node before it writes to it.
+/// How tightly an operator binds when printed: `!` > comparison > `&` >
+/// `|`. Leaves bind like `!`.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const COMP: u8 = 3;
+const UNARY: u8 = 4;
+
+/// Does a child of binding `child` print in parentheses under a parent of
+/// binding `parent`? A child that binds looser than its parent does, and
+/// everything that is not a leaf or a `!` does under `!`.
+fn needs_parens(child: u8, parent: u8) -> bool {
+    child < parent
+}
+
+/// A boolean guard expression as an owned tree: the form guards are
+/// written in before a [`GuardPool`] interns them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// Always active; unconditional assignments carry this guard.
@@ -101,11 +110,11 @@ pub enum Guard {
     /// The value of a 1-bit port.
     Port(PortRef),
     /// Logical negation.
-    Not(Arc<Guard>),
+    Not(Box<Guard>),
     /// Logical conjunction.
-    And(Arc<Guard>, Arc<Guard>),
+    And(Box<Guard>, Box<Guard>),
     /// Logical disjunction.
-    Or(Arc<Guard>, Arc<Guard>),
+    Or(Box<Guard>, Box<Guard>),
     /// Integer comparison between two atoms of equal width.
     Comp(CompOp, Atom, Atom),
 }
@@ -135,7 +144,7 @@ impl Guard {
     pub fn and(self, other: Guard) -> Guard {
         match (self, other) {
             (Guard::True, g) | (g, Guard::True) => g,
-            (a, b) => Guard::And(Arc::new(a), Arc::new(b)),
+            (a, b) => Guard::And(Box::new(a), Box::new(b)),
         }
     }
 
@@ -143,7 +152,7 @@ impl Guard {
     pub fn or(self, other: Guard) -> Guard {
         match (self, other) {
             (Guard::True, _) | (_, Guard::True) => Guard::True,
-            (a, b) => Guard::Or(Arc::new(a), Arc::new(b)),
+            (a, b) => Guard::Or(Box::new(a), Box::new(b)),
         }
     }
 
@@ -151,31 +160,18 @@ impl Guard {
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Guard {
         match self {
-            Guard::Not(inner) => Arc::unwrap_or_clone(inner),
-            g => Guard::Not(Arc::new(g)),
+            Guard::Not(inner) => *inner,
+            g => Guard::Not(Box::new(g)),
         }
     }
 
-    /// How tightly the guard's top operator binds when printed:
-    /// `!` > comparison > `&` > `|`.
-    fn precedence(&self) -> u8 {
+    fn binding(&self) -> u8 {
         match self {
-            Guard::Or(..) => 1,
-            Guard::And(..) => 2,
-            Guard::Comp(..) => 3,
-            _ => 4,
+            Guard::Or(..) => OR,
+            Guard::And(..) => AND,
+            Guard::Comp(..) => COMP,
+            _ => UNARY,
         }
-    }
-
-    /// Does this guard print in parentheses as an operand of `parent`? A
-    /// child that binds looser than its parent does, and everything that is
-    /// not a leaf or a `!` does under `!`.
-    pub fn needs_parens_under(&self, parent: &Guard) -> bool {
-        let needed = match parent {
-            Guard::Not(_) => 4,
-            _ => parent.precedence(),
-        };
-        self.precedence() < needed
     }
 
     /// True when the guard is the constant [`Guard::True`].
@@ -183,7 +179,7 @@ impl Guard {
         matches!(self, Guard::True)
     }
 
-    /// Collect every port read by the guard into `out`.
+    /// Collect every port read by the guard into `out`, left to right.
     pub fn ports_into(&self, out: &mut Vec<PortRef>) {
         match self {
             Guard::True => {}
@@ -193,14 +189,7 @@ impl Guard {
                 a.ports_into(out);
                 b.ports_into(out);
             }
-            Guard::Comp(_, l, r) => {
-                if let Atom::Port(p) = l {
-                    out.push(*p);
-                }
-                if let Atom::Port(p) = r {
-                    out.push(*p);
-                }
-            }
+            Guard::Comp(_, l, r) => out.extend([l, r].into_iter().filter_map(Atom::port)),
         }
     }
 
@@ -211,146 +200,501 @@ impl Guard {
         v
     }
 
-    /// Iterate over every port read by the guard without collecting them.
-    ///
-    /// The iterator keeps an explicit worklist instead of materializing a
-    /// `Vec<PortRef>`; for the common [`Guard::True`] case it performs no
-    /// allocation at all, which matters in the analysis loops that scan
-    /// every assignment of a component (see
-    /// [`Assignment::reads_iter`](super::Assignment::reads_iter)).
-    pub fn ports_iter(&self) -> GuardPorts<'_> {
-        let mut it = GuardPorts {
-            stack: Vec::new(),
-            pending: None,
-        };
-        if !self.is_true() {
-            it.stack.push(self);
+    /// Write the guard as Calyx text. Precedence: `!` > comparison > `&` >
+    /// `|`; a child that binds looser than its parent is parenthesized
+    /// (matching the parser's grammar, so `!(x == 1)` keeps its
+    /// parentheses while `x == 1 & y` needs none). [`GuardPool::write`]
+    /// writes the same text without recursing.
+    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Guard::True => out.write_str("1'd1"),
+            Guard::Port(p) => p.write_to(out),
+            Guard::Not(inner) => {
+                out.write_char('!')?;
+                inner.write_under(UNARY, out)
+            }
+            Guard::And(a, b) | Guard::Or(a, b) => {
+                a.write_under(self.binding(), out)?;
+                out.write_str(if self.binding() == AND { " & " } else { " | " })?;
+                b.write_under(self.binding(), out)
+            }
+            Guard::Comp(op, l, r) => write_comparison(*op, l, r, out),
         }
-        it
     }
 
-    /// Rewrite every port reference through `f`. A node with another
-    /// owner is copied first, so the rename stays in this guard.
-    pub fn map_ports(&mut self, f: &mut impl FnMut(PortRef) -> PortRef) {
+    /// Write the guard as an operand of a parent of binding `parent`.
+    fn write_under(&self, parent: u8, out: &mut impl fmt::Write) -> fmt::Result {
+        if needs_parens(self.binding(), parent) {
+            out.write_char('(')?;
+            self.write_to(out)?;
+            out.write_char(')')
+        } else {
+            self.write_to(out)
+        }
+    }
+}
+
+/// `l op r`.
+fn write_comparison(op: CompOp, l: &Atom, r: &Atom, out: &mut impl fmt::Write) -> fmt::Result {
+    l.write_to(out)?;
+    out.write_char(' ')?;
+    out.write_str(op.as_str())?;
+    out.write_char(' ')?;
+    r.write_to(out)
+}
+
+impl From<PortRef> for Guard {
+    fn from(p: PortRef) -> Self {
+        Guard::Port(p)
+    }
+}
+
+impl fmt::Display for Guard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+/// A guard in its component's [`GuardPool`]. Ids are dense, and a node's
+/// children have lower ids than the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct GuardId(u32);
+
+impl GuardId {
+    /// The constant true guard, id 0 of every pool.
+    pub const TRUE: GuardId = GuardId(0);
+
+    /// True for [`GuardId::TRUE`]: the assignment is unconditional.
+    pub fn is_true(self) -> bool {
+        self == GuardId::TRUE
+    }
+
+    /// Position in the pool, for `Vec` memos indexed by id.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One node of a [`GuardPool`]: a [`Guard`] whose children are ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GuardNode {
+    /// Always active.
+    True,
+    /// The value of a 1-bit port.
+    Port(PortRef),
+    /// Logical negation.
+    Not(GuardId),
+    /// Logical conjunction.
+    And(GuardId, GuardId),
+    /// Logical disjunction.
+    Or(GuardId, GuardId),
+    /// Integer comparison between two atoms of equal width.
+    Comp(CompOp, Atom, Atom),
+}
+
+impl GuardNode {
+    fn binding(&self) -> u8 {
         match self {
-            Guard::True => {}
-            Guard::Port(p) => *p = f(*p),
-            Guard::Not(g) => Arc::make_mut(g).map_ports(f),
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                Arc::make_mut(a).map_ports(f);
-                Arc::make_mut(b).map_ports(f);
-            }
-            Guard::Comp(_, l, r) => {
-                for atom in [l, r] {
-                    if let Atom::Port(p) = atom {
-                        *p = f(*p);
+            GuardNode::Or(..) => OR,
+            GuardNode::And(..) => AND,
+            GuardNode::Comp(..) => COMP,
+            _ => UNARY,
+        }
+    }
+
+    /// Does this node print in parentheses as an operand of `parent`?
+    /// (See [`Guard::write_to`].)
+    pub fn needs_parens_under(&self, parent: &GuardNode) -> bool {
+        needs_parens(self.binding(), parent.binding())
+    }
+
+    /// The node's children, left first (none for a leaf).
+    pub fn children(&self) -> impl Iterator<Item = GuardId> {
+        let (a, b) = match *self {
+            GuardNode::Not(a) => (Some(a), None),
+            GuardNode::And(a, b) | GuardNode::Or(a, b) => (Some(a), Some(b)),
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// The ports the node itself reads, left to right: a port leaf's, or
+    /// a comparison's port operands.
+    pub fn ports(&self) -> impl Iterator<Item = PortRef> {
+        let (a, b) = match *self {
+            GuardNode::Port(p) => (Some(p), None),
+            GuardNode::Comp(_, l, r) => (l.port().copied(), r.port().copied()),
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// The node with each child id replaced through `f`.
+    pub fn map_children(self, mut f: impl FnMut(GuardId) -> GuardId) -> GuardNode {
+        match self {
+            GuardNode::Not(a) => GuardNode::Not(f(a)),
+            GuardNode::And(a, b) => GuardNode::And(f(a), f(b)),
+            GuardNode::Or(a, b) => GuardNode::Or(f(a), f(b)),
+            leaf => leaf,
+        }
+    }
+}
+
+/// A component's guards, hash-consed: a `Vec` of nodes whose children are
+/// ids, plus the table that makes two equal nodes one id.
+///
+/// [`add`](GuardPool::add) interns a node as it is; the
+/// [`and`](GuardPool::and), [`or`](GuardPool::or) and
+/// [`not`](GuardPool::not) constructors fold like [`Guard::and`],
+/// [`Guard::or`] and [`Guard::not`].
+///
+/// The table is open addressing over ids: `slots` holds `id + 1` (0 for
+/// empty) at the node's hash, probed linearly, and is kept at most half
+/// full; each node's hash is kept beside it, so a probe compares whole
+/// nodes only on a hash match and growing never hashes a node again. A
+/// connective's hash is made of its children's hashes, not their ids, so
+/// compacting never hashes a node again either. The hash is the vendored
+/// Fx hash, like every map keyed by program-made values here: it is fast,
+/// not collision-resistant. A plain `FxHashMap<GuardNode, GuardId>` in
+/// its place, which hashes whole nodes and rebuilds on compaction, made
+/// the passes that build guards 1.1–1.9× slower (`pass_profile -- lower`).
+#[derive(Debug, Clone)]
+pub struct GuardPool {
+    nodes: Vec<GuardNode>,
+    hashes: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl Default for GuardPool {
+    fn default() -> Self {
+        let mut pool = GuardPool {
+            nodes: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![0; 16],
+        };
+        pool.add(GuardNode::True);
+        pool
+    }
+}
+
+impl Index<GuardId> for GuardPool {
+    type Output = GuardNode;
+
+    fn index(&self, id: GuardId) -> &GuardNode {
+        &self.nodes[id.index()]
+    }
+}
+
+impl GuardPool {
+    /// Number of nodes, [`GuardId::TRUE`] included: the length of a `Vec`
+    /// memo over the pool.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// A pool holds at least [`GuardId::TRUE`].
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Every id, ascending: children before parents.
+    pub fn ids(&self) -> impl DoubleEndedIterator<Item = GuardId> {
+        (0..self.nodes.len() as u32).map(GuardId)
+    }
+
+    /// The id of `node`, which is added unless an equal node exists.
+    pub fn add(&mut self, node: GuardNode) -> GuardId {
+        debug_assert!(
+            node.children().all(|c| c.index() < self.nodes.len()),
+            "a child is interned before its parent"
+        );
+        let hash = self.hash_of(&node);
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => break,
+                taken => {
+                    let id = taken as usize - 1;
+                    if self.hashes[id] == hash && self.nodes[id] == node {
+                        return GuardId(id as u32);
                     }
                 }
             }
+            slot = (slot + 1) & mask;
+        }
+        let filed = u32::try_from(self.nodes.len() + 1).expect("fewer than 2^32 - 1 guard nodes");
+        self.nodes.push(node);
+        self.hashes.push(hash);
+        self.slots[slot] = filed;
+        let id = GuardId(filed - 1);
+        if 2 * self.nodes.len() > self.slots.len() {
+            self.refile(2 * self.slots.len());
+        }
+        id
+    }
+
+    /// The hash `node` is filed under: a leaf's fields, or a connective's
+    /// kind and its children's hashes — not their ids, so a node keeps its
+    /// hash when [`retain`](GuardPool::retain) renumbers it.
+    fn hash_of(&self, node: &GuardNode) -> u32 {
+        let mut hasher = rustc_hash::FxHasher::default();
+        let hash = |id: GuardId| self.hashes[id.index()];
+        match *node {
+            GuardNode::Not(a) => (1u8, hash(a)).hash(&mut hasher),
+            GuardNode::And(a, b) => (2u8, hash(a), hash(b)).hash(&mut hasher),
+            GuardNode::Or(a, b) => (3u8, hash(a), hash(b)).hash(&mut hasher),
+            leaf => leaf.hash(&mut hasher),
+        }
+        hasher.finish() as u32
+    }
+
+    /// File every node anew in a table of `len` slots.
+    fn refile(&mut self, len: usize) {
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        let mask = len - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
         }
     }
 
-    /// Call `f` on this guard and on every node beneath it, parents first,
-    /// passing over a shared node that `seen` has been through already.
-    /// With one `seen` for a whole component each node is entered once,
-    /// however many assignments reach it.
-    pub fn visit_once<'a>(&'a self, seen: &mut GuardMemo<()>, f: &mut impl FnMut(&'a Guard)) {
-        f(self);
-        let mut child = |g: &'a Arc<Guard>| {
-            if seen.enter(g) {
-                g.visit_once(seen, f);
-            }
+    /// A guard reading a 1-bit port.
+    pub fn port(&mut self, p: PortRef) -> GuardId {
+        self.add(GuardNode::Port(p))
+    }
+
+    /// Conjunction with [`GuardId::TRUE`] identities folded away.
+    pub fn and(&mut self, a: GuardId, b: GuardId) -> GuardId {
+        match (a, b) {
+            (GuardId::TRUE, g) | (g, GuardId::TRUE) => g,
+            (a, b) => self.add(GuardNode::And(a, b)),
+        }
+    }
+
+    /// Disjunction with `TRUE` short-circuiting.
+    pub fn or(&mut self, a: GuardId, b: GuardId) -> GuardId {
+        if a.is_true() || b.is_true() {
+            GuardId::TRUE
+        } else {
+            self.add(GuardNode::Or(a, b))
+        }
+    }
+
+    /// Negation with double negations folded away.
+    pub fn not(&mut self, a: GuardId) -> GuardId {
+        match self[a] {
+            GuardNode::Not(inner) => inner,
+            _ => self.add(GuardNode::Not(a)),
+        }
+    }
+
+    /// Intern the tree `guard` node for node, folding nothing.
+    pub fn intern(&mut self, guard: &Guard) -> GuardId {
+        let node = match guard {
+            Guard::True => return GuardId::TRUE,
+            Guard::Port(p) => GuardNode::Port(*p),
+            Guard::Not(a) => GuardNode::Not(self.intern(a)),
+            Guard::And(a, b) => GuardNode::And(self.intern(a), self.intern(b)),
+            Guard::Or(a, b) => GuardNode::Or(self.intern(a), self.intern(b)),
+            Guard::Comp(op, l, r) => GuardNode::Comp(*op, *l, *r),
         };
-        match self {
-            Guard::True | Guard::Port(_) | Guard::Comp(..) => {}
-            Guard::Not(g) => child(g),
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                child(a);
-                child(b);
+        self.add(node)
+    }
+
+    /// The tree `id` stands for.
+    pub fn tree(&self, id: GuardId) -> Guard {
+        match self[id] {
+            GuardNode::True => Guard::True,
+            GuardNode::Port(p) => Guard::Port(p),
+            GuardNode::Not(a) => Guard::Not(Box::new(self.tree(a))),
+            GuardNode::And(a, b) => Guard::And(Box::new(self.tree(a)), Box::new(self.tree(b))),
+            GuardNode::Or(a, b) => Guard::Or(Box::new(self.tree(a)), Box::new(self.tree(b))),
+            GuardNode::Comp(op, l, r) => Guard::Comp(op, l, r),
+        }
+    }
+
+    /// The size of every node as a tree — its nodes but `True`, the size
+    /// of what the printer and the Verilog emitter write — by id: a node
+    /// reached along several paths counts once per path. Saturates.
+    pub fn tree_sizes(&self) -> Vec<usize> {
+        let mut sizes = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let size = match *node {
+                GuardNode::True => 0,
+                GuardNode::Port(_) | GuardNode::Comp(..) => 1,
+                GuardNode::Not(a) => usize::saturating_add(sizes[a.index()], 1),
+                GuardNode::And(a, b) | GuardNode::Or(a, b) => {
+                    usize::saturating_add(sizes[a.index()], sizes[b.index()]).saturating_add(1)
+                }
+            };
+            sizes.push(size);
+        }
+        sizes
+    }
+
+    /// Which nodes the `roots` reach, by id; [`GuardId::TRUE`] always.
+    pub fn reachable(&self, roots: impl IntoIterator<Item = GuardId>) -> Vec<bool> {
+        let mut live = vec![false; self.nodes.len()];
+        live[0] = true;
+        for root in roots {
+            live[root.index()] = true;
+        }
+        for id in self.ids().rev() {
+            if live[id.index()] {
+                for child in self[id].children() {
+                    live[child.index()] = true;
+                }
             }
         }
+        live
     }
 
-    /// Number of nodes in the guard counted as a tree, a shared node once
-    /// per use: the size of what the printer and the Verilog emitter write.
-    pub fn size(&self) -> usize {
-        match self {
-            Guard::True => 0,
-            Guard::Port(_) => 1,
-            Guard::Not(g) => 1 + g.size(),
-            Guard::And(a, b) | Guard::Or(a, b) => 1 + a.size() + b.size(),
-            Guard::Comp(..) => 1,
-        }
-    }
-}
-
-/// What one walk computed for each shared node it has been through, keyed
-/// on the node's address. The memo holds every node it has an entry for,
-/// so an address stays that node's for the memo's life; what it cannot see
-/// is a node changed in place. Make one per walk over guards nobody mutates
-/// meanwhile — and per context the results depend on besides the node's
-/// structure — and drop it with the walk.
-#[derive(Debug)]
-pub struct GuardMemo<T> {
-    /// The node is kept beside its result so that its address stays its own.
-    by_node: FxHashMap<*const Guard, (Arc<Guard>, T)>,
-}
-
-impl<T> Default for GuardMemo<T> {
-    fn default() -> Self {
-        GuardMemo {
-            by_node: FxHashMap::default(),
-        }
-    }
-}
-
-impl<T> GuardMemo<T> {
-    /// What was recorded for `node`, if the walk has been through it.
-    pub fn get(&self, node: &Arc<Guard>) -> Option<&T> {
-        // An entry holds the node, so a node with one owner has none.
-        if Arc::strong_count(node) == 1 {
+    /// Keep the nodes `live` marks, in their order, which stays
+    /// topological. Returns the new id of every old one (a dead node's is
+    /// meaningless), or `None` when every node was live and nothing moved.
+    pub fn retain(&mut self, live: &[bool]) -> Option<Vec<GuardId>> {
+        if live.iter().all(|&l| l) {
             return None;
         }
-        self.by_node.get(&Arc::as_ptr(node)).map(|(_, value)| value)
+        // Live nodes move down in place, children first, so a node's
+        // children have their new ids when it moves.
+        let mut new_id = Vec::with_capacity(live.len());
+        let mut kept = 0;
+        for (old, &live) in live.iter().enumerate() {
+            if !live {
+                new_id.push(GuardId::TRUE);
+                continue;
+            }
+            self.nodes[kept] = self.nodes[old].map_children(|c| new_id[c.index()]);
+            self.hashes[kept] = self.hashes[old];
+            new_id.push(GuardId(kept as u32));
+            kept += 1;
+        }
+        self.nodes.truncate(kept);
+        self.hashes.truncate(kept);
+        // Distinct nodes with distinct children stay distinct: no probe
+        // needs to compare.
+        self.refile((2 * kept).next_power_of_two().max(16));
+        Some(new_id)
     }
 
-    /// Record `value` for `node`. A node with a single owner is reached
-    /// through that owner alone — once, if the owner is — so nothing is
-    /// kept for it and an unshared guard costs the walk no table at all.
-    pub fn insert(&mut self, node: &Arc<Guard>, value: T) {
-        if Arc::strong_count(node) > 1 {
-            self.by_node
-                .insert(Arc::as_ptr(node), (Arc::clone(node), value));
+    /// The ports `id` reads in tree order, a node reached along several
+    /// paths once per path ([`Guard::ports`] of its tree). Allocates
+    /// nothing for [`GuardId::TRUE`].
+    pub fn ports(&self, id: GuardId) -> GuardPorts<'_> {
+        GuardPorts {
+            pool: self,
+            stack: if id.is_true() { Vec::new() } else { vec![id] },
+            pending: None,
         }
     }
 
-    /// Forget every node, keeping the table's storage for the next walk.
-    pub fn clear(&mut self) {
-        self.by_node.clear();
-    }
-}
-
-impl GuardMemo<()> {
-    /// Record `node`; false when it was recorded already.
-    fn enter(&mut self, node: &Arc<Guard>) -> bool {
-        if Arc::strong_count(node) == 1 {
-            return true;
+    /// Write `id` as Calyx text, exactly what [`Guard::write_to`] writes
+    /// for its tree, with an explicit stack instead of recursion.
+    pub fn write(&self, id: GuardId, out: &mut impl fmt::Write) -> fmt::Result {
+        enum Piece {
+            Node(GuardId),
+            Text(&'static str),
         }
-        match self.by_node.entry(Arc::as_ptr(node)) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert((Arc::clone(node), ()));
-                true
+        let operand = |stack: &mut Vec<Piece>, child: GuardId, parent: u8| {
+            if needs_parens(self[child].binding(), parent) {
+                stack.extend([Piece::Text(")"), Piece::Node(child), Piece::Text("(")]);
+            } else {
+                stack.push(Piece::Node(child));
+            }
+        };
+        let mut stack = vec![Piece::Node(id)];
+        while let Some(piece) = stack.pop() {
+            let id = match piece {
+                Piece::Text(text) => {
+                    out.write_str(text)?;
+                    continue;
+                }
+                Piece::Node(id) => id,
+            };
+            match &self[id] {
+                GuardNode::True => out.write_str("1'd1")?,
+                GuardNode::Port(p) => p.write_to(out)?,
+                GuardNode::Comp(op, l, r) => write_comparison(*op, l, r, out)?,
+                GuardNode::Not(a) => {
+                    out.write_char('!')?;
+                    operand(&mut stack, *a, UNARY);
+                }
+                node @ (GuardNode::And(a, b) | GuardNode::Or(a, b)) => {
+                    let binding = node.binding();
+                    operand(&mut stack, *b, binding);
+                    stack.push(Piece::Text(if binding == AND { " & " } else { " | " }));
+                    operand(&mut stack, *a, binding);
+                }
             }
         }
+        Ok(())
+    }
+
+    /// `id` as a value whose `Display` is [`GuardPool::write`].
+    pub fn display(&self, id: GuardId) -> impl fmt::Display + '_ {
+        struct Text<'a>(&'a GuardPool, GuardId);
+        impl fmt::Display for Text<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.write(self.1, f)
+            }
+        }
+        Text(self, id)
     }
 }
 
-/// Lazy depth-first iterator over the ports of a [`Guard`], created by
-/// [`Guard::ports_iter`]. Yields ports in the same order as
-/// [`Guard::ports_into`].
+/// A depth-first walk over the nodes below some roots, children before
+/// parents and left before right, on an explicit stack: the order a
+/// recursive walk finishes nodes in, without its recursion. `done` tells
+/// it which nodes it need not enter (the caller's memo); the caller must
+/// record each node [`next`](PostOrder::next) hands it before asking for
+/// the next one.
+#[derive(Debug, Default)]
+pub struct PostOrder {
+    /// Nodes to enter, and entered nodes whose children are on top of them.
+    stack: Vec<(GuardId, bool)>,
+}
+
+impl PostOrder {
+    /// Walk `root` next.
+    pub fn push(&mut self, root: GuardId) {
+        self.stack.push((root, false));
+    }
+
+    /// The next node whose children are all `done`, or `None` when the
+    /// roots are.
+    pub fn next(&mut self, pool: &GuardPool, done: impl Fn(GuardId) -> bool) -> Option<GuardId> {
+        while let Some((id, entered)) = self.stack.pop() {
+            if entered {
+                return Some(id);
+            }
+            if done(id) {
+                continue;
+            }
+            self.stack.push((id, true));
+            match pool[id] {
+                GuardNode::Not(a) => self.stack.push((a, false)),
+                GuardNode::And(a, b) | GuardNode::Or(a, b) => {
+                    self.stack.extend([(b, false), (a, false)]);
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+}
+
+/// Lazy depth-first iterator over the ports of a pooled guard, created by
+/// [`GuardPool::ports`]. Yields ports in the order of
+/// [`Guard::ports_into`] on the guard's tree.
 pub struct GuardPorts<'a> {
-    stack: Vec<&'a Guard>,
+    pool: &'a GuardPool,
+    stack: Vec<GuardId>,
     /// Second port of a comparison whose first port was just yielded.
     pending: Option<PortRef>,
 }
@@ -362,17 +706,14 @@ impl Iterator for GuardPorts<'_> {
         if let Some(p) = self.pending.take() {
             return Some(p);
         }
-        while let Some(g) = self.stack.pop() {
-            match g {
-                Guard::True => {}
-                Guard::Port(p) => return Some(*p),
-                Guard::Not(inner) => self.stack.push(inner),
+        while let Some(id) = self.stack.pop() {
+            match self.pool[id] {
+                GuardNode::True => {}
+                GuardNode::Port(p) => return Some(p),
+                GuardNode::Not(inner) => self.stack.push(inner),
                 // Left child visited first: push right below left.
-                Guard::And(a, b) | Guard::Or(a, b) => {
-                    self.stack.push(b);
-                    self.stack.push(a);
-                }
-                Guard::Comp(_, l, r) => match (l.port(), r.port()) {
+                GuardNode::And(a, b) | GuardNode::Or(a, b) => self.stack.extend([b, a]),
+                GuardNode::Comp(_, l, r) => match (l.port(), r.port()) {
                     (Some(l), Some(r)) => {
                         self.pending = Some(*r);
                         return Some(*l);
@@ -383,64 +724,6 @@ impl Iterator for GuardPorts<'_> {
             }
         }
         None
-    }
-}
-
-impl From<PortRef> for Guard {
-    fn from(p: PortRef) -> Self {
-        Guard::Port(p)
-    }
-}
-
-impl Guard {
-    /// Write the guard as Calyx text. Precedence: `!` > comparison > `&` >
-    /// `|`; a child that binds looser than its parent is parenthesized
-    /// (matching the parser's grammar, so `!(x == 1)` keeps its
-    /// parentheses while `x == 1 & y` needs none). `Display` and the
-    /// printer both write through this.
-    pub fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
-        match self {
-            Guard::True => out.write_str("1'd1"),
-            Guard::Port(p) => p.write_to(out),
-            Guard::Not(inner) => {
-                out.write_char('!')?;
-                inner.write_under(self, out)
-            }
-            Guard::And(a, b) => {
-                a.write_under(self, out)?;
-                out.write_str(" & ")?;
-                b.write_under(self, out)
-            }
-            Guard::Or(a, b) => {
-                a.write_under(self, out)?;
-                out.write_str(" | ")?;
-                b.write_under(self, out)
-            }
-            Guard::Comp(op, l, r) => {
-                l.write_to(out)?;
-                out.write_char(' ')?;
-                out.write_str(op.as_str())?;
-                out.write_char(' ')?;
-                r.write_to(out)
-            }
-        }
-    }
-
-    /// Write the guard as an operand of `parent`.
-    fn write_under(&self, parent: &Guard, out: &mut impl std::fmt::Write) -> std::fmt::Result {
-        if self.needs_parens_under(parent) {
-            out.write_char('(')?;
-            self.write_to(out)?;
-            out.write_char(')')
-        } else {
-            self.write_to(out)
-        }
-    }
-}
-
-impl std::fmt::Display for Guard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.write_to(f)
     }
 }
 
@@ -511,47 +794,96 @@ mod tests {
             Guard::port_eq(p("fsm"), 2, 4).and(Guard::port(p("done"))),
             Guard::Comp(CompOp::Lt, Atom::Port(p("x")), Atom::Port(p("y"))),
             Guard::Comp(CompOp::Eq, Atom::constant(1, 2), Atom::constant(1, 2)),
+            Guard::port(p("a")).and(Guard::port(p("a"))),
         ];
+        let mut pool = GuardPool::default();
         for g in guards {
-            let collected: Vec<_> = g.ports_iter().collect();
+            let id = pool.intern(&g);
+            let collected: Vec<_> = pool.ports(id).collect();
             assert_eq!(collected, g.ports(), "order/content mismatch for {g}");
         }
     }
 
-    /// A rename through a node that two guards share copies the node: the
-    /// other owner keeps reading the old port.
-    #[test]
-    fn map_ports_through_a_shared_node_leaves_the_other_owner() {
-        let shared = Arc::new(Guard::port(p("a")).and(Guard::port(p("b"))));
-        let mut renamed = Guard::Not(Arc::clone(&shared));
-        let other = Guard::Or(Arc::clone(&shared), Arc::new(Guard::port(p("c"))));
-        renamed.map_ports(&mut |port| if port == p("a") { p("z") } else { port });
-        assert_eq!(renamed.to_string(), "!(z.out & b.out)");
-        assert_eq!(other.to_string(), "a.out & b.out | c.out");
-        assert_eq!(shared.to_string(), "a.out & b.out");
-    }
-
-    #[test]
-    fn visit_once_enters_a_shared_node_once() {
-        let shared = Arc::new(Guard::port(p("a")).and(Guard::port(p("b"))));
-        let guards = [
-            Guard::Not(Arc::clone(&shared)),
-            Guard::Or(Arc::clone(&shared), Arc::clone(&shared)),
-        ];
-        let mut seen = GuardMemo::default();
-        let mut entered = Vec::new();
-        for g in &guards {
-            g.visit_once(&mut seen, &mut |node| entered.push(node.to_string()));
-        }
-        // The two roots, the shared conjunction and its two ports.
-        assert_eq!(entered.len(), 5, "{entered:?}");
-        assert_eq!(guards[1].size(), 7, "as a tree it is still seven nodes");
-    }
-
     #[test]
     fn size_counts_nodes() {
-        assert_eq!(Guard::True.size(), 0);
-        let g = Guard::port(p("a")).and(Guard::port_eq(p("b"), 1, 2));
-        assert_eq!(g.size(), 3);
+        let mut pool = GuardPool::default();
+        let g = pool.intern(&Guard::port(p("a")).and(Guard::port_eq(p("b"), 1, 2)));
+        let sizes = pool.tree_sizes();
+        assert_eq!((sizes[GuardId::TRUE.index()], sizes[g.index()]), (0, 3));
+    }
+
+    #[test]
+    fn equal_guards_are_one_id_and_children_come_first() {
+        let mut pool = GuardPool::default();
+        let ab = || Guard::port(p("a")).and(Guard::port(p("b")));
+        let x = pool.intern(&ab().not());
+        let y = pool.intern(&ab().or(ab()));
+        let GuardNode::Not(shared) = pool[x] else {
+            panic!("{} is a negation", pool.display(x));
+        };
+        assert_eq!(pool[y], GuardNode::Or(shared, shared));
+        // TRUE, a, b, a & b, the negation, the disjunction.
+        assert_eq!(pool.len(), 6);
+        for id in pool.ids() {
+            assert!(pool[id].children().all(|c| c < id));
+        }
+        assert_eq!(
+            pool.tree_sizes()[y.index()],
+            7,
+            "as a tree it is seven nodes"
+        );
+    }
+
+    #[test]
+    fn constructors_fold_like_the_tree_ones() {
+        let mut pool = GuardPool::default();
+        let a = pool.port(p("a"));
+        assert_eq!(pool.and(GuardId::TRUE, a), a);
+        assert_eq!(pool.or(a, GuardId::TRUE), GuardId::TRUE);
+        let not_a = pool.not(a);
+        assert_eq!(pool.not(not_a), a);
+    }
+
+    #[test]
+    fn retain_keeps_the_order_and_renumbers_children() {
+        let mut pool = GuardPool::default();
+        let dead = pool.intern(&Guard::port(p("x")).and(Guard::port(p("y"))));
+        let kept = pool.intern(&Guard::port(p("a")).or(Guard::port(p("b"))).not());
+        let live = pool.reachable([kept]);
+        assert!(!live[dead.index()]);
+        let new_id = pool.retain(&live).expect("dead nodes were dropped");
+        let kept = new_id[kept.index()];
+        assert_eq!(pool.len(), 5);
+        assert_eq!(pool.display(kept).to_string(), "!(a.out | b.out)");
+        assert_eq!(
+            pool.add(GuardNode::Port(p("a"))),
+            GuardId(1),
+            "the table is rebuilt"
+        );
+        assert!(pool.retain(&pool.reachable([kept])).is_none());
+    }
+
+    /// A left-leaning chain deeper than any thread's stack would take
+    /// recursively is written and walked iteratively.
+    #[test]
+    fn a_deep_chain_is_written_without_recursion() {
+        let mut pool = GuardPool::default();
+        let (a, b) = (pool.port(p("a")), pool.port(p("b")));
+        let mut chain = a;
+        for i in 0..200_000 {
+            chain = pool.add(GuardNode::And(chain, if i % 2 == 0 { b } else { a }));
+        }
+        let text = pool.display(chain).to_string();
+        assert!(text.starts_with("a.out & b.out & a.out"), "{}", &text[..40]);
+        assert_eq!(text.len(), 200_001 * 5 + 200_000 * 3);
+        let mut walk = PostOrder::default();
+        walk.push(chain);
+        let mut done = vec![false; pool.len()];
+        let mut visited = 0;
+        while let Some(id) = walk.next(&pool, |id| done[id.index()]) {
+            done[id.index()] = true;
+            visited += 1;
+        }
+        assert_eq!(visited, pool.len() - 1, "every node but TRUE, once");
     }
 }

@@ -34,7 +34,8 @@
 use super::cell::Group;
 use super::{
     Assignment, Atom, Attributes, CellType, CompOp, Component, Context, Control, Direction, Guard,
-    Id, Library, Loc, PortDef, PrimitiveDef, PrimitivePort, SourceMap, Truncation, WidthSpec,
+    GuardId, GuardNode, GuardPool, Id, Library, Loc, PortDef, PrimitiveDef, PrimitivePort,
+    SourceMap, Truncation, WidthSpec,
 };
 use crate::errors::{CalyxResult, Error};
 use crate::prim::mask;
@@ -251,15 +252,34 @@ fn lex(src: &str) -> CalyxResult<(Vec<Spanned<'_>>, Vec<Truncation>)> {
 struct Parser<'src> {
     toks: Vec<Spanned<'src>>,
     pos: usize,
+    /// The guards of the component being read: its assignments' guards
+    /// are interned here as they are parsed.
+    guards: GuardPool,
+    /// How many `!` and `(` the guard being read is inside of.
+    depth: usize,
 }
+
+/// How deep a guard may nest `!` and `(`. The parser recurses once per
+/// level, so the cap keeps a hostile input from overflowing its stack; a
+/// `&`/`|` chain is a loop and may be as long as the input.
+const MAX_GUARD_DEPTH: usize = 256;
 
 /// A guard-or-atom expression; disambiguated by the trailing `?`.
 enum GExpr {
     Atom(Atom),
-    Guard(Guard),
+    Guard(GuardId),
 }
 
 impl<'src> Parser<'src> {
+    fn new(toks: Vec<Spanned<'src>>) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            guards: GuardPool::default(),
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> Tok<'src> {
         self.toks[self.pos].tok
     }
@@ -435,7 +455,8 @@ impl<'src> Parser<'src> {
         let mut lhs = self.g_and()?;
         while self.eat(Tok::Pipe) {
             let rhs = self.g_and()?;
-            lhs = GExpr::Guard(to_guard(lhs)?.or(to_guard(rhs)?));
+            let (l, r) = (self.guard_of(lhs)?, self.guard_of(rhs)?);
+            lhs = GExpr::Guard(self.guards.or(l, r));
         }
         Ok(lhs)
     }
@@ -444,7 +465,8 @@ impl<'src> Parser<'src> {
         let mut lhs = self.g_cmp()?;
         while self.eat(Tok::Amp) {
             let rhs = self.g_cmp()?;
-            lhs = GExpr::Guard(to_guard(lhs)?.and(to_guard(rhs)?));
+            let (l, r) = (self.guard_of(lhs)?, self.guard_of(rhs)?);
+            lhs = GExpr::Guard(self.guards.and(l, r));
         }
         Ok(lhs)
     }
@@ -467,22 +489,48 @@ impl<'src> Parser<'src> {
                 let rhs = self.g_unary()?;
                 let l = to_atom(lhs).map_err(|m| self.err(m))?;
                 let r = to_atom(rhs).map_err(|m| self.err(m))?;
-                Ok(GExpr::Guard(Guard::Comp(op, l, r)))
+                Ok(GExpr::Guard(self.guards.add(GuardNode::Comp(op, l, r))))
             }
         }
     }
 
     fn g_unary(&mut self) -> CalyxResult<GExpr> {
-        if self.eat(Tok::Bang) {
-            let inner = self.g_unary()?;
-            return Ok(GExpr::Guard(to_guard(inner)?.not()));
+        let (nested, loc) = (self.peek(), self.loc());
+        if !matches!(nested, Tok::Bang | Tok::LParen) {
+            return Ok(GExpr::Atom(self.atom()?));
         }
-        if self.eat(Tok::LParen) {
+        if self.depth == MAX_GUARD_DEPTH {
+            return Err(err_at(
+                loc,
+                format!("guard nests deeper than {MAX_GUARD_DEPTH} levels of `!` and `(`"),
+            ));
+        }
+        self.next();
+        self.depth += 1;
+        let inner = if nested == Tok::Bang {
+            let inner = self.g_unary()?;
+            let inner = self.guard_of(inner)?;
+            GExpr::Guard(self.guards.not(inner))
+        } else {
             let inner = self.gexpr()?;
             self.expect(Tok::RParen, "`)`")?;
-            return Ok(inner);
+            inner
+        };
+        self.depth -= 1;
+        Ok(inner)
+    }
+
+    /// A guard-or-atom read as a guard: a bare port is a port guard and
+    /// `1'd1` is true.
+    fn guard_of(&mut self, e: GExpr) -> CalyxResult<GuardId> {
+        match e {
+            GExpr::Guard(g) => Ok(g),
+            GExpr::Atom(Atom::Port(p)) => Ok(self.guards.port(p)),
+            GExpr::Atom(Atom::Const { val: 1, width: 1 }) => Ok(GuardId::TRUE),
+            GExpr::Atom(a) => Err(Error::malformed(format!(
+                "constant `{a}` cannot be used as a guard"
+            ))),
         }
-        Ok(GExpr::Atom(self.atom()?))
     }
 
     /// `dst = (guard ?)? src ;`
@@ -491,7 +539,7 @@ impl<'src> Parser<'src> {
         self.expect(Tok::Eq, "`=`")?;
         let first = self.gexpr()?;
         let asgn = if self.eat(Tok::Question) {
-            let guard = to_guard(first)?;
+            let guard = self.guard_of(first)?;
             let src = self.atom()?;
             Assignment::guarded(dst, src, guard)
         } else {
@@ -555,17 +603,6 @@ impl<'src> Parser<'src> {
     }
 }
 
-fn to_guard(e: GExpr) -> CalyxResult<Guard> {
-    match e {
-        GExpr::Guard(g) => Ok(g),
-        GExpr::Atom(Atom::Port(p)) => Ok(Guard::Port(p)),
-        GExpr::Atom(Atom::Const { val: 1, width: 1 }) => Ok(Guard::True),
-        GExpr::Atom(a) => Err(Error::malformed(format!(
-            "constant `{a}` cannot be used as a guard"
-        ))),
-    }
-}
-
 fn to_atom(e: GExpr) -> Result<Atom, String> {
     match e {
         GExpr::Atom(a) => Ok(a),
@@ -599,6 +636,7 @@ struct RawBody {
     cells: Vec<RawCell>,
     groups: Vec<Group>,
     continuous: Vec<Assignment>,
+    guards: GuardPool,
     control: Control,
 }
 
@@ -651,6 +689,7 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<(Comp
 
     // wires { ... }
     p.keyword(Id::WIRES)?;
+    p.guards = GuardPool::default();
     p.expect(Tok::LBrace, "`{`")?;
     let mut groups = Vec::new();
     let mut continuous = Vec::new();
@@ -693,6 +732,7 @@ fn parse_component(p: &mut Parser, sources: &mut SourceMap) -> CalyxResult<(Comp
         cells,
         groups,
         continuous,
+        guards: std::mem::take(&mut p.guards),
         control,
     };
     Ok((signature, body))
@@ -762,7 +802,7 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
     for t in truncations {
         sources.record_truncation(t);
     }
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(toks);
     let mut bodies = Vec::new();
     let mut ctx = Context::new();
     // Phase 1: register signatures as the components are read, so they
@@ -824,6 +864,7 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
             }
         }
         comp.continuous = body.continuous;
+        comp.guards = body.guards;
         comp.control = body.control;
     }
     ctx.sources = sources;
@@ -831,19 +872,20 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
 }
 
 /// Parse a guard expression standalone (used by tests and the REPL-style
-/// examples).
+/// examples), as a tree.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Parse`] on malformed guards.
 pub fn parse_guard(src: &str) -> CalyxResult<Guard> {
     let (toks, _) = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(toks);
     let e = p.gexpr()?;
     if p.peek() != Tok::Eof {
         return Err(p.err("trailing tokens after guard"));
     }
-    to_guard(e)
+    let guard = p.guard_of(e)?;
+    Ok(p.guards.tree(guard))
 }
 
 #[cfg(test)]
@@ -929,8 +971,8 @@ mod tests {
         let main = ctx.component("main").unwrap();
         assert_eq!(main.continuous.len(), 3);
         assert!(matches!(
-            main.continuous[1].guard,
-            Guard::Comp(CompOp::Lt, ..)
+            main.guards[main.continuous[1].guard],
+            GuardNode::Comp(CompOp::Lt, ..)
         ));
     }
 
@@ -1125,6 +1167,28 @@ mod tests {
         }
         let (msg, ..) = parse_error("component main() -> () { x }");
         assert_eq!(msg, r#"expected keyword `cells`, found Ident("x")"#);
+    }
+
+    /// `!` and `(` nest at most [`MAX_GUARD_DEPTH`] deep in a guard; the
+    /// first one past the cap is a positioned error, however many follow.
+    #[test]
+    fn guards_nested_past_the_cap_are_positioned_errors() {
+        let nested = |open: &str, close: &str, n: usize| {
+            format!("{}r.out{}", open.repeat(n), close.repeat(n))
+        };
+        parse_guard(&nested("(", ")", MAX_GUARD_DEPTH)).unwrap();
+        parse_guard(&nested("!", "", MAX_GUARD_DEPTH)).unwrap();
+        for (open, close, n) in [("(", ")", 20_000), ("!", "", 50_000), ("!(", ")", 300)] {
+            let guard = nested(open, close, n);
+            let src = format!(
+                "component main() -> () {{\n  cells {{ r = std_reg(1); }}\n  \
+                 wires {{ r.in = {guard} ? 1'd1; }}\n  control {{}}\n}}"
+            );
+            let (msg, line, col) = parse_error(&src);
+            assert_eq!(msg, "guard nests deeper than 256 levels of `!` and `(`");
+            let column = "  wires { r.in = ".len() + MAX_GUARD_DEPTH + 1;
+            assert_eq!((line, col), (3, column), "{open}");
+        }
     }
 
     /// A column counts characters: the `é` in the path is one column,

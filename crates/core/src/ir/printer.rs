@@ -8,16 +8,17 @@
 //! One `&mut String` runs through every writer, from a whole context down
 //! to a port reference: no item is rendered into a `String` of its own
 //! first, an indent is pushed as spaces where it is needed, and names,
-//! widths and constants are appended without `fmt` (a port, constant or
-//! guard writes through its `write_to`, which its `Display` shares). The
+//! widths and constants are appended without `fmt` (a port or constant
+//! writes through its `write_to`, which its `Display` shares, and a guard
+//! through [`GuardPool::write`], which recurses nowhere). The
 //! `print_*` functions hand a fresh `String` to those writers; the `calyx`
 //! backend streams [`Printer::write_externs`] and
 //! [`Printer::write_component`] through one reused buffer.
 
 use super::cell::Group;
 use super::{
-    attr, Assignment, Attributes, Cell, CellType, Component, Context, Control, Direction, Id,
-    Library, PortDef, PrimitivePort, WidthSpec,
+    attr, Assignment, Attributes, Cell, CellType, Component, Context, Control, Direction,
+    GuardPool, Id, Library, PortDef, PrimitivePort, WidthSpec,
 };
 use crate::utils::decimal;
 
@@ -107,11 +108,11 @@ impl Printer {
         }
         out.push_str("  }\n  wires {\n");
         for group in comp.groups.iter() {
-            write_group(group, 2, out);
+            write_group(group, &comp.guards, 2, out);
         }
         for asgn in &comp.continuous {
             indent(2, out);
-            write_assignment(asgn, out);
+            write_assignment(asgn, &comp.guards, out);
             out.push('\n');
         }
         out.push_str("  }\n  control {\n");
@@ -126,17 +127,17 @@ impl Printer {
         out
     }
 
-    /// Print a group definition.
-    pub fn print_group(group: &Group) -> String {
+    /// Print a group definition whose guards are in `guards`.
+    pub fn print_group(group: &Group, guards: &GuardPool) -> String {
         let mut out = String::new();
-        write_group(group, 0, &mut out);
+        write_group(group, guards, 0, &mut out);
         out
     }
 
-    /// Print a single assignment.
-    pub fn print_assignment(asgn: &Assignment) -> String {
+    /// Print a single assignment whose guard is in `guards`.
+    pub fn print_assignment(asgn: &Assignment, guards: &GuardPool) -> String {
         let mut out = String::new();
-        write_assignment(asgn, &mut out);
+        write_assignment(asgn, guards, &mut out);
         out
     }
 
@@ -226,7 +227,7 @@ fn write_cell(cell: &Cell, out: &mut String) {
 }
 
 /// Append a group at `level`, its assignments one level deeper.
-fn write_group(group: &Group, level: usize, out: &mut String) {
+fn write_group(group: &Group, guards: &GuardPool, level: usize, out: &mut String) {
     indent(level, out);
     out.push_str("group ");
     out.push_str(group.name.as_str());
@@ -234,18 +235,18 @@ fn write_group(group: &Group, level: usize, out: &mut String) {
     out.push_str(" {\n");
     for asgn in &group.assignments {
         indent(level + 1, out);
-        write_assignment(asgn, out);
+        write_assignment(asgn, guards, out);
         out.push('\n');
     }
     indent(level, out);
     out.push_str("}\n");
 }
 
-fn write_assignment(asgn: &Assignment, out: &mut String) {
+fn write_assignment(asgn: &Assignment, guards: &GuardPool, out: &mut String) {
     let _ = asgn.dst.write_to(out);
     out.push_str(" = ");
     if !asgn.guard.is_true() {
-        let _ = asgn.guard.write_to(out);
+        let _ = guards.write(asgn.guard, out);
         out.push_str(" ? ");
     }
     let _ = asgn.src.write_to(out);
@@ -364,13 +365,6 @@ impl std::fmt::Display for Control {
     }
 }
 
-/// Allow printing groups standalone (used in error messages).
-impl std::fmt::Display for Group {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&Printer::print_group(self))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{Atom, Builder, Guard, Id, PortRef};
@@ -378,15 +372,16 @@ mod tests {
 
     #[test]
     fn prints_assignments() {
+        let mut guards = GuardPool::default();
         let asgn = Assignment::new(PortRef::cell("r", "in"), Atom::constant(1, 32));
-        assert_eq!(Printer::print_assignment(&asgn), "r.in = 32'd1;");
+        assert_eq!(Printer::print_assignment(&asgn, &guards), "r.in = 32'd1;");
         let guarded = Assignment::guarded(
             PortRef::cell("x", "in"),
             PortRef::cell("a", "out"),
-            Guard::port(PortRef::cell("cmp", "out")),
+            guards.intern(&Guard::port(PortRef::cell("cmp", "out"))),
         );
         assert_eq!(
-            Printer::print_assignment(&guarded),
+            Printer::print_assignment(&guarded, &guards),
             "x.in = cmp.out ? a.out;"
         );
     }

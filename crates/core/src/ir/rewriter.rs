@@ -5,9 +5,15 @@
 //! `a1`, the rewrite is a local substitution inside the group — the
 //! encapsulation property of groups guarantees nothing outside the group
 //! needs to change.
+//!
+//! A guard is renamed node by node into its component's pool: a node
+//! whose ports do not change is interned back as itself, and a node two
+//! rewritten assignments share is renamed once.
 
 use super::cell::Group;
-use super::{Assignment, Atom, Control, Id, PortParent, PortRef};
+use super::{
+    Assignment, Atom, Control, GuardId, GuardNode, GuardPool, Id, PortParent, PortRef, PostOrder,
+};
 use rustc_hash::FxHashMap;
 
 /// A substitution over cell names and (optionally) exact port references.
@@ -42,20 +48,45 @@ impl Rewriter {
         }
     }
 
-    /// Rewrite an assignment in place.
-    pub fn assignment(&self, asgn: &mut Assignment) {
-        asgn.dst = self.port(asgn.dst);
-        if let Atom::Port(p) = &mut asgn.src {
-            *p = self.port(*p);
+    fn atom(&self, atom: Atom) -> Atom {
+        match atom {
+            Atom::Port(p) => Atom::Port(self.port(p)),
+            constant => constant,
         }
-        asgn.guard.map_ports(&mut |p| self.port(p));
     }
 
-    /// Rewrite every assignment in a group.
-    pub fn group(&self, group: &mut Group) {
-        for asgn in &mut group.assignments {
-            self.assignment(asgn);
+    /// Rewrite assignments in place; their guards are in `guards`, where
+    /// the renamed guards go.
+    pub fn assignments<'a>(
+        &self,
+        asgns: impl IntoIterator<Item = &'a mut Assignment>,
+        guards: &mut GuardPool,
+    ) {
+        // By id, up to the highest root so far: a root's nodes are below it.
+        let mut renamed: Vec<Option<GuardId>> = Vec::new();
+        let mut walk = PostOrder::default();
+        for asgn in asgns {
+            asgn.dst = self.port(asgn.dst);
+            asgn.src = self.atom(asgn.src);
+            if renamed.len() <= asgn.guard.index() {
+                renamed.resize(asgn.guard.index() + 1, None);
+            }
+            walk.push(asgn.guard);
+            while let Some(id) = walk.next(guards, |id| renamed[id.index()].is_some()) {
+                let node = match guards[id] {
+                    GuardNode::Port(p) => GuardNode::Port(self.port(p)),
+                    GuardNode::Comp(op, l, r) => GuardNode::Comp(op, self.atom(l), self.atom(r)),
+                    node => node.map_children(|c| renamed[c.index()].expect("children first")),
+                };
+                renamed[id.index()] = Some(guards.add(node));
+            }
+            asgn.guard = renamed[asgn.guard.index()].expect("the walk renamed the root");
         }
+    }
+
+    /// Rewrite every assignment in a group whose guards are in `guards`.
+    pub fn group(&self, group: &mut Group, guards: &mut GuardPool) {
+        self.assignments(&mut group.assignments, guards);
     }
 
     /// Rewrite the port references inside a control program (`if`/`while`
@@ -94,17 +125,48 @@ mod tests {
     #[test]
     fn renames_cells_everywhere_in_assignment() {
         let rw = Rewriter::from_cells([(Id::new("a1"), Id::new("a0"))].into_iter().collect());
+        let mut guards = GuardPool::default();
+        let guard = guards.intern(
+            &Guard::port(PortRef::cell("a1", "done")).and(Guard::port(PortRef::cell("b", "out"))),
+        );
         let mut asgn = Assignment::guarded(
             PortRef::cell("a1", "left"),
             PortRef::cell("a1", "out"),
-            Guard::port(PortRef::cell("a1", "done")).and(Guard::port(PortRef::cell("b", "out"))),
+            guard,
         );
-        rw.assignment(&mut asgn);
+        rw.assignments([&mut asgn], &mut guards);
         assert_eq!(asgn.dst, PortRef::cell("a0", "left"));
         assert_eq!(asgn.src, Atom::Port(PortRef::cell("a0", "out")));
-        let ports = asgn.guard.ports();
-        assert!(ports.contains(&PortRef::cell("a0", "done")));
-        assert!(ports.contains(&PortRef::cell("b", "out")));
+        assert_eq!(
+            guards.ports(asgn.guard).collect::<Vec<_>>(),
+            [PortRef::cell("a0", "done"), PortRef::cell("b", "out")]
+        );
+    }
+
+    /// A node two assignments share is renamed once, into one node; the
+    /// node it was stays for whatever else reads it.
+    #[test]
+    fn a_shared_node_is_renamed_once() {
+        let rw = Rewriter::from_cells([(Id::new("a"), Id::new("z"))].into_iter().collect());
+        let mut guards = GuardPool::default();
+        let a_and_b =
+            Guard::port(PortRef::cell("a", "out")).and(Guard::port(PortRef::cell("b", "out")));
+        let shared = guards.intern(&a_and_b);
+        let x = guards.intern(&a_and_b.clone().not());
+        let y = guards.intern(&a_and_b.or(Guard::port(PortRef::cell("c", "out"))));
+        let dst = PortRef::cell("r", "in");
+        let mut asgns = [x, y].map(|g| Assignment::guarded(dst, Atom::constant(1, 1), g));
+        rw.assignments(&mut asgns, &mut guards);
+        let text = |g| guards.display(g).to_string();
+        assert_eq!(text(asgns[0].guard), "!(z.out & b.out)");
+        assert_eq!(text(asgns[1].guard), "z.out & b.out | c.out");
+        assert_eq!(text(shared), "a.out & b.out");
+        let (GuardNode::Not(renamed), GuardNode::Or(also, _)) =
+            (guards[asgns[0].guard], guards[asgns[1].guard])
+        else {
+            panic!("the roots keep their connectives");
+        };
+        assert_eq!(renamed, also);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! pass wraps them; frontends can also call them directly.
 
 use super::{
-    Assignment, Atom, Component, Context, Control, Direction, Group, Guard, PortParent, PortRef,
+    Assignment, Atom, Component, Context, Control, Direction, Group, GuardId, GuardNode,
+    PortParent, PortRef, PostOrder,
 };
 use crate::errors::{CalyxResult, Error};
 
@@ -66,12 +67,19 @@ fn locate(prefix: &str, e: &Error) -> Error {
 pub fn collect_component(comp: &Component, sink: &mut Vec<Error>) {
     // One control walk for the whole component, not one per group.
     let enabled = comp.control.used_groups();
+    let mut checked = CheckedGuards::new(comp);
     for group in comp.groups.iter() {
-        collect_group(comp, group, enabled.contains(&group.name), sink);
+        collect_group(
+            comp,
+            group,
+            enabled.contains(&group.name),
+            &mut checked,
+            sink,
+        );
         check_unique_drivers(comp, &group.assignments, group.name.as_str(), sink);
     }
     for asgn in &comp.continuous {
-        if let Err(e) = validate_assignment(comp, asgn) {
+        if let Err(e) = validate_assignment(comp, asgn, &mut checked) {
             sink.push(e);
         }
     }
@@ -79,9 +87,15 @@ pub fn collect_component(comp: &Component, sink: &mut Vec<Error>) {
     collect_control(comp, &comp.control, sink);
 }
 
-fn collect_group(comp: &Component, group: &Group, enabled: bool, sink: &mut Vec<Error>) {
+fn collect_group(
+    comp: &Component,
+    group: &Group,
+    enabled: bool,
+    checked: &mut CheckedGuards,
+    sink: &mut Vec<Error>,
+) {
     for asgn in &group.assignments {
-        if let Err(e) = validate_assignment(comp, asgn) {
+        if let Err(e) = validate_assignment(comp, asgn, checked) {
             sink.push(locate(&format!("in group `{}`", group.name), &e));
         }
     }
@@ -153,7 +167,11 @@ fn writable(comp: &Component, port: &PortRef) -> CalyxResult<bool> {
     })
 }
 
-fn validate_assignment(comp: &Component, asgn: &Assignment) -> CalyxResult<()> {
+fn validate_assignment(
+    comp: &Component,
+    asgn: &Assignment,
+    checked: &mut CheckedGuards,
+) -> CalyxResult<()> {
     let dst_width = comp.port_width(&asgn.dst)?;
     if !writable(comp, &asgn.dst)? {
         return Err(Error::malformed(format!(
@@ -178,13 +196,46 @@ fn validate_assignment(comp: &Component, asgn: &Assignment) -> CalyxResult<()> {
             asgn.dst, asgn.src
         )));
     }
-    validate_guard(comp, &asgn.guard)
+    checked.guard(comp, asgn.guard)
 }
 
-fn validate_guard(comp: &Component, guard: &Guard) -> CalyxResult<()> {
-    match guard {
-        Guard::True => Ok(()),
-        Guard::Port(p) => {
+/// The guard nodes of a component found well-formed so far, by id: an
+/// assignment's guard is checked node by node, and a node another
+/// assignment's guard already passed is not entered again.
+struct CheckedGuards {
+    ok: Vec<bool>,
+    walk: PostOrder,
+}
+
+impl CheckedGuards {
+    fn new(comp: &Component) -> Self {
+        let mut ok = vec![false; comp.guards.len()];
+        ok[GuardId::TRUE.index()] = true;
+        CheckedGuards {
+            ok,
+            walk: PostOrder::default(),
+        }
+    }
+
+    /// Check `guard`; the error is its leftmost ill-formed leaf's.
+    fn guard(&mut self, comp: &Component, guard: GuardId) -> CalyxResult<()> {
+        self.walk.push(guard);
+        while let Some(id) = self.walk.next(&comp.guards, |id| self.ok[id.index()]) {
+            if let Err(e) = validate_node(comp, &comp.guards[id]) {
+                self.walk = PostOrder::default();
+                return Err(e);
+            }
+            self.ok[id.index()] = true;
+        }
+        Ok(())
+    }
+}
+
+/// Check one guard node: a port leaf reads one bit, and a comparison's
+/// operands have one width.
+fn validate_node(comp: &Component, node: &GuardNode) -> CalyxResult<()> {
+    match node {
+        GuardNode::Port(p) => {
             let w = comp.port_width(p)?;
             if w != 1 {
                 return Err(Error::malformed(format!(
@@ -193,12 +244,7 @@ fn validate_guard(comp: &Component, guard: &Guard) -> CalyxResult<()> {
             }
             Ok(())
         }
-        Guard::Not(g) => validate_guard(comp, g),
-        Guard::And(a, b) | Guard::Or(a, b) => {
-            validate_guard(comp, a)?;
-            validate_guard(comp, b)
-        }
-        Guard::Comp(_, l, r) => {
+        GuardNode::Comp(_, l, r) => {
             let lw = match l {
                 Atom::Port(p) => comp.port_width(p)?,
                 Atom::Const { width, .. } => *width,
@@ -214,6 +260,7 @@ fn validate_guard(comp: &Component, guard: &Guard) -> CalyxResult<()> {
             }
             Ok(())
         }
+        GuardNode::True | GuardNode::Not(_) | GuardNode::And(..) | GuardNode::Or(..) => Ok(()),
     }
 }
 

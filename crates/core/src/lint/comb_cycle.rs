@@ -10,7 +10,9 @@ use super::diagnostic::{Diagnostic, Severity};
 use super::registry::Lint;
 use super::sink::DiagnosticSink;
 use crate::analysis::AnalysisCache;
-use crate::ir::{Assignment, Cell, CellType, Component, Context, Direction, Id, PortRef};
+use crate::ir::{
+    Assignment, Cell, CellType, Component, Context, Direction, GuardPool, Id, PortRef,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Finds combinational cycles per *activation scope*: the continuous
@@ -83,12 +85,12 @@ fn through_cell_edges(ctx: &Context, comp: &Component) -> Graph {
     g
 }
 
-fn add_assignment_edges(g: &mut Graph, asgns: &[Assignment]) {
+fn add_assignment_edges(g: &mut Graph, asgns: &[Assignment], guards: &GuardPool) {
     for asgn in asgns {
         if asgn.dst.cell_parent().is_none() {
             continue;
         }
-        for read in asgn.reads_iter() {
+        for read in asgn.reads_iter(guards) {
             if read.cell_parent().is_some() {
                 g.entry(read).or_default().insert(asgn.dst);
             }
@@ -147,14 +149,14 @@ fn find_cycle(g: &Graph) -> Option<Vec<PortRef>> {
 fn check_component(ctx: &Context, comp: &Component, sink: &mut DiagnosticSink) {
     let base = {
         let mut g = through_cell_edges(ctx, comp);
-        add_assignment_edges(&mut g, &comp.continuous);
+        add_assignment_edges(&mut g, &comp.continuous, &comp.guards);
         g
     };
     let mut seen: BTreeSet<Vec<PortRef>> = BTreeSet::new();
     let mut scopes: Vec<(Option<Id>, Graph)> = vec![(None, base.clone())];
     for group in comp.groups.iter() {
         let mut g = base.clone();
-        add_assignment_edges(&mut g, &group.assignments);
+        add_assignment_edges(&mut g, &group.assignments, &comp.guards);
         scopes.push((Some(group.name), g));
     }
     for (scope, graph) in scopes {

@@ -68,7 +68,7 @@ fn memory_accesses(comp: &Component) -> BTreeMap<Id, (BTreeSet<Id>, BTreeSet<Id>
                     writes.insert(c);
                 }
             }
-            for p in asgn.reads_iter() {
+            for p in asgn.reads_iter(&comp.guards) {
                 if let Some(c) = p.cell_parent() {
                     if memories.contains(&c) && p.port == Id::READ_DATA {
                         reads.insert(c);

@@ -76,7 +76,7 @@ external input reaches a kernel.";
 fn report(ctx: &Context, comp: &Component, sink: &mut DiagnosticSink, group: Id, reg: Id) {
     let read_site = comp.groups.get(group).and_then(|g| {
         g.assignments.iter().position(|a| {
-            a.reads_iter()
+            a.reads_iter(&comp.guards)
                 .any(|p| p.parent == PortParent::Cell(reg) && p.port == Id::OUT)
         })
     });

@@ -25,7 +25,7 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{attr, Attributes, Builder, Component, Control, Guard, Id, PortRef};
+use crate::ir::{attr, Attributes, Builder, Component, Control, Guard, GuardId, Id, PortRef};
 use crate::utils::bits_needed;
 
 /// Compiles `seq`/`par`/`if`/`while` into latency-insensitive FSMs.
@@ -149,8 +149,13 @@ fn child_groups(stmts: &[Control]) -> Vec<Id> {
 }
 
 /// `group[done]` as a guard.
-fn done(group: Id) -> Guard {
-    Guard::Port(PortRef::hole(group, Id::DONE))
+fn done(b: &mut Builder, group: Id) -> GuardId {
+    b.guards().port(PortRef::hole(group, Id::DONE))
+}
+
+/// `cell.out` as a guard.
+fn out(b: &mut Builder, cell: Id) -> GuardId {
+    b.guards().port(PortRef::cell(cell, Id::OUT))
 }
 
 /// Does enabling this group require `!done` re-execution protection?
@@ -192,9 +197,11 @@ fn needs_done_protection(b: &mut Builder, group: Id) -> bool {
 
 /// The `go` guard for enabling `child` under `base`; see
 /// [`needs_done_protection`].
-fn enable_guard(b: &mut Builder, child: Id, base: Guard) -> Guard {
+fn enable_guard(b: &mut Builder, child: Id, base: GuardId) -> GuardId {
     if needs_done_protection(b, child) {
-        base.and(done(child).not())
+        let done = done(b, child);
+        let not_done = b.guards().not(done);
+        b.guards().and(base, not_done)
     } else {
         base
     }
@@ -227,28 +234,31 @@ fn is_static_island(b: &mut Builder, child: Id) -> bool {
 /// A 1-bit saver (`sd_*`, the sequential analogue of `compile_par`'s
 /// `pd_*` savers) registers the island's completion, delaying the parent's
 /// view by the one cycle that lets the stale pulse pass.
-fn wire_child(b: &mut Builder, g: Id, child: Id, base: Guard) -> Guard {
+fn wire_child(b: &mut Builder, g: Id, child: Id, base: GuardId) -> GuardId {
     if !is_static_island(b, child) {
         let en = enable_guard(b, child, base);
         b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
-        return done(child);
+        return done(b, child);
     }
     let sd = b.add_primitive(&format!("sd_{child}"), Id::STD_REG, &[1]);
     b.set_cell_attribute(sd, attr::FSM, 1);
-    let sd_out = Guard::Port(PortRef::cell(sd, Id::OUT));
+    let sd_out = out(b, sd);
+    let not_recorded = b.guards().not(sd_out);
     // Run the island until its completion is recorded (also protects it
     // from re-executing during the handoff cycle).
-    let en = base.clone().and(sd_out.clone().not());
+    let en = b.guards().and(base, not_recorded);
     b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
     // Record the combinational done on the commit cycle (`!sd` keeps this
     // disjoint from the consume write for constant-done islands)...
-    let record = base.clone().and(done(child)).and(sd_out.clone().not());
-    b.asgn_const_guarded(g, (sd, Id::IN), 1, 1, record.clone());
+    let done = done(b, child);
+    let finishing = b.guards().and(base, done);
+    let record = b.guards().and(finishing, not_recorded);
+    b.asgn_const_guarded(g, (sd, Id::IN), 1, 1, record);
     b.asgn_const_guarded(g, (sd, Id::WRITE_EN), 1, 1, record);
     // ...and consume it the cycle after, when the parent advances, so the
     // saver is clear if the statement re-executes inside a loop.
-    let consume = base.and(sd_out.clone());
-    b.asgn_const_guarded(g, (sd, Id::IN), 0, 1, consume.clone());
+    let consume = b.guards().and(base, sd_out);
+    b.asgn_const_guarded(g, (sd, Id::IN), 0, 1, consume);
     b.asgn_const_guarded(g, (sd, Id::WRITE_EN), 1, 1, consume);
     sd_out
 }
@@ -266,18 +276,18 @@ fn compile_seq(b: &mut Builder, children: &[Id]) -> Id {
     let fsm_out = PortRef::cell(fsm, Id::OUT);
 
     for (i, &child) in children.iter().enumerate() {
-        let state = Guard::port_eq(fsm_out, i as u64, width);
+        let state = b.guards().intern(&Guard::port_eq(fsm_out, i as u64, width));
         // Enable the child while in its state; advance when it completes.
-        let finished = wire_child(b, g, child, state.clone());
-        let tick = state.and(finished);
-        b.asgn_const_guarded(g, (fsm, Id::IN), i as u64 + 1, width, tick.clone());
+        let finished = wire_child(b, g, child, state);
+        let tick = b.guards().and(state, finished);
+        b.asgn_const_guarded(g, (fsm, Id::IN), i as u64 + 1, width, tick);
         b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, tick);
     }
 
     // Final state: signal done and reset the FSM for re-entry.
-    let final_state = Guard::port_eq(fsm_out, n, width);
-    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, final_state.clone());
-    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, final_state.clone());
+    let final_state = b.guards().intern(&Guard::port_eq(fsm_out, n, width));
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, final_state);
+    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, final_state);
     b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, final_state);
     g
 }
@@ -297,25 +307,28 @@ fn compile_par(b: &mut Builder, children: &[Id]) -> Id {
         })
         .collect();
 
-    let all_done = savers
+    let recorded: Vec<GuardId> = savers.iter().map(|pd| out(b, *pd)).collect();
+    let all_done = recorded
         .iter()
-        .map(|pd| Guard::Port(PortRef::cell(*pd, Id::OUT)))
-        .reduce(Guard::and)
+        .copied()
+        .reduce(|all, one| b.guards().and(all, one))
         .expect("par blocks have at least one child");
+    let resetting = b.guards().not(all_done);
 
-    for (child, pd) in children.iter().zip(&savers) {
+    for ((child, pd), recorded) in children.iter().zip(&savers).zip(recorded) {
         // Run the child until its saver records completion.
-        let not_finished = Guard::Port(PortRef::cell(*pd, Id::OUT)).not();
+        let not_finished = b.guards().not(recorded);
         let en = enable_guard(b, *child, not_finished);
         b.asgn_const_guarded(g, PortRef::hole(*child, Id::GO), 1, 1, en);
         // Record the done pulse (masked during the reset cycle so the two
         // saver writes cannot conflict when a child's done is level-high).
-        let record = done(*child).and(all_done.clone().not());
-        b.asgn_const_guarded(g, (*pd, Id::IN), 1, 1, record.clone());
+        let done = done(b, *child);
+        let record = b.guards().and(done, resetting);
+        b.asgn_const_guarded(g, (*pd, Id::IN), 1, 1, record);
         b.asgn_const_guarded(g, (*pd, Id::WRITE_EN), 1, 1, record);
         // Reset for re-entry.
-        b.asgn_const_guarded(g, (*pd, Id::IN), 0, 1, all_done.clone());
-        b.asgn_const_guarded(g, (*pd, Id::WRITE_EN), 1, 1, all_done.clone());
+        b.asgn_const_guarded(g, (*pd, Id::IN), 0, 1, all_done);
+        b.asgn_const_guarded(g, (*pd, Id::WRITE_EN), 1, 1, all_done);
     }
 
     b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, all_done);
@@ -337,23 +350,24 @@ fn build_cond(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>) -> CondRe
     let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
     b.set_cell_attribute(cc, attr::FSM, 1);
     b.set_cell_attribute(cs, attr::FSM, 1);
-    let computing = Guard::Port(PortRef::cell(cc, Id::OUT)).not();
+    let computed = out(b, cc);
+    let computing = b.guards().not(computed);
 
     // Condition groups are enabled for the whole evaluation phase. They are
     // expected to be combinational or idempotent (both frontends generate
     // combinational condition groups).
     let cond_done = match cond {
         Some(cg) => {
-            b.asgn_const_guarded(g, PortRef::hole(cg, Id::GO), 1, 1, computing.clone());
-            done(cg)
+            b.asgn_const_guarded(g, PortRef::hole(cg, Id::GO), 1, 1, computing);
+            done(b, cg)
         }
-        None => Guard::True,
+        None => GuardId::TRUE,
     };
 
-    let latch = computing.and(cond_done);
-    b.asgn_const_guarded(g, (cc, Id::IN), 1, 1, latch.clone());
-    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, latch.clone());
-    b.asgn_guarded(g, (cs, Id::IN), port, latch.clone());
+    let latch = b.guards().and(computing, cond_done);
+    b.asgn_const_guarded(g, (cc, Id::IN), 1, 1, latch);
+    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, latch);
+    b.asgn_guarded(g, (cs, Id::IN), port, latch);
     b.asgn_const_guarded(g, (cs, Id::WRITE_EN), 1, 1, latch);
     CondRegs { cc, cs }
 }
@@ -368,32 +382,33 @@ fn compile_if(
     let g = b.add_group("if");
     b.set_group_attribute(g, attr::GENERATED, 1);
     let CondRegs { cc, cs } = build_cond(b, g, port, cond);
-    let computed = Guard::Port(PortRef::cell(cc, Id::OUT));
-    let taken = Guard::Port(PortRef::cell(cs, Id::OUT));
+    let computed = out(b, cc);
+    let taken = out(b, cs);
+    let not_taken = b.guards().not(taken);
 
     // done(g) = computed & (taken ? t_done : f_done); empty branches finish
     // immediately.
-    let mut done_guard: Option<Guard> = None;
-    for (branch, active) in [(tbranch, taken.clone()), (fbranch, taken.clone().not())] {
-        let selected = computed.clone().and(active);
+    let mut done_guard: Option<GuardId> = None;
+    for (branch, active) in [(tbranch, taken), (fbranch, not_taken)] {
+        let selected = b.guards().and(computed, active);
         let finished = match branch {
             Some(child) => {
-                let complete = wire_child(b, g, child, selected.clone());
-                selected.and(complete)
+                let complete = wire_child(b, g, child, selected);
+                b.guards().and(selected, complete)
             }
             None => selected,
         };
         done_guard = Some(match done_guard {
-            Some(acc) => acc.or(finished),
+            Some(acc) => b.guards().or(acc, finished),
             None => finished,
         });
     }
     let done_guard = done_guard.expect("both branches contribute a done condition");
 
-    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, done_guard.clone());
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, done_guard);
     // Reset the condition registers when finishing so the statement can
     // re-execute inside loops.
-    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, done_guard.clone());
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, done_guard);
     b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, done_guard);
     g
 }
@@ -402,30 +417,31 @@ fn compile_while(b: &mut Builder, port: PortRef, cond: Option<Id>, body: Option<
     let g = b.add_group("while");
     b.set_group_attribute(g, attr::GENERATED, 1);
     let CondRegs { cc, cs } = build_cond(b, g, port, cond);
-    let computed = Guard::Port(PortRef::cell(cc, Id::OUT));
-    let looping = computed
-        .clone()
-        .and(Guard::Port(PortRef::cell(cs, Id::OUT)));
+    let computed = out(b, cc);
+    let taken = out(b, cs);
+    let looping = b.guards().and(computed, taken);
 
     // Body iteration: run the body, then clear `cc` to re-evaluate the
     // condition.
     let iter_end = match body {
         Some(child) => {
-            let en = enable_guard(b, child, looping.clone());
+            let en = enable_guard(b, child, looping);
             b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
-            looping.and(done(child))
+            let done = done(b, child);
+            b.guards().and(looping, done)
         }
         // An empty body completes instantly; the condition is re-evaluated
         // every other cycle.
         None => looping,
     };
-    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, iter_end.clone());
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, iter_end);
     b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, iter_end);
 
     // Exit when the condition was computed false; also reset `cc`.
-    let exit = computed.and(Guard::Port(PortRef::cell(cs, Id::OUT)).not());
-    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, exit.clone());
-    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, exit.clone());
+    let not_taken = b.guards().not(taken);
+    let exit = b.guards().and(computed, not_taken);
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, exit);
+    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, exit);
     b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, exit);
     g
 }
@@ -621,10 +637,11 @@ mod tests {
             .iter()
             .find(|a| a.dst == PortRef::hole("island", "go"))
             .expect("island is enabled");
+        let text = |g| main.guards.display(g).to_string();
         assert!(
-            format!("{}", island_go.guard).contains("!sd_island.out"),
+            text(island_go.guard).contains("!sd_island.out"),
             "island must not re-execute during the handoff cycle: {}",
-            island_go.guard
+            text(island_go.guard)
         );
         // Every FSM advance out of the island's state must consult the
         // saver, not the island's same-cycle combinational done.
@@ -640,9 +657,9 @@ mod tests {
         assert!(!advance.is_empty(), "seq FSM advances past the island");
         for asgn in advance {
             assert!(
-                format!("{}", asgn.guard).contains("sd_island.out"),
+                text(asgn.guard).contains("sd_island.out"),
                 "advance must wait for the registered completion: {}",
-                asgn.guard
+                text(asgn.guard)
             );
         }
     }
@@ -668,17 +685,16 @@ mod tests {
             .find(|g| g.attributes.has(attr::GENERATED))
             .unwrap();
         let go_guard = |child: &str| {
-            seq_group
+            let asgn = seq_group
                 .assignments
                 .iter()
                 .find(|a| a.dst == PortRef::hole(child, "go"))
-                .unwrap()
-                .guard
-                .clone()
+                .unwrap();
+            main.guards.display(asgn.guard).to_string()
         };
         // Static child: plain state guard. Dynamic child: state & !done.
-        let a_guard = format!("{}", go_guard("a"));
-        let b_guard = format!("{}", go_guard("b"));
+        let a_guard = go_guard("a");
+        let b_guard = go_guard("b");
         assert!(
             !a_guard.contains("a[done]"),
             "static child guard: {a_guard}"

@@ -3,7 +3,7 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{Component, Guard, Id, PortRef};
+use crate::ir::{Component, Id, PortRef};
 
 /// Guards every assignment inside a group with the group's `go` interface
 /// signal.
@@ -29,14 +29,14 @@ impl Visitor for GoInsertion {
 
     fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
         let mut mutated = false;
+        let guards = &mut comp.guards;
         for group in comp.groups.iter_mut() {
-            let go = Guard::Port(PortRef::hole(group.name, Id::GO));
+            let go = guards.port(PortRef::hole(group.name, Id::GO));
             // This group's writes to its own done hole keep their guards.
             let done = PortRef::hole(group.name, Id::DONE);
             for asgn in &mut group.assignments {
                 if asgn.dst != done {
-                    let guard = std::mem::replace(&mut asgn.guard, Guard::True);
-                    asgn.guard = go.clone().and(guard);
+                    asgn.guard = guards.and(go, asgn.guard);
                     mutated = true;
                 }
             }
@@ -52,7 +52,7 @@ impl Visitor for GoInsertion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{parse_context, Id};
+    use crate::ir::{parse_context, Guard, Id};
     use crate::passes::Pass;
 
     #[test]
@@ -76,8 +76,8 @@ mod tests {
         let one = main.groups.get(Id::new("one")).unwrap();
         let go = Guard::Port(PortRef::hole("one", "go"));
         // Data assignments gain the go guard...
-        assert_eq!(one.assignments[0].guard, go);
-        assert_eq!(one.assignments[1].guard, go);
+        assert_eq!(main.guards.tree(one.assignments[0].guard), go);
+        assert_eq!(main.guards.tree(one.assignments[1].guard), go);
         // ...while the done write stays unguarded (paper Fig. 2b).
         assert!(one.assignments[2].guard.is_true());
     }
@@ -99,14 +99,10 @@ mod tests {
         )
         .unwrap();
         GoInsertion.run(&mut ctx).unwrap();
-        let g = ctx
-            .component("main")
-            .unwrap()
-            .groups
-            .get(Id::new("g"))
-            .unwrap();
+        let main = ctx.component("main").unwrap();
+        let g = main.groups.get(Id::new("g")).unwrap();
         let expected =
             Guard::Port(PortRef::hole("g", "go")).and(Guard::Port(PortRef::cell("cmp", "out")));
-        assert_eq!(g.assignments[0].guard, expected);
+        assert_eq!(main.guards.tree(g.assignments[0].guard), expected);
     }
 }

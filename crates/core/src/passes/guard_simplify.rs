@@ -1,10 +1,15 @@
 //! Boolean simplification of guards.
+//!
+//! The rules run over a component's [`GuardPool`] in ascending id order,
+//! which is children first: every node the assignments reach is
+//! simplified once into a `Vec` memo by id, from its children's entries,
+//! and a node no rule fires beneath is its own entry. Since equal guards
+//! are one id, `x & x` is told by comparing two ids.
 
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{Atom, CompOp, Component, Guard, GuardMemo};
-use std::sync::Arc;
+use crate::ir::{Atom, CompOp, Component, Guard, GuardId, GuardNode, GuardPool};
 
 /// Simplifies guard expressions after interface-signal inlining:
 /// double negations, `x & x` / `x | x` idempotence, constant comparisons,
@@ -12,10 +17,7 @@ use std::sync::Arc;
 ///
 /// Simplification both shrinks the emitted Verilog and makes area
 /// estimation (which counts guard nodes) reflect what synthesis would see
-/// after its own Boolean minimization. Substitution in
-/// [`RemoveGroups`](super::RemoveGroups) shares a hole's guard among its
-/// readers; a shared node is simplified once, and a node no rule fires
-/// beneath is handed back as it came, so the sharing survives the pass.
+/// after its own Boolean minimization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GuardSimplify;
 
@@ -29,137 +31,125 @@ impl Visitor for GuardSimplify {
     }
 
     fn start_component(&mut self, comp: &mut Component, ctx: &mut PassCtx) -> CalyxResult<Action> {
-        let mut simplifier = Simplifier::default();
-        let groups = comp.groups.iter_mut().map(|group| &mut group.assignments);
-        for asgn in groups.chain([&mut comp.continuous]).flatten() {
-            if let Some(simpler) = simplifier.root(&asgn.guard) {
-                asgn.guard = simpler;
-            }
-        }
+        let live = comp
+            .guards
+            .reachable(comp.all_assignments().map(|a| a.guard));
+        let simpler = Simplified::new(&mut comp.guards, live);
         // Already-minimal guards leave the analysis cache warm.
-        if simplifier.changed {
+        if simpler.changed {
+            for asgn in comp.wires_mut().0 {
+                asgn.guard = simpler.of(asgn.guard);
+            }
             ctx.set_dirty();
         }
+        // Drop what this pass and `remove-groups` before it replaced.
+        comp.compact_guards();
         // Guards live in the wires section; the control tree is untouched.
         Ok(Action::SkipChildren)
     }
 }
 
-/// Is this guard the constant false (`!True`)?
-fn is_false(g: &Guard) -> bool {
-    matches!(g, Guard::Not(inner) if inner.is_true())
-}
-
-/// Simplify a guard bottom-up.
+/// Simplify a guard bottom-up, through a pool of its own.
 pub fn simplify(guard: Guard) -> Guard {
-    Simplifier::default().root(&guard).unwrap_or(guard)
+    let mut pool = GuardPool::default();
+    let id = pool.intern(&guard);
+    let live = pool.reachable([id]);
+    let simpler = Simplified::new(&mut pool, live);
+    pool.tree(simpler.of(id))
 }
 
-/// What the rules make of one node, its children simplified.
-enum Simpler {
-    /// No rule fired on the node or beneath it.
-    Unchanged,
-    /// The node reduces to this simplified child (or grandchild).
-    Node(Arc<Guard>),
-    /// The node is rebuilt.
-    Built(Guard),
-}
-
-/// One simplification walk: every guard of a component, or one guard.
-#[derive(Default)]
-struct Simplifier {
-    /// The simplified form of every shared node met so far.
-    memo: GuardMemo<Arc<Guard>>,
+/// The simplified form of every node some roots reach, by id.
+struct Simplified {
+    by_id: Vec<GuardId>,
     /// Whether any rewrite rule fired — the pass uses this to decide if
     /// the component must be reported dirty to the analysis cache.
     changed: bool,
 }
 
-impl Simplifier {
-    /// The simplified form of an assignment's guard; `None` when no rule
-    /// fired anywhere in it.
-    fn root(&mut self, guard: &Guard) -> Option<Guard> {
-        match self.rules(guard) {
-            Simpler::Unchanged => None,
-            Simpler::Node(node) => Some(Guard::clone(&node)),
-            Simpler::Built(guard) => Some(guard),
-        }
-    }
-
-    /// The simplified form of a child: `node` itself when no rule fired
-    /// beneath it, and the same result for every owner of `node`.
-    fn child(&mut self, node: &Arc<Guard>) -> Arc<Guard> {
-        if let Some(done) = self.memo.get(node) {
-            return Arc::clone(done);
-        }
-        let simpler = match self.rules(node) {
-            Simpler::Unchanged => Arc::clone(node),
-            Simpler::Node(node) => node,
-            Simpler::Built(guard) => Arc::new(guard),
+impl Simplified {
+    /// Simplify the nodes of `pool` that `live` marks
+    /// ([`GuardPool::reachable`] from some roots), adding the nodes the
+    /// rules build to `pool`.
+    fn new(pool: &mut GuardPool, live: Vec<bool>) -> Self {
+        let mut simpler = Simplified {
+            by_id: Vec::with_capacity(live.len()),
+            changed: false,
         };
-        self.memo.insert(node, Arc::clone(&simpler));
+        for (id, live) in pool.ids().zip(live) {
+            let simple = if live { simpler.rules(pool, id) } else { id };
+            simpler.by_id.push(simple);
+        }
         simpler
     }
 
+    /// What node `id` simplifies to.
+    fn of(&self, id: GuardId) -> GuardId {
+        self.by_id[id.index()]
+    }
+
     /// A rule fired.
-    fn fired(&mut self, result: Simpler) -> Simpler {
+    fn fired(&mut self, result: GuardId) -> GuardId {
         self.changed = true;
         result
     }
 
-    fn rules(&mut self, guard: &Guard) -> Simpler {
-        match guard {
-            Guard::True | Guard::Port(_) => Simpler::Unchanged,
-            Guard::Not(inner) => {
-                let simple = self.child(inner);
-                match &*simple {
-                    Guard::Not(g) => self.fired(Simpler::Node(Arc::clone(g))),
-                    _ if Arc::ptr_eq(&simple, inner) => Simpler::Unchanged,
-                    _ => Simpler::Built(Guard::Not(simple)),
+    /// The simplified form of `id`, whose children are simplified.
+    fn rules(&mut self, pool: &mut GuardPool, id: GuardId) -> GuardId {
+        let is_false = |pool: &GuardPool, g: GuardId| pool[g] == GuardNode::Not(GuardId::TRUE);
+        match pool[id] {
+            GuardNode::True | GuardNode::Port(_) => id,
+            GuardNode::Not(inner) => {
+                let simple = self.of(inner);
+                match pool[simple] {
+                    GuardNode::Not(g) => self.fired(g),
+                    _ if simple == inner => id,
+                    _ => pool.add(GuardNode::Not(simple)),
                 }
             }
-            Guard::And(a, b) => {
-                let (sa, sb) = (self.child(a), self.child(b));
+            GuardNode::And(a, b) => {
+                let (sa, sb) = (self.of(a), self.of(b));
                 if sa.is_true() {
-                    self.fired(Simpler::Node(sb))
+                    self.fired(sb)
                 } else if sb.is_true() {
-                    self.fired(Simpler::Node(sa))
-                } else if is_false(&sa) || is_false(&sb) {
-                    self.fired(Simpler::Built(Guard::True.not()))
+                    self.fired(sa)
+                } else if is_false(pool, sa) || is_false(pool, sb) {
+                    let false_ = pool.add(GuardNode::Not(GuardId::TRUE));
+                    self.fired(false_)
                 } else if sa == sb {
-                    self.fired(Simpler::Node(sa))
-                } else if Arc::ptr_eq(&sa, a) && Arc::ptr_eq(&sb, b) {
-                    Simpler::Unchanged
+                    self.fired(sa)
+                } else if (sa, sb) == (a, b) {
+                    id
                 } else {
-                    Simpler::Built(Guard::And(sa, sb))
+                    pool.add(GuardNode::And(sa, sb))
                 }
             }
-            Guard::Or(a, b) => {
-                let (sa, sb) = (self.child(a), self.child(b));
+            GuardNode::Or(a, b) => {
+                let (sa, sb) = (self.of(a), self.of(b));
                 if sa.is_true() || sb.is_true() {
-                    self.fired(Simpler::Built(Guard::True))
-                } else if is_false(&sa) {
-                    self.fired(Simpler::Node(sb))
-                } else if is_false(&sb) || sa == sb {
-                    self.fired(Simpler::Node(sa))
-                } else if Arc::ptr_eq(&sa, a) && Arc::ptr_eq(&sb, b) {
-                    Simpler::Unchanged
+                    self.fired(GuardId::TRUE)
+                } else if is_false(pool, sa) {
+                    self.fired(sb)
+                } else if is_false(pool, sb) || sa == sb {
+                    self.fired(sa)
+                } else if (sa, sb) == (a, b) {
+                    id
                 } else {
-                    Simpler::Built(Guard::Or(sa, sb))
+                    pool.add(GuardNode::Or(sa, sb))
                 }
             }
-            Guard::Comp(op, l, r) => {
+            GuardNode::Comp(op, l, r) => {
                 let holds = match (l, r) {
-                    (Atom::Const { val: lv, .. }, Atom::Const { val: rv, .. }) => op.eval(*lv, *rv),
+                    (Atom::Const { val: lv, .. }, Atom::Const { val: rv, .. }) => op.eval(lv, rv),
                     // x == x, x <= x, x >= x are tautologies on equal atoms.
                     _ if l == r => matches!(op, CompOp::Eq | CompOp::Leq | CompOp::Geq),
-                    _ => return Simpler::Unchanged,
+                    _ => return id,
                 };
-                self.fired(Simpler::Built(if holds {
-                    Guard::True
+                let folded = if holds {
+                    GuardId::TRUE
                 } else {
-                    Guard::True.not()
-                }))
+                    pool.add(GuardNode::Not(GuardId::TRUE))
+                };
+                self.fired(folded)
             }
         }
     }
@@ -174,9 +164,15 @@ mod tests {
         Guard::Port(PortRef::cell(name, "out"))
     }
 
+    fn is_false(g: &Guard) -> bool {
+        *g == Guard::True.not()
+    }
+
     #[test]
     fn folds_double_negation() {
         assert_eq!(simplify(p("a").not().not()), p("a"));
+        let not = |g| Guard::Not(Box::new(g));
+        assert_eq!(simplify(not(not(p("a")))), p("a"));
     }
 
     #[test]
@@ -190,37 +186,44 @@ mod tests {
         assert_eq!(simplify(Guard::True.not().and(p("a"))), Guard::True.not());
         assert_eq!(simplify(Guard::True.not().or(p("a"))), p("a"));
         assert_eq!(
-            simplify(Guard::And(Arc::new(Guard::True), Arc::new(p("a")))),
+            simplify(Guard::And(Box::new(Guard::True), Box::new(p("a")))),
             p("a")
         );
     }
 
-    /// A node with two owners is simplified once: both get the one result,
-    /// and a node no rule fires beneath is the node that came in.
+    /// A node two guards reach is simplified once, and a node no rule
+    /// fires beneath is its own result: the ids survive the pass.
     #[test]
     fn shared_nodes_stay_shared() {
-        let not = |g| Guard::Not(Arc::new(g));
-        let shared = Arc::new(not(not(p("a").and(p("b")))));
-        let kept = Arc::new(p("c").or(p("d")));
-        let owner = |other: &str| {
-            let left = Guard::Or(Arc::clone(&shared), Arc::new(p(other)));
-            Guard::And(Arc::new(left), Arc::clone(&kept))
+        let not = |g| Guard::Not(Box::new(g));
+        let shared = not(not(p("a").and(p("b"))));
+        let kept = p("c").or(p("d"));
+        let owner = |other: &str| shared.clone().or(p(other)).and(kept.clone());
+        let mut pool = GuardPool::default();
+        let (x, y) = (pool.intern(&owner("x")), pool.intern(&owner("y")));
+        let kept = pool.intern(&kept);
+        let live = pool.reachable([x, y]);
+        let simpler = Simplified::new(&mut pool, live);
+        assert!(simpler.changed);
+        let (x, y) = (simpler.of(x), simpler.of(y));
+        assert_eq!(
+            pool.tree(x),
+            p("a").and(p("b")).or(p("x")).and(p("c").or(p("d")))
+        );
+        let (GuardNode::And(x_left, x_kept), GuardNode::And(y_left, y_kept)) = (pool[x], pool[y])
+        else {
+            panic!("both are conjunctions");
         };
-        let mut simplifier = Simplifier::default();
-        let (x, y) = (owner("x"), owner("y"));
-        let x = simplifier.root(&x).expect("`!!` folds");
-        let y = simplifier.root(&y).expect("`!!` folds");
-        assert!(simplifier.changed);
-        assert_eq!(x, p("a").and(p("b")).or(p("x")).and(p("c").or(p("d"))));
-        let (Guard::And(x_left, x_kept), Guard::And(y_left, y_kept)) = (&x, &y) else {
-            panic!("{x} and {y} are conjunctions");
+        assert_eq!((x_kept, y_kept), (kept, kept));
+        let (GuardNode::Or(x_shared, _), GuardNode::Or(y_shared, _)) = (pool[x_left], pool[y_left])
+        else {
+            panic!("both left operands are disjunctions");
         };
-        assert!(Arc::ptr_eq(x_kept, &kept) && Arc::ptr_eq(y_kept, &kept));
-        let (Guard::Or(x_shared, _), Guard::Or(y_shared, _)) = (&**x_left, &**y_left) else {
-            panic!("{x_left} and {y_left} are disjunctions");
-        };
-        assert!(Arc::ptr_eq(x_shared, y_shared));
-        assert!(simplifier.root(&x).is_none(), "nothing left to fire");
+        assert_eq!(x_shared, y_shared);
+        let live = pool.reachable([x, y]);
+        let again = Simplified::new(&mut pool, live);
+        assert!(!again.changed, "nothing left to fire");
+        assert_eq!((again.of(x), again.of(y)), (x, y));
     }
 
     #[test]

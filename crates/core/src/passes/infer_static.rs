@@ -29,7 +29,10 @@ use super::pass_ctx::PassCtx;
 use super::static_timing::stmt_latency;
 use super::visitor::{Action, Order, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{attr, Atom, Cell, CellType, Component, Context, Group, Guard, Id, PortRef};
+use crate::ir::{
+    attr, Atom, Cell, CellType, Component, Context, Group, GuardId, GuardNode, GuardPool, Id,
+    PortRef,
+};
 
 /// Infer `"static"` latencies for groups and components.
 ///
@@ -116,12 +119,12 @@ fn is_stateful(ctx: &Context, cell: &Cell) -> bool {
 
 /// Accepted activation guards: unconditional, or the standard restart
 /// protection `!cell.done`.
-fn activation_guard_ok(guard: &Guard, cell: Id) -> bool {
+fn activation_guard_ok(guards: &GuardPool, guard: GuardId, cell: Id) -> bool {
     if guard.is_true() {
         return true;
     }
-    matches!(guard, Guard::Not(inner)
-        if matches!(&**inner, Guard::Port(p) if *p == PortRef::cell(cell, Id::DONE)))
+    matches!(guards[guard], GuardNode::Not(inner)
+        if guards[inner] == GuardNode::Port(PortRef::cell(cell, Id::DONE)))
 }
 
 fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
@@ -143,7 +146,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
     struct Activation {
         cell: Id,
         src: Atom,
-        guard: Guard,
+        guard: GuardId,
     }
     let mut activations: Vec<Activation> = Vec::new();
     for asgn in &group.assignments {
@@ -162,7 +165,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
             activations.push(Activation {
                 cell: cell_name,
                 src: asgn.src,
-                guard: asgn.guard.clone(),
+                guard: asgn.guard,
             });
         }
     }
@@ -172,7 +175,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
         // Rules A and B: the done cell is the only activated cell.
         1 => {
             let act = find(done_cell)?;
-            if !activation_guard_ok(&act.guard, done_cell)
+            if !activation_guard_ok(&comp.guards, act.guard, done_cell)
                 || !matches!(act.src, Atom::Const { val: 1, .. })
             {
                 return None;
@@ -189,9 +192,9 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
             // The register's write_en must be the unit's done pulse, in
             // either spelling: `r.write_en = c.done` or
             // `r.write_en = c.done ? 1`.
-            let en_src = match (&reg_act.src, &reg_act.guard) {
-                (Atom::Port(p), g) if g.is_true() => *p,
-                (Atom::Const { val: 1, .. }, Guard::Port(p)) => *p,
+            let en_src = match (reg_act.src, comp.guards[reg_act.guard]) {
+                (Atom::Port(p), GuardNode::True) => p,
+                (Atom::Const { val: 1, .. }, GuardNode::Port(p)) => p,
                 _ => return None,
             };
             if en_src.port != Id::DONE {
@@ -199,7 +202,7 @@ fn infer_group(comp: &Component, ctx: &Context, group: &Group) -> Option<u64> {
             }
             let unit = en_src.cell_parent()?;
             let unit_act = find(unit)?;
-            if !activation_guard_ok(&unit_act.guard, unit)
+            if !activation_guard_ok(&comp.guards, unit_act.guard, unit)
                 || !matches!(unit_act.src, Atom::Const { val: 1, .. })
             {
                 return None;

@@ -98,12 +98,9 @@ impl Visitor for MinimizeRegs {
         }
         ctx.set_dirty();
         let rewriter = Rewriter::from_cells(cell_map);
-        for group in comp.groups.iter_mut() {
-            rewriter.group(group);
-        }
-        for asgn in &mut comp.continuous {
-            rewriter.assignment(asgn);
-        }
+        let (assignments, guards) = comp.wires_mut();
+        rewriter.assignments(assignments, guards);
+        comp.compact_guards();
         let mut control = std::mem::take(&mut comp.control);
         rewriter.control(&mut control);
         comp.control = control;

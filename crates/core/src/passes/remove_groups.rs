@@ -9,10 +9,17 @@
 //! 2. collects all hole writes and replaces every hole read with the
 //!    disjunction of its writers (`guard & src` per write); `go`
 //!    substitutions mention parent holes, so each hole is resolved once,
-//!    in dependency order, into one node that every reader then shares
-//!    (see [`Guard`] on sharing),
+//!    in dependency order, into one id of the component's
+//!    [`GuardPool`](crate::ir::GuardPool) that every reader then shares,
 //! 3. moves all group assignments into the top-level `wires` section and
 //!    deletes the groups.
+//!
+//! Inlining is a walk over ids: one pass in id order marks the nodes that
+//! read a hole, and only those are entered — each once, children first
+//! ([`PostOrder`]), into a `Vec` memo; a node that reads no hole is its
+//! own result. The nodes that read holes are dead afterwards; they stay
+//! in the pool until [`GuardSimplify`](super::GuardSimplify), which runs
+//! next in every lowering pipeline, compacts it.
 //!
 //! The result is a control-free component: a flat list of guarded
 //! assignments ready for RTL code generation.
@@ -20,9 +27,10 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{Assignment, Atom, Component, Control, Guard, GuardMemo, Id, PortRef};
+use crate::ir::{
+    Assignment, Atom, Component, Control, GuardId, GuardNode, GuardPool, Id, PortRef, PostOrder,
+};
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// Inlines `go`/`done` interface signals and erases all groups.
 #[derive(Debug, Clone, Copy, Default)]
@@ -73,18 +81,21 @@ impl Visitor for RemoveGroups {
 
         // Gather hole definitions, moving the guards out of the defining
         // assignments, which are dropped.
+        let guards = &mut comp.guards;
         let mut holes = Holes::default();
         for group in comp.groups.iter_mut() {
-            holes.take_definitions(&mut group.assignments);
+            holes.take_definitions(&mut group.assignments, guards);
         }
-        holes.take_definitions(&mut comp.continuous);
+        holes.take_definitions(&mut comp.continuous, guards);
 
         // The top group is started by the component's own go port (with
         // re-execution protection when its done is a registered pulse).
         if let Some(top) = top {
-            let mut go_guard = Guard::Port(PortRef::this(Id::GO));
+            let mut go_guard = guards.port(PortRef::this(Id::GO));
             if top_needs_protection {
-                go_guard = go_guard.and(Guard::Port(PortRef::hole(top, Id::DONE)).not());
+                let done = guards.port(PortRef::hole(top, Id::DONE));
+                let not_done = guards.not(done);
+                go_guard = guards.and(go_guard, not_done);
             }
             holes.set(PortRef::hole(top, Id::GO), go_guard);
         }
@@ -92,7 +103,8 @@ impl Visitor for RemoveGroups {
         // Resolve hole reads inside the definitions, each hole once. The
         // dependency structure follows the control tree (a child's go
         // mentions its parent's go and sibling dones).
-        holes.resolve_all()?;
+        holes.find_hole_reads(guards);
+        holes.resolve_all(guards)?;
 
         // Inline hole reads in every remaining assignment.
         let mut flattened: Vec<Assignment> = Vec::new();
@@ -104,13 +116,13 @@ impl Visitor for RemoveGroups {
                         format!("hole used as assignment source in `{}`", asgn.dst),
                     ));
                 }
-                holes.inline_into(&mut asgn.guard)?;
+                asgn.guard = holes.inline(guards, asgn.guard)?;
                 flattened.push(asgn);
             }
         }
         comp.groups = Default::default();
         for asgn in &mut comp.continuous {
-            holes.inline_into(&mut asgn.guard)?;
+            asgn.guard = holes.inline(guards, asgn.guard)?;
         }
         comp.continuous.extend(flattened);
 
@@ -123,7 +135,7 @@ impl Visitor for RemoveGroups {
                 )
             })?,
             // An empty component finishes as soon as it is started.
-            None => Guard::Port(PortRef::this(Id::GO)),
+            None => guards.port(PortRef::this(Id::GO)),
         };
         comp.continuous.push(Assignment::guarded(
             PortRef::this(Id::DONE),
@@ -139,11 +151,11 @@ impl Visitor for RemoveGroups {
 enum Slot {
     /// OR over the hole's writes of `guard & src`, as written: it may read
     /// other holes. `None` while every write so far drives constant 0.
-    Defined(Option<Guard>),
+    Defined(Option<GuardId>),
     /// On the depth-first walk's stack: reading it again is a cycle.
     Open,
-    /// Hole-free, and the one node every read of the hole becomes.
-    Resolved(Arc<Guard>),
+    /// Hole-free, and the one id every read of the hole becomes.
+    Resolved(GuardId),
 }
 
 /// Every hole's definition, resolved at most once each.
@@ -155,25 +167,32 @@ struct Holes {
     order: Vec<PortRef>,
     /// The `Open` holes, outermost first.
     stack: Vec<PortRef>,
-    /// The hole-free form of every shared node inlined so far. An entry
-    /// stands for good: the holes beneath its node were resolved to make
-    /// it, and a resolved hole never changes.
-    inlined: GuardMemo<Arc<Guard>>,
+    /// Which nodes read a hole, by id: the only ones inlining rebuilds or
+    /// enters. A node added later is hole-free.
+    reads_hole: Vec<bool>,
+    /// The hole-free form of every node that reads a hole and has been
+    /// inlined, by id. An entry stands for good: the holes beneath its
+    /// node were resolved to make it, and a resolved hole never changes.
+    inlined: Vec<Option<GuardId>>,
+    /// The stack of the inlining walk.
+    walk: PostOrder,
 }
 
 impl Holes {
     /// Drop the assignments of `asgns` that write holes, folding each
     /// one's `guard & src` into the disjunction that defines its hole.
-    fn take_definitions(&mut self, asgns: &mut Vec<Assignment>) {
-        asgns.retain_mut(|asgn| {
+    fn take_definitions(&mut self, asgns: &mut Vec<Assignment>, guards: &mut GuardPool) {
+        asgns.retain(|asgn| {
             if !asgn.dst.is_hole() {
                 return true;
             }
-            let guard = std::mem::replace(&mut asgn.guard, Guard::True);
             let contribution = match asgn.src {
                 Atom::Const { val: 0, .. } => None,
-                Atom::Const { .. } => Some(guard),
-                Atom::Port(p) => Some(guard.and(Guard::Port(p))),
+                Atom::Const { .. } => Some(asgn.guard),
+                Atom::Port(p) => {
+                    let src = guards.port(p);
+                    Some(guards.and(asgn.guard, src))
+                }
             };
             let slot = self.slots.entry(asgn.dst).or_insert_with(|| {
                 self.order.push(asgn.dst);
@@ -181,7 +200,7 @@ impl Holes {
             });
             if let (Slot::Defined(acc), Some(contribution)) = (slot, contribution) {
                 *acc = Some(match acc.take() {
-                    Some(acc) => acc.or(contribution),
+                    Some(acc) => guards.or(acc, contribution),
                     None => contribution,
                 });
             }
@@ -190,7 +209,7 @@ impl Holes {
     }
 
     /// Define `hole` as `guard`, whatever wrote it.
-    fn set(&mut self, hole: PortRef, guard: Guard) {
+    fn set(&mut self, hole: PortRef, guard: GuardId) {
         if self
             .slots
             .insert(hole, Slot::Defined(Some(guard)))
@@ -201,16 +220,16 @@ impl Holes {
     }
 
     /// Resolve every hole, in definition order.
-    fn resolve_all(&mut self) -> CalyxResult<()> {
+    fn resolve_all(&mut self, guards: &mut GuardPool) -> CalyxResult<()> {
         for i in 0..self.order.len() {
-            self.resolved(self.order[i])?;
+            self.resolved(guards, self.order[i])?;
         }
         Ok(())
     }
 
     /// The hole-free guard `hole` stands for, computed on first request
     /// by inlining the holes its definition reads.
-    fn resolved(&mut self, hole: PortRef) -> CalyxResult<&Arc<Guard>> {
+    fn resolved(&mut self, guards: &mut GuardPool, hole: PortRef) -> CalyxResult<GuardId> {
         let slot = self.slots.get_mut(&hole).ok_or_else(|| {
             Error::pass(
                 "remove-groups",
@@ -218,7 +237,7 @@ impl Holes {
             )
         })?;
         match slot {
-            Slot::Resolved(_) => {}
+            Slot::Resolved(guard) => Ok(*guard),
             Slot::Open => {
                 let first = self.stack.iter().position(|open| *open == hole);
                 let cycle: Vec<String> = self.stack[first.expect("open holes are on the stack")..]
@@ -226,102 +245,92 @@ impl Holes {
                     .chain([&hole])
                     .map(PortRef::to_string)
                     .collect();
-                return Err(Error::pass(
+                Err(Error::pass(
                     "remove-groups",
                     format!(
                         "interface-signal substitution did not converge (cyclic holes?): {}",
                         cycle.join(" -> ")
                     ),
-                ));
+                ))
             }
             Slot::Defined(guard) => {
                 // A hole that is never written (or only written 0) is
                 // never high.
-                let mut guard = guard.take().unwrap_or_else(|| Guard::True.not());
+                let guard = guard.take().unwrap_or_else(|| guards.not(GuardId::TRUE));
                 *slot = Slot::Open;
                 self.stack.push(hole);
-                self.inline_into(&mut guard)?;
+                let resolved = self.inline(guards, guard)?;
                 self.stack.pop();
-                self.slots.insert(hole, Slot::Resolved(Arc::new(guard)));
+                self.slots.insert(hole, Slot::Resolved(resolved));
+                Ok(resolved)
             }
-        }
-        match &self.slots[&hole] {
-            Slot::Resolved(guard) => Ok(guard),
-            _ => unreachable!("the hole was resolved above"),
         }
     }
 
-    /// Replace every hole read in an assignment's `guard` by the hole's
-    /// resolved guard.
-    fn inline_into(&mut self, guard: &mut Guard) -> CalyxResult<()> {
-        if let Some(inlined) = self.inline(guard)? {
-            *guard = inlined;
+    /// Mark the nodes of `guards` that read a hole, as a port or inside a
+    /// comparison, or have a child that does.
+    fn find_hole_reads(&mut self, guards: &GuardPool) {
+        self.reads_hole = Vec::with_capacity(guards.len());
+        for id in guards.ids() {
+            let node = guards[id];
+            let reads = node.ports().any(|p| p.is_hole())
+                || node.children().any(|c| self.reads_hole[c.index()]);
+            self.reads_hole.push(reads);
         }
-        Ok(())
+        self.inlined = vec![None; guards.len()];
     }
 
-    /// `guard` with every hole read replaced by the hole's resolved guard;
-    /// `None` when it reads no hole. Only the nodes above a hole read are
-    /// built anew: the read itself becomes the hole's one resolved node.
-    fn inline(&mut self, guard: &Guard) -> CalyxResult<Option<Guard>> {
-        Ok(match guard {
-            Guard::True => None,
-            Guard::Port(p) if p.is_hole() => Some(Guard::clone(self.resolved(*p)?)),
-            Guard::Port(_) => None,
-            Guard::Not(inner) => {
-                let inlined = self.inline_child(inner)?;
-                (!Arc::ptr_eq(&inlined, inner)).then_some(Guard::Not(inlined))
-            }
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                let (ia, ib) = (self.inline_child(a)?, self.inline_child(b)?);
-                if Arc::ptr_eq(&ia, a) && Arc::ptr_eq(&ib, b) {
-                    None
-                } else if matches!(guard, Guard::And(..)) {
-                    Some(Guard::And(ia, ib))
-                } else {
-                    Some(Guard::Or(ia, ib))
+    /// What node `id` became, if the walk has been through it; a node
+    /// that reads no hole is its own.
+    fn inlined(&self, id: GuardId) -> Option<GuardId> {
+        match self.reads_hole.get(id.index()) {
+            Some(true) => self.inlined[id.index()],
+            _ => Some(id),
+        }
+    }
+
+    /// `guard` with every hole read replaced by the hole's resolved guard:
+    /// `guard` itself when it reads no hole. Only the nodes above a hole
+    /// read are built anew, and the read itself becomes the hole's one
+    /// resolved id. Hole reads are met left to right, so the first error
+    /// is the leftmost one.
+    fn inline(&mut self, guards: &mut GuardPool, guard: GuardId) -> CalyxResult<GuardId> {
+        if let Some(inlined) = self.inlined(guard) {
+            return Ok(inlined);
+        }
+        // The walk's stack is kept for the next guard; resolving a hole
+        // on the way inlines its definition on a stack of its own.
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.push(guard);
+        while let Some(id) = walk.next(guards, |id| self.inlined(id).is_some()) {
+            let inlined = match guards[id] {
+                GuardNode::Port(p) if p.is_hole() => self.resolved(guards, p)?,
+                // Holes are 1-bit signals read as bare ports; one inside
+                // a comparison has no guard to stand for it.
+                GuardNode::Comp(_, l, r) => {
+                    if let Some(hole) = [l, r].iter().filter_map(Atom::port).find(|p| p.is_hole()) {
+                        return Err(Error::pass(
+                            "remove-groups",
+                            format!("hole `{hole}` is read inside a comparison"),
+                        ));
+                    }
+                    id
                 }
-            }
-            // Holes are 1-bit signals read as bare ports; one inside a
-            // comparison has no guard to stand for it.
-            Guard::Comp(_, l, r) => match [l, r].into_iter().find_map(|atom| match atom {
-                Atom::Port(p) if p.is_hole() => Some(*p),
-                _ => None,
-            }) {
-                Some(hole) => {
-                    return Err(Error::pass(
-                        "remove-groups",
-                        format!("hole `{hole}` is read inside a comparison"),
-                    ))
+                node => {
+                    let rebuilt = node.map_children(|c| self.inlined(c).expect("children first"));
+                    guards.add(rebuilt)
                 }
-                None => None,
-            },
-        })
-    }
-
-    /// [`inline`](Self::inline) for a child: `node` itself when it reads
-    /// no hole, and the same node for every owner of `node`.
-    fn inline_child(&mut self, node: &Arc<Guard>) -> CalyxResult<Arc<Guard>> {
-        if let Guard::Port(p) = &**node {
-            if p.is_hole() {
-                return self.resolved(*p).cloned();
-            }
+            };
+            self.inlined[id.index()] = Some(inlined);
         }
-        if let Some(done) = self.inlined.get(node) {
-            return Ok(Arc::clone(done));
-        }
-        let inlined = match self.inline(node)? {
-            Some(guard) => Arc::new(guard),
-            None => Arc::clone(node),
-        };
-        self.inlined.insert(node, Arc::clone(&inlined));
-        Ok(inlined)
+        self.walk = walk;
+        Ok(self.inlined(guard).expect("the walk inlined the root"))
     }
 
     /// Move `hole`'s resolved guard out.
-    fn take(&mut self, hole: PortRef) -> Option<Guard> {
+    fn take(&mut self, hole: PortRef) -> Option<GuardId> {
         match self.slots.remove(&hole)? {
-            Slot::Resolved(guard) => Some(Arc::unwrap_or_clone(guard)),
+            Slot::Resolved(guard) => Some(guard),
             _ => unreachable!("`resolve_all` resolved every hole"),
         }
     }
@@ -331,7 +340,7 @@ impl Holes {
 mod tests {
     use super::super::{CompileControl, GoInsertion};
     use super::*;
-    use crate::ir::parse_context;
+    use crate::ir::{parse_context, Guard, Printer};
     use crate::passes::Pass;
 
     fn lower(src: &str) -> crate::ir::Context {
@@ -363,7 +372,7 @@ mod tests {
         // No holes anywhere.
         for asgn in &main.continuous {
             assert!(!asgn.dst.is_hole(), "hole dst survives: {}", asgn.dst);
-            for p in asgn.reads() {
+            for p in asgn.reads(&main.guards) {
                 assert!(!p.is_hole(), "hole read survives: {p}");
             }
         }
@@ -380,7 +389,7 @@ mod tests {
             .collect();
         assert_eq!(done_writes.len(), 1);
         // The done condition mentions the FSM's final state.
-        let guard = format!("{}", done_writes[0].guard);
+        let guard = main.guards.display(done_writes[0].guard).to_string();
         assert!(guard.contains("fsm.out == 2'd2"), "done guard: {guard}");
     }
 
@@ -397,7 +406,7 @@ mod tests {
             .collect();
         assert_eq!(x_writes.len(), 2);
         for w in x_writes {
-            let guard = format!("{}", w.guard);
+            let guard = main.guards.display(w.guard).to_string();
             assert!(guard.contains("go"), "guard must mention go: {guard}");
             assert!(
                 guard.contains("fsm.out =="),
@@ -415,7 +424,10 @@ mod tests {
             .iter()
             .find(|a| a.dst == PortRef::this("done"))
             .unwrap();
-        assert_eq!(done.guard, Guard::Port(PortRef::this("go")));
+        assert_eq!(
+            main.guards.tree(done.guard),
+            Guard::Port(PortRef::this("go"))
+        );
     }
 
     /// A `seq` / `if` / `while` nest `depth` levels deep around group `a`,
@@ -450,7 +462,8 @@ mod tests {
     fn deep_nest_lowers_to_the_same_guard_sizes() {
         let ctx = lower(&nest(32));
         let main = ctx.component("main").unwrap();
-        let total: usize = main.continuous.iter().map(|a| a.guard.size()).sum();
+        let sizes = main.guards.tree_sizes();
+        let total: usize = main.continuous.iter().map(|a| sizes[a.guard.index()]).sum();
         assert_eq!((main.continuous.len(), total), (219, 17_718));
     }
 
@@ -521,7 +534,7 @@ mod tests {
     /// in the guards of two assignments and in the definition of
     /// `a[done]`, each time after `memoized`, which the definition reads
     /// twice: the second read is answered from the memo.
-    fn rejection_of_shared(memoized: Option<&Arc<Guard>>, shared: Guard, groups: &str) -> String {
+    fn rejection_of_shared(memoized: Option<&Guard>, shared: &Guard, groups: &str) -> String {
         let src = format!(
             "component main() -> () {{
                cells {{ x = std_reg(8); }}
@@ -533,15 +546,22 @@ mod tests {
              }}"
         );
         let mut ctx = parse_context(&src).unwrap();
-        let shared = Arc::new(shared);
-        let beside = memoized.unwrap_or(&shared);
-        let asgns = &mut ctx.component_mut("main").unwrap().groups;
-        let asgns = &mut asgns.get_mut("a".into()).unwrap().assignments;
-        asgns[0].guard = Guard::Not(Arc::clone(beside));
-        asgns[1].guard = Guard::And(Arc::clone(beside), Arc::clone(&shared));
-        asgns[2].guard = Guard::Or(Arc::clone(&shared), Arc::clone(beside));
-        let twice = Guard::Or(Arc::clone(beside), Arc::clone(beside));
-        asgns[3].guard = Guard::And(Arc::new(twice), Arc::new(Guard::Not(shared)));
+        let main = ctx.component_mut("main").unwrap();
+        let pool = &mut main.guards;
+        let shared = pool.intern(shared);
+        let beside = memoized.map_or(shared, |g| pool.intern(g));
+        let twice = pool.add(GuardNode::Or(beside, beside));
+        let not_shared = pool.add(GuardNode::Not(shared));
+        let guards = [
+            pool.add(GuardNode::Not(beside)),
+            pool.add(GuardNode::And(beside, shared)),
+            pool.add(GuardNode::Or(shared, beside)),
+            pool.add(GuardNode::And(twice, not_shared)),
+        ];
+        let asgns = &mut main.groups.get_mut("a".into()).unwrap().assignments;
+        for (asgn, guard) in asgns.iter_mut().zip(guards) {
+            asgn.guard = guard;
+        }
         RemoveGroups.run(&mut ctx).unwrap_err().to_string()
     }
 
@@ -551,7 +571,7 @@ mod tests {
     #[test]
     fn rejections_keep_their_texts_on_shared_nodes() {
         let hole = |group: &str, port: &str| Guard::Port(PortRef::hole(group, port));
-        let fine = Arc::new(hole("b", "done").not());
+        let fine = hole("b", "done").not();
         let b = "group b { b[done] = x.done; }";
         for memoized in [None, Some(&fine)] {
             let comparison = Guard::Comp(
@@ -559,17 +579,17 @@ mod tests {
                 Atom::Port(PortRef::hole("a", "go")),
                 Atom::constant(1, 1),
             );
-            let err = rejection_of_shared(memoized, comparison, b);
+            let err = rejection_of_shared(memoized, &comparison, b);
             assert!(
                 err.ends_with("hole `a[go]` is read inside a comparison"),
                 "{err}"
             );
-            let err = rejection_of_shared(memoized, hole("c", "done").not(), b);
+            let err = rejection_of_shared(memoized, &hole("c", "done").not(), b);
             assert!(
                 err.ends_with("hole `c[done]` is read but never written"),
                 "{err}"
             );
-            let err = rejection_of_shared(memoized, hole("a", "done").not(), b);
+            let err = rejection_of_shared(memoized, &hole("a", "done").not(), b);
             assert!(
                 err.ends_with(
                     "interface-signal substitution did not converge (cyclic holes?): \
@@ -580,21 +600,43 @@ mod tests {
         }
     }
 
-    /// Every reader of a hole gets the hole's one resolved node: the two
+    /// Every reader of a hole gets the hole's one resolved id: the two
     /// assignments of group `one` read `one[go]`, and nothing else.
     #[test]
     fn readers_of_a_hole_share_its_node() {
         let ctx = lower(FIG2);
-        let [x_in, x_write_en, ..] = &ctx.component("main").unwrap().continuous[..] else {
+        let main = ctx.component("main").unwrap();
+        let [x_in, x_write_en, ..] = &main.continuous[..] else {
             panic!("group `one` has two assignments");
         };
         assert_eq!(x_in.guard, x_write_en.guard);
-        let (Guard::And(a, a_not_done), Guard::And(b, b_not_done)) =
-            (&x_in.guard, &x_write_en.guard)
-        else {
-            panic!("`{}` is a conjunction", x_in.guard);
-        };
-        assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(a_not_done, b_not_done));
+        assert!(
+            matches!(main.guards[x_in.guard], GuardNode::And(..)),
+            "`{}` is a conjunction",
+            main.guards.display(x_in.guard)
+        );
+    }
+
+    /// No node an assignment reaches reads a hole; the nodes that did are
+    /// dead, and compacting the pool drops them.
+    #[test]
+    fn only_dead_nodes_read_holes() {
+        let mut ctx = lower(FIG2);
+        let main = ctx.component_mut("main").unwrap();
+        let reads_hole = |main: &Component, id| main.guards.ports(id).any(|p| p.is_hole());
+        let live = main
+            .guards
+            .reachable(main.continuous.iter().map(|a| a.guard));
+        let dead: Vec<_> = main.guards.ids().filter(|id| !live[id.index()]).collect();
+        assert!(dead.iter().any(|&id| reads_hole(main, id)));
+        for id in main.guards.ids().filter(|id| live[id.index()]) {
+            assert!(!reads_hole(main, id), "{}", main.guards.display(id));
+        }
+        let before = Printer::print_component(main);
+        main.compact_guards();
+        assert_eq!(main.guards.len(), live.len() - dead.len());
+        assert!(main.guards.ids().all(|id| !reads_hole(main, id)));
+        assert_eq!(Printer::print_component(main), before);
     }
 
     #[test]

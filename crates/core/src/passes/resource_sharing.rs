@@ -143,11 +143,15 @@ impl Visitor for ResourceSharing {
         if !rewrites.is_empty() {
             ctx.set_dirty();
         }
+        let renamed = !rewrites.is_empty();
         for (group, map) in rewrites {
             let rw = Rewriter::from_cells(map);
             if let Some(g) = comp.groups.get_mut(group) {
-                rw.group(g);
+                rw.group(g, &mut comp.guards);
             }
+        }
+        if renamed {
+            comp.compact_guards();
         }
         // The rewrite already visited the control tree through the
         // conflict analysis; no per-statement work remains.
@@ -183,7 +187,7 @@ fn group_cells(users: &BTreeMap<Id, Vec<Id>>, group: Id) -> Option<Vec<Id>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{parse_context, PortRef};
+    use crate::ir::{parse_context, PortRef, Printer};
     use crate::passes::Pass;
 
     /// The paper's Fig. 3 example: incr_r0 and incr_r1 never run in
@@ -230,7 +234,11 @@ mod tests {
             .assignments
             .iter()
             .any(|a| a.dst == PortRef::cell("a0", "left"));
-        assert!(uses_a0, "incr_r1 should be rewritten to use a0:\n{incr_r1}");
+        assert!(
+            uses_a0,
+            "incr_r1 should be rewritten to use a0:\n{}",
+            Printer::print_group(incr_r1, &main.guards)
+        );
         // After dead-cell removal, a1 disappears.
         super::super::DeadCellRemoval.run(&mut ctx).unwrap();
         assert!(!ctx.component("main").unwrap().cells.contains(Id::new("a1")));

@@ -417,7 +417,7 @@ mod tests {
             .iter()
             .find(|g| g.name.as_str().starts_with("static_seq"))
             .unwrap();
-        let text = format!("{sg}");
+        let text = crate::ir::Printer::print_group(sg, &main.guards);
         assert!(text.contains("one[go]"), "{text}");
         assert!(text.contains("two[go]"), "{text}");
         assert!(text.contains("fsm.out >= 2'd1"), "{text}");

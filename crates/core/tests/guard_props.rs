@@ -1,13 +1,13 @@
-//! Property tests for the guard language: simplification preserves
-//! semantics under every valuation, gives a guard with shared nodes what
-//! the tree algorithm gives its unshared copy, and printed guards
-//! re-parse to semantically identical trees.
+//! Property tests for the guard language: a pool interns a tree into one
+//! id per distinct subtree and reads the same tree back, prints it as the
+//! tree prints, and simplifies it as the tree algorithm does;
+//! simplification preserves semantics under every valuation, and printed
+//! guards re-parse to semantically identical trees.
 
-use calyx_core::ir::{parse_guard, Atom, CompOp, Guard, PortRef};
+use calyx_core::ir::{parse_guard, Atom, CompOp, Guard, GuardPool, PortRef};
 use calyx_core::passes::simplify;
 use proptest::prelude::*;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// A tiny universe of ports: four 1-bit flags and two 4-bit buses.
 fn port(i: usize) -> PortRef {
@@ -59,22 +59,22 @@ fn guard_strategy() -> impl Strategy<Value = Guard> {
     ];
     leaf.prop_recursive(4, 32, 2, |inner| {
         prop_oneof![
-            inner.clone().prop_map(|g| Guard::Not(Arc::new(g))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Guard::And(Arc::new(a), Arc::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| Guard::Or(Arc::new(a), Arc::new(b))),
+            inner.clone().prop_map(|g| Guard::Not(Box::new(g))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Guard::And(Box::new(a), Box::new(b))),
+            (inner.clone(), inner).prop_map(|(a, b)| Guard::Or(Box::new(a), Box::new(b))),
         ]
     })
 }
 
-/// `simplify` as it was on `Box` trees, one rebuilt node per input node:
-/// the oracle for the memoized walk over shared nodes.
+/// `simplify` on trees, one rebuilt node per input node: the oracle for
+/// the walk over a pool's ids.
 fn tree_simplify(guard: &Guard) -> Guard {
     let is_false = |g: &Guard| matches!(g, Guard::Not(inner) if inner.is_true());
     match guard {
         Guard::True | Guard::Port(_) => guard.clone(),
         Guard::Not(inner) => match tree_simplify(inner) {
-            Guard::Not(g) => Arc::unwrap_or_clone(g),
-            g => Guard::Not(Arc::new(g)),
+            Guard::Not(g) => *g,
+            g => Guard::Not(Box::new(g)),
         },
         Guard::And(a, b) => {
             let (a, b) = (tree_simplify(a), tree_simplify(b));
@@ -83,11 +83,11 @@ fn tree_simplify(guard: &Guard) -> Guard {
             } else if b.is_true() {
                 a
             } else if is_false(&a) || is_false(&b) {
-                Guard::Not(Arc::new(Guard::True))
+                Guard::Not(Box::new(Guard::True))
             } else if a == b {
                 a
             } else {
-                Guard::And(Arc::new(a), Arc::new(b))
+                Guard::And(Box::new(a), Box::new(b))
             }
         }
         Guard::Or(a, b) => {
@@ -99,7 +99,7 @@ fn tree_simplify(guard: &Guard) -> Guard {
             } else if is_false(&b) || a == b {
                 a
             } else {
-                Guard::Or(Arc::new(a), Arc::new(b))
+                Guard::Or(Box::new(a), Box::new(b))
             }
         }
         Guard::Comp(op, l, r) => {
@@ -111,32 +111,9 @@ fn tree_simplify(guard: &Guard) -> Guard {
             if holds {
                 Guard::True
             } else {
-                Guard::Not(Arc::new(Guard::True))
+                Guard::Not(Box::new(Guard::True))
             }
         }
-    }
-}
-
-/// A copy of `guard` in which no two nodes are one allocation.
-fn unshared(guard: &Guard) -> Guard {
-    let copy = |g: &Arc<Guard>| Arc::new(unshared(g));
-    match guard {
-        Guard::Not(g) => Guard::Not(copy(g)),
-        Guard::And(a, b) => Guard::And(copy(a), copy(b)),
-        Guard::Or(a, b) => Guard::Or(copy(a), copy(b)),
-        leaf => leaf.clone(),
-    }
-}
-
-/// Are `a` and `b` the same nodes beneath their roots, not merely equal?
-fn same_nodes(a: &Guard, b: &Guard) -> bool {
-    let same = |a: &Arc<Guard>, b: &Arc<Guard>| Arc::ptr_eq(a, b);
-    match (a, b) {
-        (Guard::Not(a), Guard::Not(b)) => same(a, b),
-        (Guard::And(a, c), Guard::And(b, d)) | (Guard::Or(a, c), Guard::Or(b, d)) => {
-            same(a, b) && same(c, d)
-        }
-        (a, b) => a == b,
     }
 }
 
@@ -181,25 +158,51 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 
-    /// A guard whose nodes have several owners simplifies to what the
-    /// tree algorithm makes of its unshared copy, and simplifying the
-    /// result again — no rule fires — hands back the nodes it was given.
+    /// A guard that repeats subtrees — one id each in the pool —
+    /// simplifies through the pool to what the tree algorithm makes of it.
     #[test]
     fn shared_guards_simplify_like_their_unshared_copies(
         a in guard_strategy(),
         b in guard_strategy(),
         c in guard_strategy(),
     ) {
-        let a = Arc::new(a);
-        let ab = Arc::new(Guard::Or(Arc::clone(&a), Arc::new(b)));
+        let ab = a.clone().or(b);
         let g = Guard::And(
-            Arc::new(Guard::And(Arc::clone(&ab), Arc::new(c))),
-            Arc::new(Guard::Or(Arc::new(Guard::Not(a)), ab)),
+            Box::new(Guard::And(Box::new(ab.clone()), Box::new(c))),
+            Box::new(Guard::Or(Box::new(Guard::Not(Box::new(a))), Box::new(ab))),
         );
-        let once = simplify(g.clone());
-        prop_assert_eq!(&once, &tree_simplify(&unshared(&g)), "guard {}", g);
-        let twice = simplify(once.clone());
-        prop_assert!(same_nodes(&once, &twice), "{} was rebuilt", once);
+        prop_assert_eq!(simplify(g.clone()), tree_simplify(&g), "guard {}", g);
+    }
+
+    /// Interning a tree twice gives one id, and the tree read back from it
+    /// is the tree that went in.
+    #[test]
+    fn interning_is_idempotent_and_reads_back(g in guard_strategy()) {
+        let mut pool = GuardPool::default();
+        let id = pool.intern(&g);
+        let len = pool.len();
+        prop_assert_eq!(pool.intern(&g.clone()), id);
+        prop_assert_eq!(pool.len(), len, "nothing new was added");
+        prop_assert_eq!(pool.tree(id), g);
+    }
+
+    /// Two ids of one pool are equal exactly when their trees are.
+    #[test]
+    fn ids_are_equal_exactly_when_trees_are(a in guard_strategy(), b in guard_strategy()) {
+        let mut pool = GuardPool::default();
+        let (x, y) = (pool.intern(&a), pool.intern(&b));
+        prop_assert_eq!(x == y, a == b, "{} and {}", a, b);
+        for id in pool.ids() {
+            prop_assert!(pool[id].children().all(|child| child < id));
+        }
+    }
+
+    /// The pool prints a guard as its tree prints.
+    #[test]
+    fn printing_through_the_pool_is_printing_the_tree(g in guard_strategy()) {
+        let mut pool = GuardPool::default();
+        let id = pool.intern(&g);
+        prop_assert_eq!(pool.display(id).to_string(), g.to_string());
     }
 
     /// Printing and re-parsing a guard preserves its semantics.

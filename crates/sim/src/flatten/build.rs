@@ -16,6 +16,10 @@
 //! No port is named at set-up: [`FlatProgram::port_name`] renders one
 //! from the instance prefix and the `PortRef` when an error asks.
 //!
+//! Guards come from each component's pool: one interner per instance
+//! turns the pool nodes its assignments reach into [`FlatGuard`] nodes,
+//! numbered in the order the assignments first reach them.
+//!
 //! It ends in [`build_graph`]: all drivers of one port are grouped into
 //! a contiguous assignment range; those driver nodes, the interned guards
 //! and the combinational cells are sorted once, and the graph that was
@@ -29,12 +33,11 @@ use super::{
 use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
 use calyx_core::ir::{
-    Assignment, Atom, CellType, Context, Control, Direction, Guard, GuardMemo, Id, PortDef,
-    PortRef, PrimKind,
+    Assignment, Atom, CellType, Context, Control, Direction, GuardId, GuardNode, GuardPool, Id,
+    PortDef, PortRef, PostOrder, PrimKind,
 };
 use calyx_core::prim::UnitOp;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// Build the behavioral model of one primitive instance, finding each of
 /// its ports by name through `port`.
@@ -179,49 +182,69 @@ impl Scope {
     }
 }
 
-/// Interns [`ir::Guard`](Guard)s into a program's guard arena — the one
-/// place a guard becomes [`FlatGuard`] nodes.
+/// Interns one component instance's pooled guards into a program's
+/// guard arena — the one place a guard becomes [`FlatGuard`] nodes.
 ///
-/// Nodes are hash-consed through `cons`: children are interned before
-/// parents, so equal subtrees hit the same child indices and dedup
-/// structurally. The FSM-state comparisons lowering stamps onto every
-/// assignment of a state thus share one node, which is one node of the
-/// RTL engine's sorted graph: evaluated once when `fsm.out` changes,
-/// whatever the number of assignments that test it. Sharing cannot change
-/// a value: a node is a pure function of the port valuation.
+/// Nodes are hash-consed through the program's `cons` table: children
+/// are interned before parents, so equal subtrees hit the same child
+/// indices and dedup structurally, across instances too. The FSM-state
+/// comparisons lowering stamps onto every assignment of a state thus
+/// share one node, which is one node of the RTL engine's sorted graph:
+/// evaluated once when `fsm.out` changes, whatever the number of
+/// assignments that test it. Sharing cannot change a value: a node is a
+/// pure function of the port valuation.
 ///
-/// Lowering already shares most of those subtrees as one `ir` node, and
-/// `done` keeps the index of every shared node interned so far: a second
-/// owner finds it by identity, before any port is resolved or node hashed.
-/// An index stands for a node *under one port numbering*, so `done` is
-/// one per elaborated component instance.
-struct GuardInterner<'a> {
-    guards: &'a mut IndexedMap<GuardIdx, FlatGuard>,
-    cons: &'a mut FxHashMap<FlatGuard, GuardIdx>,
-    done: &'a mut GuardMemo<GuardIdx>,
+/// New nodes are numbered in the order a recursive walk from each
+/// assignment's guard would finish them ([`PostOrder`]), not in pool id
+/// order: the arena's order is the graph's tie-break, and with it which
+/// port a driver conflict names. `done` keeps the index of every pool
+/// node interned so far, by id; an index stands for a node *under one
+/// port numbering*, so an interner is one per elaborated instance.
+struct GuardInterner<'p> {
+    pool: &'p GuardPool,
+    done: Vec<Option<GuardIdx>>,
+    walk: PostOrder,
 }
 
-impl GuardInterner<'_> {
-    fn intern(&mut self, guard: &Guard, scope: &Scope) -> SimResult<GuardIdx> {
-        let node = match guard {
-            // `FlatProgram::new` seeds index 0 with the one `True` node.
-            Guard::True => return Ok(GuardIdx::new(0)),
-            Guard::Port(p) => FlatGuard::Port(scope.port(p)?),
-            Guard::Not(g) => FlatGuard::Not(self.child(g, scope)?),
-            Guard::And(a, b) => FlatGuard::And(self.child(a, scope)?, self.child(b, scope)?),
-            Guard::Or(a, b) => FlatGuard::Or(self.child(a, scope)?, self.child(b, scope)?),
-            Guard::Comp(op, l, r) => FlatGuard::Comp(*op, scope.atom(l)?, scope.atom(r)?),
-        };
-        Ok(cons_guard(self.guards, self.cons, node))
+impl<'p> GuardInterner<'p> {
+    fn new(pool: &'p GuardPool) -> Self {
+        GuardInterner {
+            pool,
+            done: vec![None; pool.len()],
+            walk: PostOrder::default(),
+        }
     }
 
-    fn child(&mut self, node: &Arc<Guard>, scope: &Scope) -> SimResult<GuardIdx> {
-        if let Some(idx) = self.done.get(node) {
-            return Ok(*idx);
+    fn intern(
+        &mut self,
+        guard: GuardId,
+        scope: &Scope,
+        guards: &mut IndexedMap<GuardIdx, FlatGuard>,
+        cons: &mut FxHashMap<FlatGuard, GuardIdx>,
+    ) -> SimResult<GuardIdx> {
+        self.walk.push(guard);
+        while let Some(id) = self
+            .walk
+            .next(self.pool, |id| self.done[id.index()].is_some())
+        {
+            let child = |c: GuardId| self.done[c.index()].expect("children first");
+            let node = match self.pool[id] {
+                // `FlatProgram::new` seeds index 0 with the one `True` node.
+                GuardNode::True => None,
+                GuardNode::Port(p) => Some(FlatGuard::Port(scope.port(&p)?)),
+                GuardNode::Not(a) => Some(FlatGuard::Not(child(a))),
+                GuardNode::And(a, b) => Some(FlatGuard::And(child(a), child(b))),
+                GuardNode::Or(a, b) => Some(FlatGuard::Or(child(a), child(b))),
+                GuardNode::Comp(op, l, r) => {
+                    Some(FlatGuard::Comp(op, scope.atom(&l)?, scope.atom(&r)?))
+                }
+            };
+            self.done[id.index()] = Some(match node {
+                Some(node) => cons_guard(guards, cons, node),
+                None => GuardIdx::new(0),
+            });
         }
-        let idx = self.intern(node, scope)?;
-        self.done.insert(node, idx);
-        Ok(idx)
+        Ok(self.done[guard.index()].expect("the walk interned the root"))
     }
 }
 
@@ -318,21 +341,33 @@ fn held_outputs(kind: &FlatCellKind) -> [Option<PortIdx>; 3] {
     }
 }
 
-/// Whether every atom guard `g` reads satisfies `ok`.
+/// Whether every atom guard `g` reads satisfies `ok`. The walk keeps its
+/// own stack: a guard may be as deep as its input.
 fn guard_reads_only(
     guards: &IndexedMap<GuardIdx, FlatGuard>,
     g: GuardIdx,
     ok: &impl Fn(FlatAtom) -> bool,
 ) -> bool {
-    match guards[g] {
-        FlatGuard::True => true,
-        FlatGuard::Port(p) => ok(FlatAtom::Port(p)),
-        FlatGuard::Not(a) => guard_reads_only(guards, a, ok),
-        FlatGuard::And(a, b) | FlatGuard::Or(a, b) => {
-            guard_reads_only(guards, a, ok) && guard_reads_only(guards, b, ok)
+    let mut stack = vec![g];
+    while let Some(g) = stack.pop() {
+        let reads_ok = match guards[g] {
+            FlatGuard::True => true,
+            FlatGuard::Port(p) => ok(FlatAtom::Port(p)),
+            FlatGuard::Not(a) => {
+                stack.push(a);
+                true
+            }
+            FlatGuard::And(a, b) | FlatGuard::Or(a, b) => {
+                stack.extend([b, a]);
+                true
+            }
+            FlatGuard::Comp(_, l, r) => ok(l) && ok(r),
+        };
+        if !reads_ok {
+            return false;
         }
-        FlatGuard::Comp(_, l, r) => ok(l) && ok(r),
     }
+    true
 }
 
 /// The arenas being filled, and what waits for the graph to be built.
@@ -340,7 +375,7 @@ struct Flattener<'a> {
     ctx: &'a Context,
     prog: FlatProgram,
     drivers: Drivers,
-    /// Hash-consing table of [`GuardInterner`].
+    /// Hash-consing table of the program's guard arena.
     cons: FxHashMap<FlatGuard, GuardIdx>,
     /// Per port: whether it is an output that holds for a whole cycle —
     /// the stateful primitives', and each sub-instance's `done`, which
@@ -437,9 +472,9 @@ impl Flattener<'_> {
             gos.push(self.alloc(inst, 1, PortRef::hole(group.name, Id::GO)));
         }
 
-        // One memo per instance: an index is a node under this instance's
-        // port numbering.
-        let mut interned = GuardMemo::default();
+        // One interner per instance: an index is a node under this
+        // instance's port numbering.
+        let mut interned = GuardInterner::new(&comp.guards);
         let always = self.prog.true_guard();
         for asgn in &comp.continuous {
             self.assign(asgn, always, &scope, &mut interned)?;
@@ -470,16 +505,11 @@ impl Flattener<'_> {
         asgn: &Assignment,
         go: GuardIdx,
         scope: &Scope,
-        interned: &mut GuardMemo<GuardIdx>,
+        interned: &mut GuardInterner,
     ) -> SimResult<(GuardIdx, FlatAtom)> {
         let dst = scope.port(&asgn.dst)?;
         let src = scope.atom(&asgn.src)?;
-        let guard = GuardInterner {
-            guards: &mut self.prog.guards,
-            cons: &mut self.cons,
-            done: interned,
-        }
-        .intern(&asgn.guard, scope)?;
+        let guard = interned.intern(asgn.guard, scope, &mut self.prog.guards, &mut self.cons)?;
         let t = self.prog.true_guard();
         let gated = match (go == t, guard == t) {
             (true, _) => guard,

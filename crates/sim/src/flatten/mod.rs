@@ -52,8 +52,10 @@
 //!   (`pe_0_0.acc`; [`FlatProgram::set_memory`], [`FlatProgram::memory`],
 //!   [`FlatProgram::register_value`]), including the rule that an image
 //!   longer than its memory is an error;
-//! - how an `ir::Guard` becomes [`FlatGuard`] nodes (one hash-consing
-//!   interner in `build.rs`) and what a finished run reports
+//! - how a component's pooled guards become [`FlatGuard`] nodes (one
+//!   hash-consing interner in `build.rs`, numbering nodes in
+//!   first-encounter order from the assignments) and what a finished run
+//!   reports
 //!   ([`RunStats`]);
 //! - how the wires settle in between ([`Wires`]): port and guard values
 //!   that persist from cycle to cycle, and one scan of the dirty nodes in
@@ -562,14 +564,46 @@ pub fn eval_atom(atom: FlatAtom, values: &[u64]) -> u64 {
 /// valuation. This is how the interpreter asks whether a group's done
 /// condition holds: right after `publish`, when the stored guard values
 /// are not yet those of this cycle.
+///
+/// The walk recurses at most `EVAL_DEPTH` (256) nodes deep. Below that
+/// it evaluates every guard up to the one it reached in index order,
+/// which puts children first (the interner adds a node after its
+/// children), so a guard as deep as the input can spell cannot overflow
+/// the stack.
 #[inline]
 pub fn eval_guard(guards: &IndexedMap<GuardIdx, FlatGuard>, g: GuardIdx, values: &[u64]) -> bool {
     match guards[g] {
+        FlatGuard::Not(_) | FlatGuard::And(..) | FlatGuard::Or(..) => {
+            eval_guard_within(guards, g, values, EVAL_DEPTH)
+        }
+        leaf => eval_guard_node(leaf, values, &[]),
+    }
+}
+
+/// How deep [`eval_guard`] recurses before it evaluates in index order.
+const EVAL_DEPTH: u32 = 256;
+
+fn eval_guard_within(
+    guards: &IndexedMap<GuardIdx, FlatGuard>,
+    g: GuardIdx,
+    values: &[u64],
+    depth: u32,
+) -> bool {
+    if depth == 0 {
+        let mut on = Vec::with_capacity(g.index() + 1);
+        for &node in guards.iter().take(g.index() + 1) {
+            let value = eval_guard_node(node, values, &on);
+            on.push(value);
+        }
+        return on[g.index()];
+    }
+    let eval = |g| eval_guard_within(guards, g, values, depth - 1);
+    match guards[g] {
         FlatGuard::True => true,
         FlatGuard::Port(p) => values[p.index()] != 0,
-        FlatGuard::Not(g) => !eval_guard(guards, g, values),
-        FlatGuard::And(a, b) => eval_guard(guards, a, values) && eval_guard(guards, b, values),
-        FlatGuard::Or(a, b) => eval_guard(guards, a, values) || eval_guard(guards, b, values),
+        FlatGuard::Not(g) => !eval(g),
+        FlatGuard::And(a, b) => eval(a) && eval(b),
+        FlatGuard::Or(a, b) => eval(a) || eval(b),
         FlatGuard::Comp(op, l, r) => op.eval(eval_atom(l, values), eval_atom(r, values)),
     }
 }

@@ -82,7 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(adders, 2, "the second layer shares a first-layer adder");
     println!(
         "rewritten add2:\n{}",
-        Printer::print_group(main.groups.get(Id::new("add2")).expect("add2 exists"))
+        Printer::print_group(
+            main.groups.get(Id::new("add2")).expect("add2 exists"),
+            &main.guards
+        )
     );
 
     // Lower and simulate: the optimized tree still sums correctly.
