@@ -31,15 +31,17 @@
 //! The key is a node's printed text, not its id in the component's guard
 //! pool: `a & (b & c)` and `(a & b) & c` print alike and are one piece of
 //! logic. Each pool node the assignments reach is printed once, in id
-//! order, from its children's texts.
+//! order, from its children's texts. Those texts grow with the square of
+//! a chain's length, so a component whose keys would sum past a fixed
+//! limit (256 MiB) is refused with an error before any is built.
 //! Absolute numbers are not Vivado's; *ratios* between designs estimated by
 //! the same model are the quantities the paper's figures plot.
 
 use crate::api::{Backend, BackendOpts, ReportFormat};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{
-    validate, Atom, CellType, CompOp, Component, Context, GuardNode, GuardPool, Id, PortRef,
-    PrimKind,
+    validate, Atom, CellType, CompOp, Component, Context, GuardId, GuardNode, GuardPool, Id,
+    PortRef, PrimKind,
 };
 use calyx_core::json::Json;
 use calyx_core::prim::{CombOp, UnitOp};
@@ -272,7 +274,7 @@ fn wiring_area(comp: &Component) -> CalyxResult<Area> {
     let live = comp
         .guards
         .reachable(comp.continuous.iter().map(|a| a.guard));
-    let guards = GuardLogic::count(&comp.guards, &live);
+    let guards = GuardLogic::count(&comp.guards, &live)?;
     let mut cmp_luts: u64 = 0;
     for (op, l, r) in guards.comparisons {
         let w = u64::from(atom_width(&l, comp)?.max(atom_width(&r, comp)?));
@@ -296,9 +298,44 @@ struct GuardLogic {
     comparisons: Vec<(CompOp, Atom, Atom)>,
 }
 
+/// The most bytes the live guard nodes of one component may print as,
+/// summed: the keys [`GuardLogic::count`] builds take that much memory.
+/// A flat chain `w0.out & w1.out & …` of n terms prints as ≈ 6n² bytes,
+/// so the limit is a chain of ≈ 6,700 terms. It is 44× the largest real
+/// design: the 8×8 systolic array under `lower` prints 6.1 MB, and no
+/// PolyBench kernel under `opt` prints more than 31 KB.
+const GUARD_TEXT_LIMIT: u64 = 1 << 28;
+
 impl GuardLogic {
     /// Count the nodes of `guards` that `live` marks.
-    fn count(guards: &GuardPool, live: &[bool]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Backend`] when the live nodes would print as more than
+    /// [`GUARD_TEXT_LIMIT`] bytes, summed — checked before any key text
+    /// is built.
+    fn count(guards: &GuardPool, live: &[bool]) -> CalyxResult<Self> {
+        // What each live node prints as, by length: one pass in id order,
+        // children first. A length is clamped at the limit, so children
+        // shared down a deep DAG cannot overflow it.
+        let mut len = vec![0_u64; live.len()];
+        let mut total = 0;
+        for id in guards.ids().filter(|id| live[id.index()]) {
+            let node = guards[id];
+            let operand =
+                |c: GuardId| len[c.index()] + 2 * u64::from(guards[c].needs_parens_under(&node));
+            len[id.index()] = match node {
+                GuardNode::Not(inner) => 1 + operand(inner),
+                GuardNode::And(l, r) | GuardNode::Or(l, r) => operand(l) + 3 + operand(r),
+                _ => guards.display(id).to_string().len() as u64,
+            }
+            .min(GUARD_TEXT_LIMIT + 1);
+            total += len[id.index()];
+        }
+        if total > GUARD_TEXT_LIMIT {
+            let msg = format!("the guards print as more than {GUARD_TEXT_LIMIT} bytes");
+            return Err(Error::backend("area", msg));
+        }
         let mut logic = GuardLogic::default();
         #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
         let mut seen: std::collections::HashSet<Rc<str>> = std::collections::HashSet::new();
@@ -311,7 +348,7 @@ impl GuardLogic {
             }
             let node = guards[id];
             let mut text = String::new();
-            let operand = |child: calyx_core::ir::GuardId, text: &mut String| {
+            let operand = |child: GuardId, text: &mut String| {
                 let child_text = printed[child.index()].as_deref().expect("children first");
                 if guards[child].needs_parens_under(&node) {
                     text.push('(');
@@ -355,7 +392,7 @@ impl GuardLogic {
             }
             printed.push(Some(text));
         }
-        logic
+        Ok(logic)
     }
 }
 
@@ -418,7 +455,7 @@ mod tests {
         ];
         let mut pool = GuardPool::default();
         let roots: Vec<_> = guards.iter().map(|g| pool.intern(g)).collect();
-        let logic = GuardLogic::count(&pool, &pool.reachable(roots));
+        let logic = GuardLogic::count(&pool, &pool.reachable(roots)).unwrap();
         // The seven first roots, `a | b`, `(a | b) & c`, `!a` and the inner
         // `fsm.out == 4'd2 | …`; `a & b`, `b & c` and one `a & b & c`; one
         // comparison. Each is counted once, however many guards share it.

@@ -247,6 +247,14 @@ fn batch_flag_misuse_is_an_exit_2_with_a_hint() {
         "{}",
         stderr(&out)
     );
+
+    // A batch runs no lints, so `--deny warnings` would deny nothing.
+    let out = futil(&["--batch", counter, "--deny", "warnings"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    let first = err.lines().next().unwrap_or_default();
+    assert!(first.contains("`--deny`"), "{err}");
+    assert!(first.contains("`futil check`"), "{err}");
 }
 
 /// The server on a stdin/stdout pipe: a listing, a malformed request,

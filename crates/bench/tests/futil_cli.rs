@@ -9,6 +9,7 @@ use calyx_frontend::FrontendRegistry;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn example(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/{name}"))
@@ -624,5 +625,124 @@ fn a_flat_100000_term_done_condition_simulates() {
         let out = futil_stdin(&["-", "-b", backend], &src);
         assert_eq!(out.status.code(), Some(0), "{backend}: {}", stderr(&out));
         assert_eq!(stdout(&out), "done in 2 cycles\nr = 1\n", "{backend}");
+    }
+}
+
+/// `-b area` keys guard nodes by their text, which grows with the square
+/// of a chain's length: a 40,000-term chain is refused with an error
+/// before any key is built, instead of exhausting memory.
+#[test]
+fn a_40000_term_chain_is_an_area_error_not_an_abort() {
+    let n = 40_000;
+    let cells: Vec<String> = (0..n).map(|i| format!("w{i} = std_reg(1);")).collect();
+    let terms: Vec<String> = (0..n).map(|i| format!("w{i}.out")).collect();
+    let src = format!(
+        "component main() -> () {{
+           cells {{ r = std_reg(1); {} }}
+           wires {{ r.in = {} ? 1'd1; }}
+           control {{}}
+         }}",
+        cells.join(" "),
+        terms.join(" & ")
+    );
+    let started = Instant::now();
+    let out = futil_stdin(&["-", "-p", "none", "-b", "area"], &src);
+    assert!(started.elapsed() < Duration::from_secs(20));
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("backend `area` failed: the guards print as more than"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// `--deny warnings` only means something to the lints `--check` runs:
+/// without it the flag is a usage error naming `--check`.
+#[test]
+fn deny_warnings_without_check_is_an_exit_2() {
+    let dead_write = example("bad/dead_write.futil");
+    let dead_write = dead_write.to_str().unwrap();
+    let out = futil(&[dead_write, "--deny", "warnings", "-b", "calyx"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("futil: `--deny` requires `--check`"),
+        "{}",
+        stderr(&out)
+    );
+    // With `--check` the warning stops the compile.
+    let out = futil(&[dead_write, "--deny", "warnings", "-b", "calyx", "--check"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+}
+
+/// Each mode's synopsis in `--help` lists exactly the flags it takes: a
+/// flag of the help text its synopsis leaves out is an exit-2 usage error
+/// naming the flag, and a flag it lists that takes a value, given none,
+/// is an exit-2 `expects` error.
+#[test]
+fn every_mode_takes_exactly_the_flags_its_synopsis_lists() {
+    let help = stdout(&futil(&["--help"]));
+    // The synopses come first, one per mode, continued on indented lines.
+    let mut synopses: Vec<String> = Vec::new();
+    for line in help.lines().take_while(|l| !l.starts_with("  -")) {
+        let line = line.strip_prefix("usage:").unwrap_or(line).trim_start();
+        match synopses.last_mut() {
+            Some(last) if !line.starts_with("futil ") => last.push_str(&format!(" {line}")),
+            _ => synopses.push(line.to_string()),
+        }
+    }
+    assert_eq!(synopses.len(), 6, "{help}");
+    // Then one help line per flag: the spelling, the value if it takes one.
+    let flags: Vec<(&str, bool)> = help
+        .lines()
+        .filter(|l| l.starts_with("  -") && !l.contains("--help"))
+        .map(|l| {
+            let mut words = l.trim_start().split("  ").next().unwrap().split(' ');
+            (words.next().unwrap(), words.next().is_some())
+        })
+        .collect();
+    assert!(flags.len() > 20, "{help}");
+
+    let counter = counter();
+    let counter = counter.to_str().unwrap();
+    for synopsis in &synopses {
+        let words: Vec<&str> = synopsis.split_whitespace().collect();
+        let invocation = match words[1] {
+            "check" | "build" | "plan" => vec![words[1], counter],
+            "serve" => vec!["serve"],
+            _ if synopsis.contains(" --batch") => vec!["--batch", counter],
+            _ => vec![counter],
+        };
+        let listed: Vec<&str> = words
+            .iter()
+            .map(|w| w.trim_start_matches('[').trim_end_matches(']'))
+            .filter(|w| w.starts_with('-'))
+            .collect();
+        for &(flag, takes_value) in &flags {
+            let mut args = invocation.clone();
+            args.push(flag);
+            if listed.contains(&flag) {
+                if !takes_value {
+                    continue;
+                }
+                let out = futil(&args);
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+                let err = stderr(&out);
+                let expects = format!("futil: `{flag}` expects ");
+                assert!(err.starts_with(&expects), "{args:?}: {err}");
+            } else if flag != "--batch" || invocation.len() != 1 {
+                // (`--batch` beside a single input selects batch mode.)
+                if takes_value {
+                    args.push("1");
+                }
+                let out = futil(&args);
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+                let err = stderr(&out);
+                assert!(
+                    err.starts_with(&format!("futil: `{flag}` ")),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 }

@@ -4,13 +4,12 @@
 //! A session owns the four registries (frontends, passes, backends,
 //! lints). [`Session::resolve`] turns the names in a [`Job`] into a
 //! [`Resolved`] — the constructed frontend and backend plus the built
-//! pass pipeline — and `Resolved` exposes each compile stage exactly
-//! once: [`parse`](Resolved::parse) (with the caret diagnostic),
-//! [`run_passes`](Resolved::run_passes), and
-//! [`emit`](Resolved::emit) (validate, then emit);
-//! [`Session::lint`] is the optional stage between parse and passes.
-//! [`Resolved::compile`] runs them in order into memory, with per-stage
-//! wall times.
+//! pass pipeline — and `Resolved` runs the compile stages, each written
+//! once: [`parse`](Resolved::parse) (with the caret diagnostic), then
+//! [`compile_parsed`](Resolved::compile_parsed) (the passes, then
+//! validate and emit into memory); [`Session::lint`] is the optional
+//! stage between the two. [`Resolved::compile`] runs them in order, with
+//! per-stage wall times.
 //!
 //! Every failure is a [`StageError`]: the [`Stage`] that rejected the
 //! job, the message every entry point reports for it, and the underlying
@@ -29,7 +28,7 @@ use calyx_core::passes::{PassManager, PassRegistry};
 use calyx_core::utils::Entry;
 use calyx_frontend::{DynFrontend, FrontendOpts, FrontendRegistry};
 use std::io::Write;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The four registries a compile consults. [`Session::default`] holds
 /// the standard ones; drivers and tests that register third-party
@@ -155,8 +154,8 @@ pub struct Resolved {
     pub backend: Box<dyn DynBackend>,
     /// The pass and alias names the pipeline was built from.
     pub pipeline: Vec<String>,
-    /// The built pipeline; after [`Resolved::run_passes`] it holds the
-    /// timings of every pass that ran, also on a failing run.
+    /// The built pipeline; after [`Resolved::compile_parsed`] it holds
+    /// the timings of every pass that ran, also on a failing run.
     pub passes: PassManager,
     /// The parse cache's frontend key: name plus canonicalized options.
     fingerprint: String,
@@ -281,7 +280,7 @@ impl Resolved {
     /// # Errors
     ///
     /// A [`Stage::Passes`] error from the first failing pass.
-    pub fn run_passes(&mut self, ctx: &mut Context) -> Result<(), StageError> {
+    fn run_passes(&mut self, ctx: &mut Context) -> Result<(), StageError> {
         self.passes
             .run(ctx)
             .map_err(|e| StageError::new(Stage::Passes, e))
@@ -293,7 +292,7 @@ impl Resolved {
     /// # Errors
     ///
     /// A [`Stage::Validate`] or [`Stage::Emit`] error.
-    pub fn emit(&self, ctx: &Context, out: &mut dyn Write) -> Result<(), StageError> {
+    fn emit(&self, ctx: &Context, out: &mut dyn Write) -> Result<(), StageError> {
         self.backend.validate(ctx).map_err(|error| StageError {
             stage: Stage::Validate,
             message: format!(
@@ -307,9 +306,9 @@ impl Resolved {
             .map_err(|e| StageError::new(Stage::Emit, e))
     }
 
-    /// Parse, run the passes, validate and emit into memory, timing each
-    /// stage. With a `cache` the parse goes through it: a hit is a clone
-    /// of the program an earlier identical job parsed.
+    /// Parse, then [`compile_parsed`](Resolved::compile_parsed), timing
+    /// every stage. With a `cache` the parse goes through it: a hit is a
+    /// clone of the program an earlier identical job parsed.
     ///
     /// # Errors
     ///
@@ -321,7 +320,7 @@ impl Resolved {
         cache: Option<&ParseCache>,
     ) -> Result<Compiled, StageError> {
         let started = Instant::now();
-        let (mut ctx, hit) = match cache {
+        let (ctx, hit) = match cache {
             Some(cache) => {
                 let key = content_key(&[src.as_bytes()]);
                 let parse = || self.parse(shown, src);
@@ -330,7 +329,24 @@ impl Resolved {
             }
             None => (self.parse(shown, src)?, None),
         };
-        let parsed = Instant::now();
+        let parse = started.elapsed();
+        let mut compiled = self.compile_parsed(ctx)?;
+        compiled.cache = hit;
+        compiled.stages.parse = parse;
+        compiled.stages.total += parse;
+        Ok(compiled)
+    }
+
+    /// The stages after the parse: run the pipeline over `ctx`, then
+    /// validate and emit into memory, timing each (the parse's time is
+    /// zero). `self.passes` keeps the pass timings, also when a pass
+    /// fails.
+    ///
+    /// # Errors
+    ///
+    /// The first failing stage's error.
+    pub fn compile_parsed(&mut self, mut ctx: Context) -> Result<Compiled, StageError> {
+        let started = Instant::now();
         self.run_passes(&mut ctx)?;
         let lowered = Instant::now();
         let mut output = Vec::new();
@@ -339,10 +355,10 @@ impl Resolved {
         Ok(Compiled {
             output,
             extension: self.backend.extension(),
-            cache: hit,
+            cache: None,
             stages: StageTimes {
-                parse: parsed - started,
-                passes: lowered - parsed,
+                parse: Duration::ZERO,
+                passes: lowered - started,
                 emit: emitted - lowered,
                 total: emitted - started,
             },
