@@ -435,26 +435,27 @@ mod tests {
     /// printed or put together from shared operands' texts.
     #[test]
     fn guard_keys_are_the_printed_guards() {
-        use calyx_core::ir::Guard;
-        let p = |name: &str| Guard::Port(PortRef::cell(name, "out"));
-        let or = p("a").or(p("b"));
-        let and = or.clone().and(p("c"));
-        let cmp = Guard::port_eq(PortRef::cell("fsm", "out"), 2, 4);
-        let not = |g: &Guard| Guard::Not(Box::new(g.clone()));
-        let guards = [
-            not(&and),
-            not(&cmp),
-            not(&not(&p("a"))),
-            Guard::And(Box::new(and.clone()), Box::new(and.clone())),
-            and.clone().or(or.clone()),
-            cmp.clone().and(cmp.or(and)),
-            Guard::Or(Box::new(Guard::True), Box::new(or)),
-            // `a & (b & c)` prints as `a & b & c`, as `(a & b) & c` does.
-            p("a").and(p("b")).and(p("c")),
-            p("a").and(p("b").and(p("c"))),
-        ];
+        use calyx_core::ir::{CompOp, GuardId, GuardNode};
         let mut pool = GuardPool::default();
-        let roots: Vec<_> = guards.iter().map(|g| pool.intern(g)).collect();
+        let [a, b, c] = ["a", "b", "c"].map(|name| pool.port(PortRef::cell(name, "out")));
+        let or = pool.or(a, b);
+        let and = pool.and(or, c);
+        let cmp = pool.comp(CompOp::Eq, PortRef::cell("fsm", "out"), 2, 4);
+        let not_a = pool.add(GuardNode::Not(a));
+        let cmp_or_and = pool.or(cmp, and);
+        let (a_and_b, b_and_c) = (pool.and(a, b), pool.and(b, c));
+        let roots = [
+            pool.add(GuardNode::Not(and)),
+            pool.add(GuardNode::Not(cmp)),
+            pool.add(GuardNode::Not(not_a)),
+            pool.add(GuardNode::And(and, and)),
+            pool.or(and, or),
+            pool.and(cmp, cmp_or_and),
+            pool.add(GuardNode::Or(GuardId::TRUE, or)),
+            // `a & (b & c)` prints as `a & b & c`, as `(a & b) & c` does.
+            pool.and(a_and_b, c),
+            pool.and(a, b_and_c),
+        ];
         let logic = GuardLogic::count(&pool, &pool.reachable(roots)).unwrap();
         // The seven first roots, `a | b`, `(a | b) & c`, `!a` and the inner
         // `fsm.out == 4'd2 | …`; `a & b`, `b & c` and one `a & b & c`; one

@@ -702,7 +702,7 @@ mod tests {
             line.push_str(" = ");
             let unguarded = asgns.iter().position(|a| a.guard.is_true());
             for asgn in &asgns[..unguarded.unwrap_or(asgns.len())] {
-                tree_expr(&main.guards.tree(asgn.guard), &mut line);
+                tree_expr(&main.guards, asgn.guard, &mut line);
                 line.push_str(" ? ");
                 atom_expr(&asgn.src, &mut line);
                 line.push_str(" : ");
@@ -725,33 +725,33 @@ mod tests {
         assert_eq!(written, expected);
     }
 
-    /// The Verilog text of a guard tree, written by plain recursion.
-    fn tree_expr(g: &calyx_core::ir::Guard, buf: &mut String) {
-        use calyx_core::ir::Guard;
-        match g {
-            Guard::True => buf.push_str("1'b1"),
-            Guard::Port(p) => port_net(p, buf),
-            Guard::Not(a) => {
+    /// The Verilog text of a guard as a tree, written by plain recursion
+    /// over its pool's nodes.
+    fn tree_expr(guards: &GuardPool, g: GuardId, buf: &mut String) {
+        match guards[g] {
+            GuardNode::True => buf.push_str("1'b1"),
+            GuardNode::Port(p) => port_net(&p, buf),
+            GuardNode::Not(a) => {
                 buf.push_str("~(");
-                tree_expr(a, buf);
+                tree_expr(guards, a, buf);
                 buf.push(')');
             }
-            Guard::And(a, b) | Guard::Or(a, b) => {
+            GuardNode::And(a, b) | GuardNode::Or(a, b) => {
                 buf.push('(');
-                tree_expr(a, buf);
-                buf.push_str(if matches!(g, Guard::And(..)) {
+                tree_expr(guards, a, buf);
+                buf.push_str(if matches!(guards[g], GuardNode::And(..)) {
                     " & "
                 } else {
                     " | "
                 });
-                tree_expr(b, buf);
+                tree_expr(guards, b, buf);
                 buf.push(')');
             }
-            Guard::Comp(op, l, r) => {
+            GuardNode::Comp(op, l, r) => {
                 buf.push('(');
-                atom_expr(l, buf);
+                atom_expr(&l, buf);
                 buf.push_str(&format!(" {} ", op.as_str()));
-                atom_expr(r, buf);
+                atom_expr(&r, buf);
                 buf.push(')');
             }
         }

@@ -657,6 +657,56 @@ fn a_40000_term_chain_is_an_area_error_not_an_abort() {
     );
 }
 
+/// A memory too large to allocate is an elaboration error under both
+/// engines, from textual Calyx and from Dahlia alike: exit 1 in well under
+/// a second, not an allocation abort.
+#[test]
+fn a_huge_memory_is_an_elaboration_error_not_an_abort() {
+    let calyx = "component main() -> () {
+       cells { @external m = std_mem_d1(32, 1099511627776, 40); }
+       wires {} control {}
+     }";
+    let dahlia = "decl a: ubit<32>[1099511627776];\nlet x: ubit<32> = 1;\n---\na[0] := x;\n";
+    for (frontend, src) in [("calyx", calyx), ("dahlia", dahlia)] {
+        for backend in ["interp", "sim"] {
+            let started = Instant::now();
+            let out = futil_stdin(&["-", "-f", frontend, "-b", backend], src);
+            assert!(started.elapsed() < Duration::from_secs(1));
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{frontend}/{backend}: {}",
+                stderr(&out)
+            );
+            assert!(out.stdout.is_empty(), "{}", stdout(&out));
+            assert!(
+                stderr(&out).contains("memories hold 1099511627776 words, more than the 16777216"),
+                "{frontend}/{backend}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
+/// A Dahlia width outside 1..=64 is a positioned parse error: no panic,
+/// and no width silently cut to its low 32 bits.
+#[test]
+fn dahlia_widths_outside_1_to_64_are_parse_errors() {
+    for w in ["0", "65", "4294967297"] {
+        let src = format!("let x: ubit<{w}> = 1;\n");
+        let out = futil_stdin(&["-", "-f", "dahlia", "-b", "sim"], &src);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "ubit<{w}>: {err}");
+        assert!(out.stdout.is_empty(), "{}", stdout(&out));
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(
+            err.contains(&format!("width {w} is outside 1..=64")),
+            "{err}"
+        );
+        assert!(err.contains("<stdin>:1"), "{err}");
+    }
+}
+
 /// `--deny warnings` only means something to the lints `--check` runs:
 /// without it the flag is a usage error naming `--check`.
 #[test]

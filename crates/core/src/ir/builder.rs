@@ -4,11 +4,14 @@
 //! through [`Builder`], which resolves primitive signatures, generates fresh
 //! names, and width-checks assignments at construction time so that errors
 //! surface where they are made rather than at validation or simulation time.
+//!
+//! Guards are built as ids in the component's pool, through
+//! [`Builder::guards`] and the [`GuardPool`] constructors, before the
+//! guarded assignment that uses them.
 
 use super::cell::Group;
 use super::{
-    attr, Assignment, Atom, CellType, Component, Context, Control, Guard, GuardId, GuardPool, Id,
-    PortRef,
+    attr, Assignment, Atom, CellType, Component, Context, Control, GuardId, GuardPool, Id, PortRef,
 };
 
 /// Things that can name a port: a [`PortRef`], or `(cell, port)` pairs.
@@ -41,25 +44,6 @@ impl IntoPortRef for (&str, &str) {
     }
 }
 
-/// Things that can guard an assignment: a [`Guard`] tree, which is
-/// interned into the component's pool, or an id already in it.
-pub trait IntoGuard {
-    /// The guard's id in `guards`.
-    fn into_guard(self, guards: &mut GuardPool) -> GuardId;
-}
-
-impl IntoGuard for Guard {
-    fn into_guard(self, guards: &mut GuardPool) -> GuardId {
-        guards.intern(&self)
-    }
-}
-
-impl IntoGuard for GuardId {
-    fn into_guard(self, _: &mut GuardPool) -> GuardId {
-        self
-    }
-}
-
 /// A builder of assignments and cells for one component.
 ///
 /// The builder borrows the [`Context`] immutably (for the primitive library
@@ -87,7 +71,8 @@ impl<'a> Builder<'a> {
         self.comp
     }
 
-    /// The component's guard pool, for guards built as ids.
+    /// The component's guard pool: every guard an assignment carries is
+    /// built here first.
     pub fn guards(&mut self) -> &mut GuardPool {
         &mut self.comp.guards
     }
@@ -214,9 +199,8 @@ impl<'a> Builder<'a> {
         group: Id,
         dst: impl IntoPortRef,
         src: impl IntoPortRef,
-        guard: impl IntoGuard,
+        guard: GuardId,
     ) {
-        let guard = guard.into_guard(&mut self.comp.guards);
         let asgn = Assignment::guarded(dst.into_port_ref(), src.into_port_ref(), guard);
         self.push(Some(group), asgn);
     }
@@ -229,9 +213,8 @@ impl<'a> Builder<'a> {
         dst: impl IntoPortRef,
         val: u64,
         width: u32,
-        guard: impl IntoGuard,
+        guard: GuardId,
     ) {
-        let guard = guard.into_guard(&mut self.comp.guards);
         let asgn = Assignment::guarded(dst.into_port_ref(), Atom::constant(val, width), guard);
         self.push(Some(group), asgn);
     }

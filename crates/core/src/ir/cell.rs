@@ -436,10 +436,11 @@ mod tests {
     #[test]
     fn reads_iter_matches_reads() {
         let mut guards = GuardPool::default();
-        let cmp_and_b = guards.intern(
-            &super::super::Guard::port(PortRef::cell("cmp", "out"))
-                .and(super::super::Guard::port(PortRef::cell("b", "out"))),
+        let (cmp, b) = (
+            guards.port(PortRef::cell("cmp", "out")),
+            guards.port(PortRef::cell("b", "out")),
         );
+        let cmp_and_b = guards.and(cmp, b);
         let asgns = [
             Assignment::new(PortRef::cell("r", "in"), Atom::constant(1, 8)),
             Assignment::new(PortRef::cell("r", "in"), PortRef::cell("a", "out")),

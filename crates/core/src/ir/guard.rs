@@ -28,16 +28,14 @@
 //!
 //! [`Component::compact_guards`]: super::Component::compact_guards
 //!
-//! # Guard trees
+//! The pool is the only form a guard takes. The parser, the frontends and
+//! the passes build guards with the pool's constructors — through
+//! [`Builder::guards`] when they build a component — so one folding policy
+//! holds everywhere: [`and`](GuardPool::and), [`or`](GuardPool::or) and
+//! [`not`](GuardPool::not) fold the `TRUE` identity, `TRUE` absorption and
+//! double negation, and [`add`](GuardPool::add) folds nothing.
 //!
-//! [`Guard`] is the same language as an owned tree. Frontends,
-//! `static-timing` and tests write guards that way, and the [`Builder`]
-//! interns them when it adds an assignment ([`GuardPool::intern`]);
-//! `compile-control` builds ids through `Builder::guards` instead.
-//! [`GuardPool::tree`] reads a guard back as a tree. No component stores
-//! a tree.
-//!
-//! [`Builder`]: super::Builder
+//! [`Builder::guards`]: super::Builder::guards
 
 use super::cell::{Atom, PortRef};
 use std::fmt;
@@ -101,139 +99,6 @@ fn needs_parens(child: u8, parent: u8) -> bool {
     child < parent
 }
 
-/// A boolean guard expression as an owned tree: the form guards are
-/// written in before a [`GuardPool`] interns them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Guard {
-    /// Always active; unconditional assignments carry this guard.
-    True,
-    /// The value of a 1-bit port.
-    Port(PortRef),
-    /// Logical negation.
-    Not(Box<Guard>),
-    /// Logical conjunction.
-    And(Box<Guard>, Box<Guard>),
-    /// Logical disjunction.
-    Or(Box<Guard>, Box<Guard>),
-    /// Integer comparison between two atoms of equal width.
-    Comp(CompOp, Atom, Atom),
-}
-
-impl Guard {
-    /// Guard reading a 1-bit port.
-    pub fn port(p: PortRef) -> Self {
-        Guard::Port(p)
-    }
-
-    /// `port == val` against a sized constant.
-    pub fn port_eq(p: PortRef, val: u64, width: u32) -> Self {
-        Guard::Comp(CompOp::Eq, Atom::Port(p), Atom::constant(val, width))
-    }
-
-    /// `port < val` against a sized constant.
-    pub fn port_lt(p: PortRef, val: u64, width: u32) -> Self {
-        Guard::Comp(CompOp::Lt, Atom::Port(p), Atom::constant(val, width))
-    }
-
-    /// `port >= val` against a sized constant.
-    pub fn port_geq(p: PortRef, val: u64, width: u32) -> Self {
-        Guard::Comp(CompOp::Geq, Atom::Port(p), Atom::constant(val, width))
-    }
-
-    /// Conjunction with [`Guard::True`] identities folded away.
-    pub fn and(self, other: Guard) -> Guard {
-        match (self, other) {
-            (Guard::True, g) | (g, Guard::True) => g,
-            (a, b) => Guard::And(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Disjunction with `True` short-circuiting.
-    pub fn or(self, other: Guard) -> Guard {
-        match (self, other) {
-            (Guard::True, _) | (_, Guard::True) => Guard::True,
-            (a, b) => Guard::Or(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Negation with double negations folded away.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Guard {
-        match self {
-            Guard::Not(inner) => *inner,
-            g => Guard::Not(Box::new(g)),
-        }
-    }
-
-    fn binding(&self) -> u8 {
-        match self {
-            Guard::Or(..) => OR,
-            Guard::And(..) => AND,
-            Guard::Comp(..) => COMP,
-            _ => UNARY,
-        }
-    }
-
-    /// True when the guard is the constant [`Guard::True`].
-    pub fn is_true(&self) -> bool {
-        matches!(self, Guard::True)
-    }
-
-    /// Collect every port read by the guard into `out`, left to right.
-    pub fn ports_into(&self, out: &mut Vec<PortRef>) {
-        match self {
-            Guard::True => {}
-            Guard::Port(p) => out.push(*p),
-            Guard::Not(g) => g.ports_into(out),
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                a.ports_into(out);
-                b.ports_into(out);
-            }
-            Guard::Comp(_, l, r) => out.extend([l, r].into_iter().filter_map(Atom::port)),
-        }
-    }
-
-    /// Every port read by the guard.
-    pub fn ports(&self) -> Vec<PortRef> {
-        let mut v = Vec::new();
-        self.ports_into(&mut v);
-        v
-    }
-
-    /// Write the guard as Calyx text. Precedence: `!` > comparison > `&` >
-    /// `|`; a child that binds looser than its parent is parenthesized
-    /// (matching the parser's grammar, so `!(x == 1)` keeps its
-    /// parentheses while `x == 1 & y` needs none). [`GuardPool::write`]
-    /// writes the same text without recursing.
-    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        match self {
-            Guard::True => out.write_str("1'd1"),
-            Guard::Port(p) => p.write_to(out),
-            Guard::Not(inner) => {
-                out.write_char('!')?;
-                inner.write_under(UNARY, out)
-            }
-            Guard::And(a, b) | Guard::Or(a, b) => {
-                a.write_under(self.binding(), out)?;
-                out.write_str(if self.binding() == AND { " & " } else { " | " })?;
-                b.write_under(self.binding(), out)
-            }
-            Guard::Comp(op, l, r) => write_comparison(*op, l, r, out),
-        }
-    }
-
-    /// Write the guard as an operand of a parent of binding `parent`.
-    fn write_under(&self, parent: u8, out: &mut impl fmt::Write) -> fmt::Result {
-        if needs_parens(self.binding(), parent) {
-            out.write_char('(')?;
-            self.write_to(out)?;
-            out.write_char(')')
-        } else {
-            self.write_to(out)
-        }
-    }
-}
-
 /// `l op r`.
 fn write_comparison(op: CompOp, l: &Atom, r: &Atom, out: &mut impl fmt::Write) -> fmt::Result {
     l.write_to(out)?;
@@ -241,18 +106,6 @@ fn write_comparison(op: CompOp, l: &Atom, r: &Atom, out: &mut impl fmt::Write) -
     out.write_str(op.as_str())?;
     out.write_char(' ')?;
     r.write_to(out)
-}
-
-impl From<PortRef> for Guard {
-    fn from(p: PortRef) -> Self {
-        Guard::Port(p)
-    }
-}
-
-impl fmt::Display for Guard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
-    }
 }
 
 /// A guard in its component's [`GuardPool`]. Ids are dense, and a node's
@@ -275,7 +128,7 @@ impl GuardId {
     }
 }
 
-/// One node of a [`GuardPool`]: a [`Guard`] whose children are ids.
+/// One node of a [`GuardPool`]: a guard whose children are ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GuardNode {
     /// Always active.
@@ -303,7 +156,7 @@ impl GuardNode {
     }
 
     /// Does this node print in parentheses as an operand of `parent`?
-    /// (See [`Guard::write_to`].)
+    /// (See [`GuardPool::write`].)
     pub fn needs_parens_under(&self, parent: &GuardNode) -> bool {
         needs_parens(self.binding(), parent.binding())
     }
@@ -345,8 +198,8 @@ impl GuardNode {
 ///
 /// [`add`](GuardPool::add) interns a node as it is; the
 /// [`and`](GuardPool::and), [`or`](GuardPool::or) and
-/// [`not`](GuardPool::not) constructors fold like [`Guard::and`],
-/// [`Guard::or`] and [`Guard::not`].
+/// [`not`](GuardPool::not) constructors fold the constant `TRUE` and
+/// double negations away.
 ///
 /// The table is open addressing over ids: `slots` holds `id + 1` (0 for
 /// empty) at the node's hash, probed linearly, and is kept at most half
@@ -493,29 +346,13 @@ impl GuardPool {
         }
     }
 
-    /// Intern the tree `guard` node for node, folding nothing.
-    pub fn intern(&mut self, guard: &Guard) -> GuardId {
-        let node = match guard {
-            Guard::True => return GuardId::TRUE,
-            Guard::Port(p) => GuardNode::Port(*p),
-            Guard::Not(a) => GuardNode::Not(self.intern(a)),
-            Guard::And(a, b) => GuardNode::And(self.intern(a), self.intern(b)),
-            Guard::Or(a, b) => GuardNode::Or(self.intern(a), self.intern(b)),
-            Guard::Comp(op, l, r) => GuardNode::Comp(*op, *l, *r),
-        };
-        self.add(node)
-    }
-
-    /// The tree `id` stands for.
-    pub fn tree(&self, id: GuardId) -> Guard {
-        match self[id] {
-            GuardNode::True => Guard::True,
-            GuardNode::Port(p) => Guard::Port(p),
-            GuardNode::Not(a) => Guard::Not(Box::new(self.tree(a))),
-            GuardNode::And(a, b) => Guard::And(Box::new(self.tree(a)), Box::new(self.tree(b))),
-            GuardNode::Or(a, b) => Guard::Or(Box::new(self.tree(a)), Box::new(self.tree(b))),
-            GuardNode::Comp(op, l, r) => Guard::Comp(op, l, r),
-        }
+    /// `port op width'dval`: a port compared with a sized constant.
+    pub fn comp(&mut self, op: CompOp, port: PortRef, val: u64, width: u32) -> GuardId {
+        self.add(GuardNode::Comp(
+            op,
+            Atom::Port(port),
+            Atom::constant(val, width),
+        ))
     }
 
     /// The size of every node as a tree — its nodes but `True`, the size
@@ -583,9 +420,10 @@ impl GuardPool {
         Some(new_id)
     }
 
-    /// The ports `id` reads in tree order, a node reached along several
-    /// paths once per path ([`Guard::ports`] of its tree). Allocates
-    /// nothing for [`GuardId::TRUE`].
+    /// The ports `id` reads in tree order — depth first, left before
+    /// right, a comparison's left operand first — a node reached along
+    /// several paths once per path. Allocates nothing for
+    /// [`GuardId::TRUE`].
     pub fn ports(&self, id: GuardId) -> GuardPorts<'_> {
         GuardPorts {
             pool: self,
@@ -594,8 +432,11 @@ impl GuardPool {
         }
     }
 
-    /// Write `id` as Calyx text, exactly what [`Guard::write_to`] writes
-    /// for its tree, with an explicit stack instead of recursion.
+    /// Write `id` as Calyx text, with an explicit stack instead of
+    /// recursion. Precedence: `!` > comparison > `&` > `|`; a child that
+    /// binds looser than its parent is parenthesized (matching the
+    /// parser's grammar, so `!(x == 1)` keeps its parentheses while
+    /// `x == 1 & y` needs none).
     pub fn write(&self, id: GuardId, out: &mut impl fmt::Write) -> fmt::Result {
         enum Piece {
             Node(GuardId),
@@ -690,8 +531,7 @@ impl PostOrder {
 }
 
 /// Lazy depth-first iterator over the ports of a pooled guard, created by
-/// [`GuardPool::ports`]. Yields ports in the order of
-/// [`Guard::ports_into`] on the guard's tree.
+/// [`GuardPool::ports`].
 pub struct GuardPorts<'a> {
     pool: &'a GuardPool,
     stack: Vec<GuardId>,
@@ -747,67 +587,96 @@ mod tests {
 
     #[test]
     fn and_folds_true() {
-        let g = Guard::True.and(Guard::port(p("a")));
-        assert_eq!(g, Guard::port(p("a")));
-        let g = Guard::port(p("a")).and(Guard::True);
-        assert_eq!(g, Guard::port(p("a")));
+        let mut pool = GuardPool::default();
+        let a = pool.port(p("a"));
+        assert_eq!(pool.and(GuardId::TRUE, a), a);
+        assert_eq!(pool.and(a, GuardId::TRUE), a);
     }
 
     #[test]
     fn or_short_circuits_true() {
-        assert!(Guard::True.or(Guard::port(p("a"))).is_true());
+        let mut pool = GuardPool::default();
+        let a = pool.port(p("a"));
+        assert!(pool.or(GuardId::TRUE, a).is_true());
     }
 
     #[test]
     fn not_folds_double_negation() {
-        let g = Guard::port(p("a")).not().not();
-        assert_eq!(g, Guard::port(p("a")));
+        let mut pool = GuardPool::default();
+        let a = pool.port(p("a"));
+        let not_a = pool.not(a);
+        assert_eq!(pool.not(not_a), a);
     }
 
     #[test]
     fn collects_ports_from_comparisons() {
-        let g = Guard::port_eq(p("fsm"), 2, 4).and(Guard::port(p("done")));
-        let mut ports = g.ports();
+        let mut pool = GuardPool::default();
+        let (fsm, done) = (pool.comp(CompOp::Eq, p("fsm"), 2, 4), pool.port(p("done")));
+        let g = pool.and(fsm, done);
+        let mut ports: Vec<_> = pool.ports(g).collect();
         ports.sort();
         assert_eq!(ports, vec![p("done"), p("fsm")]);
     }
 
     #[test]
     fn display_respects_precedence() {
-        let g = Guard::port(p("a")).or(Guard::port(p("b")).and(Guard::port(p("c"))));
-        assert_eq!(g.to_string(), "a.out | b.out & c.out");
-        let g2 = Guard::port(p("a"))
-            .or(Guard::port(p("b")))
-            .and(Guard::port(p("c")));
-        assert_eq!(g2.to_string(), "(a.out | b.out) & c.out");
-        let g3 = Guard::port(p("a")).and(Guard::port(p("b"))).not();
-        assert_eq!(g3.to_string(), "!(a.out & b.out)");
+        let mut pool = GuardPool::default();
+        let [a, b, c] = ["a", "b", "c"].map(|n| pool.port(p(n)));
+        let bc = pool.and(b, c);
+        let g = pool.or(a, bc);
+        assert_eq!(pool.display(g).to_string(), "a.out | b.out & c.out");
+        let ab = pool.or(a, b);
+        let g2 = pool.and(ab, c);
+        assert_eq!(pool.display(g2).to_string(), "(a.out | b.out) & c.out");
+        let ab = pool.and(a, b);
+        let g3 = pool.not(ab);
+        assert_eq!(pool.display(g3).to_string(), "!(a.out & b.out)");
     }
 
     #[test]
     fn ports_iter_matches_ports_into() {
-        let guards = [
-            Guard::True,
-            Guard::port(p("a")),
-            Guard::port(p("a")).not(),
-            Guard::port(p("a")).and(Guard::port(p("b")).or(Guard::port(p("c")))),
-            Guard::port_eq(p("fsm"), 2, 4).and(Guard::port(p("done"))),
-            Guard::Comp(CompOp::Lt, Atom::Port(p("x")), Atom::Port(p("y"))),
-            Guard::Comp(CompOp::Eq, Atom::constant(1, 2), Atom::constant(1, 2)),
-            Guard::port(p("a")).and(Guard::port(p("a"))),
-        ];
         let mut pool = GuardPool::default();
-        for g in guards {
-            let id = pool.intern(&g);
+        let [a, b, c, done] = ["a", "b", "c", "done"].map(|n| pool.port(p(n)));
+        let not_a = pool.not(a);
+        let b_or_c = pool.or(b, c);
+        let nested = pool.and(a, b_or_c);
+        let fsm = pool.comp(CompOp::Eq, p("fsm"), 2, 4);
+        let fsm_done = pool.and(fsm, done);
+        let x_lt_y = pool.add(GuardNode::Comp(
+            CompOp::Lt,
+            Atom::Port(p("x")),
+            Atom::Port(p("y")),
+        ));
+        let one = Atom::constant(1, 2);
+        let consts = pool.add(GuardNode::Comp(CompOp::Eq, one, one));
+        let a_a = pool.and(a, a);
+        let cases: [(GuardId, &[&str]); 8] = [
+            (GuardId::TRUE, &[]),
+            (a, &["a"]),
+            (not_a, &["a"]),
+            (nested, &["a", "b", "c"]),
+            (fsm_done, &["fsm", "done"]),
+            (x_lt_y, &["x", "y"]),
+            (consts, &[]),
+            (a_a, &["a", "a"]),
+        ];
+        for (id, names) in cases {
             let collected: Vec<_> = pool.ports(id).collect();
-            assert_eq!(collected, g.ports(), "order/content mismatch for {g}");
+            let expected: Vec<_> = names.iter().map(|n| p(n)).collect();
+            assert_eq!(
+                collected,
+                expected,
+                "order/content mismatch for {}",
+                pool.display(id)
+            );
         }
     }
 
     #[test]
     fn size_counts_nodes() {
         let mut pool = GuardPool::default();
-        let g = pool.intern(&Guard::port(p("a")).and(Guard::port_eq(p("b"), 1, 2)));
+        let (a, b) = (pool.port(p("a")), pool.comp(CompOp::Eq, p("b"), 1, 2));
+        let g = pool.and(a, b);
         let sizes = pool.tree_sizes();
         assert_eq!((sizes[GuardId::TRUE.index()], sizes[g.index()]), (0, 3));
     }
@@ -815,9 +684,14 @@ mod tests {
     #[test]
     fn equal_guards_are_one_id_and_children_come_first() {
         let mut pool = GuardPool::default();
-        let ab = || Guard::port(p("a")).and(Guard::port(p("b")));
-        let x = pool.intern(&ab().not());
-        let y = pool.intern(&ab().or(ab()));
+        let ab = |pool: &mut GuardPool| {
+            let (a, b) = (pool.port(p("a")), pool.port(p("b")));
+            pool.and(a, b)
+        };
+        let first = ab(&mut pool);
+        let x = pool.not(first);
+        let (left, right) = (ab(&mut pool), ab(&mut pool));
+        let y = pool.or(left, right);
         let GuardNode::Not(shared) = pool[x] else {
             panic!("{} is a negation", pool.display(x));
         };
@@ -847,8 +721,10 @@ mod tests {
     #[test]
     fn retain_keeps_the_order_and_renumbers_children() {
         let mut pool = GuardPool::default();
-        let dead = pool.intern(&Guard::port(p("x")).and(Guard::port(p("y"))));
-        let kept = pool.intern(&Guard::port(p("a")).or(Guard::port(p("b"))).not());
+        let [x, y, a, b] = ["x", "y", "a", "b"].map(|n| pool.port(p(n)));
+        let dead = pool.and(x, y);
+        let a_or_b = pool.or(a, b);
+        let kept = pool.not(a_or_b);
         let live = pool.reachable([kept]);
         assert!(!live[dead.index()]);
         let new_id = pool.retain(&live).expect("dead nodes were dropped");

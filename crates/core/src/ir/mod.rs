@@ -25,11 +25,11 @@ mod source_map;
 pub mod validate;
 
 pub use attributes::{attr, Attributes};
-pub use builder::{Builder, IntoGuard};
+pub use builder::Builder;
 pub use cell::{Assignment, Atom, Cell, CellType, Direction, Group, PortDef, PortParent, PortRef};
 pub use component::{Component, Context};
 pub use control::Control;
-pub use guard::{CompOp, Guard, GuardId, GuardNode, GuardPool, GuardPorts, PostOrder};
+pub use guard::{CompOp, GuardId, GuardNode, GuardPool, GuardPorts, PostOrder};
 pub use id::Id;
 pub use parser::{parse_context, parse_guard};
 pub use primitives::{Library, PrimKind, PrimitiveDef, PrimitivePort, WidthSpec};

@@ -33,7 +33,7 @@
 
 use super::cell::Group;
 use super::{
-    Assignment, Atom, Attributes, CellType, CompOp, Component, Context, Control, Direction, Guard,
+    Assignment, Atom, Attributes, CellType, CompOp, Component, Context, Control, Direction,
     GuardId, GuardNode, GuardPool, Id, Library, Loc, PortDef, PrimitiveDef, PrimitivePort,
     SourceMap, Truncation, WidthSpec,
 };
@@ -871,21 +871,23 @@ pub fn parse_context(src: &str) -> CalyxResult<Context> {
     Ok(ctx)
 }
 
-/// Parse a guard expression standalone (used by tests and the REPL-style
-/// examples), as a tree.
+/// Parse a guard expression standalone into `pool` (used by tests).
 ///
 /// # Errors
 ///
 /// Returns [`Error::Parse`] on malformed guards.
-pub fn parse_guard(src: &str) -> CalyxResult<Guard> {
+pub fn parse_guard(src: &str, pool: &mut GuardPool) -> CalyxResult<GuardId> {
     let (toks, _) = lex(src)?;
     let mut p = Parser::new(toks);
-    let e = p.gexpr()?;
-    if p.peek() != Tok::Eof {
-        return Err(p.err("trailing tokens after guard"));
-    }
-    let guard = p.guard_of(e)?;
-    Ok(p.guards.tree(guard))
+    p.guards = std::mem::take(pool);
+    let parsed = p.gexpr().and_then(|e| {
+        if p.peek() != Tok::Eof {
+            return Err(p.err("trailing tokens after guard"));
+        }
+        p.guard_of(e)
+    });
+    *pool = p.guards;
+    parsed
 }
 
 #[cfg(test)]
@@ -943,12 +945,13 @@ mod tests {
 
     #[test]
     fn parses_guards_with_precedence() {
-        let g = parse_guard("a.out & !b.out | fsm.out == 2'd3").unwrap();
+        let mut pool = GuardPool::default();
+        let g = parse_guard("a.out & !b.out | fsm.out == 2'd3", &mut pool).unwrap();
         // (a.out & !b.out) | (fsm.out == 2'd3)
-        match g {
-            Guard::Or(lhs, rhs) => {
-                assert!(matches!(*lhs, Guard::And(..)));
-                assert!(matches!(*rhs, Guard::Comp(CompOp::Eq, ..)));
+        match pool[g] {
+            GuardNode::Or(lhs, rhs) => {
+                assert!(matches!(pool[lhs], GuardNode::And(..)));
+                assert!(matches!(pool[rhs], GuardNode::Comp(CompOp::Eq, ..)));
             }
             other => panic!("unexpected guard {other:?}"),
         }
@@ -1176,8 +1179,9 @@ mod tests {
         let nested = |open: &str, close: &str, n: usize| {
             format!("{}r.out{}", open.repeat(n), close.repeat(n))
         };
-        parse_guard(&nested("(", ")", MAX_GUARD_DEPTH)).unwrap();
-        parse_guard(&nested("!", "", MAX_GUARD_DEPTH)).unwrap();
+        let mut pool = GuardPool::default();
+        parse_guard(&nested("(", ")", MAX_GUARD_DEPTH), &mut pool).unwrap();
+        parse_guard(&nested("!", "", MAX_GUARD_DEPTH), &mut pool).unwrap();
         for (open, close, n) in [("(", ")", 20_000), ("!", "", 50_000), ("!(", ")", 300)] {
             let guard = nested(open, close, n);
             let src = format!(

@@ -367,7 +367,7 @@ impl std::fmt::Display for Control {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Atom, Builder, Guard, Id, PortRef};
+    use super::super::{Atom, Builder, Id, PortRef};
     use super::*;
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
         let guarded = Assignment::guarded(
             PortRef::cell("x", "in"),
             PortRef::cell("a", "out"),
-            guards.intern(&Guard::port(PortRef::cell("cmp", "out"))),
+            guards.port(PortRef::cell("cmp", "out")),
         );
         assert_eq!(
             Printer::print_assignment(&guarded, &guards),

@@ -120,15 +120,16 @@ impl Rewriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Guard;
 
     #[test]
     fn renames_cells_everywhere_in_assignment() {
         let rw = Rewriter::from_cells([(Id::new("a1"), Id::new("a0"))].into_iter().collect());
         let mut guards = GuardPool::default();
-        let guard = guards.intern(
-            &Guard::port(PortRef::cell("a1", "done")).and(Guard::port(PortRef::cell("b", "out"))),
+        let (done, b) = (
+            guards.port(PortRef::cell("a1", "done")),
+            guards.port(PortRef::cell("b", "out")),
         );
+        let guard = guards.and(done, b);
         let mut asgn = Assignment::guarded(
             PortRef::cell("a1", "left"),
             PortRef::cell("a1", "out"),
@@ -149,11 +150,10 @@ mod tests {
     fn a_shared_node_is_renamed_once() {
         let rw = Rewriter::from_cells([(Id::new("a"), Id::new("z"))].into_iter().collect());
         let mut guards = GuardPool::default();
-        let a_and_b =
-            Guard::port(PortRef::cell("a", "out")).and(Guard::port(PortRef::cell("b", "out")));
-        let shared = guards.intern(&a_and_b);
-        let x = guards.intern(&a_and_b.clone().not());
-        let y = guards.intern(&a_and_b.or(Guard::port(PortRef::cell("c", "out"))));
+        let [a, b, c] = ["a", "b", "c"].map(|n| guards.port(PortRef::cell(n, "out")));
+        let shared = guards.and(a, b);
+        let x = guards.not(shared);
+        let y = guards.or(shared, c);
         let dst = PortRef::cell("r", "in");
         let mut asgns = [x, y].map(|g| Assignment::guarded(dst, Atom::constant(1, 1), g));
         rw.assignments(&mut asgns, &mut guards);

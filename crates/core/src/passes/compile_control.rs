@@ -25,7 +25,7 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{attr, Attributes, Builder, Component, Control, Guard, GuardId, Id, PortRef};
+use crate::ir::{attr, Attributes, Builder, CompOp, Component, Control, GuardId, Id, PortRef};
 use crate::utils::bits_needed;
 
 /// Compiles `seq`/`par`/`if`/`while` into latency-insensitive FSMs.
@@ -276,7 +276,7 @@ fn compile_seq(b: &mut Builder, children: &[Id]) -> Id {
     let fsm_out = PortRef::cell(fsm, Id::OUT);
 
     for (i, &child) in children.iter().enumerate() {
-        let state = b.guards().intern(&Guard::port_eq(fsm_out, i as u64, width));
+        let state = b.guards().comp(CompOp::Eq, fsm_out, i as u64, width);
         // Enable the child while in its state; advance when it completes.
         let finished = wire_child(b, g, child, state);
         let tick = b.guards().and(state, finished);
@@ -285,7 +285,7 @@ fn compile_seq(b: &mut Builder, children: &[Id]) -> Id {
     }
 
     // Final state: signal done and reset the FSM for re-entry.
-    let final_state = b.guards().intern(&Guard::port_eq(fsm_out, n, width));
+    let final_state = b.guards().comp(CompOp::Eq, fsm_out, n, width);
     b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, final_state);
     b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, final_state);
     b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, final_state);

@@ -52,7 +52,7 @@ impl Visitor for GoInsertion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{parse_context, Guard, Id};
+    use crate::ir::{parse_context, GuardNode};
     use crate::passes::Pass;
 
     #[test]
@@ -74,10 +74,10 @@ mod tests {
         GoInsertion.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         let one = main.groups.get(Id::new("one")).unwrap();
-        let go = Guard::Port(PortRef::hole("one", "go"));
+        let go = GuardNode::Port(PortRef::hole("one", "go"));
         // Data assignments gain the go guard...
-        assert_eq!(main.guards.tree(one.assignments[0].guard), go);
-        assert_eq!(main.guards.tree(one.assignments[1].guard), go);
+        assert_eq!(main.guards[one.assignments[0].guard], go);
+        assert_eq!(main.guards[one.assignments[1].guard], go);
         // ...while the done write stays unguarded (paper Fig. 2b).
         assert!(one.assignments[2].guard.is_true());
     }
@@ -101,8 +101,10 @@ mod tests {
         GoInsertion.run(&mut ctx).unwrap();
         let main = ctx.component("main").unwrap();
         let g = main.groups.get(Id::new("g")).unwrap();
-        let expected =
-            Guard::Port(PortRef::hole("g", "go")).and(Guard::Port(PortRef::cell("cmp", "out")));
-        assert_eq!(main.guards.tree(g.assignments[0].guard), expected);
+        // Equal guards are one id in a pool.
+        let mut pool = main.guards.clone();
+        let go = pool.port(PortRef::hole("g", "go"));
+        let cmp = pool.port(PortRef::cell("cmp", "out"));
+        assert_eq!(g.assignments[0].guard, pool.and(go, cmp));
     }
 }

@@ -9,7 +9,7 @@
 use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
-use crate::ir::{Atom, CompOp, Component, Guard, GuardId, GuardNode, GuardPool};
+use crate::ir::{Atom, CompOp, Component, GuardId, GuardNode, GuardPool};
 
 /// Simplifies guard expressions after interface-signal inlining:
 /// double negations, `x & x` / `x | x` idempotence, constant comparisons,
@@ -47,15 +47,6 @@ impl Visitor for GuardSimplify {
         // Guards live in the wires section; the control tree is untouched.
         Ok(Action::SkipChildren)
     }
-}
-
-/// Simplify a guard bottom-up, through a pool of its own.
-pub fn simplify(guard: Guard) -> Guard {
-    let mut pool = GuardPool::default();
-    let id = pool.intern(&guard);
-    let live = pool.reachable([id]);
-    let simpler = Simplified::new(&mut pool, live);
-    pool.tree(simpler.of(id))
 }
 
 /// The simplified form of every node some roots reach, by id.
@@ -160,56 +151,77 @@ mod tests {
     use super::*;
     use crate::ir::PortRef;
 
-    fn p(name: &str) -> Guard {
-        Guard::Port(PortRef::cell(name, "out"))
+    fn p(pool: &mut GuardPool, name: &str) -> GuardId {
+        pool.port(PortRef::cell(name, "out"))
     }
 
-    fn is_false(g: &Guard) -> bool {
-        *g == Guard::True.not()
+    fn is_false(pool: &GuardPool, g: GuardId) -> bool {
+        pool[g] == GuardNode::Not(GuardId::TRUE)
+    }
+
+    /// What the pass makes of `id`.
+    fn simplify(pool: &mut GuardPool, id: GuardId) -> GuardId {
+        let live = pool.reachable([id]);
+        Simplified::new(pool, live).of(id)
     }
 
     #[test]
     fn folds_double_negation() {
-        assert_eq!(simplify(p("a").not().not()), p("a"));
-        let not = |g| Guard::Not(Box::new(g));
-        assert_eq!(simplify(not(not(p("a")))), p("a"));
+        let mut pool = GuardPool::default();
+        let a = p(&mut pool, "a");
+        let not_a = pool.not(a);
+        let g = pool.not(not_a);
+        assert_eq!(simplify(&mut pool, g), a);
+        let not_a = pool.add(GuardNode::Not(a));
+        let g = pool.add(GuardNode::Not(not_a));
+        assert_eq!(simplify(&mut pool, g), a);
     }
 
     #[test]
     fn idempotence() {
-        assert_eq!(simplify(p("a").and(p("a"))), p("a"));
-        assert_eq!(simplify(p("a").or(p("a"))), p("a"));
+        let mut pool = GuardPool::default();
+        let a = p(&mut pool, "a");
+        let g = pool.and(a, a);
+        assert_eq!(simplify(&mut pool, g), a);
+        let g = pool.or(a, a);
+        assert_eq!(simplify(&mut pool, g), a);
     }
 
     #[test]
     fn annihilators_and_identities() {
-        assert_eq!(simplify(Guard::True.not().and(p("a"))), Guard::True.not());
-        assert_eq!(simplify(Guard::True.not().or(p("a"))), p("a"));
-        assert_eq!(
-            simplify(Guard::And(Box::new(Guard::True), Box::new(p("a")))),
-            p("a")
-        );
+        let mut pool = GuardPool::default();
+        let (a, false_) = (p(&mut pool, "a"), pool.not(GuardId::TRUE));
+        let g = pool.and(false_, a);
+        assert_eq!(simplify(&mut pool, g), false_);
+        let g = pool.or(false_, a);
+        assert_eq!(simplify(&mut pool, g), a);
+        let g = pool.add(GuardNode::And(GuardId::TRUE, a));
+        assert_eq!(simplify(&mut pool, g), a);
     }
 
     /// A node two guards reach is simplified once, and a node no rule
     /// fires beneath is its own result: the ids survive the pass.
     #[test]
     fn shared_nodes_stay_shared() {
-        let not = |g| Guard::Not(Box::new(g));
-        let shared = not(not(p("a").and(p("b"))));
-        let kept = p("c").or(p("d"));
-        let owner = |other: &str| shared.clone().or(p(other)).and(kept.clone());
         let mut pool = GuardPool::default();
-        let (x, y) = (pool.intern(&owner("x")), pool.intern(&owner("y")));
-        let kept = pool.intern(&kept);
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| p(&mut pool, n));
+        let a_and_b = pool.and(a, b);
+        let not_ab = pool.add(GuardNode::Not(a_and_b));
+        let shared = pool.add(GuardNode::Not(not_ab));
+        let kept = pool.or(c, d);
+        let mut owner = |other: &str| {
+            let other = p(&mut pool, other);
+            let left = pool.or(shared, other);
+            pool.and(left, kept)
+        };
+        let (x, y) = (owner("x"), owner("y"));
         let live = pool.reachable([x, y]);
         let simpler = Simplified::new(&mut pool, live);
         assert!(simpler.changed);
         let (x, y) = (simpler.of(x), simpler.of(y));
-        assert_eq!(
-            pool.tree(x),
-            p("a").and(p("b")).or(p("x")).and(p("c").or(p("d")))
-        );
+        let x_port = p(&mut pool, "x");
+        let left = pool.or(a_and_b, x_port);
+        assert_eq!(x, pool.and(left, kept));
         let (GuardNode::And(x_left, x_kept), GuardNode::And(y_left, y_kept)) = (pool[x], pool[y])
         else {
             panic!("both are conjunctions");
@@ -228,23 +240,42 @@ mod tests {
 
     #[test]
     fn constant_comparisons_fold() {
-        let g = Guard::Comp(CompOp::Eq, Atom::constant(3, 4), Atom::constant(3, 4));
-        assert_eq!(simplify(g), Guard::True);
-        let g = Guard::Comp(CompOp::Lt, Atom::constant(5, 4), Atom::constant(3, 4));
-        assert!(is_false(&simplify(g)));
+        let mut pool = GuardPool::default();
+        let g = pool.add(GuardNode::Comp(
+            CompOp::Eq,
+            Atom::constant(3, 4),
+            Atom::constant(3, 4),
+        ));
+        assert_eq!(simplify(&mut pool, g), GuardId::TRUE);
+        let g = pool.add(GuardNode::Comp(
+            CompOp::Lt,
+            Atom::constant(5, 4),
+            Atom::constant(3, 4),
+        ));
+        let simple = simplify(&mut pool, g);
+        assert!(is_false(&pool, simple));
     }
 
     #[test]
     fn reflexive_comparisons_fold() {
+        let mut pool = GuardPool::default();
         let port = Atom::Port(PortRef::cell("fsm", "out"));
-        assert_eq!(simplify(Guard::Comp(CompOp::Eq, port, port)), Guard::True);
-        assert!(is_false(&simplify(Guard::Comp(CompOp::Neq, port, port))));
+        let g = pool.add(GuardNode::Comp(CompOp::Eq, port, port));
+        assert_eq!(simplify(&mut pool, g), GuardId::TRUE);
+        let g = pool.add(GuardNode::Comp(CompOp::Neq, port, port));
+        let simple = simplify(&mut pool, g);
+        assert!(is_false(&pool, simple));
     }
 
     #[test]
     fn simplifies_recursively() {
         // (!!a) & (a & a) => a
-        let g = p("a").not().not().and(p("a").and(p("a")));
-        assert_eq!(simplify(g), p("a"));
+        let mut pool = GuardPool::default();
+        let a = p(&mut pool, "a");
+        let not_a = pool.not(a);
+        let not_not_a = pool.not(not_a);
+        let a_and_a = pool.and(a, a);
+        let g = pool.and(not_not_a, a_and_a);
+        assert_eq!(simplify(&mut pool, g), a);
     }
 }

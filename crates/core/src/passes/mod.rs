@@ -94,7 +94,7 @@ pub use compile_control::CompileControl;
 pub use dead_cell::DeadCellRemoval;
 pub use dead_group::DeadGroupRemoval;
 pub use go_insertion::GoInsertion;
-pub use guard_simplify::{simplify, GuardSimplify};
+pub use guard_simplify::GuardSimplify;
 pub use infer_static::InferStaticTiming;
 pub use minimize_regs::MinimizeRegs;
 pub use pass_ctx::PassCtx;

@@ -340,7 +340,7 @@ impl Holes {
 mod tests {
     use super::super::{CompileControl, GoInsertion};
     use super::*;
-    use crate::ir::{parse_context, Guard, Printer};
+    use crate::ir::{parse_context, parse_guard, Printer};
     use crate::passes::Pass;
 
     fn lower(src: &str) -> crate::ir::Context {
@@ -425,8 +425,8 @@ mod tests {
             .find(|a| a.dst == PortRef::this("done"))
             .unwrap();
         assert_eq!(
-            main.guards.tree(done.guard),
-            Guard::Port(PortRef::this("go"))
+            main.guards[done.guard],
+            GuardNode::Port(PortRef::this("go"))
         );
     }
 
@@ -534,7 +534,7 @@ mod tests {
     /// in the guards of two assignments and in the definition of
     /// `a[done]`, each time after `memoized`, which the definition reads
     /// twice: the second read is answered from the memo.
-    fn rejection_of_shared(memoized: Option<&Guard>, shared: &Guard, groups: &str) -> String {
+    fn rejection_of_shared(memoized: Option<&str>, shared: &str, groups: &str) -> String {
         let src = format!(
             "component main() -> () {{
                cells {{ x = std_reg(8); }}
@@ -548,8 +548,8 @@ mod tests {
         let mut ctx = parse_context(&src).unwrap();
         let main = ctx.component_mut("main").unwrap();
         let pool = &mut main.guards;
-        let shared = pool.intern(shared);
-        let beside = memoized.map_or(shared, |g| pool.intern(g));
+        let shared = parse_guard(shared, pool).unwrap();
+        let beside = memoized.map_or(shared, |g| parse_guard(g, pool).unwrap());
         let twice = pool.add(GuardNode::Or(beside, beside));
         let not_shared = pool.add(GuardNode::Not(shared));
         let guards = [
@@ -570,26 +570,19 @@ mod tests {
     /// a node the walk has inlined already.
     #[test]
     fn rejections_keep_their_texts_on_shared_nodes() {
-        let hole = |group: &str, port: &str| Guard::Port(PortRef::hole(group, port));
-        let fine = hole("b", "done").not();
         let b = "group b { b[done] = x.done; }";
-        for memoized in [None, Some(&fine)] {
-            let comparison = Guard::Comp(
-                crate::ir::CompOp::Eq,
-                Atom::Port(PortRef::hole("a", "go")),
-                Atom::constant(1, 1),
-            );
-            let err = rejection_of_shared(memoized, &comparison, b);
+        for memoized in [None, Some("!b[done]")] {
+            let err = rejection_of_shared(memoized, "a[go] == 1'd1", b);
             assert!(
                 err.ends_with("hole `a[go]` is read inside a comparison"),
                 "{err}"
             );
-            let err = rejection_of_shared(memoized, &hole("c", "done").not(), b);
+            let err = rejection_of_shared(memoized, "!c[done]", b);
             assert!(
                 err.ends_with("hole `c[done]` is read but never written"),
                 "{err}"
             );
-            let err = rejection_of_shared(memoized, &hole("a", "done").not(), b);
+            let err = rejection_of_shared(memoized, "!a[done]", b);
             assert!(
                 err.ends_with(
                     "interface-signal substitution did not converge (cyclic holes?): \

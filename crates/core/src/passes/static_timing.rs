@@ -25,7 +25,8 @@ use super::pass_ctx::PassCtx;
 use super::visitor::{Action, Visitor};
 use crate::errors::CalyxResult;
 use crate::ir::{
-    attr, Atom, Attributes, Builder, Component, Context, Control, Group, Guard, Id, PortRef,
+    attr, Atom, Attributes, Builder, CompOp, Component, Context, Control, Group, GuardId, Id,
+    PortRef,
 };
 use crate::utils::bits_needed;
 
@@ -249,23 +250,34 @@ fn static_enable(group: Id, latency: u64) -> Control {
 }
 
 /// `lo <= fsm < hi` within a schedule of `total` cycles, with the redundant
-/// bound checks dropped.
-fn window_guard(fsm_out: PortRef, lo: u64, hi: u64, total: u64, width: u32) -> Guard {
-    let lower = (lo > 0).then(|| Guard::port_geq(fsm_out, lo, width));
-    let upper = (hi < total).then(|| Guard::port_lt(fsm_out, hi, width));
-    match (lower, upper) {
-        (Some(l), Some(u)) => l.and(u),
-        (Some(l), None) => l,
-        (None, Some(u)) => u,
-        (None, None) => Guard::True,
-    }
+/// bound checks dropped; `TRUE` when there is no counter.
+fn window_guard(b: &mut Builder, counter: Counter, lo: u64, hi: u64, total: u64) -> GuardId {
+    let Some((fsm_out, width)) = counter else {
+        return GuardId::TRUE;
+    };
+    let guards = b.guards();
+    let lower = if lo > 0 {
+        guards.comp(CompOp::Geq, fsm_out, lo, width)
+    } else {
+        GuardId::TRUE
+    };
+    let upper = if hi < total {
+        guards.comp(CompOp::Lt, fsm_out, hi, width)
+    } else {
+        GuardId::TRUE
+    };
+    guards.and(lower, upper)
 }
+
+/// A counter's FSM output port and width, or `None` for a one-cycle
+/// schedule, which needs no counter.
+type Counter = Option<(PortRef, u32)>;
 
 /// Shared counter scaffolding: an incrementing FSM that counts `0..total`,
 /// resets on its last cycle, and drives the group's combinational `done`.
 /// Returns the FSM output port (or `None` when `total == 1` and no counter
 /// is needed).
-fn build_counter(b: &mut Builder, g: Id, total: u64) -> Option<(PortRef, u32)> {
+fn build_counter(b: &mut Builder, g: Id, total: u64) -> Counter {
     if total <= 1 {
         b.asgn_const(g, PortRef::hole(g, Id::DONE), 1, 1);
         return None;
@@ -279,12 +291,12 @@ fn build_counter(b: &mut Builder, g: Id, total: u64) -> Option<(PortRef, u32)> {
 
     b.asgn(g, (add, Id::LEFT), fsm_out);
     b.asgn_const(g, (add, Id::RIGHT), 1, width);
-    let not_last = Guard::port_lt(fsm_out, total - 1, width);
-    b.asgn_guarded(g, (fsm, Id::IN), (add, Id::OUT), not_last.clone());
+    let not_last = b.guards().comp(CompOp::Lt, fsm_out, total - 1, width);
+    b.asgn_guarded(g, (fsm, Id::IN), (add, Id::OUT), not_last);
     b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, not_last);
-    let last = Guard::port_eq(fsm_out, total - 1, width);
-    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, last.clone());
-    b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, last.clone());
+    let last = b.guards().comp(CompOp::Eq, fsm_out, total - 1, width);
+    b.asgn_const_guarded(g, (fsm, Id::IN), 0, width, last);
+    b.asgn_const_guarded(g, (fsm, Id::WRITE_EN), 1, 1, last);
     b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, last);
     Some((fsm_out, width))
 }
@@ -298,10 +310,7 @@ fn build_static_seq(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
     let counter = build_counter(b, g, total);
     let mut offset = 0;
     for &(child, latency) in children {
-        let guard = match counter {
-            Some((fsm_out, width)) => window_guard(fsm_out, offset, offset + latency, total, width),
-            None => Guard::True,
-        };
+        let guard = window_guard(b, counter, offset, offset + latency, total);
         b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
         offset += latency;
     }
@@ -316,10 +325,7 @@ fn build_static_par(b: &mut Builder, children: &[(Id, u64)]) -> (Id, u64) {
     b.set_group_attribute(g, attr::GENERATED, 1);
     let counter = build_counter(b, g, total);
     for &(child, latency) in children {
-        let guard = match counter {
-            Some((fsm_out, width)) => window_guard(fsm_out, 0, latency, total, width),
-            None => Guard::True,
-        };
+        let guard = window_guard(b, counter, 0, latency, total);
         b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
     }
     (g, total)
@@ -342,37 +348,31 @@ fn build_static_if(
     b.set_group_attribute(g, attr::GENERATED, 1);
     let counter = build_counter(b, g, total);
 
-    let window = |counter: &Option<(PortRef, u32)>, lo: u64, hi: u64| match counter {
-        Some((fsm_out, width)) => window_guard(*fsm_out, lo, hi, total, *width),
-        None => Guard::True,
-    };
-
     if let Some(cg) = cond {
-        b.asgn_const_guarded(
-            g,
-            PortRef::hole(cg, Id::GO),
-            1,
-            1,
-            window(&counter, 0, cond_lat),
-        );
+        let window = window_guard(b, counter, 0, cond_lat, total);
+        b.asgn_const_guarded(g, PortRef::hole(cg, Id::GO), 1, 1, window);
     }
 
     if branch_lat > 0 {
         let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
         b.set_cell_attribute(cs, attr::FSM, 1);
         // Latch the condition on the final condition cycle.
-        let latch = match &counter {
-            Some((fsm_out, width)) => Guard::port_eq(*fsm_out, cond_lat - 1, *width),
-            None => Guard::True,
+        let latch = match counter {
+            Some((fsm_out, width)) => b.guards().comp(CompOp::Eq, fsm_out, cond_lat - 1, width),
+            None => GuardId::TRUE,
         };
-        b.asgn_guarded(g, (cs, Id::IN), port, latch.clone());
+        b.asgn_guarded(g, (cs, Id::IN), port, latch);
         b.asgn_const_guarded(g, (cs, Id::WRITE_EN), 1, 1, latch);
-        let taken = Guard::Port(PortRef::cell(cs, Id::OUT));
-        for (branch, active) in [(tbranch, taken.clone()), (fbranch, taken.not())] {
+        for (branch, taken) in [(tbranch, true), (fbranch, false)] {
             let (Some(child), latency) = branch else {
                 continue;
             };
-            let guard = window(&counter, cond_lat, cond_lat + latency).and(active);
+            let window = window_guard(b, counter, cond_lat, cond_lat + latency, total);
+            let mut active = b.guards().port(PortRef::cell(cs, Id::OUT));
+            if !taken {
+                active = b.guards().not(active);
+            }
+            let guard = b.guards().and(window, active);
             b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, guard);
         }
     }

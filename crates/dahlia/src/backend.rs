@@ -13,7 +13,7 @@
 use crate::ast::{BinOp, Block, Expr, MemDecl, Program, Stmt};
 use crate::check::{expr_width, Env};
 use calyx_core::errors::{CalyxResult, Error};
-use calyx_core::ir::{attr, Atom, Builder, Context, Control, Guard, Id, PortRef};
+use calyx_core::ir::{attr, Atom, Builder, Context, Control, GuardId, Id, PortRef};
 use calyx_core::utils::bits_needed;
 use rustc_hash::FxHashMap;
 
@@ -386,12 +386,11 @@ impl Emitter {
             b.asgn_const(g, write_en, 1, 1);
             b.set_group_attribute(g, attr::STATIC, 1);
         } else {
-            let guard = gctx
-                .unit_dones
-                .iter()
-                .map(|p| Guard::Port(*p))
-                .reduce(Guard::and)
-                .expect("non-empty");
+            let guards = b.guards();
+            let guard = gctx.unit_dones.iter().fold(GuardId::TRUE, |all, done| {
+                let one = guards.port(*done);
+                guards.and(all, one)
+            });
             b.asgn_const_guarded(g, write_en, 1, 1, guard);
             if !gctx.has_sqrt {
                 // Units start together and take 4 cycles; the write adds 1.
@@ -512,7 +511,8 @@ impl Emitter {
                         drive(b, g, PortRef::cell(unit, Id::LEFT), la);
                         drive(b, g, PortRef::cell(unit, Id::RIGHT), ra);
                         let done = PortRef::cell(unit, Id::DONE);
-                        b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, Guard::Port(done).not());
+                        let running = not_done(b, done);
+                        b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, running);
                         gctx.unit_dones.push(done);
                         (Atom::Port(PortRef::cell(unit, out_port)), opw)
                     }
@@ -531,7 +531,8 @@ impl Emitter {
                 let unit = b.add_primitive(&self.fresh("sqrt"), Id::STD_SQRT, &[u64::from(iw)]);
                 drive(b, g, PortRef::cell(unit, Id::IN), ia);
                 let done = PortRef::cell(unit, Id::DONE);
-                b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, Guard::Port(done).not());
+                let running = not_done(b, done);
+                b.asgn_const_guarded(g, (unit, Id::GO), 1, 1, running);
                 gctx.unit_dones.push(done);
                 gctx.has_sqrt = true;
                 (Atom::Port(PortRef::cell(unit, Id::OUT)), iw)
@@ -564,6 +565,12 @@ fn drive(b: &mut Builder, g: Id, dst: PortRef, atom: Atom) {
         Atom::Port(p) => b.asgn(g, dst, p),
         Atom::Const { val, width } => b.asgn_const(g, dst, val, width),
     }
+}
+
+/// `!done`: holds a pipelined unit's `go` until the unit finishes.
+fn not_done(b: &mut Builder, done: PortRef) -> GuardId {
+    let done = b.guards().port(done);
+    b.guards().not(done)
 }
 
 /// Width adaptation: slice down or zero-pad up through adapter cells.

@@ -299,11 +299,16 @@ impl Parser {
         }
     }
 
-    /// `ubit < NUM >`
+    /// `ubit < NUM >`, where `NUM` is a width the primitives support:
+    /// 1 to 64 bits.
     fn width(&mut self) -> CalyxResult<u32> {
         self.kw("ubit")?;
         self.expect(Tok::Lt, "`<`")?;
-        let w = self.num("width")? as u32;
+        let w = self.num("width")?;
+        let w = u32::try_from(w)
+            .ok()
+            .filter(|w| (1..=64).contains(w))
+            .ok_or_else(|| self.err(format!("width {w} is outside 1..=64")))?;
         self.expect(Tok::Gt, "`>`")?;
         Ok(w)
     }
@@ -693,6 +698,24 @@ mod tests {
                 assert_eq!(rhs.sequential_ops(), 1);
             }
             other => panic!("expected store, got {other:?}"),
+        }
+    }
+
+    /// A width the primitives cannot build is a positioned parse error,
+    /// not a panic or a truncated width.
+    #[test]
+    fn widths_outside_1_to_64_are_parse_errors() {
+        for w in ["0", "65", "4294967297"] {
+            let err = parse(&format!("decl a: ubit<8>[4];\nlet x: ubit<{w}> = 1;")).unwrap_err();
+            assert!(
+                matches!(&err, Error::Parse { line: 2, msg, .. }
+                    if *msg == format!("width {w} is outside 1..=64")),
+                "{err}"
+            );
+        }
+        for w in [1, 64] {
+            let p = parse(&format!("decl a: ubit<{w}>[4];")).unwrap();
+            assert_eq!(p.decls[0].width, w);
         }
     }
 

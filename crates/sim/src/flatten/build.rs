@@ -39,6 +39,48 @@ use calyx_core::ir::{
 use calyx_core::prim::UnitOp;
 use rustc_hash::FxHashMap;
 
+/// The most memory words a design may hold, over all its instances: 2^24
+/// words, 128 MiB of simulator state. Real designs hold far fewer — the 19
+/// PolyBench kernels at n = 8 at most 584 (`doitgen`), the 8×8 systolic
+/// array 192 — and a larger declaration is refused before anything is
+/// allocated.
+const MAX_MEMORY_WORDS: u64 = 1 << 24;
+
+/// Refuse a design whose memories, over every instance of the component
+/// hierarchy under `top`, hold more than [`MAX_MEMORY_WORDS`] words.
+/// `order` lists children before the components that instantiate them.
+fn check_memory_words(ctx: &Context, order: &[Id], top: Id) -> SimResult<()> {
+    let mut words: FxHashMap<Id, u64> = FxHashMap::default();
+    for &name in order {
+        let Some(comp) = ctx.components.get(name) else {
+            continue;
+        };
+        let total = comp.cells.iter().fold(0u64, |total, cell| {
+            let cell_words = match &cell.prototype {
+                CellType::Primitive { name, params } => match PrimKind::of(*name) {
+                    Some(PrimKind::Mem { dims }) => params
+                        .iter()
+                        .skip(1)
+                        .take(dims)
+                        .fold(1u64, |n, &size| n.saturating_mul(size)),
+                    _ => 0,
+                },
+                CellType::Component { name } => words.get(name).copied().unwrap_or(0),
+            };
+            total.saturating_add(cell_words)
+        });
+        words.insert(name, total);
+    }
+    let total = words.get(&top).copied().unwrap_or(0);
+    if total > MAX_MEMORY_WORDS {
+        return Err(SimError::Elaboration(format!(
+            "the design's memories hold {total} words, more than the {MAX_MEMORY_WORDS} \
+             a simulation may allocate"
+        )));
+    }
+    Ok(())
+}
+
 /// Build the behavioral model of one primitive instance, finding each of
 /// its ports by name through `port`.
 fn instantiate_primitive(
@@ -589,18 +631,20 @@ impl Flattener<'_> {
 /// # Errors
 ///
 /// Returns [`SimError::Elaboration`] for cyclic instantiation, undefined
-/// names, a port that is neither declared nor a group hole, or an
-/// unmodeled primitive.
+/// names, a port that is neither declared nor a group hole, an unmodeled
+/// primitive, or memories of more than 2^24 words.
 pub fn flatten(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
     // Elaboration recurses into instances, so a cycle must be refused
-    // before it starts.
-    ctx.topological_order()
+    // before it starts, and so must a memory too large to allocate.
+    let order = ctx
+        .topological_order()
         .map_err(|e| SimError::Elaboration(e.to_string()))?;
     let top = Id::new(top);
     let comp = ctx
         .components
         .get(top)
         .ok_or_else(|| SimError::Elaboration(format!("no component `{top}`")))?;
+    check_memory_words(ctx, &order, top)?;
 
     let mut f = Flattener {
         ctx,
@@ -652,6 +696,35 @@ mod tests {
           }
           control { while lt.out with cond { incr; } }
         }"#;
+
+    /// Memories past [`MAX_MEMORY_WORDS`] are refused before anything is
+    /// allocated: one huge declaration, or a child's memory counted once
+    /// per instance.
+    #[test]
+    fn memories_past_the_bound_are_an_elaboration_error() {
+        let huge = "component main() -> () {
+              cells { @external m = std_mem_d1(32, 1099511627776, 40); }
+              wires {} control {}
+            }";
+        let half = MAX_MEMORY_WORDS / 2;
+        let instanced = format!(
+            "component child() -> () {{
+               cells {{ m = std_mem_d1(32, {half}, 24); }}
+               wires {{}} control {{}}
+             }}
+             component main() -> () {{
+               cells {{ a = child(); b = child(); c = child(); }}
+               wires {{}} control {{}}
+             }}"
+        );
+        for (src, words) in [(huge.to_string(), 1 << 40), (instanced, 3 * half)] {
+            let ctx = parse_context(&src).unwrap();
+            let Err(SimError::Elaboration(msg)) = flatten(&ctx, "main") else {
+                panic!("{src} elaborated");
+            };
+            assert!(msg.contains(&format!("hold {words} words")), "{msg}");
+        }
+    }
 
     #[test]
     fn control_flattening_builds_dense_arenas() {
@@ -954,7 +1027,7 @@ mod tests {
         let not = guard("s.write_en");
         assert!(matches!(guards[guard("r.in")], FlatGuard::And(_, right) if right == not));
         // An unguarded assignment is guarded by `go` itself, and its own
-        // guard, `Guard::True`, is the arena's seeded first node.
+        // guard, `GuardId::TRUE`, is the arena's seeded first node.
         let (done_guard, _) = flat.groups[GroupIdx::new(0)].done_writes[0];
         assert_eq!(done_guard, flat.prog.true_guard());
         assert_eq!(done_guard.index(), 0);

@@ -81,21 +81,11 @@ pub fn build_mac_pe(ctx: &Context, width: u32) -> Component {
     let do_mul = b.add_group("do_mul");
     b.asgn(do_mul, (mul, Id::LEFT), PortRef::this("top"));
     b.asgn(do_mul, (mul, Id::RIGHT), PortRef::this(Id::LEFT));
-    b.asgn_const_guarded(
-        do_mul,
-        (mul, Id::GO),
-        1,
-        1,
-        calyx_core::ir::Guard::Port(PortRef::cell(mul, Id::DONE)).not(),
-    );
+    let mul_done = b.guards().port(PortRef::cell(mul, Id::DONE));
+    let mul_running = b.guards().not(mul_done);
+    b.asgn_const_guarded(do_mul, (mul, Id::GO), 1, 1, mul_running);
     b.asgn(do_mul, (prod, Id::IN), (mul, Id::OUT));
-    b.asgn_const_guarded(
-        do_mul,
-        (prod, Id::WRITE_EN),
-        1,
-        1,
-        calyx_core::ir::Guard::Port(PortRef::cell(mul, Id::DONE)),
-    );
+    b.asgn_const_guarded(do_mul, (prod, Id::WRITE_EN), 1, 1, mul_done);
     b.group_done(do_mul, (prod, Id::DONE));
 
     // acc <- acc + prod (latency 1; rule B).

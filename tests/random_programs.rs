@@ -20,9 +20,7 @@
 //! - every call site instantiates a child of its own, so `par` branches
 //!   never share one.
 
-use calyx::core::ir::{
-    Builder, Component, Context, Control, Direction, Guard, Id, PortDef, PortRef,
-};
+use calyx::core::ir::{Builder, Component, Context, Control, Direction, Id, PortDef, PortRef};
 use proptest::prelude::*;
 
 /// Width of all data registers.
@@ -435,7 +433,8 @@ impl Gen<'_, '_> {
                 let c = self.b.add_component_cell(&cell, CHILD);
                 let (d, s) = (Id::new(reg_name(*dst)), Id::new(reg_name(*src)));
                 self.b.asgn(g, (c, "in"), (s, "out"));
-                let running = Guard::Port(PortRef::cell(c, "done")).not();
+                let done = self.b.guards().port(PortRef::cell(c, "done"));
+                let running = self.b.guards().not(done);
                 self.b.asgn_const_guarded(g, (c, "go"), 1, 1, running);
                 self.b.group_done(g, (c, "done"));
                 let name = self.fresh("ret");
