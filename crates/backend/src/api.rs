@@ -68,6 +68,16 @@ pub enum ReportFormat {
     Json,
 }
 
+impl ReportFormat {
+    /// The format's name as `--format` and a request's `format` spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReportFormat::Text => "text",
+            ReportFormat::Json => "json",
+        }
+    }
+}
+
 /// Driver-level options a backend may consume at construction time.
 ///
 /// The driver parses these from its own flags (`futil --cycles`,

@@ -12,7 +12,7 @@
 //!
 //! - `compile`: `futil <file>` compiles one input through the session's
 //!   stages, into memory, then to stdout or atomically to `-o`; `--batch`
-//!   compiles many through `calyx_service`'s worker pool and parse cache.
+//!   compiles many through `calyx_service`'s worker pool and job cache.
 //! - `check`: `futil check` runs the `LintRegistry` instead of compiling
 //!   and reports every finding at once (caret-annotated text, or `--format
 //!   json`); it exits 1 when an error — or, under `--deny warnings`, any
@@ -21,7 +21,7 @@
 //!   its extension, or `--from`) and the goal (`--to`); the `calyx_plan`
 //!   route planner finds the op sequence between them and runs it through
 //!   a content-addressed artifact cache. `futil plan` prints the route.
-//! - `serve`: a long-lived JSON-lines server over one warm parse cache,
+//! - `serve`: a long-lived JSON-lines server over one warm job cache,
 //!   on stdin/stdout or a `--socket` (protocol in the README).
 //!
 //! Every mode compiles through one `calyx_service::Session`. The

@@ -173,7 +173,7 @@ fn time_flag_adds_the_per_job_stage_table() {
     let text = stdout(&out);
     assert!(text.contains("batch: 1 jobs, 1 ok"), "{text}");
     assert!(text.contains("latency: p50"), "{text}");
-    assert!(text.contains("parse cache:"), "{text}");
+    assert!(text.contains("\ncache: 0 hits, 1 misses"), "{text}");
     // The detail table: a header row and one row naming the job.
     assert!(text.contains("status"), "{text}");
     assert!(text.contains("counter"), "{text}");

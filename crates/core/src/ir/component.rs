@@ -379,9 +379,8 @@ mod tests {
 
     fn assert_send_sync<T: Send + Sync>() {}
 
-    /// Compile-time pin: the service's parse cache shares parsed
-    /// programs between worker threads, so the IR may hold no `Rc` or
-    /// `RefCell`.
+    /// Compile-time pin: the service compiles on worker and job threads,
+    /// so the IR may hold no `Rc` or `RefCell`.
     #[test]
     fn context_is_send_and_sync() {
         assert_send_sync::<Context>();

@@ -9,13 +9,13 @@
 //! frontend step, produces the same canonical Calyx, and every
 //! downstream step hits the cache again.
 //!
-//! The key is [`calyx_service::content_key`] of `[fingerprint, input]`,
-//! the key the service's parse cache uses too: one streaming pass over
-//! the input, with no joined copy of it. A warm step costs that pass plus
-//! one file read, and `read_to_string` still checks the artifact is
-//! UTF-8. The pins keep FNV-1a (`calyx_service::digest64`); a cache
-//! written under an older key is orphaned, never misread, because a key
-//! only names a file.
+//! The key is [`calyx_service::content_key`] over the op's fingerprint
+//! parts and the input, the key function the service's job cache uses
+//! too: one streaming pass over the input, with no joined copy of it. A
+//! warm step costs that pass plus one file read, and `read_to_string`
+//! still checks the artifact is UTF-8. The pins keep FNV-1a
+//! (`calyx_service::digest64`); a cache written under an older key is
+//! orphaned, never misread, because a key only names a file.
 //!
 //! Layout: one file per artifact, `<op>-<key:016x>.<artifact_ext>`, in
 //! a flat directory (default `.futil-cache`). Writes go through
@@ -44,9 +44,12 @@ impl ArtifactCache {
         &self.root
     }
 
-    /// The cache key for running an op with `fingerprint` over `input`.
-    pub fn key(fingerprint: &str, input: &str) -> u64 {
-        content_key(&[fingerprint.as_bytes(), input.as_bytes()])
+    /// The cache key for running an op with `fingerprint` (its
+    /// [`Op::fingerprint`](crate::Op::fingerprint) parts) over `input`.
+    pub fn key(fingerprint: &[String], input: &str) -> u64 {
+        let mut parts: Vec<&[u8]> = fingerprint.iter().map(String::as_bytes).collect();
+        parts.push(input.as_bytes());
+        content_key(&parts)
     }
 
     /// The on-disk path of an artifact.
@@ -102,7 +105,7 @@ mod tests {
     #[test]
     fn store_then_lookup_roundtrips() {
         let cache = ArtifactCache::new(temp_root("roundtrip"));
-        let key = ArtifactCache::key("op:v1", "input text");
+        let key = ArtifactCache::key(&["op:v1".into()], "input text");
         assert!(cache.lookup("demo", key, "futil").is_none());
         cache.store("demo", key, "futil", "artifact body").unwrap();
         assert_eq!(
@@ -114,15 +117,13 @@ mod tests {
 
     #[test]
     fn key_depends_on_both_fingerprint_and_input() {
-        let base = ArtifactCache::key("op:v1", "input");
-        assert_ne!(ArtifactCache::key("op:v2", "input"), base);
-        assert_ne!(ArtifactCache::key("op:v1", "input2"), base);
-        assert_eq!(ArtifactCache::key("op:v1", "input"), base);
+        let key = |fingerprint: &str, input| ArtifactCache::key(&[fingerprint.into()], input);
+        let base = key("op:v1", "input");
+        assert_ne!(key("op:v2", "input"), base);
+        assert_ne!(key("op:v1", "input2"), base);
+        assert_eq!(key("op:v1", "input"), base);
         // The parts' lengths keep (fingerprint, input) unambiguous.
-        assert_ne!(
-            ArtifactCache::key("op", ":v1input"),
-            ArtifactCache::key("op:v1", "input")
-        );
+        assert_ne!(key("op", ":v1input"), key("op:v1", "input"));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn standard() -> PlanGraph {
 
 /// Text in, text out: compile `src` as `job` through the shared core.
 fn compile(env: &ExecEnv, job: &Job, src: &str) -> CalyxResult<String> {
-    let compiled = env.resolve(job)?.compile("<plan>", src, None)?;
+    let compiled = env.resolve(job)?.compile("<plan>", src)?;
     String::from_utf8(compiled.output)
         .map_err(|_| Error::malformed(format!("backend `{}` emitted non-UTF-8", job.backend)))
 }
@@ -107,7 +107,7 @@ pub fn from_session(session: &Session) -> PlanGraph {
     );
 
     // Frontend ops: `<name>-to-calyx`, producing canonical text so every
-    // downstream cache key sees the same bytes the parse cache pins.
+    // downstream cache key sees the same bytes for the same program.
     for f in frontends.frontends() {
         if f.name == "calyx" {
             continue;

@@ -2,10 +2,10 @@
 //!
 //! An op transforms the artifact text of its `from` state into the
 //! artifact text of its `to` state. Every op carries a *fingerprint* —
-//! a stable string naming everything that could change its output
-//! besides the input bytes (the pass expansion behind an alias, the
-//! simulation cycle budget, generator `--fopt`s). The executor keys its
-//! on-disk cache on `digest(input) ⊕ digest(fingerprint)`, so editing an
+//! stable parts naming everything that could change its output besides
+//! the input bytes (the pass expansion behind an alias, the simulation
+//! cycle budget, generator `--fopt`s). The executor keys its on-disk
+//! cache on `content_key` over those parts and the input, so editing an
 //! alias's expansion or passing a different `--fopt` invalidates exactly
 //! the steps it affects.
 //!
@@ -21,7 +21,7 @@
 use crate::state::StateId;
 use calyx_backend::ReportFormat;
 use calyx_core::errors::CalyxResult;
-use calyx_service::ParseCache;
+use calyx_service::canonical_fopts;
 
 /// The registries an op may consult while running: the same
 /// [`Session`](calyx_service::Session) the driver and the service
@@ -140,28 +140,28 @@ impl Op {
         self.spec.cost
     }
 
-    /// The full cache fingerprint under `opts`: the registered base
-    /// plus every option the op declared it consumes, canonicalized
-    /// (fopt pairs are keyed and sorted the same way the parse cache
-    /// fingerprints them, so flag order never invalidates).
-    pub fn fingerprint(&self, opts: &OpOpts) -> String {
-        let mut fp = self.spec.fingerprint.clone();
+    /// The full cache fingerprint under `opts`, as the parts the
+    /// artifact key hashes: the registered base, then every option the
+    /// op declared it consumes. Fopt pairs are in
+    /// [`canonical_fopts`] form, as the service's job key takes them, so
+    /// flag order never invalidates: their count, then each key and value
+    /// as a part of its own.
+    pub fn fingerprint(&self, opts: &OpOpts) -> Vec<String> {
+        let mut parts = vec![self.spec.fingerprint.clone()];
         if self.spec.uses.fopts {
-            fp.push('\x1e');
-            fp.push_str(&ParseCache::fingerprint("fopts", &opts.fopts));
+            let fopts = canonical_fopts(&opts.fopts);
+            parts.push(fopts.len().to_string());
+            for (key, value) in fopts {
+                parts.extend([key.to_string(), value.to_string()]);
+            }
         }
         if self.spec.uses.cycles {
-            fp.push('\x1e');
-            fp.push_str(&opts.cycles.to_string());
+            parts.push(opts.cycles.to_string());
         }
         if self.spec.uses.format {
-            fp.push('\x1e');
-            fp.push_str(match opts.format {
-                ReportFormat::Text => "text",
-                ReportFormat::Json => "json",
-            });
+            parts.push(opts.format.name().to_string());
         }
-        fp
+        parts
     }
 
     /// Run the op on `input`.
@@ -231,5 +231,13 @@ mod tests {
         assert_eq!(op.fingerprint(&a), op.fingerprint(&b));
         b.fopts.push(("n".into(), "16".into()));
         assert_ne!(op.fingerprint(&a), op.fingerprint(&b));
+
+        // A value spelling other pairs with separator characters is
+        // still one value.
+        let mut c = OpOpts::default();
+        c.fopts.push(("kernel".into(), "gemm\u{1f}n\u{1f}8".into()));
+        assert_ne!(op.fingerprint(&a), op.fingerprint(&c));
+        let key = |opts| crate::cache::ArtifactCache::key(&op.fingerprint(opts), "");
+        assert_ne!(key(&a), key(&c));
     }
 }

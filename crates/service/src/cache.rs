@@ -1,29 +1,41 @@
-//! The shared frontend parse cache.
+//! The service's job cache, and the content key both compile caches use.
 //!
-//! Batch and serve workloads hammer the compiler with *repeated* inputs
-//! — the same generated kernel compiled to several backends, the same
-//! file re-requested across serve connections. The cache keys each parse
-//! by the frontend fingerprint and the source's [`content_key`], and
-//! stores the parsed [`Context`] itself: the IR is `Send + Sync` (pinned
-//! by a compile-time test in `calyx_core`), so a hit is one
-//! `Context::clone` and carries the source positions of the text the
-//! user wrote.
+//! Batch and serve clients send the same job again and again — a kernel
+//! swept twice, a program recompiled in a loop. [`JobCache`] keys a job
+//! by [`content_key`] over everything its compile reads (the shown input
+//! name, the frontend and its canonical options, the source, the expanded
+//! pipeline, the backend, `cycles` and `format`) and keeps what the
+//! compile decided, an [`Outcome`]: the output text, or the message of
+//! the stage error that rejected the job. A hit skips parse, passes and
+//! emit, and shares the text instead of copying it.
 //!
-//! [`ParseCache::get_or_parse`] is the whole protocol: one call looks the
-//! key up and, on a miss, runs the frontend while holding that key's
-//! slot, so concurrent identical jobs wait for the first parse instead
-//! of each running the generator. A failed parse caches nothing.
+//! [`JobCache::get_or_run`] is the whole protocol: one call looks the key
+//! up and, on a miss, runs the job while holding that key's slot, so
+//! concurrent identical jobs wait for the first instead of each
+//! compiling. A job that panics or is abandoned (timed out) keeps
+//! nothing and leaves the key free for the next identical job. The cache
+//! holds at most [`JOB_CACHE_BUDGET`] bytes of text, evicting the least
+//! recently used outcome first.
 
-use calyx_core::ir::Context;
 use parking_lot::Mutex;
-use rustc_hash::FxHasher;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::collections::BTreeMap;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The content key of both compile caches: the parse cache keys a
-/// program by `content_key(&[src])`, and `futil build`'s artifact cache
-/// names a step's output by `content_key(&[fingerprint, input])`.
+/// The bytes of outcome text one service's job cache holds: 64 MiB.
+/// The largest artifact measured is the 8×8 systolic array under `lower`
+/// emitted as Verilog, 10,527,547 bytes, so the budget holds six of it.
+/// An output larger than the whole budget is served but not kept. Only
+/// the text counts; each entry's few dozen bytes of bookkeeping do not.
+pub const JOB_CACHE_BUDGET: usize = 64 << 20;
+
+/// The content key of both compile caches: the service's [`JobCache`]
+/// keys a job by `content_key` over everything its compile reads (see
+/// [`Resolved::job_key`](crate::session::Resolved::job_key)), and
+/// `futil build`'s artifact cache names a step's output by
+/// `content_key` over the op's fingerprint parts and its input.
 ///
 /// The parts are hashed in order by the vendored `rustc_hash` byte mixer
 /// ([`FxHasher::write`], a wyhash-style mix that reads eight bytes at a
@@ -68,103 +80,240 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// `--fopt` pairs in canonical form: sorted by key, the last occurrence
+/// of a key winning (as `FrontendOpts` lookups do), so `n=8 kernel=gemm`
+/// and `kernel=gemm n=8` name one job while `n=8` and `n=16` do not.
+/// Callers hash each key and value as a part of its own, so no byte of
+/// an option can be taken for a separator.
+pub fn canonical_fopts(fopts: &[(String, String)]) -> Vec<(&str, &str)> {
+    let mut last: Vec<(&str, &str)> = Vec::new();
+    for (k, v) in fopts {
+        match last.iter_mut().find(|(lk, _)| *lk == k) {
+            Some(slot) => slot.1 = v,
+            None => last.push((k, v)),
+        }
+    }
+    last.sort_unstable_by_key(|(k, _)| *k);
+    last
+}
+
 /// Running hit/miss counters, readable while workers are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Jobs answered from the cache.
     pub hits: u64,
-    /// Lookups that had to run the frontend.
+    /// Jobs that had to compile.
     pub misses: u64,
 }
 
-/// One key's entry: empty while its first parse is in flight (the
-/// parsing thread holds the lock, identical jobs queue on it).
-type Slot = Arc<Mutex<Option<Arc<Context>>>>;
+/// What a compile job decided, as the job cache keeps it. A clone shares
+/// the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// The backend's output and its file extension.
+    Output {
+        /// The output text.
+        text: Arc<str>,
+        /// The backend's file extension for it.
+        extension: &'static str,
+    },
+    /// The message of the stage error (parse, passes, validate or emit)
+    /// that rejected the job.
+    Failed(Arc<str>),
+}
 
-/// A thread-safe map from `(frontend fingerprint, source key)` to the
-/// parsed program.
-#[derive(Debug, Default)]
-pub struct ParseCache {
-    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
-    map: Mutex<std::collections::HashMap<(String, u64), Slot>>,
+impl Outcome {
+    /// The bytes it holds against the budget.
+    fn bytes(&self) -> usize {
+        match self {
+            Outcome::Output { text, .. } | Outcome::Failed(text) => text.len(),
+        }
+    }
+}
+
+/// One key's slot while its first job runs: that job holds the lock,
+/// identical jobs queue on it, and it is `Some` once the outcome is in.
+type Slot = Arc<Mutex<Option<Outcome>>>;
+
+enum Entry {
+    /// The first job for the key is running. `abandoned` is its cancel
+    /// flag: once set, the key is free for the next identical job.
+    Running {
+        slot: Slot,
+        abandoned: Arc<AtomicBool>,
+    },
+    /// The outcome, and the tick of its last use (its key in
+    /// [`Store::order`]).
+    Done { outcome: Outcome, used: u64 },
+}
+
+/// The map behind one lock. Invariant: `order` lists exactly the `Done`
+/// entries, by `used`, and `held` sums their bytes.
+#[derive(Default)]
+struct Store {
+    entries: FxHashMap<u64, Entry>,
+    /// Done entries by last use, least recent first.
+    order: BTreeMap<u64, u64>,
+    /// Bytes held by the done entries, at most the budget.
+    held: usize,
+    /// The last use's tick.
+    tick: u64,
+}
+
+impl Store {
+    /// The kept outcome for `key`, marked most recently used.
+    fn touch(&mut self, key: u64) -> Option<Outcome> {
+        let Some(Entry::Done { outcome, used }) = self.entries.get_mut(&key) else {
+            return None;
+        };
+        self.tick += 1;
+        self.order.remove(used);
+        *used = self.tick;
+        self.order.insert(self.tick, key);
+        Some(outcome.clone())
+    }
+
+    /// Keep `outcome` for `key` in place of the running entry `slot`,
+    /// evicting least recently used outcomes until it fits. An outcome
+    /// larger than the budget is dropped with the entry. Nothing happens
+    /// when the entry is no longer `slot`'s (its job was abandoned and a
+    /// newer one took the key).
+    fn finish(&mut self, key: u64, slot: &Slot, outcome: Outcome, budget: usize) {
+        if !self.is_running(key, slot) {
+            return;
+        }
+        let bytes = outcome.bytes();
+        if bytes > budget {
+            self.entries.remove(&key);
+            return;
+        }
+        while self.held + bytes > budget {
+            let (_, old) = self
+                .order
+                .pop_first()
+                .expect("held bytes belong to done entries");
+            if let Some(Entry::Done { outcome, .. }) = self.entries.remove(&old) {
+                self.held -= outcome.bytes();
+            }
+        }
+        self.tick += 1;
+        let used = self.tick;
+        self.order.insert(used, key);
+        self.held += bytes;
+        self.entries.insert(key, Entry::Done { outcome, used });
+    }
+
+    fn is_running(&self, key: u64, slot: &Slot) -> bool {
+        matches!(self.entries.get(&key), Some(Entry::Running { slot: s, .. }) if Arc::ptr_eq(s, slot))
+    }
+}
+
+/// Frees a running job's entry when the job ends without filling it:
+/// dropped during the unwind of a panic, or after an abandoned run.
+struct Claim<'a> {
+    store: &'a Mutex<Store>,
+    key: u64,
+    slot: Slot,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut store = self.store.lock();
+        if store.is_running(self.key, &self.slot) {
+            store.entries.remove(&self.key);
+        }
+    }
+}
+
+/// A thread-safe, byte-bounded LRU map from a job's key to its
+/// [`Outcome`], with one slot per key so identical concurrent jobs run
+/// once.
+pub struct JobCache {
+    budget: usize,
+    store: Mutex<Store>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl ParseCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl Default for JobCache {
+    fn default() -> Self {
+        Self::new(JOB_CACHE_BUDGET)
+    }
+}
+
+impl JobCache {
+    /// An empty cache holding at most `budget` bytes of text: a service's
+    /// holds [`JOB_CACHE_BUDGET`], the tests' a few bytes.
+    pub(crate) fn new(budget: usize) -> Self {
+        JobCache {
+            budget,
+            store: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 
-    /// The cache key's frontend half: the frontend's name plus its
-    /// canonicalized options (sorted by key, last occurrence winning —
-    /// matching `FrontendOpts` lookup semantics), so `n=8,kernel=gemm`
-    /// and `kernel=gemm,n=8` share an entry while `n=8` and `n=16` do
-    /// not.
-    pub fn fingerprint(frontend: &str, fopts: &[(String, String)]) -> String {
-        let mut last: Vec<(&str, &str)> = Vec::new();
-        for (k, v) in fopts {
-            match last.iter_mut().find(|(lk, _)| *lk == k) {
-                Some(slot) => slot.1 = v,
-                None => last.push((k, v)),
-            }
-        }
-        last.sort_unstable_by_key(|(k, _)| *k);
-        let mut fp = String::from(frontend);
-        for (k, v) in last {
-            // `\x1f` (unit separator) cannot appear in flag text parsed
-            // from `key=value`, so the fingerprint is injective.
-            fp.push('\x1f');
-            fp.push_str(k);
-            fp.push('\x1f');
-            fp.push_str(v);
-        }
-        fp
-    }
-
-    /// The program for `(fingerprint, src_key)`, `src_key` being the
-    /// source's [`content_key`], and whether it was a hit:
-    /// a clone of the cached one, else the result of `parse`, which is
-    /// cached when it succeeds. The lookup and the insert are one atomic
-    /// step per key — of N concurrent identical requests exactly one
-    /// runs `parse` (a miss) and the rest wait for it (hits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `parse`'s failure, caching nothing: the next request
-    /// for the key parses again.
-    pub fn get_or_parse<E>(
+    /// The outcome for `key` and whether it was a hit: the kept one, else
+    /// what `run` returns, which is kept unless `cancelled` is set by the
+    /// time it returns. The lookup and the claim are one step per key —
+    /// of N concurrent identical jobs exactly one runs (a miss) and the
+    /// rest wait for it (hits). If the running job panics, or is
+    /// abandoned (`cancelled` set), the next identical job runs afresh
+    /// without waiting for it; jobs already waiting wait for it to end,
+    /// then look again.
+    pub fn get_or_run(
         &self,
-        fingerprint: &str,
-        src_key: u64,
-        parse: impl FnOnce() -> Result<Context, E>,
-    ) -> Result<(Context, bool), E> {
-        let key = || (fingerprint.to_string(), src_key);
-        let slot = Arc::clone(self.map.lock().entry(key()).or_default());
-        let mut cached = slot.lock();
-        if let Some(ctx) = cached.clone() {
-            // The deep copy happens outside the slot's lock.
-            drop(cached);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Context::clone(&ctx), true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        match parse() {
-            Ok(ctx) => {
-                *cached = Some(Arc::new(ctx.clone()));
-                Ok((ctx, false))
+        key: u64,
+        cancelled: &Arc<AtomicBool>,
+        run: impl FnOnce() -> Outcome,
+    ) -> (Outcome, bool) {
+        loop {
+            let mut store = self.store.lock();
+            if let Some(outcome) = store.touch(key) {
+                drop(store);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (outcome, true);
             }
-            Err(e) => {
-                // Forget the empty slot (unless an earlier failure already
-                // did and a newer one took its place); waiters holding it
-                // find it empty and parse for themselves.
-                let (mut map, key) = (self.map.lock(), key());
-                if map.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                    map.remove(&key);
+            let slot = match store.entries.get(&key) {
+                Some(Entry::Running { slot, abandoned }) if !abandoned.load(Ordering::SeqCst) => {
+                    Arc::clone(slot)
                 }
-                Err(e)
+                _ => {
+                    // Free, or its first job was abandoned: this job runs.
+                    let slot = Slot::default();
+                    let mut filled = slot.lock();
+                    store.entries.insert(
+                        key,
+                        Entry::Running {
+                            slot: Arc::clone(&slot),
+                            abandoned: Arc::clone(cancelled),
+                        },
+                    );
+                    drop(store);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    let claim = Claim {
+                        store: &self.store,
+                        key,
+                        slot: Arc::clone(&slot),
+                    };
+                    let outcome = run();
+                    if !cancelled.load(Ordering::SeqCst) {
+                        *filled = Some(outcome.clone());
+                        let kept = outcome.clone();
+                        self.store.lock().finish(key, &slot, kept, self.budget);
+                    }
+                    drop(claim);
+                    drop(filled);
+                    return (outcome, false);
+                }
+            };
+            drop(store);
+            let filled = slot.lock().clone();
+            if let Some(outcome) = filled {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (outcome, true);
             }
+            // The job we waited for panicked or was abandoned: look again.
         }
     }
 
@@ -180,6 +329,7 @@ impl ParseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Job, Session};
     use proptest::prelude::*;
     use rustc_hash::FxHashSet;
 
@@ -234,52 +384,157 @@ mod tests {
 
     #[test]
     fn fingerprint_canonicalizes_options() {
-        let a = ParseCache::fingerprint(
-            "polybench",
-            &[("n".into(), "8".into()), ("kernel".into(), "gemm".into())],
-        );
-        let b = ParseCache::fingerprint(
-            "polybench",
-            &[("kernel".into(), "gemm".into()), ("n".into(), "8".into())],
-        );
-        assert_eq!(a, b);
+        let pairs = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
+            kv.iter().map(|&(k, v)| (k.into(), v.into())).collect()
+        };
+        let a = pairs(&[("n", "8"), ("kernel", "gemm")]);
+        let b = pairs(&[("kernel", "gemm"), ("n", "8")]);
+        assert_eq!(canonical_fopts(&a), [("kernel", "gemm"), ("n", "8")]);
+        assert_eq!(canonical_fopts(&a), canonical_fopts(&b));
 
         // Last occurrence wins, as in FrontendOpts::get.
-        let c = ParseCache::fingerprint(
-            "polybench",
-            &[
-                ("n".into(), "4".into()),
-                ("kernel".into(), "gemm".into()),
-                ("n".into(), "8".into()),
-            ],
-        );
-        assert_eq!(a, c);
+        let c = pairs(&[("n", "4"), ("kernel", "gemm"), ("n", "8")]);
+        assert_eq!(canonical_fopts(&a), canonical_fopts(&c));
 
-        // Different values and different frontends are distinct keys.
-        assert_ne!(
-            a,
-            ParseCache::fingerprint("polybench", &[("kernel".into(), "gemm".into())])
-        );
-        assert_ne!(a, ParseCache::fingerprint("systolic", &[]));
+        // A value is one part, whatever bytes it holds: a separator
+        // character inside it splits nothing.
+        let d = pairs(&[("kernel", "gemm\u{1f}n\u{1f}8")]);
+        assert_eq!(canonical_fopts(&d), [("kernel", "gemm\u{1f}n\u{1f}8")]);
+        assert_ne!(canonical_fopts(&a), canonical_fopts(&d));
+    }
+
+    fn output(text: &str) -> Outcome {
+        Outcome::Output {
+            text: text.into(),
+            extension: "txt",
+        }
+    }
+
+    fn live() -> Arc<AtomicBool> {
+        Arc::new(AtomicBool::new(false))
+    }
+
+    /// Run a job whose outcome is `text`, unless `key` is kept.
+    fn put(cache: &JobCache, key: u64, text: &str) -> (Outcome, bool) {
+        cache.get_or_run(key, &live(), || output(text))
     }
 
     #[test]
-    fn get_or_parse_counts_hits_and_misses_and_caches_no_failure() {
-        let cache = ParseCache::new();
-        let fp = ParseCache::fingerprint("calyx", &[]);
-        let d = content_key(&[b"component main() -> () {}"]);
-        let parse = || Ok::<_, String>(Context::new());
+    fn get_or_run_counts_hits_and_misses_and_keeps_failed_outcomes() {
+        let cache = JobCache::default();
+        let never = || -> Outcome { panic!("a hit must not run") };
 
-        // A failed parse is a miss that leaves nothing behind.
-        let failed = cache.get_or_parse(&fp, d, || Err::<Context, _>("bad".to_string()));
-        assert_eq!(failed.unwrap_err(), "bad");
-        assert!(cache.map.lock().is_empty());
+        // A stage error is an outcome like any other: the hit returns
+        // its message without running the job again.
+        let failed = Outcome::Failed("parse error".into());
+        assert_eq!(
+            cache.get_or_run(1, &live(), || failed.clone()),
+            (failed.clone(), false)
+        );
+        assert_eq!(cache.get_or_run(1, &live(), never), (failed, true));
 
-        assert!(!cache.get_or_parse(&fp, d, parse).unwrap().1);
-        let never = || -> Result<Context, String> { panic!("a hit must not parse") };
-        assert!(cache.get_or_parse(&fp, d, never).unwrap().1);
-        // The same source under another fingerprint is a separate entry.
-        assert!(!cache.get_or_parse("other", d, parse).unwrap().1);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
+        assert_eq!(put(&cache, 2, "a"), (output("a"), false));
+        assert_eq!(cache.get_or_run(2, &live(), never), (output("a"), true));
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
+    }
+
+    #[test]
+    fn the_bound_holds_and_the_least_recently_used_goes_first() {
+        let cache = JobCache::new(10);
+        let held = || cache.store.lock().held;
+        let kept = |key| cache.store.lock().entries.contains_key(&key);
+        for (key, text) in [(1, "aaaa"), (2, "bbbb")] {
+            put(&cache, key, text);
+            assert!(held() <= 10);
+        }
+        // Using 1 makes 2 the least recent: 3 evicts 2, not 1.
+        assert!(put(&cache, 1, "?").1);
+        put(&cache, 3, "cccc");
+        assert_eq!(held(), 8);
+        assert!(kept(1) && !kept(2) && kept(3));
+
+        // Larger than the whole budget: returned, not stored, nothing
+        // evicted for it.
+        let big = "x".repeat(11);
+        assert_eq!(put(&cache, 4, &big), (output(&big), false));
+        assert!(!kept(4) && kept(1) && kept(3));
+        assert_eq!(held(), 8);
+
+        // One that needs every byte evicts everything else.
+        put(&cache, 5, "0123456789");
+        assert_eq!(held(), 10);
+        assert_eq!(cache.store.lock().entries.len(), 1);
+        assert_eq!(cache.store.lock().order.len(), 1);
+    }
+
+    #[test]
+    fn an_evicted_job_compiles_again_as_a_miss() {
+        const PROGRAM: &str = "component main() -> () {
+            cells { r = std_reg(8); }
+            wires { group g { r.in = 8'd7; r.write_en = 1'd1; g[done] = r.done; } }
+            control { g; }
+          }";
+        let session = Session::default();
+        let compile = |backend: &str| {
+            let job = Job {
+                backend,
+                ..Job::default()
+            };
+            let compiled = session
+                .resolve(&job)
+                .unwrap()
+                .compile("<test>", PROGRAM)
+                .unwrap();
+            output(std::str::from_utf8(&compiled.output).unwrap())
+        };
+        let (verilog, calyx) = (compile("verilog"), compile("calyx"));
+        // Room for either output, not both.
+        let cache = JobCache::new(verilog.bytes().max(calyx.bytes()));
+        let first = cache.get_or_run(1, &live(), || compile("verilog"));
+        assert_eq!(first, (verilog.clone(), false));
+        assert_eq!(
+            cache.get_or_run(2, &live(), || compile("calyx")),
+            (calyx, false)
+        );
+        let again = cache.get_or_run(1, &live(), || compile("verilog"));
+        assert_eq!(again, (verilog, false));
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 3 });
+    }
+
+    #[test]
+    fn a_panicked_job_leaves_its_key_free() {
+        let cache = JobCache::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_run(1, &live(), || panic!("a pass panicked"))
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.store.lock().entries.is_empty());
+        assert_eq!(put(&cache, 1, "a"), (output("a"), false));
+        assert_eq!(put(&cache, 1, "?"), (output("a"), true));
+    }
+
+    /// A timed-out job's thread may run on; the next identical job does
+    /// not wait for it, and what it returns late is not kept.
+    #[test]
+    fn an_abandoned_job_leaves_its_key_free() {
+        let cache = JobCache::default();
+        let abandoned = live();
+        let (started, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_run(1, &abandoned, || {
+                    started.wait();
+                    release.wait();
+                    output("late")
+                })
+            });
+            started.wait();
+            abandoned.store(true, Ordering::SeqCst);
+            assert_eq!(put(&cache, 1, "a"), (output("a"), false));
+            release.wait();
+            assert_eq!(first.join().unwrap(), (output("late"), false));
+        });
+        assert_eq!(put(&cache, 1, "?"), (output("a"), true));
+        assert_eq!(cache.store.lock().held, 1);
     }
 }

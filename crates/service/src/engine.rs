@@ -3,17 +3,21 @@
 //!
 //! A service is a cheaply-clonable handle (`Arc` inside) shared by every
 //! worker thread: a [`Session`] (the four registries) plus the
-//! [`ParseCache`]. A job is a protocol shell around the core — fill the
+//! [`JobCache`]. A job is a protocol shell around the core — fill the
 //! request's gaps from the [`JobDefaults`], [`Session::resolve`] the
-//! names, read the source, [`compile`](crate::session::Resolved::compile)
-//! it through the cache, write the output — and terminates in a
-//! [`JobResponse`] instead of a process exit, with per-stage wall times
-//! attached. Jobs are bulkheaded: a panicking pass or generator becomes
-//! a [`Status::Panic`] response, and a job that overruns its
-//! `timeout_ms` budget is abandoned ([`Status::Timeout`]) without taking
-//! its worker down.
+//! names, read the source, look its
+//! [`job_key`](crate::session::Resolved::job_key) up in the cache and
+//! [`compile`](crate::session::Resolved::compile) only on a miss, write
+//! the output — and terminates in a [`JobResponse`] instead of a process
+//! exit, with per-stage wall times attached. A hit runs no stage: it
+//! shares the text an earlier identical job produced, or returns the
+//! same stage error, and still writes its `out` file. Jobs are
+//! bulkheaded: a panicking pass or generator becomes a
+//! [`Status::Panic`] response, and a job that overruns its `timeout_ms`
+//! budget is abandoned ([`Status::Timeout`]) without taking its worker
+//! down; neither leaves anything in the cache.
 
-use crate::cache::{CacheStats, ParseCache};
+use crate::cache::{CacheStats, JobCache, Outcome};
 use crate::metrics::{BatchSummary, StageTimes};
 use crate::pool::{catch_job_panic, WorkerPool};
 use crate::protocol::{JobRequest, JobResponse, Status};
@@ -98,11 +102,11 @@ impl JobDefaults {
 
 struct ServiceInner {
     session: Session,
-    cache: ParseCache,
+    cache: JobCache,
 }
 
 /// A long-lived compilation service: a [`Session`] plus the shared
-/// [`ParseCache`]. Clones share everything.
+/// [`JobCache`]. Clones share everything.
 #[derive(Clone)]
 pub struct CompileService {
     inner: Arc<ServiceInner>,
@@ -168,7 +172,7 @@ impl CompileService {
         CompileService {
             inner: Arc::new(ServiceInner {
                 session,
-                cache: ParseCache::new(),
+                cache: JobCache::default(),
             }),
         }
     }
@@ -183,7 +187,7 @@ impl CompileService {
         })
     }
 
-    /// The shared parse cache's hit/miss counters so far.
+    /// The shared job cache's hit/miss counters so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
     }
@@ -254,7 +258,7 @@ impl CompileService {
         id: usize,
         req: &JobRequest,
         defaults: &JobDefaults,
-        cancelled: &AtomicBool,
+        cancelled: &Arc<AtomicBool>,
     ) -> JobResponse {
         catch_job_panic(|| self.run_job(id, req, defaults, cancelled)).unwrap_or_else(|msg| {
             JobResponse::fail(
@@ -273,7 +277,7 @@ impl CompileService {
         id: usize,
         req: &JobRequest,
         defaults: &JobDefaults,
-        cancelled: &AtomicBool,
+        cancelled: &Arc<AtomicBool>,
     ) -> JobResponse {
         let started = Instant::now();
         let name = job_name(req, id);
@@ -293,39 +297,61 @@ impl CompileService {
             (None, None) => String::new(),
         };
         let shown = req.input.as_deref().unwrap_or("<request>");
+        let key = resolved.job_key(shown, &src);
+        let looked_up = Instant::now();
+        let mut ran = None;
         // Into memory: batch outputs are per-job files (or inline
         // responses), never interleaved stdout.
-        let compiled = match resolved.compile(shown, &src, Some(&self.inner.cache)) {
-            Ok(compiled) => compiled,
-            Err(e) => return fail(e.message),
+        let (outcome, hit) = self.inner.cache.get_or_run(key, cancelled, || {
+            let compiled = match resolved.compile(shown, &src) {
+                Ok(compiled) => compiled,
+                Err(e) => return Outcome::Failed(e.message.into()),
+            };
+            ran = Some(compiled.stages);
+            match String::from_utf8(compiled.output) {
+                Ok(text) => Outcome::Output {
+                    text: text.into(),
+                    extension: compiled.extension,
+                },
+                Err(_) => Outcome::Failed(
+                    format!("backend `{}` emitted non-UTF-8", resolved.backend.name()).into(),
+                ),
+            }
+        });
+        let (text, extension) = match outcome {
+            Outcome::Output { text, extension } => (text, extension),
+            Outcome::Failed(message) => return fail(message.to_string()),
         };
+        // A hit ran no stage; its lookup is its parse stage.
+        let stages = ran.unwrap_or(StageTimes {
+            parse: looked_up.elapsed(),
+            ..StageTimes::default()
+        });
 
         let mut resp = JobResponse::new(id, name.clone(), Status::Ok);
-        resp.cache = compiled.cache;
+        resp.cache = Some(if hit { "hit" } else { "miss" });
         let out_path = req.out.clone().or_else(|| {
             defaults
                 .out_dir
                 .as_ref()
-                .map(|dir| format!("{dir}/{name}.{}", compiled.extension))
+                .map(|dir| format!("{dir}/{name}.{extension}"))
         });
         match out_path {
             // A timed-out job may still be running here, abandoned; it
             // must not race a retry for the output file.
             Some(path) if !cancelled.load(Ordering::SeqCst) => {
-                if let Err(e) = write_atomic(&path, &compiled.output) {
+                if let Err(e) = write_atomic(&path, text.as_bytes()) {
                     return fail(format!("cannot write `{path}`: {e}"));
                 }
                 resp.out = Some(path);
             }
             Some(_) => {}
-            None if defaults.inline_output => {
-                resp.output = Some(String::from_utf8_lossy(&compiled.output).into_owned());
-            }
+            None if defaults.inline_output => resp.output = Some(text),
             None => {}
         }
         resp.stages = Some(StageTimes {
             total: started.elapsed(),
-            ..compiled.stages
+            ..stages
         });
         resp
     }
@@ -625,6 +651,144 @@ component main() -> () {
         assert!(summary.all_ok(), "{}", summary.render_text(false));
         assert_eq!(SLOW_PARSES.load(Ordering::SeqCst), 1);
         assert_eq!(summary.cache, CacheStats { hits: 3, misses: 1 });
+    }
+
+    /// Two frontends that parse Calyx and take any option: jobs that
+    /// differ only in the frontend's name, or in one option, compile alike.
+    macro_rules! calyx_twin {
+        ($ty:ident, $name:literal) => {
+            struct $ty;
+
+            impl calyx_frontend::Frontend for $ty {
+                const NAME: &'static str = $name;
+                const DESCRIPTION: &'static str = "parses Calyx, takes any option (test only)";
+
+                fn extensions() -> &'static [&'static str] {
+                    &[]
+                }
+
+                fn from_opts(
+                    _: &calyx_frontend::FrontendOpts,
+                ) -> calyx_core::errors::CalyxResult<Self> {
+                    Ok($ty)
+                }
+
+                fn parse(&self, src: &str) -> calyx_core::errors::CalyxResult<Context> {
+                    calyx_core::ir::parse_context(src)
+                }
+            }
+        };
+    }
+    calyx_twin!(Twin, "twin");
+    calyx_twin!(OtherTwin, "other-twin");
+
+    /// A job differing from another in any one compile input is a miss
+    /// that compiles as on a fresh service; the same job again is a hit
+    /// with the same bytes.
+    #[test]
+    fn the_key_covers_every_compile_input() {
+        let service = || {
+            let mut frontends = calyx_frontend::FrontendRegistry::default();
+            frontends.register::<Twin>();
+            frontends.register::<OtherTwin>();
+            CompileService::with_registries(frontends, calyx_backend::BackendRegistry::default())
+        };
+        let dir = std::env::temp_dir().join(format!("job-key-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("prog.futil");
+        std::fs::write(&file, PROGRAM).unwrap();
+
+        let base = JobRequest {
+            frontend: Some("twin".to_string()),
+            fopts: vec![("seed".to_string(), "1".to_string())],
+            source: Some(PROGRAM.to_string()),
+            pipeline: Some(vec!["lower".to_string()]),
+            backend: Some("sim".to_string()),
+            cycles: Some(100),
+            format: Some("text".to_string()),
+            ..JobRequest::default()
+        };
+        let variants: Vec<(&str, JobRequest)> = vec![
+            (
+                "shown name",
+                JobRequest {
+                    input: Some(file.to_str().unwrap().to_string()),
+                    source: None,
+                    ..base.clone()
+                },
+            ),
+            (
+                "frontend",
+                JobRequest {
+                    frontend: Some("other-twin".to_string()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "fopt",
+                JobRequest {
+                    fopts: vec![("seed".to_string(), "2".to_string())],
+                    ..base.clone()
+                },
+            ),
+            (
+                "source",
+                JobRequest {
+                    source: Some(format!("{PROGRAM}\n")),
+                    ..base.clone()
+                },
+            ),
+            (
+                "pipeline",
+                JobRequest {
+                    pipeline: Some(vec!["lower-static".to_string()]),
+                    ..base.clone()
+                },
+            ),
+            (
+                "backend",
+                JobRequest {
+                    backend: Some("verilog".to_string()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "cycles",
+                JobRequest {
+                    cycles: Some(101),
+                    ..base.clone()
+                },
+            ),
+            (
+                "format",
+                JobRequest {
+                    format: Some("json".to_string()),
+                    ..base.clone()
+                },
+            ),
+        ];
+        let defaults = JobDefaults {
+            inline_output: true,
+            ..JobDefaults::default()
+        };
+        let shared = service();
+        let first = shared.execute(0, &base, &defaults);
+        assert_eq!(first.status, Status::Ok, "{:?}", first.error);
+        assert_eq!(first.cache, Some("miss"));
+        for (input, job) in &variants {
+            let resp = shared.execute(1, job, &defaults);
+            assert_eq!(resp.cache, Some("miss"), "a different {input} hit");
+            let fresh = service().execute(1, job, &defaults);
+            assert_eq!(
+                (resp.status, &resp.error, &resp.output),
+                (fresh.status, &fresh.error, &fresh.output),
+                "{input}"
+            );
+        }
+        let again = shared.execute(2, &base, &defaults);
+        assert_eq!(again.cache, Some("hit"));
+        assert_eq!(again.output, first.output);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

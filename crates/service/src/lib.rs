@@ -17,12 +17,13 @@
 //!   are bulkheaded: panics become [`protocol::Status::Panic`] responses
 //!   and over-budget jobs are abandoned as
 //!   [`protocol::Status::Timeout`].
-//! - [`cache::ParseCache`] shares frontend work between jobs, keyed by
-//!   `(frontend + options, source key)` and storing the parsed
-//!   program itself: a hit is a clone, so cached and uncached jobs see
-//!   the same IR and the same source positions, and concurrent
-//!   identical jobs wait for one parse instead of each running the
-//!   generator.
+//! - [`cache::JobCache`] answers a repeated job with one lookup, keyed
+//!   by [`content_key`] over everything the compile reads (input name,
+//!   frontend and options, source, expanded pipeline, backend, `cycles`,
+//!   `format`) and holding what the compile decided: the output text, or
+//!   the stage error's message. A hit skips parse, passes and emit;
+//!   concurrent identical jobs wait for one compile; the cache is
+//!   LRU-bounded by [`cache::JOB_CACHE_BUDGET`] bytes.
 //! - [`pool::WorkerPool`] runs jobs on N `std::thread` workers;
 //!   [`engine::CompileService::run_batch`] aggregates a whole batch into
 //!   a [`metrics::BatchSummary`] (kernels/sec, p50/p99 latency).
@@ -51,7 +52,7 @@
 //! let defaults = JobDefaults { inline_output: true, ..JobDefaults::default() };
 //! let summary = service.run_batch(&[job.clone(), job], 2, false, &defaults);
 //! assert!(summary.all_ok());
-//! // Identical sources share one parse.
+//! // Identical jobs share one compile.
 //! assert_eq!((summary.cache.hits, summary.cache.misses), (1, 1));
 //! ```
 
@@ -65,7 +66,7 @@ pub mod session;
 
 pub use calyx_core::json;
 
-pub use cache::{content_key, digest64, CacheStats, ParseCache};
+pub use cache::{canonical_fopts, content_key, digest64, CacheStats, JobCache, JOB_CACHE_BUDGET};
 pub use engine::{write_atomic, CompileService, JobDefaults};
 pub use metrics::{percentile, BatchSummary, StageTimes};
 pub use pool::{catch_job_panic, WorkerPool};

@@ -13,7 +13,8 @@ use std::time::Duration;
 /// Wall-clock time spent in each stage of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
-    /// Frontend ingestion (cache lookup + parse/generation).
+    /// Frontend ingestion (parse/generation); on a job-cache hit, which
+    /// runs no stage, the cache lookup.
     pub parse: Duration,
     /// The pass pipeline.
     pub passes: Duration,
@@ -34,14 +35,14 @@ pub fn percentile(sorted: &[Duration], pct: u32) -> Duration {
 }
 
 /// The outcome of one batch: every job's response plus batch-level wall
-/// time and parse-cache counters.
+/// time and job-cache counters.
 #[derive(Debug, Clone)]
 pub struct BatchSummary {
     /// Per-job responses, in job order.
     pub results: Vec<JobResponse>,
     /// Wall time from first dispatch to last completion.
     pub wall: Duration,
-    /// Parse-cache activity during the batch.
+    /// Job-cache activity during the batch.
     pub cache: CacheStats,
 }
 
@@ -94,7 +95,7 @@ impl BatchSummary {
         let mut out = format!(
             "batch: {} jobs, {} ok, {} failed, {} skipped in {:.3?} ({:.1} kernels/sec)\n\
              latency: p50 {:.3?}  p99 {:.3?}\n\
-             parse cache: {} hits, {} misses",
+             cache: {} hits, {} misses",
             self.results.len(),
             self.ok(),
             self.failed(),
@@ -265,7 +266,7 @@ mod tests {
             text.contains("latency: p50 700.000µs  p99 1.490ms"),
             "{text}"
         );
-        assert!(text.contains("parse cache: 1 hits, 1 misses"), "{text}");
+        assert!(text.contains("\ncache: 1 hits, 1 misses"), "{text}");
         assert!(text.contains("job 2 (c): error: no such kernel"), "{text}");
         assert!(!text.contains("passes"), "{text}");
 

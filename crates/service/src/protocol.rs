@@ -13,6 +13,7 @@
 use crate::json::{self, Json};
 use crate::metrics::StageTimes;
 use crate::session::Session;
+use std::sync::Arc;
 
 /// Every key a request object may carry, with the one-line description
 /// the README protocol table quotes. The parser rejects anything else.
@@ -70,7 +71,7 @@ pub const RESPONSE_KEYS: &[(&str, &str)] = &[
     ("error", "what went wrong (statuses other than `ok`)"),
     (
         "cache",
-        "parse-cache outcome for the job's source: `hit` or `miss`",
+        "job-cache outcome: `hit` (an identical job's result) or `miss` (compiled)",
     ),
     (
         "parse_us",
@@ -320,14 +321,15 @@ pub struct JobResponse {
     pub status: Status,
     /// What went wrong, for statuses other than [`Status::Ok`].
     pub error: Option<String>,
-    /// Parse-cache outcome (`"hit"` / `"miss"`), when the job parsed.
+    /// Job-cache outcome (`"hit"` / `"miss"`), when the job compiled.
     pub cache: Option<&'static str>,
     /// Per-stage wall times, when the job completed.
     pub stages: Option<StageTimes>,
     /// Path the output was written to.
     pub out: Option<String>,
-    /// Inline output (serve-mode jobs with no output path).
-    pub output: Option<String>,
+    /// Inline output (serve-mode jobs with no output path), shared with
+    /// the job cache.
+    pub output: Option<Arc<str>>,
 }
 
 impl JobResponse {
@@ -390,7 +392,7 @@ impl JobResponse {
             members.push(("out", p.as_str().into()));
         }
         if let Some(o) = &self.output {
-            members.push(("output", o.as_str().into()));
+            members.push(("output", o.as_ref().into()));
         }
         Json::obj(members)
     }

@@ -2,7 +2,7 @@
 //!
 //! One request per input line, one response per output line (see
 //! [`protocol`](crate::protocol) for the key tables). The server keeps
-//! the registries and the [`ParseCache`](crate::cache::ParseCache) warm
+//! the registries and the [`JobCache`](crate::cache::JobCache) warm
 //! across requests, dispatches jobs to a [`WorkerPool`], and **streams
 //! responses as jobs finish** — under `--jobs N` the order responses
 //! come back is completion order, and the `id` field ties each response
@@ -126,7 +126,7 @@ where
 
 /// Serve connections on a unix socket at `path`, accepting them one at a
 /// time; each connection speaks the same JSON-lines protocol and shares
-/// the service's warm parse cache. A stale socket file at `path` is
+/// the service's warm job cache. A stale socket file at `path` is
 /// replaced. `max_connections` bounds the accept loop (`None` serves
 /// forever) so tests and scripted drivers can terminate it.
 ///
@@ -242,6 +242,22 @@ mod tests {
             Some("error")
         );
         assert_eq!(by_id(&lines, 2).get("status").unwrap().as_str(), Some("ok"));
+    }
+
+    /// An option value holding the separator character of an older key
+    /// format is one value: it does not spell `kernel=gemm n=2`.
+    #[test]
+    fn an_option_value_cannot_spell_other_options() {
+        let input = format!(
+            "{}\n{}\n",
+            r#"{"name": "a", "frontend": "polybench", "fopts": {"kernel": "gemm", "n": "2"}, "backend": "calyx"}"#,
+            r#"{"name": "b", "frontend": "polybench", "fopts": {"kernel": "gemm\u001fn\u001f2"}, "backend": "calyx"}"#,
+        );
+        let lines = serve_lines(&input, 1);
+        assert_eq!(by_id(&lines, 0).get("status").unwrap().as_str(), Some("ok"));
+        let b = by_id(&lines, 1);
+        assert_eq!(b.get("status").unwrap().as_str(), Some("error"), "{b:?}");
+        assert!(b.get("cache").is_none(), "{b:?}");
     }
 
     #[cfg(unix)]

@@ -17,7 +17,7 @@
 //! to exit 1; the service puts the message in the response; the plan
 //! executor takes the error.
 
-use crate::cache::{content_key, ParseCache};
+use crate::cache::{canonical_fopts, content_key};
 use crate::metrics::StageTimes;
 use calyx_backend::{BackendOpts, BackendRegistry, DynBackend};
 use calyx_core::analysis::AnalysisCache;
@@ -157,8 +157,12 @@ pub struct Resolved {
     /// The built pipeline; after [`Resolved::compile_parsed`] it holds
     /// the timings of every pass that ran, also on a failing run.
     pub passes: PassManager,
-    /// The parse cache's frontend key: name plus canonicalized options.
-    fingerprint: String,
+    /// Everything a compile reads besides the input's name and text, as
+    /// parts of [`job_key`](Resolved::job_key): the frontend's name, the
+    /// canonical `--fopt`s (their count, then each key and value), the
+    /// expanded pipeline (its length, then each pass), the backend's
+    /// name, `cycles` and `format`.
+    fingerprint: Vec<String>,
 }
 
 /// What [`Resolved::compile`] produced.
@@ -168,8 +172,6 @@ pub struct Compiled {
     pub output: Vec<u8>,
     /// The backend's file extension for that output.
     pub extension: &'static str,
-    /// `hit` or `miss` when the parse went through a cache.
-    pub cache: Option<&'static str>,
     /// Wall time per stage; `total` covers the three stages.
     pub stages: StageTimes,
 }
@@ -239,9 +241,22 @@ impl Session {
                 .collect(),
         };
         let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-        let passes = self.passes.build(&names).map_err(tag)?;
+        let expanded = self.passes.expand(&names).map_err(tag)?;
+        let passes = self.passes.build(&expanded).map_err(tag)?;
+        let fopts = canonical_fopts(&job.fopts);
+        let mut fingerprint = vec![name.to_string(), fopts.len().to_string()];
+        for (key, value) in fopts {
+            fingerprint.extend([key.to_string(), value.to_string()]);
+        }
+        fingerprint.push(expanded.len().to_string());
+        fingerprint.extend(expanded.iter().map(|pass| (*pass).to_string()));
+        fingerprint.extend([
+            job.backend.to_string(),
+            job.bopts.cycles.to_string(),
+            job.bopts.format.name().to_string(),
+        ]);
         Ok(Resolved {
-            fingerprint: ParseCache::fingerprint(name, &job.fopts),
+            fingerprint,
             frontend,
             fell_back,
             backend,
@@ -306,32 +321,27 @@ impl Resolved {
             .map_err(|e| StageError::new(Stage::Emit, e))
     }
 
+    /// The job cache's key for compiling `src`, shown as `shown`: the
+    /// [`content_key`] of everything [`compile`](Resolved::compile)
+    /// reads. Each part is hashed with its length, so no byte of a name,
+    /// an option or the source can be taken for a boundary.
+    pub fn job_key(&self, shown: &str, src: &str) -> u64 {
+        let mut parts: Vec<&[u8]> = vec![shown.as_bytes(), src.as_bytes()];
+        parts.extend(self.fingerprint.iter().map(String::as_bytes));
+        content_key(&parts)
+    }
+
     /// Parse, then [`compile_parsed`](Resolved::compile_parsed), timing
-    /// every stage. With a `cache` the parse goes through it: a hit is a
-    /// clone of the program an earlier identical job parsed.
+    /// every stage.
     ///
     /// # Errors
     ///
     /// The first failing stage's error.
-    pub fn compile(
-        &mut self,
-        shown: &str,
-        src: &str,
-        cache: Option<&ParseCache>,
-    ) -> Result<Compiled, StageError> {
+    pub fn compile(&mut self, shown: &str, src: &str) -> Result<Compiled, StageError> {
         let started = Instant::now();
-        let (ctx, hit) = match cache {
-            Some(cache) => {
-                let key = content_key(&[src.as_bytes()]);
-                let parse = || self.parse(shown, src);
-                let (ctx, hit) = cache.get_or_parse(&self.fingerprint, key, parse)?;
-                (ctx, Some(if hit { "hit" } else { "miss" }))
-            }
-            None => (self.parse(shown, src)?, None),
-        };
+        let ctx = self.parse(shown, src)?;
         let parse = started.elapsed();
         let mut compiled = self.compile_parsed(ctx)?;
-        compiled.cache = hit;
         compiled.stages.parse = parse;
         compiled.stages.total += parse;
         Ok(compiled)
@@ -355,7 +365,6 @@ impl Resolved {
         Ok(Compiled {
             output,
             extension: self.backend.extension(),
-            cache: None,
             stages: StageTimes {
                 parse: Duration::ZERO,
                 passes: lowered - started,
@@ -409,7 +418,7 @@ mod tests {
                 Ok(r) => r,
                 Err(e) => return e,
             };
-            resolved.compile("<test>", src, None).unwrap_err()
+            resolved.compile("<test>", src).unwrap_err()
         };
 
         let bad_pass = ["no-such-pass".to_string()];
@@ -462,9 +471,9 @@ mod tests {
         let compiled = session
             .resolve(&job)
             .unwrap()
-            .compile("<test>", PROGRAM, None)
+            .compile("<test>", PROGRAM)
             .unwrap();
-        assert_eq!((compiled.extension, compiled.cache), ("sv", None));
+        assert_eq!(compiled.extension, "sv");
 
         let mut resolved = session.resolve(&job).unwrap();
         let mut ctx = resolved.parse("<test>", PROGRAM).unwrap();

@@ -17,7 +17,7 @@
 //! - [`hls`]: an HLS scheduling model standing in for Vivado HLS.
 //! - [`polybench`]: the PolyBench linear-algebra kernels used in §7.2.
 //! - [`service`]: the parallel compilation service behind `futil --batch`
-//!   and `futil serve` — job queue, shared parse cache, worker pool, and
+//!   and `futil serve` — job queue, shared job cache, worker pool, and
 //!   the JSON-lines protocol.
 //! - [`plan`]: plan-based build orchestration behind `futil build` — a
 //!   typed state graph derived from the four registries, a route

@@ -73,7 +73,7 @@ fn digest(row: &Row, backend: &str) -> u64 {
     };
     let compiled = Session::default()
         .resolve(&job)
-        .and_then(|mut resolved| resolved.compile("-", "", None))
+        .and_then(|mut resolved| resolved.compile("-", ""))
         .unwrap_or_else(|e| panic!("`{}` fails to compile: {}", row.args, e.message));
     digest64(&compiled.output)
 }

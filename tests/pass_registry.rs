@@ -136,7 +136,7 @@ fn opt_verilog_digest(frontend: &str, fopts: &[(&str, &str)]) -> u64 {
     };
     let compiled = Session::default()
         .resolve(&job)
-        .and_then(|mut resolved| resolved.compile("-", "", None))
+        .and_then(|mut resolved| resolved.compile("-", ""))
         .unwrap_or_else(|e| panic!("{frontend} {fopts:?} fails to compile: {}", e.message));
     digest64(&compiled.output)
 }
