@@ -332,6 +332,11 @@ impl BackendRegistry {
         self.backends.entries()
     }
 
+    /// The backend registered as `name`, without constructing it.
+    pub fn find(&self, name: &str) -> Option<&RegisteredBackend> {
+        self.backends.find(name)
+    }
+
     /// Construct the backend registered as `name`.
     ///
     /// # Errors

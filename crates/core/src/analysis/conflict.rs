@@ -5,17 +5,31 @@
 //! program and adds edges between all children of a `par` block. If the
 //! children of the `par` block are themselves control programs, the pass
 //! adds edges between the groups contained within each child."
+//!
+//! The relation is a bit matrix over the referenced groups, numbered in
+//! name order (`Id`'s `Ord`, as [`RegIndex`](super::RegIndex) numbers
+//! registers), so [`ParConflicts::groups`] lists them as a `BTreeSet<Id>`
+//! would. One bottom-up walk builds it: a `par` ORs into each group of a
+//! child the union of its other children's groups, so no child's groups
+//! are collected twice and no pair is visited one at a time.
 
 use super::cache::{Analysis, AnalysisCache};
 use crate::ir::{Component, Control, Id};
-use std::collections::{BTreeMap, BTreeSet};
+use rustc_hash::FxHashMap;
 
 /// Symmetric group-level conflict relation: an edge means the two groups may
 /// run in parallel.
 #[derive(Debug, Clone, Default)]
 pub struct ParConflicts {
-    edges: BTreeMap<Id, BTreeSet<Id>>,
-    groups: BTreeSet<Id>,
+    /// The groups the control program references, in name order; a
+    /// group's bit is its position here.
+    groups: Vec<Id>,
+    index: FxHashMap<Id, usize>,
+    /// Words per row.
+    words: usize,
+    /// Row `i`, words `i * words..(i + 1) * words`: the groups group `i`
+    /// may run in parallel with. Empty when no two groups conflict.
+    rows: Vec<u64>,
 }
 
 impl Analysis for ParConflicts {
@@ -30,65 +44,135 @@ impl Analysis for ParConflicts {
 impl ParConflicts {
     /// Build the conflict relation for a control program.
     pub fn from_control(control: &Control) -> Self {
+        let mut groups = Vec::new();
+        control.for_each_group(&mut |g| groups.push(g));
+        groups.sort_unstable();
+        groups.dedup();
+        let index = groups.iter().enumerate().map(|(i, &g)| (g, i)).collect();
+        let words = groups.len().div_ceil(64);
         let mut c = ParConflicts {
-            groups: control.used_groups(),
-            ..ParConflicts::default()
+            rows: vec![0; groups.len() * words],
+            groups,
+            index,
+            words,
         };
-        c.visit(control);
+        if words > 0 {
+            c.walk(control, &mut vec![0; words]);
+        }
+        // A group shared by two children of one `par` is not its own
+        // conflict.
+        for i in 0..c.groups.len() {
+            c.rows[i * words + i / 64] &= !(1 << (i % 64));
+        }
+        // Most components have no `par`: answer them without a lookup.
+        if c.rows.iter().all(|&w| w == 0) {
+            c.rows.clear();
+        }
         c
     }
 
-    fn add_edge(&mut self, a: Id, b: Id) {
-        if a != b {
-            self.edges.entry(a).or_default().insert(b);
-            self.edges.entry(b).or_default().insert(a);
-        }
-    }
-
-    fn visit(&mut self, control: &Control) {
+    /// OR the groups under `control` into `under`, adding the edges of
+    /// every `par` on the way.
+    fn walk(&mut self, control: &Control, under: &mut [u64]) {
         match control {
-            Control::Empty | Control::Enable { .. } => {}
+            Control::Empty => {}
+            Control::Enable { group, .. } => self.mark(*group, under),
             Control::Seq { stmts, .. } => {
                 for s in stmts {
-                    self.visit(s);
+                    self.walk(s, under);
                 }
             }
             Control::Par { stmts, .. } => {
-                for s in stmts {
-                    self.visit(s);
+                let words = self.words;
+                // Each child's groups, then the union of the children
+                // after it.
+                let mut child = vec![0; stmts.len() * words];
+                for (s, set) in stmts.iter().zip(child.chunks_exact_mut(words)) {
+                    self.walk(s, set);
                 }
-                // All pairs of groups under *different* children conflict.
-                let child_groups: Vec<BTreeSet<Id>> =
-                    stmts.iter().map(Control::used_groups).collect();
-                for i in 0..child_groups.len() {
-                    for j in (i + 1)..child_groups.len() {
-                        for &a in &child_groups[i] {
-                            for &b in &child_groups[j] {
-                                self.add_edge(a, b);
-                            }
+                let mut after = vec![0; (stmts.len() + 1) * words];
+                for i in (0..stmts.len()).rev() {
+                    for w in 0..words {
+                        after[i * words + w] = after[(i + 1) * words + w] | child[i * words + w];
+                    }
+                }
+                // Sweep left to right keeping the union before the child.
+                let mut before = vec![0; words];
+                let mut others = vec![0; words];
+                for i in 0..stmts.len() {
+                    let set = &child[i * words..(i + 1) * words];
+                    for w in 0..words {
+                        others[w] = before[w] | after[(i + 1) * words + w];
+                    }
+                    for g in bits(set) {
+                        let row = &mut self.rows[g * words..(g + 1) * words];
+                        for (r, o) in row.iter_mut().zip(&others) {
+                            *r |= o;
                         }
                     }
+                    for w in 0..words {
+                        before[w] |= set[w];
+                    }
+                }
+                for (u, b) in under.iter_mut().zip(&before) {
+                    *u |= b;
                 }
             }
             Control::If {
-                tbranch, fbranch, ..
+                cond,
+                tbranch,
+                fbranch,
+                ..
             } => {
-                self.visit(tbranch);
-                self.visit(fbranch);
+                if let Some(c) = cond {
+                    self.mark(*c, under);
+                }
+                self.walk(tbranch, under);
+                self.walk(fbranch, under);
             }
-            Control::While { body, .. } => self.visit(body),
+            Control::While { cond, body, .. } => {
+                if let Some(c) = cond {
+                    self.mark(*c, under);
+                }
+                self.walk(body, under);
+            }
         }
+    }
+
+    fn mark(&self, group: Id, set: &mut [u64]) {
+        let i = self.index[&group];
+        set[i / 64] |= 1 << (i % 64);
     }
 
     /// May `a` and `b` execute in the same cycle?
     pub fn conflict(&self, a: Id, b: Id) -> bool {
-        self.edges.get(&a).is_some_and(|s| s.contains(&b))
+        if self.rows.is_empty() {
+            return false;
+        }
+        match (self.index.get(&a), self.index.get(&b)) {
+            (Some(&a), Some(&b)) => self.rows[a * self.words + b / 64] >> (b % 64) & 1 == 1,
+            _ => false,
+        }
     }
 
-    /// All groups the control program references.
+    /// All groups the control program references, in name order.
     pub fn groups(&self) -> impl Iterator<Item = Id> + '_ {
         self.groups.iter().copied()
     }
+}
+
+/// The positions of the set bits of `set`, ascending.
+fn bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]

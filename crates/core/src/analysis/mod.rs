@@ -44,7 +44,7 @@
 //!
 //! | Analysis | Computes | Depends on |
 //! |----------|----------|------------|
-//! | [`ParConflicts`] | which groups may execute in parallel (resource sharing, §5.1) | — |
+//! | [`ParConflicts`] | which groups may execute in parallel (resource sharing, §5.1): a bit row per group, groups in name order | — |
 //! | [`Pcfg`] | parallel control-flow graph with p-nodes (register sharing, §5.2) | — |
 //! | [`ReadWriteSets`] | the component's register numbering ([`RegIndex`], name order) and, per group, conservative read/may-write/must-write [`RegSet`]s over it | — |
 //! | [`PortUses`] | port → writing assignment sites, the ports read, cell usage digests | — |

@@ -241,6 +241,15 @@ impl PassRegistry {
         Entry::rows(self.aliases.entries())
     }
 
+    /// The passes one name stands for: a pass itself, or an alias's
+    /// expansion; `None` when it is neither.
+    pub fn expansion(&self, name: &str) -> Option<&[&'static str]> {
+        match self.passes.find(name) {
+            Some(pass) => Some(std::slice::from_ref(&pass.name)),
+            None => self.aliases.find(name).map(|a| a.expansion.as_slice()),
+        }
+    }
+
     /// Expand a mixed list of pass names and aliases into pass names.
     ///
     /// # Errors
@@ -250,17 +259,14 @@ impl PassRegistry {
     pub fn expand(&self, names: &[&str]) -> CalyxResult<Vec<&'static str>> {
         let mut out = Vec::new();
         for &name in names {
-            if let Some(pass) = self.passes.find(name) {
-                out.push(pass.name);
-            } else if let Some(alias) = self.aliases.find(name) {
-                out.extend_from_slice(&alias.expansion);
-            } else {
+            let Some(passes) = self.expansion(name) else {
                 return Err(Error::undefined(format!(
                     "pass or alias `{name}`; valid passes: {}; valid aliases: {}",
                     self.passes.names(),
                     self.aliases.names(),
                 )));
-            }
+            };
+            out.extend_from_slice(passes);
         }
         Ok(out)
     }

@@ -7,8 +7,10 @@
 //! while consulting the context's primitive library.
 
 use crate::analysis::{AnalysisCache, CacheStats};
-use crate::errors::CalyxResult;
+use crate::errors::{CalyxResult, Error};
 use crate::ir::{Component, Context, Id};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A compiler pass over a whole [`Context`].
@@ -70,6 +72,8 @@ pub struct PassTiming {
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     timings: Vec<PassTiming>,
+    /// Set when whoever runs the pipeline has given up on it.
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl PassManager {
@@ -86,6 +90,22 @@ impl PassManager {
     /// Append an already-boxed pass (used by the registry's constructors).
     pub fn register_boxed(&mut self, pass: Box<dyn Pass>) {
         self.passes.push(pass);
+    }
+
+    /// Stop the pipeline at the next pass boundary once `flag` is set: a
+    /// run that sees it before a pass fails with [`Error::Pass`] naming
+    /// the pass that did not run, and runs none after it. A service sets
+    /// the flag of a job it abandoned at its deadline.
+    pub fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel = Some(flag);
+    }
+
+    /// Whether the flag given to [`cancel_on`](PassManager::cancel_on)
+    /// is set.
+    pub fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::SeqCst))
     }
 
     /// Names of registered passes, in execution order.
@@ -120,7 +140,14 @@ impl PassManager {
         cache: &mut AnalysisCache,
     ) -> CalyxResult<()> {
         self.timings.clear();
-        for pass in &mut self.passes {
+        for at in 0..self.passes.len() {
+            if self.cancelled() {
+                return Err(Error::pass(
+                    self.passes[at].name(),
+                    "the job was cancelled before this pass ran",
+                ));
+            }
+            let pass = &mut self.passes[at];
             cache.take_stats();
             let start = Instant::now();
             let result = pass.run_with(ctx, cache);
@@ -180,7 +207,6 @@ pub(super) fn take_component(ctx: &mut Context, name: Id) -> Option<Component> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::errors::Error;
 
     struct Marker(&'static str, Vec<&'static str>);
     impl Pass for Marker {

@@ -9,10 +9,11 @@
 //! the stage error that rejected the job. A hit skips parse, passes and
 //! emit, and shares the text instead of copying it.
 //!
-//! [`JobCache::get_or_run`] is the whole protocol: one call looks the key
-//! up and, on a miss, runs the job while holding that key's slot, so
-//! concurrent identical jobs wait for the first instead of each
-//! compiling. A job that panics or is abandoned (timed out) keeps
+//! [`JobCache::get_or_run`] is the protocol a worker runs: one call looks
+//! the key up and, on a miss, runs the job while holding that key's slot,
+//! so concurrent identical jobs wait for the first instead of each
+//! compiling. [`JobCache::get`] is the read-only half, for callers that
+//! must not block: it returns a kept output and never claims or waits. A job that panics or is abandoned (timed out) keeps
 //! nothing and leaves the key free for the next identical job. The cache
 //! holds at most [`JOB_CACHE_BUDGET`] bytes of text, evicting the least
 //! recently used outcome first.
@@ -33,7 +34,7 @@ pub const JOB_CACHE_BUDGET: usize = 64 << 20;
 
 /// The content key of both compile caches: the service's [`JobCache`]
 /// keys a job by `content_key` over everything its compile reads (see
-/// [`Resolved::job_key`](crate::session::Resolved::job_key)), and
+/// [`Session::job_key`](crate::session::Session::job_key)), and
 /// `futil build`'s artifact cache names a step's output by
 /// `content_key` over the op's fingerprint parts and its input.
 ///
@@ -57,12 +58,50 @@ pub const JOB_CACHE_BUDGET: usize = 64 << 20;
 /// (old files are never misread, only never found again), so its output
 /// is pinned by a known-answer test.
 pub fn content_key(parts: &[&[u8]]) -> u64 {
-    let mut hasher = FxHasher::default();
+    let mut key = KeyHasher::default();
     for part in parts {
-        hasher.write_usize(part.len());
-        hasher.write(part);
+        key.part(part);
     }
-    hasher.finish()
+    key.finish()
+}
+
+/// A [`content_key`] fed one part at a time, for callers whose parts
+/// are not all byte strings at hand: `key.part(a).part(b).finish()` is
+/// `content_key(&[a, b])`, and [`number`](KeyHasher::number) hashes a
+/// number as the part its decimal text would be, without formatting it
+/// into a `String`.
+#[derive(Default)]
+pub(crate) struct KeyHasher(FxHasher);
+
+impl KeyHasher {
+    /// Hash `bytes` as the next part: its length, then the bytes.
+    pub(crate) fn part(&mut self, bytes: impl AsRef<[u8]>) -> &mut Self {
+        let bytes = bytes.as_ref();
+        self.0.write_usize(bytes.len());
+        self.0.write(bytes);
+        self
+    }
+
+    /// Hash `n`'s decimal text as the next part.
+    pub(crate) fn number(&mut self, n: u64) -> &mut Self {
+        let mut digits = [0; 20];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.part(&digits[at..])
+    }
+
+    /// The key of the parts so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0.finish()
+    }
 }
 
 /// FNV-1a 64-bit digest of `bytes`: the pin format. The golden tables
@@ -315,6 +354,28 @@ impl JobCache {
             }
             // The job we waited for panicked or was abandoned: look again.
         }
+    }
+
+    /// The kept output text for `key`, marked most recently used and
+    /// counted as a hit. `None`, counting nothing, when the key is free,
+    /// its first job is still running, or what it kept is a failure: the
+    /// caller then queues the job, which runs through
+    /// [`get_or_run`](JobCache::get_or_run) and is counted there (a
+    /// running key's job waits on its slot). Never claims a key and never
+    /// waits.
+    pub fn get(&self, key: u64) -> Option<Arc<str>> {
+        let mut store = self.store.lock();
+        let text = match store.entries.get(&key) {
+            Some(Entry::Done {
+                outcome: Outcome::Output { text, .. },
+                ..
+            }) => Arc::clone(text),
+            _ => return None,
+        };
+        store.touch(key);
+        drop(store);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(text)
     }
 
     /// Hit/miss counters so far.

@@ -5,17 +5,30 @@
 //! worker thread: a [`Session`] (the four registries) plus the
 //! [`JobCache`]. A job is a protocol shell around the core — fill the
 //! request's gaps from the [`JobDefaults`], [`Session::resolve`] the
-//! names, read the source, look its
-//! [`job_key`](crate::session::Resolved::job_key) up in the cache and
-//! [`compile`](crate::session::Resolved::compile) only on a miss, write
-//! the output — and terminates in a [`JobResponse`] instead of a process
-//! exit, with per-stage wall times attached. A hit runs no stage: it
-//! shares the text an earlier identical job produced, or returns the
-//! same stage error, and still writes its `out` file. Jobs are
-//! bulkheaded: a panicking pass or generator becomes a
+//! names, read the source, look its [`Session::job_key`] up in the cache
+//! and [`compile`](crate::session::Resolved::compile) only on a miss,
+//! write the output — and terminates in a [`JobResponse`] instead of a
+//! process exit, with per-stage wall times attached. A hit runs no
+//! stage: it shares the text an earlier identical job produced, or
+//! returns the same stage error, and still writes its `out` file.
+//!
+//! A warm job does not wait for a worker. Before a job is queued, the
+//! caller — [`run_batch`](CompileService::run_batch) before it starts
+//! any worker, `serve`'s reader thread, [`execute`](CompileService::execute)
+//! before it starts a timeout thread — asks the cache once, with a key
+//! built from names alone (no frontend, backend or pass is constructed).
+//! A hit is answered there when it needs no file I/O: no `input` to
+//! read, no `out` or `out_dir` file to write. Everything else queues as
+//! before: hits that read or write files (a FIFO or a slow disk must not
+//! block a reader thread), misses (a key whose first job is still running
+//! counts as one; its worker waits on the key's slot) and kept failures
+//! (so `--fail-fast` sees a failure where a worker ran it).
+//!
+//! Jobs are bulkheaded: a panicking pass or generator becomes a
 //! [`Status::Panic`] response, and a job that overruns its `timeout_ms`
 //! budget is abandoned ([`Status::Timeout`]) without taking its worker
-//! down; neither leaves anything in the cache.
+//! down — its pipeline stops at the next pass boundary — and neither
+//! leaves anything in the cache.
 
 use crate::cache::{CacheStats, JobCache, Outcome};
 use crate::metrics::{BatchSummary, StageTimes};
@@ -216,8 +229,12 @@ impl CompileService {
 
     /// Execute one job to completion, honoring its timeout and catching
     /// its panics. This is the entry point workers call; it always
-    /// returns a response, never unwinds.
+    /// returns a response, never unwinds. A hit that needs no file I/O is
+    /// answered before any thread is started.
     pub fn execute(&self, id: usize, req: &JobRequest, defaults: &JobDefaults) -> JobResponse {
+        if let Some(resp) = self.lookup(id, req, defaults) {
+            return resp;
+        }
         let cancelled = Arc::new(AtomicBool::new(false));
         let Some(ms) = req.timeout_ms.or(defaults.timeout_ms) else {
             return self.guarded(id, req, defaults, &cancelled);
@@ -253,6 +270,42 @@ impl CompileService {
         }
     }
 
+    /// The response to `req` when the cache holds its output and
+    /// answering needs no file I/O: no `input` to read and no `out` or
+    /// `out_dir` file to write. `None` for every other job, which is then
+    /// queued and counted by the worker that runs it. The lookup is the
+    /// hit's parse stage, as on a worker.
+    pub(crate) fn lookup(
+        &self,
+        id: usize,
+        req: &JobRequest,
+        defaults: &JobDefaults,
+    ) -> Option<JobResponse> {
+        if req.input.is_some() || req.out.is_some() || defaults.out_dir.is_some() {
+            return None;
+        }
+        let started = Instant::now();
+        let src = req.source.as_deref().unwrap_or_default();
+        let key = self
+            .inner
+            .session
+            .job_key(&defaults.job(req), "<request>", src)?;
+        let looked_up = Instant::now();
+        let text = self.inner.cache.get(key)?;
+        let parse = looked_up.elapsed();
+        let mut resp = JobResponse::new(id, job_name(req, id), Status::Ok);
+        resp.cache = Some("hit");
+        if defaults.inline_output {
+            resp.output = Some(text);
+        }
+        resp.stages = Some(StageTimes {
+            parse,
+            total: started.elapsed(),
+            ..StageTimes::default()
+        });
+        Some(resp)
+    }
+
     fn guarded(
         &self,
         id: usize,
@@ -283,10 +336,13 @@ impl CompileService {
         let name = job_name(req, id);
         let fail = |msg: String| JobResponse::fail(id, name.clone(), Status::Error, msg);
 
-        let mut resolved = match self.inner.session.resolve(&defaults.job(req)) {
+        let job = defaults.job(req);
+        let mut resolved = match self.inner.session.resolve(&job) {
             Ok(resolved) => resolved,
             Err(e) => return fail(e.message),
         };
+        // An abandoned job stops at the next pass boundary.
+        resolved.passes.cancel_on(Arc::clone(cancelled));
         // Source: a file, inline text, or empty (pure generators).
         let src = match (&req.input, &req.source) {
             (Some(path), _) => match std::fs::read_to_string(path) {
@@ -297,7 +353,11 @@ impl CompileService {
             (None, None) => String::new(),
         };
         let shown = req.input.as_deref().unwrap_or("<request>");
-        let key = resolved.job_key(shown, &src);
+        let key = self
+            .inner
+            .session
+            .job_key(&job, shown, &src)
+            .expect("a resolved job's names have a key");
         let looked_up = Instant::now();
         let mut ran = None;
         // Into memory: batch outputs are per-job files (or inline
@@ -358,9 +418,14 @@ impl CompileService {
 
     /// Run a whole batch on `jobs` workers and aggregate the responses.
     ///
-    /// With `fail_fast`, the first failure aborts the queue: jobs not
-    /// yet started report [`Status::Skipped`] (in-flight ones finish).
-    /// The summary's cache counters cover this batch only.
+    /// Hits that need no file I/O are answered first, in request order,
+    /// before any worker starts; workers are started only for the jobs
+    /// left, and none when nothing is left. With `fail_fast`, the first
+    /// failure aborts the queue: jobs not yet started report
+    /// [`Status::Skipped`] (in-flight ones finish), and every job after
+    /// the first queued one is queued too, so a failure skips it as it
+    /// would on one worker. The summary's cache counters cover this
+    /// batch only.
     pub fn run_batch(
         &self,
         reqs: &[JobRequest],
@@ -370,36 +435,51 @@ impl CompileService {
     ) -> BatchSummary {
         let started = Instant::now();
         let before = self.cache_stats();
-        let abort = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<JobResponse>();
-        {
-            let pool = WorkerPool::new(jobs);
-            for (id, req) in reqs.iter().enumerate() {
-                let service = self.clone();
-                let req = req.clone();
-                let defaults = defaults.clone();
-                let abort = Arc::clone(&abort);
-                let tx = tx.clone();
-                pool.submit(move || {
-                    let resp = if abort.load(Ordering::SeqCst) {
-                        JobResponse::fail(
-                            id,
-                            job_name(&req, id),
-                            Status::Skipped,
-                            "not run: an earlier job failed (--fail-fast)",
-                        )
-                    } else {
-                        service.execute(id, &req, &defaults)
-                    };
-                    if fail_fast && !resp.is_ok() && resp.status != Status::Skipped {
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                    let _ = tx.send(resp);
-                });
+        let mut results = Vec::with_capacity(reqs.len());
+        let mut queued = Vec::new();
+        for (id, req) in reqs.iter().enumerate() {
+            let hit = if fail_fast && !queued.is_empty() {
+                None
+            } else {
+                self.lookup(id, req, defaults)
+            };
+            match hit {
+                Some(resp) => results.push(resp),
+                None => queued.push(id),
             }
-        } // joins the workers: every job has reported
-        drop(tx);
-        let mut results: Vec<JobResponse> = rx.iter().collect();
+        }
+        if !queued.is_empty() {
+            let abort = Arc::new(AtomicBool::new(false));
+            let (tx, rx) = mpsc::channel::<JobResponse>();
+            {
+                let pool = WorkerPool::new(jobs.min(queued.len()));
+                for id in queued {
+                    let service = self.clone();
+                    let req = reqs[id].clone();
+                    let defaults = defaults.clone();
+                    let abort = Arc::clone(&abort);
+                    let tx = tx.clone();
+                    pool.submit(move || {
+                        let resp = if abort.load(Ordering::SeqCst) {
+                            JobResponse::fail(
+                                id,
+                                job_name(&req, id),
+                                Status::Skipped,
+                                "not run: an earlier job failed (--fail-fast)",
+                            )
+                        } else {
+                            service.execute(id, &req, &defaults)
+                        };
+                        if fail_fast && !resp.is_ok() && resp.status != Status::Skipped {
+                            abort.store(true, Ordering::SeqCst);
+                        }
+                        let _ = tx.send(resp);
+                    });
+                }
+            } // joins the workers: every queued job has reported
+            drop(tx);
+            results.extend(rx.iter());
+        }
         results.sort_unstable_by_key(|r| r.id);
         let after = self.cache_stats();
         BatchSummary {
@@ -416,7 +496,10 @@ impl CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calyx_core::analysis::AnalysisCache;
+    use calyx_core::errors::CalyxResult;
     use calyx_core::ir::Context;
+    use calyx_core::passes::Pass;
     use std::sync::atomic::AtomicUsize;
 
     const PROGRAM: &str = "component main() -> () {
@@ -847,6 +930,193 @@ component main() -> () {
         let resp = service.execute(0, &req, &JobDefaults::default());
         assert_eq!(resp.status, Status::Timeout, "{:?}", resp.error);
         assert!(resp.error.as_deref().unwrap().contains("10ms"));
+    }
+
+    static FRONTENDS_MADE: AtomicUsize = AtomicUsize::new(0);
+    static BACKENDS_MADE: AtomicUsize = AtomicUsize::new(0);
+    static PASSES_MADE: AtomicUsize = AtomicUsize::new(0);
+
+    /// A Calyx parser that counts its constructions.
+    struct CountedFrontend;
+
+    impl calyx_frontend::Frontend for CountedFrontend {
+        const NAME: &'static str = "counted";
+        const DESCRIPTION: &'static str = "parses Calyx, counts constructions (test only)";
+
+        fn extensions() -> &'static [&'static str] {
+            &[]
+        }
+
+        fn from_opts(_: &calyx_frontend::FrontendOpts) -> CalyxResult<Self> {
+            FRONTENDS_MADE.fetch_add(1, Ordering::SeqCst);
+            Ok(CountedFrontend)
+        }
+
+        fn parse(&self, src: &str) -> CalyxResult<Context> {
+            calyx_core::ir::parse_context(src)
+        }
+    }
+
+    /// The `calyx` printer, counting its constructions.
+    struct CountedBackend;
+
+    impl calyx_backend::Backend for CountedBackend {
+        const NAME: &'static str = "counted";
+        const DESCRIPTION: &'static str = "prints Calyx, counts constructions (test only)";
+
+        fn from_opts(_: &BackendOpts) -> Self {
+            BACKENDS_MADE.fetch_add(1, Ordering::SeqCst);
+            CountedBackend
+        }
+
+        fn required_pipeline(&self) -> &'static [&'static str] {
+            &[]
+        }
+
+        fn validate(&self, _: &Context) -> CalyxResult<()> {
+            Ok(())
+        }
+
+        fn emit(&self, ctx: &Context, out: &mut dyn std::io::Write) -> CalyxResult<()> {
+            calyx_backend::print::CalyxBackend.emit(ctx, out)
+        }
+    }
+
+    /// A pass that does nothing and counts its constructions.
+    struct CountedPass;
+
+    impl Default for CountedPass {
+        fn default() -> Self {
+            PASSES_MADE.fetch_add(1, Ordering::SeqCst);
+            CountedPass
+        }
+    }
+
+    impl Pass for CountedPass {
+        fn name(&self) -> &'static str {
+            "counted-pass"
+        }
+
+        fn description(&self) -> &'static str {
+            "does nothing, counts constructions (test only)"
+        }
+
+        fn run_with(&mut self, _: &mut Context, _: &mut AnalysisCache) -> CalyxResult<()> {
+            Ok(())
+        }
+    }
+
+    /// An answered hit builds no pipeline: the frontend, the backend and
+    /// the passes a miss constructs are not constructed again, whether
+    /// the hit comes through `execute` or a batch.
+    #[test]
+    fn a_hit_constructs_nothing() {
+        let mut session = Session::default();
+        session.frontends.register::<CountedFrontend>();
+        session.backends.register::<CountedBackend>();
+        session.passes.register::<CountedPass>();
+        let service = CompileService::with_session(session);
+        let req = JobRequest {
+            frontend: Some("counted".to_string()),
+            source: Some(PROGRAM.to_string()),
+            pipeline: Some(vec!["counted-pass".to_string(), "counted-pass".to_string()]),
+            backend: Some("counted".to_string()),
+            ..JobRequest::default()
+        };
+        let defaults = JobDefaults {
+            inline_output: true,
+            ..JobDefaults::default()
+        };
+        let made =
+            || [&FRONTENDS_MADE, &BACKENDS_MADE, &PASSES_MADE].map(|n| n.load(Ordering::SeqCst));
+        let before = made();
+        let miss = service.execute(0, &req, &defaults);
+        assert_eq!(miss.cache, Some("miss"), "{:?}", miss.error);
+        let [f, b, p] = before;
+        assert_eq!(made(), [f + 1, b + 1, p + 2], "a miss builds the pipeline");
+
+        let built = made();
+        let hit = service.execute(1, &req, &defaults);
+        assert_eq!(hit.cache, Some("hit"));
+        assert_eq!(hit.output, miss.output);
+        let summary = service.run_batch(&vec![req; 3], 2, false, &defaults);
+        assert_eq!(summary.cache, CacheStats { hits: 3, misses: 0 });
+        assert_eq!(made(), built, "a hit constructed something");
+    }
+
+    static AFTER_SLOW_RAN: AtomicUsize = AtomicUsize::new(0);
+    static SLOW_PASSES_DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+    /// A pass that outlasts any test deadline, and says when its
+    /// pipeline is gone.
+    #[derive(Default)]
+    struct SlowPass;
+
+    impl Pass for SlowPass {
+        fn name(&self) -> &'static str {
+            "slow-pass"
+        }
+
+        fn description(&self) -> &'static str {
+            "sleeps (test only)"
+        }
+
+        fn run_with(&mut self, _: &mut Context, _: &mut AnalysisCache) -> CalyxResult<()> {
+            std::thread::sleep(Duration::from_millis(200));
+            Ok(())
+        }
+    }
+
+    impl Drop for SlowPass {
+        fn drop(&mut self) {
+            SLOW_PASSES_DROPPED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A pass that counts its runs.
+    #[derive(Default)]
+    struct AfterSlow;
+
+    impl Pass for AfterSlow {
+        fn name(&self) -> &'static str {
+            "after-slow"
+        }
+
+        fn description(&self) -> &'static str {
+            "counts runs (test only)"
+        }
+
+        fn run_with(&mut self, _: &mut Context, _: &mut AnalysisCache) -> CalyxResult<()> {
+            AFTER_SLOW_RAN.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    /// A job abandoned at its deadline stops at the next pass boundary:
+    /// once the slow pass returns, the passes after it do not run.
+    #[test]
+    fn an_abandoned_job_runs_no_further_pass() {
+        let mut session = Session::default();
+        session.passes.register::<SlowPass>();
+        session.passes.register::<AfterSlow>();
+        let service = CompileService::with_session(session);
+        let dropped = SLOW_PASSES_DROPPED.load(Ordering::SeqCst);
+        let req = JobRequest {
+            source: Some(PROGRAM.to_string()),
+            pipeline: Some(vec!["slow-pass".to_string(), "after-slow".to_string()]),
+            timeout_ms: Some(10),
+            ..JobRequest::default()
+        };
+        let resp = service.execute(0, &req, &JobDefaults::default());
+        assert_eq!(resp.status, Status::Timeout, "{:?}", resp.error);
+        // The job's thread drops its pipeline when the compile returns.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while SLOW_PASSES_DROPPED.load(Ordering::SeqCst) == dropped {
+            assert!(Instant::now() < deadline, "the abandoned job never ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(AFTER_SLOW_RAN.load(Ordering::SeqCst), 0);
+        assert_eq!(service.cache_stats(), CacheStats { hits: 0, misses: 1 });
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   by [`content_key`] over everything the compile reads (input name,
 //!   frontend and options, source, expanded pipeline, backend, `cycles`,
 //!   `format`) and holding what the compile decided: the output text, or
-//!   the stage error's message. A hit skips parse, passes and emit;
+//!   the stage error's message. The key is built from names alone
+//!   ([`session::Session::job_key`]), so a hit constructs no frontend,
+//!   backend or pass and skips parse, passes and emit; a hit that needs no
+//!   file I/O is answered where the request arrives, without a worker;
 //!   concurrent identical jobs wait for one compile; the cache is
 //!   LRU-bounded by [`cache::JOB_CACHE_BUDGET`] bytes.
 //! - [`pool::WorkerPool`] runs jobs on N `std::thread` workers;

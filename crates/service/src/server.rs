@@ -3,13 +3,18 @@
 //! One request per input line, one response per output line (see
 //! [`protocol`](crate::protocol) for the key tables). The server keeps
 //! the registries and the [`JobCache`](crate::cache::JobCache) warm
-//! across requests, dispatches jobs to a [`WorkerPool`], and **streams
-//! responses as jobs finish** — under `--jobs N` the order responses
-//! come back is completion order, and the `id` field ties each response
-//! to its request. Malformed requests produce an immediate
-//! `status: "error"` response; they never terminate the server. EOF on
-//! the request stream is the shutdown signal: the server drains every
-//! in-flight job, flushes, and returns.
+//! across requests and **streams responses as jobs finish** — under
+//! `--jobs N` the order responses come back is completion order, and the
+//! `id` field ties each response to its request. The reader thread
+//! answers what needs no compile at once: listings, malformed requests
+//! (an immediate `status: "error"` response; they never terminate the
+//! server) and cache hits that read and write no file. Only the rest go
+//! to a [`WorkerPool`], started at the first such job, so a connection
+//! of hits starts no thread and a hit never waits behind a slow compile.
+//! A hit that names an `input` or an output file queues like a miss: a
+//! FIFO or a slow file must not stall the reader. EOF on the request
+//! stream is the shutdown signal: the server drains every in-flight job,
+//! flushes, and returns.
 
 use crate::engine::{CompileService, JobDefaults};
 use crate::pool::WorkerPool;
@@ -73,7 +78,8 @@ where
     let writer = Arc::new(Mutex::new(writer));
     let mut next_id = 0;
     {
-        let pool = WorkerPool::new(opts.jobs);
+        // Started at the first job that needs a worker.
+        let mut pool = None;
         // Lines are read as bytes: one that is not UTF-8 is a bad request,
         // not the end of the stream.
         for line in reader.split(b'\n') {
@@ -106,9 +112,14 @@ where
                     respond(&writer, &line);
                 }
                 Ok(Request::Job(req)) => {
+                    if let Some(resp) = service.lookup(id, &req, &opts.defaults) {
+                        respond(&writer, &resp.render());
+                        continue;
+                    }
                     let service = service.clone();
                     let defaults = opts.defaults.clone();
                     let writer = Arc::clone(&writer);
+                    let pool = pool.get_or_insert_with(|| WorkerPool::new(opts.jobs));
                     pool.submit(move || {
                         let resp = service.execute(id, &req, &defaults);
                         respond(&writer, &resp.render());
@@ -162,6 +173,7 @@ pub fn serve_socket(
 mod tests {
     use super::*;
     use crate::json;
+    use crate::protocol::JobRequest;
 
     const PROGRAM: &str = "component main() -> () { cells {} wires {} control {} }";
 
@@ -258,6 +270,97 @@ mod tests {
         let b = by_id(&lines, 1);
         assert_eq!(b.get("status").unwrap().as_str(), Some("error"), "{b:?}");
         assert!(b.get("cache").is_none(), "{b:?}");
+    }
+
+    /// Released by [`GatedFrontend`]'s test: one parse waits for it.
+    static GATE: std::sync::Mutex<Option<std::sync::mpsc::Receiver<()>>> =
+        std::sync::Mutex::new(None);
+
+    /// A generator whose parse blocks until its test opens [`GATE`].
+    struct GatedFrontend;
+
+    impl calyx_frontend::Frontend for GatedFrontend {
+        const NAME: &'static str = "gated";
+        const DESCRIPTION: &'static str = "waits for its test in parse (test only)";
+
+        fn extensions() -> &'static [&'static str] {
+            &[]
+        }
+
+        fn from_opts(_: &calyx_frontend::FrontendOpts) -> calyx_core::errors::CalyxResult<Self> {
+            Ok(GatedFrontend)
+        }
+
+        fn parse(&self, _: &str) -> calyx_core::errors::CalyxResult<calyx_core::ir::Context> {
+            if let Some(gate) = GATE.lock().unwrap().take() {
+                let _ = gate.recv();
+            }
+            calyx_core::ir::parse_context(PROGRAM)
+        }
+    }
+
+    /// Sends every line written to it down a channel.
+    struct Lines(std::sync::mpsc::Sender<String>, Vec<u8>);
+
+    impl Write for Lines {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.1.extend_from_slice(buf);
+            while let Some(end) = self.1.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.1.drain(..=end).collect();
+                let _ = self.0.send(String::from_utf8_lossy(&line).into_owned());
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// With its only worker blocked on a slow job, the server still
+    /// answers a cached inline job at once: the reader thread answers it
+    /// without waiting for the worker.
+    #[test]
+    fn a_hit_does_not_wait_behind_a_busy_worker() {
+        let mut frontends = calyx_frontend::FrontendRegistry::default();
+        frontends.register::<GatedFrontend>();
+        let service =
+            CompileService::with_registries(frontends, calyx_backend::BackendRegistry::default());
+        let opts = ServeOpts {
+            jobs: 1,
+            ..ServeOpts::default()
+        };
+        let cached = JobRequest {
+            source: Some(PROGRAM.to_string()),
+            ..JobRequest::default()
+        };
+        let primed = service.execute(0, &cached, &opts.defaults);
+        assert_eq!(primed.cache, Some("miss"), "{:?}", primed.error);
+
+        let (release, gate) = std::sync::mpsc::channel();
+        *GATE.lock().unwrap() = Some(gate);
+        let input = format!(
+            "{}\n{}\n",
+            r#"{"frontend": "gated"}"#,
+            json::Json::obj([("source", PROGRAM.into())]).render()
+        );
+        let (tx, written) = std::sync::mpsc::channel();
+        let (first, rest) = std::thread::scope(|s| {
+            let server =
+                s.spawn(|| serve(&service, input.as_bytes(), Lines(tx, Vec::new()), &opts));
+            let first = written.recv_timeout(std::time::Duration::from_secs(10));
+            release.send(()).unwrap();
+            server.join().unwrap().unwrap();
+            (first, written.iter().collect::<Vec<_>>())
+        });
+        let first = json::parse(&first.expect("the hit was answered while the worker was busy"));
+        let first = first.unwrap();
+        assert_eq!(first.get("id").unwrap().as_u64(), Some(1), "{first:?}");
+        assert_eq!(first.get("cache").unwrap().as_str(), Some("hit"));
+        assert_eq!(rest.len(), 1, "{rest:?}");
+        let slow = json::parse(&rest[0]).unwrap();
+        assert_eq!(slow.get("id").unwrap().as_u64(), Some(0), "{slow:?}");
+        assert_eq!(slow.get("status").unwrap().as_str(), Some("ok"));
     }
 
     #[cfg(unix)]

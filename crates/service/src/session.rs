@@ -9,7 +9,9 @@
 //! [`compile_parsed`](Resolved::compile_parsed) (the passes, then
 //! validate and emit into memory); [`Session::lint`] is the optional
 //! stage between the two. [`Resolved::compile`] runs them in order, with
-//! per-stage wall times.
+//! per-stage wall times. [`Session::job_key`] names a job for the
+//! service's cache from the same names without resolving them, so a
+//! cache hit constructs nothing.
 //!
 //! Every failure is a [`StageError`]: the [`Stage`] that rejected the
 //! job, the message every entry point reports for it, and the underlying
@@ -17,7 +19,7 @@
 //! to exit 1; the service puts the message in the response; the plan
 //! executor takes the error.
 
-use crate::cache::{canonical_fopts, content_key};
+use crate::cache::{canonical_fopts, KeyHasher};
 use crate::metrics::StageTimes;
 use calyx_backend::{BackendOpts, BackendRegistry, DynBackend};
 use calyx_core::analysis::AnalysisCache;
@@ -157,12 +159,6 @@ pub struct Resolved {
     /// The built pipeline; after [`Resolved::compile_parsed`] it holds
     /// the timings of every pass that ran, also on a failing run.
     pub passes: PassManager,
-    /// Everything a compile reads besides the input's name and text, as
-    /// parts of [`job_key`](Resolved::job_key): the frontend's name, the
-    /// canonical `--fopt`s (their count, then each key and value), the
-    /// expanded pipeline (its length, then each pass), the backend's
-    /// name, `cycles` and `format`.
-    fingerprint: Vec<String>,
 }
 
 /// What [`Resolved::compile`] produced.
@@ -241,28 +237,67 @@ impl Session {
                 .collect(),
         };
         let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-        let expanded = self.passes.expand(&names).map_err(tag)?;
-        let passes = self.passes.build(&expanded).map_err(tag)?;
-        let fopts = canonical_fopts(&job.fopts);
-        let mut fingerprint = vec![name.to_string(), fopts.len().to_string()];
-        for (key, value) in fopts {
-            fingerprint.extend([key.to_string(), value.to_string()]);
-        }
-        fingerprint.push(expanded.len().to_string());
-        fingerprint.extend(expanded.iter().map(|pass| (*pass).to_string()));
-        fingerprint.extend([
-            job.backend.to_string(),
-            job.bopts.cycles.to_string(),
-            job.bopts.format.name().to_string(),
-        ]);
+        let passes = self.passes.build(&names).map_err(tag)?;
         Ok(Resolved {
-            fingerprint,
             frontend,
             fell_back,
             backend,
             pipeline,
             passes,
         })
+    }
+
+    /// The job cache's key for compiling `src`, shown as `shown`, as
+    /// `job` says: the [`content_key`](crate::content_key) of everything
+    /// a compile reads — the shown name, the source, the frontend's name,
+    /// the canonical `--fopt`s (their count, then each key and value),
+    /// the expanded pipeline (its length, then each pass), the backend's
+    /// name, `cycles` and `format`. Each part is hashed with its length,
+    /// so no byte of a name, an option or the source can be taken for a
+    /// boundary.
+    ///
+    /// It reads names only: no frontend, backend or pass is constructed,
+    /// so a cache hit costs this hash and one lookup. `None` when the
+    /// backend or a pass name is unknown; a name that resolves here may
+    /// still fail [`resolve`](Session::resolve) (an option the frontend
+    /// rejects), but then no compile ever kept an outcome under the key.
+    pub fn job_key(&self, job: &Job, shown: &str, src: &str) -> Option<u64> {
+        let (frontend, _) = self.frontends.resolve_name(job.frontend, job.input);
+        let required = self.backends.find(job.backend)?.required_pipeline;
+        let mut key = KeyHasher::default();
+        key.part(shown).part(src).part(frontend);
+        let fopts = canonical_fopts(&job.fopts);
+        key.number(fopts.len() as u64);
+        for (name, value) in fopts {
+            key.part(name).part(value);
+        }
+        match job.pipeline {
+            Some(names) => self.key_pipeline(&mut key, names.iter().map(String::as_str))?,
+            None => self.key_pipeline(&mut key, default_pipeline(required).iter().copied())?,
+        }
+        key.part(job.backend)
+            .number(job.bopts.cycles)
+            .part(job.bopts.format.name());
+        Some(key.finish())
+    }
+
+    /// Hash the passes `names` expand to: their count, then each pass.
+    fn key_pipeline<'n>(
+        &self,
+        key: &mut KeyHasher,
+        names: impl Iterator<Item = &'n str> + Clone,
+    ) -> Option<()> {
+        let mut len = 0;
+        for name in names.clone() {
+            len += self.passes.expansion(name)?.len();
+        }
+        key.number(len as u64);
+        for name in names {
+            for pass in self.passes.expansion(name)? {
+                key.part(pass);
+            }
+        }
+        Some(())
     }
 
     /// Run every registered lint over `ctx`.
@@ -321,16 +356,6 @@ impl Resolved {
             .map_err(|e| StageError::new(Stage::Emit, e))
     }
 
-    /// The job cache's key for compiling `src`, shown as `shown`: the
-    /// [`content_key`] of everything [`compile`](Resolved::compile)
-    /// reads. Each part is hashed with its length, so no byte of a name,
-    /// an option or the source can be taken for a boundary.
-    pub fn job_key(&self, shown: &str, src: &str) -> u64 {
-        let mut parts: Vec<&[u8]> = vec![shown.as_bytes(), src.as_bytes()];
-        parts.extend(self.fingerprint.iter().map(String::as_bytes));
-        content_key(&parts)
-    }
-
     /// Parse, then [`compile_parsed`](Resolved::compile_parsed), timing
     /// every stage.
     ///
@@ -358,6 +383,12 @@ impl Resolved {
     pub fn compile_parsed(&mut self, mut ctx: Context) -> Result<Compiled, StageError> {
         let started = Instant::now();
         self.run_passes(&mut ctx)?;
+        if self.passes.cancelled() {
+            return Err(StageError::new(
+                Stage::Emit,
+                Error::backend(self.backend.name(), "the job was cancelled before the emit"),
+            ));
+        }
         let lowered = Instant::now();
         let mut output = Vec::new();
         self.emit(&ctx, &mut output)?;
@@ -483,6 +514,130 @@ mod tests {
         let mut by_hand = Vec::new();
         resolved.emit(&ctx, &mut by_hand).unwrap();
         assert_eq!(compiled.output, by_hand);
+    }
+
+    /// The key as it was computed from a resolved job before keys were
+    /// built from names: [`content_key`](crate::content_key) over the
+    /// shown name, the source, then what `resolve` constructed — the
+    /// frontend's name, the canonical options, the built pipeline's
+    /// passes, the backend's name — and `cycles` and `format`, each
+    /// formatted as a `String`. Kept here as the oracle.
+    fn resolved_key(resolved: &Resolved, job: &Job, shown: &str, src: &str) -> u64 {
+        let fopts = canonical_fopts(&job.fopts);
+        let mut parts = vec![
+            resolved.frontend.name().to_string(),
+            fopts.len().to_string(),
+        ];
+        for (key, value) in fopts {
+            parts.extend([key.to_string(), value.to_string()]);
+        }
+        let passes = resolved.passes.pass_names();
+        parts.push(passes.len().to_string());
+        parts.extend(passes.iter().map(|pass| (*pass).to_string()));
+        parts.extend([
+            resolved.backend.name().to_string(),
+            job.bopts.cycles.to_string(),
+            job.bopts.format.name().to_string(),
+        ]);
+        let mut bytes: Vec<&[u8]> = vec![shown.as_bytes(), src.as_bytes()];
+        bytes.extend(parts.iter().map(String::as_bytes));
+        crate::content_key(&bytes)
+    }
+
+    /// For every frontend (named, or inferred from an input's extension)
+    /// × backend × pipeline (the backend's default, each alias, a pass
+    /// and an alias) × option order × format × cycle budget, the key
+    /// built from names is the key of what `resolve` builds.
+    #[test]
+    fn the_names_only_key_is_the_key_of_the_resolved_job() {
+        use calyx_backend::ReportFormat;
+        let session = Session::default();
+        let mut frontends: Vec<(Option<&str>, Option<&str>)> = session
+            .frontends
+            .frontends()
+            .iter()
+            .map(|f| (Some(f.name), None))
+            .collect();
+        frontends.extend([
+            (None, None),
+            (None, Some("k.fuse")),
+            (None, Some("a.systolic")),
+        ]);
+        let mut pipelines: Vec<Option<Vec<String>>> = vec![None];
+        for (alias, _) in session.passes.aliases() {
+            pipelines.push(Some(vec![alias.to_string()]));
+        }
+        pipelines.push(Some(vec!["well-formed".to_string(), "lower".to_string()]));
+        let mut resolved_per_frontend = vec![0; frontends.len()];
+        for (f, &(frontend, input)) in frontends.iter().enumerate() {
+            let (name, _) = session.frontends.resolve_name(frontend, input);
+            let keys = session
+                .frontends
+                .frontends()
+                .iter()
+                .find(|e| e.name == name);
+            let keys: Vec<&str> = keys.unwrap().options.iter().map(|(k, _)| *k).collect();
+            // Each key set to 2: in declared order, and reversed after
+            // an earlier value that the later one overrides.
+            let forward: Vec<(String, String)> = keys
+                .iter()
+                .map(|k| (k.to_string(), "2".to_string()))
+                .collect();
+            let mut reordered: Vec<(String, String)> = keys
+                .iter()
+                .map(|k| (k.to_string(), "9".to_string()))
+                .collect();
+            reordered.extend(forward.iter().rev().cloned());
+            for backend in session.backends.backends() {
+                for pipeline in &pipelines {
+                    for (format, cycles) in
+                        [(ReportFormat::Text, 1_000_000), (ReportFormat::Json, 7)]
+                    {
+                        let job = |fopts: &Vec<(String, String)>| Job {
+                            frontend,
+                            input,
+                            fopts: fopts.clone(),
+                            pipeline: pipeline.as_deref(),
+                            backend: backend.name,
+                            bopts: BackendOpts { cycles, format },
+                        };
+                        let (shown, src) = (input.unwrap_or("<request>"), "component main() {}");
+                        let key = session.job_key(&job(&forward), shown, src).unwrap();
+                        let again = session.job_key(&job(&reordered), shown, src);
+                        assert_eq!(Some(key), again, "{name} {}: option order", backend.name);
+                        let Ok(resolved) = session.resolve(&job(&forward)) else {
+                            continue;
+                        };
+                        resolved_per_frontend[f] += 1;
+                        assert_eq!(
+                            key,
+                            resolved_key(&resolved, &job(&forward), shown, src),
+                            "frontend {name}, backend {}, pipeline {pipeline:?}, {format:?}",
+                            backend.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            resolved_per_frontend.iter().all(|&n| n > 0),
+            "{resolved_per_frontend:?}"
+        );
+
+        // A name that does not resolve has no key.
+        let bad_pass = ["no-such-pass".to_string()];
+        for job in [
+            Job {
+                backend: "verilgo",
+                ..Job::default()
+            },
+            Job {
+                pipeline: Some(&bad_pass),
+                ..Job::default()
+            },
+        ] {
+            assert_eq!(session.job_key(&job, "<request>", ""), None);
+        }
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
