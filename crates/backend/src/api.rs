@@ -56,6 +56,8 @@ use calyx_core::errors::CalyxResult;
 use calyx_core::ir::Context;
 use calyx_core::utils::{Entry, Registry};
 use std::io;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Output format for report-style backends (currently consumed by
 /// [`area`](crate::area::AreaBackend)).
@@ -188,6 +190,12 @@ pub trait Backend {
     fn throughput(&self) -> Option<SimThroughput> {
         None
     }
+
+    /// Stop a later [`Backend::emit`] early once `flag` is set: a backend
+    /// that runs the program fails with an error that names the
+    /// cancellation. A service sets the flag of a job it abandoned at its
+    /// deadline. Backends that only print ignore it.
+    fn cancel_on(&mut self, _flag: Arc<AtomicBool>) {}
 }
 
 /// Object-safe view of a [`Backend`].
@@ -216,6 +224,8 @@ pub trait DynBackend {
     fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()>;
     /// [`Backend::throughput`].
     fn throughput(&self) -> Option<SimThroughput>;
+    /// [`Backend::cancel_on`].
+    fn cancel_on(&mut self, flag: Arc<AtomicBool>);
 }
 
 impl<B: Backend> DynBackend for B {
@@ -241,6 +251,10 @@ impl<B: Backend> DynBackend for B {
 
     fn throughput(&self) -> Option<SimThroughput> {
         Backend::throughput(self)
+    }
+
+    fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        Backend::cancel_on(self, flag);
     }
 }
 

@@ -21,6 +21,8 @@ use calyx_sim::rtl::Simulator;
 use calyx_sim::SimError;
 use std::cell::Cell;
 use std::io;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Map a simulation failure into the compiler's error type, naming the
@@ -35,6 +37,8 @@ fn sim_error(backend: &'static str, e: SimError) -> Error {
 /// SystemVerilog 1:1).
 pub struct SimBackend {
     cycles: u64,
+    /// The flag given to [`Backend::cancel_on`], handed to the engine.
+    cancel: Option<Arc<AtomicBool>>,
     /// Cycles/wall-time of the last successful `emit` (see
     /// [`Backend::throughput`]); interior-mutable because `emit` takes
     /// `&self`.
@@ -50,6 +54,7 @@ impl Backend for SimBackend {
     fn from_opts(opts: &BackendOpts) -> Self {
         SimBackend {
             cycles: opts.cycles,
+            cancel: None,
             throughput: Cell::new(None),
         }
     }
@@ -67,6 +72,9 @@ impl Backend for SimBackend {
         self.validate(ctx)?;
         let top = ctx.entrypoint.as_str();
         let mut sim = Simulator::new(ctx, top).map_err(|e| sim_error(Self::NAME, e))?;
+        if let Some(flag) = &self.cancel {
+            sim.cancel_on(Arc::clone(flag));
+        }
         let start = Instant::now();
         let stats = sim.run(self.cycles).map_err(|e| sim_error(Self::NAME, e))?;
         self.throughput.set(Some(SimThroughput {
@@ -80,6 +88,10 @@ impl Backend for SimBackend {
     fn throughput(&self) -> Option<SimThroughput> {
         self.throughput.get()
     }
+
+    fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel = Some(flag);
+    }
 }
 
 /// Runs the reference control-tree interpreter and reports cycles +
@@ -88,6 +100,8 @@ impl Backend for SimBackend {
 /// instance runs its own control, started by its `go` port.
 pub struct InterpBackend {
     cycles: u64,
+    /// See [`SimBackend`]'s field of the same name.
+    cancel: Option<Arc<AtomicBool>>,
     /// See [`SimBackend`]'s field of the same name.
     throughput: Cell<Option<SimThroughput>>,
 }
@@ -101,6 +115,7 @@ impl Backend for InterpBackend {
     fn from_opts(opts: &BackendOpts) -> Self {
         InterpBackend {
             cycles: opts.cycles,
+            cancel: None,
             throughput: Cell::new(None),
         }
     }
@@ -117,6 +132,9 @@ impl Backend for InterpBackend {
         self.validate(ctx)?;
         let top = ctx.entrypoint.as_str();
         let mut interp = Interpreter::new(ctx, top).map_err(|e| sim_error(Self::NAME, e))?;
+        if let Some(flag) = &self.cancel {
+            interp.cancel_on(Arc::clone(flag));
+        }
         let start = Instant::now();
         let stats = interp
             .run(self.cycles)
@@ -131,6 +149,10 @@ impl Backend for InterpBackend {
 
     fn throughput(&self) -> Option<SimThroughput> {
         self.throughput.get()
+    }
+
+    fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel = Some(flag);
     }
 }
 

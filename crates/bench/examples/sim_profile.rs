@@ -1,16 +1,20 @@
 //! Profiling harness for the simulation engines: run ONE engine over one
-//! PolyBench kernel, or all 19, many times, with nothing else in the
-//! process, so sampling profilers (`gprofng collect app`, `perf record`)
-//! see only the loop under study and an engine A/B needs no ledger run.
+//! PolyBench kernel, or all 19, or a systolic array, many times, with
+//! nothing else in the process, so sampling profilers (`gprofng collect
+//! app`, `perf record`) see only the loop under study and an engine A/B
+//! needs no ledger run.
 //!
 //! ```sh
 //! cargo run --release -p calyx_bench --example sim_profile -- rtl gemver 8 50
 //! cargo run --release -p calyx_bench --example sim_profile -- interp all 4 50
+//! cargo run --release -p calyx_bench --example sim_profile -- rtl systolic 4 50
 //! ```
 //!
-//! Arguments: engine (`rtl` or `interp`), kernel (a name, or `all`), size
-//! `n` (default 4, the ledger's), runs per kernel (default 20). `rtl`
-//! compiles with the `opt` pipeline, as the ledger's `polybench_rtl` does;
+//! Arguments: engine (`rtl` or `interp`), design (a kernel's name, `all`,
+//! or `systolic`), size (default 4: a kernel's `n`, the ledger's, or the
+//! array's rows and columns), runs per design (default 20). On a kernel
+//! `rtl` compiles with the `opt` pipeline, as the ledger's `polybench_rtl`
+//! does, and on the array with `lower-static`, as `systolic_lower` does;
 //! `interp` runs the un-lowered program, as `polybench_interp` does. Each
 //! run times building the engine (flattening) apart from simulating, and
 //! the simulation is reported per cycle.
@@ -18,6 +22,7 @@
 use calyx_core::ir::Context;
 use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, input_data, kernel, logical_of, KernelDef, KERNELS};
+use calyx_systolic::{generate, SystolicConfig};
 use std::time::{Duration, Instant};
 
 /// Memory name and initial contents, for each bank of each input.
@@ -41,6 +46,30 @@ impl Cost {
             self.run.as_secs_f64() * 1e3,
         )
     }
+}
+
+/// The `n`×`n` systolic array, ready for `engine`, and the memory image
+/// `examples/systolic_matmul.rs` loads.
+fn prepare_systolic(n: usize, engine: &str) -> (Context, Image) {
+    let mut ctx = generate(&SystolicConfig::square(n));
+    if engine == "rtl" {
+        let mut lower = PassManager::from_names(&["lower-static"]).expect("registered");
+        lower.run(&mut ctx).expect("lowers");
+    }
+    let mut image = Image::new();
+    for i in 0..n {
+        image.push((
+            format!("l{i}"),
+            (0..n).map(|k| ((i + k) % 5 + 1) as u64).collect(),
+        ));
+    }
+    for i in 0..n {
+        image.push((
+            format!("t{i}"),
+            (0..n).map(|k| ((2 * k + i) % 7 + 1) as u64).collect(),
+        ));
+    }
+    (ctx, image)
 }
 
 /// The kernel's program, ready for `engine`, and its memory image.
@@ -107,6 +136,12 @@ fn main() {
         .unwrap_or(20)
         .max(1);
 
+    if kname == "systolic" {
+        let (ctx, image) = prepare_systolic(n as usize, engine);
+        let cost = measure(engine, &ctx, &image, iters);
+        println!("{}", cost.line(&format!("{engine}/systolic {n}x{n}")));
+        return;
+    }
     let defs: Vec<&KernelDef> = if kname == "all" {
         KERNELS.iter().collect()
     } else {

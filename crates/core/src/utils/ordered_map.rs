@@ -97,6 +97,11 @@ impl<V: Named> OrderedMap<V> {
         Some(v)
     }
 
+    /// The position of `key` in insertion order.
+    pub fn position(&self, key: Id) -> Option<usize> {
+        self.index.get(&key).copied()
+    }
+
     /// Keep only entries satisfying the predicate, preserving order.
     pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
         let mut removed = Vec::new();

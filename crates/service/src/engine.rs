@@ -341,8 +341,10 @@ impl CompileService {
             Ok(resolved) => resolved,
             Err(e) => return fail(e.message),
         };
-        // An abandoned job stops at the next pass boundary.
+        // An abandoned job stops at the next pass boundary, or within a
+        // simulation's next 1,024 cycles.
         resolved.passes.cancel_on(Arc::clone(cancelled));
+        resolved.backend.cancel_on(Arc::clone(cancelled));
         // Source: a file, inline text, or empty (pure generators).
         let src = match (&req.input, &req.source) {
             (Some(path), _) => match std::fs::read_to_string(path) {
@@ -1117,6 +1119,70 @@ component main() -> () {
         }
         assert_eq!(AFTER_SLOW_RAN.load(Ordering::SeqCst), 0);
         assert_eq!(service.cache_stats(), CacheStats { hits: 0, misses: 1 });
+    }
+
+    static MARKERS_DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+    /// A pass that does nothing, and says when its pipeline is gone.
+    #[derive(Default)]
+    struct Marker;
+
+    impl Pass for Marker {
+        fn name(&self) -> &'static str {
+            "marker"
+        }
+
+        fn description(&self) -> &'static str {
+            "does nothing (test only)"
+        }
+
+        fn run_with(&mut self, _: &mut Context, _: &mut AnalysisCache) -> CalyxResult<()> {
+            Ok(())
+        }
+    }
+
+    impl Drop for Marker {
+        fn drop(&mut self) {
+            MARKERS_DROPPED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A simulation abandoned at its deadline stops within its next 1,024
+    /// cycles: the job's thread ends, although the loop never does and
+    /// its cycle budget would last for days.
+    #[test]
+    fn an_abandoned_simulation_stops() {
+        let mut session = Session::default();
+        session.passes.register::<Marker>();
+        let service = CompileService::with_session(session);
+        let dropped = MARKERS_DROPPED.load(Ordering::SeqCst);
+        let spin = "component main() -> () {
+            cells { r = std_reg(1); lt = std_lt(2); }
+            wires {
+              group cond { lt.left = 2'd0; lt.right = 2'd1; cond[done] = 1'd1; }
+              group body { r.in = 1'd1; r.write_en = 1'd1; body[done] = r.done; }
+            }
+            control { while lt.out with cond { body; } }
+          }";
+        let req = JobRequest {
+            source: Some(spin.to_string()),
+            pipeline: Some(vec!["marker".to_string()]),
+            backend: Some("interp".to_string()),
+            cycles: Some(1_000_000_000_000),
+            timeout_ms: Some(20),
+            ..JobRequest::default()
+        };
+        let resp = service.execute(0, &req, &JobDefaults::default());
+        assert_eq!(resp.status, Status::Timeout, "{:?}", resp.error);
+        // The job's thread drops its pipeline when the compile returns.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while MARKERS_DROPPED.load(Ordering::SeqCst) == dropped {
+            assert!(
+                Instant::now() < deadline,
+                "the abandoned simulation never ended"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

@@ -23,6 +23,12 @@ pub enum SimError {
         /// The exhausted budget.
         max_cycles: u64,
     },
+    /// The run was cancelled by whoever started it (the flag given to
+    /// `cancel_on`), before cycle `cycle`.
+    Cancelled {
+        /// The first cycle that did not run.
+        cycle: u64,
+    },
     /// A memory was written outside its bounds.
     OutOfBounds {
         /// Path of the memory cell.
@@ -56,6 +62,9 @@ impl fmt::Display for SimError {
             }
             SimError::Timeout { max_cycles } => {
                 write!(f, "design did not complete within {max_cycles} cycles")
+            }
+            SimError::Cancelled { cycle } => {
+                write!(f, "the run was cancelled before cycle {cycle}")
             }
             SimError::OutOfBounds {
                 memory,

@@ -13,19 +13,30 @@
 //!
 //! A port resolves only to a declared port or a group hole; anything else
 //! is an elaboration error (`well-formed` rejects such a program first).
-//! No port is named at set-up: [`FlatProgram::port_name`] renders one
-//! from the instance prefix and the `PortRef` when an error asks.
+//! Nothing is looked up by `PortRef`: a cell's ports take consecutive
+//! slots from a base slot, in declaration order, and a group's two holes
+//! and its `go` port three from its own, so a port resolves by the cell's
+//! or group's position in its component and the port's position on the
+//! cell. No port or cell is named at set-up: [`FlatProgram::port_name`]
+//! and [`FlatProgram::cell_path`] render one from the instance prefix when
+//! an error asks, and the index of cells by path is built when the
+//! harness first asks for a cell by path.
 //!
 //! Guards come from each component's pool: one interner per instance
 //! turns the pool nodes its assignments reach into [`FlatGuard`] nodes,
 //! numbered in the order the assignments first reach them.
 //!
 //! It ends in [`build_graph`]: all drivers of one port are grouped into
-//! a contiguous assignment range; those driver nodes, the interned guards
-//! and the combinational cells are sorted once, and the graph that was
-//! sorted is kept as the fan-out table.
+//! a contiguous assignment range by counting (one pass sizes every port's
+//! range, one places each driver, with no list per port); those driver
+//! nodes, the interned guards and the combinational cells are sorted once,
+//! the graph that was sorted is kept as the fan-out table, and the sorted
+//! nodes are lowered into the settle's tape (`settle.rs`).
 
-use super::index::{CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx};
+use super::index::{
+    AssignIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
+};
+use super::settle::Tape;
 use super::{
     sort_nodes, CtrlNode, FlatAssign, FlatAtom, FlatCell, FlatCellKind, FlatDesign, FlatGroup,
     FlatGuard, FlatInstance, FlatProgram, Graph, Node, PortData,
@@ -33,8 +44,8 @@ use super::{
 use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
 use calyx_core::ir::{
-    Assignment, Atom, CellType, Context, Control, Direction, GuardId, GuardNode, GuardPool, Id,
-    PortDef, PortRef, PostOrder, PrimKind,
+    Assignment, Atom, CellType, Component, Context, Control, Direction, GuardId, GuardNode,
+    GuardPool, Id, PortDef, PortParent, PortRef, PostOrder, PrimKind,
 };
 use calyx_core::prim::UnitOp;
 use rustc_hash::FxHashMap;
@@ -196,24 +207,52 @@ fn instantiate_primitive(
 
 /// What one instance's assignments and control may name: its declared
 /// ports (its own `this` ports, its cells') and its groups' holes, and its
-/// groups.
-struct Scope {
-    component: Id,
-    ports: FxHashMap<PortRef, PortIdx>,
-    groups: FxHashMap<Id, GroupIdx>,
+/// groups. Nothing is looked up by port: a cell's ports are numbered from
+/// its base slot in declaration order, and a group's holes from its own.
+struct Scope<'c> {
+    comp: &'c Component,
+    /// The instance's `this` ports and their slots.
+    this: &'c [(Id, PortIdx)],
+    /// Per cell, by position in the component: the slot of its first port,
+    /// and its ports.
+    cells: Vec<(usize, &'c [PortDef])>,
+    /// The slot of the first group's `go` hole. Group `i`'s `go` hole,
+    /// `done` hole and own `go` port are the three slots from
+    /// `holes + 3 * i` on.
+    holes: usize,
+    /// The index of the instance's first group; the others follow in the
+    /// component's order.
+    first_group: usize,
 }
 
-impl Scope {
+impl Scope<'_> {
     fn port(&self, port: &PortRef) -> SimResult<PortIdx> {
-        self.ports.get(port).copied().ok_or_else(|| {
-            SimError::Elaboration(format!("unresolved port `{port}` in `{}`", self.component))
+        let slot = match port.parent {
+            PortParent::This => self.this.iter().find(|(n, _)| *n == port.port).map(|p| p.1),
+            PortParent::Cell(cell) => self.comp.cells.position(cell).and_then(|i| {
+                let (base, ports) = self.cells[i];
+                let at = ports.iter().position(|pd| pd.name == port.port)?;
+                Some(PortIdx::new(base + at))
+            }),
+            PortParent::Group(group) => self.comp.groups.position(group).and_then(|i| {
+                let base = self.holes + 3 * i;
+                let hole = [Id::GO, Id::DONE].iter().position(|&h| h == port.port)?;
+                Some(PortIdx::new(base + hole))
+            }),
+        };
+        slot.ok_or_else(|| {
+            let component = self.comp.name;
+            SimError::Elaboration(format!("unresolved port `{port}` in `{component}`"))
         })
     }
 
     fn group(&self, group: Id) -> SimResult<GroupIdx> {
-        self.groups.get(&group).copied().ok_or_else(|| {
-            SimError::Elaboration(format!("undefined group `{group}` in `{}`", self.component))
-        })
+        let at = self.comp.groups.position(group);
+        at.map(|i| GroupIdx::new(self.first_group + i))
+            .ok_or_else(|| {
+                let component = self.comp.name;
+                SimError::Elaboration(format!("undefined group `{group}` in `{component}`"))
+            })
     }
 
     fn atom(&self, atom: &Atom) -> SimResult<FlatAtom> {
@@ -250,9 +289,14 @@ struct GuardInterner<'p> {
 
 impl<'p> GuardInterner<'p> {
     fn new(pool: &'p GuardPool) -> Self {
+        let mut done = vec![None; pool.len()];
+        // `FlatProgram::new` seeds index 0 with the one `True` node.
+        if let Some(t) = done.get_mut(GuardId::TRUE.index()) {
+            *t = Some(GuardIdx::new(0));
+        }
         GuardInterner {
             pool,
-            done: vec![None; pool.len()],
+            done,
             walk: PostOrder::default(),
         }
     }
@@ -264,6 +308,9 @@ impl<'p> GuardInterner<'p> {
         guards: &mut IndexedMap<GuardIdx, FlatGuard>,
         cons: &mut FxHashMap<FlatGuard, GuardIdx>,
     ) -> SimResult<GuardIdx> {
+        if let Some(done) = self.done[guard.index()] {
+            return Ok(done);
+        }
         self.walk.push(guard);
         while let Some(id) = self
             .walk
@@ -299,44 +346,47 @@ fn cons_guard(
     *cons.entry(node).or_insert_with(|| guards.push(node))
 }
 
-/// The assignments seen so far, by the port they drive.
-#[derive(Default)]
-struct Drivers {
-    /// Pending drivers per destination port, in push order; one entry per
-    /// allocated port.
-    of: Vec<Vec<(FlatAtom, GuardIdx)>>,
-    /// Destinations in first-seen order, for deterministic node layout.
-    order: Vec<PortIdx>,
-}
-
-impl Drivers {
-    fn push(&mut self, dst: PortIdx, src: FlatAtom, guard: GuardIdx) {
-        let entry = &mut self.of[dst.index()];
-        if entry.is_empty() {
-            self.order.push(dst);
+/// Build the evaluation graph of `prog`, whose assignments are `pushed`
+/// in the order the elaborator met them (the assignment arena is filled
+/// here): one node per driven port, per combinational cell or memory read
+/// port, and per interned guard, sorted. An engine reads the ports
+/// `observed` marks outside the graph.
+fn build_graph(prog: &mut FlatProgram, pushed: Vec<FlatAssign>, observed: &[bool]) -> Graph {
+    // Pack each destination's drivers into a contiguous assignment range,
+    // by counting: one pass sizes every port's range and notes the
+    // destinations in first-seen order, which is the order of their
+    // nodes; a second places each driver, keeping push order within a
+    // port.
+    let mut starts = vec![0u32; prog.ports.len() + 1];
+    let mut order = Vec::new();
+    for a in &pushed {
+        let count = &mut starts[a.dst.index() + 1];
+        if *count == 0 {
+            order.push(a.dst);
         }
-        entry.push((src, guard));
+        *count += 1;
     }
-}
-
-/// Build the evaluation graph of `prog`, whose assignments are `drivers`
-/// (the assignment arena is filled here): one node per driven port, per
-/// combinational cell or memory read port, and per interned guard,
-/// sorted.
-fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers) -> Graph {
-    // Pack each destination's drivers into a contiguous assignment range.
-    let mut nodes = Vec::new();
-    for dst in drivers.order {
-        let asgns = std::mem::take(&mut drivers.of[dst.index()]);
-        let start = prog.assigns.next_idx();
-        for (src, guard) in asgns {
-            prog.assigns.push(FlatAssign { dst, src, guard });
-        }
-        nodes.push(Node::Drivers {
+    for p in 0..prog.ports.len() {
+        starts[p + 1] += starts[p];
+    }
+    let mut next = starts.clone();
+    let mut placed = pushed.clone();
+    for a in pushed {
+        placed[next[a.dst.index()] as usize] = a;
+        next[a.dst.index()] += 1;
+    }
+    prog.assigns = IndexedMap::from_vec(placed);
+    let range = |dst: PortIdx| {
+        let (start, end) = (starts[dst.index()], starts[dst.index() + 1]);
+        IndexRange::new(AssignIdx::new(start as usize), AssignIdx::new(end as usize))
+    };
+    let mut nodes: Vec<Node> = order
+        .into_iter()
+        .map(|dst| Node::Drivers {
             dst,
-            asgns: IndexRange::new(start, prog.assigns.next_idx()),
-        });
-    }
+            asgns: range(dst),
+        })
+        .collect();
     for (ci, cell) in prog.cells.enumerate() {
         if matches!(
             cell.kind,
@@ -350,23 +400,9 @@ fn build_graph(prog: &mut FlatProgram, mut drivers: Drivers) -> Graph {
     nodes.extend(prog.guards.keys().map(Node::Guard));
 
     let mut graph = sort_nodes(&nodes, prog);
-
-    // Repack assignments into *evaluation* order. The packing above is
-    // destination-discovery order; a settle visits nodes in sorted order,
-    // so after repacking it reads the assignments it needs front to back.
-    // Guards stay in interning order: hash-consing shares subtrees across
-    // assignments, and each is one node of the graph whatever its index.
-    let mut assigns = IndexedMap::new();
-    for node in &mut graph.nodes {
-        if let Node::Drivers { asgns, .. } = node {
-            let start = assigns.next_idx();
-            for ai in asgns.iter() {
-                assigns.push(prog.assigns[ai]);
-            }
-            *asgns = IndexRange::new(start, assigns.next_idx());
-        }
-    }
-    prog.assigns = assigns;
+    // The settle reads drivers from the tape, which lists them in the
+    // sorted order; the arena keeps them by port.
+    graph.tape = Tape::lower(prog, &mut graph, observed);
     graph
 }
 
@@ -416,7 +452,8 @@ fn guard_reads_only(
 struct Flattener<'a> {
     ctx: &'a Context,
     prog: FlatProgram,
-    drivers: Drivers,
+    /// Every assignment, in the order it was met.
+    drivers: Vec<FlatAssign>,
     /// Hash-consing table of the program's guard arena.
     cons: FxHashMap<FlatGuard, GuardIdx>,
     /// Per port: whether it is an output that holds for a whole cycle —
@@ -425,12 +462,12 @@ struct Flattener<'a> {
     held: Vec<bool>,
     groups: IndexedMap<GroupIdx, FlatGroup>,
     ctrl: IndexedMap<CtrlIdx, CtrlNode>,
+    ctrl_parent: IndexedMap<CtrlIdx, Option<CtrlIdx>>,
 }
 
 impl Flattener<'_> {
-    /// A new port slot, with its (empty) driver list and `held` flag.
+    /// A new port slot, with its `held` flag.
     fn alloc(&mut self, instance: u32, width: u32, port: PortRef) -> PortIdx {
-        self.drivers.of.push(Vec::new());
         self.held.push(false);
         self.prog.ports.push(PortData {
             width,
@@ -442,16 +479,18 @@ impl Flattener<'_> {
     /// Elaborate an instance of component `name` at path `prefix`, whose
     /// `this` ports are the slots `this`.
     fn elaborate(&mut self, name: Id, prefix: String, this: &[(Id, PortIdx)]) -> SimResult<()> {
-        let comp = self
-            .ctx
+        let ctx = self.ctx;
+        let comp = ctx
             .components
             .get(name)
             .ok_or_else(|| SimError::Elaboration(format!("undefined component `{name}`")))?;
         let inst = self.prog.instances.len() as u32;
         let mut scope = Scope {
-            component: name,
-            ports: this.iter().map(|&(n, p)| (PortRef::this(n), p)).collect(),
-            groups: FxHashMap::default(),
+            comp,
+            this,
+            cells: Vec::with_capacity(comp.cells.len()),
+            holes: 0,
+            first_group: 0,
         };
         let interface = |port: Id| scope.port(&PortRef::this(port));
         let (go, done) = (interface(Id::GO)?, interface(Id::DONE)?);
@@ -467,35 +506,37 @@ impl Flattener<'_> {
         // Cells: declared ports at their declared widths, then the
         // primitive's model, or the child instance on the same slots.
         for cell in comp.cells.iter() {
+            let base = self.prog.ports.len();
             for pd in &cell.ports {
-                let port = PortRef::cell(cell.name, pd.name);
-                let slot = self.alloc(inst, pd.width, port);
-                scope.ports.insert(port, slot);
+                self.alloc(inst, pd.width, PortRef::cell(cell.name, pd.name));
             }
-            let prefix = &self.prog.instances[inst as usize].prefix;
+            scope.cells.push((base, &cell.ports));
             match &cell.prototype {
                 CellType::Primitive { name: prim, params } => {
-                    let port = |port: Id| scope.port(&PortRef::cell(cell.name, port));
+                    let port = |port: Id| match cell.ports.iter().position(|pd| pd.name == port) {
+                        Some(at) => Ok(PortIdx::new(base + at)),
+                        None => scope.port(&PortRef::cell(cell.name, port)),
+                    };
                     let (kind, state) =
                         instantiate_primitive(*prim, params, &self.prog.ports, port)?;
-                    let path = format!("{prefix}{}", cell.name);
                     for p in held_outputs(&kind).into_iter().flatten() {
                         self.held[p.index()] = true;
                     }
-                    let ci = self.prog.cells.push(FlatCell {
-                        path: path.clone(),
+                    self.prog.cells.push(FlatCell {
+                        instance: inst,
+                        name: cell.name,
                         kind,
                     });
                     self.prog.states.push(state);
-                    self.prog.cell_index.insert(path, ci);
                 }
                 CellType::Component { name: child } => {
+                    let prefix = &self.prog.instances[inst as usize].prefix;
                     let prefix = format!("{prefix}{}.", cell.name);
-                    let slot =
-                        |pd: &PortDef| (pd.name, scope.ports[&PortRef::cell(cell.name, pd.name)]);
-                    let child_this: Vec<(Id, PortIdx)> = cell.ports.iter().map(slot).collect();
+                    let slot = |(at, pd): (usize, &PortDef)| (pd.name, PortIdx::new(base + at));
+                    let child_this: Vec<(Id, PortIdx)> =
+                        cell.ports.iter().enumerate().map(slot).collect();
                     self.elaborate(*child, prefix, &child_this)?;
-                    let done = scope.ports[&PortRef::cell(cell.name, Id::DONE)];
+                    let done = scope.port(&PortRef::cell(cell.name, Id::DONE))?;
                     self.held[done.index()] = true;
                 }
             }
@@ -503,13 +544,13 @@ impl Flattener<'_> {
 
         // Every group gets a `go` port of its own, which only the
         // interpreter writes (whatever the program does with the hole
-        // `g[go]`), and slots for its two holes.
+        // `g[go]`), after slots for its two holes.
+        scope.holes = self.prog.ports.len();
+        scope.first_group = self.groups.len();
         let mut gos = Vec::with_capacity(comp.groups.len());
         for group in comp.groups.iter() {
             for hole in [Id::GO, Id::DONE] {
-                let port = PortRef::hole(group.name, hole);
-                let slot = self.alloc(inst, 1, port);
-                scope.ports.insert(port, slot);
+                self.alloc(inst, 1, PortRef::hole(group.name, hole));
             }
             gos.push(self.alloc(inst, 1, PortRef::hole(group.name, Id::GO)));
         }
@@ -531,8 +572,7 @@ impl Flattener<'_> {
                     done_writes.push(own);
                 }
             }
-            let g = self.add_group(group.name, go, done_writes);
-            scope.groups.insert(group.name, g);
+            self.add_group(group.name, go, done_writes);
         }
 
         self.prog.instances[inst as usize].root = self.ctrl_of(&comp.control, &scope)?;
@@ -562,17 +602,16 @@ impl Flattener<'_> {
                 FlatGuard::And(go, guard),
             ),
         };
-        self.drivers.push(dst, src, gated);
+        self.drivers.push(FlatAssign {
+            dst,
+            src,
+            guard: gated,
+        });
         Ok((guard, src))
     }
 
     /// Add group `name`, active while `go` is high.
-    fn add_group(
-        &mut self,
-        name: Id,
-        go: PortIdx,
-        done_writes: Vec<(GuardIdx, FlatAtom)>,
-    ) -> GroupIdx {
+    fn add_group(&mut self, name: Id, go: PortIdx, done_writes: Vec<(GuardIdx, FlatAtom)>) {
         let held = |atom: FlatAtom| atom.port().is_none_or(|p| self.held[p.index()]);
         let done_from_state = done_writes
             .iter()
@@ -582,7 +621,7 @@ impl Flattener<'_> {
             go,
             done_writes,
             done_from_state,
-        })
+        });
     }
 
     fn ctrl_of(&mut self, stmt: &Control, scope: &Scope) -> SimResult<CtrlIdx> {
@@ -620,7 +659,10 @@ impl Flattener<'_> {
                 body: self.ctrl_of(body, scope)?,
             },
         };
-        Ok(self.ctrl.push(node))
+        let n = self.ctrl.push(node);
+        self.ctrl_parent.push(None);
+        self.ctrl[n].for_each_child(|c| self.ctrl_parent[c] = Some(n));
+        Ok(n)
     }
 }
 
@@ -649,11 +691,12 @@ pub fn flatten(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
     let mut f = Flattener {
         ctx,
         prog: FlatProgram::new(),
-        drivers: Drivers::default(),
+        drivers: Vec::new(),
         cons: FxHashMap::default(),
         held: Vec::new(),
         groups: IndexedMap::new(),
         ctrl: IndexedMap::new(),
+        ctrl_parent: IndexedMap::new(),
     };
     // The top's interface ports are its own, instance 0's.
     let this: Vec<(Id, PortIdx)> = comp
@@ -668,12 +711,27 @@ pub fn flatten(ctx: &Context, top: &str) -> SimResult<FlatDesign> {
         .collect();
     f.elaborate(top, String::new(), &this)?;
 
-    let graph = build_graph(&mut f.prog, f.drivers);
+    // What the interpreter reads outside the graph: the ports its
+    // conditions sample, the sources of done conditions, and each
+    // instance's `go` and `done`.
+    let mut observed = vec![false; f.prog.ports.len()];
+    let ctrl_ports = f.ctrl.iter().filter_map(|n| match n {
+        CtrlNode::If { port, .. } | CtrlNode::While { port, .. } => Some(*port),
+        _ => None,
+    });
+    let done_sources = f.groups.iter().flat_map(|g| g.done_writes.iter());
+    let done_sources = done_sources.filter_map(|(_, src)| src.port());
+    let interfaces = f.prog.instances.iter().flat_map(|i| [i.go, i.done]);
+    for p in ctrl_ports.chain(done_sources).chain(interfaces) {
+        observed[p.index()] = true;
+    }
+    let graph = build_graph(&mut f.prog, f.drivers, &observed);
     Ok(FlatDesign {
         prog: f.prog,
         graph,
         groups: f.groups,
         ctrl: f.ctrl,
+        ctrl_parent: f.ctrl_parent,
         top_inputs,
     })
 }
@@ -836,7 +894,8 @@ mod tests {
         );
         // Cells are named by their path; the parent's group waits on a
         // `done` only the interpreter drives, which holds for the cycle.
-        assert_eq!(flat.prog.cell_index.keys().collect::<Vec<_>>(), ["c.r"]);
+        let paths = flat.prog.cells.keys().map(|ci| flat.prog.cell_path(ci));
+        assert_eq!(paths.collect::<Vec<_>>(), ["c.r"]);
         assert!(flat.groups.iter().all(|g| g.done_from_state));
         assert!(matches!(flat.ctrl[child.root], CtrlNode::Enable { .. }));
     }
@@ -856,12 +915,19 @@ mod tests {
         let prog = &flat.prog;
         let Graph { nodes, fanout, .. } = &flat.graph;
         let mut guard_nodes = 0;
+        let mut comparisons = 0;
+        // A port read as a guard shares the port's slot: the readers of
+        // the guard are the port's.
+        let guard_readers = |g: GuardIdx| match prog.guards[g] {
+            FlatGuard::Port(p) => fanout.of_port(p),
+            _ => fanout.of_guard(g),
+        };
         for (pos, node) in nodes.iter().enumerate() {
             let pos = pos as u32;
             // Whatever the node produces is read only further on, so one
             // ascending scan of the dirty set settles a cycle.
             let readers = match *node {
-                Node::Guard(g) => fanout.of_guard(g),
+                Node::Guard(g) => guard_readers(g),
                 Node::Drivers { dst, .. } => fanout.of_port(dst),
                 Node::Cell(c) => match prog.cells[c].kind {
                     FlatCellKind::Comb { out, .. } => fanout.of_port(out),
@@ -880,9 +946,20 @@ mod tests {
                     guard_nodes += 1;
                     match prog.guards[g] {
                         FlatGuard::True => {}
-                        FlatGuard::Port(p) => ports.push(p),
+                        // Nothing to evaluate, so nothing wakes it.
+                        FlatGuard::Port(p) => assert!(!fanout.of_port(p).contains(&pos)),
                         FlatGuard::Not(a) => guards.push(a),
                         FlatGuard::And(a, b) | FlatGuard::Or(a, b) => guards.extend([a, b]),
+                        // A comparison with a constant sits in its port's
+                        // comparison row, in order of the constant.
+                        FlatGuard::Comp(_, FlatAtom::Port(p), FlatAtom::Const(k))
+                        | FlatGuard::Comp(_, FlatAtom::Const(k), FlatAtom::Port(p)) => {
+                            let row = flat.graph.tape.comparisons(fanout, p);
+                            assert!(row.contains(&(k, pos)), "{node:?} reads {p:?}");
+                            assert!(row.windows(2).all(|w| w[0].0 <= w[1].0));
+                            assert!(!fanout.of_port(p).contains(&pos));
+                            comparisons += 1;
+                        }
                         FlatGuard::Comp(_, l, r) => {
                             ports.extend([l, r].into_iter().filter_map(FlatAtom::port))
                         }
@@ -910,11 +987,13 @@ mod tests {
                 assert!(fanout.of_port(p).contains(&pos), "{node:?} reads {p:?}");
             }
             for g in guards {
-                assert!(fanout.of_guard(g).contains(&pos), "{node:?} reads {g:?}");
+                assert!(guard_readers(g).contains(&pos), "{node:?} reads {g:?}");
             }
         }
-        // Every interned guard is a node, once.
+        // Every interned guard is a node, once; lowering's FSM state tests
+        // are comparisons with a constant.
         assert_eq!(guard_nodes, prog.guards.len());
+        assert!(comparisons > 0);
     }
 
     #[test]

@@ -76,6 +76,14 @@ impl<I: FlatIdx, T> IndexedMap<I, T> {
         }
     }
 
+    /// The arena holding `data`, in order.
+    pub fn from_vec(data: Vec<T>) -> Self {
+        IndexedMap {
+            data,
+            _marker: PhantomData,
+        }
+    }
+
     /// Append a value, returning its index.
     pub fn push(&mut self, value: T) -> I {
         let idx = I::new(self.data.len());

@@ -19,10 +19,20 @@
 //! latch to exactly the state it holds (the rule is on
 //! [`FlatProgram::tick`]), so it is skipped, and a cell that was not
 //! touched shows what it showed last cycle, so it need not be published
-//! again. The caller keeps the list of stateful cells
-//! ([`FlatProgram::stateful_cells`]) and the list of touched ones; the
-//! full walk [`FlatProgram::publish`] survives only as the oracle a debug
-//! build checks every settle against.
+//! again. The caller keeps the [`TickTable`] and the list of touched
+//! cells; the full walk [`FlatProgram::publish`] survives only as the
+//! oracle a debug build checks every settle against.
+//!
+//! **The tick rule.** The table lists each stateful cell once, in cell
+//! order, as the port that arms it (`write_en`, or a unit's `go`), with one
+//! busy bit per cell: set while a `done` is up or a unit counts down. A
+//! tick reads the enables of 64 cells into one word of bits, ORs in their
+//! busy bits, and latches only the cells whose bit is set, through the
+//! full model; their busy bits are then read back from the model. Nothing
+//! in the settle tracks which cells are armed, so the settle pays nothing
+//! for it, and an idle cell costs the tick one port read.
+//!
+//! A run looks at its cancel flag every 1,024 cycles ([`check_cancel`]).
 //!
 //! [`FlatProgram::set_memory`], [`FlatProgram::memory`] and
 //! [`FlatProgram::register_value`] are the harness's view of the same
@@ -37,6 +47,50 @@ use super::{CellIdx, FlatCell, FlatCellKind, FlatIdx, FlatProgram, PortIdx};
 use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
 use calyx_core::prim::mask;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// How many cycles a run goes between looks at its cancel flag.
+const CANCEL_EVERY: u64 = 1024;
+
+/// Whether a run stops before `cycle`: every [`CANCEL_EVERY`] cycles it
+/// looks at the flag it was given, and fails with
+/// [`SimError::Cancelled`] once the flag is set.
+#[inline]
+pub(crate) fn check_cancel(flag: Option<&Arc<AtomicBool>>, cycle: u64) -> SimResult<()> {
+    if cycle.is_multiple_of(CANCEL_EVERY) && flag.is_some_and(|f| f.load(Ordering::Relaxed)) {
+        return Err(SimError::Cancelled { cycle });
+    }
+    Ok(())
+}
+
+/// The stateful cells in cell order, each with the port that arms it
+/// (`write_en`, or a unit's `go`), and one bit per cell that is set while
+/// its state is busy: a `done` up, a unit counting. A tick keeps the bits
+/// ([`FlatProgram::tick`]); nothing else changes whether a cell is busy.
+#[derive(Debug, Clone)]
+pub struct TickTable {
+    enables: Vec<PortIdx>,
+    cells: Vec<CellIdx>,
+    busy: Vec<u64>,
+}
+
+impl TickTable {
+    /// The cells, in cell order.
+    pub fn cells(&self) -> impl Iterator<Item = CellIdx> + '_ {
+        self.cells.iter().copied()
+    }
+
+    /// Whether the table's busy bit for each cell is its state's, as it
+    /// must be between ticks.
+    #[cfg(debug_assertions)]
+    pub(crate) fn agrees_with(&self, prog: &FlatProgram) -> bool {
+        let bit = |i: usize| self.busy[i / 64] >> (i % 64) & 1 == 1;
+        self.cells()
+            .enumerate()
+            .all(|(i, ci)| bit(i) == prog.states[ci].busy())
+    }
+}
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,14 +143,6 @@ impl FlatCell {
 }
 
 impl FlatProgram {
-    /// The stateful primitives — registers, memories and units — in cell
-    /// order: the only cells [`FlatProgram::tick`] and
-    /// [`FlatProgram::publish_cell`] have anything to do for.
-    pub fn stateful_cells(&self) -> Vec<CellIdx> {
-        let comb = |ci: &CellIdx| matches!(self.cells[*ci].kind, FlatCellKind::Comb { .. });
-        self.cells.keys().filter(|ci| !comb(ci)).collect()
-    }
-
     /// Write stateful cell `ci`'s outputs (register value, unit results,
     /// the registered `done` flag) into `values`, and call `changed` with
     /// each port whose value that replaced a different one. These are
@@ -105,12 +151,18 @@ impl FlatProgram {
     ///
     /// A caller whose `values` persist from the last cycle calls this for
     /// the cells the last tick touched, and learns from `changed` what
-    /// that tick altered.
+    /// that tick altered: the port, its old value and its new one.
     #[inline]
-    pub fn publish_cell(&self, ci: CellIdx, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
+    pub fn publish_cell(
+        &self,
+        ci: CellIdx,
+        values: &mut [u64],
+        mut changed: impl FnMut(PortIdx, u64, u64),
+    ) {
         let mut show = |port: PortIdx, v: u64| {
-            if std::mem::replace(&mut values[port.index()], v) != v {
-                changed(port);
+            let old = std::mem::replace(&mut values[port.index()], v);
+            if old != v {
+                changed(port, old, v);
             }
         };
         match (&self.cells[ci].kind, &self.states[ci]) {
@@ -146,15 +198,39 @@ impl FlatProgram {
     /// as the oracle a debug build checks the change-driven publish
     /// against (once the wires settled, it must change nothing).
     #[cfg(any(test, debug_assertions))]
-    pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx)) {
+    pub fn publish(&self, values: &mut [u64], mut changed: impl FnMut(PortIdx, u64, u64)) {
         for ci in self.cells.keys() {
             self.publish_cell(ci, values, &mut changed);
         }
     }
 
-    /// End a cycle: each *armed* cell of `stateful` latches from the
-    /// settled `values` (the synchronous update). A cell is armed when
-    /// latching can change its state:
+    /// The stateful cells as [`FlatProgram::tick`] scans them.
+    pub fn tick_table(&self) -> TickTable {
+        let mut table = TickTable {
+            enables: Vec::new(),
+            cells: Vec::new(),
+            busy: Vec::new(),
+        };
+        for (ci, cell) in self.cells.enumerate() {
+            let enable = match &cell.kind {
+                FlatCellKind::Reg { write_en, .. } | FlatCellKind::Mem { write_en, .. } => write_en,
+                FlatCellKind::Unit { go, .. } => go,
+                FlatCellKind::Comb { .. } => continue,
+            };
+            let i = table.cells.len();
+            if i.is_multiple_of(64) {
+                table.busy.push(0);
+            }
+            table.busy[i / 64] |= u64::from(self.states[ci].busy()) << (i % 64);
+            table.enables.push(*enable);
+            table.cells.push(ci);
+        }
+        table
+    }
+
+    /// End a cycle: each *armed* cell of `table` latches from the settled
+    /// `values` (the synchronous update). A cell is armed when latching
+    /// can change its state:
     ///
     /// - a register or memory when its `write_en` is high, or its `done`
     ///   is up (the pulse must fall);
@@ -163,73 +239,88 @@ impl FlatProgram {
     ///
     /// Any other cell latches to exactly the state it holds — no write, a
     /// `done` that stays low, an idle unit that stays idle — so it is not
-    /// touched. `ticked` is called with each armed cell (its outputs may
-    /// show new values next cycle), and `wrote` with each memory that
-    /// stored a word: its read port may show a new value next cycle
-    /// although no address port moved.
+    /// touched. The scan reads one enable port and one busy bit per cell
+    /// and looks at a cell's model only when either is set. `ticked` is
+    /// called with each armed cell (its outputs may show new values next
+    /// cycle), and `wrote` with each memory that stored a word: its read
+    /// port may show a new value next cycle although no address port
+    /// moved.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`], naming the cell's path, when a
-    /// memory is written past its end. The cells before it in `stateful`
-    /// have latched, and were reported to `ticked`.
+    /// memory is written past its end. The cells before it in `table` have
+    /// latched, and were reported to `ticked`.
     #[inline]
     pub fn tick(
         &mut self,
-        stateful: &[CellIdx],
+        table: &mut TickTable,
         values: &[u64],
         mut ticked: impl FnMut(CellIdx),
         mut wrote: impl FnMut(CellIdx),
     ) -> SimResult<()> {
-        let FlatProgram { cells, states, .. } = self;
-        for &ci in stateful {
-            let state = &mut states[ci];
-            match &cells[ci].kind {
-                FlatCellKind::Reg {
-                    input, write_en, ..
-                } => {
-                    let we = values[write_en.index()] != 0;
-                    if !we && !state.busy() {
-                        continue;
-                    }
-                    state.tick_reg(values[input.index()], we);
-                }
-                FlatCellKind::Mem {
-                    addrs,
-                    write_data,
-                    write_en,
-                    ..
-                } => {
-                    let we = values[write_en.index()] != 0;
-                    if !we && !state.busy() {
-                        continue;
-                    }
-                    let av = address(addrs, values);
-                    let wd = values[write_data.index()];
-                    state.tick_mem(&av[..addrs.len()], wd, we, &cells[ci].path)?;
-                    if we {
-                        wrote(ci);
-                    }
-                }
-                FlatCellKind::Unit {
-                    left, right, go, ..
-                } => {
-                    let g = values[go.index()] != 0;
-                    if !g && !state.busy() {
-                        continue;
-                    }
-                    state.tick_unit(values[left.index()], values[right.index()], g);
-                }
-                FlatCellKind::Comb { .. } => continue,
+        let FlatProgram {
+            cells,
+            states,
+            instances,
+            ..
+        } = self;
+        let words = table.enables.chunks(64).zip(table.cells.chunks(64));
+        for ((enables, chunk), busy) in words.zip(&mut table.busy) {
+            // The armed cells of this word: a high enable or a busy bit.
+            let mut armed = *busy;
+            for (bit, enable) in enables.iter().enumerate() {
+                armed |= u64::from(values[enable.index()] != 0) << bit;
             }
-            ticked(ci);
+            while armed != 0 {
+                let bit = armed.trailing_zeros();
+                armed &= armed - 1;
+                let (enable, ci) = (enables[bit as usize], chunk[bit as usize]);
+                let enabled = values[enable.index()] != 0;
+                let state = &mut states[ci];
+                match &cells[ci].kind {
+                    FlatCellKind::Reg { input, .. } => {
+                        state.tick_reg(values[input.index()], enabled)
+                    }
+                    FlatCellKind::Mem {
+                        addrs, write_data, ..
+                    } => {
+                        let av = address(addrs, values);
+                        let wd = values[write_data.index()];
+                        let path = || cells[ci].path(instances);
+                        state.tick_mem(&av[..addrs.len()], wd, enabled, path)?;
+                        if enabled {
+                            wrote(ci);
+                        }
+                    }
+                    FlatCellKind::Unit { left, right, .. } => {
+                        state.tick_unit(values[left.index()], values[right.index()], enabled)
+                    }
+                    FlatCellKind::Comb { .. } => unreachable!("a tick table lists stateful cells"),
+                }
+                *busy = *busy & !(1 << bit) | u64::from(state.busy()) << bit;
+                ticked(ci);
+            }
         }
         Ok(())
     }
 
-    /// The primitive at hierarchical path `path` (`acc`, `pe_0_0.acc`).
+    /// The primitive at hierarchical path `path` (`acc`, `pe_0_0.acc`):
+    /// the instance whose prefix is all of `path` up to its last `.`, and
+    /// the cell of that name in it.
     fn cell(&self, path: &str) -> SimResult<CellIdx> {
-        let ci = self.cell_index.get(path).copied();
+        let index = self.cell_index.get_or_init(|| {
+            let names = self.cells.enumerate();
+            names
+                .map(|(ci, c)| ((c.instance, c.name.as_str()), ci))
+                .collect()
+        });
+        let (prefix, name) = match path.rfind('.') {
+            Some(dot) => path.split_at(dot + 1),
+            None => ("", path),
+        };
+        let instance = self.instances.iter().position(|i| i.prefix == prefix);
+        let ci = instance.and_then(|i| index.get(&(i as u32, name)).copied());
         ci.ok_or_else(|| SimError::UnknownCell(path.to_string()))
     }
 
@@ -331,15 +422,15 @@ mod tests {
         inputs: &[(PortIdx, u64)],
     ) -> SimResult<(Vec<u64>, Vec<CellIdx>)> {
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values, |_| {});
+        prog.publish(&mut values, |_, _, _| {});
         for &(p, v) in inputs {
             values[p.index()] = v;
         }
         let mut touched = Vec::new();
-        let stateful = prog.stateful_cells();
-        prog.tick(&stateful, &values, |ci| touched.push(ci), |_| {})?;
+        let mut table = prog.tick_table();
+        prog.tick(&mut table, &values, |ci| touched.push(ci), |_| {})?;
         values.fill(0);
-        prog.publish(&mut values, |_| {});
+        prog.publish(&mut values, |_, _, _| {});
         Ok((values, touched))
     }
 
@@ -372,7 +463,7 @@ mod tests {
     #[test]
     fn a_register_written_once_is_touched_until_its_done_falls() {
         let (mut prog, r) = machine("r = std_reg(8); add = std_add(8);");
-        assert_eq!(prog.stateful_cells(), vec![r]);
+        assert_eq!(prog.tick_table().cells().collect::<Vec<_>>(), vec![r]);
         let FlatCellKind::Reg {
             input,
             write_en,
@@ -501,7 +592,7 @@ mod tests {
             4
         );
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values, |_| {});
+        prog.publish(&mut values, |_, _, _| {});
         assert_eq!(values[out.index()], (20 * 13) & 0xff);
         // `done` is a pulse; the product is held.
         let seen = cycle(&mut prog, &[]).unwrap();
@@ -527,7 +618,7 @@ mod tests {
             4
         );
         let mut values = vec![0; prog.ports.len()];
-        prog.publish(&mut values, |_| {});
+        prog.publish(&mut values, |_, _, _| {});
         assert_eq!((values[out.index()], values[rem.index()]), (4, 3));
     }
 

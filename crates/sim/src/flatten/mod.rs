@@ -19,8 +19,8 @@
 //!   chains. The elaborator builds it through one hash-consing interner,
 //!   so structurally equal subtrees are one node.
 //! - **Assignment tables** — assignments are stored contiguously grouped
-//!   by the port they drive, in evaluation order, so "the drivers of a
-//!   port" is one [`IndexRange`].
+//!   by the port they drive, so "the drivers of a port" is one
+//!   [`IndexRange`].
 //! - **Flat control** — [`CtrlNode`]s in an arena with child indices
 //!   replace the interpreter's recursive `StmtState` clone-on-advance
 //!   machinery.
@@ -30,8 +30,9 @@
 //! the child component's `this` ports are the same arena slots), and every
 //! instance keeps its groups and its control tree, one root per
 //! [`FlatInstance`]; a lowered design simply has none. It ends with the
-//! guard/driver/cell [`Node`]s sorted once, and the graph that was sorted
-//! kept as the [`FanOut`] table the change-driven settle follows
+//! guard/driver/cell [`Node`]s sorted once, the graph that was sorted
+//! kept as the [`FanOut`] table the change-driven settle follows, and the
+//! sorted nodes lowered into the settle's flat instruction tape
 //! ([`Graph`]).
 //!
 //! # What the machine owns, and what an engine owns
@@ -58,10 +59,11 @@
 //!   reports
 //!   ([`RunStats`]);
 //! - how the wires settle in between ([`Wires`]): port and guard values
-//!   that persist from cycle to cycle, and one scan of the dirty nodes in
-//!   sorted order, each waking its readers only when its output changed;
-//!   `Wires` also keeps the list of stateful cells a tick looks at and the
-//!   list of cells it touched, which are all the next publish shows.
+//!   that persist from cycle to cycle in one slot array, and one scan of
+//!   the dirty nodes in sorted order over the tape, each waking its
+//!   readers only when its output changed; `Wires` also keeps the
+//!   [`TickTable`] a tick scans and the list of cells it touched, which
+//!   are all the next publish shows.
 //!
 //! An engine owns what drives the machine, and its [`DriverRule`]:
 //!
@@ -70,8 +72,9 @@
 //!   rule that two active drivers of one port are a conflict whatever they
 //!   drive;
 //! - [`crate::interp`]: the control walk that picks the active groups and
-//!   raises their `go` ports (walked again only when a group finished or
-//!   a condition without a `with` group is sampled), each sub-instance's
+//!   raises their `go` ports (walked up from a node only when its group
+//!   finished or it is a condition without a `with` group, sampled; each
+//!   node's parent is [`FlatDesign::ctrl_parent`]), each sub-instance's
 //!   `go`/`done` handshake, the done-observation cycle, and the rule that
 //!   two active drivers conflict only when their values differ.
 //!
@@ -80,9 +83,10 @@
 //! after its child guards, and before every [`Node::Drivers`] that uses
 //! it. Its value is stored, so evaluating it is one step over its
 //! children's stored values and a `Drivers` node tests a guard by reading
-//! one `bool`. The stored value is right because the sorted order makes
-//! every input final before the node runs, and it is kept from cycle to
-//! cycle because the node is re-run whenever one of its inputs changes.
+//! one slot (a guard that reads one port is that port's slot). The stored
+//! value is right because the sorted order makes every input final before
+//! the node runs, and it is kept from cycle to cycle because the node is
+//! re-run whenever one of its inputs changes.
 //!
 //! **Group activity is a port.** The interpreter's view applies the
 //! paper's own lowering (§4) at flatten time: each group gets a `go` port
@@ -110,13 +114,15 @@ pub use build::flatten;
 pub use index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
-pub use machine::RunStats;
+pub(crate) use machine::check_cancel;
+pub use machine::{RunStats, TickTable};
 pub use settle::{DriverRule, Wires};
 
 use crate::prim::PrimState;
 use calyx_core::ir::{CompOp, Id, PortRef};
 use calyx_core::prim::CombOp;
 use rustc_hash::FxHashMap;
+use std::sync::OnceLock;
 
 /// A flattened atom: a port slot or a literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,10 +246,21 @@ pub enum FlatCellKind {
 /// One primitive instance in the flat design.
 #[derive(Debug, Clone)]
 pub struct FlatCell {
-    /// Diagnostic path (`cell` or hierarchical `parent.child`).
-    pub path: String,
+    /// The instance it belongs to, by position in
+    /// [`FlatProgram::instances`].
+    pub instance: u32,
+    /// Its name in that instance's component. [`FlatProgram::cell_path`]
+    /// renders its path.
+    pub name: Id,
     /// Port connections and behavior.
     pub kind: FlatCellKind,
+}
+
+impl FlatCell {
+    /// Its hierarchical path (`acc`, `pe_0_0.acc`), under `instances`.
+    fn path(&self, instances: &[FlatInstance]) -> String {
+        format!("{}{}", instances[self.instance as usize].prefix, self.name)
+    }
 }
 
 /// A group, flattened to the port that activates it and its done
@@ -310,6 +327,25 @@ pub enum CtrlNode {
     },
 }
 
+impl CtrlNode {
+    /// Call `f` with each child, in order.
+    pub fn for_each_child(&self, mut f: impl FnMut(CtrlIdx)) {
+        match self {
+            CtrlNode::Empty | CtrlNode::Enable { .. } => {}
+            CtrlNode::Seq { children } | CtrlNode::Par { children } => {
+                children.iter().copied().for_each(f)
+            }
+            CtrlNode::If {
+                tbranch, fbranch, ..
+            } => {
+                f(*tbranch);
+                f(*fbranch);
+            }
+            CtrlNode::While { body, .. } => f(*body),
+        }
+    }
+}
+
 /// One elaborated component instance.
 #[derive(Debug, Clone)]
 pub struct FlatInstance {
@@ -334,7 +370,7 @@ pub struct FlatProgram {
     pub ports: IndexedMap<PortIdx, PortData>,
     /// Interned guard nodes. Index 0 is always [`FlatGuard::True`].
     pub guards: IndexedMap<GuardIdx, FlatGuard>,
-    /// All assignments, grouped contiguously by owner.
+    /// All assignments, grouped contiguously by the port they drive.
     pub assigns: IndexedMap<AssignIdx, FlatAssign>,
     /// All primitive instances.
     pub cells: IndexedMap<CellIdx, FlatCell>,
@@ -344,10 +380,11 @@ pub struct FlatProgram {
     /// Every elaborated component instance, parents before children: the
     /// top is the first.
     pub instances: Vec<FlatInstance>,
-    /// The primitives by hierarchical path (`acc`, `pe_0_0.acc`): how the
-    /// harness names state.
-    #[allow(clippy::disallowed_types)] // keys are input text: keep SipHash
-    pub(crate) cell_index: std::collections::HashMap<String, CellIdx>,
+    /// The primitives by instance and name: how the harness's paths
+    /// (`acc`, `pe_0_0.acc`) find state. Built when it first asks for a
+    /// cell.
+    #[allow(clippy::disallowed_types)] // looked up by input text: keep SipHash
+    pub(crate) cell_index: OnceLock<std::collections::HashMap<(u32, &'static str), CellIdx>>,
 }
 
 impl FlatProgram {
@@ -369,6 +406,12 @@ impl FlatProgram {
     /// The interned [`FlatGuard::True`] node.
     pub fn true_guard(&self) -> GuardIdx {
         GuardIdx::new(0)
+    }
+
+    /// The hierarchical path of cell `ci` (`acc`, `pe_0_0.acc`): its
+    /// instance's prefix, then its name.
+    pub fn cell_path(&self, ci: CellIdx) -> String {
+        self.cells[ci].path(&self.instances)
     }
 
     /// The name an error gives port `p`: its instance's prefix, then the
@@ -479,6 +522,13 @@ impl Rows {
 /// is the graph the topological sort runs on, kept in compressed sparse
 /// rows: row `r` is `readers[starts[r]..starts[r + 1]]`. A node that
 /// reads the same thing twice is listed twice.
+///
+/// Once sorted, the rows are rerouted for the settle: a port read as a
+/// guard shares the port's slot, so the guard's readers sit in the
+/// port's row and the guard's own node in none, and a comparison of a
+/// port with a constant sits in the port's comparison row, which the
+/// settle's tape keeps in order of the constant, instead of the port's
+/// row.
 #[derive(Debug, Clone)]
 pub struct FanOut {
     rows: Rows,
@@ -509,6 +559,35 @@ impl FanOut {
     pub fn of_memory(&self, c: CellIdx) -> &[u32] {
         self.row(self.rows.memory_row(c))
     }
+
+    /// Rewrite the rows for the settle: take every reader at a position
+    /// `drop` picks out of every row, and give each port `p` the readers of
+    /// the guard `alias[p]` names (`u32::MAX` for none), whose own row is
+    /// emptied.
+    fn reroute(&mut self, drop: impl Fn(u32) -> bool, alias: &[u32]) {
+        let n_ports = self.rows.n_ports;
+        let mut emptied = vec![false; self.rows.n_guards];
+        for &g in alias.iter().filter(|&&g| g != u32::MAX) {
+            emptied[g as usize] = true;
+        }
+        let mut starts = Vec::with_capacity(self.starts.len());
+        let mut readers = Vec::with_capacity(self.readers.len());
+        starts.push(0);
+        for r in 0..self.starts.len() - 1 {
+            let mut keep = |row: &[u32]| readers.extend(row.iter().filter(|&&pos| !drop(pos)));
+            if r < n_ports {
+                keep(self.row(r));
+                if let Some(&g) = alias.get(r).filter(|&&g| g != u32::MAX) {
+                    keep(self.row(n_ports + g as usize));
+                }
+            } else if !emptied.get(r - n_ports).copied().unwrap_or(false) {
+                keep(self.row(r));
+            }
+            starts.push(readers.len() as u32);
+        }
+        self.starts = starts;
+        self.readers = readers;
+    }
 }
 
 /// The evaluation nodes of a flat program in the order a settle visits
@@ -530,6 +609,8 @@ pub struct Graph {
     /// of the ports and cells on or behind a structural cycle, in node
     /// order. Empty exactly when the tail is.
     pub cycle: Vec<String>,
+    /// The nodes lowered for the settle.
+    tape: settle::Tape,
 }
 
 /// A design flattened for either engine: the shared arenas, the sorted
@@ -547,6 +628,8 @@ pub struct FlatDesign {
     /// Every instance's control tree, each rooted at its
     /// [`FlatInstance::root`].
     pub ctrl: IndexedMap<CtrlIdx, CtrlNode>,
+    /// Each control node's parent; `None` for a root.
+    pub ctrl_parent: IndexedMap<CtrlIdx, Option<CtrlIdx>>,
     /// The top component's input ports.
     pub top_inputs: FxHashMap<Id, PortIdx>,
 }
@@ -712,7 +795,7 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> Graph {
                 .filter(|(_, &d)| d > 0)
                 .filter_map(|(n, _)| match *n {
                     Node::Drivers { dst, .. } => Some(prog.port_name(dst)),
-                    Node::Cell(c) => Some(prog.cells[c].path.clone()),
+                    Node::Cell(c) => Some(prog.cell_path(c)),
                     // A guard is stuck only behind a port that is listed.
                     Node::Guard(_) => None,
                 })
@@ -734,5 +817,6 @@ pub(super) fn sort_nodes(nodes: &[Node], prog: &FlatProgram) -> Graph {
         fanout,
         tail_start,
         cycle,
+        tape: settle::Tape::default(),
     }
 }

@@ -16,17 +16,32 @@
 //! switched and the state that ticked, and a port whose group went quiet
 //! settles to zero like any other port nothing drives.
 //!
-//! The walk itself runs on events, not on every cycle. Which groups are
-//! candidates depends on the control trees' runtime state and on which
-//! instances run, and `ctrl_advance` changes that state only when a
-//! candidate group finished, or when an `if`/`while` without a `with`
-//! group is in its condition phase (it samples its port at the end of the
-//! cycle, whether or not any group finished; `Candidates::samples`); an
-//! instance starts only when its `go` rises. In any other cycle no tree
-//! can move, so the candidates stand and neither the collect nor the
-//! advance runs; only the done flags raised are lowered again. A debug
-//! build collects afresh before every cycle and checks that the
-//! candidates it kept are the same.
+//! The walk itself runs on events, not on every cycle. Flattening
+//! records each control node's parent ([`FlatDesign::ctrl_parent`]), and
+//! the interpreter keeps the *candidates*: the `enable` nodes and the
+//! `if`/`while` nodes in their condition phase that the running trees
+//! wait on. A candidate fires when its group finished, or, for a
+//! condition without a `with` group, whenever it is waited on (it samples
+//! its port at the end of the cycle). A node that fired walks *up* from
+//! itself: a `seq` starts its next child, a `par` counts one more child
+//! finished, a `while` enters its condition again, a root ends its
+//! instance — and what starts is entered *down* from that child. The
+//! candidates change only on such an event or when an instance starts,
+//! and the raised `go` ports only then or while the done-observation rule
+//! holds a finished enable back; a cycle with none of these touches
+//! neither. After the settle, a candidate's done condition reads the
+//! stored value of its done guard, which is a settled node like every
+//! interned guard. The walk from the roots survives as the oracle. A
+//! debug build collects the candidates from the roots before every cycle
+//! and panics with `the control walk is stale` if they differ from the
+//! ones kept, and at the end of every cycle advances a copy of the
+//! runtime state from the roots, over done conditions evaluated from the
+//! ports, and panics if the events reached another state;
+//! `tests/control_walk.rs` runs a whole interpreter built on the root
+//! walk beside this one, cycle by cycle.
+//!
+//! A run looks at the flag given to [`Interpreter::cancel_on`] every
+//! 1,024 cycles, and stops with [`SimError::Cancelled`] once it is set.
 //!
 //! Two things are the interpreter's own. Its driver rule (`Agree`): two
 //! active drivers of one port conflict only when their values differ. And
@@ -77,20 +92,25 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{
-    eval_atom, eval_guard, flatten, CtrlIdx, CtrlNode, DriverRule, FlatDesign, FlatIdx,
-    FlatInstance, FlatProgram, GroupIdx, IndexedMap, RunStats, Wires,
+    check_cancel, eval_atom, eval_guard, flatten, CtrlIdx, CtrlNode, DriverRule, FlatDesign,
+    FlatIdx, FlatInstance, FlatProgram, GroupIdx, RunStats, Wires,
 };
 use calyx_core::ir::{Assignment, Context, Id, PortRef};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Per-node runtime state of the flattened control tree. Indexed by
 /// [`CtrlIdx`]; each field is meaningful only for the node kinds that use
 /// it (sequence position for `seq`, condition phase and branch choice for
-/// `if`/`while`, completion flags for `par` children).
+/// `if`/`while`, completion flags for `par` children and the count of
+/// those still running for `par`).
+#[derive(Debug, Clone)]
 struct CtrlRuntime {
     seq_pos: Vec<u32>,
     in_cond: Vec<bool>,
     taken: Vec<bool>,
     finished: Vec<bool>,
+    pending: Vec<u32>,
 }
 
 impl CtrlRuntime {
@@ -100,224 +120,99 @@ impl CtrlRuntime {
             in_cond: vec![false; n],
             taken: vec![false; n],
             finished: vec![false; n],
+            pending: vec![0; n],
         }
     }
 }
 
-/// (Re-)enter a node. Returns true when the node is immediately done —
-/// the flat equivalent of the tree interpreter's `init` producing `Done`.
-fn ctrl_start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut CtrlRuntime, n: CtrlIdx) -> bool {
-    match &ctrl[n] {
-        CtrlNode::Empty => true,
-        CtrlNode::Enable { .. } => false,
-        CtrlNode::Seq { children } => {
-            for (i, &c) in children.iter().enumerate() {
-                if !ctrl_start(ctrl, rt, c) {
-                    rt.seq_pos[n.index()] = i as u32;
-                    return false;
-                }
-            }
-            true
-        }
-        CtrlNode::Par { children } => {
-            let mut all = true;
-            for &c in children {
-                let done = ctrl_start(ctrl, rt, c);
-                rt.finished[c.index()] = done;
-                all &= done;
-            }
-            all
-        }
-        CtrlNode::If { .. } | CtrlNode::While { .. } => {
-            rt.in_cond[n.index()] = true;
-            false
-        }
-    }
-}
-
-/// What the control trees ask of a cycle: the candidate groups and
-/// whether a condition port is sampled at its end. It is a function of
-/// the [`CtrlRuntime`], which only [`ctrl_advance`] and [`ctrl_start`]
-/// change, and of which instances run.
-#[derive(Debug, Default, PartialEq)]
-struct Candidates {
+/// What the control trees ask of a cycle, in no particular order: the
+/// groups they enable, the `with` groups of the conditions they evaluate,
+/// and whether an `if`/`while` without a `with` group samples its port at
+/// the end of the cycle (whether or not any group finished).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Waiting {
     /// Enabled groups.
-    enables: Vec<GroupIdx>,
+    pub enables: Vec<GroupIdx>,
     /// The `with` groups of the conditions being evaluated.
-    conds: Vec<GroupIdx>,
-    /// An `if`/`while` without a `with` group is in its condition phase:
-    /// it samples its port at the end of the cycle, whether or not a group
-    /// finished.
-    samples: bool,
+    pub conds: Vec<GroupIdx>,
+    /// A condition without a `with` group is in its condition phase.
+    pub samples: bool,
+}
+
+impl Waiting {
+    /// The same, with both lists sorted: equal for equal multisets.
+    fn sorted(mut self) -> Self {
+        self.enables.sort_unstable();
+        self.conds.sort_unstable();
+        self
+    }
+}
+
+/// One node a control tree waits on: an `enable`, or an `if`/`while` in
+/// its condition phase.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    node: CtrlIdx,
+    /// The group the node activates: the enabled group, or the
+    /// condition's `with` group; `None` for a condition without one.
+    group: Option<GroupIdx>,
+    /// An enable, held to the done-observation rule; a condition's group
+    /// is not.
+    enable: bool,
+}
+
+impl Candidate {
+    /// An enable whose done condition does not read state alone
+    /// ([`crate::flatten::FlatGroup::done_from_state`]).
+    fn unstated(&self, flat: &FlatDesign) -> bool {
+        self.enable && self.group.is_some_and(|g| !flat.groups[g].done_from_state)
+    }
+}
+
+/// Marks a control node that is not a candidate in [`Candidates::at`].
+const NOT_WAITING: u32 = u32::MAX;
+
+/// The candidates of every running tree, kept as the trees move.
+struct Candidates {
+    list: Vec<Candidate>,
+    /// Each control node's position in `list`, or [`NOT_WAITING`].
+    at: Vec<u32>,
+    /// How many candidates are [`Candidate::unstated`].
+    unstated: usize,
 }
 
 impl Candidates {
-    /// Replace these with what the trees of the running instances ask of
-    /// the next cycle.
-    fn collect(&mut self, flat: &FlatDesign, rt: &CtrlRuntime, phases: &[Phase]) {
-        self.enables.clear();
-        self.conds.clear();
-        self.samples = false;
-        for (inst, phase) in flat.prog.instances.iter().zip(phases) {
-            if *phase == Phase::Running {
-                ctrl_collect(&flat.ctrl, rt, inst.root, self);
-            }
-        }
+    fn add(&mut self, flat: &FlatDesign, node: CtrlIdx, group: Option<GroupIdx>, enable: bool) {
+        debug_assert_eq!(self.at[node.index()], NOT_WAITING);
+        self.at[node.index()] = self.list.len() as u32;
+        let c = Candidate {
+            node,
+            group,
+            enable,
+        };
+        self.unstated += usize::from(c.unstated(flat));
+        self.list.push(c);
     }
-}
 
-/// Add what node `n` asks of the cycle to `into`.
-fn ctrl_collect(
-    ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
-    rt: &CtrlRuntime,
-    n: CtrlIdx,
-    into: &mut Candidates,
-) {
-    match &ctrl[n] {
-        CtrlNode::Empty => {}
-        CtrlNode::Enable { group } => into.enables.push(*group),
-        CtrlNode::Seq { children } => {
-            let child = children[rt.seq_pos[n.index()] as usize];
-            ctrl_collect(ctrl, rt, child, into);
+    fn remove(&mut self, flat: &FlatDesign, node: CtrlIdx) {
+        let i = std::mem::replace(&mut self.at[node.index()], NOT_WAITING) as usize;
+        let c = self.list.swap_remove(i);
+        if let Some(moved) = self.list.get(i) {
+            self.at[moved.node.index()] = i as u32;
         }
-        CtrlNode::Par { children } => {
-            for &c in children {
-                if !rt.finished[c.index()] {
-                    ctrl_collect(ctrl, rt, c, into);
-                }
-            }
-        }
-        CtrlNode::If {
-            cond,
-            tbranch,
-            fbranch,
-            ..
-        } => {
-            if rt.in_cond[n.index()] {
-                match cond {
-                    Some(c) => into.conds.push(*c),
-                    None => into.samples = true,
-                }
-            } else {
-                let branch = if rt.taken[n.index()] {
-                    *tbranch
-                } else {
-                    *fbranch
-                };
-                ctrl_collect(ctrl, rt, branch, into);
-            }
-        }
-        CtrlNode::While { cond, body, .. } => {
-            if rt.in_cond[n.index()] {
-                match cond {
-                    Some(c) => into.conds.push(*c),
-                    None => into.samples = true,
-                }
-            } else {
-                ctrl_collect(ctrl, rt, *body, into);
-            }
-        }
+        self.unstated -= usize::from(c.unstated(flat));
     }
-}
 
-/// Advance a node by one cycle given this cycle's observations. Returns
-/// true when the node finished. It changes `rt` only when one of the
-/// [`Candidates`] of `n` is in `done_groups`, or they sample a condition:
-/// otherwise every node it reaches waits on a group that did not finish.
-fn ctrl_advance(
-    ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
-    rt: &mut CtrlRuntime,
-    n: CtrlIdx,
-    done_groups: &[bool],
-    values: &[u64],
-) -> bool {
-    match &ctrl[n] {
-        CtrlNode::Empty => true,
-        CtrlNode::Enable { group } => done_groups[group.index()],
-        CtrlNode::Seq { children } => {
-            let pos = rt.seq_pos[n.index()] as usize;
-            if !ctrl_advance(ctrl, rt, children[pos], done_groups, values) {
-                return false;
-            }
-            for (i, &c) in children.iter().enumerate().skip(pos + 1) {
-                if !ctrl_start(ctrl, rt, c) {
-                    rt.seq_pos[n.index()] = i as u32;
-                    return false;
-                }
-            }
-            true
-        }
-        CtrlNode::Par { children } => {
-            let mut all = true;
-            for &c in children {
-                if rt.finished[c.index()] {
-                    continue;
-                }
-                if ctrl_advance(ctrl, rt, c, done_groups, values) {
-                    rt.finished[c.index()] = true;
-                } else {
-                    all = false;
-                }
-            }
-            all
-        }
-        CtrlNode::If {
-            port,
-            cond,
-            tbranch,
-            fbranch,
-        } => {
-            if rt.in_cond[n.index()] {
-                let cond_finished = match cond {
-                    Some(c) => done_groups[c.index()],
-                    None => true,
-                };
-                if !cond_finished {
-                    return false;
-                }
-                let taken = values[port.index()] != 0;
-                rt.taken[n.index()] = taken;
-                let branch = if taken { *tbranch } else { *fbranch };
-                if ctrl_start(ctrl, rt, branch) {
-                    true
-                } else {
-                    rt.in_cond[n.index()] = false;
-                    false
-                }
-            } else {
-                let branch = if rt.taken[n.index()] {
-                    *tbranch
-                } else {
-                    *fbranch
-                };
-                ctrl_advance(ctrl, rt, branch, done_groups, values)
+    fn waiting(&self) -> Waiting {
+        let mut w = Waiting::default();
+        for c in &self.list {
+            match (c.group, c.enable) {
+                (Some(g), true) => w.enables.push(g),
+                (Some(g), false) => w.conds.push(g),
+                (None, _) => w.samples = true,
             }
         }
-        CtrlNode::While { port, cond, body } => {
-            if rt.in_cond[n.index()] {
-                let cond_finished = match cond {
-                    Some(c) => done_groups[c.index()],
-                    None => true,
-                };
-                if !cond_finished {
-                    return false;
-                }
-                if values[port.index()] != 0 {
-                    // Empty body: immediately re-evaluate next cycle.
-                    if !ctrl_start(ctrl, rt, *body) {
-                        rt.in_cond[n.index()] = false;
-                    }
-                    false
-                } else {
-                    true
-                }
-            } else if ctrl_advance(ctrl, rt, *body, done_groups, values) {
-                rt.in_cond[n.index()] = true;
-                false
-            } else {
-                false
-            }
-        }
+        w.sorted()
     }
 }
 
@@ -333,28 +228,158 @@ enum Phase {
     Done,
 }
 
+/// The control trees of every instance, their runtime state and what
+/// they wait on. Every change to the runtime state starts at an event —
+/// a candidate that fired, or an instance that started — and goes down
+/// from a node with [`Trees::start`] or up from it with
+/// [`Trees::finish`].
+struct Trees {
+    rt: CtrlRuntime,
+    cands: Candidates,
+    /// Each instance's phase, by position in [`FlatProgram::instances`].
+    /// The run is over when the top's is `Done`.
+    phases: Vec<Phase>,
+    /// For each root control node, the instance it belongs to.
+    root_of: Vec<u32>,
+}
+
+impl Trees {
+    /// (Re-)enter node `n`, adding what it waits on to the candidates.
+    /// Returns true when the node is immediately done.
+    fn start(&mut self, flat: &FlatDesign, n: CtrlIdx) -> bool {
+        match &flat.ctrl[n] {
+            CtrlNode::Empty => true,
+            CtrlNode::Enable { group } => {
+                self.cands.add(flat, n, Some(*group), true);
+                false
+            }
+            CtrlNode::Seq { children } => {
+                for (i, &c) in children.iter().enumerate() {
+                    if !self.start(flat, c) {
+                        self.rt.seq_pos[n.index()] = i as u32;
+                        return false;
+                    }
+                }
+                true
+            }
+            CtrlNode::Par { children } => {
+                let mut running = 0;
+                for &c in children {
+                    let done = self.start(flat, c);
+                    self.rt.finished[c.index()] = done;
+                    running += u32::from(!done);
+                }
+                self.rt.pending[n.index()] = running;
+                running == 0
+            }
+            CtrlNode::If { cond, .. } | CtrlNode::While { cond, .. } => {
+                self.rt.in_cond[n.index()] = true;
+                self.cands.add(flat, n, *cond, false);
+                false
+            }
+        }
+    }
+
+    /// Candidate `n` fired: its group finished, or it is a condition whose
+    /// port is sampled now, reading `values`.
+    fn fire(&mut self, flat: &FlatDesign, n: CtrlIdx, values: &[u64]) {
+        match &flat.ctrl[n] {
+            CtrlNode::Enable { .. } => {
+                self.cands.remove(flat, n);
+                self.finish(flat, n);
+            }
+            CtrlNode::If {
+                port,
+                tbranch,
+                fbranch,
+                ..
+            } => {
+                self.cands.remove(flat, n);
+                let taken = values[port.index()] != 0;
+                self.rt.taken[n.index()] = taken;
+                let branch = if taken { *tbranch } else { *fbranch };
+                if self.start(flat, branch) {
+                    self.finish(flat, n);
+                } else {
+                    self.rt.in_cond[n.index()] = false;
+                }
+            }
+            CtrlNode::While { port, body, .. } => {
+                if values[port.index()] == 0 {
+                    self.cands.remove(flat, n);
+                    self.finish(flat, n);
+                } else if !self.start(flat, *body) {
+                    self.cands.remove(flat, n);
+                    self.rt.in_cond[n.index()] = false;
+                }
+                // An empty body: the condition is evaluated again next
+                // cycle, and the loop stays a candidate.
+            }
+            CtrlNode::Empty | CtrlNode::Seq { .. } | CtrlNode::Par { .. } => {
+                unreachable!("only enables and conditions wait")
+            }
+        }
+    }
+
+    /// Node `n` finished: walk up from it until an ancestor has more to
+    /// do, starting what comes next, or a root finishes.
+    fn finish(&mut self, flat: &FlatDesign, mut n: CtrlIdx) {
+        loop {
+            let Some(p) = flat.ctrl_parent[n] else {
+                self.phases[self.root_of[n.index()] as usize] = Phase::Done;
+                return;
+            };
+            match &flat.ctrl[p] {
+                CtrlNode::Seq { children } => {
+                    let pos = self.rt.seq_pos[p.index()] as usize;
+                    debug_assert_eq!(children[pos], n);
+                    for (i, &c) in children.iter().enumerate().skip(pos + 1) {
+                        if !self.start(flat, c) {
+                            self.rt.seq_pos[p.index()] = i as u32;
+                            return;
+                        }
+                    }
+                }
+                CtrlNode::Par { .. } => {
+                    self.rt.finished[n.index()] = true;
+                    self.rt.pending[p.index()] -= 1;
+                    if self.rt.pending[p.index()] > 0 {
+                        return;
+                    }
+                }
+                // The branch taken finished, and so did the `if`.
+                CtrlNode::If { .. } => {}
+                CtrlNode::While { cond, .. } => {
+                    self.rt.in_cond[p.index()] = true;
+                    self.cands.add(flat, p, *cond, false);
+                    return;
+                }
+                CtrlNode::Empty | CtrlNode::Enable { .. } => unreachable!("a leaf has no children"),
+            }
+            n = p;
+        }
+    }
+}
+
 /// The interpreter for a component hierarchy.
 pub struct Interpreter {
     flat: FlatDesign,
     wires: Wires,
-    rt: CtrlRuntime,
-    /// Each instance's phase, by position in [`FlatProgram::instances`].
-    /// The run is over when the top's is `Done`.
-    phases: Vec<Phase>,
+    trees: Trees,
     cycles: u64,
-    /// What the control trees ask of the next cycle; collected again only
-    /// after a tree moved or an instance started.
-    walk: Candidates,
     /// The groups whose `go` port is high.
     active: Vec<GroupIdx>,
+    /// Whether `active` is every candidate's group: set by an activation
+    /// that held no enable back, cleared when the candidates change.
+    all_active: bool,
     /// Scratch: the groups to run this cycle.
     survivors: Vec<GroupIdx>,
     /// Scratch of [`Interpreter::activate`], all false between calls.
     wanted: Vec<bool>,
-    /// Which groups finished in the last cycle, by group index.
-    done_flags: Vec<bool>,
-    /// The groups whose `done_flags` are set.
-    finished: Vec<GroupIdx>,
+    /// Scratch: the candidates that fired this cycle.
+    fired: Vec<CtrlIdx>,
+    /// Set by whoever gave up on the run ([`Interpreter::cancel_on`]).
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// Whether component `name`'s own wires drive its `done` port, which the
@@ -408,34 +433,50 @@ impl Interpreter {
                 )));
             }
         }
-        let n_groups = flat.groups.len();
-        let mut rt = CtrlRuntime::new(flat.ctrl.len());
-        let mut phases = vec![Phase::Idle; flat.prog.instances.len()];
+        let n_ctrl = flat.ctrl.len();
+        let mut root_of = vec![u32::MAX; n_ctrl];
+        for (i, inst) in flat.prog.instances.iter().enumerate() {
+            root_of[inst.root.index()] = i as u32;
+        }
+        let mut trees = Trees {
+            rt: CtrlRuntime::new(n_ctrl),
+            cands: Candidates {
+                list: Vec::new(),
+                at: vec![NOT_WAITING; n_ctrl],
+                unstated: 0,
+            },
+            phases: vec![Phase::Idle; flat.prog.instances.len()],
+            root_of,
+        };
         // The top's `go` is held high for the whole run: its tree starts
         // now.
         let top = &flat.prog.instances[0];
-        phases[0] = if ctrl_start(&flat.ctrl, &mut rt, top.root) {
+        trees.phases[0] = if trees.start(&flat, top.root) {
             Phase::Done
         } else {
             Phase::Running
         };
-        let mut walk = Candidates::default();
-        walk.collect(&flat, &rt, &phases);
         let mut wires = Wires::new(&flat.prog, &flat.graph);
         wires.set(&flat.graph, top.go, 1);
         Ok(Interpreter {
             wires,
-            rt,
-            phases,
+            trees,
             cycles: 0,
-            walk,
             active: Vec::new(),
+            all_active: false,
             survivors: Vec::new(),
-            wanted: vec![false; n_groups],
-            done_flags: vec![false; n_groups],
-            finished: Vec::new(),
+            wanted: vec![false; flat.groups.len()],
+            fired: Vec::new(),
+            cancel: None,
             flat,
         })
+    }
+
+    /// Stop [`Interpreter::run`] once `flag` is set: the run looks at it
+    /// every 1,024 cycles and fails with [`SimError::Cancelled`]. A
+    /// service sets the flag of a job it abandoned at its deadline.
+    pub fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel = Some(flag);
     }
 
     /// Initialize the contents of the memory at hierarchical path `cell`
@@ -474,17 +515,40 @@ impl Interpreter {
         &self.flat.prog
     }
 
+    /// The flattened design this interpreter runs.
+    pub fn design(&self) -> &FlatDesign {
+        &self.flat
+    }
+
+    /// What the control trees ask of the next cycle, each list sorted.
+    pub fn waiting(&self) -> Waiting {
+        self.trees.cands.waiting()
+    }
+
+    /// Whether the top's control tree has finished.
+    pub fn finished(&self) -> bool {
+        self.trees.phases[0] == Phase::Done
+    }
+
+    /// The cycles run so far.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
     /// Run the control program to completion.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Timeout`] past the cycle budget, driver-conflict
-    /// and convergence errors from settling.
+    /// Returns [`SimError::Timeout`] past the cycle budget,
+    /// [`SimError::Cancelled`] once the flag given to
+    /// [`Interpreter::cancel_on`] is set, driver-conflict and convergence
+    /// errors from settling.
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
-        while self.phases[0] != Phase::Done {
+        while !self.finished() {
             if self.cycles >= max_cycles {
                 return Err(SimError::Timeout { max_cycles });
             }
+            check_cancel(self.cancel.as_ref(), self.cycles)?;
             self.step()?;
         }
         Ok(RunStats {
@@ -492,18 +556,27 @@ impl Interpreter {
         })
     }
 
-    /// Execute one cycle: settle, tick state, and advance the control trees
-    /// if they can move.
-    fn step(&mut self) -> SimResult<()> {
+    /// Execute one cycle: settle, tick state, and move the control trees
+    /// on what finished. [`Interpreter::run`] is this until the top's
+    /// tree finishes.
+    ///
+    /// # Errors
+    ///
+    /// Driver-conflict and convergence errors from settling, and those of
+    /// a tick.
+    pub fn step(&mut self) -> SimResult<()> {
         // 1. Candidate groups this cycle: enabled groups plus the `with`
-        //    condition groups currently being evaluated, as collected when
-        //    a tree last moved.
+        //    condition groups currently being evaluated, as the trees
+        //    last moved.
         #[cfg(debug_assertions)]
         {
-            let mut fresh = Candidates::default();
-            fresh.collect(&self.flat, &self.rt, &self.phases);
+            let fresh = oracle::collect(&self.flat, &self.trees.rt, &self.trees.phases);
             let cycle = self.cycles;
-            assert_eq!(fresh, self.walk, "cycle {cycle}: the control walk is stale");
+            assert_eq!(
+                fresh,
+                self.waiting(),
+                "cycle {cycle}: the control walk is stale"
+            );
         }
         self.wires.publish(&self.flat.prog, &self.flat.graph);
 
@@ -515,94 +588,114 @@ impl Interpreter {
         //    active for the whole evaluation phase. When every candidate's
         //    done condition reads state alone, it is known without
         //    settling the wires under no group first.
-        let enables = &self.walk.enables;
-        if !enables.iter().all(|&g| self.flat.groups[g].done_from_state) {
+        if self.trees.cands.unstated > 0 {
             self.activate(&[]);
+            self.all_active = false;
             self.wires
                 .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
         }
         let mut survivors = std::mem::take(&mut self.survivors);
         survivors.clear();
-        survivors.extend(self.walk.enables.iter().filter(|&&g| !self.group_done(g)));
-        survivors.extend_from_slice(&self.walk.conds);
+        let mut held_back = false;
+        // Whether a candidate may fire at the end of the cycle: an enable
+        // whose done condition reads state alone is done after the settle
+        // exactly when it is now, so only a held-back one can.
+        let mut may_fire = self.trees.cands.unstated > 0;
+        for c in &self.trees.cands.list {
+            match c.group {
+                Some(g) if c.enable && self.group_done(g) => held_back = true,
+                Some(g) => survivors.push(g),
+                None => {}
+            }
+            may_fire |= !c.enable;
+        }
+        may_fire |= held_back;
 
-        // 3. Settle combinational values with the surviving groups.
-        self.activate(&survivors);
+        // 3. Settle combinational values with the surviving groups. The
+        //    `go` ports already raised are these unless an enable was
+        //    held back or the candidates changed.
+        if held_back || !self.all_active {
+            self.activate(&survivors);
+            self.all_active = !held_back;
+        }
         self.survivors = survivors;
         self.wires
             .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
 
-        // 4. Which candidate groups finished this cycle? Only the flags
-        //    the last cycle raised need lowering first.
-        for g in self.finished.drain(..) {
-            self.done_flags[g.index()] = false;
-        }
-        for &g in self.walk.enables.iter().chain(&self.walk.conds) {
-            if !self.done_flags[g.index()] && self.group_done(g) {
-                self.done_flags[g.index()] = true;
-                self.finished.push(g);
-            }
-        }
-
-        // 5. Synchronous update.
+        // 4. Synchronous update.
         self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
 
-        // 6. Advance the control trees and the sub-instances' handshakes
-        //    on this cycle's observations.
-        self.advance();
+        // 5. Move the control trees and the sub-instances' handshakes on
+        //    this cycle's observations.
+        self.advance(may_fire);
         self.cycles += 1;
         Ok(())
     }
 
-    /// The end of a cycle for the control trees. A tree can move only
-    /// when a group finished or a condition without a `with` group is
-    /// sampled, and the candidates change only then or when an instance
-    /// starts; otherwise this cycle's candidates are the next one's too.
+    /// The end of a cycle for the control trees. Each candidate whose
+    /// group finished, and each condition without a `with` group, fires;
+    /// the walk goes up from it. None is looked at unless one `may_fire`.
     /// A sub-instance's `done` shows its phase from the next cycle on.
-    fn advance(&mut self) {
+    fn advance(&mut self, may_fire: bool) {
         let Interpreter {
             flat,
             wires,
-            rt,
-            phases,
-            walk,
-            done_flags,
-            finished,
+            trees,
+            all_active,
+            fired,
             ..
         } = self;
         let instances = &flat.prog.instances;
         let go = |wires: &Wires, inst: &FlatInstance| wires.values()[inst.go.index()] != 0;
         // Before any tree moves: a `done` raised by a tree finishing now is
         // seen for at least the next cycle, whatever `go` did in this one.
-        for (inst, phase) in instances.iter().zip(phases.iter_mut()).skip(1) {
+        for (inst, phase) in instances.iter().zip(trees.phases.iter_mut()).skip(1) {
             if *phase == Phase::Done && !go(wires, inst) {
                 *phase = Phase::Idle;
             }
         }
-        let moved = !finished.is_empty() || walk.samples;
-        if moved {
-            for (inst, phase) in instances.iter().zip(phases.iter_mut()) {
-                if *phase == Phase::Running
-                    && ctrl_advance(&flat.ctrl, rt, inst.root, done_flags, wires.values())
-                {
-                    *phase = Phase::Done;
+        // Which candidates finished: each done condition reads the stored
+        // value of its guard, which this cycle's settle left final.
+        fired.clear();
+        if may_fire {
+            for c in &trees.cands.list {
+                if c.group.is_none_or(|g| group_settled_done(flat, wires, g)) {
+                    fired.push(c.node);
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        let expected = oracle::advance(
+            flat,
+            wires,
+            &trees.rt,
+            &trees.phases,
+            &trees.cands,
+            !fired.is_empty(),
+        );
+        for &n in fired.iter() {
+            trees.fire(flat, n, wires.values());
+        }
+        #[cfg(debug_assertions)]
+        oracle::check(&expected, &trees.rt, &trees.phases, self.cycles);
         let mut started = false;
-        for (inst, phase) in instances.iter().zip(phases.iter_mut()).skip(1) {
-            if *phase == Phase::Idle && go(wires, inst) {
+        for (i, inst) in instances.iter().enumerate().skip(1) {
+            if trees.phases[i] == Phase::Idle && go(wires, inst) {
                 started = true;
-                *phase = if ctrl_start(&flat.ctrl, rt, inst.root) {
+                trees.phases[i] = if trees.start(flat, inst.root) {
                     Phase::Done
                 } else {
                     Phase::Running
                 };
             }
-            wires.set(&flat.graph, inst.done, u64::from(*phase == Phase::Done));
+            wires.set(
+                &flat.graph,
+                inst.done,
+                u64::from(trees.phases[i] == Phase::Done),
+            );
         }
-        if moved || started {
-            walk.collect(flat, rt, phases);
+        if started || !fired.is_empty() {
+            *all_active = false;
         }
     }
 
@@ -610,14 +703,12 @@ impl Interpreter {
     /// atoms must be final: stateful outputs once published, anything
     /// else once settled.
     fn group_done(&self, g: GroupIdx) -> bool {
-        let guards = &self.flat.prog.guards;
-        let values = self.wires.values();
-        let mut writes = self.flat.groups[g].done_writes.iter();
-        writes.any(|&(guard, src)| eval_guard(guards, guard, values) && eval_atom(src, values) != 0)
+        group_done(&self.flat, self.wires.values(), g)
     }
 
     /// Make `want` the active groups: lower the `go` of every other
     /// group, raise theirs.
+    #[inline]
     fn activate(&mut self, want: &[GroupIdx]) {
         let Interpreter {
             flat,
@@ -638,6 +729,266 @@ impl Interpreter {
         }
         active.clear();
         active.extend_from_slice(want);
+    }
+}
+
+/// Group `g`'s done condition, each guard walked over `values`: before a
+/// settle, when the stored guard values are not yet this cycle's.
+#[inline]
+fn group_done(flat: &FlatDesign, values: &[u64], g: GroupIdx) -> bool {
+    let guards = &flat.prog.guards;
+    let mut writes = flat.groups[g].done_writes.iter();
+    writes.any(|&(guard, src)| eval_guard(guards, guard, values) && eval_atom(src, values) != 0)
+}
+
+/// Group `g`'s done condition after a settle: every interned guard is a
+/// node of the graph, so its stored value is final.
+#[inline]
+fn group_settled_done(flat: &FlatDesign, wires: &Wires, g: GroupIdx) -> bool {
+    let values = wires.values();
+    let mut writes = flat.groups[g].done_writes.iter();
+    writes.any(|&(guard, src)| wires.guard(&flat.graph, guard) && eval_atom(src, values) != 0)
+}
+
+/// The walk from the roots that the event-driven one replaced, kept as
+/// the oracle a debug build checks every cycle against: the candidates
+/// it collects must be the ones kept, and the runtime state it advances
+/// to must be the one the events reached.
+#[cfg(debug_assertions)]
+mod oracle {
+    use super::*;
+    use crate::flatten::IndexedMap;
+
+    /// What the trees of the running instances ask of the next cycle.
+    pub(super) fn collect(flat: &FlatDesign, rt: &CtrlRuntime, phases: &[Phase]) -> Waiting {
+        let mut into = Waiting::default();
+        for (inst, phase) in flat.prog.instances.iter().zip(phases) {
+            if *phase == Phase::Running {
+                ctrl_collect(&flat.ctrl, rt, inst.root, &mut into);
+            }
+        }
+        into.sorted()
+    }
+
+    /// Add what node `n` asks of the cycle to `into`.
+    fn ctrl_collect(
+        ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
+        rt: &CtrlRuntime,
+        n: CtrlIdx,
+        into: &mut Waiting,
+    ) {
+        match &ctrl[n] {
+            CtrlNode::Empty => {}
+            CtrlNode::Enable { group } => into.enables.push(*group),
+            CtrlNode::Seq { children } => {
+                let child = children[rt.seq_pos[n.index()] as usize];
+                ctrl_collect(ctrl, rt, child, into);
+            }
+            CtrlNode::Par { children } => {
+                for &c in children {
+                    if !rt.finished[c.index()] {
+                        ctrl_collect(ctrl, rt, c, into);
+                    }
+                }
+            }
+            CtrlNode::If {
+                cond,
+                tbranch,
+                fbranch,
+                ..
+            } => {
+                if rt.in_cond[n.index()] {
+                    match cond {
+                        Some(c) => into.conds.push(*c),
+                        None => into.samples = true,
+                    }
+                } else {
+                    let branch = if rt.taken[n.index()] {
+                        *tbranch
+                    } else {
+                        *fbranch
+                    };
+                    ctrl_collect(ctrl, rt, branch, into);
+                }
+            }
+            CtrlNode::While { cond, body, .. } => {
+                if rt.in_cond[n.index()] {
+                    match cond {
+                        Some(c) => into.conds.push(*c),
+                        None => into.samples = true,
+                    }
+                } else {
+                    ctrl_collect(ctrl, rt, *body, into);
+                }
+            }
+        }
+    }
+
+    /// (Re-)enter a node. Returns true when the node is immediately done.
+    fn ctrl_start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut CtrlRuntime, n: CtrlIdx) -> bool {
+        match &ctrl[n] {
+            CtrlNode::Empty => true,
+            CtrlNode::Enable { .. } => false,
+            CtrlNode::Seq { children } => {
+                for (i, &c) in children.iter().enumerate() {
+                    if !ctrl_start(ctrl, rt, c) {
+                        rt.seq_pos[n.index()] = i as u32;
+                        return false;
+                    }
+                }
+                true
+            }
+            CtrlNode::Par { children } => {
+                let mut all = true;
+                for &c in children {
+                    let done = ctrl_start(ctrl, rt, c);
+                    rt.finished[c.index()] = done;
+                    all &= done;
+                }
+                all
+            }
+            CtrlNode::If { .. } | CtrlNode::While { .. } => {
+                rt.in_cond[n.index()] = true;
+                false
+            }
+        }
+    }
+
+    /// Advance a node by one cycle given this cycle's observations.
+    /// Returns true when the node finished.
+    fn ctrl_advance(
+        ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
+        rt: &mut CtrlRuntime,
+        n: CtrlIdx,
+        done_groups: &[bool],
+        values: &[u64],
+    ) -> bool {
+        match &ctrl[n] {
+            CtrlNode::Empty => true,
+            CtrlNode::Enable { group } => done_groups[group.index()],
+            CtrlNode::Seq { children } => {
+                let pos = rt.seq_pos[n.index()] as usize;
+                if !ctrl_advance(ctrl, rt, children[pos], done_groups, values) {
+                    return false;
+                }
+                for (i, &c) in children.iter().enumerate().skip(pos + 1) {
+                    if !ctrl_start(ctrl, rt, c) {
+                        rt.seq_pos[n.index()] = i as u32;
+                        return false;
+                    }
+                }
+                true
+            }
+            CtrlNode::Par { children } => {
+                let mut all = true;
+                for &c in children {
+                    if rt.finished[c.index()] {
+                        continue;
+                    }
+                    if ctrl_advance(ctrl, rt, c, done_groups, values) {
+                        rt.finished[c.index()] = true;
+                    } else {
+                        all = false;
+                    }
+                }
+                all
+            }
+            CtrlNode::If {
+                port,
+                cond,
+                tbranch,
+                fbranch,
+            } => {
+                if rt.in_cond[n.index()] {
+                    if !cond.is_none_or(|c| done_groups[c.index()]) {
+                        return false;
+                    }
+                    let taken = values[port.index()] != 0;
+                    rt.taken[n.index()] = taken;
+                    let branch = if taken { *tbranch } else { *fbranch };
+                    if ctrl_start(ctrl, rt, branch) {
+                        true
+                    } else {
+                        rt.in_cond[n.index()] = false;
+                        false
+                    }
+                } else {
+                    let branch = if rt.taken[n.index()] {
+                        *tbranch
+                    } else {
+                        *fbranch
+                    };
+                    ctrl_advance(ctrl, rt, branch, done_groups, values)
+                }
+            }
+            CtrlNode::While { port, cond, body } => {
+                if rt.in_cond[n.index()] {
+                    if !cond.is_none_or(|c| done_groups[c.index()]) {
+                        return false;
+                    }
+                    if values[port.index()] != 0 {
+                        if !ctrl_start(ctrl, rt, *body) {
+                            rt.in_cond[n.index()] = false;
+                        }
+                        false
+                    } else {
+                        true
+                    }
+                } else if ctrl_advance(ctrl, rt, *body, done_groups, values) {
+                    rt.in_cond[n.index()] = true;
+                    false
+                } else {
+                    false
+                }
+            }
+        }
+    }
+
+    /// The runtime state and phases the root walk reaches from `rt` and
+    /// `phases` at the end of this cycle: it walks when a candidate
+    /// `moved`, over done conditions each evaluated from the ports.
+    pub(super) fn advance(
+        flat: &FlatDesign,
+        wires: &Wires,
+        rt: &CtrlRuntime,
+        phases: &[Phase],
+        cands: &Candidates,
+        moved: bool,
+    ) -> (CtrlRuntime, Vec<Phase>) {
+        let mut rt = rt.clone();
+        let mut phases = phases.to_vec();
+        if moved {
+            let mut done = vec![false; flat.groups.len()];
+            for g in cands.list.iter().filter_map(|c| c.group) {
+                done[g.index()] = group_done(flat, wires.values(), g);
+            }
+            for (inst, phase) in flat.prog.instances.iter().zip(&mut phases) {
+                if *phase == Phase::Running
+                    && ctrl_advance(&flat.ctrl, &mut rt, inst.root, &done, wires.values())
+                {
+                    *phase = Phase::Done;
+                }
+            }
+        }
+        (rt, phases)
+    }
+
+    /// Panic unless the events reached what the root walk did.
+    pub(super) fn check(
+        (want_rt, want_phases): &(CtrlRuntime, Vec<Phase>),
+        rt: &CtrlRuntime,
+        phases: &[Phase],
+        cycle: u64,
+    ) {
+        let same = want_rt.seq_pos == rt.seq_pos
+            && want_rt.in_cond == rt.in_cond
+            && want_rt.taken == rt.taken
+            && want_rt.finished == rt.finished
+            && want_phases[..] == *phases;
+        assert!(
+            same,
+            "cycle {cycle}: the control walk moved where the root walk did not"
+        );
     }
 }
 

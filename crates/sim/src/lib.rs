@@ -42,7 +42,7 @@
 //! registers by hierarchical path, and how guards are interned.
 //! [`flatten::Wires`] owns how the wires settle in between: a valuation
 //! that persists across cycles and a change-driven visit of the sorted
-//! nodes (guards among them). An engine owns what drives that machine —
+//! nodes (guards among them), lowered once into a flat instruction tape. An engine owns what drives that machine —
 //! [`rtl`] a lowered design and its `go`/`done` handshake, [`interp`] the
 //! control walk over every instance's tree, which raises the `go` port of
 //! each active group, each sub-instance's `go`/`done` handshake, and the

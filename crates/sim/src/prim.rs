@@ -101,13 +101,13 @@ impl PrimState {
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`] on a write past the end; the
-    /// caller supplies `path` for the error message.
+    /// caller supplies `path` for the error message, called only then.
     pub fn tick_mem(
         &mut self,
         addrs: &[u64],
         write_data: u64,
         write_en: bool,
-        path: &str,
+        path: impl FnOnce() -> String,
     ) -> SimResult<()> {
         if let PrimState::Mem {
             data,
@@ -120,7 +120,7 @@ impl PrimState {
                 let flat = Self::flat_address(dims, addrs);
                 if (flat as usize) >= data.len() {
                     return Err(SimError::OutOfBounds {
-                        memory: path.to_string(),
+                        memory: path(),
                         address: flat,
                         size: data.len() as u64,
                     });
@@ -259,9 +259,9 @@ mod tests {
             done: false,
             width: 8,
         };
-        m.tick_mem(&[2], 9, true, "m").unwrap();
+        m.tick_mem(&[2], 9, true, || "m".to_string()).unwrap();
         assert_eq!(m.mem_read(&[2]), 9);
-        let err = m.tick_mem(&[5], 1, true, "m").unwrap_err();
+        let err = m.tick_mem(&[5], 1, true, || "m".to_string()).unwrap_err();
         assert!(matches!(err, SimError::OutOfBounds { .. }));
         // Out-of-bounds *reads* are harmless zeros.
         assert_eq!(m.mem_read(&[100]), 0);

@@ -21,14 +21,17 @@
 //! sorted order, and a node marks its own readers only when its output
 //! differs from the stored one. Readers sit later in the order than what
 //! they read, so one ascending scan of the dirty set reaches a fixpoint,
-//! and a node runs at most once per cycle. Lowering stamps `fsm.out == k`
-//! on every assignment of FSM state `k`; those comparisons are
-//! re-evaluated when `fsm.out` moves, but only the two that flip wake the
-//! assignments behind them. A synchronous tick ends the cycle: it looks at
-//! the stateful primitives only (never a combinational cell) and latches
-//! only the *armed* ones — a register whose `write_en` is high, a `done`
-//! pulse that must fall, a unit that is started or counting — which it
-//! queues for the next publish.
+//! and a node runs at most once per cycle; the nodes are one flat tape of
+//! instructions over one slot array. Lowering stamps `fsm.out == k` on
+//! every assignment of FSM state `k`; when `fsm.out` moves from `a` to
+//! `b`, only the comparisons with a constant between `a` and `b` are
+//! re-evaluated, which are the ones that can flip. A synchronous tick
+//! ends the cycle: it scans one enable port and one busy bit per stateful
+//! primitive (never a combinational cell) and latches only the *armed*
+//! ones — a register whose `write_en` is high, a `done` pulse that must
+//! fall, a unit that is started or counting — which it queues for the
+//! next publish. A run looks at the flag given to
+//! [`Simulator::cancel_on`] every 1,024 cycles.
 //!
 //! Keeping values is sound because every port has one writer: IR
 //! validation admits assignments only to a cell's inputs and the
@@ -57,9 +60,13 @@
 //! conflict whatever they drive (`Strict`).
 
 use crate::error::{SimError, SimResult};
-use crate::flatten::{flatten, DriverRule, FlatDesign, FlatIdx, FlatProgram, RunStats, Wires};
+use crate::flatten::{
+    check_cancel, flatten, DriverRule, FlatDesign, FlatIdx, FlatProgram, RunStats, Wires,
+};
 use calyx_core::ir::{Context, Id};
 use calyx_core::prim::mask;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// A cycle-accurate simulator instance.
 ///
@@ -70,6 +77,8 @@ use calyx_core::prim::mask;
 pub struct Simulator {
     flat: FlatDesign,
     wires: Wires,
+    /// Set by whoever gave up on the run ([`Simulator::cancel_on`]).
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// The driver rule of synthesizable hardware: one active driver per port,
@@ -115,7 +124,18 @@ impl Simulator {
         let mut wires = Wires::new(&flat.prog, &flat.graph);
         // `go` is held high for the whole run.
         wires.set(&flat.graph, flat.prog.instances[0].go, 1);
-        Ok(Simulator { flat, wires })
+        Ok(Simulator {
+            flat,
+            wires,
+            cancel: None,
+        })
+    }
+
+    /// Stop [`Simulator::run`] once `flag` is set: the run looks at it
+    /// every 1,024 cycles and fails with [`SimError::Cancelled`]. A
+    /// service sets the flag of a job it abandoned at its deadline.
+    pub fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel = Some(flag);
     }
 
     /// Drive a top-level input port to `value` on every subsequent cycle.
@@ -178,7 +198,7 @@ impl Simulator {
     /// Settle one cycle: publish the stateful outputs, then visit what
     /// they woke. Returns the `done` port's value.
     fn settle(&mut self, cycle: u64) -> SimResult<bool> {
-        let Simulator { flat, wires } = self;
+        let Simulator { flat, wires, .. } = self;
         wires.publish(&flat.prog, &flat.graph);
         wires.settle::<Strict>(&flat.prog, &flat.graph, cycle)?;
         Ok(wires.values()[flat.prog.instances[0].done.index()] != 0)
@@ -190,9 +210,11 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError::Timeout`] if `done` does not rise within
-    /// `max_cycles`, or any settling/tick error.
+    /// `max_cycles`, [`SimError::Cancelled`] once the flag given to
+    /// [`Simulator::cancel_on`] is set, or any settling/tick error.
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
         for cycle in 0..max_cycles {
+            check_cancel(self.cancel.as_ref(), cycle)?;
             let done = self.settle(cycle)?;
             self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
             if done {

@@ -85,16 +85,16 @@ fn edges_until_done(
     done: PortIdx,
 ) -> u64 {
     let cell = CellIdx::new(0);
-    let stateful = prog.stateful_cells();
+    let mut table = prog.tick_table();
     let mut values = vec![0; prog.ports.len()];
     for &(port, value) in inputs {
         values[port.index()] = value;
     }
     values[activate.index()] = 1;
     for edges in 1..=64 {
-        prog.tick(&stateful, &values, |_| {}, |_| {}).unwrap();
+        prog.tick(&mut table, &values, |_| {}, |_| {}).unwrap();
         values[activate.index()] = 0;
-        prog.publish_cell(cell, &mut values, |_| {});
+        prog.publish_cell(cell, &mut values, |_, _, _| {});
         if values[done.index()] != 0 {
             return edges;
         }
