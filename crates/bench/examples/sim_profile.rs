@@ -17,7 +17,12 @@
 //! does, and on the array with `lower-static`, as `systolic_lower` does;
 //! `interp` runs the un-lowered program, as `polybench_interp` does. Each
 //! run times building the engine (flattening) apart from simulating, and
-//! the simulation is reported per cycle.
+//! the simulation is reported per cycle. A line gives the best run and
+//! the quartiles of the runs (`q1/median/q3`), not their mean, so one
+//! slow run (a descheduled process, a cold cache) does not move the
+//! figure an A/B compares. With `all`, the runs go in sweeps — every
+//! kernel once, then again — and the last line is the same statistics
+//! over whole sweeps.
 
 use calyx_core::ir::Context;
 use calyx_core::passes::PassManager;
@@ -28,22 +33,41 @@ use std::time::{Duration, Instant};
 /// Memory name and initial contents, for each bank of each input.
 type Image = Vec<(String, Vec<u64>)>;
 
-/// What one kernel costs per run, on average.
+/// What a design costs: its cycles, and the flatten and run time of
+/// each run.
 #[derive(Default)]
 struct Cost {
     cycles: u64,
-    flatten: Duration,
-    run: Duration,
+    flatten: Vec<Duration>,
+    run: Vec<Duration>,
+}
+
+/// The least, lower quartile, median and upper quartile of `samples`, in
+/// milliseconds (nearest rank).
+fn quartiles(samples: &[Duration]) -> [f64; 4] {
+    let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
+    ms.sort_by(f64::total_cmp);
+    let at = |q: usize| ms[(ms.len() - 1) * q / 4];
+    [at(0), at(1), at(2), at(3)]
 }
 
 impl Cost {
+    fn push(&mut self, (cycles, flatten, run): (u64, Duration, Duration)) {
+        self.cycles = cycles;
+        self.flatten.push(flatten);
+        self.run.push(run);
+    }
+
     fn line(&self, label: &str) -> String {
-        let ns_per_cycle = self.run.as_nanos() as f64 / self.cycles.max(1) as f64;
+        let [flatten, ..] = quartiles(&self.flatten);
+        let run = quartiles(&self.run);
+        let [best, q1, median, q3] = run.map(|ms| ms * 1e6 / self.cycles.max(1) as f64);
         format!(
-            "{label}: {} cycles, flatten {:.3} ms, run {:.3} ms, {ns_per_cycle:.0} ns/cycle",
+            "{label}: {} cycles, flatten {flatten:.3} ms, run {:.3} ms, {best:.0} ns/cycle best, \
+             {q1:.0}/{median:.0}/{q3:.0} q1/median/q3 over {} runs",
             self.cycles,
-            self.flatten.as_secs_f64() * 1e3,
-            self.run.as_secs_f64() * 1e3,
+            run[0],
+            self.run.len(),
         )
     }
 }
@@ -91,38 +115,40 @@ fn prepare(def: &KernelDef, n: u64, engine: &str) -> (Context, Image) {
     (ctx, image)
 }
 
-/// Build, load and run `engine` on `ctx` `iters` times.
-fn measure(engine: &str, ctx: &Context, image: &Image, iters: u32) -> Cost {
-    let mut cost = Cost::default();
-    for _ in 0..iters {
-        let built = Instant::now();
-        let (cycles, ran) = match engine {
-            "rtl" => {
-                let mut sim = calyx_sim::rtl::Simulator::new(ctx, "main").expect("builds");
-                cost.flatten += built.elapsed();
-                for (name, data) in image {
-                    sim.set_memory(&[name], data).expect("memory");
-                }
-                let ran = Instant::now();
-                (sim.run(100_000_000).expect("completes").cycles, ran)
+/// Build, load and run `engine` on `ctx` once: the cycles, the time to
+/// build the engine and the time to run it.
+fn measure(engine: &str, ctx: &Context, image: &Image) -> (u64, Duration, Duration) {
+    let built = Instant::now();
+    let (cycles, flatten, ran) = match engine {
+        "rtl" => {
+            let mut sim = calyx_sim::rtl::Simulator::new(ctx, "main").expect("builds");
+            let flatten = built.elapsed();
+            for (name, data) in image {
+                sim.set_memory(&[name], data).expect("memory");
             }
-            "interp" => {
-                let mut interp = calyx_sim::interp::Interpreter::new(ctx, "main").expect("builds");
-                cost.flatten += built.elapsed();
-                for (name, data) in image {
-                    interp.set_memory(name, data).expect("memory");
-                }
-                let ran = Instant::now();
-                (interp.run(100_000_000).expect("completes").cycles, ran)
+            let ran = Instant::now();
+            (
+                sim.run(100_000_000).expect("completes").cycles,
+                flatten,
+                ran,
+            )
+        }
+        "interp" => {
+            let mut interp = calyx_sim::interp::Interpreter::new(ctx, "main").expect("builds");
+            let flatten = built.elapsed();
+            for (name, data) in image {
+                interp.set_memory(name, data).expect("memory");
             }
-            other => panic!("unknown engine `{other}` (rtl or interp)"),
-        };
-        cost.run += ran.elapsed();
-        cost.cycles = cycles;
-    }
-    cost.flatten /= iters;
-    cost.run /= iters;
-    cost
+            let ran = Instant::now();
+            (
+                interp.run(100_000_000).expect("completes").cycles,
+                flatten,
+                ran,
+            )
+        }
+        other => panic!("unknown engine `{other}` (rtl or interp)"),
+    };
+    (cycles, flatten, ran.elapsed())
 }
 
 fn main() {
@@ -136,27 +162,37 @@ fn main() {
         .unwrap_or(20)
         .max(1);
 
-    if kname == "systolic" {
+    let designs: Vec<(String, Context, Image)> = if kname == "systolic" {
         let (ctx, image) = prepare_systolic(n as usize, engine);
-        let cost = measure(engine, &ctx, &image, iters);
-        println!("{}", cost.line(&format!("{engine}/systolic {n}x{n}")));
-        return;
-    }
-    let defs: Vec<&KernelDef> = if kname == "all" {
-        KERNELS.iter().collect()
+        vec![(format!("{engine}/systolic {n}x{n}"), ctx, image)]
     } else {
-        vec![kernel(kname).expect("known kernel")]
+        let defs: Vec<&KernelDef> = if kname == "all" {
+            KERNELS.iter().collect()
+        } else {
+            vec![kernel(kname).expect("known kernel")]
+        };
+        defs.into_iter()
+            .map(|def| {
+                let (ctx, image) = prepare(def, n, engine);
+                (format!("{engine}/{} n={n}", def.name), ctx, image)
+            })
+            .collect()
     };
-    let mut total = Cost::default();
-    for def in &defs {
-        let (ctx, image) = prepare(def, n, engine);
-        let cost = measure(engine, &ctx, &image, iters);
-        println!("{}", cost.line(&format!("{engine}/{} n={n}", def.name)));
-        total.cycles += cost.cycles;
-        total.flatten += cost.flatten;
-        total.run += cost.run;
+    let mut costs: Vec<Cost> = designs.iter().map(|_| Cost::default()).collect();
+    let mut sweeps = Cost::default();
+    for _ in 0..iters {
+        let mut sweep = (0, Duration::ZERO, Duration::ZERO);
+        for ((_, ctx, image), cost) in designs.iter().zip(&mut costs) {
+            let (cycles, flatten, run) = measure(engine, ctx, image);
+            cost.push((cycles, flatten, run));
+            sweep = (sweep.0 + cycles, sweep.1 + flatten, sweep.2 + run);
+        }
+        sweeps.push(sweep);
     }
-    if defs.len() > 1 {
-        println!("{}", total.line(&format!("{engine}/all n={n}, per sweep")));
+    for ((label, ..), cost) in designs.iter().zip(&costs) {
+        println!("{}", cost.line(label));
+    }
+    if designs.len() > 1 {
+        println!("{}", sweeps.line(&format!("{engine}/all n={n}, per sweep")));
     }
 }

@@ -34,6 +34,14 @@ pub fn run(session: &Session, mut args: Args) -> ! {
     // An unreachable goal is a usage error too: the message names the
     // states that *are* reachable from the start.
     let route = graph.plan(from, to).unwrap_or_else(|e| exit_2(e));
+    let opts = calyx_plan::OpOpts {
+        fopts: args.defaults.fopts,
+        cycles: args.defaults.cycles,
+        format: args.defaults.format,
+    };
+    // So are `--fopt`s the source's frontend does not take, as under the
+    // direct driver.
+    calyx_plan::check_fopts(&graph, &route, session, &opts).unwrap_or_else(|e| exit_2(e));
     if args.mode.word == Some("plan") {
         let steps = route.steps.len();
         let (from, to) = (&graph.state(from).name, &graph.state(to).name);
@@ -49,11 +57,7 @@ pub fn run(session: &Session, mut args: Args) -> ! {
         exit(0);
     }
     let mut build = calyx_plan::BuildOpts {
-        opts: calyx_plan::OpOpts {
-            fopts: args.defaults.fopts,
-            cycles: args.defaults.cycles,
-            format: args.defaults.format,
-        },
+        opts,
         use_cache: !args.no_cache,
         ..calyx_plan::BuildOpts::default()
     };

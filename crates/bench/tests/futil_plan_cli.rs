@@ -235,34 +235,97 @@ fn comment_only_edit_reruns_only_the_frontend_step() {
     assert_eq!(stdout(&forced), stdout(&cold));
 }
 
-/// An option change invalidates exactly the steps that declared they
-/// consume it: `--cycles` re-runs the emission but not the frontend.
+/// A step's key covers everything its compile reads, and nothing else:
+/// for each input of `Session::job_key` — the input text, the frontend,
+/// `--fopt`, the pipeline (an alias), the backend, `--cycles`,
+/// `--format` — a build that changes it after one that did not re-runs
+/// exactly the steps that read it. A step whose input text comes out
+/// unchanged stays cached downstream.
 #[test]
 fn cycles_change_invalidates_the_emission_but_not_the_frontend() {
-    let scratch = Scratch::new("cycles");
-    let cache = scratch.cache();
-    let file = example("dotprod.fuse");
-    let file = file.to_str().unwrap();
-    let first = futil(&["build", file, "--to", "sim-report", "--cache-dir", &cache]);
-    assert_eq!(first.status.code(), Some(0), "{}", stderr(&first));
-    let second = futil(&[
-        "build",
-        file,
-        "--to",
-        "sim-report",
-        "--cache-dir",
-        &cache,
-        "--cycles",
-        "500",
-    ]);
-    assert_eq!(
-        step_lines(&stderr(&second)),
-        [
-            "futil: step dahlia-to-calyx: cached",
-            "futil: step emit-sim: ran"
-        ],
-        "only the cycles-consuming step re-runs"
+    let scratch = Scratch::new("keys");
+    let dotprod = std::fs::read_to_string(example("dotprod.fuse")).expect("example exists");
+    let write = |name: &str, text: &str| {
+        let path = scratch.path(name);
+        std::fs::write(&path, text).expect("input writes");
+        path.to_string_lossy().into_owned()
+    };
+    let fuse = write("prog.fuse", &dotprod);
+    let edited = write("edited.fuse", &dotprod.replace("acc + t", "acc + t + t"));
+    let canonical = futil(&["build", &fuse, "--to", "calyx", "--no-cache"]);
+    assert_eq!(canonical.status.code(), Some(0), "{}", stderr(&canonical));
+    let futil_file = write("prog.futil", &stdout(&canonical));
+    let array = example("matmul2x2.systolic");
+    let array = array.to_str().unwrap();
+
+    let (ran, cached) = ("ran", "cached");
+    // What changes, the first build's arguments, the second's, and the
+    // second's step statuses.
+    type Row<'a> = (
+        &'a str,
+        &'a [&'a str],
+        &'a [&'a str],
+        &'a [(&'a str, &'a str)],
     );
+    #[rustfmt::skip]
+    let rows: [Row; 12] = [
+        ("nothing",
+            &[&fuse, "--to", "verilog"], &[&fuse, "--to", "verilog"],
+            &[("dahlia-to-calyx", cached), ("emit-verilog", cached)]),
+        ("the input text",
+            &[&fuse, "--to", "verilog"], &[&edited, "--to", "verilog"],
+            &[("dahlia-to-calyx", ran), ("emit-verilog", ran)]),
+        ("the frontend: the same Calyx text, from the `calyx` parser",
+            &[&fuse, "--to", "verilog"], &[&futil_file, "--to", "verilog"],
+            &[("emit-verilog", cached)]),
+        ("a `--fopt` that changes the program",
+            &[array, "--to", "verilog"], &[array, "--to", "verilog", "--fopt", "width=16"],
+            &[("systolic-to-calyx", ran), ("emit-verilog", ran)]),
+        ("a `--fopt` that restates the input",
+            &[array, "--to", "verilog"], &[array, "--to", "verilog", "--fopt", "width=32"],
+            &[("systolic-to-calyx", ran), ("emit-verilog", cached)]),
+        ("the order of `--fopt`s",
+            &[array, "--to", "verilog", "--fopt", "width=16", "--fopt", "inner=3"],
+            &[array, "--to", "verilog", "--fopt", "inner=3", "--fopt", "width=16"],
+            &[("systolic-to-calyx", cached), ("emit-verilog", cached)]),
+        ("the pipeline: an alias after an emission that lowers",
+            &[&fuse, "--to", "verilog"], &[&fuse, "--to", "calyx-lowered"],
+            &[("dahlia-to-calyx", cached), ("lower", ran)]),
+        ("the backend",
+            &[&fuse, "--to", "sim-report"], &[&fuse, "--to", "interp-report"],
+            &[("dahlia-to-calyx", cached), ("emit-interp", ran)]),
+        ("`--cycles`",
+            &[&fuse, "--to", "sim-report"], &[&fuse, "--to", "sim-report", "--cycles", "500"],
+            &[("dahlia-to-calyx", cached), ("emit-sim", ran)]),
+        ("`--format`",
+            &[&fuse, "--to", "area-report"], &[&fuse, "--to", "area-report", "--format", "json"],
+            &[("dahlia-to-calyx", cached), ("emit-area", ran)]),
+        ("options no step reads",
+            &[&fuse, "--to", "calyx-lowered"],
+            &[&fuse, "--to", "calyx-lowered", "--cycles", "500", "--format", "json"],
+            &[("dahlia-to-calyx", cached), ("lower", cached)]),
+        ("`--format` of the lint report",
+            &[&futil_file, "--to", "lint-report"],
+            &[&futil_file, "--to", "lint-report", "--format", "json"],
+            &[("check", ran)]),
+    ];
+    for (i, (what, first, second, want)) in rows.into_iter().enumerate() {
+        let cache = scratch.path(&format!("cache-{i}"));
+        let build = |args: &[&str]| {
+            let mut argv = vec!["build"];
+            argv.extend_from_slice(args);
+            argv.extend(["--cache-dir", cache.to_str().unwrap()]);
+            let out = futil(&argv);
+            assert_eq!(out.status.code(), Some(0), "{what}: {}", stderr(&out));
+            step_lines(&stderr(&out))
+        };
+        build(first);
+        let want: Vec<String> = want
+            .iter()
+            .map(|(op, status)| format!("futil: step {op}: {status}"))
+            .collect();
+        assert_eq!(build(second), want, "changing {what}");
+    }
 }
 
 /// `futil plan` prints the route without executing anything (and
@@ -341,6 +404,30 @@ fn unknown_and_unreachable_states_exit_2_with_the_valid_choices() {
     let out = futil(&["build", file]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--to"), "{}", stderr(&out));
+}
+
+/// A `--fopt` the input's frontend does not take is a usage error (exit
+/// 2) with the direct driver's message, whether or not a step of the
+/// route runs that frontend, and under `plan` too.
+#[test]
+fn fopts_the_source_frontend_does_not_take_exit_2() {
+    for (name, frontend) in [("counter.futil", "calyx"), ("dotprod.fuse", "dahlia")] {
+        let file = example(name);
+        let file = file.to_str().unwrap();
+        let direct = futil(&[file, "--fopt", "n=8", "-b", "verilog"]);
+        assert_eq!(direct.status.code(), Some(2), "{}", stderr(&direct));
+        assert!(
+            stderr(&direct).contains(&format!("option `n` for frontend `{frontend}`")),
+            "{}",
+            stderr(&direct)
+        );
+        for mode in ["build", "plan"] {
+            let out = futil(&[mode, file, "--to", "verilog", "--fopt", "n=8", "--no-cache"]);
+            assert_eq!(out.status.code(), Some(2), "{mode} {name}");
+            assert_eq!(stderr(&out), stderr(&direct), "{mode} {name}");
+            assert!(out.stdout.is_empty(), "{mode} {name}");
+        }
+    }
 }
 
 /// `--list-states` and `--list-ops` print the derived graph — pinned

@@ -146,6 +146,42 @@ fn unresolved_names_read_the_same_everywhere() {
     });
     assert_eq!(from_service, want);
 
+    // A `--fopt` the source's frontend does not take: refused before any
+    // step, also on a route whose first step reads no options.
+    for (frontend, src) in [("calyx", GOOD), ("dahlia", "")] {
+        let n = vec![("n".to_string(), "8".to_string())];
+        let from_plan = plan(
+            &std_env,
+            &std_env,
+            frontend,
+            "verilog",
+            src,
+            OpOpts {
+                fopts: n.clone(),
+                ..OpOpts::default()
+            },
+        );
+        let want = from_plan.to_string();
+        assert!(
+            want.contains(&format!(
+                "option `n` for frontend `{frontend}`; `{frontend}` takes no `--fopt` options"
+            )),
+            "{want}"
+        );
+        let (code, err) = direct(&["-f", frontend, "--fopt", "n=8", "-b", "verilog"], src);
+        assert_eq!(
+            (code, err.trim_end()),
+            (Some(2), &*format!("futil: {want}"))
+        );
+        let from_service = service(JobRequest {
+            frontend: Some(frontend.to_string()),
+            fopts: n,
+            backend: Some("verilog".to_string()),
+            ..source(src)
+        });
+        assert_eq!(from_service, want);
+    }
+
     // An unknown pass.
     let ghost = with_ghost();
     let from_plan = plan(

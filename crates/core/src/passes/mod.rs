@@ -7,7 +7,7 @@
 //! every pass has a kebab-case name in the [`PassRegistry`], aliases name
 //! standard pipelines, and [`PassManager::from_names`] builds any mix of
 //! the two — the same names `futil -p`, a service request's `pipeline`
-//! array and a plan op's fingerprint use. There is no pipeline
+//! array and a plan op's compile job use. There is no pipeline
 //! constructor besides it: the lowering pipeline is
 //! `PassManager::from_names(&["lower"])`, and the §7.3 ablations are `opt`
 //! with passes left out ([`opt_without`]).

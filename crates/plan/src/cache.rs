@@ -1,7 +1,7 @@
 //! The content-addressed artifact cache behind `futil build`.
 //!
 //! Each executed step stores its output under a key derived from the
-//! *content* of its input plus the op's full fingerprint — never from
+//! *content* of its input plus what the op does with it — never from
 //! file paths or timestamps. Warm rebuilds therefore skip every step
 //! whose input bytes and configuration are unchanged, and editing an
 //! input re-runs only the steps whose (transitively recomputed) inputs
@@ -9,11 +9,13 @@
 //! frontend step, produces the same canonical Calyx, and every
 //! downstream step hits the cache again.
 //!
-//! The key is [`calyx_service::content_key`] over the op's fingerprint
-//! parts and the input, the key function the service's job cache uses
-//! too: one streaming pass over the input, with no joined copy of it. A
-//! warm step costs that pass plus one file read, and `read_to_string`
-//! still checks the artifact is UTF-8. The pins keep FNV-1a
+//! A step that compiles a [`Job`](calyx_service::Job) is keyed by
+//! [`Session::job_key`](calyx_service::Session::job_key) of that job,
+//! the key the service's job cache uses; a custom op's step by
+//! [`ArtifactCache::key`]. Both are [`calyx_service::content_key`]s: one
+//! streaming pass over the input, with no joined copy of it. A warm step
+//! costs that pass plus one file read, and `read_to_string` still checks
+//! the artifact is UTF-8. The pins keep FNV-1a
 //! (`calyx_service::digest64`); a cache written under an older key is
 //! orphaned, never misread, because a key only names a file.
 //!
@@ -22,9 +24,10 @@
 //! [`calyx_service::write_atomic`] (tmp + rename), so a crashed or
 //! concurrent build never leaves a torn artifact behind.
 
+use crate::op::OpOpts;
 use calyx_core::errors::{CalyxResult, Error};
-use calyx_service::{content_key, write_atomic};
-use std::path::{Path, PathBuf};
+use calyx_service::{write_atomic, KeyHasher};
+use std::path::PathBuf;
 
 /// An on-disk artifact cache rooted at one directory.
 #[derive(Debug, Clone)]
@@ -39,17 +42,13 @@ impl ArtifactCache {
         ArtifactCache { root: root.into() }
     }
 
-    /// The cache directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The cache key for running an op with `fingerprint` (its
-    /// [`Op::fingerprint`](crate::Op::fingerprint) parts) over `input`.
-    pub fn key(fingerprint: &[String], input: &str) -> u64 {
-        let mut parts: Vec<&[u8]> = fingerprint.iter().map(String::as_bytes).collect();
-        parts.push(input.as_bytes());
-        content_key(&parts)
+    /// The cache key of a custom op's step: its `fingerprint`, every
+    /// option in `opts` (the `--fopt`s in canonical order, `cycles`,
+    /// `format`), then the `input`, each hashed with its length.
+    pub fn key(fingerprint: &str, opts: &OpOpts, input: &str) -> u64 {
+        let mut key = KeyHasher::default();
+        key.part(fingerprint).fopts(&opts.fopts).number(opts.cycles);
+        key.part(opts.format.name()).part(input).finish()
     }
 
     /// The on-disk path of an artifact.
@@ -104,20 +103,21 @@ mod tests {
 
     #[test]
     fn store_then_lookup_roundtrips() {
-        let cache = ArtifactCache::new(temp_root("roundtrip"));
-        let key = ArtifactCache::key(&["op:v1".into()], "input text");
+        let root = temp_root("roundtrip");
+        let cache = ArtifactCache::new(&root);
+        let key = ArtifactCache::key("op:v1", &OpOpts::default(), "input text");
         assert!(cache.lookup("demo", key, "futil").is_none());
         cache.store("demo", key, "futil", "artifact body").unwrap();
         assert_eq!(
             cache.lookup("demo", key, "futil").as_deref(),
             Some("artifact body")
         );
-        let _ = std::fs::remove_dir_all(cache.root());
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn key_depends_on_both_fingerprint_and_input() {
-        let key = |fingerprint: &str, input| ArtifactCache::key(&[fingerprint.into()], input);
+        let key = |fingerprint, input| ArtifactCache::key(fingerprint, &OpOpts::default(), input);
         let base = key("op:v1", "input");
         assert_ne!(key("op:v2", "input"), base);
         assert_ne!(key("op:v1", "input2"), base);

@@ -3,11 +3,13 @@
 //! The graph is not hand-maintained: states and ops fall out of the
 //! frontend, pass-alias, backend, and lint registries, so registering a
 //! new frontend or backend automatically grows the plan space. Nor do
-//! the ops compile anything themselves: each compiler op is one
-//! [`Job`] — which frontend reads the input text, which pipeline runs,
-//! which backend writes the output text — handed to the same
-//! [`Session::resolve`] → [`compile`](calyx_service::Resolved::compile)
-//! core as a direct `futil` run or a service request. The rules:
+//! the ops compile anything themselves: each compiler op is a
+//! [`Compile`] — which frontend reads the input text, which pipeline
+//! runs, which backend writes the output text — that the executor turns
+//! into one [`Job`](calyx_service::Job), keys with
+//! [`Session::job_key`] and hands to the same [`Session::resolve`] →
+//! [`compile`](calyx_service::Resolved::compile) core as a direct `futil`
+//! run or a service request. The rules:
 //!
 //! - Every **frontend** contributes a source state (named after the
 //!   frontend, claiming its registered extensions) and — except the
@@ -17,8 +19,8 @@
 //! - Every **pass alias** whose expansion lowers (contains
 //!   `remove-groups`) contributes an op from `calyx` to the shared
 //!   `calyx-lowered` state (the alias as the pipeline, the `calyx`
-//!   printer backend), fingerprinted on its expansion so editing an
-//!   alias invalidates exactly the builds that used it. An alias's cost
+//!   printer backend). The key expands the alias, so editing it
+//!   invalidates exactly the builds that used it. An alias's cost
 //!   is ten times its position in [`PassRegistry::aliases`], and the
 //!   standard registry adds its aliases lightest first, so `lower` (10)
 //!   beats `lower-static` (20), `opt` (30) and `all` (40); an alias a
@@ -26,25 +28,23 @@
 //!   hijacks a default route. A non-lowering alias (like `none`) maps
 //!   `calyx` to itself and is skipped.
 //! - Every **backend** except the `calyx` printer contributes an
-//!   `emit-<name>` op from `calyx`, running the backend's
-//!   [`default_pipeline`] in-op before emitting (`verilog` runs `lower`,
-//!   `interp` runs `none` = well-formedness). Emission deliberately
-//!   does *not* read the `calyx-lowered` state: lowered guard
-//!   expressions flatten
-//!   when printed and re-associate when re-parsed, so an extra
-//!   print/parse roundtrip after the pass pipeline would change the
-//!   emitted guard grouping — plan-built artifacts must be
-//!   byte-identical to direct `futil -f ... -b ...` runs, and only
-//!   pre-pass canonical text has that pinned roundtrip property. The
-//!   target state is `verilog` for the SystemVerilog backend and
-//!   `<name>-report` otherwise, with the artifact extension taken from
-//!   [`Backend::EXTENSION`](calyx_backend::Backend::EXTENSION) via the
-//!   registry. The fingerprint folds in the *expanded* pipeline, so
-//!   editing an alias invalidates the emissions that ran it.
+//!   `emit-<name>` op from `calyx`, whose job names no pipeline, so it
+//!   runs the backend's [`default_pipeline`] before emitting (`verilog`
+//!   runs `lower`, `interp` runs `none` = well-formedness). Emission
+//!   deliberately does *not* read the `calyx-lowered` state: lowered
+//!   guard expressions flatten when printed and re-associate when
+//!   re-parsed, so an extra print/parse roundtrip after the pass
+//!   pipeline would change the emitted guard grouping — plan-built
+//!   artifacts must be byte-identical to direct `futil -f ... -b ...`
+//!   runs, and only pre-pass canonical text has that pinned roundtrip
+//!   property. The target state is `verilog` for the SystemVerilog
+//!   backend and `<name>-report` otherwise, with the artifact extension
+//!   taken from [`Backend::EXTENSION`](calyx_backend::Backend::EXTENSION)
+//!   via the registry.
 //! - The **lint registry** contributes one hand-registered composite
 //!   op, `check`, from `calyx` to `lint-report` — [`Session::lint`]'s
-//!   report as a cacheable artifact, fingerprinted on the registered
-//!   lint codes.
+//!   report as a cacheable artifact. It compiles no job, so it is an
+//!   [`Action::Custom`], fingerprinted on the registered lint codes.
 //!
 //! Third parties extend the graph the same two ways they extend the
 //! underlying registries: register into a session's registries and call
@@ -54,11 +54,10 @@
 //! [`PassRegistry::aliases`]: calyx_core::passes::PassRegistry::aliases
 
 use crate::graph::PlanGraph;
-use crate::op::{ExecEnv, OpSpec, OptUse};
-use calyx_backend::{BackendOpts, ReportFormat};
-use calyx_core::errors::{CalyxResult, Error};
+use crate::op::{Action, Compile, OpSpec, HUB};
+use calyx_backend::ReportFormat;
 use calyx_core::ir::parse_context;
-use calyx_service::{default_pipeline, Job, Session};
+use calyx_service::{default_pipeline, Session};
 
 /// The pass that marks an expansion as "lowering": after it the program
 /// is structural (no groups, no control), i.e. in the `calyx-lowered`
@@ -68,13 +67,6 @@ const LOWERING_MARK: &str = "remove-groups";
 /// The standard build graph, derived from the default registries.
 pub fn standard() -> PlanGraph {
     from_session(&Session::default())
-}
-
-/// Text in, text out: compile `src` as `job` through the shared core.
-fn compile(env: &ExecEnv, job: &Job, src: &str) -> CalyxResult<String> {
-    let compiled = env.resolve(job)?.compile("<plan>", src)?;
-    String::from_utf8(compiled.output)
-        .map_err(|_| Error::malformed(format!("backend `{}` emitted non-UTF-8", job.backend)))
 }
 
 /// Derive a build graph from a session's (possibly extended)
@@ -89,6 +81,13 @@ pub fn from_session(session: &Session) -> PlanGraph {
         lints,
     } = session;
     let mut g = PlanGraph::empty();
+    let compile = |frontend: &str, pipeline: Option<Vec<String>>, backend: &str| {
+        Action::Compile(Compile {
+            frontend: frontend.to_string(),
+            pipeline,
+            backend: backend.to_string(),
+        })
+    };
 
     // Frontend states: one per registered frontend, claiming its input
     // extensions. The native parser's state is the `calyx` hub.
@@ -97,7 +96,7 @@ pub fn from_session(session: &Session) -> PlanGraph {
         g.add_state(f.name, f.description, f.extensions, artifact_ext);
     }
     let calyx = g
-        .state_id("calyx")
+        .state_id(HUB)
         .expect("the native `calyx` frontend is the hub of the standard graph");
     let lowered = g.add_state(
         "calyx-lowered",
@@ -109,59 +108,35 @@ pub fn from_session(session: &Session) -> PlanGraph {
     // Frontend ops: `<name>-to-calyx`, producing canonical text so every
     // downstream cache key sees the same bytes for the same program.
     for f in frontends.frontends() {
-        if f.name == "calyx" {
+        if f.name == HUB {
             continue;
         }
-        let from = g.state_id(f.name).expect("state registered above");
-        let name = f.name.to_string();
         g.add_op(OpSpec {
             name: format!("{}-to-calyx", f.name),
             description: format!("run the `{}` frontend, emitting canonical Calyx", f.name),
-            from,
+            from: g.state_id(f.name).expect("state registered above"),
             to: calyx,
             cost: 10,
-            fingerprint: format!("frontend:{}", f.name),
-            uses: OptUse {
-                // Only parametric frontends fold `--fopt` into the key.
-                fopts: !f.options.is_empty(),
-                ..OptUse::default()
-            },
-            run: Box::new(move |src, env, opts| {
-                let job = Job {
-                    frontend: Some(&name),
-                    fopts: opts.fopts.clone(),
-                    pipeline: Some(&[]),
-                    ..Job::default()
-                };
-                compile(env, &job, src)
-            }),
+            action: compile(f.name, Some(Vec::new()), HUB),
         });
     }
 
-    // Pipeline-alias ops: `calyx` → `calyx-lowered`, fingerprinted on
-    // the expansion. Non-lowering aliases (`none`) are skipped — they
-    // map the state to itself.
+    // Pipeline-alias ops: `calyx` → `calyx-lowered`. Non-lowering
+    // aliases (`none`) are skipped — they map the state to itself.
     for (position, (alias, expansion)) in (0u32..).zip(passes.aliases()) {
         if !expansion.contains(&LOWERING_MARK) {
             continue;
         }
-        let names: Vec<String> = expansion.iter().map(|p| (*p).to_string()).collect();
         g.add_op(OpSpec {
             name: alias.to_string(),
-            description: format!("run the `{alias}` pass pipeline ({} passes)", names.len()),
+            description: format!(
+                "run the `{alias}` pass pipeline ({} passes)",
+                expansion.len()
+            ),
             from: calyx,
             to: lowered,
             cost: 10 * position,
-            fingerprint: format!("passes:{}", names.join(",")),
-            uses: OptUse::default(),
-            run: Box::new(move |src, env, _| {
-                let job = Job {
-                    frontend: Some("calyx"),
-                    pipeline: Some(&names),
-                    ..Job::default()
-                };
-                compile(env, &job, src)
-            }),
+            action: compile(HUB, Some(vec![alias.to_string()]), HUB),
         });
     }
 
@@ -169,16 +144,9 @@ pub fn from_session(session: &Session) -> PlanGraph {
     // backend's default pipeline in-op (see the module docs for why
     // emission does not read `calyx-lowered`).
     for b in backends.backends() {
-        if b.name == "calyx" {
+        if b.name == HUB {
             continue;
         }
-        let run_pre = default_pipeline(b.required_pipeline);
-        // Fingerprint on the expansion, so alias edits invalidate; fall
-        // back to the raw names when the alias is not in `passes`.
-        let expanded = passes
-            .expand(run_pre)
-            .map(|ps| ps.join(","))
-            .unwrap_or_else(|_| run_pre.join(","));
         let to = if b.name == "verilog" {
             g.add_state("verilog", b.description, &[], b.extension)
         } else {
@@ -189,38 +157,17 @@ pub fn from_session(session: &Session) -> PlanGraph {
                 b.extension,
             )
         };
-        let name = b.name.to_string();
         g.add_op(OpSpec {
             name: format!("emit-{}", b.name),
             description: format!(
                 "run the `{}` pipeline, then the `{}` backend",
-                run_pre.join(" "),
+                default_pipeline(b.required_pipeline).join(" "),
                 b.name
             ),
             from: calyx,
             to,
             cost: 10,
-            fingerprint: format!("backend:{}:pre:{expanded}", b.name),
-            // Which driver options a backend consumes is not declared in
-            // its registration, so claim both — over-claiming costs a
-            // spurious re-run, under-claiming serves stale artifacts.
-            uses: OptUse {
-                cycles: true,
-                format: true,
-                ..OptUse::default()
-            },
-            run: Box::new(move |src, env, opts| {
-                let job = Job {
-                    frontend: Some("calyx"),
-                    backend: &name,
-                    bopts: BackendOpts {
-                        cycles: opts.cycles,
-                        format: opts.format,
-                    },
-                    ..Job::default()
-                };
-                compile(env, &job, src)
-            }),
+            action: compile(HUB, None, b.name),
         });
     }
 
@@ -240,18 +187,16 @@ pub fn from_session(session: &Session) -> PlanGraph {
         from: calyx,
         to: lint_report,
         cost: 10,
-        fingerprint: format!("lints:{}", codes.join(",")),
-        uses: OptUse {
-            format: true,
-            ..OptUse::default()
+        action: Action::Custom {
+            fingerprint: format!("lints:{}", codes.join(",")),
+            run: Box::new(|src, env, opts| {
+                let sink = env.lint(&parse_context(src)?);
+                Ok(match opts.format {
+                    ReportFormat::Text => sink.render_text("<plan>", src),
+                    ReportFormat::Json => sink.render_json("<plan>"),
+                })
+            }),
         },
-        run: Box::new(|src, env, opts| {
-            let sink = env.lint(&parse_context(src)?);
-            Ok(match opts.format {
-                ReportFormat::Text => sink.render_text("<plan>", src),
-                ReportFormat::Json => sink.render_json("<plan>"),
-            })
-        }),
     });
 
     g
@@ -261,6 +206,7 @@ pub fn from_session(session: &Session) -> PlanGraph {
 mod tests {
     use super::*;
     use crate::exec::{execute, BuildOpts};
+    use crate::op::ExecEnv;
     use calyx_backend::BackendRegistry;
     use calyx_core::passes::PassRegistry;
     use calyx_frontend::FrontendRegistry;
@@ -402,6 +348,53 @@ mod tests {
         assert_eq!(g.ops()[route.steps[0]].name(), "lower");
     }
 
+    /// An alias op's key expands the alias: the same op over an edited
+    /// expansion re-runs, and over the old one again hits its artifact.
+    #[test]
+    fn an_alias_edit_invalidates_the_steps_that_ran_it() {
+        let build = BuildOpts {
+            cache_dir: std::env::temp_dir()
+                .join(format!("plan-derive-alias-{}", std::process::id())),
+            ..BuildOpts::default()
+        };
+        let _ = std::fs::remove_dir_all(&build.cache_dir);
+        let short: &[&str] = &["compile-control", "go-insertion", "remove-groups"];
+        let long: &[&str] = &[
+            "well-formed",
+            "compile-control",
+            "go-insertion",
+            "remove-groups",
+        ];
+        let mut statuses = Vec::new();
+        for expansion in [short, long, short] {
+            let mut passes = PassRegistry::default();
+            passes.add_alias("quick-lower", expansion);
+            let env = Session {
+                passes,
+                ..Session::default()
+            };
+            let g = from_session(&env);
+            let route = crate::Route {
+                from: g.state_id("calyx").unwrap(),
+                to: g.state_id("calyx-lowered").unwrap(),
+                steps: vec![g
+                    .ops()
+                    .iter()
+                    .position(|op| op.name() == "quick-lower")
+                    .unwrap()],
+            };
+            let src = "component main() -> () {
+                cells { r = std_reg(8); }
+                wires { group g { r.in = 8'd7; r.write_en = 1'd1; g[done] = r.done; } }
+                control { g; }
+              }";
+            let out = execute(&g, &route, src, &env, &build).unwrap();
+            statuses.push(out.steps[0].status.label());
+        }
+        assert_eq!(statuses, ["ran", "ran", "cached"]);
+        let _ = std::fs::remove_dir_all(&build.cache_dir);
+    }
+
     #[test]
     fn source_states_cannot_be_goals() {
         let g = standard();
@@ -461,9 +454,10 @@ mod tests {
             from: verilog,
             to: bitstream,
             cost: 10,
-            fingerprint: "pnr:mock".into(),
-            uses: OptUse::default(),
-            run: Box::new(|src, _, _| Ok(format!("BITSTREAM {} bytes", src.len()))),
+            action: Action::Custom {
+                fingerprint: "pnr:mock".into(),
+                run: Box::new(|src, _, _| Ok(format!("BITSTREAM {} bytes", src.len()))),
+            },
         });
         let route = g.plan(g.state_id("dahlia").unwrap(), bitstream).unwrap();
         let names: Vec<&str> = route.steps.iter().map(|&i| g.ops()[i].name()).collect();

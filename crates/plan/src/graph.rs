@@ -137,7 +137,7 @@ impl PlanGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{OpSpec, OptUse};
+    use crate::op::{Action, OpSpec};
 
     fn two_states() -> (PlanGraph, StateId, StateId) {
         let mut g = PlanGraph::empty();
@@ -153,9 +153,10 @@ mod tests {
             from,
             to,
             cost: 10,
-            fingerprint: "t".into(),
-            uses: OptUse::default(),
-            run: Box::new(|s, _, _| Ok(s.to_string())),
+            action: Action::Custom {
+                fingerprint: "t".into(),
+                run: Box::new(|s, _, _| Ok(s.to_string())),
+            },
         }
     }
 

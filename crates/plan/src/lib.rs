@@ -21,12 +21,15 @@
 //! - [`PlanGraph::plan`] routes between states (deterministic
 //!   shortest-path); an unreachable goal is an error listing the states
 //!   that *are* reachable.
-//! - [`execute`] runs a route through an [`ArtifactCache`]: every step
-//!   is keyed on the digest of its input text plus the op's
-//!   [fingerprint](Op::fingerprint), so warm rebuilds skip every clean
-//!   step and an edit re-runs only what it actually invalidates. Ops run
-//!   against an [`ExecEnv`] — the compile core's `Session`, the same
-//!   one the direct driver and the batch/serve engine compile through.
+//! - [`execute`] runs a route through an [`ArtifactCache`]. A derived
+//!   op is a [`Compile`] — a frontend, a pipeline and a backend, by
+//!   name — and its step is keyed by `Session::job_key` of the one
+//!   `Job` it compiles, the key the service's job cache uses; the `check`
+//!   op and third-party ops are keyed on their fingerprint, every build
+//!   option and the input. Warm rebuilds skip every clean step and an
+//!   edit re-runs only what it actually invalidates. Ops run against an
+//!   [`ExecEnv`] — the compile core's `Session`, the same one the direct
+//!   driver and the batch/serve engine compile through.
 //!
 //! ```
 //! use calyx_plan::{derive, execute, BuildOpts, ExecEnv};
@@ -57,8 +60,8 @@ pub mod planner;
 pub mod state;
 
 pub use cache::ArtifactCache;
-pub use exec::{execute, BuildOpts, BuildOutcome, StepReport, StepStatus};
+pub use exec::{check_fopts, execute, BuildOpts, BuildOutcome, StepReport, StepStatus};
 pub use graph::PlanGraph;
-pub use op::{ExecEnv, Op, OpFn, OpOpts, OpSpec, OptUse};
+pub use op::{Action, Compile, ExecEnv, Op, OpFn, OpOpts, OpSpec};
 pub use planner::Route;
 pub use state::{State, StateId};

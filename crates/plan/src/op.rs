@@ -1,13 +1,21 @@
 //! Ops: the edges of the build graph.
 //!
 //! An op transforms the artifact text of its `from` state into the
-//! artifact text of its `to` state. Every op carries a *fingerprint* —
-//! stable parts naming everything that could change its output besides
-//! the input bytes (the pass expansion behind an alias, the simulation
-//! cycle budget, generator `--fopt`s). The executor keys its on-disk
-//! cache on `content_key` over those parts and the input, so editing an
-//! alias's expansion or passing a different `--fopt` invalidates exactly
-//! the steps it affects.
+//! artifact text of its `to` state. What it runs is its [`Action`]:
+//!
+//! - A derived op (`<frontend>-to-calyx`, a lowering alias, `emit-<backend>`)
+//!   is a [`Compile`]: a frontend, a pipeline and a backend, by name. The
+//!   executor builds the step's [`Job`] once from it and the build's
+//!   [`OpOpts`], keys the step with
+//!   [`Session::job_key`](calyx_service::Session::job_key) of that job, and
+//!   on a miss compiles that same job. The key and the compile read one
+//!   value, so no input of the compile can be left out of the key: an
+//!   alias's expansion, a backend's pipeline, an option.
+//! - Any other op (the composite `check` and ops third parties add) is
+//!   [`Action::Custom`]: a fingerprint and a closure, keyed on the
+//!   fingerprint plus every [`OpOpts`] field (see
+//!   [`ArtifactCache::key`](crate::ArtifactCache::key)). Over-claiming
+//!   costs a spurious re-run; it never serves a stale artifact.
 //!
 //! Ops are registered through [`OpSpec`] — either by the derivation in
 //! [`derive`](crate::derive) (one op per frontend, pass alias, backend,
@@ -15,13 +23,12 @@
 //! [`PlanGraph::add_op`](crate::PlanGraph::add_op), exactly like every
 //! other [`Registry`](calyx_core::utils::Registry) accepts foreign entries. An op runs against an
 //! [`ExecEnv`], which is the compile core's
-//! [`Session`](calyx_service::Session): the derived ops are each one
-//! [`Job`](calyx_service::Job) compiled through it.
+//! [`Session`](calyx_service::Session).
 
 use crate::state::StateId;
-use calyx_backend::ReportFormat;
+use calyx_backend::{BackendOpts, ReportFormat};
 use calyx_core::errors::CalyxResult;
-use calyx_service::canonical_fopts;
+use calyx_service::Job;
 
 /// The registries an op may consult while running: the same
 /// [`Session`](calyx_service::Session) the driver and the service
@@ -29,6 +36,10 @@ use calyx_service::canonical_fopts;
 /// backends hand one extended session to both the graph derivation and
 /// the executor.
 pub use calyx_service::Session as ExecEnv;
+
+/// The name of the native parser and of the printer backend: canonical
+/// Calyx text, the hub every derived op reads or writes.
+pub(crate) const HUB: &str = "calyx";
 
 /// Driver-level options ops may consume — the `futil build` equivalents
 /// of `--fopt`, `--cycles`, and `--format`.
@@ -46,28 +57,64 @@ impl Default for OpOpts {
     fn default() -> Self {
         OpOpts {
             fopts: Vec::new(),
-            cycles: calyx_backend::BackendOpts::default().cycles,
+            cycles: BackendOpts::default().cycles,
             format: ReportFormat::Text,
         }
     }
 }
 
-/// Which [`OpOpts`] fields feed an op's cache fingerprint. Over-claiming
-/// is safe (spurious invalidation); under-claiming serves stale
-/// artifacts — when unsure, claim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptUse {
-    /// Output depends on the generator `--fopt` pairs.
-    pub fopts: bool,
-    /// Output depends on the simulation cycle budget.
-    pub cycles: bool,
-    /// Output depends on the report format.
-    pub format: bool,
+/// The function a custom op runs: input artifact text in, output
+/// artifact text out.
+pub type OpFn = Box<dyn Fn(&str, &ExecEnv, &OpOpts) -> CalyxResult<String>>;
+
+/// A compile through the session, by name: what a derived op runs, and
+/// what keys its step.
+#[derive(Debug, Clone)]
+pub struct Compile {
+    /// The frontend that reads the step's input.
+    pub frontend: String,
+    /// Pass and alias names; `None` runs the backend's default pipeline.
+    pub pipeline: Option<Vec<String>>,
+    /// The backend that writes the step's output.
+    pub backend: String,
 }
 
-/// The function an op runs: input artifact text in, output artifact
-/// text out.
-pub type OpFn = Box<dyn Fn(&str, &ExecEnv, &OpOpts) -> CalyxResult<String>>;
+impl Compile {
+    /// The job this op compiles under `opts`. A generator frontend (any
+    /// but the native parser) takes the `--fopt`s, and a backend other
+    /// than the printer takes `--cycles` and `--format`; each step is
+    /// keyed on the options it reads and no others.
+    pub fn job(&self, opts: &OpOpts) -> Job<'_> {
+        let mut job = Job {
+            frontend: Some(&self.frontend),
+            pipeline: self.pipeline.as_deref(),
+            backend: &self.backend,
+            ..Job::default()
+        };
+        if self.frontend != HUB {
+            job.fopts = opts.fopts.clone();
+        }
+        if self.backend != HUB {
+            let (cycles, format) = (opts.cycles, opts.format);
+            job.bopts = BackendOpts { cycles, format };
+        }
+        job
+    }
+}
+
+/// What an op runs.
+pub enum Action {
+    /// One compile through the session (see [`Compile`]).
+    Compile(Compile),
+    /// A transformation the session does not know.
+    Custom {
+        /// Stable text naming everything besides the input and the
+        /// [`OpOpts`] that determines the output.
+        fingerprint: String,
+        /// The transformation itself.
+        run: OpFn,
+    },
+}
 
 /// A new op, as handed to [`PlanGraph::add_op`](crate::PlanGraph::add_op).
 pub struct OpSpec {
@@ -82,13 +129,8 @@ pub struct OpSpec {
     /// Routing cost (lower is preferred; ties break toward the earlier
     /// registration).
     pub cost: u32,
-    /// Stable fingerprint of everything besides input bytes and
-    /// [`OptUse`]-declared options that determines the output.
-    pub fingerprint: String,
-    /// Options that feed the cache key (see [`OptUse`]).
-    pub uses: OptUse,
-    /// The transformation itself.
-    pub run: OpFn,
+    /// What the op runs.
+    pub action: Action,
 }
 
 /// A registered op (same shape as [`OpSpec`]; stored by the graph).
@@ -140,104 +182,50 @@ impl Op {
         self.spec.cost
     }
 
-    /// The full cache fingerprint under `opts`, as the parts the
-    /// artifact key hashes: the registered base, then every option the
-    /// op declared it consumes. Fopt pairs are in
-    /// [`canonical_fopts`] form, as the service's job key takes them, so
-    /// flag order never invalidates: their count, then each key and value
-    /// as a part of its own.
-    pub fn fingerprint(&self, opts: &OpOpts) -> Vec<String> {
-        let mut parts = vec![self.spec.fingerprint.clone()];
-        if self.spec.uses.fopts {
-            let fopts = canonical_fopts(&opts.fopts);
-            parts.push(fopts.len().to_string());
-            for (key, value) in fopts {
-                parts.extend([key.to_string(), value.to_string()]);
-            }
-        }
-        if self.spec.uses.cycles {
-            parts.push(opts.cycles.to_string());
-        }
-        if self.spec.uses.format {
-            parts.push(opts.format.name().to_string());
-        }
-        parts
-    }
-
-    /// Run the op on `input`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying frontend/pass/backend/lint failure.
-    pub fn run(&self, input: &str, env: &ExecEnv, opts: &OpOpts) -> CalyxResult<String> {
-        (self.spec.run)(input, env, opts)
+    /// What the op runs.
+    pub fn action(&self) -> &Action {
+        &self.spec.action
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ArtifactCache;
 
-    fn op(uses: OptUse) -> Op {
-        Op {
-            spec: OpSpec {
-                name: "test-op".into(),
-                description: "test".into(),
-                from: StateId(0),
-                to: StateId(1),
-                cost: 10,
-                fingerprint: "base:v1".into(),
-                uses,
-                run: Box::new(|s, _, _| Ok(s.to_uppercase())),
-            },
-            endpoints: String::new(),
+    #[test]
+    fn a_custom_key_folds_in_every_option() {
+        let mut opts = OpOpts::default();
+        let base = ArtifactCache::key("base:v1", &opts, "");
+        opts.cycles = 7;
+        let cycles = ArtifactCache::key("base:v1", &opts, "");
+        opts.fopts.push(("n".into(), "8".into()));
+        let fopts = ArtifactCache::key("base:v1", &opts, "");
+        opts.format = ReportFormat::Json;
+        let format = ArtifactCache::key("base:v1", &opts, "");
+        let keys = [base, cycles, fopts, format];
+        for (i, a) in keys.iter().enumerate() {
+            assert!(keys[i + 1..].iter().all(|b| a != b), "{keys:x?}");
         }
     }
 
     #[test]
-    fn fingerprint_folds_in_exactly_the_declared_options() {
-        let mut opts = OpOpts::default();
-        let blind = op(OptUse::default());
-        let base = blind.fingerprint(&opts);
-        opts.cycles = 7;
-        opts.fopts.push(("n".into(), "8".into()));
-        opts.format = ReportFormat::Json;
-        // An op that declares nothing is immune to every option.
-        assert_eq!(blind.fingerprint(&opts), base);
-
-        let all = op(OptUse {
-            fopts: true,
-            cycles: true,
-            format: true,
-        });
-        let fp = all.fingerprint(&opts);
-        assert_ne!(fp, base);
-        opts.cycles = 8;
-        assert_ne!(all.fingerprint(&opts), fp);
-    }
-
-    #[test]
     fn fopt_fingerprints_are_order_insensitive() {
-        let op = op(OptUse {
-            fopts: true,
-            ..OptUse::default()
-        });
+        let key = |opts: &OpOpts| ArtifactCache::key("base:v1", opts, "");
         let mut a = OpOpts::default();
         a.fopts.push(("n".into(), "8".into()));
         a.fopts.push(("kernel".into(), "gemm".into()));
         let mut b = OpOpts::default();
         b.fopts.push(("kernel".into(), "gemm".into()));
         b.fopts.push(("n".into(), "8".into()));
-        assert_eq!(op.fingerprint(&a), op.fingerprint(&b));
+        assert_eq!(key(&a), key(&b));
         b.fopts.push(("n".into(), "16".into()));
-        assert_ne!(op.fingerprint(&a), op.fingerprint(&b));
+        assert_ne!(key(&a), key(&b));
 
         // A value spelling other pairs with separator characters is
         // still one value.
         let mut c = OpOpts::default();
         c.fopts.push(("kernel".into(), "gemm\u{1f}n\u{1f}8".into()));
-        assert_ne!(op.fingerprint(&a), op.fingerprint(&c));
-        let key = |opts| crate::cache::ArtifactCache::key(&op.fingerprint(opts), "");
         assert_ne!(key(&a), key(&c));
     }
 }

@@ -94,7 +94,7 @@ impl PlanGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{OpSpec, OptUse};
+    use crate::op::{Action, OpSpec};
 
     /// a --1-- b --1-- d, a --5-- c --1-- d, plus an expensive direct
     /// a --9-- d: the two-hop cheap route must win, deterministically.
@@ -112,9 +112,10 @@ mod tests {
                 from,
                 to,
                 cost,
-                fingerprint: name.into(),
-                uses: OptUse::default(),
-                run: Box::new(|s, _, _| Ok(s.to_string())),
+                action: Action::Custom {
+                    fingerprint: name.into(),
+                    run: Box::new(|s, _, _| Ok(s.to_string())),
+                },
             });
         };
         op("ab", a, b, 1);
@@ -165,9 +166,10 @@ mod tests {
                 from: a,
                 to: b,
                 cost: 10,
-                fingerprint: name.into(),
-                uses: OptUse::default(),
-                run: Box::new(|s, _, _| Ok(s.to_string())),
+                action: Action::Custom {
+                    fingerprint: name.into(),
+                    run: Box::new(|s, _, _| Ok(s.to_string())),
+                },
             });
         }
         let route = g.plan(a, b).unwrap();

@@ -32,11 +32,13 @@ use std::sync::Arc;
 /// the text counts; each entry's few dozen bytes of bookkeeping do not.
 pub const JOB_CACHE_BUDGET: usize = 64 << 20;
 
-/// The content key of both compile caches: the service's [`JobCache`]
-/// keys a job by `content_key` over everything its compile reads (see
-/// [`Session::job_key`](crate::session::Session::job_key)), and
-/// `futil build`'s artifact cache names a step's output by
-/// `content_key` over the op's fingerprint parts and its input.
+/// The content key of both compile caches. A job's key is
+/// `content_key` over everything its compile reads (see
+/// [`Session::job_key`](crate::session::Session::job_key)): the service's
+/// [`JobCache`] keys a request by it, and `futil build`'s artifact cache
+/// names the output of a step that compiles a job by it too. A step of
+/// an op that compiles no job is named by `content_key` over the op's
+/// fingerprint, every build option and its input.
 ///
 /// The parts are hashed in order by the vendored `rustc_hash` byte mixer
 /// ([`FxHasher::write`], a wyhash-style mix that reads eight bytes at a
@@ -71,11 +73,11 @@ pub fn content_key(parts: &[&[u8]]) -> u64 {
 /// number as the part its decimal text would be, without formatting it
 /// into a `String`.
 #[derive(Default)]
-pub(crate) struct KeyHasher(FxHasher);
+pub struct KeyHasher(FxHasher);
 
 impl KeyHasher {
     /// Hash `bytes` as the next part: its length, then the bytes.
-    pub(crate) fn part(&mut self, bytes: impl AsRef<[u8]>) -> &mut Self {
+    pub fn part(&mut self, bytes: impl AsRef<[u8]>) -> &mut Self {
         let bytes = bytes.as_ref();
         self.0.write_usize(bytes.len());
         self.0.write(bytes);
@@ -83,7 +85,7 @@ impl KeyHasher {
     }
 
     /// Hash `n`'s decimal text as the next part.
-    pub(crate) fn number(&mut self, n: u64) -> &mut Self {
+    pub fn number(&mut self, n: u64) -> &mut Self {
         let mut digits = [0; 20];
         let mut at = digits.len();
         let mut rest = n;
@@ -98,8 +100,19 @@ impl KeyHasher {
         self.part(&digits[at..])
     }
 
+    /// Hash `--fopt` pairs in [`canonical_fopts`] form, so flag order
+    /// never changes a key: their count, then each key and value as a
+    /// part of its own.
+    pub fn fopts(&mut self, fopts: &[(String, String)]) -> &mut Self {
+        let fopts = canonical_fopts(fopts);
+        let key = self.number(fopts.len() as u64);
+        fopts
+            .into_iter()
+            .fold(key, |key, (name, value)| key.part(name).part(value))
+    }
+
     /// The key of the parts so far.
-    pub(crate) fn finish(&self) -> u64 {
+    pub fn finish(&self) -> u64 {
         self.0.finish()
     }
 }

@@ -69,7 +69,9 @@ pub mod session;
 
 pub use calyx_core::json;
 
-pub use cache::{canonical_fopts, content_key, digest64, CacheStats, JobCache, JOB_CACHE_BUDGET};
+pub use cache::{
+    canonical_fopts, content_key, digest64, CacheStats, JobCache, KeyHasher, JOB_CACHE_BUDGET,
+};
 pub use engine::{write_atomic, CompileService, JobDefaults};
 pub use metrics::{percentile, BatchSummary, StageTimes};
 pub use pool::{catch_job_panic, WorkerPool};

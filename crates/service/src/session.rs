@@ -19,7 +19,7 @@
 //! to exit 1; the service puts the message in the response; the plan
 //! executor takes the error.
 
-use crate::cache::{canonical_fopts, KeyHasher};
+use crate::cache::KeyHasher;
 use crate::metrics::StageTimes;
 use calyx_backend::{BackendOpts, BackendRegistry, DynBackend};
 use calyx_core::analysis::AnalysisCache;
@@ -265,12 +265,7 @@ impl Session {
         let (frontend, _) = self.frontends.resolve_name(job.frontend, job.input);
         let required = self.backends.find(job.backend)?.required_pipeline;
         let mut key = KeyHasher::default();
-        key.part(shown).part(src).part(frontend);
-        let fopts = canonical_fopts(&job.fopts);
-        key.number(fopts.len() as u64);
-        for (name, value) in fopts {
-            key.part(name).part(value);
-        }
+        key.part(shown).part(src).part(frontend).fopts(&job.fopts);
         match job.pipeline {
             Some(names) => self.key_pipeline(&mut key, names.iter().map(String::as_str))?,
             None => self.key_pipeline(&mut key, default_pipeline(required).iter().copied())?,
@@ -409,6 +404,7 @@ impl Resolved {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::canonical_fopts;
 
     const PROGRAM: &str = "component main() -> () {
         cells { r = std_reg(8); }

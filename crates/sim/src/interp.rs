@@ -31,14 +31,12 @@
 //! holds a finished enable back; a cycle with none of these touches
 //! neither. After the settle, a candidate's done condition reads the
 //! stored value of its done guard, which is a settled node like every
-//! interned guard. The walk from the roots survives as the oracle. A
-//! debug build collects the candidates from the roots before every cycle
-//! and panics with `the control walk is stale` if they differ from the
-//! ones kept, and at the end of every cycle advances a copy of the
-//! runtime state from the roots, over done conditions evaluated from the
-//! ports, and panics if the events reached another state;
-//! `tests/control_walk.rs` runs a whole interpreter built on the root
-//! walk beside this one, cycle by cycle.
+//! interned guard. The walk from the roots it replaced survives as the
+//! oracle in `tests/control_walk.rs`: a whole interpreter built on it
+//! runs beside this one, cycle by cycle, on random programs, the
+//! PolyBench kernels, the systolic arrays and the hand-written control
+//! programs of the tests below, and the candidates must agree before
+//! every cycle.
 //!
 //! A run looks at the flag given to [`Interpreter::cancel_on`] every
 //! 1,024 cycles, and stops with [`SimError::Cancelled`] once it is set.
@@ -104,7 +102,7 @@ use std::sync::Arc;
 /// it (sequence position for `seq`, condition phase and branch choice for
 /// `if`/`while`, completion flags for `par` children and the count of
 /// those still running for `par`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CtrlRuntime {
     seq_pos: Vec<u32>,
     in_cond: Vec<bool>,
@@ -568,16 +566,6 @@ impl Interpreter {
         // 1. Candidate groups this cycle: enabled groups plus the `with`
         //    condition groups currently being evaluated, as the trees
         //    last moved.
-        #[cfg(debug_assertions)]
-        {
-            let fresh = oracle::collect(&self.flat, &self.trees.rt, &self.trees.phases);
-            let cycle = self.cycles;
-            assert_eq!(
-                fresh,
-                self.waiting(),
-                "cycle {cycle}: the control walk is stale"
-            );
-        }
         self.wires.publish(&self.flat.prog, &self.flat.graph);
 
         // 2. An enabled group whose done signal is already observable with
@@ -664,20 +652,9 @@ impl Interpreter {
                 }
             }
         }
-        #[cfg(debug_assertions)]
-        let expected = oracle::advance(
-            flat,
-            wires,
-            &trees.rt,
-            &trees.phases,
-            &trees.cands,
-            !fired.is_empty(),
-        );
         for &n in fired.iter() {
             trees.fire(flat, n, wires.values());
         }
-        #[cfg(debug_assertions)]
-        oracle::check(&expected, &trees.rt, &trees.phases, self.cycles);
         let mut started = false;
         for (i, inst) in instances.iter().enumerate().skip(1) {
             if trees.phases[i] == Phase::Idle && go(wires, inst) {
@@ -748,248 +725,6 @@ fn group_settled_done(flat: &FlatDesign, wires: &Wires, g: GroupIdx) -> bool {
     let values = wires.values();
     let mut writes = flat.groups[g].done_writes.iter();
     writes.any(|&(guard, src)| wires.guard(&flat.graph, guard) && eval_atom(src, values) != 0)
-}
-
-/// The walk from the roots that the event-driven one replaced, kept as
-/// the oracle a debug build checks every cycle against: the candidates
-/// it collects must be the ones kept, and the runtime state it advances
-/// to must be the one the events reached.
-#[cfg(debug_assertions)]
-mod oracle {
-    use super::*;
-    use crate::flatten::IndexedMap;
-
-    /// What the trees of the running instances ask of the next cycle.
-    pub(super) fn collect(flat: &FlatDesign, rt: &CtrlRuntime, phases: &[Phase]) -> Waiting {
-        let mut into = Waiting::default();
-        for (inst, phase) in flat.prog.instances.iter().zip(phases) {
-            if *phase == Phase::Running {
-                ctrl_collect(&flat.ctrl, rt, inst.root, &mut into);
-            }
-        }
-        into.sorted()
-    }
-
-    /// Add what node `n` asks of the cycle to `into`.
-    fn ctrl_collect(
-        ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
-        rt: &CtrlRuntime,
-        n: CtrlIdx,
-        into: &mut Waiting,
-    ) {
-        match &ctrl[n] {
-            CtrlNode::Empty => {}
-            CtrlNode::Enable { group } => into.enables.push(*group),
-            CtrlNode::Seq { children } => {
-                let child = children[rt.seq_pos[n.index()] as usize];
-                ctrl_collect(ctrl, rt, child, into);
-            }
-            CtrlNode::Par { children } => {
-                for &c in children {
-                    if !rt.finished[c.index()] {
-                        ctrl_collect(ctrl, rt, c, into);
-                    }
-                }
-            }
-            CtrlNode::If {
-                cond,
-                tbranch,
-                fbranch,
-                ..
-            } => {
-                if rt.in_cond[n.index()] {
-                    match cond {
-                        Some(c) => into.conds.push(*c),
-                        None => into.samples = true,
-                    }
-                } else {
-                    let branch = if rt.taken[n.index()] {
-                        *tbranch
-                    } else {
-                        *fbranch
-                    };
-                    ctrl_collect(ctrl, rt, branch, into);
-                }
-            }
-            CtrlNode::While { cond, body, .. } => {
-                if rt.in_cond[n.index()] {
-                    match cond {
-                        Some(c) => into.conds.push(*c),
-                        None => into.samples = true,
-                    }
-                } else {
-                    ctrl_collect(ctrl, rt, *body, into);
-                }
-            }
-        }
-    }
-
-    /// (Re-)enter a node. Returns true when the node is immediately done.
-    fn ctrl_start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut CtrlRuntime, n: CtrlIdx) -> bool {
-        match &ctrl[n] {
-            CtrlNode::Empty => true,
-            CtrlNode::Enable { .. } => false,
-            CtrlNode::Seq { children } => {
-                for (i, &c) in children.iter().enumerate() {
-                    if !ctrl_start(ctrl, rt, c) {
-                        rt.seq_pos[n.index()] = i as u32;
-                        return false;
-                    }
-                }
-                true
-            }
-            CtrlNode::Par { children } => {
-                let mut all = true;
-                for &c in children {
-                    let done = ctrl_start(ctrl, rt, c);
-                    rt.finished[c.index()] = done;
-                    all &= done;
-                }
-                all
-            }
-            CtrlNode::If { .. } | CtrlNode::While { .. } => {
-                rt.in_cond[n.index()] = true;
-                false
-            }
-        }
-    }
-
-    /// Advance a node by one cycle given this cycle's observations.
-    /// Returns true when the node finished.
-    fn ctrl_advance(
-        ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
-        rt: &mut CtrlRuntime,
-        n: CtrlIdx,
-        done_groups: &[bool],
-        values: &[u64],
-    ) -> bool {
-        match &ctrl[n] {
-            CtrlNode::Empty => true,
-            CtrlNode::Enable { group } => done_groups[group.index()],
-            CtrlNode::Seq { children } => {
-                let pos = rt.seq_pos[n.index()] as usize;
-                if !ctrl_advance(ctrl, rt, children[pos], done_groups, values) {
-                    return false;
-                }
-                for (i, &c) in children.iter().enumerate().skip(pos + 1) {
-                    if !ctrl_start(ctrl, rt, c) {
-                        rt.seq_pos[n.index()] = i as u32;
-                        return false;
-                    }
-                }
-                true
-            }
-            CtrlNode::Par { children } => {
-                let mut all = true;
-                for &c in children {
-                    if rt.finished[c.index()] {
-                        continue;
-                    }
-                    if ctrl_advance(ctrl, rt, c, done_groups, values) {
-                        rt.finished[c.index()] = true;
-                    } else {
-                        all = false;
-                    }
-                }
-                all
-            }
-            CtrlNode::If {
-                port,
-                cond,
-                tbranch,
-                fbranch,
-            } => {
-                if rt.in_cond[n.index()] {
-                    if !cond.is_none_or(|c| done_groups[c.index()]) {
-                        return false;
-                    }
-                    let taken = values[port.index()] != 0;
-                    rt.taken[n.index()] = taken;
-                    let branch = if taken { *tbranch } else { *fbranch };
-                    if ctrl_start(ctrl, rt, branch) {
-                        true
-                    } else {
-                        rt.in_cond[n.index()] = false;
-                        false
-                    }
-                } else {
-                    let branch = if rt.taken[n.index()] {
-                        *tbranch
-                    } else {
-                        *fbranch
-                    };
-                    ctrl_advance(ctrl, rt, branch, done_groups, values)
-                }
-            }
-            CtrlNode::While { port, cond, body } => {
-                if rt.in_cond[n.index()] {
-                    if !cond.is_none_or(|c| done_groups[c.index()]) {
-                        return false;
-                    }
-                    if values[port.index()] != 0 {
-                        if !ctrl_start(ctrl, rt, *body) {
-                            rt.in_cond[n.index()] = false;
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                } else if ctrl_advance(ctrl, rt, *body, done_groups, values) {
-                    rt.in_cond[n.index()] = true;
-                    false
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// The runtime state and phases the root walk reaches from `rt` and
-    /// `phases` at the end of this cycle: it walks when a candidate
-    /// `moved`, over done conditions each evaluated from the ports.
-    pub(super) fn advance(
-        flat: &FlatDesign,
-        wires: &Wires,
-        rt: &CtrlRuntime,
-        phases: &[Phase],
-        cands: &Candidates,
-        moved: bool,
-    ) -> (CtrlRuntime, Vec<Phase>) {
-        let mut rt = rt.clone();
-        let mut phases = phases.to_vec();
-        if moved {
-            let mut done = vec![false; flat.groups.len()];
-            for g in cands.list.iter().filter_map(|c| c.group) {
-                done[g.index()] = group_done(flat, wires.values(), g);
-            }
-            for (inst, phase) in flat.prog.instances.iter().zip(&mut phases) {
-                if *phase == Phase::Running
-                    && ctrl_advance(&flat.ctrl, &mut rt, inst.root, &done, wires.values())
-                {
-                    *phase = Phase::Done;
-                }
-            }
-        }
-        (rt, phases)
-    }
-
-    /// Panic unless the events reached what the root walk did.
-    pub(super) fn check(
-        (want_rt, want_phases): &(CtrlRuntime, Vec<Phase>),
-        rt: &CtrlRuntime,
-        phases: &[Phase],
-        cycle: u64,
-    ) {
-        let same = want_rt.seq_pos == rt.seq_pos
-            && want_rt.in_cond == rt.in_cond
-            && want_rt.taken == rt.taken
-            && want_rt.finished == rt.finished
-            && want_phases[..] == *phases;
-        assert!(
-            same,
-            "cycle {cycle}: the control walk moved where the root walk did not"
-        );
-    }
 }
 
 #[cfg(test)]

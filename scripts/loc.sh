@@ -9,10 +9,11 @@
 # Counted: every line of every *.rs file that is not blank, not a `//`
 # comment (doc comments included), and not inside an item under
 # `#[cfg(test)]`. Not counted at all: `tests/` directories, `benchmark/`,
-# `vendor/` and `target/`. The `#[cfg(test)]` item is found by layout,
-# not by parsing: it runs from the attribute to the first later line that
-# closes it at the attribute's own indentation, which is how rustfmt
-# (enforced by CI) prints every item.
+# `vendor/` and `target/`. The `#[cfg(test)]` item runs from the
+# attribute to the `}` that closes its first `{`, or to a `;` before any
+# `{` (a one-line `use …;`). Brackets are counted outside strings, raw
+# strings, character literals and `//` comments only, so a `}` in a
+# test's source text cannot end the item early.
 #
 # Paths are relative to the current directory, so the script also measures
 # another checkout: `cd ../parent && bash ../repo/scripts/loc.sh`.
@@ -21,14 +22,40 @@ set -euo pipefail
 count() { # DIR -> lines
   find "$1" -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' -print0 \
     | xargs -0 -r awk '
+        # Scan `s` for the end of the skipped item; `closer` is the text
+        # that ends the string being read ("" outside one), kept across
+        # lines, and `depth` the brackets open.
+        function scan(s,   c) {
+          while (s != "") {
+            if (closer != "") {
+              if (closer == "\"" && substr(s, 1, 1) == "\\") { s = substr(s, 3); continue }
+              if (substr(s, 1, length(closer)) == closer) { s = substr(s, length(closer) + 1); closer = "" }
+              else s = substr(s, 2)
+              continue
+            }
+            c = substr(s, 1, 1)
+            if (substr(s, 1, 2) == "//") return 0
+            if (c == "\"") { closer = "\""; s = substr(s, 2); continue }
+            if (match(s, /^b?r#*"/)) {
+              closer = substr(s, 1, RLENGTH); gsub(/[^#]/, "", closer); closer = "\"" closer
+              s = substr(s, RLENGTH + 1); continue
+            }
+            if (match(s, /^[A-Za-z_][A-Za-z0-9_]*/)) { s = substr(s, RLENGTH + 1); continue }
+            if (match(s, /^'\''(\\.[^'\'']*|[^\\'\''])'\''/)) { s = substr(s, RLENGTH + 1); continue }
+            if (c ~ /[{[(]/) depth++
+            if (c ~ /[]})]/ && --depth == 0 && c == "}") return 1
+            if (c == ";" && depth == 0) return 1
+            s = substr(s, 2)
+          }
+          return 0
+        }
         FNR == 1 { skipping = 0 }
-        skipping {
-          # The item ends at `}` (a one-line item at `;`) on the
-          # indentation of its attribute.
-          if (index($0, indent) == 1 && substr($0, length(indent) + 1) ~ /^(}[;,)]*|[^ \t}].*;)$/) skipping = 0
+        skipping { if (scan($0)) skipping = 0; next }
+        /^[ \t]*#\[cfg\(test\)\]/ {
+          closer = ""; depth = 0
+          skipping = !scan(substr($0, index($0, "]") + 1))
           next
         }
-        /^[ \t]*#\[cfg\(test\)\]/ { match($0, /^[ \t]*/); indent = substr($0, 1, RLENGTH); skipping = 1; next }
         /^[ \t]*$/ || /^[ \t]*\/\// { next }
         { n++ }
         END { print n + 0 }' \

@@ -10,11 +10,15 @@
 //! in is its own), and the run must end on the same cycle with the same
 //! state in every cell, or with the same error. The designs: random
 //! programs (component calls among their actions), the 19 PolyBench
-//! kernels unrolled by 1 and 2, and the systolic arrays 2×2 to 4×4.
+//! kernels unrolled by 1 and 2, the systolic arrays 2×2 to 4×4, and the
+//! hand-written control programs of the interpreter's unit tests — the
+//! done-observation cycle, `if`/`while` without a `with` group, `par`
+//! children finishing apart, and an instance that starts, restarts or
+//! has an empty tree.
 
 mod random_programs;
 
-use calyx::core::ir::Context;
+use calyx::core::ir::{parse_context, Context};
 use calyx::dahlia::backend::{memory_banks, split_banks};
 use calyx::polybench::{compile_kernel, input_data, logical_of, KERNELS};
 use calyx::sim::flatten::{
@@ -453,6 +457,158 @@ fn the_systolic_arrays_walk_as_the_root_walk_does() {
         let name = format!("systolic {n}x{n}");
         // Every PE is an instance with a tree of its own.
         assert!(walk_matches_oracle(&name, &ctx, &image) > 0, "{name}");
+    }
+}
+
+/// `main` runs `control` over `invoke`, which starts instance `c` of
+/// `child` and is done when `c` is.
+fn calling(child: &str, control: &str) -> String {
+    format!(
+        r#"component child() -> () {{ {child} }}
+        component main() -> () {{
+          cells {{ c = child(); flag = std_reg(8); }}
+          wires {{
+            group invoke {{ c.go = 1'd1; invoke[done] = c.done; }}
+            group after {{ flag.in = 8'd1; flag.write_en = 1'd1; after[done] = flag.done; }}
+          }}
+          control {{ {control} }}
+        }}"#
+    )
+}
+
+/// A group whose done condition is `done`: state alone (`x.done`) or a
+/// wire only the group drives (`w.out`), on either side of the
+/// done-observation rule.
+fn observed(done: &str) -> String {
+    format!(
+        r#"component main() -> () {{
+          cells {{ x = std_reg(8); w = std_wire(1); n = std_reg(8); inc = std_add(8); }}
+          wires {{
+            group g {{
+              inc.left = n.out; inc.right = 8'd1; n.in = inc.out; n.write_en = 1'd1;
+              x.in = 8'd9; x.write_en = 1'd1; w.in = x.done;
+              g[done] = {done};
+            }}
+          }}
+          control {{ g; }}
+        }}"#
+    )
+}
+
+/// An `if` without a `with` group over a comparison driven outside every
+/// group, after `a` is written with `a`.
+fn sampled_if(a: u8) -> String {
+    format!(
+        r#"component main() -> () {{
+          cells {{ a = std_reg(8); gt = std_gt(8); r = std_reg(8); }}
+          wires {{
+            gt.left = a.out; gt.right = 8'd5;
+            group wa {{ a.in = 8'd{a}; a.write_en = 1'd1; wa[done] = a.done; }}
+            group t {{ r.in = 8'd1; r.write_en = 1'd1; t[done] = r.done; }}
+            group f {{ r.in = 8'd2; r.write_en = 1'd1; f[done] = r.done; }}
+          }}
+          control {{ seq {{ wa; if gt.out {{ t; }} else {{ f; }} }} }}
+        }}"#
+    )
+}
+
+#[test]
+fn the_hand_written_programs_walk_as_the_root_walk_does() {
+    let seq = r#"component main() -> () {
+          cells { x = std_reg(32); }
+          wires {
+            group one { x.in = 32'd1; x.write_en = 1'd1; one[done] = x.done; }
+            group two { x.in = 32'd2; x.write_en = 1'd1; two[done] = x.done; }
+          }
+          control { seq { one; two; } }
+        }"#;
+    let par_if = r#"component main() -> () {
+          cells { a = std_reg(8); b = std_reg(8); r = std_reg(8); gt = std_gt(8); }
+          wires {
+            group wa { a.in = 8'd11; a.write_en = 1'd1; wa[done] = a.done; }
+            group wb { b.in = 8'd4; b.write_en = 1'd1; wb[done] = b.done; }
+            group cmp { gt.left = a.out; gt.right = b.out; cmp[done] = 1'd1; }
+            group t { r.in = a.out; r.write_en = 1'd1; t[done] = r.done; }
+            group f { r.in = b.out; r.write_en = 1'd1; f[done] = r.done; }
+          }
+          control { seq { par { wa; wb; } if gt.out with cmp { t; } else { f; } } }
+        }"#;
+    let par_apart = r#"component main() -> () {
+          cells { mul = std_mult_pipe(8); p = std_reg(8); q = std_reg(8); r = std_reg(8); }
+          wires {
+            group slow {
+              mul.left = 8'd6; mul.right = 8'd7; mul.go = !mul.done ? 1'd1;
+              p.in = mul.out; p.write_en = mul.done ? 1'd1; slow[done] = p.done;
+            }
+            group fast { q.in = 8'd1; q.write_en = 1'd1; fast[done] = q.done; }
+            group after { r.in = q.out; r.write_en = 1'd1; after[done] = r.done; }
+          }
+          control { seq { par { slow; seq { fast; after; } } } }
+        }"#;
+    let while_with = r#"component main() -> () {
+          cells { i = std_reg(8); lt = std_lt(8); add = std_add(8); }
+          wires {
+            group cond { lt.left = i.out; lt.right = 8'd7; cond[done] = 1'd1; }
+            group incr {
+              add.left = i.out; add.right = 8'd1; i.in = add.out; i.write_en = 1'd1;
+              incr[done] = i.done;
+            }
+          }
+          control { while lt.out with cond { incr; } }
+        }"#;
+    let sampled_while = r#"component main() -> () {
+          cells { more = std_reg(1); n = std_reg(4); add = std_add(4); lt = std_lt(4); }
+          wires {
+            group init { more.in = 1'd1; more.write_en = 1'd1; init[done] = more.done; }
+            group incr {
+              add.left = n.out; add.right = 4'd1; n.in = add.out; n.write_en = 1'd1;
+              incr[done] = n.done;
+            }
+            group check {
+              lt.left = n.out; lt.right = 4'd3; more.in = lt.out; more.write_en = 1'd1;
+              check[done] = more.done;
+            }
+          }
+          control { seq { init; while more.out { seq { incr; check; } } } }
+        }"#;
+    let writer = r#"cells { r = std_reg(8); }
+          wires { group w { r.in = 8'd9; r.write_en = 1'd1; w[done] = r.done; } }
+          control { w; }"#;
+    let counter = r#"cells { r = std_reg(8); add = std_add(8); }
+          wires {
+            group incr {
+              add.left = r.out; add.right = 8'd1; r.in = add.out; r.write_en = 1'd1;
+              incr[done] = r.done;
+            }
+          }
+          control { incr; }"#;
+    let programs = [
+        ("seq of register writes", seq.to_string()),
+        ("done from state", observed("x.done")),
+        ("done over a wire the group drives", observed("w.out")),
+        ("par, then if with a group", par_if.to_string()),
+        ("par children finishing apart", par_apart.to_string()),
+        ("while with a group", while_with.to_string()),
+        ("while without a group", sampled_while.to_string()),
+        ("if without a group, taken", sampled_if(9)),
+        ("if without a group, not taken", sampled_if(3)),
+        (
+            "an empty child",
+            calling("cells {} wires {} control {}", "invoke;"),
+        ),
+        ("a child started", calling(writer, "seq { invoke; after; }")),
+        (
+            "a child restarted",
+            calling(counter, "seq { invoke; invoke; }"),
+        ),
+        (
+            "empty control",
+            "component main() -> () { cells {} wires {} control {} }".into(),
+        ),
+    ];
+    for (name, src) in programs {
+        let ctx = parse_context(&src).expect("parses");
+        walk_matches_oracle(name, &ctx, &Image::new());
     }
 }
 
