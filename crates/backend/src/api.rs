@@ -310,8 +310,8 @@ impl Default for BackendRegistry {
         reg.register::<crate::print::CalyxBackend>();
         reg.register::<crate::verilog::VerilogBackend>();
         reg.register::<crate::area::AreaBackend>();
-        reg.register::<crate::simulate::SimBackend>();
-        reg.register::<crate::simulate::InterpBackend>();
+        reg.register::<crate::simulate::SimulationBackend<calyx_sim::rtl::Rtl>>();
+        reg.register::<crate::simulate::SimulationBackend<calyx_sim::interp::Interp>>();
         reg
     }
 }

@@ -48,5 +48,5 @@ pub use api::{
 };
 pub use area::{estimate, Area, AreaBackend};
 pub use print::CalyxBackend;
-pub use simulate::{InterpBackend, SimBackend};
+pub use simulate::{SimEngine, SimulationBackend};
 pub use verilog::{emit, VerilogBackend};

@@ -1,149 +1,133 @@
 //! The `sim` and `interp` backends: execution as emission.
 //!
-//! Both run the program and stream the shared cycle/state report format
-//! (see [`calyx_sim::report`]) — `done in N cycles` followed by one
-//! `cell = value` line per stateful cell of the entry component:
+//! Both are one backend, [`SimulationBackend`], generic over the engine
+//! of the one simulation harness ([`calyx_sim::Harness`]): it builds the
+//! harness, hands it the job's cancel flag, runs it within the cycle
+//! budget and streams the shared cycle/state report format (see
+//! [`calyx_sim::report`]) — `done in N cycles` followed by one
+//! `cell = value` line per stateful cell of the entry component. What
+//! differs is per-engine data ([`SimEngine`]):
 //!
-//! - [`SimBackend`] drives the cycle-accurate RTL engine over the
+//! - `sim` ([`Rtl`]) drives the cycle-accurate RTL engine over the
 //!   *lowered* design. Its cycle counts are the paper's §7 measurements.
-//! - [`InterpBackend`] executes the *control tree* directly with the
+//! - `interp` ([`Interp`]) executes the *control tree* directly with the
 //!   reference interpreter — the IL's executable semantics, before any
-//!   lowering. Cycle counts differ from RTL (no FSM overhead), but final
-//!   architectural state must agree; diffing the two backends' reports is
-//!   a compiler-correctness check from the command line.
+//!   lowering — component instances included: every instance runs its
+//!   own control, started by its `go` port. Cycle counts differ from RTL
+//!   (no FSM overhead), but final architectural state must agree;
+//!   diffing the two backends' reports is a compiler-correctness check
+//!   from the command line.
 
 use crate::api::{Backend, BackendOpts, SimThroughput};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::{validate, Context};
-use calyx_sim::interp::Interpreter;
+use calyx_sim::interp::Interp;
 use calyx_sim::report::write_state_report;
-use calyx_sim::rtl::Simulator;
-use calyx_sim::SimError;
+use calyx_sim::rtl::Rtl;
+use calyx_sim::{Engine, Harness, SimError};
 use std::cell::Cell;
 use std::io;
+use std::marker::PhantomData;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Map a simulation failure into the compiler's error type, naming the
-/// backend that hit it. These are *runtime* failures (timeouts, driver
-/// conflicts) on well-formed programs, not malformed input.
-fn sim_error(backend: &'static str, e: SimError) -> Error {
-    Error::backend(backend, format!("simulation failed: {e}"))
+/// What a simulation backend says of its engine.
+pub trait SimEngine: Engine {
+    /// [`Backend::NAME`].
+    const NAME: &'static str;
+    /// [`Backend::DESCRIPTION`].
+    const DESCRIPTION: &'static str;
+    /// [`Backend::EXTENSION`].
+    const EXTENSION: &'static str;
+    /// [`Backend::required_pipeline`].
+    const PIPELINE: &'static [&'static str];
+
+    /// [`Backend::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The input is not one the engine runs.
+    fn validate(ctx: &Context) -> CalyxResult<()>;
 }
 
-/// Runs the cycle-accurate RTL simulator and reports cycles + final
-/// state. Requires a lowered design (the RTL engine models the emitted
-/// SystemVerilog 1:1).
-pub struct SimBackend {
+impl SimEngine for Rtl {
+    const NAME: &'static str = "sim";
+    const DESCRIPTION: &'static str =
+        "simulate the lowered design cycle-accurately and report cycles + final state";
+    const EXTENSION: &'static str = "sim";
+    const PIPELINE: &'static [&'static str] = &["lower"];
+
+    fn validate(ctx: &Context) -> CalyxResult<()> {
+        ctx.entry()?;
+        validate::require_lowered(ctx)
+    }
+}
+
+impl SimEngine for Interp {
+    const NAME: &'static str = "interp";
+    const DESCRIPTION: &'static str =
+        "execute the control tree with the reference interpreter and report cycles + final state";
+    const EXTENSION: &'static str = "interp";
+    const PIPELINE: &'static [&'static str] = &["none"];
+
+    fn validate(ctx: &Context) -> CalyxResult<()> {
+        ctx.entry().map(drop)
+    }
+}
+
+/// Runs engine `E` and reports cycles + final state.
+pub struct SimulationBackend<E> {
     cycles: u64,
-    /// The flag given to [`Backend::cancel_on`], handed to the engine.
+    /// The flag given to [`Backend::cancel_on`], handed to the harness.
     cancel: Option<Arc<AtomicBool>>,
     /// Cycles/wall-time of the last successful `emit` (see
     /// [`Backend::throughput`]); interior-mutable because `emit` takes
     /// `&self`.
     throughput: Cell<Option<SimThroughput>>,
+    engine: PhantomData<fn() -> E>,
 }
 
-impl Backend for SimBackend {
-    const NAME: &'static str = "sim";
-    const DESCRIPTION: &'static str =
-        "simulate the lowered design cycle-accurately and report cycles + final state";
-    const EXTENSION: &'static str = "sim";
+impl<E: SimEngine> Backend for SimulationBackend<E> {
+    const NAME: &'static str = E::NAME;
+    const DESCRIPTION: &'static str = E::DESCRIPTION;
+    const EXTENSION: &'static str = E::EXTENSION;
 
     fn from_opts(opts: &BackendOpts) -> Self {
-        SimBackend {
+        SimulationBackend {
             cycles: opts.cycles,
             cancel: None,
             throughput: Cell::new(None),
+            engine: PhantomData,
         }
     }
 
     fn required_pipeline(&self) -> &'static [&'static str] {
-        &["lower"]
+        E::PIPELINE
     }
 
     fn validate(&self, ctx: &Context) -> CalyxResult<()> {
-        ctx.entry()?;
-        validate::require_lowered(ctx)
+        E::validate(ctx)
     }
 
+    /// These are *runtime* failures (timeouts, driver conflicts) on
+    /// well-formed programs, not malformed input, each named with the
+    /// backend that hit it.
     fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
         self.validate(ctx)?;
+        let failed = |e: SimError| Error::backend(E::NAME, format!("simulation failed: {e}"));
         let top = ctx.entrypoint.as_str();
-        let mut sim = Simulator::new(ctx, top).map_err(|e| sim_error(Self::NAME, e))?;
+        let mut harness = Harness::<E>::new(ctx, top).map_err(failed)?;
         if let Some(flag) = &self.cancel {
-            sim.cancel_on(Arc::clone(flag));
+            harness.cancel_on(Arc::clone(flag));
         }
         let start = Instant::now();
-        let stats = sim.run(self.cycles).map_err(|e| sim_error(Self::NAME, e))?;
+        let stats = harness.run(self.cycles).map_err(failed)?;
         self.throughput.set(Some(SimThroughput {
             cycles: stats.cycles,
             wall: start.elapsed(),
         }));
-        write_state_report(sim.state(), ctx.entry()?, stats, out)?;
-        Ok(())
-    }
-
-    fn throughput(&self) -> Option<SimThroughput> {
-        self.throughput.get()
-    }
-
-    fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
-    }
-}
-
-/// Runs the reference control-tree interpreter and reports cycles +
-/// final state. Consumes *un-lowered* programs (its declared pipeline is
-/// `none`, i.e. validation only), component instances included: every
-/// instance runs its own control, started by its `go` port.
-pub struct InterpBackend {
-    cycles: u64,
-    /// See [`SimBackend`]'s field of the same name.
-    cancel: Option<Arc<AtomicBool>>,
-    /// See [`SimBackend`]'s field of the same name.
-    throughput: Cell<Option<SimThroughput>>,
-}
-
-impl Backend for InterpBackend {
-    const NAME: &'static str = "interp";
-    const DESCRIPTION: &'static str =
-        "execute the control tree with the reference interpreter and report cycles + final state";
-    const EXTENSION: &'static str = "interp";
-
-    fn from_opts(opts: &BackendOpts) -> Self {
-        InterpBackend {
-            cycles: opts.cycles,
-            cancel: None,
-            throughput: Cell::new(None),
-        }
-    }
-
-    fn required_pipeline(&self) -> &'static [&'static str] {
-        &["none"]
-    }
-
-    fn validate(&self, ctx: &Context) -> CalyxResult<()> {
-        ctx.entry().map(drop)
-    }
-
-    fn emit(&self, ctx: &Context, out: &mut dyn io::Write) -> CalyxResult<()> {
-        self.validate(ctx)?;
-        let top = ctx.entrypoint.as_str();
-        let mut interp = Interpreter::new(ctx, top).map_err(|e| sim_error(Self::NAME, e))?;
-        if let Some(flag) = &self.cancel {
-            interp.cancel_on(Arc::clone(flag));
-        }
-        let start = Instant::now();
-        let stats = interp
-            .run(self.cycles)
-            .map_err(|e| sim_error(Self::NAME, e))?;
-        self.throughput.set(Some(SimThroughput {
-            cycles: stats.cycles,
-            wall: start.elapsed(),
-        }));
-        write_state_report(interp.state(), ctx.entry()?, stats, out)?;
+        write_state_report(harness.state(), ctx.entry()?, stats, out)?;
         Ok(())
     }
 
@@ -181,12 +165,44 @@ mod tests {
         }
     "#;
 
+    /// Name, description, extension and pipeline of backend `B`.
+    fn metadata<B: Backend>() -> [&'static str; 4] {
+        let pipeline = B::from_opts(&BackendOpts::default()).required_pipeline();
+        let [pipeline] = pipeline else {
+            panic!("{}: one pipeline name, not {pipeline:?}", B::NAME)
+        };
+        [B::NAME, B::DESCRIPTION, B::EXTENSION, pipeline]
+    }
+
+    #[test]
+    fn each_engine_keeps_its_backend_metadata() {
+        assert_eq!(
+            metadata::<SimulationBackend<Rtl>>(),
+            [
+                "sim",
+                "simulate the lowered design cycle-accurately and report cycles + final state",
+                "sim",
+                "lower",
+            ]
+        );
+        assert_eq!(
+            metadata::<SimulationBackend<Interp>>(),
+            [
+                "interp",
+                "execute the control tree with the reference interpreter and report cycles + \
+                 final state",
+                "interp",
+                "none",
+            ]
+        );
+    }
+
     #[test]
     fn sim_backend_reports_cycles_and_state_of_the_lowered_design() {
         let mut ctx = parse_context(COUNTER).unwrap();
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut ctx).unwrap();
-        let backend = SimBackend::from_opts(&BackendOpts::default());
+        let backend = SimulationBackend::<Rtl>::from_opts(&BackendOpts::default());
         backend.validate(&ctx).unwrap();
         let mut out = Vec::new();
         backend.emit(&ctx, &mut out).unwrap();
@@ -198,7 +214,7 @@ mod tests {
     #[test]
     fn interp_backend_agrees_on_final_state_without_lowering() {
         let ctx = parse_context(COUNTER).unwrap();
-        let backend = InterpBackend::from_opts(&BackendOpts::default());
+        let backend = SimulationBackend::<Interp>::from_opts(&BackendOpts::default());
         backend.validate(&ctx).unwrap();
         let mut out = Vec::new();
         backend.emit(&ctx, &mut out).unwrap();
@@ -209,7 +225,7 @@ mod tests {
     #[test]
     fn sim_backend_rejects_unlowered_input_without_output() {
         let ctx = parse_context(COUNTER).unwrap();
-        let backend = SimBackend::from_opts(&BackendOpts::default());
+        let backend = SimulationBackend::<Rtl>::from_opts(&BackendOpts::default());
         assert!(backend.validate(&ctx).is_err());
         let mut out = Vec::new();
         assert!(backend.emit(&ctx, &mut out).is_err());
@@ -221,7 +237,7 @@ mod tests {
         let mut ctx = parse_context(COUNTER).unwrap();
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut ctx).unwrap();
-        let backend = SimBackend::from_opts(&BackendOpts {
+        let backend = SimulationBackend::<Rtl>::from_opts(&BackendOpts {
             cycles: 1,
             ..BackendOpts::default()
         });
@@ -234,7 +250,7 @@ mod tests {
         let mut lowered = parse_context(COUNTER).unwrap();
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut lowered).unwrap();
-        let sim = SimBackend::from_opts(&BackendOpts::default());
+        let sim = SimulationBackend::<Rtl>::from_opts(&BackendOpts::default());
         assert!(
             Backend::throughput(&sim).is_none(),
             "throughput before any run"
@@ -245,7 +261,7 @@ mod tests {
         assert!(t.cycles_per_sec() > 0.0);
 
         let ctx = parse_context(COUNTER).unwrap();
-        let interp = InterpBackend::from_opts(&BackendOpts::default());
+        let interp = SimulationBackend::<Interp>::from_opts(&BackendOpts::default());
         interp.emit(&ctx, &mut Vec::new()).unwrap();
         let t = Backend::throughput(&interp).expect("interp throughput");
         assert!(t.cycles > 0);

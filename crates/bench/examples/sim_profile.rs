@@ -27,6 +27,9 @@
 use calyx_core::ir::Context;
 use calyx_core::passes::PassManager;
 use calyx_polybench::{compile_kernel, input_data, kernel, logical_of, KernelDef, KERNELS};
+use calyx_sim::interp::Interp;
+use calyx_sim::rtl::Rtl;
+use calyx_sim::{Engine, Harness};
 use calyx_systolic::{generate, SystolicConfig};
 use std::time::{Duration, Instant};
 
@@ -115,39 +118,17 @@ fn prepare(def: &KernelDef, n: u64, engine: &str) -> (Context, Image) {
     (ctx, image)
 }
 
-/// Build, load and run `engine` on `ctx` once: the cycles, the time to
+/// Build, load and run engine `E` on `ctx` once: the cycles, the time to
 /// build the engine and the time to run it.
-fn measure(engine: &str, ctx: &Context, image: &Image) -> (u64, Duration, Duration) {
+fn measure<E: Engine>(ctx: &Context, image: &Image) -> (u64, Duration, Duration) {
     let built = Instant::now();
-    let (cycles, flatten, ran) = match engine {
-        "rtl" => {
-            let mut sim = calyx_sim::rtl::Simulator::new(ctx, "main").expect("builds");
-            let flatten = built.elapsed();
-            for (name, data) in image {
-                sim.set_memory(&[name], data).expect("memory");
-            }
-            let ran = Instant::now();
-            (
-                sim.run(100_000_000).expect("completes").cycles,
-                flatten,
-                ran,
-            )
-        }
-        "interp" => {
-            let mut interp = calyx_sim::interp::Interpreter::new(ctx, "main").expect("builds");
-            let flatten = built.elapsed();
-            for (name, data) in image {
-                interp.set_memory(name, data).expect("memory");
-            }
-            let ran = Instant::now();
-            (
-                interp.run(100_000_000).expect("completes").cycles,
-                flatten,
-                ran,
-            )
-        }
-        other => panic!("unknown engine `{other}` (rtl or interp)"),
-    };
+    let mut harness = Harness::<E>::new(ctx, "main").expect("builds");
+    let flatten = built.elapsed();
+    for (name, data) in image {
+        harness.set_memory(name, data).expect("memory");
+    }
+    let ran = Instant::now();
+    let cycles = harness.run(100_000_000).expect("completes").cycles;
     (cycles, flatten, ran.elapsed())
 }
 
@@ -156,6 +137,11 @@ fn main() {
     let engine = args.first().map(String::as_str).unwrap_or("rtl");
     let kname = args.get(1).map(String::as_str).unwrap_or("gemver");
     let n: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let measure: fn(&Context, &Image) -> (u64, Duration, Duration) = match engine {
+        "rtl" => measure::<Rtl>,
+        "interp" => measure::<Interp>,
+        other => panic!("unknown engine `{other}` (rtl or interp)"),
+    };
     let iters: u32 = args
         .get(3)
         .and_then(|s| s.parse().ok())
@@ -183,7 +169,7 @@ fn main() {
     for _ in 0..iters {
         let mut sweep = (0, Duration::ZERO, Duration::ZERO);
         for ((_, ctx, image), cost) in designs.iter().zip(&mut costs) {
-            let (cycles, flatten, run) = measure(engine, ctx, image);
+            let (cycles, flatten, run) = measure(ctx, image);
             cost.push((cycles, flatten, run));
             sweep = (sweep.0 + cycles, sweep.1 + flatten, sweep.2 + run);
         }

@@ -52,12 +52,12 @@ pub fn run_systolic(n: usize, pipeline: &str) -> CalyxResult<(u64, Area)> {
     // Deterministic operands.
     for r in 0..n {
         let row: Vec<u64> = (0..n).map(|k| ((r * n + k) % 7 + 1) as u64).collect();
-        sim.set_memory(&[&format!("l{r}")], &row)
+        sim.set_memory(&format!("l{r}"), &row)
             .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
     }
     for c in 0..n {
         let col: Vec<u64> = (0..n).map(|k| ((k * n + c) % 5 + 1) as u64).collect();
-        sim.set_memory(&[&format!("t{c}")], &col)
+        sim.set_memory(&format!("t{c}"), &col)
             .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
     }
     let stats = sim

@@ -31,8 +31,9 @@ use calyx_dahlia::backend::{memory_banks, split_banks};
 use calyx_polybench::{compile_kernel, input_data, logical_of, KernelDef, KERNELS};
 use calyx_service::digest64;
 use calyx_sim::flatten::FlatProgram;
-use calyx_sim::interp::Interpreter;
-use calyx_sim::{write_state_report, RunStats, SimResult, Simulator};
+use calyx_sim::interp::Interp;
+use calyx_sim::rtl::Rtl;
+use calyx_sim::{write_state_report, Engine, Harness, SimResult};
 use calyx_systolic::{generate, reference_matmul, SystolicConfig};
 
 const TABLE: &str = include_str!("sim_state_pinned.txt");
@@ -96,28 +97,29 @@ fn report(
     image: &[(String, Vec<u64>)],
     check: impl Fn(&FlatProgram),
 ) -> SimResult<(u64, String)> {
-    let render = |state: &FlatProgram, ctx: &Context, stats: RunStats| {
-        check(state);
-        let mut buf = Vec::new();
-        write_state_report(state, ctx.entry().unwrap(), stats, &mut buf).unwrap();
-        (stats.cycles, String::from_utf8(buf).unwrap())
-    };
     if mode == "interp" {
-        let mut interp = Interpreter::new(&ctx, "main")?;
-        for (name, data) in image {
-            interp.set_memory(name, data)?;
-        }
-        let stats = interp.run(BUDGET)?;
-        return Ok(render(interp.state(), &ctx, stats));
+        return outcome::<Interp>(&ctx, image, check);
     }
     let mut pipeline = PassManager::from_names(&[mode]).unwrap();
     pipeline.run(&mut ctx).unwrap();
-    let mut sim = Simulator::new(&ctx, "main")?;
+    outcome::<Rtl>(&ctx, image, check)
+}
+
+/// [`report`] on engine `E`.
+fn outcome<E: Engine>(
+    ctx: &Context,
+    image: &[(String, Vec<u64>)],
+    check: impl Fn(&FlatProgram),
+) -> SimResult<(u64, String)> {
+    let mut harness = Harness::<E>::new(ctx, "main")?;
     for (name, data) in image {
-        sim.set_memory(&[name], data)?;
+        harness.set_memory(name, data)?;
     }
-    let stats = sim.run(BUDGET)?;
-    Ok(render(sim.state(), &ctx, stats))
+    let stats = harness.run(BUDGET)?;
+    check(harness.state());
+    let mut buf = Vec::new();
+    write_state_report(harness.state(), ctx.entry().unwrap(), stats, &mut buf).unwrap();
+    Ok((stats.cycles, String::from_utf8(buf).unwrap()))
 }
 
 #[test]

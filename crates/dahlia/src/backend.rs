@@ -604,7 +604,7 @@ mod tests {
         pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         for (mem, data) in init {
-            sim.set_memory(&[mem], data).unwrap();
+            sim.set_memory(*mem, data).unwrap();
         }
         sim.run(2_000_000).unwrap();
         sim
@@ -619,7 +619,7 @@ mod tests {
             if (x > 10) { x := 1; } else { x := 2; }
         ";
         let sim = run(src, &[]);
-        assert_eq!(sim.register_value(&["x"]).unwrap(), 2);
+        assert_eq!(sim.register_value("x").unwrap(), 2);
     }
 
     #[test]
@@ -637,7 +637,7 @@ mod tests {
         ";
         let a: Vec<u64> = (1..=8).collect();
         let sim = run(src, &[("a", a)]);
-        assert_eq!(sim.memory(&["out"]).unwrap(), vec![36]);
+        assert_eq!(sim.memory("out").unwrap(), vec![36]);
     }
 
     #[test]
@@ -651,7 +651,7 @@ mod tests {
             out[0] := y;
         ";
         let sim = run(src, &[]);
-        assert_eq!(sim.memory(&["out"]).unwrap(), vec![42]);
+        assert_eq!(sim.memory("out").unwrap(), vec![42]);
     }
 
     #[test]
@@ -669,7 +669,7 @@ mod tests {
             out[1] := r;
         ";
         let sim = run(src, &[]);
-        assert_eq!(sim.memory(&["out"]).unwrap(), vec![3, 2]);
+        assert_eq!(sim.memory("out").unwrap(), vec![3, 2]);
     }
 
     #[test]
@@ -683,7 +683,7 @@ mod tests {
             out[0] := y;
         ";
         let sim = run(src, &[]);
-        assert_eq!(sim.memory(&["out"]).unwrap(), vec![12]);
+        assert_eq!(sim.memory("out").unwrap(), vec![12]);
     }
 
     #[test]
@@ -706,15 +706,12 @@ mod tests {
         let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
-        sim.set_memory(&["a_b0"], &banks[0]).unwrap();
-        sim.set_memory(&["a_b1"], &banks[1]).unwrap();
+        sim.set_memory("a_b0", &banks[0]).unwrap();
+        sim.set_memory("a_b1", &banks[1]).unwrap();
         sim.run(1_000_000).unwrap();
         let out = join_banks(
             &decl,
-            &[
-                sim.memory(&["b_b0"]).unwrap(),
-                sim.memory(&["b_b1"]).unwrap(),
-            ],
+            &[sim.memory("b_b0").unwrap(), sim.memory("b_b1").unwrap()],
         );
         assert_eq!(out, (1..=8).collect::<Vec<u64>>());
     }
@@ -732,7 +729,7 @@ mod tests {
             out[0] := i;
         ";
         let sim = run(src, &[]);
-        assert_eq!(sim.memory(&["out"]).unwrap(), vec![5]);
+        assert_eq!(sim.memory("out").unwrap(), vec![5]);
     }
 
     #[test]

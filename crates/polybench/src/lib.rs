@@ -295,7 +295,7 @@ pub fn simulate(def: &KernelDef, n: u64, unroll: u64, pipeline: &[&str]) -> Caly
         let data = &logical[&logical_of(decl.name.as_str())];
         let banks = split_banks(decl, data);
         for ((bank_name, _), bank_data) in memory_banks(decl).iter().zip(&banks) {
-            sim.set_memory(&[bank_name], bank_data)
+            sim.set_memory(bank_name, bank_data)
                 .map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
         }
     }
@@ -319,7 +319,7 @@ pub fn simulate(def: &KernelDef, n: u64, unroll: u64, pipeline: &[&str]) -> Caly
         let banks: Vec<Vec<u64>> = memory_banks(decl)
             .iter()
             .map(|(name, _)| {
-                sim.memory(&[name])
+                sim.memory(name)
                     .map_err(|e| Error::malformed(format!("{}: {e}", def.name)))
             })
             .collect::<CalyxResult<_>>()?;

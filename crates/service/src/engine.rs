@@ -1148,14 +1148,13 @@ component main() -> () {
     }
 
     /// A simulation abandoned at its deadline stops within its next 1,024
-    /// cycles: the job's thread ends, although the loop never does and
-    /// its cycle budget would last for days.
+    /// cycles, on either engine: the job's thread ends, although the loop
+    /// never does and its cycle budget would last for days.
     #[test]
     fn an_abandoned_simulation_stops() {
         let mut session = Session::default();
         session.passes.register::<Marker>();
         let service = CompileService::with_session(session);
-        let dropped = MARKERS_DROPPED.load(Ordering::SeqCst);
         let spin = "component main() -> () {
             cells { r = std_reg(1); lt = std_lt(2); }
             wires {
@@ -1164,24 +1163,27 @@ component main() -> () {
             }
             control { while lt.out with cond { body; } }
           }";
-        let req = JobRequest {
-            source: Some(spin.to_string()),
-            pipeline: Some(vec!["marker".to_string()]),
-            backend: Some("interp".to_string()),
-            cycles: Some(1_000_000_000_000),
-            timeout_ms: Some(20),
-            ..JobRequest::default()
-        };
-        let resp = service.execute(0, &req, &JobDefaults::default());
-        assert_eq!(resp.status, Status::Timeout, "{:?}", resp.error);
-        // The job's thread drops its pipeline when the compile returns.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while MARKERS_DROPPED.load(Ordering::SeqCst) == dropped {
-            assert!(
-                Instant::now() < deadline,
-                "the abandoned simulation never ended"
-            );
-            std::thread::sleep(Duration::from_millis(5));
+        for (backend, pipeline) in [("interp", &["marker"][..]), ("sim", &["lower", "marker"])] {
+            let dropped = MARKERS_DROPPED.load(Ordering::SeqCst);
+            let req = JobRequest {
+                source: Some(spin.to_string()),
+                pipeline: Some(pipeline.iter().map(|p| p.to_string()).collect()),
+                backend: Some(backend.to_string()),
+                cycles: Some(1_000_000_000_000),
+                timeout_ms: Some(20),
+                ..JobRequest::default()
+            };
+            let resp = service.execute(0, &req, &JobDefaults::default());
+            assert_eq!(resp.status, Status::Timeout, "{backend}: {:?}", resp.error);
+            // The job's thread drops its pipeline when the compile returns.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while MARKERS_DROPPED.load(Ordering::SeqCst) == dropped {
+                assert!(
+                    Instant::now() < deadline,
+                    "{backend}: the abandoned simulation never ended"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
         }
     }
 

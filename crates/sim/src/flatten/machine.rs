@@ -32,12 +32,11 @@
 //! in the settle tracks which cells are armed, so the settle pays nothing
 //! for it, and an idle cell costs the tick one port read.
 //!
-//! A run looks at its cancel flag every 1,024 cycles ([`check_cancel`]).
-//!
 //! [`FlatProgram::set_memory`], [`FlatProgram::memory`] and
 //! [`FlatProgram::register_value`] are the harness's view of the same
-//! state, addressed by hierarchical path (`pe_0_0.acc`) for both engines,
-//! with one wording for each lookup error.
+//! state ([`crate::harness::Harness`]), addressed by hierarchical path
+//! (`pe_0_0.acc`) for both engines, with one wording for each lookup
+//! error.
 //!
 //! The functions on the per-cycle path are `#[inline]`: each is called
 //! from inside an engine's per-cycle loop, which should compile with the
@@ -47,22 +46,6 @@ use super::{CellIdx, FlatCell, FlatCellKind, FlatIdx, FlatProgram, PortIdx};
 use crate::error::{SimError, SimResult};
 use crate::prim::PrimState;
 use calyx_core::prim::mask;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// How many cycles a run goes between looks at its cancel flag.
-const CANCEL_EVERY: u64 = 1024;
-
-/// Whether a run stops before `cycle`: every [`CANCEL_EVERY`] cycles it
-/// looks at the flag it was given, and fails with
-/// [`SimError::Cancelled`] once the flag is set.
-#[inline]
-pub(crate) fn check_cancel(flag: Option<&Arc<AtomicBool>>, cycle: u64) -> SimResult<()> {
-    if cycle.is_multiple_of(CANCEL_EVERY) && flag.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        return Err(SimError::Cancelled { cycle });
-    }
-    Ok(())
-}
 
 /// The stateful cells in cell order, each with the port that arms it
 /// (`write_en`, or a unit's `go`), and one bit per cell that is set while
@@ -688,13 +671,13 @@ mod tests {
             size: 2,
         };
         assert_eq!(interp.set_memory("m", &[7, 8, 9]), Err(expected.clone()));
-        assert_eq!(sim.set_memory(&["m"], &[7, 8, 9]), Err(expected));
+        assert_eq!(sim.set_memory("m", &[7, 8, 9]), Err(expected));
         // Neither engine kept any of the rejected image.
         assert_eq!(interp.memory("m").unwrap(), vec![0, 0]);
-        assert_eq!(sim.memory(&["m"]).unwrap(), vec![0, 0]);
+        assert_eq!(sim.memory("m").unwrap(), vec![0, 0]);
         // An image that fits is still accepted by both.
         interp.set_memory("m", &[7]).unwrap();
-        sim.set_memory(&["m"], &[7]).unwrap();
-        assert_eq!(interp.memory("m").unwrap(), sim.memory(&["m"]).unwrap());
+        sim.set_memory("m", &[7]).unwrap();
+        assert_eq!(interp.memory("m").unwrap(), sim.memory("m").unwrap());
     }
 }

@@ -65,7 +65,9 @@
 //!   [`TickTable`] a tick scans and the list of cells it touched, which
 //!   are all the next publish shows.
 //!
-//! An engine owns what drives the machine, and its [`DriverRule`]:
+//! The cycle loop and the lookups around the machine are one
+//! [`Harness`](crate::harness::Harness). An engine owns what drives the
+//! machine, and its [`DriverRule`]:
 //!
 //! - [`crate::rtl`]: a lowered design (it refuses groups, control and a
 //!   cyclic graph), the top-level `go`/`done` handshake, and the strict
@@ -114,7 +116,6 @@ pub use build::flatten;
 pub use index::{
     AssignIdx, CellIdx, CtrlIdx, FlatIdx, GroupIdx, GuardIdx, IndexRange, IndexedMap, PortIdx,
 };
-pub(crate) use machine::check_cancel;
 pub use machine::{RunStats, TickTable};
 pub use settle::{DriverRule, Wires};
 

@@ -38,15 +38,21 @@
 //! programs of the tests below, and the candidates must agree before
 //! every cycle.
 //!
-//! A run looks at the flag given to [`Interpreter::cancel_on`] every
-//! 1,024 cycles, and stops with [`SimError::Cancelled`] once it is set.
+//! The harness around the walk — the cycle loop, its budget and cancel
+//! flag, loading and reading state — is [`Harness`], the one the RTL
+//! engine runs in. What is this engine's own ([`Interp`]): its refusal of
+//! a sub-component that drives its own `done`, the control walk
+//! (`Trees`) and its cycle ([`Engine::step`]), counted from
+//! construction, so a second run goes on where the first stopped and a
+//! finished tree runs no further cycle.
 //!
-//! Two things are the interpreter's own. Its driver rule (`Agree`): two
-//! active drivers of one port conflict only when their values differ. And
-//! its graph may be cyclic: groups that are never active together may
-//! wire the same cells in opposite orders (`resource-sharing` produces
-//! this), so what the sort could not place is swept until it is stable,
-//! and only a loop that is *active* and does not converge is an error.
+//! Two things of the settle are the interpreter's own. Its driver rule
+//! (`Agree`): two active drivers of one port conflict only when their
+//! values differ. And its graph may be cyclic: groups that are never
+//! active together may wire the same cells in opposite orders
+//! (`resource-sharing` produces this), so what the sort could not place
+//! is swept until it is stable, and only a loop that is *active* and does
+//! not converge is an error.
 //!
 //! The observable semantics — cycle counts, final state, error cases —
 //! are those of the tree-walking interpreter this one replaced, pinned by
@@ -90,12 +96,11 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flatten::{
-    check_cancel, eval_atom, eval_guard, flatten, CtrlIdx, CtrlNode, DriverRule, FlatDesign,
-    FlatIdx, FlatInstance, FlatProgram, GroupIdx, RunStats, Wires,
+    eval_atom, eval_guard, CtrlIdx, CtrlNode, DriverRule, FlatDesign, FlatIdx, FlatInstance,
+    GroupIdx, Wires,
 };
+use crate::harness::{Engine, Harness};
 use calyx_core::ir::{Assignment, Context, Id, PortRef};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 /// Per-node runtime state of the flattened control tree. Indexed by
 /// [`CtrlIdx`]; each field is meaningful only for the node kinds that use
@@ -234,7 +239,8 @@ enum Phase {
 struct Trees {
     rt: CtrlRuntime,
     cands: Candidates,
-    /// Each instance's phase, by position in [`FlatProgram::instances`].
+    /// Each instance's phase, by position in
+    /// [`FlatProgram::instances`](crate::flatten::FlatProgram::instances).
     /// The run is over when the top's is `Done`.
     phases: Vec<Phase>,
     /// For each root control node, the instance it belongs to.
@@ -359,11 +365,14 @@ impl Trees {
     }
 }
 
-/// The interpreter for a component hierarchy.
-pub struct Interpreter {
-    flat: FlatDesign,
-    wires: Wires,
+/// The reference interpreter: the harness run by [`Interp`].
+pub type Interpreter = Harness<Interp>;
+
+/// The engine of a component hierarchy: the control walk over every
+/// instance's tree.
+pub struct Interp {
     trees: Trees,
+    /// The cycles run since construction.
     cycles: u64,
     /// The groups whose `go` port is high.
     active: Vec<GroupIdx>,
@@ -372,12 +381,10 @@ pub struct Interpreter {
     all_active: bool,
     /// Scratch: the groups to run this cycle.
     survivors: Vec<GroupIdx>,
-    /// Scratch of [`Interpreter::activate`], all false between calls.
+    /// Scratch of [`Interp::activate`], all false between calls.
     wanted: Vec<bool>,
     /// Scratch: the candidates that fired this cycle.
     fired: Vec<CtrlIdx>,
-    /// Set by whoever gave up on the run ([`Interpreter::cancel_on`]).
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// Whether component `name`'s own wires drive its `done` port, which the
@@ -411,16 +418,12 @@ impl DriverRule for Agree {
     }
 }
 
-impl Interpreter {
-    /// Build an interpreter for the hierarchy rooted at component `top`
-    /// of `ctx`.
-    ///
+impl Engine for Interp {
     /// # Errors
     ///
-    /// Those of [`flatten`], and [`SimError::Elaboration`] when a
-    /// sub-component's wires drive its own `done`.
-    pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
-        let flat = flatten(ctx, top)?;
+    /// [`SimError::Elaboration`] when a sub-component's wires drive its
+    /// own `done`.
+    fn new(ctx: &Context, flat: &FlatDesign) -> SimResult<Self> {
         for inst in &flat.prog.instances[1..] {
             if let Some(at) = drives_own_done(ctx, inst.component) {
                 return Err(SimError::Elaboration(format!(
@@ -448,16 +451,12 @@ impl Interpreter {
         };
         // The top's `go` is held high for the whole run: its tree starts
         // now.
-        let top = &flat.prog.instances[0];
-        trees.phases[0] = if trees.start(&flat, top.root) {
+        trees.phases[0] = if trees.start(flat, flat.prog.instances[0].root) {
             Phase::Done
         } else {
             Phase::Running
         };
-        let mut wires = Wires::new(&flat.prog, &flat.graph);
-        wires.set(&flat.graph, top.go, 1);
-        Ok(Interpreter {
-            wires,
+        Ok(Interp {
             trees,
             cycles: 0,
             active: Vec::new(),
@@ -465,108 +464,21 @@ impl Interpreter {
             survivors: Vec::new(),
             wanted: vec![false; flat.groups.len()],
             fired: Vec::new(),
-            cancel: None,
-            flat,
         })
     }
 
-    /// Stop [`Interpreter::run`] once `flag` is set: the run looks at it
-    /// every 1,024 cycles and fails with [`SimError::Cancelled`]. A
-    /// service sets the flag of a job it abandoned at its deadline.
-    pub fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
+    /// A run goes on from the cycles already run, and is over once the
+    /// top's control tree has finished.
+    fn begin(&self) -> (u64, bool) {
+        (self.cycles, self.trees.phases[0] == Phase::Done)
     }
 
-    /// Initialize the contents of the memory at hierarchical path `cell`
-    /// (`m`, `pe_0_0.m`): [`FlatProgram::set_memory`].
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::set_memory`].
-    pub fn set_memory(&mut self, cell: &str, data: &[u64]) -> SimResult<()> {
-        // A read port may show a new word under an unchanged address.
-        self.wires.mark_all(&self.flat.graph);
-        self.flat.prog.set_memory(cell, data)
-    }
-
-    /// Read a memory's contents.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::memory`].
-    pub fn memory(&self, cell: &str) -> SimResult<Vec<u64>> {
-        self.flat.prog.memory(cell).map(<[u64]>::to_vec)
-    }
-
-    /// Read a register.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::register_value`].
-    pub fn register_value(&self, cell: &str) -> SimResult<u64> {
-        self.flat.prog.register_value(cell)
-    }
-
-    /// The architectural state, for a report
-    /// ([`crate::report::write_state_report`]).
-    pub fn state(&self) -> &FlatProgram {
-        &self.flat.prog
-    }
-
-    /// The flattened design this interpreter runs.
-    pub fn design(&self) -> &FlatDesign {
-        &self.flat
-    }
-
-    /// What the control trees ask of the next cycle, each list sorted.
-    pub fn waiting(&self) -> Waiting {
-        self.trees.cands.waiting()
-    }
-
-    /// Whether the top's control tree has finished.
-    pub fn finished(&self) -> bool {
-        self.trees.phases[0] == Phase::Done
-    }
-
-    /// The cycles run so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Run the control program to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Timeout`] past the cycle budget,
-    /// [`SimError::Cancelled`] once the flag given to
-    /// [`Interpreter::cancel_on`] is set, driver-conflict and convergence
-    /// errors from settling.
-    pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
-        while !self.finished() {
-            if self.cycles >= max_cycles {
-                return Err(SimError::Timeout { max_cycles });
-            }
-            check_cancel(self.cancel.as_ref(), self.cycles)?;
-            self.step()?;
-        }
-        Ok(RunStats {
-            cycles: self.cycles,
-        })
-    }
-
-    /// Execute one cycle: settle, tick state, and move the control trees
-    /// on what finished. [`Interpreter::run`] is this until the top's
-    /// tree finishes.
-    ///
-    /// # Errors
-    ///
-    /// Driver-conflict and convergence errors from settling, and those of
-    /// a tick.
-    pub fn step(&mut self) -> SimResult<()> {
+    /// Settle, tick state, and move the control trees on what finished.
+    fn step(&mut self, flat: &mut FlatDesign, wires: &mut Wires, cycle: u64) -> SimResult<bool> {
         // 1. Candidate groups this cycle: enabled groups plus the `with`
         //    condition groups currently being evaluated, as the trees
         //    last moved.
-        self.wires.publish(&self.flat.prog, &self.flat.graph);
+        wires.publish(&flat.prog, &flat.graph);
 
         // 2. An enabled group whose done signal is already observable with
         //    no group active (a registered done from last cycle's write)
@@ -577,10 +489,9 @@ impl Interpreter {
         //    done condition reads state alone, it is known without
         //    settling the wires under no group first.
         if self.trees.cands.unstated > 0 {
-            self.activate(&[]);
+            self.activate(flat, wires, &[]);
             self.all_active = false;
-            self.wires
-                .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
+            wires.settle::<Agree>(&flat.prog, &flat.graph, cycle)?;
         }
         let mut survivors = std::mem::take(&mut self.survivors);
         survivors.clear();
@@ -591,7 +502,7 @@ impl Interpreter {
         let mut may_fire = self.trees.cands.unstated > 0;
         for c in &self.trees.cands.list {
             match c.group {
-                Some(g) if c.enable && self.group_done(g) => held_back = true,
+                Some(g) if c.enable && group_done(flat, wires.values(), g) => held_back = true,
                 Some(g) => survivors.push(g),
                 None => {}
             }
@@ -603,36 +514,59 @@ impl Interpreter {
         //    `go` ports already raised are these unless an enable was
         //    held back or the candidates changed.
         if held_back || !self.all_active {
-            self.activate(&survivors);
+            self.activate(flat, wires, &survivors);
             self.all_active = !held_back;
         }
         self.survivors = survivors;
-        self.wires
-            .settle::<Agree>(&self.flat.prog, &self.flat.graph, self.cycles)?;
+        wires.settle::<Agree>(&flat.prog, &flat.graph, cycle)?;
 
         // 4. Synchronous update.
-        self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
+        wires.tick(&mut flat.prog, &flat.graph)?;
 
         // 5. Move the control trees and the sub-instances' handshakes on
         //    this cycle's observations.
-        self.advance(may_fire);
-        self.cycles += 1;
-        Ok(())
+        self.advance(flat, wires, may_fire);
+        self.cycles = cycle + 1;
+        Ok(self.trees.phases[0] == Phase::Done)
+    }
+}
+
+impl Harness<Interp> {
+    /// What the control trees ask of the next cycle, each list sorted.
+    pub fn waiting(&self) -> Waiting {
+        self.engine.trees.cands.waiting()
     }
 
+    /// Whether the top's control tree has finished.
+    pub fn finished(&self) -> bool {
+        self.engine.trees.phases[0] == Phase::Done
+    }
+
+    /// The cycles run so far.
+    pub fn cycles(&self) -> u64 {
+        self.engine.cycles
+    }
+
+    /// Execute one cycle: [`Harness::run`] is this until the top's tree
+    /// finishes.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Engine::step`].
+    pub fn step(&mut self) -> SimResult<()> {
+        let cycle = self.engine.cycles;
+        self.engine.step(&mut self.flat, &mut self.wires, cycle)?;
+        Ok(())
+    }
+}
+
+impl Interp {
     /// The end of a cycle for the control trees. Each candidate whose
     /// group finished, and each condition without a `with` group, fires;
     /// the walk goes up from it. None is looked at unless one `may_fire`.
     /// A sub-instance's `done` shows its phase from the next cycle on.
-    fn advance(&mut self, may_fire: bool) {
-        let Interpreter {
-            flat,
-            wires,
-            trees,
-            all_active,
-            fired,
-            ..
-        } = self;
+    fn advance(&mut self, flat: &FlatDesign, wires: &mut Wires, may_fire: bool) {
+        let Interp { trees, fired, .. } = self;
         let instances = &flat.prog.instances;
         let go = |wires: &Wires, inst: &FlatInstance| wires.values()[inst.go.index()] != 0;
         // Before any tree moves: a `done` raised by a tree finishing now is
@@ -672,40 +606,26 @@ impl Interpreter {
             );
         }
         if started || !fired.is_empty() {
-            *all_active = false;
+            self.all_active = false;
         }
-    }
-
-    /// Does group `g`'s done condition hold under the current values? Its
-    /// atoms must be final: stateful outputs once published, anything
-    /// else once settled.
-    fn group_done(&self, g: GroupIdx) -> bool {
-        group_done(&self.flat, self.wires.values(), g)
     }
 
     /// Make `want` the active groups: lower the `go` of every other
     /// group, raise theirs.
     #[inline]
-    fn activate(&mut self, want: &[GroupIdx]) {
-        let Interpreter {
-            flat,
-            wires,
-            active,
-            wanted,
-            ..
-        } = self;
+    fn activate(&mut self, flat: &FlatDesign, wires: &mut Wires, want: &[GroupIdx]) {
         for &g in want {
-            wanted[g.index()] = true;
+            self.wanted[g.index()] = true;
         }
-        for &g in active.iter().filter(|g| !wanted[g.index()]) {
+        for &g in self.active.iter().filter(|g| !self.wanted[g.index()]) {
             wires.set(&flat.graph, flat.groups[g].go, 0);
         }
         for &g in want {
-            wanted[g.index()] = false;
+            self.wanted[g.index()] = false;
             wires.set(&flat.graph, flat.groups[g].go, 1);
         }
-        active.clear();
-        active.extend_from_slice(want);
+        self.active.clear();
+        self.active.extend_from_slice(want);
     }
 }
 
@@ -730,6 +650,7 @@ fn group_settled_done(flat: &FlatDesign, wires: &Wires, g: GroupIdx) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flatten::flatten;
     use calyx_core::ir::parse_context;
 
     fn interp(src: &str) -> Interpreter {
@@ -875,8 +796,8 @@ mod tests {
                 Step::Memory(m, data) => interp.set_memory(m, data).unwrap(),
             }
         }
-        let regs = regs.iter().map(|r| interp.register_value(r).unwrap());
-        let mems = mems.iter().map(|m| interp.memory(m).unwrap());
+        let regs = regs.iter().map(|&r| interp.register_value(r).unwrap());
+        let mems = mems.iter().map(|&m| interp.memory(m).unwrap());
         (last, regs.collect(), mems.collect())
     }
 
@@ -1162,18 +1083,19 @@ mod tests {
     /// engine, with the registers `regs` it leaves, which must be the same
     /// on both.
     fn on_both_engines(src: &str, regs: &[&str]) -> ((u64, u64), Vec<u64>) {
-        let (cycles, left) = run_outcome(src, regs);
+        fn on<E: Engine>(ctx: &Context, regs: &[&str]) -> (u64, Vec<u64>) {
+            let mut harness = Harness::<E>::new(ctx, "main").unwrap();
+            let cycles = harness.run(1000).unwrap().cycles;
+            let left = regs.iter().map(|&r| harness.register_value(r).unwrap());
+            (cycles, left.collect())
+        }
+        let (cycles, left) = on::<Interp>(&parse_context(src).unwrap(), regs);
         let mut lowered = parse_context(src).unwrap();
         let mut pipeline = calyx_core::passes::PassManager::from_names(&["lower"]).unwrap();
         pipeline.run(&mut lowered).unwrap();
-        let mut sim = crate::rtl::Simulator::new(&lowered, "main").unwrap();
-        let rtl_cycles = sim.run(1000).unwrap().cycles;
-        let rtl_left: Vec<u64> = regs
-            .iter()
-            .map(|r| sim.register_value(&[r]).unwrap())
-            .collect();
+        let (rtl_cycles, rtl_left) = on::<crate::rtl::Rtl>(&lowered, regs);
         assert_eq!(rtl_left, left, "the lowered design leaves other registers");
-        ((cycles.unwrap(), rtl_cycles), left)
+        ((cycles, rtl_cycles), left)
     }
 
     #[test]
@@ -1293,6 +1215,27 @@ mod tests {
             "elaboration failed: instance `c` of `child` drives its own `done` at 2:55, \
              which the interpreter raises when its control finishes"
         );
+    }
+
+    #[test]
+    fn a_finished_tree_runs_no_further_cycle() {
+        // The count goes on from construction: a second run of a finished
+        // tree reports the first run's cycles and changes nothing.
+        let mut i = interp(
+            r#"component main() -> () {
+              cells { x = std_reg(8); add = std_add(8); }
+              wires {
+                group incr {
+                  add.left = x.out; add.right = 8'd1; x.in = add.out; x.write_en = 1'd1;
+                  incr[done] = x.done;
+                }
+              }
+              control { incr; }
+            }"#,
+        );
+        assert_eq!(i.run(100).map(|s| s.cycles), Ok(2));
+        assert_eq!(i.run(100).map(|s| s.cycles), Ok(2));
+        assert_eq!((i.cycles(), i.register_value("x")), (2, Ok(1)));
     }
 
     #[test]

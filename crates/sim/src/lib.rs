@@ -42,17 +42,27 @@
 //! registers by hierarchical path, and how guards are interned.
 //! [`flatten::Wires`] owns how the wires settle in between: a valuation
 //! that persists across cycles and a change-driven visit of the sorted
-//! nodes (guards among them), lowered once into a flat instruction tape. An engine owns what drives that machine —
-//! [`rtl`] a lowered design and its `go`/`done` handshake, [`interp`] the
-//! control walk over every instance's tree, which raises the `go` port of
-//! each active group, each sub-instance's `go`/`done` handshake, and the
-//! done-observation cycle — and its [`flatten::DriverRule`]: strict for
-//! [`rtl`], same-value for [`interp`]. The interpreter's graph may also be
-//! cyclic across groups that are never active together; the RTL engine
-//! refuses a cycle, and groups or control.
+//! nodes (guards among them), lowered once into a flat instruction tape.
+//!
+//! Around the machine sits one **harness**, [`Harness`], generic over its
+//! [`Engine`]: it owns the elaborated design, the wires, the cancel flag,
+//! the cycle loop (budget, and a look at the flag every 1,024 cycles) and
+//! every lookup of state, each cell named by one hierarchical path
+//! (`"pe_0_0.acc"`). An engine owns only what drives the machine through
+//! one cycle, the designs it refuses, and its [`flatten::DriverRule`]:
+//! [`rtl::Rtl`] a lowered design and its `go`/`done` handshake, each run
+//! counted from 0, under the strict rule; [`interp::Interp`] the control
+//! walk over every instance's tree, which raises the `go` port of each
+//! active group, each sub-instance's `go`/`done` handshake, and the
+//! done-observation cycle, counted from construction, under the
+//! same-value rule. [`Simulator`] and [`interp::Interpreter`] are the two
+//! harnesses' names. The interpreter's graph may also be cyclic across
+//! groups that are never active together; the RTL engine refuses a cycle,
+//! and groups or control.
 
 pub mod error;
 pub mod flatten;
+pub mod harness;
 pub mod interp;
 pub mod prim;
 pub mod report;
@@ -60,5 +70,6 @@ pub mod rtl;
 
 pub use error::{SimError, SimResult};
 pub use flatten::RunStats;
+pub use harness::{CellPath, Engine, Harness};
 pub use report::write_state_report;
 pub use rtl::Simulator;

@@ -31,7 +31,7 @@
 //! ones — a register whose `write_en` is high, a `done` pulse that must
 //! fall, a unit that is started or counting — which it queues for the
 //! next publish. A run looks at the flag given to
-//! [`Simulator::cancel_on`] every 1,024 cycles.
+//! [`Harness::cancel_on`] every 1,024 cycles.
 //!
 //! Keeping values is sound because every port has one writer: IR
 //! validation admits assignments only to a cell's inputs and the
@@ -52,34 +52,33 @@
 //! cycles and state of every PolyBench kernel under `lower`,
 //! `lower-static` and `opt`, recorded from the engine this one replaced.
 //!
-//! The elaboration and the scan are [`flatten`] and [`Wires`], which the
-//! interpreter runs on too. What is this engine's own: it takes a lowered
-//! design — [`Simulator::new`] refuses, after the one elaboration, a
-//! design that still has groups or control and a cyclic graph — drives
-//! `go` and watches `done`, and holds that two active drivers of one port
-//! conflict whatever they drive (`Strict`).
+//! The elaboration, the scan and the cycle loop are
+//! [`flatten`](crate::flatten::flatten), [`Wires`] and [`Harness`],
+//! which the interpreter runs on too. What is this engine's own
+//! ([`Rtl`]): it takes a lowered design — [`Rtl::new`] refuses, after the
+//! one elaboration, a design that still has groups or control and a
+//! cyclic graph — drives `go` and watches `done`, counting each run's
+//! cycles from 0, and holds that two active drivers of one port conflict
+//! whatever they drive (`Strict`).
 
 use crate::error::{SimError, SimResult};
-use crate::flatten::{
-    check_cancel, flatten, DriverRule, FlatDesign, FlatIdx, FlatProgram, RunStats, Wires,
-};
-use calyx_core::ir::{Context, Id};
+use crate::flatten::{DriverRule, FlatDesign, FlatIdx, Wires};
+use crate::harness::{Engine, Harness};
+use calyx_core::ir::Context;
 use calyx_core::prim::mask;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
-/// A cycle-accurate simulator instance.
+/// The cycle-accurate simulator: the harness run by [`Rtl`].
 ///
 /// See the crate docs for an end-to-end example; typical use is
-/// `Simulator::new(&lowered_ctx, "main")`, optional [`Simulator::set_memory`]
-/// calls, [`Simulator::run`], then state inspection.
+/// `Simulator::new(&lowered_ctx, "main")`, optional
+/// [`Harness::set_memory`] calls, [`Harness::run`], then state
+/// inspection.
+pub type Simulator = Harness<Rtl>;
+
+/// The engine of a lowered design: each cycle settles the wires and
+/// ticks, and a run ends in the cycle whose `done` is high.
 #[derive(Debug)]
-pub struct Simulator {
-    flat: FlatDesign,
-    wires: Wires,
-    /// Set by whoever gave up on the run ([`Simulator::cancel_on`]).
-    cancel: Option<Arc<AtomicBool>>,
-}
+pub struct Rtl;
 
 /// The driver rule of synthesizable hardware: one active driver per port,
 /// and a port shows as many bits as it has.
@@ -97,16 +96,13 @@ impl DriverRule for Strict {
     }
 }
 
-impl Simulator {
-    /// Elaborate the lowered program rooted at component `top`.
-    ///
+impl Engine for Rtl {
     /// # Errors
     ///
-    /// Returns [`SimError::Elaboration`] for un-lowered input, undefined
-    /// names, or unmodeled primitives; [`SimError::CombinationalLoop`] when
-    /// the assignment graph is cyclic.
-    pub fn new(ctx: &Context, top: &str) -> SimResult<Self> {
-        let flat = flatten(ctx, top)?;
+    /// Returns [`SimError::Elaboration`] for un-lowered input and
+    /// [`SimError::CombinationalLoop`] when the assignment graph is
+    /// cyclic.
+    fn new(ctx: &Context, flat: &FlatDesign) -> SimResult<Self> {
         let unlowered = flat.prog.instances.iter().find(|i| {
             let comp = ctx.component(i.component);
             comp.is_some_and(|c| !c.groups.is_empty() || !c.control.is_empty())
@@ -119,109 +115,25 @@ impl Simulator {
             )));
         }
         if !flat.graph.cycle.is_empty() {
-            return Err(SimError::CombinationalLoop(flat.graph.cycle));
+            return Err(SimError::CombinationalLoop(flat.graph.cycle.clone()));
         }
-        let mut wires = Wires::new(&flat.prog, &flat.graph);
-        // `go` is held high for the whole run.
-        wires.set(&flat.graph, flat.prog.instances[0].go, 1);
-        Ok(Simulator {
-            flat,
-            wires,
-            cancel: None,
-        })
+        Ok(Rtl)
     }
 
-    /// Stop [`Simulator::run`] once `flag` is set: the run looks at it
-    /// every 1,024 cycles and fails with [`SimError::Cancelled`]. A
-    /// service sets the flag of a job it abandoned at its deadline.
-    pub fn cancel_on(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
+    /// A run is one `go`/`done` handshake, counted from 0.
+    fn begin(&self) -> (u64, bool) {
+        (0, false)
     }
 
-    /// Drive a top-level input port to `value` on every subsequent cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownCell`] if `top` has no such input.
-    pub fn set_input(&mut self, port: &str, value: u64) -> SimResult<()> {
-        let idx = *self
-            .flat
-            .top_inputs
-            .get(&Id::new(port))
-            .ok_or_else(|| SimError::UnknownCell(format!("top-level input `{port}`")))?;
-        let value = mask(value, self.flat.prog.ports[idx].width);
-        self.wires.set(&self.flat.graph, idx, value);
-        Ok(())
-    }
-
-    /// Initialize the contents of the memory at hierarchical path `path`
-    /// (row-major for multi-dim): [`FlatProgram::set_memory`].
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::set_memory`].
-    pub fn set_memory(&mut self, path: &[&str], data: &[u64]) -> SimResult<()> {
-        // A read port may show a new word under an unchanged address.
-        self.wires.mark_all(&self.flat.graph);
-        self.flat.prog.set_memory(&path.join("."), data)
-    }
-
-    /// Read back a memory cell's contents.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::memory`].
-    pub fn memory(&self, path: &[&str]) -> SimResult<Vec<u64>> {
-        self.flat.prog.memory(&path.join(".")).map(<[u64]>::to_vec)
-    }
-
-    /// Read a register's current value.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`FlatProgram::register_value`].
-    pub fn register_value(&self, path: &[&str]) -> SimResult<u64> {
-        self.flat.prog.register_value(&path.join("."))
-    }
-
-    /// The architectural state, for a report
-    /// ([`crate::report::write_state_report`]).
-    pub fn state(&self) -> &FlatProgram {
-        &self.flat.prog
-    }
-
-    /// Number of primitive instances (used by compilation statistics).
-    pub fn primitive_count(&self) -> usize {
-        self.flat.prog.cells.len()
-    }
-
-    /// Settle one cycle: publish the stateful outputs, then visit what
-    /// they woke. Returns the `done` port's value.
-    fn settle(&mut self, cycle: u64) -> SimResult<bool> {
-        let Simulator { flat, wires, .. } = self;
+    /// Publish the stateful outputs, settle what they woke, and tick; the
+    /// run is over when `done` was high in the cycle.
+    #[inline]
+    fn step(&mut self, flat: &mut FlatDesign, wires: &mut Wires, cycle: u64) -> SimResult<bool> {
         wires.publish(&flat.prog, &flat.graph);
         wires.settle::<Strict>(&flat.prog, &flat.graph, cycle)?;
-        Ok(wires.values()[flat.prog.instances[0].done.index()] != 0)
-    }
-
-    /// Run the design: assert `go`, clock until `done`, report the cycle
-    /// count (the cycle in which `done` rose counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Timeout`] if `done` does not rise within
-    /// `max_cycles`, [`SimError::Cancelled`] once the flag given to
-    /// [`Simulator::cancel_on`] is set, or any settling/tick error.
-    pub fn run(&mut self, max_cycles: u64) -> SimResult<RunStats> {
-        for cycle in 0..max_cycles {
-            check_cancel(self.cancel.as_ref(), cycle)?;
-            let done = self.settle(cycle)?;
-            self.wires.tick(&mut self.flat.prog, &self.flat.graph)?;
-            if done {
-                return Ok(RunStats { cycles: cycle + 1 });
-            }
-        }
-        Err(SimError::Timeout { max_cycles })
+        let done = wires.values()[flat.prog.instances[0].done.index()] != 0;
+        wires.tick(&mut flat.prog, &flat.graph)?;
+        Ok(done)
     }
 }
 
@@ -251,7 +163,7 @@ mod tests {
             }"#,
         );
         let stats = sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["x"]).unwrap(), 2);
+        assert_eq!(sim.register_value("x").unwrap(), 2);
         // Two 1-cycle groups under a dynamic seq: each costs the write plus
         // the handshake, plus the final done state.
         assert!(stats.cycles >= 4 && stats.cycles <= 8, "{}", stats.cycles);
@@ -274,7 +186,7 @@ mod tests {
             }"#,
         );
         sim.run(1000).unwrap();
-        assert_eq!(sim.register_value(&["i"]).unwrap(), 5);
+        assert_eq!(sim.register_value("i").unwrap(), 5);
     }
 
     #[test]
@@ -290,8 +202,8 @@ mod tests {
             }"#,
         );
         sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["x"]).unwrap(), 3);
-        assert_eq!(sim.register_value(&["y"]).unwrap(), 4);
+        assert_eq!(sim.register_value("x").unwrap(), 3);
+        assert_eq!(sim.register_value("y").unwrap(), 4);
     }
 
     #[test]
@@ -315,14 +227,14 @@ mod tests {
             }"#;
         // Taken branch.
         let mut sim = lower_and_sim(src);
-        sim.set_memory(&["m"], &[20, 0]).unwrap();
+        sim.set_memory("m", &[20, 0]).unwrap();
         sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["r"]).unwrap(), 1);
+        assert_eq!(sim.register_value("r").unwrap(), 1);
         // Untaken branch.
         let mut sim = lower_and_sim(src);
-        sim.set_memory(&["m"], &[5, 0]).unwrap();
+        sim.set_memory("m", &[5, 0]).unwrap();
         sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["r"]).unwrap(), 2);
+        assert_eq!(sim.register_value("r").unwrap(), 2);
     }
 
     #[test]
@@ -361,9 +273,9 @@ mod tests {
               }
             }"#,
         );
-        sim.set_memory(&["m"], &[10, 20, 30, 40]).unwrap();
+        sim.set_memory("m", &[10, 20, 30, 40]).unwrap();
         sim.run(10_000).unwrap();
-        assert_eq!(sim.register_value(&["acc"]).unwrap(), 100);
+        assert_eq!(sim.register_value("acc").unwrap(), 100);
     }
 
     #[test]
@@ -383,7 +295,7 @@ mod tests {
             }"#,
         );
         let stats = sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["r"]).unwrap(), 42);
+        assert_eq!(sim.register_value("r").unwrap(), 42);
         assert!(stats.cycles >= 5, "multiply takes at least 5 cycles");
     }
 
@@ -411,8 +323,8 @@ mod tests {
             }"#,
         );
         sim.run(100).unwrap();
-        assert_eq!(sim.register_value(&["c", "r"]).unwrap(), 9);
-        assert_eq!(sim.register_value(&["flag"]).unwrap(), 1);
+        assert_eq!(sim.register_value("c.r").unwrap(), 9);
+        assert_eq!(sim.register_value("flag").unwrap(), 1);
     }
 
     #[test]
@@ -472,11 +384,11 @@ mod tests {
         for step in steps {
             match *step {
                 Step::Run => cycles = sim.run(100).map(|s| s.cycles),
-                Step::Memory(m, data) => sim.set_memory(&[m], data).unwrap(),
+                Step::Memory(m, data) => sim.set_memory(m, data).unwrap(),
                 Step::Input(p, v) => sim.set_input(p, v).unwrap(),
             }
         }
-        let regs = regs.iter().map(|r| sim.register_value(&[r]).unwrap());
+        let regs = regs.iter().map(|r| sim.register_value(*r).unwrap());
         let regs: Vec<u64> = regs.collect();
         cycles.map_err(|e| e.to_string()).map(|c| (c, regs))
     }
@@ -641,7 +553,11 @@ mod tests {
         );
         // Before the first cycle every node is dirty, and only nodes.
         assert_eq!(sim.wires.dirty_count(), sim.flat.graph.nodes.len());
-        sim.settle(0).unwrap();
+        sim.wires.publish(&sim.flat.prog, &sim.flat.graph);
+        let settled = sim
+            .wires
+            .settle::<Strict>(&sim.flat.prog, &sim.flat.graph, 0);
+        settled.unwrap();
         assert_eq!(sim.wires.dirty_count(), 0);
     }
 
@@ -665,12 +581,11 @@ mod tests {
         assert_eq!(sim.wires.moved_count(), 2);
         let mut queued = Vec::new();
         for cycle in 0..4 {
-            sim.settle(cycle).unwrap();
-            sim.wires.tick(&mut sim.flat.prog, &sim.flat.graph).unwrap();
+            Rtl.step(&mut sim.flat, &mut sim.wires, cycle).unwrap();
             queued.push(sim.wires.moved_count());
         }
         assert_eq!(queued, [2, 2, 0, 0]);
-        assert_eq!(sim.register_value(&["r"]), Ok(7));
+        assert_eq!(sim.register_value("r"), Ok(7));
     }
 
     #[test]
@@ -683,23 +598,20 @@ mod tests {
         let mut sim = Simulator::new(&parse_context(src).unwrap(), "main").unwrap();
         let text = |r: SimResult<()>| r.unwrap_err().to_string();
         assert_eq!(
-            text(sim.register_value(&["add"]).map(drop)),
+            text(sim.register_value("add").map(drop)),
             "cell `add` is not a register"
         );
         assert_eq!(
-            text(sim.register_value(&["m"]).map(drop)),
+            text(sim.register_value("m").map(drop)),
             "cell `m` is not a register"
         );
+        assert_eq!(text(sim.memory("r").map(drop)), "cell `r` is not a memory");
         assert_eq!(
-            text(sim.memory(&["r"]).map(drop)),
-            "cell `r` is not a memory"
-        );
-        assert_eq!(
-            text(sim.set_memory(&["add"], &[1])),
+            text(sim.set_memory("add", &[1])),
             "cell `add` is not a memory"
         );
         assert_eq!(
-            text(sim.register_value(&["nope"]).map(drop)),
+            text(sim.register_value("nope").map(drop)),
             "no such cell: `nope`"
         );
     }
@@ -744,10 +656,10 @@ mod tests {
         let mut ssim = Simulator::new(&static_, "main").unwrap();
         let sstats = ssim.run(100).unwrap();
 
-        assert_eq!(dsim.register_value(&["x"]).unwrap(), 1);
-        assert_eq!(ssim.register_value(&["x"]).unwrap(), 1);
-        assert_eq!(dsim.register_value(&["y"]).unwrap(), 2);
-        assert_eq!(ssim.register_value(&["y"]).unwrap(), 2);
+        assert_eq!(dsim.register_value("x").unwrap(), 1);
+        assert_eq!(ssim.register_value("x").unwrap(), 1);
+        assert_eq!(dsim.register_value("y").unwrap(), 2);
+        assert_eq!(ssim.register_value("y").unwrap(), 2);
         assert!(
             sstats.cycles < dstats.cycles,
             "static ({}) should beat dynamic ({})",

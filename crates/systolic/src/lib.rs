@@ -427,14 +427,14 @@ mod tests {
         pipeline.run(&mut ctx).unwrap();
         let mut sim = Simulator::new(&ctx, "main").unwrap();
         for (r, row) in a.iter().enumerate() {
-            sim.set_memory(&[&format!("l{r}")], row).unwrap();
+            sim.set_memory(&format!("l{r}"), row).unwrap();
         }
         for c in 0..cfg.cols {
             let col: Vec<u64> = (0..cfg.inner).map(|k| bm[k][c]).collect();
-            sim.set_memory(&[&format!("t{c}")], &col).unwrap();
+            sim.set_memory(&format!("t{c}"), &col).unwrap();
         }
         let stats = sim.run(1_000_000).unwrap();
-        (sim.memory(&["out"]).unwrap(), stats.cycles)
+        (sim.memory("out").unwrap(), stats.cycles)
     }
 
     fn sample(n: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {

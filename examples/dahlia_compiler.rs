@@ -55,13 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulator::new(&ctx, "main")?;
     let a: Vec<u64> = (1..=8).collect();
     let b: Vec<u64> = (0..8).map(|i| (i % 3) + 1).collect();
-    sim.set_memory(&["a"], &a)?;
-    sim.set_memory(&["b"], &b)?;
+    sim.set_memory("a", &a)?;
+    sim.set_memory("b", &b)?;
     let stats = sim.run(100_000)?;
 
     let dot: u64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
     let expected = (dot as f64).sqrt() as u64;
-    let got = sim.memory(&["out"])?[0];
+    let got = sim.memory("out")?[0];
     println!(
         "\nsqrt(a . b) = sqrt({dot}) = {got} in {} cycles",
         stats.cycles

@@ -64,14 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulate the lowered RTL.
     let mut sim = Simulator::new(&ctx, "main")?;
-    sim.set_memory(&["m"], &[10, 20, 30, 40])?;
+    sim.set_memory("m", &[10, 20, 30, 40])?;
     let stats = sim.run(10_000)?;
     println!(
         "sum(m) = {} in {} cycles",
-        sim.register_value(&["acc"])?,
+        sim.register_value("acc")?,
         stats.cycles
     );
-    assert_eq!(sim.register_value(&["acc"])?, 100);
+    assert_eq!(sim.register_value("acc")?, 100);
 
     // Estimate FPGA resources and emit SystemVerilog through the Backend
     // trait — the same streaming path `futil -b verilog -o file.sv` uses.

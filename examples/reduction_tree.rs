@@ -92,10 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     PassManager::from_names(&["lower"])?.run(&mut ctx)?;
     let mut sim = Simulator::new(&ctx, "main")?;
     for (mem, v) in [("m1", 3u64), ("m2", 7), ("m3", 11), ("m4", 21)] {
-        sim.set_memory(&[mem], &[v])?;
+        sim.set_memory(mem, &[v])?;
     }
     let stats = sim.run(1000)?;
-    let sum = sim.register_value(&["r2"])?;
+    let sum = sim.register_value("r2")?;
     println!("(3 + 7) + (11 + 21) = {sum} in {} cycles", stats.cycles);
     assert_eq!(sum, 42);
     Ok(())

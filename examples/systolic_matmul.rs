@@ -28,11 +28,11 @@ fn run(n: usize, pipeline: &str) -> Result<(u64, u64), Box<dyn std::error::Error
 
     let mut sim = Simulator::new(&ctx, "main")?;
     for (r, row) in a.iter().enumerate() {
-        sim.set_memory(&[&format!("l{r}")], row)?;
+        sim.set_memory(&format!("l{r}"), row)?;
     }
     for c in 0..n {
         let col: Vec<u64> = (0..n).map(|k| b[k][c]).collect();
-        sim.set_memory(&[&format!("t{c}")], &col)?;
+        sim.set_memory(&format!("t{c}"), &col)?;
     }
     let stats = sim.run(1_000_000)?;
 
@@ -41,7 +41,7 @@ fn run(n: usize, pipeline: &str) -> Result<(u64, u64), Box<dyn std::error::Error
         .into_iter()
         .flatten()
         .collect();
-    assert_eq!(sim.memory(&["out"])?, expected, "systolic result is exact");
+    assert_eq!(sim.memory("out")?, expected, "systolic result is exact");
 
     let luts = area::estimate(&ctx, "main")?.luts;
     Ok((stats.cycles, luts))

@@ -52,7 +52,7 @@
 //! PassManager::from_names(&["lower"])?.run(&mut ctx)?;
 //! let mut sim = Simulator::new(&ctx, "main")?;
 //! let stats = sim.run(1000)?;
-//! assert_eq!(sim.register_value(&["r"])?, 1);
+//! assert_eq!(sim.register_value("r")?, 1);
 //! assert!(stats.cycles > 0);
 //! # Ok(())
 //! # }

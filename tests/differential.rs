@@ -9,22 +9,28 @@
 
 mod random_programs;
 
+use calyx::core::ir::Context;
 use calyx::core::passes::{opt_without, PassManager};
-use calyx::sim::interp::Interpreter;
-use calyx::sim::rtl::Simulator;
+use calyx::sim::interp::Interp;
+use calyx::sim::rtl::Rtl;
+use calyx::sim::{Engine, Harness};
 use proptest::prelude::*;
 use random_programs::{build_program, observable_state, ProgramSpec};
 
-/// Final state via the reference interpreter.
-fn run_interp(spec: &ProgramSpec) -> Vec<(String, Vec<u64>)> {
-    let ctx = build_program(spec);
-    let mut interp = Interpreter::new(&ctx, "main").expect("interpretable");
-    interp.run(200_000).expect("interpreter terminates");
+/// Final state after running `ctx` on engine `E` within `budget` cycles.
+fn run<E: Engine>(spec: &ProgramSpec, ctx: &Context, budget: u64) -> Vec<(String, Vec<u64>)> {
+    let mut harness = Harness::<E>::new(ctx, "main").expect("elaborates");
+    harness.run(budget).expect("terminates");
     observable_state(
         spec,
-        |cell| interp.register_value(cell).ok().map(|v| vec![v]),
-        |cell| interp.memory(cell).ok(),
+        |cell| harness.register_value(cell).ok().map(|v| vec![v]),
+        |cell| harness.memory(cell).ok(),
     )
+}
+
+/// Final state via the reference interpreter.
+fn run_interp(spec: &ProgramSpec) -> Vec<(String, Vec<u64>)> {
+    run::<Interp>(spec, &build_program(spec), 200_000)
 }
 
 /// Final state via lowering with `pipeline` + RTL simulation.
@@ -34,13 +40,7 @@ fn run_rtl(spec: &ProgramSpec, pipeline: &[&str]) -> Vec<(String, Vec<u64>)> {
         .unwrap()
         .run(&mut ctx)
         .expect("pipeline succeeds");
-    let mut sim = Simulator::new(&ctx, "main").expect("elaborates");
-    sim.run(500_000).expect("design terminates");
-    observable_state(
-        spec,
-        |cell| sim.register_value(&[cell]).ok().map(|v| vec![v]),
-        |cell| sim.memory(&[cell]).ok(),
-    )
+    run::<Rtl>(spec, &ctx, 500_000)
 }
 
 proptest! {

@@ -23,7 +23,7 @@ fn run(src: &str) -> Vec<u64> {
     pipeline.run(&mut ctx).expect("lowers");
     let mut sim = Simulator::new(&ctx, "main").expect("elaborates");
     sim.run(10_000).expect("terminates");
-    sim.memory(&["mem"]).expect("memory readable")
+    sim.memory("mem").expect("memory readable")
 }
 
 /// seq { static island writing mem; dynamic group writing mem } — the
