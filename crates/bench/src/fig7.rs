@@ -12,10 +12,10 @@
 //! pragma allocates.
 
 use calyx_backend::area::{self, primitive_area, Area};
-use calyx_core::errors::CalyxResult;
+use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::passes::PassManager;
 use calyx_sim::rtl::Simulator;
-use calyx_systolic::{generate, SystolicConfig};
+use calyx_systolic::{generate, matmul_operands, SystolicConfig};
 
 /// One row of Figure 7.
 #[derive(Debug, Clone)]
@@ -38,31 +38,30 @@ pub struct Fig7Row {
 
 /// Lower one systolic configuration with the pass alias `pipeline`
 /// (`lower-static` is the latency-sensitive design, `lower` the
-/// latency-insensitive one) and simulate it; returns `(cycles, area)`.
+/// latency-insensitive one), simulate it on [`matmul_operands`] and check
+/// `out` against the reference matrix multiply; returns `(cycles, area)`.
 ///
 /// # Errors
 ///
-/// Propagates unknown aliases, compilation and simulation failures.
+/// Propagates unknown aliases, compilation and simulation failures, and
+/// [`Error::Malformed`] when `out` diverges from the reference.
 pub fn run_systolic(n: usize, pipeline: &str) -> CalyxResult<(u64, Area)> {
-    let cfg = SystolicConfig::square(n);
-    let mut ctx = generate(&cfg);
+    let mut ctx = generate(&SystolicConfig::square(n));
     PassManager::from_names(&[pipeline])?.run(&mut ctx)?;
-    let mut sim = Simulator::new(&ctx, "main")
-        .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
-    // Deterministic operands.
-    for r in 0..n {
-        let row: Vec<u64> = (0..n).map(|k| ((r * n + k) % 7 + 1) as u64).collect();
-        sim.set_memory(&format!("l{r}"), &row)
-            .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
+    let design = format!("systolic {n}x{n} ({pipeline})");
+    let malformed = |e: calyx_sim::SimError| Error::malformed(format!("{design}: {e}"));
+    let mut sim = Simulator::new(&ctx, "main").map_err(malformed)?;
+    let (image, want) = matmul_operands(n);
+    for (name, data) in &image {
+        sim.set_memory(name, data).map_err(malformed)?;
     }
-    for c in 0..n {
-        let col: Vec<u64> = (0..n).map(|k| ((k * n + c) % 5 + 1) as u64).collect();
-        sim.set_memory(&format!("t{c}"), &col)
-            .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
+    let stats = sim.run(10_000_000).map_err(malformed)?;
+    let got = sim.memory("out").map_err(malformed)?;
+    if got != want {
+        return Err(Error::malformed(format!(
+            "{design}: `out` diverges\n  got  {got:?}\n  want {want:?}"
+        )));
     }
-    let stats = sim
-        .run(10_000_000)
-        .map_err(|e| calyx_core::errors::Error::malformed(e.to_string()))?;
     let a = area::estimate(&ctx, "main")?;
     Ok((stats.cycles, a))
 }

@@ -2,9 +2,9 @@
 //! systolic arrays, pinned.
 //!
 //! `sim_state_pinned.txt` holds one row per kernel (n=4, on the memory
-//! images `calyx_polybench::simulate` loads) and mode, then one per
-//! systolic array (2×2, 4×4, 6×6, on the image `examples/systolic_matmul.rs`
-//! loads) and mode: the cycle count,
+//! images `calyx_polybench::memory_image` builds, which `simulate` loads)
+//! and mode, then one per systolic array (2×2, 4×4, 6×6, on
+//! `calyx_systolic::matmul_operands`) and mode: the cycle count,
 //! `digest64` of the state report `futil -b sim` / `-b interp` prints,
 //! the design and the mode. Mode `interp` is the interpreter on the
 //! un-lowered program; `lower`, `lower-static` and `opt` are the RTL
@@ -26,15 +26,13 @@
 
 use calyx_core::ir::Context;
 use calyx_core::passes::PassManager;
-use calyx_dahlia::ast::Program;
-use calyx_dahlia::backend::{memory_banks, split_banks};
-use calyx_polybench::{compile_kernel, input_data, logical_of, KernelDef, KERNELS};
+use calyx_polybench::{compile_kernel, memory_image, KERNELS};
 use calyx_service::digest64;
 use calyx_sim::flatten::FlatProgram;
 use calyx_sim::interp::Interp;
 use calyx_sim::rtl::Rtl;
 use calyx_sim::{write_state_report, Engine, Harness, SimResult};
-use calyx_systolic::{generate, reference_matmul, SystolicConfig};
+use calyx_systolic::{generate, matmul_operands, SystolicConfig};
 
 const TABLE: &str = include_str!("sim_state_pinned.txt");
 
@@ -45,49 +43,6 @@ const MODES: [&str; 4] = ["interp", "lower", "lower-static", "opt"];
 /// Generous cycle budget: every n=4 kernel finishes orders of magnitude
 /// sooner, and a hang should time out, not wedge CI.
 const BUDGET: u64 = 100_000_000;
-
-/// Memory name and initial contents, for each memory a design loads.
-type Image = Vec<(String, Vec<u64>)>;
-
-/// The deterministic physical-memory image for a compiled kernel: the
-/// per-bank data `calyx_polybench::simulate` loads, so the kernels run on
-/// their real inputs (non-zero divisors, live datapaths).
-fn memory_image(def: &KernelDef, ast: &Program) -> Image {
-    let mut image = Vec::new();
-    for decl in &ast.decls {
-        let lname = logical_of(decl.name.as_str());
-        let data = input_data(def.name, &lname, decl.size() as usize);
-        let banks = split_banks(decl, &data);
-        for ((bank_name, _), bank_data) in memory_banks(decl).iter().zip(&banks) {
-            image.push((bank_name.clone(), bank_data.clone()));
-        }
-    }
-    image
-}
-
-/// The `n`×`n` systolic array, the image `examples/systolic_matmul.rs`
-/// loads (`l{r}` row `r` of A, `t{c}` column `c` of B), and the `out` the
-/// reference matrix multiply expects of it.
-fn systolic(n: usize) -> (Context, Image, Vec<u64>) {
-    let a: Vec<Vec<u64>> = (0..n)
-        .map(|r| (0..n).map(|k| ((r + k) % 5 + 1) as u64).collect())
-        .collect();
-    let b: Vec<Vec<u64>> = (0..n)
-        .map(|k| (0..n).map(|c| ((2 * k + c) % 7 + 1) as u64).collect())
-        .collect();
-    let mut image: Image = a
-        .iter()
-        .enumerate()
-        .map(|(r, row)| (format!("l{r}"), row.clone()))
-        .collect();
-    image.extend((0..n).map(|c| (format!("t{c}"), (0..n).map(|k| b[k][c]).collect())));
-    let expected = reference_matmul(&a, &b, n, 32).into_iter().flatten();
-    (
-        generate(&SystolicConfig::square(n)),
-        image,
-        expected.collect(),
-    )
-}
 
 /// The state report `futil` prints for `ctx` under `mode`, run on
 /// `image`, and the run's cycle count. `check` sees the final state first.
@@ -145,7 +100,8 @@ fn every_kernel_leaves_its_pinned_state() {
     for n in [2, 4, 6] {
         let name = format!("systolic{n}x{n}");
         for mode in MODES {
-            let (ctx, image, expected) = systolic(n);
+            let ctx = generate(&SystolicConfig::square(n));
+            let (image, expected) = matmul_operands(n);
             let check = |state: &FlatProgram| {
                 let out = state.memory("out").unwrap();
                 assert_eq!(out, expected, "{name} {mode}: `out` is not A·B");

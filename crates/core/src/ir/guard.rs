@@ -210,7 +210,7 @@ impl GuardNode {
 /// Fx hash, like every map keyed by program-made values here: it is fast,
 /// not collision-resistant. A plain `FxHashMap<GuardNode, GuardId>` in
 /// its place, which hashes whole nodes and rebuilds on compaction, made
-/// the passes that build guards 1.1–1.9× slower (`pass_profile -- lower`).
+/// the passes that build guards 1.1–1.9× slower (`profile passes lower`).
 #[derive(Debug, Clone)]
 pub struct GuardPool {
     nodes: Vec<GuardNode>,

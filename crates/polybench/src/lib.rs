@@ -252,6 +252,21 @@ pub struct KernelRun {
     pub ast: Program,
 }
 
+/// The memory image a compiled kernel runs on: each physical bank's name
+/// and its share of [`input_data`] for the bank's logical array, in
+/// declaration order. [`simulate`] loads it; so does every harness that
+/// runs a kernel on its real inputs.
+pub fn memory_image(def: &KernelDef, ast: &Program) -> Vec<(String, Vec<u64>)> {
+    let mut image = Vec::new();
+    for decl in &ast.decls {
+        let lname = logical_of(decl.name.as_str());
+        let data = input_data(def.name, &lname, decl.size() as usize);
+        let banks = memory_banks(decl).into_iter().map(|(bank, _)| bank);
+        image.extend(banks.zip(split_banks(decl, &data)));
+    }
+    image
+}
+
 /// Compile a kernel to Calyx (unlowered) plus its lowered Dahlia AST.
 ///
 /// # Errors
@@ -280,32 +295,23 @@ pub fn simulate(def: &KernelDef, n: u64, unroll: u64, pipeline: &[&str]) -> Caly
     let mut sim =
         Simulator::new(&ctx, "main").map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
 
-    // Deterministic logical data, shared between the design and the
-    // reference run.
-    let mut logical: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for decl in &ast.decls {
-        let lname = logical_of(decl.name.as_str());
-        logical
-            .entry(lname.clone())
-            .or_insert_with(|| input_data(def.name, &lname, decl.size() as usize));
-    }
-
-    // Initialize physical memories (bank-split).
-    for decl in &ast.decls {
-        let data = &logical[&logical_of(decl.name.as_str())];
-        let banks = split_banks(decl, data);
-        for ((bank_name, _), bank_data) in memory_banks(decl).iter().zip(&banks) {
-            sim.set_memory(bank_name, bank_data)
-                .map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
-        }
+    for (bank, data) in memory_image(def, &ast) {
+        sim.set_memory(&bank, &data)
+            .map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
     }
 
     let stats = sim
         .run(100_000_000)
         .map_err(|e| Error::malformed(format!("{}: {e}", def.name)))?;
 
-    // Reference execution on the logical arrays.
-    let mut expected = logical.clone();
+    // Reference execution on the logical arrays, which hold the data
+    // the image split into banks.
+    let mut expected = BTreeMap::new();
+    for decl in &ast.decls {
+        let lname = logical_of(decl.name.as_str());
+        let data = input_data(def.name, &lname, decl.size() as usize);
+        expected.entry(lname).or_insert(data);
+    }
     (def.reference)(n as usize, &mut expected);
 
     // Verify outputs (reading back from the physical memory named after the

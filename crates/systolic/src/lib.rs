@@ -407,6 +407,24 @@ pub fn reference_matmul(
         .collect()
 }
 
+/// The operands every harness runs the `n`×`n` array
+/// ([`SystolicConfig::square`]) on: its memory image, where `l{r}` is row
+/// `r` of A (`(r+k)%5+1`) and `t{c}` column `c` of B (`(2k+c)%7+1`), and
+/// the row-major `out` that [`reference_matmul`] expects of it.
+pub fn matmul_operands(n: usize) -> (Vec<(String, Vec<u64>)>, Vec<u64>) {
+    let matrix = |f: fn(usize, usize) -> usize| -> Vec<Vec<u64>> {
+        (0..n)
+            .map(|i| (0..n).map(|j| f(i, j) as u64).collect())
+            .collect()
+    };
+    let a = matrix(|r, k| (r + k) % 5 + 1);
+    let b = matrix(|k, c| (2 * k + c) % 7 + 1);
+    let rows = (0..n).map(|r| (format!("l{r}"), a[r].clone()));
+    let cols = (0..n).map(|c| (format!("t{c}"), b.iter().map(|row| row[c]).collect()));
+    let out = reference_matmul(&a, &b, n, 32).into_iter().flatten();
+    (rows.chain(cols).collect(), out.collect())
+}
+
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {

@@ -5,12 +5,11 @@
 //! ```sh
 //! cargo run --example systolic_matmul
 //! ```
-#![allow(clippy::needless_range_loop)]
 
 use calyx::backend::area;
 use calyx::core::passes::PassManager;
 use calyx::sim::rtl::Simulator;
-use calyx::systolic::{generate, reference_matmul, SystolicConfig};
+use calyx::systolic::{generate, matmul_operands, SystolicConfig};
 
 /// Lower an n×n array with the pass alias `pipeline`, simulate it, and
 /// return its cycles and LUTs.
@@ -19,28 +18,14 @@ fn run(n: usize, pipeline: &str) -> Result<(u64, u64), Box<dyn std::error::Error
     let mut ctx = generate(&cfg);
     PassManager::from_names(&[pipeline])?.run(&mut ctx)?;
 
-    let a: Vec<Vec<u64>> = (0..n)
-        .map(|r| (0..n).map(|k| ((r + k) % 5 + 1) as u64).collect())
-        .collect();
-    let b: Vec<Vec<u64>> = (0..n)
-        .map(|k| (0..n).map(|c| ((2 * k + c) % 7 + 1) as u64).collect())
-        .collect();
-
+    let (image, expected) = matmul_operands(n);
     let mut sim = Simulator::new(&ctx, "main")?;
-    for (r, row) in a.iter().enumerate() {
-        sim.set_memory(&format!("l{r}"), row)?;
-    }
-    for c in 0..n {
-        let col: Vec<u64> = (0..n).map(|k| b[k][c]).collect();
-        sim.set_memory(&format!("t{c}"), &col)?;
+    for (name, data) in &image {
+        sim.set_memory(name, data)?;
     }
     let stats = sim.run(1_000_000)?;
 
     // Verify against the reference matrix multiply.
-    let expected: Vec<u64> = reference_matmul(&a, &b, n, 32)
-        .into_iter()
-        .flatten()
-        .collect();
     assert_eq!(sim.memory("out")?, expected, "systolic result is exact");
 
     let luts = area::estimate(&ctx, "main")?.luts;

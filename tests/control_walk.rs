@@ -19,15 +19,14 @@
 mod random_programs;
 
 use calyx::core::ir::{parse_context, Context};
-use calyx::dahlia::backend::{memory_banks, split_banks};
-use calyx::polybench::{compile_kernel, input_data, logical_of, KERNELS};
+use calyx::polybench::{compile_kernel, memory_image, KERNELS};
 use calyx::sim::flatten::{
     eval_atom, eval_guard, flatten, CtrlIdx, CtrlNode, DriverRule, FlatDesign, FlatIdx, GroupIdx,
     IndexedMap, Wires,
 };
 use calyx::sim::interp::{Interpreter, Waiting};
 use calyx::sim::SimResult;
-use calyx::systolic::{generate, SystolicConfig};
+use calyx::systolic::{generate, matmul_operands, SystolicConfig};
 use proptest::prelude::*;
 
 /// Memory name and contents.
@@ -427,16 +426,7 @@ fn the_kernels_walk_as_the_root_walk_does() {
     for def in KERNELS {
         for unroll in [1, 2] {
             let (ast, ctx) = compile_kernel(def, 4, unroll).expect("kernel compiles");
-            let mut image = Image::new();
-            for decl in &ast.decls {
-                let data = input_data(
-                    def.name,
-                    &logical_of(decl.name.as_str()),
-                    decl.size() as usize,
-                );
-                let banks = memory_banks(decl).into_iter().map(|(bank, _)| bank);
-                image.extend(banks.zip(split_banks(decl, &data)));
-            }
+            let image = memory_image(def, &ast);
             let name = format!("{} unroll {unroll}", def.name);
             assert!(walk_matches_oracle(&name, &ctx, &image) > 0, "{name}");
         }
@@ -447,13 +437,7 @@ fn the_kernels_walk_as_the_root_walk_does() {
 fn the_systolic_arrays_walk_as_the_root_walk_does() {
     for n in 2..=4 {
         let ctx = generate(&SystolicConfig::square(n));
-        let image: Image = (0..n)
-            .flat_map(|i| {
-                let row = (0..n).map(|k| ((i + k) % 5 + 1) as u64).collect();
-                let col = (0..n).map(|k| ((2 * k + i) % 7 + 1) as u64).collect();
-                [(format!("l{i}"), row), (format!("t{i}"), col)]
-            })
-            .collect();
+        let (image, _) = matmul_operands(n);
         let name = format!("systolic {n}x{n}");
         // Every PE is an instance with a tree of its own.
         assert!(walk_matches_oracle(&name, &ctx, &image) > 0, "{name}");
