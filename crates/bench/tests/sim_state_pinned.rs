@@ -13,7 +13,11 @@
 //! differential suite held both flat engines byte-identical to them on the
 //! `interp`, `lower` and `lower-static` rows, and every `opt` row was
 //! checked against the tree-walking RTL engine once. So these rows are
-//! what those engines computed. The systolic rows were recorded when the
+//! what those engines computed, except that the lowered kernel rows were
+//! re-recorded once, when `if`/`while` conditions that settle in their
+//! cycle stopped latching into `cc`/`cs` (fewer cycles, other control
+//! registers in the report); no `interp` or systolic row moved then. The
+//! systolic rows were recorded when the
 //! interpreter first ran component instances; their oracle is the
 //! reference matrix multiply, which every run's `out` is held to before
 //! its digest is taken. A change to fixpoint semantics, done-observation,

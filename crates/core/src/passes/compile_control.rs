@@ -4,13 +4,27 @@
 //! The pass walks the control program bottom-up. For every control
 //! statement it instantiates a *compilation group* containing the structure
 //! that realizes the statement — a state register for `seq`, per-child done
-//! savers for `par`, condition-computed/condition-saved registers for
-//! `if`/`while` — wires the children's `go`/`done` interface signals, and
-//! replaces the statement with an enable of the compilation group. After the
-//! pass, each component's control program is a single group enable.
+//! savers for `par`, condition registers for `if`/`while` — wires the
+//! children's `go`/`done` interface signals, and replaces the statement
+//! with an enable of the compilation group. After the pass, each
+//! component's control program is a single group enable.
 //!
 //! Compilation groups reset their internal state when they raise `done`, so
 //! they operate correctly when re-entered inside loops.
+//!
+//! ## Conditions
+//!
+//! An `if`/`while` decides in the cycle its condition settles when the
+//! condition is combinational (its `with` group has a constant `done`, or
+//! there is none) and no group under the statement drives a port the
+//! condition reads or drives, nor reads one it drives
+//! ([`decides_in_its_cycle`]): the condition group and the chosen child
+//! then run in the same cycle. A `while` keeps one `busy` register for a
+//! running body; an `if` latches its decision into `cs` while starting the
+//! taken branch, and `cc` marks the decision made. Every other condition
+//! falls back to the paper's §4.3 registers ([`build_cond`]): `cc`/`cs`
+//! latch the condition a cycle before the statement acts on it. The choice
+//! follows from the program alone.
 //!
 //! ## Interaction with static groups
 //!
@@ -23,10 +37,15 @@
 //! attribute.
 
 use super::pass_ctx::PassCtx;
+use super::static_timing::is_comb_group;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
-use crate::ir::{attr, Attributes, Builder, CompOp, Component, Control, GuardId, Id, PortRef};
+use crate::ir::{
+    attr, Attributes, Builder, CompOp, Component, Control, GuardId, GuardPool, Id, PortParent,
+    PortRef, PrimKind,
+};
 use crate::utils::bits_needed;
+use rustc_hash::FxHashSet;
 
 /// Compiles `seq`/`par`/`if`/`while` into latency-insensitive FSMs.
 ///
@@ -335,9 +354,8 @@ fn compile_par(b: &mut Builder, children: &[Id]) -> Id {
     g
 }
 
-/// Shared structure of `if`/`while` condition evaluation: run the `with`
-/// group (when present) until it reports done, then latch the condition
-/// port into `cs` and set `cc` (paper §4.3).
+/// The condition registers of an `if`, and of a `while` that cannot decide
+/// in the cycle its condition settles (see [`decides_in_its_cycle`]).
 struct CondRegs {
     /// 1-bit "condition computed" register.
     cc: Id,
@@ -345,17 +363,28 @@ struct CondRegs {
     cs: Id,
 }
 
+impl CondRegs {
+    fn new(b: &mut Builder) -> Self {
+        let cc = b.add_primitive("cc", Id::STD_REG, &[1]);
+        let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
+        b.set_cell_attribute(cc, attr::FSM, 1);
+        b.set_cell_attribute(cs, attr::FSM, 1);
+        CondRegs { cc, cs }
+    }
+}
+
+/// The §4.3 fallback: run the `with` group (when present) until it
+/// reports done, then latch the condition port into `cs` and set `cc`; the
+/// statement decides on `cs` one cycle after the condition settled.
+/// Statements whose condition settles undisturbed within its cycle decide
+/// on the port itself instead ([`decides_in_its_cycle`]).
 fn build_cond(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>) -> CondRegs {
-    let cc = b.add_primitive("cc", Id::STD_REG, &[1]);
-    let cs = b.add_primitive("cs", Id::STD_REG, &[1]);
-    b.set_cell_attribute(cc, attr::FSM, 1);
-    b.set_cell_attribute(cs, attr::FSM, 1);
+    let CondRegs { cc, cs } = CondRegs::new(b);
     let computed = out(b, cc);
     let computing = b.guards().not(computed);
 
-    // Condition groups are enabled for the whole evaluation phase. They are
-    // expected to be combinational or idempotent (both frontends generate
-    // combinational condition groups).
+    // Condition groups are enabled for the whole evaluation phase; a
+    // multi-cycle one must be idempotent.
     let cond_done = match cond {
         Some(cg) => {
             b.asgn_const_guarded(g, PortRef::hole(cg, Id::GO), 1, 1, computing);
@@ -372,6 +401,29 @@ fn build_cond(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>) -> CondRe
     CondRegs { cc, cs }
 }
 
+/// `Some(g)` enables condition group `g` under `guard` inside `group`.
+fn enable_cond(b: &mut Builder, group: Id, cond: Option<Id>, guard: GuardId) {
+    if let Some(cg) = cond {
+        b.asgn_const_guarded(group, PortRef::hole(cg, Id::GO), 1, 1, guard);
+    }
+}
+
+/// The registers of an `if` that decides now: `cs` latches the port in the
+/// decision cycle, while `cc` reads 0; `cc` is written by the caller.
+fn decide_now(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>) -> CondRegs {
+    let CondRegs { cc, cs } = CondRegs::new(b);
+    let decided = out(b, cc);
+    let deciding = b.guards().not(decided);
+    enable_cond(b, g, cond, deciding);
+    b.asgn_guarded(g, (cs, Id::IN), port, deciding);
+    b.asgn_const_guarded(g, (cs, Id::WRITE_EN), 1, 1, deciding);
+    CondRegs { cc, cs }
+}
+
+/// An `if` decides in its first cycle when [`decides_in_its_cycle`]
+/// allows: it latches the port into `cs` and starts the taken branch in
+/// that cycle, and `cc` records that the decision is made. Otherwise the
+/// §4.3 registers decide a cycle later.
 fn compile_if(
     b: &mut Builder,
     port: PortRef,
@@ -381,16 +433,34 @@ fn compile_if(
 ) -> Id {
     let g = b.add_group("if");
     b.set_group_attribute(g, attr::GENERATED, 1);
-    let CondRegs { cc, cs } = build_cond(b, g, port, cond);
+    let children: Vec<Id> = tbranch.into_iter().chain(fbranch).collect();
+    let now = decides_in_its_cycle(b.component(), port, cond, &children);
+    let CondRegs { cc, cs } = if now {
+        decide_now(b, g, port, cond)
+    } else {
+        build_cond(b, g, port, cond)
+    };
     let computed = out(b, cc);
     let taken = out(b, cs);
-    let not_taken = b.guards().not(taken);
+    // The branch selectors. Deciding now, the port itself selects in the
+    // decision cycle, so the selectors are each other's negation.
+    let selectors = if now {
+        let deciding = b.guards().not(computed);
+        let settled = b.guards().port(port);
+        let first = b.guards().and(deciding, settled);
+        let saved = b.guards().and(computed, taken);
+        let t = b.guards().or(saved, first);
+        [t, b.guards().not(t)]
+    } else {
+        let not_taken = b.guards().not(taken);
+        let t = b.guards().and(computed, taken);
+        [t, b.guards().and(computed, not_taken)]
+    };
 
-    // done(g) = computed & (taken ? t_done : f_done); empty branches finish
+    // done(g) = the selected branch's completion; empty branches finish
     // immediately.
     let mut done_guard: Option<GuardId> = None;
-    for (branch, active) in [(tbranch, taken), (fbranch, not_taken)] {
-        let selected = b.guards().and(computed, active);
+    for (branch, selected) in [tbranch, fbranch].into_iter().zip(selectors) {
         let finished = match branch {
             Some(child) => {
                 let complete = wire_child(b, g, child, selected);
@@ -406,16 +476,71 @@ fn compile_if(
     let done_guard = done_guard.expect("both branches contribute a done condition");
 
     b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, done_guard);
-    // Reset the condition registers when finishing so the statement can
-    // re-execute inside loops.
-    b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, done_guard);
-    b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, done_guard);
+    if now {
+        // `cc` holds 1 from the decision to the cycle before `done`, which
+        // may be the decision cycle itself.
+        let running = b.guards().not(done_guard);
+        b.asgn_const_guarded(g, (cc, Id::IN), 1, 1, running);
+        b.asgn_const(g, (cc, Id::WRITE_EN), 1, 1);
+    } else {
+        // Reset the condition registers when finishing so the statement
+        // can re-execute inside loops.
+        b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, done_guard);
+        b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, done_guard);
+    }
     g
 }
 
+/// A `while` decides each iteration in the cycle its condition settles
+/// when [`decides_in_its_cycle`] allows; otherwise through the §4.3
+/// registers, a cycle later.
 fn compile_while(b: &mut Builder, port: PortRef, cond: Option<Id>, body: Option<Id>) -> Id {
     let g = b.add_group("while");
     b.set_group_attribute(g, attr::GENERATED, 1);
+    let body_groups: Vec<Id> = body.into_iter().collect();
+    if decides_in_its_cycle(b.component(), port, cond, &body_groups) {
+        comb_while(b, g, port, cond, body);
+    } else {
+        latched_while(b, g, port, cond, body);
+    }
+    g
+}
+
+/// One 1-bit `busy` register marks a running body. While it reads 0 the
+/// condition group runs and the body starts in the same cycle if the port
+/// reads 1; `busy` holds until the body completes, and the loop is done in
+/// a cycle that neither runs the body nor starts it.
+fn comb_while(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>, body: Option<Id>) {
+    let settled = b.guards().port(port);
+    let run = match body {
+        // An empty body: decide again every cycle.
+        None => {
+            enable_cond(b, g, cond, GuardId::TRUE);
+            settled
+        }
+        Some(child) => {
+            let busy = b.add_primitive("busy", Id::STD_REG, &[1]);
+            b.set_cell_attribute(busy, attr::FSM, 1);
+            let busy_out = out(b, busy);
+            let deciding = b.guards().not(busy_out);
+            enable_cond(b, g, cond, deciding);
+            let run = b.guards().or(busy_out, settled);
+            let en = enable_guard(b, child, run);
+            b.asgn_const_guarded(g, PortRef::hole(child, Id::GO), 1, 1, en);
+            let complete = done(b, child);
+            let running = b.guards().not(complete);
+            b.asgn_const_guarded(g, (busy, Id::IN), 1, 1, running);
+            b.asgn_const_guarded(g, (busy, Id::WRITE_EN), 1, 1, run);
+            run
+        }
+    };
+    let idle = b.guards().not(run);
+    b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, idle);
+}
+
+/// The §4.3 `while`: latch the condition, run the body if it held, then
+/// clear `cc` to evaluate it again.
+fn latched_while(b: &mut Builder, g: Id, port: PortRef, cond: Option<Id>, body: Option<Id>) {
     let CondRegs { cc, cs } = build_cond(b, g, port, cond);
     let computed = out(b, cc);
     let taken = out(b, cs);
@@ -443,7 +568,124 @@ fn compile_while(b: &mut Builder, port: PortRef, cond: Option<Id>, body: Option<
     b.asgn_const_guarded(g, PortRef::hole(g, Id::DONE), 1, 1, exit);
     b.asgn_const_guarded(g, (cc, Id::IN), 0, 1, exit);
     b.asgn_const_guarded(g, (cc, Id::WRITE_EN), 1, 1, exit);
-    g
+}
+
+/// Can an `if`/`while` decide in the cycle its condition settles, without
+/// latching it first?
+///
+/// It can when the condition is combinational (its `with` group has a
+/// constant `done`, or there is none) and nothing the statement runs can
+/// disturb it: the condition group then runs in the same cycle as the
+/// first group of the chosen child, so no group under the statement may
+/// drive a port the condition reads or drives, nor read a port the
+/// condition group drives. Ports are followed through combinational cells,
+/// memories and continuous assignments (a register or pipelined unit shows
+/// only what it latched, so a body may freely write what the condition
+/// reads there). Every other condition keeps the §4.3 registers of
+/// [`build_cond`].
+fn decides_in_its_cycle(
+    comp: &Component,
+    port: PortRef,
+    cond: Option<Id>,
+    children: &[Id],
+) -> bool {
+    let cond = match cond {
+        None => None,
+        Some(cg) => match comp.groups.get(cg) {
+            Some(group) if is_comb_group(group) => Some(group),
+            _ => return false,
+        },
+    };
+    let cond_asgns = cond.map_or(&[][..], |c| &c.assignments[..]);
+    let cond_reads = cond_asgns.iter().flat_map(|a| a.reads_iter(&comp.guards));
+    let reads = comb_closure(comp, cond_reads.chain([port]), Flow::Upstream);
+    let drives = comb_closure(comp, cond_asgns.iter().map(|a| a.dst), Flow::Downstream);
+    let mut under = groups_under(comp, children);
+    if let Some(c) = cond {
+        // Whoever enables the condition group, it drives the same values.
+        under.remove(&c.name);
+    }
+    let mut assignments = under
+        .iter()
+        .filter_map(|g| comp.groups.get(*g))
+        .flat_map(|g| &g.assignments);
+    assignments.all(|a| {
+        !reads.contains(&a.dst)
+            && !drives.contains(&a.dst)
+            && !a.src.port().is_some_and(|p| drives.contains(p))
+            && !guard_reads(&comp.guards, a.guard, &drives)
+    })
+}
+
+/// Does guard `id` read one of `ports`?
+fn guard_reads(guards: &GuardPool, id: GuardId, ports: &FxHashSet<PortRef>) -> bool {
+    let node = &guards[id];
+    node.ports().any(|p| ports.contains(&p))
+        || node
+            .children()
+            .any(|child| guard_reads(guards, child, ports))
+}
+
+/// The groups a compiled statement runs: `roots` and, transitively, every
+/// group whose `go` hole one of them drives.
+fn groups_under(comp: &Component, roots: &[Id]) -> FxHashSet<Id> {
+    let mut seen: FxHashSet<Id> = roots.iter().copied().collect();
+    let mut work = roots.to_vec();
+    while let Some(g) = work.pop() {
+        let Some(group) = comp.groups.get(g) else {
+            continue;
+        };
+        for a in &group.assignments {
+            if let PortParent::Group(child) = a.dst.parent {
+                if a.dst.port == Id::GO && seen.insert(child) {
+                    work.push(child);
+                }
+            }
+        }
+    }
+    seen
+}
+
+/// Which way [`comb_closure`] crosses a continuous assignment.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// From the port it drives to the ports it reads.
+    Upstream,
+    /// From a port it reads to the port it drives.
+    Downstream,
+}
+
+/// `roots` and every port joined to them within one cycle: all ports of a
+/// combinational cell or memory one of them belongs to (a register or a
+/// pipelined unit shows only what it latched), and the other end of each
+/// continuous assignment in the direction of `flow`.
+fn comb_closure(
+    comp: &Component,
+    roots: impl IntoIterator<Item = PortRef>,
+    flow: Flow,
+) -> FxHashSet<PortRef> {
+    let mut seen = FxHashSet::default();
+    let mut work: Vec<PortRef> = roots.into_iter().collect();
+    while let Some(p) = work.pop() {
+        if !seen.insert(p) {
+            continue;
+        }
+        if let Some(cell) = p.cell_parent().and_then(|c| comp.cells.get(c)) {
+            if !matches!(cell.kind(), Some(PrimKind::Reg | PrimKind::Unit(_))) {
+                work.extend(cell.ports.iter().map(|d| PortRef::cell(cell.name, d.name)));
+            }
+        }
+        for a in &comp.continuous {
+            match flow {
+                Flow::Upstream if a.dst == p => work.extend(a.reads_iter(&comp.guards)),
+                Flow::Downstream if a.reads_iter(&comp.guards).any(|r| r == p) => {
+                    work.push(a.dst);
+                }
+                _ => {}
+            }
+        }
+    }
+    seen
 }
 
 #[cfg(test)]
@@ -537,8 +779,19 @@ mod tests {
         validate::validate_context(&ctx).unwrap();
     }
 
+    /// Cells of `main` whose name starts with `prefix`.
+    fn cells_named(ctx: &crate::ir::Context, prefix: &str) -> usize {
+        let main = ctx.component("main").unwrap();
+        main.cells
+            .names()
+            .filter(|n| n.as_str().starts_with(prefix))
+            .count()
+    }
+
     #[test]
     fn if_and_while_generate_cond_registers() {
+        // Combinational conditions on a register the bodies write: the
+        // `while` keeps one `busy` register, the `if` its `cc`/`cs` pair.
         let ctx = compile_src(
             r#"component main() -> () {
               cells { lt = std_lt(8); r = std_reg(8); }
@@ -550,14 +803,26 @@ mod tests {
               control { seq { while lt.out with cond { body; } if lt.out with cond { t; } } }
             }"#,
         );
-        let main = ctx.component("main").unwrap();
-        // while + if each allocate cc/cs.
-        let cc_count = main
-            .cells
-            .names()
-            .filter(|n| n.as_str().starts_with("cc"))
-            .count();
-        assert_eq!(cc_count, 2);
+        let counts = ["busy", "cc", "cs"].map(|p| cells_named(&ctx, p));
+        assert_eq!(counts, [1, 1, 1]);
+        validate::validate_context(&ctx).unwrap();
+
+        // A body driving the condition's comparator, and a condition group
+        // with a registered `done`: both `while`s keep the §4.3 `cc`/`cs`.
+        let ctx = compile_src(
+            r#"component main() -> () {
+              cells { lt = std_lt(8); r = std_reg(8); x = std_reg(1); }
+              wires {
+                group cond { lt.left = r.out; lt.right = 8'd5; cond[done] = 1'd1; }
+                group body { lt.left = 8'd1; r.in = 8'd1; r.write_en = 1'd1; body[done] = r.done; }
+                group slow { lt.left = r.out; lt.right = 8'd5; x.in = lt.out; x.write_en = 1'd1; slow[done] = x.done; }
+                group step { r.in = 8'd6; r.write_en = 1'd1; step[done] = r.done; }
+              }
+              control { seq { while lt.out with cond { body; } while x.out with slow { step; } } }
+            }"#,
+        );
+        let counts = ["busy", "cc", "cs"].map(|p| cells_named(&ctx, p));
+        assert_eq!(counts, [0, 2, 2]);
         validate::validate_context(&ctx).unwrap();
     }
 

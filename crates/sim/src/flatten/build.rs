@@ -1118,8 +1118,9 @@ mod tests {
     #[test]
     fn design_guard_arena_is_unchanged_on_lowered_gemm() {
         // The one elaborator must cons exactly what the RTL engine's own
-        // did: 118 is the arena length measured before the interners, and
-        // then the elaborators, merged.
-        assert_eq!(lowered_gemm().prog.guards.len(), 118);
+        // did: the arena length measured before the interners, and then the
+        // elaborators, merged, was 118; it is 112 since gemm's loops decide
+        // in the cycle their conditions settle, without `cc`/`cs`.
+        assert_eq!(lowered_gemm().prog.guards.len(), 112);
     }
 }

@@ -1119,7 +1119,7 @@ mod tests {
               control { seq { init; while more.out { seq { incr; check; } } } }
             }"#;
         // `init` 2 cycles, three rounds of 1 + 2 + 2, the exit test 1.
-        assert_eq!(on_both_engines(src, &["more", "n"]), ((18, 23), vec![0, 3]));
+        assert_eq!(on_both_engines(src, &["more", "n"]), ((18, 19), vec![0, 3]));
     }
 
     #[test]
@@ -1141,8 +1141,8 @@ mod tests {
             )
         };
         // `wa` 2 cycles, the test 1, the branch 2.
-        assert_eq!(on_both_engines(&program(9), &["r"]), ((5, 6), vec![1]));
-        assert_eq!(on_both_engines(&program(3), &["r"]), ((5, 6), vec![2]));
+        assert_eq!(on_both_engines(&program(9), &["r"]), ((5, 5), vec![1]));
+        assert_eq!(on_both_engines(&program(3), &["r"]), ((5, 5), vec![2]));
     }
 
     /// `main` runs `control` over `invoke`, which starts instance `c` of

@@ -3,8 +3,11 @@
 //! `remove-groups` builds, after `guard-simplify`) and of the emitted
 //! SystemVerilog, recorded from the `futil` of the commit before
 //! `remove-groups` resolved holes depth-first and the Verilog emitter
-//! appended into one buffer. A change to either that alters a single
-//! byte of any design shows here; a deliberate one re-pins the table with
+//! appended into one buffer. The kernel rows were re-pinned once since,
+//! when `if`/`while` conditions that settle in their cycle stopped
+//! latching into `cc`/`cs`; the systolic rows, which have neither, kept
+//! theirs. A change to either that alters a single byte of any design
+//! shows here; a deliberate one re-pins the table with
 //! `scripts/goldens.sh --lowered PATH/TO/futil`.
 
 use calyx::polybench::KERNELS;

@@ -147,7 +147,8 @@ fn opt_verilog_digest(frontend: &str, fopts: &[(&str, &str)]) -> u64 {
 /// paper's 8×8 from the one before liveness facts became bitsets; which
 /// registers merge there follows from liveness, interference and the
 /// order registers are numbered and `Id`s sort in, so a change to any of
-/// them that alters sharing shows here first.
+/// them that alters sharing shows here first. gemver's digest was re-pinned
+/// when its loops began deciding in the cycle their conditions settle.
 #[test]
 fn opt_verilog_of_par_heavy_designs_is_pinned() {
     for (n, expected) in [
@@ -162,7 +163,7 @@ fn opt_verilog_of_par_heavy_designs_is_pinned() {
     }
     let digest = opt_verilog_digest("polybench", &[("kernel", "gemver"), ("unroll", "2")]);
     assert_eq!(
-        digest, 0x582e_e2ec_eb1c_abcd,
+        digest, 0xb076_46e1_574e_6e07,
         "gemver unroll=2: {digest:#018x}"
     );
 }

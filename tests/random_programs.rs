@@ -16,11 +16,15 @@
 //!   branch touches the memory (the unique-driver rule);
 //! - every `while` owns a dedicated counter register, reset immediately
 //!   before the loop, so all programs terminate;
-//! - `if`/`while` conditions are combinational comparison groups;
+//! - `if`/`while` conditions are combinational comparisons, computed by a
+//!   `with` group or by continuous assignments (see [`CondSource`]); one
+//!   that reads the memory counts as touching it;
 //! - every call site instantiates a child of its own, so `par` branches
 //!   never share one.
 
-use calyx::core::ir::{Builder, Component, Context, Control, Direction, Id, PortDef, PortRef};
+use calyx::core::ir::{
+    Assignment, Atom, Builder, Component, Context, Control, Direction, Id, PortDef, PortRef,
+};
 use proptest::prelude::*;
 
 /// Width of all data registers.
@@ -83,6 +87,32 @@ impl Action {
     }
 }
 
+/// What an `if`/`while` condition reads beside its comparison constant.
+///
+/// The shapes put both sides of `CompileControl`'s choice in front of the
+/// differential tests: a condition that reads a register the body writes
+/// may decide in the cycle it settles, one that drives the memory address
+/// a body also drives must fall back to latching it first.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CondSource {
+    /// A `with` group compares a register: the `if`'s data register, or a
+    /// loop's counter.
+    Reg,
+    /// A `with` group also reads `mem[addr]`, driving the memory's address:
+    /// an `if` compares it instead of its register, a loop also requires it
+    /// to be below 128.
+    Mem { addr: u64 },
+    /// No `with` group: continuous assignments drive the register
+    /// comparison.
+    Wired,
+}
+
+impl CondSource {
+    fn touches_mem(&self) -> bool {
+        matches!(self, CondSource::Mem { .. })
+    }
+}
+
 /// A structured control node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
@@ -90,18 +120,21 @@ pub enum Node {
     Seq(Vec<Node>),
     /// Children constructed with disjoint write sets.
     Par(Vec<Node>),
-    /// `if r[reg] < konst { then } else { else_ }`
+    /// `if r[reg] < konst { then } else { else_ }` (`mem[addr] < konst`
+    /// for a [`CondSource::Mem`] condition)
     If {
         reg: usize,
         konst: u64,
+        source: CondSource,
         then_: Box<Node>,
         else_: Box<Node>,
     },
-    /// A bounded loop over dedicated counter `loop_idx`: runs `trips`
-    /// iterations of the body.
+    /// A bounded loop over dedicated counter `loop_idx`: runs at most
+    /// `trips` iterations of the body.
     While {
         loop_idx: usize,
         trips: u64,
+        source: CondSource,
         body: Box<Node>,
     },
 }
@@ -137,9 +170,15 @@ impl Node {
                 }
             }
             Node::If {
-                reg, then_, else_, ..
+                reg,
+                source,
+                then_,
+                else_,
+                ..
             } => {
-                out.insert(*reg);
+                if !source.touches_mem() {
+                    out.insert(*reg);
+                }
                 then_.reg_reads(out);
                 else_.reg_reads(out);
             }
@@ -151,8 +190,13 @@ impl Node {
         match self {
             Node::Leaf(a) => a.touches_mem(),
             Node::Seq(ns) | Node::Par(ns) => ns.iter().any(Node::touches_mem),
-            Node::If { then_, else_, .. } => then_.touches_mem() || else_.touches_mem(),
-            Node::While { body, .. } => body.touches_mem(),
+            Node::If {
+                source,
+                then_,
+                else_,
+                ..
+            } => source.touches_mem() || then_.touches_mem() || else_.touches_mem(),
+            Node::While { source, body, .. } => source.touches_mem() || body.touches_mem(),
         }
     }
 
@@ -188,6 +232,14 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
+fn cond_source_strategy() -> impl Strategy<Value = CondSource> {
+    prop_oneof![
+        Just(CondSource::Reg),
+        (0..MEM_SIZE).prop_map(|addr| CondSource::Mem { addr }),
+        Just(CondSource::Wired),
+    ]
+}
+
 fn node_strategy() -> impl Strategy<Value = Node> {
     let leaf = action_strategy().prop_map(Node::Leaf);
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -196,18 +248,27 @@ fn node_strategy() -> impl Strategy<Value = Node> {
             // Par: filter to disjoint register writes and single-branch
             // memory use after generation.
             prop::collection::vec(inner.clone(), 2..4).prop_map(make_par_sound),
-            (0..REGS, 0..256u64, inner.clone(), inner.clone()).prop_map(|(reg, konst, t, e)| {
-                Node::If {
+            (
+                0..REGS,
+                0..256u64,
+                cond_source_strategy(),
+                inner.clone(),
+                inner.clone()
+            )
+                .prop_map(|(reg, konst, source, t, e)| Node::If {
                     reg,
                     konst,
+                    source,
                     then_: Box::new(t),
                     else_: Box::new(e),
+                }),
+            (1..4u64, cond_source_strategy(), inner).prop_map(|(trips, source, body)| {
+                Node::While {
+                    loop_idx: 0, // reassigned by `number_loops`
+                    trips,
+                    source,
+                    body: Box::new(body),
                 }
-            }),
-            (1..4u64, inner).prop_map(|(trips, body)| Node::While {
-                loop_idx: 0, // reassigned by `number_loops`
-                trips,
-                body: Box::new(body),
             }),
         ]
     })
@@ -260,15 +321,22 @@ fn number_loops(node: Node, next: &mut usize) -> Node {
         Node::If {
             reg,
             konst,
+            source,
             then_,
             else_,
         } => Node::If {
             reg,
             konst,
+            source,
             then_: Box::new(number_loops(*then_, next)),
             else_: Box::new(number_loops(*else_, next)),
         },
-        Node::While { trips, body, .. } => {
+        Node::While {
+            trips,
+            source,
+            body,
+            ..
+        } => {
             let body = Box::new(number_loops(*body, next));
             if *next < MAX_LOOPS {
                 let loop_idx = *next;
@@ -276,6 +344,7 @@ fn number_loops(node: Node, next: &mut usize) -> Node {
                 Node::While {
                     loop_idx,
                     trips,
+                    source,
                     body,
                 }
             } else {
@@ -448,6 +517,25 @@ impl Gen<'_, '_> {
         Control::enable(g)
     }
 
+    /// Drive comparator `lt` with `left < konst`: from a fresh,
+    /// combinational `with` group, which is returned, or for
+    /// [`CondSource::Wired`] from continuous assignments.
+    fn cond(&mut self, source: &CondSource, lt: Id, left: PortRef, konst: u64) -> Option<Id> {
+        if *source == CondSource::Wired {
+            self.b.cont((lt, "left"), left);
+            let right = Atom::constant(konst, WIDTH as u32);
+            let right = Assignment::new(PortRef::cell(lt, "right"), right);
+            self.b.component().continuous.push(right);
+            return None;
+        }
+        let name = self.fresh("cond");
+        let cond = self.b.add_group(&name);
+        self.b.asgn(cond, (lt, "left"), left);
+        self.b.asgn_const(cond, (lt, "right"), konst, WIDTH as u32);
+        self.b.group_done_const(cond, 1);
+        Some(cond)
+    }
+
     fn node(&mut self, node: &Node) -> Control {
         match node {
             Node::Leaf(a) => self.action(a),
@@ -456,24 +544,28 @@ impl Gen<'_, '_> {
             Node::If {
                 reg,
                 konst,
+                source,
                 then_,
                 else_,
             } => {
                 let lt_name = self.fresh("iflt");
                 let lt = self.b.add_primitive(&lt_name, "std_lt", &[WIDTH]);
-                let cname = self.fresh("cond");
-                let cond = self.b.add_group(&cname);
-                let r = Id::new(reg_name(*reg));
-                self.b.asgn(cond, (lt, "left"), (r, "out"));
-                self.b.asgn_const(cond, (lt, "right"), *konst, WIDTH as u32);
-                self.b.group_done_const(cond, 1);
+                let left = match source {
+                    CondSource::Mem { .. } => PortRef::cell(self.mem, "read_data"),
+                    _ => PortRef::cell(reg_name(*reg), "out"),
+                };
+                let cond = self.cond(source, lt, left, *konst);
+                if let (Some(cond), CondSource::Mem { addr }) = (cond, source) {
+                    self.b.asgn_const(cond, (self.mem, "addr0"), *addr, 4);
+                }
                 let t = self.node(then_);
                 let e = self.node(else_);
-                Control::if_(PortRef::cell(lt, "out"), Some(cond), t, e)
+                Control::if_(PortRef::cell(lt, "out"), cond, t, e)
             }
             Node::While {
                 loop_idx,
                 trips,
+                source,
                 body,
             } => {
                 let w = Id::new(format!("w{loop_idx}"));
@@ -487,13 +579,21 @@ impl Gen<'_, '_> {
                 self.b.asgn_const(reset, (w, "write_en"), 1, 1);
                 self.b.group_done(reset, (w, "done"));
 
-                // condition: w < trips
-                let cname = self.fresh("wcond");
-                let cond = self.b.add_group(&cname);
-                self.b.asgn(cond, (wlt, "left"), (w, "out"));
-                self.b
-                    .asgn_const(cond, (wlt, "right"), *trips, WIDTH as u32);
-                self.b.group_done_const(cond, 1);
+                // condition: w < trips (and mem[addr] < 128)
+                let cond = self.cond(source, wlt, PortRef::cell(w, "out"), *trips);
+                let mut port = PortRef::cell(wlt, "out");
+                if let (Some(cond), CondSource::Mem { addr }) = (cond, source) {
+                    let mlt = self.fresh("wmlt");
+                    let mlt = self.b.add_primitive(&mlt, "std_lt", &[WIDTH]);
+                    let and = self.fresh("wand");
+                    let and = self.b.add_primitive(&and, "std_and", &[1]);
+                    self.b.asgn_const(cond, (self.mem, "addr0"), *addr, 4);
+                    self.b.asgn(cond, (mlt, "left"), (self.mem, "read_data"));
+                    self.b.asgn_const(cond, (mlt, "right"), 128, WIDTH as u32);
+                    self.b.asgn(cond, (and, "left"), (wlt, "out"));
+                    self.b.asgn(cond, (and, "right"), (mlt, "out"));
+                    port = PortRef::cell(and, "out");
+                }
 
                 // increment
                 let iname = self.fresh("wincr");
@@ -507,11 +607,7 @@ impl Gen<'_, '_> {
                 let body = self.node(body);
                 Control::seq(vec![
                     Control::enable(reset),
-                    Control::while_(
-                        PortRef::cell(wlt, "out"),
-                        Some(cond),
-                        Control::seq(vec![body, Control::enable(incr)]),
-                    ),
+                    Control::while_(port, cond, Control::seq(vec![body, Control::enable(incr)])),
                 ])
             }
         }
