@@ -4,6 +4,7 @@
 //! skipping, the `--time` per-job table, and the JSON-lines server on a
 //! stdin/stdout pipe.
 
+use calyx_dahlia::parser::MAX_NESTING;
 use calyx_service::json;
 use std::io::Write;
 use std::path::PathBuf;
@@ -115,6 +116,46 @@ fn a_failing_job_exits_1_but_the_rest_still_compile() {
     let broken = &results.as_arr().unwrap()[1];
     assert_eq!(broken.get("status").unwrap().as_str(), Some("error"));
     assert!(broken.get("error").unwrap().as_str().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Dahlia `+` chain of `terms` terms: `terms` levels deep.
+fn dahlia_chain(terms: usize) -> String {
+    format!(
+        "let x: ubit<32> = 1;\n---\nlet y: ubit<32> = x{};\n",
+        " + x".repeat(terms - 1)
+    )
+}
+
+/// On one worker thread, a Dahlia chain at the nesting cap compiles, and
+/// one a level past it fails its own job with a positioned parse error,
+/// not the process: the job after it compiles.
+#[test]
+fn a_dahlia_chain_past_the_nesting_cap_fails_its_job_alone() {
+    let dir = scratch("dahlia-cap");
+    let (at, past) = (dir.join("at.fuse"), dir.join("past.fuse"));
+    std::fs::write(&at, dahlia_chain(MAX_NESTING)).unwrap();
+    std::fs::write(&past, dahlia_chain(MAX_NESTING + 1)).unwrap();
+    let out = futil(&[
+        "--batch",
+        at.to_str().unwrap(),
+        past.to_str().unwrap(),
+        example("counter.futil").to_str().unwrap(),
+        "-b",
+        "verilog",
+        "--jobs",
+        "1",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let summary = json::parse(&stdout(&out)).unwrap();
+    assert_eq!(summary.get("ok").unwrap().as_u64(), Some(2));
+    assert_eq!(summary.get("failed").unwrap().as_u64(), Some(1));
+    let results = summary.get("results").unwrap().as_arr().unwrap();
+    let error = results[1].get("error").unwrap().as_str().unwrap();
+    let expected = format!("past.fuse:3:0: blocks and expressions nest deeper than {MAX_NESTING}");
+    assert!(error.contains(&expected), "{error}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -582,6 +582,32 @@ fn a_flat_100000_term_chain_reaches_verilog() {
     assert!(driver.contains(&chain), "{}", &driver[..80]);
 }
 
+/// A 200,000-term chain guarding a group under a `while` and under an
+/// `if` whose condition is combinational: `compile-control` asks whether
+/// the group reads what the condition drives through the pool's port
+/// iterator, which keeps its own stack, so both lower to Verilog.
+#[test]
+fn a_200000_term_chain_under_while_and_if_lowers() {
+    let terms: Vec<&str> = (0..200_000).map(|i| ["a", "b"][i % 2]).collect();
+    for ctrl in ["while", "if"] {
+        let src = format!(
+            "component main(a: 1, b: 1) -> (out: 1) {{
+               cells {{ r = std_reg(1); lt = std_lt(1); }}
+               wires {{
+                 out = r.out;
+                 group cond {{ lt.left = r.out; lt.right = 1'd1; cond[done] = 1'd1; }}
+                 group g {{ r.in = {} ? 1'd1; r.write_en = 1'd1; g[done] = r.done; }}
+               }}
+               control {{ {ctrl} lt.out with cond {{ g; }} }}
+             }}",
+            terms.join(" & ")
+        );
+        let out = futil_stdin(&["-", "-p", "lower", "-b", "verilog"], &src);
+        assert_eq!(out.status.code(), Some(0), "{ctrl}: {}", stderr(&out));
+        assert!(stdout(&out).contains("module main"), "{ctrl}");
+    }
+}
+
 /// `!` and `(` nested past the parser's cap are a positioned parse error,
 /// not a stack overflow.
 #[test]

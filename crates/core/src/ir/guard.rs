@@ -422,12 +422,13 @@ impl GuardPool {
 
     /// The ports `id` reads in tree order — depth first, left before
     /// right, a comparison's left operand first — a node reached along
-    /// several paths once per path. Allocates nothing for
-    /// [`GuardId::TRUE`].
+    /// several paths once per path. Allocates nothing until it reaches
+    /// an `&` or `|` node.
     pub fn ports(&self, id: GuardId) -> GuardPorts<'_> {
         GuardPorts {
             pool: self,
-            stack: if id.is_true() { Vec::new() } else { vec![id] },
+            next: Some(id),
+            stack: Vec::new(),
             pending: None,
         }
     }
@@ -534,6 +535,9 @@ impl PostOrder {
 /// [`GuardPool::ports`].
 pub struct GuardPorts<'a> {
     pool: &'a GuardPool,
+    /// The node to visit before any on `stack`.
+    next: Option<GuardId>,
+    /// The right children still to visit, innermost last.
     stack: Vec<GuardId>,
     /// Second port of a comparison whose first port was just yielded.
     pending: Option<PortRef>,
@@ -546,13 +550,16 @@ impl Iterator for GuardPorts<'_> {
         if let Some(p) = self.pending.take() {
             return Some(p);
         }
-        while let Some(id) = self.stack.pop() {
+        while let Some(id) = self.next.take().or_else(|| self.stack.pop()) {
             match self.pool[id] {
                 GuardNode::True => {}
                 GuardNode::Port(p) => return Some(p),
-                GuardNode::Not(inner) => self.stack.push(inner),
-                // Left child visited first: push right below left.
-                GuardNode::And(a, b) | GuardNode::Or(a, b) => self.stack.extend([b, a]),
+                GuardNode::Not(inner) => self.next = Some(inner),
+                // Left child visited first, the right one after it.
+                GuardNode::And(a, b) | GuardNode::Or(a, b) => {
+                    self.stack.push(b);
+                    self.next = Some(a);
+                }
                 GuardNode::Comp(_, l, r) => match (l.port(), r.port()) {
                     (Some(l), Some(r)) => {
                         self.pending = Some(*r);

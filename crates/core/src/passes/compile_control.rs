@@ -41,8 +41,8 @@ use super::static_timing::is_comb_group;
 use super::visitor::{Action, Visitor};
 use crate::errors::{CalyxResult, Error};
 use crate::ir::{
-    attr, Attributes, Builder, CompOp, Component, Control, GuardId, GuardPool, Id, PortParent,
-    PortRef, PrimKind,
+    attr, Attributes, Builder, CompOp, Component, Control, GuardId, Id, PortParent, PortRef,
+    PrimKind,
 };
 use crate::utils::bits_needed;
 use rustc_hash::FxHashSet;
@@ -613,17 +613,8 @@ fn decides_in_its_cycle(
         !reads.contains(&a.dst)
             && !drives.contains(&a.dst)
             && !a.src.port().is_some_and(|p| drives.contains(p))
-            && !guard_reads(&comp.guards, a.guard, &drives)
+            && !comp.guards.ports(a.guard).any(|p| drives.contains(&p))
     })
-}
-
-/// Does guard `id` read one of `ports`?
-fn guard_reads(guards: &GuardPool, id: GuardId, ports: &FxHashSet<PortRef>) -> bool {
-    let node = &guards[id];
-    node.ports().any(|p| ports.contains(&p))
-        || node
-            .children()
-            .any(|child| guard_reads(guards, child, ports))
 }
 
 /// The groups a compiled statement runs: `roots` and, transitively, every

@@ -5,6 +5,7 @@
 //! resolves banked memory accesses, leaving the constructs with one-to-one
 //! Calyx mappings.
 
+use calyx_core::errors::CalyxResult;
 use calyx_core::ir::Id;
 
 /// A memory declaration: `decl a: ubit<32>[8 bank 2][8];`.
@@ -128,22 +129,45 @@ impl Expr {
         }
     }
 
+    /// The direct sub-expressions, in field order.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (indices, a, b): (&[Expr], _, _) = match self {
+            Expr::Num(_) | Expr::Var(_) => (&[], None, None),
+            Expr::ReadMem { indices, .. } => (indices, None, None),
+            Expr::Binop { lhs, rhs, .. } => (&[], Some(&**lhs), Some(&**rhs)),
+            Expr::Sqrt(e) => (&[], Some(&**e), None),
+        };
+        indices.iter().chain(a).chain(b)
+    }
+
     /// Visit every subexpression (self included), pre-order.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
-        match self {
-            Expr::Num(_) | Expr::Var(_) => {}
-            Expr::ReadMem { indices, .. } => {
-                for i in indices {
-                    i.walk(f);
-                }
-            }
-            Expr::Binop { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
-            Expr::Sqrt(e) => e.walk(f),
+        for e in self.children() {
+            e.walk(f);
         }
+    }
+
+    /// The node rebuilt from `f` of each direct sub-expression, called in
+    /// field order; the first error stops the rebuild.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_map(self, mut f: impl FnMut(Expr) -> CalyxResult<Expr>) -> CalyxResult<Expr> {
+        Ok(match self {
+            Expr::Num(_) | Expr::Var(_) => self,
+            Expr::ReadMem { mem, bank, indices } => Expr::ReadMem {
+                mem,
+                bank,
+                indices: indices.into_iter().map(f).collect::<CalyxResult<_>>()?,
+            },
+            Expr::Binop { op, lhs, rhs } => {
+                let lhs = f(*lhs)?;
+                Expr::binop(op, lhs, f(*rhs)?)
+            }
+            Expr::Sqrt(e) => Expr::Sqrt(Box::new(f(*e)?)),
+        })
     }
 
     /// Number of sequential-unit operations (mul/div/rem/sqrt) in the tree.
@@ -228,6 +252,106 @@ pub enum Stmt {
     Par(Vec<Stmt>),
 }
 
+impl Stmt {
+    /// The direct sub-statements, in field order.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        let (a, b): (&[Stmt], &[Stmt]) = match self {
+            Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. } => (&[], &[]),
+            Stmt::If { then_, else_, .. } => (then_, else_),
+            Stmt::While { body, .. } | Stmt::For { body, .. } => (body, &[]),
+            Stmt::Seq(ss) | Stmt::Par(ss) => (ss, &[]),
+        };
+        a.iter().chain(b)
+    }
+
+    /// The direct sub-expressions, in field order.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (indices, e): (&[Expr], _) = match self {
+            Stmt::Let { init: e, .. }
+            | Stmt::AssignVar { rhs: e, .. }
+            | Stmt::If { cond: e, .. }
+            | Stmt::While { cond: e, .. } => (&[], Some(e)),
+            Stmt::Store { indices, rhs, .. } => (indices, Some(rhs)),
+            Stmt::For { .. } | Stmt::Seq(_) | Stmt::Par(_) => (&[], None),
+        };
+        indices.iter().chain(e)
+    }
+
+    /// Visit every statement (self included), pre-order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        for s in self.children() {
+            s.walk(f);
+        }
+    }
+
+    /// The node rebuilt from `expr` of each direct sub-expression and
+    /// `stmt` of each direct sub-statement, called in field order; the
+    /// first error stops the rebuild.
+    ///
+    /// # Errors
+    ///
+    /// The first error `expr` or `stmt` returns.
+    pub fn try_map(
+        self,
+        mut expr: impl FnMut(Expr) -> CalyxResult<Expr>,
+        mut stmt: impl FnMut(Stmt) -> CalyxResult<Stmt>,
+    ) -> CalyxResult<Stmt> {
+        let mut block = |b: Block| b.into_iter().map(&mut stmt).collect::<CalyxResult<_>>();
+        Ok(match self {
+            Stmt::Let { var, width, init } => Stmt::Let {
+                var,
+                width,
+                init: expr(init)?,
+            },
+            Stmt::AssignVar { var, rhs } => Stmt::AssignVar {
+                var,
+                rhs: expr(rhs)?,
+            },
+            Stmt::Store {
+                mem,
+                bank,
+                indices,
+                rhs,
+            } => Stmt::Store {
+                mem,
+                bank,
+                indices: indices
+                    .into_iter()
+                    .map(&mut expr)
+                    .collect::<CalyxResult<_>>()?,
+                rhs: expr(rhs)?,
+            },
+            Stmt::If { cond, then_, else_ } => Stmt::If {
+                cond: expr(cond)?,
+                then_: block(then_)?,
+                else_: block(else_)?,
+            },
+            Stmt::While { cond, body } => Stmt::While {
+                cond: expr(cond)?,
+                body: block(body)?,
+            },
+            Stmt::For {
+                var,
+                width,
+                lo,
+                hi,
+                unroll,
+                body,
+            } => Stmt::For {
+                var,
+                width,
+                lo,
+                hi,
+                unroll,
+                body: block(body)?,
+            },
+            Stmt::Seq(ss) => Stmt::Seq(block(ss)?),
+            Stmt::Par(ss) => Stmt::Par(block(ss)?),
+        })
+    }
+}
+
 /// A full Dahlia program: memory declarations plus a body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
@@ -262,6 +386,59 @@ mod tests {
         );
         assert_eq!(e.sequential_ops(), 2);
         assert_eq!(Expr::Num(1).sequential_ops(), 0);
+    }
+
+    /// `try_map` calls its closures in field order, the order `exprs`,
+    /// `children` and `walk` visit: a store's indices before its value,
+    /// a condition before its branches, the taken branch first.
+    #[test]
+    fn traversal_follows_field_order() {
+        let var = |v: &str| Expr::Var(Id::new(v));
+        let store = |v: &str| Stmt::Store {
+            mem: Id::new("m"),
+            bank: None,
+            indices: vec![var("i"), var("j")],
+            rhs: var(v),
+        };
+        let s = Stmt::If {
+            cond: var("c"),
+            then_: vec![store("t")],
+            else_: vec![Stmt::Par(vec![store("f")])],
+        };
+        let mut seen = Vec::new();
+        let s = s
+            .try_map(
+                |e| {
+                    seen.push(format!("{e:?}"));
+                    Ok(e)
+                },
+                Ok,
+            )
+            .unwrap();
+        assert_eq!(seen, [format!("{:?}", var("c"))]);
+        let mut stores = Vec::new();
+        s.walk(&mut |s| {
+            if matches!(s, Stmt::Store { .. }) {
+                stores.push(s.exprs().map(|e| format!("{e:?}")).collect::<Vec<_>>());
+            }
+        });
+        let names = |v: &str| {
+            [var("i"), var("j"), var(v)]
+                .map(|e| format!("{e:?}"))
+                .to_vec()
+        };
+        assert_eq!(stores, [names("t"), names("f")]);
+        let mut order = Vec::new();
+        store("x")
+            .try_map(
+                |e| {
+                    order.push(format!("{e:?}"));
+                    Ok(e)
+                },
+                Ok,
+            )
+            .unwrap();
+        assert_eq!(order, names("x"));
     }
 
     #[test]

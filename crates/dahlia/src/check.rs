@@ -7,7 +7,7 @@
 //! and banking factors line up with loop structure so that lowering can
 //! resolve every access to a single physical port.
 
-use crate::ast::{Block, Expr, MemDecl, Program, Stmt};
+use crate::ast::{Expr, MemDecl, Program, Stmt};
 use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::ir::Id;
 use rustc_hash::FxHashMap;
@@ -140,39 +140,18 @@ fn check_cond(cond: &Expr, env: &Env) -> CalyxResult<()> {
     Ok(())
 }
 
-fn check_block(b: &Block, env: &mut Env) -> CalyxResult<()> {
-    for s in b {
-        check_stmt(s, env)?;
-    }
-    Ok(())
-}
-
 /// Targets written by a statement (registers and memories), used for the
 /// unordered-composition race check.
 fn written_targets(s: &Stmt, out: &mut BTreeSet<Id>) {
-    match s {
+    s.walk(&mut |s| match s {
         Stmt::Let { var, .. } | Stmt::AssignVar { var, .. } => {
             out.insert(*var);
         }
         Stmt::Store { mem, .. } => {
             out.insert(*mem);
         }
-        Stmt::If { then_, else_, .. } => {
-            for s in then_.iter().chain(else_) {
-                written_targets(s, out);
-            }
-        }
-        Stmt::While { body, .. } | Stmt::For { body, .. } => {
-            for s in body {
-                written_targets(s, out);
-            }
-        }
-        Stmt::Seq(ss) | Stmt::Par(ss) => {
-            for s in ss {
-                written_targets(s, out);
-            }
-        }
-    }
+        _ => {}
+    });
 }
 
 fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
@@ -193,7 +172,6 @@ fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
                     )));
                 }
             }
-            Ok(())
         }
         Stmt::AssignVar { var, rhs } => {
             let vw = *env
@@ -207,7 +185,6 @@ fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
                     )));
                 }
             }
-            Ok(())
         }
         Stmt::Store {
             mem, indices, rhs, ..
@@ -234,24 +211,15 @@ fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
                     )));
                 }
             }
-            Ok(())
         }
-        Stmt::If { cond, then_, else_ } => {
-            check_cond(cond, env)?;
-            check_block(then_, env)?;
-            check_block(else_, env)
-        }
-        Stmt::While { cond, body } => {
-            check_cond(cond, env)?;
-            check_block(body, env)
-        }
+        Stmt::If { cond, .. } | Stmt::While { cond, .. } => check_cond(cond, env)?,
         Stmt::For {
             var,
             width,
             lo,
             hi,
             unroll,
-            body,
+            ..
         } => {
             if hi <= lo {
                 return Err(Error::malformed(format!(
@@ -265,13 +233,6 @@ fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
                 )));
             }
             env.vars.insert(*var, *width);
-            check_block(body, env)
-        }
-        Stmt::Seq(ss) => {
-            for s in ss {
-                check_stmt(s, env)?;
-            }
-            Ok(())
         }
         Stmt::Par(ss) => {
             // The affine-flavored restriction: unordered statements must not
@@ -291,9 +252,11 @@ fn check_stmt(s: &Stmt, env: &mut Env) -> CalyxResult<()> {
                     }
                 }
             }
-            Ok(())
+            return Ok(());
         }
+        _ => {}
     }
+    s.children().try_for_each(|s| check_stmt(s, env))
 }
 
 #[cfg(test)]

@@ -48,21 +48,9 @@ pub fn lower(p: Program) -> CalyxResult<Program> {
 // Phase 1: unrolling + bank resolution
 // ---------------------------------------------------------------------------
 
-fn unroll_block(b: Block, env: &Env) -> CalyxResult<Block> {
-    b.into_iter().map(|s| unroll_stmt(s, env)).collect()
-}
-
 fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
-    Ok(match s {
-        Stmt::Let { var, width, init } => Stmt::Let {
-            var,
-            width,
-            init: resolve_const_banks(init, env)?,
-        },
-        Stmt::AssignVar { var, rhs } => Stmt::AssignVar {
-            var,
-            rhs: resolve_const_banks(rhs, env)?,
-        },
+    match s {
+        // The value resolves before the address.
         Stmt::Store {
             mem,
             bank,
@@ -74,28 +62,14 @@ fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
                 .into_iter()
                 .map(|i| resolve_const_banks(i, env))
                 .collect::<CalyxResult<Vec<_>>>()?;
-            let (bank, indices) = match bank {
-                Some(b) => (Some(b), indices),
-                None => resolve_access(mem, indices, env, None)?,
-            };
-            Stmt::Store {
+            let (bank, indices) = resolve_access(mem, bank, indices, env, None)?;
+            Ok(Stmt::Store {
                 mem,
                 bank,
                 indices,
                 rhs,
-            }
+            })
         }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: resolve_const_banks(cond, env)?,
-            then_: unroll_block(then_, env)?,
-            else_: unroll_block(else_, env)?,
-        },
-        Stmt::While { cond, body } => Stmt::While {
-            cond: resolve_const_banks(cond, env)?,
-            body: unroll_block(body, env)?,
-        },
-        Stmt::Seq(ss) => Stmt::Seq(unroll_block(ss, env)?),
-        Stmt::Par(ss) => Stmt::Par(unroll_block(ss, env)?),
         Stmt::For {
             var,
             width,
@@ -103,17 +77,7 @@ fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
             hi,
             unroll,
             body,
-        } => {
-            if unroll <= 1 {
-                return Ok(Stmt::For {
-                    var,
-                    width,
-                    lo,
-                    hi,
-                    unroll: 1,
-                    body: unroll_block(body, env)?,
-                });
-            }
+        } if unroll > 1 => {
             if lo != 0 {
                 return Err(Error::malformed(format!(
                     "unrolled loop `{var}` must start at 0"
@@ -125,13 +89,19 @@ fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
             let trips = (hi - lo) / unroll;
             let lanes: Vec<Stmt> = (0..unroll)
                 .map(|lane| {
-                    let renames = lane_renames(&body, lane);
-                    let lane_body = body
+                    let lane = Lane {
+                        var,
+                        lane,
+                        unroll,
+                        renames: lane_renames(&body, lane),
+                        env,
+                    };
+                    let mut lane_body = body
                         .iter()
-                        .map(|s| lane_stmt(s.clone(), var, lane, unroll, &renames, env))
+                        .map(|s| lane.stmt(s.clone()))
                         .collect::<CalyxResult<Vec<_>>>()?;
                     Ok(match lane_body.len() {
-                        1 => lane_body.into_iter().next().expect("length checked"),
+                        1 => lane_body.pop().expect("length checked"),
                         _ => Stmt::Seq(lane_body),
                     })
                 })
@@ -146,232 +116,136 @@ fn unroll_stmt(s: Stmt, env: &Env) -> CalyxResult<Stmt> {
                     body: vec![Stmt::Par(lanes)],
                 },
                 env,
-            )?
+            )
         }
-    })
+        s => s.try_map(|e| resolve_const_banks(e, env), |s| unroll_stmt(s, env)),
+    }
 }
 
 /// Names `let`-bound inside an unrolled body, renamed per lane so parallel
 /// lanes do not race on their temporaries.
 fn lane_renames(body: &Block, lane: u64) -> FxHashMap<Id, Id> {
     let mut map = FxHashMap::default();
-    fn collect(s: &Stmt, lane: u64, map: &mut FxHashMap<Id, Id>) {
-        match s {
-            Stmt::Let { var, .. } => {
+    for s in body {
+        s.walk(&mut |s| {
+            if let Stmt::Let { var, .. } = s {
                 map.insert(*var, Id::new(format!("{var}__l{lane}")));
             }
-            Stmt::If { then_, else_, .. } => {
-                for s in then_.iter().chain(else_) {
-                    collect(s, lane, map);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::For { body, .. } => {
-                for s in body {
-                    collect(s, lane, map);
-                }
-            }
-            Stmt::Seq(ss) | Stmt::Par(ss) => {
-                for s in ss {
-                    collect(s, lane, map);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in body {
-        collect(s, lane, &mut map);
+        });
     }
     map
 }
 
-/// Rewrite one lane: rename local lets, resolve banked accesses through the
-/// unrolled variable, and reject unresolvable uses of it.
-fn lane_stmt(
-    s: Stmt,
+/// Lane `lane` of a loop over `var` unrolled `unroll` times, with the
+/// lane's renamed `let`s.
+struct Lane<'a> {
     var: Id,
     lane: u64,
     unroll: u64,
-    renames: &FxHashMap<Id, Id>,
-    env: &Env,
-) -> CalyxResult<Stmt> {
-    Ok(match s {
-        Stmt::Let {
-            var: v,
-            width,
-            init,
-        } => Stmt::Let {
-            var: renames.get(&v).copied().unwrap_or(v),
-            width,
-            init: lane_expr(init, var, lane, unroll, renames, env)?,
-        },
-        Stmt::AssignVar { var: v, rhs } => Stmt::AssignVar {
-            var: renames.get(&v).copied().unwrap_or(v),
-            rhs: lane_expr(rhs, var, lane, unroll, renames, env)?,
-        },
-        Stmt::Store {
-            mem,
-            bank,
-            indices,
-            rhs,
-        } => {
-            let rhs = lane_expr(rhs, var, lane, unroll, renames, env)?;
-            // Indices may use the unrolled variable directly (it selects the
-            // bank); everything else substitutes like any expression.
-            let indices = indices
-                .into_iter()
-                .map(|i| {
-                    if matches!(i, Expr::Var(v) if v == var) {
-                        Ok(Expr::Var(var))
-                    } else {
-                        lane_expr(i, var, lane, unroll, renames, env)
-                    }
-                })
-                .collect::<CalyxResult<Vec<_>>>()?;
-            let (bank, indices) = match bank {
-                Some(b) => (Some(b), indices),
-                None => resolve_access(mem, indices, env, Some((var, lane, unroll)))?,
-            };
+    renames: FxHashMap<Id, Id>,
+    env: &'a Env,
+}
+
+impl Lane<'_> {
+    fn rename(&self, v: Id) -> Id {
+        self.renames.get(&v).copied().unwrap_or(v)
+    }
+
+    /// Rewrite a statement of the lane: rename local lets, resolve banked
+    /// accesses through the unrolled variable, and reject unresolvable
+    /// uses of it.
+    fn stmt(&self, s: Stmt) -> CalyxResult<Stmt> {
+        Ok(match s {
+            Stmt::Let { var, width, init } => Stmt::Let {
+                var: self.rename(var),
+                width,
+                init: self.expr(init)?,
+            },
+            Stmt::AssignVar { var, rhs } => Stmt::AssignVar {
+                var: self.rename(var),
+                rhs: self.expr(rhs)?,
+            },
+            // The value resolves before the address.
             Stmt::Store {
                 mem,
                 bank,
                 indices,
                 rhs,
-            }
-        }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: lane_expr(cond, var, lane, unroll, renames, env)?,
-            then_: then_
-                .into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-            else_: else_
-                .into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-        },
-        Stmt::While { cond, body } => Stmt::While {
-            cond: lane_expr(cond, var, lane, unroll, renames, env)?,
-            body: body
-                .into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-        },
-        Stmt::For {
-            var: v,
-            width,
-            lo,
-            hi,
-            unroll: u,
-            body,
-        } => Stmt::For {
-            var: v,
-            width,
-            lo,
-            hi,
-            unroll: u,
-            body: body
-                .into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-        },
-        Stmt::Seq(ss) => Stmt::Seq(
-            ss.into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-        ),
-        Stmt::Par(ss) => Stmt::Par(
-            ss.into_iter()
-                .map(|s| lane_stmt(s, var, lane, unroll, renames, env))
-                .collect::<CalyxResult<Vec<_>>>()?,
-        ),
-    })
-}
-
-fn lane_expr(
-    e: Expr,
-    var: Id,
-    lane: u64,
-    unroll: u64,
-    renames: &FxHashMap<Id, Id>,
-    env: &Env,
-) -> CalyxResult<Expr> {
-    Ok(match e {
-        Expr::Num(n) => Expr::Num(n),
-        Expr::Var(v) if v == var => {
-            // A bare use of the unrolled variable outside a banked index
-            // cannot be realized without lane arithmetic; Dahlia's type
-            // system rejects these programs too.
-            return Err(Error::malformed(format!(
-                "unrolled loop variable `{var}` may only index memories banked by the unroll factor"
-            )));
-        }
-        Expr::Var(v) => Expr::Var(renames.get(&v).copied().unwrap_or(v)),
-        Expr::ReadMem { mem, bank, indices } => {
-            // First substitute inner indices (they may use renamed lets).
-            let indices = indices
-                .into_iter()
-                .map(|i| {
-                    // The unrolled var *is* allowed as a direct index here.
-                    if matches!(i, Expr::Var(v) if v == var) {
-                        Ok(Expr::Var(var))
-                    } else {
-                        lane_expr(i, var, lane, unroll, renames, env)
-                    }
-                })
-                .collect::<CalyxResult<Vec<_>>>()?;
-            let (bank, indices) = match bank {
-                Some(b) => (Some(b), indices),
-                None => {
-                    let uses_var = indices
-                        .iter()
-                        .any(|i| matches!(i, Expr::Var(v) if *v == var));
-                    if uses_var {
-                        resolve_access(mem, indices, env, Some((var, lane, unroll)))?
-                    } else {
-                        resolve_access(mem, indices, env, None)?
-                    }
+            } => {
+                let rhs = self.expr(rhs)?;
+                let indices = self.indices(indices)?;
+                let (bank, indices) = resolve_access(mem, bank, indices, self.env, Some(self))?;
+                Stmt::Store {
+                    mem,
+                    bank,
+                    indices,
+                    rhs,
                 }
-            };
-            Expr::ReadMem { mem, bank, indices }
-        }
-        Expr::Binop { op, lhs, rhs } => Expr::binop(
-            op,
-            lane_expr(*lhs, var, lane, unroll, renames, env)?,
-            lane_expr(*rhs, var, lane, unroll, renames, env)?,
-        ),
-        Expr::Sqrt(inner) => Expr::Sqrt(Box::new(lane_expr(
-            *inner, var, lane, unroll, renames, env,
-        )?)),
-    })
+            }
+            s => s.try_map(|e| self.expr(e), |s| self.stmt(s))?,
+        })
+    }
+
+    /// Indices may use the unrolled variable directly (it selects the
+    /// bank); everything else substitutes like any expression.
+    fn indices(&self, indices: Vec<Expr>) -> CalyxResult<Vec<Expr>> {
+        let index = |i: Expr| match i {
+            Expr::Var(v) if v == self.var => Ok(i),
+            i => self.expr(i),
+        };
+        indices.into_iter().map(index).collect()
+    }
+
+    fn expr(&self, e: Expr) -> CalyxResult<Expr> {
+        Ok(match e {
+            Expr::Var(v) if v == self.var => {
+                // A bare use of the unrolled variable outside a banked index
+                // cannot be realized without lane arithmetic; Dahlia's type
+                // system rejects these programs too.
+                return Err(Error::malformed(format!(
+                    "unrolled loop variable `{v}` may only index memories banked by the unroll factor"
+                )));
+            }
+            Expr::Var(v) => Expr::Var(self.rename(v)),
+            Expr::ReadMem { mem, bank, indices } => {
+                // Inner indices substitute first (they may use renamed lets).
+                let indices = self.indices(indices)?;
+                let (bank, indices) = resolve_access(mem, bank, indices, self.env, Some(self))?;
+                Expr::ReadMem { mem, bank, indices }
+            }
+            e => e.try_map(|e| self.expr(e))?,
+        })
+    }
 }
 
-/// Resolve a memory access to a physical bank.
+/// Resolve a memory access to a physical bank, unless `bank` already is.
 ///
-/// `lane_ctx = Some((var, lane, unroll))` when resolving inside an unrolled
-/// lane: an index that *is* the unrolled variable on a dimension banked by
-/// the unroll factor selects bank `lane` (cyclic layout: logical `n·u+lane`
-/// is bank `lane`, offset `n`, and the base counter already runs over `n`).
-/// Constant indices on banked dimensions resolve to `c mod B` / `c div B`.
+/// `lane` is the unrolled lane the access is in, if any: an index that
+/// *is* the unrolled variable on a dimension banked by the unroll factor
+/// selects bank `lane` (cyclic layout: logical `n·u+lane` is bank `lane`,
+/// offset `n`, and the base counter already runs over `n`). Constant
+/// indices on banked dimensions resolve to `c mod B` / `c div B`.
 fn resolve_access(
     mem: Id,
+    bank: Option<u64>,
     mut indices: Vec<Expr>,
     env: &Env,
-    lane_ctx: Option<(Id, u64, u64)>,
+    lane: Option<&Lane>,
 ) -> CalyxResult<(Option<u64>, Vec<Expr>)> {
+    if bank.is_some() {
+        return Ok((bank, indices));
+    }
     let Some(decl) = env.mems.get(&mem) else {
         return Err(Error::malformed(format!("undeclared memory `{mem}`")));
     };
+    let is_var = |i: &Expr| lane.is_some_and(|l| matches!(i, Expr::Var(v) if *v == l.var));
     if !decl.is_banked() {
-        if let Some((var, _, _)) = lane_ctx {
-            if indices
-                .iter()
-                .any(|i| matches!(i, Expr::Var(v) if *v == var))
-            {
-                return Err(Error::malformed(format!(
-                    "memory `{mem}` is unbanked but indexed by unrolled variable `{var}`; \
-                     bank it by the unroll factor or hoist the access"
-                )));
-            }
+        if let Some(l) = lane.filter(|_| indices.iter().any(is_var)) {
+            return Err(Error::malformed(format!(
+                "memory `{mem}` is unbanked but indexed by unrolled variable `{}`; \
+                 bank it by the unroll factor or hoist the access",
+                l.var
+            )));
         }
         return Ok((None, indices));
     }
@@ -382,16 +256,17 @@ fn resolve_access(
         .find(|(_, (_, b))| *b > 1)
         .map(|(d, sb)| (d, *sb))
         .expect("is_banked checked");
-    match (&indices[dim], lane_ctx) {
-        (Expr::Var(v), Some((var, lane, unroll))) if *v == var => {
-            if banks != unroll {
+    match (&indices[dim], lane) {
+        (i, Some(l)) if is_var(i) => {
+            if banks != l.unroll {
                 return Err(Error::malformed(format!(
-                    "memory `{mem}` is banked by {banks} but the loop unrolls by {unroll}"
+                    "memory `{mem}` is banked by {banks} but the loop unrolls by {}",
+                    l.unroll
                 )));
             }
             // Address within the bank is the base counter, i.e. the loop
             // variable itself after unrolling.
-            Ok((Some(lane), indices))
+            Ok((Some(l.lane), indices))
         }
         (Expr::Num(c), _) => {
             let bank = c % banks;
@@ -407,26 +282,13 @@ fn resolve_access(
 
 /// Resolve constant-index banked accesses in sequential code.
 fn resolve_const_banks(e: Expr, env: &Env) -> CalyxResult<Expr> {
-    Ok(match e {
-        Expr::Num(_) | Expr::Var(_) => e,
+    match e.try_map(|e| resolve_const_banks(e, env))? {
         Expr::ReadMem { mem, bank, indices } => {
-            let indices = indices
-                .into_iter()
-                .map(|i| resolve_const_banks(i, env))
-                .collect::<CalyxResult<Vec<_>>>()?;
-            let (bank, indices) = match bank {
-                Some(b) => (Some(b), indices),
-                None => resolve_access(mem, indices, env, None)?,
-            };
-            Expr::ReadMem { mem, bank, indices }
+            let (bank, indices) = resolve_access(mem, bank, indices, env, None)?;
+            Ok(Expr::ReadMem { mem, bank, indices })
         }
-        Expr::Binop { op, lhs, rhs } => Expr::binop(
-            op,
-            resolve_const_banks(*lhs, env)?,
-            resolve_const_banks(*rhs, env)?,
-        ),
-        Expr::Sqrt(inner) => Expr::Sqrt(Box::new(resolve_const_banks(*inner, env)?)),
-    })
+        e => Ok(e),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,23 +301,18 @@ fn fresh_temp(fresh: &mut usize) -> Id {
     id
 }
 
-fn split_block(b: Block, env: &mut Env, fresh: &mut usize) -> CalyxResult<Block> {
-    b.into_iter().map(|s| split_stmt(s, env, fresh)).collect()
-}
-
 fn split_stmt(s: Stmt, env: &mut Env, fresh: &mut usize) -> CalyxResult<Stmt> {
-    Ok(match s {
+    let mut pre = Vec::new();
+    let last = match s {
         Stmt::Let { var, width, init } => {
             env.vars.insert(var, width);
-            let mut pre = Vec::new();
             let init = simplify_rhs(init, width, env, fresh, &mut pre)?;
-            finish(pre, Stmt::Let { var, width, init })
+            Stmt::Let { var, width, init }
         }
         Stmt::AssignVar { var, rhs } => {
             let width = env.vars.get(&var).copied().unwrap_or(32);
-            let mut pre = Vec::new();
             let rhs = simplify_rhs(rhs, width, env, fresh, &mut pre)?;
-            finish(pre, Stmt::AssignVar { var, rhs })
+            Stmt::AssignVar { var, rhs }
         }
         Stmt::Store {
             mem,
@@ -464,48 +321,31 @@ fn split_stmt(s: Stmt, env: &mut Env, fresh: &mut usize) -> CalyxResult<Stmt> {
             rhs,
         } => {
             let width = env.mems.get(&mem).map(|d| d.width).unwrap_or(32);
-            let mut pre = Vec::new();
             let rhs = simplify_rhs(rhs, width, env, fresh, &mut pre)?;
-            // Deduplicate memory reads against the store's own port use.
-            let stmt = Stmt::Store {
+            // Deduplicate memory reads against the store's own port use,
+            // which claims the port first.
+            let mut claimed = FxHashMap::default();
+            let indices = indices
+                .into_iter()
+                .map(|i| dedup_reads(i, &mut claimed, env, fresh, &mut pre))
+                .collect::<CalyxResult<Vec<_>>>()?;
+            claimed.insert((mem, bank), indices.clone());
+            let rhs = dedup_reads(rhs, &mut claimed, env, fresh, &mut pre)?;
+            Stmt::Store {
                 mem,
                 bank,
                 indices,
                 rhs,
-            };
-            let stmt = dedup_reads(stmt, env, fresh, &mut pre)?;
-            finish(pre, stmt)
-        }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond,
-            then_: split_block(then_, env, fresh)?,
-            else_: split_block(else_, env, fresh)?,
-        },
-        Stmt::While { cond, body } => Stmt::While {
-            cond,
-            body: split_block(body, env, fresh)?,
-        },
-        Stmt::For {
-            var,
-            width,
-            lo,
-            hi,
-            unroll,
-            body,
-        } => {
-            env.vars.insert(var, width);
-            Stmt::For {
-                var,
-                width,
-                lo,
-                hi,
-                unroll,
-                body: split_block(body, env, fresh)?,
             }
         }
-        Stmt::Seq(ss) => Stmt::Seq(split_block(ss, env, fresh)?),
-        Stmt::Par(ss) => Stmt::Par(split_block(ss, env, fresh)?),
-    })
+        s => {
+            if let Stmt::For { var, width, .. } = s {
+                env.vars.insert(var, width);
+            }
+            return s.try_map(Ok, |s| split_stmt(s, env, fresh));
+        }
+    };
+    Ok(finish(pre, last))
 }
 
 fn finish(pre: Vec<Stmt>, last: Stmt) -> Stmt {
@@ -528,18 +368,7 @@ fn simplify_rhs(
     pre: &mut Vec<Stmt>,
 ) -> CalyxResult<Expr> {
     let e = hoist_units(e, true, width, env, fresh, pre)?;
-    // Read deduplication happens on a synthetic Let so the same walker
-    // handles all statement kinds.
-    let probe = Stmt::Let {
-        var: Id::PROBE,
-        width,
-        init: e,
-    };
-    let probe = dedup_reads(probe, env, fresh, pre)?;
-    match probe {
-        Stmt::Let { init, .. } => Ok(init),
-        _ => unreachable!("dedup_reads preserves statement shape"),
-    }
+    dedup_reads(e, &mut FxHashMap::default(), env, fresh, pre)
 }
 
 /// Hoist every non-root sequential unit into a fresh temporary.
@@ -613,92 +442,44 @@ fn hoist(
     Ok(Expr::Var(t))
 }
 
+/// The address each physical memory `(mem, bank)` is read or written at
+/// by the statement being split.
+type Claimed = FxHashMap<(Id, Option<u64>), Vec<Expr>>;
+
 /// Within one simple statement, each physical memory may be addressed once.
 /// The first access (a store's own access wins) keeps the port; further
 /// accesses with different indices are hoisted into preceding temporaries.
 fn dedup_reads(
-    stmt: Stmt,
+    e: Expr,
+    claimed: &mut Claimed,
     env: &mut Env,
     fresh: &mut usize,
     pre: &mut Vec<Stmt>,
-) -> CalyxResult<Stmt> {
-    type Key = (Id, Option<u64>);
-    let mut claimed: FxHashMap<Key, Vec<Expr>> = FxHashMap::default();
-
-    fn walk(
-        e: Expr,
-        claimed: &mut FxHashMap<(Id, Option<u64>), Vec<Expr>>,
-        env: &mut Env,
-        fresh: &mut usize,
-        pre: &mut Vec<Stmt>,
-    ) -> CalyxResult<Expr> {
-        Ok(match e {
-            Expr::Num(_) | Expr::Var(_) => e,
-            Expr::ReadMem { mem, bank, indices } => {
-                let indices = indices
-                    .into_iter()
-                    .map(|i| walk(i, claimed, env, fresh, pre))
-                    .collect::<CalyxResult<Vec<_>>>()?;
-                match claimed.get(&(mem, bank)) {
-                    Some(prev) if *prev == indices => Expr::ReadMem { mem, bank, indices },
-                    Some(_) => {
-                        // Port already used at a different address: hoist.
-                        let width = env.mems.get(&mem).map(|d| d.width).unwrap_or(32);
-                        let t = fresh_temp(fresh);
-                        env.vars.insert(t, width);
-                        pre.push(Stmt::Let {
-                            var: t,
-                            width,
-                            init: Expr::ReadMem { mem, bank, indices },
-                        });
-                        Expr::Var(t)
-                    }
-                    None => {
-                        claimed.insert((mem, bank), indices.clone());
-                        Expr::ReadMem { mem, bank, indices }
-                    }
-                }
-            }
-            Expr::Binop { op, lhs, rhs } => Expr::binop(
-                op,
-                walk(*lhs, claimed, env, fresh, pre)?,
-                walk(*rhs, claimed, env, fresh, pre)?,
-            ),
-            Expr::Sqrt(inner) => Expr::Sqrt(Box::new(walk(*inner, claimed, env, fresh, pre)?)),
-        })
-    }
-
-    Ok(match stmt {
-        Stmt::Let { var, width, init } => Stmt::Let {
-            var,
-            width,
-            init: walk(init, &mut claimed, env, fresh, pre)?,
-        },
-        Stmt::AssignVar { var, rhs } => Stmt::AssignVar {
-            var,
-            rhs: walk(rhs, &mut claimed, env, fresh, pre)?,
-        },
-        Stmt::Store {
-            mem,
-            bank,
-            indices,
-            rhs,
-        } => {
-            // The store's own access claims the port first.
-            let indices = indices
-                .into_iter()
-                .map(|i| walk(i, &mut claimed, env, fresh, pre))
-                .collect::<CalyxResult<Vec<_>>>()?;
-            claimed.insert((mem, bank), indices.clone());
-            Stmt::Store {
-                mem,
-                bank,
-                indices,
-                rhs: walk(rhs, &mut claimed, env, fresh, pre)?,
-            }
+) -> CalyxResult<Expr> {
+    // Indices first: an inner read claims its port before the outer one.
+    let e = e.try_map(|e| dedup_reads(e, claimed, env, fresh, pre))?;
+    let Expr::ReadMem { mem, bank, indices } = e else {
+        return Ok(e);
+    };
+    match claimed.get(&(mem, bank)) {
+        Some(prev) if *prev == indices => Ok(Expr::ReadMem { mem, bank, indices }),
+        // Port already used at a different address: hoist.
+        Some(_) => {
+            let width = env.mems.get(&mem).map(|d| d.width).unwrap_or(32);
+            let t = fresh_temp(fresh);
+            env.vars.insert(t, width);
+            pre.push(Stmt::Let {
+                var: t,
+                width,
+                init: Expr::ReadMem { mem, bank, indices },
+            });
+            Ok(Expr::Var(t))
         }
-        other => other,
-    })
+        None => {
+            claimed.insert((mem, bank), indices.clone());
+            Ok(Expr::ReadMem { mem, bank, indices })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -714,23 +495,8 @@ mod tests {
     }
 
     fn count_stmts(s: &Stmt, pred: &impl Fn(&Stmt) -> bool) -> usize {
-        let mut n = usize::from(pred(s));
-        match s {
-            Stmt::If { then_, else_, .. } => {
-                n += then_
-                    .iter()
-                    .chain(else_)
-                    .map(|s| count_stmts(s, pred))
-                    .sum::<usize>();
-            }
-            Stmt::While { body, .. } | Stmt::For { body, .. } => {
-                n += body.iter().map(|s| count_stmts(s, pred)).sum::<usize>();
-            }
-            Stmt::Seq(ss) | Stmt::Par(ss) => {
-                n += ss.iter().map(|s| count_stmts(s, pred)).sum::<usize>();
-            }
-            _ => {}
-        }
+        let mut n = 0;
+        s.walk(&mut |s| n += usize::from(pred(s)));
         n
     }
 
@@ -830,21 +596,13 @@ mod tests {
         );
         assert!(temps >= 1, "{p:?}");
         // No statement has more than one sequential op afterwards.
-        fn max_seq(s: &Stmt) -> usize {
-            match s {
-                Stmt::Let { init, .. } => init.sequential_ops(),
-                Stmt::AssignVar { rhs, .. } => rhs.sequential_ops(),
-                Stmt::Store { rhs, .. } => rhs.sequential_ops(),
-                Stmt::If { then_, else_, .. } => {
-                    then_.iter().chain(else_).map(max_seq).max().unwrap_or(0)
-                }
-                Stmt::While { body, .. } | Stmt::For { body, .. } => {
-                    body.iter().map(max_seq).max().unwrap_or(0)
-                }
-                Stmt::Seq(ss) | Stmt::Par(ss) => ss.iter().map(max_seq).max().unwrap_or(0),
+        let mut max_seq = 0;
+        p.body.walk(&mut |s| {
+            for e in s.exprs() {
+                max_seq = max_seq.max(e.sequential_ops());
             }
-        }
-        assert!(max_seq(&p.body) <= 1);
+        });
+        assert!(max_seq <= 1);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! expr     ::= comparison over | ^ & << >> + - * / % sqrt() with C-like
 //!              precedence
 //! ```
+//!
+//! Blocks and expressions nest at most [`MAX_NESTING`] levels deep.
 
 use crate::ast::{BinOp, Block, Expr, MemDecl, Program, Stmt};
 use calyx_core::errors::{CalyxResult, Error};
@@ -228,9 +230,44 @@ impl Lexer {
     }
 }
 
+/// How deep blocks and expressions may nest together: a `{` block, a
+/// `(`, `sqrt(` or `[` each count one level, and an expression inside
+/// them its height (`x` is one level, the chain `x + x + x` three).
+/// Parsing, checking, lowering and emission all recurse once per level,
+/// so the cap keeps a hostile input from overflowing a worker thread's
+/// stack.
+pub const MAX_NESTING: usize = 256;
+
+/// Operators by precedence, loosest first; each level is
+/// left-associative.
+const LEVELS: [&[(Tok, BinOp)]; 6] = [
+    &[(Tok::Pipe, BinOp::Or)],
+    &[(Tok::Caret, BinOp::Xor)],
+    &[(Tok::Amp, BinOp::And)],
+    &[(Tok::Shl, BinOp::Shl), (Tok::Shr, BinOp::Shr)],
+    &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
+    &[
+        (Tok::Star, BinOp::Mul),
+        (Tok::Slash, BinOp::Div),
+        (Tok::Percent, BinOp::Rem),
+    ],
+];
+
+/// The comparisons, looser than every level of [`LEVELS`].
+const COMPARISONS: &[(Tok, BinOp)] = &[
+    (Tok::Lt, BinOp::Lt),
+    (Tok::Gt, BinOp::Gt),
+    (Tok::EqEq, BinOp::Eq),
+    (Tok::Neq, BinOp::Neq),
+    (Tok::Geq, BinOp::Ge),
+    (Tok::Leq, BinOp::Le),
+];
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// How many blocks and bracketed expressions enclose the position.
+    depth: usize,
 }
 
 impl Parser {
@@ -360,7 +397,7 @@ impl Parser {
 
     fn braced_block(&mut self) -> CalyxResult<Block> {
         self.expect(Tok::LBrace, "`{`")?;
-        let b = self.block()?;
+        let b = self.nested(Self::block)?;
         self.expect(Tok::RBrace, "`}`")?;
         Ok(b)
     }
@@ -428,11 +465,7 @@ impl Parser {
         }
         // Assignment: `x := e;` or `m[i]... := e;`
         let name = self.ident("statement")?;
-        let mut indices = Vec::new();
-        while self.eat(Tok::LBracket) {
-            indices.push(self.expr()?);
-            self.expect(Tok::RBracket, "`]`")?;
-        }
+        let (indices, _) = self.indices()?;
         self.expect(Tok::ColonEq, "`:=`")?;
         let rhs = self.expr()?;
         self.expect(Tok::Semi, "`;`")?;
@@ -448,139 +481,124 @@ impl Parser {
         }
     }
 
-    // Precedence climbing: cmp < | < ^ < & < shifts < +- < */% < primary.
+    /// Parse `f` one level deeper: a block, or a parenthesized, `sqrt` or
+    /// index expression.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> CalyxResult<T>) -> CalyxResult<T> {
+        self.fits(1)?;
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Refuse a node `height` levels tall at the current depth when it
+    /// would nest past [`MAX_NESTING`].
+    fn fits(&self, height: usize) -> CalyxResult<()> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.err(format!(
+                "blocks and expressions nest deeper than {MAX_NESTING} levels"
+            )));
+        }
+        Ok(())
+    }
+
     fn expr(&mut self) -> CalyxResult<Expr> {
-        let lhs = self.bitor()?;
-        let op = match self.peek() {
-            Tok::Lt => Some(BinOp::Lt),
-            Tok::Gt => Some(BinOp::Gt),
-            Tok::EqEq => Some(BinOp::Eq),
-            Tok::Neq => Some(BinOp::Neq),
-            Tok::Geq => Some(BinOp::Ge),
-            Tok::Leq => Some(BinOp::Le),
-            _ => None,
-        };
-        match op {
+        Ok(self.comparison()?.0)
+    }
+
+    /// An expression and its height. A comparison does not chain.
+    fn comparison(&mut self) -> CalyxResult<(Expr, usize)> {
+        let lhs = self.level(0)?;
+        let (e, height) = match self.op(COMPARISONS) {
             Some(op) => {
-                self.next();
-                let rhs = self.bitor()?;
-                Ok(Expr::binop(op, lhs, rhs))
+                let rhs = self.level(0)?;
+                self.binop(op, lhs, rhs)?
             }
-            None => Ok(lhs),
-        }
+            None => lhs,
+        };
+        self.fits(height)?;
+        Ok((e, height))
     }
 
-    fn bitor(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.bitxor()?;
-        while self.eat(Tok::Pipe) {
-            let rhs = self.bitxor()?;
-            lhs = Expr::binop(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.bitand()?;
-        while self.eat(Tok::Caret) {
-            let rhs = self.bitand()?;
-            lhs = Expr::binop(BinOp::Xor, lhs, rhs);
+    /// A left-associative chain of the operators of `LEVELS[i]` over the
+    /// tighter levels, and its height.
+    fn level(&mut self, i: usize) -> CalyxResult<(Expr, usize)> {
+        let Some(ops) = LEVELS.get(i) else {
+            return self.primary();
+        };
+        let mut lhs = self.level(i + 1)?;
+        while let Some(op) = self.op(ops) {
+            let rhs = self.level(i + 1)?;
+            lhs = self.binop(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn bitand(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.shift()?;
-        while self.eat(Tok::Amp) {
-            let rhs = self.shift()?;
-            lhs = Expr::binop(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
+    /// Consume the next token if it is one of `ops`, returning its operator.
+    fn op(&mut self, ops: &[(Tok, BinOp)]) -> Option<BinOp> {
+        let op = ops.iter().find(|(t, _)| t == self.peek())?.1;
+        self.next();
+        Some(op)
     }
 
-    fn shift(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.addsub()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Shl => BinOp::Shl,
-                Tok::Shr => BinOp::Shr,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.addsub()?;
-            lhs = Expr::binop(op, lhs, rhs);
-        }
-        Ok(lhs)
+    fn binop(
+        &self,
+        op: BinOp,
+        (lhs, l): (Expr, usize),
+        (rhs, r): (Expr, usize),
+    ) -> CalyxResult<(Expr, usize)> {
+        let height = l.max(r) + 1;
+        self.fits(height)?;
+        Ok((Expr::binop(op, lhs, rhs), height))
     }
 
-    fn addsub(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.muldiv()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.muldiv()?;
-            lhs = Expr::binop(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn muldiv(&mut self) -> CalyxResult<Expr> {
-        let mut lhs = self.primary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.primary()?;
-            lhs = Expr::binop(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn primary(&mut self) -> CalyxResult<Expr> {
+    fn primary(&mut self) -> CalyxResult<(Expr, usize)> {
         match self.peek().clone() {
             Tok::Num(n) => {
                 self.next();
-                Ok(Expr::Num(n))
+                Ok((Expr::Num(n), 1))
             }
             Tok::LParen => {
                 self.next();
-                let e = self.expr()?;
+                let e = self.nested(Self::comparison)?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
             Tok::Ident(s) if s == "sqrt" => {
                 self.next();
                 self.expect(Tok::LParen, "`(`")?;
-                let e = self.expr()?;
+                let (e, height) = self.nested(Self::comparison)?;
                 self.expect(Tok::RParen, "`)`")?;
-                Ok(Expr::Sqrt(Box::new(e)))
+                Ok((Expr::Sqrt(Box::new(e)), height + 1))
             }
             Tok::Ident(_) => {
                 let name = self.ident("expression")?;
-                let mut indices = Vec::new();
-                while self.eat(Tok::LBracket) {
-                    indices.push(self.expr()?);
-                    self.expect(Tok::RBracket, "`]`")?;
-                }
+                let (indices, height) = self.indices()?;
                 if indices.is_empty() {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 } else {
-                    Ok(Expr::ReadMem {
+                    let read = Expr::ReadMem {
                         mem: name,
                         bank: None,
                         indices,
-                    })
+                    };
+                    Ok((read, height + 1))
                 }
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
+    }
+
+    /// `("[" expr "]")*`, and the height of the tallest index.
+    fn indices(&mut self) -> CalyxResult<(Vec<Expr>, usize)> {
+        let (mut indices, mut height) = (Vec::new(), 0);
+        while self.eat(Tok::LBracket) {
+            let (i, h) = self.nested(Self::comparison)?;
+            indices.push(i);
+            height = height.max(h);
+            self.expect(Tok::RBracket, "`]`")?;
+        }
+        Ok((indices, height))
     }
 }
 
@@ -591,7 +609,11 @@ impl Parser {
 /// Returns [`Error::Parse`] with line information on malformed input.
 pub fn parse(src: &str) -> CalyxResult<Program> {
     let toks = Lexer::lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut decls = Vec::new();
     while p.at_kw("decl") {
         decls.push(p.decl()?);
@@ -717,6 +739,40 @@ mod tests {
             let p = parse(&format!("decl a: ubit<{w}>[4];")).unwrap();
             assert_eq!(p.decls[0].width, w);
         }
+    }
+
+    /// `terms` copies of `x` joined by `+`: `terms` levels deep.
+    fn chain(terms: usize) -> String {
+        format!(
+            "let x: ubit<8> = 0;\n---\nx := x{};",
+            " + x".repeat(terms - 1)
+        )
+    }
+
+    /// Blocks and expressions nest at most [`MAX_NESTING`] levels deep, a
+    /// chain of operators counting one level per operator; past that is a
+    /// parse error on the line where it goes too deep.
+    #[test]
+    fn nesting_past_the_cap_is_a_positioned_error() {
+        let too_deep = format!("blocks and expressions nest deeper than {MAX_NESTING} levels");
+        let deep = |src: String, line: usize| {
+            let err = parse(&src).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Parse { line: l, msg, .. } if *l == line && *msg == too_deep),
+                "{err}"
+            );
+        };
+        assert!(parse(&chain(MAX_NESTING)).is_ok());
+        deep(chain(MAX_NESTING + 1), 3);
+
+        let parens = |n| format!("let x: ubit<8> = {}1{};", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_NESTING - 1)).is_ok());
+        deep(parens(MAX_NESTING), 1);
+
+        // The innermost `x < 1` is two levels deep.
+        let ifs = |n| format!("{}x := 1;{}", "if (x < 1) {\n".repeat(n), "}".repeat(n));
+        assert!(parse(&ifs(MAX_NESTING - 1)).is_ok());
+        deep(ifs(MAX_NESTING), MAX_NESTING);
     }
 
     #[test]

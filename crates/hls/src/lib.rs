@@ -28,6 +28,7 @@
 
 use calyx_backend::area::{primitive_area, Area};
 use calyx_core::errors::{CalyxResult, Error};
+use calyx_core::ir::Id;
 use calyx_dahlia::ast::{BinOp, Expr, Program, Stmt};
 use calyx_dahlia::backend::memory_banks;
 use std::collections::{BTreeMap, BTreeSet};
@@ -132,33 +133,26 @@ impl UnitDemand {
 
 /// Is this statement (transitively) loop-free?
 fn is_straight_line(s: &Stmt) -> bool {
-    match s {
-        Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. } => true,
-        Stmt::If { then_, else_, .. } => {
-            then_.iter().all(is_straight_line) && else_.iter().all(is_straight_line)
-        }
-        Stmt::While { .. } | Stmt::For { .. } => false,
-        Stmt::Seq(ss) | Stmt::Par(ss) => ss.iter().all(is_straight_line),
-    }
+    let mut loops = false;
+    s.walk(&mut |s| loops |= matches!(s, Stmt::While { .. } | Stmt::For { .. }));
+    !loops
 }
 
-/// Flatten a straight-line statement into its simple statements
-/// (conditionals contribute both branches — predication).
-fn flatten<'a>(s: &'a Stmt, out: &mut Vec<&'a Stmt>) {
-    match s {
-        Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. } => out.push(s),
-        Stmt::If { then_, else_, .. } => {
-            for s in then_.iter().chain(else_) {
-                flatten(s, out);
+/// The simple statements of straight-line code, in order (conditionals
+/// contribute both branches — predication).
+fn flatten(stmts: &[Stmt]) -> Vec<&Stmt> {
+    let mut out = Vec::new();
+    for s in stmts {
+        s.walk(&mut |s| {
+            if matches!(
+                s,
+                Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. }
+            ) {
+                out.push(s);
             }
-        }
-        Stmt::Seq(ss) | Stmt::Par(ss) => {
-            for s in ss {
-                flatten(s, out);
-            }
-        }
-        Stmt::While { .. } | Stmt::For { .. } => unreachable!("straight-line only"),
+        });
     }
+    out
 }
 
 struct Access {
@@ -170,25 +164,41 @@ struct Access {
     has_load: bool,
 }
 
-fn expr_access(e: &Expr, acc: &mut Access, units: &mut UnitDemand) {
-    match e {
-        Expr::Num(_) => {}
-        Expr::Var(v) => {
-            acc.reads_vars.insert(v.to_string());
+/// Record what a simple statement reads, writes and computes.
+fn stmt_access(s: &Stmt, units: &mut UnitDemand) -> Access {
+    let mut acc = Access {
+        reads_vars: BTreeSet::new(),
+        writes_vars: BTreeSet::new(),
+        mem_ports: BTreeMap::new(),
+        unit_latency: 0,
+        is_store: false,
+        has_load: false,
+    };
+    let port = |mem: &Id, bank: &Option<u64>| match bank {
+        Some(b) => format!("{mem}#{b}"),
+        None => mem.to_string(),
+    };
+    match s {
+        Stmt::Let { var, .. } | Stmt::AssignVar { var, .. } => {
+            acc.writes_vars.insert(var.to_string());
         }
-        Expr::ReadMem { mem, bank, indices } => {
-            let key = match bank {
-                Some(b) => format!("{mem}#{b}"),
-                None => mem.to_string(),
-            };
-            *acc.mem_ports.entry(key).or_insert(0) += 1;
-            acc.has_load = true;
-            for i in indices {
-                expr_access(i, acc, units);
+        Stmt::Store { mem, bank, .. } => {
+            *acc.mem_ports.entry(port(mem, bank)).or_insert(0) += 1;
+            acc.is_store = true;
+        }
+        _ => unreachable!("simple statements only"),
+    }
+    for e in s.exprs() {
+        e.walk(&mut |e| match e {
+            Expr::Num(_) => {}
+            Expr::Var(v) => {
+                acc.reads_vars.insert(v.to_string());
             }
-        }
-        Expr::Binop { op, lhs, rhs } => {
-            match op {
+            Expr::ReadMem { mem, bank, .. } => {
+                *acc.mem_ports.entry(port(mem, bank)).or_insert(0) += 1;
+                acc.has_load = true;
+            }
+            Expr::Binop { op, .. } => match op {
                 BinOp::Mul => {
                     acc.unit_latency = acc.unit_latency.max(L_MULT);
                     units.mults += 1;
@@ -200,54 +210,12 @@ fn expr_access(e: &Expr, acc: &mut Access, units: &mut UnitDemand) {
                 BinOp::Add | BinOp::Sub => units.adders += 1,
                 op if op.is_comparison() => units.comparators += 1,
                 _ => units.adders += 1,
+            },
+            Expr::Sqrt(_) => {
+                acc.unit_latency = acc.unit_latency.max(L_SQRT);
+                units.sqrts += 1;
             }
-            expr_access(lhs, acc, units);
-            expr_access(rhs, acc, units);
-        }
-        Expr::Sqrt(inner) => {
-            acc.unit_latency = acc.unit_latency.max(L_SQRT);
-            units.sqrts += 1;
-            expr_access(inner, acc, units);
-        }
-    }
-}
-
-fn stmt_access(s: &Stmt, units: &mut UnitDemand) -> Access {
-    let mut acc = Access {
-        reads_vars: BTreeSet::new(),
-        writes_vars: BTreeSet::new(),
-        mem_ports: BTreeMap::new(),
-        unit_latency: 0,
-        is_store: false,
-        has_load: false,
-    };
-    match s {
-        Stmt::Let { var, init, .. } => {
-            expr_access(init, &mut acc, units);
-            acc.writes_vars.insert(var.to_string());
-        }
-        Stmt::AssignVar { var, rhs } => {
-            expr_access(rhs, &mut acc, units);
-            acc.writes_vars.insert(var.to_string());
-        }
-        Stmt::Store {
-            mem,
-            bank,
-            indices,
-            rhs,
-        } => {
-            expr_access(rhs, &mut acc, units);
-            for i in indices {
-                expr_access(i, &mut acc, units);
-            }
-            let key = match bank {
-                Some(b) => format!("{mem}#{b}"),
-                None => mem.to_string(),
-            };
-            *acc.mem_ports.entry(key).or_insert(0) += 1;
-            acc.is_store = true;
-        }
-        _ => unreachable!("simple statements only"),
+        });
     }
     acc
 }
@@ -313,30 +281,15 @@ fn schedule_block(stmts: &[&Stmt], units: &mut UnitDemand) -> (u64, u64) {
 }
 
 fn stmt_cycles(s: &Stmt, units: &mut UnitDemand) -> CalyxResult<u64> {
+    // Unordered statements overlap even when straight-line (dataflow).
+    if !matches!(s, Stmt::Par(_)) && is_straight_line(s) {
+        let (depth, _) = schedule_block(&flatten(std::slice::from_ref(s)), units);
+        return Ok(depth);
+    }
     Ok(match s {
-        Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. } => {
-            let mut flat = Vec::new();
-            flatten(s, &mut flat);
-            let (depth, _) = schedule_block(&flat, units);
-            depth
-        }
         Stmt::If { then_, else_, .. } => {
-            if is_straight_line(s) {
-                let mut flat = Vec::new();
-                flatten(s, &mut flat);
-                let (depth, _) = schedule_block(&flat, units);
-                depth
-            } else {
-                let mut t = 0;
-                for s in then_ {
-                    t += stmt_cycles(s, units)?;
-                }
-                let mut f = 0;
-                for s in else_ {
-                    f += stmt_cycles(s, units)?;
-                }
-                1 + t.max(f)
-            }
+            let t = block_cycles(then_, units)?;
+            1 + t.max(block_cycles(else_, units)?)
         }
         Stmt::While { .. } => {
             return Err(Error::malformed(
@@ -346,44 +299,38 @@ fn stmt_cycles(s: &Stmt, units: &mut UnitDemand) -> CalyxResult<u64> {
         Stmt::For { lo, hi, body, .. } => {
             units.loops += 1;
             let trips = hi - lo;
-            let body_stmt = Stmt::Seq(body.clone());
-            if is_straight_line(&body_stmt) {
+            if body.iter().all(is_straight_line) {
                 // Pipelined innermost loop.
                 units.pipelined_loops += 1;
-                let mut flat = Vec::new();
-                flatten(&body_stmt, &mut flat);
-                let (depth, ii) = schedule_block(&flat, units);
+                let (depth, ii) = schedule_block(&flatten(body), units);
                 units.max_depth = units.max_depth.max(depth);
                 depth + ii * trips.saturating_sub(1) + LOOP_OVERHEAD
             } else {
                 // Outer loop: sequential iterations.
-                let body_cycles = stmt_cycles(&body_stmt, units)?;
-                trips * (body_cycles + 1) + LOOP_OVERHEAD
+                trips * (block_cycles(body, units)? + 1) + LOOP_OVERHEAD
             }
         }
-        Stmt::Seq(ss) => {
-            if is_straight_line(s) {
-                let mut flat = Vec::new();
-                flatten(s, &mut flat);
-                let (depth, _) = schedule_block(&flat, units);
-                depth
-            } else {
-                let mut total = 0;
-                for s in ss {
-                    total += stmt_cycles(s, units)?;
-                }
-                total
-            }
-        }
+        Stmt::Seq(ss) => block_cycles(ss, units)?,
         Stmt::Par(ss) => {
-            // Dataflow: unordered statements overlap.
             let mut worst = 0;
             for s in ss {
                 worst = worst.max(stmt_cycles(s, units)?);
             }
             worst
         }
+        Stmt::Let { .. } | Stmt::AssignVar { .. } | Stmt::Store { .. } => {
+            unreachable!("a simple statement is straight-line")
+        }
     })
+}
+
+/// Statements run one after another.
+fn block_cycles(stmts: &[Stmt], units: &mut UnitDemand) -> CalyxResult<u64> {
+    let mut total = 0;
+    for s in stmts {
+        total += stmt_cycles(s, units)?;
+    }
+    Ok(total)
 }
 
 /// Convenience: model a PolyBench-style kernel source directly.

@@ -58,14 +58,18 @@
 //! are those of the tree-walking interpreter this one replaced, pinned by
 //! outcome: the tests below assert exact cycles, values and error texts,
 //! and `sim_state_pinned` holds the cycles and final state of every
-//! PolyBench kernel, recorded from that engine. Two differences are
+//! PolyBench kernel, recorded from that engine. Three differences are
 //! deliberate. Its fixpoint tested a guard against ports that were not
 //! final yet, so a guard only transiently true could raise a spurious
 //! conflict or leave its value on a port; here a guard is tested on final
-//! inputs only. And since values persist, an active loop that converges —
+//! inputs only. Since values persist, an active loop that converges —
 //! a latch, which the `comb-cycle` lint reports and the RTL engine
 //! rejects — holds its value from cycle to cycle while its group stays
-//! active, where that fixpoint re-derived it from zero each cycle.
+//! active, where that fixpoint re-derived it from zero each cycle. And it
+//! held back any enable whose done already held, so a group whose done is
+//! a constant never ran, nor did one whose done read the pulse of an
+//! earlier group's write; here only an enable that has run is held back
+//! in its done-observation cycle.
 //!
 //! This is the semantic oracle for the compiler: after lowering, the RTL
 //! simulation must leave the same architectural state (registers and
@@ -103,16 +107,12 @@ use crate::harness::{Engine, Harness};
 use calyx_core::ir::{Assignment, Context, Id, PortRef};
 
 /// Per-node runtime state of the flattened control tree. Indexed by
-/// [`CtrlIdx`]; each field is meaningful only for the node kinds that use
-/// it (sequence position for `seq`, condition phase and branch choice for
-/// `if`/`while`, completion flags for `par` children and the count of
-/// those still running for `par`).
+/// [`CtrlIdx`]; each field is meaningful only for the node kind that uses
+/// it (the running child's position for `seq`, the count of children
+/// still running for `par`).
 #[derive(Debug)]
 struct CtrlRuntime {
     seq_pos: Vec<u32>,
-    in_cond: Vec<bool>,
-    taken: Vec<bool>,
-    finished: Vec<bool>,
     pending: Vec<u32>,
 }
 
@@ -120,9 +120,6 @@ impl CtrlRuntime {
     fn new(n: usize) -> Self {
         CtrlRuntime {
             seq_pos: vec![0; n],
-            in_cond: vec![false; n],
-            taken: vec![false; n],
-            finished: vec![false; n],
             pending: vec![0; n],
         }
     }
@@ -159,9 +156,12 @@ struct Candidate {
     /// The group the node activates: the enabled group, or the
     /// condition's `with` group; `None` for a condition without one.
     group: Option<GroupIdx>,
-    /// An enable, held to the done-observation rule; a condition's group
-    /// is not.
+    /// An enable, held to the done-observation rule once it has run; a
+    /// condition's group is not.
     enable: bool,
+    /// The node's group has run in an earlier cycle since the node was
+    /// entered.
+    ran: bool,
 }
 
 impl Candidate {
@@ -192,6 +192,7 @@ impl Candidates {
             node,
             group,
             enable,
+            ran: false,
         };
         self.unstated += usize::from(c.unstated(flat));
         self.list.push(c);
@@ -269,15 +270,12 @@ impl Trees {
             CtrlNode::Par { children } => {
                 let mut running = 0;
                 for &c in children {
-                    let done = self.start(flat, c);
-                    self.rt.finished[c.index()] = done;
-                    running += u32::from(!done);
+                    running += u32::from(!self.start(flat, c));
                 }
                 self.rt.pending[n.index()] = running;
                 running == 0
             }
             CtrlNode::If { cond, .. } | CtrlNode::While { cond, .. } => {
-                self.rt.in_cond[n.index()] = true;
                 self.cands.add(flat, n, *cond, false);
                 false
             }
@@ -299,13 +297,13 @@ impl Trees {
                 ..
             } => {
                 self.cands.remove(flat, n);
-                let taken = values[port.index()] != 0;
-                self.rt.taken[n.index()] = taken;
-                let branch = if taken { *tbranch } else { *fbranch };
+                let branch = if values[port.index()] != 0 {
+                    *tbranch
+                } else {
+                    *fbranch
+                };
                 if self.start(flat, branch) {
                     self.finish(flat, n);
-                } else {
-                    self.rt.in_cond[n.index()] = false;
                 }
             }
             CtrlNode::While { port, body, .. } => {
@@ -314,7 +312,6 @@ impl Trees {
                     self.finish(flat, n);
                 } else if !self.start(flat, *body) {
                     self.cands.remove(flat, n);
-                    self.rt.in_cond[n.index()] = false;
                 }
                 // An empty body: the condition is evaluated again next
                 // cycle, and the loop stays a candidate.
@@ -345,7 +342,6 @@ impl Trees {
                     }
                 }
                 CtrlNode::Par { .. } => {
-                    self.rt.finished[n.index()] = true;
                     self.rt.pending[p.index()] -= 1;
                     if self.rt.pending[p.index()] > 0 {
                         return;
@@ -354,7 +350,6 @@ impl Trees {
                 // The branch taken finished, and so did the `if`.
                 CtrlNode::If { .. } => {}
                 CtrlNode::While { cond, .. } => {
-                    self.rt.in_cond[p.index()] = true;
                     self.cands.add(flat, p, *cond, false);
                     return;
                 }
@@ -480,14 +475,17 @@ impl Engine for Interp {
         //    last moved.
         wires.publish(&flat.prog, &flat.graph);
 
-        // 2. An enabled group whose done signal is already observable with
-        //    no group active (a registered done from last cycle's write)
-        //    must not execute again during its done-observation cycle —
-        //    this mirrors the `!done` protection in the compiled FSMs.
-        //    Condition groups are exempt: they are combinational and stay
-        //    active for the whole evaluation phase. When every candidate's
-        //    done condition reads state alone, it is known without
-        //    settling the wires under no group first.
+        // 2. An enabled group that has run and whose done signal is
+        //    already observable with no group active (a registered done
+        //    from last cycle's write) must not execute again during its
+        //    done-observation cycle — this mirrors the `!done` protection
+        //    in the compiled FSMs. A group runs at least its first cycle,
+        //    whatever its done reads then: a constant done, or the pulse
+        //    of a write that an earlier group made. Condition groups are
+        //    exempt: they are combinational and stay active for the whole
+        //    evaluation phase. When every candidate's done condition reads
+        //    state alone, it is known without settling the wires under no
+        //    group first.
         if self.trees.cands.unstated > 0 {
             self.activate(flat, wires, &[]);
             self.all_active = false;
@@ -497,16 +495,19 @@ impl Engine for Interp {
         survivors.clear();
         let mut held_back = false;
         // Whether a candidate may fire at the end of the cycle: an enable
-        // whose done condition reads state alone is done after the settle
-        // exactly when it is now, so only a held-back one can.
+        // that has run and whose done condition reads state alone is done
+        // after the settle exactly when it is now, so only a held-back
+        // one can.
         let mut may_fire = self.trees.cands.unstated > 0;
-        for c in &self.trees.cands.list {
+        for c in &mut self.trees.cands.list {
+            let held = c.enable && c.ran;
             match c.group {
-                Some(g) if c.enable && group_done(flat, wires.values(), g) => held_back = true,
+                Some(g) if held && group_done(flat, wires.values(), g) => held_back = true,
                 Some(g) => survivors.push(g),
                 None => {}
             }
-            may_fire |= !c.enable;
+            may_fire |= !held;
+            c.ran = true;
         }
         may_fire |= held_back;
 
@@ -1008,6 +1009,24 @@ mod tests {
         let wired = program("w.out");
         assert!(flat(&wired).groups.iter().all(|g| !g.done_from_state));
         assert_eq!(run_outcome(&wired, &["x", "n"]), (Ok(2), vec![9, 2]));
+    }
+
+    /// A group runs at least its first cycle whatever its done reads
+    /// then: one whose done is a constant, enabled twice, runs twice, one
+    /// cycle each, as its lowered design does.
+    #[test]
+    fn a_constant_done_group_runs_one_cycle_each_time_it_is_enabled() {
+        let src = r#"component main() -> () {
+              cells { i = std_reg(8); add = std_add(8); }
+              wires {
+                group incr {
+                  add.left = i.out; add.right = 8'd1; i.in = add.out; i.write_en = 1'd1;
+                  incr[done] = 1'd1;
+                }
+              }
+              control { seq { incr; incr; } }
+            }"#;
+        assert_eq!(run_outcome(src, &["i"]), (Ok(2), vec![2]));
     }
 
     #[test]

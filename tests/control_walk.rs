@@ -39,13 +39,18 @@ struct Runtime {
     in_cond: Vec<bool>,
     taken: Vec<bool>,
     finished: Vec<bool>,
+    /// An enable's group has run since the node was entered.
+    ran: Vec<bool>,
 }
 
 /// (Re-)enter a node. Returns true when the node is immediately done.
 fn start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut Runtime, n: CtrlIdx) -> bool {
     match &ctrl[n] {
         CtrlNode::Empty => true,
-        CtrlNode::Enable { .. } => false,
+        CtrlNode::Enable { .. } => {
+            rt.ran[n.index()] = false;
+            false
+        }
         CtrlNode::Seq { children } => {
             for (i, &c) in children.iter().enumerate() {
                 if !start(ctrl, rt, c) {
@@ -71,17 +76,26 @@ fn start(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &mut Runtime, n: CtrlIdx) -> 
     }
 }
 
-/// Add what node `n` asks of the next cycle to `into`.
-fn collect(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &Runtime, n: CtrlIdx, into: &mut Waiting) {
+/// Add what node `n` asks of the next cycle to `into`, and its enable
+/// nodes to `enables`.
+fn collect(
+    ctrl: &IndexedMap<CtrlIdx, CtrlNode>,
+    rt: &Runtime,
+    n: CtrlIdx,
+    into: &mut Waiting,
+    enables: &mut Vec<CtrlIdx>,
+) {
+    let mut visit = |c: CtrlIdx, into: &mut Waiting| collect(ctrl, rt, c, into, enables);
     match &ctrl[n] {
         CtrlNode::Empty => {}
-        CtrlNode::Enable { group } => into.enables.push(*group),
-        CtrlNode::Seq { children } => {
-            collect(ctrl, rt, children[rt.seq_pos[n.index()] as usize], into)
+        CtrlNode::Enable { group } => {
+            into.enables.push(*group);
+            enables.push(n);
         }
+        CtrlNode::Seq { children } => visit(children[rt.seq_pos[n.index()] as usize], into),
         CtrlNode::Par { children } => {
             for &c in children.iter().filter(|c| !rt.finished[c.index()]) {
-                collect(ctrl, rt, c, into);
+                visit(c, into);
             }
         }
         CtrlNode::If {
@@ -101,7 +115,7 @@ fn collect(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &Runtime, n: CtrlIdx, into:
                 } else {
                     fbranch
                 };
-                collect(ctrl, rt, *branch, into);
+                visit(*branch, into);
             }
         }
         CtrlNode::While { cond, body, .. } => {
@@ -111,7 +125,7 @@ fn collect(ctrl: &IndexedMap<CtrlIdx, CtrlNode>, rt: &Runtime, n: CtrlIdx, into:
                     None => into.samples = true,
                 }
             } else {
-                collect(ctrl, rt, *body, into);
+                visit(*body, into);
             }
         }
     }
@@ -243,6 +257,7 @@ impl Oracle {
             in_cond: vec![false; n],
             taken: vec![false; n],
             finished: vec![false; n],
+            ran: vec![false; n],
         };
         let mut phases = vec![Phase::Idle; flat.prog.instances.len()];
         let top = &flat.prog.instances[0];
@@ -270,13 +285,18 @@ impl Oracle {
 
     /// What the trees of the running instances ask of the next cycle.
     fn waiting(&self) -> Waiting {
-        let mut w = Waiting::default();
+        self.candidates().0
+    }
+
+    /// [`Oracle::waiting`], and the enable nodes it lists.
+    fn candidates(&self) -> (Waiting, Vec<CtrlIdx>) {
+        let (mut w, mut enables) = (Waiting::default(), Vec::new());
         for (inst, phase) in self.flat.prog.instances.iter().zip(&self.phases) {
             if *phase == Phase::Running {
-                collect(&self.flat.ctrl, &self.rt, inst.root, &mut w);
+                collect(&self.flat.ctrl, &self.rt, inst.root, &mut w, &mut enables);
             }
         }
-        sorted(w)
+        (sorted(w), enables)
     }
 
     /// Group `g`'s done condition, each guard walked over the values.
@@ -308,10 +328,10 @@ impl Oracle {
     }
 
     fn step(&mut self) -> SimResult<()> {
-        let w = self.waiting();
+        let (w, enables) = self.candidates();
         self.wires.publish(&self.flat.prog, &self.flat.graph);
-        // The done-observation cycle: an enable already done with no
-        // group active does not run again.
+        // The done-observation cycle: an enable that has run and is
+        // already done with no group active does not run again.
         if !w
             .enables
             .iter()
@@ -320,12 +340,16 @@ impl Oracle {
             self.activate(&[]);
             self.settle()?;
         }
-        let mut survivors: Vec<GroupIdx> = w
-            .enables
-            .iter()
-            .copied()
-            .filter(|&g| !self.group_done(g))
-            .collect();
+        let mut survivors = Vec::new();
+        for n in enables {
+            let CtrlNode::Enable { group } = self.flat.ctrl[n] else {
+                unreachable!("an enable node");
+            };
+            if !self.rt.ran[n.index()] || !self.group_done(group) {
+                survivors.push(group);
+            }
+            self.rt.ran[n.index()] = true;
+        }
         survivors.extend(&w.conds);
         self.activate(&survivors);
         self.settle()?;
@@ -566,8 +590,19 @@ fn the_hand_written_programs_walk_as_the_root_walk_does() {
             }
           }
           control { incr; }"#;
+    let constant_done = r#"component main() -> () {
+          cells { i = std_reg(8); add = std_add(8); }
+          wires {
+            group incr {
+              add.left = i.out; add.right = 8'd1; i.in = add.out; i.write_en = 1'd1;
+              incr[done] = 1'd1;
+            }
+          }
+          control { seq { incr; incr; } }
+        }"#;
     let programs = [
         ("seq of register writes", seq.to_string()),
+        ("a constant done, twice", constant_done.to_string()),
         ("done from state", observed("x.done")),
         ("done over a wire the group drives", observed("w.out")),
         ("par, then if with a group", par_if.to_string()),

@@ -15,15 +15,24 @@
 
 use calyx::core::ir::parse_context;
 use calyx::core::passes::PassManager;
+use calyx::sim::interp::Interpreter;
 use calyx::sim::rtl::Simulator;
 
+/// The final `mem` of the lowered program on the RTL engine, checked
+/// equal to that of the program itself under the interpreter, which runs
+/// a group whose done is a constant for one cycle as the lowered design
+/// does.
 fn run(src: &str) -> Vec<u64> {
     let mut ctx = parse_context(src).expect("parses");
+    let mut interp = Interpreter::new(&ctx, "main").expect("elaborates");
+    interp.run(10_000).expect("terminates");
     let mut pipeline = PassManager::from_names(&["lower"]).unwrap();
     pipeline.run(&mut ctx).expect("lowers");
     let mut sim = Simulator::new(&ctx, "main").expect("elaborates");
     sim.run(10_000).expect("terminates");
-    sim.memory("mem").expect("memory readable")
+    let mem = sim.memory("mem").expect("memory readable");
+    assert_eq!(interp.memory("mem").expect("memory readable"), mem);
+    mem
 }
 
 /// seq { static island writing mem; dynamic group writing mem } — the
